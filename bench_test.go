@@ -97,46 +97,6 @@ func benchImages(b *testing.B, n int) [][]byte {
 	return out
 }
 
-func BenchmarkDecodeBaseline(b *testing.B) {
-	imgs := benchImages(b, 8)
-	var total int64
-	for _, d := range imgs {
-		total += int64(len(d))
-	}
-	b.SetBytes(total)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, d := range imgs {
-			if _, err := jpegc.Decode(d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkDecodeProgressive(b *testing.B) {
-	imgs := benchImages(b, 8)
-	var prog [][]byte
-	var total int64
-	for _, d := range imgs {
-		p, err := jpegc.Transcode(d, &jpegc.Options{Progressive: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog = append(prog, p)
-		total += int64(len(p))
-	}
-	b.SetBytes(total)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, d := range prog {
-			if _, err := jpegc.Decode(d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkTranscodeToProgressive(b *testing.B) {
 	imgs := benchImages(b, 8)
 	b.ResetTimer()

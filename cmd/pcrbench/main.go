@@ -27,19 +27,15 @@
 // filtered streaming scan; with -loader the filter rides the batch
 // pipeline.
 //
-// -json additionally writes the table as machine-readable
-// BENCH_records.json or BENCH_loader.json in the working directory —
-// images/s, bytes/img, and p50/p99 stall per row — for dashboards and
-// regression tracking.
+// The repository's regression benchmark is bench/ (go run ./bench); this
+// tool is for pointing the same readers at a dataset or server of your own.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,7 +56,6 @@ func main() {
 	quality := flag.Int("quality", 0, "read quality for -loader (0 = full)")
 	diskDir := flag.String("disk-cache-dir", "", "persistent prefix cache directory (enables the cold-vs-warm comparison)")
 	diskMB := flag.Int64("disk-cache-mb", 1024, "persistent prefix cache budget in MiB")
-	jsonOut := flag.Bool("json", false, "also write machine-readable results to BENCH_records.json / BENCH_loader.json")
 	filter := flag.String("filter", "", `restrict to matching samples, e.g. "label IN (3, 7)" (pcr format only)`)
 	flag.Parse()
 	if *dir == "" {
@@ -70,7 +65,7 @@ func main() {
 	cfg := benchConfig{
 		dir: *dir, format: *formatName, workers: *workers, passes: *passes,
 		decode: *decode, cacheMB: *cacheMB, loader: *loaderMode, batch: *batch,
-		quality: *quality, diskDir: *diskDir, diskMB: *diskMB, json: *jsonOut,
+		quality: *quality, diskDir: *diskDir, diskMB: *diskMB,
 		filter: *filter,
 	}
 	if err := run(cfg); err != nil {
@@ -88,72 +83,7 @@ type benchConfig struct {
 	batch, quality  int
 	diskDir         string
 	diskMB          int64
-	json            bool
 	filter          string
-}
-
-// benchRow is one table row in machine-readable form. Records-mode rows
-// are keyed by quality; loader-mode rows by epoch (with the fixed quality
-// repeated). Stall quantiles are over per-read blocked time in records
-// mode and per-batch consumer wait in loader mode.
-type benchRow struct {
-	Quality       int     `json:"quality"`
-	Epoch         int     `json:"epoch,omitempty"`
-	Images        int64   `json:"images"`
-	ImagesPerSec  float64 `json:"images_per_sec"`
-	BytesPerImage float64 `json:"bytes_per_image"`
-	StallP50Ms    float64 `json:"stall_p50_ms"`
-	StallP99Ms    float64 `json:"stall_p99_ms"`
-	ElapsedMs     float64 `json:"elapsed_ms"`
-}
-
-// benchReport is the BENCH_*.json document.
-type benchReport struct {
-	Dataset string     `json:"dataset"`
-	Format  string     `json:"format"`
-	Mode    string     `json:"mode"`
-	Workers int        `json:"workers"`
-	Batch   int        `json:"batch,omitempty"`
-	Rows    []benchRow `json:"rows"`
-}
-
-// writeReport writes the report to BENCH_<mode>.json in the working
-// directory.
-func writeReport(rep benchReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	name := "BENCH_" + rep.Mode + ".json"
-	if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", name)
-	return nil
-}
-
-// quantileMs returns the q-quantile (0..1) of the samples in milliseconds
-// by nearest-rank; 0 when there are no samples.
-func quantileMs(samples []time.Duration, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	ix := int(q * float64(len(s)-1))
-	return float64(s[ix]) / float64(time.Millisecond)
-}
-
-// stallTrack collects blocked-time samples from concurrent readers.
-type stallTrack struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-func (st *stallTrack) add(d time.Duration) {
-	st.mu.Lock()
-	st.samples = append(st.samples, d)
-	st.mu.Unlock()
 }
 
 func run(cfg benchConfig) error {
@@ -214,7 +144,6 @@ func run(cfg benchConfig) error {
 		stats, ok := ds.CacheStats()
 		return stats.BytesFetched, ok
 	}
-	rep := benchReport{Dataset: dir, Format: ds.Format().Name(), Mode: "records", Workers: workers}
 	for q := 1; q <= ds.Qualities(); q++ {
 		size, err := ds.SizeAtQuality(q)
 		if err != nil {
@@ -223,15 +152,14 @@ func run(cfg benchConfig) error {
 		before, cached := fetchedSoFar()
 		var images int64
 		var fstats pcr.FilterStats
-		stalls := &stallTrack{}
 		start := time.Now()
 		switch {
 		case pred != nil:
-			images, fstats, err = benchFiltered(ds, q, passes, decode, pred, stalls)
+			images, fstats, err = benchFiltered(ds, q, passes, decode, pred)
 		case format == pcr.PCR:
-			images, err = benchRecords(ds, q, workers, passes, decode, stalls)
+			images, err = benchRecords(ds, q, workers, passes, decode)
 		default:
-			images, err = benchStream(ds, q, passes, decode, stalls)
+			images, err = benchStream(ds, q, passes, decode)
 		}
 		if err != nil {
 			return err
@@ -262,27 +190,10 @@ func run(cfg benchConfig) error {
 			ratio(float64(moved), float64(images), "%.0f"),
 			ratio(float64(moved)/1e6, elapsed.Seconds(), "%.1f MB/s"),
 			elapsed.Round(time.Millisecond))
-		row := benchRow{
-			Quality:    q,
-			Images:     images,
-			StallP50Ms: quantileMs(stalls.samples, 0.50),
-			StallP99Ms: quantileMs(stalls.samples, 0.99),
-			ElapsedMs:  float64(elapsed) / float64(time.Millisecond),
-		}
-		if s := elapsed.Seconds(); s > 0 {
-			row.ImagesPerSec = float64(images) / s
-		}
-		if images > 0 {
-			row.BytesPerImage = float64(moved) / float64(images)
-		}
-		rep.Rows = append(rep.Rows, row)
 	}
 	if stats, ok := ds.CacheStats(); ok {
 		fmt.Printf("cache: %d hits, %d upgrade hits, %d misses, %d evictions, %d bytes fetched\n",
 			stats.Hits, stats.UpgradeHits, stats.Misses, stats.Evictions, stats.BytesFetched)
-	}
-	if cfg.json {
-		return writeReport(rep)
 	}
 	return nil
 }
@@ -335,22 +246,13 @@ func runLoader(ds *pcr.Dataset, cfg benchConfig, remote bool, pred pcr.Predicate
 		tracked    bool
 	}
 	var rows []row
-	rep := benchReport{Dataset: cfg.dir, Format: ds.Format().Name(), Mode: "loader",
-		Workers: cfg.workers, Batch: cfg.batch}
 	ctx := context.Background()
 	for epoch := 0; epoch < cfg.passes; epoch++ {
 		before, tracked := upstream()
-		// Per-batch consumer wait: the time each range step spends blocked
-		// on the pipeline (the consumer itself does no work here, so the
-		// whole step is stall).
-		var stalls []time.Duration
-		prev := time.Now()
 		for _, err := range l.Epoch(ctx, epoch) {
 			if err != nil {
 				return err
 			}
-			stalls = append(stalls, time.Since(prev))
-			prev = time.Now()
 		}
 		st, ok := l.LastEpochStats()
 		if !ok {
@@ -369,19 +271,6 @@ func runLoader(ds *pcr.Dataset, cfg benchConfig, remote bool, pred pcr.Predicate
 			st.Wall.Round(time.Millisecond),
 			ratio(float64(moved)/1e6, 1, "%.2f"))
 		rows = append(rows, row{imgsPerSec: st.ImagesPerSec, upstream: moved, tracked: tracked})
-		jr := benchRow{
-			Quality:      cfg.quality,
-			Epoch:        epoch,
-			Images:       int64(st.Images),
-			ImagesPerSec: st.ImagesPerSec,
-			StallP50Ms:   quantileMs(stalls, 0.50),
-			StallP99Ms:   quantileMs(stalls, 0.99),
-			ElapsedMs:    float64(st.Wall) / float64(time.Millisecond),
-		}
-		if st.Images > 0 {
-			jr.BytesPerImage = float64(st.BytesRead) / float64(st.Images)
-		}
-		rep.Rows = append(rep.Rows, jr)
 	}
 	if pred != nil {
 		if st, ok := l.LastEpochStats(); ok {
@@ -398,15 +287,12 @@ func runLoader(ds *pcr.Dataset, cfg benchConfig, remote bool, pred pcr.Predicate
 		fmt.Printf("cache: %d hits, %d delta hits, %d misses, %d evictions; %d entries recovered warm\n",
 			st.Hits, st.DeltaHits, st.Misses, st.Evictions, st.Recovered)
 	}
-	if cfg.json {
-		return writeReport(rep)
-	}
 	return nil
 }
 
 // benchRecords drives the §A.5 structure: worker goroutines pull record
 // indices from a shared queue and issue independent prefix reads.
-func benchRecords(ds *pcr.Dataset, q, workers, passes int, decode bool, stalls *stallTrack) (int64, error) {
+func benchRecords(ds *pcr.Dataset, q, workers, passes int, decode bool) (int64, error) {
 	work := make(chan int, ds.NumRecords()*passes)
 	for p := 0; p < passes; p++ {
 		for r := 0; r < ds.NumRecords(); r++ {
@@ -426,13 +312,11 @@ func benchRecords(ds *pcr.Dataset, q, workers, passes int, decode bool, stalls *
 			for r := range work {
 				var samples []pcr.Sample
 				var err error
-				start := time.Now()
 				if decode {
 					samples, err = ds.ReadRecord(ctx, r, q)
 				} else {
 					samples, err = ds.ReadRecordEncoded(r, q)
 				}
-				stalls.add(time.Since(start))
 				if err != nil {
 					errCh <- err
 					return
@@ -455,7 +339,7 @@ func benchRecords(ds *pcr.Dataset, q, workers, passes int, decode bool, stalls *
 // range reads locally, bitmap pushdown against a server), with Scan's
 // worker pool handling decode when requested. The aggregated FilterStats
 // across all passes report what the filter read and what it avoided.
-func benchFiltered(ds *pcr.Dataset, q, passes int, decode bool, pred pcr.Predicate, stalls *stallTrack) (int64, pcr.FilterStats, error) {
+func benchFiltered(ds *pcr.Dataset, q, passes int, decode bool, pred pcr.Predicate) (int64, pcr.FilterStats, error) {
 	ctx := context.Background()
 	var images int64
 	var agg pcr.FilterStats
@@ -465,14 +349,11 @@ func benchFiltered(ds *pcr.Dataset, q, passes int, decode bool, pred pcr.Predica
 		if decode {
 			scan = ds.Scan
 		}
-		prev := time.Now()
 		for _, err := range scan(ctx, q, pcr.WithFilter(pred), pcr.WithFilterStats(&fs)) {
 			if err != nil {
 				return images, agg, err
 			}
 			images++
-			stalls.add(time.Since(prev))
-			prev = time.Now()
 		}
 		agg.Selected += fs.Selected
 		agg.Skipped += fs.Skipped
@@ -485,7 +366,7 @@ func benchFiltered(ds *pcr.Dataset, q, passes int, decode bool, pred pcr.Predica
 
 // benchStream measures formats that only stream: one sequential reader,
 // with Scan's worker pool handling decode when requested.
-func benchStream(ds *pcr.Dataset, q, passes int, decode bool, stalls *stallTrack) (int64, error) {
+func benchStream(ds *pcr.Dataset, q, passes int, decode bool) (int64, error) {
 	ctx := context.Background()
 	var images int64
 	for p := 0; p < passes; p++ {
@@ -493,14 +374,11 @@ func benchStream(ds *pcr.Dataset, q, passes int, decode bool, stalls *stallTrack
 		if decode {
 			scan = ds.Scan
 		}
-		prev := time.Now()
 		for _, err := range scan(ctx, q) {
 			if err != nil {
 				return images, err
 			}
 			images++
-			stalls.add(time.Since(prev))
-			prev = time.Now()
 		}
 	}
 	return images, nil

@@ -46,28 +46,3 @@ func fdct(b *[64]float64) {
 		}
 	}
 }
-
-// idct computes the inverse 8×8 DCT in place, undoing fdct.
-func idct(b *[64]float64) {
-	var tmp [64]float64
-	// Columns first.
-	for u := 0; u < 8; u++ {
-		for y := 0; y < 8; y++ {
-			var s float64
-			for v := 0; v < 8; v++ {
-				s += dctScale(v) * b[v*8+u] * cosTable[v][y]
-			}
-			tmp[y*8+u] = s / 2
-		}
-	}
-	// Rows.
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			var s float64
-			for u := 0; u < 8; u++ {
-				s += dctScale(u) * tmp[y*8+u] * cosTable[u][x]
-			}
-			b[y*8+x] = s / 2
-		}
-	}
-}

@@ -1,8 +1,10 @@
 package jpegc
 
 import (
+	"bytes"
 	"fmt"
 	"image"
+	"image/jpeg"
 )
 
 // decoder holds the marker-level and entropy-level state of one decode.
@@ -24,11 +26,10 @@ type decoder struct {
 
 	blocks [3][]Block
 	sawSOF bool
-	sawEOI bool
 }
 
-// geometry is a CoeffImage shell used to reuse the component-grid and MCU
-// iteration helpers during decoding.
+// geometry is a CoeffImage shell: the decode loops use it for the
+// component-grid and MCU iteration helpers, DecodeCoeffs fills it in.
 func (d *decoder) geometry() *CoeffImage {
 	return &CoeffImage{
 		Width:        d.width,
@@ -42,19 +43,13 @@ func (d *decoder) geometry() *CoeffImage {
 // quantized DCT coefficients. Progressive streams whose later scans are
 // absent — e.g. a PCR scan-group prefix terminated with EOI — decode
 // successfully; missing refinements simply leave coefficients at their
-// coarser values. A stream that ends without EOI returns the partial
-// coefficients alongside ErrTruncated.
+// coarser values. A stream that ends without EOI returns ErrTruncated.
 func DecodeCoeffs(data []byte) (*CoeffImage, error) {
 	d := &decoder{data: data}
 	if err := d.run(); err != nil {
 		return nil, err
 	}
-	ci := &CoeffImage{
-		Width:        d.width,
-		Height:       d.height,
-		NumComps:     d.ncomp,
-		Subsample420: d.subsample420,
-	}
+	ci := d.geometry()
 	ci.Quant[0] = d.quant[d.compQuant[0]]
 	if d.ncomp == 3 {
 		ci.Quant[1] = d.quant[d.compQuant[1]]
@@ -62,19 +57,51 @@ func DecodeCoeffs(data []byte) (*CoeffImage, error) {
 	for c := 0; c < d.ncomp; c++ {
 		ci.Blocks[c] = d.blocks[c]
 	}
-	if !d.sawEOI {
-		return ci, ErrTruncated
-	}
 	return ci, nil
 }
 
-// Decode parses a JPEG stream and reconstructs the image.
+// Decode reconstructs the pixels of a JPEG stream with the standard
+// library's decoder — the repository's only pixel path. Color streams come
+// back as *image.YCbCr at the stream's native subsampling, grayscale as
+// *image.Gray. A scan-group prefix terminated with EOI decodes to its
+// coarser image; a stream without EOI is an error.
 func Decode(data []byte) (image.Image, error) {
-	ci, err := DecodeCoeffs(data)
-	if err != nil {
-		return nil, err
+	if w, h, ok := frameSize(data); ok {
+		if err := checkDims(w, h); err != nil {
+			return nil, err
+		}
 	}
-	return ToImage(ci), nil
+	return jpeg.Decode(bytes.NewReader(data))
+}
+
+// frameSize walks the markers up to the first frame header and returns the
+// size it declares. (jpeg.DecodeConfig would do, at 13 KB of decoder state
+// allocated per call.) A stream with no frame header before its first scan
+// is left for image/jpeg to refuse.
+func frameSize(data []byte) (w, h int, ok bool) {
+	d := decoder{data: data, pos: 2}
+	for {
+		marker, p, err := d.nextSegment()
+		switch {
+		case err != nil || marker == mSOS || marker == mEOI:
+			return 0, 0, false
+		case marker >= mSOF0 && marker <= mSOF2 && len(p) >= 5:
+			return int(p[3])<<8 | int(p[4]), int(p[1])<<8 | int(p[2]), true
+		}
+	}
+}
+
+// maxPixels bounds the frame size a decode will allocate for. A SOF header
+// can declare 65535×65535 in a dozen bytes, and both DecodeCoeffs and
+// image/jpeg size their buffers from that declaration before they have read
+// any entropy-coded data; 2^26 pixels is above any camera frame.
+const maxPixels = 1 << 26
+
+func checkDims(w, h int) error {
+	if w <= 0 || h <= 0 || int64(w)*int64(h) > maxPixels {
+		return fmt.Errorf("jpegc: unsupported frame size %dx%d", w, h)
+	}
+	return nil
 }
 
 func (d *decoder) run() error {
@@ -89,7 +116,9 @@ func (d *decoder) run() error {
 		}
 		switch {
 		case marker == mEOI:
-			d.sawEOI = true
+			if !d.sawSOF {
+				return fmt.Errorf("jpegc: EOI before SOF")
+			}
 			return nil
 		case marker == mSOF0 || marker == mSOF2:
 			d.progressive = marker == mSOF2
@@ -179,6 +208,9 @@ func (d *decoder) parseSOF(p []byte) error {
 	d.height = int(p[1])<<8 | int(p[2])
 	d.width = int(p[3])<<8 | int(p[4])
 	d.ncomp = int(p[5])
+	if err := checkDims(d.width, d.height); err != nil {
+		return err
+	}
 	if d.ncomp != 1 && d.ncomp != 3 {
 		return fmt.Errorf("jpegc: unsupported component count %d", d.ncomp)
 	}

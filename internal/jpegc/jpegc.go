@@ -1,13 +1,21 @@
-// Package jpegc implements a JPEG (ITU-T T.81) codec with full support for
-// progressive encoding — spectral selection and successive approximation —
-// plus coefficient-level (lossless) transcoding between baseline and
-// progressive representations and a scan-boundary scanner.
+// Package jpegc is the part of a JPEG (ITU-T T.81) codec that the standard
+// library does not provide: progressive encoding — spectral selection and
+// successive approximation — coefficient-level (lossless) transcoding
+// between baseline and progressive representations, and a scan-boundary
+// scanner.
 //
-// The Go standard library can decode progressive JPEG but cannot encode it,
-// and it exposes neither scan boundaries nor DCT coefficients. Progressive
-// Compressed Records need all three: the PCR encoder plays the role of
-// jpegtran (lossless baseline→progressive transform) followed by a marker
-// scan that locates the byte ranges of each scan.
+// image/jpeg decodes progressive JPEG but cannot encode it, and it exposes
+// neither scan boundaries nor DCT coefficients. Progressive Compressed
+// Records need all three: the PCR encoder plays the role of jpegtran
+// (lossless baseline→progressive transform) followed by a marker scan that
+// locates the byte ranges of each scan.
+//
+// Pixel reconstruction is not here. Decode hands the stream to image/jpeg:
+// every stream the read path sees was written by Transcode and is a strict
+// subset of what the standard library accepts, and one inverse DCT is enough
+// for one repository. The price is the standard library's scaled-integer
+// IDCT in place of an exact float one — decoded levels may differ from a
+// float reconstruction by 1–2.
 //
 // The codec is deliberately restricted to the subset the PCR system needs:
 //
@@ -17,8 +25,8 @@
 //   - no restart markers, no arithmetic coding, no hierarchical mode
 //
 // Streams produced here are valid interchange-format JPEG: tests verify that
-// the standard library's image/jpeg decoder accepts them and produces the
-// same pixels.
+// image/jpeg accepts them, whole and as scan prefixes, and reconstructs the
+// source pixels.
 package jpegc
 
 import (
@@ -207,9 +215,10 @@ func (ci *CoeffImage) validate() error {
 	return nil
 }
 
-// ErrTruncated is returned by Decode when the stream ends before an EOI
-// marker. Progressive reconstructions from complete scan prefixes are not
-// truncated in this sense: the PCR decoder appends EOI to the prefix.
+// ErrTruncated is returned by DecodeCoeffs and IndexScans when the stream
+// ends before an EOI marker. Progressive reconstructions from complete scan
+// prefixes are not truncated in this sense: the PCR reader appends EOI to
+// the prefix.
 var ErrTruncated = errors.New("jpegc: truncated stream")
 
 // zigzag maps a zigzag-order index to natural (row-major) order.

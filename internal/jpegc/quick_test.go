@@ -168,25 +168,58 @@ func TestQuickScanPrefixesAlwaysDecode(t *testing.T) {
 	}
 }
 
-// TestQuickDecodeNeverPanics fuzzes the marker parser with mutated valid
-// streams: errors are fine, panics are not.
-func TestQuickDecodeNeverPanics(t *testing.T) {
-	img := testImage(32, 32, 3)
-	valid, err := Encode(img, &Options{Quality: 70, Progressive: true})
+// FuzzDecodeCoeffs feeds arbitrary bytes to the three entry points that
+// parse a JPEG stream. Truncated progressive streams are this system's
+// normal input, so the seeds are a baseline stream, a progressive one, and
+// every scan prefix of it with and without its EOI; testdata/fuzz adds
+// hostile headers and bit-flipped streams. Any input may be refused. None
+// may panic, and none may come back with a frame larger than checkDims
+// allows, which is what bounds the allocation a header can ask for.
+func FuzzDecodeCoeffs(f *testing.F) {
+	base, err := Encode(testImage(32, 32, 3), &Options{Quality: 70})
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 300; trial++ {
-		data := append([]byte(nil), valid...)
-		for m := 0; m < rng.Intn(8)+1; m++ {
-			data[rng.Intn(len(data))] ^= byte(1 << rng.Intn(8))
-		}
-		if rng.Intn(4) == 0 {
-			data = data[:rng.Intn(len(data))+1]
-		}
-		// Must not panic (errors are expected and ignored).
-		DecodeCoeffs(data)
-		IndexScans(data)
+	prog, err := Transcode(base, &Options{Progressive: true})
+	if err != nil {
+		f.Fatal(err)
 	}
+	idx, err := IndexScans(prog)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(base)
+	f.Add(prog)
+	for n := 1; n <= len(idx.Scans); n++ {
+		trunc, err := TruncateToScan(prog, idx, n)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(trunc)
+		f.Add(trunc[:len(trunc)-2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if ci, err := DecodeCoeffs(data); err == nil {
+			if err := checkDims(ci.Width, ci.Height); err != nil {
+				t.Fatalf("DecodeCoeffs accepted: %v", err)
+			}
+			for c := 0; c < ci.NumComps; c++ {
+				if want := ci.CompBlocksWide(c) * ci.CompBlocksHigh(c); len(ci.Blocks[c]) != want {
+					t.Fatalf("component %d has %d blocks, geometry says %d", c, len(ci.Blocks[c]), want)
+				}
+			}
+		}
+		if idx, err := IndexScans(data); err == nil {
+			for n := 1; n <= len(idx.Scans); n++ {
+				if _, err := TruncateToScan(data, idx, n); err != nil {
+					t.Fatalf("scan prefix %d of an indexed stream: %v", n, err)
+				}
+			}
+		}
+		if img, err := Decode(data); err == nil {
+			if err := checkDims(img.Bounds().Dx(), img.Bounds().Dy()); err != nil {
+				t.Fatalf("Decode accepted: %v", err)
+			}
+		}
+	})
 }

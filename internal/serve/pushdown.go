@@ -162,6 +162,5 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 	if r.Method == http.MethodHead {
 		return
 	}
-	n, _ := w.Write(body)
-	s.bytesServed.Add(int64(n))
+	s.writeBody(w, body)
 }

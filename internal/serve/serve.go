@@ -602,8 +602,18 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodHead {
 		return
 	}
-	n, _ := w.Write(data)
-	s.bytesServed.Add(int64(n))
+	s.writeBody(w, data)
+}
+
+// writeBody sends a record payload and counts it in bytes_served. The count
+// goes first: once Write hands the bytes to the connection a client can read
+// them and ask for Stats or /varz, and must find its own body already
+// counted. A short write takes the unsent remainder back off.
+func (s *Server) writeBody(w http.ResponseWriter, body []byte) {
+	s.bytesServed.Add(int64(len(body)))
+	if n, _ := w.Write(body); n < len(body) {
+		s.bytesServed.Add(int64(n - len(body)))
+	}
 }
 
 // readRange produces [start, start+length) of record rec, through the hot

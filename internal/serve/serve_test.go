@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -410,5 +411,74 @@ func TestConcurrentRangeReads(t *testing.T) {
 	st := srv.Stats()
 	if st.RangeRequests == 0 || st.BytesServed == 0 {
 		t.Fatalf("counters not advancing: %+v", st)
+	}
+}
+
+// orderWriter checks, each time a handler releases body bytes, that the
+// server has already counted them; limit > 0 makes it a connection that
+// accepts only that many bytes.
+type orderWriter struct {
+	*httptest.ResponseRecorder
+	t       *testing.T
+	srv     *serve.Server
+	before  int64
+	written int64
+	limit   int
+}
+
+func (w *orderWriter) Write(p []byte) (int, error) {
+	w.written += int64(len(p))
+	if counted := w.srv.Stats().BytesServed - w.before; counted < w.written {
+		w.t.Errorf("body bytes released with bytes_served at %d, below the %d handed to Write", counted, w.written)
+	}
+	if w.limit > 0 && len(p) > w.limit {
+		w.ResponseRecorder.Write(p[:w.limit])
+		return w.limit, io.ErrShortWrite
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestBytesServedCountedBeforeRelease: a client that has read its body and
+// then asks for Stats (TestSyncReplicas, the benchmark's bytes_per_image)
+// must find that body counted, so both record-body paths count before they
+// write; a short write leaves only the bytes that left counted.
+func TestBytesServedCountedBeforeRelease(t *testing.T) {
+	_, srv, ts := startServer(t, nil)
+	re := fetchIndex(t, ts).Records[0]
+	sel := make([]bool, re.Samples)
+	sel[0] = true
+	urls := []string{
+		"/records/" + re.Name + "?group=1",
+		"/records/" + re.Name + "?group=1&samples=" + bitmap(sel),
+	}
+	start := srv.Stats().BytesServed
+	var wg sync.WaitGroup
+	var sent atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				w := &orderWriter{ResponseRecorder: httptest.NewRecorder(), t: t, srv: srv, before: start}
+				srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, urls[i%2], nil))
+				if w.Code != http.StatusOK || w.written == 0 {
+					t.Errorf("GET %s: status %d, %d body bytes", urls[i%2], w.Code, w.written)
+				}
+				sent.Add(w.written)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := srv.Stats().BytesServed - start; got != sent.Load() {
+		t.Fatalf("bytes_served rose by %d for %d body bytes", got, sent.Load())
+	}
+
+	for _, u := range urls {
+		before := srv.Stats().BytesServed
+		w := &orderWriter{ResponseRecorder: httptest.NewRecorder(), t: t, srv: srv, before: before, limit: 100}
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, u, nil))
+		if got := srv.Stats().BytesServed - before; got != 100 {
+			t.Errorf("GET %s cut at 100 bytes: bytes_served rose by %d", u, got)
+		}
 	}
 }
