@@ -94,17 +94,20 @@ func (w *DatasetWriter) flush() error {
 		return nil
 	}
 	name := recordName(w.nrec)
-	f, err := os.Create(filepath.Join(w.dir, name))
+	path := filepath.Join(w.dir, name)
+	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	meta, err := WriteRecordOpts(f, w.pending, &RecordOptions{ScanGroups: w.opts.ScanGroups})
-	if err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("core: %w", cerr)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if err != nil {
+		// No index entry will name the file: do not leave a partial
+		// record beside the whole ones.
+		os.Remove(path)
+		return err
 	}
 
 	// Record index entry: file name, sample count, prefix length per group,

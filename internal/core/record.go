@@ -11,11 +11,15 @@
 package core
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"image"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/jpegc"
 	"repro/internal/wire"
@@ -121,45 +125,82 @@ func WriteRecord(w io.Writer, samples []Sample) (*RecordMeta, error) {
 	return WriteRecordOpts(w, samples, nil)
 }
 
-// WriteRecordOpts is WriteRecord with layout options.
+// prepared is one sample ready to be laid out: its metadata entry and its
+// scan bytes, scans[k] belonging to scan group k+1.
+type prepared struct {
+	meta  SampleMeta
+	scans [][]byte
+}
+
+// prepare indexes a sample's scans, transcoding it to progressive form
+// first if it is not.
+func prepare(s Sample) (prepared, error) {
+	data := s.JPEG
+	idx, err := jpegc.IndexScans(data)
+	if err != nil {
+		return prepared{}, fmt.Errorf("core: sample %d: %w", s.ID, err)
+	}
+	if !idx.Progressive {
+		data, err = jpegc.Transcode(data, &jpegc.Options{Progressive: true})
+		if err != nil {
+			return prepared{}, fmt.Errorf("core: sample %d: transcode: %w", s.ID, err)
+		}
+		idx, err = jpegc.IndexScans(data)
+		if err != nil {
+			return prepared{}, fmt.Errorf("core: sample %d: %w", s.ID, err)
+		}
+	}
+	p := prepared{
+		meta:  SampleMeta{ID: s.ID, Label: s.Label, Header: append([]byte(nil), data[:idx.HeaderLen]...)},
+		scans: make([][]byte, len(idx.Scans)),
+	}
+	for k, sc := range idx.Scans {
+		p.scans[k] = data[sc.Offset : sc.Offset+sc.Length]
+	}
+	return p, nil
+}
+
+// prepareAll prepares every sample, on as many goroutines as there are
+// processors to run them: the transcode is all of an ingest's CPU time and
+// the samples of a record are independent. Results are placed by index, so
+// the record does not depend on the schedule, and when samples fail the
+// error is that of the first one in record order.
+func prepareAll(samples []Sample) ([]prepared, error) {
+	preps := make([]prepared, len(samples))
+	errs := make([]error, len(samples))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(samples)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(samples); i = int(next.Add(1)) - 1 {
+				preps[i], errs[i] = prepare(samples[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return preps, nil
+}
+
+// WriteRecordOpts is WriteRecord with layout options. It hands w the record
+// in a few large writes.
 func WriteRecordOpts(w io.Writer, samples []Sample, opts *RecordOptions) (*RecordMeta, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: empty record")
 	}
-	type prepared struct {
-		meta   SampleMeta
-		scans  [][]byte // scan k bytes, k = 0-based group index
-		header []byte
+	preps, err := prepareAll(samples)
+	if err != nil {
+		return nil, err
 	}
-	var preps []prepared
 	numGroups := 0
-	for _, s := range samples {
-		data := s.JPEG
-		idx, err := jpegc.IndexScans(data)
-		if err != nil {
-			return nil, fmt.Errorf("core: sample %d: %w", s.ID, err)
-		}
-		if !idx.Progressive {
-			data, err = jpegc.Transcode(data, &jpegc.Options{Progressive: true})
-			if err != nil {
-				return nil, fmt.Errorf("core: sample %d: transcode: %w", s.ID, err)
-			}
-			idx, err = jpegc.IndexScans(data)
-			if err != nil {
-				return nil, fmt.Errorf("core: sample %d: %w", s.ID, err)
-			}
-		}
-		p := prepared{
-			meta:   SampleMeta{ID: s.ID, Label: s.Label},
-			header: append([]byte(nil), data[:idx.HeaderLen]...),
-		}
-		for _, sc := range idx.Scans {
-			p.scans = append(p.scans, data[sc.Offset:sc.Offset+sc.Length])
-		}
-		if len(p.scans) > numGroups {
-			numGroups = len(p.scans)
-		}
-		preps = append(preps, p)
+	for i := range preps {
+		numGroups = max(numGroups, len(preps[i].scans))
 	}
 
 	// Coalesce scans into the requested number of scan groups. Scan s
@@ -178,51 +219,58 @@ func WriteRecordOpts(w io.Writer, samples []Sample, opts *RecordOptions) (*Recor
 		numGroups = k
 	}
 
-	// Metadata section.
+	// Metadata section, and the parsed form of it that is returned.
+	m := &RecordMeta{NumGroups: numGroups, Samples: make([]SampleMeta, len(preps))}
 	enc := wire.NewEncoder(nil)
 	enc.Uint64(fieldNumGroups, uint64(numGroups))
+	lens := make([]uint64, numGroups)
 	for i := range preps {
 		p := &preps[i]
-		sub := wire.NewEncoder(nil)
-		sub.Uint64(sfID, uint64(p.meta.ID))
-		sub.Int64(sfLabel, p.meta.Label)
-		sub.Bytes(sfHeader, p.header)
-		lens := make([]uint64, numGroups)
-		for g := 0; g < numGroups; g++ {
+		p.meta.GroupLens = make([]int64, numGroups)
+		for g := range lens {
+			lens[g] = 0
 			if g < len(p.scans) {
 				lens[g] = uint64(len(p.scans[g]))
 			}
+			p.meta.GroupLens[g] = int64(lens[g])
 		}
+		sub := wire.NewEncoder(nil)
+		sub.Uint64(sfID, uint64(p.meta.ID))
+		sub.Int64(sfLabel, p.meta.Label)
+		sub.Bytes(sfHeader, p.meta.Header)
 		sub.PackedUint64(sfGroupLens, lens)
 		enc.Bytes(fieldSample, sub.Encode())
+		m.Samples[i] = p.meta
 	}
 	meta := enc.Encode()
+	m.BodyStart = int64(8 + len(meta))
+	m.buildOffsets()
 
+	bw := bufio.NewWriterSize(w, recordWriteBuffer)
 	var hdr [8]byte
 	copy(hdr[0:4], Magic[:])
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(meta)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if _, err := w.Write(meta); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
+	bw.Write(hdr[:])
+	bw.Write(meta)
 	// Body: scan groups in order; within a group, samples in order.
 	for g := 0; g < numGroups; g++ {
 		for i := range preps {
 			if g < len(preps[i].scans) {
-				if _, err := w.Write(preps[i].scans[g]); err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
+				bw.Write(preps[i].scans[g])
 			}
 		}
 	}
-
-	full := make([]byte, 0, len(hdr)+len(meta))
-	full = append(full, hdr[:]...)
-	full = append(full, meta...)
-	return ParseRecordMeta(full)
+	// A failed write sticks to bw: Flush reports the first one.
+	if err := bw.Flush(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return m, nil
 }
+
+// recordWriteBuffer is the size of the writes WriteRecordOpts issues: a
+// record of 32 photographs goes out in a handful instead of one per sample
+// and scan group.
+const recordWriteBuffer = 64 << 10
 
 func optScanGroups(opts *RecordOptions) int {
 	if opts == nil {

@@ -1,130 +1,145 @@
 package jpegc
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // bitWriter emits an MSB-first bit stream with JPEG byte stuffing: every
 // 0xFF data byte is followed by a 0x00 stuff byte so decoders can
-// distinguish entropy-coded data from markers.
+// distinguish entropy-coded data from markers. Bits collect in a 64-bit
+// accumulator and leave four bytes at a time, appended to out.
 type bitWriter struct {
-	buf  *bytes.Buffer
-	acc  uint32 // pending bits, left-aligned within nbits
-	nbit uint   // number of pending bits in acc
+	out  []byte
+	acc  uint64 // pending bits are the low nbit bits
+	nbit uint   // always < 32 between calls
 }
 
-func newBitWriter(buf *bytes.Buffer) *bitWriter {
-	return &bitWriter{buf: buf}
-}
-
-// writeBits appends the low n bits of v, most significant first. n may be 0.
+// writeBits appends the low n bits of v, most significant first. n may be 0
+// and is at most 32; v must have no bits set above its low n.
 func (w *bitWriter) writeBits(v uint32, n uint) {
-	if n == 0 {
+	w.acc = w.acc<<n | uint64(v)
+	w.nbit += n
+	if w.nbit >= 32 {
+		w.nbit -= 32
+		w.put4(uint32(w.acc >> w.nbit))
+	}
+}
+
+// put4 appends four data bytes, stuffing any that are 0xFF.
+func (w *bitWriter) put4(x uint32) {
+	// A byte of x is 0xFF exactly where the byte of ^x is zero.
+	if (^x-0x01010101)&x&0x80808080 == 0 {
+		w.out = binary.BigEndian.AppendUint32(w.out, x)
 		return
 	}
-	w.acc = (w.acc << n) | (v & ((1 << n) - 1))
-	w.nbit += n
-	for w.nbit >= 8 {
-		b := byte(w.acc >> (w.nbit - 8))
-		w.buf.WriteByte(b)
-		if b == 0xFF {
-			w.buf.WriteByte(0x00)
-		}
-		w.nbit -= 8
+	for shift := 24; shift >= 0; shift -= 8 {
+		w.putByte(byte(x >> shift))
+	}
+}
+
+func (w *bitWriter) putByte(b byte) {
+	w.out = append(w.out, b)
+	if b == 0xFF {
+		w.out = append(w.out, 0x00)
 	}
 }
 
 // flush pads the final partial byte with 1 bits (the JPEG convention) and
-// emits it.
+// emits what is pending.
 func (w *bitWriter) flush() {
-	if w.nbit > 0 {
-		pad := 8 - w.nbit
-		w.writeBits((1<<pad)-1, pad)
+	if rem := w.nbit % 8; rem != 0 {
+		pad := 8 - rem
+		w.acc = w.acc<<pad | (1<<pad - 1)
+		w.nbit += pad
+	}
+	for w.nbit > 0 {
+		w.nbit -= 8
+		w.putByte(byte(w.acc >> w.nbit))
 	}
 }
 
-// bitReader consumes an MSB-first bit stream from de-stuffed entropy-coded
-// data. It reports exhaustion via ok=false rather than error values so the
-// hot decode loop stays branch-light; callers check err() once per scan.
+// scanEnd returns the offset at which the entropy-coded segment starting at
+// data[pos] ends: the position of the first 0xFF that begins a marker (0xFF
+// followed by anything but a 0x00 stuff byte or another 0xFF fill byte), of
+// a lone 0xFF that is the stream's last byte, or len(data). It copies
+// nothing.
+func scanEnd(data []byte, pos int) int {
+	for {
+		i := bytes.IndexByte(data[pos:], 0xFF)
+		if i < 0 {
+			return len(data)
+		}
+		pos += i
+		if pos+1 >= len(data) {
+			return pos
+		}
+		switch data[pos+1] {
+		case 0x00:
+			pos += 2 // stuffed data byte
+		case 0xFF:
+			pos++ // fill byte: re-examine the next 0xFF
+		default:
+			return pos
+		}
+	}
+}
+
+// bitReader consumes an MSB-first bit stream from one entropy-coded segment,
+// data[pos:end] with end found by scanEnd, removing the stuff bytes as it
+// fills its accumulator. Past the end of the segment it feeds zero bits and
+// counts them: filling ahead is not an error, but a scan that consumed any
+// of them asked for more bits than its payload holds, which overrun reports
+// and the decoder checks once a scan has been decoded.
 type bitReader struct {
-	data []byte
-	pos  int
-	acc  uint32
-	nbit uint
-	eof  bool
+	data  []byte // the segment, stuff bytes included
+	pos   int
+	acc   uint64 // the next bits, left-aligned
+	nbit  int    // valid bits in acc, the fed zeros included
+	zeros int    // zero bits fed past the end of the segment
 }
 
-func newBitReader(data []byte) *bitReader {
-	return &bitReader{data: data}
-}
-
+// fill tops the accumulator up to at least 57 bits.
 func (r *bitReader) fill() {
-	for r.nbit <= 24 {
-		if r.pos >= len(r.data) {
-			// Past the end of the scan: feed zero bits. JPEG decoders
-			// conventionally tolerate this (libjpeg inserts 1-bits; zeros
-			// are equally safe for our own well-formed streams, where the
-			// only bits read past the payload are flush padding).
-			r.eof = true
-			r.acc <<= 8
-			r.nbit += 8
+	for r.nbit <= 56 {
+		var b byte
+		switch {
+		case r.pos >= len(r.data):
+			r.zeros += 8
+		case r.data[r.pos] != 0xFF:
+			b = r.data[r.pos]
+			r.pos++
+		case r.pos+1 < len(r.data) && r.data[r.pos+1] == 0x00:
+			b = 0xFF
+			r.pos += 2
+		default:
+			// A fill byte (0xFF before another 0xFF, or closing the
+			// segment) carries no data.
+			r.pos++
 			continue
 		}
-		r.acc = (r.acc << 8) | uint32(r.data[r.pos])
-		r.pos++
+		r.acc |= uint64(b) << (56 - r.nbit)
 		r.nbit += 8
 	}
 }
 
-// readBit returns the next bit.
-func (r *bitReader) readBit() uint32 {
-	return r.readBits(1)
-}
-
 // readBits returns the next n bits MSB-first. n must be ≤ 16.
 func (r *bitReader) readBits(n uint) uint32 {
-	if n == 0 {
-		return 0
-	}
-	if r.nbit < n {
+	if r.nbit < 16 {
 		r.fill()
 	}
-	v := (r.acc >> (r.nbit - n)) & ((1 << n) - 1)
-	r.nbit -= n
+	return r.take(n)
+}
+
+// take is readBits for a caller that knows the accumulator holds 16 bits or
+// more: huffDecoder.decode leaves it so, for the value bits that follow a
+// symbol.
+func (r *bitReader) take(n uint) uint32 {
+	v := uint32(r.acc >> (64 - n))
+	r.acc <<= n
+	r.nbit -= int(n)
 	return v
 }
 
-// overrun reports whether the reader was asked for bits beyond the payload.
-func (r *bitReader) overrun() bool { return r.eof }
-
-// destuff removes 0x00 stuff bytes that follow 0xFF in entropy-coded data.
-// It stops at a marker (0xFF followed by a non-zero byte) and returns the
-// de-stuffed payload plus the number of input bytes consumed up to (not
-// including) the marker.
-func destuff(data []byte) (payload []byte, consumed int) {
-	out := make([]byte, 0, len(data))
-	i := 0
-	for i < len(data) {
-		b := data[i]
-		if b != 0xFF {
-			out = append(out, b)
-			i++
-			continue
-		}
-		if i+1 >= len(data) {
-			// Trailing 0xFF with nothing after it: treat as data end.
-			return out, i
-		}
-		next := data[i+1]
-		switch {
-		case next == 0x00:
-			out = append(out, 0xFF)
-			i += 2
-		case next == 0xFF:
-			// Fill byte; skip one 0xFF and re-examine.
-			i++
-		default:
-			// A real marker terminates the entropy-coded segment.
-			return out, i
-		}
-	}
-	return out, i
-}
+// overrun reports whether bits beyond the segment's payload were consumed.
+func (r *bitReader) overrun() bool { return r.nbit < r.zeros }

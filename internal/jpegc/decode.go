@@ -7,10 +7,13 @@ import (
 	"image/jpeg"
 )
 
-// decoder holds the marker-level and entropy-level state of one decode.
+// decoder holds the marker-level state of one decode. The entropy-level
+// state — Huffman tables and the coefficients decoded so far — is in s,
+// which frameSize, walking markers only, leaves nil.
 type decoder struct {
 	data []byte
 	pos  int
+	s    *scratch
 
 	progressive  bool
 	width        int
@@ -21,43 +24,38 @@ type decoder struct {
 	compQuant    [3]byte
 
 	quant [4][64]uint16 // by table id, natural order
-	dcTab [4]*huffDecoder
-	acTab [4]*huffDecoder
-
-	blocks [3][]Block
+	// dcTab and acTab point into s at the tables this stream has defined.
+	dcTab  [4]*huffDecoder
+	acTab  [4]*huffDecoder
 	sawSOF bool
-}
-
-// geometry is a CoeffImage shell: the decode loops use it for the
-// component-grid and MCU iteration helpers, DecodeCoeffs fills it in.
-func (d *decoder) geometry() *CoeffImage {
-	return &CoeffImage{
-		Width:        d.width,
-		Height:       d.height,
-		NumComps:     d.ncomp,
-		Subsample420: d.subsample420,
-	}
 }
 
 // DecodeCoeffs parses a JPEG stream (baseline or progressive) down to its
 // quantized DCT coefficients. Progressive streams whose later scans are
 // absent — e.g. a PCR scan-group prefix terminated with EOI — decode
 // successfully; missing refinements simply leave coefficients at their
-// coarser values. A stream that ends without EOI returns ErrTruncated.
+// coarser values. A stream that ends without EOI, or a scan that needs more
+// bits than its entropy-coded data holds, returns ErrTruncated.
 func DecodeCoeffs(data []byte) (*CoeffImage, error) {
-	d := &decoder{data: data}
-	if err := d.run(); err != nil {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if err := s.decode(data); err != nil {
 		return nil, err
 	}
-	ci := d.geometry()
-	ci.Quant[0] = d.quant[d.compQuant[0]]
+	return s.export(), nil
+}
+
+// decode parses data into the working blocks (not yet sealed).
+func (s *scratch) decode(data []byte) error {
+	d := decoder{data: data, s: s}
+	if err := d.run(); err != nil {
+		return err
+	}
+	s.geo.Quant[0] = d.quant[d.compQuant[0]]
 	if d.ncomp == 3 {
-		ci.Quant[1] = d.quant[d.compQuant[1]]
+		s.geo.Quant[1] = d.quant[d.compQuant[1]]
 	}
-	for c := 0; c < d.ncomp; c++ {
-		ci.Blocks[c] = d.blocks[c]
-	}
-	return ci, nil
+	return nil
 }
 
 // Decode reconstructs the pixels of a JPEG stream with the standard
@@ -237,10 +235,7 @@ func (d *decoder) parseSOF(p []byte) error {
 		return fmt.Errorf("jpegc: unsupported sampling %v (only 4:4:4 and 4:2:0)", sampling[:d.ncomp])
 	}
 	d.sawSOF = true
-	geo := d.geometry()
-	for c := 0; c < d.ncomp; c++ {
-		d.blocks[c] = make([]Block, geo.CompBlocksWide(c)*geo.CompBlocksHigh(c))
-	}
+	d.s.setGeometry(&CoeffImage{Width: d.width, Height: d.height, NumComps: d.ncomp, Subsample420: d.subsample420})
 	return nil
 }
 
@@ -275,24 +270,23 @@ func (d *decoder) parseDHT(p []byte) error {
 		if class > 1 || id > 3 {
 			return fmt.Errorf("jpegc: bad huffman table spec %#x", p[0])
 		}
-		var spec huffSpec
+		counts := (*[16]byte)(p[1:17])
 		total := 0
-		for i := 0; i < 16; i++ {
-			spec.bits[i] = p[1+i]
-			total += int(p[1+i])
+		for _, n := range counts {
+			total += int(n)
 		}
 		if len(p) < 17+total {
 			return fmt.Errorf("jpegc: short DHT values")
 		}
-		spec.vals = append([]byte(nil), p[17:17+total]...)
-		dec, err := buildDecoder(&spec)
-		if err != nil {
-			return err
+		tab := &d.s.dcTab[id]
+		if class == 1 {
+			tab = &d.s.acTab[id]
 		}
+		tab.build(counts, p[17:17+total])
 		if class == 0 {
-			d.dcTab[id] = dec
+			d.dcTab[id] = tab
 		} else {
-			d.acTab[id] = dec
+			d.acTab[id] = tab
 		}
 		p = p[17+total:]
 	}
@@ -302,7 +296,7 @@ func (d *decoder) parseDHT(p []byte) error {
 // scanComp is one component's entry in a scan header.
 type scanComp struct {
 	comp   int // component index (0-based)
-	dc, ac byte
+	dc, ac *huffDecoder
 }
 
 func (d *decoder) parseScan(header []byte) error {
@@ -316,7 +310,8 @@ func (d *decoder) parseScan(header []byte) error {
 	if ns < 1 || ns > 3 || len(header) != 1+2*ns+3 {
 		return fmt.Errorf("jpegc: bad SOS header")
 	}
-	comps := make([]scanComp, ns)
+	comps := make([]scanComp, ns, 3)
+	idxs := make([]int, ns, 3)
 	for i := 0; i < ns; i++ {
 		id := header[1+2*i]
 		found := -1
@@ -328,10 +323,12 @@ func (d *decoder) parseScan(header []byte) error {
 		if found < 0 {
 			return fmt.Errorf("jpegc: scan references unknown component %d", id)
 		}
-		comps[i] = scanComp{comp: found, dc: header[2+2*i] >> 4, ac: header[2+2*i] & 0x0F}
-		if comps[i].dc > 3 || comps[i].ac > 3 {
+		dc, ac := header[2+2*i]>>4, header[2+2*i]&0x0F
+		if dc > 3 || ac > 3 {
 			return fmt.Errorf("jpegc: huffman table id out of range in SOS")
 		}
+		comps[i] = scanComp{comp: found, dc: d.dcTab[dc], ac: d.acTab[ac]}
+		idxs[i] = found
 	}
 	ss := int(header[1+2*ns])
 	se := int(header[2+2*ns])
@@ -350,72 +347,88 @@ func (d *decoder) parseScan(header []byte) error {
 		}
 	}
 
-	payload, consumed := destuff(d.data[d.pos:])
-	d.pos += consumed
-	r := newBitReader(payload)
+	// A first DC pass (baseline scans include one) reads through DC
+	// tables, anything with AC coefficients through AC tables; DC
+	// refinement is raw bits.
+	for _, sc := range comps {
+		if (ss == 0 && ah == 0 && sc.dc == nil) || (se != 0 && sc.ac == nil) {
+			return fmt.Errorf("jpegc: scan uses undefined huffman table")
+		}
+	}
+
+	end := scanEnd(d.data, d.pos)
+	r := &bitReader{data: d.data[d.pos:end]}
+	d.pos = end
 
 	var err error
-	switch {
-	case !d.progressive:
-		err = d.decodeBaselineScan(r, comps)
-	case ss == 0 && ah == 0:
-		err = d.decodeDCFirst(r, comps, al)
-	case ss == 0:
-		err = d.decodeDCRefine(r, comps, al)
-	case ah == 0:
+	if ss == 0 {
+		s := d.s
+		s.order = s.geo.mcuOrder(s.order[:0], idxs)
+		// comps, indexed by component rather than by position in the scan.
+		var byComp [3]scanComp
+		for _, sc := range comps {
+			byComp[sc.comp] = sc
+		}
+		switch {
+		case !d.progressive:
+			err = d.decodeBaselineScan(r, &byComp)
+		case ah == 0:
+			err = d.decodeDCFirst(r, &byComp, al)
+		default:
+			d.decodeDCRefine(r, al)
+		}
+	} else if ah == 0 {
 		err = d.decodeACFirst(r, comps[0], ss, se, al)
-	default:
+	} else {
 		err = d.decodeACRefine(r, comps[0], ss, se, al)
+	}
+	if err == nil && r.overrun() {
+		// Every block of the scan decoded, but only by reading zeros past
+		// the end of its data: the data was cut short.
+		err = ErrTruncated
 	}
 	return err
 }
 
-// scanCompIndices extracts the component-index list and a lookup from
-// component index to scanComp for an MCU walk.
-func scanCompIndices(comps []scanComp) ([]int, map[int]scanComp) {
-	idxs := make([]int, len(comps))
-	byComp := make(map[int]scanComp, len(comps))
-	for i, sc := range comps {
-		idxs[i] = sc.comp
-		byComp[sc.comp] = sc
+// maxDCCategory is the largest DC difference category a scan may carry: the
+// bit reader hands out at most 16 bits at a time. (8-bit precision needs no
+// more than 11.)
+const maxDCCategory = 16
+
+// decodeDCDiff reads one DC difference: its category through dec, then that
+// many value bits.
+func decodeDCDiff(r *bitReader, dec *huffDecoder) (int32, error) {
+	s, err := dec.decode(r)
+	if err != nil {
+		return 0, err
 	}
-	return idxs, byComp
+	if s > maxDCCategory {
+		return 0, fmt.Errorf("jpegc: DC difference category %d out of range", s)
+	}
+	return extend(r.take(uint(s)), uint(s)), nil
 }
 
-func (d *decoder) decodeBaselineScan(r *bitReader, comps []scanComp) error {
-	idxs, byComp := scanCompIndices(comps)
+// decodeBaselineScan decodes the blocks of d.s.order, each whole. comps is
+// indexed by component.
+func (d *decoder) decodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
 	var dcPred [3]int32
-	var scratch Block
-	var firstErr error
-	d.geometry().forEachMCUBlock(idxs, func(c, idx int, pad bool) {
-		if firstErr != nil {
-			return
+	var padding Block
+	for _, b := range d.s.order {
+		blk := &d.s.blocks[b.comp][b.idx]
+		if b.pad {
+			blk = &padding // decode MCU padding, then discard
 		}
-		sc := byComp[c]
-		blk := &d.blocks[c][idx]
-		if pad {
-			scratch = Block{}
-			blk = &scratch // decode MCU padding, then discard
-		}
-		dcDec := d.dcTab[sc.dc]
-		acDec := d.acTab[sc.ac]
-		if dcDec == nil || acDec == nil {
-			firstErr = fmt.Errorf("jpegc: scan uses undefined huffman table")
-			return
-		}
-		s, err := dcDec.decode(r)
+		sc := &comps[b.comp]
+		diff, err := decodeDCDiff(r, sc.dc)
 		if err != nil {
-			firstErr = err
-			return
+			return err
 		}
-		diff := extend(r.readBits(uint(s)), uint(s))
-		dcPred[c] += diff
-		blk[0] = dcPred[c]
+		dcPred[b.comp] += diff
+		blk[0] = dcPred[b.comp]
 		for k := 1; k < 64; {
-			rs, err := acDec.decode(r)
+			rs, err := sc.ac.decode(r)
 			if err != nil {
-				firstErr = err
-				return
+				return err
 			}
 			run, size := int(rs>>4), uint(rs&0x0F)
 			if size == 0 {
@@ -427,80 +440,63 @@ func (d *decoder) decodeBaselineScan(r *bitReader, comps []scanComp) error {
 			}
 			k += run
 			if k > 63 {
-				firstErr = fmt.Errorf("jpegc: AC coefficient index out of range")
-				return
+				return fmt.Errorf("jpegc: AC coefficient index out of range")
 			}
-			blk[zigzag[k]] = extend(r.readBits(size), size)
+			blk[k] = extend(r.take(size), size)
 			k++
 		}
-	})
-	return firstErr
-}
-
-func (d *decoder) decodeDCFirst(r *bitReader, comps []scanComp, al int) error {
-	idxs, byComp := scanCompIndices(comps)
-	var dcPred [3]int32
-	var firstErr error
-	d.geometry().forEachMCUBlock(idxs, func(c, idx int, pad bool) {
-		if firstErr != nil {
-			return
-		}
-		dec := d.dcTab[byComp[c].dc]
-		if dec == nil {
-			firstErr = fmt.Errorf("jpegc: scan uses undefined DC table")
-			return
-		}
-		s, err := dec.decode(r)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		diff := extend(r.readBits(uint(s)), uint(s))
-		dcPred[c] += diff
-		if !pad {
-			d.blocks[c][idx][0] = dcPred[c] << uint(al)
-		}
-	})
-	return firstErr
-}
-
-func (d *decoder) decodeDCRefine(r *bitReader, comps []scanComp, al int) error {
-	idxs, _ := scanCompIndices(comps)
-	bit := int32(1) << uint(al)
-	d.geometry().forEachMCUBlock(idxs, func(c, idx int, pad bool) {
-		if r.readBit() != 0 && !pad {
-			d.blocks[c][idx][0] |= bit
-		}
-	})
+	}
 	return nil
 }
 
-func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error {
-	dec := d.acTab[sc.ac]
-	if dec == nil {
-		return fmt.Errorf("jpegc: scan uses undefined AC table")
+func (d *decoder) decodeDCFirst(r *bitReader, comps *[3]scanComp, al int) error {
+	var dcPred [3]int32
+	for _, b := range d.s.order {
+		diff, err := decodeDCDiff(r, comps[b.comp].dc)
+		if err != nil {
+			return err
+		}
+		dcPred[b.comp] += diff
+		if !b.pad {
+			d.s.blocks[b.comp][b.idx][0] = dcPred[b.comp] << uint(al)
+		}
 	}
+	return nil
+}
+
+func (d *decoder) decodeDCRefine(r *bitReader, al int) {
+	bit := int32(1) << uint(al)
+	for _, b := range d.s.order {
+		if r.readBits(1) != 0 && !b.pad {
+			d.s.blocks[b.comp][b.idx][0] |= bit
+		}
+	}
+}
+
+// readEOBRun reads the length of the run of end-of-bands an EOBn symbol
+// (run < 15, size 0) opens, the current block included.
+func readEOBRun(r *bitReader, run int) int {
+	return 1<<uint(run) + int(r.readBits(uint(run)))
+}
+
+func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error {
 	eobrun := 0
-	for i := range d.blocks[sc.comp] {
-		blk := &d.blocks[sc.comp][i]
+	blocks := d.s.blocks[sc.comp]
+	for i := range blocks {
 		if eobrun > 0 {
 			eobrun--
 			continue
 		}
+		blk := &blocks[i]
 		for k := ss; k <= se; {
-			rs, err := dec.decode(r)
+			rs, err := sc.ac.decode(r)
 			if err != nil {
 				return err
 			}
 			run, size := int(rs>>4), uint(rs&0x0F)
 			if size == 0 {
 				if run != 15 {
-					// EOBn: run of end-of-bands.
-					eobrun = 1 << uint(run)
-					if run > 0 {
-						eobrun += int(r.readBits(uint(run)))
-					}
-					eobrun-- // this block is the first of the run
+					eobrun = readEOBRun(r, run) - 1 // this block is the first of the run
 					break
 				}
 				k += 16 // ZRL
@@ -510,7 +506,7 @@ func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error
 			if k > se {
 				return fmt.Errorf("jpegc: AC coefficient index out of band")
 			}
-			blk[zigzag[k]] = extend(r.readBits(size), size) << uint(al)
+			blk[k] = extend(r.take(size), size) << uint(al)
 			k++
 		}
 	}
@@ -518,10 +514,6 @@ func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error
 }
 
 func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) error {
-	dec := d.acTab[sc.ac]
-	if dec == nil {
-		return fmt.Errorf("jpegc: scan uses undefined AC table")
-	}
 	p1 := int32(1) << uint(al)
 	m1 := int32(-1) << uint(al)
 	eobrun := 0
@@ -529,7 +521,7 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 	// refine applies a pending correction bit to an already-nonzero
 	// coefficient.
 	refine := func(coef *int32) {
-		if r.readBit() != 0 && *coef&p1 == 0 {
+		if r.readBits(1) != 0 && *coef&p1 == 0 {
 			if *coef >= 0 {
 				*coef += p1
 			} else {
@@ -538,12 +530,13 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 		}
 	}
 
-	for i := range d.blocks[sc.comp] {
-		blk := &d.blocks[sc.comp][i]
+	blocks := d.s.blocks[sc.comp]
+	for i := range blocks {
+		blk := &blocks[i]
 		k := ss
 		if eobrun == 0 {
 			for ; k <= se; k++ {
-				rs, err := dec.decode(r)
+				rs, err := sc.ac.decode(r)
 				if err != nil {
 					return err
 				}
@@ -553,16 +546,13 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 					if size != 1 {
 						return fmt.Errorf("jpegc: bad refinement size %d", size)
 					}
-					if r.readBit() != 0 {
+					if r.readBits(1) != 0 {
 						newVal = p1
 					} else {
 						newVal = m1
 					}
 				} else if run != 15 {
-					eobrun = 1 << uint(run)
-					if run > 0 {
-						eobrun += int(r.readBits(uint(run)))
-					}
+					eobrun = readEOBRun(r, run)
 					break // remaining coefficients handled by EOB logic below
 				}
 				// Advance over `run` zero-history coefficients, applying
@@ -572,7 +562,7 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 				// (run=15, size=0) it is the 16th skipped zero, and the
 				// outer loop's k++ steps past it.
 				for k <= se {
-					coef := &blk[zigzag[k]]
+					coef := &blk[k]
 					if *coef != 0 {
 						refine(coef)
 					} else {
@@ -584,7 +574,7 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 					k++
 				}
 				if size != 0 && k <= se {
-					blk[zigzag[k]] = newVal
+					blk[k] = newVal
 				}
 			}
 		}
@@ -592,7 +582,7 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 			// In an EOB run: apply correction bits to every remaining
 			// nonzero coefficient of the band.
 			for ; k <= se; k++ {
-				coef := &blk[zigzag[k]]
+				coef := &blk[k]
 				if *coef != 0 {
 					refine(coef)
 				}

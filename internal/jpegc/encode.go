@@ -152,49 +152,51 @@ func Encode(img image.Image, opts *Options) ([]byte, error) {
 // lossless half of the codec: EncodeCoeffs followed by DecodeCoeffs returns
 // an identical CoeffImage regardless of baseline/progressive mode.
 func EncodeCoeffs(ci *CoeffImage, opts *Options) ([]byte, error) {
-	if err := ci.validate(); err != nil {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if err := s.load(ci); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	writeHeaders(&buf, ci, opts)
-	if opts != nil && opts.Progressive {
+	return s.encode(opts)
+}
+
+// encode entropy-codes the sealed working blocks. The stream is assembled
+// in the scratch's buffer; the caller gets a copy of exactly its length.
+func (s *scratch) encode(opts *Options) ([]byte, error) {
+	progressive := opts != nil && opts.Progressive
+	s.w = bitWriter{out: appendHeaders(s.w.out[:0], &s.geo, progressive)}
+	if progressive {
 		script := opts.ScanScript
 		if script == nil {
-			script = DefaultScanScript(ci.NumComps)
+			script = DefaultScanScript(s.geo.NumComps)
 		}
-		if err := validateScript(script, ci.NumComps); err != nil {
+		if err := validateScript(script, s.geo.NumComps); err != nil {
 			return nil, err
 		}
-		enc := newProgEncoder(ci)
 		for _, scan := range script {
-			if err := enc.writeScan(&buf, scan); err != nil {
+			if err := s.writeScan(scan); err != nil {
 				return nil, err
 			}
 		}
-	} else {
-		optimize := opts != nil && opts.OptimizeHuffman
-		if err := writeBaselineScan(&buf, ci, optimize); err != nil {
-			return nil, err
-		}
+	} else if err := s.writeBaselineScan(opts != nil && opts.OptimizeHuffman); err != nil {
+		return nil, err
 	}
-	buf.Write([]byte{0xFF, mEOI})
-	return buf.Bytes(), nil
+	s.w.out = append(s.w.out, 0xFF, mEOI)
+	return bytes.Clone(s.w.out), nil
 }
 
-func writeSegment(buf *bytes.Buffer, marker byte, payload []byte) {
-	buf.WriteByte(0xFF)
-	buf.WriteByte(marker)
-	n := len(payload) + 2
-	buf.WriteByte(byte(n >> 8))
-	buf.WriteByte(byte(n))
-	buf.Write(payload)
+// appendSegment appends a marker segment's marker and length; the caller
+// appends the n payload bytes.
+func appendSegment(out []byte, marker byte, n int) []byte {
+	return append(out, 0xFF, marker, byte((n+2)>>8), byte(n+2))
 }
 
-func writeHeaders(buf *bytes.Buffer, ci *CoeffImage, opts *Options) {
-	buf.Write([]byte{0xFF, mSOI})
+func appendHeaders(out []byte, ci *CoeffImage, progressive bool) []byte {
+	out = append(out, 0xFF, mSOI)
 
 	// JFIF APP0.
-	writeSegment(buf, mAPP0, []byte{'J', 'F', 'I', 'F', 0, 1, 2, 0, 0, 1, 0, 1, 0, 0})
+	out = appendSegment(out, mAPP0, 14)
+	out = append(out, 'J', 'F', 'I', 'F', 0, 1, 2, 0, 0, 1, 0, 1, 0, 0)
 
 	// DQT: table 0 (luma), and table 1 (chroma) for color.
 	nq := 1
@@ -202,181 +204,108 @@ func writeHeaders(buf *bytes.Buffer, ci *CoeffImage, opts *Options) {
 		nq = 2
 	}
 	for t := 0; t < nq; t++ {
-		payload := make([]byte, 1+64)
-		payload[0] = byte(t) // 8-bit precision, table id t
-		for zz := 0; zz < 64; zz++ {
-			payload[1+zz] = byte(ci.Quant[t][zigzag[zz]])
+		out = appendSegment(out, mDQT, 1+64)
+		out = append(out, byte(t)) // 8-bit precision, table id t
+		for _, nat := range zigzag {
+			out = append(out, byte(ci.Quant[t][nat]))
 		}
-		writeSegment(buf, mDQT, payload)
 	}
 
 	// SOF0 or SOF2.
 	sof := byte(mSOF0)
-	if opts != nil && opts.Progressive {
+	if progressive {
 		sof = mSOF2
 	}
-	payload := make([]byte, 6+3*ci.NumComps)
-	payload[0] = 8 // precision
-	payload[1] = byte(ci.Height >> 8)
-	payload[2] = byte(ci.Height)
-	payload[3] = byte(ci.Width >> 8)
-	payload[4] = byte(ci.Width)
-	payload[5] = byte(ci.NumComps)
+	out = appendSegment(out, sof, 6+3*ci.NumComps)
+	out = append(out, 8, // precision
+		byte(ci.Height>>8), byte(ci.Height), byte(ci.Width>>8), byte(ci.Width), byte(ci.NumComps))
 	ids := [3]byte{compY, compCb, compCr}
 	for c := 0; c < ci.NumComps; c++ {
-		payload[6+3*c] = ids[c]
 		h, v := ci.sampling(c)
-		payload[7+3*c] = byte(h)<<4 | byte(v)
 		qt := byte(0)
 		if c > 0 {
 			qt = 1
 		}
-		payload[8+3*c] = qt
+		out = append(out, ids[c], byte(h)<<4|byte(v), qt)
 	}
-	writeSegment(buf, sof, payload)
+	return out
 }
 
-// writeDHT emits one or more Huffman tables in a single DHT segment.
-// class 0 = DC, 1 = AC; id is the table slot.
-type dhtEntry struct {
-	class, id byte
-	spec      *huffSpec
-}
-
-func writeDHT(buf *bytes.Buffer, entries []dhtEntry) {
-	var payload []byte
-	for _, e := range entries {
-		payload = append(payload, e.class<<4|e.id)
-		payload = append(payload, e.spec.bits[:]...)
-		payload = append(payload, e.spec.vals...)
-	}
-	writeSegment(buf, mDHT, payload)
-}
-
-// writeSOS emits the scan header for the given scan spec.
-func writeSOS(buf *bytes.Buffer, ci *CoeffImage, scan ScanSpec, dcTable, acTable func(comp int) byte) {
+// appendSOS emits the scan header for the given scan spec. dc and ac say
+// whether the scan codes through DC and AC tables: where it does, each
+// component names its slot; where it does not, the field is zero.
+func appendSOS(out []byte, scan ScanSpec, dc, ac bool) []byte {
 	ids := [3]byte{compY, compCb, compCr}
-	payload := []byte{byte(len(scan.Comps))}
+	out = appendSegment(out, mSOS, 1+2*len(scan.Comps)+3)
+	out = append(out, byte(len(scan.Comps)))
 	for _, c := range scan.Comps {
-		payload = append(payload, ids[c], dcTable(c)<<4|acTable(c))
+		var tables byte
+		if dc {
+			tables = byte(tableSlot(c)) << 4
+		}
+		if ac {
+			tables |= byte(tableSlot(c))
+		}
+		out = append(out, ids[c], tables)
 	}
-	payload = append(payload, byte(scan.Ss), byte(scan.Se), byte(scan.Ah<<4|scan.Al))
-	writeSegment(buf, mSOS, payload)
+	return append(out, byte(scan.Ss), byte(scan.Se), byte(scan.Ah<<4|scan.Al))
 }
 
 // --- Baseline scan ---------------------------------------------------------
 
-// baselineWalk walks the blocks of a full baseline scan in interleaved MCU
-// order, invoking emit for every Huffman symbol. Used both for frequency
-// counting (optimization) and actual emission. MCU padding blocks (4:2:0
-// edges) re-emit the clamped edge block, keeping the DC prediction chain
-// consistent with the decoder.
-func baselineWalk(ci *CoeffImage, emit func(comp int, dc bool, sym byte, bits uint32, nbits uint)) {
-	comps := make([]int, ci.NumComps)
-	for c := range comps {
-		comps[c] = c
-	}
-	prevDC := [3]int32{}
-	ci.forEachMCUBlock(comps, func(c, idx int, pad bool) {
-		blk := &ci.Blocks[c][idx]
-		// DC
-		diff := blk[0] - prevDC[c]
-		prevDC[c] = blk[0]
-		size, bits := magnitude(diff)
-		emit(c, true, byte(size), bits, size)
+// stdSpecs are the Annex K tables by table index (class<<1 | slot).
+var stdSpecs = [4]*huffSpec{&stdDCLuma, &stdDCChroma, &stdACLuma, &stdACChroma}
+
+// walkBaseline records the one scan of a baseline stream: every block of
+// every component, whole, in interleaved MCU order. MCU padding blocks
+// (4:2:0 edges) re-emit the clamped edge block, keeping the DC prediction
+// chain consistent with the decoder.
+func (s *scratch) walkBaseline(comps []int) {
+	s.order = s.geo.mcuOrder(s.order[:0], comps)
+	var prevDC [3]int32
+	var pos [64]uint8
+	var mag [64]int32
+	for _, b := range s.order {
+		blk := &s.blocks[b.comp][b.idx]
+		slot := tableSlot(int(b.comp))
+		size, vbits := magnitude(blk[0] - prevDC[b.comp])
+		prevDC[b.comp] = blk[0]
+		s.symbol(slot, byte(size), vbits, size)
 		// AC with run-length coding
-		run := 0
-		for zz := 1; zz < 64; zz++ {
-			v := blk[zigzag[zz]]
-			if v == 0 {
-				run++
-				continue
+		last := int(s.lastNZ[b.comp][b.idx])
+		n := nonzeros(blk, 1, last, 0, &pos, &mag)
+		prev := 0
+		for j := 0; j < n; j++ {
+			k := int(pos[j])
+			run := k - prev - 1
+			prev = k
+			for ; run > 15; run -= 16 {
+				s.symbol(tableAC|slot, 0xF0, 0, 0) // ZRL
 			}
-			for run > 15 {
-				emit(c, false, 0xF0, 0, 0) // ZRL
-				run -= 16
-			}
-			size, bits := magnitude(v)
-			emit(c, false, byte(run<<4)|byte(size), bits, size)
-			run = 0
+			size, vbits := magnitude(blk[k])
+			s.symbol(tableAC|slot, byte(run<<4)|byte(size), vbits, size)
 		}
-		if run > 0 {
-			emit(c, false, 0x00, 0, 0) // EOB
+		if last < 63 {
+			s.symbol(tableAC|slot, 0x00, 0, 0) // EOB
 		}
-	})
+	}
 }
 
-func writeBaselineScan(buf *bytes.Buffer, ci *CoeffImage, optimize bool) error {
-	var dcSpec, acSpec [2]*huffSpec
-	if optimize {
-		var dcFreq, acFreq [2]freqCounter
-		baselineWalk(ci, func(comp int, dc bool, sym byte, _ uint32, _ uint) {
-			t := 0
-			if comp > 0 {
-				t = 1
-			}
-			if dc {
-				dcFreq[t].count(sym)
-			} else {
-				acFreq[t].count(sym)
-			}
-		})
-		dcSpec[0] = dcFreq[0].buildOptimal()
-		acSpec[0] = acFreq[0].buildOptimal()
-		if ci.NumComps == 3 {
-			dcSpec[1] = dcFreq[1].buildOptimal()
-			acSpec[1] = acFreq[1].buildOptimal()
-		}
-	} else {
-		dcSpec[0], acSpec[0] = &stdDCLuma, &stdACLuma
-		dcSpec[1], acSpec[1] = &stdDCChroma, &stdACChroma
+func (s *scratch) writeBaselineScan(optimize bool) error {
+	comps := []int{0, 1, 2}[:s.geo.NumComps]
+	tables := []int{0, tableAC, 1, tableAC | 1} // DC then AC, luma then chroma
+	if s.geo.NumComps == 1 {
+		tables = tables[:2]
 	}
-
-	entries := []dhtEntry{{0, 0, dcSpec[0]}, {1, 0, acSpec[0]}}
-	if ci.NumComps == 3 {
-		entries = append(entries, dhtEntry{0, 1, dcSpec[1]}, dhtEntry{1, 1, acSpec[1]})
+	for _, t := range tables {
+		s.freq[t] = freqCounter{}
 	}
-	writeDHT(buf, entries)
-
-	var dcEnc, acEnc [2]*huffEncoder
-	var err error
-	for t := 0; t < 2; t++ {
-		if dcSpec[t] == nil {
-			continue
-		}
-		if dcEnc[t], err = buildEncoder(dcSpec[t]); err != nil {
-			return err
-		}
-		if acEnc[t], err = buildEncoder(acSpec[t]); err != nil {
-			return err
-		}
+	s.toks = s.toks[:0]
+	s.walkBaseline(comps)
+	if err := s.writeTables(tables, !optimize); err != nil {
+		return err
 	}
-
-	comps := make([]int, ci.NumComps)
-	for c := range comps {
-		comps[c] = c
-	}
-	tbl := func(c int) byte {
-		if c > 0 {
-			return 1
-		}
-		return 0
-	}
-	writeSOS(buf, ci, ScanSpec{Comps: comps, Ss: 0, Se: 63}, tbl, tbl)
-
-	w := newBitWriter(buf)
-	baselineWalk(ci, func(comp int, dc bool, sym byte, bits uint32, nbits uint) {
-		t := 0
-		if comp > 0 {
-			t = 1
-		}
-		if dc {
-			dcEnc[t].emit(w, sym)
-		} else {
-			acEnc[t].emit(w, sym)
-		}
-		w.writeBits(bits, nbits)
-	})
-	w.flush()
+	s.w.out = appendSOS(s.w.out, ScanSpec{Comps: comps, Ss: 0, Se: 63}, true, true)
+	s.emitTokens()
 	return nil
 }

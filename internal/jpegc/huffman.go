@@ -1,6 +1,9 @@
 package jpegc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // huffSpec is a Huffman table in the DHT wire representation: bits[l] is the
 // number of codes of length l+1 (l in 0..15) and vals lists the symbols in
@@ -10,98 +13,125 @@ type huffSpec struct {
 	vals []byte
 }
 
-// huffEncoder holds per-symbol code words derived from a huffSpec.
-type huffEncoder struct {
-	code [256]uint32
-	size [256]uint8 // 0 means the symbol has no code
-}
+// huffEncoder holds one code word per symbol, derived from a huffSpec:
+// code<<5 | length, or 0 for a symbol that has no code.
+type huffEncoder [256]uint32
 
-// buildEncoder assigns canonical codes (T.81 Annex C) to the spec's symbols.
-func buildEncoder(spec *huffSpec) (*huffEncoder, error) {
-	enc := &huffEncoder{}
+// build assigns canonical codes (T.81 Annex C) to the spec's symbols.
+func (e *huffEncoder) build(spec *huffSpec) error {
+	*e = huffEncoder{}
 	code := uint32(0)
 	k := 0
 	for l := 1; l <= 16; l++ {
 		n := int(spec.bits[l-1])
 		for i := 0; i < n; i++ {
 			if k >= len(spec.vals) {
-				return nil, fmt.Errorf("jpegc: huffman spec has %d codes but %d symbols", k+1, len(spec.vals))
+				return fmt.Errorf("jpegc: huffman spec has %d codes but %d symbols", k+1, len(spec.vals))
 			}
 			sym := spec.vals[k]
-			if enc.size[sym] != 0 {
-				return nil, fmt.Errorf("jpegc: duplicate huffman symbol %#x", sym)
+			if e[sym] != 0 {
+				return fmt.Errorf("jpegc: duplicate huffman symbol %#x", sym)
 			}
-			enc.code[sym] = code
-			enc.size[sym] = uint8(l)
+			e[sym] = code<<5 | uint32(l)
 			code++
 			k++
 		}
 		code <<= 1
 	}
 	if k != len(spec.vals) {
-		return nil, fmt.Errorf("jpegc: huffman spec has %d codes but %d symbols", k, len(spec.vals))
+		return fmt.Errorf("jpegc: huffman spec has %d codes but %d symbols", k, len(spec.vals))
 	}
-	return enc, nil
+	return nil
 }
 
-// emit writes the code for sym to w. Panics if the symbol has no code — the
-// encoder only emits symbols whose frequencies it counted, so a missing code
-// is an internal invariant violation, not an input error.
-func (e *huffEncoder) emit(w *bitWriter, sym byte) {
-	sz := e.size[sym]
-	if sz == 0 {
+// emit writes sym's code, followed by the low n bits of extra (n ≤ 16), to
+// w. Panics if the symbol has no code — the encoder only emits symbols whose
+// frequencies it counted, so a missing code is an internal invariant
+// violation, not an input error.
+func (e *huffEncoder) emit(w *bitWriter, sym byte, extra uint32, n uint) {
+	ent := e[sym]
+	if ent == 0 {
 		panic(fmt.Sprintf("jpegc: no huffman code for symbol %#x", sym))
 	}
-	w.writeBits(e.code[sym], uint(sz))
+	w.writeBits(ent>>5<<n|extra, uint(ent&31)+n)
 }
 
-// huffDecoder implements the canonical MINCODE/MAXCODE/VALPTR decoding
-// procedure from T.81 Annex F.2.2.3.
+// lutBits is how many bits of look-ahead the decoder resolves with one
+// table load. Photographic tables put nearly every symbol of a stream
+// within it.
+const lutBits = 8
+
+// huffDecoder decodes one table's codes: those of at most lutBits bits by
+// look-up, the rest by the canonical MINCODE/MAXCODE/VALPTR procedure of
+// T.81 Annex F.2.2.3 (the shape of image/jpeg's decoder).
 type huffDecoder struct {
-	mincode [17]int32
-	maxcode [17]int32 // -1 where no codes of that length exist
-	valptr  [17]int32
-	vals    []byte
+	// lut is indexed by the next lutBits bits of the stream: the symbol in
+	// the high byte and 1 + its code length in the low byte, or 0 when
+	// those bits begin a longer code.
+	lut     [1 << lutBits]uint16
+	maxcode [17]int32 // by code length; -1 where no codes of that length exist
+	// valoff[l] is the index into vals of length l's first code, minus
+	// that code.
+	valoff [17]int32
+	vals   []byte
 }
 
-func buildDecoder(spec *huffSpec) (*huffDecoder, error) {
-	d := &huffDecoder{vals: spec.vals}
+// build derives the decoding tables from a DHT segment's counts and its
+// symbols, one per counted code. vals is kept, not copied. A table whose
+// counts over-subscribe the code space is not refused here: its look-up
+// entries stay in range, and a code that resolves outside vals is refused
+// when a scan meets it.
+func (d *huffDecoder) build(counts *[16]byte, vals []byte) {
+	d.lut = [1 << lutBits]uint16{}
+	d.vals = vals
 	code := int32(0)
 	k := int32(0)
-	total := 0
 	for l := 1; l <= 16; l++ {
-		n := int32(spec.bits[l-1])
+		n := int32(counts[l-1])
+		d.maxcode[l] = code + n - 1
+		d.valoff[l] = k - code
 		if n == 0 {
 			d.maxcode[l] = -1
-			code <<= 1
-			continue
 		}
-		d.valptr[l] = k
-		d.mincode[l] = code
-		code += n
+		if l <= lutBits {
+			span := 1 << (lutBits - l)
+			for j := int32(0); j < n; j++ {
+				base := int(uint8((code + j) << (lutBits - l)))
+				ent := uint16(vals[k+j])<<8 | uint16(l+1)
+				for x := 0; x < span; x++ {
+					d.lut[base|x] = ent
+				}
+			}
+		}
+		code = (code + n) << 1
 		k += n
-		d.maxcode[l] = code - 1
-		code <<= 1
-		total += int(n)
 	}
-	if total != len(spec.vals) {
-		return nil, fmt.Errorf("jpegc: huffman table: %d codes but %d symbols", total, len(spec.vals))
-	}
-	return d, nil
 }
 
-// decode reads one Huffman-coded symbol from r.
+// decode reads one Huffman-coded symbol from r, and leaves r holding at
+// least 16 bits more (see bitReader.take).
 func (d *huffDecoder) decode(r *bitReader) (byte, error) {
-	code := int32(r.readBit())
-	for l := 1; l <= 16; l++ {
-		if d.maxcode[l] >= 0 && code <= d.maxcode[l] {
-			idx := d.valptr[l] + code - d.mincode[l]
+	if r.nbit < 32 {
+		r.fill()
+	}
+	if ent := d.lut[r.acc>>(64-lutBits)]; ent != 0 {
+		n := uint(ent&0xFF) - 1
+		r.acc <<= n
+		r.nbit -= int(n)
+		return byte(ent >> 8), nil
+	}
+	next16 := int32(r.acc >> 48)
+	for l := lutBits + 1; l <= 16; l++ {
+		code := next16 >> (16 - l)
+		if code <= d.maxcode[l] {
+			idx := d.valoff[l] + code
 			if idx < 0 || int(idx) >= len(d.vals) {
 				return 0, fmt.Errorf("jpegc: corrupt huffman code")
 			}
+			r.acc <<= uint(l)
+			r.nbit -= l
 			return d.vals[idx], nil
 		}
-		code = code<<1 | int32(r.readBit())
 	}
 	return 0, fmt.Errorf("jpegc: huffman code longer than 16 bits")
 }
@@ -111,46 +141,51 @@ func (d *huffDecoder) decode(r *bitReader) (byte, error) {
 // assigned the all-ones code (required by JPEG).
 type freqCounter [257]int64
 
-func (f *freqCounter) count(sym byte) { f[sym]++ }
-
 // buildOptimal computes an optimal length-limited Huffman table for the
-// counted frequencies, following the algorithm of ISO/libjpeg
+// counted frequencies into spec, following the algorithm of ISO/libjpeg
 // (jpeg_gen_optimal_table): pair-merge to get code sizes, then push sizes
-// over 16 back down, then drop the reserved symbol.
-func (f *freqCounter) buildOptimal() *huffSpec {
+// over 16 back down, then drop the reserved symbol. Only the symbols that
+// occurred are visited; their increasing order is kept so that every tie
+// breaks as it does in libjpeg's scan of all 257 entries.
+func (f *freqCounter) buildOptimal(spec *huffSpec) {
 	var freq [257]int64
-	copy(freq[:], f[:])
+	var syms, live [257]int16 // symbols counted, and those not yet merged away
+	n := 0
+	for i, c := range f[:256] {
+		if c != 0 {
+			freq[i] = c
+			syms[n] = int16(i)
+			n++
+		}
+	}
 	freq[256] = 1 // reserved: ensures no real all-ones code
+	syms[n] = 256
+	n++
+	counted := syms[:n]
+	copy(live[:], counted)
 
-	var codesize [257]int
-	var others [257]int
+	var codesize, others [257]int16
 	for i := range others {
 		others[i] = -1
 	}
-
-	for {
-		// Find the two least-frequent nonzero entries (c1 lowest, c2 next;
-		// ties broken toward larger symbol value for c1 per libjpeg).
-		c1, c2 := -1, -1
-		v := int64(1) << 62
-		for i := 0; i <= 256; i++ {
-			if freq[i] != 0 && freq[i] <= v {
-				v = freq[i]
-				c1 = i
+	for ; n > 1; n-- {
+		// Find the two least-frequent entries (c1 lowest, c2 next; ties
+		// broken toward larger symbol value per libjpeg).
+		p1 := 0
+		for p := 1; p < n; p++ {
+			if freq[live[p]] <= freq[live[p1]] {
+				p1 = p
 			}
 		}
-		v = int64(1) << 62
-		for i := 0; i <= 256; i++ {
-			if freq[i] != 0 && freq[i] <= v && i != c1 {
-				v = freq[i]
-				c2 = i
+		p2 := -1
+		for p := 0; p < n; p++ {
+			if p != p1 && (p2 < 0 || freq[live[p]] <= freq[live[p2]]) {
+				p2 = p
 			}
 		}
-		if c2 < 0 {
-			break // only one entry left: done
-		}
+		c1, c2 := live[p1], live[p2]
+		copy(live[p2:], live[p2+1:n])
 		freq[c1] += freq[c2]
-		freq[c2] = 0
 		codesize[c1]++
 		for others[c1] >= 0 {
 			c1 = others[c1]
@@ -164,52 +199,59 @@ func (f *freqCounter) buildOptimal() *huffSpec {
 		}
 	}
 
-	var bits [33]int
-	for i := 0; i <= 256; i++ {
-		if codesize[i] > 0 {
-			if codesize[i] > 32 {
-				// Cannot occur with ≤257 symbols, but guard anyway.
-				codesize[i] = 32
-			}
-			bits[codesize[i]]++
+	// count[l] is the number of codes of length l, the reserved symbol's
+	// included. Symbols are listed in increasing code-length order, ties by
+	// value — a counting sort on the lengths as they are before limiting,
+	// start[l] being where the next symbol of length l goes.
+	var count [33]int
+	var start [34]int
+	for _, sym := range counted {
+		if codesize[sym] == 0 {
+			continue // the reserved symbol, when nothing else was counted
 		}
+		// Over 32 cannot occur with ≤257 symbols, but guard anyway.
+		codesize[sym] = min(codesize[sym], 32)
+		count[codesize[sym]]++
+		if sym != 256 {
+			start[codesize[sym]+1]++
+		}
+	}
+	for l := 1; l <= 32; l++ {
+		start[l+1] += start[l]
+	}
+	if cap(spec.vals) < 256 {
+		spec.vals = make([]byte, 0, 256)
+	}
+	spec.vals = spec.vals[:len(counted)-1]
+	for _, sym := range counted[:len(counted)-1] {
+		spec.vals[start[codesize[sym]]] = byte(sym)
+		start[codesize[sym]]++
 	}
 
 	// Limit code lengths to 16 bits (T.81 K.3 adjustment).
 	for l := 32; l > 16; l-- {
-		for bits[l] > 0 {
+		for count[l] > 0 {
 			j := l - 2
-			for bits[j] == 0 {
+			for count[j] == 0 {
 				j--
 			}
-			bits[l] -= 2
-			bits[l-1]++
-			bits[j+1] += 2
-			bits[j]--
+			count[l] -= 2
+			count[l-1]++
+			count[j+1] += 2
+			count[j]--
 		}
 	}
 	// Remove the reserved symbol's code from the longest used length.
 	l := 16
-	for l > 0 && bits[l] == 0 {
+	for l > 0 && count[l] == 0 {
 		l--
 	}
 	if l > 0 {
-		bits[l]--
+		count[l]--
 	}
-
-	spec := &huffSpec{}
 	for i := 1; i <= 16; i++ {
-		spec.bits[i-1] = byte(bits[i])
+		spec.bits[i-1] = byte(count[i])
 	}
-	// List symbols in increasing code-length order, breaking ties by value.
-	for size := 1; size <= 32; size++ {
-		for sym := 0; sym <= 255; sym++ {
-			if codesize[sym] == size {
-				spec.vals = append(spec.vals, byte(sym))
-			}
-		}
-	}
-	return spec
 }
 
 // Standard Huffman tables from T.81 Annex K.3 (used for baseline scans when
@@ -278,32 +320,20 @@ var (
 )
 
 // magnitude returns the JPEG "size" category of v (number of bits needed for
-// |v|) and the value bits to emit after the size symbol.
-func magnitude(v int32) (size uint, bits uint32) {
-	a := v
-	if a < 0 {
-		a = -a
-	}
-	for a != 0 {
-		size++
-		a >>= 1
-	}
-	if v >= 0 {
-		return size, uint32(v)
-	}
-	// Negative values are emitted as v-1 in size bits (ones' complement of
-	// the magnitude).
-	return size, uint32(v-1) & ((1 << size) - 1)
+// |v|) and the value bits to emit after the size symbol: v itself, or for a
+// negative value v-1 in size bits (the ones' complement of the magnitude).
+func magnitude(v int32) (size uint, vbits uint32) {
+	neg := v >> 31 // -1 for a negative v, else 0
+	size = uint(bits.Len32(uint32((v ^ neg) - neg)))
+	return size, uint32(v+neg) & (1<<size - 1)
 }
 
 // extend implements the EXTEND procedure (T.81 F.2.2.1): it converts the raw
-// value bits of a size-s coefficient into a signed value.
-func extend(bits uint32, size uint) int32 {
-	if size == 0 {
-		return 0
-	}
-	if bits < 1<<(size-1) {
-		return int32(bits) - (1 << size) + 1
-	}
-	return int32(bits)
+// value bits of a size-s coefficient into a signed value — vbits itself when
+// its top bit is set, vbits - 2^s + 1 when not. Signs are coin flips, so it
+// is written without a branch.
+func extend(vbits uint32, size uint) int32 {
+	v := int32(vbits)
+	topClear := v>>((size-1)&31) - 1 // all ones or zero; all ones for size 0, where it adds 0
+	return v + topClear&(1-1<<(size&31))
 }

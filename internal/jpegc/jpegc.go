@@ -17,6 +17,17 @@
 // IDCT in place of an exact float one — decoded levels may differ from a
 // float reconstruction by 1–2.
 //
+// The entropy coding is built for the transcode, which is nearly all of an
+// ingest's time. The decoder reads Huffman codes through an 8-bit look-up
+// table with the canonical procedure behind it, from a bit reader that
+// removes stuff bytes as it fills; the encoder walks each scan's
+// coefficients once, counting symbols and recording them as tokens, builds
+// the scan's optimal tables, and replays the tokens through them. Both work
+// on zigzag-ordered blocks held, with every table and buffer, in one pooled
+// scratch (scratch.go), so Transcode allocates little but its result. The
+// bytes produced are pinned by golden hashes: same scan script, same tables,
+// same tie-breaks as libjpeg's optimizer.
+//
 // The codec is deliberately restricted to the subset the PCR system needs:
 //
 //   - 8-bit samples, grayscale (1 component) or YCbCr (3 components)
@@ -108,13 +119,21 @@ func (ci *CoeffImage) mcuDims() (mw, mh int) {
 	return ci.BlocksWide(), ci.BlocksHigh()
 }
 
-// forEachMCUBlock visits every block of every listed component in
-// interleaved MCU order (the T.81 A.2.3 ordering). Components with 2×2
-// sampling contribute four blocks per MCU. Blocks beyond a component's real
-// grid (MCU padding at the right/bottom edges) are reported with pad=true
-// and the clamped index of the nearest real block — encoders emit that
-// block's data again, decoders discard the decoded values.
-func (ci *CoeffImage) forEachMCUBlock(comps []int, fn func(comp, idx int, pad bool)) {
+// blockRef names one block of an interleaved scan: block idx of component
+// comp. pad marks a block beyond the component's real grid (MCU padding at
+// the right/bottom edges), for which idx is the clamped index of the nearest
+// real block — encoders emit that block's data again, decoders discard the
+// decoded values.
+type blockRef struct {
+	idx  int32
+	comp uint8
+	pad  bool
+}
+
+// mcuOrder appends to dst every block of every listed component in the
+// order a scan codes them (T.81 A.2.3). Components with 2×2 sampling
+// contribute four blocks per MCU.
+func (ci *CoeffImage) mcuOrder(dst []blockRef, comps []int) []blockRef {
 	if len(comps) == 1 {
 		// A single-component scan is non-interleaved by definition
 		// (T.81 A.2): it rasters the component's own block grid with no
@@ -122,9 +141,9 @@ func (ci *CoeffImage) forEachMCUBlock(comps []int, fn func(comp, idx int, pad bo
 		c := comps[0]
 		n := ci.CompBlocksWide(c) * ci.CompBlocksHigh(c)
 		for i := 0; i < n; i++ {
-			fn(c, i, false)
+			dst = append(dst, blockRef{idx: int32(i), comp: uint8(c)})
 		}
-		return
+		return dst
 	}
 	mw, mh := ci.mcuDims()
 	for my := 0; my < mh; my++ {
@@ -136,18 +155,14 @@ func (ci *CoeffImage) forEachMCUBlock(comps []int, fn func(comp, idx int, pad bo
 					for u := 0; u < hc; u++ {
 						row, col := my*vc+v, mx*hc+u
 						pad := row >= bh || col >= bw
-						if row >= bh {
-							row = bh - 1
-						}
-						if col >= bw {
-							col = bw - 1
-						}
-						fn(c, row*bw+col, pad)
+						row, col = min(row, bh-1), min(col, bw-1)
+						dst = append(dst, blockRef{idx: int32(row*bw + col), comp: uint8(c), pad: pad})
 					}
 				}
 			}
 		}
 	}
+	return dst
 }
 
 // Equal reports whether two coefficient images are identical: same geometry,
@@ -181,7 +196,9 @@ func (ci *CoeffImage) Equal(other *CoeffImage) bool {
 	return true
 }
 
-func (ci *CoeffImage) validate() error {
+// validateGeometry checks everything about ci but its coefficient values,
+// which scratch.load checks as it copies them.
+func (ci *CoeffImage) validateGeometry() error {
 	if ci.Width <= 0 || ci.Height <= 0 {
 		return fmt.Errorf("jpegc: invalid dimensions %dx%d", ci.Width, ci.Height)
 	}
@@ -196,33 +213,19 @@ func (ci *CoeffImage) validate() error {
 		if len(ci.Blocks[c]) != want {
 			return fmt.Errorf("jpegc: component %d has %d blocks, want %d", c, len(ci.Blocks[c]), want)
 		}
-		// T.81 limits for 8-bit precision: quantized DC values stay in the
-		// pixel-domain range [-1024, 1023] (so DC differences fit category
-		// ≤ 11) and AC magnitudes fit category ≤ 10. Values outside these
-		// ranges have no Huffman representation in baseline mode.
-		for i := range ci.Blocks[c] {
-			blk := &ci.Blocks[c][i]
-			if blk[0] < -1024 || blk[0] > 1023 {
-				return fmt.Errorf("jpegc: component %d block %d: DC %d out of [-1024, 1023]", c, i, blk[0])
-			}
-			for k := 1; k < 64; k++ {
-				if blk[k] < -1023 || blk[k] > 1023 {
-					return fmt.Errorf("jpegc: component %d block %d: AC %d out of [-1023, 1023]", c, i, blk[k])
-				}
-			}
-		}
 	}
 	return nil
 }
 
 // ErrTruncated is returned by DecodeCoeffs and IndexScans when the stream
-// ends before an EOI marker. Progressive reconstructions from complete scan
-// prefixes are not truncated in this sense: the PCR reader appends EOI to
-// the prefix.
+// ends before an EOI marker, and by DecodeCoeffs when a scan's entropy-coded
+// data ends before the scan does. Progressive reconstructions from complete
+// scan prefixes are not truncated in this sense: the PCR reader appends EOI
+// to the prefix.
 var ErrTruncated = errors.New("jpegc: truncated stream")
 
 // zigzag maps a zigzag-order index to natural (row-major) order.
-var zigzag = [64]int{
+var zigzag = [64]uint8{
 	0, 1, 8, 16, 9, 2, 3, 10,
 	17, 24, 32, 25, 18, 11, 4, 5,
 	12, 19, 26, 33, 40, 48, 41, 34,
@@ -231,13 +234,4 @@ var zigzag = [64]int{
 	29, 22, 15, 23, 30, 37, 44, 51,
 	58, 59, 52, 45, 38, 31, 39, 46,
 	53, 60, 61, 54, 47, 55, 62, 63,
-}
-
-// unzigzag maps a natural-order index to zigzag order.
-var unzigzag [64]int
-
-func init() {
-	for zz, nat := range zigzag {
-		unzigzag[nat] = zz
-	}
 }

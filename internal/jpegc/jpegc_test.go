@@ -107,8 +107,7 @@ func TestQuantTablesMonotone(t *testing.T) {
 
 func TestBitWriterReaderRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var buf bytes.Buffer
-	w := newBitWriter(&buf)
+	var w bitWriter
 	type item struct {
 		v uint32
 		n uint
@@ -121,44 +120,68 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 		w.writeBits(v, n)
 	}
 	w.flush()
-	payload, _ := destuff(buf.Bytes())
-	r := newBitReader(payload)
+	if end := scanEnd(w.out, 0); end != len(w.out) {
+		t.Fatalf("written bits hold a marker at %d", end)
+	}
+	r := &bitReader{data: w.out}
 	for i, it := range items {
 		if got := r.readBits(it.n); got != it.v {
 			t.Fatalf("item %d: read %d, want %d", i, got, it.v)
 		}
 	}
+	if r.overrun() {
+		t.Error("reading back what was written overran it")
+	}
 }
 
-func TestDestuffStopsAtMarker(t *testing.T) {
-	data := []byte{0x12, 0xFF, 0x00, 0x34, 0xFF, 0xD9}
-	payload, consumed := destuff(data)
-	if !bytes.Equal(payload, []byte{0x12, 0xFF, 0x34}) {
-		t.Errorf("payload = %x", payload)
-	}
-	if consumed != 4 {
-		t.Errorf("consumed = %d, want 4", consumed)
+// TestScanEndStopsAtMarker: an entropy-coded segment ends at the first 0xFF
+// that is neither stuffed nor a fill byte, and the bit reader, held to that
+// range, drops the stuffing.
+func TestScanEndStopsAtMarker(t *testing.T) {
+	for _, tc := range []struct {
+		data    []byte
+		end     int
+		payload []byte
+	}{
+		{[]byte{0x12, 0xFF, 0x00, 0x34, 0xFF, 0xD9}, 4, []byte{0x12, 0xFF, 0x34}},
+		{[]byte{0x12, 0xFF, 0xFF, 0x00, 0x34, 0xFF, 0xFF, 0xDA, 0x01}, 6, []byte{0x12, 0xFF, 0x34}}, // fill bytes
+		{[]byte{0x12, 0x34, 0xFF}, 2, []byte{0x12, 0x34}},                                           // lone trailing 0xFF
+		{[]byte{0x12, 0x34}, 2, []byte{0x12, 0x34}},                                                 // no marker at all
+		{[]byte{0xFF, 0xD9}, 0, nil},
+	} {
+		end := scanEnd(tc.data, 0)
+		if end != tc.end {
+			t.Errorf("% x: scanEnd = %d, want %d", tc.data, end, tc.end)
+			continue
+		}
+		r := &bitReader{data: tc.data[:end]}
+		var got []byte
+		for range tc.payload {
+			got = append(got, byte(r.readBits(8)))
+		}
+		if !bytes.Equal(got, tc.payload) || r.overrun() {
+			t.Errorf("% x: payload = % x (overrun %v), want % x", tc.data, got, r.overrun(), tc.payload)
+		}
+		if r.readBits(1); !r.overrun() {
+			t.Errorf("% x: a bit past the payload is not an overrun", tc.data)
+		}
 	}
 }
 
 func TestHuffmanEncodeDecodeRoundTrip(t *testing.T) {
 	for _, spec := range []*huffSpec{&stdDCLuma, &stdDCChroma, &stdACLuma, &stdACChroma} {
-		enc, err := buildEncoder(spec)
-		if err != nil {
+		var enc huffEncoder
+		if err := enc.build(spec); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := buildDecoder(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		w := newBitWriter(&buf)
+		var dec huffDecoder
+		dec.build(&spec.bits, spec.vals)
+		var w bitWriter
 		for _, sym := range spec.vals {
-			enc.emit(w, sym)
+			enc.emit(&w, sym, 0, 0)
 		}
 		w.flush()
-		payload, _ := destuff(buf.Bytes())
-		r := newBitReader(payload)
+		r := &bitReader{data: w.out}
 		for i, want := range spec.vals {
 			got, err := dec.decode(r)
 			if err != nil {
@@ -182,14 +205,18 @@ func TestHuffmanOptimizerValidAndComplete(t *testing.T) {
 			f[s] += int64(rng.Intn(1000) + 1)
 			seen[s] = true
 		}
-		spec := f.buildOptimal()
-		enc, err := buildEncoder(spec)
-		if err != nil {
+		spec := &huffSpec{}
+		f.buildOptimal(spec)
+		if want := referenceOptimal(&f); spec.bits != want.bits || !bytes.Equal(spec.vals, want.vals) {
+			t.Fatalf("trial %d: table differs from the libjpeg procedure's", trial)
+		}
+		var enc huffEncoder
+		if err := enc.build(spec); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Every counted symbol must receive a code.
 		for s := range seen {
-			if enc.size[s] == 0 {
+			if enc[s] == 0 {
 				t.Fatalf("trial %d: symbol %#x got no code", trial, s)
 			}
 		}
@@ -202,20 +229,16 @@ func TestHuffmanOptimizerValidAndComplete(t *testing.T) {
 			t.Fatalf("trial %d: kraft sum %v > 1", trial, kraft)
 		}
 		// And a round trip must work.
-		dec, err := buildDecoder(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		w := newBitWriter(&buf)
+		var dec huffDecoder
+		dec.build(&spec.bits, spec.vals)
+		var w bitWriter
 		var emitted []byte
 		for s := range seen {
-			enc.emit(w, s)
+			enc.emit(&w, s, 0, 0)
 			emitted = append(emitted, s)
 		}
 		w.flush()
-		payload, _ := destuff(buf.Bytes())
-		r := newBitReader(payload)
+		r := &bitReader{data: w.out}
 		for i, want := range emitted {
 			got, err := dec.decode(r)
 			if err != nil || got != want {
@@ -227,13 +250,14 @@ func TestHuffmanOptimizerValidAndComplete(t *testing.T) {
 
 func TestHuffmanOptimizerSingleSymbol(t *testing.T) {
 	var f freqCounter
-	f.count(0x42)
-	spec := f.buildOptimal()
-	enc, err := buildEncoder(spec)
-	if err != nil {
+	f[0x42]++
+	spec := &huffSpec{}
+	f.buildOptimal(spec)
+	var enc huffEncoder
+	if err := enc.build(spec); err != nil {
 		t.Fatal(err)
 	}
-	if enc.size[0x42] == 0 {
+	if enc[0x42] == 0 {
 		t.Fatal("single symbol got no code")
 	}
 }

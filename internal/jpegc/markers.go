@@ -35,19 +35,25 @@ func (s ScanSpec) isDC() bool { return s.Ss == 0 }
 
 // DefaultScanScript returns the progressive scan script used by libjpeg's
 // jpeg_simple_progression for the given component count: 10 scans for color
-// images, 6 for grayscale. PCRs map these scans 1:1 onto scan groups.
+// images, 6 for grayscale. PCRs map these scans 1:1 onto scan groups. The
+// script is shared by every caller and must not be modified.
 func DefaultScanScript(numComps int) []ScanSpec {
 	if numComps == 1 {
-		return []ScanSpec{
-			{Comps: []int{0}, Ss: 0, Se: 0, Ah: 0, Al: 1},
-			{Comps: []int{0}, Ss: 1, Se: 5, Ah: 0, Al: 2},
-			{Comps: []int{0}, Ss: 6, Se: 63, Ah: 0, Al: 2},
-			{Comps: []int{0}, Ss: 1, Se: 63, Ah: 2, Al: 1},
-			{Comps: []int{0}, Ss: 0, Se: 0, Ah: 1, Al: 0},
-			{Comps: []int{0}, Ss: 1, Se: 63, Ah: 1, Al: 0},
-		}
+		return grayScript
 	}
-	return []ScanSpec{
+	return colorScript
+}
+
+var (
+	grayScript = []ScanSpec{
+		{Comps: []int{0}, Ss: 0, Se: 0, Ah: 0, Al: 1},
+		{Comps: []int{0}, Ss: 1, Se: 5, Ah: 0, Al: 2},
+		{Comps: []int{0}, Ss: 6, Se: 63, Ah: 0, Al: 2},
+		{Comps: []int{0}, Ss: 1, Se: 63, Ah: 2, Al: 1},
+		{Comps: []int{0}, Ss: 0, Se: 0, Ah: 1, Al: 0},
+		{Comps: []int{0}, Ss: 1, Se: 63, Ah: 1, Al: 0},
+	}
+	colorScript = []ScanSpec{
 		{Comps: []int{0, 1, 2}, Ss: 0, Se: 0, Ah: 0, Al: 1}, // 1: DC, coarse
 		{Comps: []int{0}, Ss: 1, Se: 5, Ah: 0, Al: 2},       // 2: Y low AC
 		{Comps: []int{2}, Ss: 1, Se: 63, Ah: 0, Al: 1},      // 3: Cr all AC
@@ -59,14 +65,14 @@ func DefaultScanScript(numComps int) []ScanSpec {
 		{Comps: []int{1}, Ss: 1, Se: 63, Ah: 1, Al: 0},      // 9: Cb AC refine
 		{Comps: []int{0}, Ss: 1, Se: 63, Ah: 1, Al: 0},      // 10: Y AC refine
 	}
-}
+)
 
 // validateScript checks that a scan script is legal for the component count
 // and covers every coefficient bit exactly once per component.
 func validateScript(script []ScanSpec, numComps int) error {
 	// state[c][k] holds the precision delivered so far for coefficient k of
 	// component c: the lowest Al reached, or -1 if untouched.
-	state := make([][64]int, numComps)
+	var state [3][64]int
 	for c := range state {
 		for k := range state[c] {
 			state[c][k] = -1

@@ -1,58 +1,30 @@
 package jpegc
 
-import "bytes"
+import "math/bits"
 
 // maxCorrBits bounds the buffered AC-refinement correction bits attached to
 // a pending EOB run (libjpeg's MAX_CORR_BITS safeguard).
 const maxCorrBits = 937
 
-// symbolSink receives the entropy-coding events of one scan. The encoder
-// walks each scan twice with identical control flow: a stats pass (counting
-// symbols to build optimal Huffman tables) and an emit pass.
-type symbolSink interface {
-	// symbol emits a Huffman-coded symbol through table slot t (0 or 1).
-	symbol(t int, sym byte)
-	// bits emits n raw bits.
-	bits(v uint32, n uint)
-}
+// The encoder walks the coefficients of each scan once. The walk counts
+// symbol frequencies, from which the scan's optimal Huffman tables are
+// built, and records what it saw as a token per symbol; the tokens are then
+// replayed through those tables into the bit writer. A token is
+//
+//	bit 31      raw: value bits only, no symbol (correction bits)
+//	bits 29-30  table: AC<<1 | slot (luma 0, chroma 1), indexing scratch.enc
+//	bits 21-28  the symbol
+//	bits 16-20  n, the number of value bits that follow the symbol's code
+//	bits 0-15   the value bits
+const (
+	tokRaw       = 1 << 31
+	tokTableBit  = 29
+	tokSymbolBit = 21
+	tokNBit      = 16
+)
 
-type statsSink struct {
-	dc, ac [2]*freqCounter
-	isDC   bool
-}
-
-func (s *statsSink) symbol(t int, sym byte) {
-	if s.isDC {
-		s.dc[t].count(sym)
-	} else {
-		s.ac[t].count(sym)
-	}
-}
-func (s *statsSink) bits(uint32, uint) {}
-
-type writeSink struct {
-	w      *bitWriter
-	dc, ac [2]*huffEncoder
-	isDC   bool
-}
-
-func (s *writeSink) symbol(t int, sym byte) {
-	if s.isDC {
-		s.dc[t].emit(s.w, sym)
-	} else {
-		s.ac[t].emit(s.w, sym)
-	}
-}
-func (s *writeSink) bits(v uint32, n uint) { s.w.writeBits(v, n) }
-
-// progEncoder entropy-codes a coefficient image scan by scan.
-type progEncoder struct {
-	ci *CoeffImage
-}
-
-func newProgEncoder(ci *CoeffImage) *progEncoder {
-	return &progEncoder{ci: ci}
-}
+// Table indices: class<<1 | slot.
+const tableAC = 2
 
 // tableSlot maps a component to its Huffman table slot: luma uses slot 0,
 // chroma slot 1.
@@ -63,255 +35,288 @@ func tableSlot(comp int) int {
 	return 0
 }
 
-// writeScan emits the DHT (when Huffman tables are needed), SOS header, and
-// entropy-coded data for one scan of the script.
-func (e *progEncoder) writeScan(buf *bytes.Buffer, scan ScanSpec) error {
-	dcRefine := scan.isDC() && scan.Ah > 0
+// symbolToken counts sym for table t and returns the token that records it
+// with its n value bits.
+func (s *scratch) symbolToken(t int, sym byte, vbits uint32, n uint) uint32 {
+	s.freq[t][sym]++
+	return uint32(t)<<tokTableBit | uint32(sym)<<tokSymbolBit | uint32(n)<<tokNBit | vbits
+}
 
-	var dcSpec, acSpec [2]*huffSpec
-	var dcEnc, acEnc [2]*huffEncoder
-	if !dcRefine {
-		// Stats pass.
-		stats := &statsSink{isDC: scan.isDC()}
-		for t := 0; t < 2; t++ {
-			stats.dc[t] = &freqCounter{}
-			stats.ac[t] = &freqCounter{}
-		}
-		if err := e.walkScan(scan, stats); err != nil {
-			return err
-		}
-		var entries []dhtEntry
-		slots := map[int]bool{}
-		for _, c := range scan.Comps {
-			slots[tableSlot(c)] = true
-		}
-		var err error
-		for t := 0; t < 2; t++ {
-			if !slots[t] {
-				continue
-			}
-			if scan.isDC() {
-				dcSpec[t] = stats.dc[t].buildOptimal()
-				if dcEnc[t], err = buildEncoder(dcSpec[t]); err != nil {
-					return err
-				}
-				entries = append(entries, dhtEntry{0, byte(t), dcSpec[t]})
-			} else {
-				acSpec[t] = stats.ac[t].buildOptimal()
-				if acEnc[t], err = buildEncoder(acSpec[t]); err != nil {
-					return err
-				}
-				entries = append(entries, dhtEntry{1, byte(t), acSpec[t]})
-			}
-		}
-		writeDHT(buf, entries)
-	}
+// symbol counts and records sym, coded through table t, and its value bits.
+func (s *scratch) symbol(t int, sym byte, vbits uint32, n uint) {
+	s.toks = append(s.toks, s.symbolToken(t, sym, vbits, n))
+}
 
-	dcTab := func(c int) byte {
-		if scan.isDC() && !dcRefine {
-			return byte(tableSlot(c))
-		}
-		return 0
+// rawBits records the low n bits of v (n ≤ 64), 16 to a token.
+func (s *scratch) rawBits(v uint64, n uint) {
+	for n > 0 {
+		take := min(n, 16)
+		n -= take
+		s.toks = append(s.toks, tokRaw|uint32(take)<<tokNBit|uint32(v>>n)&(1<<take-1))
 	}
-	acTab := func(c int) byte {
-		if !scan.isDC() {
-			return byte(tableSlot(c))
-		}
-		return 0
-	}
-	writeSOS(buf, e.ci, scan, dcTab, acTab)
+}
 
-	w := newBitWriter(buf)
-	sink := &writeSink{w: w, dc: dcEnc, ac: acEnc, isDC: scan.isDC()}
-	if err := e.walkScan(scan, sink); err != nil {
-		return err
+// emitTokens replays the recorded tokens through the tables built from
+// their frequencies.
+func (s *scratch) emitTokens() {
+	w := &s.w
+	for _, tok := range s.toks {
+		n := uint(tok >> tokNBit & 31)
+		if tok&tokRaw != 0 {
+			w.writeBits(tok&0xFFFF, n)
+			continue
+		}
+		s.enc[tok>>tokTableBit].emit(w, byte(tok>>tokSymbolBit), tok&0xFFFF, n)
 	}
 	w.flush()
+}
+
+// writeScan emits the DHT (when Huffman tables are needed), SOS header, and
+// entropy-coded data for one scan of the script.
+func (s *scratch) writeScan(scan ScanSpec) error {
+	// The tables the scan codes through, in DHT order: one per slot its
+	// components use. A DC refinement scan is raw bits and has none.
+	dcFirst := scan.isDC() && scan.Ah == 0
+	tables := make([]int, 0, 2)
+	if dcFirst || !scan.isDC() {
+		class := 0
+		if !scan.isDC() {
+			class = tableAC
+		}
+		var used [2]bool
+		for _, c := range scan.Comps {
+			used[tableSlot(c)] = true
+		}
+		for slot, u := range used {
+			if u {
+				tables = append(tables, class|slot)
+				s.freq[class|slot] = freqCounter{}
+			}
+		}
+	}
+
+	s.toks = s.toks[:0]
+	switch {
+	case dcFirst:
+		s.walkDCFirst(scan)
+	case scan.isDC():
+		s.walkDCRefine(scan)
+	case scan.Ah == 0:
+		s.walkACFirst(scan)
+	default:
+		s.walkACRefine(scan)
+	}
+
+	if err := s.writeTables(tables, false); err != nil {
+		return err
+	}
+	s.w.out = appendSOS(s.w.out, scan, dcFirst, !scan.isDC())
+	s.emitTokens()
 	return nil
 }
 
-// walkScan performs the entropy-coding control flow of one scan, feeding
-// symbols and raw bits to sink. The walk is deterministic so the stats and
-// emit passes produce identical symbol sequences.
-func (e *progEncoder) walkScan(scan ScanSpec, sink symbolSink) error {
-	switch {
-	case scan.isDC() && scan.Ah == 0:
-		e.walkDCFirst(scan, sink)
-	case scan.isDC():
-		e.walkDCRefine(scan, sink)
-	case scan.Ah == 0:
-		e.walkACFirst(scan, sink)
-	default:
-		e.walkACRefine(scan, sink)
+// writeTables readies the encoder of each listed table index — from the
+// optimal table for the frequencies counted, or the Annex K one when std is
+// set — and emits the tables in one DHT segment, in the order listed.
+func (s *scratch) writeTables(tables []int, std bool) error {
+	if len(tables) == 0 {
+		return nil
 	}
+	var specs [4]*huffSpec
+	n := 0
+	for _, t := range tables {
+		specs[t] = stdSpecs[t]
+		if !std {
+			specs[t] = &s.spec[t]
+			s.freq[t].buildOptimal(specs[t])
+		}
+		if err := s.enc[t].build(specs[t]); err != nil {
+			return err
+		}
+		n += 1 + 16 + len(specs[t].vals)
+	}
+	out := appendSegment(s.w.out, mDHT, n)
+	for _, t := range tables {
+		out = append(out, byte(t>>1)<<4|byte(t&1)) // class (0 = DC, 1 = AC), slot
+		out = append(out, specs[t].bits[:]...)
+		out = append(out, specs[t].vals...)
+	}
+	s.w.out = out
 	return nil
 }
 
 // walkDCFirst codes the DC band's first pass: difference coding of
 // point-transformed DC values in interleaved MCU order.
-func (e *progEncoder) walkDCFirst(scan ScanSpec, sink symbolSink) {
+func (s *scratch) walkDCFirst(scan ScanSpec) {
+	s.order = s.geo.mcuOrder(s.order[:0], scan.Comps)
 	var prevDC [3]int32
-	e.ci.forEachMCUBlock(scan.Comps, func(c, idx int, pad bool) {
-		v := e.ci.Blocks[c][idx][0] >> uint(scan.Al)
-		diff := v - prevDC[c]
-		prevDC[c] = v
-		size, bits := magnitude(diff)
-		sink.symbol(tableSlot(c), byte(size))
-		sink.bits(bits, size)
-	})
+	for _, b := range s.order {
+		v := s.blocks[b.comp][b.idx][0] >> uint(scan.Al)
+		size, vbits := magnitude(v - prevDC[b.comp])
+		prevDC[b.comp] = v
+		s.symbol(tableSlot(int(b.comp)), byte(size), vbits, size)
+	}
 }
 
 // walkDCRefine codes a DC refinement pass: one raw bit per block.
-func (e *progEncoder) walkDCRefine(scan ScanSpec, sink symbolSink) {
-	e.ci.forEachMCUBlock(scan.Comps, func(c, idx int, pad bool) {
-		v := e.ci.Blocks[c][idx][0] >> uint(scan.Al)
-		sink.bits(uint32(v)&1, 1)
-	})
+func (s *scratch) walkDCRefine(scan ScanSpec) {
+	s.order = s.geo.mcuOrder(s.order[:0], scan.Comps)
+	for _, b := range s.order {
+		s.rawBits(uint64(s.blocks[b.comp][b.idx][0]>>uint(scan.Al))&1, 1)
+	}
+}
+
+// eobRun is a pending run of end-of-band blocks in an AC scan. Its symbol
+// is only known when the run ends, but it precedes the correction bits the
+// run's blocks carry, so a token is reserved for it where the run begins.
+type eobRun struct {
+	t    int // table index
+	n    int // blocks in the run
+	tok  int // index of the reserved token
+	corr int // correction bits recorded since it
+}
+
+// extend adds the current block to the run.
+func (e *eobRun) extend(s *scratch) {
+	if e.n == 0 {
+		e.tok = len(s.toks)
+		s.toks = append(s.toks, 0)
+	}
+	e.n++
+}
+
+// flush closes the run, if one is pending, with its EOBn symbol.
+func (e *eobRun) flush(s *scratch) {
+	if e.n == 0 {
+		return
+	}
+	r := uint(bits.Len32(uint32(e.n))) - 1
+	s.toks[e.tok] = s.symbolToken(e.t, byte(r<<4), uint32(e.n)&(1<<r-1), r)
+	e.n, e.corr = 0, 0
+}
+
+// nonzeros lists the coefficients of blk[ss..end] that are non-zero after
+// the point transform al — their zigzag positions and their magnitudes
+// |v| >> al — and returns how many there are. The AC walks below run over
+// this list, not the band: the zeros between two entries are the difference
+// of their positions, and the loop that finds them has no branch to
+// mispredict. It is kept out of line because, inlined, its loop shares
+// registers with the walk around it and spills its counters on every
+// coefficient: twice the time, measured.
+//
+//go:noinline
+func nonzeros(blk *Block, ss, end int, al uint, pos *[64]uint8, mag *[64]int32) int {
+	if end < ss {
+		return 0
+	}
+	n := 0
+	for i, v := range blk[ss : end+1] {
+		neg := v >> 31
+		a := ((v ^ neg) - neg) >> (al & 31)
+		pos[n&63], mag[n&63] = uint8(ss+i), a
+		if a != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // walkACFirst codes the first pass of an AC band: run-length coding of
 // point-transformed coefficients with EOB-run aggregation across blocks.
-func (e *progEncoder) walkACFirst(scan ScanSpec, sink symbolSink) {
+func (s *scratch) walkACFirst(scan ScanSpec) {
 	c := scan.Comps[0]
-	t := tableSlot(c)
-	al := uint(scan.Al)
-	eobrun := 0
-	flushEOB := func() {
-		if eobrun == 0 {
-			return
+	t := tableAC | tableSlot(c)
+	eob := eobRun{t: t}
+	blocks, lastNZ := s.blocks[c], s.lastNZ[c]
+	var pos [64]uint8
+	var mag [64]int32
+	for i := range blocks {
+		blk := &blocks[i]
+		n := nonzeros(blk, scan.Ss, min(scan.Se, int(lastNZ[i])), uint(scan.Al), &pos, &mag)
+		prev := scan.Ss - 1
+		for j := 0; j < n; j++ {
+			k := int(pos[j])
+			r := k - prev - 1
+			prev = k
+			eob.flush(s)
+			for ; r > 15; r -= 16 {
+				s.symbol(t, 0xF0, 0, 0) // ZRL
+			}
+			neg := blk[k] >> 31
+			size, vbits := magnitude((mag[j] ^ neg) - neg)
+			s.symbol(t, byte(r<<4)|byte(size), vbits, size)
 		}
-		r := uint(0)
-		for (1 << (r + 1)) <= eobrun {
-			r++
-		}
-		sink.symbol(t, byte(r<<4))
-		sink.bits(uint32(eobrun)-1<<r, r)
-		eobrun = 0
-	}
-	for _, blk := range e.ci.Blocks[c] {
-		r := 0
-		for k := scan.Ss; k <= scan.Se; k++ {
-			v := blk[zigzag[k]]
-			var a int32
-			if v < 0 {
-				a = -v >> al
-			} else {
-				a = v >> al
-			}
-			if a == 0 {
-				r++
-				continue
-			}
-			flushEOB()
-			for r > 15 {
-				sink.symbol(t, 0xF0) // ZRL
-				r -= 16
-			}
-			sv := a
-			if v < 0 {
-				sv = -a
-			}
-			size, bits := magnitude(sv)
-			sink.symbol(t, byte(r<<4)|byte(size))
-			sink.bits(bits, size)
-			r = 0
-		}
-		if r > 0 {
-			eobrun++
-			if eobrun == 0x7FFF {
-				flushEOB()
+		if prev < scan.Se {
+			eob.extend(s)
+			if eob.n == 0x7FFF {
+				eob.flush(s)
 			}
 		}
 	}
-	flushEOB()
+	eob.flush(s)
 }
 
 // walkACRefine codes an AC refinement pass, following the structure of
 // libjpeg's encode_mcu_AC_refine: newly significant coefficients get
 // run/size symbols, already-significant ones contribute buffered correction
 // bits, and trailing zeros fold into a cross-block EOB run.
-func (e *progEncoder) walkACRefine(scan ScanSpec, sink symbolSink) {
+func (s *scratch) walkACRefine(scan ScanSpec) {
 	c := scan.Comps[0]
-	t := tableSlot(c)
-	al := uint(scan.Al)
-	eobrun := 0
-	var carry []byte // correction bits attached to the pending EOB run
-	var cur []byte   // correction bits collected since the last symbol
-
-	emitBuffered := func(bitsBuf []byte) {
-		for _, b := range bitsBuf {
-			sink.bits(uint32(b), 1)
-		}
-	}
-	flushEOB := func() {
-		if eobrun == 0 {
-			return
-		}
-		r := uint(0)
-		for (1 << (r + 1)) <= eobrun {
-			r++
-		}
-		sink.symbol(t, byte(r<<4))
-		sink.bits(uint32(eobrun)-1<<r, r)
-		eobrun = 0
-		emitBuffered(carry)
-		carry = carry[:0]
-	}
-
-	var absv [64]int32
-	for _, blk := range e.ci.Blocks[c] {
-		// Point-transformed magnitudes and the index of the last newly
-		// significant coefficient (EOB position).
-		eob := 0
-		for k := scan.Ss; k <= scan.Se; k++ {
-			v := blk[zigzag[k]]
-			if v < 0 {
-				v = -v
-			}
-			absv[k] = v >> al
-			if absv[k] == 1 {
-				eob = k
+	t := tableAC | tableSlot(c)
+	eob := eobRun{t: t}
+	blocks, lastNZ := s.blocks[c], s.lastNZ[c]
+	var pos [64]uint8
+	var mag [64]int32
+	for i := range blocks {
+		blk := &blocks[i]
+		n := nonzeros(blk, scan.Ss, min(scan.Se, int(lastNZ[i])), uint(scan.Al), &pos, &mag)
+		// The last newly significant coefficient (magnitude 1) is the EOB
+		// position: zero runs past it are not coded as ZRLs.
+		lastNew := 0
+		for j := n - 1; j >= 0 && lastNew == 0; j-- {
+			if mag[j] == 1 {
+				lastNew = int(pos[j])
 			}
 		}
-		r := 0
-		cur = cur[:0]
-		for k := scan.Ss; k <= scan.Se; k++ {
-			a := absv[k]
-			if a == 0 {
-				r++
-				continue
-			}
-			for r > 15 && k <= eob {
-				flushEOB()
-				sink.symbol(t, 0xF0)
+		// r counts the zero-history coefficients since the last newly
+		// significant one; cur holds the correction bits collected since
+		// the last symbol — at most one per coefficient of the band, so
+		// they fit a word.
+		r, prev := 0, scan.Ss-1
+		var cur uint64
+		var ncur uint
+		for j := 0; j < n; j++ {
+			k, a := int(pos[j]), mag[j]
+			r += k - prev - 1
+			prev = k
+			for r > 15 && k <= lastNew {
+				eob.flush(s)
+				s.symbol(t, 0xF0, 0, 0)
 				r -= 16
-				emitBuffered(cur)
-				cur = cur[:0]
+				s.rawBits(cur, ncur)
+				cur, ncur = 0, 0
 			}
 			if a > 1 {
 				// Already significant: queue its correction bit.
-				cur = append(cur, byte(a&1))
+				cur = cur<<1 | uint64(a&1)
+				ncur++
 				continue
 			}
-			// Newly significant coefficient.
-			flushEOB()
-			sink.symbol(t, byte(r<<4)|1)
-			sign := uint32(1)
-			if blk[zigzag[k]] < 0 {
-				sign = 0
-			}
-			sink.bits(sign, 1)
-			emitBuffered(cur)
-			cur = cur[:0]
+			// Newly significant coefficient: its sign follows the symbol.
+			eob.flush(s)
+			s.symbol(t, byte(r<<4)|1, uint32(blk[k]>>31)+1, 1)
+			s.rawBits(cur, ncur)
+			cur, ncur = 0, 0
 			r = 0
 		}
-		if r > 0 || len(cur) > 0 {
-			eobrun++
-			carry = append(carry, cur...)
-			if eobrun == 0x7FFF || len(carry) > maxCorrBits {
-				flushEOB()
+		if r > 0 || prev < scan.Se || ncur > 0 {
+			eob.extend(s)
+			s.rawBits(cur, ncur)
+			eob.corr += int(ncur)
+			if eob.n == 0x7FFF || eob.corr > maxCorrBits {
+				eob.flush(s)
 			}
 		}
 	}
-	flushEOB()
+	eob.flush(s)
 }

@@ -170,8 +170,9 @@ func TestQuickScanPrefixesAlwaysDecode(t *testing.T) {
 
 // FuzzDecodeCoeffs feeds arbitrary bytes to the three entry points that
 // parse a JPEG stream. Truncated progressive streams are this system's
-// normal input, so the seeds are a baseline stream, a progressive one, and
-// every scan prefix of it with and without its EOI; testdata/fuzz adds
+// normal input, so the seeds are a baseline stream, a progressive one,
+// every scan prefix of it with and without its EOI, and both streams with a
+// scan's data cut short under intact markers; testdata/fuzz adds
 // hostile headers and bit-flipped streams. Any input may be refused. None
 // may panic, and none may come back with a frame larger than checkDims
 // allows, which is what bounds the allocation a header can ask for.
@@ -198,6 +199,9 @@ func FuzzDecodeCoeffs(f *testing.F) {
 		f.Add(trunc)
 		f.Add(trunc[:len(trunc)-2])
 	}
+	// Scan data cut short under intact markers: refused as truncated.
+	f.Add(cutEntropy(f, base))
+	f.Add(cutEntropy(f, prog))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ci, err := DecodeCoeffs(data); err == nil {
 			if err := checkDims(ci.Width, ci.Height); err != nil {

@@ -33,9 +33,11 @@ type StreamIndex struct {
 }
 
 // IndexScans walks a JPEG stream's marker structure and reports the byte
-// ranges of its header and scans. It performs no entropy decoding, so it is
-// fast (one pass, no allocation proportional to pixels); this is the
-// "scan the binary representation for markers" step of the PCR encoder.
+// ranges of its header and scans. It performs no entropy decoding and copies
+// nothing — the end of each scan's data is found by searching for the next
+// marker in place — so it allocates only the index it returns, whatever the
+// length of the stream; this is the "scan the binary representation for
+// markers" step of the PCR encoder.
 func IndexScans(data []byte) (*StreamIndex, error) {
 	if len(data) < 2 || data[0] != 0xFF || data[1] != mSOI {
 		return nil, fmt.Errorf("jpegc: missing SOI")
@@ -109,8 +111,7 @@ func IndexScans(data []byte) (*StreamIndex, error) {
 				return nil, err
 			}
 			// Entropy-coded data runs until the next marker.
-			_, consumed := destuff(data[pos:])
-			pos += consumed
+			pos = scanEnd(data, pos)
 			idx.Scans = append(idx.Scans, ScanInfo{
 				Offset: groupStart,
 				Length: pos - groupStart,
@@ -156,11 +157,15 @@ func parseSOSSpec(p []byte, compIDs []byte) (ScanSpec, error) {
 // re-encodes with the requested options, never touching the DCT domain.
 // This is the role jpegtran plays in the paper's PCR encoder.
 func Transcode(data []byte, opts *Options) ([]byte, error) {
-	ci, err := DecodeCoeffs(data)
-	if err != nil {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if err := s.decode(data); err != nil {
 		return nil, err
 	}
-	return EncodeCoeffs(ci, opts)
+	if err := s.seal(); err != nil {
+		return nil, err
+	}
+	return s.encode(opts)
 }
 
 // TruncateToScan returns a decodable stream containing the header, scans
