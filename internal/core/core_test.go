@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"image"
+	"math"
 	"testing"
 
 	"repro/internal/jpegc"
@@ -187,6 +189,33 @@ func TestShortPrefixRejected(t *testing.T) {
 	}
 	if _, err := meta.SampleJPEG(data, 99, 1); err == nil {
 		t.Error("bad sample index accepted")
+	}
+}
+
+// TestSampleJPEGAllocatesOnce: the reassembled stream is sized before it is
+// filled, so reassembly costs one allocation of exactly the stream's length
+// however many scan groups are appended — and a length the record file lies
+// about is refused before anything is sized by it.
+func TestSampleJPEGAllocatesOnce(t *testing.T) {
+	samples := buildSamples(t, 2)
+	data, meta := writeTestRecord(t, samples)
+	for _, g := range []int{1, 5, meta.NumGroups} {
+		var out []byte
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if out, err = meta.SampleJPEG(data, 1, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 || cap(out) != len(out) {
+			t.Errorf("group %d: %v allocations, %d bytes reserved for a %d-byte stream; want 1 and no slack", g, allocs, cap(out), len(out))
+		}
+	}
+	for _, n := range []int64{-1, int64(len(data)) + 1, math.MaxInt64} {
+		meta.Samples[1].GroupLens[1] = n
+		if _, err := meta.SampleJPEG(data, 1, 3); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("group length %d: err = %v, want ErrCorrupt", n, err)
+		}
 	}
 }
 

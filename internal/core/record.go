@@ -420,7 +420,17 @@ func (m *RecordMeta) SampleJPEG(prefix []byte, i, g int) ([]byte, error) {
 		return nil, fmt.Errorf("core: prefix has %d bytes, scan group %d needs %d", len(prefix), g, need)
 	}
 	s := &m.Samples[i]
-	out := make([]byte, 0, len(s.Header)+64)
+	// The stream is allocated once, at its size: header, slices, EOI. The
+	// lengths come from the record file, so they are held to the bytes there
+	// are before anything is sized by them.
+	body := 0
+	for k, n := range s.GroupLens[:g] {
+		if n < 0 || n > int64(len(prefix)-body) {
+			return nil, fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, i, n, k+1)
+		}
+		body += int(n)
+	}
+	out := make([]byte, 0, len(s.Header)+body+2)
 	out = append(out, s.Header...)
 	groupStart := m.BodyStart
 	for k := 0; k < g; k++ {

@@ -1,6 +1,10 @@
 package jpegc
 
-import "testing"
+import (
+	"bytes"
+	stdjpeg "image/jpeg"
+	"testing"
+)
 
 // benchInput is shaped like the repository benchmark's input (bench-v1):
 // 128×128, quality 92, 4:2:0, baseline with the standard tables.
@@ -55,5 +59,42 @@ func BenchmarkEncodeCoeffsProgressive(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink += len(out)
+	}
+}
+
+// BenchmarkDecode is the read path's cost per image at three points of the
+// default scan script — all ten scans, five, two — each beside image/jpeg on
+// the same bytes.
+func BenchmarkDecode(b *testing.B) {
+	prog, err := Transcode(benchInput(b), &Options{Progressive: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prefixes := scanPrefixes(b, prog)
+	for _, p := range []struct {
+		name  string
+		scans int
+	}{{"full", len(prefixes)}, {"q5", 5}, {"q2", 2}} {
+		stream := prefixes[p.scans-1]
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				img, err := Decode(stream)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += img.Bounds().Dx()
+			}
+		})
+		b.Run(p.name+"/stdlib", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				img, err := stdjpeg.Decode(bytes.NewReader(stream))
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += img.Bounds().Dx()
+			}
+		})
 	}
 }

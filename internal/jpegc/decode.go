@@ -2,6 +2,7 @@ package jpegc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"image"
 	"image/jpeg"
@@ -54,16 +55,39 @@ func (s *scratch) decode(data []byte) error {
 	s.geo.Quant[0] = d.quant[d.compQuant[0]]
 	if d.ncomp == 3 {
 		s.geo.Quant[1] = d.quant[d.compQuant[1]]
+		if d.quant[d.compQuant[2]] != s.geo.Quant[1] {
+			return fmt.Errorf("%w: Cb and Cr quantized by different tables", ErrUnsupported)
+		}
 	}
 	return nil
 }
 
-// Decode reconstructs the pixels of a JPEG stream with the standard
-// library's decoder — the repository's only pixel path. Color streams come
-// back as *image.YCbCr at the stream's native subsampling, grayscale as
-// *image.Gray. A scan-group prefix terminated with EOI decodes to its
-// coarser image; a stream without EOI is an error.
+// Decode reconstructs the pixels of a JPEG stream (baseline or progressive):
+// the coefficients DecodeCoeffs would return, dequantized and inverse
+// transformed straight out of the pooled scratch into one new image. Color
+// streams come back as *image.YCbCr at the stream's native subsampling,
+// grayscale as *image.Gray, with planes that cover whole MCUs as image/jpeg
+// sizes them. A scan-group prefix terminated with EOI decodes to its coarser
+// image; a stream without EOI is an error. A well-formed stream outside this
+// package's subset (ErrUnsupported) is handed to image/jpeg, which a
+// TFRecord or file-per-image dataset, storing its inputs verbatim, can hold.
 func Decode(data []byte) (image.Image, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	err := s.decode(data)
+	if errors.Is(err, ErrUnsupported) {
+		return decodeForeign(data)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.pixels(), nil
+}
+
+// decodeForeign decodes with image/jpeg, which sizes its buffers from the
+// frame header before it has read any entropy-coded data: the header's claim
+// is checked first.
+func decodeForeign(data []byte) (image.Image, error) {
 	if w, h, ok := frameSize(data); ok {
 		if err := checkDims(w, h); err != nil {
 			return nil, err
@@ -137,12 +161,12 @@ func (d *decoder) run() error {
 			}
 		case marker == mDRI:
 			if len(payload) == 2 && (payload[0] != 0 || payload[1] != 0) {
-				return fmt.Errorf("jpegc: restart intervals unsupported")
+				return fmt.Errorf("%w: restart intervals", ErrUnsupported)
 			}
 		case marker >= mAPP0 && marker <= 0xEF, marker == mCOM:
 			// Skip application and comment segments.
 		case marker >= 0xC1 && marker <= 0xCF && marker != mDHT:
-			return fmt.Errorf("jpegc: unsupported SOF marker %#x", marker)
+			return fmt.Errorf("%w: SOF marker %#x", ErrUnsupported, marker)
 		default:
 			return fmt.Errorf("jpegc: unexpected marker %#x", marker)
 		}
@@ -201,7 +225,7 @@ func (d *decoder) parseSOF(p []byte) error {
 		return fmt.Errorf("jpegc: short SOF")
 	}
 	if p[0] != 8 {
-		return fmt.Errorf("jpegc: only 8-bit precision supported")
+		return fmt.Errorf("%w: %d-bit precision", ErrUnsupported, p[0])
 	}
 	d.height = int(p[1])<<8 | int(p[2])
 	d.width = int(p[3])<<8 | int(p[4])
@@ -210,7 +234,7 @@ func (d *decoder) parseSOF(p []byte) error {
 		return err
 	}
 	if d.ncomp != 1 && d.ncomp != 3 {
-		return fmt.Errorf("jpegc: unsupported component count %d", d.ncomp)
+		return fmt.Errorf("%w: %d components", ErrUnsupported, d.ncomp)
 	}
 	if len(p) < 6+3*d.ncomp {
 		return fmt.Errorf("jpegc: short SOF")
@@ -232,7 +256,8 @@ func (d *decoder) parseSOF(p []byte) error {
 	case d.ncomp == 3 && sampling[0] == 0x22 && sampling[1] == 0x11 && sampling[2] == 0x11:
 		d.subsample420 = true
 	default:
-		return fmt.Errorf("jpegc: unsupported sampling %v (only 4:4:4 and 4:2:0)", sampling[:d.ncomp])
+		// (A copy, so that sampling itself stays on the stack.)
+		return fmt.Errorf("%w: sampling %v (only 4:4:4 and 4:2:0)", ErrUnsupported, bytes.Clone(sampling[:d.ncomp]))
 	}
 	d.sawSOF = true
 	d.s.setGeometry(&CoeffImage{Width: d.width, Height: d.height, NumComps: d.ncomp, Subsample420: d.subsample420})
@@ -244,7 +269,7 @@ func (d *decoder) parseDQT(p []byte) error {
 		pq := p[0] >> 4
 		tq := p[0] & 0x0F
 		if pq != 0 {
-			return fmt.Errorf("jpegc: 16-bit quant tables unsupported")
+			return fmt.Errorf("%w: 16-bit quantization tables", ErrUnsupported)
 		}
 		if tq > 3 {
 			return fmt.Errorf("jpegc: bad quant table id %d", tq)
@@ -413,10 +438,11 @@ func decodeDCDiff(r *bitReader, dec *huffDecoder) (int32, error) {
 func (d *decoder) decodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
 	var dcPred [3]int32
 	var padding Block
+	var padLast uint8
 	for _, b := range d.s.order {
-		blk := &d.s.blocks[b.comp][b.idx]
+		blk, lastNZ := &d.s.blocks[b.comp][b.idx], &d.s.lastNZ[b.comp][b.idx]
 		if b.pad {
-			blk = &padding // decode MCU padding, then discard
+			blk, lastNZ = &padding, &padLast // decode MCU padding, then discard
 		}
 		sc := &comps[b.comp]
 		diff, err := decodeDCDiff(r, sc.dc)
@@ -425,6 +451,7 @@ func (d *decoder) decodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
 		}
 		dcPred[b.comp] += diff
 		blk[0] = dcPred[b.comp]
+		last := 0 // the highest index written: the indices only rise
 		for k := 1; k < 64; {
 			rs, err := sc.ac.decode(r)
 			if err != nil {
@@ -443,8 +470,10 @@ func (d *decoder) decodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
 				return fmt.Errorf("jpegc: AC coefficient index out of range")
 			}
 			blk[k] = extend(r.take(size), size)
+			last = k
 			k++
 		}
+		*lastNZ = max(*lastNZ, uint8(last))
 	}
 	return nil
 }
@@ -481,13 +510,14 @@ func readEOBRun(r *bitReader, run int) int {
 
 func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error {
 	eobrun := 0
-	blocks := d.s.blocks[sc.comp]
+	blocks, lastNZ := d.s.blocks[sc.comp], d.s.lastNZ[sc.comp]
 	for i := range blocks {
 		if eobrun > 0 {
 			eobrun--
 			continue
 		}
 		blk := &blocks[i]
+		last := 0 // the highest index written: the indices only rise
 		for k := ss; k <= se; {
 			rs, err := sc.ac.decode(r)
 			if err != nil {
@@ -507,8 +537,10 @@ func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error
 				return fmt.Errorf("jpegc: AC coefficient index out of band")
 			}
 			blk[k] = extend(r.take(size), size) << uint(al)
+			last = k
 			k++
 		}
+		lastNZ[i] = max(lastNZ[i], uint8(last))
 	}
 	return nil
 }
@@ -517,22 +549,12 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 	p1 := int32(1) << uint(al)
 	m1 := int32(-1) << uint(al)
 	eobrun := 0
-
-	// refine applies a pending correction bit to an already-nonzero
-	// coefficient.
-	refine := func(coef *int32) {
-		if r.readBits(1) != 0 && *coef&p1 == 0 {
-			if *coef >= 0 {
-				*coef += p1
-			} else {
-				*coef += m1
-			}
-		}
-	}
-
-	blocks := d.s.blocks[sc.comp]
+	blocks, lastNZ := d.s.blocks[sc.comp], d.s.lastNZ[sc.comp]
 	for i := range blocks {
 		blk := &blocks[i]
+		// Only a coefficient already non-zero has a correction bit, and
+		// none is past last: from there on the band is a run of zeros.
+		last := min(se, int(lastNZ[i]))
 		k := ss
 		if eobrun == 0 {
 			for ; k <= se; k++ {
@@ -546,7 +568,7 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 					if size != 1 {
 						return fmt.Errorf("jpegc: bad refinement size %d", size)
 					}
-					if r.readBits(1) != 0 {
+					if r.take(1) != 0 {
 						newVal = p1
 					} else {
 						newVal = m1
@@ -555,40 +577,63 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 					eobrun = readEOBRun(r, run)
 					break // remaining coefficients handled by EOB logic below
 				}
-				// Advance over `run` zero-history coefficients, applying
-				// correction bits to nonzero-history ones encountered. The
-				// loop stops at the (run+1)-th zero: for a run/size symbol
-				// that zero receives the newly significant value; for ZRL
-				// (run=15, size=0) it is the 16th skipped zero, and the
-				// outer loop's k++ steps past it.
-				for k <= se {
-					coef := &blk[k]
-					if *coef != 0 {
-						refine(coef)
-					} else {
-						run--
-						if run < 0 {
-							break
-						}
-					}
-					k++
-				}
+				// Advance to the (run+1)-th zero-history coefficient,
+				// correcting the nonzero-history ones passed. For a
+				// run/size symbol that zero receives the newly significant
+				// value; for ZRL (run=15, size=0) it is the 16th skipped
+				// zero, and the loop's k++ steps past it.
+				k, run = r.refine(blk, k, last, run, p1, m1)
+				k += run
 				if size != 0 && k <= se {
 					blk[k] = newVal
+					lastNZ[i] = max(lastNZ[i], uint8(k))
 				}
 			}
 		}
 		if eobrun > 0 {
-			// In an EOB run: apply correction bits to every remaining
-			// nonzero coefficient of the band.
-			for ; k <= se; k++ {
-				coef := &blk[k]
-				if *coef != 0 {
-					refine(coef)
-				}
-			}
+			// In an EOB run: every remaining nonzero coefficient of the
+			// band is corrected, and no zero ends the walk.
+			r.refine(blk, k, last, 64, p1, m1)
 			eobrun--
 		}
 	}
 	return nil
+}
+
+// refine walks blk[k..last] for an AC refinement scan at bit p1 (m1 is its
+// negative): it reads a correction bit for each non-zero coefficient it
+// passes and stops at the (run+1)-th zero one. It returns where it stopped
+// and how many zeros were still to pass — 0 unless it reached last+1.
+func (r *bitReader) refine(blk *Block, k, last, run int, p1, m1 int32) (int, int) {
+	if k > last {
+		return k, run
+	}
+	acc, nbit := r.acc, r.nbit
+	band := blk[k : last+1]
+	for j, c := range band {
+		if c == 0 {
+			if run == 0 {
+				r.acc, r.nbit = acc, nbit
+				return k + j, 0
+			}
+			run--
+			continue
+		}
+		if nbit <= 0 {
+			r.acc, r.nbit = acc, nbit
+			r.fill()
+			acc, nbit = r.acc, r.nbit
+		}
+		if int64(acc) < 0 && c&p1 == 0 {
+			if c >= 0 {
+				band[j] = c + p1
+			} else {
+				band[j] = c + m1
+			}
+		}
+		acc <<= 1
+		nbit--
+	}
+	r.acc, r.nbit = acc, nbit
+	return last + 1, run
 }

@@ -1,0 +1,346 @@
+package jpegc
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"image"
+	stdjpeg "image/jpeg"
+	"io"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// scanPrefixes returns stream cut after each of its scans, the last being
+// the whole stream.
+func scanPrefixes(t testing.TB, stream []byte) [][]byte {
+	t.Helper()
+	idx, err := IndexScans(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for n := 1; n <= len(idx.Scans); n++ {
+		trunc, err := TruncateToScan(stream, idx, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, trunc)
+	}
+	return out
+}
+
+// planes returns an image's sample planes with their strides and, for each,
+// the part of it the frame shows.
+func planes(img image.Image) (pix [][]byte, strides []int, shown []image.Point) {
+	switch img := img.(type) {
+	case *image.Gray:
+		return [][]byte{img.Pix}, []int{img.Stride}, []image.Point{img.Rect.Size()}
+	case *image.YCbCr:
+		c := img.Rect.Size()
+		switch img.SubsampleRatio {
+		case image.YCbCrSubsampleRatio422:
+			c.X = (c.X + 1) / 2
+		case image.YCbCrSubsampleRatio420:
+			c = image.Pt((c.X+1)/2, (c.Y+1)/2)
+		}
+		return [][]byte{img.Y, img.Cb, img.Cr}, []int{img.YStride, img.CStride, img.CStride}, []image.Point{img.Rect.Size(), c, c}
+	}
+	return nil, nil, nil
+}
+
+// sameImage reports how got differs from want, or nil: the same concrete
+// type, frame, subsampling and plane geometry, and the same sample at every
+// position the frame shows. (Past the frame the two decoders differ in one
+// place: the MCU padding of a 4:2:0 luma plane, which image/jpeg
+// reconstructs from the padding blocks and this package, having discarded
+// those, leaves zero.)
+func sameImage(got, want image.Image) error {
+	if g, w := got.Bounds(), want.Bounds(); g != w {
+		return fmt.Errorf("frame = %v, want %v", g, w)
+	}
+	if g, ok := got.(*image.YCbCr); ok {
+		if w, ok := want.(*image.YCbCr); ok && g.SubsampleRatio != w.SubsampleRatio {
+			return fmt.Errorf("subsampling = %v, want %v", g.SubsampleRatio, w.SubsampleRatio)
+		}
+	}
+	gp, gs, shown := planes(got)
+	wp, ws, _ := planes(want)
+	if len(gp) == 0 || len(gp) != len(wp) {
+		return fmt.Errorf("image is a %T, want a %T", got, want)
+	}
+	for c := range gp {
+		if gs[c] != ws[c] || len(gp[c]) != len(wp[c]) {
+			return fmt.Errorf("plane %d: stride %d, %d bytes; want stride %d, %d bytes", c, gs[c], len(gp[c]), ws[c], len(wp[c]))
+		}
+		for y := 0; y < shown[c].Y; y++ {
+			row := y * gs[c]
+			if !bytes.Equal(gp[c][row:row+shown[c].X], wp[c][row:row+shown[c].X]) {
+				return fmt.Errorf("plane %d differs in row %d", c, y)
+			}
+		}
+	}
+	return nil
+}
+
+func stdDecode(t testing.TB, stream []byte) image.Image {
+	t.Helper()
+	img, err := stdjpeg.Decode(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatalf("image/jpeg: %v", err)
+	}
+	return img
+}
+
+// TestDecodeMatchesStdlib holds Decode to its oracle. The inverse DCT here
+// is the fixed-point transform image/jpeg uses, rounding point for rounding
+// point, so the bound on the difference is zero: same type, same frame, same
+// plane geometry (whole MCUs), same samples — for each encoding, on sizes
+// with MCU padding on neither, one and both axes, at every scan prefix.
+func TestDecodeMatchesStdlib(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		img  image.Image
+		opts Options
+	}{
+		{"gray-1x1", testGray(1, 1, 1), Options{}},
+		{"gray-8x8", testGray(8, 8, 2), Options{}},
+		{"gray-70x54", testGray(70, 54, 3), Options{}},
+		{"444-64x64", testImage(64, 64, 4), Options{}},
+		{"420-66x50", testImage(66, 50, 5), Options{Subsample420: true}},
+		{"420-128x128", testImage(128, 128, 6), Options{Subsample420: true}},
+	} {
+		for _, progressive := range []bool{false, true} {
+			for _, quality := range []int{30, 92} {
+				opts := tc.opts
+				opts.Progressive, opts.Quality = progressive, quality
+				stream, err := Encode(tc.img, &opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n, prefix := range scanPrefixes(t, stream) {
+					got, err := Decode(prefix)
+					if err != nil {
+						t.Fatalf("%s progressive=%v q%d, %d scans: %v", tc.name, progressive, quality, n+1, err)
+					}
+					want := stdDecode(t, prefix)
+					if tc.name == "420-66x50" {
+						// Whole MCUs: 5×4 of 16×16 luma, 8×8 chroma.
+						y := got.(*image.YCbCr)
+						if y.YStride != 80 || len(y.Y) != 80*64 || y.CStride != 40 || len(y.Cb) != 40*32 || len(y.Cr) != 40*32 {
+							t.Fatalf("66x50 4:2:0 planes: Y %d/%d, C %d/%d/%d", y.YStride, len(y.Y), y.CStride, len(y.Cb), len(y.Cr))
+						}
+					}
+					if err := sameImage(got, want); err != nil {
+						t.Fatalf("%s progressive=%v q%d, %d scans: %v", tc.name, progressive, quality, n+1, err)
+					}
+				}
+			}
+		}
+	}
+	// Coefficients too large for the transform's 32 bits wrap around in
+	// both decoders alike.
+	hostile := hostileCoefficients()
+	got, err := Decode(hostile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameImage(got, stdDecode(t, hostile)); err != nil {
+		t.Errorf("hostile coefficients: %v", err)
+	}
+}
+
+// TestReconstructFastPaths checks the block-level shortcuts two ways on
+// synthetic coefficients, the format's extremes among them (DC ±1024 and AC
+// ±1023 under the largest divisors): bounding the work by the last non-zero
+// index gives the samples of the unbounded transform, and the whole block
+// path — DC-only fill, rows with no AC, rows never visited — gives the
+// samples image/jpeg reconstructs from the same coefficients.
+func TestReconstructFastPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	ci := &CoeffImage{Width: 64, Height: 64, NumComps: 1, Blocks: [3][]Block{make([]Block, 64)}}
+	for i := range ci.Quant[0] {
+		ci.Quant[0][i] = uint16(1 + rng.Intn(255))
+	}
+	ci.Quant[0][0], ci.Quant[0][1] = 255, 255
+	last := make([]int, len(ci.Blocks[0])) // zigzag index of each block's last coefficient
+	for i := range ci.Blocks[0] {
+		blk := &ci.Blocks[0][i]
+		switch {
+		case i < 4: // DC only, at and near the limits
+			blk[0] = []int32{-1024, 1023, 0, 1}[i]
+		case i < 8: // one row, one column, both at the limit
+			blk[0] = 1023
+			blk[1+7*(i&1)] = -1023
+			blk[8] = int32(i/6) * 1023
+			last[i] = 35
+		default:
+			last[i] = rng.Intn(64)
+			for k := 0; k <= last[i]; k++ {
+				if rng.Intn(3) == 0 {
+					blk[zigzag[k]] = int32(rng.Intn(2047) - 1023)
+				}
+			}
+			blk[0] = int32(rng.Intn(2048) - 1024)
+		}
+	}
+
+	var q [64]int32
+	for k, nat := range zigzag {
+		q[k] = int32(ci.Quant[0][nat])
+	}
+	for i := range ci.Blocks[0] {
+		var zz Block
+		for k, nat := range zigzag {
+			zz[k] = ci.Blocks[0][i][nat]
+		}
+		bounded, full := make([]byte, 64), make([]byte, 64)
+		reconstruct(&zz, last[i], &q, bounded, 8)
+		reconstruct(&zz, 63, &q, full, 8)
+		if !bytes.Equal(bounded, full) {
+			t.Errorf("block %d: bounded by index %d\n%v\nunbounded\n%v", i, last[i], bounded, full)
+		}
+	}
+
+	for _, progressive := range []bool{false, true} {
+		stream, err := EncodeCoeffs(ci, &Options{Progressive: progressive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameImage(got, stdDecode(t, stream)); err != nil {
+			t.Errorf("progressive=%v: %v", progressive, err)
+		}
+	}
+}
+
+// TestDecodeAllocations holds a decode to its budget once the scratch pool
+// is warm: the image's planes in one allocation, the image value, and one
+// to spare.
+func TestDecodeAllocations(t *testing.T) {
+	stream, err := Transcode(benchInput(t), &Options{Progressive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs, bytes := allocsPerRun(func() {
+		if _, err := Decode(stream); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const frame = 128*128 + 2*64*64
+	if allocs > 3 || bytes > frame+1024 {
+		t.Errorf("Decode makes %d allocations of %d bytes for a %d-byte frame, want <= 3 and <= frame + 1 KB", allocs, bytes, frame)
+	}
+}
+
+// splice returns stream with seg inserted before its first marker m.
+func splice(t testing.TB, stream []byte, m byte, seg ...byte) []byte {
+	t.Helper()
+	at := bytes.Index(stream, []byte{0xFF, m})
+	if at < 0 {
+		t.Fatalf("stream has no marker %#x", m)
+	}
+	return append(append(append([]byte(nil), stream[:at]...), seg...), stream[at:]...)
+}
+
+// TestUnsupportedHandedToStdlib: a stream that is valid JPEG but outside the
+// subset parsed here is declined with ErrUnsupported by the coefficient
+// entry points, and Decode still returns its pixels, from image/jpeg. A
+// corrupt stream is not such a stream: its error is this package's own.
+func TestUnsupportedHandedToStdlib(t *testing.T) {
+	img := testImage(32, 32, 9)
+	base, err := Encode(img, &Options{Quality: 85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Decode(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sof := bytes.Index(base, []byte{0xFF, mSOF0})
+	patched := func(at int, b byte) []byte {
+		out := append([]byte(nil), base...)
+		out[at] = b
+		return out
+	}
+	// A third quantization table, unlike the second, for Cr alone.
+	ownCrTable := patched(sof+4+6+3*2+2, 2)
+	dqt := append([]byte{0xFF, mDQT, 0, 67, 2}, bytes.Repeat([]byte{7}, 64)...)
+	ownCrTable = splice(t, ownCrTable, mSOF0, dqt...)
+
+	for _, tc := range []struct {
+		name    string
+		stream  []byte
+		decodes bool // image/jpeg decodes it, to the pixels of base
+	}{
+		// 16 MCUs and a restart every 64: no RST marker is ever due.
+		{"restart interval", splice(t, base, mSOS, 0xFF, mDRI, 0, 4, 0, 64), true},
+		{"extended sequential frame", patched(sof+1, 0xC1), true},
+		{"Cr table of its own", ownCrTable, false},
+		{"12-bit precision", patched(sof+4, 12), false},
+		{"4:2:2 sampling", patched(sof+4+6+1, 0x21), false},
+		{"four components", patched(sof+4+5, 4), false},
+		{"16-bit quantization table", patched(bytes.Index(base, []byte{0xFF, mDQT})+4, 0x10), false},
+	} {
+		if _, err := DecodeCoeffs(tc.stream); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("%s: DecodeCoeffs: err = %v, want ErrUnsupported", tc.name, err)
+		}
+		if _, err := Transcode(tc.stream, &Options{Progressive: true}); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("%s: Transcode: err = %v, want ErrUnsupported", tc.name, err)
+		}
+		got, err := Decode(tc.stream)
+		want, stdErr := stdjpeg.Decode(bytes.NewReader(tc.stream))
+		if (err == nil) != (stdErr == nil) {
+			t.Errorf("%s: Decode: err = %v, image/jpeg: %v", tc.name, err, stdErr)
+			continue
+		}
+		if tc.decodes && err != nil {
+			t.Errorf("%s: image/jpeg refuses the test input: %v", tc.name, err)
+		}
+		if err != nil {
+			continue
+		}
+		if err := sameImage(got, want); err != nil {
+			t.Errorf("%s: against image/jpeg: %v", tc.name, err)
+		}
+		if tc.decodes {
+			if err := sameImage(got, plain); err != nil {
+				t.Errorf("%s: against the unmodified stream: %v", tc.name, err)
+			}
+		}
+	}
+
+	prog, err := Transcode(base, &Options{Progressive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sixteen 1 bits where the scan's data begins: no Huffman code is all
+	// ones.
+	badCode := append([]byte(nil), base...)
+	sos := bytes.Index(base, []byte{0xFF, mSOS})
+	copy(badCode[sos+2+int(base[sos+2])<<8+int(base[sos+3]):], []byte{0xFF, 0x00, 0xFF, 0x00})
+	for name, stream := range map[string][]byte{
+		"cut baseline":    cutEntropy(t, base),
+		"cut progressive": cutEntropy(t, prog),
+		"bad code":        badCode,
+	} {
+		_, err := Decode(stream)
+		var format stdjpeg.FormatError
+		var unsupported stdjpeg.UnsupportedError
+		switch {
+		case err == nil:
+			t.Errorf("%s: Decode accepted the stream", name)
+		case errors.Is(err, ErrUnsupported):
+			t.Errorf("%s: err = %v: corrupt, not unsupported", name, err)
+		case errors.As(err, &format), errors.As(err, &unsupported), errors.Is(err, io.ErrUnexpectedEOF), !strings.HasPrefix(err.Error(), "jpegc: "):
+			t.Errorf("%s: err = %v, which is not this package's: the stream reached image/jpeg", name, err)
+		}
+		if strings.HasPrefix(name, "cut") && !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", name, err)
+		}
+	}
+}

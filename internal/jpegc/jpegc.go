@@ -1,8 +1,10 @@
-// Package jpegc is the part of a JPEG (ITU-T T.81) codec that the standard
+// Package jpegc is a JPEG (ITU-T T.81) codec for the subset of the format
+// Progressive Compressed Records are made of. It has what the standard
 // library does not provide: progressive encoding — spectral selection and
 // successive approximation — coefficient-level (lossless) transcoding
 // between baseline and progressive representations, and a scan-boundary
-// scanner.
+// scanner; and it has the read path's decoder, because a training job
+// spends its time there.
 //
 // image/jpeg decodes progressive JPEG but cannot encode it, and it exposes
 // neither scan boundaries nor DCT coefficients. Progressive Compressed
@@ -10,23 +12,29 @@
 // (lossless baseline→progressive transform) followed by a marker scan that
 // locates the byte ranges of each scan.
 //
-// Pixel reconstruction is not here. Decode hands the stream to image/jpeg:
-// every stream the read path sees was written by Transcode and is a strict
-// subset of what the standard library accepts, and one inverse DCT is enough
-// for one repository. The price is the standard library's scaled-integer
-// IDCT in place of an exact float one — decoded levels may differ from a
-// float reconstruction by 1–2.
+// Decode reconstructs pixels here too: the entropy decoder the transcode
+// uses, then a dequantization and inverse DCT of each block straight from
+// the pooled scratch into the image returned (idct.go). A decode then costs
+// what its scans hold — a block is transformed no further than its last
+// non-zero coefficient, and a two-scan prefix is mostly DC-only blocks,
+// each one fill — and allocates the image and nothing else, where
+// image/jpeg allocates and zeroes every coefficient of the frame and
+// transforms every block in full whatever the prefix left empty. The
+// transform is the fixed-point one image/jpeg uses, rounding point for
+// rounding point, so the samples are the standard library's exactly; tests
+// hold Decode to that oracle. A well-formed stream outside the subset below
+// is declined with ErrUnsupported and Decode hands it to image/jpeg.
 //
 // The entropy coding is built for the transcode, which is nearly all of an
-// ingest's time. The decoder reads Huffman codes through an 8-bit look-up
-// table with the canonical procedure behind it, from a bit reader that
-// removes stuff bytes as it fills; the encoder walks each scan's
-// coefficients once, counting symbols and recording them as tokens, builds
-// the scan's optimal tables, and replays the tokens through them. Both work
-// on zigzag-ordered blocks held, with every table and buffer, in one pooled
-// scratch (scratch.go), so Transcode allocates little but its result. The
-// bytes produced are pinned by golden hashes: same scan script, same tables,
-// same tie-breaks as libjpeg's optimizer.
+// ingest's time, and Decode shares it. The decoder reads Huffman codes
+// through an 8-bit look-up table with the canonical procedure behind it,
+// from a bit reader that removes stuff bytes as it fills; the encoder walks
+// each scan's coefficients once, counting symbols and recording them as
+// tokens, builds the scan's optimal tables, and replays the tokens through
+// them. Both work on zigzag-ordered blocks held, with every table and
+// buffer, in one pooled scratch (scratch.go), so Transcode allocates little
+// but its result. The bytes produced are pinned by golden hashes: same scan
+// script, same tables, same tie-breaks as libjpeg's optimizer.
 //
 // The codec is deliberately restricted to the subset the PCR system needs:
 //
@@ -217,12 +225,20 @@ func (ci *CoeffImage) validateGeometry() error {
 	return nil
 }
 
-// ErrTruncated is returned by DecodeCoeffs and IndexScans when the stream
-// ends before an EOI marker, and by DecodeCoeffs when a scan's entropy-coded
-// data ends before the scan does. Progressive reconstructions from complete
+// ErrTruncated is returned by DecodeCoeffs, Decode and IndexScans when the
+// stream ends before an EOI marker, and by the two decoders when a scan's
+// entropy-coded data ends before the scan does. Progressive reconstructions from complete
 // scan prefixes are not truncated in this sense: the PCR reader appends EOI
 // to the prefix.
 var ErrTruncated = errors.New("jpegc: truncated stream")
+
+// ErrUnsupported is wrapped by the errors DecodeCoeffs, Decode's parser and
+// Transcode return for a stream that is well formed but outside this
+// package's subset (see the package comment): other sampling factors or
+// component counts, restart intervals, 16-bit quantization tables, frame
+// types other than baseline and progressive Huffman. Decode hands such a
+// stream to image/jpeg; a corrupt stream is never this error.
+var ErrUnsupported = errors.New("jpegc: unsupported JPEG feature")
 
 // zigzag maps a zigzag-order index to natural (row-major) order.
 var zigzag = [64]uint8{

@@ -329,9 +329,10 @@ func TestCoeffRoundTripGray(t *testing.T) {
 	}
 }
 
-// TestEncodedStreamsDecodeToSource is the interchange check: image/jpeg
-// (behind Decode) accepts every kind of stream Encode writes and
-// reconstructs the source pixels to within the loss quality 80 implies —
+// TestEncodedStreamsDecodeToSource closes the loop on pixels: Decode
+// reconstructs, from every kind of stream Encode writes, the source pixels
+// to within the loss quality 80 implies (TestDecodeMatchesStdlib has
+// image/jpeg accept the same kinds of stream and agree on the samples) —
 // including 66×50 at 4:2:0, where MCU padding on both axes must be emitted
 // and then cropped away. The bounds are the measured MAE (5.09, 6.17, 3.75
 // levels, nearly all of it the ±15 noise of the test images, which quality
@@ -356,7 +357,7 @@ func TestEncodedStreamsDecodeToSource(t *testing.T) {
 				}
 				got, err := Decode(data)
 				if err != nil {
-					t.Fatalf("image/jpeg refused our stream: %v", err)
+					t.Fatal(err)
 				}
 				if got.Bounds() != img.Bounds() {
 					t.Fatalf("bounds = %v, want %v", got.Bounds(), img.Bounds())

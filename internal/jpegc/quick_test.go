@@ -1,6 +1,7 @@
 package jpegc
 
 import (
+	"image"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -168,14 +169,44 @@ func TestQuickScanPrefixesAlwaysDecode(t *testing.T) {
 	}
 }
 
+// hostileCoefficients is a well-formed progressive stream, 16×8 grayscale,
+// whose coefficients are as large as the syntax can make them: DC
+// differences of category 16 and AC values of category 15, both scans at
+// point transform 13, every divisor 255. Dequantized they are far outside
+// what 32-bit inverse DCT arithmetic holds.
+func hostileCoefficients() []byte {
+	geo := &CoeffImage{Width: 16, Height: 8, NumComps: 1}
+	for i := range geo.Quant[0] {
+		geo.Quant[0][i] = 255
+	}
+	w := bitWriter{out: appendHeaders(nil, geo, true)}
+	// scan appends a table whose one code, "0", means sym, and a scan that
+	// repeats it n times, each time with size value bits, all ones.
+	scan := func(class, sym byte, size uint, spec ScanSpec, n int) {
+		w.out = appendSegment(w.out, mDHT, 1+16+1)
+		w.out = append(w.out, class<<4, 1)
+		w.out = append(append(w.out, make([]byte, 15)...), sym)
+		w.out = appendSOS(w.out, spec, class == 0, class == 1)
+		for ; n > 0; n-- {
+			w.writeBits(1<<size-1, 1+size)
+		}
+		w.flush()
+	}
+	scan(0, 16, 16, ScanSpec{Comps: []int{0}, Al: 13}, 2)
+	scan(1, 15, 15, ScanSpec{Comps: []int{0}, Ss: 1, Se: 63, Al: 13}, 2*63)
+	return append(w.out, 0xFF, mEOI)
+}
+
 // FuzzDecodeCoeffs feeds arbitrary bytes to the three entry points that
 // parse a JPEG stream. Truncated progressive streams are this system's
 // normal input, so the seeds are a baseline stream, a progressive one,
-// every scan prefix of it with and without its EOI, and both streams with a
-// scan's data cut short under intact markers; testdata/fuzz adds
-// hostile headers and bit-flipped streams. Any input may be refused. None
-// may panic, and none may come back with a frame larger than checkDims
-// allows, which is what bounds the allocation a header can ask for.
+// every scan prefix of it with and without its EOI, both streams with a
+// scan's data cut short under intact markers, and one whose coefficients
+// overflow the inverse DCT; testdata/fuzz adds hostile headers and
+// bit-flipped streams. Any input may be refused. None may panic — an index
+// outside a block or a sample plane would — and none may come back with a
+// frame larger than checkDims allows, which is what bounds the allocation a
+// header can ask for, or with sample planes that do not cover it.
 func FuzzDecodeCoeffs(f *testing.F) {
 	base, err := Encode(testImage(32, 32, 3), &Options{Quality: 70})
 	if err != nil {
@@ -185,23 +216,16 @@ func FuzzDecodeCoeffs(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	idx, err := IndexScans(prog)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(base)
 	f.Add(prog)
-	for n := 1; n <= len(idx.Scans); n++ {
-		trunc, err := TruncateToScan(prog, idx, n)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, trunc := range scanPrefixes(f, prog) {
 		f.Add(trunc)
 		f.Add(trunc[:len(trunc)-2])
 	}
 	// Scan data cut short under intact markers: refused as truncated.
 	f.Add(cutEntropy(f, base))
 	f.Add(cutEntropy(f, prog))
+	f.Add(hostileCoefficients()) // accepted: TestDecodeMatchesStdlib decodes it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ci, err := DecodeCoeffs(data); err == nil {
 			if err := checkDims(ci.Width, ci.Height); err != nil {
@@ -221,8 +245,22 @@ func FuzzDecodeCoeffs(f *testing.F) {
 			}
 		}
 		if img, err := Decode(data); err == nil {
-			if err := checkDims(img.Bounds().Dx(), img.Bounds().Dy()); err != nil {
+			frame := img.Bounds().Size()
+			if err := checkDims(frame.X, frame.Y); err != nil {
 				t.Fatalf("Decode accepted: %v", err)
+			}
+			// Each plane is whole rows, enough of them and long enough for
+			// the frame: all of it in the first plane, and in the chroma
+			// planes at a subsampling no coarser than 4×4.
+			pix, strides, _ := planes(img)
+			for c := range pix {
+				need := frame
+				if c > 0 {
+					need = image.Pt((frame.X+3)/4, (frame.Y+3)/4)
+				}
+				if strides[c] < need.X || len(pix[c])%strides[c] != 0 || len(pix[c])/strides[c] < need.Y {
+					t.Fatalf("plane %d of a %v frame: %d bytes at stride %d", c, frame, len(pix[c]), strides[c])
+				}
 			}
 		}
 	})

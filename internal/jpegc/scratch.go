@@ -19,8 +19,9 @@ type scratch struct {
 	// the encoder walks it.
 	blocks [3][]Block
 	// lastNZ[c][i] is the zigzag index of block i's last non-zero
-	// coefficient, 0 when only the DC term or nothing is set. No scan has
-	// to look past it.
+	// coefficient, 0 when only the DC term or nothing is set: exactly that
+	// once sealed, and while decoding the highest index a scan has written.
+	// Neither the encoder's scans nor the inverse DCT look past it.
 	lastNZ [3][]uint8
 
 	order []blockRef // the interleaved scan being coded, from mcuOrder
@@ -54,6 +55,7 @@ func (s *scratch) setGeometry(geo *CoeffImage) {
 		s.blocks[c] = s.blocks[c][:n]
 		s.lastNZ[c] = s.lastNZ[c][:n]
 		clear(s.blocks[c])
+		clear(s.lastNZ[c])
 	}
 }
 
