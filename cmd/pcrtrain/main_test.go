@@ -91,7 +91,14 @@ func TestTrainThroughLoaderLocalAndRemote(t *testing.T) {
 // aggressive detector, a later (adaptive) epoch moves fewer bytes than the
 // full-quality epochs of the same data.
 func TestAdaptiveEpochMovesFewerBytes(t *testing.T) {
-	dir := synthDataset(t)
+	// Two images to a record: an epoch has to outlast the loader's
+	// read-ahead for a plateau seen after its first batch to find records
+	// whose reads are not issued yet.
+	dir := t.TempDir()
+	if _, err := pcr.Synthesize(dir, "cars", 0.1, 3,
+		pcr.WithImagesPerRecord(2), pcr.WithScanGroups(4)); err != nil {
+		t.Fatal(err)
+	}
 
 	fixed := testConfig(dir)
 	fixed.epochs = 1

@@ -117,7 +117,7 @@ func run() error {
 			epoch, float64(st.BytesRead)/1e6, st.ImagesPerSec, st.Stall.Seconds(), q)
 	}
 	fmt.Println("\nsame records, same labels — later epochs moved fewer bytes because")
-	fmt.Println("quality is an I/O knob, re-resolved at every record boundary.")
+	fmt.Println("quality is an I/O knob, re-resolved for every record read.")
 
 	// Queryable dataset: a predicate over the sample metadata restricts
 	// training to a subset without re-encoding anything. The selection is

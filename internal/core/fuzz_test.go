@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"repro/internal/jpegc"
@@ -71,39 +70,50 @@ func TestRecord420(t *testing.T) {
 	}
 }
 
-// TestRecordFuzzNoPanic mutates valid record bytes: parsing and sample
-// extraction must fail cleanly, never panic.
-func TestRecordFuzzNoPanic(t *testing.T) {
-	samples := buildSamples(t, 3)
+// FuzzParseRecordMeta feeds arbitrary bytes to the record parser and to
+// the calls that turn a parsed record back into JPEG streams — the bytes a
+// Loader reads from a store it does not control, parsed on a goroutine no
+// caller can recover for. The seeds are a record of three samples whole, cut
+// inside its metadata and cut inside its body; testdata/fuzz adds records
+// that spell huge, negative and overflowing lengths and bit-flipped records
+// that still parse. Any input may be refused. None may panic, none may size
+// an allocation by a number the bytes merely spell, and a stream that comes
+// back is made of bytes that were there.
+func FuzzParseRecordMeta(f *testing.F) {
 	var buf bytes.Buffer
-	meta, err := WriteRecord(&buf, samples)
+	meta, err := WriteRecord(&buf, buildSamples(f, 3))
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
 	valid := buf.Bytes()
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 400; trial++ {
-		data := append([]byte(nil), valid...)
-		for m := 0; m < rng.Intn(6)+1; m++ {
-			data[rng.Intn(len(data))] ^= byte(1 << rng.Intn(8))
-		}
-		if rng.Intn(3) == 0 {
-			data = data[:rng.Intn(len(data))+1]
-		}
+	f.Add(valid)
+	f.Add(valid[:meta.BodyStart/2])
+	f.Add(valid[:(meta.BodyStart+int64(len(valid)))/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseRecordMeta(data)
 		if err != nil {
-			continue
+			return
 		}
-		// Parsed despite mutation (damage landed in the body): sample
-		// extraction and decode must still not panic.
-		for i := range m.Samples {
-			g := rng.Intn(m.NumGroups) + 1
+		// The offset tables hold a word per sample and group, and every one
+		// of those was a byte of the metadata section.
+		if words := m.NumGroups * len(m.Samples); words <= 0 || int64(words) > m.BodyStart {
+			t.Fatalf("%d groups × %d samples parsed from a %d-byte metadata section", m.NumGroups, len(m.Samples), m.BodyStart)
+		}
+		for g := 0; g <= m.NumGroups; g++ {
 			need, err := m.PrefixLen(g)
-			if err != nil || need > int64(len(data)) {
-				continue
+			if err != nil || need < m.BodyStart {
+				t.Fatalf("PrefixLen(%d) of a parsed record = %d, %v", g, need, err)
 			}
-			m.DecodeSample(data[:need], i, g) // errors fine, panics not
+			prefix := data[:min(need, int64(len(data)))]
+			for i := range m.Samples {
+				stream, err := m.SampleJPEG(prefix, i, g)
+				if err != nil {
+					continue // group 0, or a body cut short
+				}
+				if limit := len(m.Samples[i].Header) + len(prefix) + 2; len(stream) > limit {
+					t.Fatalf("sample %d at group %d is %d bytes from a %d-byte prefix", i, g, len(stream), len(prefix))
+				}
+			}
 		}
-		_ = meta
-	}
+	})
 }

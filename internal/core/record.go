@@ -302,9 +302,28 @@ func ParseRecordMeta(data []byte) (*RecordMeta, error) {
 	if m.NumGroups <= 0 {
 		return nil, fmt.Errorf("core: %w: record has no scan groups", ErrCorrupt)
 	}
+	// No writer makes an empty record, and without a sample to hold it to,
+	// NumGroups — which sizes the offset tables — would be any number the
+	// file cares to spell.
+	if len(m.Samples) == 0 {
+		return nil, fmt.Errorf("core: %w: record has no samples", ErrCorrupt)
+	}
 	for i, s := range m.Samples {
 		if len(s.GroupLens) != m.NumGroups {
 			return nil, fmt.Errorf("core: %w: sample %d has %d group lengths, want %d", ErrCorrupt, i, len(s.GroupLens), m.NumGroups)
+		}
+	}
+	// The slice lengths become offsets into the file: none may be negative
+	// and their running sum must stay an int64, or SampleJPEG would index
+	// before the start of the prefix it is given.
+	total := m.BodyStart
+	for g := 0; g < m.NumGroups; g++ {
+		for i := range m.Samples {
+			n := m.Samples[i].GroupLens[g]
+			if n < 0 || total+n < total {
+				return nil, fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, i, uint64(n), g+1)
+			}
+			total += n
 		}
 	}
 	m.buildOffsets()

@@ -199,8 +199,9 @@ func Run(ctx context.Context, ds *pcr.Dataset, cfg Config) (*Result, error) {
 			epochLoss += loss
 			steps++
 			// Feed the adaptive policy real observations at minibatch
-			// granularity; the loader re-resolves quality at the next
-			// record boundary, so a plateau cheapens the epoch in flight.
+			// granularity; the loader asks it again for every record read
+			// it issues, so a plateau cheapens the epoch in flight, past
+			// the few records already read ahead.
 			if reporter != nil {
 				reporter.Report(loss)
 			}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/diskcache"
@@ -30,8 +30,16 @@ type Dataset struct {
 	// cluster is the fleet-aware client of a remote dataset (nil for
 	// local datasets), kept for ClusterStats.
 	cluster *serve.ClusterClient
-	closed  atomic.Bool
+	closing sync.Once
+	closed  chan struct{} // closed by Close
 }
+
+func newDataset(r formatReader, cfg *config, cluster *serve.ClusterClient) *Dataset {
+	return &Dataset{r: r, cfg: cfg, cluster: cluster, closed: make(chan struct{})}
+}
+
+// errScanClosed is how a read that meets a closed dataset ends.
+var errScanClosed = fmt.Errorf("pcr: scan: %w", ErrClosed)
 
 // Open opens the dataset at dir. The Format option must match the layout on
 // disk (PCR by default); cache and prefetch options configure the read path.
@@ -53,17 +61,28 @@ func Open(dir string, opts ...Option) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{r: r, cfg: cfg}, nil
+	return newDataset(r, cfg, nil), nil
 }
 
 // Close releases the dataset. It is safe to call concurrently with running
 // scans (which terminate with ErrClosed at their next sample boundary) and
 // is idempotent: only the first call releases the underlying reader.
 func (d *Dataset) Close() error {
-	if d.closed.Swap(true) {
-		return nil
+	var err error
+	d.closing.Do(func() {
+		close(d.closed)
+		err = d.r.close()
+	})
+	return err
+}
+
+func (d *Dataset) isClosed() bool {
+	select {
+	case <-d.closed:
+		return true
+	default:
+		return false
 	}
-	return d.r.close()
 }
 
 // Format returns the dataset's storage layout.
@@ -79,8 +98,8 @@ func (d *Dataset) Qualities() int { return d.r.qualities() }
 // resolveQuality maps Full to the top level and rejects levels the dataset
 // does not store.
 func (d *Dataset) resolveQuality(q int) (int, error) {
-	if d.closed.Load() {
-		return 0, fmt.Errorf("pcr: scan: %w", ErrClosed)
+	if d.isClosed() {
+		return 0, errScanClosed
 	}
 	top := d.r.qualities()
 	if q == Full {
@@ -140,8 +159,8 @@ func (d *Dataset) scanEncodedWith(ctx context.Context, qq int, sc *scanConfig) i
 func (d *Dataset) guardClosed(seq iter.Seq2[Sample, error]) iter.Seq2[Sample, error] {
 	return func(yield func(Sample, error) bool) {
 		for s, err := range seq {
-			if err == nil && d.closed.Load() {
-				yield(Sample{}, fmt.Errorf("pcr: scan: %w", ErrClosed))
+			if err == nil && d.isClosed() {
+				yield(Sample{}, errScanClosed)
 				return
 			}
 			if !yield(s, err) {
@@ -152,12 +171,16 @@ func (d *Dataset) guardClosed(seq iter.Seq2[Sample, error]) iter.Seq2[Sample, er
 }
 
 // Scan streams every sample in storage order at quality q with Image
-// decoded. Record prefixes are read sequentially (through the LRU prefix
-// cache when WithCacheBytes is set) and images are decoded concurrently by
-// WithPrefetchWorkers goroutines; samples are yielded in storage order.
-// Iteration stops at the first error; cancelling ctx stops it promptly with
-// ctx.Err(). WithFilter restricts the stream to the samples a predicate
-// selects (see ScanEncoded); only selected samples are decoded.
+// decoded, through the decode pipeline (pipeline.go): on a PCR dataset up to
+// four record prefixes are read ahead of the consumer (through the LRU
+// prefix cache when WithCacheBytes is set) and their samples are decoded in
+// runs of eight by WithPrefetchWorkers goroutines; the baseline formats
+// stream sample by sample into the same workers. Memory is bounded as
+// Loader.Epoch states it, less the batch. Samples are yielded in storage
+// order. Iteration stops at the first error; cancelling ctx stops it
+// promptly with ctx.Err(), even while a read is blocked. WithFilter
+// restricts the stream to the samples a predicate selects (see ScanEncoded);
+// records it excludes are not read and only selected samples are decoded.
 func (d *Dataset) Scan(ctx context.Context, q int, opts ...ScanOption) iter.Seq2[Sample, error] {
 	qq, err := d.resolveQuality(q)
 	if err != nil {
@@ -167,126 +190,35 @@ func (d *Dataset) Scan(ctx context.Context, q int, opts ...ScanOption) iter.Seq2
 	if err != nil {
 		return errSeq(err)
 	}
-	workers := d.cfg.prefetchWorkers()
+	source := func(p *pipeline) { p.chunk(d.scanEncodedWith(p.ctx, qq, sc)) }
+	if rs, ok := d.r.(recordScanner); ok {
+		source = func(p *pipeline) { p.fetch(rs.planScan(qq, sc)) }
+	}
 	return func(yield func(Sample, error) bool) {
-		ictx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
-		// The producer walks the encoded stream and hands each sample to
-		// the bounded decode pool; jobs preserve storage order so the
-		// consumer below yields in-order while decodes overlap.
-		jobs := decodePool(ictx, workers, func(emit func(*decodeJob) bool) {
-			for s, err := range d.scanEncodedWith(ictx, qq, sc) {
-				if !emit(&decodeJob{s: s, err: err}) {
-					return
-				}
-			}
-		})
-
-		for {
-			// Receive with a ctx case so cancellation is prompt even while
-			// the producer sits inside a slow (non-cancellable) record read.
-			var j *decodeJob
-			var ok bool
-			select {
-			case j, ok = <-jobs:
-			case <-ctx.Done():
-				yield(Sample{}, ctx.Err())
-				return
-			}
-			if !ok {
-				break
-			}
-			select {
-			case <-j.done:
-			case <-ctx.Done():
-				yield(Sample{}, ctx.Err())
-				return
-			}
-			// A cancelled context wins over already-decoded queued jobs, so
-			// cancellation surfaces promptly and unambiguously.
-			if err := ctx.Err(); err != nil {
+		for r, err := range d.pipeline(ctx, source) {
+			if err != nil {
 				yield(Sample{}, err)
 				return
 			}
-			// Likewise a concurrent Close: queued decodes are discarded and
-			// the scan terminates with ErrClosed at this sample boundary.
-			if d.closed.Load() {
-				yield(Sample{}, fmt.Errorf("pcr: scan: %w", ErrClosed))
-				return
+			for _, s := range r.samples {
+				if !yield(s, nil) {
+					return
+				}
 			}
-			if j.err != nil {
-				yield(Sample{}, j.err)
-				return
-			}
-			if !yield(j.s, nil) {
-				return
-			}
-		}
-		// The producer bails out silently when the context fires mid-stream;
-		// report that as an error, not a clean end of dataset.
-		if err := ctx.Err(); err != nil {
-			yield(Sample{}, err)
 		}
 	}
+}
+
+// recordScanner is the capability behind Scan's record-granular read-ahead:
+// the plan of a storage-order scan. Only the PCR reader has it.
+type recordScanner interface {
+	planScan(q int, sc *scanConfig) planFn
 }
 
 func errSeq(err error) iter.Seq2[Sample, error] {
 	return func(yield func(Sample, error) bool) {
 		yield(Sample{}, err)
 	}
-}
-
-// decodeJob carries one sample through the bounded ordered decode pool
-// shared by Dataset.Scan and Loader.Epoch. The loader attaches per-record
-// read accounting to the first job of each record; Scan leaves those
-// fields zero.
-type decodeJob struct {
-	s    Sample
-	err  error
-	done chan struct{}
-	// bytes and quality describe the record read this job starts (prefix
-	// bytes fetched, resolved quality) — set only by the Loader.
-	bytes   int64
-	quality int
-}
-
-// decodePool runs produce in a goroutine and decodes the samples it emits
-// with up to workers concurrent decodes, preserving emission order. The
-// emit callback returns false when the pool is shutting down (ctx
-// cancelled); jobs emitted with err already set pass through undecoded.
-// The returned channel closes when produce returns; each received job's
-// done channel closes when its decode finishes.
-func decodePool(ctx context.Context, workers int, produce func(emit func(*decodeJob) bool)) <-chan *decodeJob {
-	jobs := make(chan *decodeJob, workers)
-	sem := make(chan struct{}, workers)
-	go func() {
-		defer close(jobs)
-		produce(func(j *decodeJob) bool {
-			j.done = make(chan struct{})
-			if j.err == nil {
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					return false
-				}
-				go func() {
-					defer close(j.done)
-					defer func() { <-sem }()
-					j.err = decodeJPEG(&j.s)
-				}()
-			} else {
-				close(j.done)
-			}
-			select {
-			case jobs <- j:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
-	return jobs
 }
 
 // recordAccessor is the record-granular surface only the PCR format has.
@@ -347,21 +279,20 @@ func (d *Dataset) ReadRecordEncoded(i, q int) ([]Sample, error) {
 }
 
 // ReadRecord materializes every image of record i at quality q — the random
-// access path (PCR format only); Scan is the streaming path.
+// access path (PCR format only); Scan is the streaming path. The record is
+// read once and decoded by WithPrefetchWorkers goroutines.
 func (d *Dataset) ReadRecord(ctx context.Context, i, q int) ([]Sample, error) {
-	samples, err := d.ReadRecordEncoded(i, q)
-	if err != nil {
-		return nil, err
-	}
-	for si := range samples {
-		if err := ctx.Err(); err != nil {
+	var out []Sample
+	for r, err := range d.pipeline(ctx, func(p *pipeline) {
+		samples, err := d.ReadRecordEncoded(i, q)
+		p.emit(recordRead{samples: samples, err: err}, false)
+	}) {
+		if err != nil {
 			return nil, err
 		}
-		if err := decodeJPEG(&samples[si]); err != nil {
-			return nil, err
-		}
+		out = append(out, r.samples...)
 	}
-	return samples, nil
+	return out, nil
 }
 
 // CacheStats reports the prefix cache's counters. ok is false when the

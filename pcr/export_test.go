@@ -1,0 +1,39 @@
+package pcr
+
+import "repro/internal/core"
+
+// What the external test package needs of the internals to write a serial
+// reference for the pipeline and to put a misbehaving store under it.
+
+// ReadAhead is the pipeline's read-ahead depth.
+const ReadAhead = readAhead
+
+// EpochOrder is the record visit order of an epoch.
+func (l *Loader) EpochOrder(epoch int) []int { return l.epochOrder(epoch) }
+
+// SelectedCount is how many samples of record i the side index says pred
+// selects.
+func (d *Dataset) SelectedCount(i int, pred Predicate) int {
+	_, nsel, known := d.r.(filteredRecordReader).selection(i, pred)
+	if !known {
+		panic("pcr: test dataset without a side index")
+	}
+	return nsel
+}
+
+// ReadRecordFiltered is one filtered record read as the Loader issues it.
+func (d *Dataset) ReadRecordFiltered(i, q int, pred Predicate) (samples []Sample, bytesRead, bytesAvoided int64, err error) {
+	qq, err := d.resolveQuality(q)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	fr := d.r.(filteredRecordReader)
+	sel, _, _ := fr.selection(i, pred)
+	return fr.readRecordFiltered(i, qq, pred, sel)
+}
+
+// WrapBackend puts wrap(backend) under a PCR dataset's reads.
+func (d *Dataset) WrapBackend(wrap func(core.Backend) core.Backend) {
+	ds := d.r.(*pcrReader).ds
+	ds.SetBackend(wrap(ds.Backend()))
+}

@@ -344,8 +344,46 @@ func (r *pcrReader) planFilter(pred Predicate, qq int) (FilterPlan, error) {
 	return plan, nil
 }
 
+// planFiltered is one record's step of a filtered scan, split where the
+// pipeline splits it: the selection, and the skip of a record it leaves
+// empty, come from the side index here; the returned read (nil for a
+// skipped record) fetches the selected samples (see readRecordFiltered).
+func (r *pcrReader) planFiltered(i, q int, pred Predicate, stats *FilterStats) (read func() recordRead, err error) {
+	sel, nsel, known := r.selection(i, pred)
+	if known && nsel == 0 {
+		if stats != nil {
+			full, err := r.recordPrefixLen(i, q)
+			if err != nil {
+				return nil, err
+			}
+			stats.addSamples(0, int64(len(sel)))
+			stats.addBytes(0, full)
+			atomic.AddInt64(&stats.RecordsSkipped, 1)
+		}
+		return nil, nil
+	}
+	if !known {
+		sel = nil
+	}
+	return func() recordRead {
+		samples, bytesRead, bytesAvoided, err := r.readRecordFiltered(i, q, pred, sel)
+		if err != nil {
+			return recordRead{err: err}
+		}
+		if stats != nil {
+			total, err := r.ds.RecordSamples(i)
+			if err != nil {
+				return recordRead{err: err}
+			}
+			stats.addSamples(int64(len(samples)), int64(total-len(samples)))
+			stats.addBytes(bytesRead, bytesAvoided)
+		}
+		return recordRead{samples: samples, bytes: bytesRead}
+	}, nil
+}
+
 // scanEncodedFiltered is scanEncoded with the selection pushed into the
-// read plan (see readRecordFiltered).
+// read plan.
 func (r *pcrReader) scanEncodedFiltered(ctx context.Context, q int, pred Predicate, stats *FilterStats) iter.Seq2[Sample, error] {
 	return func(yield func(Sample, error) bool) {
 		for i := 0; i < r.ds.NumRecords(); i++ {
@@ -353,48 +391,51 @@ func (r *pcrReader) scanEncodedFiltered(ctx context.Context, q int, pred Predica
 				yield(Sample{}, err)
 				return
 			}
-			sel, nsel, known := r.selection(i, pred)
-			if known && nsel == 0 {
-				if stats != nil {
-					gg, err := r.recordQuality(i, q)
-					if err != nil {
-						yield(Sample{}, err)
-						return
-					}
-					full, err := r.ds.RecordPrefixLen(i, gg)
-					if err != nil {
-						yield(Sample{}, err)
-						return
-					}
-					stats.addSamples(0, int64(len(sel)))
-					stats.addBytes(0, full)
-					atomic.AddInt64(&stats.RecordsSkipped, 1)
-				}
+			read, err := r.planFiltered(i, q, pred, stats)
+			if read == nil && err == nil {
 				continue
 			}
-			if !known {
-				sel = nil
+			var rr recordRead
+			if err == nil {
+				rr = read()
+				err = rr.err
 			}
-			samples, bytesRead, bytesAvoided, err := r.readRecordFiltered(i, q, pred, sel)
 			if err != nil {
 				yield(Sample{}, err)
 				return
 			}
-			if stats != nil {
-				total, err := r.ds.RecordSamples(i)
-				if err != nil {
-					yield(Sample{}, err)
-					return
-				}
-				stats.addSamples(int64(len(samples)), int64(total-len(samples)))
-				stats.addBytes(bytesRead, bytesAvoided)
-			}
-			for _, s := range samples {
+			for _, s := range rr.samples {
 				if !yield(s, nil) {
 					return
 				}
 			}
 		}
+	}
+}
+
+// planScan is the plan stage of a decoded storage-order scan: every record
+// in turn, minus those the filter leaves empty.
+func (r *pcrReader) planScan(q int, sc *scanConfig) planFn {
+	next := 0
+	return func() (func() recordRead, bool) {
+		for next < r.ds.NumRecords() {
+			i := next
+			next++
+			if sc.pred == nil {
+				return func() recordRead {
+					samples, err := r.readRecord(i, q)
+					return recordRead{samples: samples, err: err}
+				}, true
+			}
+			read, err := r.planFiltered(i, q, sc.pred, sc.stats)
+			if err != nil {
+				return failedRead(err), true
+			}
+			if read != nil {
+				return read, true
+			}
+		}
+		return nil, false
 	}
 }
 
@@ -426,7 +467,8 @@ func (r *pcrReader) diskCacheStats() (diskcache.Stats, bool) {
 	return r.disk.Stats(), true
 }
 
-// decode is shared by Dataset.Scan's worker pool.
+// decodeJPEG decodes s.JPEG into s.Image; the pipeline's decode workers are
+// its one caller.
 func decodeJPEG(s *Sample) error {
 	img, err := jpegc.Decode(s.JPEG)
 	if err != nil {

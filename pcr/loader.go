@@ -7,6 +7,7 @@ import (
 	"iter"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -90,9 +91,10 @@ type Checkpoint struct {
 // distributed workers (WithShard), visits each epoch's records in a
 // deterministic seeded windowed-shuffle order (WithShuffleWindow /
 // WithLoaderSeed), reads each record's prefix at the quality chosen by a
-// QualityPolicy, decodes samples with the dataset's bounded worker pool,
-// and assembles fixed-size batches with bounded buffering — the paper's
-// Appendix-A.1 loader structure running on real storage.
+// QualityPolicy with a bounded number of reads in flight, decodes samples
+// on the dataset's fixed set of workers, and assembles fixed-size batches
+// with bounded buffering — the paper's Appendix-A.1 loader structure running
+// on real storage.
 type Loader struct {
 	ds      *Dataset
 	batch   int
@@ -198,8 +200,8 @@ func WithQuality(q int) LoaderOption {
 	return WithQualityPolicy(FixedQuality(q))
 }
 
-// WithQualityPolicy installs the policy consulted at each record boundary
-// (default FixedQuality(Full)).
+// WithQualityPolicy installs the policy consulted for each record as its
+// read is issued (default FixedQuality(Full)).
 func WithQualityPolicy(p QualityPolicy) LoaderOption {
 	return func(c *loaderConfig) error {
 		if p == nil {
@@ -357,144 +359,36 @@ func (l *Loader) epochOrder(epoch int) []int {
 	return out
 }
 
-// Epoch streams epoch e's batches: records of this loader's shard in the
-// epoch's shuffled order, each read at the quality the policy chooses for
-// it, decoded concurrently by WithPrefetchWorkers goroutines, assembled
-// into WithBatchSize batches. Memory is bounded by the decode pool plus one
-// batch plus one record. Iteration stops at the first error; cancelling ctx
-// stops it promptly with ctx.Err(); closing the dataset stops it with
-// ErrClosed. After a complete epoch, LastEpochStats reports its counters.
+// Epoch streams epoch e's batches through the decode pipeline (pipeline.go):
+// records of this loader's shard in the epoch's shuffled order, each read at
+// the quality the policy chooses for it, up to four of them read ahead of
+// the consumer, their samples decoded in runs of eight by
+// WithPrefetchWorkers goroutines and assembled in order into WithBatchSize
+// batches. Which records are read is planned from the index alone: a record
+// wholly inside a resume prefix, or one WithLoaderFilter leaves empty, is
+// never read. The policy is asked once per record, in visit order, from one
+// goroutine, as the record's read is issued — so a policy that changes its
+// answer takes effect after the at most four records already read ahead.
+//
+// Memory is bounded, whatever the record size and the consumer's pace, by
+// four records' encoded samples (read, or being read, and not yet handed
+// over in full), 2·workers + 1 runs of decoded samples ahead of the
+// consumer, and the batch under assembly. Iteration stops at the first
+// error, which surfaces after every batch filled from the records before
+// it; cancelling ctx stops it promptly with ctx.Err(), and closing the
+// dataset with ErrClosed, even while a read is blocked (backend reads cannot
+// be cancelled: an abandoned one finishes on its own goroutine and is
+// dropped). After a complete epoch, LastEpochStats reports its counters.
 func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 	return func(yield func(Batch, error) bool) {
 		start := time.Now()
-		workers := l.ds.cfg.prefetchWorkers()
-		ictx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
-		// The producer walks the shuffled record order, resolves each
-		// record's quality, reads its prefix, and hands every sample to the
-		// shared bounded decode pool; job order preserves the shuffled
-		// order. The first job of each record carries the record's read
-		// accounting.
 		// Resuming into this epoch: the first resume.Batch batches were
-		// delivered before the restart. Records wholly inside that prefix
-		// are skipped without a read — their image counts come from the
-		// index — so only the record straddling the boundary is read and
-		// partially discarded.
-		base := 0 // completed batches before this run
+		// delivered before the restart.
+		base := 0
 		if l.hasResume && epoch == l.resume.Epoch {
 			base = l.resume.Batch
 		}
-		skip := base * l.batch // samples to skip
-
-		// Filter accounting lives in producer-local variables; the consumer
-		// reads them only after the jobs channel closes (the close
-		// happens-after every producer write), so no lock is needed.
-		var fSkipped int
-		var fAvoided int64
-		var fr filteredRecordReader
-		if l.filter != nil {
-			fr = l.ds.r.(filteredRecordReader) // checked in NewLoader
-		}
-
-		jobs := decodePool(ictx, workers, func(emit func(*decodeJob) bool) {
-			for _, rec := range l.epochOrder(epoch) {
-				// With a filter and a side index, the selection is known
-				// before any read: zero-selected records are skipped
-				// outright, and the resume skip-shortcut counts selected
-				// samples instead of all samples. nsel < 0 means the
-				// selection is unknown (dataset predates the side index);
-				// the record is then read in full and filtered post-read.
-				var sel []bool
-				nsel := -1
-				if l.filter != nil {
-					var known bool
-					sel, nsel, known = fr.selection(rec, l.filter)
-					if !known {
-						sel, nsel = nil, -1
-					} else if nsel == 0 {
-						n, err := l.ds.RecordImages(rec)
-						var avoided int64
-						if err == nil {
-							avoided, err = l.ds.RecordPrefixLen(rec, l.policy.RecordQuality(epoch, rec))
-						}
-						if err != nil {
-							emit(&decodeJob{err: err})
-							return
-						}
-						fSkipped += n
-						fAvoided += avoided
-						continue
-					}
-				}
-				if skip > 0 {
-					n := nsel
-					if l.filter == nil {
-						var err error
-						n, err = l.ds.RecordImages(rec)
-						if err != nil {
-							emit(&decodeJob{err: err})
-							return
-						}
-					}
-					if n >= 0 && skip >= n {
-						skip -= n
-						continue
-					}
-				}
-				q := l.policy.RecordQuality(epoch, rec)
-				qq, err := l.ds.resolveQuality(q)
-				if err == nil {
-					if obs, ok := l.policy.(qualityObserver); ok {
-						obs.observeQuality(qq)
-					}
-				}
-				var bytes int64
-				var samples []Sample
-				if l.filter != nil {
-					var avoided int64
-					if err == nil {
-						samples, bytes, avoided, err = fr.readRecordFiltered(rec, qq, l.filter, sel)
-					}
-					var total int
-					if err == nil {
-						total, err = l.ds.RecordImages(rec)
-					}
-					if err == nil {
-						fSkipped += total - len(samples)
-						fAvoided += avoided
-					}
-				} else if err == nil {
-					bytes, err = l.ds.RecordPrefixLen(rec, q)
-					if err == nil {
-						samples, err = l.ds.ReadRecordEncoded(rec, q)
-					}
-				}
-				if err != nil {
-					emit(&decodeJob{err: err})
-					return
-				}
-				if skip >= len(samples) && (skip > 0 || len(samples) == 0) {
-					// Only reachable when the selection was unknown before
-					// the read (or nothing survived the filter): consume the
-					// record against the resume prefix without emitting.
-					skip -= len(samples)
-					continue
-				}
-				first := true
-				for si := skip; si < len(samples); si++ {
-					j := &decodeJob{s: samples[si]}
-					if first {
-						j.bytes, j.quality = bytes, qq
-						first = false
-					}
-					if !emit(j) {
-						return
-					}
-				}
-				skip = 0
-			}
-		})
+		plan := &epochPlan{l: l, epoch: epoch, order: l.epochOrder(epoch), skip: base * l.batch}
 
 		stats := EpochStats{Epoch: epoch}
 		cur := make([]Sample, 0, l.batch)
@@ -515,69 +409,37 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 			l.mu.Unlock()
 			return yield(b, nil)
 		}
-		var stall time.Duration
-		for {
-			w := time.Now()
-			// Receive with a ctx case so cancellation is prompt even while
-			// the producer sits inside a slow (non-cancellable) record read.
-			var j *decodeJob
-			var ok bool
-			select {
-			case j, ok = <-jobs:
-			case <-ctx.Done():
-				yield(Batch{}, ctx.Err())
-				return
-			}
-			if !ok {
-				stall += time.Since(w)
-				break
-			}
-			select {
-			case <-j.done:
-			case <-ctx.Done():
-				yield(Batch{}, ctx.Err())
-				return
-			}
-			stall += time.Since(w)
-			if err := ctx.Err(); err != nil {
+		waiting := time.Now() // since when the consumer has been in the pipeline's hands
+		for r, err := range l.ds.pipeline(ctx, func(p *pipeline) { p.fetch(plan.next) }) {
+			stats.Stall += time.Since(waiting)
+			if err != nil {
 				yield(Batch{}, err)
 				return
 			}
-			if j.err != nil {
-				yield(Batch{}, j.err)
-				return
-			}
-			if j.quality > 0 {
+			if r.quality > 0 {
 				stats.Records++
-				stats.BytesRead += j.bytes
-				if stats.MinQuality == 0 || j.quality < stats.MinQuality {
-					stats.MinQuality = j.quality
+				stats.BytesRead += r.bytes
+				if stats.MinQuality == 0 || r.quality < stats.MinQuality {
+					stats.MinQuality = r.quality
 				}
-				if j.quality > stats.MaxQuality {
-					stats.MaxQuality = j.quality
-				}
+				stats.MaxQuality = max(stats.MaxQuality, r.quality)
 			}
-			stats.Images++
-			cur = append(cur, j.s)
-			if len(cur) == l.batch {
-				if !flush() {
+			stats.Images += len(r.samples)
+			for _, s := range r.samples {
+				if cur = append(cur, s); len(cur) == l.batch && !flush() {
 					return
 				}
 			}
+			waiting = time.Now()
 		}
-		if err := ctx.Err(); err != nil {
-			yield(Batch{}, err)
+		stats.Stall += time.Since(waiting)
+		if len(cur) > 0 && !l.dropRem && !flush() {
 			return
 		}
-		if len(cur) > 0 && !l.dropRem {
-			if !flush() {
-				return
-			}
-		}
 		stats.Wall = time.Since(start)
-		stats.Stall = stall
-		stats.SkippedImages = fSkipped
-		stats.BytesAvoided = fAvoided
+		// The plan's filter counters are complete: the pipeline has drained.
+		stats.SkippedImages = int(plan.skipped.Load())
+		stats.BytesAvoided = plan.avoided.Load()
 		if s := stats.Wall.Seconds(); s > 0 {
 			stats.ImagesPerSec = float64(stats.Images) / s
 		}
@@ -588,6 +450,113 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 		l.last, l.hasLast = stats, true
 		l.mu.Unlock()
 	}
+}
+
+// epochPlan is the plan stage of one epoch: the shuffled visit order walked
+// once, deciding per record — from the index, the filter's side-index
+// selection and the policy — whether it is read, at what quality, and from
+// which sample on.
+type epochPlan struct {
+	l     *Loader
+	epoch int
+	order []int // records still to visit
+	// skip is what remains of the resume prefix, in samples. Records wholly
+	// inside it are skipped without a read — their image counts come from
+	// the index — so only the record straddling its end is read and
+	// partially discarded.
+	skip int
+	// What the filter skipped and saved. Reads add to these from their fetch
+	// goroutines; the consumer loads them once the pipeline has drained.
+	skipped, avoided atomic.Int64
+}
+
+// next implements planFn.
+func (p *epochPlan) next() (func() recordRead, bool) {
+	l := p.l
+	for len(p.order) > 0 {
+		rec := p.order[0]
+		p.order = p.order[1:]
+		total, err := l.ds.RecordImages(rec)
+		if err != nil {
+			return failedRead(err), true
+		}
+		// n is how many samples the record will deliver; with a filter and
+		// no side index to evaluate it on, that is unknown (-1) before the
+		// read, and the record is read in full and filtered afterwards.
+		n, sel := total, []bool(nil)
+		if l.filter != nil {
+			var known bool
+			if sel, n, known = l.ds.r.(filteredRecordReader).selection(rec, l.filter); !known {
+				n, sel = -1, nil
+			} else if n == 0 {
+				avoided, err := l.ds.RecordPrefixLen(rec, l.policy.RecordQuality(p.epoch, rec))
+				if err != nil {
+					return failedRead(err), true
+				}
+				p.skipped.Add(int64(total))
+				p.avoided.Add(avoided)
+				continue
+			}
+		}
+		if n >= 0 && p.skip >= n {
+			p.skip -= n
+			continue
+		}
+		q := l.policy.RecordQuality(p.epoch, rec)
+		qq, err := l.ds.resolveQuality(q)
+		if err != nil {
+			return failedRead(err), true
+		}
+		if obs, ok := l.policy.(qualityObserver); ok {
+			obs.observeQuality(qq)
+		}
+		if n < 0 && p.skip > 0 {
+			// How much of the resume prefix this record uses up is only
+			// known after its read, and the next record's plan depends on
+			// it: read here, serially.
+			rr := p.read(rec, qq, total, sel)
+			from := min(p.skip, len(rr.samples))
+			p.skip -= from
+			rr.samples = rr.samples[from:]
+			return func() recordRead { return rr }, true
+		}
+		from := p.skip
+		p.skip = 0
+		return func() recordRead {
+			rr := p.read(rec, qq, total, sel)
+			rr.samples = rr.samples[min(from, len(rr.samples)):]
+			return rr
+		}, true
+	}
+	return nil, false
+}
+
+// read fetches record rec, which holds total samples, at resolved quality
+// qq: whole, or through the filter with side-index selection sel.
+func (p *epochPlan) read(rec, qq, total int, sel []bool) recordRead {
+	l := p.l
+	if l.filter == nil {
+		return l.readWhole(rec, qq)
+	}
+	samples, bytes, avoided, err := l.ds.r.(filteredRecordReader).readRecordFiltered(rec, qq, l.filter, sel)
+	if err != nil {
+		return recordRead{err: err}
+	}
+	p.skipped.Add(int64(total - len(samples)))
+	p.avoided.Add(avoided)
+	return recordRead{samples: samples, bytes: bytes, quality: qq}
+}
+
+// readWhole is one unfiltered fetch: record rec's prefix at quality q, with
+// its accounting.
+func (l *Loader) readWhole(rec, q int) recordRead {
+	var rr recordRead
+	if rr.quality, rr.err = l.ds.resolveQuality(q); rr.err == nil {
+		if rr.bytes, rr.err = l.ds.RecordPrefixLen(rec, q); rr.err == nil {
+			rr.samples, rr.err = l.ds.ReadRecordEncoded(rec, q)
+		}
+	}
+	return rr
 }
 
 // LastEpochStats returns the statistics of the most recently completed

@@ -1,0 +1,108 @@
+//go:build unix
+
+package pcr_test
+
+import (
+	"context"
+	"net/http/httptest"
+	"runtime"
+	"syscall"
+	"testing"
+	"time"
+
+	"repro/internal/jpegc"
+	"repro/internal/serve"
+	"repro/internal/synth"
+	"repro/pcr"
+)
+
+// cpuTime is the user+system CPU time this process has used.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// BenchmarkLoaderEpoch is the Loader as the repository benchmark's train_*
+// workloads drive it, small enough to iterate on: a bench-v1-shaped dataset
+// (384 synth.ImageNet images at 128×128, quality 92 with 4:2:0 chroma, 32 to
+// a record), batches of 32 through a shuffle window of 8, GOMAXPROCS decode
+// workers, the consumer doing nothing. local_full reads a directory at full
+// quality; remote_q5 reads quality 5 from an in-process prefix server with a
+// hot cache over loopback. One iteration is one epoch. Beside images/s it
+// reports cores-busy — CPU time over wall time, the number that showed the
+// Loader leaving cores idle — which on a box with spare cores also counts
+// the server's share.
+func BenchmarkLoaderEpoch(b *testing.B) {
+	p := synth.ImageNet
+	p.ImageSize = 128
+	p.NumImages = 384 * 5 / 4
+	src, err := synth.Generate(p, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	w, err := pcr.Create(dir, pcr.WithImagesPerRecord(32))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range src.Train {
+		data, err := jpegc.Encode(s.Img, &jpegc.Options{Quality: 92, Subsample420: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Append(pcr.Sample{ID: int64(s.ID), Label: int64(s.Label), JPEG: data}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(dir, &serve.Options{CacheBytes: 256 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+
+	workers := pcr.WithPrefetchWorkers(runtime.GOMAXPROCS(0))
+	for _, bc := range []struct {
+		name    string
+		quality int
+		open    func() (*pcr.Dataset, error)
+	}{
+		{"local_full", pcr.Full, func() (*pcr.Dataset, error) { return pcr.Open(dir, workers) }},
+		{"remote_q5", 5, func() (*pcr.Dataset, error) { return pcr.OpenRemote(ts.URL, workers, pcr.WithHedgeDelay(-1)) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ds, err := bc.open()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ds.Close()
+			l, err := pcr.NewLoader(ds, pcr.WithBatchSize(32), pcr.WithShuffleWindow(8), pcr.WithQuality(bc.quality))
+			if err != nil {
+				b.Fatal(err)
+			}
+			images := 0
+			b.ResetTimer()
+			start, cpu := time.Now(), cpuTime(b)
+			for epoch := 0; epoch < b.N; epoch++ {
+				for batch, err := range l.Epoch(context.Background(), epoch) {
+					if err != nil {
+						b.Fatal(err)
+					}
+					images += len(batch.Samples)
+				}
+			}
+			wall := time.Since(start)
+			b.ReportMetric(float64(images)/wall.Seconds(), "images/s")
+			b.ReportMetric(float64(cpuTime(b)-cpu)/float64(wall), "cores-busy")
+		})
+	}
+}

@@ -7,12 +7,16 @@ import (
 )
 
 // QualityPolicy chooses the scan-group quality for each record read by a
-// Loader. The loader consults the policy at every record boundary — PCR's
-// unit of sequential I/O — so a policy that changes its mind mid-epoch
-// (see PlateauPolicy) cheapens the epoch in flight: the next record is
-// fetched at the new quality without restarting the pipeline.
+// Loader. The loader consults the policy once per record — PCR's unit of
+// sequential I/O — in visit order, from one goroutine, at the moment it
+// issues the record's read, which is up to the pipeline's read-ahead depth
+// (four records) before that record is delivered. So a policy that changes
+// its mind mid-epoch (see PlateauPolicy) cheapens the epoch in flight
+// without restarting the pipeline: the next read issued is at the new
+// quality, and at most the records already read ahead, plus the one being
+// delivered, still arrive at the old one.
 //
-// Implementations must be safe for concurrent use: the loader's producer
+// Implementations must be safe for concurrent use: the loader's planning
 // goroutine calls RecordQuality while the training loop may be reporting
 // observations.
 type QualityPolicy interface {
@@ -101,8 +105,10 @@ func (s *adaptiveState) observeQuality(resolved int) {
 // real observed losses instead of the simulator: reading starts at Start
 // (Full by default), the training loop feeds observed losses in through
 // Report, and each detected plateau steps the quality down one level toward
-// Min. Because the Loader re-resolves quality at record boundaries, a
-// plateau detected mid-epoch cheapens the rest of that epoch immediately.
+// Min. Because the Loader re-resolves quality for every record it reads, a
+// plateau detected mid-epoch cheapens the rest of that epoch: the step takes
+// effect at the next record whose read is issued, after the few (at most
+// five) already read ahead at the old quality have been delivered.
 //
 // PlateauPolicy only descends; ProbePolicy is the bidirectional variant
 // that also re-probes upward after learning-rate drops.

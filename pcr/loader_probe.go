@@ -36,8 +36,9 @@ func (l *Loader) ProbeBatches(ctx context.Context, q, n int) (batches []Batch, b
 }
 
 // Batches is the out-of-band probe read path of the §4.5 controller: it
-// reads enough of this shard's records at quality q to assemble up to n
-// batches of the loader's batch size, decoded and ready to train on,
+// reads just enough of this shard's records at quality q to assemble up to
+// n batches of the loader's batch size — through the same pipeline as Epoch,
+// so reads overlap and the dataset's workers decode — ready to train on,
 // without disturbing any epoch's visit order, resume position, or byte
 // accounting. Record selection is deterministic — a seeded shuffle of the
 // shard keyed by (loader seed, probe sequence number) — so probe reads hit
@@ -68,33 +69,35 @@ func (p *Probe) Batches(ctx context.Context, q, n int) (batches []Batch, bytes i
 	order := append([]int(nil), l.records...)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
+	// The plan is the draw cut off where n batches are covered, which the
+	// index says without a read: no record beyond that is fetched.
+	need := n * l.batch
+	next := func() (func() recordRead, bool) {
+		if need <= 0 || len(order) == 0 {
+			return nil, false
+		}
+		rec := order[0]
+		order = order[1:]
+		images, err := l.ds.RecordImages(rec)
+		if err != nil {
+			return failedRead(err), true
+		}
+		need -= images
+		return func() recordRead { return l.readWhole(rec, q) }, true
+	}
 	cur := make([]Sample, 0, l.batch)
-	for _, rec := range order {
-		if len(batches) == n {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, bytes, err
-		}
-		rb, err := l.ds.RecordPrefixLen(rec, q)
+fill:
+	for r, err := range l.ds.pipeline(ctx, func(p *pipeline) { p.fetch(next) }) {
 		if err != nil {
 			return nil, bytes, err
 		}
-		samples, err := l.ds.ReadRecordEncoded(rec, q)
-		if err != nil {
-			return nil, bytes, err
-		}
-		bytes += rb
-		for si := range samples {
-			if err := decodeJPEG(&samples[si]); err != nil {
-				return nil, bytes, err
-			}
-			cur = append(cur, samples[si])
-			if len(cur) == l.batch {
+		bytes += r.bytes
+		for _, s := range r.samples {
+			if cur = append(cur, s); len(cur) == l.batch {
 				batches = append(batches, Batch{Epoch: -1, Samples: cur})
 				cur = make([]Sample, 0, l.batch)
 				if len(batches) == n {
-					break
+					break fill
 				}
 			}
 		}

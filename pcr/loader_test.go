@@ -2,8 +2,12 @@ package pcr_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -502,5 +506,326 @@ func TestLoaderResumeAtEpochEnd(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("resume past the last batch delivered %d batches, want 0", n)
+	}
+}
+
+// delivered is what an epoch hands over, reduced to what can be compared.
+type delivered struct {
+	batches [][]sampleKey    // batch boundaries as yielded
+	cps     []pcr.Checkpoint // Checkpoint() while each batch is held
+	stats   pcr.EpochStats
+}
+
+type sampleKey struct {
+	id, label int64
+	jpeg      [sha256.Size]byte
+}
+
+// epochSpec is one draw of the equivalence property.
+type epochSpec struct {
+	epoch, quality int
+	batch, window  int
+	shard, shards  int
+	dropRem        bool
+	resume         int // batches already delivered; -1 for a fresh epoch
+	pred           pcr.Predicate
+}
+
+func (sp epochSpec) options() []pcr.LoaderOption {
+	opts := []pcr.LoaderOption{pcr.WithBatchSize(sp.batch), pcr.WithShuffleWindow(sp.window),
+		pcr.WithShard(sp.shard, sp.shards), pcr.WithLoaderSeed(17), pcr.WithQuality(sp.quality)}
+	if sp.dropRem {
+		opts = append(opts, pcr.WithDropRemainder())
+	}
+	if sp.pred != nil {
+		opts = append(opts, pcr.WithLoaderFilter(sp.pred))
+	}
+	if sp.resume >= 0 {
+		opts = append(opts, pcr.WithResume(pcr.Checkpoint{Epoch: sp.epoch, Batch: sp.resume, Seed: 17,
+			BatchSize: sp.batch, Window: sp.window, Shard: sp.shard, Shards: sp.shards}))
+	}
+	return opts
+}
+
+// referenceEpoch is Loader.Epoch written down serially: no read-ahead, no
+// workers, one record at a time straight from the record-level calls.
+func referenceEpoch(t *testing.T, ds *pcr.Dataset, sp epochSpec) delivered {
+	t.Helper()
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := pcr.NewLoader(ds, sp.options()...)
+	check(err)
+	var out delivered
+	st := &out.stats
+	st.Epoch = sp.epoch
+	var cur []sampleKey
+	flush := func() {
+		out.batches, cur = append(out.batches, cur), nil
+		st.Batches++
+		out.cps = append(out.cps, pcr.Checkpoint{Epoch: sp.epoch, Batch: max(sp.resume, 0) + st.Batches, Seed: 17,
+			BatchSize: sp.batch, Window: sp.window, Shard: sp.shard, Shards: sp.shards})
+	}
+	skip := max(sp.resume, 0) * sp.batch
+	for _, rec := range l.EpochOrder(sp.epoch) {
+		total, err := ds.RecordImages(rec)
+		check(err)
+		full, err := ds.RecordPrefixLen(rec, sp.quality)
+		check(err)
+		n := total
+		if sp.pred != nil {
+			if n = ds.SelectedCount(rec, sp.pred); n == 0 {
+				st.SkippedImages += total
+				st.BytesAvoided += full
+				continue
+			}
+		}
+		if skip >= n {
+			skip -= n
+			continue
+		}
+		samples, bytes, avoided := []pcr.Sample(nil), full, int64(0)
+		if sp.pred != nil {
+			samples, bytes, avoided, err = ds.ReadRecordFiltered(rec, sp.quality, sp.pred)
+		} else {
+			samples, err = ds.ReadRecordEncoded(rec, sp.quality)
+		}
+		check(err)
+		st.Records++
+		st.BytesRead += bytes
+		st.BytesAvoided += avoided
+		st.SkippedImages += total - len(samples)
+		st.MinQuality, st.MaxQuality = sp.quality, sp.quality
+		for _, s := range samples[skip:] {
+			st.Images++
+			if cur = append(cur, sampleKey{s.ID, s.Label, sha256.Sum256(s.JPEG)}); len(cur) == sp.batch {
+				flush()
+			}
+		}
+		skip = 0
+	}
+	if len(cur) > 0 && !sp.dropRem {
+		flush()
+	}
+	return out
+}
+
+// runEpoch is the same epoch through the Loader.
+func runEpoch(t *testing.T, ds *pcr.Dataset, sp epochSpec) delivered {
+	t.Helper()
+	l, err := pcr.NewLoader(ds, sp.options()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out delivered
+	for b, err := range l.Epoch(context.Background(), sp.epoch) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []sampleKey
+		for _, s := range b.Samples {
+			if s.Image == nil {
+				t.Fatalf("sample %d not decoded", s.ID)
+			}
+			keys = append(keys, sampleKey{s.ID, s.Label, sha256.Sum256(s.JPEG)})
+		}
+		out.batches = append(out.batches, keys)
+		cp, _ := l.Checkpoint()
+		out.cps = append(out.cps, cp)
+	}
+	out.stats, _ = l.LastEpochStats()
+	// Timing is not part of the contract.
+	out.stats.Wall, out.stats.Stall, out.stats.ImagesPerSec = 0, 0, 0
+	return out
+}
+
+// TestLoaderPipelineEquivalence is the property the pipeline has to keep:
+// whatever the shuffle window, batch size, shard, remainder policy, resume
+// position and filter, locally or over the wire, with reads completing out
+// of order, Epoch yields exactly the samples, batch boundaries, checkpoint
+// positions and counters of the serial reference.
+func TestLoaderPipelineEquivalence(t *testing.T) {
+	preds := []pcr.Predicate{nil, nil, pcr.LabelIn(0, 1, 2), pcr.LabelIn(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23)}
+	for _, perRecord := range []int{3, 12} {
+		dir, _ := synthDir(t, pcr.WithImagesPerRecord(perRecord), pcr.WithScanGroups(4))
+		_, ts := startServer(t, dir, nil)
+		ref, err := pcr.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+		rng := rand.New(rand.NewSource(int64(perRecord)))
+		for draw := 0; draw < 12; draw++ {
+			sp := epochSpec{
+				epoch:   rng.Intn(3),
+				quality: 1 + rng.Intn(4),
+				batch:   []int{1, 7, 32, 50}[rng.Intn(4)],
+				window:  []int{1, 8, ref.NumRecords()}[rng.Intn(3)],
+				shards:  1 + rng.Intn(2),
+				dropRem: rng.Intn(2) == 0,
+				resume:  -1,
+				pred:    preds[rng.Intn(len(preds))],
+			}
+			sp.shard = rng.Intn(sp.shards)
+			// Resume positions are drawn against the uninterrupted epoch:
+			// its first batch, its last, one past it, or any in between
+			// (with these batch sizes, mostly mid-record).
+			if nb := len(referenceEpoch(t, ref, sp).batches); rng.Intn(3) > 0 {
+				sp.resume = []int{0, max(nb-1, 0), nb, rng.Intn(nb + 1)}[rng.Intn(4)]
+			}
+			remote := rng.Intn(2) == 0
+			name := fmt.Sprintf("perRecord=%d/draw=%d", perRecord, draw)
+
+			var ds *pcr.Dataset
+			if remote {
+				ds, err = pcr.OpenRemote(ts.URL, pcr.WithPrefetchWorkers(3))
+			} else {
+				ds, err = pcr.Open(dir, pcr.WithPrefetchWorkers(3))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			delayReads(ds, rng.Int63())
+			want, got := referenceEpoch(t, ref, sp), runEpoch(t, ds, sp)
+			ds.Close()
+			if !reflect.DeepEqual(got.stats, want.stats) {
+				t.Errorf("%s %+v remote=%v:\nstats %+v\n want %+v", name, sp, remote, got.stats, want.stats)
+			}
+			if !reflect.DeepEqual(got.cps, want.cps) {
+				t.Errorf("%s %+v remote=%v:\ncheckpoints %+v\n       want %+v", name, sp, remote, got.cps, want.cps)
+			}
+			if !reflect.DeepEqual(got.batches, want.batches) {
+				t.Errorf("%s %+v remote=%v: %d batches differ from the reference's %d", name, sp, remote, len(got.batches), len(want.batches))
+			}
+		}
+	}
+}
+
+// TestLoaderPipelineErrorOrder: a read that fails on the k-th record visited
+// surfaces after every sample of the records before it, however the reads
+// around it complete.
+func TestLoaderPipelineErrorOrder(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(3))
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	sp := epochSpec{quality: pcr.Full, batch: 1, window: 8, shards: 1, resume: -1}
+	l, err := pcr.NewLoader(ds, sp.options()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	order := l.EpochOrder(0)
+	want := 0
+	for _, rec := range order[:k] {
+		n, err := ds.RecordImages(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += n
+	}
+	boom := errors.New("boom")
+	delayReads(ds, 5)
+	hook(ds, func(name string) error {
+		if name == recordName(order[k]) {
+			return boom // at once, ahead of the slower reads before it
+		}
+		return nil
+	}, nil)
+	got := 0
+	var failed error
+	for b, err := range l.Epoch(context.Background(), 0) {
+		if err != nil {
+			failed = err
+			break
+		}
+		got += len(b.Samples)
+	}
+	if !errors.Is(failed, boom) || got != want {
+		t.Fatalf("epoch delivered %d samples and then %v, want the %d before record %d and then %v", got, failed, want, order[k], boom)
+	}
+	if _, ok := l.LastEpochStats(); ok {
+		t.Fatal("a failed epoch published stats")
+	}
+}
+
+// loggedPolicy is a PlateauPolicy that records the answer it gave for each
+// record.
+type loggedPolicy struct {
+	*pcr.PlateauPolicy
+	mu      sync.Mutex
+	answers map[int]int
+}
+
+func (p *loggedPolicy) RecordQuality(epoch, record int) int {
+	q := p.PlateauPolicy.RecordQuality(epoch, record)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.answers[record] = q
+	return q
+}
+
+// TestLoaderPipelinePolicyLag bounds how stale a policy's answer can be: the
+// policy is asked when a record's read is issued, up to ReadAhead records
+// before the record is delivered, so after a PlateauPolicy steps down
+// mid-epoch at most ReadAhead+1 further records arrive at the old quality.
+func TestLoaderPipelinePolicyLag(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(2), pcr.WithScanGroups(4))
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	recordOf := recordOfSample(t, ds)
+	if ds.NumRecords() < pcr.ReadAhead+6 {
+		t.Fatalf("%d records are too few to see past a lag of %d", ds.NumRecords(), pcr.ReadAhead)
+	}
+
+	plateau := &pcr.PlateauPolicy{Detector: autotune.PlateauDetector{Window: 1, MinImprove: 0.99}}
+	policy := &loggedPolicy{PlateauPolicy: plateau, answers: map[int]int{}}
+	l, err := pcr.NewLoader(ds, pcr.WithBatchSize(3), pcr.WithQualityPolicy(policy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}  // records delivered, in part or whole
+	stale := map[int]bool{} // of those first delivered after the step: at the old quality
+	stepped, fresh := false, 0
+	for b, err := range l.Epoch(context.Background(), 0) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range b.Samples {
+			rec := recordOf[s.ID]
+			if stepped && !seen[rec] {
+				policy.mu.Lock()
+				q := policy.answers[rec]
+				policy.mu.Unlock()
+				if q == pcr.Full {
+					stale[rec] = true
+				} else {
+					fresh++
+				}
+			}
+			seen[rec] = true
+		}
+		if len(seen) >= 3 && !stepped {
+			for i := 0; i < 10 && plateau.Quality() == pcr.Full; i++ {
+				plateau.Report(1.0)
+			}
+			if stepped = plateau.Quality() != pcr.Full; !stepped {
+				t.Fatal("flat losses did not step the policy down")
+			}
+		}
+	}
+	if len(stale) > pcr.ReadAhead+1 {
+		t.Errorf("%d records arrived at the old quality after the step, bound is %d", len(stale), pcr.ReadAhead+1)
+	}
+	if fresh == 0 {
+		t.Error("no record arrived at the new quality: the step never took effect")
 	}
 }

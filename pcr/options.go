@@ -171,9 +171,11 @@ func WithHedgeDelay(floor time.Duration) Option {
 	}
 }
 
-// WithPrefetchWorkers bounds the goroutines Scan uses to decode images
-// concurrently (the paper's loader uses 4–8 prefetch threads). The default 4
-// applies when n is not set; Scan never uses fewer than 1.
+// WithPrefetchWorkers sets how many goroutines decode images for Scan,
+// ReadRecord, Loader.Epoch and Probe.Batches (the paper's loader uses 4–8
+// prefetch threads): a fixed set per call, each taking runs of eight samples
+// of one record. It does not set how many record reads are in flight — that
+// is a constant four. The default 4 applies when n is not set.
 func WithPrefetchWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

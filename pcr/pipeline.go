@@ -1,0 +1,280 @@
+package pcr
+
+import (
+	"context"
+	"fmt"
+	"iter"
+)
+
+// This file is the one decode pipeline behind Loader.Epoch, Probe.Batches,
+// Dataset.Scan and Dataset.ReadRecord. It has three stages and delivers
+// strictly in plan order:
+//
+//	plan   — a planFn walks the records to visit and decides from the index
+//	         alone which are read and how (quality, filter selection, resume
+//	         skip). One goroutine calls it, one record at a time.
+//	fetch  — every planned read runs in its own goroutine, readAhead of them
+//	         at most, and is handed on in plan order however the reads
+//	         complete.
+//	decode — WithPrefetchWorkers goroutines each take a run of up to runLen
+//	         samples of one record and decode it in place, one completion
+//	         signal per run.
+//
+// The consumer (Dataset.pipeline) receives completed runs in order and
+// shuts all of it down when it returns.
+
+const (
+	// runLen is the decode stage's unit of work: long enough that a run's
+	// hand-over (one allocation, two channel operations) is noise beside
+	// its decodes, short enough that a 32-image record still spreads over
+	// several workers.
+	runLen = 8
+	// readAhead bounds the records that have been planned — quality
+	// resolved, read issued — and not yet handed to the consumer in full.
+	// It is a constant because throughput is flat in it once the next read
+	// overlaps the current decode (2 is enough over loopback; 4 leaves
+	// room for a store with real latency) and because it, not the worker
+	// count, is what bounds the encoded bytes a pipeline holds.
+	readAhead = 4
+)
+
+// recordRead is what one fetch delivers: a record's samples, still encoded,
+// with the read's accounting.
+type recordRead struct {
+	samples []Sample
+	bytes   int64 // record bytes the read covered
+	quality int   // resolved quality it was read at
+	err     error
+}
+
+// planFn is the plan stage: each call returns the next read to issue, or
+// ok=false at the end of the plan. The read runs on a fetch goroutine of its
+// own; the planFn is called from one goroutine and decides from the index.
+type planFn func() (read func() recordRead, ok bool)
+
+// failedRead plans a read that reports err in its turn, so a plan-time
+// error surfaces after every sample planned before it.
+func failedRead(err error) func() recordRead {
+	return func() recordRead { return recordRead{err: err} }
+}
+
+// run is up to runLen consecutive samples of one record, decoded in place by
+// one worker. A run with err set carries no samples and ends the stream.
+type run struct {
+	samples []Sample
+	err     error
+	done    chan struct{} // closed once samples are decoded; nil on a run that only carries err
+	// bytes and quality are the read's accounting, carried by the first run
+	// of each fetched record (quality > 0 marks it).
+	bytes   int64
+	quality int
+	// last marks the final run of a fetched record: receiving it returns
+	// the record's read-ahead token.
+	last bool
+}
+
+// pipeline is one running instance of the stages.
+type pipeline struct {
+	ctx    context.Context // ends when the consumer returns
+	out    chan *run       // every run, in delivery order
+	work   chan *run       // the same runs, for the decode workers
+	tokens chan struct{}   // one per record planned and not yet consumed
+}
+
+// pipeline runs source on its own goroutine under a fresh pipeline and
+// yields the runs it emits, decoded, in order. It stops at the first failed
+// run with that error, with ctx.Err() as soon as ctx is cancelled and with
+// ErrClosed as soon as the dataset is closed — both win over runs already
+// decoded — and never waits for a read: whatever it abandons (an early
+// break included) winds down on its own, each fetch goroutine exiting when
+// its read returns.
+func (d *Dataset) pipeline(ctx context.Context, source func(p *pipeline)) iter.Seq2[*run, error] {
+	return func(yield func(*run, error) bool) {
+		ictx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		workers := d.cfg.prefetchWorkers()
+		p := &pipeline{
+			ctx: ictx,
+			// Two runs per worker ahead of the consumer — one in decode, one
+			// queued behind it — keep every worker busy while the consumer
+			// waits for the oldest.
+			out:    make(chan *run, 2*workers),
+			work:   make(chan *run, workers),
+			tokens: make(chan struct{}, readAhead),
+		}
+		for i := 0; i < workers; i++ {
+			go p.decode()
+		}
+		go func() {
+			defer close(p.out)
+			defer close(p.work)
+			source(p)
+		}()
+
+		// stopped is why the consumer must give up, if it must.
+		stopped := func() error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if d.isClosed() {
+				return errScanClosed
+			}
+			return nil
+		}
+		for {
+			var r *run
+			ok := false
+			select {
+			case r, ok = <-p.out:
+			case <-ctx.Done():
+			case <-d.closed:
+			}
+			if r != nil && r.done != nil {
+				select {
+				case <-r.done:
+				case <-ctx.Done():
+				case <-d.closed:
+				}
+			}
+			if err := stopped(); err != nil {
+				yield(nil, err)
+				return
+			}
+			if !ok {
+				return
+			}
+			if r.err != nil {
+				yield(nil, r.err)
+				return
+			}
+			if r.last {
+				<-p.tokens
+			}
+			if !yield(r, nil) {
+				return
+			}
+		}
+	}
+}
+
+// decode is one worker of the decode stage.
+func (p *pipeline) decode() {
+	for r := range p.work {
+		// An abandoned pipeline drains its queue without decoding it.
+		if r.err = p.ctx.Err(); r.err == nil {
+			for i := range r.samples {
+				if r.err = decodeJPEG(&r.samples[i]); r.err != nil {
+					break
+				}
+			}
+		}
+		close(r.done)
+	}
+}
+
+// send queues r for the consumer and then for a worker; false means the
+// pipeline is shutting down.
+func (p *pipeline) send(r *run) bool {
+	for _, ch := range [...]chan *run{p.out, p.work} {
+		select {
+		case ch <- r:
+		case <-p.ctx.Done():
+			return false
+		}
+	}
+	return true
+}
+
+// emit cuts one delivery into runs and queues them, followed by the
+// delivery's error if it has one. token says the delivery holds a read-ahead
+// token for its last run to return.
+func (p *pipeline) emit(rr recordRead, token bool) bool {
+	n := len(rr.samples)
+	if n == 0 && token {
+		<-p.tokens // nothing for the consumer to return it on
+	}
+	for from := 0; from < n; from += runLen {
+		to := min(from+runLen, n)
+		r := &run{samples: rr.samples[from:to:to], done: make(chan struct{}), last: token && to == n}
+		if from == 0 {
+			r.bytes, r.quality = rr.bytes, rr.quality
+		}
+		if !p.send(r) {
+			return false
+		}
+	}
+	if rr.err == nil {
+		return true
+	}
+	select {
+	case p.out <- &run{err: rr.err}:
+	case <-p.ctx.Done():
+	}
+	return false
+}
+
+// fetch is the source of a record-granular pipeline: one goroutine walks
+// the plan, taking a token and starting a read for each record it returns;
+// this one hands the results on in plan order and stops after the first
+// failed read. Backend reads cannot be cancelled, so a read still in flight
+// when the pipeline ends delivers into its buffered slot and its goroutine
+// exits then; nothing waits for it.
+func (p *pipeline) fetch(next planFn) {
+	// One slot per token, so the planner's sends never block.
+	slots := make(chan chan recordRead, readAhead)
+	go func() {
+		defer close(slots)
+		for {
+			select {
+			case p.tokens <- struct{}{}:
+			case <-p.ctx.Done():
+				return
+			}
+			read, ok := next()
+			if !ok {
+				return
+			}
+			slot := make(chan recordRead, 1)
+			go func() {
+				// A parser panicking on hostile record bytes fails this
+				// record's read, not the process.
+				defer func() {
+					if v := recover(); v != nil {
+						slot <- recordRead{err: fmt.Errorf("pcr: record read panicked: %v", v)}
+					}
+				}()
+				slot <- read()
+			}()
+			slots <- slot
+		}
+	}()
+	for slot := range slots {
+		select {
+		case rr := <-slot:
+			if !p.emit(rr, true) {
+				return
+			}
+		case <-p.ctx.Done():
+			return
+		}
+	}
+}
+
+// chunk is the source of a pipeline over a format with no record access:
+// the format's per-sample encoded stream, cut into runs.
+func (p *pipeline) chunk(seq iter.Seq2[Sample, error]) {
+	buf := make([]Sample, 0, runLen)
+	for s, err := range seq {
+		if err != nil {
+			p.emit(recordRead{samples: buf, err: err}, false)
+			return
+		}
+		if buf = append(buf, s); len(buf) == runLen {
+			if !p.emit(recordRead{samples: buf}, false) {
+				return
+			}
+			buf = make([]Sample, 0, runLen)
+		}
+	}
+	p.emit(recordRead{samples: buf}, false)
+}

@@ -81,5 +81,5 @@ func OpenRemote(baseURL string, opts ...Option) (*Dataset, error) {
 		ds.Close()
 		return nil, err
 	}
-	return &Dataset{r: r, cfg: cfg, cluster: client}, nil
+	return newDataset(r, cfg, client), nil
 }
