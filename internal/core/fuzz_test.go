@@ -74,7 +74,8 @@ func TestRecord420(t *testing.T) {
 // the calls that turn a parsed record back into JPEG streams — the bytes a
 // Loader reads from a store it does not control, parsed on a goroutine no
 // caller can recover for. The seeds are a record of three samples whole, cut
-// inside its metadata and cut inside its body; testdata/fuzz adds records
+// inside its metadata, cut inside its body and respelled (group count last,
+// a sample's lengths split over two fields); testdata/fuzz adds records
 // that spell huge, negative and overflowing lengths and bit-flipped records
 // that still parse. Any input may be refused. None may panic, none may size
 // an allocation by a number the bytes merely spell, and a stream that comes
@@ -89,6 +90,10 @@ func FuzzParseRecordMeta(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:meta.BodyStart/2])
 	f.Add(valid[:(meta.BodyStart+int64(len(valid)))/2])
+	// The same record spelled as no writer here does: the group count after
+	// the samples it sizes, and each sample's lengths in two fields.
+	f.Add(respell(valid, meta, true, false))
+	f.Add(respell(valid, meta, false, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseRecordMeta(data)
 		if err != nil {

@@ -1,0 +1,113 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"testing"
+
+	"repro/internal/wire"
+)
+
+// BenchmarkParseRecordMeta parses the metadata section of a 32-sample
+// record — what every read of every record pays before it can slice a
+// sample out.
+func BenchmarkParseRecordMeta(b *testing.B) {
+	data, _ := writeTestRecord(b, buildSamples(b, 32))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseRecordMeta(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestParseRecordMetaAllocations: the parse allocates the metadata, the
+// samples, one array of group lengths (a few times over while it learns from
+// the first sample how long it will be) and one offset table — not a header
+// copy and two slices per sample, which was 371 allocations for 32 samples.
+func TestParseRecordMetaAllocations(t *testing.T) {
+	data, _ := writeTestRecord(t, buildSamples(t, 32))
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := ParseRecordMeta(data); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 16 {
+		t.Fatalf("parsing a 32-sample record allocates %v times, want at most 16", n)
+	}
+}
+
+// respell re-encodes a record's metadata section the ways the wire format
+// allows and no writer here uses — the group count after the samples, each
+// sample's packed lengths split over two fields — in front of the same body.
+func respell(data []byte, m *RecordMeta, groupsLast, splitLens bool) []byte {
+	enc := wire.NewEncoder(nil)
+	if !groupsLast {
+		enc.Uint64(fieldNumGroups, uint64(m.NumGroups))
+	}
+	for _, s := range m.Samples {
+		lens := make([]uint64, len(s.GroupLens))
+		for g, n := range s.GroupLens {
+			lens[g] = uint64(n)
+		}
+		sub := wire.NewEncoder(nil)
+		sub.Uint64(sfID, uint64(s.ID))
+		sub.Int64(sfLabel, s.Label)
+		if splitLens {
+			sub.PackedUint64(sfGroupLens, lens[:len(lens)/2])
+			sub.Bytes(sfHeader, s.Header)
+			sub.PackedUint64(sfGroupLens, lens[len(lens)/2:])
+		} else {
+			sub.Bytes(sfHeader, s.Header)
+			sub.PackedUint64(sfGroupLens, lens)
+		}
+		enc.Bytes(fieldSample, sub.Encode())
+	}
+	if groupsLast {
+		enc.Uint64(fieldNumGroups, uint64(m.NumGroups))
+	}
+	section := enc.Encode()
+	out := append([]byte(nil), Magic[:]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(section)))
+	out = append(out, section...)
+	return append(out, data[m.BodyStart:]...)
+}
+
+// TestParseRecordMetaFieldOrder: the samples' lengths are sliced out of one
+// shared array only after the whole section is read, so a group count that
+// arrives last and lengths that arrive in two fields parse to the same
+// record, and a sample that spells a length too many is refused.
+func TestParseRecordMetaFieldOrder(t *testing.T) {
+	data, want := writeTestRecord(t, buildSamples(t, 5))
+	for _, tc := range []struct{ groupsLast, splitLens bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		spelled := respell(data, want, tc.groupsLast, tc.splitLens)
+		got, err := ParseRecordMeta(spelled)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		if got.NumGroups != want.NumGroups || got.BodyStart != int64(len(spelled)-len(data))+want.BodyStart ||
+			!reflect.DeepEqual(got.Samples, want.Samples) {
+			t.Fatalf("%+v: parsed record differs from the one written", tc)
+		}
+		for i := range want.Samples {
+			a, err := got.SampleJPEG(spelled, i, got.NumGroups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := want.SampleJPEG(data, i, want.NumGroups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%+v: sample %d reassembles differently", tc, i)
+			}
+		}
+	}
+	extra := *want
+	extra.Samples = append([]SampleMeta(nil), want.Samples...)
+	extra.Samples[2].GroupLens = append(append([]int64(nil), want.Samples[2].GroupLens...), 1)
+	if _, err := ParseRecordMeta(respell(data, &extra, true, true)); err == nil {
+		t.Fatal("a sample with one group length too many was accepted")
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"image"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -62,8 +63,9 @@ type RecordMeta struct {
 	BodyStart int64
 	// groupSize[g-1] is the total byte length of scan group g.
 	groupSize []int64
-	// sampleOffset[g-1][i] is the offset of sample i's slice within group g.
-	sampleOffset [][]int64
+	// sampleOffset[(g-1)*len(Samples)+i] is the offset of sample i's slice
+	// within group g.
+	sampleOffset []int64
 }
 
 // GroupSize returns the total bytes of scan group g (1-based).
@@ -282,6 +284,9 @@ func optScanGroups(opts *RecordOptions) int {
 // ParseRecordMeta parses a record's metadata section. data must contain at
 // least the magic, the length word, and the metadata bytes (a PrefixLen(0)
 // read suffices; longer prefixes and whole files also work).
+//
+// The returned RecordMeta aliases data — every sample's Header is a slice of
+// it — so it is valid for as long as data is left unmodified.
 func ParseRecordMeta(data []byte) (*RecordMeta, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("core: %w: short record header", ErrCorrupt)
@@ -296,126 +301,158 @@ func ParseRecordMeta(data []byte) (*RecordMeta, error) {
 	m := &RecordMeta{BodyStart: int64(8 + metaLen)}
 	// Any wire-level decode failure inside the metadata section is
 	// structural damage, so the whole parse reports as ErrCorrupt.
-	if err := parseRecordFields(data[8:8+metaLen], m); err != nil {
+	lens, err := parseRecordFields(data[8:8+metaLen], m)
+	if err != nil {
 		return nil, fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
 	}
 	if m.NumGroups <= 0 {
 		return nil, fmt.Errorf("core: %w: record has no scan groups", ErrCorrupt)
 	}
 	// No writer makes an empty record, and without a sample to hold it to,
-	// NumGroups — which sizes the offset tables — would be any number the
+	// NumGroups — which sizes the offset table — would be any number the
 	// file cares to spell.
 	if len(m.Samples) == 0 {
 		return nil, fmt.Errorf("core: %w: record has no samples", ErrCorrupt)
 	}
-	for i, s := range m.Samples {
+	// Each sample's GroupLens so far only counts the lengths it spelled (the
+	// group count may follow the samples); now that every count can be held
+	// to NumGroups, slice them out of the one array they were decoded into.
+	for i := range m.Samples {
+		s := &m.Samples[i]
 		if len(s.GroupLens) != m.NumGroups {
 			return nil, fmt.Errorf("core: %w: sample %d has %d group lengths, want %d", ErrCorrupt, i, len(s.GroupLens), m.NumGroups)
 		}
+		s.GroupLens = lens[i*m.NumGroups : (i+1)*m.NumGroups : (i+1)*m.NumGroups]
 	}
 	// The slice lengths become offsets into the file: none may be negative
 	// and their running sum must stay an int64, or SampleJPEG would index
 	// before the start of the prefix it is given.
 	total := m.BodyStart
-	for g := 0; g < m.NumGroups; g++ {
-		for i := range m.Samples {
-			n := m.Samples[i].GroupLens[g]
-			if n < 0 || total+n < total {
-				return nil, fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, i, uint64(n), g+1)
-			}
-			total += n
+	for k, n := range lens {
+		if n < 0 || total+n < total {
+			return nil, fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, k/m.NumGroups, uint64(n), k%m.NumGroups+1)
 		}
+		total += n
 	}
 	m.buildOffsets()
 	return m, nil
 }
 
-func parseRecordFields(section []byte, m *RecordMeta) error {
+// parseRecordFields fills m from the metadata section and returns every
+// sample's group lengths in one array, sample after sample; until the caller
+// has checked the counts, Samples[i].GroupLens is only as long as the lengths
+// sample i spelled. Nothing is sized by a number the section merely spells:
+// Samples by the sample fields present, the array by the bytes present.
+func parseRecordFields(section []byte, m *RecordMeta) (lens []int64, err error) {
+	n := 0
+	for d := wire.NewDecoder(section); !d.Done(); {
+		field, wtype, err := d.Next()
+		if err != nil {
+			return nil, err
+		}
+		if field == fieldSample {
+			n++
+		}
+		if err := d.Skip(wtype); err != nil {
+			return nil, err
+		}
+	}
+	m.Samples = make([]SampleMeta, 0, n)
 	d := wire.NewDecoder(section)
 	for !d.Done() {
 		field, wtype, err := d.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		switch field {
 		case fieldNumGroups:
 			v, err := d.Uint64()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			m.NumGroups = int(v)
 		case fieldSample:
 			raw, err := d.Bytes()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			sm, err := parseSampleMeta(raw)
-			if err != nil {
-				return err
+			var sm SampleMeta
+			from := len(lens)
+			if lens, err = parseSampleMeta(raw, &sm, lens); err != nil {
+				return nil, err
 			}
+			sm.GroupLens = lens[from:]
 			m.Samples = append(m.Samples, sm)
+			if len(m.Samples) == 1 {
+				// A writer gives every sample as many lengths as the first;
+				// a length is at least a byte of the section.
+				lens = slices.Grow(lens, min((n-1)*len(lens), len(section)))
+			}
 		default:
 			if err := d.Skip(wtype); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return nil
+	return lens, nil
 }
 
-func parseSampleMeta(raw []byte) (SampleMeta, error) {
-	var sm SampleMeta
+// parseSampleMeta fills sm from one sample message, appending its group
+// lengths to lens. sm.Header aliases raw.
+func parseSampleMeta(raw []byte, sm *SampleMeta, lens []int64) ([]int64, error) {
 	d := wire.NewDecoder(raw)
 	for !d.Done() {
 		field, wtype, err := d.Next()
 		if err != nil {
-			return sm, err
+			return lens, err
 		}
 		switch field {
 		case sfID:
 			v, err := d.Uint64()
 			if err != nil {
-				return sm, err
+				return lens, err
 			}
 			sm.ID = int64(v)
 		case sfLabel:
-			v, err := d.Int64()
-			if err != nil {
-				return sm, err
+			if sm.Label, err = d.Int64(); err != nil {
+				return lens, err
 			}
-			sm.Label = v
 		case sfHeader:
-			v, err := d.Bytes()
-			if err != nil {
-				return sm, err
+			if sm.Header, err = d.Bytes(); err != nil {
+				return lens, err
 			}
-			sm.Header = append([]byte(nil), v...)
 		case sfGroupLens:
-			vs, err := d.PackedUint64()
+			packed, err := d.Bytes()
 			if err != nil {
-				return sm, err
+				return lens, err
 			}
-			for _, v := range vs {
-				sm.GroupLens = append(sm.GroupLens, int64(v))
+			for p := wire.NewDecoder(packed); !p.Done(); {
+				v, err := p.Uint64()
+				if err != nil {
+					return lens, err
+				}
+				lens = append(lens, int64(v))
 			}
 		default:
 			if err := d.Skip(wtype); err != nil {
-				return sm, err
+				return lens, err
 			}
 		}
 	}
-	return sm, nil
+	return lens, nil
 }
 
+// buildOffsets derives the offset tables from the samples' group lengths, in
+// one allocation.
 func (m *RecordMeta) buildOffsets() {
-	m.groupSize = make([]int64, m.NumGroups)
-	m.sampleOffset = make([][]int64, m.NumGroups)
+	n := len(m.Samples)
+	table := make([]int64, m.NumGroups*(n+1))
+	m.groupSize, m.sampleOffset = table[:m.NumGroups:m.NumGroups], table[m.NumGroups:]
 	for g := 0; g < m.NumGroups; g++ {
-		m.sampleOffset[g] = make([]int64, len(m.Samples))
 		var off int64
-		for i, s := range m.Samples {
-			m.sampleOffset[g][i] = off
-			off += s.GroupLens[g]
+		for i := range m.Samples {
+			m.sampleOffset[g*n+i] = off
+			off += m.Samples[i].GroupLens[g]
 		}
 		m.groupSize[g] = off
 	}
@@ -453,7 +490,7 @@ func (m *RecordMeta) SampleJPEG(prefix []byte, i, g int) ([]byte, error) {
 	out = append(out, s.Header...)
 	groupStart := m.BodyStart
 	for k := 0; k < g; k++ {
-		off := groupStart + m.sampleOffset[k][i]
+		off := groupStart + m.sampleOffset[k*len(m.Samples)+i]
 		out = append(out, prefix[off:off+s.GroupLens[k]]...)
 		groupStart += m.groupSize[k]
 	}

@@ -119,7 +119,9 @@ func GatherRanges(buf []byte, ranges []ByteRange) ([]byte, error) {
 // range bytes back to their record-file offsets within a sparse prefix
 // buffer of the given size. Unfilled bytes are zero; RecordMeta.SampleJPEG
 // only touches the selected samples' slices, so the sparse buffer decodes
-// those samples identically to a full prefix read.
+// those samples identically to a full prefix read. The read path assembles
+// straight from the gathered bytes (AssembleSamples); this is the reference
+// its tests hold it to.
 func ScatterRanges(concat []byte, ranges []ByteRange, size int64) ([]byte, error) {
 	if want := RangesTotal(ranges); int64(len(concat)) != want {
 		return nil, fmt.Errorf("core: %w: pushdown body has %d bytes, ranges total %d", ErrCorrupt, len(concat), want)
@@ -136,12 +138,73 @@ func ScatterRanges(concat []byte, ranges []ByteRange, size int64) ([]byte, error
 	return buf, nil
 }
 
+// AssembleSamples reassembles the samples sel selects at scan group g
+// straight from a gathered body: the bytes of SampleRanges(g, sel) in order,
+// which are the metadata section followed by the selected samples' slices,
+// group by group and in sample order within a group. It returns the parsed
+// metadata, which aliases body, and one JPEG stream per sample — the stream
+// SampleJPEG builds from a full prefix — nil for the samples not selected.
+// A body that is not exactly as long as its own metadata says the selection
+// is, a selection of the wrong length and a group the record does not store
+// are refused as ErrCorrupt: the index the read was planned from and the
+// record disagree.
+func AssembleSamples(body []byte, g int, sel []bool) (*RecordMeta, [][]byte, error) {
+	m, err := ParseRecordMeta(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	if g < 1 || g > m.NumGroups {
+		return nil, nil, fmt.Errorf("core: %w: gathered body of scan group %d, record stores [1,%d]", ErrCorrupt, g, m.NumGroups)
+	}
+	if len(sel) != len(m.Samples) {
+		return nil, nil, fmt.Errorf("core: %w: selection has %d entries, record has %d samples", ErrCorrupt, len(sel), len(m.Samples))
+	}
+	// The body's length is held to the plan before anything is sized or
+	// sliced by the lengths in it.
+	want := m.BodyStart
+	for i, s := range m.Samples {
+		if sel[i] {
+			for _, n := range s.GroupLens[:g] {
+				want += n
+			}
+		}
+	}
+	if int64(len(body)) != want {
+		return nil, nil, fmt.Errorf("core: %w: gathered body has %d bytes, the selection spans %d", ErrCorrupt, len(body), want)
+	}
+	streams := make([][]byte, len(sel))
+	for i, s := range m.Samples {
+		if sel[i] {
+			size := len(s.Header) + 2
+			for _, n := range s.GroupLens[:g] {
+				size += int(n)
+			}
+			streams[i] = append(make([]byte, 0, size), s.Header...)
+		}
+	}
+	cur := m.BodyStart
+	for k := 0; k < g; k++ {
+		for i := range streams {
+			if sel[i] {
+				n := m.Samples[i].GroupLens[k]
+				streams[i] = append(streams[i], body[cur:cur+n]...)
+				cur += n
+			}
+		}
+	}
+	for i := range streams {
+		if sel[i] {
+			streams[i] = append(streams[i], 0xFF, 0xD9) // EOI
+		}
+	}
+	return m, streams, nil
+}
+
 // SampleReader is an optional Backend capability: fetch, in one operation,
 // exactly the byte ranges needed to materialize a subset of a record's
 // samples at one scan group. Implementations return the concatenation, in
 // ascending offset order, of the ranges RecordInfo.SampleRanges computes
-// for (group, sel); the caller scatters them back with the same
-// computation. The serving layer's network clients implement this by
+// for (group, sel), which AssembleSamples takes apart again. The serving layer's network clients implement this by
 // shipping the selection as a compact bitmap (?samples=) so only the
 // selected bytes cross the wire.
 type SampleReader interface {

@@ -348,11 +348,9 @@ func (c *Client) recordInfo(name string) (*core.RecordInfo, error) {
 // selection as a compact bitmap (?group=g&samples=b), answered by a
 // pushdown-aware server with only the selected samples' coalesced byte
 // ranges. The expected ranges are computed client-side from the same index
-// the server holds, so the response is verified by length. An old server
-// ignores the samples parameter and sends the full group prefix; the
-// response then lacks the pushdown header and the client extracts the
-// ranges locally — same bytes, no transfer savings. Transient failures
-// retry like ReadRange.
+// the server holds, so the response is verified by length. A 200 without
+// the pushdown header is not an answer to the request made and fails the
+// read at once. Transient failures retry like ReadRange.
 var _ core.SampleReader = (*Client)(nil)
 
 func (c *Client) ReadSamples(name string, group int, sel []bool) ([]byte, error) {
@@ -403,29 +401,15 @@ func (c *Client) readSamplesOnce(re *core.RecordInfo, group int, sel []bool, hed
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		if resp.Header.Get(pushdownHeader) != "" {
-			buf := make([]byte, want)
-			if n, err := io.ReadFull(resp.Body, buf); err != nil {
-				return nil, true, fmt.Errorf("serve: reading %s: %w: truncated pushdown response (got %d of %d bytes)",
-					re.Name, core.ErrCorrupt, n, want)
-			}
-			return buf, false, nil
+		if resp.Header.Get(pushdownHeader) == "" {
+			return nil, false, fmt.Errorf("serve: reading %s: server answered a samples request without %s", re.Name, pushdownHeader)
 		}
-		// Fallback: the server predates pushdown, ignored ?samples=, and
-		// served the whole group prefix. Extract the ranges locally.
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, true, fmt.Errorf("serve: reading %s: %w", re.Name, err)
+		buf := make([]byte, want)
+		if n, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, true, fmt.Errorf("serve: reading %s: %w: truncated pushdown response (got %d of %d bytes)",
+				re.Name, core.ErrCorrupt, n, want)
 		}
-		if int64(len(body)) < re.Prefixes[group] {
-			return nil, false, fmt.Errorf("serve: reading %s: %w: group %d prefix is %d bytes, got %d",
-				re.Name, core.ErrCorrupt, group, re.Prefixes[group], len(body))
-		}
-		out, err := core.GatherRanges(body, ranges)
-		if err != nil {
-			return nil, false, err
-		}
-		return out, false, nil
+		return buf, false, nil
 	case http.StatusMisdirectedRequest:
 		return nil, true, &misdirectedError{name: re.Name, owner: resp.Header.Get(ownerHeader)}
 	default:

@@ -18,10 +18,8 @@ import (
 // because both sides hold the same immutable index: the client computes the
 // expected ranges (core.RecordInfo.SampleRanges) from the bitmap exactly as
 // the server does, so the wire carries only which samples, never where
-// their bytes live. Responses carry the pushdownHeader so a client can tell
-// a pushdown-aware server from an old one that ignored the parameter and
-// served the whole group prefix (the client then extracts the ranges
-// locally — same bytes, no savings; see Client.ReadSamples).
+// their bytes live. Responses carry the pushdownHeader; a 200 without it did
+// not come from this handler and the client refuses it (Client.ReadSamples).
 //
 // Audit rules, mirroring resolveRange's: a samples= request must name a
 // group, must not carry a Range header, and its bitmap must be well-formed
@@ -31,8 +29,7 @@ import (
 // existed) cannot compute sample ranges and also get 400.
 
 // pushdownHeader marks a response as a pushdown result (its value is the
-// served range count). Its absence on a 200 tells the client the server
-// ignored ?samples= and sent the full group prefix.
+// served range count).
 const pushdownHeader = "X-Pcr-Pushdown"
 
 // maxSampleBitmapChars caps the accepted ?samples= value length before
@@ -139,19 +136,13 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 	}
 
 	// Read all ranges before committing success headers (same discipline as
-	// handleRecord). Each range reads through the hot prefix cache, so a
-	// pushdown request still warms and reuses whole prefixes server-side.
+	// handleRecord).
 	var body []byte
 	if r.Method != http.MethodHead {
-		body = make([]byte, 0, total)
-		for _, rg := range ranges {
-			part, err := s.readRange(rec, rg.Offset, rg.Length)
-			if err != nil {
-				w.Header().Del("ETag")
-				s.fail(w, http.StatusInternalServerError, "serve: %v", err)
-				return
-			}
-			body = append(body, part...)
+		if body, err = s.gatherRanges(rec, ranges); err != nil {
+			w.Header().Del("ETag")
+			s.fail(w, http.StatusInternalServerError, "serve: %v", err)
+			return
 		}
 	}
 	s.pushdownRequests.Add(1)
@@ -163,4 +154,29 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 		return
 	}
 	s.writeBody(w, body)
+}
+
+// gatherRanges reads the given ascending ranges of record rec and returns
+// them concatenated. With the hot prefix cache mounted that is one lookup —
+// the prefix through the last range's end, which a pushdown request thereby
+// still warms and reuses server-side — and a gather from it; without, a
+// backing read per range.
+func (s *Server) gatherRanges(rec int, ranges []core.ByteRange) ([]byte, error) {
+	if s.cache != nil && len(ranges) > 0 {
+		last := ranges[len(ranges)-1]
+		prefix, err := s.cache.Get(rec, last.Offset+last.Length)
+		if err != nil {
+			return nil, err
+		}
+		return core.GatherRanges(prefix, ranges)
+	}
+	body := make([]byte, 0, core.RangesTotal(ranges))
+	for _, rg := range ranges {
+		part, err := s.ds.ReadRecordRange(rec, rg.Offset, rg.Length)
+		if err != nil {
+			return nil, err
+		}
+		body = append(body, part...)
+	}
+	return body, nil
 }

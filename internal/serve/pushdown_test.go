@@ -4,9 +4,11 @@ import (
 	"encoding/base64"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -150,10 +152,87 @@ func TestSamplesEndpointTable(t *testing.T) {
 
 // TestClientReadSamplesPushdown: the client's pushdown read returns
 // exactly the bytes a local gather over the full prefix produces, and the
-// server counters prove only the selected ranges moved.
+// server counters prove only the selected ranges moved — read range by range
+// from the backing store, or gathered from one lookup of the hot cache.
 func TestClientReadSamplesPushdown(t *testing.T) {
-	_, srv, ts := startServer(t, nil)
-	c, err := serve.NewClient(ts.URL, nil)
+	for name, opts := range map[string]*serve.Options{"cacheless": nil, "hot cache": {CacheBytes: 8 << 20}} {
+		t.Run(name, func(t *testing.T) {
+			_, srv, ts := startServer(t, opts)
+			c, err := serve.NewClient(ts.URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ix, err := c.FetchIndex()
+			if err != nil {
+				t.Fatal(err)
+			}
+			re := &ix.Records[0]
+			g := len(re.Prefixes) - 1
+			sel := make([]bool, re.Samples)
+			sel[0] = true
+
+			full, err := c.ReadRange(re.Name, 0, re.Prefixes[g])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranges, err := re.SampleRanges(g, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expect, err := core.GatherRanges(full, ranges)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			before := srv.Stats()
+			got, err := c.ReadSamples(re.Name, g, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(expect) {
+				t.Fatal("ReadSamples bytes differ from local gather")
+			}
+			after := srv.Stats()
+			if after.PushdownRequests != before.PushdownRequests+1 {
+				t.Fatalf("PushdownRequests %d -> %d", before.PushdownRequests, after.PushdownRequests)
+			}
+			if served := after.BytesServed - before.BytesServed; served != core.RangesTotal(ranges) {
+				t.Fatalf("pushdown moved %d bytes, want %d (only the selected ranges)", served, core.RangesTotal(ranges))
+			}
+			if hits := after.Cache.Hits - before.Cache.Hits; opts != nil && (hits != 1 || len(ranges) < 2) {
+				t.Fatalf("a pushdown request of %d ranges looked the hot cache up %d times, want once", len(ranges), hits)
+			}
+		})
+	}
+}
+
+// TestClientReadSamplesOldServerFallback: there is no fallback. A 200 that
+// does not carry the pushdown header — here the whole group prefix, from a
+// stand-in that answers as if it had never heard of ?samples= — is not an
+// answer to the request the client made: ReadSamples refuses it, once,
+// without retrying.
+func TestClientReadSamplesOldServerFallback(t *testing.T) {
+	_, _, ts := startServer(t, nil)
+	target, err := url.Parse(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stand-in drops the samples parameter before passing a request on,
+	// which is what a handler that never knew it would answer.
+	var dropped atomic.Int32
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if q := r.URL.Query(); q.Has("samples") {
+			dropped.Add(1)
+			q.Del("samples")
+			r.URL.RawQuery = q.Encode()
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	defer old.Close()
+
+	c, err := serve.NewClient(old.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,113 +241,14 @@ func TestClientReadSamplesPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := &ix.Records[0]
-	g := len(re.Prefixes) - 1
+	re := ix.Records[0]
 	sel := make([]bool, re.Samples)
-	sel[0] = true
-
-	full, err := c.ReadRange(re.Name, 0, re.Prefixes[g])
-	if err != nil {
-		t.Fatal(err)
+	sel[re.Samples/2] = true
+	got, err := c.ReadSamples(re.Name, 1, sel)
+	if err == nil || got != nil || !strings.Contains(err.Error(), "X-Pcr-Pushdown") {
+		t.Fatalf("ReadSamples over a server without pushdown = %d bytes, %v; want a refusal naming the missing header", len(got), err)
 	}
-	ranges, err := re.SampleRanges(g, sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expect, err := core.GatherRanges(full, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := srv.Stats()
-	got, err := c.ReadSamples(re.Name, g, sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(expect) {
-		t.Fatal("ReadSamples bytes differ from local gather")
-	}
-	after := srv.Stats()
-	if after.PushdownRequests != before.PushdownRequests+1 {
-		t.Fatalf("PushdownRequests %d -> %d", before.PushdownRequests, after.PushdownRequests)
-	}
-	if served := after.BytesServed - before.BytesServed; served != core.RangesTotal(ranges) {
-		t.Fatalf("pushdown moved %d bytes, want %d (only the selected ranges)", served, core.RangesTotal(ranges))
-	}
-}
-
-// TestClientReadSamplesOldServerFallback: a server that ignores ?samples=
-// (any pre-pushdown build) answers with the full group prefix and no
-// pushdown header; the client must detect that and extract the ranges
-// locally — same bytes, no savings, no error.
-func TestClientReadSamplesOldServerFallback(t *testing.T) {
-	_, _, ts := startServer(t, nil)
-	// The "old server": a proxy that drops the samples parameter before
-	// delegating, exactly what a handler that never knew it would do.
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		q.Del("samples")
-		r.URL.RawQuery = q.Encode()
-		proxyReq, err := http.NewRequest(r.Method, ts.URL+r.URL.Path+"?"+r.URL.RawQuery, nil)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		proxyReq.Header = r.Header.Clone()
-		resp, err := http.DefaultClient.Do(proxyReq)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n])
-			}
-			if err != nil {
-				return
-			}
-		}
-	}))
-	defer old.Close()
-
-	direct, err := serve.NewClient(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer direct.Close()
-	fallback, err := serve.NewClient(old.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fallback.Close()
-
-	ix, err := direct.FetchIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, re := range ix.Records {
-		sel := make([]bool, re.Samples)
-		sel[re.Samples/2] = true
-		g := 1
-		want, err := direct.ReadSamples(re.Name, g, sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fallback.ReadSamples(re.Name, g, sel)
-		if err != nil {
-			t.Fatalf("fallback ReadSamples(%s): %v", re.Name, err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("record %s: fallback bytes differ from pushdown bytes", re.Name)
-		}
+	if n := dropped.Load(); n != 1 {
+		t.Fatalf("the refused read was tried %d times, want once", n)
 	}
 }

@@ -124,38 +124,50 @@ func (d *Dataset) SizeAtQuality(q int) (int64, error) {
 
 // ScanEncoded streams every sample in storage order at quality q, filling
 // Sample.JPEG with a self-contained stream (PCR samples are reassembled from
-// the record prefix) but not decoding it. Iteration stops at the first
-// error; cancelling ctx stops it promptly with ctx.Err(). WithFilter
-// restricts the stream to the samples a predicate selects, pushing the
-// selection into the read plan where the format allows it.
+// the record prefix) but not decoding it. On a PCR dataset it is the plan and
+// fetch stages of the read pipeline (pipeline.go) with no decode behind them:
+// up to four record reads are in flight ahead of the consumer and are handed
+// over in storage order, so an early break may have fetched — and a
+// filtered scan's FilterStats.BytesRead counted — up to four records it did
+// not yield; the baseline formats stream sample by sample.
+// Iteration stops at the first error; cancelling ctx stops it promptly with
+// ctx.Err(), and closing the dataset with ErrClosed, even while a read is
+// blocked. WithFilter restricts the stream to the samples a predicate
+// selects, pushing the selection into the read plan where the format allows
+// it.
 func (d *Dataset) ScanEncoded(ctx context.Context, q int, opts ...ScanOption) iter.Seq2[Sample, error] {
-	qq, err := d.resolveQuality(q)
-	if err != nil {
-		return errSeq(err)
-	}
-	sc, err := applyScanOptions(opts)
-	if err != nil {
-		return errSeq(err)
-	}
-	return d.guardClosed(d.scanEncodedWith(ctx, qq, sc))
+	return d.scan(ctx, q, opts, false)
 }
 
-// scanEncodedWith routes an encoded scan through the format's pushdown
-// path when a filter is set and the format supports one, and through a
-// generic post-read selection stage otherwise.
-func (d *Dataset) scanEncodedWith(ctx context.Context, qq int, sc *scanConfig) iter.Seq2[Sample, error] {
-	if sc.pred == nil {
-		return d.r.scanEncoded(ctx, qq)
-	}
-	if fs, ok := d.r.(filteredScanner); ok {
-		return fs.scanEncodedFiltered(ctx, qq, sc.pred, sc.stats)
-	}
-	return filterSeq(d.r.scanEncoded(ctx, qq), sc.pred, sc.stats)
+// sampleScanner is how the baseline formats, which have no record access,
+// are scanned: scanEncoded streams every sample in storage order at quality
+// q (1..qualities()), filling Sample.JPEG with a decodable stream, and stops
+// early when ctx is cancelled (yielding ctx.Err()) or the consumer breaks.
+// A formatReader is either this or a recordScanner.
+type sampleScanner interface {
+	scanEncoded(ctx context.Context, q int) iter.Seq2[Sample, error]
 }
 
-// guardClosed makes an in-flight scan observe a concurrent Close at its next
-// sample boundary, giving local and remote datasets the same semantics (a
-// local backend would otherwise happily keep reading after Close).
+var (
+	_ recordScanner = (*pcrReader)(nil)
+	_ sampleScanner = (*tfrecordReader)(nil)
+	_ sampleScanner = (*fpiReader)(nil)
+)
+
+// scanSamples is a baseline format's encoded scan, the filter applied after
+// the read.
+func (d *Dataset) scanSamples(ctx context.Context, qq int, sc *scanConfig) iter.Seq2[Sample, error] {
+	seq := d.r.(sampleScanner).scanEncoded(ctx, qq)
+	if sc.pred != nil {
+		seq = filterSeq(seq, sc.pred, sc.stats)
+	}
+	return seq
+}
+
+// guardClosed makes a baseline format's in-flight encoded scan observe a
+// concurrent Close at its next sample boundary, as the pipeline does for
+// every other scan (a local backend would otherwise happily keep reading
+// after Close).
 func (d *Dataset) guardClosed(seq iter.Seq2[Sample, error]) iter.Seq2[Sample, error] {
 	return func(yield func(Sample, error) bool) {
 		for s, err := range seq {
@@ -182,6 +194,13 @@ func (d *Dataset) guardClosed(seq iter.Seq2[Sample, error]) iter.Seq2[Sample, er
 // restricts the stream to the samples a predicate selects (see ScanEncoded);
 // records it excludes are not read and only selected samples are decoded.
 func (d *Dataset) Scan(ctx context.Context, q int, opts ...ScanOption) iter.Seq2[Sample, error] {
+	return d.scan(ctx, q, opts, true)
+}
+
+// scan is Scan (decode true) and ScanEncoded: a PCR dataset's scan plan
+// through the pipeline's fetch stage, a baseline format's per-sample stream
+// cut into runs for the decode workers or, encoded, yielded as it is.
+func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode bool) iter.Seq2[Sample, error] {
 	qq, err := d.resolveQuality(q)
 	if err != nil {
 		return errSeq(err)
@@ -190,12 +209,16 @@ func (d *Dataset) Scan(ctx context.Context, q int, opts ...ScanOption) iter.Seq2
 	if err != nil {
 		return errSeq(err)
 	}
-	source := func(p *pipeline) { p.chunk(d.scanEncodedWith(p.ctx, qq, sc)) }
+	var source func(p *pipeline)
 	if rs, ok := d.r.(recordScanner); ok {
 		source = func(p *pipeline) { p.fetch(rs.planScan(qq, sc)) }
+	} else if decode {
+		source = func(p *pipeline) { p.chunk(d.scanSamples(p.ctx, qq, sc)) }
+	} else {
+		return d.guardClosed(d.scanSamples(ctx, qq, sc))
 	}
 	return func(yield func(Sample, error) bool) {
-		for r, err := range d.pipeline(ctx, source) {
+		for r, err := range d.pipeline(ctx, decode, source) {
 			if err != nil {
 				yield(Sample{}, err)
 				return
@@ -209,8 +232,8 @@ func (d *Dataset) Scan(ctx context.Context, q int, opts ...ScanOption) iter.Seq2
 	}
 }
 
-// recordScanner is the capability behind Scan's record-granular read-ahead:
-// the plan of a storage-order scan. Only the PCR reader has it.
+// recordScanner is the capability behind a scan's record-granular
+// read-ahead: the plan of a storage-order scan. Only the PCR reader has it.
 type recordScanner interface {
 	planScan(q int, sc *scanConfig) planFn
 }
@@ -283,7 +306,7 @@ func (d *Dataset) ReadRecordEncoded(i, q int) ([]Sample, error) {
 // read once and decoded by WithPrefetchWorkers goroutines.
 func (d *Dataset) ReadRecord(ctx context.Context, i, q int) ([]Sample, error) {
 	var out []Sample
-	for r, err := range d.pipeline(ctx, func(p *pipeline) {
+	for r, err := range d.pipeline(ctx, true, func(p *pipeline) {
 		samples, err := d.ReadRecordEncoded(i, q)
 		p.emit(recordRead{samples: samples, err: err}, false)
 	}) {

@@ -1,7 +1,6 @@
 package pcr
 
 import (
-	"context"
 	"fmt"
 	"iter"
 	"sync/atomic"
@@ -13,11 +12,11 @@ import (
 // bytes plannable); the baseline formats filter after the read and report
 // zero byte savings.
 //
-// The stats are written while the scan runs; read the fields directly
-// only after the scan's iterator has been fully consumed (or has yielded
-// an error). While a Scan with prefetch workers is still mid-flight the
-// plain fields are racy — use Snapshot, which loads them atomically, to
-// observe a scan in progress.
+// The stats are written while the scan runs, from the goroutines that read
+// records ahead of it; read the fields directly only after the scan's
+// iterator has been fully consumed. While a scan is mid-flight — or was left
+// by an error or an early break, with reads it had issued still to finish —
+// the plain fields are racy: use Snapshot, which loads them atomically.
 type FilterStats struct {
 	// Selected and Skipped count samples for and against the predicate.
 	Selected int64
@@ -74,7 +73,10 @@ type scanConfig struct {
 // prefix is read through the cache (caches are prefix-shaped) and filtering
 // happens afterwards; on datasets without a side index, or on the baseline
 // formats, filtering likewise happens after the read. Every path yields
-// byte-identical samples.
+// byte-identical samples. A PCR scan reads up to four records ahead of its
+// consumer (see ScanEncoded), and FilterStats counts a record as its read is
+// planned or completes: after an early break the stats may include up to
+// four records that were fetched — BytesRead counted — and never yielded.
 func WithFilter(pred Predicate) ScanOption {
 	return func(sc *scanConfig) error {
 		if pred == nil {
@@ -109,7 +111,10 @@ func applyScanOptions(opts []ScanOption) (*scanConfig, error) {
 		return nil, fmt.Errorf("pcr: WithFilterStats requires WithFilter")
 	}
 	if sc.stats != nil {
-		*sc.stats = FilterStats{}
+		// Stored atomically: a Snapshot may already be polling.
+		for _, field := range []*int64{&sc.stats.Selected, &sc.stats.Skipped, &sc.stats.RecordsSkipped, &sc.stats.BytesRead, &sc.stats.BytesAvoided} {
+			atomic.StoreInt64(field, 0)
+		}
 	}
 	return sc, nil
 }
@@ -155,13 +160,6 @@ func (d *Dataset) PlanFilter(pred Predicate, q int) (FilterPlan, error) {
 // filterPlanner is the format capability behind PlanFilter.
 type filterPlanner interface {
 	planFilter(pred Predicate, qq int) (FilterPlan, error)
-}
-
-// filteredScanner is the format capability behind predicate pushdown; only
-// the PCR reader implements it. Formats without it get the generic
-// post-read selection stage (filterSeq).
-type filteredScanner interface {
-	scanEncodedFiltered(ctx context.Context, q int, pred Predicate, stats *FilterStats) iter.Seq2[Sample, error]
 }
 
 // filteredRecordReader is the record-granular capability behind the

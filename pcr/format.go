@@ -1,10 +1,6 @@
 package pcr
 
-import (
-	"context"
-	"fmt"
-	"iter"
-)
+import "fmt"
 
 // Format is a storage layout for an image dataset. The package provides the
 // three layouts the paper compares — PCR, TFRecord, and FilePerImage — and
@@ -28,7 +24,9 @@ type formatWriter interface {
 	close() error
 }
 
-// formatReader is the read half a Format must provide.
+// formatReader is the read half a Format must provide, beside the way it is
+// scanned: a recordScanner's plan (PCR) or a sampleScanner's stream (the
+// baselines).
 type formatReader interface {
 	// numImages is the total stored image count.
 	numImages() int
@@ -37,11 +35,6 @@ type formatReader interface {
 	// sizeAtQuality is the total bytes a full scan reads at quality q
 	// (1..qualities()).
 	sizeAtQuality(q int) (int64, error)
-	// scanEncoded streams every sample in storage order at quality q
-	// (1..qualities()), filling Sample.JPEG with a decodable stream. It
-	// stops early when ctx is cancelled (yielding ctx.Err()) or the
-	// consumer breaks.
-	scanEncoded(ctx context.Context, q int) iter.Seq2[Sample, error]
 	close() error
 }
 

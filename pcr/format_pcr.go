@@ -1,9 +1,7 @@
 package pcr
 
 import (
-	"context"
 	"fmt"
-	"iter"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -182,27 +180,6 @@ func (r *pcrReader) readRecord(i, q int) ([]Sample, error) {
 	return out, nil
 }
 
-func (r *pcrReader) scanEncoded(ctx context.Context, q int) iter.Seq2[Sample, error] {
-	return func(yield func(Sample, error) bool) {
-		for i := 0; i < r.ds.NumRecords(); i++ {
-			if err := ctx.Err(); err != nil {
-				yield(Sample{}, err)
-				return
-			}
-			samples, err := r.readRecord(i, q)
-			if err != nil {
-				yield(Sample{}, err)
-				return
-			}
-			for _, s := range samples {
-				if !yield(s, nil) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // selection evaluates pred over record i's side index without touching the
 // record file. ok is false when the record predates the side index, in
 // which case the caller must read the record and filter afterwards.
@@ -223,13 +200,12 @@ func (r *pcrReader) selection(i int, pred Predicate) (sel []bool, nsel int, ok b
 // fetched on top.
 //
 // Read-path precedence: with cache tiers mounted, the full prefix is read
-// through them (caches are prefix-shaped — a sparse buffer could neither
-// fill nor be served from one) and the selection applies afterwards.
-// Without caches and with a side index, the read is sparse: only the
-// metadata section and the selected samples' slices are fetched, as one
-// pushdown request when the backend supports it (remote) or as per-range
-// reads (local). Selecting every sample coalesces to the ordinary full
-// prefix read.
+// through them (caches are prefix-shaped — a sparse read could neither fill
+// nor be served from one) and the selection applies afterwards. Without
+// caches and with a side index, the read is sparse: only the metadata
+// section and the selected samples' slices are fetched (gatherSelected) and
+// the samples are assembled straight from those bytes. Selecting every
+// sample coalesces to the ordinary full prefix read.
 func (r *pcrReader) readRecordFiltered(i, q int, pred Predicate, sel []bool) (samples []Sample, bytesRead, bytesAvoided int64, err error) {
 	gg, err := r.recordQuality(i, q)
 	if err != nil {
@@ -239,74 +215,65 @@ func (r *pcrReader) readRecordFiltered(i, q int, pred Predicate, sel []bool) (sa
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	var (
+		meta    *core.RecordMeta
+		prefix  []byte   // of a whole-prefix read
+		streams [][]byte // of a sparse read: the selected samples, assembled
+	)
+	bytesRead = full
 	if sel == nil || r.cache != nil || r.disk != nil {
-		prefix, meta, err := r.readPrefix(i, gg)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		out := make([]Sample, 0, len(meta.Samples))
-		for si := range meta.Samples {
-			sm := &meta.Samples[si]
-			if sel != nil && !sel[si] {
-				continue
-			}
-			if sel == nil && !pred.Matches(sm.ID, sm.Label) {
-				continue
-			}
-			stream, err := meta.SampleJPEG(prefix, si, gg)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			out = append(out, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
-		}
-		return out, full, 0, nil
-	}
-
-	ranges, err := r.ds.SampleRanges(i, gg, sel)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	got := core.RangesTotal(ranges)
-	var concat []byte
-	if sr, ok := r.ds.Backend().(core.SampleReader); ok {
-		name, err := r.ds.RecordName(i)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		concat, err = sr.ReadSamples(name, gg, sel)
-		if err != nil {
-			return nil, 0, 0, err
-		}
+		prefix, meta, err = r.readPrefix(i, gg)
 	} else {
-		concat = make([]byte, 0, got)
-		for _, rg := range ranges {
-			part, err := r.ds.ReadRecordRange(i, rg.Offset, rg.Length)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			concat = append(concat, part...)
+		var body []byte
+		if body, err = r.gatherSelected(i, gg, sel); err == nil {
+			bytesRead = int64(len(body))
+			meta, streams, err = core.AssembleSamples(body, gg, sel)
 		}
 	}
-	prefix, err := core.ScatterRanges(concat, ranges, full)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	meta, err := core.ParseRecordMeta(prefix)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	out := make([]Sample, 0, len(meta.Samples))
 	for si := range meta.Samples {
-		if !sel[si] {
+		sm := &meta.Samples[si]
+		if (sel != nil && !sel[si]) || (sel == nil && !pred.Matches(sm.ID, sm.Label)) {
 			continue
 		}
-		stream, err := meta.SampleJPEG(prefix, si, gg)
-		if err != nil {
+		var stream []byte
+		if streams != nil {
+			stream = streams[si]
+		} else if stream, err = meta.SampleJPEG(prefix, si, gg); err != nil {
 			return nil, 0, 0, err
 		}
-		out = append(out, Sample{ID: meta.Samples[si].ID, Label: meta.Samples[si].Label, JPEG: stream})
+		out = append(out, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
 	}
-	return out, got, full - got, nil
+	return out, bytesRead, full - bytesRead, nil
+}
+
+// gatherSelected fetches the bytes a sparse read of record i needs — those of
+// SampleRanges(gg, sel), concatenated in order — as one pushdown request
+// when the backend takes one (remote) or as a read per range (local).
+func (r *pcrReader) gatherSelected(i, gg int, sel []bool) ([]byte, error) {
+	if sr, ok := r.ds.Backend().(core.SampleReader); ok {
+		name, err := r.ds.RecordName(i)
+		if err != nil {
+			return nil, err
+		}
+		return sr.ReadSamples(name, gg, sel)
+	}
+	ranges, err := r.ds.SampleRanges(i, gg, sel)
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, 0, core.RangesTotal(ranges))
+	for _, rg := range ranges {
+		part, err := r.ds.ReadRecordRange(i, rg.Offset, rg.Length)
+		if err != nil {
+			return nil, err
+		}
+		body = append(body, part...)
+	}
+	return body, nil
 }
 
 // planFilter computes the filtered-scan cost estimate behind
@@ -382,39 +349,8 @@ func (r *pcrReader) planFiltered(i, q int, pred Predicate, stats *FilterStats) (
 	}, nil
 }
 
-// scanEncodedFiltered is scanEncoded with the selection pushed into the
-// read plan.
-func (r *pcrReader) scanEncodedFiltered(ctx context.Context, q int, pred Predicate, stats *FilterStats) iter.Seq2[Sample, error] {
-	return func(yield func(Sample, error) bool) {
-		for i := 0; i < r.ds.NumRecords(); i++ {
-			if err := ctx.Err(); err != nil {
-				yield(Sample{}, err)
-				return
-			}
-			read, err := r.planFiltered(i, q, pred, stats)
-			if read == nil && err == nil {
-				continue
-			}
-			var rr recordRead
-			if err == nil {
-				rr = read()
-				err = rr.err
-			}
-			if err != nil {
-				yield(Sample{}, err)
-				return
-			}
-			for _, s := range rr.samples {
-				if !yield(s, nil) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// planScan is the plan stage of a decoded storage-order scan: every record
-// in turn, minus those the filter leaves empty.
+// planScan is the plan stage of a storage-order scan, decoded or not: every
+// record in turn, minus those the filter leaves empty.
 func (r *pcrReader) planScan(q int, sc *scanConfig) planFn {
 	next := 0
 	return func() (func() recordRead, bool) {

@@ -410,7 +410,7 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 			return yield(b, nil)
 		}
 		waiting := time.Now() // since when the consumer has been in the pipeline's hands
-		for r, err := range l.ds.pipeline(ctx, func(p *pipeline) { p.fetch(plan.next) }) {
+		for r, err := range l.ds.pipeline(ctx, true, func(p *pipeline) { p.fetch(plan.next) }) {
 			stats.Stall += time.Since(waiting)
 			if err != nil {
 				yield(Batch{}, err)

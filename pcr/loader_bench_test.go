@@ -25,17 +25,10 @@ func cpuTime(b *testing.B) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// BenchmarkLoaderEpoch is the Loader as the repository benchmark's train_*
-// workloads drive it, small enough to iterate on: a bench-v1-shaped dataset
-// (384 synth.ImageNet images at 128×128, quality 92 with 4:2:0 chroma, 32 to
-// a record), batches of 32 through a shuffle window of 8, GOMAXPROCS decode
-// workers, the consumer doing nothing. local_full reads a directory at full
-// quality; remote_q5 reads quality 5 from an in-process prefix server with a
-// hot cache over loopback. One iteration is one epoch. Beside images/s it
-// reports cores-busy — CPU time over wall time, the number that showed the
-// Loader leaving cores idle — which on a box with spare cores also counts
-// the server's share.
-func BenchmarkLoaderEpoch(b *testing.B) {
+// benchV1 writes a bench-v1-shaped dataset (384 synth.ImageNet images at
+// 128×128, quality 92 with 4:2:0 chroma, 32 to a record) and serves it from
+// an in-process prefix server with a hot cache over loopback.
+func benchV1(b *testing.B) (dir, url string) {
 	p := synth.ImageNet
 	p.ImageSize = 128
 	p.NumImages = 384 * 5 / 4
@@ -43,7 +36,7 @@ func BenchmarkLoaderEpoch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
+	dir = b.TempDir()
 	w, err := pcr.Create(dir, pcr.WithImagesPerRecord(32))
 	if err != nil {
 		b.Fatal(err)
@@ -65,11 +58,23 @@ func BenchmarkLoaderEpoch(b *testing.B) {
 		b.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	defer func() {
+	b.Cleanup(func() {
 		ts.Close()
 		srv.Close()
-	}()
+	})
+	return dir, ts.URL
+}
 
+// BenchmarkLoaderEpoch is the Loader as the repository benchmark's train_*
+// workloads drive it, small enough to iterate on: the benchV1 dataset,
+// batches of 32 through a shuffle window of 8, GOMAXPROCS decode workers,
+// the consumer doing nothing. local_full reads a directory at full quality;
+// remote_q5 reads quality 5 from the in-process server. One iteration is one
+// epoch. Beside images/s it reports cores-busy — CPU time over wall time, the
+// number that showed the Loader leaving cores idle — which on a box with
+// spare cores also counts the server's share.
+func BenchmarkLoaderEpoch(b *testing.B) {
+	dir, url := benchV1(b)
 	workers := pcr.WithPrefetchWorkers(runtime.GOMAXPROCS(0))
 	for _, bc := range []struct {
 		name    string
@@ -77,7 +82,7 @@ func BenchmarkLoaderEpoch(b *testing.B) {
 		open    func() (*pcr.Dataset, error)
 	}{
 		{"local_full", pcr.Full, func() (*pcr.Dataset, error) { return pcr.Open(dir, workers) }},
-		{"remote_q5", 5, func() (*pcr.Dataset, error) { return pcr.OpenRemote(ts.URL, workers, pcr.WithHedgeDelay(-1)) }},
+		{"remote_q5", 5, func() (*pcr.Dataset, error) { return pcr.OpenRemote(url, workers, pcr.WithHedgeDelay(-1)) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ds, err := bc.open()
@@ -105,4 +110,52 @@ func BenchmarkLoaderEpoch(b *testing.B) {
 			b.ReportMetric(float64(cpuTime(b)-cpu)/float64(wall), "cores-busy")
 		})
 	}
+}
+
+// BenchmarkScanEncoded is Dataset.ScanEncoded as the repository benchmark's
+// filtered_pushdown and cache_tiers workloads drive it, over the benchV1
+// server. remote_filtered is one pass of a 10 % label filter pushed down,
+// no client caches; tiers_cold is the cold phase of a cache_tiers cycle — a
+// quality-2 scan through a 1 MiB memory tier into a disk tier that starts
+// empty, opened and closed inside the iteration. Both report the images/s
+// delivered.
+func BenchmarkScanEncoded(b *testing.B) {
+	_, url := benchV1(b)
+	scan := func(b *testing.B, ds *pcr.Dataset, q int, opts ...pcr.ScanOption) (images int) {
+		for _, err := range ds.ScanEncoded(context.Background(), q, opts...) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			images++
+		}
+		return images
+	}
+	b.Run("remote_filtered", func(b *testing.B) {
+		ds, err := pcr.OpenRemote(url, pcr.WithHedgeDelay(-1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ds.Close()
+		images := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			images += scan(b, ds, pcr.Full, pcr.WithFilter(pcr.LabelIn(3, 11)))
+		}
+		b.ReportMetric(float64(images)/b.Elapsed().Seconds(), "images/s")
+	})
+	b.Run("tiers_cold", func(b *testing.B) {
+		images := 0
+		for i := 0; i < b.N; i++ {
+			ds, err := pcr.OpenRemote(url, pcr.WithHedgeDelay(-1),
+				pcr.WithCacheBytes(1<<20), pcr.WithDiskCache(b.TempDir(), 64<<20))
+			if err != nil {
+				b.Fatal(err)
+			}
+			images += scan(b, ds, 2)
+			if err := ds.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(images)/b.Elapsed().Seconds(), "images/s")
+	})
 }

@@ -87,7 +87,7 @@ func (p *Probe) Batches(ctx context.Context, q, n int) (batches []Batch, bytes i
 	}
 	cur := make([]Sample, 0, l.batch)
 fill:
-	for r, err := range l.ds.pipeline(ctx, func(p *pipeline) { p.fetch(next) }) {
+	for r, err := range l.ds.pipeline(ctx, true, func(p *pipeline) { p.fetch(next) }) {
 		if err != nil {
 			return nil, bytes, err
 		}

@@ -6,9 +6,10 @@ import (
 	"iter"
 )
 
-// This file is the one decode pipeline behind Loader.Epoch, Probe.Batches,
-// Dataset.Scan and Dataset.ReadRecord. It has three stages and delivers
-// strictly in plan order:
+// This file is the one read pipeline behind Loader.Epoch, Probe.Batches,
+// Dataset.Scan, Dataset.ReadRecord and Dataset.ScanEncoded. It has three
+// stages — ScanEncoded runs the first two — and delivers strictly in plan
+// order:
 //
 //	plan   — a planFn walks the records to visit and decides from the index
 //	         alone which are read and how (quality, filter selection, resume
@@ -18,7 +19,8 @@ import (
 //	         complete.
 //	decode — WithPrefetchWorkers goroutines each take a run of up to runLen
 //	         samples of one record and decode it in place, one completion
-//	         signal per run.
+//	         signal per run. A pipeline without this stage hands a record
+//	         over whole, still encoded.
 //
 // The consumer (Dataset.pipeline) receives completed runs in order and
 // shuts all of it down when it returns.
@@ -59,11 +61,12 @@ func failedRead(err error) func() recordRead {
 }
 
 // run is up to runLen consecutive samples of one record, decoded in place by
-// one worker. A run with err set carries no samples and ends the stream.
+// one worker — or, with no decode stage, a whole record's, as fetched. A run
+// with err set carries no samples and ends the stream.
 type run struct {
 	samples []Sample
 	err     error
-	done    chan struct{} // closed once samples are decoded; nil on a run that only carries err
+	done    chan struct{} // closed once samples are decoded; nil when there is nothing to wait for
 	// bytes and quality are the read's accounting, carried by the first run
 	// of each fetched record (quality > 0 marks it).
 	bytes   int64
@@ -77,37 +80,45 @@ type run struct {
 type pipeline struct {
 	ctx    context.Context // ends when the consumer returns
 	out    chan *run       // every run, in delivery order
-	work   chan *run       // the same runs, for the decode workers
+	work   chan *run       // the same runs, for the decode workers; nil without a decode stage
 	tokens chan struct{}   // one per record planned and not yet consumed
 }
 
 // pipeline runs source on its own goroutine under a fresh pipeline and
-// yields the runs it emits, decoded, in order. It stops at the first failed
+// yields the runs it emits, in order: decoded, or with decode false as they
+// were fetched. It stops at the first failed
 // run with that error, with ctx.Err() as soon as ctx is cancelled and with
 // ErrClosed as soon as the dataset is closed — both win over runs already
 // decoded — and never waits for a read: whatever it abandons (an early
 // break included) winds down on its own, each fetch goroutine exiting when
 // its read returns.
-func (d *Dataset) pipeline(ctx context.Context, source func(p *pipeline)) iter.Seq2[*run, error] {
+func (d *Dataset) pipeline(ctx context.Context, decode bool, source func(p *pipeline)) iter.Seq2[*run, error] {
 	return func(yield func(*run, error) bool) {
 		ictx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		workers := d.cfg.prefetchWorkers()
 		p := &pipeline{
 			ctx: ictx,
+			// Without a decode stage a run is a record: every one read ahead
+			// has a place to wait for the consumer.
+			out:    make(chan *run, readAhead),
+			tokens: make(chan struct{}, readAhead),
+		}
+		if decode {
+			workers := d.cfg.prefetchWorkers()
 			// Two runs per worker ahead of the consumer — one in decode, one
 			// queued behind it — keep every worker busy while the consumer
 			// waits for the oldest.
-			out:    make(chan *run, 2*workers),
-			work:   make(chan *run, workers),
-			tokens: make(chan struct{}, readAhead),
-		}
-		for i := 0; i < workers; i++ {
-			go p.decode()
+			p.out = make(chan *run, 2*workers)
+			p.work = make(chan *run, workers)
+			for i := 0; i < workers; i++ {
+				go p.decode()
+			}
 		}
 		go func() {
 			defer close(p.out)
-			defer close(p.work)
+			if decode {
+				defer close(p.work)
+			}
 			source(p)
 		}()
 
@@ -172,10 +183,13 @@ func (p *pipeline) decode() {
 	}
 }
 
-// send queues r for the consumer and then for a worker; false means the
-// pipeline is shutting down.
+// send queues r for the consumer and then, if it is to be decoded, for a
+// worker; false means the pipeline is shutting down.
 func (p *pipeline) send(r *run) bool {
 	for _, ch := range [...]chan *run{p.out, p.work} {
+		if ch == nil {
+			continue
+		}
 		select {
 		case ch <- r:
 		case <-p.ctx.Done():
@@ -193,9 +207,16 @@ func (p *pipeline) emit(rr recordRead, token bool) bool {
 	if n == 0 && token {
 		<-p.tokens // nothing for the consumer to return it on
 	}
-	for from := 0; from < n; from += runLen {
-		to := min(from+runLen, n)
-		r := &run{samples: rr.samples[from:to:to], done: make(chan struct{}), last: token && to == n}
+	step := runLen
+	if p.work == nil {
+		step = max(n, 1)
+	}
+	for from := 0; from < n; from += step {
+		to := min(from+step, n)
+		r := &run{samples: rr.samples[from:to:to], last: token && to == n}
+		if p.work != nil {
+			r.done = make(chan struct{})
+		}
 		if from == 0 {
 			r.bytes, r.quality = rr.bytes, rr.quality
 		}

@@ -2,9 +2,12 @@ package pcr_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -219,7 +222,50 @@ func recordOfSample(t *testing.T, ds *pcr.Dataset) map[int64]int {
 // 100 ms with the right error, and once the store lets go no goroutine is
 // left behind.
 func TestPipelineCancellable(t *testing.T) {
-	dir, _ := synthDir(t, pcr.WithImagesPerRecord(4))
+	pipelineCancellable(t, func(ctx context.Context, ds *pcr.Dataset) iter.Seq2[int, error] {
+		l, err := pcr.NewLoader(ds, pcr.WithBatchSize(4), pcr.WithShuffleWindow(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(yield func(int, error) bool) {
+			for b, err := range l.Epoch(ctx, 0) {
+				if !yield(len(b.Samples), err) {
+					return
+				}
+			}
+		}
+	})
+}
+
+// TestPipelineScanEncodedCancellable is the same over an encoded scan, plain
+// and filtered: the fetch stage alone stops as promptly and leaves as little
+// behind.
+func TestPipelineScanEncodedCancellable(t *testing.T) {
+	for name, opts := range map[string][]pcr.ScanOption{
+		"plain":    nil,
+		"filtered": {pcr.WithFilter(pcr.IDRange(0, 1<<40))}, // every sample, through the filtered read
+	} {
+		t.Run(name, func(t *testing.T) {
+			pipelineCancellable(t, func(ctx context.Context, ds *pcr.Dataset) iter.Seq2[int, error] {
+				return func(yield func(int, error) bool) {
+					for _, err := range ds.ScanEncoded(ctx, pcr.Full, opts...) {
+						if !yield(1, err) {
+							return
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// pipelineCancellable runs stream — which reports how many samples each of
+// its deliveries holds — over a dataset of four-image records whose store
+// lets the first record's read through and blocks every other, and stops it
+// each way once that record has been delivered.
+func pipelineCancellable(t *testing.T, stream func(ctx context.Context, ds *pcr.Dataset) iter.Seq2[int, error]) {
+	const perRecord = 4
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(perRecord))
 	for _, tc := range []struct {
 		name string
 		stop func(cancel context.CancelFunc, ds *pcr.Dataset)
@@ -246,27 +292,25 @@ func TestPipelineCancellable(t *testing.T) {
 				}
 				return nil
 			}, nil)
-			l, err := pcr.NewLoader(ds, pcr.WithBatchSize(4), pcr.WithShuffleWindow(1))
-			if err != nil {
-				t.Fatal(err)
-			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 
-			var stopped atomic.Int64 // when the epoch was told to stop, in Unix ns
+			var stopped atomic.Int64 // when the stream was told to stop, in Unix ns
 			var got error
-			batches := 0
-			for _, err := range l.Epoch(ctx, 0) {
+			delivered := 0
+			for n, err := range stream(ctx, ds) {
 				if err != nil {
 					got = err
 					break
 				}
-				batches++
+				if delivered += n; delivered < perRecord {
+					continue
+				}
 				if tc.stop == nil {
 					stopped.Store(time.Now().UnixNano())
 					break
 				}
-				// The second record's read is blocked: the epoch is now
+				// The second record's read is blocked: the stream is now
 				// waiting on the store, and has to be stopped from outside.
 				go func() {
 					time.Sleep(5 * time.Millisecond)
@@ -275,10 +319,10 @@ func TestPipelineCancellable(t *testing.T) {
 				}()
 			}
 			if took := time.Since(time.Unix(0, stopped.Load())); took > 100*time.Millisecond {
-				t.Errorf("epoch returned %v after it was stopped", took)
+				t.Errorf("stream returned %v after it was stopped", took)
 			}
-			if batches != 1 || !errors.Is(got, tc.want) {
-				t.Fatalf("epoch gave %d batches and error %v, want 1 and %v", batches, got, tc.want)
+			if delivered != perRecord || !errors.Is(got, tc.want) {
+				t.Fatalf("stream gave %d samples and error %v, want %d and %v", delivered, got, perRecord, tc.want)
 			}
 			if n := reads.Load(); n < 2 || int(n) > 1+pcr.ReadAhead {
 				t.Errorf("%d reads were issued, want the one delivered and up to %d blocked", n, pcr.ReadAhead)
@@ -289,11 +333,197 @@ func TestPipelineCancellable(t *testing.T) {
 			for runtime.NumGoroutine() > baseline {
 				if time.Now().After(deadline) {
 					buf := make([]byte, 1<<16)
-					t.Fatalf("%d goroutines, %d before the epoch:\n%s",
+					t.Fatalf("%d goroutines, %d before the stream:\n%s",
 						runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 				}
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// referenceScan is ScanEncoded written down serially, one record at a time
+// from ReadRecordEncoded and Predicate.Matches, with the accounting a
+// filtered scan owes: a record no sample of which matches is skipped and its
+// prefix avoided; the others cost their whole prefix through cache tiers and
+// what PlanFilter prices without.
+func referenceScan(t *testing.T, ref *pcr.Dataset, q int, pred pcr.Predicate, cached bool) ([]sampleKey, pcr.FilterStats) {
+	t.Helper()
+	var keys []sampleKey
+	var st pcr.FilterStats
+	var fullBytes int64
+	for rec := 0; rec < ref.NumRecords(); rec++ {
+		samples, err := ref.ReadRecordEncoded(rec, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := ref.RecordPrefixLen(rec, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullBytes += full
+		selected := 0
+		for _, s := range samples {
+			if pred == nil || pred.Matches(s.ID, s.Label) {
+				keys = append(keys, sampleKey{s.ID, s.Label, sha256.Sum256(s.JPEG)})
+				selected++
+			}
+		}
+		st.Selected += int64(selected)
+		st.Skipped += int64(len(samples) - selected)
+		if selected == 0 {
+			st.RecordsSkipped++
+		} else if cached {
+			st.BytesRead += full
+		}
+	}
+	if pred == nil {
+		return keys, pcr.FilterStats{}
+	}
+	if !cached {
+		plan, err := ref.PlanFilter(pred, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.BytesRead = plan.Bytes
+	}
+	st.BytesAvoided = fullBytes - st.BytesRead
+	return keys, st
+}
+
+// TestPipelineScanEncodedEquivalence: plain and filtered, locally and over
+// the wire, bare and behind either or both cache tiers, with reads completing
+// out of order, ScanEncoded yields exactly the samples of the serial
+// reference, in its order, and a drained filtered scan its FilterStats.
+func TestPipelineScanEncodedEquivalence(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(3), pcr.WithScanGroups(4))
+	_, ts := startServer(t, dir, nil)
+	ref, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	preds := []pcr.Predicate{nil, pcr.LabelIn(0, 1, 2), pcr.LabelIn(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23), pcr.IDRange(7, 8)}
+	rng := rand.New(rand.NewSource(22))
+	skippedSome := false
+	for _, remote := range []bool{false, true} {
+		for tiers := 0; tiers < 4; tiers++ {
+			for _, pred := range preds {
+				q := 1 + rng.Intn(4)
+				var opts []pcr.Option
+				if tiers&1 != 0 {
+					opts = append(opts, pcr.WithCacheBytes(1<<20))
+				}
+				if tiers&2 != 0 {
+					opts = append(opts, pcr.WithDiskCache(t.TempDir(), 64<<20))
+				}
+				var ds *pcr.Dataset
+				if remote {
+					ds, err = pcr.OpenRemote(ts.URL, opts...)
+				} else {
+					ds, err = pcr.Open(dir, opts...)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				delayReads(ds, rng.Int63())
+				var stats pcr.FilterStats
+				var scanOpts []pcr.ScanOption
+				if pred != nil {
+					scanOpts = []pcr.ScanOption{pcr.WithFilter(pred), pcr.WithFilterStats(&stats)}
+				}
+				var got []sampleKey
+				for s, err := range ds.ScanEncoded(context.Background(), q, scanOpts...) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.Image != nil {
+						t.Fatalf("sample %d of an encoded scan is decoded", s.ID)
+					}
+					got = append(got, sampleKey{s.ID, s.Label, sha256.Sum256(s.JPEG)})
+				}
+				ds.Close()
+				want, wantStats := referenceScan(t, ref, q, pred, tiers != 0)
+				name := fmt.Sprintf("remote=%v tiers=%02b q=%d filter=%v", remote, tiers, q, pred)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: %d samples differ from the reference's %d", name, len(got), len(want))
+				}
+				if stats != wantStats {
+					t.Errorf("%s:\nstats %+v\n want %+v", name, stats, wantStats)
+				}
+				skippedSome = skippedSome || wantStats.RecordsSkipped > 0
+			}
+		}
+	}
+	if !skippedSome {
+		t.Error("no filter left a record empty: the skip path was not exercised")
+	}
+}
+
+// TestPipelineScanEncodedBounded: over a counting store an encoded scan has
+// reads in flight ahead of its consumer, never more than ReadAhead of them
+// and never more than ReadAhead records beyond those handed over; filtered,
+// it reads nothing of a record the side index excludes.
+func TestPipelineScanEncodedBounded(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(4))
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if ds.NumRecords() < 2*pcr.ReadAhead {
+		t.Fatalf("%d records cannot show a read-ahead of %d", ds.NumRecords(), pcr.ReadAhead)
+	}
+	recordOf := recordOfSample(t, ds)
+	counter := countReads(ds)
+	ctx := context.Background()
+
+	// A plain scan reads each record in one piece, so reads count records.
+	last := -1
+	for s, err := range ds.ScanEncoded(ctx, pcr.Full) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := recordOf[s.ID]; rec != last {
+			last = rec
+			if started, _ := counter.snapshot(); started-(rec+1) > pcr.ReadAhead {
+				t.Fatalf("record %d handed over, %d records read: more than %d ahead of the consumer", rec, started, pcr.ReadAhead)
+			}
+			time.Sleep(100 * time.Microsecond) // a consumer slow enough to be run ahead of
+		}
+	}
+	if started, hi := counter.snapshot(); started != ds.NumRecords() || hi > pcr.ReadAhead || hi < 2 {
+		t.Fatalf("scan of %d records made %d reads, at most %d at once; want one each and 2 to %d at once",
+			ds.NumRecords(), started, hi, pcr.ReadAhead)
+	}
+
+	// Filtered down to the first sample of every other record, the records
+	// in between are never touched.
+	pred := pcr.LabelIn() // nothing
+	for rec := 0; rec < ds.NumRecords(); rec += 2 {
+		samples, err := ds.ReadRecordEncoded(rec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred = pcr.Or(pred, pcr.IDRange(samples[0].ID, samples[0].ID))
+	}
+	clear(counter.names)
+	n := 0
+	for _, err := range ds.ScanEncoded(ctx, pcr.Full, pcr.WithFilter(pred)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if n != (ds.NumRecords()+1)/2 {
+		t.Fatalf("filter selected %d samples, want one of every other of %d records", n, ds.NumRecords())
+	}
+	for rec := 0; rec < ds.NumRecords(); rec++ {
+		if reads := counter.names[recordName(rec)]; (rec%2 == 0) != (reads > 0) {
+			t.Errorf("record %d: %d reads", rec, reads)
+		}
+	}
+	if _, hi := counter.snapshot(); hi > pcr.ReadAhead {
+		t.Fatalf("%d reads in flight at once, bound is %d", hi, pcr.ReadAhead)
 	}
 }
