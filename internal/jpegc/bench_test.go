@@ -3,6 +3,7 @@ package jpegc
 import (
 	"bytes"
 	stdjpeg "image/jpeg"
+	"math/rand"
 	"testing"
 )
 
@@ -96,5 +97,46 @@ func BenchmarkDecode(b *testing.B) {
 				benchSink += img.Bounds().Dx()
 			}
 		})
+	}
+}
+
+// BenchmarkReconstruct is the cost of one block through each body of
+// reconstruct, for the three shapes a decode is made of: a full-quality luma
+// block (34 of the 63 AC terms, as in bench-v1), the same block as a
+// five-scan prefix leaves it (every term cut to a multiple of 4), and a
+// block with only its DC term, which neither body transforms.
+func BenchmarkReconstruct(b *testing.B) {
+	var dense, q5, dc Block
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range rng.Perm(63)[:34] {
+		dense[1+k] = int32(1+rng.Intn(1+96/(2+k))) * int32(1-2*rng.Intn(2))
+	}
+	dense[0], dense[63] = 400, 1
+	for k, v := range dense {
+		q5[k] = v / 4 * 4
+	}
+	dc[0] = 400
+	dst := make([]byte, 8*128)
+	defer func(was bool) { useAVX2 = was }(useAVX2)
+	for _, p := range idctPaths {
+		for _, shape := range []struct {
+			name string
+			blk  *Block
+		}{{"dense", &dense}, {"q5", &q5}, {"dc", &dc}} {
+			last := 63
+			for last > 0 && shape.blk[last] == 0 {
+				last--
+			}
+			b.Run(shape.name+"/"+p.name, func(b *testing.B) {
+				if p.kernel && !haveAVX2 {
+					b.Skip("no AVX2 on this processor")
+				}
+				useAVX2 = p.kernel
+				q := multipliers(&stdLumaQuant)
+				for i := 0; i < b.N; i++ {
+					reconstruct(shape.blk, last, &q, dst[i%120:], 128)
+				}
+			})
+		}
 	}
 }

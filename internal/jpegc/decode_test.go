@@ -97,8 +97,13 @@ func stdDecode(t testing.TB, stream []byte) image.Image {
 // is the fixed-point transform image/jpeg uses, rounding point for rounding
 // point, so the bound on the difference is zero: same type, same frame, same
 // plane geometry (whole MCUs), same samples — for each encoding, on sizes
-// with MCU padding on neither, one and both axes, at every scan prefix.
+// with MCU padding on neither, one and both axes, at every scan prefix, through
+// each body of the transform.
 func TestDecodeMatchesStdlib(t *testing.T) {
+	eachIDCTPath(t, testDecodeMatchesStdlib)
+}
+
+func testDecodeMatchesStdlib(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		img  image.Image
@@ -156,8 +161,15 @@ func TestDecodeMatchesStdlib(t *testing.T) {
 // ±1023 under the largest divisors): bounding the work by the last non-zero
 // index gives the samples of the unbounded transform, and the whole block
 // path — DC-only fill, rows with no AC, rows never visited — gives the
-// samples image/jpeg reconstructs from the same coefficients.
+// samples image/jpeg reconstructs from the same coefficients. Then both
+// again on coefficients no encoder produces, large enough that the 32-bit
+// arithmetic wraps at every step: the shortcuts are identities of that
+// arithmetic and hold there too. Through each body of the transform.
 func TestReconstructFastPaths(t *testing.T) {
+	eachIDCTPath(t, testReconstructFastPaths)
+}
+
+func testReconstructFastPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	ci := &CoeffImage{Width: 64, Height: 64, NumComps: 1, Blocks: [3][]Block{make([]Block, 64)}}
 	for i := range ci.Quant[0] {
@@ -186,36 +198,95 @@ func TestReconstructFastPaths(t *testing.T) {
 		}
 	}
 
-	var q [64]int32
-	for k, nat := range zigzag {
-		q[k] = int32(ci.Quant[0][nat])
+	q := multipliers(&ci.Quant[0])
+	sameBounded := func(zz *Block, last int) {
+		t.Helper()
+		bounded, full := make([]byte, 64), make([]byte, 64)
+		reconstruct(zz, last, &q, bounded, 8)
+		reconstruct(zz, 63, &q, full, 8)
+		if !bytes.Equal(bounded, full) {
+			t.Errorf("block %v: bounded by index %d\n%v\nunbounded\n%v", zz, last, bounded, full)
+		}
 	}
 	for i := range ci.Blocks[0] {
 		var zz Block
 		for k, nat := range zigzag {
 			zz[k] = ci.Blocks[0][i][nat]
 		}
-		bounded, full := make([]byte, 64), make([]byte, 64)
-		reconstruct(&zz, last[i], &q, bounded, 8)
-		reconstruct(&zz, 63, &q, full, 8)
-		if !bytes.Equal(bounded, full) {
-			t.Errorf("block %d: bounded by index %d\n%v\nunbounded\n%v", i, last[i], bounded, full)
+		sameBounded(&zz, last[i])
+	}
+	for i := 0; i < 64; i++ { // any int32, a third of them set, up to a random index
+		var zz Block
+		last := rng.Intn(64)
+		for k := 0; k <= last; k++ {
+			if k == 0 || rng.Intn(3) == 0 {
+				zz[k] = int32(rng.Uint32())
+			}
 		}
+		sameBounded(&zz, last)
 	}
 
-	for _, progressive := range []bool{false, true} {
-		stream, err := EncodeCoeffs(ci, &Options{Progressive: progressive})
-		if err != nil {
-			t.Fatal(err)
-		}
+	sameAsStdlib := func(name string, stream []byte) {
+		t.Helper()
 		got, err := Decode(stream)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sameImage(got, stdDecode(t, stream)); err != nil {
-			t.Errorf("progressive=%v: %v", progressive, err)
+			t.Errorf("%s: %v", name, err)
 		}
 	}
+	for _, progressive := range []bool{false, true} {
+		stream, err := EncodeCoeffs(ci, &Options{Progressive: progressive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsStdlib(fmt.Sprintf("progressive=%v", progressive), stream)
+	}
+	// Blocks cut after 0, 1, 2, ... AC terms: the DC-only fill of a DC that
+	// wraps, rows with no AC term whose first column wraps under the row
+	// pass's shift, rows never visited beside rows that wrap.
+	acs := []int{0, 1, 2, 3, 4, 5, 6, 9, 10, 14, 20, 21, 27, 35, 36, 62, 63}
+	for len(acs) < 64 {
+		acs = append(acs, rng.Intn(64))
+	}
+	sameAsStdlib("wrapping coefficients", wrappingCoefficients(rng, acs))
+}
+
+// wrappingCoefficients returns a progressive grayscale stream of len(acs)
+// blocks whose coefficients wrap the transform's 32 bits as soon as they are
+// dequantized: block i has a 16-bit DC difference and, from zigzag index 1
+// on, acs[i] AC terms of 15 bits, their value bits from rng, all shifted up
+// 13 places (Al) and quantized by 255.
+func wrappingCoefficients(rng *rand.Rand, acs []int) []byte {
+	geo := &CoeffImage{Width: 8 * len(acs), Height: 8, NumComps: 1}
+	for i := range geo.Quant[0] {
+		geo.Quant[0][i] = 255
+	}
+	w := bitWriter{out: appendHeaders(nil, geo, true)}
+	// The DC table's one code, "0", is category 16.
+	w.out = appendSegment(w.out, mDHT, 1+16+1)
+	w.out = append(append(append(w.out, 0x00, 1), make([]byte, 15)...), 16)
+	w.out = appendSOS(w.out, ScanSpec{Comps: []int{0}, Al: 13}, true, false)
+	for range acs {
+		w.writeBits(rng.Uint32()&0xFFFF, 1+16)
+	}
+	w.flush()
+	// The AC table's "0" is a 15-bit term after no zeros, "10" the end of
+	// the block.
+	w.out = appendSegment(w.out, mDHT, 1+16+2)
+	w.out = append(append(append(w.out, 0x10, 1, 1), make([]byte, 14)...), 0x0F, 0x00)
+	w.out = appendSOS(w.out, ScanSpec{Comps: []int{0}, Ss: 1, Se: 63, Al: 13}, false, true)
+	for _, n := range acs {
+		for k := 0; k < n; k++ {
+			w.writeBits(rng.Uint32()&0x7FFF, 1+15)
+		}
+		if n < 63 {
+			w.writeBits(0b10, 2)
+		}
+	}
+	w.flush()
+	return append(w.out, 0xFF, mEOI)
 }
 
 // TestDecodeAllocations holds a decode to its budget once the scratch pool

@@ -35,10 +35,7 @@ func (s *scratch) pixels() image.Image {
 // plane is wider and taller than the component's own block grid wherever the
 // MCU grid pads it; that margin lies outside the frame and stays zero.
 func (s *scratch) plane(c int, pix []byte, stride int) {
-	var q [64]int32 // in zigzag order, as the blocks are
-	for k, nat := range zigzag {
-		q[k] = int32(s.geo.Quant[tableSlot(c)][nat])
-	}
+	q := multipliers(&s.geo.Quant[tableSlot(c)])
 	bw, bh := s.geo.CompBlocksWide(c), s.geo.CompBlocksHigh(c)
 	blocks, lastNZ := s.blocks[c], s.lastNZ[c]
 	for by := 0; by < bh; by++ {
@@ -76,10 +73,28 @@ var lastRow = func() (t [64]uint8) {
 	return t
 }()
 
+// multipliers returns a quantization table, which is in natural order, as
+// reconstruct's q: in zigzag order, as the blocks are, for its portable body,
+// and for idctAVX2, which multiplies the columns it has gathered, in
+// column-major order (8*x+y for row y of column x). The DC quantizer is
+// first in both.
+func multipliers(quant *[64]uint16) (q [64]int32) {
+	for k, nat := range zigzag {
+		if useAVX2 {
+			k = int(nat%8*8 + nat/8)
+		}
+		q[k] = int32(quant[nat])
+	}
+	return q
+}
+
 // reconstruct dequantizes blk (zigzag order, no non-zero coefficient past
-// index last) by q, inverse transforms it and writes the 8×8 samples, level
-// shifted and clamped, to dst at the given row stride. last only bounds the
-// work: the samples are those of the full transform (last = 63).
+// index last) by q (see multipliers), inverse transforms it and writes the
+// 8×8 samples, level shifted and clamped, to dst at the given row stride.
+// last only bounds the work: the samples are those of the full transform
+// (last = 63). The transform has two bodies with the same samples for every
+// input: the one below, which is also what the other is tested against, and
+// idctAVX2 where the processor has it.
 func reconstruct(blk *Block, last int, q *[64]int32, dst []byte, stride int) {
 	if last == 0 {
 		// A lone DC term passes through both 1-D transforms as a
@@ -88,6 +103,12 @@ func reconstruct(blk *Block, last int, q *[64]int32, dst []byte, stride int) {
 		for y := 0; y < 8; y++ {
 			binary.LittleEndian.PutUint64(dst[y*stride:], v)
 		}
+		return
+	}
+
+	if useAVX2 {
+		_ = dst[7*stride+7] // all the kernel writes: eight bytes in each of eight rows
+		idctAVX2(blk, q, &dst[0], stride)
 		return
 	}
 
