@@ -124,7 +124,7 @@ func TestFleetKillOneServerMidScan(t *testing.T) {
 	// still unread and the kill provably forces failover. (Any member that
 	// owns a record is not enough — all of its records may come before the
 	// kill, which failed this test one run in ten.)
-	sc, err := serve.NewClient(urls[0], nil)
+	sc, err := serve.NewClusterClient([]string{urls[0]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

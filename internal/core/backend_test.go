@@ -60,10 +60,12 @@ func TestDirBackendReadRange(t *testing.T) {
 func TestIndexRoundTripAndValidation(t *testing.T) {
 	ix := &Index{
 		NumGroups: 3,
-		NumImages: 12,
+		NumImages: 3,
 		Records: []RecordInfo{
-			{Name: "record-00000.pcr", Samples: 8, Prefixes: []int64{100, 200, 350, 500}},
-			{Name: "record-00001.pcr", Samples: 4, Prefixes: []int64{90, 180, 330, 470}},
+			{Name: "record-00000.pcr", Samples: 2, Prefixes: []int64{100, 200, 350, 500},
+				SampleIDs: []int64{0, 1}, SampleLabels: []int64{7, 7}, SampleGroupLens: []int64{40, 70, 75, 60, 80, 75}},
+			{Name: "record-00001.pcr", Samples: 1, Prefixes: []int64{90, 180, 330, 470},
+				SampleIDs: []int64{2}, SampleLabels: []int64{3}, SampleGroupLens: []int64{90, 150, 140}},
 		},
 	}
 	data, err := EncodeIndex(ix)

@@ -31,11 +31,6 @@ type DatasetOptions struct {
 	// ScanGroups, when positive, coalesces progressive scans into that many
 	// scan groups per record (see RecordOptions.ScanGroups).
 	ScanGroups int
-	// OmitSampleIndex skips writing the sample-offset side index, producing
-	// a dataset laid out exactly as before the side index existed. Readers
-	// of such datasets fall back to whole-prefix reads plus client-side
-	// filtering; this exists to exercise that compatibility path.
-	OmitSampleIndex bool
 }
 
 func (o *DatasetOptions) imagesPerRecord() int {
@@ -110,10 +105,9 @@ func (w *DatasetWriter) flush() error {
 		return err
 	}
 
-	// Record index entry: file name, sample count, prefix length per group,
-	// and (unless suppressed) the sample-offset side index — per-sample IDs,
-	// labels, and sample-major flattened scan-group lengths. Old readers
-	// skip the unknown fields; old datasets simply lack them.
+	// Record index entry: file name, sample count, prefix length per group
+	// and the sample-offset side index — per-sample IDs, labels, and
+	// sample-major flattened scan-group lengths.
 	enc := wire.NewEncoder(nil)
 	enc.String(1, name)
 	enc.Uint64(2, uint64(len(w.pending)))
@@ -126,22 +120,20 @@ func (w *DatasetWriter) flush() error {
 		prefixes[g] = uint64(n)
 	}
 	enc.PackedUint64(3, prefixes)
-	if !w.opts.OmitSampleIndex {
-		ids := make([]uint64, len(meta.Samples))
-		labels := make([]uint64, len(meta.Samples))
-		lens := make([]uint64, 0, len(meta.Samples)*meta.NumGroups)
-		for i := range meta.Samples {
-			s := &meta.Samples[i]
-			ids[i] = uint64(s.ID)
-			labels[i] = uint64(s.Label)
-			for g := 0; g < meta.NumGroups; g++ {
-				lens = append(lens, uint64(s.GroupLens[g]))
-			}
+	ids := make([]uint64, len(meta.Samples))
+	labels := make([]uint64, len(meta.Samples))
+	lens := make([]uint64, 0, len(meta.Samples)*meta.NumGroups)
+	for i := range meta.Samples {
+		s := &meta.Samples[i]
+		ids[i] = uint64(s.ID)
+		labels[i] = uint64(s.Label)
+		for g := 0; g < meta.NumGroups; g++ {
+			lens = append(lens, uint64(s.GroupLens[g]))
 		}
-		enc.PackedUint64(4, ids)
-		enc.PackedUint64(5, labels)
-		enc.PackedUint64(6, lens)
 	}
+	enc.PackedUint64(4, ids)
+	enc.PackedUint64(5, labels)
+	enc.PackedUint64(6, lens)
 	if err := w.db.Put([]byte(fmt.Sprintf("record/%05d", w.nrec)), enc.Encode()); err != nil {
 		return err
 	}
@@ -185,20 +177,7 @@ type Dataset struct {
 	NumGroups int
 	numRec    int
 	numImg    int
-	records   []recordEntry
-}
-
-type recordEntry struct {
-	name     string
-	samples  int
-	prefixes []int64 // indexed by scan group, 0..NumGroups
-
-	// Sample-offset side index (optional; nil on datasets written before it
-	// existed). sampleLens is sample-major flattened:
-	// sampleLens[i*numGroups+(g-1)] is sample i's slice length in group g.
-	sampleIDs    []int64
-	sampleLabels []int64
-	sampleLens   []int64
+	records   []RecordInfo
 }
 
 // OpenDataset opens a PCR dataset directory created by DatasetWriter.
@@ -259,8 +238,10 @@ func OpenDataset(dir string) (*Dataset, error) {
 	return ds, nil
 }
 
-func parseRecordEntry(raw []byte) (recordEntry, error) {
-	var re recordEntry
+// parseRecordEntry decodes and validates one record entry of the metadata
+// database.
+func parseRecordEntry(raw []byte) (RecordInfo, error) {
+	var re RecordInfo
 	d := wire.NewDecoder(raw)
 	for !d.Done() {
 		field, wtype, err := d.Next()
@@ -269,7 +250,7 @@ func parseRecordEntry(raw []byte) (recordEntry, error) {
 		}
 		switch field {
 		case 1:
-			if re.name, err = d.String(); err != nil {
+			if re.Name, err = d.String(); err != nil {
 				return re, err
 			}
 		case 2:
@@ -277,13 +258,13 @@ func parseRecordEntry(raw []byte) (recordEntry, error) {
 			if err != nil {
 				return re, err
 			}
-			re.samples = int(v)
+			re.Samples = int(v)
 		case 3, 4, 5, 6:
 			vs, err := d.PackedUint64()
 			if err != nil {
 				return re, err
 			}
-			dst := map[int]*[]int64{3: &re.prefixes, 4: &re.sampleIDs, 5: &re.sampleLabels, 6: &re.sampleLens}[field]
+			dst := map[int]*[]int64{3: &re.Prefixes, 4: &re.SampleIDs, 5: &re.SampleLabels, 6: &re.SampleGroupLens}[field]
 			for _, v := range vs {
 				*dst = append(*dst, int64(v))
 			}
@@ -293,11 +274,8 @@ func parseRecordEntry(raw []byte) (recordEntry, error) {
 			}
 		}
 	}
-	if re.name == "" || len(re.prefixes) == 0 {
-		return re, fmt.Errorf("core: malformed record entry")
-	}
-	if err := validateSampleIndex(re.samples, re.prefixes, re.sampleIDs, re.sampleLabels, re.sampleLens); err != nil {
-		return re, fmt.Errorf("core: record entry %s: %w", re.name, err)
+	if err := re.validate(); err != nil {
+		return re, fmt.Errorf("core: record entry %s: %w", re.Name, err)
 	}
 	return re, nil
 }
@@ -336,7 +314,7 @@ func (ds *Dataset) RecordName(i int) (string, error) {
 	if i < 0 || i >= ds.numRec {
 		return "", fmt.Errorf("core: record %d out of range", i)
 	}
-	return ds.records[i].name, nil
+	return ds.records[i].Name, nil
 }
 
 // ReadRecordRange reads [offset, offset+length) of record i through the
@@ -359,10 +337,10 @@ func (ds *Dataset) RecordPrefixLen(i, g int) (int64, error) {
 		return 0, fmt.Errorf("core: record %d out of range", i)
 	}
 	re := &ds.records[i]
-	if g < 0 || g >= len(re.prefixes) {
-		return 0, fmt.Errorf("core: scan group %d out of range [0,%d]", g, len(re.prefixes)-1)
+	if g < 0 || g >= len(re.Prefixes) {
+		return 0, fmt.Errorf("core: scan group %d out of range [0,%d]", g, len(re.Prefixes)-1)
 	}
-	return re.prefixes[g], nil
+	return re.Prefixes[g], nil
 }
 
 // RecordGroups returns the number of scan groups stored in record i (its
@@ -371,7 +349,7 @@ func (ds *Dataset) RecordGroups(i int) (int, error) {
 	if i < 0 || i >= ds.numRec {
 		return 0, fmt.Errorf("core: record %d out of range", i)
 	}
-	return len(ds.records[i].prefixes) - 1, nil
+	return len(ds.records[i].Prefixes) - 1, nil
 }
 
 // RecordSamples returns the number of images in record i.
@@ -379,7 +357,7 @@ func (ds *Dataset) RecordSamples(i int) (int, error) {
 	if i < 0 || i >= ds.numRec {
 		return 0, fmt.Errorf("core: record %d out of range", i)
 	}
-	return ds.records[i].samples, nil
+	return ds.records[i].Samples, nil
 }
 
 // DecodedSample is one image materialized from a record prefix.

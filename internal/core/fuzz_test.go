@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/jpegc"
@@ -119,6 +120,89 @@ func FuzzParseRecordMeta(f *testing.F) {
 					t.Fatalf("sample %d at group %d is %d bytes from a %d-byte prefix", i, g, len(stream), len(prefix))
 				}
 			}
+		}
+	})
+}
+
+// FuzzParseIndex feeds arbitrary bytes to the index parser — the JSON a
+// remote reader is handed by a server it does not control, and plans every
+// later read from. Any input may be refused, as ErrCorrupt; none may panic.
+// An index that comes back is one every read plan can trust: names set,
+// prefixes non-negative and monotone, a side index the size the counts say
+// whose lengths are non-negative and sum to the prefix deltas — so nothing
+// in it is larger than the input that spelled it — and it survives its own
+// encoding.
+func FuzzParseIndex(f *testing.F) {
+	ds, _ := buildIndexedDataset(f)
+	valid, err := EncodeIndex(ds.Index())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, tc := range corruptEntries {
+		re := cloneEntry(ds.Index().Records[0])
+		tc.mut(&re)
+		damaged, err := EncodeIndex(&Index{NumGroups: ds.NumGroups, NumImages: re.Samples, Records: []RecordInfo{re}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(damaged)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, err := ParseIndex(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("refused with %v, which is not ErrCorrupt", err)
+			}
+			return
+		}
+		words := 0
+		for r := range ix.Records {
+			re := &ix.Records[r]
+			ng := len(re.Prefixes) - 1
+			if re.Name == "" || ng < 0 || re.Prefixes[0] < 0 || re.Samples < 0 ||
+				len(re.SampleIDs) != re.Samples || len(re.SampleLabels) != re.Samples || len(re.SampleGroupLens) != re.Samples*ng {
+				t.Fatalf("record %d accepted malformed: %+v", r, re)
+			}
+			words += len(re.Prefixes) + 2*re.Samples + len(re.SampleGroupLens)
+			all := make([]bool, re.Samples)
+			for i := range all {
+				all[i] = true
+			}
+			for g := 1; g <= ng; g++ {
+				if re.Prefixes[g] < re.Prefixes[g-1] {
+					t.Fatalf("record %d: prefixes %v not monotone", r, re.Prefixes)
+				}
+				// Every sample selected is the whole prefix, which only holds
+				// when the lengths are non-negative and sum to the deltas.
+				ranges, err := re.SampleRanges(g, all)
+				if err != nil || RangesTotal(ranges) != re.Prefixes[g] || len(ranges) > 1 {
+					t.Fatalf("record %d group %d: all-selected ranges %v, %v; want one [0,%d)", r, g, ranges, err, re.Prefixes[g])
+				}
+			}
+			for _, l := range re.SampleGroupLens {
+				if l < 0 {
+					t.Fatalf("record %d: negative length in %v", r, re.SampleGroupLens)
+				}
+			}
+		}
+		// A number costs the input at least a digit and a separator.
+		if words > len(data)/2 {
+			t.Fatalf("%d numbers parsed from %d bytes", words, len(data))
+		}
+		if _, err := OpenDatasetIndex(ix, NewDirBackend("unused")); err != nil {
+			t.Fatalf("OpenDatasetIndex refuses what ParseIndex accepted: %v", err)
+		}
+		enc, err := EncodeIndex(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseIndex(enc)
+		if err != nil {
+			t.Fatalf("re-parsing the encoding of a parsed index: %v", err)
+		}
+		if again, err := EncodeIndex(back); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("index does not survive its own encoding (%v)", err)
 		}
 	})
 }

@@ -34,14 +34,13 @@ type RecordInfo struct {
 	// the whole record file.
 	Prefixes []int64 `json:"prefixes"`
 
-	// Sample-offset side index (optional — absent on datasets written
-	// before it existed, so old indexes parse unchanged). SampleIDs and
-	// SampleLabels list the per-sample identity in storage order;
-	// SampleGroupLens is sample-major flattened,
-	// SampleGroupLens[i*numGroups+(g-1)] being sample i's byte length
-	// within scan group g. Together with Prefixes these let any reader
-	// compute the exact byte ranges of a sample subset at any quality
-	// (SampleRanges) without touching the record file.
+	// Sample-offset side index. SampleIDs and SampleLabels list the
+	// per-sample identity in storage order; SampleGroupLens is sample-major
+	// flattened, SampleGroupLens[i*numGroups+(g-1)] being sample i's byte
+	// length within scan group g. Together with Prefixes these let any
+	// reader compute the exact byte ranges of a sample subset at any quality
+	// (SampleRanges) without touching the record file. (omitempty is for a
+	// record of no samples; validate holds every other to Samples × groups.)
 	SampleIDs       []int64 `json:"sample_ids,omitempty"`
 	SampleLabels    []int64 `json:"sample_labels,omitempty"`
 	SampleGroupLens []int64 `json:"sample_group_lens,omitempty"`
@@ -63,19 +62,8 @@ func ParseIndex(data []byte) (*Index, error) {
 	if err := json.Unmarshal(data, &ix); err != nil {
 		return nil, fmt.Errorf("core: %w: parsing index: %w", ErrCorrupt, err)
 	}
-	for i, re := range ix.Records {
-		if re.Name == "" || len(re.Prefixes) == 0 {
-			return nil, fmt.Errorf("core: %w: index record %d malformed", ErrCorrupt, i)
-		}
-		if re.Prefixes[0] < 0 {
-			return nil, fmt.Errorf("core: %w: index record %d has negative prefix length", ErrCorrupt, i)
-		}
-		for g := 1; g < len(re.Prefixes); g++ {
-			if re.Prefixes[g] < re.Prefixes[g-1] {
-				return nil, fmt.Errorf("core: %w: index record %d prefix lengths not monotone", ErrCorrupt, i)
-			}
-		}
-		if err := validateSampleIndex(re.Samples, re.Prefixes, re.SampleIDs, re.SampleLabels, re.SampleGroupLens); err != nil {
+	for i := range ix.Records {
+		if err := ix.Records[i].validate(); err != nil {
 			return nil, fmt.Errorf("core: index record %d: %w", i, err)
 		}
 	}
@@ -97,22 +85,14 @@ func IndexFingerprint(ix *Index) (string, error) {
 }
 
 // Index returns the dataset's record index. The Index and its Records
-// slice are freshly built on each call; only the per-record Prefixes
-// slices alias the dataset's internal state and must not be mutated.
+// slice are freshly built on each call; the per-record slices alias the
+// dataset's internal state and must not be mutated.
 func (ds *Dataset) Index() *Index {
-	ix := &Index{NumGroups: ds.NumGroups, NumImages: ds.numImg}
-	for i := range ds.records {
-		re := &ds.records[i]
-		ix.Records = append(ix.Records, RecordInfo{
-			Name:            re.name,
-			Samples:         re.samples,
-			Prefixes:        re.prefixes,
-			SampleIDs:       re.sampleIDs,
-			SampleLabels:    re.sampleLabels,
-			SampleGroupLens: re.sampleLens,
-		})
+	return &Index{
+		NumGroups: ds.NumGroups,
+		NumImages: ds.numImg,
+		Records:   append([]RecordInfo(nil), ds.records...),
 	}
-	return ix
 }
 
 // OpenDatasetIndex constructs a Dataset over an explicit index and Backend —
@@ -126,27 +106,16 @@ func OpenDatasetIndex(ix *Index, b Backend) (*Dataset, error) {
 	if b == nil {
 		return nil, fmt.Errorf("core: nil backend")
 	}
-	ds := &Dataset{
+	for i := range ix.Records {
+		if err := ix.Records[i].validate(); err != nil {
+			return nil, fmt.Errorf("core: index record %d: %w", i, err)
+		}
+	}
+	return &Dataset{
 		backend:   b,
 		NumGroups: ix.NumGroups,
 		numRec:    len(ix.Records),
 		numImg:    ix.NumImages,
-	}
-	for _, re := range ix.Records {
-		if re.Name == "" || len(re.Prefixes) == 0 {
-			return nil, fmt.Errorf("core: malformed record entry")
-		}
-		if err := validateSampleIndex(re.Samples, re.Prefixes, re.SampleIDs, re.SampleLabels, re.SampleGroupLens); err != nil {
-			return nil, fmt.Errorf("core: record %s: %w", re.Name, err)
-		}
-		ds.records = append(ds.records, recordEntry{
-			name:         re.Name,
-			samples:      re.Samples,
-			prefixes:     re.Prefixes,
-			sampleIDs:    re.SampleIDs,
-			sampleLabels: re.SampleLabels,
-			sampleLens:   re.SampleGroupLens,
-		})
-	}
-	return ds, nil
+		records:   append([]RecordInfo(nil), ix.Records...),
+	}, nil
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // This file implements the sample-offset side index: per-record, per-sample
 // IDs, labels, and scan-group byte lengths lifted out of the record files
@@ -12,26 +9,14 @@ import (
 // exactly the quality it wants — without touching a record file, the same
 // way the prefix table already lets it plan whole-record quality reads.
 //
-// The side index is optional and version-gated: datasets written before it
-// existed (or with DatasetOptions.OmitSampleIndex) parse fine and simply
-// report ErrNoSampleIndex from the sample-level accessors, in which case
-// readers fall back to whole-prefix reads plus client-side filtering.
-
-// ErrNoSampleIndex reports that a record predates the sample-offset side
-// index (or was written with OmitSampleIndex), so sample-selective reads
-// cannot be planned from the index alone.
-var ErrNoSampleIndex = errors.New("no sample index")
+// The side index is part of the format: every record entry carries it, and
+// an entry whose arrays do not match its sample and group counts is refused
+// when the index is parsed (RecordInfo.validate).
 
 // ByteRange is one contiguous byte range within a record file.
 type ByteRange struct {
 	Offset int64
 	Length int64
-}
-
-// HasSampleIndex reports whether the record carries the sample-offset side
-// index.
-func (r *RecordInfo) HasSampleIndex() bool {
-	return len(r.SampleGroupLens) > 0
 }
 
 // SampleRanges returns the sorted, coalesced byte ranges of the record file
@@ -46,16 +31,7 @@ func (r *RecordInfo) HasSampleIndex() bool {
 // bitmap rather than an offset list: the byte layout is already shared
 // knowledge.
 func (r *RecordInfo) SampleRanges(g int, sel []bool) ([]ByteRange, error) {
-	if !r.HasSampleIndex() {
-		return nil, fmt.Errorf("core: record %s: %w", r.Name, ErrNoSampleIndex)
-	}
-	return sampleByteRanges(r.Prefixes, r.SampleGroupLens, r.Samples, g, sel)
-}
-
-// sampleByteRanges computes the coalesced ranges for one record. prefixes
-// has numGroups+1 entries; lens is sample-major flattened:
-// lens[i*numGroups+(k-1)] is sample i's slice length within group k.
-func sampleByteRanges(prefixes []int64, lens []int64, samples, g int, sel []bool) ([]ByteRange, error) {
+	prefixes, lens, samples := r.Prefixes, r.SampleGroupLens, r.Samples
 	ng := len(prefixes) - 1
 	if g < 0 || g > ng {
 		return nil, fmt.Errorf("core: scan group %d out of range [0,%d]", g, ng)
@@ -211,28 +187,14 @@ type SampleReader interface {
 	ReadSamples(name string, group int, sel []bool) ([]byte, error)
 }
 
-// HasSampleIndex reports whether record i carries the sample-offset side
-// index.
-func (ds *Dataset) HasSampleIndex(i int) bool {
-	if i < 0 || i >= ds.numRec {
-		return false
-	}
-	return len(ds.records[i].sampleLens) > 0
-}
-
 // SampleIndex returns record i's per-sample IDs and labels from the side
 // index, in storage order, without touching the record file. The slices
-// alias dataset state and must not be mutated. Records without a side index
-// report ErrNoSampleIndex.
+// alias dataset state and must not be mutated.
 func (ds *Dataset) SampleIndex(i int) (ids, labels []int64, err error) {
 	if i < 0 || i >= ds.numRec {
 		return nil, nil, fmt.Errorf("core: record %d out of range", i)
 	}
-	re := &ds.records[i]
-	if len(re.sampleLens) == 0 {
-		return nil, nil, fmt.Errorf("core: record %d: %w", i, ErrNoSampleIndex)
-	}
-	return re.sampleIDs, re.sampleLabels, nil
+	return ds.records[i].SampleIDs, ds.records[i].SampleLabels, nil
 }
 
 // SampleRanges returns the coalesced byte ranges of record i covering the
@@ -241,38 +203,43 @@ func (ds *Dataset) SampleRanges(i, g int, sel []bool) ([]ByteRange, error) {
 	if i < 0 || i >= ds.numRec {
 		return nil, fmt.Errorf("core: record %d out of range", i)
 	}
-	re := &ds.records[i]
-	if len(re.sampleLens) == 0 {
-		return nil, fmt.Errorf("core: record %d: %w", i, ErrNoSampleIndex)
-	}
-	return sampleByteRanges(re.prefixes, re.sampleLens, re.samples, g, sel)
+	return ds.records[i].SampleRanges(g, sel)
 }
 
-// validateSampleIndex checks the side-index arrays of one record entry for
-// internal consistency: matching lengths, non-negative slice lengths, and
-// per-group sums that equal the prefix deltas. Entries without a side index
-// pass trivially.
-func validateSampleIndex(samples int, prefixes, ids, labels, lens []int64) error {
-	if len(ids) == 0 && len(labels) == 0 && len(lens) == 0 {
-		return nil
+// validate checks one record entry, however it arrived (index JSON, the
+// metadata database, a caller's Index): a name, a non-negative metadata
+// prefix, and a side index whose arrays match Samples × groups with
+// non-negative slice lengths that sum, group by group, to the (non-negative)
+// prefix deltas. Every violation is ErrCorrupt.
+func (r *RecordInfo) validate() error {
+	if r.Name == "" || len(r.Prefixes) == 0 || r.Prefixes[0] < 0 {
+		return fmt.Errorf("%w: record entry needs a name and a non-negative metadata prefix", ErrCorrupt)
 	}
-	ng := len(prefixes) - 1
-	if len(ids) != samples || len(labels) != samples || len(lens) != samples*ng {
+	ng, lens := len(r.Prefixes)-1, r.SampleGroupLens
+	if len(r.SampleIDs) != r.Samples || len(r.SampleLabels) != r.Samples ||
+		int64(len(lens)) != int64(r.Samples)*int64(ng) {
 		return fmt.Errorf("%w: sample index arrays have %d ids, %d labels, %d lengths for %d samples × %d groups",
-			ErrCorrupt, len(ids), len(labels), len(lens), samples, ng)
+			ErrCorrupt, len(r.SampleIDs), len(r.SampleLabels), len(lens), r.Samples, ng)
 	}
 	for k := 1; k <= ng; k++ {
-		var sum int64
-		for i := 0; i < samples; i++ {
-			l := lens[i*ng+(k-1)]
-			if l < 0 {
-				return fmt.Errorf("%w: sample %d has negative group length", ErrCorrupt, i)
-			}
-			sum += l
+		if r.Prefixes[k] < r.Prefixes[k-1] {
+			return fmt.Errorf("%w: prefix lengths not monotone at group %d", ErrCorrupt, k)
 		}
-		if sum != prefixes[k]-prefixes[k-1] {
-			return fmt.Errorf("%w: group %d sample lengths sum to %d, prefix delta is %d",
-				ErrCorrupt, k, sum, prefixes[k]-prefixes[k-1])
+		// left is what of the group's bytes the lengths have not yet
+		// accounted for. Both prefixes are non-negative and a length larger
+		// than left is refused before it is subtracted, so nothing overflows.
+		delta := r.Prefixes[k] - r.Prefixes[k-1]
+		left := delta
+		for i := 0; i < r.Samples; i++ {
+			l := lens[i*ng+(k-1)]
+			if l < 0 || l > left {
+				return fmt.Errorf("%w: sample %d's length %d in group %d is negative or past the group's %d bytes",
+					ErrCorrupt, i, l, k, delta)
+			}
+			left -= l
+		}
+		if left != 0 {
+			return fmt.Errorf("%w: group %d sample lengths sum to %d, prefix delta is %d", ErrCorrupt, k, delta-left, delta)
 		}
 	}
 	return nil

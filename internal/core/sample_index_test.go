@@ -3,16 +3,20 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
+
+	"repro/internal/wire"
 )
 
-// buildIndexedDataset writes a small dataset (with the sample side index
-// unless omit) and returns the open dataset plus the original samples.
-func buildIndexedDataset(t *testing.T, omit bool) (*Dataset, []Sample) {
+// buildIndexedDataset writes a small dataset and returns the open dataset
+// plus the original samples.
+func buildIndexedDataset(t testing.TB) (*Dataset, []Sample) {
 	t.Helper()
 	dir := t.TempDir()
 	samples := buildSamples(t, 10)
-	w, err := CreateDataset(dir, &DatasetOptions{ImagesPerRecord: 4, OmitSampleIndex: omit})
+	w, err := CreateDataset(dir, &DatasetOptions{ImagesPerRecord: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +37,9 @@ func buildIndexedDataset(t *testing.T, omit bool) (*Dataset, []Sample) {
 }
 
 func TestSampleIndexRoundTrip(t *testing.T) {
-	ds, samples := buildIndexedDataset(t, false)
+	ds, samples := buildIndexedDataset(t)
 	si := 0
 	for r := 0; r < ds.NumRecords(); r++ {
-		if !ds.HasSampleIndex(r) {
-			t.Fatalf("record %d: no sample index", r)
-		}
 		ids, labels, err := ds.SampleIndex(r)
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +61,7 @@ func TestSampleIndexRoundTrip(t *testing.T) {
 // An all-selected range plan must coalesce to exactly the prefix read the
 // unfiltered path would issue, at every quality level.
 func TestSampleRangesAllSelectedIsThePrefix(t *testing.T) {
-	ds, _ := buildIndexedDataset(t, false)
+	ds, _ := buildIndexedDataset(t)
 	for r := 0; r < ds.NumRecords(); r++ {
 		n, _ := ds.RecordSamples(r)
 		sel := make([]bool, n)
@@ -87,7 +88,7 @@ func TestSampleRangesAllSelectedIsThePrefix(t *testing.T) {
 // sparse prefix must decode every selected sample identically to the full
 // prefix — the byte-level property the filtered read path stands on.
 func TestSampleRangesSparseDecode(t *testing.T) {
-	ds, _ := buildIndexedDataset(t, false)
+	ds, _ := buildIndexedDataset(t)
 	r := 0
 	n, _ := ds.RecordSamples(r)
 	sel := make([]bool, n)
@@ -139,34 +140,67 @@ func TestSampleRangesSparseDecode(t *testing.T) {
 	}
 }
 
-// OmitSampleIndex is the version gate stand-in: a dataset written without
-// the side index must open and read normally while reporting
-// ErrNoSampleIndex for sample-level queries.
-func TestSampleIndexVersionGate(t *testing.T) {
-	ds, _ := buildIndexedDataset(t, true)
-	for r := 0; r < ds.NumRecords(); r++ {
-		if ds.HasSampleIndex(r) {
-			t.Fatalf("record %d: unexpected sample index", r)
+// kvEntry spells a record entry the way DatasetWriter.flush puts it in the
+// metadata database, leaving out the side-index fields when it has none.
+func kvEntry(re RecordInfo) []byte {
+	enc := wire.NewEncoder(nil)
+	enc.String(1, re.Name)
+	enc.Uint64(2, uint64(re.Samples))
+	for f, vs := range [][]int64{re.Prefixes, re.SampleIDs, re.SampleLabels, re.SampleGroupLens} {
+		if f > 0 && vs == nil {
+			continue
 		}
-		if _, _, err := ds.SampleIndex(r); !errors.Is(err, ErrNoSampleIndex) {
-			t.Fatalf("record %d: SampleIndex err = %v, want ErrNoSampleIndex", r, err)
+		us := make([]uint64, len(vs))
+		for i, v := range vs {
+			us[i] = uint64(v)
 		}
-		if _, err := ds.SampleRanges(r, 1, make([]bool, 1)); !errors.Is(err, ErrNoSampleIndex) {
-			t.Fatalf("record %d: SampleRanges err = %v, want ErrNoSampleIndex", r, err)
-		}
-		// The ordinary read path is unaffected.
-		if _, err := ds.ReadRecordAt(r, 1); err != nil {
+		enc.PackedUint64(3+f, us)
+	}
+	return enc.Encode()
+}
+
+// The side index is part of the format: an index, a caller's Index and a
+// metadata-database entry that name a record without it are all refused as
+// corrupt, and the writer's own entries spell exactly what kvEntry does.
+func TestSampleIndexRequired(t *testing.T) {
+	ds, _ := buildIndexedDataset(t)
+	ix := ds.Index()
+	for r, re := range ix.Records {
+		raw, err := ds.db.Get([]byte(fmt.Sprintf("record/%05d", r)))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !bytes.Equal(raw, kvEntry(re)) {
+			t.Fatalf("record %d: kvEntry does not spell the entry the writer stored", r)
+		}
 	}
-	// The exported index carries no side-index fields (old-reader JSON
-	// compatibility: omitempty keeps the wire form identical).
-	data, err := EncodeIndex(ds.Index())
+	ix.Records[1].SampleIDs, ix.Records[1].SampleLabels, ix.Records[1].SampleGroupLens = nil, nil, nil
+	data, err := EncodeIndex(ix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(data, []byte("sample_ids")) {
-		t.Error("omitted side index leaked into the encoded index")
+	if _, err := ParseIndex(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ParseIndex of an index without the side index: %v, want ErrCorrupt", err)
+	}
+	if _, err := OpenDatasetIndex(ix, NewDirBackend(t.TempDir())); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenDatasetIndex of an index without the side index: %v, want ErrCorrupt", err)
+	}
+	if _, err := parseRecordEntry(kvEntry(ix.Records[1])); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("parseRecordEntry of an entry without the side index: %v, want ErrCorrupt", err)
+	}
+}
+
+// The encodings of a conforming index have not moved: the fingerprint of the
+// seeded dataset above is the one the tree computed for it before the side
+// index became mandatory, so warm disk caches keyed by it stay valid.
+func TestIndexFingerprintPinned(t *testing.T) {
+	ds, _ := buildIndexedDataset(t)
+	got, err := IndexFingerprint(ds.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "dc6db38cc983544649ccac10dd2cc9af"; got != want {
+		t.Fatalf("IndexFingerprint = %s, want %s", got, want)
 	}
 }
 
@@ -228,30 +262,67 @@ func TestSampleIndexSurvivesIndexWire(t *testing.T) {
 	}
 }
 
-// Corrupt side indexes must be rejected at parse time, not discovered as
-// bogus reads later.
+// corruptEntries are ways to damage the first record entry of
+// buildIndexedDataset's index (four samples, several groups) that every
+// parser of an entry must refuse; FuzzParseIndex starts from them too.
+var corruptEntries = []struct {
+	name string
+	mut  func(re *RecordInfo)
+}{
+	{"ids length", func(re *RecordInfo) { re.SampleIDs = re.SampleIDs[:len(re.SampleIDs)-1] }},
+	{"labels length", func(re *RecordInfo) { re.SampleLabels = append(re.SampleLabels, 9) }},
+	{"lens length", func(re *RecordInfo) { re.SampleGroupLens = re.SampleGroupLens[:len(re.SampleGroupLens)-1] }},
+	{"negative len", func(re *RecordInfo) { re.SampleGroupLens[0] = -1 }},
+	{"sum mismatch", func(re *RecordInfo) { re.SampleGroupLens[0]++ }},
+	{"lengths wrap to the sum", func(re *RecordInfo) {
+		// Group 1 of four samples: every length non-negative, and a sum
+		// that is the prefix delta plus 2^64.
+		ng := len(re.Prefixes) - 1
+		lens := re.SampleGroupLens
+		lens[2*ng] += lens[0] + lens[ng] + 2
+		lens[0], lens[ng] = math.MaxInt64, math.MaxInt64
+	}},
+	{"negative samples", func(re *RecordInfo) { re.Samples = -re.Samples }},
+	{"negative metadata prefix", func(re *RecordInfo) {
+		// Every delta intact, so the side index still sums: only the
+		// sign of the first prefix gives it away.
+		shift := re.Prefixes[0] + 5
+		for g := range re.Prefixes {
+			re.Prefixes[g] -= shift
+		}
+	}},
+	{"prefix delta wraps", func(re *RecordInfo) {
+		// The last prefix so far below the one before it that their
+		// difference wraps round to the delta the lengths sum to; the
+		// group before absorbs the jump honestly, in one length.
+		ng := len(re.Prefixes) - 1
+		delta := re.Prefixes[ng] - re.Prefixes[ng-1]
+		re.SampleGroupLens[ng-2] += math.MaxInt64 - re.Prefixes[ng-1]
+		re.Prefixes[ng-1] = math.MaxInt64
+		re.Prefixes[ng] = math.MinInt64 + delta - 1
+	}},
+}
+
+// cloneEntry copies a record entry deeply enough to damage the copy.
+func cloneEntry(re RecordInfo) RecordInfo {
+	re.Prefixes = append([]int64(nil), re.Prefixes...)
+	re.SampleIDs = append([]int64(nil), re.SampleIDs...)
+	re.SampleLabels = append([]int64(nil), re.SampleLabels...)
+	re.SampleGroupLens = append([]int64(nil), re.SampleGroupLens...)
+	return re
+}
+
+// Corrupt record entries must be rejected at parse time, not discovered as
+// bogus reads later — whichever way the entry arrives: index JSON, a
+// caller's Index, or the metadata database.
 func TestParseIndexRejectsCorruptSampleIndex(t *testing.T) {
-	ds, _ := buildIndexedDataset(t, false)
+	ds, _ := buildIndexedDataset(t)
 	base := ds.Index()
-	cases := []struct {
-		name string
-		mut  func(re *RecordInfo)
-	}{
-		{"ids length", func(re *RecordInfo) { re.SampleIDs = re.SampleIDs[:len(re.SampleIDs)-1] }},
-		{"labels length", func(re *RecordInfo) { re.SampleLabels = append(re.SampleLabels, 9) }},
-		{"lens length", func(re *RecordInfo) { re.SampleGroupLens = re.SampleGroupLens[:len(re.SampleGroupLens)-1] }},
-		{"negative len", func(re *RecordInfo) { re.SampleGroupLens[0] = -1 }},
-		{"sum mismatch", func(re *RecordInfo) { re.SampleGroupLens[0]++ }},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptEntries {
 		t.Run(tc.name, func(t *testing.T) {
 			ix := &Index{NumGroups: base.NumGroups, NumImages: base.NumImages}
 			for _, re := range base.Records {
-				cp := re
-				cp.SampleIDs = append([]int64(nil), re.SampleIDs...)
-				cp.SampleLabels = append([]int64(nil), re.SampleLabels...)
-				cp.SampleGroupLens = append([]int64(nil), re.SampleGroupLens...)
-				ix.Records = append(ix.Records, cp)
+				ix.Records = append(ix.Records, cloneEntry(re))
 			}
 			tc.mut(&ix.Records[0])
 			data, err := EncodeIndex(ix)
@@ -261,8 +332,11 @@ func TestParseIndexRejectsCorruptSampleIndex(t *testing.T) {
 			if _, err := ParseIndex(data); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("ParseIndex err = %v, want ErrCorrupt", err)
 			}
-			if _, err := OpenDatasetIndex(ix, NewDirBackend(t.TempDir())); err == nil {
-				t.Fatal("OpenDatasetIndex accepted a corrupt side index")
+			if _, err := OpenDatasetIndex(ix, NewDirBackend(t.TempDir())); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("OpenDatasetIndex err = %v, want ErrCorrupt", err)
+			}
+			if _, err := parseRecordEntry(kvEntry(ix.Records[0])); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("parseRecordEntry err = %v, want ErrCorrupt", err)
 			}
 		})
 	}

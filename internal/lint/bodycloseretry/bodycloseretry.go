@@ -1,7 +1,7 @@
 // Package bodycloseretry enforces the repo's HTTP response hygiene in
 // and around retry loops.
 //
-// The serve.Client / ClusterClient read path retries, hedges, and fails
+// The serve.ClusterClient read path retries, hedges, and fails
 // over: the same function can hold several *http.Response values in
 // flight, and a body left open (or closed undrained) leaks a connection
 // per retry — precisely when the server is struggling and connection

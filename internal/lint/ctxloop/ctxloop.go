@@ -18,8 +18,8 @@
 //     callee owns cancellation then).
 //
 // Loops with no context in scope are exempt: they have nothing to
-// check (the single-server retry loops in internal/serve are the
-// deliberate example — their cancellation budget is the http.Client
+// check (the client's failover loop in internal/serve is the
+// deliberate example — its cancellation budget is the http.Client
 // timeout). A loop that must block uncancellably is opted out with
 // `//lint:ignore ctxloop <why>`.
 package ctxloop

@@ -43,7 +43,6 @@ var Analyzer = &analysis.Analyzer{
 // owns it. Only the home may declare the name with a fresh errors.New.
 var sentinelHome = map[string]string{
 	"ErrCorrupt":       "core",
-	"ErrNoSampleIndex": "core",
 	"ErrClosed":        "pcr",
 	"ErrNoSuchQuality": "pcr",
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -17,8 +16,9 @@ import (
 // Retry policy for the client's idempotent GETs (index, record, range
 // reads): a mid-epoch connection reset or truncated response body must not
 // abort a whole training epoch, so each read gets a small bounded budget of
-// attempts with jittered exponential backoff. Per-attempt limits are the
-// http.Client's own timeouts, so the worst case stays bounded.
+// passes over the record's replica set, with jittered exponential backoff
+// between them. Per-attempt limits are the http.Client's own timeouts, so
+// the worst case stays bounded.
 const (
 	retryAttempts  = 3
 	retryBaseDelay = 50 * time.Millisecond
@@ -54,119 +54,49 @@ func retryableStatus(code int) bool {
 	return false
 }
 
-// Client is the read side of the wire protocol: a core.Backend whose
-// objects are the records of a remote prefix server. Plugged into
-// core.OpenDatasetIndex it gives a remote reader the exact local read path
-// — sequential prefix reads become single Range requests, and the LRU
-// prefix cache's delta upgrades (§5) become Range requests for only the
-// missing bytes.
-type Client struct {
-	base string // normalized base URL, no trailing slash
-	hc   *http.Client
-	// ownedTransport is the transport built for the default client; Close
-	// shuts its idle connections down. Nil when the caller supplied the
-	// http.Client (then connection lifecycle is theirs).
-	ownedTransport *http.Transport
-
-	mu      sync.Mutex
-	idx     *core.Index
-	byName  map[string]int // lazy name → idx.Records index (ReadSamples)
-	shard   int
-	nshards int // 0 = whole index
+// newHTTPClient is the http.Client a ClusterClient, or a Server pulling from
+// its peers, makes for itself: bounded dial, header and request timeouts, so
+// a wedged server fails a read instead of hanging a scan forever (record
+// prefix reads are size-bounded, so the 2-minute request cap is generous at
+// any realistic bandwidth). Whoever made it releases its idle connections
+// with CloseIdleConnections.
+func newHTTPClient() *http.Client {
+	return &http.Client{Timeout: 2 * time.Minute, Transport: &http.Transport{
+		DialContext:           (&net.Dialer{Timeout: 10 * time.Second}).DialContext,
+		ResponseHeaderTimeout: 30 * time.Second,
+		MaxIdleConnsPerHost:   16,
+		IdleConnTimeout:       90 * time.Second,
+	}}
 }
 
-// NewClient returns a Client for the prefix server at baseURL
-// (e.g. "http://host:8100"). A nil httpClient gets a default with bounded
-// dial/header/request timeouts so a wedged server fails a read instead of
-// hanging a scan forever; pass an explicit client to change the limits
-// (record prefix reads are size-bounded, so the 2-minute request cap is
-// generous at any realistic bandwidth).
-func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
-	u, err := url.Parse(baseURL)
+// member is the wire protocol against one prefix server: a base URL, the
+// http.Client shared by the whole fleet, and the single-attempt calls. Each
+// call reports whether its failure is worth another try — on this member or
+// another; the policy of retrying, failing over and hedging is the
+// ClusterClient's alone.
+type member struct {
+	url  string // as the fleet's ring names it
+	base string // normalized: no trailing slash
+	hc   *http.Client
+}
+
+// newMember validates and normalizes a server URL (e.g. "http://host:8100").
+func newMember(rawURL string, hc *http.Client) (*member, error) {
+	u, err := url.Parse(rawURL)
 	if err != nil {
-		return nil, fmt.Errorf("serve: bad server url %q: %w", baseURL, err)
+		return nil, fmt.Errorf("serve: bad server url %q: %w", rawURL, err)
 	}
 	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, fmt.Errorf("serve: bad server url %q: want http:// or https://", baseURL)
+		return nil, fmt.Errorf("serve: bad server url %q: want http:// or https://", rawURL)
 	}
-	var owned *http.Transport
-	if httpClient == nil {
-		owned = &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: 10 * time.Second}).DialContext,
-			ResponseHeaderTimeout: 30 * time.Second,
-			MaxIdleConnsPerHost:   16,
-			IdleConnTimeout:       90 * time.Second,
-		}
-		httpClient = &http.Client{Timeout: 2 * time.Minute, Transport: owned}
-	}
-	return &Client{base: strings.TrimRight(u.String(), "/"), hc: httpClient, ownedTransport: owned}, nil
+	return &member{url: rawURL, base: strings.TrimRight(u.String(), "/"), hc: hc}, nil
 }
 
-// SetShard restricts the client to stride shard index-of-count of the
-// dataset: FetchIndex downloads only the shard view
-// (GET /index?shard=i&nshards=n), so a distributed worker's index transfer
-// — and everything planned from it — is proportional to its share of the
-// dataset. Must be called before the first FetchIndex; the served shard
-// view lists records r with r % count == index, the same disjoint
-// partition pcr.Loader's WithShard computes locally.
-func (c *Client) SetShard(index, count int) error {
-	if count <= 0 {
-		return fmt.Errorf("serve: shard count must be positive, got %d", count)
-	}
-	if index < 0 || index >= count {
-		return fmt.Errorf("serve: shard index %d out of range [0,%d)", index, count)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.idx != nil {
-		return fmt.Errorf("serve: SetShard after the index was fetched")
-	}
-	c.shard, c.nshards = index, count
-	return nil
-}
-
-// FetchIndex retrieves and caches the dataset's record index (the shard
-// view when SetShard was called).
-func (c *Client) FetchIndex() (*core.Index, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.idx != nil {
-		return c.idx, nil
-	}
-	url := c.base + "/index"
-	if c.nshards > 0 {
-		url = fmt.Sprintf("%s/index?shard=%d&nshards=%d", c.base, c.shard, c.nshards)
-	}
-	var data []byte
-	var lastErr error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(retryDelay(attempt - 1))
-		}
-		var retryable bool
-		data, retryable, lastErr = c.fetchIndexOnce(url)
-		if lastErr == nil {
-			break
-		}
-		if !retryable {
-			return nil, lastErr
-		}
-	}
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	ix, err := core.ParseIndex(data)
-	if err != nil {
-		return nil, err
-	}
-	c.idx = ix
-	return ix, nil
-}
-
-// fetchIndexOnce is one FetchIndex attempt; retryable marks failures worth
-// another try (transport errors, 5xx, truncated bodies).
-func (c *Client) fetchIndexOnce(url string) (data []byte, retryable bool, err error) {
-	resp, err := c.hc.Get(url)
+// fetchIndexOnce is one GET of the index document at path ("/index", with
+// the shard query when there is one); retryable marks failures worth another
+// try (transport errors, 5xx, truncated bodies).
+func (m *member) fetchIndexOnce(path string) (data []byte, retryable bool, err error) {
+	resp, err := m.hc.Get(m.base + path)
 	if err != nil {
 		return nil, true, fmt.Errorf("serve: fetching index: %w", err)
 	}
@@ -181,37 +111,14 @@ func (c *Client) fetchIndexOnce(url string) (data []byte, retryable bool, err er
 	return data, false, nil
 }
 
-func (c *Client) recordURL(name string) string {
-	return c.base + "/records/" + url.PathEscape(name)
+func (m *member) recordURL(name string) string {
+	return m.base + "/records/" + url.PathEscape(name)
 }
 
-// Open streams the whole named record. The initial request is retried on
-// transient failures (connection errors, 5xx); once the body is streaming
-// it belongs to the caller, so a mid-stream failure surfaces as a read
-// error there — record readers use ReadRange, which retries the whole
-// window.
-func (c *Client) Open(name string) (io.ReadCloser, error) {
-	var lastErr error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(retryDelay(attempt - 1))
-		}
-		body, retryable, err := c.openOnce(name)
-		if err == nil {
-			return body, nil
-		}
-		if !retryable {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// openOnce is one Open attempt; retryable marks failures worth another try
-// (on this or — for a cluster client — another member).
-func (c *Client) openOnce(name string) (body io.ReadCloser, retryable bool, err error) {
-	resp, err := c.hc.Get(c.recordURL(name))
+// openOnce is one request for the whole named record, its body handed over
+// as soon as the headers are in.
+func (m *member) openOnce(name string) (body io.ReadCloser, retryable bool, err error) {
+	resp, err := m.hc.Get(m.recordURL(name))
 	if err != nil {
 		return nil, true, fmt.Errorf("serve: %w", err)
 	}
@@ -240,42 +147,15 @@ func (e *misdirectedError) Error() string {
 	return fmt.Sprintf("serve: reading %s: misdirected (owner is %s)", e.name, e.owner)
 }
 
-// ReadRange reads [offset, offset+length) of the named record with one
-// HTTP Range request per attempt: transient failures — a reset connection,
-// a 5xx, a response body cut short mid-transfer — are retried with
-// jittered backoff up to the attempt budget, so one flaky read does not
-// abort a whole scan or training epoch. A 416 means the index promised
-// bytes the server does not have — structural damage, reported immediately
-// as core.ErrCorrupt like a truncated local file.
-func (c *Client) ReadRange(name string, offset, length int64) ([]byte, error) {
-	if length == 0 {
-		return nil, nil
-	}
-	if length < 0 {
-		return nil, fmt.Errorf("serve: negative range length %d for %s", length, name)
-	}
-	var lastErr error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(retryDelay(attempt - 1))
-		}
-		buf, retryable, err := c.readRangeOnce(name, offset, length, false)
-		if err == nil {
-			return buf, nil
-		}
-		if !retryable {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// readRangeOnce is one ReadRange attempt; retryable marks failures worth
-// another try. hedge marks the request as a tail-latency hedge (the
-// X-Pcr-Hedge header), so the receiving member's /varz shows hedged load.
-func (c *Client) readRangeOnce(name string, offset, length int64, hedge bool) (buf []byte, retryable bool, err error) {
-	req, err := http.NewRequest(http.MethodGet, c.recordURL(name), nil)
+// readRangeOnce is one HTTP Range request for [offset, offset+length) of the
+// named record. A reset connection, a 5xx and a response body cut short
+// mid-transfer are retryable; a 416 means the index promised bytes the
+// server does not have — structural damage, reported as core.ErrCorrupt like
+// a truncated local file, and not retryable. hedge marks the request as a
+// tail-latency hedge (the X-Pcr-Hedge header), so the receiving member's
+// /varz shows hedged load.
+func (m *member) readRangeOnce(name string, offset, length int64, hedge bool) (buf []byte, retryable bool, err error) {
+	req, err := http.NewRequest(http.MethodGet, m.recordURL(name), nil)
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: %w", err)
 	}
@@ -283,7 +163,7 @@ func (c *Client) readRangeOnce(name string, offset, length int64, hedge bool) (b
 	if hedge {
 		req.Header.Set(hedgeHeader, "1")
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := m.hc.Do(req)
 	if err != nil {
 		return nil, true, fmt.Errorf("serve: reading %s: %w", name, err)
 	}
@@ -322,62 +202,13 @@ func (c *Client) readRangeOnce(name string, offset, length int64, hedge bool) (b
 	}
 }
 
-// recordInfo resolves a record name against the client's cached index,
-// fetching the index on first use.
-func (c *Client) recordInfo(name string) (*core.RecordInfo, error) {
-	ix, err := c.FetchIndex()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.byName == nil {
-		c.byName = make(map[string]int, len(ix.Records))
-		for i, re := range ix.Records {
-			c.byName[re.Name] = i
-		}
-	}
-	i, ok := c.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("serve: no record %q in the index", name)
-	}
-	return &ix.Records[i], nil
-}
-
-// ReadSamples implements core.SampleReader over the wire: one GET with the
-// selection as a compact bitmap (?group=g&samples=b), answered by a
-// pushdown-aware server with only the selected samples' coalesced byte
-// ranges. The expected ranges are computed client-side from the same index
-// the server holds, so the response is verified by length. A 200 without
-// the pushdown header is not an answer to the request made and fails the
-// read at once. Transient failures retry like ReadRange.
-var _ core.SampleReader = (*Client)(nil)
-
-func (c *Client) ReadSamples(name string, group int, sel []bool) ([]byte, error) {
-	re, err := c.recordInfo(name)
-	if err != nil {
-		return nil, err
-	}
-	var lastErr error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(retryDelay(attempt - 1))
-		}
-		buf, retryable, err := c.readSamplesOnce(re, group, sel, false)
-		if err == nil {
-			return buf, nil
-		}
-		if !retryable {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// readSamplesOnce is one ReadSamples attempt; retryable marks failures
-// worth another try (on this or — for a cluster client — another member).
-func (c *Client) readSamplesOnce(re *core.RecordInfo, group int, sel []bool, hedge bool) (buf []byte, retryable bool, err error) {
+// readSamplesOnce is one pushdown request: a GET with the selection as a
+// compact bitmap (?group=g&samples=b), answered by the server with only the
+// selected samples' coalesced byte ranges. The expected ranges are computed
+// here from the same index the server holds, so the response is verified by
+// length. A 200 without the pushdown header is not an answer to the request
+// made and is not retryable.
+func (m *member) readSamplesOnce(re *core.RecordInfo, group int, sel []bool) (buf []byte, retryable bool, err error) {
 	if group >= len(re.Prefixes) {
 		group = len(re.Prefixes) - 1 // mirror the server's clamp
 	}
@@ -386,15 +217,7 @@ func (c *Client) readSamplesOnce(re *core.RecordInfo, group int, sel []bool, hed
 		return nil, false, err
 	}
 	want := core.RangesTotal(ranges)
-	u := fmt.Sprintf("%s?group=%d&samples=%s", c.recordURL(re.Name), group, encodeSampleBitmap(sel))
-	req, err := http.NewRequest(http.MethodGet, u, nil)
-	if err != nil {
-		return nil, false, fmt.Errorf("serve: %w", err)
-	}
-	if hedge {
-		req.Header.Set(hedgeHeader, "1")
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := m.hc.Get(fmt.Sprintf("%s?group=%d&samples=%s", m.recordURL(re.Name), group, encodeSampleBitmap(sel)))
 	if err != nil {
 		return nil, true, fmt.Errorf("serve: reading %s: %w", re.Name, err)
 	}
@@ -416,26 +239,4 @@ func (c *Client) readSamplesOnce(re *core.RecordInfo, group int, sel []bool, hed
 		return nil, retryableStatus(resp.StatusCode),
 			fmt.Errorf("serve: reading %s: server returned %s", re.Name, resp.Status)
 	}
-}
-
-// List returns the record object names from the server's index.
-func (c *Client) List() ([]string, error) {
-	ix, err := c.FetchIndex()
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ix.Records))
-	for _, re := range ix.Records {
-		names = append(names, re.Name)
-	}
-	return names, nil
-}
-
-// Close releases the client: the default transport's idle connections are
-// shut down; a caller-supplied http.Client is left untouched.
-func (c *Client) Close() error {
-	if c.ownedTransport != nil {
-		c.ownedTransport.CloseIdleConnections()
-	}
-	return nil
 }

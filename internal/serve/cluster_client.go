@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -51,38 +50,38 @@ type ClusterStats struct {
 	Misdirects int64 `json:"misdirects"`
 }
 
-// ClusterClient is the fleet-aware read side of the wire protocol: a
-// core.Backend over a sharded, replicated set of prefix servers. It
-// bootstraps membership from any seed's /cluster endpoint, rebuilds the
-// same consistent-hash ring every server uses (placement is deterministic,
-// so no coordination is needed), and routes every record read to the
-// record's owner. Tail latency is hedged: a read that exceeds a
-// p99-derived delay is re-sent to the next replica and the first response
-// wins. A member that dies mid-scan is failed over through the same
-// bounded-retry machinery the single-server client uses — the read moves
-// to the surviving replicas and membership is re-resolved — so a scan or
-// training epoch keeps streaming through a server kill as long as each
-// record retains one live replica.
+// ClusterClient is the read side of the wire protocol: a core.Backend (and
+// core.SampleReader) over one prefix server or a sharded, replicated fleet
+// of them. Plugged into core.OpenDatasetIndex it gives a remote reader the
+// exact local read path — sequential prefix reads become single Range
+// requests, and the LRU prefix cache's delta upgrades (§5) become Range
+// requests for only the missing bytes. It bootstraps membership from any
+// seed's /cluster endpoint, rebuilds the same consistent-hash ring every
+// server uses (placement is deterministic, so no coordination is needed),
+// and routes every record read to the record's owner. Every read runs the
+// one failover loop (readReplicas): a member that dies mid-scan costs a
+// move to the surviving replicas and a membership re-resolution, so a scan
+// or training epoch keeps streaming through a server kill as long as each
+// record retains one live replica. Tail latency is hedged: a range read
+// that exceeds a p99-derived delay is re-sent to the next replica and the
+// first response wins.
 //
-// A ClusterClient pointed at a standalone (non-fleet) server degrades
-// cleanly: /cluster synthesizes a single-member fleet, the ring routes
-// everything there, and hedging never has a second replica to aim at.
+// A standalone (non-fleet) server is the one-member case: its /cluster
+// synthesizes a single-member fleet, the ring routes everything there, and
+// hedging never has a second replica to aim at.
 type ClusterClient struct {
 	seeds []string
 	hc    *http.Client
-	// ownedTransport is the transport built for the default client; Close
-	// shuts its idle connections down (per-member Clients share hc and
-	// own nothing).
-	ownedTransport *http.Transport
+	// ownsHC marks hc as made here (no caller-supplied client): Close shuts
+	// its idle connections down.
+	ownsHC bool
 
 	// hedgeFloor is the minimum hedge delay; negative disables hedging.
 	hedgeFloor time.Duration
 
 	mu      sync.Mutex
-	info    *cluster.Info
-	ring    *cluster.Ring
-	clients map[string]*Client
-	down    map[string]time.Time // member -> down-until
+	fleet   *fleet               // nil until first resolved
+	down    map[string]time.Time // member URL -> down-until
 	idx     *core.Index
 	byName  map[string]int // lazy name → idx.Records index (ReadSamples)
 	shard   int
@@ -99,42 +98,37 @@ type ClusterClient struct {
 	misdirects atomic.Int64
 }
 
-// NewClusterClient returns a cluster-aware client bootstrapped from the
-// given seed URLs (any member of the fleet; one is enough — the rest of
-// the membership comes from /cluster). A nil httpClient gets the same
-// bounded-timeout default as NewClient. Membership is fetched lazily on
-// the first read or FetchIndex, so constructing a client does not require
-// a live fleet.
+// fleet is one resolved membership: the /cluster document, the ring built
+// from it, and the transport to each member.
+type fleet struct {
+	info    *cluster.Info
+	ring    *cluster.Ring
+	members map[string]*member // by the URL the ring names them with
+}
+
+// NewClusterClient returns a client bootstrapped from the given seed URLs
+// (a standalone server's, or any member's of a fleet; one is enough — the
+// rest of the membership comes from /cluster). A nil httpClient gets a
+// default with bounded dial, header and request timeouts; pass an explicit
+// client to change the limits. Membership is fetched lazily on the first
+// read or FetchIndex, so constructing a client does not require a live
+// fleet.
 func NewClusterClient(seedURLs []string, httpClient *http.Client) (*ClusterClient, error) {
 	if len(seedURLs) == 0 {
 		return nil, fmt.Errorf("serve: cluster client needs at least one seed URL")
 	}
-	seeds := make([]string, 0, len(seedURLs))
+	c := &ClusterClient{hc: httpClient, ownsHC: httpClient == nil, down: make(map[string]time.Time)}
+	if c.ownsHC {
+		c.hc = newHTTPClient()
+	}
 	for _, s := range seedURLs {
-		// Validate and normalize each seed exactly as NewClient does.
-		c, err := NewClient(s, http.DefaultClient)
+		m, err := newMember(s, c.hc)
 		if err != nil {
 			return nil, err
 		}
-		seeds = append(seeds, c.base)
+		c.seeds = append(c.seeds, m.base)
 	}
-	var owned *http.Transport
-	if httpClient == nil {
-		owned = &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: 10 * time.Second}).DialContext,
-			ResponseHeaderTimeout: 30 * time.Second,
-			MaxIdleConnsPerHost:   16,
-			IdleConnTimeout:       90 * time.Second,
-		}
-		httpClient = &http.Client{Timeout: 2 * time.Minute, Transport: owned}
-	}
-	return &ClusterClient{
-		seeds:          seeds,
-		hc:             httpClient,
-		ownedTransport: owned,
-		clients:        make(map[string]*Client),
-		down:           make(map[string]time.Time),
-	}, nil
+	return c, nil
 }
 
 // SetHedgeDelay sets the hedge delay floor: a read hedges to the next
@@ -148,8 +142,13 @@ func (c *ClusterClient) SetHedgeDelay(floor time.Duration) {
 	c.hedgeFloor = floor
 }
 
-// SetShard restricts FetchIndex to stride shard index-of-count, exactly
-// like Client.SetShard. Must be called before the first FetchIndex.
+// SetShard restricts the client to stride shard index-of-count of the
+// dataset: FetchIndex downloads only the shard view
+// (GET /index?shard=i&nshards=n), so a distributed worker's index transfer
+// — and everything planned from it — is proportional to its share of the
+// dataset. Must be called before the first FetchIndex; the served shard
+// view lists records r with r % count == index, the same disjoint
+// partition pcr.Loader's WithShard computes locally.
 func (c *ClusterClient) SetShard(index, count int) error {
 	if count <= 0 {
 		return fmt.Errorf("serve: shard count must be positive, got %d", count)
@@ -177,22 +176,13 @@ func (c *ClusterClient) Stats() ClusterStats {
 	}
 }
 
-// Members returns the current fleet membership (fetching it if needed).
-func (c *ClusterClient) Members() ([]string, error) {
-	info, _, err := c.membership()
-	if err != nil {
-		return nil, err
-	}
-	return info.Members, nil
-}
-
-// membership returns the cached membership and ring, bootstrapping from
-// the seeds on first use.
-func (c *ClusterClient) membership() (*cluster.Info, *cluster.Ring, error) {
+// membership returns the cached fleet, bootstrapping from the seeds on first
+// use.
+func (c *ClusterClient) membership() (*fleet, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ring != nil {
-		return c.info, c.ring, nil
+	if c.fleet != nil {
+		return c.fleet, nil
 	}
 	return c.resolveMembershipLocked(c.seeds)
 }
@@ -200,28 +190,40 @@ func (c *ClusterClient) membership() (*cluster.Info, *cluster.Ring, error) {
 // refreshMembership re-resolves the fleet membership — called after a
 // member died or reported the client's ring stale. Known members and the
 // original seeds are all candidate sources, so the refresh succeeds as
-// long as anyone is alive.
+// long as anyone is alive; when nobody answers the stale fleet stays, since
+// routing against yesterday's membership plus failover beats not routing
+// at all.
 func (c *ClusterClient) refreshMembership() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sources := c.seeds
-	if c.info != nil {
-		sources = append(append([]string(nil), c.info.Members...), c.seeds...)
+	if c.fleet != nil {
+		sources = append(append([]string(nil), c.fleet.info.Members...), c.seeds...)
 	}
-	old := c.ring
-	if _, _, err := c.resolveMembershipLocked(sources); err != nil {
-		// Keep the stale ring: routing against yesterday's membership
-		// plus failover beats not routing at all.
-		c.ring = old
-		return
+	if _, err := c.resolveMembershipLocked(sources); err == nil {
+		c.refreshes.Add(1)
 	}
-	c.refreshes.Add(1)
 }
 
-// resolveMembershipLocked fetches /cluster from the first responsive
-// source and installs the resulting ring. A 404 means a pre-fleet server:
-// synthesize a single-member fleet around it. Caller holds c.mu.
-func (c *ClusterClient) resolveMembershipLocked(sources []string) (*cluster.Info, *cluster.Ring, error) {
+// newFleet builds the ring and the member transports a /cluster document
+// describes; a member URL that is not one makes the document unusable.
+func newFleet(info *cluster.Info, hc *http.Client) (*fleet, error) {
+	ring, err := cluster.New(info.Members, 0)
+	if err != nil {
+		return nil, err
+	}
+	f := &fleet{info: info, ring: ring, members: make(map[string]*member, len(info.Members))}
+	for _, u := range info.Members {
+		if f.members[u], err = newMember(u, hc); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// resolveMembershipLocked fetches /cluster from the first responsive source
+// whose document makes a fleet, and installs it. Caller holds c.mu.
+func (c *ClusterClient) resolveMembershipLocked(sources []string) (*fleet, error) {
 	var lastErr error
 	tried := make(map[string]bool, len(sources))
 	for _, src := range sources {
@@ -230,19 +232,16 @@ func (c *ClusterClient) resolveMembershipLocked(sources []string) (*cluster.Info
 		}
 		tried[src] = true
 		info, err := c.fetchClusterInfo(src)
-		if err != nil {
-			lastErr = err
-			continue
+		if err == nil {
+			var f *fleet
+			if f, err = newFleet(info, c.hc); err == nil {
+				c.fleet = f
+				return f, nil
+			}
 		}
-		ring, err := cluster.New(info.Members, 0)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		c.info, c.ring = info, ring
-		return info, ring, nil
+		lastErr = err
 	}
-	return nil, nil, fmt.Errorf("serve: no cluster member reachable: %w", lastErr)
+	return nil, fmt.Errorf("serve: no cluster member reachable: %w", lastErr)
 }
 
 // fetchClusterInfo GETs one source's /cluster document.
@@ -252,77 +251,50 @@ func (c *ClusterClient) fetchClusterInfo(src string) (*cluster.Info, error) {
 		return nil, fmt.Errorf("serve: fetching membership from %s: %w", src, err)
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var info cluster.Info
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			return nil, fmt.Errorf("serve: fetching membership from %s: %w", src, err)
-		}
-		if len(info.Members) == 0 {
-			return nil, fmt.Errorf("serve: %s reported an empty fleet", src)
-		}
-		if info.Replication <= 0 {
-			info.Replication = 1
-		}
-		return &info, nil
-	case http.StatusNotFound:
-		// A server from before the fleet era: a one-member "fleet".
-		return &cluster.Info{
-			Members:     []string{src},
-			Replication: 1,
-			Self:        src,
-			Epoch:       cluster.Epoch([]string{src}, 1),
-		}, nil
-	default:
+	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("serve: fetching membership from %s: server returned %s", src, resp.Status)
 	}
-}
-
-// memberClient returns (creating if needed) the single-server client for
-// one member. Member clients share the cluster client's http.Client, so
-// connection pooling and timeouts are uniform across the fleet.
-func (c *ClusterClient) memberClient(member string) (*Client, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if mc, ok := c.clients[member]; ok {
-		return mc, nil
+	var info cluster.Info
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		return nil, fmt.Errorf("serve: fetching membership from %s: %w", src, err)
 	}
-	mc, err := NewClient(member, c.hc)
-	if err != nil {
-		return nil, err
+	if len(info.Members) == 0 {
+		return nil, fmt.Errorf("serve: %s reported an empty fleet", src)
 	}
-	c.clients[member] = mc
-	return mc, nil
+	if info.Replication <= 0 {
+		info.Replication = 1
+	}
+	return &info, nil
 }
 
 // markDown deprioritizes a member for downTTL after a failed read, so a
 // dead member stops absorbing every record's first attempt. It is only a
 // preference: if every replica of a record is marked down, reads still try
 // them all.
-func (c *ClusterClient) markDown(member string) {
+func (c *ClusterClient) markDown(m *member) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.down[member] = time.Now().Add(downTTL)
+	c.down[m.url] = time.Now().Add(downTTL)
 }
 
 // replicasFor returns the record's replica set in preference order: the
 // ring's owner-first order, with members recently marked down moved to the
 // back (their relative order preserved).
-func (c *ClusterClient) replicasFor(name string) ([]string, error) {
-	info, ring, err := c.membership()
+func (c *ClusterClient) replicasFor(name string) ([]*member, error) {
+	f, err := c.membership()
 	if err != nil {
 		return nil, err
 	}
-	reps := ring.Replicas(name, info.Replication)
+	reps := f.ring.Replicas(name, f.info.Replication)
 	c.mu.Lock()
 	now := time.Now()
-	live := make([]string, 0, len(reps))
-	var dead []string
-	for _, m := range reps {
-		if until, ok := c.down[m]; ok && now.Before(until) {
-			dead = append(dead, m)
+	live := make([]*member, 0, len(reps))
+	var dead []*member
+	for _, u := range reps {
+		if until, ok := c.down[u]; ok && now.Before(until) {
+			dead = append(dead, f.members[u])
 		} else {
-			live = append(live, m)
+			live = append(live, f.members[u])
 		}
 	}
 	c.mu.Unlock()
@@ -378,26 +350,21 @@ func (c *ClusterClient) hedgeDelay() (time.Duration, bool) {
 	return d, true
 }
 
-// ReadRange reads [offset, offset+length) of the named record from its
-// replica set: the owner first (hedging to the next replica past the hedge
-// delay), failing over through the remaining replicas on transient errors,
-// and re-resolving membership between retry rounds once a whole replica
-// set has failed. Structural errors — 416/404, the index promising bytes
-// no member has — fail fast like the single-server client. A 421
-// (placement disagreement) triggers a membership refresh and a retry.
-func (c *ClusterClient) ReadRange(name string, offset, length int64) ([]byte, error) {
-	if length == 0 {
-		return nil, nil
-	}
-	if length < 0 {
-		return nil, fmt.Errorf("serve: negative range length %d for %s", length, name)
-	}
+// readReplicas is the one failover loop, behind ReadRange, ReadSamples and
+// Open alike: up to retryAttempts passes over the named record's replica
+// set, owner first, backing off and re-resolving membership between passes
+// (a whole set failed: the fleet may have changed under us). try is one
+// attempt against reps[i] and classifies its own failure. A structural
+// error — 416/404, a samples answer without the pushdown header: the index
+// promising what no member has — fails the read at once. A 421 (placement
+// disagreement) refreshes membership and moves on. Anything else retryable
+// marks the member down and moves on.
+func readReplicas[T any](c *ClusterClient, name string, try func(i int, reps []*member) (T, bool, error)) (T, error) {
+	var none T
 	var lastErr error
 	for round := 0; round < retryAttempts; round++ {
 		if round > 0 {
 			time.Sleep(retryDelay(round - 1))
-			// A full replica set failed: the fleet may have changed under
-			// us — re-resolve before the next pass.
 			c.refreshMembership()
 		}
 		reps, err := c.replicasFor(name)
@@ -405,44 +372,52 @@ func (c *ClusterClient) ReadRange(name string, offset, length int64) ([]byte, er
 			lastErr = err
 			continue
 		}
-		for i, member := range reps {
+		for i := range reps {
 			if i > 0 {
 				c.failovers.Add(1)
 			}
-			var buf []byte
-			var retryable bool
-			if i == 0 && len(reps) > 1 {
-				buf, retryable, err = c.hedgedRead(member, reps[1:], name, offset, length)
-			} else {
-				buf, retryable, err = c.readFromMember(member, name, offset, length, false)
-			}
+			v, retryable, err := try(i, reps)
 			if err == nil {
-				return buf, nil
+				return v, nil
 			}
 			var mis *misdirectedError
 			if errors.As(err, &mis) {
 				c.misdirects.Add(1)
 				c.refreshMembership()
 			} else if !retryable {
-				return nil, err
+				return none, err
 			} else {
-				c.markDown(member)
+				c.markDown(reps[i])
 			}
 			lastErr = err
 		}
 	}
-	return nil, lastErr
+	return none, lastErr
 }
 
-// readFromMember is one attempt against one member, with latency recorded
-// on success.
-func (c *ClusterClient) readFromMember(member, name string, offset, length int64, hedge bool) ([]byte, bool, error) {
-	mc, err := c.memberClient(member)
-	if err != nil {
-		return nil, false, err
+// ReadRange reads [offset, offset+length) of the named record from its
+// replica set (see readReplicas), hedging each pass's first attempt to the
+// next replica past the hedge delay.
+func (c *ClusterClient) ReadRange(name string, offset, length int64) ([]byte, error) {
+	if length == 0 {
+		return nil, nil
 	}
+	if length < 0 {
+		return nil, fmt.Errorf("serve: negative range length %d for %s", length, name)
+	}
+	return readReplicas(c, name, func(i int, reps []*member) ([]byte, bool, error) {
+		if i == 0 && len(reps) > 1 {
+			return c.hedgedRead(reps[0], reps[1], name, offset, length)
+		}
+		return c.readFromMember(reps[i], name, offset, length, false)
+	})
+}
+
+// readFromMember is one range read against one member, with latency
+// recorded on success.
+func (c *ClusterClient) readFromMember(m *member, name string, offset, length int64, hedge bool) ([]byte, bool, error) {
 	start := time.Now()
-	buf, retryable, err := mc.readRangeOnce(name, offset, length, hedge)
+	buf, retryable, err := m.readRangeOnce(name, offset, length, hedge)
 	if err == nil {
 		c.observeLatency(time.Since(start))
 	}
@@ -450,34 +425,34 @@ func (c *ClusterClient) readFromMember(member, name string, offset, length int64
 }
 
 // hedgedRead reads from the primary replica, firing one backup request at
-// the next live replica if the primary has not answered within the hedge
-// delay; the first success wins. A structural error (416/404) from EITHER
+// the next replica if the primary has not answered within the hedge delay;
+// the first success wins. A structural error (416/404) from EITHER
 // request fails the read immediately — the index promised bytes the fleet
 // does not have, and asking another member cannot change that. Transient
 // errors wait for the other request before giving up.
-func (c *ClusterClient) hedgedRead(primary string, backups []string, name string, offset, length int64) ([]byte, bool, error) {
+func (c *ClusterClient) hedgedRead(primary, backup *member, name string, offset, length int64) ([]byte, bool, error) {
 	delay, hedgeOK := c.hedgeDelay()
-	if !hedgeOK || len(backups) == 0 {
+	if !hedgeOK {
 		return c.readFromMember(primary, name, offset, length, false)
 	}
 
 	type result struct {
-		member    string
+		member    *member
 		buf       []byte
 		retryable bool
 		err       error
 	}
 	resc := make(chan result, 2)
-	attempt := func(member string, hedge bool) {
-		buf, retryable, err := c.readFromMember(member, name, offset, length, hedge)
-		resc <- result{member: member, buf: buf, retryable: retryable, err: err}
+	attempt := func(m *member, hedge bool) {
+		buf, retryable, err := c.readFromMember(m, name, offset, length, hedge)
+		resc <- result{member: m, buf: buf, retryable: retryable, err: err}
 	}
 	go attempt(primary, false)
 
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	inFlight := 1
-	hedged := ""
+	hedged := false
 	var lastErr error
 	lastRetryable := true
 	for inFlight > 0 {
@@ -485,7 +460,7 @@ func (c *ClusterClient) hedgedRead(primary string, backups []string, name string
 		case res := <-resc:
 			inFlight--
 			if res.err == nil {
-				if res.member == hedged {
+				if res.member == backup {
 					c.hedgeWins.Add(1)
 				}
 				return res.buf, false, nil
@@ -499,22 +474,22 @@ func (c *ClusterClient) hedgedRead(primary string, backups []string, name string
 			}
 			lastErr, lastRetryable = res.err, res.retryable
 		case <-timer.C:
-			if hedged == "" {
-				hedged = backups[0]
+			if !hedged {
+				hedged = true
 				c.hedges.Add(1)
 				inFlight++
-				go attempt(hedged, true)
+				go attempt(backup, true)
 			}
 		}
 	}
 	return nil, lastRetryable, lastErr
 }
 
-// ReadSamples implements core.SampleReader against the fleet: the pushdown
-// read goes to the record's replica set owner-first with the same failover
-// and membership-refresh discipline as ReadRange (no hedging: pushdown
-// responses are already the small, selected fraction of a record, so the
-// tail-latency machinery buys little against the added duplicate bytes).
+// ReadSamples implements core.SampleReader: one pushdown request for the
+// samples sel selects, sent to the record's replica set (see readReplicas)
+// and not hedged — pushdown responses are already the small, selected
+// fraction of a record, so the tail-latency machinery buys little against
+// the added duplicate bytes.
 var _ core.SampleReader = (*ClusterClient)(nil)
 
 func (c *ClusterClient) ReadSamples(name string, group int, sel []bool) ([]byte, error) {
@@ -522,47 +497,18 @@ func (c *ClusterClient) ReadSamples(name string, group int, sel []bool) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for round := 0; round < retryAttempts; round++ {
-		if round > 0 {
-			time.Sleep(retryDelay(round - 1))
-			c.refreshMembership()
+	return readReplicas(c, name, func(i int, reps []*member) ([]byte, bool, error) {
+		start := time.Now()
+		buf, retryable, err := reps[i].readSamplesOnce(re, group, sel)
+		if err == nil {
+			c.observeLatency(time.Since(start))
 		}
-		reps, err := c.replicasFor(name)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		for i, member := range reps {
-			if i > 0 {
-				c.failovers.Add(1)
-			}
-			mc, err := c.memberClient(member)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			buf, retryable, err := mc.readSamplesOnce(re, group, sel, false)
-			if err == nil {
-				c.observeLatency(time.Since(start))
-				return buf, nil
-			}
-			var mis *misdirectedError
-			if errors.As(err, &mis) {
-				c.misdirects.Add(1)
-				c.refreshMembership()
-			} else if !retryable {
-				return nil, err
-			} else {
-				c.markDown(member)
-			}
-			lastErr = err
-		}
-	}
-	return nil, lastErr
+		return buf, retryable, err
+	})
 }
 
-// recordInfoFor resolves a record name against the fleet's cached index.
+// recordInfoFor resolves a record name against the cached index, fetching
+// the index on first use.
 func (c *ClusterClient) recordInfoFor(name string) (*core.RecordInfo, error) {
 	ix, err := c.FetchIndex()
 	if err != nil {
@@ -583,61 +529,35 @@ func (c *ClusterClient) recordInfoFor(name string) (*core.RecordInfo, error) {
 	return &ix.Records[i], nil
 }
 
-// Open streams the whole named record from its replica set, owner first
-// with failover (no hedging: the body is handed to the caller as soon as
-// headers arrive, so there is no in-flight wait to hedge against).
+// Open streams the whole named record from its replica set (see
+// readReplicas; no hedging: the body is handed to the caller as soon as
+// headers arrive, so there is no in-flight wait to hedge against). Once the
+// body is streaming it belongs to the caller, so a mid-stream failure
+// surfaces as a read error there — record readers use ReadRange, which
+// retries the whole window.
 func (c *ClusterClient) Open(name string) (io.ReadCloser, error) {
-	var lastErr error
-	for round := 0; round < retryAttempts; round++ {
-		if round > 0 {
-			time.Sleep(retryDelay(round - 1))
-			c.refreshMembership()
-		}
-		reps, err := c.replicasFor(name)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		for i, member := range reps {
-			if i > 0 {
-				c.failovers.Add(1)
-			}
-			mc, err := c.memberClient(member)
-			if err != nil {
-				return nil, err
-			}
-			body, retryable, err := mc.openOnce(name)
-			if err == nil {
-				return body, nil
-			}
-			var mis *misdirectedError
-			if errors.As(err, &mis) {
-				c.misdirects.Add(1)
-				c.refreshMembership()
-			} else if !retryable {
-				return nil, err
-			} else {
-				c.markDown(member)
-			}
-			lastErr = err
-		}
-	}
-	return nil, lastErr
+	return readReplicas(c, name, func(i int, reps []*member) (io.ReadCloser, bool, error) {
+		return reps[i].openOnce(name)
+	})
 }
 
 // FetchIndex retrieves and caches the dataset's record index (the shard
 // view when SetShard was called) from any live member — the index is
-// identical fleet-wide, so the first member to answer wins.
+// identical fleet-wide, so the first member to answer wins. It walks the
+// members, not one record's replicas, so its retry loop is its own.
 func (c *ClusterClient) FetchIndex() (*core.Index, error) {
 	c.mu.Lock()
-	if c.idx != nil {
-		defer c.mu.Unlock()
-		return c.idx, nil
-	}
-	shard, nshards := c.shard, c.nshards
+	ix, shard, nshards := c.idx, c.shard, c.nshards
 	c.mu.Unlock()
+	if ix != nil {
+		return ix, nil
+	}
+	path := "/index"
+	if nshards > 0 {
+		path = fmt.Sprintf("/index?shard=%d&nshards=%d", shard, nshards)
+	}
 
-	info, _, err := c.membership()
+	f, err := c.membership()
 	if err != nil {
 		return nil, err
 	}
@@ -646,21 +566,13 @@ func (c *ClusterClient) FetchIndex() (*core.Index, error) {
 		if round > 0 {
 			time.Sleep(retryDelay(round - 1))
 			c.refreshMembership()
-			if info, _, err = c.membership(); err != nil {
+			if f, err = c.membership(); err != nil {
 				lastErr = err
 				continue
 			}
 		}
-		for _, member := range info.Members {
-			mc, err := c.memberClient(member)
-			if err != nil {
-				return nil, err
-			}
-			url := member + "/index"
-			if nshards > 0 {
-				url = fmt.Sprintf("%s/index?shard=%d&nshards=%d", member, shard, nshards)
-			}
-			data, retryable, err := mc.fetchIndexOnce(url)
+		for _, u := range f.info.Members {
+			data, retryable, err := f.members[u].fetchIndexOnce(path)
 			if err == nil {
 				ix, err := core.ParseIndex(data)
 				if err != nil {
@@ -674,14 +586,14 @@ func (c *ClusterClient) FetchIndex() (*core.Index, error) {
 			if !retryable {
 				return nil, err
 			}
-			c.markDown(member)
+			c.markDown(f.members[u])
 			lastErr = err
 		}
 	}
 	return nil, lastErr
 }
 
-// List returns the record object names from the fleet's index.
+// List returns the record object names from the index.
 func (c *ClusterClient) List() ([]string, error) {
 	ix, err := c.FetchIndex()
 	if err != nil {
@@ -697,8 +609,8 @@ func (c *ClusterClient) List() ([]string, error) {
 // Close releases the client: the default transport's idle connections are
 // shut down; a caller-supplied http.Client is left untouched.
 func (c *ClusterClient) Close() error {
-	if c.ownedTransport != nil {
-		c.ownedTransport.CloseIdleConnections()
+	if c.ownsHC {
+		c.hc.CloseIdleConnections()
 	}
 	return nil
 }

@@ -25,10 +25,11 @@ import (
 // because every member's URL must be known before any server is
 // constructed — the member set is part of each server's configuration.
 type fleetMember struct {
-	url string
-	srv *serve.Server
-	hs  *http.Server
-	ln  net.Listener
+	url   string
+	srv   *serve.Server
+	hs    *http.Server
+	ln    net.Listener
+	conns atomic.Int64 // connections accepted
 }
 
 func (m *fleetMember) kill() {
@@ -46,6 +47,12 @@ func startFleet(t *testing.T, n, replication int, wrap func(i int, h http.Handle
 		pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4)); err != nil {
 		t.Fatal(err)
 	}
+	return dir, startFleetOn(t, dir, n, replication, wrap)
+}
+
+// startFleetOn is startFleet over a dataset already written to dir.
+func startFleetOn(t *testing.T, dir string, n, replication int, wrap func(i int, h http.Handler) http.Handler) []*fleetMember {
+	t.Helper()
 
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -77,9 +84,14 @@ func startFleet(t *testing.T, n, replication int, wrap func(i int, h http.Handle
 		if wrap != nil {
 			h = wrap(i, h)
 		}
-		hs := &http.Server{Handler: h}
-		members[i] = &fleetMember{url: urls[i], srv: srv, hs: hs, ln: lns[i]}
-		go hs.Serve(lns[i])
+		m := &fleetMember{url: urls[i], srv: srv, ln: lns[i]}
+		m.hs = &http.Server{Handler: h, ConnState: func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				m.conns.Add(1)
+			}
+		}}
+		members[i] = m
+		go m.hs.Serve(lns[i])
 	}
 	t.Cleanup(func() {
 		for _, m := range members {
@@ -87,7 +99,7 @@ func startFleet(t *testing.T, n, replication int, wrap func(i int, h http.Handle
 			m.srv.Close()
 		}
 	})
-	return dir, members
+	return members
 }
 
 func getClusterInfo(t *testing.T, url string) cluster.Info {
@@ -348,10 +360,20 @@ func TestClusterClientFailover(t *testing.T) {
 // TestSyncReplicas: members warm their replicated records by pulling the
 // bytes from each record's owner over HTTP — counted on both sides. With
 // replication 2 every record has exactly one non-owning replica, so the
-// fleet-wide warm count must equal the record count.
+// fleet-wide warm count must equal the record count. A member's pulls share
+// one connection per owner, however many records it warms: the dataset has
+// more records than the fleet has (member, owner) pairs.
 func TestSyncReplicas(t *testing.T) {
-	_, members := startFleet(t, 3, 2, nil)
+	dir := t.TempDir()
+	if _, err := pcr.Synthesize(dir, "cars", 0.1, 1, pcr.WithImagesPerRecord(2), pcr.WithScanGroups(4)); err != nil {
+		t.Fatal(err)
+	}
+	members := startFleetOn(t, dir, 3, 2, nil)
 	ix := fetchIndexURL(t, members[0].url)
+	var connsBefore int64
+	for _, m := range members {
+		connsBefore += m.conns.Load()
+	}
 	var warmed int
 	var pulled, pulls int64
 	for _, m := range members {
@@ -370,6 +392,14 @@ func TestSyncReplicas(t *testing.T) {
 	}
 	if pulls == 0 || pulled == 0 {
 		t.Fatalf("no owner pulls counted (pulls=%d bytes=%d)", pulls, pulled)
+	}
+	conns := -connsBefore
+	for _, m := range members {
+		conns += m.conns.Load()
+	}
+	if pairs := int64(len(members) * (len(members) - 1)); conns > pairs || pulls <= pairs {
+		t.Fatalf("%d pulls opened %d connections, want at most one per (member, owner) pair — of which there are %d — and more pulls than that",
+			pulls, conns, pairs)
 	}
 	// The pulls landed on the owners as served record bytes.
 	var served int64

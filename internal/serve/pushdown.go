@@ -19,14 +19,13 @@ import (
 // expected ranges (core.RecordInfo.SampleRanges) from the bitmap exactly as
 // the server does, so the wire carries only which samples, never where
 // their bytes live. Responses carry the pushdownHeader; a 200 without it did
-// not come from this handler and the client refuses it (Client.ReadSamples).
+// not come from this handler and the client refuses it (readSamplesOnce).
 //
 // Audit rules, mirroring resolveRange's: a samples= request must name a
 // group, must not carry a Range header, and its bitmap must be well-formed
 // base64url, no longer than the record's sample count needs, with no bits
 // set past the last sample. Violations are the client's fault and get 400,
-// never 500. Records without the side index (datasets written before it
-// existed) cannot compute sample ranges and also get 400.
+// never 500.
 
 // pushdownHeader marks a response as a pushdown result (its value is the
 // served range count).
@@ -109,10 +108,6 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 		// A byte range within a range-selected view has no defined object to
 		// range over; refuse rather than guess.
 		s.fail(w, http.StatusBadRequest, "serve: samples and Range cannot be combined")
-		return
-	}
-	if !re.HasSampleIndex() {
-		s.fail(w, http.StatusBadRequest, "serve: record %q predates the sample index; read the whole prefix", re.Name)
 		return
 	}
 	sel, err := decodeSampleBitmap(bitmap, re.Samples)

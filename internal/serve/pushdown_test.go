@@ -40,9 +40,6 @@ func TestSamplesEndpointTable(t *testing.T) {
 	_, srv, ts := startServer(t, nil)
 	ix := fetchIndex(t, ts)
 	re := &ix.Records[0]
-	if !re.HasSampleIndex() {
-		t.Fatal("served index lacks the sample side index")
-	}
 	n := re.Samples
 	maxGroup := len(re.Prefixes) - 1
 	one := make([]bool, n)
@@ -158,7 +155,7 @@ func TestClientReadSamplesPushdown(t *testing.T) {
 	for name, opts := range map[string]*serve.Options{"cacheless": nil, "hot cache": {CacheBytes: 8 << 20}} {
 		t.Run(name, func(t *testing.T) {
 			_, srv, ts := startServer(t, opts)
-			c, err := serve.NewClient(ts.URL, nil)
+			c, err := serve.NewClusterClient([]string{ts.URL}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +229,7 @@ func TestClientReadSamplesOldServerFallback(t *testing.T) {
 	}))
 	defer old.Close()
 
-	c, err := serve.NewClient(old.URL, nil)
+	c, err := serve.NewClusterClient([]string{old.URL}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,8 @@ import (
 
 // flakyHandler makes the first `failures` requests fail in the configured
 // way, then serves normally — the shape of a transient network or server
-// hiccup mid-epoch.
+// hiccup mid-epoch. The membership document passes through, neither failed
+// nor counted, so the attempts a test counts are those of the read it made.
 type flakyHandler struct {
 	inner http.Handler
 	mode  string // "reset", "truncate", "unavailable"
@@ -25,6 +26,10 @@ type flakyHandler struct {
 }
 
 func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/cluster" {
+		f.inner.ServeHTTP(w, r)
+		return
+	}
 	f.mu.Lock()
 	f.attempts++
 	fail := f.remaining > 0
@@ -83,7 +88,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	for _, mode := range []string{"reset", "truncate", "unavailable"} {
 		t.Run("readrange_"+mode, func(t *testing.T) {
 			flaky, fts, ix := flakyServer(t, mode, 2)
-			c, err := serve.NewClient(fts.URL, nil)
+			c, err := serve.NewClusterClient([]string{fts.URL}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +109,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 
 	t.Run("open_reset", func(t *testing.T) {
 		flaky, fts, ix := flakyServer(t, "reset", 2)
-		c, err := serve.NewClient(fts.URL, nil)
+		c, err := serve.NewClusterClient([]string{fts.URL}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +126,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 
 	t.Run("index_unavailable", func(t *testing.T) {
 		flaky, fts, _ := flakyServer(t, "unavailable", 2)
-		c, err := serve.NewClient(fts.URL, nil)
+		c, err := serve.NewClusterClient([]string{fts.URL}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +144,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 // error after the bounded attempt budget — no infinite retry loops.
 func TestClientRetryBudgetExhausted(t *testing.T) {
 	flaky, fts, ix := flakyServer(t, "unavailable", 1_000_000)
-	c, err := serve.NewClient(fts.URL, nil)
+	c, err := serve.NewClusterClient([]string{fts.URL}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +166,7 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 func TestClientDoesNotRetryStructuralErrors(t *testing.T) {
 	t.Run("416_is_corrupt", func(t *testing.T) {
 		flaky, fts, ix := flakyServer(t, "", 0)
-		c, err := serve.NewClient(fts.URL, nil)
+		c, err := serve.NewClusterClient([]string{fts.URL}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +184,7 @@ func TestClientDoesNotRetryStructuralErrors(t *testing.T) {
 
 	t.Run("404_fails_fast", func(t *testing.T) {
 		flaky, fts, _ := flakyServer(t, "", 0)
-		c, err := serve.NewClient(fts.URL, nil)
+		c, err := serve.NewClusterClient([]string{fts.URL}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Package serve is the remote serving layer: an HTTP server that exposes a
 // PCR dataset's record index and byte-range prefix reads, plus the matching
-// client Backend (see client.go) that lets a reader on another machine run
+// client Backend (ClusterClient) that lets a reader on another machine run
 // the paper's entire read path — quality selection, sequential prefix
 // reads, delta cache upgrades (§5) — over a network.
 //
@@ -202,9 +202,11 @@ type Server struct {
 
 	// pullOwner maps a record index to its owner's URL while SyncReplicas
 	// is warming that record, rerouting the cache's backing fetch from
-	// the store to the owner.
+	// the store to the owner, over peers: the one http.Client for every
+	// pull, so a sync costs a connection per owner, not per record.
 	pullMu    sync.Mutex
 	pullOwner map[int]string
+	peers     *http.Client
 
 	requests           atomic.Int64
 	rangeRequests      atomic.Int64
@@ -360,11 +362,16 @@ func (s *Server) initCluster(cc *ClusterConfig) error {
 	}
 	s.clusterJSON = data
 	s.clusterETag = fmt.Sprintf("%q", "cl-"+info.Epoch)
+	s.peers = newHTTPClient()
 	return nil
 }
 
-// Close releases the dataset when the server owns it (constructed with New).
+// Close releases the connections to the server's peers, and the dataset when
+// the server owns it (constructed with New).
 func (s *Server) Close() error {
+	if s.peers != nil {
+		s.peers.CloseIdleConnections()
+	}
 	if s.ownsDS {
 		return s.ds.Close()
 	}
@@ -637,9 +644,9 @@ func (s *Server) readRange(rec int, start, length int64) ([]byte, error) {
 
 // fetchRange is the hot cache's backing fetcher, counted as backing-store
 // reads. While SyncReplicas is warming a replicated record, the fetch is
-// rerouted to the record's owner over HTTP (falling back to the backing
-// store if the owner is unreachable), so a replica fills from the member
-// that most likely has the bytes hot instead of hammering cold storage.
+// rerouted to the record's owner over HTTP — one attempt, falling back to
+// the backing store on any error — so a replica fills from the member that
+// most likely has the bytes hot instead of hammering cold storage.
 func (s *Server) fetchRange(rec int, offset, length int64) ([]byte, error) {
 	if owner := s.pullTarget(rec); owner != "" {
 		data, err := s.pullFromOwner(owner, rec, offset, length)
@@ -661,12 +668,11 @@ func (s *Server) pullTarget(rec int) string {
 }
 
 func (s *Server) pullFromOwner(owner string, rec int, offset, length int64) ([]byte, error) {
-	c, err := NewClient(owner, nil)
+	m, err := newMember(owner, s.peers)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
-	data, err := c.ReadRange(s.records[rec].Name, offset, length)
+	data, _, err := m.readRangeOnce(s.records[rec].Name, offset, length, false)
 	if err != nil {
 		return nil, err
 	}

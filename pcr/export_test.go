@@ -14,9 +14,9 @@ func (l *Loader) EpochOrder(epoch int) []int { return l.epochOrder(epoch) }
 // SelectedCount is how many samples of record i the side index says pred
 // selects.
 func (d *Dataset) SelectedCount(i int, pred Predicate) int {
-	_, nsel, known := d.r.(filteredRecordReader).selection(i, pred)
-	if !known {
-		panic("pcr: test dataset without a side index")
+	_, nsel, err := d.r.(*pcrReader).selection(i, pred)
+	if err != nil {
+		panic(err)
 	}
 	return nsel
 }
@@ -27,9 +27,12 @@ func (d *Dataset) ReadRecordFiltered(i, q int, pred Predicate) (samples []Sample
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	fr := d.r.(filteredRecordReader)
-	sel, _, _ := fr.selection(i, pred)
-	return fr.readRecordFiltered(i, qq, pred, sel)
+	r := d.r.(*pcrReader)
+	sel, _, err := r.selection(i, pred)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return r.readRecordFiltered(i, qq, sel)
 }
 
 // WrapBackend puts wrap(backend) under a PCR dataset's reads.

@@ -64,15 +64,15 @@ type scanConfig struct {
 }
 
 // WithFilter restricts a scan to the samples the predicate selects,
-// preserving storage order among them. On PCR datasets carrying the
-// sample-offset side index the selection is pushed into the read plan:
-// records with no matching sample are not read at all, and — when the scan
-// runs without cache tiers — partially matching records are fetched as
-// sparse byte ranges covering only the selected samples (remotely, a single
+// preserving storage order among them. On PCR datasets the selection is
+// pushed into the read plan through the sample-offset side index: records
+// with no matching sample are not read at all, and — when the scan runs
+// without cache tiers — partially matching records are fetched as sparse
+// byte ranges covering only the selected samples (remotely, a single
 // pushdown request moving only those bytes). With cache tiers the full
 // prefix is read through the cache (caches are prefix-shaped) and filtering
-// happens afterwards; on datasets without a side index, or on the baseline
-// formats, filtering likewise happens after the read. Every path yields
+// happens afterwards; on the baseline formats filtering likewise happens
+// after the read. Every path yields
 // byte-identical samples. A PCR scan reads up to four records ahead of its
 // consumer (see ScanEncoded), and FilterStats counts a record as its read is
 // planned or completes: after an early break the stats may include up to
@@ -138,10 +138,8 @@ type FilterPlan struct {
 }
 
 // PlanFilter estimates what Scan(WithFilter(pred)) at quality q will read,
-// purely from the record index. It requires the PCR format and the
-// sample-offset side index on every record; datasets written before the
-// side index existed report core's ErrNoSampleIndex (such datasets still
-// scan filtered, just without planned byte savings).
+// purely from the record index and its sample-offset side index. It
+// requires the PCR format.
 func (d *Dataset) PlanFilter(pred Predicate, q int) (FilterPlan, error) {
 	if pred == nil {
 		return FilterPlan{}, fmt.Errorf("pcr: PlanFilter: nil predicate")
@@ -163,11 +161,11 @@ type filterPlanner interface {
 }
 
 // filteredRecordReader is the record-granular capability behind the
-// Loader's WithLoaderFilter: side-index selection lookup plus filtered
-// (possibly sparse) record reads. Only the PCR reader implements it.
+// Loader's WithLoaderFilter and a filtered scan alike: one record's
+// side-index selection, the skip of a record it leaves empty, and the
+// filtered (possibly sparse) read. Only the PCR reader implements it.
 type filteredRecordReader interface {
-	selection(i int, pred Predicate) (sel []bool, nsel int, ok bool)
-	readRecordFiltered(i, q int, pred Predicate, sel []bool) (samples []Sample, bytesRead, bytesAvoided int64, err error)
+	planFiltered(i, q int, pred Predicate, stats *FilterStats) (nsel int, read func() recordRead, err error)
 }
 
 // filterSeq composes a pure selection stage onto an encoded scan — the

@@ -181,32 +181,27 @@ func (r *pcrReader) readRecord(i, q int) ([]Sample, error) {
 }
 
 // selection evaluates pred over record i's side index without touching the
-// record file. ok is false when the record predates the side index, in
-// which case the caller must read the record and filter afterwards.
-func (r *pcrReader) selection(i int, pred Predicate) (sel []bool, nsel int, ok bool) {
+// record file: the mask of the samples it selects and how many they are.
+func (r *pcrReader) selection(i int, pred Predicate) (sel []bool, nsel int, err error) {
 	ids, labels, err := r.ds.SampleIndex(i)
-	if err != nil {
-		return nil, 0, false
-	}
 	sel, nsel = matchSelection(pred, ids, labels)
-	return sel, nsel, true
+	return sel, nsel, err
 }
 
 // readRecordFiltered materializes only the samples of record i that the
-// predicate selects, at quality q. sel is the side-index selection mask
-// (nil when the record has no side index). It returns the selected encoded
-// samples in storage order plus exact byte accounting: bytesRead is what
-// this read fetched, bytesAvoided is what a full prefix read would have
+// side-index selection mask sel keeps, at quality q. It returns the selected
+// encoded samples in storage order plus exact byte accounting: bytesRead is
+// what this read fetched, bytesAvoided is what a full prefix read would have
 // fetched on top.
 //
 // Read-path precedence: with cache tiers mounted, the full prefix is read
 // through them (caches are prefix-shaped — a sparse read could neither fill
 // nor be served from one) and the selection applies afterwards. Without
-// caches and with a side index, the read is sparse: only the metadata
-// section and the selected samples' slices are fetched (gatherSelected) and
-// the samples are assembled straight from those bytes. Selecting every
-// sample coalesces to the ordinary full prefix read.
-func (r *pcrReader) readRecordFiltered(i, q int, pred Predicate, sel []bool) (samples []Sample, bytesRead, bytesAvoided int64, err error) {
+// caches the read is sparse: only the metadata section and the selected
+// samples' slices are fetched (gatherSelected) and the samples are assembled
+// straight from those bytes. Selecting every sample coalesces to the
+// ordinary full prefix read.
+func (r *pcrReader) readRecordFiltered(i, q int, sel []bool) (samples []Sample, bytesRead, bytesAvoided int64, err error) {
 	gg, err := r.recordQuality(i, q)
 	if err != nil {
 		return nil, 0, 0, err
@@ -221,7 +216,7 @@ func (r *pcrReader) readRecordFiltered(i, q int, pred Predicate, sel []bool) (sa
 		streams [][]byte // of a sparse read: the selected samples, assembled
 	)
 	bytesRead = full
-	if sel == nil || r.cache != nil || r.disk != nil {
+	if r.cache != nil || r.disk != nil {
 		prefix, meta, err = r.readPrefix(i, gg)
 	} else {
 		var body []byte
@@ -235,10 +230,10 @@ func (r *pcrReader) readRecordFiltered(i, q int, pred Predicate, sel []bool) (sa
 	}
 	out := make([]Sample, 0, len(meta.Samples))
 	for si := range meta.Samples {
-		sm := &meta.Samples[si]
-		if (sel != nil && !sel[si]) || (sel == nil && !pred.Matches(sm.ID, sm.Label)) {
+		if !sel[si] {
 			continue
 		}
+		sm := &meta.Samples[si]
 		var stream []byte
 		if streams != nil {
 			stream = streams[si]
@@ -291,12 +286,11 @@ func (r *pcrReader) planFilter(pred Predicate, qq int) (FilterPlan, error) {
 			return FilterPlan{}, err
 		}
 		plan.FullBytes += full
-		ids, labels, err := r.ds.SampleIndex(i)
+		sel, nsel, err := r.selection(i, pred)
 		if err != nil {
 			return FilterPlan{}, err
 		}
-		plan.Total += len(ids)
-		sel, nsel := matchSelection(pred, ids, labels)
+		plan.Total += len(sel)
 		if nsel == 0 {
 			plan.RecordsSkipped++
 			continue
@@ -311,41 +305,40 @@ func (r *pcrReader) planFilter(pred Predicate, qq int) (FilterPlan, error) {
 	return plan, nil
 }
 
-// planFiltered is one record's step of a filtered scan, split where the
-// pipeline splits it: the selection, and the skip of a record it leaves
-// empty, come from the side index here; the returned read (nil for a
-// skipped record) fetches the selected samples (see readRecordFiltered).
-func (r *pcrReader) planFiltered(i, q int, pred Predicate, stats *FilterStats) (read func() recordRead, err error) {
-	sel, nsel, known := r.selection(i, pred)
-	if known && nsel == 0 {
+// planFiltered is one record's step of a filtered read at quality q, split
+// where the pipeline splits it: the selection, and the skip of a record it
+// leaves empty with that skip's accounting, come from the side index here;
+// the returned read (nil for a skipped record) fetches the selected samples
+// (see readRecordFiltered) and accounts for them when it runs. nsel is how
+// many samples the record will deliver — the unit a Loader's resume position
+// counts in; a caller that drops the read has accounted for nothing.
+func (r *pcrReader) planFiltered(i, q int, pred Predicate, stats *FilterStats) (nsel int, read func() recordRead, err error) {
+	sel, nsel, err := r.selection(i, pred)
+	if err != nil {
+		return 0, nil, err
+	}
+	if nsel == 0 {
 		if stats != nil {
 			full, err := r.recordPrefixLen(i, q)
 			if err != nil {
-				return nil, err
+				return 0, nil, err
 			}
 			stats.addSamples(0, int64(len(sel)))
 			stats.addBytes(0, full)
 			atomic.AddInt64(&stats.RecordsSkipped, 1)
 		}
-		return nil, nil
+		return 0, nil, nil
 	}
-	if !known {
-		sel = nil
-	}
-	return func() recordRead {
-		samples, bytesRead, bytesAvoided, err := r.readRecordFiltered(i, q, pred, sel)
+	return nsel, func() recordRead {
+		samples, bytesRead, bytesAvoided, err := r.readRecordFiltered(i, q, sel)
 		if err != nil {
 			return recordRead{err: err}
 		}
 		if stats != nil {
-			total, err := r.ds.RecordSamples(i)
-			if err != nil {
-				return recordRead{err: err}
-			}
-			stats.addSamples(int64(len(samples)), int64(total-len(samples)))
+			stats.addSamples(int64(len(samples)), int64(len(sel)-len(samples)))
 			stats.addBytes(bytesRead, bytesAvoided)
 		}
-		return recordRead{samples: samples, bytes: bytesRead}
+		return recordRead{samples: samples, bytes: bytesRead, quality: q}
 	}, nil
 }
 
@@ -363,7 +356,7 @@ func (r *pcrReader) planScan(q int, sc *scanConfig) planFn {
 					return recordRead{samples: samples, err: err}
 				}, true
 			}
-			read, err := r.planFiltered(i, q, sc.pred, sc.stats)
+			_, read, err := r.planFiltered(i, q, sc.pred, sc.stats)
 			if err != nil {
 				return failedRead(err), true
 			}

@@ -7,7 +7,6 @@ import (
 	"iter"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -366,9 +365,11 @@ func (l *Loader) epochOrder(epoch int) []int {
 // WithPrefetchWorkers goroutines and assembled in order into WithBatchSize
 // batches. Which records are read is planned from the index alone: a record
 // wholly inside a resume prefix, or one WithLoaderFilter leaves empty, is
-// never read. The policy is asked once per record, in visit order, from one
-// goroutine, as the record's read is issued — so a policy that changes its
-// answer takes effect after the at most four records already read ahead.
+// never read. The policy is asked at most once per record, in visit order,
+// from one goroutine, as the record's read is planned (about a record that
+// is read and, under a filter, about every record visited) — so a policy
+// that changes its answer takes effect after the at most four records
+// already read ahead.
 //
 // Memory is bounded, whatever the record size and the consumer's pace, by
 // four records' encoded samples (read, or being read, and not yet handed
@@ -438,8 +439,8 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 		}
 		stats.Wall = time.Since(start)
 		// The plan's filter counters are complete: the pipeline has drained.
-		stats.SkippedImages = int(plan.skipped.Load())
-		stats.BytesAvoided = plan.avoided.Load()
+		filtered := plan.filtered.Snapshot()
+		stats.SkippedImages, stats.BytesAvoided = int(filtered.Skipped), filtered.BytesAvoided
 		if s := stats.Wall.Seconds(); s > 0 {
 			stats.ImagesPerSec = float64(stats.Images) / s
 		}
@@ -465,86 +466,66 @@ type epochPlan struct {
 	// the index — so only the record straddling its end is read and
 	// partially discarded.
 	skip int
-	// What the filter skipped and saved. Reads add to these from their fetch
-	// goroutines; the consumer loads them once the pipeline has drained.
-	skipped, avoided atomic.Int64
+	// What the filter skipped and saved. Reads add to it from their fetch
+	// goroutines; the consumer reads it once the pipeline has drained.
+	filtered FilterStats
 }
 
 // next implements planFn.
 func (p *epochPlan) next() (func() recordRead, bool) {
-	l := p.l
 	for len(p.order) > 0 {
 		rec := p.order[0]
 		p.order = p.order[1:]
-		total, err := l.ds.RecordImages(rec)
+		read, err := p.plan(rec)
 		if err != nil {
 			return failedRead(err), true
 		}
-		// n is how many samples the record will deliver; with a filter and
-		// no side index to evaluate it on, that is unknown (-1) before the
-		// read, and the record is read in full and filtered afterwards.
-		n, sel := total, []bool(nil)
-		if l.filter != nil {
-			var known bool
-			if sel, n, known = l.ds.r.(filteredRecordReader).selection(rec, l.filter); !known {
-				n, sel = -1, nil
-			} else if n == 0 {
-				avoided, err := l.ds.RecordPrefixLen(rec, l.policy.RecordQuality(p.epoch, rec))
-				if err != nil {
-					return failedRead(err), true
-				}
-				p.skipped.Add(int64(total))
-				p.avoided.Add(avoided)
-				continue
-			}
+		if read != nil {
+			return read, true
 		}
-		if n >= 0 && p.skip >= n {
-			p.skip -= n
-			continue
-		}
-		q := l.policy.RecordQuality(p.epoch, rec)
-		qq, err := l.ds.resolveQuality(q)
-		if err != nil {
-			return failedRead(err), true
-		}
-		if obs, ok := l.policy.(qualityObserver); ok {
-			obs.observeQuality(qq)
-		}
-		if n < 0 && p.skip > 0 {
-			// How much of the resume prefix this record uses up is only
-			// known after its read, and the next record's plan depends on
-			// it: read here, serially.
-			rr := p.read(rec, qq, total, sel)
-			from := min(p.skip, len(rr.samples))
-			p.skip -= from
-			rr.samples = rr.samples[from:]
-			return func() recordRead { return rr }, true
-		}
-		from := p.skip
-		p.skip = 0
-		return func() recordRead {
-			rr := p.read(rec, qq, total, sel)
-			rr.samples = rr.samples[min(from, len(rr.samples)):]
-			return rr
-		}, true
 	}
 	return nil, false
 }
 
-// read fetches record rec, which holds total samples, at resolved quality
-// qq: whole, or through the filter with side-index selection sel.
-func (p *epochPlan) read(rec, qq, total int, sel []bool) recordRead {
+// plan is next's step for one record: its read, or nil when nothing of it
+// is to be delivered — the filter selects none of it, or all it would
+// deliver lies inside the resume prefix. Without a filter the policy is
+// asked only about a record that is read; a filter's empty-record accounting
+// is in bytes at a quality, so under one the policy is asked about every
+// record visited.
+func (p *epochPlan) plan(rec int) (func() recordRead, error) {
 	l := p.l
-	if l.filter == nil {
-		return l.readWhole(rec, qq)
-	}
-	samples, bytes, avoided, err := l.ds.r.(filteredRecordReader).readRecordFiltered(rec, qq, l.filter, sel)
+	n, err := l.ds.RecordImages(rec)
 	if err != nil {
-		return recordRead{err: err}
+		return nil, err
 	}
-	p.skipped.Add(int64(total - len(samples)))
-	p.avoided.Add(avoided)
-	return recordRead{samples: samples, bytes: bytes, quality: qq}
+	if l.filter == nil && p.skip >= n {
+		p.skip -= n
+		return nil, nil
+	}
+	qq, err := l.ds.resolveQuality(l.policy.RecordQuality(p.epoch, rec))
+	if err != nil {
+		return nil, err
+	}
+	var read func() recordRead
+	if l.filter == nil {
+		read = func() recordRead { return l.readWhole(rec, qq) }
+	} else if n, read, err = l.ds.r.(filteredRecordReader).planFiltered(rec, qq, l.filter, &p.filtered); err != nil {
+		return nil, err
+	} else if p.skip >= n { // an empty record (n = 0) among them
+		p.skip -= n
+		return nil, nil
+	}
+	if obs, ok := l.policy.(qualityObserver); ok {
+		obs.observeQuality(qq)
+	}
+	from := p.skip
+	p.skip = 0
+	return func() recordRead {
+		rr := read()
+		rr.samples = rr.samples[min(from, len(rr.samples)):]
+		return rr
+	}, nil
 }
 
 // readWhole is one unfiltered fetch: record rec's prefix at quality q, with
