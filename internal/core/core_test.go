@@ -132,26 +132,29 @@ func TestQualityMonotoneInScanGroup(t *testing.T) {
 }
 
 func TestFullQualityMatchesOriginal(t *testing.T) {
-	// Reading all scan groups must reproduce exactly the original
-	// coefficients (lossless rearrangement).
+	// Reading all scan groups must reproduce exactly the original's lossless
+	// progressive transcode, byte for byte (lossless rearrangement).
 	samples := buildSamples(t, 2)
 	data, meta := writeTestRecord(t, samples)
 	for i, s := range samples {
-		orig, err := jpegc.DecodeCoeffs(s.JPEG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, err := meta.SampleJPEG(data, i, meta.NumGroups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := jpegc.DecodeCoeffs(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(orig) {
-			t.Errorf("sample %d: coefficients differ from original", i)
-		}
+		assertFullQualityIsTranscode(t, meta, data, i, s.JPEG)
+	}
+}
+
+// assertFullQualityIsTranscode checks that sample i of a record, read at
+// full quality, is the stream its input transcodes to.
+func assertFullQualityIsTranscode(t *testing.T, meta *RecordMeta, data []byte, i int, input []byte) {
+	t.Helper()
+	want, err := jpegc.Transcode(input, &jpegc.Options{Progressive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := meta.SampleJPEG(data, i, meta.NumGroups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sample %d: full-quality stream (%d bytes) is not the input's progressive transcode (%d bytes)", i, len(got), len(want))
 	}
 }
 
@@ -278,20 +281,20 @@ func TestDatasetRoundTrip(t *testing.T) {
 	seen := map[int64]bool{}
 	for r := 0; r < ds.NumRecords(); r++ {
 		for _, g := range []int{1, 5, 10} {
-			decoded, err := ds.ReadRecordAt(r, g)
+			prefix, meta, err := ds.ReadRecordPrefix(r, g)
 			if err != nil {
 				t.Fatalf("record %d group %d: %v", r, g, err)
 			}
 			n, _ := ds.RecordSamples(r)
-			if len(decoded) != n {
-				t.Fatalf("record %d: %d decoded, want %d", r, len(decoded), n)
+			if len(meta.Samples) != n {
+				t.Fatalf("record %d: %d samples, want %d", r, len(meta.Samples), n)
 			}
-			for _, d := range decoded {
+			for si, s := range meta.Samples {
 				if g == 10 {
-					seen[d.ID] = true
+					seen[s.ID] = true
 				}
-				if d.Img == nil {
-					t.Fatal("nil image")
+				if _, err := meta.DecodeSample(prefix, si, g); err != nil {
+					t.Fatalf("record %d group %d sample %d: %v", r, g, si, err)
 				}
 			}
 		}
@@ -312,13 +315,13 @@ func TestDatasetRoundTrip(t *testing.T) {
 		t.Errorf("saw %d unique ids, want 10", len(seen))
 	}
 	// Labels must match the originals.
-	decoded, err := ds.ReadRecordAt(0, 1)
+	_, meta, err := ds.ReadRecordPrefix(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range decoded {
-		if d.Label != samples[i].Label {
-			t.Errorf("sample %d label %d, want %d", i, d.Label, samples[i].Label)
+	for i, s := range meta.Samples {
+		if s.Label != samples[i].Label {
+			t.Errorf("sample %d label %d, want %d", i, s.Label, samples[i].Label)
 		}
 	}
 }

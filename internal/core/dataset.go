@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"image"
 	"os"
 	"path/filepath"
 
@@ -360,13 +359,6 @@ func (ds *Dataset) RecordSamples(i int) (int, error) {
 	return ds.records[i].Samples, nil
 }
 
-// DecodedSample is one image materialized from a record prefix.
-type DecodedSample struct {
-	ID    int64
-	Label int64
-	Img   image.Image
-}
-
 // ReadRecordPrefix reads exactly the prefix of record i needed for scan
 // group g. This is the dataset's only read path — by construction it is a
 // single sequential read from offset zero, issued through the Backend.
@@ -379,30 +371,23 @@ func (ds *Dataset) ReadRecordPrefix(i, g int) ([]byte, *RecordMeta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	meta, err := ParseRecordMeta(buf)
+	meta, err := ds.ParseRecordPrefix(i, buf)
 	if err != nil {
 		return nil, nil, err
 	}
 	return buf, meta, nil
 }
 
-// ReadRecordAt materializes every image of record i at scan group g.
-func (ds *Dataset) ReadRecordAt(i, g int) ([]DecodedSample, error) {
-	prefix, meta, err := ds.ReadRecordPrefix(i, g)
+// ParseRecordPrefix parses a prefix of record i, however it was read, and
+// refuses as ErrCorrupt a record file that holds another number of samples
+// than the index entry every read plan is made from.
+func (ds *Dataset) ParseRecordPrefix(i int, prefix []byte) (*RecordMeta, error) {
+	meta, err := ParseRecordMeta(prefix)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DecodedSample, 0, len(meta.Samples))
-	for si := range meta.Samples {
-		img, err := meta.DecodeSample(prefix, si, g)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, DecodedSample{
-			ID:    meta.Samples[si].ID,
-			Label: meta.Samples[si].Label,
-			Img:   img,
-		})
+	if n := ds.records[i].Samples; len(meta.Samples) != n {
+		return nil, fmt.Errorf("core: %w: record %d holds %d samples, its index entry %d", ErrCorrupt, i, len(meta.Samples), n)
 	}
-	return out, nil
+	return meta, nil
 }

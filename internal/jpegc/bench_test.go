@@ -34,35 +34,6 @@ func BenchmarkTranscode(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeCoeffs(b *testing.B) {
-	in := benchInput(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ci, err := DecodeCoeffs(in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += ci.Width
-	}
-}
-
-func BenchmarkEncodeCoeffsProgressive(b *testing.B) {
-	ci, err := DecodeCoeffs(benchInput(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := EncodeCoeffs(ci, &Options{Progressive: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += len(out)
-	}
-}
-
 // BenchmarkDecode is the read path's cost per image at three points of the
 // default scan script — all ten scans, five, two — each beside image/jpeg on
 // the same bytes.
@@ -106,7 +77,7 @@ func BenchmarkDecode(b *testing.B) {
 // five-scan prefix leaves it (every term cut to a multiple of 4), and a
 // block with only its DC term, which neither body transforms.
 func BenchmarkReconstruct(b *testing.B) {
-	var dense, q5, dc Block
+	var dense, q5, dc block
 	rng := rand.New(rand.NewSource(23))
 	for _, k := range rng.Perm(63)[:34] {
 		dense[1+k] = int32(1+rng.Intn(1+96/(2+k))) * int32(1-2*rng.Intn(2))
@@ -121,7 +92,7 @@ func BenchmarkReconstruct(b *testing.B) {
 	for _, p := range idctPaths {
 		for _, shape := range []struct {
 			name string
-			blk  *Block
+			blk  *block
 		}{{"dense", &dense}, {"q5", &q5}, {"dc", &dc}} {
 			last := 63
 			for last > 0 && shape.blk[last] == 0 {

@@ -31,22 +31,12 @@ type decoder struct {
 	sawSOF bool
 }
 
-// DecodeCoeffs parses a JPEG stream (baseline or progressive) down to its
-// quantized DCT coefficients. Progressive streams whose later scans are
-// absent — e.g. a PCR scan-group prefix terminated with EOI — decode
-// successfully; missing refinements simply leave coefficients at their
-// coarser values. A stream that ends without EOI, or a scan that needs more
-// bits than its entropy-coded data holds, returns ErrTruncated.
-func DecodeCoeffs(data []byte) (*CoeffImage, error) {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	if err := s.decode(data); err != nil {
-		return nil, err
-	}
-	return s.export(), nil
-}
-
-// decode parses data into the working blocks (not yet sealed).
+// decode parses a JPEG stream (baseline or progressive) into the working
+// blocks, not yet sealed. Progressive streams whose later scans are absent —
+// e.g. a PCR scan-group prefix terminated with EOI — decode successfully;
+// missing refinements simply leave coefficients at their coarser values. A
+// stream that ends without EOI, or a scan that needs more bits than its
+// entropy-coded data holds, returns ErrTruncated.
 func (s *scratch) decode(data []byte) error {
 	d := decoder{data: data, s: s}
 	if err := d.run(); err != nil {
@@ -63,8 +53,8 @@ func (s *scratch) decode(data []byte) error {
 }
 
 // Decode reconstructs the pixels of a JPEG stream (baseline or progressive):
-// the coefficients DecodeCoeffs would return, dequantized and inverse
-// transformed straight out of the pooled scratch into one new image. Color
+// its coefficients, decoded into the pooled scratch, dequantized and inverse
+// transformed straight out of it into one new image. Color
 // streams come back as *image.YCbCr at the stream's native subsampling,
 // grayscale as *image.Gray, with planes that cover whole MCUs as image/jpeg
 // sizes them. A scan-group prefix terminated with EOI decodes to its coarser
@@ -114,7 +104,7 @@ func frameSize(data []byte) (w, h int, ok bool) {
 }
 
 // maxPixels bounds the frame size a decode will allocate for. A SOF header
-// can declare 65535×65535 in a dozen bytes, and both DecodeCoeffs and
+// can declare 65535×65535 in a dozen bytes, and both this decoder and
 // image/jpeg size their buffers from that declaration before they have read
 // any entropy-coded data; 2^26 pixels is above any camera frame.
 const maxPixels = 1 << 26
@@ -260,7 +250,7 @@ func (d *decoder) parseSOF(p []byte) error {
 		return fmt.Errorf("%w: sampling %v (only 4:4:4 and 4:2:0)", ErrUnsupported, bytes.Clone(sampling[:d.ncomp]))
 	}
 	d.sawSOF = true
-	d.s.setGeometry(&CoeffImage{Width: d.width, Height: d.height, NumComps: d.ncomp, Subsample420: d.subsample420})
+	d.s.setGeometry(&coeffImage{Width: d.width, Height: d.height, NumComps: d.ncomp, Subsample420: d.subsample420})
 	return nil
 }
 
@@ -437,7 +427,7 @@ func decodeDCDiff(r *bitReader, dec *huffDecoder) (int32, error) {
 // indexed by component.
 func (d *decoder) decodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
 	var dcPred [3]int32
-	var padding Block
+	var padding block
 	var padLast uint8
 	for _, b := range d.s.order {
 		blk, lastNZ := &d.s.blocks[b.comp][b.idx], &d.s.lastNZ[b.comp][b.idx]
@@ -604,7 +594,7 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 // negative): it reads a correction bit for each non-zero coefficient it
 // passes and stops at the (run+1)-th zero one. It returns where it stopped
 // and how many zeros were still to pass — 0 unless it reached last+1.
-func (r *bitReader) refine(blk *Block, k, last, run int, p1, m1 int32) (int, int) {
+func (r *bitReader) refine(blk *block, k, last, run int, p1, m1 int32) (int, int) {
 	if k > last {
 		return k, run
 	}

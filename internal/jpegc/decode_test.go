@@ -171,14 +171,15 @@ func TestReconstructFastPaths(t *testing.T) {
 
 func testReconstructFastPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	ci := &CoeffImage{Width: 64, Height: 64, NumComps: 1, Blocks: [3][]Block{make([]Block, 64)}}
-	for i := range ci.Quant[0] {
-		ci.Quant[0][i] = uint16(1 + rng.Intn(255))
+	geo := coeffImage{Width: 64, Height: 64, NumComps: 1}
+	for i := range geo.Quant[0] {
+		geo.Quant[0][i] = uint16(1 + rng.Intn(255))
 	}
-	ci.Quant[0][0], ci.Quant[0][1] = 255, 255
-	last := make([]int, len(ci.Blocks[0])) // zigzag index of each block's last coefficient
-	for i := range ci.Blocks[0] {
-		blk := &ci.Blocks[0][i]
+	geo.Quant[0][0], geo.Quant[0][1] = 255, 255
+	ci := newCoeffs(geo)
+	last := make([]int, len(ci.blocks[0])) // zigzag index of each block's last coefficient
+	for i := range ci.blocks[0] {
+		blk := &ci.blocks[0][i]
 		switch {
 		case i < 4: // DC only, at and near the limits
 			blk[0] = []int32{-1024, 1023, 0, 1}[i]
@@ -198,8 +199,12 @@ func testReconstructFastPaths(t *testing.T) {
 		}
 	}
 
-	q := multipliers(&ci.Quant[0])
-	sameBounded := func(zz *Block, last int) {
+	sealed, err := ci.sealed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := multipliers(&geo.Quant[0])
+	sameBounded := func(zz *block, last int) {
 		t.Helper()
 		bounded, full := make([]byte, 64), make([]byte, 64)
 		reconstruct(zz, last, &q, bounded, 8)
@@ -208,15 +213,11 @@ func testReconstructFastPaths(t *testing.T) {
 			t.Errorf("block %v: bounded by index %d\n%v\nunbounded\n%v", zz, last, bounded, full)
 		}
 	}
-	for i := range ci.Blocks[0] {
-		var zz Block
-		for k, nat := range zigzag {
-			zz[k] = ci.Blocks[0][i][nat]
-		}
-		sameBounded(&zz, last[i])
+	for i := range sealed.blocks[0] {
+		sameBounded(&sealed.blocks[0][i], last[i])
 	}
 	for i := 0; i < 64; i++ { // any int32, a third of them set, up to a random index
-		var zz Block
+		var zz block
 		last := rng.Intn(64)
 		for k := 0; k <= last; k++ {
 			if k == 0 || rng.Intn(3) == 0 {
@@ -237,7 +238,7 @@ func testReconstructFastPaths(t *testing.T) {
 		}
 	}
 	for _, progressive := range []bool{false, true} {
-		stream, err := EncodeCoeffs(ci, &Options{Progressive: progressive})
+		stream, err := sealed.encode(&Options{Progressive: progressive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +260,7 @@ func testReconstructFastPaths(t *testing.T) {
 // on, acs[i] AC terms of 15 bits, their value bits from rng, all shifted up
 // 13 places (Al) and quantized by 255.
 func wrappingCoefficients(rng *rand.Rand, acs []int) []byte {
-	geo := &CoeffImage{Width: 8 * len(acs), Height: 8, NumComps: 1}
+	geo := &coeffImage{Width: 8 * len(acs), Height: 8, NumComps: 1}
 	for i := range geo.Quant[0] {
 		geo.Quant[0][i] = 255
 	}
@@ -319,8 +320,8 @@ func splice(t testing.TB, stream []byte, m byte, seg ...byte) []byte {
 }
 
 // TestUnsupportedHandedToStdlib: a stream that is valid JPEG but outside the
-// subset parsed here is declined with ErrUnsupported by the coefficient
-// entry points, and Decode still returns its pixels, from image/jpeg. A
+// subset parsed here is declined with ErrUnsupported by Transcode, and
+// Decode still returns its pixels, from image/jpeg. A
 // corrupt stream is not such a stream: its error is this package's own.
 func TestUnsupportedHandedToStdlib(t *testing.T) {
 	img := testImage(32, 32, 9)
@@ -357,9 +358,6 @@ func TestUnsupportedHandedToStdlib(t *testing.T) {
 		{"four components", patched(sof+4+5, 4), false},
 		{"16-bit quantization table", patched(bytes.Index(base, []byte{0xFF, mDQT})+4, 0x10), false},
 	} {
-		if _, err := DecodeCoeffs(tc.stream); !errors.Is(err, ErrUnsupported) {
-			t.Errorf("%s: DecodeCoeffs: err = %v, want ErrUnsupported", tc.name, err)
-		}
 		if _, err := Transcode(tc.stream, &Options{Progressive: true}); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("%s: Transcode: err = %v, want ErrUnsupported", tc.name, err)
 		}

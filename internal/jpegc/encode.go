@@ -11,13 +11,9 @@ import (
 type Options struct {
 	// Quality is the JPEG quality setting in [1, 100]; 0 means 75.
 	Quality int
-	// Progressive selects progressive (SOF2) encoding with ScanScript (or
-	// the default script when nil). False produces a baseline (SOF0) stream.
+	// Progressive selects progressive (SOF2) encoding with libjpeg's
+	// default scan script. False produces a baseline (SOF0) stream.
 	Progressive bool
-	// ScanScript overrides the progressive scan script.
-	ScanScript []ScanSpec
-	// Grayscale forces single-component encoding even for color inputs.
-	Grayscale bool
 	// Subsample420 encodes color images with 4:2:0 chroma subsampling
 	// (the convention of virtually all photographic JPEG). Ignored for
 	// grayscale.
@@ -35,36 +31,39 @@ func (o *Options) quality() int {
 	return o.Quality
 }
 
-// Analyze converts an image into its quantized DCT coefficient
-// representation at the requested quality. This is the lossy step; all
+// Encode compresses img with the given options and returns the JPEG stream.
+// An *image.Gray is coded as one component, any other image as YCbCr.
+func Encode(img image.Image, opts *Options) ([]byte, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if err := s.analyze(img, opts); err != nil {
+		return nil, err
+	}
+	if err := s.seal(); err != nil {
+		return nil, err
+	}
+	return s.encode(opts)
+}
+
+// analyze converts img into the working blocks: its quantized DCT
+// coefficients at the requested quality. This is the lossy step; all
 // entropy-coding paths (baseline, progressive) below it are lossless.
-func Analyze(img image.Image, opts *Options) (*CoeffImage, error) {
+func (s *scratch) analyze(img image.Image, opts *Options) error {
 	b := img.Bounds()
 	w, h := b.Dx(), b.Dy()
 	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("jpegc: empty image")
+		return fmt.Errorf("jpegc: empty image")
 	}
-	gray := false
-	if opts != nil && opts.Grayscale {
-		gray = true
-	}
-	if _, ok := img.(*image.Gray); ok {
-		gray = true
-	}
-
-	luma, chroma := QuantTables(opts.quality())
-	ci := &CoeffImage{Width: w, Height: h}
+	_, gray := img.(*image.Gray)
+	geo := coeffImage{Width: w, Height: h, NumComps: 3, Subsample420: opts != nil && opts.Subsample420}
 	if gray {
-		ci.NumComps = 1
-	} else {
-		ci.NumComps = 3
-		ci.Subsample420 = opts != nil && opts.Subsample420
+		geo.NumComps, geo.Subsample420 = 1, false
 	}
-	ci.Quant[0] = luma
-	ci.Quant[1] = chroma
+	geo.Quant[0], geo.Quant[1] = quantTables(opts.quality())
+	s.setGeometry(&geo)
 
 	// Extract full-resolution component planes.
-	full := make([][]uint8, ci.NumComps)
+	full := make([][]uint8, geo.NumComps)
 	for c := range full {
 		full[c] = make([]uint8, w*h)
 	}
@@ -73,8 +72,7 @@ func Analyze(img image.Image, opts *Options) (*CoeffImage, error) {
 			r, g, bb, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
 			r8, g8, b8 := uint8(r>>8), uint8(g>>8), uint8(bb>>8)
 			if gray {
-				yy := color.GrayModel.Convert(color.RGBA{r8, g8, b8, 255}).(color.Gray).Y
-				full[0][y*w+x] = yy
+				full[0][y*w+x] = r8 // an *image.Gray's r, g and b are its Y
 			} else {
 				yy, cb, cr := color.RGBToYCbCr(r8, g8, b8)
 				full[0][y*w+x] = yy
@@ -84,18 +82,15 @@ func Analyze(img image.Image, opts *Options) (*CoeffImage, error) {
 		}
 	}
 
-	for c := 0; c < ci.NumComps; c++ {
-		quant := &ci.Quant[0]
-		if c > 0 {
-			quant = &ci.Quant[1]
-		}
+	for c := 0; c < geo.NumComps; c++ {
+		quant := &geo.Quant[tableSlot(c)]
 		// Component plane at its sampled resolution, edge-replicated to
 		// block boundaries. Chroma under 4:2:0 is a 2×2 box average.
-		cw, ch := ci.compSize(c)
-		bw, bh := ci.CompBlocksWide(c), ci.CompBlocksHigh(c)
+		cw, ch := geo.compSize(c)
+		bw, bh := geo.compBlocks(c)
 		pw, ph := bw*8, bh*8
 		plane := make([]uint8, pw*ph)
-		sub := ci.Subsample420 && c > 0
+		sub := geo.Subsample420 && c > 0
 		for y := 0; y < ph; y++ {
 			sy := min(y, ch-1)
 			for x := 0; x < pw; x++ {
@@ -112,7 +107,6 @@ func Analyze(img image.Image, opts *Options) (*CoeffImage, error) {
 			}
 		}
 
-		ci.Blocks[c] = make([]Block, bw*bh)
 		var fb [64]float64
 		for by := 0; by < bh; by++ {
 			for bx := 0; bx < bw; bx++ {
@@ -122,10 +116,9 @@ func Analyze(img image.Image, opts *Options) (*CoeffImage, error) {
 					}
 				}
 				fdct(&fb)
-				blk := &ci.Blocks[c][by*bw+bx]
-				for k := 0; k < 64; k++ {
-					q := float64(quant[k])
-					v := fb[k] / q
+				blk := &s.blocks[c][by*bw+bx]
+				for k, nat := range zigzag {
+					v := fb[nat] / float64(quant[nat])
 					// Round to nearest, ties away from zero.
 					if v >= 0 {
 						blk[k] = int32(v + 0.5)
@@ -136,28 +129,7 @@ func Analyze(img image.Image, opts *Options) (*CoeffImage, error) {
 			}
 		}
 	}
-	return ci, nil
-}
-
-// Encode compresses img with the given options and returns the JPEG stream.
-func Encode(img image.Image, opts *Options) ([]byte, error) {
-	ci, err := Analyze(img, opts)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeCoeffs(ci, opts)
-}
-
-// EncodeCoeffs entropy-codes an existing coefficient image. This is the
-// lossless half of the codec: EncodeCoeffs followed by DecodeCoeffs returns
-// an identical CoeffImage regardless of baseline/progressive mode.
-func EncodeCoeffs(ci *CoeffImage, opts *Options) ([]byte, error) {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	if err := s.load(ci); err != nil {
-		return nil, err
-	}
-	return s.encode(opts)
+	return nil
 }
 
 // encode entropy-codes the sealed working blocks. The stream is assembled
@@ -166,14 +138,7 @@ func (s *scratch) encode(opts *Options) ([]byte, error) {
 	progressive := opts != nil && opts.Progressive
 	s.w = bitWriter{out: appendHeaders(s.w.out[:0], &s.geo, progressive)}
 	if progressive {
-		script := opts.ScanScript
-		if script == nil {
-			script = DefaultScanScript(s.geo.NumComps)
-		}
-		if err := validateScript(script, s.geo.NumComps); err != nil {
-			return nil, err
-		}
-		for _, scan := range script {
+		for _, scan := range defaultScanScript(s.geo.NumComps) {
 			if err := s.writeScan(scan); err != nil {
 				return nil, err
 			}
@@ -191,7 +156,7 @@ func appendSegment(out []byte, marker byte, n int) []byte {
 	return append(out, 0xFF, marker, byte((n+2)>>8), byte(n+2))
 }
 
-func appendHeaders(out []byte, ci *CoeffImage, progressive bool) []byte {
+func appendHeaders(out []byte, ci *coeffImage, progressive bool) []byte {
 	out = append(out, 0xFF, mSOI)
 
 	// JFIF APP0.

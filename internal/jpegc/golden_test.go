@@ -8,56 +8,65 @@ import (
 	"testing"
 )
 
-// goldenInputs are the images whose encoded bytes are pinned: every
-// entropy-coding mode of each (Encode is Analyze followed by EncodeCoeffs, so
-// hashing EncodeCoeffs of an analyzed image pins Encode) and both transcode
-// directions. The hashes were generated at the commit
-// before the entropy coder was rewritten (one-walk token encoder,
-// table-driven decoder) and must never change with it: the scan script, the
-// optimal tables and their tie-breaks, the stuffing and the padding are all
-// part of what a stored dataset's bytes_per_image rests on.
-func goldenInputs(t *testing.T) map[string]*CoeffImage {
+// goldenInputs are the inputs whose encoded bytes are pinned, each as the
+// encoder of one in a given entropy-coding mode: every mode of each, and both
+// transcode directions. The hashes were generated at the commit before the
+// entropy coder was rewritten (one-walk token encoder, table-driven decoder)
+// and must never change with it: the scan script, the optimal tables and
+// their tie-breaks, the stuffing and the padding are all part of what a
+// stored dataset's bytes_per_image rests on.
+func goldenInputs(t *testing.T) map[string]func(mode Options) ([]byte, error) {
 	t.Helper()
-	analyze := func(img image.Image, opts *Options) *CoeffImage {
-		ci, err := Analyze(img, opts)
+	// A picture goes through Encode at its quality and sampling; coefficients
+	// no picture analyzes to are sealed into a scratch and encoded from there,
+	// as Encode encodes what it analyzed.
+	picture := func(img image.Image, opts Options) func(Options) ([]byte, error) {
+		return func(mode Options) ([]byte, error) {
+			mode.Quality, mode.Subsample420 = opts.Quality, opts.Subsample420
+			return Encode(img, &mode)
+		}
+	}
+	coefficients := func(c *coeffs) func(Options) ([]byte, error) {
+		s, err := c.sealed()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ci
+		return func(mode Options) ([]byte, error) { return s.encode(&mode) }
 	}
-	in := map[string]*CoeffImage{
-		"gray-31x17":  analyze(testGray(31, 17, 101), &Options{Quality: 85}),
-		"444-64x64":   analyze(testImage(64, 64, 102), &Options{Quality: 80}),
-		"420-66x50":   analyze(testImage(66, 50, 103), &Options{Quality: 75, Subsample420: true}),
-		"420-128x128": analyze(testImage(128, 128, 104), &Options{Quality: 92, Subsample420: true}),
+	in := map[string]func(Options) ([]byte, error){
+		"gray-31x17":  picture(testGray(31, 17, 101), Options{Quality: 85}),
+		"444-64x64":   picture(testImage(64, 64, 102), Options{Quality: 80}),
+		"420-66x50":   picture(testImage(66, 50, 103), Options{Quality: 75, Subsample420: true}),
+		"420-128x128": picture(testImage(128, 128, 104), Options{Quality: 92, Subsample420: true}),
 	}
 	// Arbitrary coefficient contents: saturated magnitudes, dense small
 	// values, empty blocks — patterns photographs never produce.
 	for seed := int64(1); seed <= 6; seed++ {
-		in["random-"+string(rune('0'+seed))] = randomCoeffImage(rand.New(rand.NewSource(seed)))
+		in["random-"+string(rune('0'+seed))] = coefficients(randomCoeffs(rand.New(rand.NewSource(seed))))
 	}
+	gray50 := coeffImage{NumComps: 1}
+	gray50.Quant[0], _ = quantTables(50)
 	// Every AC coefficient already significant before the refinement
 	// scans: 63 correction bits per block and never a new coefficient, so
 	// the EOB run's buffered bits cross maxCorrBits and force a flush.
-	corr := &CoeffImage{Width: 64, Height: 64, NumComps: 1}
-	corr.Quant[0], _ = QuantTables(50)
-	corr.Blocks[0] = make([]Block, 64)
-	for i := range corr.Blocks[0] {
+	gray50.Width, gray50.Height = 64, 64
+	corr := newCoeffs(gray50)
+	for i := range corr.blocks[0] {
+		blk := &corr.blocks[0][i]
 		for k := 1; k < 64; k++ {
-			corr.Blocks[0][i][k] = int32(8 + (i+k)%8)
+			blk[k] = int32(8 + (i+k)%8)
 			if (i+k)%3 == 0 {
-				corr.Blocks[0][i][k] = -corr.Blocks[0][i][k]
+				blk[k] = -blk[k]
 			}
 		}
 	}
-	in["corrbits-64x64"] = corr
+	in["corrbits-64x64"] = coefficients(corr)
 	// More empty blocks than one EOB run can count (0x7FFF).
-	empty := &CoeffImage{Width: 1456, Height: 1456, NumComps: 1}
-	empty.Quant[0], _ = QuantTables(50)
-	empty.Blocks[0] = make([]Block, 182*182)
-	empty.Blocks[0][5][0] = 77
-	empty.Blocks[0][33000][9] = -3
-	in["eobrun-1456x1456"] = empty
+	gray50.Width, gray50.Height = 1456, 1456
+	empty := newCoeffs(gray50)
+	empty.blocks[0][5][0] = 77
+	empty.blocks[0][33000][9] = -3
+	in["eobrun-1456x1456"] = coefficients(empty)
 	return in
 }
 
@@ -79,11 +88,10 @@ func sha(b []byte) string {
 func goldenStreams(t *testing.T) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for name, ci := range goldenInputs(t) {
+	for name, encode := range goldenInputs(t) {
 		streams := make(map[string][]byte)
 		for _, m := range goldenModes {
-			opts := m.opts
-			data, err := EncodeCoeffs(ci, &opts)
+			data, err := encode(m.opts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, m.name, err)
 			}

@@ -36,7 +36,7 @@ func (s *scratch) pixels() image.Image {
 // MCU grid pads it; that margin lies outside the frame and stays zero.
 func (s *scratch) plane(c int, pix []byte, stride int) {
 	q := multipliers(&s.geo.Quant[tableSlot(c)])
-	bw, bh := s.geo.CompBlocksWide(c), s.geo.CompBlocksHigh(c)
+	bw, bh := s.geo.compBlocks(c)
 	blocks, lastNZ := s.blocks[c], s.lastNZ[c]
 	for by := 0; by < bh; by++ {
 		row := pix[by*8*stride:]
@@ -95,7 +95,7 @@ func multipliers(quant *[64]uint16) (q [64]int32) {
 // (last = 63). The transform has two bodies with the same samples for every
 // input: the one below, which is also what the other is tested against, and
 // idctAVX2 where the processor has it.
-func reconstruct(blk *Block, last int, q *[64]int32, dst []byte, stride int) {
+func reconstruct(blk *block, last int, q *[64]int32, dst []byte, stride int) {
 	if last == 0 {
 		// A lone DC term passes through both 1-D transforms as a
 		// constant: (dc<<3) after the rows, this after the columns.

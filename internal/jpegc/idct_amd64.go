@@ -11,6 +11,6 @@ var useAVX2 = cpuHasAVX2()
 // so those past the block's last must be the zeros they are said to be.
 //
 //go:noescape
-func idctAVX2(blk *Block, q *[64]int32, dst *byte, stride int)
+func idctAVX2(blk *block, q *[64]int32, dst *byte, stride int)
 
 func cpuHasAVX2() bool

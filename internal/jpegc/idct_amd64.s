@@ -64,7 +64,7 @@ GLOBL rowOrder<>(SB), RODATA|NOPTR, $32
 	VPGATHERDD Y14, (SI)(Y13*4), y; \
 	VPMULLD    32*n(BX), y, y
 
-// func idctAVX2(blk *Block, q *[64]int32, dst *byte, stride int)
+// func idctAVX2(blk *block, q *[64]int32, dst *byte, stride int)
 TEXT ·idctAVX2(SB), NOSPLIT, $0-32
 	MOVQ blk+0(FP), SI
 	MOVQ q+8(FP), BX

@@ -6,6 +6,6 @@ package jpegc
 // body.
 var useAVX2 = false
 
-func idctAVX2(blk *Block, q *[64]int32, dst *byte, stride int) {
+func idctAVX2(blk *block, q *[64]int32, dst *byte, stride int) {
 	panic("jpegc: idctAVX2 called on an architecture without it")
 }

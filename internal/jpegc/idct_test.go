@@ -36,7 +36,7 @@ func eachIDCTPath(t *testing.T, f func(t *testing.T)) {
 // buffers that start out alike and are longer than the block needs, and
 // fails the test unless they end alike: the same 64 samples and not a byte
 // written beside them.
-func reconstructBothWays(t *testing.T, blk *Block, last int, quant *[64]uint16, stride int) {
+func reconstructBothWays(t *testing.T, blk *block, last int, quant *[64]uint16, stride int) {
 	t.Helper()
 	defer func(was bool) { useAVX2 = was }(useAVX2)
 	var out [2][]byte
@@ -67,7 +67,7 @@ func TestReconstructKernelMatchesPortable(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < n; i++ {
-		var blk Block
+		var blk block
 		var q [64]uint16
 		bits := 1 + rng.Intn(32) // coefficients of up to this many bits
 		qmax := []int{1, 16, 255, 65535}[rng.Intn(4)]
@@ -117,7 +117,7 @@ func FuzzReconstruct(f *testing.F) {
 	}
 	f.Add(coeffs, bytes.Repeat([]byte{255, 0}, 64), uint8(4), uint8(8))
 	f.Fuzz(func(t *testing.T, coeffs, quant []byte, last, stride uint8) {
-		var blk Block
+		var blk block
 		var q [64]uint16
 		last &= 63
 		for k := 0; k <= int(last) && 4*k+4 <= len(coeffs); k++ {

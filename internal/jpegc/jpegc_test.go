@@ -87,9 +87,9 @@ func TestDCTBasisResponse(t *testing.T) {
 }
 
 func TestQuantTablesMonotone(t *testing.T) {
-	prev, _ := QuantTables(10)
+	prev, _ := quantTables(10)
 	for q := 20; q <= 100; q += 10 {
-		cur, _ := QuantTables(q)
+		cur, _ := quantTables(q)
 		for i := range cur {
 			if cur[i] > prev[i] {
 				t.Fatalf("quality %d: quant[%d]=%d exceeds lower-quality value %d", q, i, cur[i], prev[i])
@@ -97,7 +97,7 @@ func TestQuantTablesMonotone(t *testing.T) {
 		}
 		prev = cur
 	}
-	q100, _ := QuantTables(100)
+	q100, _ := quantTables(100)
 	for i, v := range q100 {
 		if v != 1 {
 			t.Errorf("quality 100: quant[%d]=%d, want 1", i, v)
@@ -280,25 +280,37 @@ func encodings(t *testing.T) map[string]*Options {
 	}
 }
 
+// analyzedRoundTrip does what Encode does — analyze img, seal, encode — and
+// checks that the stream decodes to exactly the coefficients sealed, which
+// it returns.
+func analyzedRoundTrip(t *testing.T, img image.Image, opts *Options) *scratch {
+	t.Helper()
+	s := new(scratch)
+	if err := s.analyze(img, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.seal(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.encode(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decoded(data)
+	if err == nil {
+		err = sameCoeffs(got, s)
+	}
+	if err != nil {
+		t.Fatalf("coefficients changed across encode/decode: %v", err)
+	}
+	return s
+}
+
 func TestCoeffRoundTripColor(t *testing.T) {
 	img := testImage(67, 45, 11) // non-multiple-of-8 dimensions on purpose
 	for name, opts := range encodings(t) {
 		t.Run(name, func(t *testing.T) {
-			ci, err := Analyze(img, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := EncodeCoeffs(ci, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeCoeffs(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(ci) {
-				t.Fatal("coefficients changed across encode/decode")
-			}
+			analyzedRoundTrip(t, img, opts)
 		})
 	}
 }
@@ -307,23 +319,8 @@ func TestCoeffRoundTripGray(t *testing.T) {
 	img := testGray(40, 56, 5)
 	for name, opts := range encodings(t) {
 		t.Run(name, func(t *testing.T) {
-			ci, err := Analyze(img, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ci.NumComps != 1 {
-				t.Fatalf("NumComps = %d, want 1", ci.NumComps)
-			}
-			data, err := EncodeCoeffs(ci, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeCoeffs(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(ci) {
-				t.Fatal("coefficients changed across encode/decode")
+			if s := analyzedRoundTrip(t, img, opts); s.geo.NumComps != 1 {
+				t.Fatalf("NumComps = %d, want 1", s.geo.NumComps)
 			}
 		})
 	}
@@ -370,25 +367,24 @@ func TestEncodedStreamsDecodeToSource(t *testing.T) {
 	}
 }
 
+// TestTranscodeLossless: a transcode, either way, writes the stream a direct
+// encoding of the same image in the target mode writes, byte for byte.
 func TestTranscodeLossless(t *testing.T) {
 	img := testImage(80, 60, 31)
-	base, err := Encode(img, &Options{Quality: 85})
-	if err != nil {
-		t.Fatal(err)
+	encode := func(opts *Options) []byte {
+		t.Helper()
+		data, err := Encode(img, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
+	base := encode(&Options{Quality: 85})
 	prog, err := Transcode(base, &Options{Progressive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ciBase, err := DecodeCoeffs(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ciProg, err := DecodeCoeffs(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ciProg.Equal(ciBase) {
+	if !bytes.Equal(prog, encode(&Options{Quality: 85, Progressive: true})) {
 		t.Fatal("transcode is not lossless")
 	}
 	// And back again.
@@ -396,11 +392,7 @@ func TestTranscodeLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ciBack, err := DecodeCoeffs(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ciBack.Equal(ciBase) {
+	if !bytes.Equal(back, encode(&Options{Quality: 85, OptimizeHuffman: true})) {
 		t.Fatal("round-trip transcode is not lossless")
 	}
 }
@@ -519,34 +511,14 @@ func TestProgressiveSizeNearBaseline(t *testing.T) {
 	}
 }
 
-func TestValidateScriptRejectsBadScripts(t *testing.T) {
-	bad := [][]ScanSpec{
-		{{Comps: []int{0}, Ss: 1, Se: 0}},                                  // inverted band
-		{{Comps: []int{0, 1}, Ss: 1, Se: 5}},                               // interleaved AC
-		{{Comps: []int{0}, Ss: 0, Se: 0, Ah: 2, Al: 0}},                    // bad refinement step
-		{{Comps: []int{5}, Ss: 0, Se: 0}},                                  // bad component
-		{{Comps: []int{0}, Ss: 0, Se: 63}},                                 // DC+AC in one progressive scan
-		{{Comps: []int{0}, Ss: 1, Se: 5}, {Comps: []int{0}, Ss: 1, Se: 5}}, // double coding
-	}
-	for i, script := range bad {
-		if err := validateScript(script, 3); err == nil {
-			t.Errorf("script %d accepted, want error", i)
-		}
-	}
-	if err := validateScript(DefaultScanScript(3), 3); err != nil {
-		t.Errorf("default color script rejected: %v", err)
-	}
-	if err := validateScript(DefaultScanScript(1), 1); err != nil {
-		t.Errorf("default gray script rejected: %v", err)
-	}
-}
-
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeCoeffs([]byte{1, 2, 3}); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := DecodeCoeffs(nil); err == nil {
-		t.Error("empty input accepted")
+	for _, data := range [][]byte{{1, 2, 3}, nil} {
+		if _, err := Decode(data); err == nil {
+			t.Errorf("Decode accepted % x", data)
+		}
+		if _, err := Transcode(data, &Options{Progressive: true}); err == nil {
+			t.Errorf("Transcode accepted % x", data)
+		}
 	}
 }
 
@@ -556,12 +528,12 @@ func TestDecodeTruncatedStreamReportsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = DecodeCoeffs(data[:len(data)-2]) // strip EOI
-	if err != ErrTruncated {
-		t.Errorf("err = %v, want ErrTruncated", err)
+	noEOI := data[:len(data)-2]
+	if _, err := Decode(noEOI); err != ErrTruncated {
+		t.Errorf("Decode: err = %v, want ErrTruncated", err)
 	}
-	if _, err := Decode(data[:len(data)-2]); err == nil {
-		t.Error("Decode accepted a stream without EOI")
+	if _, err := Transcode(noEOI, &Options{Progressive: true}); err != ErrTruncated {
+		t.Errorf("Transcode: err = %v, want ErrTruncated", err)
 	}
 }
 

@@ -1,7 +1,5 @@
 package jpegc
 
-import "fmt"
-
 // JPEG marker codes (second byte after 0xFF).
 const (
 	mSOF0 = 0xC0 // baseline sequential DCT
@@ -33,11 +31,11 @@ type ScanSpec struct {
 // isDC reports whether the scan codes the DC band.
 func (s ScanSpec) isDC() bool { return s.Ss == 0 }
 
-// DefaultScanScript returns the progressive scan script used by libjpeg's
+// defaultScanScript returns the progressive scan script used by libjpeg's
 // jpeg_simple_progression for the given component count: 10 scans for color
 // images, 6 for grayscale. PCRs map these scans 1:1 onto scan groups. The
 // script is shared by every caller and must not be modified.
-func DefaultScanScript(numComps int) []ScanSpec {
+func defaultScanScript(numComps int) []ScanSpec {
 	if numComps == 1 {
 		return grayScript
 	}
@@ -66,52 +64,3 @@ var (
 		{Comps: []int{0}, Ss: 1, Se: 63, Ah: 1, Al: 0},      // 10: Y AC refine
 	}
 )
-
-// validateScript checks that a scan script is legal for the component count
-// and covers every coefficient bit exactly once per component.
-func validateScript(script []ScanSpec, numComps int) error {
-	// state[c][k] holds the precision delivered so far for coefficient k of
-	// component c: the lowest Al reached, or -1 if untouched.
-	var state [3][64]int
-	for c := range state {
-		for k := range state[c] {
-			state[c][k] = -1
-		}
-	}
-	for i, s := range script {
-		if s.Ss < 0 || s.Se > 63 || s.Ss > s.Se {
-			return errScript(i, "bad spectral band")
-		}
-		if s.isDC() {
-			if s.Se != 0 {
-				return errScript(i, "DC scan must have Se=0")
-			}
-		} else if len(s.Comps) != 1 {
-			return errScript(i, "AC scan must code exactly one component")
-		}
-		if s.Ah != 0 && s.Ah != s.Al+1 {
-			return errScript(i, "refinement must lower Al by exactly one bit")
-		}
-		for _, c := range s.Comps {
-			if c < 0 || c >= numComps {
-				return errScript(i, "component out of range")
-			}
-			for k := s.Ss; k <= s.Se; k++ {
-				prev := state[c][k]
-				if s.Ah == 0 {
-					if prev != -1 {
-						return errScript(i, "coefficient coded twice in first passes")
-					}
-				} else if prev != s.Ah {
-					return errScript(i, "refinement pass does not follow previous precision")
-				}
-				state[c][k] = s.Al
-			}
-		}
-	}
-	return nil
-}
-
-func errScript(i int, msg string) error {
-	return fmt.Errorf("jpegc: scan script: scan %d: %s", i+1, msg)
-}

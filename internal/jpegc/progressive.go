@@ -205,7 +205,7 @@ func (e *eobRun) flush(s *scratch) {
 // coefficient: twice the time, measured.
 //
 //go:noinline
-func nonzeros(blk *Block, ss, end int, al uint, pos *[64]uint8, mag *[64]int32) int {
+func nonzeros(blk *block, ss, end int, al uint, pos *[64]uint8, mag *[64]int32) int {
 	if end < ss {
 		return 0
 	}

@@ -24,10 +24,10 @@ var (
 	}
 )
 
-// QuantTables returns the luma and chroma quantization tables for a quality
+// quantTables returns the luma and chroma quantization tables for a quality
 // setting in [1, 100], scaled with the libjpeg convention (quality 50 is the
 // Annex K baseline; higher quality shrinks divisors).
-func QuantTables(quality int) (luma, chroma [64]uint16) {
+func quantTables(quality int) (luma, chroma [64]uint16) {
 	if quality < 1 {
 		quality = 1
 	}

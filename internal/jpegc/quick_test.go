@@ -1,34 +1,94 @@
 package jpegc
 
 import (
+	"bytes"
+	"fmt"
 	"image"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// randomCoeffImage builds a structurally valid CoeffImage with arbitrary
-// coefficient contents — the adversarial input for entropy-coding
-// round-trips (real images never exercise extreme coefficient patterns like
-// saturated high-frequency bands or alternating signs).
-func randomCoeffImage(rng *rand.Rand) *CoeffImage {
-	ci := &CoeffImage{
+// coeffs is an image given by its coefficients instead of its pixels: a
+// geometry and every block of it, in natural (row-major) order. It is how
+// the tests reach the entropy coder with what no analysis of a picture
+// produces.
+type coeffs struct {
+	geo    coeffImage
+	blocks [3][][64]int32
+}
+
+// newCoeffs returns geo's image with every coefficient zero.
+func newCoeffs(geo coeffImage) *coeffs {
+	c := &coeffs{geo: geo}
+	for comp := 0; comp < geo.NumComps; comp++ {
+		bw, bh := geo.compBlocks(comp)
+		c.blocks[comp] = make([][64]int32, bw*bh)
+	}
+	return c
+}
+
+// sealed returns a scratch set to c's geometry and holding its coefficients,
+// in zigzag order and sealed: where Encode leaves an analyzed image, ready
+// for scratch.encode.
+func (c *coeffs) sealed() (*scratch, error) {
+	s := new(scratch)
+	s.setGeometry(&c.geo)
+	for comp := 0; comp < c.geo.NumComps; comp++ {
+		for i, nat := range c.blocks[comp] {
+			for k, at := range zigzag {
+				s.blocks[comp][i][k] = nat[at]
+			}
+		}
+	}
+	return s, s.seal()
+}
+
+// decoded decodes a stream into a scratch of its own.
+func decoded(data []byte) (*scratch, error) {
+	s := new(scratch)
+	return s, s.decode(data)
+}
+
+// sameCoeffs reports how two scratches' images differ, or nil: in geometry,
+// in a quantization table the image uses or in a coefficient.
+func sameCoeffs(got, want *scratch) error {
+	g, w := got.geo, want.geo
+	if g.NumComps == 1 {
+		g.Quant[1], w.Quant[1] = [64]uint16{}, [64]uint16{} // unused
+	}
+	if g != w {
+		return fmt.Errorf("geometry %+v, want %+v", g, w)
+	}
+	for c := 0; c < g.NumComps; c++ {
+		if !slices.Equal(got.blocks[c], want.blocks[c]) {
+			return fmt.Errorf("component %d: coefficients differ", c)
+		}
+	}
+	return nil
+}
+
+// randomCoeffs builds a structurally valid image with arbitrary coefficient
+// contents — the adversarial input for entropy-coding round-trips (real
+// images never exercise extreme coefficient patterns like saturated
+// high-frequency bands or alternating signs).
+func randomCoeffs(rng *rand.Rand) *coeffs {
+	geo := coeffImage{
 		Width:  rng.Intn(56) + 8,
 		Height: rng.Intn(56) + 8,
 	}
 	if rng.Intn(2) == 0 {
-		ci.NumComps = 1
+		geo.NumComps = 1
 	} else {
-		ci.NumComps = 3
+		geo.NumComps = 3
 	}
-	luma, chroma := QuantTables(rng.Intn(100) + 1)
-	ci.Quant[0], ci.Quant[1] = luma, chroma
-	n := ci.BlocksWide() * ci.BlocksHigh()
-	for c := 0; c < ci.NumComps; c++ {
-		ci.Blocks[c] = make([]Block, n)
-		for i := range ci.Blocks[c] {
-			blk := &ci.Blocks[c][i]
+	geo.Quant[0], geo.Quant[1] = quantTables(rng.Intn(100) + 1)
+	ci := newCoeffs(geo)
+	for c := 0; c < geo.NumComps; c++ {
+		for i := range ci.blocks[c] {
+			blk := &ci.blocks[c][i]
 			switch rng.Intn(4) {
 			case 0: // sparse, photograph-like
 				for k := 0; k < 6; k++ {
@@ -67,20 +127,23 @@ func TestQuickEntropyRoundTrip(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ci := randomCoeffImage(rng)
+		s, err := randomCoeffs(rng).sealed()
+		if err != nil {
+			t.Logf("seed %d: seal: %v", seed, err)
+			return false
+		}
 		for _, opts := range modes {
-			data, err := EncodeCoeffs(ci, opts)
+			data, err := s.encode(opts)
 			if err != nil {
 				t.Logf("seed %d: encode: %v", seed, err)
 				return false
 			}
-			got, err := DecodeCoeffs(data)
-			if err != nil {
-				t.Logf("seed %d: decode: %v", seed, err)
-				return false
+			got, err := decoded(data)
+			if err == nil {
+				err = sameCoeffs(got, s)
 			}
-			if !got.Equal(ci) {
-				t.Logf("seed %d: coefficients changed (progressive=%v)", seed, opts.Progressive)
+			if err != nil {
+				t.Logf("seed %d (progressive=%v): %v", seed, opts.Progressive, err)
 				return false
 			}
 		}
@@ -98,12 +161,15 @@ func TestQuickEntropyRoundTrip(t *testing.T) {
 }
 
 // TestQuickTranscodeIdempotent checks baseline→progressive→baseline is the
-// identity on coefficients for arbitrary inputs.
+// identity for arbitrary inputs: the stream comes back byte for byte.
 func TestQuickTranscodeIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ci := randomCoeffImage(rng)
-		base, err := EncodeCoeffs(ci, &Options{OptimizeHuffman: true})
+		s, err := randomCoeffs(rng).sealed()
+		if err != nil {
+			return false
+		}
+		base, err := s.encode(&Options{OptimizeHuffman: true})
 		if err != nil {
 			return false
 		}
@@ -112,14 +178,7 @@ func TestQuickTranscodeIdempotent(t *testing.T) {
 			return false
 		}
 		back, err := Transcode(prog, &Options{OptimizeHuffman: true})
-		if err != nil {
-			return false
-		}
-		got, err := DecodeCoeffs(back)
-		if err != nil {
-			return false
-		}
-		return got.Equal(ci)
+		return err == nil && bytes.Equal(back, base)
 	}
 	cfg := &quick.Config{
 		MaxCount: 20,
@@ -137,8 +196,11 @@ func TestQuickTranscodeIdempotent(t *testing.T) {
 func TestQuickScanPrefixesAlwaysDecode(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ci := randomCoeffImage(rng)
-		data, err := EncodeCoeffs(ci, &Options{Progressive: true})
+		s, err := randomCoeffs(rng).sealed()
+		if err != nil {
+			return false
+		}
+		data, err := s.encode(&Options{Progressive: true})
 		if err != nil {
 			return false
 		}
@@ -151,7 +213,7 @@ func TestQuickScanPrefixesAlwaysDecode(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if _, err := DecodeCoeffs(trunc); err != nil {
+			if _, err := Decode(trunc); err != nil {
 				t.Logf("seed %d: prefix %d: %v", seed, n, err)
 				return false
 			}
@@ -175,7 +237,7 @@ func TestQuickScanPrefixesAlwaysDecode(t *testing.T) {
 // point transform 13, every divisor 255. Dequantized they are far outside
 // what 32-bit inverse DCT arithmetic holds.
 func hostileCoefficients() []byte {
-	geo := &CoeffImage{Width: 16, Height: 8, NumComps: 1}
+	geo := &coeffImage{Width: 16, Height: 8, NumComps: 1}
 	for i := range geo.Quant[0] {
 		geo.Quant[0][i] = 255
 	}
@@ -197,17 +259,19 @@ func hostileCoefficients() []byte {
 	return append(w.out, 0xFF, mEOI)
 }
 
-// FuzzDecodeCoeffs feeds arbitrary bytes to the three entry points that
-// parse a JPEG stream. Truncated progressive streams are this system's
-// normal input, so the seeds are a baseline stream, a progressive one,
-// every scan prefix of it with and without its EOI, both streams with a
-// scan's data cut short under intact markers, and one whose coefficients
-// overflow the inverse DCT; testdata/fuzz adds hostile headers and
-// bit-flipped streams. Any input may be refused. None may panic — an index
-// outside a block or a sample plane would — and none may come back with a
-// frame larger than checkDims allows, which is what bounds the allocation a
-// header can ask for, or with sample planes that do not cover it.
-func FuzzDecodeCoeffs(f *testing.F) {
+// FuzzDecode feeds arbitrary bytes to the three entry points that parse a
+// JPEG stream. Truncated progressive streams are this system's normal
+// input, so the seeds are a baseline stream, a progressive one, every scan
+// prefix of it with and without its EOI, both streams with a scan's data cut
+// short under intact markers, and one whose coefficients overflow the
+// inverse DCT; testdata/fuzz adds hostile headers and bit-flipped streams.
+// Any input may be refused. None may panic — an index outside a block or a
+// sample plane would — and none may come back with a frame larger than
+// checkDims allows, which is what bounds the allocation a header can ask
+// for, or with sample planes that do not cover it. And the transcode is
+// lossless on whatever it accepts: its output decodes to the input's image,
+// sample for sample.
+func FuzzDecode(f *testing.F) {
 	base, err := Encode(testImage(32, 32, 3), &Options{Quality: 70})
 	if err != nil {
 		f.Fatal(err)
@@ -227,16 +291,6 @@ func FuzzDecodeCoeffs(f *testing.F) {
 	f.Add(cutEntropy(f, prog))
 	f.Add(hostileCoefficients()) // accepted: TestDecodeMatchesStdlib decodes it
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if ci, err := DecodeCoeffs(data); err == nil {
-			if err := checkDims(ci.Width, ci.Height); err != nil {
-				t.Fatalf("DecodeCoeffs accepted: %v", err)
-			}
-			for c := 0; c < ci.NumComps; c++ {
-				if want := ci.CompBlocksWide(c) * ci.CompBlocksHigh(c); len(ci.Blocks[c]) != want {
-					t.Fatalf("component %d has %d blocks, geometry says %d", c, len(ci.Blocks[c]), want)
-				}
-			}
-		}
 		if idx, err := IndexScans(data); err == nil {
 			for n := 1; n <= len(idx.Scans); n++ {
 				if _, err := TruncateToScan(data, idx, n); err != nil {
@@ -244,7 +298,8 @@ func FuzzDecodeCoeffs(f *testing.F) {
 				}
 			}
 		}
-		if img, err := Decode(data); err == nil {
+		img, err := Decode(data)
+		if err == nil {
 			frame := img.Bounds().Size()
 			if err := checkDims(frame.X, frame.Y); err != nil {
 				t.Fatalf("Decode accepted: %v", err)
@@ -262,6 +317,20 @@ func FuzzDecodeCoeffs(f *testing.F) {
 					t.Fatalf("plane %d of a %v frame: %d bytes at stride %d", c, frame, len(pix[c]), strides[c])
 				}
 			}
+		}
+		out, terr := Transcode(data, &Options{Progressive: true})
+		if terr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("Transcode accepts what Decode refuses: %v", err)
+		}
+		got, err := Decode(out)
+		if err != nil {
+			t.Fatalf("Decode refuses the transcode's output: %v", err)
+		}
+		if err := sameImage(got, img); err != nil {
+			t.Fatalf("transcode changed the image: %v", err)
 		}
 	})
 }

@@ -5,19 +5,18 @@ import (
 	"sync"
 )
 
-// scratch is the working state of one DecodeCoeffs, EncodeCoeffs or
-// Transcode call. Everything in it is sized by the largest image seen and
-// reused from image to image through scratchPool, so that a transcode
-// allocates little beyond the stream it returns.
+// scratch is the working state of one Encode, Decode or Transcode call.
+// Everything in it is sized by the largest image seen and reused from image
+// to image through scratchPool, so that a transcode allocates little beyond
+// the stream it returns.
 type scratch struct {
 	// geo carries the geometry and quantization tables of the image being
-	// worked on; its Blocks are unused.
-	geo CoeffImage
-	// blocks[c] is component c's coefficients in zigzag order (unlike
-	// CoeffImage.Blocks, which is in natural order): a scan's band Ss..Se
-	// is then a contiguous run of each block. The decoder writes it,
-	// the encoder walks it.
-	blocks [3][]Block
+	// worked on.
+	geo coeffImage
+	// blocks[c] is component c's coefficients, in zigzag order. The
+	// analysis and the decoder write it, the encoder and the inverse DCT
+	// read it.
+	blocks [3][]block
 	// lastNZ[c][i] is the zigzag index of block i's last non-zero
 	// coefficient, 0 when only the DC term or nothing is set: exactly that
 	// once sealed, and while decoding the highest index a scan has written.
@@ -36,20 +35,14 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// setGeometry adopts geo's geometry and quantization tables and sizes the
-// working blocks for it, zeroed.
-func (s *scratch) setGeometry(geo *CoeffImage) {
-	s.geo = CoeffImage{
-		Width:        geo.Width,
-		Height:       geo.Height,
-		NumComps:     geo.NumComps,
-		Subsample420: geo.Subsample420,
-		Quant:        geo.Quant,
-	}
+// setGeometry adopts geo and sizes the working blocks for it, zeroed.
+func (s *scratch) setGeometry(geo *coeffImage) {
+	s.geo = *geo
 	for c := 0; c < geo.NumComps; c++ {
-		n := geo.CompBlocksWide(c) * geo.CompBlocksHigh(c)
+		bw, bh := geo.compBlocks(c)
+		n := bw * bh
 		if cap(s.blocks[c]) < n {
-			s.blocks[c] = make([]Block, n)
+			s.blocks[c] = make([]block, n)
 			s.lastNZ[c] = make([]uint8, n)
 		}
 		s.blocks[c] = s.blocks[c][:n]
@@ -57,23 +50,6 @@ func (s *scratch) setGeometry(geo *CoeffImage) {
 		clear(s.blocks[c])
 		clear(s.lastNZ[c])
 	}
-}
-
-// load copies ci into the working blocks, in zigzag order, and seals them.
-func (s *scratch) load(ci *CoeffImage) error {
-	if err := ci.validateGeometry(); err != nil {
-		return err
-	}
-	s.setGeometry(ci)
-	for c := 0; c < ci.NumComps; c++ {
-		for i := range ci.Blocks[c] {
-			src, dst := &ci.Blocks[c][i], &s.blocks[c][i]
-			for k, nat := range zigzag {
-				dst[k] = src[nat]
-			}
-		}
-	}
-	return s.seal()
 }
 
 // seal makes the working blocks ready to encode: it checks every
@@ -112,20 +88,4 @@ func (s *scratch) seal() error {
 		}
 	}
 	return nil
-}
-
-// export returns the working blocks as a CoeffImage of its own, in natural
-// order.
-func (s *scratch) export() *CoeffImage {
-	ci := s.geo
-	for c := 0; c < ci.NumComps; c++ {
-		ci.Blocks[c] = make([]Block, len(s.blocks[c]))
-		for i := range s.blocks[c] {
-			src, dst := &s.blocks[c][i], &ci.Blocks[c][i]
-			for k, nat := range zigzag {
-				dst[nat] = src[k]
-			}
-		}
-	}
-	return &ci
 }

@@ -2,6 +2,7 @@ package jpegc
 
 import (
 	"bytes"
+	"errors"
 	stdjpeg "image/jpeg"
 	"testing"
 )
@@ -21,26 +22,12 @@ func TestCoeffRoundTrip420(t *testing.T) {
 		img := testImage(dims[0], dims[1], 13)
 		for name, o := range opts420() {
 			t.Run(name, func(t *testing.T) {
-				ci, err := Analyze(img, o)
-				if err != nil {
-					t.Fatal(err)
+				s := analyzedRoundTrip(t, img, o)
+				if !s.geo.Subsample420 {
+					t.Fatal("analysis ignored Subsample420")
 				}
-				if !ci.Subsample420 {
-					t.Fatal("Analyze ignored Subsample420")
-				}
-				if len(ci.Blocks[1]) >= len(ci.Blocks[0]) {
-					t.Fatalf("chroma has %d blocks vs luma %d; expected ~1/4", len(ci.Blocks[1]), len(ci.Blocks[0]))
-				}
-				data, err := EncodeCoeffs(ci, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := DecodeCoeffs(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(ci) {
-					t.Fatalf("%dx%d: coefficients changed across encode/decode", dims[0], dims[1])
+				if len(s.blocks[1]) >= len(s.blocks[0]) {
+					t.Fatalf("chroma has %d blocks vs luma %d; expected ~1/4", len(s.blocks[1]), len(s.blocks[0]))
 				}
 			})
 		}
@@ -60,19 +47,19 @@ func TestTranscodeStdlibTo420Progressive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ciBase, err := DecodeCoeffs(buf.Bytes())
+	baseCoeffs, err := decoded(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ciProg, err := DecodeCoeffs(prog)
-	if err != nil {
-		t.Fatal(err)
+	progCoeffs, err := decoded(prog)
+	if err == nil {
+		err = sameCoeffs(progCoeffs, baseCoeffs)
 	}
-	if !ciProg.Equal(ciBase) {
-		t.Fatal("transcode of stdlib 4:2:0 stream is not lossless")
+	if err != nil {
+		t.Fatalf("transcode of stdlib 4:2:0 stream is not lossless: %v", err)
 	}
 	// Lossless in pixels too, judged by the decoder that wrote the stream:
-	// a coefficient DecodeCoeffs misread would be carried into prog and
+	// a coefficient the decoder misread would be carried into prog and
 	// show here.
 	want, err := Decode(buf.Bytes())
 	if err != nil {
@@ -155,10 +142,26 @@ func Test420SmallerThan444(t *testing.T) {
 	}
 }
 
+// TestGray420Rejected: there is no subsampled grayscale. Asked for 4:2:0, a
+// gray image is encoded as it is without the request, and a gray stream
+// whose frame claims 2×2 sampling is not this package's to transcode.
 func TestGray420Rejected(t *testing.T) {
-	ci := &CoeffImage{Width: 8, Height: 8, NumComps: 1, Subsample420: true}
-	ci.Blocks[0] = make([]Block, 1)
-	if _, err := EncodeCoeffs(ci, nil); err == nil {
-		t.Error("grayscale 4:2:0 accepted")
+	img := testGray(24, 16, 7)
+	plain, err := Encode(img, &Options{Quality: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := Encode(img, &Options{Quality: 80, Subsample420: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sub, plain) {
+		t.Error("grayscale encoded differently for a 4:2:0 request")
+	}
+	sof := bytes.Index(plain, []byte{0xFF, mSOF0})
+	claims420 := append([]byte(nil), plain...)
+	claims420[sof+4+6+1] = 0x22
+	if _, err := Transcode(claims420, &Options{Progressive: true}); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("grayscale 4:2:0 stream: err = %v, want ErrUnsupported", err)
 	}
 }

@@ -38,7 +38,7 @@ func TestTranscodeForeignStreams(t *testing.T) {
 	} {
 		for _, quality := range []int{30, 75, 95} {
 			in := stdEncode(t, tc.img, quality)
-			want, err := DecodeCoeffs(in)
+			want, err := decoded(in)
 			if err != nil {
 				t.Fatalf("%s q%d: %v", tc.name, quality, err)
 			}
@@ -52,12 +52,12 @@ func TestTranscodeForeignStreams(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s q%d → %s: %v", tc.name, quality, m.name, err)
 				}
-				got, err := DecodeCoeffs(out)
+				got, err := decoded(out)
 				if err != nil {
 					t.Fatalf("%s q%d → %s: %v", tc.name, quality, m.name, err)
 				}
-				if !got.Equal(want) {
-					t.Errorf("%s q%d → %s: coefficients changed", tc.name, quality, m.name)
+				if err := sameCoeffs(got, want); err != nil {
+					t.Errorf("%s q%d → %s: %v", tc.name, quality, m.name, err)
 				}
 				gotPix, err := stdjpeg.Decode(bytes.NewReader(out))
 				if err != nil {
@@ -107,8 +107,8 @@ func TestTruncatedEntropyRefused(t *testing.T) {
 		if _, err := stdjpeg.Decode(bytes.NewReader(cut)); err == nil {
 			t.Fatalf("%s: image/jpeg accepts the cut stream; the test input is wrong", name)
 		}
-		if _, err := DecodeCoeffs(cut); !errors.Is(err, ErrTruncated) {
-			t.Errorf("%s: DecodeCoeffs: err = %v, want ErrTruncated", name, err)
+		if _, err := Decode(cut); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: Decode: err = %v, want ErrTruncated", name, err)
 		}
 		if out, err := Transcode(cut, &Options{Progressive: true}); !errors.Is(err, ErrTruncated) {
 			t.Errorf("%s: Transcode: %d bytes, err = %v, want ErrTruncated", name, len(out), err)
@@ -212,7 +212,7 @@ func TestUndefinedTableRefused(t *testing.T) {
 		"progressive DC": withoutDHT(prog, 0),
 		"progressive AC": withoutDHT(prog, 1),
 	} {
-		_, err := DecodeCoeffs(stream)
+		_, err := Decode(stream)
 		if err == nil || !strings.Contains(err.Error(), "undefined huffman table") {
 			t.Errorf("%s: err = %v, want an undefined-table refusal", name, err)
 		}

@@ -148,7 +148,7 @@ func (r *pcrReader) readPrefix(i, gg int) ([]byte, *core.RecordMeta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	meta, err := core.ParseRecordMeta(prefix)
+	meta, err := r.ds.ParseRecordPrefix(i, prefix)
 	if err != nil {
 		return nil, nil, err
 	}

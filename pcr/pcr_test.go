@@ -3,6 +3,7 @@ package pcr_test
 import (
 	"context"
 	"errors"
+	"image"
 	"os"
 	"path/filepath"
 	"strings"
@@ -229,6 +230,79 @@ func TestScanGarbledMetadataIsCorrupt(t *testing.T) {
 	}
 	if !errors.Is(got, pcr.ErrCorrupt) {
 		t.Fatalf("Scan over garbled metadata = %v, want ErrCorrupt", got)
+	}
+}
+
+// TestRecordDisagreeingWithIndexIsCorrupt: a record file that holds more
+// samples than its index entry says — here, that of another dataset,
+// padded to the length the index expects — is refused as ErrCorrupt by a
+// whole-prefix read, cached or not, filtered or not, and by a sparse one.
+// (Through the cache a filtered read used to index its selection past its
+// end; an unfiltered one yielded the file's samples.)
+func TestRecordDisagreeingWithIndexIsCorrupt(t *testing.T) {
+	write := func(n, size int) string {
+		dir := t.TempDir()
+		w, err := pcr.Create(dir, pcr.WithImagesPerRecord(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			img := image.NewGray(image.Rect(0, 0, size, size))
+			for p := range img.Pix {
+				img.Pix[p] = uint8(p * (i + 1))
+			}
+			if err := w.Append(pcr.Sample{ID: int64(i), Label: int64(i % 2), Image: img}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	a, b := write(4, 96), write(8, 8)
+	rec := filepath.Join(a, "record-00000.pcr")
+	want, err := os.ReadFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped, err := os.ReadFile(filepath.Join(b, "record-00000.pcr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(swapped) < len(want) {
+		swapped = append(swapped, make([]byte, len(want)-len(swapped))...)
+	}
+	if err := os.WriteFile(rec, swapped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cached := range []bool{false, true} {
+		for _, filtered := range []bool{false, true} {
+			var opts []pcr.Option
+			if cached {
+				opts = append(opts, pcr.WithCacheBytes(1<<20))
+			}
+			var scan []pcr.ScanOption
+			if filtered {
+				scan = append(scan, pcr.WithFilter(pcr.LabelIn(0)))
+			}
+			ds, err := pcr.Open(a, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, got := 0, error(nil)
+			for _, err := range ds.ScanEncoded(context.Background(), pcr.Full, scan...) {
+				if err != nil {
+					got = err
+					break
+				}
+				n++
+			}
+			ds.Close()
+			if !errors.Is(got, pcr.ErrCorrupt) {
+				t.Errorf("cached %v, filtered %v: %d samples, err = %v; want ErrCorrupt", cached, filtered, n, got)
+			}
+		}
 	}
 }
 
