@@ -3,13 +3,11 @@ package repro
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/iosim"
 	"repro/internal/jpegc"
 	"repro/internal/kvstore"
@@ -20,59 +18,12 @@ import (
 	"repro/internal/train"
 )
 
-// benchConfig builds a small-scale experiment config writing to io.Discard.
-// Each Benchmark* below regenerates one paper artifact end to end; run
-// `cmd/experiments` for the full-scale, human-readable output.
-func benchConfig() *experiments.Config {
-	cfg := experiments.NewConfig(io.Discard)
-	cfg.Scale = 0.2
-	cfg.Epochs = 8
-	return cfg
-}
+// --- Record kernels ---------------------------------------------------------
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	cfg := benchConfig()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- One benchmark per paper table/figure -----------------------------------
-
-func BenchmarkTable1DatasetStats(b *testing.B)      { benchExperiment(b, "table1") }
-func BenchmarkFig4TimeToAccuracy(b *testing.B)      { benchExperiment(b, "fig4") }
-func BenchmarkFig5HAMTimeToAccuracy(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFig6CarsTasks(b *testing.B)           { benchExperiment(b, "fig6") }
-func BenchmarkFig7MSSIMRegression(b *testing.B)     { benchExperiment(b, "fig7") }
-func BenchmarkFig8AdaptiveTuning(b *testing.B)      { benchExperiment(b, "fig8") }
-func BenchmarkFig9LoadingRates(b *testing.B)        { benchExperiment(b, "fig9") }
-func BenchmarkFig11StallTrace(b *testing.B)         { benchExperiment(b, "fig11") }
-func BenchmarkFig12SizeHistogram(b *testing.B)      { benchExperiment(b, "fig12") }
-func BenchmarkFig14Roofline(b *testing.B)           { benchExperiment(b, "fig14") }
-func BenchmarkFig15EncodingTimes(b *testing.B)      { benchExperiment(b, "fig15") }
-func BenchmarkFig16ScanSizes(b *testing.B)          { benchExperiment(b, "fig16") }
-func BenchmarkFig17MSSIMPerScan(b *testing.B)       { benchExperiment(b, "fig17") }
-func BenchmarkFig18ReaderMicrobench(b *testing.B)   { benchExperiment(b, "fig18") }
-func BenchmarkFig19GradientCosine(b *testing.B)     { benchExperiment(b, "fig19") }
-func BenchmarkFig20CosineTuningHAM(b *testing.B)    { benchExperiment(b, "fig20") }
-func BenchmarkFig21CosineTuningCelebA(b *testing.B) { benchExperiment(b, "fig21") }
-func BenchmarkFig23to26Grids(b *testing.B)          { benchExperiment(b, "grids") }
-func BenchmarkFig27to28AccVsEpoch(b *testing.B)     { benchExperiment(b, "epochs") }
-func BenchmarkFig29to30CarsShuffleNet(b *testing.B) { benchExperiment(b, "cars") }
-func BenchmarkFig31ExampleScanSizes(b *testing.B)   { benchExperiment(b, "fig31") }
-func BenchmarkAppA4SpaceAmplification(b *testing.B) { benchExperiment(b, "spaceamp") }
-func BenchmarkAppA5DecodeOverhead(b *testing.B)     { benchExperiment(b, "decodecost") }
-func BenchmarkSec5CachePressure(b *testing.B)       { benchExperiment(b, "cachepressure") }
-
-// --- Codec kernels (the §A.5 microbenchmark substance) ----------------------
+// The paper's tables and figures are not benchmarked here: go test runs
+// every one at a tiny scale (internal/experiments'
+// TestAllExperimentsTinyScale), and cmd/experiments runs them at full
+// scale. The codec's benchmarks live beside it in internal/jpegc.
 
 func benchImages(b *testing.B, n int) [][]byte {
 	b.Helper()
@@ -95,18 +46,6 @@ func benchImages(b *testing.B, n int) [][]byte {
 		out = append(out, data)
 	}
 	return out
-}
-
-func BenchmarkTranscodeToProgressive(b *testing.B) {
-	imgs := benchImages(b, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, d := range imgs {
-			if _, err := jpegc.Transcode(d, &jpegc.Options{Progressive: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
 func BenchmarkPCRRecordWrite(b *testing.B) {

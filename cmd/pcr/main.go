@@ -22,8 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"image/png"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/pcr"
 )
@@ -40,7 +42,7 @@ func main() {
 	case "encode":
 		err = cmdEncode(os.Args[2:])
 	case "inspect":
-		err = cmdInspect(os.Args[2:])
+		err = cmdInspect(os.Stdout, os.Args[2:])
 	case "decode":
 		err = cmdDecode(os.Args[2:])
 	default:
@@ -170,9 +172,9 @@ func cmdEncode(args []string) error {
 	return nil
 }
 
-func cmdInspect(args []string) error {
+func cmdInspect(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
-	dir := fs.String("dataset", "", "dataset directory")
+	dir := fs.String("dataset", "", "dataset directory or pcrserved URL(s) (http://host:port, comma-separated fleet seeds allowed)")
 	format := formatFlag(fs)
 	filter := fs.String("filter", "", `plan a predicate pushdown, e.g. "label IN (3, 7) AND id >= 100" (pcr format only)`)
 	fs.Parse(args)
@@ -183,12 +185,18 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	ds, err := pcr.Open(*dir, pcr.WithFormat(f))
+	// A served dataset is inspected from its index alone: every number
+	// below is priced without reading a record byte.
+	open := pcr.Open
+	if strings.HasPrefix(*dir, "http://") || strings.HasPrefix(*dir, "https://") {
+		open = pcr.OpenRemote
+	}
+	ds, err := open(*dir, pcr.WithFormat(f))
 	if err != nil {
 		return err
 	}
 	defer ds.Close()
-	fmt.Printf("dataset: %s (%s format)\n  records: %d\n  images:  %d\n  quality levels: %d\n",
+	fmt.Fprintf(w, "dataset: %s (%s format)\n  records: %d\n  images:  %d\n  quality levels: %d\n",
 		*dir, ds.Format().Name(), ds.NumRecords(), ds.NumImages(), ds.Qualities())
 	fullSize, err := ds.SizeAtQuality(pcr.Full)
 	if err != nil {
@@ -199,7 +207,7 @@ func cmdInspect(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  quality %2d: %12d bytes (%.1f%% of full)\n", q, size, 100*float64(size)/float64(fullSize))
+		fmt.Fprintf(w, "  quality %2d: %12d bytes (%.1f%% of full)\n", q, size, 100*float64(size)/float64(fullSize))
 	}
 	if *filter != "" {
 		if ds.Format() != pcr.PCR {
@@ -209,13 +217,13 @@ func cmdInspect(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("filter: %s\n", pred)
+		fmt.Fprintf(w, "filter: %s\n", pred)
 		for q := 1; q <= ds.Qualities(); q++ {
 			plan, err := ds.PlanFilter(pred, q)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  quality %2d: %d/%d samples, %d/%d records skipped whole, %d of %d bytes (%.1f%%)\n",
+			fmt.Fprintf(w, "  quality %2d: %d/%d samples, %d/%d records skipped whole, %d of %d bytes (%.1f%%)\n",
 				q, plan.Selected, plan.Total, plan.RecordsSkipped, plan.Records,
 				plan.Bytes, plan.FullBytes, 100*float64(plan.Bytes)/float64(plan.FullBytes))
 		}
@@ -223,7 +231,7 @@ func cmdInspect(args []string) error {
 	if ds.Format() != pcr.PCR {
 		return nil
 	}
-	fmt.Printf("%8s %8s %12s  %s\n", "record", "images", "full bytes", "prefix bytes by quality")
+	fmt.Fprintf(w, "%8s %8s %12s  %s\n", "record", "images", "full bytes", "prefix bytes by quality")
 	for i := 0; i < ds.NumRecords(); i++ {
 		n, err := ds.RecordImages(i)
 		if err != nil {
@@ -233,15 +241,15 @@ func cmdInspect(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%8d %8d %12d  ", i, n, full)
+		fmt.Fprintf(w, "%8d %8d %12d  ", i, n, full)
 		for q := 1; q <= ds.Qualities(); q++ {
 			p, err := ds.RecordPrefixLen(i, q)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%d:%d ", q, p)
+			fmt.Fprintf(w, "%d:%d ", q, p)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

@@ -1,19 +1,16 @@
 // Command pcrtrain runs one training configuration of the reproduction
-// harness. By default it trains over REAL I/O: the dataset is written to (or
-// opened from) disk — or served by a pcrserved URL — and every epoch streams
-// through pcr.Loader (sharded, shuffled, batch-assembled, quality-adaptive),
-// reporting measured bytes moved, images/s, and stall time per epoch.
+// harness over real I/O: the dataset is written to (or opened from) disk —
+// or served by a pcrserved URL — and every epoch streams through pcr.Loader
+// (sharded, shuffled, batch-assembled, quality-adaptive), reporting measured
+// bytes moved, images/s, and stall time per epoch.
 //
 //	pcrtrain -dataset cars -model shufflenetlike -task multiclass -group 2
 //	pcrtrain -dataset cars -dynamic plateau -epochs 12
 //	pcrtrain -dataset cars -data /tmp/cars-pcr            # reuse a dataset dir
 //	pcrtrain -dataset cars -data http://localhost:8100    # train over the wire
 //
-// The -sim flag selects the virtual-clock harness instead (internal/train +
-// internal/iosim), which reproduces the paper's figures under the paper's
-// hardware balance and supports -dynamic cosine:
-//
-//	pcrtrain -sim -dataset ham10000 -model resnetlike -dynamic cosine
+// The paper's figures, which run on a virtual clock under the paper's
+// hardware balance, are regenerated by cmd/experiments instead.
 package main
 
 import (
@@ -25,11 +22,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/autotune"
 	"repro/internal/nn"
 	"repro/internal/realtrain"
 	"repro/internal/synth"
-	"repro/internal/train"
 	"repro/pcr"
 )
 
@@ -40,10 +35,9 @@ func main() {
 	flag.StringVar(&cfg.model, "model", "shufflenetlike", "resnetlike or shufflenetlike")
 	flag.StringVar(&cfg.task, "task", "multiclass", "multiclass, make-only, binary")
 	flag.IntVar(&cfg.group, "group", 0, "scan group / quality (0 = full quality)")
-	flag.StringVar(&cfg.dynamic, "dynamic", "", "dynamic tuning: plateau or probe (real I/O), or cosine/plateau with -sim")
+	flag.StringVar(&cfg.dynamic, "dynamic", "", "dynamic tuning: plateau or probe")
 	flag.IntVar(&cfg.probeSteps, "probe-steps", 4, "minibatches trained per candidate quality during an upward probe (-dynamic probe)")
 	flag.Float64Var(&cfg.probeTol, "probe-tolerance", 0.05, "upward probe accepts the cheapest quality within (1+tol)x of the best probe loss")
-	flag.Float64Var(&cfg.mix, "mix", 0, "mixture weight for -sim dynamic tuning (0 = hard selection)")
 	flag.IntVar(&cfg.epochs, "epochs", 8, "epoch budget")
 	flag.IntVar(&cfg.batch, "batch", 32, "SGD minibatch size")
 	flag.Float64Var(&cfg.scale, "scale", 0.5, "dataset size multiplier (when synthesizing)")
@@ -56,9 +50,8 @@ func main() {
 	flag.StringVar(&cfg.diskCacheDir, "disk-cache-dir", "", "persistent prefix cache directory, one per worker (empty = no disk tier)")
 	flag.Int64Var(&cfg.diskCacheMB, "disk-cache-mb", 512, "persistent prefix cache budget in MiB")
 	flag.BoolVar(&cfg.diskCacheLazy, "disk-cache-lazy", false, "defer disk cache CRC verification to first touch (fast warm open of huge caches)")
-	flag.BoolVar(&cfg.sim, "sim", false, "use the virtual-clock harness (paper-figure mode) instead of real I/O")
 	flag.Parse()
-	if err := run(os.Stdout, cfg); err != nil {
+	if _, err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "pcrtrain:", err)
 		os.Exit(1)
 	}
@@ -69,28 +62,18 @@ type cliConfig struct {
 	group, epochs, batch                int
 	imagesPerRecord, scanGroups         int
 	shards, shard                       int
-	mix, scale                          float64
+	scale                               float64
 	seed, cacheMB                       int64
 	diskCacheDir                        string
 	diskCacheMB                         int64
 	diskCacheLazy                       bool
 	probeSteps                          int
 	probeTol                            float64
-	sim                                 bool
 }
 
-func run(w io.Writer, cfg cliConfig) error {
-	if cfg.sim {
-		return runSim(w, cfg)
-	}
-	_, err := runReal(w, cfg)
-	return err
-}
-
-// runReal is the default mode: train through pcr.Loader over a real local
-// or remote dataset. It returns the measured result so tests can assert on
-// bytes moved and losses.
-func runReal(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
+// run trains through pcr.Loader over a real local or remote dataset. It
+// returns the measured result so tests can assert on bytes moved and losses.
+func run(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
 	mp, err := nn.ProfileByName(cfg.model)
 	if err != nil {
 		return nil, err
@@ -102,6 +85,26 @@ func runReal(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
 	task, err := taskByName(cfg.task, profile)
 	if err != nil {
 		return nil, err
+	}
+
+	var policy pcr.QualityPolicy
+	switch cfg.dynamic {
+	case "":
+		policy = pcr.FixedQuality(cfg.group) // group 0 == pcr.Full
+	case "plateau":
+		policy = &pcr.PlateauPolicy{
+			Detector: pcr.PlateauDetector{Window: 3, MinImprove: 0.05},
+		}
+	case "probe":
+		policy = &pcr.ProbePolicy{
+			Detector:   pcr.PlateauDetector{Window: 3, MinImprove: 0.05},
+			ProbeSteps: cfg.probeSteps,
+			Tolerance:  cfg.probeTol,
+		}
+	case "cosine":
+		return nil, fmt.Errorf("cosine tuning needs full-quality gradient probes; it runs on the virtual clock: go run ./cmd/experiments -run fig20")
+	default:
+		return nil, fmt.Errorf("unknown controller %q", cfg.dynamic)
 	}
 
 	// Resolve the dataset: a served URL, an existing directory, or a fresh
@@ -152,26 +155,6 @@ func runReal(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
 		return nil, err
 	}
 	defer ds.Close()
-
-	var policy pcr.QualityPolicy
-	switch cfg.dynamic {
-	case "":
-		policy = pcr.FixedQuality(cfg.group) // group 0 == pcr.Full
-	case "plateau":
-		policy = &pcr.PlateauPolicy{
-			Detector: autotune.PlateauDetector{Window: 3, MinImprove: 0.05},
-		}
-	case "probe":
-		policy = &pcr.ProbePolicy{
-			Detector:   autotune.PlateauDetector{Window: 3, MinImprove: 0.05},
-			ProbeSteps: cfg.probeSteps,
-			Tolerance:  cfg.probeTol,
-		}
-	case "cosine":
-		return nil, fmt.Errorf("cosine tuning needs full-quality gradient probes; use -sim -dynamic cosine")
-	default:
-		return nil, fmt.Errorf("unknown controller %q", cfg.dynamic)
-	}
 
 	where := "local"
 	if remote {
@@ -231,80 +214,4 @@ func taskByName(name string, profile synth.Profile) (synth.Task, error) {
 	default:
 		return synth.Task{}, fmt.Errorf("unknown task %q", name)
 	}
-}
-
-// runSim is the pre-Loader virtual-clock harness, kept for regenerating the
-// paper's figures under the paper's hardware balance.
-func runSim(w io.Writer, cfg cliConfig) error {
-	mp, err := nn.ProfileByName(cfg.model)
-	if err != nil {
-		return err
-	}
-	set, err := pcr.BuildTrainSet(cfg.dataset, cfg.scale, cfg.seed, pcr.WithImagesPerRecord(cfg.imagesPerRecord))
-	if err != nil {
-		return err
-	}
-	profile := set.Profile
-	task, err := taskByName(cfg.task, profile)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "dataset=%s (%d train / %d test, %d records, %d scan groups)\n",
-		profile.Name, set.NumTrain(), set.NumTest(), set.NumRecords(), set.NumGroups)
-	fmt.Fprintf(w, "model=%s task=%s (%d classes) epochs=%d\n\n", mp.Name, task.Name, task.NumClasses, cfg.epochs)
-
-	if cfg.dynamic != "" {
-		var ctrl autotune.Controller
-		switch cfg.dynamic {
-		case "cosine":
-			ctrl = &autotune.CosineController{Threshold: 0.9, TuneEvery: cfg.epochs / 4, WarmupEpochs: 3}
-		case "plateau":
-			ctrl = &autotune.PlateauController{Window: 3, MinImprove: 0.08, ProbeSteps: 6}
-		default:
-			return fmt.Errorf("unknown controller %q", cfg.dynamic)
-		}
-		res, err := autotune.Run(set, autotune.Config{
-			Model: mp, Task: task, Controller: ctrl,
-			Epochs: cfg.epochs, Seed: cfg.seed, MixWeight: cfg.mix,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%6s %10s %10s %8s %10s %6s\n", "epoch", "time", "loss", "acc", "img/s", "group")
-		for _, p := range res.Points {
-			acc := "-"
-			if p.Sampled {
-				acc = fmt.Sprintf("%.1f%%", p.TestAcc*100)
-			}
-			fmt.Fprintf(w, "%6d %9.2fs %10.4f %8s %10.0f %6d\n",
-				p.Epoch, p.TimeSec, p.TrainLoss, acc, p.ImagesPerSec, p.Group)
-		}
-		fmt.Fprintf(w, "\nfinal accuracy %.1f%% in %.2fs (%d group switches)\n",
-			res.FinalAcc*100, res.TotalTimeSec, res.GroupSwitches)
-		return nil
-	}
-
-	g := cfg.group
-	if g <= 0 || g > set.NumGroups {
-		g = set.NumGroups
-	}
-	res, err := train.Run(set, train.RunConfig{
-		Model: mp, Task: task, ScanGroup: g, Epochs: cfg.epochs, Seed: cfg.seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%6s %10s %10s %8s %10s %10s\n", "epoch", "time", "loss", "acc", "img/s", "stall")
-	for _, p := range res.Points {
-		acc := "-"
-		if p.Sampled {
-			acc = fmt.Sprintf("%.1f%%", p.TestAcc*100)
-		}
-		fmt.Fprintf(w, "%6d %9.2fs %10.4f %8s %10.0f %9.3fs\n",
-			p.Epoch, p.TimeSec, p.TrainLoss, acc, p.ImagesPerSec, p.StallSec)
-	}
-	fmt.Fprintf(w, "\nscan group %d: final accuracy %.1f%% in %.2fs (%d bytes/epoch)\n",
-		g, res.FinalAcc*100, res.TotalTimeSec, res.BytesPerEpoch)
-	return nil
 }

@@ -39,14 +39,14 @@ func synthDataset(t *testing.T) string {
 	return dir
 }
 
-// TestTrainThroughLoaderLocalAndRemote: pcrtrain's default mode trains
-// through pcr.Loader over a local directory and over the same dataset
-// served by the prefix server, with identical logical bytes moved.
+// TestTrainThroughLoaderLocalAndRemote: pcrtrain trains through pcr.Loader
+// over a local directory and over the same dataset served by the prefix
+// server, with identical logical bytes moved.
 func TestTrainThroughLoaderLocalAndRemote(t *testing.T) {
 	dir := synthDataset(t)
 
 	var localOut bytes.Buffer
-	local, err := runReal(&localOut, testConfig(dir))
+	local, err := run(&localOut, testConfig(dir))
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestTrainThroughLoaderLocalAndRemote(t *testing.T) {
 	defer srv.Close()
 
 	var remoteOut bytes.Buffer
-	remote, err := runReal(&remoteOut, testConfig(ts.URL))
+	remote, err := run(&remoteOut, testConfig(ts.URL))
 	if err != nil {
 		t.Fatalf("remote run: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestAdaptiveEpochMovesFewerBytes(t *testing.T) {
 
 	fixed := testConfig(dir)
 	fixed.epochs = 1
-	fullRes, err := runReal(new(bytes.Buffer), fixed)
+	fullRes, err := run(new(bytes.Buffer), fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestAdaptiveEpochMovesFewerBytes(t *testing.T) {
 	adaptive := testConfig(dir)
 	adaptive.epochs = 8
 	adaptive.dynamic = "plateau"
-	adRes, err := runReal(new(bytes.Buffer), adaptive)
+	adRes, err := run(new(bytes.Buffer), adaptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestProbeModeEndToEnd(t *testing.T) {
 	cfg.diskCacheMB = 512
 
 	var out bytes.Buffer
-	res, err := runReal(&out, cfg)
+	res, err := run(&out, cfg)
 	if err != nil {
 		t.Fatalf("probe mode: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestProbeModeEndToEnd(t *testing.T) {
 	// run completes.
 	cfg.diskCacheLazy = true
 	var out2 bytes.Buffer
-	if _, err := runReal(&out2, cfg); err != nil {
+	if _, err := run(&out2, cfg); err != nil {
 		t.Fatalf("warm lazy probe run: %v", err)
 	}
 	if !strings.Contains(out2.String(), "entries recovered warm") ||
@@ -202,16 +202,14 @@ func TestProbeModeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSimModeStillRuns keeps the virtual-clock harness alive behind -sim.
-func TestSimModeStillRuns(t *testing.T) {
-	cfg := testConfig("")
-	cfg.sim = true
-	cfg.epochs = 2
-	var out bytes.Buffer
-	if err := run(&out, cfg); err != nil {
-		t.Fatalf("sim mode: %v", err)
-	}
-	if !strings.Contains(out.String(), "final accuracy") {
-		t.Fatalf("sim output missing accuracy report:\n%s", out.String())
+// TestCosineNamesTheExperiment: gradient-cosine tuning runs only on the
+// virtual clock, so -dynamic cosine fails before touching any data and
+// names the command that runs it.
+func TestCosineNamesTheExperiment(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	cfg.dynamic = "cosine"
+	_, err := run(new(bytes.Buffer), cfg)
+	if err == nil || !strings.Contains(err.Error(), "go run ./cmd/experiments -run fig20") {
+		t.Fatalf("-dynamic cosine = %v, want an error naming go run ./cmd/experiments -run fig20", err)
 	}
 }

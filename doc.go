@@ -18,7 +18,8 @@
 // knob driven by real observed losses; cmd/pcrtrain trains through it).
 //
 // The implementation lives under internal/ and the executables under cmd/;
-// the root package holds only the benchmark harness (bench_test.go): one
-// benchmark per paper table/figure plus ablation benchmarks for the design
-// choices called out in DESIGN.md.
+// the root package holds only micro-benchmarks (bench_test.go): the record
+// writer and reassembly, plus ablation benchmarks for the design choices
+// called out in DESIGN.md. The paper's tables and figures are regenerated
+// by cmd/experiments; the repository benchmark is bench/.
 package repro

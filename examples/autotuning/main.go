@@ -60,7 +60,7 @@ func runProbe() error {
 		return err
 	}
 	policy := &pcr.ProbePolicy{
-		Detector:   autotune.PlateauDetector{Window: 3, MinImprove: 0.05},
+		Detector:   pcr.PlateauDetector{Window: 3, MinImprove: 0.05},
 		ProbeSteps: 4,
 		Tolerance:  0.05,
 	}
@@ -91,7 +91,11 @@ func runProbe() error {
 }
 
 func run() error {
-	set, err := pcr.BuildTrainSet("ham10000", 0.6, 11, pcr.WithImagesPerRecord(16))
+	ds, err := synth.Generate(synth.HAM10000.Scaled(0.6), 11)
+	if err != nil {
+		return err
+	}
+	set, err := train.BuildPCRSet(ds, 16)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/autotune"
 	"repro/pcr"
 )
 
@@ -85,7 +84,7 @@ func run() error {
 	}
 	defer ds.Close()
 	policy := &pcr.PlateauPolicy{
-		Detector: autotune.PlateauDetector{Window: 2, MinImprove: 0.05},
+		Detector: pcr.PlateauDetector{Window: 2, MinImprove: 0.05},
 	}
 	l, err := pcr.NewLoader(ds,
 		pcr.WithBatchSize(32),

@@ -13,7 +13,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/synth"
 	"repro/internal/train"
-	"repro/pcr"
 )
 
 func main() {
@@ -23,7 +22,11 @@ func main() {
 }
 
 func run() error {
-	set, err := pcr.BuildTrainSet("cars", 0.5, 7, pcr.WithImagesPerRecord(16))
+	ds, err := synth.Generate(synth.Cars.Scaled(0.5), 7)
+	if err != nil {
+		return err
+	}
+	set, err := train.BuildPCRSet(ds, 16)
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,8 @@ import (
 	"repro/internal/loader"
 	"repro/internal/nn"
 	"repro/internal/queueing"
+	"repro/internal/synth"
 	"repro/internal/train"
-	"repro/pcr"
 )
 
 func main() {
@@ -24,7 +24,11 @@ func main() {
 }
 
 func run() error {
-	set, err := pcr.BuildTrainSet("ham10000", 0.5, 3, pcr.WithImagesPerRecord(16))
+	ds, err := synth.Generate(synth.HAM10000.Scaled(0.5), 3)
+	if err != nil {
+		return err
+	}
+	set, err := train.BuildPCRSet(ds, 16)
 	if err != nil {
 		return err
 	}

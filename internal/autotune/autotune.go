@@ -18,12 +18,14 @@ package autotune
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/iosim"
 	"repro/internal/loader"
 	"repro/internal/nn"
 	"repro/internal/synth"
 	"repro/internal/train"
+	"repro/pcr"
 )
 
 // Controller decides the scan group for the next stretch of training.
@@ -145,51 +147,6 @@ func (c *CosineController) Tune(st *State) (int, float64, error) {
 	return chosen, probeSec, nil
 }
 
-// PlateauDetector is the pure plateau test at the heart of the §4.5
-// heuristic: the run plateaued when the best loss of the last Window
-// observations improved less than MinImprove (relative) over the Window
-// before it. It is a value type holding configuration only — no mutable
-// state — so callers that need cooldown tracking (how long since the last
-// tune) keep that state themselves and pass it in as sinceTune. Copies and
-// concurrent use are therefore safe by construction.
-type PlateauDetector struct {
-	// Window is the comparison window length in observations (default 5).
-	Window int
-	// MinImprove is the relative improvement below which the run counts as
-	// plateaued (default 0.02).
-	MinImprove float64
-}
-
-// EffectiveWindow returns Window with the default applied.
-func (d PlateauDetector) EffectiveWindow() int {
-	if d.Window <= 0 {
-		return 5
-	}
-	return d.Window
-}
-
-// Plateaued reports whether losses ends in a plateau: the trailing window
-// improved less than MinImprove relative to the window before it. sinceTune
-// is the number of observations since the caller last acted on a plateau;
-// detection is suppressed until a full window of fresh observations has
-// accumulated, so one plateau is not reported twice.
-func (d PlateauDetector) Plateaued(sinceTune int, losses []float64) bool {
-	w := d.EffectiveWindow()
-	if len(losses) < 2*w || sinceTune < w {
-		return false
-	}
-	minImprove := d.MinImprove
-	if minImprove <= 0 {
-		minImprove = 0.02
-	}
-	recent := minOf(losses[len(losses)-w:])
-	before := minOf(losses[len(losses)-2*w : len(losses)-w])
-	if before <= 0 {
-		return false
-	}
-	return (before-recent)/before < minImprove
-}
-
 // PlateauController implements the §4.5 heuristic: on a loss plateau,
 // checkpoint, probe each candidate for ProbeSteps minibatches, compare the
 // resulting training losses, pick the cheapest group within Tolerance of
@@ -216,22 +173,12 @@ func (p *PlateauController) Name() string { return "plateau" }
 
 // ShouldTune implements Controller.
 func (p *PlateauController) ShouldTune(epoch int, lossHistory []float64) bool {
-	det := PlateauDetector{Window: p.Window, MinImprove: p.MinImprove}
+	det := pcr.PlateauDetector{Window: p.Window, MinImprove: p.MinImprove}
 	if det.Plateaued(epoch-p.lastTune, lossHistory) {
 		p.lastTune = epoch
 		return true
 	}
 	return false
-}
-
-func minOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Tune implements Controller.
@@ -289,7 +236,7 @@ func (p *PlateauController) Tune(st *State) (int, float64, error) {
 	if err := st.Model.Restore(ckpt); err != nil {
 		return 0, 0, err
 	}
-	best := minOf(losses)
+	best := slices.Min(losses)
 	for gi, g := range st.Groups {
 		if losses[gi] <= best*(1+tol) {
 			return g, probeSec, nil

@@ -44,40 +44,6 @@ func TestCosineControllerSchedule(t *testing.T) {
 	}
 }
 
-func TestPlateauDetectorPure(t *testing.T) {
-	det := PlateauDetector{Window: 3, MinImprove: 0.05}
-	improving := []float64{3, 2.5, 2.0, 1.6, 1.3, 1.0}
-	flat := []float64{3, 2.5, 1.0, 1.0, 1.0, 1.0}
-	if det.Plateaued(6, improving) {
-		t.Error("detected a plateau during improvement")
-	}
-	if !det.Plateaued(6, flat) {
-		t.Error("missed a plateau on flat loss")
-	}
-	// The detector is pure: the same inputs give the same answer again —
-	// no hidden lastTune state advanced inside it.
-	if !det.Plateaued(6, flat) {
-		t.Error("second identical call changed its answer (hidden state)")
-	}
-	// Cooldown is the caller's sinceTune argument, not detector state.
-	if det.Plateaued(2, flat) {
-		t.Error("detected within the cooldown window")
-	}
-	// Too little history.
-	if det.Plateaued(6, flat[:5]) {
-		t.Error("detected with fewer than 2×Window observations")
-	}
-	// Zero value applies defaults (Window 5) rather than panicking.
-	var zero PlateauDetector
-	if zero.EffectiveWindow() != 5 {
-		t.Errorf("zero-value window = %d, want 5", zero.EffectiveWindow())
-	}
-	tenFlat := []float64{5, 4, 3, 2, 1, 1, 1, 1, 1, 1}
-	if !zero.Plateaued(10, tenFlat) {
-		t.Error("zero-value detector missed an obvious plateau")
-	}
-}
-
 func TestPlateauDetection(t *testing.T) {
 	p := &PlateauController{Window: 3, MinImprove: 0.05}
 	// Strictly improving loss: no tuning.

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/autotune"
 	"repro/internal/nn"
 	"repro/internal/realtrain"
 	"repro/internal/synth"
@@ -76,8 +75,8 @@ func TestShardedWorkersCoverDataset(t *testing.T) {
 
 // aggressiveDetector plateaus on essentially every report, driving the
 // policy to Min within the first epoch's minibatches.
-func aggressiveDetector() autotune.PlateauDetector {
-	return autotune.PlateauDetector{Window: 1, MinImprove: 0.99}
+func aggressiveDetector() pcr.PlateauDetector {
+	return pcr.PlateauDetector{Window: 1, MinImprove: 0.99}
 }
 
 // losingProbeDriver pins quality at 1 and asks for an upward probe on

@@ -55,43 +55,62 @@ func TestFeaturizeRangeAndShape(t *testing.T) {
 func TestBuildPCRSetBasics(t *testing.T) {
 	p := synth.Cars
 	p.ImageSize = 48
-	set := smallSet(t, p, 60)
-	if set.NumGroups != 10 {
-		t.Fatalf("NumGroups = %d", set.NumGroups)
+	p.NumImages = 60
+	ds, err := synth.Generate(p, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if set.NumTrain() != 48 || set.NumTest() != 12 {
-		t.Fatalf("split %d/%d", set.NumTrain(), set.NumTest())
-	}
-	if set.NumRecords() != 3 {
-		t.Fatalf("records = %d", set.NumRecords())
-	}
-	// No-space-overhead invariant at dataset scale.
-	ratio := float64(set.PCRBytes) / float64(set.BaselineBytes)
-	if ratio > 1.15 {
-		t.Errorf("PCR/baseline = %.3f", ratio)
-	}
-	// Prefix bytes strictly increase with scan group; group 10 equals the
-	// record size.
-	for g := 1; g < set.NumGroups; g++ {
-		a, err := set.RecordBytesAtGroup(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := set.RecordBytesAtGroup(g + 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range a {
-			if a[r] >= b[r] {
-				t.Fatalf("record %d: prefix(%d)=%d !< prefix(%d)=%d", r, g, a[r], g+1, b[r])
+	// One group per scan (the default), then the scans coalesced into 4.
+	for _, tc := range []struct {
+		name                   string
+		scanGroups, wantGroups int
+	}{{"per_scan", 0, 10}, {"four_groups", 4, 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			set, err := BuildPCRSetGrouped(ds, 16, tc.scanGroups)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// Scan group 1 should cut bytes by at least 3x (the paper sees 2–10x).
-	m1, _ := set.MeanImageBytesAtGroup(1)
-	m10, _ := set.MeanImageBytesAtGroup(10)
-	if m10/m1 < 3 {
-		t.Errorf("scan 1 reduction only %.2fx", m10/m1)
+			if set.NumGroups != tc.wantGroups {
+				t.Fatalf("NumGroups = %d, want %d", set.NumGroups, tc.wantGroups)
+			}
+			if set.NumTrain() != 48 || set.NumTest() != 12 {
+				t.Fatalf("split %d/%d", set.NumTrain(), set.NumTest())
+			}
+			if set.NumRecords() != 3 {
+				t.Fatalf("records = %d", set.NumRecords())
+			}
+			// No-space-overhead invariant at dataset scale.
+			ratio := float64(set.PCRBytes) / float64(set.BaselineBytes)
+			if ratio > 1.15 {
+				t.Errorf("PCR/baseline = %.3f", ratio)
+			}
+			// Prefix bytes strictly increase with scan group; the last group
+			// equals the record size.
+			for g := 1; g < set.NumGroups; g++ {
+				a, err := set.RecordBytesAtGroup(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := set.RecordBytesAtGroup(g + 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := range a {
+					if a[r] >= b[r] {
+						t.Fatalf("record %d: prefix(%d)=%d !< prefix(%d)=%d", r, g, a[r], g+1, b[r])
+					}
+				}
+			}
+			if tc.scanGroups != 0 {
+				return
+			}
+			// Scan group 1 should cut bytes by at least 3x (the paper sees 2–10x).
+			m1, _ := set.MeanImageBytesAtGroup(1)
+			m10, _ := set.MeanImageBytesAtGroup(10)
+			if m10/m1 < 3 {
+				t.Errorf("scan 1 reduction only %.2fx", m10/m1)
+			}
+		})
 	}
 }
 

@@ -53,6 +53,54 @@ func Example() {
 	// quality 1 reads fewer bytes than full: true
 }
 
+// A PlateauPolicy lowers the read quality one level each time the reported
+// training loss plateaus (the paper's §4.5 heuristic). Here the loss is
+// reported once per epoch, so each epoch reads at one quality; the detector
+// compares the last report against the one before it and calls a plateau
+// when the loss improved by less than 5%.
+func ExamplePlateauPolicy() {
+	dir, err := os.MkdirTemp("", "pcr-plateau-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	if _, err := pcr.Synthesize(dir, "cars", 0.1, 1,
+		pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4)); err != nil {
+		log.Fatal(err)
+	}
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer ds.Close()
+
+	policy := &pcr.PlateauPolicy{
+		Detector: pcr.PlateauDetector{Window: 1, MinImprove: 0.05},
+		Min:      2,
+	}
+	l, err := pcr.NewLoader(ds, pcr.WithBatchSize(16), pcr.WithQualityPolicy(policy))
+	if err != nil {
+		log.Fatal(err)
+	}
+	// A training job would report the mean loss its model observed.
+	for epoch, loss := range []float64{1.0, 0.6, 0.59, 0.58, 0.57} {
+		for _, err := range l.Epoch(context.Background(), epoch) {
+			if err != nil {
+				log.Fatal(err)
+			}
+		}
+		st, _ := l.LastEpochStats()
+		fmt.Printf("epoch %d: quality %d, loss %.2f\n", epoch, st.MaxQuality, loss)
+		policy.Report(loss)
+	}
+	// Output:
+	// epoch 0: quality 4, loss 1.00
+	// epoch 1: quality 4, loss 0.60
+	// epoch 2: quality 4, loss 0.59
+	// epoch 3: quality 3, loss 0.58
+	// epoch 4: quality 2, loss 0.57
+}
+
 // Switching storage layouts is one option: the write loop and the scan loop
 // are identical for PCR, TFRecord, and file-per-image datasets.
 func Example_formatSwitch() {

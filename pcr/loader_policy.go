@@ -1,9 +1,8 @@
 package pcr
 
 import (
+	"slices"
 	"sync"
-
-	"repro/internal/autotune"
 )
 
 // QualityPolicy chooses the scan-group quality for each record read by a
@@ -31,6 +30,51 @@ type FixedQuality int
 
 // RecordQuality implements QualityPolicy.
 func (q FixedQuality) RecordQuality(int, int) int { return int(q) }
+
+// PlateauDetector is the pure plateau test at the heart of the paper's §4.5
+// heuristic: the run plateaued when the best loss of the last Window
+// observations improved less than MinImprove (relative) over the Window
+// before it. It is a value type holding configuration only — no mutable
+// state — so callers that need cooldown tracking (how long since the last
+// tune) keep that state themselves and pass it in as sinceTune. Copies and
+// concurrent use are therefore safe by construction.
+type PlateauDetector struct {
+	// Window is the comparison window length in observations (default 5).
+	Window int
+	// MinImprove is the relative improvement below which the run counts as
+	// plateaued (default 0.02).
+	MinImprove float64
+}
+
+// EffectiveWindow returns Window with the default applied.
+func (d PlateauDetector) EffectiveWindow() int {
+	if d.Window <= 0 {
+		return 5
+	}
+	return d.Window
+}
+
+// Plateaued reports whether losses ends in a plateau: the trailing window
+// improved less than MinImprove relative to the window before it. sinceTune
+// is the number of observations since the caller last acted on a plateau;
+// detection is suppressed until a full window of fresh observations has
+// accumulated, so one plateau is not reported twice.
+func (d PlateauDetector) Plateaued(sinceTune int, losses []float64) bool {
+	w := d.EffectiveWindow()
+	if len(losses) < 2*w || sinceTune < w {
+		return false
+	}
+	minImprove := d.MinImprove
+	if minImprove <= 0 {
+		minImprove = 0.02
+	}
+	recent := slices.Min(losses[len(losses)-w:])
+	before := slices.Min(losses[len(losses)-2*w : len(losses)-w])
+	if before <= 0 {
+		return false
+	}
+	return (before-recent)/before < minImprove
+}
 
 // adaptiveState is the descend machinery shared by PlateauPolicy and
 // ProbePolicy: the current quality, the resolved dataset top ("Full"), and
@@ -66,7 +110,7 @@ func (s *adaptiveState) resolvedCur() int {
 // report appends one observed loss, runs the plateau detector, and steps
 // the quality down one level on a plateau (not below min). Caller holds
 // s.mu.
-func (s *adaptiveState) report(det autotune.PlateauDetector, min int, loss float64) {
+func (s *adaptiveState) report(det PlateauDetector, min int, loss float64) {
 	s.losses = append(s.losses, loss)
 	// The detector only reads the trailing 2×Window losses; keep the
 	// history bounded so a long run doesn't grow it one float per report.
@@ -100,12 +144,11 @@ func (s *adaptiveState) observeQuality(resolved int) {
 	}
 }
 
-// PlateauPolicy adapts quality during training using the loss-plateau
-// detector of internal/autotune (the paper's §4.5 heuristic), driven by
-// real observed losses instead of the simulator: reading starts at Start
-// (Full by default), the training loop feeds observed losses in through
-// Report, and each detected plateau steps the quality down one level toward
-// Min. Because the Loader re-resolves quality for every record it reads, a
+// PlateauPolicy adapts quality during training using PlateauDetector (the
+// paper's §4.5 heuristic), driven by real observed losses: reading starts at
+// Start (Full by default), the training loop feeds observed losses in
+// through Report, and each detected plateau steps the quality down one level
+// toward Min. Because the Loader re-resolves quality for every record it reads, a
 // plateau detected mid-epoch cheapens the rest of that epoch: the step takes
 // effect at the next record whose read is issued, after the few (at most
 // five) already read ahead at the old quality have been delivered.
@@ -119,7 +162,7 @@ type PlateauPolicy struct {
 	// value means Window 5, MinImprove 0.02. The detector is a pure value:
 	// all plateau state is held per-policy, so handing the same Detector to
 	// several policies never couples them.
-	Detector autotune.PlateauDetector
+	Detector PlateauDetector
 	// Start is the initial quality (0 = Full).
 	Start int
 	// Min is the lowest quality the policy will descend to (default 1).
@@ -182,7 +225,7 @@ type ProbeResult struct {
 // over the wire.
 type ProbePolicy struct {
 	// Detector configures plateau detection (see PlateauPolicy.Detector).
-	Detector autotune.PlateauDetector
+	Detector PlateauDetector
 	// Start is the initial quality (0 = Full).
 	Start int
 	// Min is the lowest quality the policy will descend to (default 1).

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/autotune"
 	"repro/pcr"
 )
 
@@ -308,7 +307,7 @@ func TestLoaderUnsupportedFormat(t *testing.T) {
 // known.
 func TestPlateauPolicySteps(t *testing.T) {
 	p := &pcr.PlateauPolicy{
-		Detector: autotune.PlateauDetector{Window: 1, MinImprove: 0.99},
+		Detector: pcr.PlateauDetector{Window: 1, MinImprove: 0.99},
 		Min:      1,
 	}
 	// Before any loader has resolved Full, plateaus must not step.
@@ -786,7 +785,7 @@ func TestLoaderPipelinePolicyLag(t *testing.T) {
 		t.Fatalf("%d records are too few to see past a lag of %d", ds.NumRecords(), pcr.ReadAhead)
 	}
 
-	plateau := &pcr.PlateauPolicy{Detector: autotune.PlateauDetector{Window: 1, MinImprove: 0.99}}
+	plateau := &pcr.PlateauPolicy{Detector: pcr.PlateauDetector{Window: 1, MinImprove: 0.99}}
 	policy := &loggedPolicy{PlateauPolicy: plateau, answers: map[int]int{}}
 	l, err := pcr.NewLoader(ds, pcr.WithBatchSize(3), pcr.WithQualityPolicy(policy))
 	if err != nil {

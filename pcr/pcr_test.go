@@ -470,16 +470,3 @@ func TestOpenUnknownFormatName(t *testing.T) {
 		t.Fatalf("FormatByName = %v, want unknown-format error", err)
 	}
 }
-
-func TestBuildTrainSet(t *testing.T) {
-	set, err := pcr.BuildTrainSet("cars", 0.1, 1, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.NumGroups != 4 {
-		t.Fatalf("NumGroups = %d, want 4", set.NumGroups)
-	}
-	if set.NumTrain() == 0 || set.NumRecords() == 0 {
-		t.Fatalf("empty train set: %d images, %d records", set.NumTrain(), set.NumRecords())
-	}
-}

@@ -5,9 +5,42 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/autotune"
 	"repro/pcr"
 )
+
+func TestPlateauDetectorPure(t *testing.T) {
+	det := pcr.PlateauDetector{Window: 3, MinImprove: 0.05}
+	improving := []float64{3, 2.5, 2.0, 1.6, 1.3, 1.0}
+	flat := []float64{3, 2.5, 1.0, 1.0, 1.0, 1.0}
+	if det.Plateaued(6, improving) {
+		t.Error("detected a plateau during improvement")
+	}
+	if !det.Plateaued(6, flat) {
+		t.Error("missed a plateau on flat loss")
+	}
+	// The detector is pure: the same inputs give the same answer again —
+	// no hidden lastTune state advanced inside it.
+	if !det.Plateaued(6, flat) {
+		t.Error("second identical call changed its answer (hidden state)")
+	}
+	// Cooldown is the caller's sinceTune argument, not detector state.
+	if det.Plateaued(2, flat) {
+		t.Error("detected within the cooldown window")
+	}
+	// Too little history.
+	if det.Plateaued(6, flat[:5]) {
+		t.Error("detected with fewer than 2×Window observations")
+	}
+	// Zero value applies defaults (Window 5) rather than panicking.
+	var zero pcr.PlateauDetector
+	if zero.EffectiveWindow() != 5 {
+		t.Errorf("zero-value window = %d, want 5", zero.EffectiveWindow())
+	}
+	tenFlat := []float64{5, 4, 3, 2, 1, 1, 1, 1, 1, 1}
+	if !zero.Plateaued(10, tenFlat) {
+		t.Error("zero-value detector missed an obvious plateau")
+	}
+}
 
 // TestPlateauPolicyStateIsPerPolicy is the regression test for the shared
 // plateau state bug: handing the same detector configuration to two
@@ -22,7 +55,7 @@ func TestPlateauPolicyStateIsPerPolicy(t *testing.T) {
 	}
 	defer ds.Close()
 
-	det := autotune.PlateauDetector{Window: 1, MinImprove: 0.99}
+	det := pcr.PlateauDetector{Window: 1, MinImprove: 0.99}
 	p1 := &pcr.PlateauPolicy{Detector: det}
 	p2 := &pcr.PlateauPolicy{Detector: det}
 	for _, p := range []*pcr.PlateauPolicy{p1, p2} {
@@ -68,7 +101,7 @@ func TestProbePolicyPlanAndDecision(t *testing.T) {
 	defer ds.Close()
 
 	p := &pcr.ProbePolicy{
-		Detector:   autotune.PlateauDetector{Window: 1, MinImprove: 0.99},
+		Detector:   pcr.PlateauDetector{Window: 1, MinImprove: 0.99},
 		ProbeSteps: 3,
 		Tolerance:  0.1,
 	}
@@ -345,7 +378,7 @@ func TestLoaderResumeUnderAdaptivePolicy(t *testing.T) {
 
 	// Ground a policy and descend it to quality 2 before the epoch under
 	// test (top is 4).
-	p := &pcr.PlateauPolicy{Detector: autotune.PlateauDetector{Window: 1, MinImprove: 0.99}}
+	p := &pcr.PlateauPolicy{Detector: pcr.PlateauDetector{Window: 1, MinImprove: 0.99}}
 	l1, err := pcr.NewLoader(ds, append(base, pcr.WithQualityPolicy(p))...)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/synth"
-	"repro/internal/train"
 )
 
 // Synthesize generates the named synthetic dataset profile ("imagenet",
@@ -34,29 +33,4 @@ func Synthesize(dir, profile string, scale float64, seed int64, opts ...Option) 
 		return w.Count(), err
 	}
 	return w.Count(), nil
-}
-
-// TrainSet is an in-memory PCR training set with per-scan-group feature
-// caches, the input to the training and simulation harnesses under
-// internal/train, internal/autotune, and internal/loader.
-type TrainSet = train.PCRSet
-
-// BuildTrainSet generates the named synthetic profile and encodes its train
-// split into an in-memory TrainSet, honoring WithImagesPerRecord and
-// WithScanGroups. It is the shared front door for the training examples and
-// cmd/pcrtrain.
-func BuildTrainSet(profile string, scale float64, seed int64, opts ...Option) (*TrainSet, error) {
-	cfg, err := applyOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	p, err := synth.ProfileByName(profile)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := synth.Generate(p.Scaled(scale), seed)
-	if err != nil {
-		return nil, err
-	}
-	return train.BuildPCRSetGrouped(ds, cfg.imagesPerRecord, cfg.scanGroups)
 }
