@@ -300,7 +300,7 @@ func BenchmarkTFRecordFraming(b *testing.B) {
 		if err := w.Write(payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := recordio.NewReader(&buf).Next(); err != nil {
+		if _, err := recordio.NewReader(&buf, int64(buf.Len())).Next(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,8 +4,8 @@
 //	experiments -run fig4 [-scale 0.5] [-seed 42] [-epochs 20]
 //	experiments -run all
 //
-// Output is the textual series/rows each figure plots; EXPERIMENTS.md pairs
-// them with the paper's reported shapes.
+// Output is the textual series/rows each figure plots; DESIGN.md's
+// per-experiment index pairs each ID with the paper artifact it reproduces.
 package main
 
 import (

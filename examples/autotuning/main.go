@@ -20,7 +20,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/autotune"
 	"repro/internal/nn"
 	"repro/internal/realtrain"
 	"repro/internal/synth"
@@ -113,9 +112,9 @@ func run() error {
 	}
 
 	// Dynamic: cosine-similarity controller with threshold 0.9.
-	dyn, err := autotune.Run(set, autotune.Config{
-		Model: nn.ShuffleNetLike, Task: task,
-		Controller: &autotune.CosineController{Threshold: 0.9, TuneEvery: 8, WarmupEpochs: 3},
+	dyn, err := train.Run(set, train.RunConfig{
+		Model: nn.ShuffleNetLike, Task: task, ScanGroup: set.NumGroups,
+		Controller: &train.CosineController{Threshold: 0.9, TuneEvery: 8, WarmupEpochs: 3},
 		Epochs:     epochs, Seed: 2, EvalEvery: 4,
 	})
 	if err != nil {

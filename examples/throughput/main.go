@@ -59,15 +59,9 @@ func run() error {
 				return err
 			}
 			cluster.Reset()
-			res, err := loader.Run(loader.Config{
-				Cluster:            cluster,
-				Threads:            6,
-				QueueCap:           12,
-				RecordBytes:        rb,
-				ImagesPerRecord:    set.ImagesPerRecordList(),
-				ComputeSecPerImage: 1 / model.ClusterImagesPerSec,
-				Passes:             10,
-			})
+			lc := set.PaperLoader(cluster, model, rb)
+			lc.Passes = 10
+			res, err := loader.Run(lc)
 			if err != nil {
 				return err
 			}

@@ -67,9 +67,10 @@ func (b *DirBackend) Open(name string) (io.ReadCloser, error) {
 	return f, nil
 }
 
-// ReadRange reads [offset, offset+length) of the named object. Short reads
-// are reported as ErrCorrupt: the caller asked for bytes the index said
-// exist.
+// ReadRange reads [offset, offset+length) of the named object. A range past
+// the object's end is reported as ErrCorrupt: the caller asked for bytes
+// the index said exist. The range comes from on-disk metadata, so it is
+// checked against the file's size before anything is allocated.
 func (b *DirBackend) ReadRange(name string, offset, length int64) ([]byte, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("core: negative range length %d for %s", length, name)
@@ -83,6 +84,14 @@ func (b *DirBackend) ReadRange(name string, offset, length int64) ([]byte, error
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if offset >= 0 && length > st.Size()-offset {
+		return nil, fmt.Errorf("core: reading %s: %w: truncated object (%d bytes at offset %d of a %d-byte object)",
+			name, ErrCorrupt, length, offset, st.Size())
+	}
 	buf := make([]byte, length)
 	if n, err := f.ReadAt(buf, offset); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {

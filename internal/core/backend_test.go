@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -24,9 +25,20 @@ func TestDirBackendReadRange(t *testing.T) {
 		t.Fatalf("ReadRange = %q", got)
 	}
 	// A range past EOF is structural damage: the index promised bytes the
-	// object does not have.
-	if _, err := b.ReadRange("obj", 10, 100); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("past-EOF ReadRange error = %v, want ErrCorrupt", err)
+	// object does not have. Ranges come from on-disk metadata, so one is
+	// refused before its length sizes an allocation: a 512 GiB length from
+	// one edited manifest field must not reach make.
+	for _, r := range []struct{ off, n int64 }{{10, 100}, {0, 1 << 39}, {1 << 62, 1 << 62}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := b.ReadRange("obj", r.off, r.n)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadRange(obj, %d, %d) error = %v, want ErrCorrupt", r.off, r.n, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Errorf("ReadRange(obj, %d, %d) allocated %d bytes before refusing", r.off, r.n, grew)
+		}
 	}
 	if _, err := b.ReadRange("missing", 0, 1); err == nil {
 		t.Fatal("ReadRange of missing object succeeded")

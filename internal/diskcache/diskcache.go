@@ -212,6 +212,34 @@ func Wrap(inner core.Backend, dir string, capacity int64, generation string, opt
 	return b, nil
 }
 
+// Mount puts the persistent cache at dir under ds's reads: it wraps the
+// dataset's storage backend, keyed by the fingerprint of its record index,
+// and returns the tier. An empty dir mounts nothing and returns nil; lazy
+// selects WithLazyVerify, which needs a directory. The dataset's Close
+// releases the tier.
+func Mount(ds *core.Dataset, dir string, capacity int64, lazy bool) (*Backend, error) {
+	if dir == "" {
+		if lazy {
+			return nil, fmt.Errorf("diskcache: lazy verification requires a cache directory")
+		}
+		return nil, nil
+	}
+	gen, err := core.IndexFingerprint(ds.Index())
+	if err != nil {
+		return nil, err
+	}
+	var opts []Option
+	if lazy {
+		opts = append(opts, WithLazyVerify())
+	}
+	b, err := Wrap(ds.Backend(), dir, capacity, gen, opts...)
+	if err != nil {
+		return nil, err
+	}
+	ds.SetBackend(b)
+	return b, nil
+}
+
 // objectFile maps an object name to its prefix file path. Names are hashed:
 // they may contain separators, and the manifest is the authoritative
 // name→extent map anyway.

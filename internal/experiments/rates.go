@@ -64,16 +64,9 @@ func runFig9(cfg *Config) error {
 					return err
 				}
 				cluster.Reset()
-				res, err := loader.Run(loader.Config{
-					Cluster:            cluster,
-					Threads:            6,
-					QueueCap:           12,
-					RecordBytes:        rb,
-					ImagesPerRecord:    set.ImagesPerRecordList(),
-					DecodeSecPerImage:  (1.0 / 150) / 10,
-					ComputeSecPerImage: 1 / m.ClusterImagesPerSec,
-					Passes:             10,
-				})
+				lc := set.PaperLoader(cluster, m, rb)
+				lc.Passes = 10
+				res, err := loader.Run(lc)
 				if err != nil {
 					return err
 				}
@@ -106,16 +99,9 @@ func runFig11(cfg *Config) error {
 			return err
 		}
 		cluster.Reset()
-		res, err := loader.Run(loader.Config{
-			Cluster:            cluster,
-			Threads:            6,
-			QueueCap:           12,
-			RecordBytes:        rb,
-			ImagesPerRecord:    set.ImagesPerRecordList(),
-			DecodeSecPerImage:  (1.0 / 150) / 10,
-			ComputeSecPerImage: 1 / nn.ShuffleNetLike.ClusterImagesPerSec,
-			Shuffle:            rand.New(rand.NewSource(cfg.Seed)),
-		})
+		lc := set.PaperLoader(cluster, nn.ShuffleNetLike, rb)
+		lc.Shuffle = rand.New(rand.NewSource(cfg.Seed))
+		res, err := loader.Run(lc)
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/autotune"
 	"repro/internal/jpegc"
 	"repro/internal/mssim"
 	"repro/internal/nn"
@@ -160,9 +159,10 @@ func runFig8(cfg *Config) error {
 			return err
 		}
 		cluster.Reset()
-		dyn, err := autotune.Run(set, autotune.Config{
+		dyn, err := train.Run(set, train.RunConfig{
 			Model: m, Task: task,
-			Controller: &autotune.PlateauController{Window: 3, MinImprove: 0.08, ProbeSteps: 6, BatchSize: 24},
+			ScanGroup:  set.NumGroups,
+			Controller: &train.PlateauController{Window: 3, MinImprove: 0.08, ProbeSteps: 6, BatchSize: 24},
 			Epochs:     cfg.epochsFor(p.Name),
 			Seed:       cfg.Seed,
 			Cluster:    cluster,
@@ -320,9 +320,10 @@ func runFig21(cfg *Config) error {
 		return err
 	}
 	cluster.Reset()
-	dyn, err := autotune.Run(set, autotune.Config{
+	dyn, err := train.Run(set, train.RunConfig{
 		Model: nn.ShuffleNetLike, Task: task,
-		Controller: &autotune.CosineController{Threshold: 0.9, TuneEvery: 6, WarmupEpochs: 3},
+		ScanGroup:  set.NumGroups,
+		Controller: &train.CosineController{Threshold: 0.9, TuneEvery: 6, WarmupEpochs: 3},
 		Epochs:     cfg.epochsFor(p.Name),
 		Seed:       cfg.Seed,
 		Cluster:    cluster,
@@ -364,9 +365,10 @@ func runCosineTuning(cfg *Config, p synth.Profile, mixWeights []float64) error {
 			p.Name, m.Name, base.FinalAcc*100, base.TotalTimeSec)
 		for _, w := range mixWeights {
 			cluster.Reset()
-			dyn, err := autotune.Run(set, autotune.Config{
+			dyn, err := train.Run(set, train.RunConfig{
 				Model: m, Task: task,
-				Controller: &autotune.CosineController{Threshold: 0.9, TuneEvery: 6, WarmupEpochs: 3},
+				ScanGroup:  set.NumGroups,
+				Controller: &train.CosineController{Threshold: 0.9, TuneEvery: 6, WarmupEpochs: 3},
 				Epochs:     cfg.epochsFor(p.Name),
 				Seed:       cfg.Seed,
 				MixWeight:  w,

@@ -61,14 +61,19 @@ func (w *Writer) Write(data []byte) error {
 
 // Reader iterates TFRecord frames.
 type Reader struct {
-	r io.Reader
+	r    io.Reader
+	left int64 // bytes r has yet to deliver
 }
 
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+// NewReader returns a Reader over r, which holds size bytes. Frame lengths
+// are read from the stream itself, so none may size an allocation past the
+// bytes the stream has left.
+func NewReader(r io.Reader, size int64) *Reader { return &Reader{r: r, left: size} }
 
 // Next returns the next record, io.EOF at a clean end of stream, or
-// io.ErrUnexpectedEOF / ErrBadCRC on damage.
+// io.ErrUnexpectedEOF / ErrBadCRC on damage. A frame whose length runs past
+// the end of the stream is refused as io.ErrUnexpectedEOF before anything
+// is allocated for it.
 func (r *Reader) Next() ([]byte, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
@@ -81,9 +86,11 @@ func (r *Reader) Next() ([]byte, error) {
 		return nil, fmt.Errorf("%w (length)", ErrBadCRC)
 	}
 	n := binary.LittleEndian.Uint64(hdr[0:8])
-	if n > 1<<32 {
-		return nil, fmt.Errorf("recordio: unreasonable record length %d", n)
+	r.left -= int64(len(hdr))
+	if avail := r.left - 4; avail < 0 || n > uint64(avail) {
+		return nil, fmt.Errorf("recordio: %d-byte frame with %d bytes left: %w", n, max(avail, 0), io.ErrUnexpectedEOF)
 	}
+	r.left -= int64(n) + 4
 	data := make([]byte, n)
 	if _, err := io.ReadFull(r.r, data); err != nil {
 		return nil, io.ErrUnexpectedEOF

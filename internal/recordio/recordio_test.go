@@ -31,7 +31,7 @@ func TestTFRecordRoundTrip(t *testing.T) {
 		t.Errorf("BytesWritten = %d, want %d", w.BytesWritten(), wantBytes)
 	}
 
-	r := NewReader(&buf)
+	r := NewReader(&buf, int64(buf.Len()))
 	for i, want := range records {
 		got, err := r.Next()
 		if err != nil {
@@ -53,7 +53,7 @@ func TestTFRecordQuick(t *testing.T) {
 		if err := w.Write(payload); err != nil {
 			return false
 		}
-		got, err := NewReader(&buf).Next()
+		got, err := NewReader(&buf, int64(buf.Len())).Next()
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -71,7 +71,7 @@ func TestTFRecordDetectsCorruption(t *testing.T) {
 	for _, pos := range []int{0, 5, 9, 12, 100, len(raw) - 2} {
 		dam := append([]byte(nil), raw...)
 		dam[pos] ^= 0x01
-		_, err := NewReader(bytes.NewReader(dam)).Next()
+		_, err := NewReader(bytes.NewReader(dam), int64(len(dam))).Next()
 		if err == nil {
 			t.Errorf("corruption at byte %d not detected", pos)
 		}
@@ -84,7 +84,7 @@ func TestTFRecordTruncation(t *testing.T) {
 	w.Write(make([]byte, 256))
 	raw := buf.Bytes()
 	for cut := 1; cut < len(raw); cut += 13 {
-		_, err := NewReader(bytes.NewReader(raw[:cut])).Next()
+		_, err := NewReader(bytes.NewReader(raw[:cut]), int64(cut)).Next()
 		if err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}

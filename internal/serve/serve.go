@@ -265,30 +265,14 @@ func NewFromDataset(ds *core.Dataset, opts *Options) (*Server, error) {
 		// strong validator.
 		s.etags = append(s.etags, fmt.Sprintf("%q", fmt.Sprintf("%s-%d", re.Name, re.Prefixes[len(re.Prefixes)-1])))
 	}
-	if o.DiskCacheLazyVerify && o.DiskCacheDir == "" {
-		return nil, fmt.Errorf("serve: DiskCacheLazyVerify requires DiskCacheDir")
+	budget := o.DiskCacheBytes
+	if budget <= 0 {
+		if budget = 4 * o.CacheBytes; budget <= 0 {
+			budget = 1 << 30
+		}
 	}
-	if o.DiskCacheDir != "" {
-		budget := o.DiskCacheBytes
-		if budget <= 0 {
-			if budget = 4 * o.CacheBytes; budget <= 0 {
-				budget = 1 << 30
-			}
-		}
-		gen, err := core.IndexFingerprint(ix)
-		if err != nil {
-			return nil, err
-		}
-		var dcOpts []diskcache.Option
-		if o.DiskCacheLazyVerify {
-			dcOpts = append(dcOpts, diskcache.WithLazyVerify())
-		}
-		dc, err := diskcache.Wrap(ds.Backend(), o.DiskCacheDir, budget, gen, dcOpts...)
-		if err != nil {
-			return nil, err
-		}
-		ds.SetBackend(dc)
-		s.disk = dc
+	if s.disk, err = diskcache.Mount(ds, o.DiskCacheDir, budget, o.DiskCacheLazyVerify); err != nil {
+		return nil, err
 	}
 	if o.CacheBytes > 0 {
 		c, err := cache.New(o.CacheBytes, s.fetchRange)

@@ -1,9 +1,11 @@
 // Package train is the reproduction's training harness. It materializes a
 // synthetic dataset as an in-memory PCR dataset, trains the nn models for
-// real on images decoded at a chosen scan group, and charges virtual time
-// for storage and compute through the loader/iosim pipeline — producing the
-// time-to-accuracy curves, loading-rate bars, and gradient-similarity data
-// of the paper's evaluation (§4, Figures 4–9 and 19–22).
+// real on images decoded at a chosen scan group — fixed, or picked as
+// training goes by a dynamic-compression Controller (§4.5, §A.6) — and
+// charges virtual time for storage and compute through the loader/iosim
+// pipeline, producing the time-to-accuracy curves, loading-rate bars, and
+// gradient-similarity data of the paper's evaluation (§4, Figures 4–9 and
+// 19–22).
 package train
 
 import (

@@ -19,7 +19,6 @@ const (
 	paperMeanImageBytes   = 110e3
 	paperSeekSec          = 8e-3
 	paperImagesPerRecord  = 1024
-	paperDecodeBaseSec    = 1.0 / 230 // PIL baseline decode (§A.5)
 	paperDecodeProgSec    = 1.0 / 150 // PIL progressive decode (§A.5)
 	paperOSDs             = 5
 	paperLoaderThreads    = 6  // "4 to 8 threads" (§A.3)
@@ -45,14 +44,15 @@ func ScaledStorage(meanImageBytes float64, imagesPerRecord int) (*iosim.Cluster,
 	return iosim.NewCluster(spec, paperOSDs)
 }
 
-// RunConfig configures one training run at a fixed scan group.
+// RunConfig configures one training run.
 type RunConfig struct {
 	// Model selects the architecture/speed profile.
 	Model nn.ModelProfile
 	// Task remaps labels (multiclass, make-only, binary).
 	Task synth.Task
 	// ScanGroup is the quality to read; use the set's NumGroups for the
-	// baseline.
+	// baseline. With a Controller it is the group training starts at (the
+	// paper starts dynamic runs at full quality, §4.5).
 	ScanGroup int
 	// Epochs is the epoch budget.
 	Epochs int
@@ -64,10 +64,21 @@ type RunConfig struct {
 	Cluster *iosim.Cluster
 	// EvalEvery samples test accuracy every k epochs (default 1).
 	EvalEvery int
-	// LRDropAt lists epoch fractions where the LR drops 10× (default
-	// {1.0/3, 2.0/3}, mirroring the paper's 30/60-of-90 schedule).
-	LRDropAt []float64
+	// Controller, when non-nil, picks the scan group at its tuning points
+	// (§4.5, §A.6), and its probing is charged to the virtual clock. Nil
+	// trains at ScanGroup throughout.
+	Controller Controller
+	// MixWeight enables mixture training (§A.6.3): each record's group is
+	// the current one with probability weight/(weight+K−1), else one of the
+	// K−1 other candidates uniformly. 0 disables mixing. The paper uses
+	// weights 10 (~50%) and 100 (~85%) over K=10 groups.
+	MixWeight float64
 }
+
+// lrDropAt lists the epoch fractions where the LR drops 10×, mirroring the
+// paper's 30/60-of-90 schedule. The loss plateaus the drops leave are what
+// the §4.5 heuristic detects.
+var lrDropAt = [...]float64{1.0 / 3, 2.0 / 3}
 
 // EpochPoint is one sample of a training curve.
 type EpochPoint struct {
@@ -81,10 +92,10 @@ type EpochPoint struct {
 	// sampled; the Sampled flag distinguishes).
 	TestAcc float64
 	Sampled bool
+	// Group is the scan group in effect (a mixture's selected group).
+	Group int
 	// ImagesPerSec is the epoch's loading/training rate.
 	ImagesPerSec float64
-	// StallSec is the compute unit's idle time during this epoch.
-	StallSec float64
 }
 
 // RunResult is a full training curve.
@@ -93,14 +104,36 @@ type RunResult struct {
 	Points []EpochPoint
 	// FinalAcc is the last sampled test accuracy.
 	FinalAcc float64
-	// TotalTimeSec is the virtual time of the whole run.
+	// TotalTimeSec is the virtual time of the whole run, probing included.
 	TotalTimeSec float64
-	// BytesPerEpoch is the storage bytes fetched each epoch.
+	// BytesPerEpoch is the storage bytes fetched by the last epoch.
 	BytesPerEpoch int64
+	// GroupSwitches counts controller decisions that changed the group.
+	GroupSwitches int
 }
 
-// Run trains the model at the configured scan group: real SGD over decoded
-// features, virtual time from the simulated pipeline.
+// PaperLoader configures the paper's loading pipeline (§A.3) over the set's
+// records, each read at the given prefix size: six prefetch threads, a
+// queue of twelve records, progressive decode, and the model's per-image
+// compute. Callers add the shuffle, start time and pass count.
+func (s *PCRSet) PaperLoader(cluster *iosim.Cluster, model nn.ModelProfile, recordBytes []int64) loader.Config {
+	return loader.Config{
+		Cluster:         cluster,
+		Threads:         paperLoaderThreads,
+		QueueCap:        2 * paperLoaderThreads,
+		RecordBytes:     recordBytes,
+		ImagesPerRecord: s.ImagesPerRecordList(),
+		// Each simulated loader stream stands for one stream per training
+		// node, so decode parallelizes across the workers' CPU cores (the
+		// paper notes near-linear data-parallel decode scaling, §A.5).
+		DecodeSecPerImage:  paperDecodeProgSec / paperWorkers,
+		ComputeSecPerImage: 1 / model.ClusterImagesPerSec,
+	}
+}
+
+// Run trains the model: real SGD over decoded features, virtual time from
+// the simulated pipeline. Without a Controller every record is read at
+// ScanGroup; with one, the group changes at the controller's tuning points.
 func Run(set *PCRSet, cfg RunConfig) (*RunResult, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("train: non-positive epochs")
@@ -116,22 +149,9 @@ func Run(set *PCRSet, cfg RunConfig) (*RunResult, error) {
 	if evalEvery <= 0 {
 		evalEvery = 1
 	}
-	drops := cfg.LRDropAt
-	if drops == nil {
-		drops = []float64{1.0 / 3, 2.0 / 3}
-	}
 
-	feats, err := set.TrainFeatures(cfg.ScanGroup)
-	if err != nil {
-		return nil, err
-	}
 	labels := set.TrainLabels(cfg.Task)
-	testFeats, err := set.TestFeatures(cfg.ScanGroup)
-	if err != nil {
-		return nil, err
-	}
 	testLabels := set.TestLabels(cfg.Task)
-
 	model, err := cfg.Model.Build(FeatureLen, cfg.Task.NumClasses, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -149,16 +169,18 @@ func Run(set *PCRSet, cfg RunConfig) (*RunResult, error) {
 		}
 	}
 
-	recordBytes, err := set.RecordBytesAtGroup(cfg.ScanGroup)
-	if err != nil {
-		return nil, err
-	}
-	imagesPerRecord := set.ImagesPerRecordList()
+	groups := candidateGroups(set.NumGroups)
+	ranges := set.RecordRanges()
+	bytesAt := map[int][]int64{}
+	recordBytes := make([]int64, set.NumRecords())
+	feats := make([][]float64, set.NumTrain())
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &RunResult{Config: cfg}
 	clock := 0.0
 	lr := cfg.Model.LR
+	cur := cfg.ScanGroup
+	var lossHistory []float64
 
 	order := make([]int, len(feats))
 	for i := range order {
@@ -166,27 +188,54 @@ func Run(set *PCRSet, cfg RunConfig) (*RunResult, error) {
 	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for _, frac := range drops {
+		for _, frac := range lrDropAt {
 			if epoch == int(frac*float64(cfg.Epochs)) && epoch > 0 {
 				lr /= 10
 			}
 		}
+		if cfg.Controller != nil && cfg.Controller.ShouldTune(epoch, lossHistory) {
+			next, probeSec, err := cfg.Controller.Tune(&State{
+				Set:                 set,
+				Model:               model,
+				Task:                cfg.Task,
+				Groups:              groups,
+				LR:                  lr,
+				Momentum:            cfg.Model.Momentum,
+				Bandwidth:           cluster.AggregateBandwidth(),
+				ComputeImagesPerSec: cfg.Model.ClusterImagesPerSec,
+				Rng:                 rng,
+			})
+			if err != nil {
+				return nil, err
+			}
+			clock += probeSec
+			if next != cur {
+				res.GroupSwitches++
+				cur = next
+			}
+		}
+
+		// Each record's group for this epoch (records are the unit of
+		// read): the current group, or a mixture draw.
+		for r, span := range ranges {
+			g := drawGroup(cur, groups, cfg.MixWeight, rng)
+			if bytesAt[g] == nil {
+				if bytesAt[g], err = set.RecordBytesAtGroup(g); err != nil {
+					return nil, err
+				}
+			}
+			recordBytes[r] = bytesAt[g][r]
+			gf, err := set.TrainFeatures(g)
+			if err != nil {
+				return nil, err
+			}
+			copy(feats[span[0]:span[1]], gf[span[0]:span[1]])
+		}
+
 		// Virtual time: one epoch of the simulated pipeline.
-		sim, err := loader.Run(loader.Config{
-			Cluster:         cluster,
-			Threads:         paperLoaderThreads,
-			QueueCap:        2 * paperLoaderThreads,
-			RecordBytes:     recordBytes,
-			ImagesPerRecord: imagesPerRecord,
-			// Each simulated loader stream stands for one stream per
-			// training node, so decode parallelizes across the workers'
-			// CPU cores (the paper notes near-linear data-parallel decode
-			// scaling, §A.5).
-			DecodeSecPerImage:  paperDecodeProgSec / paperWorkers,
-			ComputeSecPerImage: 1 / cfg.Model.ClusterImagesPerSec,
-			Shuffle:            rng,
-			StartAt:            clock,
-		})
+		lc := set.PaperLoader(cluster, cfg.Model, recordBytes)
+		lc.Shuffle, lc.StartAt = rng, clock
+		sim, err := loader.Run(lc)
 		if err != nil {
 			return nil, err
 		}
@@ -215,15 +264,21 @@ func Run(set *PCRSet, cfg RunConfig) (*RunResult, error) {
 			epochLoss += loss
 			steps++
 		}
+		meanLoss := epochLoss / float64(steps)
+		lossHistory = append(lossHistory, meanLoss)
 
 		pt := EpochPoint{
 			Epoch:        epoch,
 			TimeSec:      clock,
-			TrainLoss:    epochLoss / float64(steps),
+			TrainLoss:    meanLoss,
+			Group:        cur,
 			ImagesPerSec: sim.ImagesPerSec,
-			StallSec:     sim.TotalStallSec,
 		}
 		if epoch%evalEvery == 0 || epoch == cfg.Epochs-1 {
+			testFeats, err := set.TestFeatures(cur)
+			if err != nil {
+				return nil, err
+			}
 			_, acc, err := model.Evaluate(nn.Batch{X: testFeats, Y: testLabels})
 			if err != nil {
 				return nil, err

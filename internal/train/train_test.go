@@ -224,11 +224,48 @@ func TestRunValidation(t *testing.T) {
 	p := synth.Cars
 	p.ImageSize = 48
 	set := smallSet(t, p, 24)
-	if _, err := Run(set, RunConfig{Model: nn.ResNetLike, Task: synth.Multiclass(set.Profile), ScanGroup: 0, Epochs: 1}); err == nil {
-		t.Error("scan group 0 accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"scan group 0", RunConfig{ScanGroup: 0, Epochs: 1}},
+		{"zero epochs", RunConfig{ScanGroup: 1, Epochs: 0}},
+	} {
+		tc.cfg.Model, tc.cfg.Task = nn.ResNetLike, synth.Multiclass(set.Profile)
+		if _, err := Run(set, tc.cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if _, err := Run(set, RunConfig{Model: nn.ResNetLike, Task: synth.Multiclass(set.Profile), ScanGroup: 1, Epochs: 0}); err == nil {
-		t.Error("zero epochs accepted")
+}
+
+// A small static Cars run, pinned: the simulated clock, the accuracy and
+// the loss curve's ends must not move when the trainer is refactored.
+func TestRunStaticGolden(t *testing.T) {
+	p := synth.Cars
+	p.ImageSize = 48
+	set := smallSet(t, p, 96)
+	res, err := Run(set, RunConfig{
+		Model: nn.ShuffleNetLike, Task: synth.CoarseOnly(set.Profile),
+		ScanGroup: 2, Epochs: 8, Seed: 3, EvalEvery: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"TotalTimeSec", res.TotalTimeSec, 0.22259945765531003},
+		{"FinalAcc", res.FinalAcc, 6.0 / 19},
+		{"first TrainLoss", res.Points[0].TrainLoss, 1.8334632703384777},
+		{"last TrainLoss", res.Points[len(res.Points)-1].TrainLoss, 1.5523396857021083},
+	} {
+		// Relative 1e-9 absorbs fused multiply-adds on other
+		// architectures; a change to the run's arithmetic or RNG order
+		// moves these by far more.
+		if math.Abs(c.got-c.want) > 1e-9*math.Abs(c.want) {
+			t.Errorf("%s = %.17g, want %.17g", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -45,26 +45,11 @@ func (pcrFormat) open(dir string, cfg *config) (formatReader, error) {
 // the in-memory LRU (WithCacheBytes): a read misses memory, then disk,
 // then goes upstream — and each tier fills with exactly the delta bytes.
 func newPCRReader(ds *core.Dataset, cfg *config) (*pcrReader, error) {
-	r := &pcrReader{ds: ds}
-	if cfg.diskCacheDir == "" && cfg.diskCacheLazy {
-		return nil, fmt.Errorf("pcr: WithDiskCacheLazyVerify requires WithDiskCache")
+	disk, err := diskcache.Mount(ds, cfg.diskCacheDir, cfg.diskCacheBytes, cfg.diskCacheLazy)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.diskCacheDir != "" {
-		gen, err := core.IndexFingerprint(ds.Index())
-		if err != nil {
-			return nil, err
-		}
-		var dcOpts []diskcache.Option
-		if cfg.diskCacheLazy {
-			dcOpts = append(dcOpts, diskcache.WithLazyVerify())
-		}
-		dc, err := diskcache.Wrap(ds.Backend(), cfg.diskCacheDir, cfg.diskCacheBytes, gen, dcOpts...)
-		if err != nil {
-			return nil, err
-		}
-		ds.SetBackend(dc)
-		r.disk = dc
-	}
+	r := &pcrReader{ds: ds, disk: disk}
 	if cfg.cacheBytes > 0 {
 		c, err := cache.New(cfg.cacheBytes, r.fetchRange)
 		if err != nil {

@@ -25,11 +25,6 @@ func (tfrecordFormat) Name() string { return "tfrecord" }
 const (
 	tfrecordDataFile = "data.tfrecord"
 	tfrecordMetaFile = "tfrecord.meta"
-
-	// Frame fields (wire message per sample).
-	tfID    = 1
-	tfLabel = 2
-	tfJPEG  = 3
 )
 
 func (tfrecordFormat) create(dir string, cfg *config) (formatWriter, error) {
@@ -53,11 +48,8 @@ type tfrecordWriter struct {
 }
 
 func (w *tfrecordWriter) append(s Sample) error {
-	enc := wire.NewEncoder(nil)
-	enc.Uint64(tfID, uint64(s.ID))
-	enc.Int64(tfLabel, s.Label)
-	enc.Bytes(tfJPEG, s.JPEG)
-	if err := w.rw.Write(enc.Encode()); err != nil {
+	ex := recordio.Example{ID: s.ID, Label: s.Label, JPEG: s.JPEG}
+	if err := w.rw.Write(ex.Marshal()); err != nil {
 		return err
 	}
 	w.count++
@@ -128,7 +120,7 @@ func parseTFRecordMeta(raw []byte, r *tfrecordReader) error {
 }
 
 type tfrecordReader struct {
-	backend core.Backend
+	backend *core.DirBackend
 	count   int
 	bytes   int64
 }
@@ -147,7 +139,14 @@ func (r *tfrecordReader) scanEncoded(ctx context.Context, q int) iter.Seq2[Sampl
 			return
 		}
 		defer f.Close()
-		rr := recordio.NewReader(bufio.NewReader(f))
+		// Frame lengths are read from the file, so its size bounds them. A
+		// DirBackend object is the *os.File itself.
+		st, err := f.(*os.File).Stat()
+		if err != nil {
+			yield(Sample{}, fmt.Errorf("pcr: %w", err))
+			return
+		}
+		rr := recordio.NewReader(bufio.NewReader(f), st.Size())
 		for {
 			if err := ctx.Err(); err != nil {
 				yield(Sample{}, err)
@@ -164,57 +163,17 @@ func (r *tfrecordReader) scanEncoded(ctx context.Context, q int) iter.Seq2[Sampl
 				yield(Sample{}, err)
 				return
 			}
-			s, err := parseTFRecordFrame(frame)
-			if !yield(s, err) || err != nil {
+			// The frame already passed its CRC, so a wire-level failure
+			// here means garbage we wrote, or a foreign file: ErrCorrupt
+			// either way.
+			ex, err := recordio.UnmarshalExample(frame)
+			if err != nil {
+				yield(Sample{}, fmt.Errorf("pcr: %w: tfrecord frame: %w", ErrCorrupt, err))
+				return
+			}
+			if !yield(Sample{ID: ex.ID, Label: ex.Label, JPEG: ex.JPEG}, nil) {
 				return
 			}
 		}
 	}
-}
-
-// parseTFRecordFrame decodes one framed sample. The frame already passed its
-// CRC, so any wire-level failure here means we are reading garbage we wrote
-// (or a foreign file) — ErrCorrupt either way.
-func parseTFRecordFrame(frame []byte) (Sample, error) {
-	s, err := parseTFRecordFields(frame)
-	if err != nil {
-		return s, fmt.Errorf("pcr: %w: tfrecord frame: %w", ErrCorrupt, err)
-	}
-	return s, nil
-}
-
-func parseTFRecordFields(frame []byte) (Sample, error) {
-	var s Sample
-	d := wire.NewDecoder(frame)
-	for !d.Done() {
-		field, wtype, err := d.Next()
-		if err != nil {
-			return s, err
-		}
-		switch field {
-		case tfID:
-			v, err := d.Uint64()
-			if err != nil {
-				return s, err
-			}
-			s.ID = int64(v)
-		case tfLabel:
-			v, err := d.Int64()
-			if err != nil {
-				return s, err
-			}
-			s.Label = v
-		case tfJPEG:
-			v, err := d.Bytes()
-			if err != nil {
-				return s, err
-			}
-			s.JPEG = append([]byte(nil), v...)
-		default:
-			if err := d.Skip(wtype); err != nil {
-				return s, err
-			}
-		}
-	}
-	return s, nil
 }

@@ -2,10 +2,14 @@ package pcr_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"image"
+	"iter"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -313,30 +317,95 @@ func TestTFRecordBadCRCIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "data.tfrecord")
-	data, err := os.ReadFile(path)
+	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	// setFirstFrameLength rewrites the first frame's length with a header
+	// CRC that matches it, so the length reaches the reader.
+	setFirstFrameLength := func(d []byte, n uint64) {
+		binary.LittleEndian.PutUint64(d[0:8], n)
+		crc := crc32.Checksum(d[0:8], crc32.MakeTable(crc32.Castagnoli))
+		binary.LittleEndian.PutUint32(d[8:12], (crc>>15|crc<<17)+0xa282ead8)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte)
+	}{
+		{"flipped_byte", func(d []byte) { d[len(d)/2] ^= 0xFF }},
+		{"3GiB_frame", func(d []byte) { setFirstFrameLength(d, 3<<30) }},
+		{"4GiB_plus_1_frame", func(d []byte) { setFirstFrameLength(d, 1<<32+1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := append([]byte(nil), clean...)
+			tc.damage(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := pcr.Open(dir, pcr.WithFormat(pcr.TFRecord))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			got, grew := firstScanError(ds.Scan(context.Background(), pcr.Full))
+			if !errors.Is(got, pcr.ErrCorrupt) {
+				t.Fatalf("Scan over damaged tfrecord = %v, want ErrCorrupt", got)
+			}
+			if grew > 64<<20 {
+				t.Errorf("Scan allocated %d bytes before refusing a %d-byte file", grew, len(data))
+			}
+		})
+	}
+}
+
+// A file-per-image manifest is read from disk, so its size fields are
+// outside input: one edited to 512 GiB is ErrCorrupt on the first read,
+// not an allocation of that size.
+func TestFilePerImageOversizeManifestEntryIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := pcr.Synthesize(dir, "cars", 0.05, 1, pcr.WithFormat(pcr.FilePerImage)); err != nil {
 		t.Fatal(err)
 	}
-
-	ds, err := pcr.Open(dir, pcr.WithFormat(pcr.TFRecord))
+	path := filepath.Join(dir, "manifest.txt")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitN(string(raw), "\n", 2)
+	fields := strings.Fields(lines[0])
+	fields[len(fields)-1] = "549755813888"
+	lines[0] = strings.Join(fields, " ")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := pcr.Open(dir, pcr.WithFormat(pcr.FilePerImage))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
+	got, grew := firstScanError(ds.ScanEncoded(context.Background(), pcr.Full))
+	if !errors.Is(got, pcr.ErrCorrupt) {
+		t.Fatalf("ScanEncoded over an oversize manifest entry = %v, want ErrCorrupt", got)
+	}
+	if grew > 64<<20 {
+		t.Errorf("ScanEncoded allocated %d bytes before refusing", grew)
+	}
+}
+
+// firstScanError runs a scan to its first error and reports the bytes
+// allocated on the way.
+func firstScanError[T any](scan iter.Seq2[T, error]) (error, uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	var got error
-	for _, err := range ds.Scan(context.Background(), pcr.Full) {
+	for _, err := range scan {
 		if err != nil {
 			got = err
 			break
 		}
 	}
-	if !errors.Is(got, pcr.ErrCorrupt) {
-		t.Fatalf("Scan over corrupted tfrecord = %v, want ErrCorrupt", got)
-	}
+	runtime.ReadMemStats(&after)
+	return got, after.TotalAlloc - before.TotalAlloc
 }
 
 // Scanning at a low quality then a higher one through the cache must serve
