@@ -413,14 +413,16 @@ const maxDCCategory = 16
 // decodeDCDiff reads one DC difference: its category through dec, then that
 // many value bits.
 func decodeDCDiff(r *bitReader, dec *huffDecoder) (int32, error) {
-	s, err := dec.decode(r)
-	if err != nil {
-		return 0, err
-	}
-	if s > maxDCCategory {
+	// The symbol is the category, which decodeValue reads as a size nibble:
+	// right up to 15. Category 16's size nibble is 0, so its bits follow.
+	s, v, err := dec.decodeValue(r)
+	switch {
+	case err != nil || s < 16:
+		return v, err
+	case s > maxDCCategory:
 		return 0, fmt.Errorf("jpegc: DC difference category %d out of range", s)
 	}
-	return extend(r.take(uint(s)), uint(s)), nil
+	return extend(r.take(16), 16), nil
 }
 
 // decodeBaselineScan decodes the blocks of d.s.order, each whole. comps is
@@ -443,12 +445,12 @@ func (d *decoder) decodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
 		blk[0] = dcPred[b.comp]
 		last := 0 // the highest index written: the indices only rise
 		for k := 1; k < 64; {
-			rs, err := sc.ac.decode(r)
+			rs, v, err := sc.ac.decodeValue(r)
 			if err != nil {
 				return err
 			}
-			run, size := int(rs>>4), uint(rs&0x0F)
-			if size == 0 {
+			run := int(rs >> 4)
+			if rs&0x0F == 0 {
 				if run == 15 {
 					k += 16 // ZRL
 					continue
@@ -459,7 +461,7 @@ func (d *decoder) decodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
 			if k > 63 {
 				return fmt.Errorf("jpegc: AC coefficient index out of range")
 			}
-			blk[k] = extend(r.take(size), size)
+			blk[k] = v
 			last = k
 			k++
 		}
@@ -509,12 +511,12 @@ func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error
 		blk := &blocks[i]
 		last := 0 // the highest index written: the indices only rise
 		for k := ss; k <= se; {
-			rs, err := sc.ac.decode(r)
+			rs, v, err := sc.ac.decodeValue(r)
 			if err != nil {
 				return err
 			}
-			run, size := int(rs>>4), uint(rs&0x0F)
-			if size == 0 {
+			run := int(rs >> 4)
+			if rs&0x0F == 0 {
 				if run != 15 {
 					eobrun = readEOBRun(r, run) - 1 // this block is the first of the run
 					break
@@ -526,7 +528,7 @@ func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error
 			if k > se {
 				return fmt.Errorf("jpegc: AC coefficient index out of band")
 			}
-			blk[k] = extend(r.take(size), size) << uint(al)
+			blk[k] = v << uint(al)
 			last = k
 			k++
 		}
@@ -537,7 +539,6 @@ func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error
 
 func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) error {
 	p1 := int32(1) << uint(al)
-	m1 := int32(-1) << uint(al)
 	eobrun := 0
 	blocks, lastNZ := d.s.blocks[sc.comp], d.s.lastNZ[sc.comp]
 	for i := range blocks {
@@ -548,22 +549,16 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 		k := ss
 		if eobrun == 0 {
 			for ; k <= se; k++ {
-				rs, err := sc.ac.decode(r)
+				// A new coefficient's value is its sign bit: ±1.
+				rs, v, err := sc.ac.decodeValue(r)
 				if err != nil {
 					return err
 				}
 				run, size := int(rs>>4), int(rs&0x0F)
-				var newVal int32
-				if size != 0 {
-					if size != 1 {
-						return fmt.Errorf("jpegc: bad refinement size %d", size)
-					}
-					if r.take(1) != 0 {
-						newVal = p1
-					} else {
-						newVal = m1
-					}
-				} else if run != 15 {
+				if size > 1 {
+					return fmt.Errorf("jpegc: bad refinement size %d", size)
+				}
+				if size == 0 && run != 15 {
 					eobrun = readEOBRun(r, run)
 					break // remaining coefficients handled by EOB logic below
 				}
@@ -572,10 +567,13 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 				// run/size symbol that zero receives the newly significant
 				// value; for ZRL (run=15, size=0) it is the 16th skipped
 				// zero, and the loop's k++ steps past it.
-				k, run = r.refine(blk, k, last, run, p1, m1)
+				k, run = r.refine(blk, k, last, run, p1)
 				k += run
-				if size != 0 && k <= se {
-					blk[k] = newVal
+				if k > se {
+					return fmt.Errorf("jpegc: AC coefficient index out of band")
+				}
+				if size != 0 {
+					blk[k] = v << uint(al)
 					lastNZ[i] = max(lastNZ[i], uint8(k))
 				}
 			}
@@ -583,47 +581,40 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 		if eobrun > 0 {
 			// In an EOB run: every remaining nonzero coefficient of the
 			// band is corrected, and no zero ends the walk.
-			r.refine(blk, k, last, 64, p1, m1)
+			r.refine(blk, k, last, 64, p1)
 			eobrun--
 		}
 	}
 	return nil
 }
 
-// refine walks blk[k..last] for an AC refinement scan at bit p1 (m1 is its
-// negative): it reads a correction bit for each non-zero coefficient it
-// passes and stops at the (run+1)-th zero one. It returns where it stopped
-// and how many zeros were still to pass — 0 unless it reached last+1.
-func (r *bitReader) refine(blk *block, k, last, run int, p1, m1 int32) (int, int) {
-	if k > last {
-		return k, run
-	}
+// refine walks blk[k..last] for an AC refinement scan at bit p1: it reads a
+// correction bit for each non-zero coefficient it passes and stops at the
+// (run+1)-th zero one. It returns where it stopped and how many zeros were
+// still to pass — 0 unless it reached last+1. Whether a coefficient is zero,
+// its sign and its correction bit are coin flips, so none of them is a
+// branch: each is a mask.
+func (r *bitReader) refine(blk *block, k, last, run int, p1 int32) (int, int) {
 	acc, nbit := r.acc, r.nbit
-	band := blk[k : last+1]
-	for j, c := range band {
-		if c == 0 {
-			if run == 0 {
-				r.acc, r.nbit = acc, nbit
-				return k + j, 0
-			}
-			run--
-			continue
+	for ; k <= last; k++ {
+		c := blk[k]
+		nz := (c | -c) >> 31 // all ones for a non-zero coefficient
+		if int(nz)|run == 0 {
+			break
 		}
-		if nbit <= 0 {
+		if nbit+int(nz) < 0 { // a bit is wanted and none is left
 			r.acc, r.nbit = acc, nbit
 			r.fill()
 			acc, nbit = r.acc, r.nbit
 		}
-		if int64(acc) < 0 && c&p1 == 0 {
-			if c >= 0 {
-				band[j] = c + p1
-			} else {
-				band[j] = c + m1
-			}
-		}
-		acc <<= 1
-		nbit--
+		run += int(^nz) // one fewer zero to pass, at a zero
+		bit := int32(int64(acc)>>63) & nz
+		fresh := (c&p1 - 1) >> 31 // bit p1 not yet set
+		sign := c >> 31
+		blk[k] = c + ((p1^sign)-sign)&bit&fresh // p1 away from zero
+		acc += acc & uint64(int64(nz))          // acc <<= nz&1, without a variable shift
+		nbit += int(nz)
 	}
 	r.acc, r.nbit = acc, nbit
-	return last + 1, run
+	return k, run
 }

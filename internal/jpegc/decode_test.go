@@ -413,3 +413,19 @@ func TestUnsupportedHandedToStdlib(t *testing.T) {
 		}
 	}
 }
+
+// TestRefinementPastBandRefused: a refinement symbol whose run of zeros ends
+// past the band is refused, as image/jpeg refuses it, and not decoded with
+// its coefficient dropped.
+func TestRefinementPastBandRefused(t *testing.T) {
+	stream := refinementPastBand()
+	if _, err := stdjpeg.Decode(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "too many coefficients") {
+		t.Fatalf("image/jpeg: err = %v, want too many coefficients", err)
+	}
+	if _, err := Decode(stream); err == nil || !strings.Contains(err.Error(), "out of band") {
+		t.Errorf("Decode: err = %v, want an index out of band", err)
+	}
+	if _, err := Transcode(stream, &Options{Progressive: true}); err == nil {
+		t.Error("Transcode accepted the stream")
+	}
+}

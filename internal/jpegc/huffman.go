@@ -65,10 +65,13 @@ const lutBits = 8
 // look-up, the rest by the canonical MINCODE/MAXCODE/VALPTR procedure of
 // T.81 Annex F.2.2.3 (the shape of image/jpeg's decoder).
 type huffDecoder struct {
-	// lut is indexed by the next lutBits bits of the stream: the symbol in
-	// the high byte and 1 + its code length in the low byte, or 0 when
-	// those bits begin a longer code.
-	lut     [1 << lutBits]uint16
+	// lut is indexed by the next lutBits bits of the stream, or 0 when
+	// those bits begin a longer code. Otherwise an entry holds the symbol
+	// in bits 0–7 and its code length in bits 8–11; and when the value bits
+	// that the symbol's size nibble announces follow within the same
+	// lutBits, the code and value bits together in bits 12–15 and the
+	// sign-extended value in bits 16–31.
+	lut     [1 << lutBits]int32
 	maxcode [17]int32 // by code length; -1 where no codes of that length exist
 	// valoff[l] is the index into vals of length l's first code, minus
 	// that code.
@@ -82,7 +85,7 @@ type huffDecoder struct {
 // entries stay in range, and a code that resolves outside vals is refused
 // when a scan meets it.
 func (d *huffDecoder) build(counts *[16]byte, vals []byte) {
-	d.lut = [1 << lutBits]uint16{}
+	d.lut = [1 << lutBits]int32{}
 	d.vals = vals
 	code := int32(0)
 	k := int32(0)
@@ -93,13 +96,24 @@ func (d *huffDecoder) build(counts *[16]byte, vals []byte) {
 		if n == 0 {
 			d.maxcode[l] = -1
 		}
-		if l <= lutBits {
-			span := 1 << (lutBits - l)
+		if rest := lutBits - l; rest >= 0 {
 			for j := int32(0); j < n; j++ {
-				base := int(uint8((code + j) << (lutBits - l)))
-				ent := uint16(vals[k+j])<<8 | uint16(l+1)
-				for x := 0; x < span; x++ {
-					d.lut[base|x] = ent
+				// The entries whose bits begin with this code, in runs that
+				// share value bits when those fit too.
+				span := d.lut[uint8((code+j)<<rest):][:1<<rest]
+				sym := vals[k+j]
+				ent, size := int32(l)<<8|int32(sym), uint(sym&0x0F)
+				if size <= uint(rest) {
+					ent |= int32(l+int(size)) << 12
+				} else {
+					size = 0 // no value in the entry
+				}
+				same := len(span) >> size
+				for x := 0; x < len(span); x += same {
+					e := ent | extend(uint32(x/same), size)<<16
+					for y := range span[x : x+same] {
+						span[x+y] = e
+					}
 				}
 			}
 		}
@@ -115,10 +129,10 @@ func (d *huffDecoder) decode(r *bitReader) (byte, error) {
 		r.fill()
 	}
 	if ent := d.lut[r.acc>>(64-lutBits)]; ent != 0 {
-		n := uint(ent&0xFF) - 1
+		n := uint(ent>>8) & 0x0F
 		r.acc <<= n
 		r.nbit -= int(n)
-		return byte(ent >> 8), nil
+		return byte(ent), nil
 	}
 	next16 := int32(r.acc >> 48)
 	for l := lutBits + 1; l <= 16; l++ {
@@ -134,6 +148,26 @@ func (d *huffDecoder) decode(r *bitReader) (byte, error) {
 		}
 	}
 	return 0, fmt.Errorf("jpegc: huffman code longer than 16 bits")
+}
+
+// decodeValue reads one run/size symbol and the size value bits that follow
+// it, sign-extended: with one table load when the two fit the look-up width
+// together.
+func (d *huffDecoder) decodeValue(r *bitReader) (rs byte, v int32, err error) {
+	if r.nbit < 32 {
+		r.fill()
+	}
+	if ent := d.lut[r.acc>>(64-lutBits)]; ent&0xF000 != 0 {
+		n := uint(ent>>12) & 0x0F
+		r.acc <<= n
+		r.nbit -= int(n)
+		return byte(ent), ent >> 16, nil
+	}
+	if rs, err = d.decode(r); err != nil {
+		return 0, 0, err
+	}
+	size := uint(rs & 0x0F)
+	return rs, extend(r.take(size), size), nil
 }
 
 // freqCounter accumulates symbol frequencies for optimal table generation.

@@ -242,21 +242,39 @@ func hostileCoefficients() []byte {
 		geo.Quant[0][i] = 255
 	}
 	w := bitWriter{out: appendHeaders(nil, geo, true)}
-	// scan appends a table whose one code, "0", means sym, and a scan that
-	// repeats it n times, each time with size value bits, all ones.
-	scan := func(class, sym byte, size uint, spec ScanSpec, n int) {
-		w.out = appendSegment(w.out, mDHT, 1+16+1)
-		w.out = append(w.out, class<<4, 1)
-		w.out = append(append(w.out, make([]byte, 15)...), sym)
-		w.out = appendSOS(w.out, spec, class == 0, class == 1)
-		for ; n > 0; n-- {
-			w.writeBits(1<<size-1, 1+size)
-		}
-		w.flush()
-	}
-	scan(0, 16, 16, ScanSpec{Comps: []int{0}, Al: 13}, 2)
-	scan(1, 15, 15, ScanSpec{Comps: []int{0}, Ss: 1, Se: 63, Al: 13}, 2*63)
+	oneCodeScan(&w, 0, 16, 16, ScanSpec{Comps: []int{0}, Al: 13}, 2)
+	oneCodeScan(&w, 1, 15, 15, ScanSpec{Comps: []int{0}, Ss: 1, Se: 63, Al: 13}, 2*63)
 	return append(w.out, 0xFF, mEOI)
+}
+
+// refinementPastBand is an 8×8 grayscale progressive stream of three scans:
+// DC, an AC scan of the whole band whose one symbol is EOB, and a refinement
+// of that band, all zero so far, whose four symbols are (15,1) — fifteen
+// zeros passed, then a new coefficient. The first three land at 16, 32 and
+// 48; the fourth at 64, past the band.
+func refinementPastBand() []byte {
+	geo := &coeffImage{Width: 8, Height: 8, NumComps: 1}
+	for i := range geo.Quant[0] {
+		geo.Quant[0][i] = 1
+	}
+	w := bitWriter{out: appendHeaders(nil, geo, true)}
+	oneCodeScan(&w, 0, 0, 0, ScanSpec{Comps: []int{0}}, 1)
+	oneCodeScan(&w, 1, 0x00, 0, ScanSpec{Comps: []int{0}, Ss: 1, Se: 63, Al: 1}, 1)
+	oneCodeScan(&w, 1, 0xF1, 1, ScanSpec{Comps: []int{0}, Ss: 1, Se: 63, Ah: 1}, 4)
+	return append(w.out, 0xFF, mEOI)
+}
+
+// oneCodeScan appends to w a table whose one code, "0", means sym, and a
+// scan that repeats it n times, each time with size value bits, all ones.
+func oneCodeScan(w *bitWriter, class, sym byte, size uint, spec ScanSpec, n int) {
+	w.out = appendSegment(w.out, mDHT, 1+16+1)
+	w.out = append(w.out, class<<4, 1)
+	w.out = append(append(w.out, make([]byte, 15)...), sym)
+	w.out = appendSOS(w.out, spec, class == 0, class == 1)
+	for ; n > 0; n-- {
+		w.writeBits(1<<size-1, 1+size)
+	}
+	w.flush()
 }
 
 // FuzzDecode feeds arbitrary bytes to the three entry points that parse a
@@ -264,7 +282,8 @@ func hostileCoefficients() []byte {
 // input, so the seeds are a baseline stream, a progressive one, every scan
 // prefix of it with and without its EOI, both streams with a scan's data cut
 // short under intact markers, and one whose coefficients overflow the
-// inverse DCT; testdata/fuzz adds hostile headers and bit-flipped streams.
+// inverse DCT; testdata/fuzz adds hostile headers, bit-flipped streams and
+// refinementPastBand.
 // Any input may be refused. None may panic — an index outside a block or a
 // sample plane would — and none may come back with a frame larger than
 // checkDims allows, which is what bounds the allocation a header can ask

@@ -179,13 +179,19 @@ func randomSpec(rng *rand.Rand) *huffSpec {
 	return spec
 }
 
+// TestLUTDecoderMatchesCanonical holds the table decoder to the canonical
+// procedure: decode's symbol, and decodeValue's symbol and sign-extended
+// value, which come out of the look-up entry itself where the code and the
+// value bits fit its width together. Every symbol of each table is written
+// once at every bit offset within a byte, in random order, with random value
+// bits and random filler before it.
 func TestLUTDecoderMatchesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	specs := []*huffSpec{&stdDCLuma, &stdDCChroma, &stdACLuma, &stdACChroma}
 	for i := 0; i < 60; i++ {
 		specs = append(specs, randomSpec(rng))
 	}
-	long := 0
+	long, fused := 0, 0
 	for _, spec := range specs {
 		var enc huffEncoder
 		if err := enc.build(spec); err != nil {
@@ -193,36 +199,54 @@ func TestLUTDecoderMatchesCanonical(t *testing.T) {
 		}
 		var dec huffDecoder
 		dec.build(&spec.bits, spec.vals)
-		// Every symbol of the table, in random order and with random value
-		// bits between them, so that codes start at every bit offset.
 		var w bitWriter
 		type item struct {
-			sym   byte
-			extra uint32
-			n     uint
+			filler, n uint32 // n bits of filler before the code
+			sym       byte
+			vbits     uint32 // the value bits after it, as many as its size nibble says
 		}
 		var items []item
-		for rep := 0; rep < 3; rep++ {
+		written := uint32(0)
+		for offset := uint32(0); offset < 8; offset++ {
 			for _, k := range rng.Perm(len(spec.vals)) {
-				n := uint(rng.Intn(17))
-				it := item{spec.vals[k], uint32(rng.Intn(1 << n)), n}
+				sym := spec.vals[k]
+				size := uint(sym & 0x0F)
+				n := (offset-written)%8 + 8*uint32(rng.Intn(2))
+				it := item{uint32(rng.Intn(1 << n)), n, sym, uint32(rng.Intn(1 << size))}
 				items = append(items, it)
-				enc.emit(&w, it.sym, it.extra, it.n)
-				if enc[it.sym]&31 > lutBits {
+				w.writeBits(it.filler, uint(n))
+				enc.emit(&w, sym, it.vbits, size)
+				written += n + enc[sym]&31 + uint32(size)
+				switch l := uint(enc[sym] & 31); {
+				case l > lutBits:
 					long++
+				case l+size <= lutBits:
+					fused++
 				}
 			}
 		}
 		w.flush()
 		fast, slow := &bitReader{data: w.out}, &bitReader{data: w.out}
 		for i, it := range items {
-			got, err := dec.decode(fast)
+			if a, b := fast.readBits(uint(it.n)), slow.readBits(uint(it.n)); a != it.filler || b != it.filler {
+				t.Fatalf("item %d: filler %d / %d, written %d", i, a, b, it.filler)
+			}
+			size := uint(it.sym & 0x0F)
+			var got byte
+			var v int32
+			var err error
+			if i%2 == 0 {
+				got, v, err = dec.decodeValue(fast)
+			} else {
+				got, err = dec.decode(fast)
+				v = extend(fast.readBits(size), size)
+			}
 			ref, ok := referenceDecode(spec, slow)
 			if err != nil || !ok || got != ref || got != it.sym {
-				t.Fatalf("symbol %d: look-up %#x (%v), canonical %#x (%v), written %#x", i, got, err, ref, ok, it.sym)
+				t.Fatalf("item %d: look-up %#x (%v), canonical %#x (%v), written %#x", i, got, err, ref, ok, it.sym)
 			}
-			if a, b := fast.readBits(it.n), slow.readBits(it.n); a != it.extra || b != it.extra {
-				t.Fatalf("symbol %d: value bits %d / %d, written %d", i, a, b, it.extra)
+			if want := extend(slow.readBits(size), size); v != want || want != extend(it.vbits, size) {
+				t.Fatalf("item %d, symbol %#x: value %d, canonical %d, written bits %b", i, it.sym, v, want, it.vbits)
 			}
 		}
 		if fast.overrun() {
@@ -231,5 +255,163 @@ func TestLUTDecoderMatchesCanonical(t *testing.T) {
 	}
 	if long < 1000 {
 		t.Errorf("only %d codes longer than the look-up width were exercised", long)
+	}
+	if fused < 1000 {
+		t.Errorf("only %d values within the look-up width were exercised", fused)
+	}
+}
+
+// FuzzHuffmanTable feeds a DHT segment's payload, as a stream carries it,
+// and a bit stream to parseDHT and the table decoder. No input may panic.
+// And where the segment's first table does not over-subscribe the code
+// space, what decodeValue reads from the bit stream, symbol and value, is
+// what the canonical procedure reads, up to the same error. The seeds under
+// testdata/fuzz are the Annex K tables and the optimal tables of a bench-v1
+// image's progressive scans, each with the entropy-coded data it came with.
+func FuzzHuffmanTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, dht, stream []byte) {
+		d := decoder{s: new(scratch)}
+		if len(dht) == 0 || d.parseDHT(dht) != nil {
+			return
+		}
+		n := 0
+		for _, c := range dht[1:17] {
+			n += int(c)
+		}
+		spec := &huffSpec{bits: [16]byte(dht[1:17]), vals: dht[17 : 17+n]}
+		tab := d.dcTab[dht[0]&0x0F]
+		if dht[0]>>4 == 1 {
+			tab = d.acTab[dht[0]&0x0F]
+		}
+		if len(dht) > 17+n { // a later table of the segment may have replaced it
+			tab = new(huffDecoder)
+			tab.build(&spec.bits, spec.vals)
+		}
+		space := 0
+		for l, c := range spec.bits {
+			space += int(c) << (15 - l)
+		}
+		fast, slow := &bitReader{data: stream}, &bitReader{data: stream}
+		for i := 0; i <= 8*len(stream) && !fast.overrun(); i++ {
+			rs, v, err := tab.decodeValue(fast)
+			if space > 1<<16 {
+				if err != nil {
+					return
+				}
+				continue
+			}
+			sym, ok := referenceDecode(spec, slow)
+			if (err == nil) != ok {
+				t.Fatalf("code %d: table decoder err = %v, canonical ok = %v", i, err, ok)
+			}
+			if !ok {
+				return
+			}
+			size := uint(sym & 0x0F)
+			if want := extend(slow.readBits(size), size); rs != sym || v != want {
+				t.Fatalf("code %d: table decoder (%#x, %d), canonical (%#x, %d)", i, rs, v, sym, want)
+			}
+		}
+	})
+}
+
+// referenceRefine is bitReader.refine as it was before its per-coefficient
+// branches became masks, word for word: what the masked walk must agree
+// with on every block, band and bit stream.
+func referenceRefine(r *bitReader, blk *block, k, last, run int, p1, m1 int32) (int, int) {
+	if k > last {
+		return k, run
+	}
+	acc, nbit := r.acc, r.nbit
+	band := blk[k : last+1]
+	for j, c := range band {
+		if c == 0 {
+			if run == 0 {
+				r.acc, r.nbit = acc, nbit
+				return k + j, 0
+			}
+			run--
+			continue
+		}
+		if nbit <= 0 {
+			r.acc, r.nbit = acc, nbit
+			r.fill()
+			acc, nbit = r.acc, r.nbit
+		}
+		if int64(acc) < 0 && c&p1 == 0 {
+			if c >= 0 {
+				band[j] = c + p1
+			} else {
+				band[j] = c + m1
+			}
+		}
+		acc <<= 1
+		nbit--
+	}
+	r.acc, r.nbit = acc, nbit
+	return last + 1, run
+}
+
+// TestRefineMatchesReference drives refine and referenceRefine from the same
+// state over random blocks — zeros and non-zeros mixed, negative values,
+// bit p1 already set or not, every point transform 0–13, every zero run
+// 0–15 and the EOB run's 64, walks that start past their last index — and
+// short bit streams, stuffed bytes included, read some way into first, so
+// that walks run the accumulator empty, refill it from the data and from the
+// zeros fed past its end. The two must return the same, leave the same
+// block and leave the reader in the same state.
+func TestRefineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	refilled, zeroFed := 0, 0
+	for i := 0; i < 200000; i++ {
+		al := rng.Intn(14)
+		p1 := int32(1) << al
+		var blk block
+		for k := range blk {
+			sign := int32(1 - 2*rng.Intn(2))
+			switch rng.Intn(4) {
+			case 0, 1: // zero
+			case 2: // what the scans above bit al leave: a multiple of 2·p1
+				blk[k] = sign * int32(1+rng.Intn(100)) * 2 * p1
+			default: // anything, bit p1 set or not
+				blk[k] = sign * int32(1+rng.Intn(1<<16))
+			}
+		}
+		last := rng.Intn(65) - 1
+		k := rng.Intn(64)
+		run := rng.Intn(16)
+		if rng.Intn(4) == 0 {
+			run = 64
+		}
+		data := make([]byte, rng.Intn(12))
+		for j := range data {
+			data[j] = byte(rng.Intn(256))
+			if rng.Intn(6) == 0 {
+				data[j] = 0xFF
+			}
+		}
+		r := bitReader{data: data}
+		for skip := rng.Intn(8*len(data) + 8); skip > 0; {
+			n := min(skip, 1+rng.Intn(16))
+			r.readBits(uint(n))
+			skip -= n
+		}
+		before, want, wantBlk := r, r, blk
+		gotK, gotRun := r.refine(&blk, k, last, run, p1)
+		wantK, wantRun := referenceRefine(&want, &wantBlk, k, last, run, p1, -p1)
+		sameReader := r.acc == want.acc && r.nbit == want.nbit && r.pos == want.pos && r.zeros == want.zeros
+		if gotK != wantK || gotRun != wantRun || blk != wantBlk || !sameReader {
+			t.Fatalf("case %d: al %d, k %d, last %d, run %d: returned (%d, %d), want (%d, %d)\nblock %v\n want %v\nreader %+v, want %+v",
+				i, al, k, last, run, gotK, gotRun, wantK, wantRun, blk, wantBlk, r, want)
+		}
+		if r.pos > before.pos {
+			refilled++
+		}
+		if r.zeros > before.zeros {
+			zeroFed++
+		}
+	}
+	if refilled < 1000 || zeroFed < 1000 {
+		t.Errorf("%d walks refilled from the data and %d from past its end, want 1000 of each", refilled, zeroFed)
 	}
 }
