@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"math/bits"
 )
 
 // Options control encoding.
@@ -117,6 +118,7 @@ func (s *scratch) analyze(img image.Image, opts *Options) error {
 				}
 				fdct(&fb)
 				blk := &s.blocks[c][by*bw+bx]
+				last := 0
 				for k, nat := range zigzag {
 					v := fb[nat] / float64(quant[nat])
 					// Round to nearest, ties away from zero.
@@ -125,7 +127,11 @@ func (s *scratch) analyze(img image.Image, opts *Options) error {
 					} else {
 						blk[k] = int32(v - 0.5)
 					}
+					if blk[k] != 0 {
+						last = k
+					}
 				}
+				s.lastNZ[c][by*bw+bx] = uint8(last)
 			}
 		}
 	}
@@ -224,12 +230,11 @@ var stdSpecs = [4]*huffSpec{&stdDCLuma, &stdDCChroma, &stdACLuma, &stdACChroma}
 // walkBaseline records the one scan of a baseline stream: every block of
 // every component, whole, in interleaved MCU order. MCU padding blocks
 // (4:2:0 edges) re-emit the clamped edge block, keeping the DC prediction
-// chain consistent with the decoder.
+// chain consistent with the decoder. The AC terms coded are the set bits of
+// each block's Al = 0 bitmap.
 func (s *scratch) walkBaseline(comps []int) {
 	s.order = s.geo.mcuOrder(s.order[:0], comps)
 	var prevDC [3]int32
-	var pos [64]uint8
-	var mag [64]int32
 	for _, b := range s.order {
 		blk := &s.blocks[b.comp][b.idx]
 		slot := tableSlot(int(b.comp))
@@ -237,11 +242,9 @@ func (s *scratch) walkBaseline(comps []int) {
 		prevDC[b.comp] = blk[0]
 		s.symbol(slot, byte(size), vbits, size)
 		// AC with run-length coding
-		last := int(s.lastNZ[b.comp][b.idx])
-		n := nonzeros(blk, 1, last, 0, &pos, &mag)
 		prev := 0
-		for j := 0; j < n; j++ {
-			k := int(pos[j])
+		for m := s.sig[b.comp][b.idx][0]; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			run := k - prev - 1
 			prev = k
 			for ; run > 15; run -= 16 {
@@ -250,7 +253,7 @@ func (s *scratch) walkBaseline(comps []int) {
 			size, vbits := magnitude(blk[k])
 			s.symbol(tableAC|slot, byte(run<<4)|byte(size), vbits, size)
 		}
-		if last < 63 {
+		if prev < 63 {
 			s.symbol(tableAC|slot, 0x00, 0, 0) // EOB
 		}
 	}

@@ -44,16 +44,21 @@ func (e *huffEncoder) build(spec *huffSpec) error {
 	return nil
 }
 
-// emit writes sym's code, followed by the low n bits of extra (n ≤ 16), to
-// w. Panics if the symbol has no code — the encoder only emits symbols whose
-// frequencies it counted, so a missing code is an internal invariant
-// violation, not an input error.
-func (e *huffEncoder) emit(w *bitWriter, sym byte, extra uint32, n uint) {
+// lookup returns sym's code and its length in bits. Panics if the symbol
+// has no code — the encoder only emits symbols whose frequencies it
+// counted, so a missing code is an internal invariant violation, not an
+// input error.
+func (e *huffEncoder) lookup(sym byte) (code uint32, n uint) {
 	ent := e[sym]
 	if ent == 0 {
-		panic(fmt.Sprintf("jpegc: no huffman code for symbol %#x", sym))
+		panicNoCode(sym)
 	}
-	w.writeBits(ent>>5<<n|extra, uint(ent&31)+n)
+	return ent >> 5, uint(ent & 31)
+}
+
+// panicNoCode is lookup's panic, out of line so that lookup inlines.
+func panicNoCode(sym byte) {
+	panic(fmt.Sprintf("jpegc: no huffman code for symbol %#x", sym))
 }
 
 // lutBits is how many bits of look-ahead the decoder resolves with one

@@ -178,7 +178,7 @@ func TestHuffmanEncodeDecodeRoundTrip(t *testing.T) {
 		dec.build(&spec.bits, spec.vals)
 		var w bitWriter
 		for _, sym := range spec.vals {
-			enc.emit(&w, sym, 0, 0)
+			w.writeBits(enc.lookup(sym))
 		}
 		w.flush()
 		r := &bitReader{data: w.out}
@@ -234,7 +234,7 @@ func TestHuffmanOptimizerValidAndComplete(t *testing.T) {
 		var w bitWriter
 		var emitted []byte
 		for s := range seen {
-			enc.emit(&w, s, 0, 0)
+			w.writeBits(enc.lookup(s))
 			emitted = append(emitted, s)
 		}
 		w.flush()

@@ -57,17 +57,27 @@ func (s *scratch) rawBits(v uint64, n uint) {
 }
 
 // emitTokens replays the recorded tokens through the tables built from
-// their frequencies.
+// their frequencies. The bit accumulator stays in locals: each token, its
+// code and value bits together, is one shift and OR into it.
 func (s *scratch) emitTokens() {
 	w := &s.w
+	acc, nbit := w.acc, w.nbit
 	for _, tok := range s.toks {
 		n := uint(tok >> tokNBit & 31)
-		if tok&tokRaw != 0 {
-			w.writeBits(tok&0xFFFF, n)
-			continue
+		v := uint64(tok & 0xFFFF)
+		if tok&tokRaw == 0 {
+			code, size := s.enc[tok>>tokTableBit&3].lookup(byte(tok >> tokSymbolBit))
+			v |= uint64(code) << n
+			n += size
 		}
-		s.enc[tok>>tokTableBit].emit(w, byte(tok>>tokSymbolBit), tok&0xFFFF, n)
+		acc = acc<<n | v
+		nbit += n
+		if nbit >= 32 {
+			nbit -= 32
+			w.put4(uint32(acc >> nbit))
+		}
 	}
+	w.acc, w.nbit = acc, nbit
 	w.flush()
 }
 
@@ -195,55 +205,37 @@ func (e *eobRun) flush(s *scratch) {
 	e.n, e.corr = 0, 0
 }
 
-// nonzeros lists the coefficients of blk[ss..end] that are non-zero after
-// the point transform al — their zigzag positions and their magnitudes
-// |v| >> al — and returns how many there are. The AC walks below run over
-// this list, not the band: the zeros between two entries are the difference
-// of their positions, and the loop that finds them has no branch to
-// mispredict. It is kept out of line because, inlined, its loop shares
-// registers with the walk around it and spills its counters on every
-// coefficient: twice the time, measured.
-//
-//go:noinline
-func nonzeros(blk *block, ss, end int, al uint, pos *[64]uint8, mag *[64]int32) int {
-	if end < ss {
-		return 0
-	}
-	n := 0
-	for i, v := range blk[ss : end+1] {
-		neg := v >> 31
-		a := ((v ^ neg) - neg) >> (al & 31)
-		pos[n&63], mag[n&63] = uint8(ss+i), a
-		if a != 0 {
-			n++
-		}
-	}
-	return n
+// bandMask returns the bits of zigzag indices ss..se (1 ≤ ss ≤ se ≤ 63).
+func bandMask(ss, se int) uint64 {
+	return ^uint64(0) >> (63 - uint(se)&63) &^ (1<<uint(ss&63) - 1)
 }
 
 // walkACFirst codes the first pass of an AC band: run-length coding of
 // point-transformed coefficients with EOB-run aggregation across blocks.
+// The coefficients it codes are the set bits of each block's bitmap for Al
+// within the band; the zeros between two of them are the difference of
+// their positions.
 func (s *scratch) walkACFirst(scan ScanSpec) {
 	c := scan.Comps[0]
 	t := tableAC | tableSlot(c)
 	eob := eobRun{t: t}
-	blocks, lastNZ := s.blocks[c], s.lastNZ[c]
-	var pos [64]uint8
-	var mag [64]int32
+	blocks, sig := s.blocks[c], s.sig[c]
+	band, al := bandMask(scan.Ss, scan.Se), uint(scan.Al)
 	for i := range blocks {
 		blk := &blocks[i]
-		n := nonzeros(blk, scan.Ss, min(scan.Se, int(lastNZ[i])), uint(scan.Al), &pos, &mag)
 		prev := scan.Ss - 1
-		for j := 0; j < n; j++ {
-			k := int(pos[j])
+		for m := sig[i][al] & band; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			r := k - prev - 1
 			prev = k
 			eob.flush(s)
 			for ; r > 15; r -= 16 {
 				s.symbol(t, 0xF0, 0, 0) // ZRL
 			}
-			neg := blk[k] >> 31
-			size, vbits := magnitude((mag[j] ^ neg) - neg)
+			v := blk[k]
+			neg := v >> 31
+			a := ((v ^ neg) - neg) >> al
+			size, vbits := magnitude((a ^ neg) - neg)
 			s.symbol(t, byte(r<<4)|byte(size), vbits, size)
 		}
 		if prev < scan.Se {
@@ -259,25 +251,22 @@ func (s *scratch) walkACFirst(scan ScanSpec) {
 // walkACRefine codes an AC refinement pass, following the structure of
 // libjpeg's encode_mcu_AC_refine: newly significant coefficients get
 // run/size symbols, already-significant ones contribute buffered correction
-// bits, and trailing zeros fold into a cross-block EOB run.
+// bits, and trailing zeros fold into a cross-block EOB run. A coefficient
+// is significant at Al when its bit of the Al bitmap is set, and newly so
+// when its bit of the Al+1 bitmap is not.
 func (s *scratch) walkACRefine(scan ScanSpec) {
 	c := scan.Comps[0]
 	t := tableAC | tableSlot(c)
 	eob := eobRun{t: t}
-	blocks, lastNZ := s.blocks[c], s.lastNZ[c]
-	var pos [64]uint8
-	var mag [64]int32
+	blocks, sig := s.blocks[c], s.sig[c]
+	band, al := bandMask(scan.Ss, scan.Se), uint(scan.Al)
 	for i := range blocks {
 		blk := &blocks[i]
-		n := nonzeros(blk, scan.Ss, min(scan.Se, int(lastNZ[i])), uint(scan.Al), &pos, &mag)
-		// The last newly significant coefficient (magnitude 1) is the EOB
-		// position: zero runs past it are not coded as ZRLs.
-		lastNew := 0
-		for j := n - 1; j >= 0 && lastNew == 0; j-- {
-			if mag[j] == 1 {
-				lastNew = int(pos[j])
-			}
-		}
+		m := sig[i][al] & band
+		fresh := m &^ sig[i][al+1]
+		// The last newly significant coefficient is the EOB position: zero
+		// runs past it are not coded as ZRLs. (-1 when there is none.)
+		lastNew := 63 - bits.LeadingZeros64(fresh)
 		// r counts the zero-history coefficients since the last newly
 		// significant one; cur holds the correction bits collected since
 		// the last symbol — at most one per coefficient of the band, so
@@ -285,8 +274,8 @@ func (s *scratch) walkACRefine(scan ScanSpec) {
 		r, prev := 0, scan.Ss-1
 		var cur uint64
 		var ncur uint
-		for j := 0; j < n; j++ {
-			k, a := int(pos[j]), mag[j]
+		for ; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			r += k - prev - 1
 			prev = k
 			for r > 15 && k <= lastNew {
@@ -296,15 +285,17 @@ func (s *scratch) walkACRefine(scan ScanSpec) {
 				s.rawBits(cur, ncur)
 				cur, ncur = 0, 0
 			}
-			if a > 1 {
+			v := blk[k]
+			if fresh>>k&1 == 0 {
 				// Already significant: queue its correction bit.
-				cur = cur<<1 | uint64(a&1)
+				neg := v >> 31
+				cur = cur<<1 | uint64(((v^neg)-neg)>>al&1)
 				ncur++
 				continue
 			}
 			// Newly significant coefficient: its sign follows the symbol.
 			eob.flush(s)
-			s.symbol(t, byte(r<<4)|1, uint32(blk[k]>>31)+1, 1)
+			s.symbol(t, byte(r<<4)|1, uint32(v>>31)+1, 1)
 			s.rawBits(cur, ncur)
 			cur, ncur = 0, 0
 			r = 0

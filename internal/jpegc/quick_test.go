@@ -40,6 +40,9 @@ func (c *coeffs) sealed() (*scratch, error) {
 		for i, nat := range c.blocks[comp] {
 			for k, at := range zigzag {
 				s.blocks[comp][i][k] = nat[at]
+				if nat[at] != 0 {
+					s.lastNZ[comp][i] = uint8(k)
+				}
 			}
 		}
 	}

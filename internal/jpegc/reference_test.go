@@ -2,7 +2,9 @@ package jpegc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -215,7 +217,8 @@ func TestLUTDecoderMatchesCanonical(t *testing.T) {
 				it := item{uint32(rng.Intn(1 << n)), n, sym, uint32(rng.Intn(1 << size))}
 				items = append(items, it)
 				w.writeBits(it.filler, uint(n))
-				enc.emit(&w, sym, it.vbits, size)
+				code, l := enc.lookup(sym)
+				w.writeBits(code<<size|it.vbits, l+size)
 				written += n + enc[sym]&31 + uint32(size)
 				switch l := uint(enc[sym] & 31); {
 				case l > lutBits:
@@ -413,5 +416,254 @@ func TestRefineMatchesReference(t *testing.T) {
 	}
 	if refilled < 1000 || zeroFed < 1000 {
 		t.Errorf("%d walks refilled from the data and %d from past its end, want 1000 of each", refilled, zeroFed)
+	}
+}
+
+// referenceNonzeros is the list the encoder's AC walks ran over before they
+// walked significance bitmaps, word for word: the coefficients of
+// blk[ss..end] that are non-zero after the point transform al — their
+// zigzag positions and their magnitudes |v| >> al — and how many there are.
+func referenceNonzeros(blk *block, ss, end int, al uint, pos *[64]uint8, mag *[64]int32) int {
+	if end < ss {
+		return 0
+	}
+	n := 0
+	for i, v := range blk[ss : end+1] {
+		neg := v >> 31
+		a := ((v ^ neg) - neg) >> (al & 31)
+		pos[n&63], mag[n&63] = uint8(ss+i), a
+		if a != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// referenceWalkACFirst is walkACFirst over referenceNonzeros' list.
+func (s *scratch) referenceWalkACFirst(scan ScanSpec) {
+	c := scan.Comps[0]
+	t := tableAC | tableSlot(c)
+	eob := eobRun{t: t}
+	blocks, lastNZ := s.blocks[c], s.lastNZ[c]
+	var pos [64]uint8
+	var mag [64]int32
+	for i := range blocks {
+		blk := &blocks[i]
+		n := referenceNonzeros(blk, scan.Ss, min(scan.Se, int(lastNZ[i])), uint(scan.Al), &pos, &mag)
+		prev := scan.Ss - 1
+		for j := 0; j < n; j++ {
+			k := int(pos[j])
+			r := k - prev - 1
+			prev = k
+			eob.flush(s)
+			for ; r > 15; r -= 16 {
+				s.symbol(t, 0xF0, 0, 0) // ZRL
+			}
+			neg := blk[k] >> 31
+			size, vbits := magnitude((mag[j] ^ neg) - neg)
+			s.symbol(t, byte(r<<4)|byte(size), vbits, size)
+		}
+		if prev < scan.Se {
+			eob.extend(s)
+			if eob.n == 0x7FFF {
+				eob.flush(s)
+			}
+		}
+	}
+	eob.flush(s)
+}
+
+// referenceWalkACRefine is walkACRefine over referenceNonzeros' list, with
+// the backward search for the last newly significant coefficient.
+func (s *scratch) referenceWalkACRefine(scan ScanSpec) {
+	c := scan.Comps[0]
+	t := tableAC | tableSlot(c)
+	eob := eobRun{t: t}
+	blocks, lastNZ := s.blocks[c], s.lastNZ[c]
+	var pos [64]uint8
+	var mag [64]int32
+	for i := range blocks {
+		blk := &blocks[i]
+		n := referenceNonzeros(blk, scan.Ss, min(scan.Se, int(lastNZ[i])), uint(scan.Al), &pos, &mag)
+		lastNew := 0
+		for j := n - 1; j >= 0 && lastNew == 0; j-- {
+			if mag[j] == 1 {
+				lastNew = int(pos[j])
+			}
+		}
+		r, prev := 0, scan.Ss-1
+		var cur uint64
+		var ncur uint
+		for j := 0; j < n; j++ {
+			k, a := int(pos[j]), mag[j]
+			r += k - prev - 1
+			prev = k
+			for r > 15 && k <= lastNew {
+				eob.flush(s)
+				s.symbol(t, 0xF0, 0, 0)
+				r -= 16
+				s.rawBits(cur, ncur)
+				cur, ncur = 0, 0
+			}
+			if a > 1 {
+				cur = cur<<1 | uint64(a&1)
+				ncur++
+				continue
+			}
+			eob.flush(s)
+			s.symbol(t, byte(r<<4)|1, uint32(blk[k]>>31)+1, 1)
+			s.rawBits(cur, ncur)
+			cur, ncur = 0, 0
+			r = 0
+		}
+		if r > 0 || prev < scan.Se || ncur > 0 {
+			eob.extend(s)
+			s.rawBits(cur, ncur)
+			eob.corr += int(ncur)
+			if eob.n == 0x7FFF || eob.corr > maxCorrBits {
+				eob.flush(s)
+			}
+		}
+	}
+	eob.flush(s)
+}
+
+// referenceWalkBaseline is walkBaseline over referenceNonzeros' list.
+func (s *scratch) referenceWalkBaseline(comps []int) {
+	s.order = s.geo.mcuOrder(s.order[:0], comps)
+	var prevDC [3]int32
+	var pos [64]uint8
+	var mag [64]int32
+	for _, b := range s.order {
+		blk := &s.blocks[b.comp][b.idx]
+		slot := tableSlot(int(b.comp))
+		size, vbits := magnitude(blk[0] - prevDC[b.comp])
+		prevDC[b.comp] = blk[0]
+		s.symbol(slot, byte(size), vbits, size)
+		last := int(s.lastNZ[b.comp][b.idx])
+		n := referenceNonzeros(blk, 1, last, 0, &pos, &mag)
+		prev := 0
+		for j := 0; j < n; j++ {
+			k := int(pos[j])
+			run := k - prev - 1
+			prev = k
+			for ; run > 15; run -= 16 {
+				s.symbol(tableAC|slot, 0xF0, 0, 0) // ZRL
+			}
+			size, vbits := magnitude(blk[k])
+			s.symbol(tableAC|slot, byte(run<<4)|byte(size), vbits, size)
+		}
+		if last < 63 {
+			s.symbol(tableAC|slot, 0x00, 0, 0) // EOB
+		}
+	}
+}
+
+// edgeCoeffs returns an image of geo whose first blocks, in every
+// component, are the cases a bitmap walk can get wrong — all zero; a single
+// non-zero at index 63, at index 1, at 5 or 6 on either side of the Ss = 6
+// band edge of the luma high-AC scan; every index set — each with values
+// exactly 1<<al and 2<<al - 1 for al = 0, 1, 2, either sign, and 1<<al - 1,
+// which the point transform al makes zero; the rest are rng's.
+func edgeCoeffs(rng *rand.Rand, geo coeffImage) *coeffs {
+	edges := []block{{}}
+	every := make([]int, 63)
+	for k := range every {
+		every[k] = k + 1
+	}
+	for al := 0; al < sigLevels; al++ {
+		for _, v := range []int32{1 << al, 2<<al - 1, -(1 << al), -(2<<al - 1), 1<<al - 1} {
+			for _, at := range [][]int{{63}, {1}, {5}, {6}, {5, 6}, {1, 63}, every} {
+				var b block
+				for _, k := range at {
+					b[k] = v
+				}
+				edges = append(edges, b)
+			}
+		}
+	}
+	c := newCoeffs(geo)
+	random := randomCoeffs(rng)
+	for comp := 0; comp < geo.NumComps; comp++ {
+		for i := range c.blocks[comp] {
+			if i >= len(edges) {
+				c.blocks[comp][i] = random.blocks[0][i%len(random.blocks[0])]
+				continue
+			}
+			for k, at := range zigzag {
+				c.blocks[comp][i][at] = edges[i][k]
+			}
+		}
+	}
+	return c
+}
+
+// TestWalksMatchReference holds the encoder's bitmap walks to the list
+// walks they replaced: the same tokens and the same symbol counts for every
+// AC first pass at Al 0, 1 and 2 and every refinement at Al 0 and 1, over
+// the default scripts' bands and the widest and narrowest others, and for
+// the baseline walk — on random images, gray and color, and on images whose
+// first blocks are edgeCoeffs' cases.
+func TestWalksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var images []*coeffs
+	for i := 0; i < 20; i++ {
+		images = append(images, randomCoeffs(rng))
+	}
+	for _, geo := range []coeffImage{
+		{Width: 8 * 160, Height: 8, NumComps: 1},
+		{Width: 8 * 160, Height: 8, NumComps: 3},
+		{Width: 16 * 160, Height: 16, NumComps: 3, Subsample420: true},
+	} {
+		geo.Quant[0], geo.Quant[1] = quantTables(50)
+		images = append(images, edgeCoeffs(rng, geo))
+	}
+	bands := [][2]int{{1, 5}, {6, 63}, {1, 63}, {1, 1}, {63, 63}, {5, 6}}
+	for n, ci := range images {
+		s, err := ci.sealed()
+		if err != nil {
+			t.Fatalf("image %d: %v", n, err)
+		}
+		same := func(what string, walk, reference func()) {
+			t.Helper()
+			s.toks, s.freq = s.toks[:0], [4]freqCounter{}
+			walk()
+			got, gotFreq := slices.Clone(s.toks), s.freq
+			s.toks, s.freq = s.toks[:0], [4]freqCounter{}
+			reference()
+			if !slices.Equal(got, s.toks) || gotFreq != s.freq {
+				t.Fatalf("image %d (%d components), %s: %d tokens, want %d, or the counts differ",
+					n, ci.geo.NumComps, what, len(got), len(s.toks))
+			}
+		}
+		comps := []int{0, 1, 2}[:ci.geo.NumComps]
+		same("baseline", func() { s.walkBaseline(comps) }, func() { s.referenceWalkBaseline(comps) })
+		for _, c := range comps {
+			for _, band := range bands {
+				for al := 0; al < sigLevels; al++ {
+					scan := ScanSpec{Comps: []int{c}, Ss: band[0], Se: band[1], Al: al}
+					same(fmt.Sprintf("%+v", scan), func() { s.walkACFirst(scan) }, func() { s.referenceWalkACFirst(scan) })
+					if al+1 < sigLevels {
+						scan.Ah = al + 1
+						same(fmt.Sprintf("%+v", scan), func() { s.walkACRefine(scan) }, func() { s.referenceWalkACRefine(scan) })
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScriptsWithinBitmaps: seal records significance bitmaps for the
+// point transforms 0 to sigLevels-1 only, and a refinement scan at Al reads
+// the bitmaps for Al and Al+1. A default script that asks for more would
+// index past them.
+func TestScriptsWithinBitmaps(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		for i, scan := range defaultScanScript(n) {
+			if scan.Al >= sigLevels || (scan.Ah > 0 && scan.Al+1 >= sigLevels) {
+				t.Errorf("%d-component script, scan %d: %+v needs a bitmap past the %d seal records",
+					n, i+1, scan, sigLevels)
+			}
+		}
 	}
 }

@@ -18,10 +18,15 @@ type scratch struct {
 	// read it.
 	blocks [3][]block
 	// lastNZ[c][i] is the zigzag index of block i's last non-zero
-	// coefficient, 0 when only the DC term or nothing is set: exactly that
-	// once sealed, and while decoding the highest index a scan has written.
-	// Neither the encoder's scans nor the inverse DCT look past it.
+	// coefficient, 0 when only the DC term or nothing is set. The analysis
+	// and the decoder keep it exact as they write: each records the highest
+	// index at which it leaves a non-zero value, and the decoder writes no
+	// AC zero. Neither seal, the encoder's scans nor the inverse DCT look
+	// past it.
 	lastNZ [3][]uint8
+	// sig[c][i] is block i's significance bitmaps, which seal records and
+	// the encoder's scans walk. Only the encode path sizes them.
+	sig [3][]sigMasks
 
 	order []blockRef // the interleaved scan being coded, from mcuOrder
 	toks  []uint32   // the scan being encoded, as tokens
@@ -52,39 +57,58 @@ func (s *scratch) setGeometry(geo *coeffImage) {
 	}
 }
 
-// seal makes the working blocks ready to encode: it checks every
+// sigLevels is how many point transforms the significance bitmaps cover:
+// Al = 0, 1 and 2, every one the default scan scripts use.
+const sigLevels = 3
+
+// sigMasks are one block's significance bitmaps: bit k of sigMasks[al] is
+// set when the AC coefficient at zigzag index k is non-zero after the point
+// transform al, that is |v| ≥ 1<<al. Bit 0, the DC term, is never set.
+type sigMasks [sigLevels]uint64
+
+// seal makes the working blocks ready to encode. It checks every
 // coefficient against the T.81 limits for 8-bit precision — quantized DC
 // values stay in the pixel-domain range [-1024, 1023] (so DC differences
 // fit category ≤ 11) and AC magnitudes fit category ≤ 10; values outside
-// these ranges have no Huffman representation in baseline mode — and records
-// each block's last non-zero index.
+// these ranges have no Huffman representation in baseline mode — and, in
+// the same pass, records each block's significance bitmaps for the scans
+// to walk. It trusts lastNZ, which the analysis and the decoder leave
+// exact: nothing past it is non-zero, so nothing past it is read.
 func (s *scratch) seal() error {
 	for c := 0; c < s.geo.NumComps; c++ {
-		last := s.lastNZ[c]
-		for i := range s.blocks[c] {
-			blk := &s.blocks[c][i]
-			// The OR of the AC magnitudes is within the limit exactly when
-			// each of them is.
-			var mags uint32
-			for _, v := range blk[1:] {
-				neg := v >> 31
-				mags |= uint32((v ^ neg) - neg)
-			}
+		blocks, last := s.blocks[c], s.lastNZ[c]
+		if cap(s.sig[c]) < len(blocks) {
+			s.sig[c] = make([]sigMasks, len(blocks))
+		}
+		sig := s.sig[c][:len(blocks)]
+		s.sig[c] = sig
+		for i := range blocks {
+			blk := &blocks[i]
 			if blk[0] < -1024 || blk[0] > 1023 {
 				return fmt.Errorf("jpegc: component %d block %d: DC %d out of [-1024, 1023]", c, i, blk[0])
 			}
+			// The OR of the AC magnitudes is within the limit exactly when
+			// each of them is. Each bitmap bit is the sign of a difference:
+			// no branch on a coefficient.
+			var m sigMasks
+			var mags int64
+			for j, v := range blk[1 : int(last[i])+1] {
+				a := int64(v)
+				a = (a ^ a>>63) - a>>63
+				mags |= a
+				k := uint(j+1) & 63
+				m[0] |= uint64(-a) >> 63 << k
+				m[1] |= uint64(1-a) >> 63 << k
+				m[2] |= uint64(3-a) >> 63 << k
+			}
 			if mags > 1023 {
-				for _, v := range blk[1:] {
+				for _, v := range blk[1 : int(last[i])+1] {
 					if v < -1023 || v > 1023 {
 						return fmt.Errorf("jpegc: component %d block %d: AC %d out of [-1023, 1023]", c, i, v)
 					}
 				}
 			}
-			nz := 63
-			for nz > 0 && blk[nz] == 0 {
-				nz--
-			}
-			last[i] = uint8(nz)
+			sig[i] = m
 		}
 	}
 	return nil

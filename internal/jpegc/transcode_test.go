@@ -3,6 +3,7 @@ package jpegc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"image"
 	stdjpeg "image/jpeg"
 	"runtime"
@@ -215,6 +216,76 @@ func TestUndefinedTableRefused(t *testing.T) {
 		_, err := Decode(stream)
 		if err == nil || !strings.Contains(err.Error(), "undefined huffman table") {
 			t.Errorf("%s: err = %v, want an undefined-table refusal", name, err)
+		}
+	}
+}
+
+// twoTableBaseline returns a grayscale baseline stream of width×8 pixels,
+// every divisor 1, whose DC table's one code "0" means dcSym and whose AC
+// table's codes "0" and "1" mean ac[0] and ac[1]; body writes the scan's
+// entropy-coded bits.
+func twoTableBaseline(width int, dcSym byte, ac [2]byte, body func(w *bitWriter)) []byte {
+	geo := &coeffImage{Width: width, Height: 8, NumComps: 1}
+	for i := range geo.Quant[0] {
+		geo.Quant[0][i] = 1
+	}
+	w := bitWriter{out: appendHeaders(nil, geo, false)}
+	w.out = appendSegment(w.out, mDHT, 2*(1+16)+3)
+	w.out = append(append(append(w.out, 0x00, 1), make([]byte, 15)...), dcSym)
+	w.out = append(append(append(w.out, 0x10, 2), make([]byte, 15)...), ac[0], ac[1])
+	w.out = appendSOS(w.out, ScanSpec{Comps: []int{0}, Se: 63}, true, true)
+	body(&w)
+	w.flush()
+	return append(w.out, 0xFF, mEOI)
+}
+
+// TestTranscodeRefusesOutOfRangeCoefficients: a baseline stream may carry
+// coefficients that 8-bit precision has no Huffman category for — an AC
+// value of category 11, DC differences that add up past ±1023. The decoder
+// takes them; the transcode must refuse them rather than write a stream
+// that no decoder can read, wherever in the block they sit.
+func TestTranscodeRefusesOutOfRangeCoefficients(t *testing.T) {
+	const (
+		acRange = "AC %d out of [-1023, 1023]"
+		dcRange = "DC %d out of [-1024, 1023]"
+	)
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"AC category 11 at index 1", twoTableBaseline(8, 0, [2]byte{0x0B, 0x00}, func(w *bitWriter) {
+			w.writeBits(0, 1)              // DC difference 0
+			w.writeBits(0<<11|0x7FF, 1+11) // 2047 at index 1
+			w.writeBits(1, 1)              // EOB
+		}), fmt.Sprintf(acRange, 2047)},
+		{"AC category 11 at index 63", twoTableBaseline(8, 0, [2]byte{0xF0, 0xEB}, func(w *bitWriter) {
+			w.writeBits(0, 1)              // DC difference 0
+			w.writeBits(0, 3)              // three ZRLs: index 49
+			w.writeBits(1<<11|0x000, 1+11) // 14 zeros, then -2047 at index 63
+		}), fmt.Sprintf(acRange, -2047)},
+		{"DC differences past +1023", twoTableBaseline(16, 10, [2]byte{0x00, 0x01}, func(w *bitWriter) {
+			for range 2 {
+				w.writeBits(0<<10|0x3FF, 1+10) // +1023
+				w.writeBits(0, 1)              // EOB
+			}
+		}), fmt.Sprintf(dcRange, 2046)},
+		{"DC differences past -1024", twoTableBaseline(16, 10, [2]byte{0x00, 0x01}, func(w *bitWriter) {
+			for range 2 {
+				w.writeBits(0, 1+10) // -1023
+				w.writeBits(0, 1)    // EOB
+			}
+		}), fmt.Sprintf(dcRange, -2046)},
+	} {
+		if _, err := Decode(tc.in); err != nil {
+			t.Fatalf("%s: the crafted stream does not decode: %v", tc.name, err)
+		}
+		for _, m := range goldenModes {
+			opts := m.opts
+			out, err := Transcode(tc.in, &opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || out != nil {
+				t.Errorf("%s → %s: %d bytes, err = %v; want no stream and %q", tc.name, m.name, len(out), err, tc.want)
+			}
 		}
 	}
 }
