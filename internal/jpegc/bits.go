@@ -123,6 +123,23 @@ func (r *bitReader) fill() {
 	}
 }
 
+// refill is fill for a scan loop that holds the accumulator and its count in
+// locals, acc and nbit, so that they stay in registers from symbol to
+// symbol: it writes them back, fills, and returns them topped up. The loops
+// meet r's fields only here, in huffDecoder.slowValue and on their way out
+// (settle).
+func (r *bitReader) refill(acc uint64, nbit int) (uint64, int) {
+	r.acc, r.nbit = acc, nbit
+	r.fill()
+	return r.acc, r.nbit
+}
+
+// settle writes a scan loop's accumulator back as the loop returns err.
+func (r *bitReader) settle(acc uint64, nbit int, err error) error {
+	r.acc, r.nbit = acc, nbit
+	return err
+}
+
 // readBits returns the next n bits MSB-first. n must be ≤ 16.
 func (r *bitReader) readBits(n uint) uint32 {
 	if r.nbit < 16 {

@@ -410,19 +410,22 @@ func (d *decoder) parseScan(header []byte) error {
 // more than 11.)
 const maxDCCategory = 16
 
-// decodeDCDiff reads one DC difference: its category through dec, then that
-// many value bits.
-func decodeDCDiff(r *bitReader, dec *huffDecoder) (int32, error) {
-	// The symbol is the category, which decodeValue reads as a size nibble:
-	// right up to 15. Category 16's size nibble is 0, so its bits follow.
-	s, v, err := dec.decodeValue(r)
-	switch {
-	case err != nil || s < 16:
-		return v, err
-	case s > maxDCCategory:
-		return 0, fmt.Errorf("jpegc: DC difference category %d out of range", s)
+// The scan loops below hold the reader's accumulator and its count in
+// locals, acc and nbit, for the whole scan. Each symbol is the same few
+// lines: a refill when fewer than 32 bits are left, then the fused look-up,
+// and only where that misses slowValue. They write the pair back to r only
+// around those out-of-line calls and when they return (bitReader.settle).
+
+// wideDC finishes a DC difference whose category s, 16 or more, a scan loop
+// has read as a symbol. The table reads a category as a size nibble, right
+// up to 15; category 16's nibble is 0, so its 16 value bits follow, and the
+// accumulator holds them, as every symbol leaves 16. A larger category is
+// refused.
+func wideDC(s byte, acc uint64, nbit int) (int32, uint64, int, error) {
+	if s > maxDCCategory {
+		return 0, acc, nbit, fmt.Errorf("jpegc: DC difference category %d out of range", s)
 	}
-	return extend(r.take(16), 16), nil
+	return extend(uint32(acc>>48), 16), acc << 16, nbit - 16, nil
 }
 
 // decodeBaselineScan decodes the blocks of d.s.order, each whole. comps is
@@ -431,23 +434,43 @@ func (d *decoder) decodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
 	var dcPred [3]int32
 	var padding block
 	var padLast uint8
+	acc, nbit := r.acc, r.nbit
+	var (
+		rs      byte
+		v, diff int32
+		ok      bool
+		err     error
+	)
 	for _, b := range d.s.order {
 		blk, lastNZ := &d.s.blocks[b.comp][b.idx], &d.s.lastNZ[b.comp][b.idx]
 		if b.pad {
 			blk, lastNZ = &padding, &padLast // decode MCU padding, then discard
 		}
 		sc := &comps[b.comp]
-		diff, err := decodeDCDiff(r, sc.dc)
-		if err != nil {
-			return err
+		if nbit < 32 {
+			acc, nbit = r.refill(acc, nbit)
+		}
+		if rs, diff, acc, nbit, ok = sc.dc.fused(acc, nbit); !ok {
+			if rs, diff, acc, nbit, err = sc.dc.slowValue(r, acc, nbit); err != nil {
+				return r.settle(acc, nbit, err)
+			}
+		}
+		if rs >= 16 {
+			if diff, acc, nbit, err = wideDC(rs, acc, nbit); err != nil {
+				return r.settle(acc, nbit, err)
+			}
 		}
 		dcPred[b.comp] += diff
 		blk[0] = dcPred[b.comp]
 		last := 0 // the highest index written: the indices only rise
 		for k := 1; k < 64; {
-			rs, v, err := sc.ac.decodeValue(r)
-			if err != nil {
-				return err
+			if nbit < 32 {
+				acc, nbit = r.refill(acc, nbit)
+			}
+			if rs, v, acc, nbit, ok = sc.ac.fused(acc, nbit); !ok {
+				if rs, v, acc, nbit, err = sc.ac.slowValue(r, acc, nbit); err != nil {
+					return r.settle(acc, nbit, err)
+				}
 			}
 			run := int(rs >> 4)
 			if rs&0x0F == 0 {
@@ -459,30 +482,47 @@ func (d *decoder) decodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
 			}
 			k += run
 			if k > 63 {
-				return fmt.Errorf("jpegc: AC coefficient index out of range")
+				return r.settle(acc, nbit, fmt.Errorf("jpegc: AC coefficient index out of range"))
 			}
-			blk[k] = v
+			blk[k&63] = v
 			last = k
 			k++
 		}
 		*lastNZ = max(*lastNZ, uint8(last))
 	}
-	return nil
+	return r.settle(acc, nbit, nil)
 }
 
 func (d *decoder) decodeDCFirst(r *bitReader, comps *[3]scanComp, al int) error {
 	var dcPred [3]int32
+	acc, nbit := r.acc, r.nbit
+	var (
+		s    byte
+		diff int32
+		ok   bool
+		err  error
+	)
 	for _, b := range d.s.order {
-		diff, err := decodeDCDiff(r, comps[b.comp].dc)
-		if err != nil {
-			return err
+		dc := comps[b.comp].dc
+		if nbit < 32 {
+			acc, nbit = r.refill(acc, nbit)
+		}
+		if s, diff, acc, nbit, ok = dc.fused(acc, nbit); !ok {
+			if s, diff, acc, nbit, err = dc.slowValue(r, acc, nbit); err != nil {
+				return r.settle(acc, nbit, err)
+			}
+		}
+		if s >= 16 {
+			if diff, acc, nbit, err = wideDC(s, acc, nbit); err != nil {
+				return r.settle(acc, nbit, err)
+			}
 		}
 		dcPred[b.comp] += diff
 		if !b.pad {
 			d.s.blocks[b.comp][b.idx][0] = dcPred[b.comp] << uint(al)
 		}
 	}
-	return nil
+	return r.settle(acc, nbit, nil)
 }
 
 func (d *decoder) decodeDCRefine(r *bitReader, al int) {
@@ -494,15 +534,25 @@ func (d *decoder) decodeDCRefine(r *bitReader, al int) {
 	}
 }
 
-// readEOBRun reads the length of the run of end-of-bands an EOBn symbol
-// (run < 15, size 0) opens, the current block included.
-func readEOBRun(r *bitReader, run int) int {
-	return 1<<uint(run) + int(r.readBits(uint(run)))
+// takeEOBRun reads the length of the run of end-of-bands an EOBn symbol
+// (run < 15, size 0) opens, the current block included, from the
+// accumulator as the scan loops hold it: its run bits are there already, as
+// every symbol leaves at least 16.
+func takeEOBRun(acc uint64, nbit, run int) (int, uint64, int) {
+	n := uint(run)
+	return 1<<n + int(acc>>(64-n)), acc << n, nbit - run
 }
 
 func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error {
 	eobrun := 0
 	blocks, lastNZ := d.s.blocks[sc.comp], d.s.lastNZ[sc.comp]
+	acc, nbit := r.acc, r.nbit
+	var (
+		rs  byte
+		v   int32
+		ok  bool
+		err error
+	)
 	for i := range blocks {
 		if eobrun > 0 {
 			eobrun--
@@ -511,14 +561,19 @@ func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error
 		blk := &blocks[i]
 		last := 0 // the highest index written: the indices only rise
 		for k := ss; k <= se; {
-			rs, v, err := sc.ac.decodeValue(r)
-			if err != nil {
-				return err
+			if nbit < 32 {
+				acc, nbit = r.refill(acc, nbit)
+			}
+			if rs, v, acc, nbit, ok = sc.ac.fused(acc, nbit); !ok {
+				if rs, v, acc, nbit, err = sc.ac.slowValue(r, acc, nbit); err != nil {
+					return r.settle(acc, nbit, err)
+				}
 			}
 			run := int(rs >> 4)
 			if rs&0x0F == 0 {
 				if run != 15 {
-					eobrun = readEOBRun(r, run) - 1 // this block is the first of the run
+					eobrun, acc, nbit = takeEOBRun(acc, nbit, run)
+					eobrun-- // this block is the first of the run
 					break
 				}
 				k += 16 // ZRL
@@ -526,21 +581,28 @@ func (d *decoder) decodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error
 			}
 			k += run
 			if k > se {
-				return fmt.Errorf("jpegc: AC coefficient index out of band")
+				return r.settle(acc, nbit, fmt.Errorf("jpegc: AC coefficient index out of band"))
 			}
-			blk[k] = v << uint(al)
+			blk[k&63] = v << uint(al)
 			last = k
 			k++
 		}
 		lastNZ[i] = max(lastNZ[i], uint8(last))
 	}
-	return nil
+	return r.settle(acc, nbit, nil)
 }
 
 func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) error {
 	p1 := int32(1) << uint(al)
 	eobrun := 0
 	blocks, lastNZ := d.s.blocks[sc.comp], d.s.lastNZ[sc.comp]
+	acc, nbit := r.acc, r.nbit
+	var (
+		rs  byte
+		v   int32
+		ok  bool
+		err error
+	)
 	for i := range blocks {
 		blk := &blocks[i]
 		// Only a coefficient already non-zero has a correction bit, and
@@ -550,16 +612,20 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 		if eobrun == 0 {
 			for ; k <= se; k++ {
 				// A new coefficient's value is its sign bit: ±1.
-				rs, v, err := sc.ac.decodeValue(r)
-				if err != nil {
-					return err
+				if nbit < 32 {
+					acc, nbit = r.refill(acc, nbit)
+				}
+				if rs, v, acc, nbit, ok = sc.ac.fused(acc, nbit); !ok {
+					if rs, v, acc, nbit, err = sc.ac.slowValue(r, acc, nbit); err != nil {
+						return r.settle(acc, nbit, err)
+					}
 				}
 				run, size := int(rs>>4), int(rs&0x0F)
 				if size > 1 {
-					return fmt.Errorf("jpegc: bad refinement size %d", size)
+					return r.settle(acc, nbit, fmt.Errorf("jpegc: bad refinement size %d", size))
 				}
 				if size == 0 && run != 15 {
-					eobrun = readEOBRun(r, run)
+					eobrun, acc, nbit = takeEOBRun(acc, nbit, run)
 					break // remaining coefficients handled by EOB logic below
 				}
 				// Advance to the (run+1)-th zero-history coefficient,
@@ -567,13 +633,15 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 				// run/size symbol that zero receives the newly significant
 				// value; for ZRL (run=15, size=0) it is the 16th skipped
 				// zero, and the loop's k++ steps past it.
+				r.acc, r.nbit = acc, nbit
 				k, run = r.refine(blk, k, last, run, p1)
+				acc, nbit = r.acc, r.nbit
 				k += run
 				if k > se {
-					return fmt.Errorf("jpegc: AC coefficient index out of band")
+					return r.settle(acc, nbit, fmt.Errorf("jpegc: AC coefficient index out of band"))
 				}
 				if size != 0 {
-					blk[k] = v << uint(al)
+					blk[k&63] = v << uint(al)
 					lastNZ[i] = max(lastNZ[i], uint8(k))
 				}
 			}
@@ -581,11 +649,13 @@ func (d *decoder) decodeACRefine(r *bitReader, sc scanComp, ss, se, al int) erro
 		if eobrun > 0 {
 			// In an EOB run: every remaining nonzero coefficient of the
 			// band is corrected, and no zero ends the walk.
+			r.acc, r.nbit = acc, nbit
 			r.refine(blk, k, last, 64, p1)
+			acc, nbit = r.acc, r.nbit
 			eobrun--
 		}
 	}
-	return nil
+	return r.settle(acc, nbit, nil)
 }
 
 // refine walks blk[k..last] for an AC refinement scan at bit p1: it reads a
@@ -603,9 +673,7 @@ func (r *bitReader) refine(blk *block, k, last, run int, p1 int32) (int, int) {
 			break
 		}
 		if nbit+int(nz) < 0 { // a bit is wanted and none is left
-			r.acc, r.nbit = acc, nbit
-			r.fill()
-			acc, nbit = r.acc, r.nbit
+			acc, nbit = r.refill(acc, nbit)
 		}
 		run += int(^nz) // one fewer zero to pass, at a zero
 		bit := int32(int64(acc)>>63) & nz

@@ -175,6 +175,28 @@ func (d *huffDecoder) decodeValue(r *bitReader) (rs byte, v int32, err error) {
 	return rs, extend(r.take(size), size), nil
 }
 
+// fused is decodeValue's one-load case for a scan loop that holds the
+// accumulator in locals and has topped it up to 32 bits (bitReader.refill).
+// When the code at the head of acc and the value bits its size nibble
+// announces fit the look-up width together, it returns the symbol, the
+// value, the accumulator past both, and ok; otherwise acc and nbit come back
+// unchanged, ok is false, and the loop takes slowValue.
+func (d *huffDecoder) fused(acc uint64, nbit int) (rs byte, v int32, _ uint64, _ int, ok bool) {
+	ent := d.lut[acc>>(64-lutBits)]
+	n := uint(ent>>12) & 0x0F // 0 unless fused
+	return byte(ent), ent >> 16, acc << n, nbit - int(n), n != 0
+}
+
+// slowValue is decodeValue for a scan loop that holds the accumulator in
+// locals, for what fused does not resolve: a code longer than the look-up
+// width, or value bits that do not fit beside their code. It writes acc and
+// nbit back, decodes, and returns them as decodeValue leaves them.
+func (d *huffDecoder) slowValue(r *bitReader, acc uint64, nbit int) (rs byte, v int32, _ uint64, _ int, err error) {
+	r.acc, r.nbit = acc, nbit
+	rs, v, err = d.decodeValue(r)
+	return rs, v, r.acc, r.nbit, err
+}
+
 // freqCounter accumulates symbol frequencies for optimal table generation.
 // Index 256 is a reserved pseudo-symbol that guarantees no real symbol is
 // assigned the all-ones code (required by JPEG).

@@ -137,18 +137,25 @@ func (ci *coeffImage) mcuOrder(dst []blockRef, comps []int) []blockRef {
 		}
 		return dst
 	}
+	// Each component's sampling factors and block grid, worked out once.
+	type compGrid struct{ c, hc, vc, bw, bh int }
+	var grids [3]compGrid
+	for i, c := range comps {
+		g := &grids[i]
+		g.c = c
+		g.hc, g.vc = ci.sampling(c)
+		g.bw, g.bh = ci.compBlocks(c)
+	}
 	mw, mh := ci.mcuDims()
 	for my := 0; my < mh; my++ {
 		for mx := 0; mx < mw; mx++ {
-			for _, c := range comps {
-				hc, vc := ci.sampling(c)
-				bw, bh := ci.compBlocks(c)
-				for v := 0; v < vc; v++ {
-					for u := 0; u < hc; u++ {
-						row, col := my*vc+v, mx*hc+u
-						pad := row >= bh || col >= bw
-						row, col = min(row, bh-1), min(col, bw-1)
-						dst = append(dst, blockRef{idx: int32(row*bw + col), comp: uint8(c), pad: pad})
+			for _, g := range grids[:len(comps)] {
+				for v := 0; v < g.vc; v++ {
+					for u := 0; u < g.hc; u++ {
+						row, col := my*g.vc+v, mx*g.hc+u
+						pad := row >= g.bh || col >= g.bw
+						row, col = min(row, g.bh-1), min(col, g.bw-1)
+						dst = append(dst, blockRef{idx: int32(row*g.bw + col), comp: uint8(g.c), pad: pad})
 					}
 				}
 			}

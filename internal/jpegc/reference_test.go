@@ -3,8 +3,10 @@ package jpegc
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -416,6 +418,427 @@ func TestRefineMatchesReference(t *testing.T) {
 	}
 	if refilled < 1000 || zeroFed < 1000 {
 		t.Errorf("%d walks refilled from the data and %d from past its end, want 1000 of each", refilled, zeroFed)
+	}
+}
+
+// referenceDecodeDCDiff, referenceReadEOBRun and the four referenceDecode…
+// loops below are the scan loops as they were before they held the bit
+// accumulator in locals, word for word but for their names: every symbol
+// through decodeValue and every bit through the bitReader's fields. They are
+// what TestScanLoopsMatchReference holds the loops to.
+func referenceDecodeDCDiff(r *bitReader, dec *huffDecoder) (int32, error) {
+	// The symbol is the category, which decodeValue reads as a size nibble:
+	// right up to 15. Category 16's size nibble is 0, so its bits follow.
+	s, v, err := dec.decodeValue(r)
+	switch {
+	case err != nil || s < 16:
+		return v, err
+	case s > maxDCCategory:
+		return 0, fmt.Errorf("jpegc: DC difference category %d out of range", s)
+	}
+	return extend(r.take(16), 16), nil
+}
+
+func (d *decoder) referenceDecodeBaselineScan(r *bitReader, comps *[3]scanComp) error {
+	var dcPred [3]int32
+	var padding block
+	var padLast uint8
+	for _, b := range d.s.order {
+		blk, lastNZ := &d.s.blocks[b.comp][b.idx], &d.s.lastNZ[b.comp][b.idx]
+		if b.pad {
+			blk, lastNZ = &padding, &padLast // decode MCU padding, then discard
+		}
+		sc := &comps[b.comp]
+		diff, err := referenceDecodeDCDiff(r, sc.dc)
+		if err != nil {
+			return err
+		}
+		dcPred[b.comp] += diff
+		blk[0] = dcPred[b.comp]
+		last := 0 // the highest index written: the indices only rise
+		for k := 1; k < 64; {
+			rs, v, err := sc.ac.decodeValue(r)
+			if err != nil {
+				return err
+			}
+			run := int(rs >> 4)
+			if rs&0x0F == 0 {
+				if run == 15 {
+					k += 16 // ZRL
+					continue
+				}
+				break // EOB
+			}
+			k += run
+			if k > 63 {
+				return fmt.Errorf("jpegc: AC coefficient index out of range")
+			}
+			blk[k] = v
+			last = k
+			k++
+		}
+		*lastNZ = max(*lastNZ, uint8(last))
+	}
+	return nil
+}
+
+func (d *decoder) referenceDecodeDCFirst(r *bitReader, comps *[3]scanComp, al int) error {
+	var dcPred [3]int32
+	for _, b := range d.s.order {
+		diff, err := referenceDecodeDCDiff(r, comps[b.comp].dc)
+		if err != nil {
+			return err
+		}
+		dcPred[b.comp] += diff
+		if !b.pad {
+			d.s.blocks[b.comp][b.idx][0] = dcPred[b.comp] << uint(al)
+		}
+	}
+	return nil
+}
+
+func referenceReadEOBRun(r *bitReader, run int) int {
+	return 1<<uint(run) + int(r.readBits(uint(run)))
+}
+
+func (d *decoder) referenceDecodeACFirst(r *bitReader, sc scanComp, ss, se, al int) error {
+	eobrun := 0
+	blocks, lastNZ := d.s.blocks[sc.comp], d.s.lastNZ[sc.comp]
+	for i := range blocks {
+		if eobrun > 0 {
+			eobrun--
+			continue
+		}
+		blk := &blocks[i]
+		last := 0 // the highest index written: the indices only rise
+		for k := ss; k <= se; {
+			rs, v, err := sc.ac.decodeValue(r)
+			if err != nil {
+				return err
+			}
+			run := int(rs >> 4)
+			if rs&0x0F == 0 {
+				if run != 15 {
+					eobrun = referenceReadEOBRun(r, run) - 1 // this block is the first of the run
+					break
+				}
+				k += 16 // ZRL
+				continue
+			}
+			k += run
+			if k > se {
+				return fmt.Errorf("jpegc: AC coefficient index out of band")
+			}
+			blk[k] = v << uint(al)
+			last = k
+			k++
+		}
+		lastNZ[i] = max(lastNZ[i], uint8(last))
+	}
+	return nil
+}
+
+func (d *decoder) referenceDecodeACRefine(r *bitReader, sc scanComp, ss, se, al int) error {
+	p1 := int32(1) << uint(al)
+	eobrun := 0
+	blocks, lastNZ := d.s.blocks[sc.comp], d.s.lastNZ[sc.comp]
+	for i := range blocks {
+		blk := &blocks[i]
+		// Only a coefficient already non-zero has a correction bit, and
+		// none is past last: from there on the band is a run of zeros.
+		last := min(se, int(lastNZ[i]))
+		k := ss
+		if eobrun == 0 {
+			for ; k <= se; k++ {
+				// A new coefficient's value is its sign bit: ±1.
+				rs, v, err := sc.ac.decodeValue(r)
+				if err != nil {
+					return err
+				}
+				run, size := int(rs>>4), int(rs&0x0F)
+				if size > 1 {
+					return fmt.Errorf("jpegc: bad refinement size %d", size)
+				}
+				if size == 0 && run != 15 {
+					eobrun = referenceReadEOBRun(r, run)
+					break // remaining coefficients handled by EOB logic below
+				}
+				// Advance to the (run+1)-th zero-history coefficient,
+				// correcting the nonzero-history ones passed. For a
+				// run/size symbol that zero receives the newly significant
+				// value; for ZRL (run=15, size=0) it is the 16th skipped
+				// zero, and the loop's k++ steps past it.
+				k, run = r.refine(blk, k, last, run, p1)
+				k += run
+				if k > se {
+					return fmt.Errorf("jpegc: AC coefficient index out of band")
+				}
+				if size != 0 {
+					blk[k] = v << uint(al)
+					lastNZ[i] = max(lastNZ[i], uint8(k))
+				}
+			}
+		}
+		if eobrun > 0 {
+			// In an EOB run: every remaining nonzero coefficient of the
+			// band is corrected, and no zero ends the walk.
+			r.refine(blk, k, last, 64, p1)
+			eobrun--
+		}
+	}
+	return nil
+}
+
+// scanTable is one Huffman table of TestScanLoopsMatchReference, built both
+// ways.
+type scanTable struct {
+	enc huffEncoder
+	dec huffDecoder
+}
+
+// newScanTable builds the optimal table for syms under weights that span
+// four decades, so that the deepest codes are longer than the look-up width
+// and many values do not fit beside their code.
+func newScanTable(t *testing.T, rng *rand.Rand, syms []byte) *scanTable {
+	t.Helper()
+	var f freqCounter
+	for _, s := range syms {
+		f[s] = int64(math.Exp(rng.Float64() * 9))
+	}
+	spec := &huffSpec{}
+	f.buildOptimal(spec)
+	tab := new(scanTable)
+	if err := tab.enc.build(spec); err != nil {
+		t.Fatal(err)
+	}
+	tab.dec.build(&spec.bits, spec.vals)
+	return tab
+}
+
+// filledScratch returns a scratch of geo's geometry holding what earlier
+// scans could have left, drawn as TestRefineMatchesReference draws a block:
+// zeros, multiples of 2<<al, anything; with lastNZ exact.
+func filledScratch(rng *rand.Rand, geo coeffImage, al int) *scratch {
+	s := new(scratch)
+	s.setGeometry(&geo)
+	for c := 0; c < geo.NumComps; c++ {
+		for i := range s.blocks[c] {
+			blk := &s.blocks[c][i]
+			for k := range blk {
+				sign := int32(1 - 2*rng.Intn(2))
+				switch rng.Intn(4) {
+				case 0, 1: // zero
+				case 2:
+					blk[k] = sign * int32(1+rng.Intn(100)) * 2 << al
+				default:
+					blk[k] = sign * int32(1+rng.Intn(1<<16))
+				}
+				if blk[k] != 0 {
+					s.lastNZ[c][i] = uint8(k)
+				}
+			}
+		}
+	}
+	return s
+}
+
+// cloneScratch copies what a scan loop reads and writes of s.
+func cloneScratch(s *scratch) *scratch {
+	c := new(scratch)
+	c.setGeometry(&s.geo)
+	for comp := range s.blocks {
+		copy(c.blocks[comp], s.blocks[comp])
+		copy(c.lastNZ[comp], s.lastNZ[comp])
+	}
+	c.order = slices.Clone(s.order)
+	return c
+}
+
+// TestScanLoopsMatchReference holds the four scan loops — the first DC pass,
+// the baseline scan, the first AC pass and the AC refinement — to their
+// predecessors kept above, from the same scratch and the same segment: the
+// same error, the same blocks and lastNZ, and the reader left in the same
+// state. Each case picks its tables from 64 of each kind built at the start,
+// whose deepest codes are longer than the look-up width and many of whose
+// values do not fit beside their code, and writes a random sequence of their
+// symbols — EOB runs of every length 0–14, ZRLs, DC category 16 and 17,
+// refinement sizes 0–2 — each with random value, run-length and correction
+// bits. Then it mangles the segment: data bytes 0xFF (stuffed), a fill byte,
+// a byte of garbage, and the end cut off, so that scans overrun it. Narrow
+// bands make many runs pass Se. The counts it logs are of symbols written
+// and of how the reference's scans ended; each must reach 1 000.
+func TestScanLoopsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var dcSyms, acSyms, refineSyms []byte
+	for s := 0; s <= 17; s++ {
+		dcSyms = append(dcSyms, byte(s))
+	}
+	for run := 0; run < 16; run++ {
+		acSyms = append(acSyms, byte(run<<4)) // EOBn, and ZRL at run 15
+		refineSyms = append(refineSyms, byte(run<<4), byte(run<<4|1))
+		for size := 1; size < 16; size += 1 + run%3 {
+			acSyms = append(acSyms, byte(run<<4|size))
+		}
+	}
+	refineSyms = append(refineSyms, 0x02, 0x12) // sizes a refinement refuses
+	var dcTabs, acTabs, refineTabs [64]*scanTable
+	for j := range dcTabs {
+		dcTabs[j] = newScanTable(t, rng, dcSyms)
+		acTabs[j] = newScanTable(t, rng, acSyms)
+		refineTabs[j] = newScanTable(t, rng, refineSyms)
+	}
+	var eobs [15]int
+	var long, unfused, zrl, stuffed, clean, overrun, pastBand int
+	const cases = 24000
+	for i := 0; i < cases; i++ {
+		kind := i % 4 // DC first, baseline, AC first, AC refinement
+		geo := coeffImage{Width: 8 * (1 + rng.Intn(24)), Height: 8, NumComps: 1}
+		comps := []int{0}
+		if kind < 2 { // interleaved, MCU padding and all
+			geo = coeffImage{Width: 1 + rng.Intn(32), Height: 1 + rng.Intn(32), NumComps: 1 + 2*rng.Intn(2)}
+			geo.Subsample420 = geo.NumComps == 3 && rng.Intn(2) == 0
+			comps = []int{0, 1, 2}[:geo.NumComps]
+			if kind == 0 && rng.Intn(4) == 0 {
+				comps = []int{rng.Intn(geo.NumComps)}
+			}
+		}
+		al := rng.Intn(14)
+		ss := 1 + rng.Intn(63)
+		se := ss + rng.Intn(64-ss)
+		want := filledScratch(rng, geo, al)
+		want.order = geo.mcuOrder(nil, comps)
+		got := cloneScratch(want)
+
+		dc, ac, syms := dcTabs[rng.Intn(len(dcTabs))], acTabs[rng.Intn(len(acTabs))], acSyms
+		if kind == 3 {
+			ac, syms = refineTabs[rng.Intn(len(refineTabs))], refineSyms
+		}
+		var tabs [3]scanComp
+		for c := range tabs {
+			tabs[c] = scanComp{comp: c, dc: &dc.dec, ac: &ac.dec}
+		}
+		var w bitWriter
+		put := func(tab *scanTable, sym byte, extra uint) {
+			code, l := tab.enc.lookup(sym)
+			w.writeBits(code, l)
+			w.writeBits(uint32(rng.Int63())&(1<<extra-1), extra)
+			switch size := uint(sym & 0x0F); {
+			case l > lutBits:
+				long++
+			case l+size > lutBits:
+				unfused++
+			}
+		}
+		putDC := func() {
+			sym := dcSyms[rng.Intn(len(dcSyms))]
+			extra := uint(sym & 0x0F)
+			if sym == 16 {
+				extra = 16
+			}
+			put(dc, sym, extra)
+		}
+		putAC := func() {
+			sym := syms[rng.Intn(len(syms))]
+			switch run := sym >> 4; {
+			case rng.Intn(8) == 0: // an EOB run, long or short
+				sym = byte(rng.Intn(15)) << 4
+			case sym&0x0F == 0 && run < 15:
+				sym |= 1
+			}
+			extra := uint(sym & 0x0F)
+			if run := sym >> 4; extra == 0 && run < 15 {
+				extra = uint(run)
+				eobs[run]++
+			} else if extra == 0 {
+				zrl++
+			}
+			put(ac, sym, extra)
+			if kind == 3 { // correction bits
+				n := uint(rng.Intn(4))
+				w.writeBits(uint32(rng.Intn(1<<n)), n)
+			}
+		}
+		blocks := len(want.order)
+		if kind >= 2 {
+			blocks = len(want.blocks[0])
+		}
+		for b := 0; b < blocks; b++ {
+			switch kind {
+			case 0:
+				putDC()
+			case 1:
+				putDC()
+				for n := rng.Intn(12); n > 0; n-- {
+					putAC()
+				}
+				if rng.Intn(4) != 0 {
+					put(ac, 0x00, 0) // EOB
+				}
+			default:
+				for n := rng.Intn(4); n > 0; n-- {
+					putAC()
+				}
+			}
+		}
+		w.flush()
+		data := w.out
+		for n := rng.Intn(3); n > 0; n-- { // data bytes 0xFF
+			data = slices.Insert(data, rng.Intn(len(data)+1), 0xFF, 0x00)
+		}
+		if rng.Intn(5) == 0 { // a fill byte
+			data = slices.Insert(data, rng.Intn(len(data)+1), 0xFF)
+		}
+		if len(data) > 0 && rng.Intn(4) == 0 {
+			data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
+		}
+		if rng.Intn(3) == 0 {
+			data = data[:rng.Intn(len(data)+1)]
+		}
+		if bytes.Contains(data, []byte{0xFF, 0x00}) {
+			stuffed++
+		}
+
+		dWant, dGot := decoder{s: want}, decoder{s: got}
+		rWant, rGot := &bitReader{data: data}, &bitReader{data: data}
+		var errWant, errGot error
+		switch kind {
+		case 0:
+			errWant, errGot = dWant.referenceDecodeDCFirst(rWant, &tabs, al), dGot.decodeDCFirst(rGot, &tabs, al)
+		case 1:
+			errWant, errGot = dWant.referenceDecodeBaselineScan(rWant, &tabs), dGot.decodeBaselineScan(rGot, &tabs)
+		case 2:
+			errWant, errGot = dWant.referenceDecodeACFirst(rWant, tabs[0], ss, se, al), dGot.decodeACFirst(rGot, tabs[0], ss, se, al)
+		default:
+			errWant, errGot = dWant.referenceDecodeACRefine(rWant, tabs[0], ss, se, al), dGot.decodeACRefine(rGot, tabs[0], ss, se, al)
+		}
+		sameReader := rGot.pos == rWant.pos && rGot.acc == rWant.acc && rGot.nbit == rWant.nbit && rGot.zeros == rWant.zeros
+		sameBlocks := true
+		for c := range got.blocks {
+			sameBlocks = sameBlocks && slices.Equal(got.blocks[c], want.blocks[c]) && slices.Equal(got.lastNZ[c], want.lastNZ[c])
+		}
+		if fmt.Sprint(errGot) != fmt.Sprint(errWant) || !sameReader || !sameBlocks {
+			t.Fatalf("case %d (kind %d, %d bytes, band %d..%d, al %d): error %v, want %v; same blocks %v; reader pos %d acc %#x nbit %d zeros %d, want %d %#x %d %d",
+				i, kind, len(data), ss, se, al, errGot, errWant, sameBlocks,
+				rGot.pos, rGot.acc, rGot.nbit, rGot.zeros, rWant.pos, rWant.acc, rWant.nbit, rWant.zeros)
+		}
+		switch {
+		case errWant == nil && rWant.overrun():
+			overrun++
+		case errWant == nil:
+			clean++
+		case strings.Contains(errWant.Error(), "out of band"):
+			pastBand++
+		}
+	}
+	t.Logf("long codes %d, unfused values %d, ZRLs %d, EOB runs by length %v; cases: stuffed %d, clean %d, overrun %d, past Se %d",
+		long, unfused, zrl, eobs, stuffed, clean, overrun, pastBand)
+	for n, c := range eobs {
+		if c < 1000 {
+			t.Errorf("%d EOB runs of length %d written, want 1000", c, n)
+		}
+	}
+	if long < 1000 || unfused < 1000 || zrl < 1000 || stuffed < 1000 || clean < 1000 || overrun < 1000 || pastBand < 1000 {
+		t.Errorf("want 1000 of each")
 	}
 }
 

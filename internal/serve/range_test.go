@@ -2,7 +2,9 @@ package serve
 
 import (
 	"net/http"
+	"strings"
 	"testing"
+	"unicode"
 )
 
 // TestResolveRangeTable audits resolveRange against RFC 9110 §14 edge
@@ -62,6 +64,10 @@ func TestResolveRangeTable(t *testing.T) {
 		{"unit space", "bytes = 0-5", 100, 0, 100, ok},
 		{"multipart", "bytes=0-5,10-15", 100, 0, 100, ok},
 		{"multipart trailing comma", "bytes=0-5,", 100, 0, 100, ok},
+		{"signed start", "bytes=+3-7", 100, 0, 100, ok},
+		{"signed end", "bytes=3-+7", 100, 0, 100, ok},
+		{"signed suffix", "bytes=-+5", 100, 0, 100, ok},
+		{"signed open start", "bytes=+0-", 100, 0, 100, ok},
 
 		// OWS around bounds is invalid grammar but tolerated leniently.
 		{"spaces around bounds", "bytes= 10 - 19 ", 100, 10, 10, part},
@@ -82,4 +88,37 @@ func TestResolveRangeTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzResolveRange holds resolveRange to what a caller relies on, for any
+// header against any object size: it never panics; a 206 window is
+// non-empty and inside the object; a 200 is the whole object; and a header
+// whose bounds hold anything but digits and whitespace is never a 206. The
+// seeds under testdata/fuzz are the table's forms, signs and overflows
+// included.
+func FuzzResolveRange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, header string, size int64) {
+		if size < 0 {
+			return // no object has a negative size
+		}
+		start, length, status := resolveRange(header, size)
+		switch status {
+		case http.StatusPartialContent:
+			if start < 0 || length < 1 || length > size-start {
+				t.Fatalf("resolveRange(%q, %d) = 206 [%d,+%d): outside the object", header, size, start, length)
+			}
+			spec, ok := strings.CutPrefix(header, "bytes=")
+			notBound := func(r rune) bool { return r != '-' && (r < '0' || r > '9') && !unicode.IsSpace(r) }
+			if !ok || strings.Count(spec, "-") != 1 || strings.ContainsFunc(spec, notBound) {
+				t.Fatalf("resolveRange(%q, %d) = 206 for bounds that are not digits", header, size)
+			}
+		case http.StatusOK:
+			if start != 0 || length != size {
+				t.Fatalf("resolveRange(%q, %d) = 200 [%d,+%d), want the whole object", header, size, start, length)
+			}
+		case http.StatusRequestedRangeNotSatisfiable:
+		default:
+			t.Fatalf("resolveRange(%q, %d): status %d", header, size, status)
+		}
+	})
 }

@@ -759,12 +759,15 @@ func resolveRange(header string, size int64) (start, length int64, status int) {
 		return full()
 	}
 	first, last = strings.TrimSpace(first), strings.TrimSpace(last)
+	if !digits(first) || !digits(last) {
+		return full() // a sign, or anything else but 1*DIGIT
+	}
 	if first == "" {
 		// Suffix form: the final n bytes.
 		n, err := strconv.ParseInt(last, 10, 64)
 		if overflowed(err) {
 			n = size // longer than the representation: entire object
-		} else if err != nil || n < 0 {
+		} else if err != nil {
 			return full()
 		}
 		if n == 0 || size == 0 {
@@ -779,7 +782,7 @@ func resolveRange(header string, size int64) (start, length int64, status int) {
 	if overflowed(err) {
 		return notSatisfiable() // a first-byte-pos past any object is past EOF
 	}
-	if err != nil || a < 0 {
+	if err != nil {
 		return full()
 	}
 	if a >= size {
@@ -801,6 +804,17 @@ func resolveRange(header string, size int64) (start, length int64, status int) {
 		}
 	}
 	return a, end - a + 1, http.StatusPartialContent
+}
+
+// digits reports whether s is empty or ASCII digits only: the grammar of a
+// range bound is 1*DIGIT, and strconv.ParseInt would also take a sign.
+func digits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // overflowed reports whether a ParseInt failure was a syntactically valid
