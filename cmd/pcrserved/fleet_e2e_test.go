@@ -132,7 +132,7 @@ func TestFleetKillOneServerMidScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := cluster.New(urls, 0)
+	ring, err := cluster.New(urls)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,9 @@
 // higher quality than was cached reads only the delta bytes from disk.
 // -disk-cache-dir mounts a second, persistent tier under the memory LRU
 // (internal/diskcache): prefixes evicted from memory are still a local
-// read away, and the tier survives restarts. The directory must belong to
-// this server process alone.
+// read away, and the tier survives restarts: startup replays its journal
+// without reading cached bytes, and each entry is CRC-checked on its first
+// read. The directory must belong to this server process alone.
 //
 // Fleet mode: -peers lists the other members of a sharded serving fleet
 // and -self is this member's own URL as clients reach it. Every member is
@@ -56,7 +57,6 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 256, "hot-prefix LRU budget in MiB (0 = no cache)")
 	diskDir := flag.String("disk-cache-dir", "", "persistent prefix cache directory (empty = no disk tier)")
 	diskMB := flag.Int64("disk-cache-mb", 1024, "persistent prefix cache budget in MiB")
-	diskLazy := flag.Bool("disk-cache-lazy", false, "defer disk cache CRC verification to first touch (fast start over a huge warm cache)")
 	self := flag.String("self", "", "fleet mode: this member's URL as clients reach it (e.g. http://10.0.0.7:8100)")
 	peers := flag.String("peers", "", "fleet mode: comma-separated URLs of the other fleet members")
 	replication := flag.Int("replication", 1, "fleet mode: replicas per record, owner included")
@@ -68,11 +68,10 @@ func main() {
 		os.Exit(2)
 	}
 	opts := serve.Options{
-		CacheBytes:          *cacheMB << 20,
-		DiskCacheDir:        *diskDir,
-		DiskCacheBytes:      *diskMB << 20,
-		DiskCacheLazyVerify: *diskLazy,
-		LogRequests:         *logReqs,
+		CacheBytes:     *cacheMB << 20,
+		DiskCacheDir:   *diskDir,
+		DiskCacheBytes: *diskMB << 20,
+		LogRequests:    *logReqs,
 	}
 	if *peers != "" || *self != "" {
 		if *self == "" {
@@ -94,9 +93,6 @@ func main() {
 }
 
 func run(dir, addr string, opts *serve.Options, sync bool) error {
-	if opts.DiskCacheLazyVerify && opts.DiskCacheDir == "" {
-		return fmt.Errorf("-disk-cache-lazy requires -disk-cache-dir")
-	}
 	if sync && opts.Cluster == nil {
 		return fmt.Errorf("-sync requires fleet mode (-self/-peers)")
 	}

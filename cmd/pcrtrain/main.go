@@ -8,6 +8,11 @@
 //	pcrtrain -dataset cars -dynamic plateau -epochs 12
 //	pcrtrain -dataset cars -data /tmp/cars-pcr            # reuse a dataset dir
 //	pcrtrain -dataset cars -data http://localhost:8100    # train over the wire
+//	pcrtrain -data /tmp/cars-pcr -disk-cache-dir /tmp/dc  # run twice: the second run reads warm
+//
+// -disk-cache-dir mounts a persistent prefix cache (one directory per
+// worker). Reopening it reads no cached byte; each entry is CRC-checked on
+// its first read, and a torn one is refetched, never served.
 //
 // The paper's figures, which run on a virtual clock under the paper's
 // hardware balance, are regenerated by cmd/experiments instead.
@@ -49,7 +54,6 @@ func main() {
 	flag.Int64Var(&cfg.cacheMB, "cache-mb", 0, "LRU prefix cache budget in MiB (0 = no cache)")
 	flag.StringVar(&cfg.diskCacheDir, "disk-cache-dir", "", "persistent prefix cache directory, one per worker (empty = no disk tier)")
 	flag.Int64Var(&cfg.diskCacheMB, "disk-cache-mb", 512, "persistent prefix cache budget in MiB")
-	flag.BoolVar(&cfg.diskCacheLazy, "disk-cache-lazy", false, "defer disk cache CRC verification to first touch (fast warm open of huge caches)")
 	flag.Parse()
 	if _, err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "pcrtrain:", err)
@@ -66,7 +70,6 @@ type cliConfig struct {
 	seed, cacheMB                       int64
 	diskCacheDir                        string
 	diskCacheMB                         int64
-	diskCacheLazy                       bool
 	probeSteps                          int
 	probeTol                            float64
 }
@@ -126,15 +129,9 @@ func run(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
 		fmt.Fprintf(w, "synthesized %s ×%g: %d images → %s\n", cfg.dataset, cfg.scale, n, dir)
 		data = dir
 	}
-	if cfg.diskCacheLazy && cfg.diskCacheDir == "" {
-		return nil, fmt.Errorf("-disk-cache-lazy requires -disk-cache-dir")
-	}
 	openOpts := []pcr.Option{pcr.WithCacheBytes(cfg.cacheMB << 20)}
 	if cfg.diskCacheDir != "" {
 		openOpts = append(openOpts, pcr.WithDiskCache(cfg.diskCacheDir, cfg.diskCacheMB<<20))
-		if cfg.diskCacheLazy {
-			openOpts = append(openOpts, pcr.WithDiskCacheLazyVerify())
-		}
 	}
 	// A remote sharded worker downloads only its stride partition of the
 	// index (GET /index?shard=i&nshards=n); the dataset it sees IS its

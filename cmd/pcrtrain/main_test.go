@@ -140,8 +140,8 @@ func TestAdaptiveEpochMovesFewerBytes(t *testing.T) {
 // reads ride the warm disk cache (epoch 0 ran at full quality, so the
 // probes' record prefixes are already local and re-probing is delta-priced
 // at zero extra network bytes); the summary line reports the probes. A
-// second run over the same cache directory — with lazy first-touch
-// verification — recovers warm and trains to completion.
+// second run over the same cache directory recovers warm and trains to
+// completion.
 func TestProbeModeEndToEnd(t *testing.T) {
 	dir := synthDataset(t)
 	srv, err := serve.New(dir, nil)
@@ -188,13 +188,11 @@ func TestProbeModeEndToEnd(t *testing.T) {
 		t.Fatalf("policy never descended; probes had nothing to re-ascend:\n%s", out.String())
 	}
 
-	// Warm restart over the same cache, now with lazy verification (the
-	// -disk-cache-lazy path): entries recover without a CRC scan and the
-	// run completes.
-	cfg.diskCacheLazy = true
+	// Warm restart over the same cache: entries recover without a CRC scan
+	// (each is checked on its first read) and the run completes.
 	var out2 bytes.Buffer
 	if _, err := run(&out2, cfg); err != nil {
-		t.Fatalf("warm lazy probe run: %v", err)
+		t.Fatalf("warm probe run: %v", err)
 	}
 	if !strings.Contains(out2.String(), "entries recovered warm") ||
 		strings.Contains(out2.String(), " 0 entries recovered warm") {

@@ -30,10 +30,11 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-member virtual-node count used when a Ring
-// is built with vnodes <= 0. 128 points per member keeps the expected
-// per-member load within a few percent of uniform for small fleets while
-// the ring stays tiny (a few KB).
+// DefaultVirtualNodes is the per-member virtual-node count of every Ring.
+// 128 points per member keeps the expected per-member load within a few
+// percent of uniform for small fleets while the ring stays tiny (a few KB).
+// It is a constant, not a setting: servers and clients build their rings
+// independently, so any per-process choice would split placement.
 const DefaultVirtualNodes = 128
 
 // Ring is an immutable consistent-hash ring over a member set. Build one
@@ -50,14 +51,11 @@ type point struct {
 	member int
 }
 
-// New builds a ring over the given members with the given number of
-// virtual nodes per member (DefaultVirtualNodes when vnodes <= 0). The
-// member list is sorted and deduplicated, so any permutation of the same
-// set yields an identical ring. An empty member set is an error.
-func New(members []string, vnodes int) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// New builds a ring over the given members with DefaultVirtualNodes
+// virtual nodes per member. The member list is sorted and deduplicated, so
+// any permutation of the same set yields an identical ring. An empty member
+// set is an error.
+func New(members []string) (*Ring, error) {
 	sorted := append([]string(nil), members...)
 	sort.Strings(sorted)
 	sorted = dedup(sorted)
@@ -71,10 +69,10 @@ func New(members []string, vnodes int) (*Ring, error) {
 	}
 	r := &Ring{
 		members: sorted,
-		points:  make([]point, 0, len(sorted)*vnodes),
+		points:  make([]point, 0, len(sorted)*DefaultVirtualNodes),
 	}
 	for mi, m := range sorted {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			r.points = append(r.points, point{hash: hash64(m + "#" + strconv.Itoa(v)), member: mi})
 		}
 	}

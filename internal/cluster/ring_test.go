@@ -22,7 +22,7 @@ func memberURLs(n int) []string {
 // member lists and requires identical placement.
 func TestPlacementDeterministic(t *testing.T) {
 	members := memberURLs(5)
-	ref, err := New(members, 0)
+	ref, err := New(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPlacementDeterministic(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		shuffled := append([]string(nil), members...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		r, err := New(shuffled, 0)
+		r, err := New(shuffled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestPlacementDeterministic(t *testing.T) {
 }
 
 func TestReplicasDistinctOwnerFirst(t *testing.T) {
-	r, err := New(memberURLs(4), 0)
+	r, err := New(memberURLs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestReplicasDistinctOwnerFirst(t *testing.T) {
 // member's share strays wildly from uniform.
 func TestBalance(t *testing.T) {
 	members := memberURLs(4)
-	r, err := New(members, 0)
+	r, err := New(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestBalance(t *testing.T) {
 // TestSingleMember: the degenerate one-server "fleet" owns everything —
 // the shape a cluster client synthesizes for a non-fleet server.
 func TestSingleMember(t *testing.T) {
-	r, err := New([]string{"http://a"}, 0)
+	r, err := New([]string{"http://a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,10 @@ func TestSingleMember(t *testing.T) {
 }
 
 func TestRingErrors(t *testing.T) {
-	if _, err := New(nil, 0); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("empty member set should fail")
 	}
-	if _, err := New([]string{""}, 0); err == nil {
+	if _, err := New([]string{""}); err == nil {
 		t.Fatal("empty member name should fail")
 	}
 }
@@ -151,11 +151,11 @@ func TestEpoch(t *testing.T) {
 // makes membership changes cheap.
 func TestMinimalMovement(t *testing.T) {
 	members := memberURLs(5)
-	full, err := New(members, 0)
+	full, err := New(members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := New(members[:4], 0)
+	reduced, err := New(members[:4])
 	if err != nil {
 		t.Fatal(err)
 	}

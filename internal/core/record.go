@@ -68,14 +68,6 @@ type RecordMeta struct {
 	sampleOffset []int64
 }
 
-// GroupSize returns the total bytes of scan group g (1-based).
-func (m *RecordMeta) GroupSize(g int) (int64, error) {
-	if g < 1 || g > m.NumGroups {
-		return 0, fmt.Errorf("core: scan group %d out of range [1,%d]", g, m.NumGroups)
-	}
-	return m.groupSize[g-1], nil
-}
-
 // PrefixLen returns the number of bytes that must be read from the start of
 // the record file to materialize every image at scan group g. Group 0 means
 // metadata only.

@@ -31,17 +31,19 @@
 // Writes are ordered data-file-first: on reopen, a journal line whose bytes
 // all made it to disk describes data that also made it to disk. Recovery
 // reads the journal up to the first torn or unparsable line (truncating the
-// tail), then verifies every surviving entry against its data file — size
-// and CRC over the journaled extent — discarding any entry whose file is
-// torn. Data beyond the journaled extent (a crash after a data append but
-// before its journal line) is truncated away to restore the append
-// invariant. The manifest is then compacted by atomic rename, so every open
-// starts from a clean, verified state and no corrupt bytes are ever served.
+// tail), then stats every surviving entry's data file, discarding any that
+// is missing or shorter than its journaled extent. Data beyond the journaled
+// extent (a crash after a data append but before its journal line) is
+// truncated away to restore the append invariant. Orphaned data files are
+// swept and the manifest is compacted by atomic rename.
 //
-// Recovery's CRC pass reads every cached byte, which is the right trade at
-// gigabytes and the wrong one at terabytes; WithLazyVerify keeps Open to
-// metadata-only work and moves each entry's CRC check to its first read,
-// with the same no-corrupt-bytes guarantee.
+// Recovery reads no cached byte, so reopening a terabyte cache costs one
+// stat per entry. The CRC runs on each recovered entry's first read instead,
+// under the object's fetch lock and before any byte of it is served or
+// extended: one pass over the journaled extent checks the CRC and, when the
+// requested window lies inside the extent, copies it out, so the bytes
+// served are the bytes verified. A mismatch quarantines the entry and the
+// read restarts cold from upstream: no corrupt byte is ever served.
 //
 // # Coherence
 //
@@ -73,8 +75,7 @@ import (
 	"repro/internal/core"
 )
 
-// Stats counts cache activity. Recovery counters describe the most recent
-// Open; the rest accumulate over the Backend's lifetime.
+// Stats counts cache activity over the Backend's lifetime.
 type Stats struct {
 	// Hits are ReadRange calls served entirely from the cached prefix.
 	Hits int64 `json:"hits"`
@@ -92,14 +93,14 @@ type Stats struct {
 	DeltaBytes int64 `json:"delta_bytes"`
 	// Evictions counts entries evicted to hold the byte budget.
 	Evictions int64 `json:"evictions"`
-	// Recovered and Discarded count manifest entries accepted / rejected by
-	// the verification scan of the most recent Open. Under WithLazyVerify,
-	// Recovered counts entries accepted provisionally (CRC deferred) and
-	// Discarded keeps growing past Open: a lazily recovered entry whose
-	// first touch fails its CRC is quarantined and counted here.
+	// Recovered counts journaled entries Wrap kept: their data files hold
+	// the journaled extent. Their CRCs are checked on first read; an entry
+	// that fails moves from Recovered to Discarded, so once every entry has
+	// been read the pair is what a full CRC pass at open would report.
 	Recovered int64 `json:"recovered"`
-	// Discarded counts entries dropped for torn data files, CRC
-	// mismatches, or a truncated journal tail.
+	// Discarded counts a torn journal tail, entries dropped at open for
+	// missing or short data files, and recovered entries quarantined by
+	// their first-read CRC check.
 	Discarded int64 `json:"discarded"`
 }
 
@@ -108,9 +109,9 @@ type entry struct {
 	length int64  // validated prefix extent on disk
 	crc    uint32 // crc32(IEEE) of the first length bytes
 	elem   *list.Element
-	// verified is false for entries recovered in lazy mode whose CRC has
-	// not been checked yet; the first ReadRange touching such an entry
-	// verifies it (and quarantines it on mismatch) before serving.
+	// verified is false for a recovered entry whose CRC has not been
+	// checked yet; the first ReadRange touching it checks it (and
+	// quarantines it on mismatch) before serving.
 	verified bool
 }
 
@@ -123,8 +124,6 @@ type Backend struct {
 	dir   string
 	cap   int64
 	gen   string
-
-	lazy bool
 
 	mu       sync.Mutex
 	entries  map[string]*entry
@@ -152,30 +151,12 @@ type journalLine struct {
 	Del string  `json:"del,omitempty"`
 }
 
-// Option configures Wrap.
-type Option func(*Backend)
-
-// WithLazyVerify defers recovery's CRC verification from Open to each
-// entry's first ReadRange. Open still replays the journal, stats every
-// surviving entry's data file (discarding missing or short files), and
-// trims un-journaled tails — all cheap metadata operations — but does not
-// read cached bytes, so a warm restart over a terabyte-scale cache opens in
-// milliseconds instead of stalling the first epoch. The integrity guarantee
-// is unchanged: an entry's journaled CRC is checked before its first byte
-// is served, and a torn or corrupt entry is quarantined (dropped and
-// refetched from upstream) at that first touch, counted in
-// Stats.Discarded.
-func WithLazyVerify() Option {
-	return func(b *Backend) { b.lazy = true }
-}
-
 // Wrap opens (or creates) the persistent cache at dir over the inner
 // backend, with the given byte capacity and dataset generation. Entries
-// journaled by a previous process are verified and reused when the
-// generation matches (at Open, or at first touch under WithLazyVerify); a
-// mismatch purges the directory. The returned Backend owns inner and
-// closes it with Close.
-func Wrap(inner core.Backend, dir string, capacity int64, generation string, opts ...Option) (*Backend, error) {
+// journaled by a previous process are reused when the generation matches,
+// each CRC-checked on its first read; a mismatch purges the directory. The
+// returned Backend owns inner and closes it with Close.
+func Wrap(inner core.Backend, dir string, capacity int64, generation string) (*Backend, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("diskcache: nil inner backend")
 	}
@@ -202,9 +183,6 @@ func Wrap(inner core.Backend, dir string, capacity int64, generation string, opt
 		lock:     lock,
 		fetching: make(map[string]*sync.Mutex),
 	}
-	for _, opt := range opts {
-		opt(b)
-	}
 	if err := b.recover(); err != nil {
 		lock.unlock()
 		return nil, err
@@ -214,25 +192,17 @@ func Wrap(inner core.Backend, dir string, capacity int64, generation string, opt
 
 // Mount puts the persistent cache at dir under ds's reads: it wraps the
 // dataset's storage backend, keyed by the fingerprint of its record index,
-// and returns the tier. An empty dir mounts nothing and returns nil; lazy
-// selects WithLazyVerify, which needs a directory. The dataset's Close
-// releases the tier.
-func Mount(ds *core.Dataset, dir string, capacity int64, lazy bool) (*Backend, error) {
+// and returns the tier. An empty dir mounts nothing and returns nil. The
+// dataset's Close releases the tier.
+func Mount(ds *core.Dataset, dir string, capacity int64) (*Backend, error) {
 	if dir == "" {
-		if lazy {
-			return nil, fmt.Errorf("diskcache: lazy verification requires a cache directory")
-		}
 		return nil, nil
 	}
 	gen, err := core.IndexFingerprint(ds.Index())
 	if err != nil {
 		return nil, err
 	}
-	var opts []Option
-	if lazy {
-		opts = append(opts, WithLazyVerify())
-	}
-	b, err := Wrap(ds.Backend(), dir, capacity, gen, opts...)
+	b, err := Wrap(ds.Backend(), dir, capacity, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -248,9 +218,10 @@ func (b *Backend) objectFile(name string) string {
 	return filepath.Join(b.dir, "obj-"+hex.EncodeToString(sum[:16])+".p")
 }
 
-// recover replays the manifest journal, verifies surviving entries against
-// their data files, purges on generation mismatch, and compacts the journal
-// so the directory starts clean.
+// recover replays the manifest journal, stat-checks surviving entries
+// against their data files, purges on generation mismatch, and compacts the
+// journal so the directory starts clean. It reads no cached byte: each
+// entry's CRC is checked on its first read.
 func (b *Backend) recover() error {
 	raw, err := os.ReadFile(filepath.Join(b.dir, manifestName))
 	if err != nil && !os.IsNotExist(err) {
@@ -266,12 +237,12 @@ func (b *Backend) recover() error {
 	journaled := make(map[string]state)
 	order := []string{} // first-journaled order, for LRU seeding
 	genOK := len(raw) == 0
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	first := true
-	for sc.Scan() {
+	for rest := raw; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		var l journalLine
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+		if err := json.Unmarshal(line, &l); err != nil {
 			b.stats.Discarded++ // torn or corrupt tail
 			break
 		}
@@ -297,9 +268,9 @@ func (b *Backend) recover() error {
 			delete(journaled, l.Del)
 		}
 	}
-	// A trailing partial line has no newline; Scanner still yields it and the
-	// json.Unmarshal above rejects it. A final line that parses but whose
-	// newline is missing is complete enough to trust (its bytes are on disk).
+	// A trailing partial line has no newline; the loop still yields it and
+	// json.Unmarshal rejects it. A final line that parses but whose newline
+	// is missing is complete enough to trust (its bytes are on disk).
 
 	if !genOK {
 		// Different dataset build (or pre-generation directory): purge.
@@ -309,39 +280,20 @@ func (b *Backend) recover() error {
 		journaled, order = nil, nil
 	}
 
-	// Verify each journaled entry against its data file. Eager mode reads
-	// and CRCs every cached byte here; lazy mode only stats the file (and
-	// trims un-journaled tails), deferring the CRC to first touch.
+	// Stat each journaled entry's data file (trimming un-journaled tails);
+	// the CRC waits for the entry's first read.
 	for _, name := range order {
 		st, ok := journaled[name]
 		if !ok {
 			continue // deleted later in the journal
 		}
 		path := b.objectFile(name)
-		if b.lazy {
-			if !statTrim(path, st.length) {
-				os.Remove(path)
-				b.stats.Discarded++
-				continue
-			}
-			e := &entry{name: name, length: st.length, crc: st.crc}
-			e.elem = b.lru.PushFront(name)
-			b.entries[name] = e
-			b.used += st.length
-			b.stats.Recovered++
-			continue
-		}
-		length, crc, err := verifyPrefix(path, st.length, st.crc)
-		if err != nil || length != st.length || crc != st.crc {
-			// Torn or corrupt: discard the whole entry. Serving a shorter
-			// prefix than journaled would be safe, but the journal is the
-			// only statement of what bytes are valid — without a matching
-			// CRC nothing on disk is trustworthy.
+		if !statTrim(path, st.length) {
 			os.Remove(path)
 			b.stats.Discarded++
 			continue
 		}
-		e := &entry{name: name, length: st.length, crc: st.crc, verified: true}
+		e := &entry{name: name, length: st.length, crc: st.crc}
 		e.elem = b.lru.PushFront(name)
 		b.entries[name] = e
 		b.used += st.length
@@ -365,7 +317,7 @@ func (b *Backend) recover() error {
 	return nil
 }
 
-// statTrim is lazy recovery's metadata-only check: path must hold at least
+// statTrim is recovery's metadata-only check: path must hold at least
 // length bytes (trailing un-journaled bytes are trimmed so later O_APPEND
 // writes land at the journaled extent). No data bytes are read.
 func statTrim(path string, length int64) bool {
@@ -386,36 +338,39 @@ func statTrim(path string, length int64) bool {
 	return true
 }
 
-// verifyPrefix checks that path holds at least length bytes whose CRC over
-// [0,length) matches, truncating trailing bytes beyond length.
-func verifyPrefix(path string, length int64, want uint32) (int64, uint32, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+// openForRead opens an object's data file for reading. Tests replace it to
+// count opens.
+var openForRead = os.Open
+
+// checkPrefix is a recovered entry's first-touch verification: one pass over
+// the data file's journaled extent [0,length) that checks its CRC against
+// want and copies the window [offset,offset+n), which must lie inside the
+// extent (n is zero for none), out of the same read. It allocates the window
+// and one buffer of at most 32 KiB, never the extent.
+func checkPrefix(path string, length int64, want uint32, offset, n int64) ([]byte, error) {
+	f, err := openForRead(path)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, err
-	}
-	if fi.Size() < length {
-		return fi.Size(), 0, nil // torn: file shorter than journaled extent
-	}
-	h := crc32.NewIEEE()
-	if _, err := io.CopyN(h, f, length); err != nil {
-		return 0, 0, err
-	}
-	if h.Sum32() != want {
-		return length, h.Sum32(), nil
-	}
-	if fi.Size() > length {
-		// A data append that crashed before its journal line: trim it so
-		// future appends extend the verified prefix.
-		if err := f.Truncate(length); err != nil {
-			return 0, 0, err
+	out := make([]byte, n)
+	buf := make([]byte, min(length, 32<<10))
+	var crc uint32
+	for pos := int64(0); pos < length; {
+		chunk := buf[:min(int64(len(buf)), length-pos)]
+		if _, err := io.ReadFull(f, chunk); err != nil {
+			return nil, err
 		}
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		if lo, hi := max(pos, offset), min(pos+int64(len(chunk)), offset+n); lo < hi {
+			copy(out[lo-offset:], chunk[lo-pos:hi-pos])
+		}
+		pos += int64(len(chunk))
 	}
-	return length, want, nil
+	if crc != want {
+		return nil, fmt.Errorf("diskcache: %s fails its journaled CRC", path)
+	}
+	return out, nil
 }
 
 // purgeDir removes every cache artifact in the directory (generation
@@ -547,7 +502,7 @@ func (b *Backend) objectLock(name string) *sync.Mutex {
 
 // readWindow reads [offset, offset+length) from the object's prefix file.
 func (b *Backend) readWindow(name string, offset, length int64) ([]byte, error) {
-	f, err := os.Open(b.objectFile(name))
+	f, err := openForRead(b.objectFile(name))
 	if err != nil {
 		return nil, err
 	}
@@ -557,6 +512,29 @@ func (b *Backend) readWindow(name string, offset, length int64) ([]byte, error) 
 		return nil, err
 	}
 	return buf, nil
+}
+
+// hitLocked serves [offset, offset+length) from the object's data file when
+// a verified entry covers it, counting a hit. It drops b.mu for the file
+// read; a file that vanished or shrank underfoot (external damage, or an
+// eviction between the check and the read) drops the entry, and the caller
+// fetches upstream instead of failing. Caller holds b.mu.
+func (b *Backend) hitLocked(name string, offset, length int64) ([]byte, bool) {
+	e, ok := b.entries[name]
+	if !ok || !e.verified || e.length < offset+length {
+		return nil, false
+	}
+	b.lru.MoveToFront(e.elem)
+	b.mu.Unlock()
+	buf, err := b.readWindow(name, offset, length)
+	b.mu.Lock()
+	if err != nil {
+		b.invalidateLocked(name)
+		return nil, false
+	}
+	b.stats.Hits++
+	b.stats.BytesServed += length
+	return buf, true
 }
 
 // ReadRange reads [offset, offset+length) of the named object, fetching
@@ -575,28 +553,15 @@ func (b *Backend) ReadRange(name string, offset, length int64) ([]byte, error) {
 	}
 	need := offset + length
 
-	// Fast path: the window is inside the cached prefix. Stats are counted
-	// only after the file read succeeds, so a fallback to the miss path
-	// below is not double-counted.
+	// Fast path: the window is inside a verified cached prefix.
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return nil, fmt.Errorf("diskcache: closed")
 	}
-	if e, ok := b.entries[name]; ok && e.verified && e.length >= need {
-		b.lru.MoveToFront(e.elem)
+	if buf, ok := b.hitLocked(name, offset, length); ok {
 		b.mu.Unlock()
-		buf, err := b.readWindow(name, offset, length)
-		b.mu.Lock()
-		if err == nil {
-			b.stats.Hits++
-			b.stats.BytesServed += length
-			b.mu.Unlock()
-			return buf, nil
-		}
-		// The prefix file vanished or shrank underfoot (external damage).
-		// Drop the entry and take the miss path rather than failing the read.
-		b.invalidateLocked(name)
+		return buf, nil
 	}
 	b.mu.Unlock()
 
@@ -611,45 +576,44 @@ func (b *Backend) ReadRange(name string, offset, length int64) ([]byte, error) {
 		b.mu.Unlock()
 		return nil, fmt.Errorf("diskcache: closed")
 	}
-	// First touch of a lazily recovered entry: settle its CRC now, before
-	// any byte of it is served or extended. A mismatch quarantines the
-	// entry — the read below restarts cold from upstream, exactly as if
-	// eager recovery had discarded it at Open.
+	// First touch of a recovered entry: check its CRC now, before any byte
+	// of it is served or extended, and serve the window from the same pass
+	// when it lies inside the extent. A mismatch quarantines the entry and
+	// the read below restarts cold from upstream.
 	if e, ok := b.entries[name]; ok && !e.verified {
-		want, wantCRC := e.length, e.crc
-		b.mu.Unlock()
-		length, crc, verr := verifyPrefix(b.objectFile(name), want, wantCRC)
-		b.mu.Lock()
-		if e2, still := b.entries[name]; still && e2 == e {
-			if verr == nil && length == want && crc == wantCRC {
-				e.verified = true
-			} else {
-				b.invalidateLocked(name)
-				b.stats.Discarded++
-			}
+		extent, crc, window := e.length, e.crc, length
+		if need > extent {
+			window = 0 // an upgrade: check the extent, then extend it below
 		}
+		b.mu.Unlock()
+		out, verr := checkPrefix(b.objectFile(name), extent, crc, offset, window)
+		b.mu.Lock()
+		if current := b.entries[name] == e; current && verr != nil {
+			b.invalidateLocked(name)
+			b.stats.Recovered--
+			b.stats.Discarded++
+		} else if current {
+			e.verified = true
+			b.lru.MoveToFront(e.elem)
+		}
+		if verr == nil && window > 0 {
+			// Verified bytes are right even if a concurrent eviction
+			// dropped the entry while they were read.
+			b.stats.Hits++
+			b.stats.BytesServed += length
+			b.mu.Unlock()
+			return out, nil
+		}
+	}
+	// A waiter: the fetch we queued behind may already cover us.
+	if buf, ok := b.hitLocked(name, offset, length); ok {
+		b.mu.Unlock()
+		return buf, nil
 	}
 	var have int64
 	var haveCRC uint32
 	if e, ok := b.entries[name]; ok {
-		if e.length >= need {
-			// A waiter: the fetch we queued behind already covered us.
-			b.lru.MoveToFront(e.elem)
-			b.mu.Unlock()
-			buf, err := b.readWindow(name, offset, length)
-			b.mu.Lock()
-			if err == nil {
-				b.stats.Hits++
-				b.stats.BytesServed += length
-				b.mu.Unlock()
-				return buf, nil
-			}
-			// Evicted (or damaged) between the queue and the read: fall
-			// through to a cold fetch rather than failing the request.
-			b.invalidateLocked(name)
-		} else {
-			have, haveCRC = e.length, e.crc
-		}
+		have, haveCRC = e.length, e.crc
 	}
 	b.mu.Unlock()
 

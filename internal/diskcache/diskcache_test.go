@@ -254,23 +254,16 @@ func TestTruncatedManifestRecovery(t *testing.T) {
 
 // TestTornPrefixFileRecovery simulates a crash mid-data-append (journal
 // promises more bytes than the file holds) and silent corruption (CRC
-// mismatch). Both must discard the entry; the rest survive.
+// mismatch). A short file is discarded at open, where a stat sees it; a
+// corrupt one is recovered, then quarantined by its first read's CRC check.
+// Either way the read returns clean refetched bytes and the healthy entry
+// still serves warm.
 func TestTornPrefixFileRecovery(t *testing.T) {
 	for _, damage := range []string{"truncate", "corrupt"} {
 		t.Run(damage, func(t *testing.T) {
 			inner := newFake()
 			dir := t.TempDir()
-			b, err := Wrap(inner, dir, 1<<20, "gen1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := inner.objects["records/a.pcr"]
-			bb := inner.objects["records/b.pcr"]
-			mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
-			mustRead(t, b, "records/b.pcr", 0, 200, bb[:200])
-			victim := b.objectFile("records/a.pcr")
-			b.Close()
-
+			victim := warmTwoEntries(t, inner, dir)
 			switch damage {
 			case "truncate":
 				if err := os.Truncate(victim, 123); err != nil {
@@ -293,19 +286,36 @@ func TestTornPrefixFileRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer b2.Close()
-			if st := b2.Stats(); st.Recovered != 1 || st.Discarded != 1 {
-				t.Fatalf("recovery stats = %+v, want 1 recovered / 1 discarded", st)
+			atOpen := Stats{Recovered: 1, Discarded: 1}
+			if damage == "corrupt" {
+				// The flipped byte is invisible to a stat: that is what
+				// keeps the open cheap.
+				atOpen = Stats{Recovered: 2}
 			}
-			// The damaged entry is gone: a read refetches and returns clean
-			// bytes — corrupt data never reaches the caller.
+			if st := b2.Stats(); st.Recovered != atOpen.Recovered || st.Discarded != atOpen.Discarded {
+				t.Fatalf("open stats = %+v, want %d recovered / %d discarded", st, atOpen.Recovered, atOpen.Discarded)
+			}
+			// The damaged entry is refetched with clean bytes — corrupt data
+			// never reaches the caller — and counted discarded either way.
+			a := inner2.objects["records/a.pcr"]
 			mustRead(t, b2, "records/a.pcr", 0, 400, a[:400])
+			if st := b2.Stats(); st.Recovered != 1 || st.Discarded != 1 || st.Misses != 1 {
+				t.Fatalf("first-read stats = %+v, want 1 recovered / 1 discarded / 1 miss", st)
+			}
 			if r, _ := inner2.counters(); r != 1 {
-				t.Fatalf("damaged entry did not refetch (reads=%d)", r)
+				t.Fatalf("damaged entry refetched %d times, want 1", r)
 			}
 			// The healthy entry still serves warm.
+			bb := inner2.objects["records/b.pcr"]
 			mustRead(t, b2, "records/b.pcr", 0, 200, bb[:200])
 			if r, _ := inner2.counters(); r != 1 {
 				t.Fatalf("healthy entry hit upstream after recovery")
+			}
+			// The refetched entry is trusted again: a repeat read is a hit.
+			hits := b2.Stats().Hits
+			mustRead(t, b2, "records/a.pcr", 0, 400, a[:400])
+			if st := b2.Stats(); st.Hits != hits+1 {
+				t.Fatalf("refetched entry not served as a hit: %+v", st)
 			}
 		})
 	}
@@ -539,156 +549,45 @@ func warmTwoEntries(t *testing.T, inner *fakeBackend, dir string) (victim string
 	return victim
 }
 
-// TestLazyVerifyWarmRestart: a lazy reopen accepts journaled entries
-// without reading their bytes, serves them warm (zero upstream traffic),
-// and delta upgrades still move only the missing suffix after the
-// first-touch verification.
-func TestLazyVerifyWarmRestart(t *testing.T) {
+// TestFirstHitOpensDataFileOnce: a recovered entry's first read checks its
+// CRC and serves its window from one open and one pass over the data file;
+// the next read takes the verified fast path, and an upgrade still moves
+// only the delta.
+func TestFirstHitOpensDataFileOnce(t *testing.T) {
 	inner := newFake()
 	dir := t.TempDir()
 	warmTwoEntries(t, inner, dir)
 
+	opens := 0
+	openForRead = func(name string) (*os.File, error) {
+		opens++
+		return os.Open(name)
+	}
+	t.Cleanup(func() { openForRead = os.Open })
+
 	inner2 := newFake()
-	b2, err := Wrap(inner2, dir, 1<<20, "gen1", WithLazyVerify())
+	b2, err := Wrap(inner2, dir, 1<<20, "gen1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
-	if st := b2.Stats(); st.Recovered != 2 || st.Discarded != 0 {
-		t.Fatalf("lazy recovery stats = %+v, want 2 recovered / 0 discarded", st)
-	}
 	a := inner2.objects["records/a.pcr"]
-	mustRead(t, b2, "records/a.pcr", 0, 400, a[:400])
-	if r, _ := inner2.counters(); r != 0 {
-		t.Fatalf("warm lazy read hit upstream %d times", r)
-	}
-	// Repeat read takes the verified fast path.
 	mustRead(t, b2, "records/a.pcr", 100, 200, a[100:300])
-	if st := b2.Stats(); st.Hits != 2 {
-		t.Fatalf("hits = %d, want 2", st.Hits)
+	if opens != 1 {
+		t.Fatalf("first hit opened the data file %d times, want 1", opens)
 	}
-	// Delta upgrade after lazy recovery appends only the suffix.
+	if st := b2.Stats(); st.Hits != 1 || st.Recovered != 2 || st.Discarded != 0 {
+		t.Fatalf("first-hit stats = %+v, want 1 hit / 2 recovered / 0 discarded", st)
+	}
+	mustRead(t, b2, "records/a.pcr", 0, 400, a[:400])
+	if st := b2.Stats(); opens != 2 || st.Hits != 2 {
+		t.Fatalf("repeat read: %d opens, %d hits; want 2 / 2", opens, st.Hits)
+	}
+	if r, _ := inner2.counters(); r != 0 {
+		t.Fatalf("warm reads hit upstream %d times", r)
+	}
 	mustRead(t, b2, "records/a.pcr", 0, 600, a[:600])
-	if r, bts := inner2.counters(); r != 1 || bts != 200 {
-		t.Fatalf("upgrade fetched %d ranges / %d bytes, want 1 / 200 (the delta)", r, bts)
+	if r, n := inner2.counters(); r != 1 || n != 200 {
+		t.Fatalf("upgrade fetched %d ranges / %d bytes, want 1 / 200 (the delta)", r, n)
 	}
-}
-
-// TestLazyVerifyQuarantinesTornEntry is the required torn-file test: a
-// corrupted cached prefix sails through the lazy open (its bytes are not
-// read) but is quarantined at first touch — the read returns clean
-// refetched bytes, never the corrupt ones, and the entry is counted
-// discarded.
-func TestLazyVerifyQuarantinesTornEntry(t *testing.T) {
-	inner := newFake()
-	dir := t.TempDir()
-	victim := warmTwoEntries(t, inner, dir)
-
-	// Flip one byte inside the journaled extent.
-	raw, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[57] ^= 0xFF
-	if err := os.WriteFile(victim, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	inner2 := newFake()
-	b2, err := Wrap(inner2, dir, 1<<20, "gen1", WithLazyVerify())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
-	// The damage is invisible at open: that is what makes the open cheap.
-	if st := b2.Stats(); st.Recovered != 2 || st.Discarded != 0 {
-		t.Fatalf("lazy open stats = %+v, want 2 recovered / 0 discarded", st)
-	}
-	if !b2.Contains("records/a.pcr", 400) {
-		t.Fatal("provisionally recovered entry not listed")
-	}
-
-	// First touch: CRC mismatch quarantines the entry and the read is
-	// served with clean bytes refetched from upstream.
-	a := inner2.objects["records/a.pcr"]
-	mustRead(t, b2, "records/a.pcr", 0, 400, a[:400])
-	if st := b2.Stats(); st.Discarded != 1 || st.Misses != 1 {
-		t.Fatalf("first touch stats = %+v, want 1 discarded / 1 miss", st)
-	}
-	if r, _ := inner2.counters(); r != 1 {
-		t.Fatalf("quarantined entry refetched %d times, want 1", r)
-	}
-
-	// The healthy entry still serves warm.
-	bb := inner2.objects["records/b.pcr"]
-	mustRead(t, b2, "records/b.pcr", 0, 200, bb[:200])
-	if r, _ := inner2.counters(); r != 1 {
-		t.Fatalf("healthy entry hit upstream after lazy recovery")
-	}
-
-	// The refetched entry is fully trusted again: repeat reads are hits.
-	mustRead(t, b2, "records/a.pcr", 0, 400, a[:400])
-	if st := b2.Stats(); st.Hits < 1 {
-		t.Fatalf("refetched entry not served as a hit: %+v", st)
-	}
-}
-
-// TestLazyVerifyStillCatchesShortFilesAtOpen: lazy mode stats every file,
-// so a prefix file shorter than its journaled extent — the cheapest form
-// of tear to detect — is still discarded at open, not first touch.
-func TestLazyVerifyStillCatchesShortFilesAtOpen(t *testing.T) {
-	inner := newFake()
-	dir := t.TempDir()
-	victim := warmTwoEntries(t, inner, dir)
-	if err := os.Truncate(victim, 123); err != nil {
-		t.Fatal(err)
-	}
-
-	inner2 := newFake()
-	b2, err := Wrap(inner2, dir, 1<<20, "gen1", WithLazyVerify())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
-	if st := b2.Stats(); st.Recovered != 1 || st.Discarded != 1 {
-		t.Fatalf("lazy open stats = %+v, want 1 recovered / 1 discarded", st)
-	}
-	a := inner2.objects["records/a.pcr"]
-	mustRead(t, b2, "records/a.pcr", 0, 400, a[:400])
-	if r, _ := inner2.counters(); r != 1 {
-		t.Fatalf("short file refetched %d times, want 1", r)
-	}
-}
-
-// TestLazyVerifyTrimsUnjournaledTail: a crash between a data append and
-// its journal line leaves trailing bytes past the journaled extent. Lazy
-// open trims them (a metadata-only truncate), so a later upgrade appends
-// the delta at the right offset.
-func TestLazyVerifyTrimsUnjournaledTail(t *testing.T) {
-	inner := newFake()
-	dir := t.TempDir()
-	victim := warmTwoEntries(t, inner, dir)
-	f, err := os.OpenFile(victim, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("junk past the journaled extent")); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	inner2 := newFake()
-	b2, err := Wrap(inner2, dir, 1<<20, "gen1", WithLazyVerify())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
-	a := inner2.objects["records/a.pcr"]
-	// Upgrade across the old extent: the tail was trimmed, so the delta
-	// lands at offset 400 and the whole window reads back correctly.
-	mustRead(t, b2, "records/a.pcr", 0, 600, a[:600])
-	if r, bts := inner2.counters(); r != 1 || bts != 200 {
-		t.Fatalf("upgrade fetched %d ranges / %d bytes, want 1 / 200", r, bts)
-	}
-	mustRead(t, b2, "records/a.pcr", 350, 150, a[350:500])
 }

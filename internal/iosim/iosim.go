@@ -105,9 +105,6 @@ func NewCluster(spec DeviceSpec, n int) (*Cluster, error) {
 	return c, nil
 }
 
-// NumDevices returns the cluster width.
-func (c *Cluster) NumDevices() int { return len(c.devices) }
-
 // AggregateBandwidth returns the cluster's peak sequential bandwidth.
 func (c *Cluster) AggregateBandwidth() float64 {
 	var sum float64

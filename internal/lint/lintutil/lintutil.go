@@ -25,14 +25,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// Deref unwraps one level of pointer.
-func Deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
 // Named returns the named type of t (through one pointer), or nil.
 func Named(t types.Type) *types.Named {
 	if t == nil {

@@ -49,11 +49,6 @@ func NewMLP(in, hidden, out int, seed int64) (*MLP, error) {
 	return m, nil
 }
 
-// NumParams returns the total parameter count.
-func (m *MLP) NumParams() int {
-	return len(m.W1) + len(m.B1) + len(m.W2) + len(m.B2)
-}
-
 // Clone deep-copies the parameters and momentum buffers; used for the
 // checkpoint/rollback step of the paper's autotuner (§4.5). Because the
 // optimizer velocity is part of the copy, training resumed from a restored
@@ -116,20 +111,6 @@ func (m *MLP) forward(x []float64, hidden, logits []float64) {
 		}
 		logits[o] = s
 	}
-}
-
-// Predict returns the argmax class for one input.
-func (m *MLP) Predict(x []float64) int {
-	hidden := make([]float64, m.Hidden)
-	logits := make([]float64, m.Out)
-	m.forward(x, hidden, logits)
-	best := 0
-	for o := 1; o < m.Out; o++ {
-		if logits[o] > logits[best] {
-			best = o
-		}
-	}
-	return best
 }
 
 // softmaxCE computes softmax probabilities in place over logits and returns

@@ -42,7 +42,7 @@ type Config struct {
 	// loop on real observations; a ProbeDriver (ProbePolicy) is also told
 	// about learning-rate drops and gets its upward probes run at epoch
 	// boundaries — model checkpointed, probe minibatches trained per
-	// candidate quality through Loader.ProbeBatches, updates rolled back.
+	// candidate quality through Loader.Probe().Batches, updates rolled back.
 	Policy pcr.QualityPolicy
 	// Shards and ShardIndex partition records across distributed workers
 	// (defaults: 1 shard, index 0).

@@ -208,7 +208,7 @@ func (c *ClusterClient) refreshMembership() {
 // newFleet builds the ring and the member transports a /cluster document
 // describes; a member URL that is not one makes the document unusable.
 func newFleet(info *cluster.Info, hc *http.Client) (*fleet, error) {
-	ring, err := cluster.New(info.Members, 0)
+	ring, err := cluster.New(info.Members)
 	if err != nil {
 		return nil, err
 	}

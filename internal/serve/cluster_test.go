@@ -213,7 +213,7 @@ func TestFleetServesOnlyPlacedRecords(t *testing.T) {
 		t.Fatal("empty index")
 	}
 	urls := []string{members[0].url, members[1].url, members[2].url}
-	ring, err := cluster.New(urls, 0)
+	ring, err := cluster.New(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestClusterClientRoutesToOwners(t *testing.T) {
 		t.Fatal("empty index")
 	}
 	urls := []string{members[0].url, members[1].url, members[2].url}
-	ring, err := cluster.New(urls, 0)
+	ring, err := cluster.New(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestClusterClientFailover(t *testing.T) {
 	// Kill a member that owns at least one record (a tiny dataset can
 	// leave a member ownerless), so the second pass must fail over.
 	urls := []string{members[0].url, members[1].url, members[2].url}
-	ring, err := cluster.New(urls, 0)
+	ring, err := cluster.New(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestHedgeStructuralFailsFast(t *testing.T) {
 			const slowFor = 2 * time.Second
 
 			urls, install := scriptedFleet(t, 2)
-			ring, err := cluster.New(urls, 0)
+			ring, err := cluster.New(urls)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -98,9 +98,6 @@ type ClusterConfig struct {
 	// Replication is the replica count per record, owner included
 	// (default 1: ownership only, no redundancy).
 	Replication int
-	// VirtualNodes overrides the ring's virtual-node count per member
-	// (default cluster.DefaultVirtualNodes).
-	VirtualNodes int
 }
 
 // Options configure a Server.
@@ -125,10 +122,6 @@ type Options struct {
 	// DiskCacheBytes is the disk tier's byte budget (default 4× CacheBytes
 	// when a directory is set).
 	DiskCacheBytes int64
-	// DiskCacheLazyVerify defers the disk tier's recovery CRC pass from
-	// startup to each entry's first read (diskcache.WithLazyVerify), so a
-	// server fronting a huge warm cache starts serving immediately.
-	DiskCacheLazyVerify bool
 }
 
 // Stats is a point-in-time snapshot of the server's counters, exposed at
@@ -271,7 +264,7 @@ func NewFromDataset(ds *core.Dataset, opts *Options) (*Server, error) {
 			budget = 1 << 30
 		}
 	}
-	if s.disk, err = diskcache.Mount(ds, o.DiskCacheDir, budget, o.DiskCacheLazyVerify); err != nil {
+	if s.disk, err = diskcache.Mount(ds, o.DiskCacheDir, budget); err != nil {
 		return nil, err
 	}
 	if o.CacheBytes > 0 {
@@ -310,7 +303,7 @@ func (s *Server) initCluster(cc *ClusterConfig) error {
 		return fmt.Errorf("serve: cluster config needs Self (this member's URL)")
 	}
 	members := append([]string{cc.Self}, cc.Peers...)
-	ring, err := cluster.New(members, cc.VirtualNodes)
+	ring, err := cluster.New(members)
 	if err != nil {
 		return err
 	}

@@ -170,22 +170,6 @@ func (s *PCRSet) MeanImageBytesAtGroup(g int) (float64, error) {
 	return float64(total) / float64(s.NumTrain()), nil
 }
 
-// GroupSizeStats returns, for each scan group g in 1..NumGroups, the total
-// cumulative bytes across all records (Figure 16's y-axis).
-func (s *PCRSet) GroupSizeStats() ([]int64, error) {
-	out := make([]int64, s.NumGroups)
-	for g := 1; g <= s.NumGroups; g++ {
-		rb, err := s.RecordBytesAtGroup(g)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range rb {
-			out[g-1] += b
-		}
-	}
-	return out, nil
-}
-
 // TrainFeatures returns the per-sample feature vectors of the train split
 // decoded at scan group g, computing and caching them on first use.
 func (s *PCRSet) TrainFeatures(g int) ([][]float64, error) {

@@ -344,7 +344,7 @@ type diskCacheAccessor interface {
 }
 
 // DiskCacheStats reports the persistent disk tier's counters — hits, delta
-// bytes, evictions, and the recovery scan of the most recent open. ok is
+// bytes, evictions, and the entries recovery kept or discarded. ok is
 // false when the dataset has no disk cache (WithDiskCache unset).
 func (d *Dataset) DiskCacheStats() (stats DiskCacheStats, ok bool) {
 	if da, daOK := d.r.(diskCacheAccessor); daOK {

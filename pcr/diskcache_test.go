@@ -322,10 +322,10 @@ func TestDiskCacheRejectsBaselineFormatsAndStaleGenerations(t *testing.T) {
 	}
 }
 
-// TestDiskCacheLazyVerifyOption: WithDiskCacheLazyVerify wires lazy
-// first-touch verification through the facade — a warm restart still moves
-// zero network bytes — and is rejected without WithDiskCache.
-func TestDiskCacheLazyVerifyOption(t *testing.T) {
+// TestDiskCacheFirstReadsAreWarmHits: a warm restart's open reads no cached
+// byte, and each record's first read checks the entry's CRC and serves the
+// prefix in one pass — a hit, with zero network bytes moved.
+func TestDiskCacheFirstReadsAreWarmHits(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(3))
 	srv, ts := startServer(t, dir, nil)
 	cacheDir := t.TempDir()
@@ -342,16 +342,12 @@ func TestDiskCacheLazyVerifyOption(t *testing.T) {
 	}
 	ds1.Close()
 
-	ds2, err := pcr.OpenRemote(ts.URL,
-		pcr.WithDiskCache(cacheDir, 1<<30), pcr.WithDiskCacheLazyVerify())
+	ds2, err := pcr.OpenRemote(ts.URL, pcr.WithDiskCache(cacheDir, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds2.Close()
-	st, ok := ds2.DiskCacheStats()
-	if !ok || st.Recovered != int64(ds2.NumRecords()) {
-		t.Fatalf("lazy open recovered %d entries (ok=%v), want %d", st.Recovered, ok, ds2.NumRecords())
-	}
+	n := int64(ds2.NumRecords())
 	prev := srv.Stats().BytesServed
 	for _, err := range ds2.ScanEncoded(ctx, 2) {
 		if err != nil {
@@ -359,10 +355,10 @@ func TestDiskCacheLazyVerifyOption(t *testing.T) {
 		}
 	}
 	if moved := srv.Stats().BytesServed - prev; moved != 0 {
-		t.Fatalf("lazy warm re-scan moved %d network bytes, want 0", moved)
+		t.Fatalf("warm re-scan moved %d network bytes, want 0", moved)
 	}
-
-	if _, err := pcr.Open(dir, pcr.WithDiskCacheLazyVerify()); err == nil {
-		t.Fatal("WithDiskCacheLazyVerify without WithDiskCache accepted")
+	st, _ := ds2.DiskCacheStats()
+	if st.Recovered != n || st.Discarded != 0 || st.Hits != n || st.Misses != 0 || st.DeltaHits != 0 {
+		t.Fatalf("warm re-scan stats = %+v, want %d recovered entries each served as one hit", st, n)
 	}
 }

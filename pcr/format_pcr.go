@@ -45,7 +45,7 @@ func (pcrFormat) open(dir string, cfg *config) (formatReader, error) {
 // the in-memory LRU (WithCacheBytes): a read misses memory, then disk,
 // then goes upstream — and each tier fills with exactly the delta bytes.
 func newPCRReader(ds *core.Dataset, cfg *config) (*pcrReader, error) {
-	disk, err := diskcache.Mount(ds, cfg.diskCacheDir, cfg.diskCacheBytes, cfg.diskCacheLazy)
+	disk, err := diskcache.Mount(ds, cfg.diskCacheDir, cfg.diskCacheBytes)
 	if err != nil {
 		return nil, err
 	}

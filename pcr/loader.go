@@ -42,7 +42,7 @@ type EpochStats struct {
 	// ImagesPerSec is Images / Wall.
 	ImagesPerSec float64
 	// Probes, ProbeBytes, and ProbeWall account the out-of-band probe reads
-	// folded into this epoch: every ProbeBatches pass (one per candidate
+	// folded into this epoch: every Probe().Batches pass (one per candidate
 	// quality of a §4.5 upward probe) run since the previous completed
 	// epoch — e.g. at the epoch boundary — is charged to the epoch that
 	// follows it. ProbeBytes counts logical record prefix bytes (with a
@@ -245,7 +245,7 @@ func WithResume(cp Checkpoint) LoaderOption {
 // without a read, and — without cache tiers — partially matching records
 // are fetched as sparse ranges covering only the selected samples. Batches,
 // shuffling, and checkpoints count only selected samples; EpochStats
-// reports what the filter skipped and saved. Out-of-band ProbeBatches
+// reports what the filter skipped and saved. Out-of-band Probe().Batches
 // reads stay unfiltered (probes measure the quality trade-off, not the
 // subset).
 func WithLoaderFilter(pred Predicate) LoaderOption {

@@ -217,7 +217,7 @@ type ProbeResult struct {
 // while below full quality. The probe itself is run by the training harness
 // (internal/realtrain): it checkpoints the model, trains ProbeSteps
 // minibatches per candidate quality through the Loader's out-of-band
-// ProbeBatches reads, hands the measured losses to CompleteProbe, and rolls
+// Probe().Batches reads, hands the measured losses to CompleteProbe, and rolls
 // the probe updates back. CompleteProbe picks the cheapest candidate whose
 // probe loss is within (1+Tolerance)× of the best — so quality re-ascends
 // exactly when the extra scans demonstrably help, and a probe that a warm

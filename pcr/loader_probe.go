@@ -12,8 +12,8 @@ import (
 // reads the SAME records in the same order, differing only in how much of
 // each record's prefix it fetches, so the candidates' probe losses compare
 // quality against quality rather than one random record sample against
-// another. Successive Probe calls (and successive ProbeBatches calls)
-// advance to fresh draws.
+// another. Successive Probe calls advance to fresh draws; a single-shot
+// read is Probe().Batches.
 func (l *Loader) Probe() *Probe {
 	l.mu.Lock()
 	seq := l.probeSeq
@@ -26,13 +26,6 @@ func (l *Loader) Probe() *Probe {
 type Probe struct {
 	l   *Loader
 	seq int
-}
-
-// ProbeBatches is the single-shot form of Probe().Batches: it reserves a
-// fresh record draw and reads it once at quality q. Use a Probe handle
-// instead when several candidate qualities must see identical records.
-func (l *Loader) ProbeBatches(ctx context.Context, q, n int) (batches []Batch, bytes int64, err error) {
-	return l.Probe().Batches(ctx, q, n)
 }
 
 // Batches is the out-of-band probe read path of the §4.5 controller: it

@@ -15,7 +15,6 @@ type config struct {
 	jpegQuality     int
 	diskCacheDir    string
 	diskCacheBytes  int64
-	diskCacheLazy   bool
 	indexShard      int
 	indexShards     int // 0 = whole index
 	hedgeDelay      time.Duration
@@ -104,9 +103,11 @@ func WithCacheBytes(n int64) Option {
 // dataset's index, so a restarted worker's next epoch reads warm local
 // bytes instead of re-fetching — near-zero network for a remote dataset —
 // and a later quality upgrade appends only the delta bytes (§5 delta
-// pricing, made durable). Crash recovery discards torn entries on open;
-// the directory must belong to exactly one process at a time (give each
-// training worker its own). PCR format only.
+// pricing, made durable). Open replays the journal without reading cached
+// bytes; each entry's CRC is checked on its first read, and a torn or
+// corrupt entry is refetched, never served. The directory must belong to
+// exactly one process at a time (give each training worker its own). PCR
+// format only.
 func WithDiskCache(dir string, maxBytes int64) Option {
 	return func(c *config) error {
 		if dir == "" {
@@ -117,21 +118,6 @@ func WithDiskCache(dir string, maxBytes int64) Option {
 		}
 		c.diskCacheDir = dir
 		c.diskCacheBytes = maxBytes
-		return nil
-	}
-}
-
-// WithDiskCacheLazyVerify defers the disk cache's recovery CRC
-// verification from Open to each entry's first read. Eager recovery reads
-// and checksums every cached byte before Open returns — fine at gigabytes,
-// a first-epoch stall at terabytes; lazy mode opens on metadata alone
-// (missing or short files are still discarded immediately) and checks each
-// entry's journaled CRC the first time a read touches it, quarantining and
-// refetching a torn entry at that point. Corrupt bytes are never served in
-// either mode. Requires WithDiskCache.
-func WithDiskCacheLazyVerify() Option {
-	return func(c *config) error {
-		c.diskCacheLazy = true
 		return nil
 	}
 }

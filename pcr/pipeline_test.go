@@ -182,7 +182,7 @@ func TestPipelineBounded(t *testing.T) {
 	// A probe reads the records its batches are filled from and stops.
 	recordOf := recordOfSample(t, ds)
 	before, _ := counter.snapshot()
-	batches, _, err := l.ProbeBatches(ctx, pcr.Full, 2)
+	batches, _, err := l.Probe().Batches(ctx, pcr.Full, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

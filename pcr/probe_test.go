@@ -257,7 +257,7 @@ func TestLoaderProbeBatches(t *testing.T) {
 		t.Fatalf("probe accounting nonzero before any probe: %+v", stats0)
 	}
 
-	b1, bytes1, err := l.ProbeBatches(ctx, 2, 2)
+	b1, bytes1, err := l.Probe().Batches(ctx, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +266,14 @@ func TestLoaderProbeBatches(t *testing.T) {
 	}
 	ids1 := probeIDs(t, b1, 4)
 
-	if _, _, err := l.ProbeBatches(ctx, 99, 1); !errors.Is(err, pcr.ErrNoSuchQuality) {
+	if _, _, err := l.Probe().Batches(ctx, 99, 1); !errors.Is(err, pcr.ErrNoSuchQuality) {
 		t.Fatalf("probe at quality 99: %v, want ErrNoSuchQuality", err)
 	}
-	if _, _, err := l.ProbeBatches(ctx, 1, 0); err == nil {
+	if _, _, err := l.Probe().Batches(ctx, 1, 0); err == nil {
 		t.Fatal("probe with zero batches accepted")
 	}
 
-	b2, bytes2, err := l.ProbeBatches(ctx, 2, 2)
+	b2, bytes2, err := l.Probe().Batches(ctx, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestLoaderProbeBatches(t *testing.T) {
 	// Determinism: a fresh loader with the same seed replays the same
 	// probe sequence.
 	l2 := mk()
-	c1, cb1, err := l2.ProbeBatches(ctx, 2, 2)
+	c1, cb1, err := l2.Probe().Batches(ctx, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestProbeDeltaPricedOverWarmDiskCache(t *testing.T) {
 
 	// The upward probe, as the controller would issue it on an LR drop.
 	served0 := srv.Stats().BytesServed
-	batches, probeBytes, err := l.ProbeBatches(ctx, pcr.Full, 2)
+	batches, probeBytes, err := l.Probe().Batches(ctx, pcr.Full, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
