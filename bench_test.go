@@ -133,16 +133,20 @@ func BenchmarkAblationLayout(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationHuffman measures what per-scan Huffman optimization buys
-// in bytes: spec-default tables vs optimized tables on baseline streams.
+// BenchmarkAblationHuffman measures what Huffman tables cost in bytes per
+// image on one 32-image record's worth of images: the spec's default tables
+// and per-image optimal tables on baseline streams, and a PCR record, whose
+// images share one header and one optimal table set per scan — its file
+// size, metadata and all, over its images.
 func BenchmarkAblationHuffman(b *testing.B) {
 	p := synth.Cars
-	p.NumImages = 8
+	p.NumImages = 40 // 80/20 split: 32 train images
 	p.ImageSize = 64
 	ds, err := synth.Generate(p, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
+	imgs := ds.Train[:32]
 	for _, mode := range []struct {
 		name string
 		opts *jpegc.Options
@@ -154,7 +158,7 @@ func BenchmarkAblationHuffman(b *testing.B) {
 			var bytesOut int64
 			for i := 0; i < b.N; i++ {
 				bytesOut = 0
-				for _, s := range ds.Train {
+				for _, s := range imgs {
 					data, err := jpegc.Encode(s.Img, mode.opts)
 					if err != nil {
 						b.Fatal(err)
@@ -162,9 +166,35 @@ func BenchmarkAblationHuffman(b *testing.B) {
 					bytesOut += int64(len(data))
 				}
 			}
-			b.ReportMetric(float64(bytesOut)/float64(len(ds.Train)), "bytes/img")
+			b.ReportMetric(float64(bytesOut)/float64(len(imgs)), "bytes/img")
 		})
 	}
+	b.Run("per-record-tables", func(b *testing.B) {
+		samples := make([]core.Sample, len(imgs))
+		for i, s := range imgs {
+			data, err := jpegc.Encode(s.Img, &jpegc.Options{Quality: 84})
+			if err != nil {
+				b.Fatal(err)
+			}
+			samples[i] = core.Sample{ID: int64(i), JPEG: data}
+		}
+		var out countingWriter
+		for i := 0; i < b.N; i++ {
+			out = 0
+			if _, err := core.WriteRecord(&out, samples); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(out)/float64(len(imgs)), "bytes/img")
+	})
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter int64
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	*w += countingWriter(len(p))
+	return len(p), nil
 }
 
 // BenchmarkAblationRecordSize sweeps images-per-record: bigger records

@@ -82,6 +82,6 @@ func run() error {
 		fmt.Printf("%8d %14d %13.1f%% %10.4f\n", q, size, 100*float64(size)/float64(fullLen), sim)
 	}
 	fmt.Println("\nreading a prefix of each record file yields every image at that quality —")
-	fmt.Println("no duplication, no random I/O, same total bytes as plain JPEG records.")
+	fmt.Println("no duplication, no random I/O, and no more bytes than plain JPEG records.")
 	return nil
 }

@@ -53,7 +53,7 @@ func TestRecord420(t *testing.T) {
 	}
 	// Full read must reproduce the original's progressive transcode.
 	for i, s := range samples {
-		assertFullQualityIsTranscode(t, meta, data, i, s.JPEG)
+		assertFullQualityIsLossless(t, meta, data, i, s.JPEG)
 	}
 }
 
@@ -63,8 +63,9 @@ func TestRecord420(t *testing.T) {
 // caller can recover for. The seeds are a record of three samples whole, cut
 // inside its metadata, cut inside its body and respelled (group count last,
 // a sample's lengths split over two fields); testdata/fuzz adds records
-// that spell huge, negative and overflowing lengths and bit-flipped records
-// that still parse. Any input may be refused. None may panic, none may size
+// that spell huge, negative and overflowing lengths, out-of-range headers,
+// thousands of empty scripts no header names, and bit-flipped records that
+// still parse. Any input may be refused. None may panic, none may size
 // an allocation by a number the bytes merely spell, and a stream that comes
 // back is made of bytes that were there.
 func FuzzParseRecordMeta(f *testing.F) {
@@ -91,6 +92,10 @@ func FuzzParseRecordMeta(f *testing.F) {
 		if words := m.NumGroups * len(m.Samples); words <= 0 || int64(words) > m.BodyStart {
 			t.Fatalf("%d groups × %d samples parsed from a %d-byte metadata section", m.NumGroups, len(m.Samples), m.BodyStart)
 		}
+		// So do the scripts' tables, a word per group and one more apiece.
+		if words := (m.NumGroups + 1) * len(m.scripts); int64(words) > m.BodyStart {
+			t.Fatalf("%d groups × %d scripts parsed from a %d-byte metadata section", m.NumGroups, len(m.scripts), m.BodyStart)
+		}
 		for g := 0; g <= m.NumGroups; g++ {
 			need, err := m.PrefixLen(g)
 			if err != nil || need < m.BodyStart {
@@ -102,7 +107,7 @@ func FuzzParseRecordMeta(f *testing.F) {
 				if err != nil {
 					continue // group 0, or a body cut short
 				}
-				if limit := len(m.Samples[i].Header) + len(prefix) + 2; len(stream) > limit {
+				if limit := len(m.Headers[m.Samples[i].Header].JPEG) + len(prefix) + 2; len(stream) > limit {
 					t.Fatalf("sample %d at group %d is %d bytes from a %d-byte prefix", i, g, len(stream), len(prefix))
 				}
 			}

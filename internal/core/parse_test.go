@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -24,9 +25,10 @@ func BenchmarkParseRecordMeta(b *testing.B) {
 }
 
 // TestParseRecordMetaAllocations: the parse allocates the metadata, the
-// samples, one array of group lengths (a few times over while it learns from
-// the first sample how long it will be) and one offset table — not a header
-// copy and two slices per sample, which was 371 allocations for 32 samples.
+// samples, headers and scripts, one array of scan lengths (twice while it
+// learns from the first sample how long it will be), one of framing lengths
+// and one table for every derived length and offset — not a header copy and
+// two slices per sample, which was 371 allocations for 32 samples.
 func TestParseRecordMetaAllocations(t *testing.T) {
 	data, _ := writeTestRecord(t, buildSamples(t, 32))
 	if n := testing.AllocsPerRun(20, func() {
@@ -42,27 +44,40 @@ func TestParseRecordMetaAllocations(t *testing.T) {
 // allows and no writer here uses — the group count after the samples, each
 // sample's packed lengths split over two fields — in front of the same body.
 func respell(data []byte, m *RecordMeta, groupsLast, splitLens bool) []byte {
+	packed := func(vs []int64) []uint64 {
+		out := make([]uint64, len(vs))
+		for k, v := range vs {
+			out[k] = uint64(v)
+		}
+		return out
+	}
 	enc := wire.NewEncoder(nil)
 	if !groupsLast {
 		enc.Uint64(fieldNumGroups, uint64(m.NumGroups))
 	}
 	for _, s := range m.Samples {
-		lens := make([]uint64, len(s.GroupLens))
-		for g, n := range s.GroupLens {
-			lens[g] = uint64(n)
-		}
+		lens := packed(s.scanLens)
 		sub := wire.NewEncoder(nil)
 		sub.Uint64(sfID, uint64(s.ID))
 		sub.Int64(sfLabel, s.Label)
 		if splitLens {
-			sub.PackedUint64(sfGroupLens, lens[:len(lens)/2])
-			sub.Bytes(sfHeader, s.Header)
-			sub.PackedUint64(sfGroupLens, lens[len(lens)/2:])
+			sub.PackedUint64(sfScanLens, lens[:len(lens)/2])
+			sub.Uint64(sfHeader, uint64(s.Header))
+			sub.PackedUint64(sfScanLens, lens[len(lens)/2:])
 		} else {
-			sub.Bytes(sfHeader, s.Header)
-			sub.PackedUint64(sfGroupLens, lens)
+			sub.Uint64(sfHeader, uint64(s.Header))
+			sub.PackedUint64(sfScanLens, lens)
 		}
 		enc.Bytes(fieldSample, sub.Encode())
+	}
+	for _, h := range m.Headers {
+		sub := wire.NewEncoder(nil)
+		sub.Uint64(hfScript, uint64(h.Script))
+		sub.Bytes(hfJPEG, h.JPEG)
+		enc.Bytes(fieldHeader, sub.Encode())
+	}
+	for _, sc := range m.scripts {
+		enc.PackedUint64(fieldScript, packed(sc.framing))
 	}
 	if groupsLast {
 		enc.Uint64(fieldNumGroups, uint64(m.NumGroups))
@@ -76,8 +91,9 @@ func respell(data []byte, m *RecordMeta, groupsLast, splitLens bool) []byte {
 
 // TestParseRecordMetaFieldOrder: the samples' lengths are sliced out of one
 // shared array only after the whole section is read, so a group count that
-// arrives last and lengths that arrive in two fields parse to the same
-// record, and a sample that spells a length too many is refused.
+// arrives last, samples before the headers and scripts they name, and
+// lengths that arrive in two fields parse to the same record, and a sample
+// that spells a length too many is refused.
 func TestParseRecordMetaFieldOrder(t *testing.T) {
 	data, want := writeTestRecord(t, buildSamples(t, 5))
 	for _, tc := range []struct{ groupsLast, splitLens bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
@@ -87,7 +103,7 @@ func TestParseRecordMetaFieldOrder(t *testing.T) {
 			t.Fatalf("%+v: %v", tc, err)
 		}
 		if got.NumGroups != want.NumGroups || got.BodyStart != int64(len(spelled)-len(data))+want.BodyStart ||
-			!reflect.DeepEqual(got.Samples, want.Samples) {
+			!reflect.DeepEqual(got.Samples, want.Samples) || !reflect.DeepEqual(got.Headers, want.Headers) {
 			t.Fatalf("%+v: parsed record differs from the one written", tc)
 		}
 		for i := range want.Samples {
@@ -106,8 +122,26 @@ func TestParseRecordMetaFieldOrder(t *testing.T) {
 	}
 	extra := *want
 	extra.Samples = append([]SampleMeta(nil), want.Samples...)
-	extra.Samples[2].GroupLens = append(append([]int64(nil), want.Samples[2].GroupLens...), 1)
+	extra.Samples[2].scanLens = append(append([]int64(nil), want.Samples[2].scanLens...), 1)
 	if _, err := ParseRecordMeta(respell(data, &extra, true, true)); err == nil {
-		t.Fatal("a sample with one group length too many was accepted")
+		t.Fatal("a sample with one scan length too many was accepted")
+	}
+}
+
+// BenchmarkSampleJPEG reassembles every sample of a 32-sample record at two,
+// five and all scan groups — what a read pays per image before it decodes.
+func BenchmarkSampleJPEG(b *testing.B) {
+	data, meta := writeTestRecord(b, buildSamples(b, 32))
+	for _, g := range []int{2, 5, meta.NumGroups} {
+		b.Run(fmt.Sprintf("groups=%d", g), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				for i := range meta.Samples {
+					if _, err := meta.SampleJPEG(data, i, g); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -1,25 +1,28 @@
 // Package core implements Progressive Compressed Records (PCRs), the
 // paper's storage format. A PCR file stores a batch of progressively
 // compressed images rearranged by scan group: first a metadata section
-// (labels, per-image JPEG headers, and the offset table), then scan group 1
-// of every image, then scan group 2 of every image, and so on.
+// (labels, the record's distinct JPEG headers — stored once and referenced
+// by index — and the length of every slice), then scan group 1, then scan
+// group 2, and so on. Each scan group opens with a preamble: the Huffman
+// tables (DHT) and scan header (SOS) of each of its scans, which all the
+// record's images of a kind share. Every image's slice of the group follows
+// — its entropy-coded data of those scans and nothing else.
 //
 // Reading the file prefix up to scan group k therefore yields every image in
-// the record at quality level k with one sequential read. Reading all groups
-// costs the same bytes as the conventional JPEG dataset (±5%), so the layout
-// adds no space overhead — the paper's key property.
+// the record at quality level k with one sequential read, and pays for the
+// JPEG framing once per record instead of once per image. Reading all groups
+// costs fewer bytes than the conventional JPEG dataset: the layout adds no
+// space overhead, and sharing the framing takes some away.
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"image"
 	"io"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/jpegc"
@@ -27,7 +30,7 @@ import (
 )
 
 // Magic identifies a PCR record file.
-var Magic = [4]byte{'P', 'C', 'R', '1'}
+var Magic = [4]byte{'P', 'C', 'R', '2'}
 
 // ErrCorrupt reports a structurally damaged record: a truncated prefix read,
 // a bad magic number, or a metadata section that does not parse. It is
@@ -36,33 +39,60 @@ var Magic = [4]byte{'P', 'C', 'R', '1'}
 var ErrCorrupt = errors.New("corrupt record")
 
 // Sample is one labeled encoded image handed to the record writer. JPEG may
-// be baseline or progressive; baseline inputs are losslessly transcoded.
+// be baseline or progressive; either is losslessly transcoded.
 type Sample struct {
 	ID    int64
 	Label int64
 	JPEG  []byte
 }
 
-// SampleMeta describes one image inside a record: its identity, its JPEG
-// header bytes (SOI through SOF — everything before the first scan), and
-// the byte length of each of its scan groups.
+// SampleMeta describes one image inside a record: its identity, the header
+// it shares, and the byte length of its slice of each scan group.
 type SampleMeta struct {
-	ID        int64
-	Label     int64
-	Header    []byte
+	ID    int64
+	Label int64
+	// Header indexes RecordMeta.Headers.
+	Header int
+	// GroupLens[g-1] is the length of the sample's slice of scan group g:
+	// its entropy-coded data of the group's scans, no framing.
 	GroupLens []int64
+
+	// scanLens[j] is the length of its data of scan j of its script; a
+	// slice holds those of the scans in its group, back to back.
+	scanLens []int64
+}
+
+// RecordHeader is one distinct stream header of a record, SOI through SOF,
+// and the scan script its samples are coded with: what indexes the script's
+// framing in each group's preamble.
+type RecordHeader struct {
+	JPEG   []byte
+	Script int
 }
 
 // RecordMeta is the parsed metadata section of a PCR file plus derived
 // offset tables.
+//
+// The body is scan group 1, then scan group 2, and so on. Scan j of a
+// script of S scans lands in group j·NumGroups/maxS, maxS being the longest
+// script's scan count, so a group holds a contiguous run of every script's
+// scans: one scan each when NumGroups is maxS, several when the writer
+// coalesced them (RecordOptions.ScanGroups). A group is its preamble — for
+// each script in order, the framing (DHT and SOS) of each of its scans in
+// the group — followed by every sample's slice, in sample order.
 type RecordMeta struct {
 	NumGroups int
+	Headers   []RecordHeader
 	Samples   []SampleMeta
 
 	// BodyStart is the file offset where scan group 1 begins.
 	BodyStart int64
-	// groupSize[g-1] is the total byte length of scan group g.
-	groupSize []int64
+
+	scripts  []recordScript
+	maxScans int // the longest script's scan count
+	// prefix[g] is PrefixLen(g); preamble[g-1] is scan group g's preamble
+	// length.
+	prefix, preamble []int64
 	// sampleOffset[(g-1)*len(Samples)+i] is the offset of sample i's slice
 	// within group g.
 	sampleOffset []int64
@@ -75,28 +105,44 @@ func (m *RecordMeta) PrefixLen(g int) (int64, error) {
 	if g < 0 || g > m.NumGroups {
 		return 0, fmt.Errorf("core: scan group %d out of range [0,%d]", g, m.NumGroups)
 	}
-	n := m.BodyStart
-	for k := 1; k <= g; k++ {
-		n += m.groupSize[k-1]
-	}
-	return n, nil
+	return m.prefix[g], nil
 }
 
 // TotalLen returns the full record file size.
 func (m *RecordMeta) TotalLen() int64 {
-	n, _ := m.PrefixLen(m.NumGroups)
-	return n
+	return m.prefix[m.NumGroups]
+}
+
+// scanRange returns the scans of a script of n scans that scan group k+1
+// holds: [lo, hi).
+func (m *RecordMeta) scanRange(k, n int) (lo, hi int) {
+	first := func(k int) int { return min((k*m.maxScans+m.NumGroups-1)/m.NumGroups, n) }
+	return first(k), first(k + 1)
+}
+
+// recordScript is one scan script of a record: framing[j] is the length of
+// scan j's framing (its DHT and SOS), at[j] where that framing starts in its
+// group's preamble; scan group k+1 holds scans first[k] up to first[k+1],
+// whose framing is framed[k+1]-framed[k] bytes.
+type recordScript struct {
+	framing, at   []int64
+	first, framed []int64
 }
 
 // Field numbers for the record metadata wire message.
 const (
 	fieldNumGroups = 1
 	fieldSample    = 2
+	fieldHeader    = 3
+	fieldScript    = 4 // packed: each scan's framing length
 
-	sfID        = 1
-	sfLabel     = 2
-	sfHeader    = 3
-	sfGroupLens = 4
+	sfID       = 1
+	sfLabel    = 2
+	sfHeader   = 3
+	sfScanLens = 4
+
+	hfJPEG   = 1
+	hfScript = 2
 )
 
 // RecordOptions tune record layout.
@@ -119,152 +165,131 @@ func WriteRecord(w io.Writer, samples []Sample) (*RecordMeta, error) {
 	return WriteRecordOpts(w, samples, nil)
 }
 
-// prepared is one sample ready to be laid out: its metadata entry and its
-// scan bytes, scans[k] belonging to scan group k+1.
-type prepared struct {
-	meta  SampleMeta
-	scans [][]byte
+// recordBuilder is what a record write reuses from record to record: the
+// coder's buffers and the record's bytes.
+type recordBuilder struct {
+	coder  jpegc.RecordCoder
+	inputs [][]byte
+	meta   wire.Encoder
+	sub    wire.Encoder
+	lens   []uint64
+	record []byte
 }
 
-// prepare indexes a sample's scans, transcoding it to progressive form
-// first if it is not.
-func prepare(s Sample) (prepared, error) {
-	data := s.JPEG
-	idx, err := jpegc.IndexScans(data)
-	if err != nil {
-		return prepared{}, fmt.Errorf("core: sample %d: %w", s.ID, err)
+// spare is the one builder kept between records, so a process that writes
+// records one after another — every writer in this repository — grows a
+// record's token arenas, megabytes for 32 photographs, once rather than per
+// record. It keeps one builder's buffers for the life of the process. A
+// write that finds it taken codes with a builder of its own, which is
+// dropped unless spare is empty when the write ends.
+var spare atomic.Pointer[recordBuilder]
+
+func getBuilder() *recordBuilder {
+	if b := spare.Swap(nil); b != nil {
+		return b
 	}
-	if !idx.Progressive {
-		data, err = jpegc.Transcode(data, &jpegc.Options{Progressive: true})
-		if err != nil {
-			return prepared{}, fmt.Errorf("core: sample %d: transcode: %w", s.ID, err)
-		}
-		idx, err = jpegc.IndexScans(data)
-		if err != nil {
-			return prepared{}, fmt.Errorf("core: sample %d: %w", s.ID, err)
-		}
-	}
-	p := prepared{
-		meta:  SampleMeta{ID: s.ID, Label: s.Label, Header: append([]byte(nil), data[:idx.HeaderLen]...)},
-		scans: make([][]byte, len(idx.Scans)),
-	}
-	for k, sc := range idx.Scans {
-		p.scans[k] = data[sc.Offset : sc.Offset+sc.Length]
-	}
-	return p, nil
+	return new(recordBuilder)
 }
 
-// prepareAll prepares every sample, on as many goroutines as there are
-// processors to run them: the transcode is all of an ingest's CPU time and
-// the samples of a record are independent. Results are placed by index, so
-// the record does not depend on the schedule, and when samples fail the
-// error is that of the first one in record order.
-func prepareAll(samples []Sample) ([]prepared, error) {
-	preps := make([]prepared, len(samples))
-	errs := make([]error, len(samples))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(samples)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(samples); i = int(next.Add(1)) - 1 {
-				preps[i], errs[i] = prepare(samples[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return preps, nil
+func putBuilder(b *recordBuilder) {
+	spare.CompareAndSwap(nil, b)
 }
 
-// WriteRecordOpts is WriteRecord with layout options. It hands w the record
-// in a few large writes.
+// WriteRecordOpts is WriteRecord with layout options. The samples are coded
+// together (jpegc.RecordCoder): one header per kind of image and one set of
+// Huffman tables per scan, shared by the whole record. It hands w the
+// record in one write.
 func WriteRecordOpts(w io.Writer, samples []Sample, opts *RecordOptions) (*RecordMeta, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: empty record")
 	}
-	preps, err := prepareAll(samples)
+	b := getBuilder()
+	defer putBuilder(b)
+	for _, s := range samples {
+		b.inputs = append(b.inputs, s.JPEG)
+	}
+	rec, err := b.coder.Transcode(b.inputs)
+	clear(b.inputs)
+	b.inputs = b.inputs[:0]
 	if err != nil {
-		return nil, err
+		if ie, ok := err.(*jpegc.ImageError); ok {
+			return nil, fmt.Errorf("core: sample %d: %w", samples[ie.Index].ID, ie.Err)
+		}
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	numGroups := 0
-	for i := range preps {
-		numGroups = max(numGroups, len(preps[i].scans))
+	for _, script := range rec.Scripts {
+		numGroups = max(numGroups, len(script))
 	}
-
-	// Coalesce scans into the requested number of scan groups. Scan s
-	// (0-based, of numGroups total) lands in bucket s*k/numGroups, so the
-	// buckets are contiguous scan ranges and grayscale images (fewer scans)
-	// stay aligned with color ones.
 	if k := optScanGroups(opts); k > 0 && k < numGroups {
-		for i := range preps {
-			grouped := make([][]byte, k)
-			for s, scan := range preps[i].scans {
-				g := s * k / numGroups
-				grouped[g] = append(grouped[g], scan...)
-			}
-			preps[i].scans = grouped
-		}
 		numGroups = k
 	}
 
-	// Metadata section, and the parsed form of it that is returned.
-	m := &RecordMeta{NumGroups: numGroups, Samples: make([]SampleMeta, len(preps))}
-	enc := wire.NewEncoder(nil)
-	enc.Uint64(fieldNumGroups, uint64(numGroups))
-	lens := make([]uint64, numGroups)
-	for i := range preps {
-		p := &preps[i]
-		p.meta.GroupLens = make([]int64, numGroups)
-		for g := range lens {
-			lens[g] = 0
-			if g < len(p.scans) {
-				lens[g] = uint64(len(p.scans[g]))
-			}
-			p.meta.GroupLens[g] = int64(lens[g])
-		}
-		sub := wire.NewEncoder(nil)
-		sub.Uint64(sfID, uint64(p.meta.ID))
-		sub.Int64(sfLabel, p.meta.Label)
-		sub.Bytes(sfHeader, p.meta.Header)
-		sub.PackedUint64(sfGroupLens, lens)
-		enc.Bytes(fieldSample, sub.Encode())
-		m.Samples[i] = p.meta
+	section := b.encodeMeta(rec, samples, numGroups)
+	out := append(b.record[:0], Magic[:]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(section)))
+	out = append(out, section...)
+	// The metadata returned is parsed from a copy of what is written, and
+	// lays the body out: the writer and every reader slice by one
+	// arithmetic.
+	m, err := ParseRecordMeta(bytes.Clone(out))
+	if err != nil {
+		return nil, err
 	}
-	meta := enc.Encode()
-	m.BodyStart = int64(8 + len(meta))
-	m.buildOffsets()
-
-	bw := bufio.NewWriterSize(w, recordWriteBuffer)
-	var hdr [8]byte
-	copy(hdr[0:4], Magic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(meta)))
-	bw.Write(hdr[:])
-	bw.Write(meta)
-	// Body: scan groups in order; within a group, samples in order.
-	for g := 0; g < numGroups; g++ {
-		for i := range preps {
-			if g < len(preps[i].scans) {
-				bw.Write(preps[i].scans[g])
+	for k := 0; k < numGroups; k++ {
+		for _, script := range rec.Scripts {
+			lo, hi := m.scanRange(k, len(script))
+			for _, framing := range script[lo:hi] {
+				out = append(out, framing...)
+			}
+		}
+		for _, img := range rec.Images {
+			lo, hi := m.scanRange(k, len(img.Scans))
+			for _, data := range img.Scans[lo:hi] {
+				out = append(out, data...)
 			}
 		}
 	}
-	// A failed write sticks to bw: Flush reports the first one.
-	if err := bw.Flush(); err != nil {
+	b.record = out
+	if _, err := w.Write(out); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return m, nil
 }
 
-// recordWriteBuffer is the size of the writes WriteRecordOpts issues: a
-// record of 32 photographs goes out in a handful instead of one per sample
-// and scan group.
-const recordWriteBuffer = 64 << 10
+// encodeMeta encodes the metadata section of a coded record.
+func (b *recordBuilder) encodeMeta(rec *jpegc.CodedRecord, samples []Sample, numGroups int) []byte {
+	enc, sub := &b.meta, &b.sub
+	enc.Reset()
+	enc.Uint64(fieldNumGroups, uint64(numGroups))
+	for _, script := range rec.Scripts {
+		enc.PackedUint64(fieldScript, b.lensOf(script))
+	}
+	for _, h := range rec.Headers {
+		sub.Reset()
+		sub.Bytes(hfJPEG, h.JPEG)
+		sub.Uint64(hfScript, uint64(h.Script))
+		enc.Bytes(fieldHeader, sub.Encode())
+	}
+	for i, img := range rec.Images {
+		sub.Reset()
+		sub.Uint64(sfID, uint64(samples[i].ID))
+		sub.Int64(sfLabel, samples[i].Label)
+		sub.Uint64(sfHeader, uint64(img.Header))
+		sub.PackedUint64(sfScanLens, b.lensOf(img.Scans))
+		enc.Bytes(fieldSample, sub.Encode())
+	}
+	return enc.Encode()
+}
+
+// lensOf returns the lengths of parts, in a buffer the next call reuses.
+func (b *recordBuilder) lensOf(parts [][]byte) []uint64 {
+	b.lens = b.lens[:0]
+	for _, p := range parts {
+		b.lens = append(b.lens, uint64(len(p)))
+	}
+	return b.lens
+}
 
 func optScanGroups(opts *RecordOptions) int {
 	if opts == nil {
@@ -277,8 +302,8 @@ func optScanGroups(opts *RecordOptions) int {
 // least the magic, the length word, and the metadata bytes (a PrefixLen(0)
 // read suffices; longer prefixes and whole files also work).
 //
-// The returned RecordMeta aliases data — every sample's Header is a slice of
-// it — so it is valid for as long as data is left unmodified.
+// The returned RecordMeta aliases data — every header is a slice of it — so
+// it is valid for as long as data is left unmodified.
 func ParseRecordMeta(data []byte) (*RecordMeta, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("core: %w: short record header", ErrCorrupt)
@@ -290,107 +315,224 @@ func ParseRecordMeta(data []byte) (*RecordMeta, error) {
 	if len(data) < 8+metaLen {
 		return nil, fmt.Errorf("core: %w: short metadata section (%d < %d)", ErrCorrupt, len(data)-8, metaLen)
 	}
+	section := data[8 : 8+metaLen]
 	m := &RecordMeta{BodyStart: int64(8 + metaLen)}
 	// Any wire-level decode failure inside the metadata section is
 	// structural damage, so the whole parse reports as ErrCorrupt.
-	lens, err := parseRecordFields(data[8:8+metaLen], m)
-	if err != nil {
+	if err := parseRecordFields(section, m); err != nil {
 		return nil, fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
 	}
-	if m.NumGroups <= 0 {
-		return nil, fmt.Errorf("core: %w: record has no scan groups", ErrCorrupt)
-	}
-	// No writer makes an empty record, and without a sample to hold it to,
-	// NumGroups — which sizes the offset table — would be any number the
-	// file cares to spell.
-	if len(m.Samples) == 0 {
-		return nil, fmt.Errorf("core: %w: record has no samples", ErrCorrupt)
-	}
-	// Each sample's GroupLens so far only counts the lengths it spelled (the
-	// group count may follow the samples); now that every count can be held
-	// to NumGroups, slice them out of the one array they were decoded into.
-	for i := range m.Samples {
-		s := &m.Samples[i]
-		if len(s.GroupLens) != m.NumGroups {
-			return nil, fmt.Errorf("core: %w: sample %d has %d group lengths, want %d", ErrCorrupt, i, len(s.GroupLens), m.NumGroups)
-		}
-		s.GroupLens = lens[i*m.NumGroups : (i+1)*m.NumGroups : (i+1)*m.NumGroups]
-	}
-	// The slice lengths become offsets into the file: none may be negative
-	// and their running sum must stay an int64, or SampleJPEG would index
-	// before the start of the prefix it is given.
-	total := m.BodyStart
-	for k, n := range lens {
-		if n < 0 || total+n < total {
-			return nil, fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, k/m.NumGroups, uint64(n), k%m.NumGroups+1)
-		}
-		total += n
+	if err := m.check(len(section)); err != nil {
+		return nil, fmt.Errorf("core: %w: %w", ErrCorrupt, err)
 	}
 	m.buildOffsets()
 	return m, nil
 }
 
-// parseRecordFields fills m from the metadata section and returns every
-// sample's group lengths in one array, sample after sample; until the caller
-// has checked the counts, Samples[i].GroupLens is only as long as the lengths
-// sample i spelled. Nothing is sized by a number the section merely spells:
-// Samples by the sample fields present, the array by the bytes present.
-func parseRecordFields(section []byte, m *RecordMeta) (lens []int64, err error) {
-	n := 0
+// check holds a parsed section to what every table derived from it needs:
+// references in range, as many slice lengths as each sample's script has
+// scans, no negative length and a total that stays an int64 — so that
+// SampleJPEG never indexes before the start of the prefix it is given — and
+// offset tables no larger than the section that spelled them.
+func (m *RecordMeta) check(sectionLen int) error {
+	// No writer makes an empty record, and without a sample to hold it to,
+	// NumGroups — which sizes the offset tables — would be any number the
+	// file cares to spell.
+	if len(m.Samples) == 0 {
+		return fmt.Errorf("record has no samples")
+	}
+	for _, sc := range m.scripts {
+		m.maxScans = max(m.maxScans, len(sc.framing))
+	}
+	if m.NumGroups <= 0 || m.NumGroups > m.maxScans {
+		return fmt.Errorf("record has %d scan groups for scripts of up to %d scans", m.NumGroups, m.maxScans)
+	}
+	// Every sample spells more bytes than it has groups; a section that
+	// does not is no writer's, and would size the tables beyond itself.
+	if int64(m.NumGroups)*int64(len(m.Samples)) > int64(sectionLen) {
+		return fmt.Errorf("%d groups × %d samples from a %d-byte section", m.NumGroups, len(m.Samples), sectionLen)
+	}
+	// Nor may the scripts, each of which takes NumGroups+1 entries of two
+	// tables however few scans it has: a writer makes one or two, beside
+	// headers of a hundred bytes and more.
+	if int64(m.NumGroups+1)*int64(len(m.scripts)) > int64(sectionLen) {
+		return fmt.Errorf("%d groups × %d scripts from a %d-byte section", m.NumGroups, len(m.scripts), sectionLen)
+	}
+	for k, h := range m.Headers {
+		if h.Script < 0 || h.Script >= len(m.scripts) {
+			return fmt.Errorf("header %d names script %d of %d", k, h.Script, len(m.scripts))
+		}
+	}
+	total := m.BodyStart
+	add := func(n int64) bool {
+		ok := n >= 0 && total+n >= total
+		total += n
+		return ok
+	}
+	for k, sc := range m.scripts {
+		for j, n := range sc.framing {
+			if !add(n) {
+				return fmt.Errorf("script %d claims %d bytes of framing for scan %d", k, uint64(n), j)
+			}
+		}
+	}
+	for i := range m.Samples {
+		s := &m.Samples[i]
+		if s.Header < 0 || s.Header >= len(m.Headers) {
+			return fmt.Errorf("sample %d names header %d of %d", i, s.Header, len(m.Headers))
+		}
+		if want := len(m.scripts[m.Headers[s.Header].Script].framing); len(s.scanLens) != want {
+			return fmt.Errorf("sample %d has %d scan lengths, its script %d scans", i, len(s.scanLens), want)
+		}
+		for j, n := range s.scanLens {
+			if !add(n) {
+				return fmt.Errorf("sample %d claims %d bytes of scan %d", i, uint64(n), j)
+			}
+		}
+	}
+	return nil
+}
+
+// parseRecordFields fills m from the metadata section. Nothing is sized by a
+// number the section merely spells: the samples, headers and scripts by the
+// fields present, the arrays of lengths by the bytes present. Each sample's
+// scan lengths and each script's framing lengths are decoded into one array
+// apiece and sliced out of it once the section is read.
+func parseRecordFields(section []byte, m *RecordMeta) error {
+	var counts [5]int // by field number
 	for d := wire.NewDecoder(section); !d.Done(); {
 		field, wtype, err := d.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if field == fieldSample {
-			n++
+		if field < len(counts) {
+			counts[field]++
 		}
 		if err := d.Skip(wtype); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	m.Samples = make([]SampleMeta, 0, n)
+	m.Samples = make([]SampleMeta, 0, counts[fieldSample])
+	m.Headers = make([]RecordHeader, 0, counts[fieldHeader])
+	m.scripts = make([]recordScript, 0, counts[fieldScript])
+	var lens, frames []int64
 	d := wire.NewDecoder(section)
 	for !d.Done() {
 		field, wtype, err := d.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch field {
 		case fieldNumGroups:
 			v, err := d.Uint64()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			m.NumGroups = int(v)
+		case fieldScript:
+			packed, err := d.Bytes()
+			if err != nil {
+				return err
+			}
+			from := len(frames)
+			if frames, err = appendPacked(frames, packed); err != nil {
+				return err
+			}
+			m.scripts = append(m.scripts, recordScript{framing: frames[from:]})
+		case fieldHeader:
+			raw, err := d.Bytes()
+			if err != nil {
+				return err
+			}
+			var h RecordHeader
+			if err := parseHeader(raw, &h); err != nil {
+				return err
+			}
+			m.Headers = append(m.Headers, h)
 		case fieldSample:
 			raw, err := d.Bytes()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			var sm SampleMeta
 			from := len(lens)
 			if lens, err = parseSampleMeta(raw, &sm, lens); err != nil {
-				return nil, err
+				return err
 			}
-			sm.GroupLens = lens[from:]
+			sm.scanLens = lens[from:]
 			m.Samples = append(m.Samples, sm)
 			if len(m.Samples) == 1 {
-				// A writer gives every sample as many lengths as the first;
-				// a length is at least a byte of the section.
-				lens = slices.Grow(lens, min((n-1)*len(lens), len(section)))
+				// A writer gives most samples as many lengths as the
+				// first; a length is at least a byte of the section.
+				lens = slices.Grow(lens, min((counts[fieldSample]-1)*len(lens), len(section)))
 			}
 		default:
 			if err := d.Skip(wtype); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return lens, nil
+	// The arrays may have moved as they grew: slice every sample's and
+	// every script's lengths out of where they ended up.
+	off := 0
+	for k := range m.scripts {
+		n := len(m.scripts[k].framing)
+		m.scripts[k].framing = frames[off : off+n : off+n]
+		off += n
+	}
+	off = 0
+	for i := range m.Samples {
+		n := len(m.Samples[i].scanLens)
+		m.Samples[i].scanLens = lens[off : off+n : off+n]
+		off += n
+	}
+	return nil
 }
 
-// parseSampleMeta fills sm from one sample message, appending its group
-// lengths to lens. sm.Header aliases raw.
+// appendPacked appends the varints of a packed field to vs, growing vs at
+// most once: there are no more of them than bytes.
+func appendPacked(vs []int64, packed []byte) ([]int64, error) {
+	vs = slices.Grow(vs, len(packed))
+	for p := wire.NewDecoder(packed); !p.Done(); {
+		v, err := p.Uint64()
+		if err != nil {
+			return vs, err
+		}
+		vs = append(vs, int64(v))
+	}
+	return vs, nil
+}
+
+// parseHeader fills h from one header message; h.JPEG aliases raw.
+func parseHeader(raw []byte, h *RecordHeader) error {
+	d := wire.NewDecoder(raw)
+	for !d.Done() {
+		field, wtype, err := d.Next()
+		if err != nil {
+			return err
+		}
+		switch field {
+		case hfJPEG:
+			if h.JPEG, err = d.Bytes(); err != nil {
+				return err
+			}
+		case hfScript:
+			v, err := d.Uint64()
+			if err != nil {
+				return err
+			}
+			h.Script = int(v)
+		default:
+			if err := d.Skip(wtype); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// parseSampleMeta fills sm from one sample message, appending its scan
+// lengths to lens.
 func parseSampleMeta(raw []byte, sm *SampleMeta, lens []int64) ([]int64, error) {
 	d := wire.NewDecoder(raw)
 	for !d.Done() {
@@ -410,20 +552,18 @@ func parseSampleMeta(raw []byte, sm *SampleMeta, lens []int64) ([]int64, error) 
 				return lens, err
 			}
 		case sfHeader:
-			if sm.Header, err = d.Bytes(); err != nil {
+			v, err := d.Uint64()
+			if err != nil {
 				return lens, err
 			}
-		case sfGroupLens:
+			sm.Header = int(v)
+		case sfScanLens:
 			packed, err := d.Bytes()
 			if err != nil {
 				return lens, err
 			}
-			for p := wire.NewDecoder(packed); !p.Done(); {
-				v, err := p.Uint64()
-				if err != nil {
-					return lens, err
-				}
-				lens = append(lens, int64(v))
+			if lens, err = appendPacked(lens, packed); err != nil {
+				return lens, err
 			}
 		default:
 			if err := d.Skip(wtype); err != nil {
@@ -434,25 +574,99 @@ func parseSampleMeta(raw []byte, sm *SampleMeta, lens []int64) ([]int64, error) 
 	return lens, nil
 }
 
-// buildOffsets derives the offset tables from the samples' group lengths, in
-// one allocation.
+// buildOffsets derives, in one allocation, every sample's group lengths and
+// the offset tables from the checked lengths.
 func (m *RecordMeta) buildOffsets() {
-	n := len(m.Samples)
-	table := make([]int64, m.NumGroups*(n+1))
-	m.groupSize, m.sampleOffset = table[:m.NumGroups:m.NumGroups], table[m.NumGroups:]
-	for g := 0; g < m.NumGroups; g++ {
-		var off int64
-		for i := range m.Samples {
-			m.sampleOffset[g*n+i] = off
-			off += m.Samples[i].GroupLens[g]
+	n, ng := len(m.Samples), m.NumGroups
+	nf := 0
+	for _, sc := range m.scripts {
+		nf += len(sc.framing)
+	}
+	table := make([]int64, (ng+1)+ng+2*ng*n+nf+2*(ng+1)*len(m.scripts))
+	carve := func(k int) []int64 {
+		s := table[:k:k]
+		table = table[k:]
+		return s
+	}
+	m.prefix, m.preamble, m.sampleOffset = carve(ng+1), carve(ng), carve(ng*n)
+	for k := range m.scripts {
+		sc := &m.scripts[k]
+		sc.at, sc.first, sc.framed = carve(len(sc.framing)), carve(ng+1), carve(ng+1)
+		for g := range ng {
+			lo, hi := m.scanRange(g, len(sc.framing))
+			sc.first[g], sc.first[g+1], sc.framed[g+1] = int64(lo), int64(hi), sc.framed[g]
+			for j := lo; j < hi; j++ {
+				sc.at[j] = m.preamble[g]
+				m.preamble[g] += sc.framing[j]
+				sc.framed[g+1] += sc.framing[j]
+			}
 		}
-		m.groupSize[g] = off
+	}
+	// A sample's group lengths sum its scans group by group; each slice
+	// starts where the one before it in the group ends, the first where
+	// the preamble does. prefix[g+1] runs along group g until the end,
+	// when it becomes the prefix length.
+	copy(m.prefix[1:], m.preamble)
+	for i := range m.Samples {
+		s := &m.Samples[i]
+		first := m.scripts[m.Headers[s.Header].Script].first
+		s.GroupLens = carve(ng)
+		g := 0
+		for j, l := range s.scanLens {
+			for int64(j) >= first[g+1] {
+				g++
+			}
+			s.GroupLens[g] += l
+		}
+		for g, l := range s.GroupLens {
+			m.sampleOffset[g*n+i] = m.prefix[g+1]
+			m.prefix[g+1] += l
+		}
+	}
+	m.prefix[0] = m.BodyStart
+	for g := range ng {
+		m.prefix[g+1] += m.prefix[g]
 	}
 }
 
+// splice builds sample i's stream at scan group g in one allocation of
+// exactly its size: its header; for each group, the framing of each of its
+// scans there, from the group's preamble, followed by its data of that scan,
+// from its slice; then EOI. group(k) returns group k+1's preamble and the
+// sample's slice of it, and is called once per group, in order. It is the
+// one place a stream is put together: SampleJPEG takes the pieces from a
+// record prefix, AssembleSamples from a gathered body. The caller has held
+// the sample's group lengths to the bytes it has; a slice is exactly as long
+// as the sample's scans in its group, which buildOffsets summed over the same
+// scans this walks.
+func (m *RecordMeta) splice(i, g int, group func(k int) (preamble, slice []byte)) []byte {
+	s := &m.Samples[i]
+	h := &m.Headers[s.Header]
+	sc := &m.scripts[h.Script]
+	size := int64(len(h.JPEG)) + 2 + sc.framed[g]
+	for _, l := range s.GroupLens[:g] {
+		size += l
+	}
+	out := make([]byte, size)
+	w := copy(out, h.JPEG)
+	scanLens, framing, at, first := s.scanLens, sc.framing, sc.at, sc.first
+	for k := range g {
+		pre, slice := group(k)
+		for j := first[k]; j < first[k+1]; j++ {
+			n := scanLens[j]
+			w += copy(out[w:], pre[at[j]:at[j]+framing[j]])
+			w += copy(out[w:], slice[:n])
+			slice = slice[n:]
+		}
+	}
+	copy(out[w:], []byte{0xFF, 0xD9}) // EOI
+	return out
+}
+
 // SampleJPEG reassembles sample i as a decodable JPEG stream at scan group
-// g: its header, its slices of groups 1..g, and a terminating EOI. prefix
-// must hold at least PrefixLen(g) bytes of the record file.
+// g: its header, the framing and its data of every scan in groups 1..g, and
+// a terminating EOI. prefix must hold at least PrefixLen(g) bytes of the
+// record file.
 func (m *RecordMeta) SampleJPEG(prefix []byte, i, g int) ([]byte, error) {
 	if i < 0 || i >= len(m.Samples) {
 		return nil, fmt.Errorf("core: sample %d out of range", i)
@@ -460,34 +674,22 @@ func (m *RecordMeta) SampleJPEG(prefix []byte, i, g int) ([]byte, error) {
 	if g < 1 || g > m.NumGroups {
 		return nil, fmt.Errorf("core: scan group %d out of range [1,%d]", g, m.NumGroups)
 	}
-	need, err := m.PrefixLen(g)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(prefix)) < need {
+	if need := m.prefix[g]; int64(len(prefix)) < need {
 		return nil, fmt.Errorf("core: prefix has %d bytes, scan group %d needs %d", len(prefix), g, need)
 	}
-	s := &m.Samples[i]
-	// The stream is allocated once, at its size: header, slices, EOI. The
-	// lengths come from the record file, so they are held to the bytes there
-	// are before anything is sized by them.
-	body := 0
-	for k, n := range s.GroupLens[:g] {
-		if n < 0 || n > int64(len(prefix)-body) {
-			return nil, fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, i, n, k+1)
+	// The stream is sized by the sample's lengths, so they are held to the
+	// bytes there are before anything is sized or sliced by them.
+	n, lens := len(m.Samples), m.Samples[i].GroupLens
+	for k, l := range lens[:g] {
+		if l < 0 || l > int64(len(prefix))-m.prefix[k]-m.sampleOffset[k*n+i] {
+			return nil, fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, i, l, k+1)
 		}
-		body += int(n)
 	}
-	out := make([]byte, 0, len(s.Header)+body+2)
-	out = append(out, s.Header...)
-	groupStart := m.BodyStart
-	for k := 0; k < g; k++ {
-		off := groupStart + m.sampleOffset[k*len(m.Samples)+i]
-		out = append(out, prefix[off:off+s.GroupLens[k]]...)
-		groupStart += m.groupSize[k]
-	}
-	out = append(out, 0xFF, 0xD9) // EOI
-	return out, nil
+	return m.splice(i, g, func(k int) ([]byte, []byte) {
+		start := m.prefix[k]
+		off := start + m.sampleOffset[k*n+i]
+		return prefix[start : start+m.preamble[k]], prefix[off : off+lens[k]]
+	}), nil
 }
 
 // DecodeSample reassembles and decodes sample i at scan group g.

@@ -21,10 +21,11 @@ type ByteRange struct {
 
 // SampleRanges returns the sorted, coalesced byte ranges of the record file
 // that must be read to materialize the selected samples at scan group g:
-// the metadata section plus, for each group k ≤ g, the selected samples'
-// slices within group k. sel must have exactly Samples elements. Selecting
-// every sample coalesces to the single range [0, Prefixes[g]); selecting
-// none yields just the metadata section.
+// the metadata section plus, for each group k ≤ g, the group's preamble (the
+// framing its samples share) and the selected samples' slices within group
+// k. A group's preamble is what of its bytes the samples' slices leave: the
+// prefix delta less their lengths. sel must have exactly Samples elements.
+// Selecting every sample coalesces to the single range [0, Prefixes[g]).
 //
 // Both the server and the client compute ranges with this function from the
 // same immutable index, which is what makes the pushdown wire format a
@@ -55,7 +56,11 @@ func (r *RecordInfo) SampleRanges(g int, sel []bool) ([]ByteRange, error) {
 	}
 	add(0, prefixes[0]) // metadata section
 	for k := 1; k <= g; k++ {
-		off := prefixes[k-1]
+		off := prefixes[k]
+		for i := 0; i < samples; i++ {
+			off -= lens[i*ng+(k-1)]
+		}
+		add(prefixes[k-1], off-prefixes[k-1]) // preamble
 		for i := 0; i < samples; i++ {
 			l := lens[i*ng+(k-1)]
 			if sel[i] {
@@ -94,10 +99,11 @@ func GatherRanges(buf []byte, ranges []ByteRange) ([]byte, error) {
 // ScatterRanges is the inverse of GatherRanges: it copies the concatenated
 // range bytes back to their record-file offsets within a sparse prefix
 // buffer of the given size. Unfilled bytes are zero; RecordMeta.SampleJPEG
-// only touches the selected samples' slices, so the sparse buffer decodes
-// those samples identically to a full prefix read. The read path assembles
-// straight from the gathered bytes (AssembleSamples); this is the reference
-// its tests hold it to.
+// only touches the groups' preambles and the selected samples' slices, all
+// of them among the ranges, so the sparse buffer decodes those samples
+// identically to a full prefix read. The read path assembles straight from
+// the gathered bytes (AssembleSamples); this is the reference its tests
+// hold it to.
 func ScatterRanges(concat []byte, ranges []ByteRange, size int64) ([]byte, error) {
 	if want := RangesTotal(ranges); int64(len(concat)) != want {
 		return nil, fmt.Errorf("core: %w: pushdown body has %d bytes, ranges total %d", ErrCorrupt, len(concat), want)
@@ -116,14 +122,14 @@ func ScatterRanges(concat []byte, ranges []ByteRange, size int64) ([]byte, error
 
 // AssembleSamples reassembles the samples sel selects at scan group g
 // straight from a gathered body: the bytes of SampleRanges(g, sel) in order,
-// which are the metadata section followed by the selected samples' slices,
-// group by group and in sample order within a group. It returns the parsed
-// metadata, which aliases body, and one JPEG stream per sample — the stream
-// SampleJPEG builds from a full prefix — nil for the samples not selected.
-// A body that is not exactly as long as its own metadata says the selection
-// is, a selection of the wrong length and a group the record does not store
-// are refused as ErrCorrupt: the index the read was planned from and the
-// record disagree.
+// which are the metadata section followed, group by group, by the group's
+// preamble and the selected samples' slices in sample order. It returns the
+// parsed metadata, which aliases body, and one JPEG stream per sample — the
+// stream SampleJPEG builds from a full prefix — nil for the samples not
+// selected. A body that is not exactly as long as its own metadata says the
+// selection is, a selection of the wrong length and a group the record does
+// not store are refused as ErrCorrupt: the index the read was planned from
+// and the record disagree.
 func AssembleSamples(body []byte, g int, sel []bool) (*RecordMeta, [][]byte, error) {
 	m, err := ParseRecordMeta(body)
 	if err != nil {
@@ -135,43 +141,36 @@ func AssembleSamples(body []byte, g int, sel []bool) (*RecordMeta, [][]byte, err
 	if len(sel) != len(m.Samples) {
 		return nil, nil, fmt.Errorf("core: %w: selection has %d entries, record has %d samples", ErrCorrupt, len(sel), len(m.Samples))
 	}
-	// The body's length is held to the plan before anything is sized or
-	// sliced by the lengths in it.
-	want := m.BodyStart
-	for i, s := range m.Samples {
-		if sel[i] {
-			for _, n := range s.GroupLens[:g] {
-				want += n
+	// Where each group's preamble and its first selected slice start in the
+	// body. The body's length is held to the plan before anything is sliced
+	// by the lengths in it.
+	pos := make([]int64, 2*g)
+	pre, next := pos[:g], pos[g:]
+	at := m.BodyStart
+	for k := range g {
+		pre[k] = at
+		at += m.preamble[k]
+		next[k] = at
+		for i, s := range m.Samples {
+			if sel[i] {
+				at += s.GroupLens[k]
 			}
 		}
 	}
-	if int64(len(body)) != want {
-		return nil, nil, fmt.Errorf("core: %w: gathered body has %d bytes, the selection spans %d", ErrCorrupt, len(body), want)
+	if int64(len(body)) != at {
+		return nil, nil, fmt.Errorf("core: %w: gathered body has %d bytes, the selection spans %d", ErrCorrupt, len(body), at)
 	}
 	streams := make([][]byte, len(sel))
-	for i, s := range m.Samples {
-		if sel[i] {
-			size := len(s.Header) + 2
-			for _, n := range s.GroupLens[:g] {
-				size += int(n)
-			}
-			streams[i] = append(make([]byte, 0, size), s.Header...)
+	for i, on := range sel {
+		if !on {
+			continue
 		}
-	}
-	cur := m.BodyStart
-	for k := 0; k < g; k++ {
-		for i := range streams {
-			if sel[i] {
-				n := m.Samples[i].GroupLens[k]
-				streams[i] = append(streams[i], body[cur:cur+n]...)
-				cur += n
-			}
-		}
-	}
-	for i := range streams {
-		if sel[i] {
-			streams[i] = append(streams[i], 0xFF, 0xD9) // EOI
-		}
+		lens := m.Samples[i].GroupLens
+		streams[i] = m.splice(i, g, func(k int) ([]byte, []byte) {
+			slice := body[next[k] : next[k]+lens[k]]
+			next[k] += lens[k]
+			return body[pre[k] : pre[k]+m.preamble[k]], slice
+		})
 	}
 	return m, streams, nil
 }
@@ -209,8 +208,9 @@ func (ds *Dataset) SampleRanges(i, g int, sel []bool) ([]ByteRange, error) {
 // validate checks one record entry, however it arrived (index JSON, the
 // metadata database, a caller's Index): a name, a non-negative metadata
 // prefix, and a side index whose arrays match Samples × groups with
-// non-negative slice lengths that sum, group by group, to the (non-negative)
-// prefix deltas. Every violation is ErrCorrupt.
+// non-negative slice lengths that sum, group by group, to no more than the
+// (non-negative) prefix deltas — what they leave is the group's preamble.
+// Every violation is ErrCorrupt.
 func (r *RecordInfo) validate() error {
 	if r.Name == "" || len(r.Prefixes) == 0 || r.Prefixes[0] < 0 {
 		return fmt.Errorf("%w: record entry needs a name and a non-negative metadata prefix", ErrCorrupt)
@@ -237,9 +237,6 @@ func (r *RecordInfo) validate() error {
 					ErrCorrupt, i, l, k, delta)
 			}
 			left -= l
-		}
-		if left != 0 {
-			return fmt.Errorf("%w: group %d sample lengths sum to %d, prefix delta is %d", ErrCorrupt, k, delta-left, delta)
 		}
 	}
 	return nil

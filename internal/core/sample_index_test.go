@@ -199,7 +199,7 @@ func TestIndexFingerprintPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "dc6db38cc983544649ccac10dd2cc9af"; got != want {
+	if want := "e5c6f4a079bc811fd9724475f785f268"; got != want {
 		t.Fatalf("IndexFingerprint = %s, want %s", got, want)
 	}
 }
@@ -273,7 +273,11 @@ var corruptEntries = []struct {
 	{"labels length", func(re *RecordInfo) { re.SampleLabels = append(re.SampleLabels, 9) }},
 	{"lens length", func(re *RecordInfo) { re.SampleGroupLens = re.SampleGroupLens[:len(re.SampleGroupLens)-1] }},
 	{"negative len", func(re *RecordInfo) { re.SampleGroupLens[0] = -1 }},
-	{"sum mismatch", func(re *RecordInfo) { re.SampleGroupLens[0]++ }},
+	{"sum mismatch", func(re *RecordInfo) {
+		// Group 1's lengths past its prefix delta: more than the group
+		// holds, whatever its preamble.
+		re.SampleGroupLens[0] += re.Prefixes[1] - re.Prefixes[0]
+	}},
 	{"lengths wrap to the sum", func(re *RecordInfo) {
 		// Group 1 of four samples: every length non-negative, and a sum
 		// that is the prefix delta plus 2^64.

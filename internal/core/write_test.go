@@ -143,10 +143,10 @@ func TestWriteRecordIssuesFewWrites(t *testing.T) {
 	if int64(w.bytes) != meta.TotalLen() {
 		t.Fatalf("wrote %d bytes, record is %d", w.bytes, meta.TotalLen())
 	}
-	// One write per buffer-full and one for the rest — not one per
-	// (scan group, sample), which would be 120 here.
-	if most := w.bytes/recordWriteBuffer + 1; w.calls > most {
-		t.Errorf("%d writes for a %d-byte record, want at most %d", w.calls, w.bytes, most)
+	// One write for the whole record — not one per (scan group, sample),
+	// which would be 120 here.
+	if w.calls != 1 {
+		t.Errorf("%d writes for a %d-byte record, want 1", w.calls, w.bytes)
 	}
 
 	// A failing destination is reported, not swallowed by the buffer.

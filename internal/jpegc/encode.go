@@ -274,6 +274,6 @@ func (s *scratch) writeBaselineScan(optimize bool) error {
 		return err
 	}
 	s.w.out = appendSOS(s.w.out, ScanSpec{Comps: comps, Ss: 0, Se: 63}, true, true)
-	s.emitTokens()
+	emitTokens(&s.w, s.toks, &s.enc)
 	return nil
 }

@@ -56,17 +56,16 @@ func (s *scratch) rawBits(v uint64, n uint) {
 	}
 }
 
-// emitTokens replays the recorded tokens through the tables built from
-// their frequencies. The bit accumulator stays in locals: each token, its
-// code and value bits together, is one shift and OR into it.
-func (s *scratch) emitTokens() {
-	w := &s.w
+// emitTokens replays toks through the encoders enc, indexed by table, into
+// w, and flushes w to a byte boundary. The bit accumulator stays in locals:
+// each token, its code and value bits together, is one shift and OR into it.
+func emitTokens(w *bitWriter, toks []uint32, enc *[4]huffEncoder) {
 	acc, nbit := w.acc, w.nbit
-	for _, tok := range s.toks {
+	for _, tok := range toks {
 		n := uint(tok >> tokNBit & 31)
 		v := uint64(tok & 0xFFFF)
 		if tok&tokRaw == 0 {
-			code, size := s.enc[tok>>tokTableBit&3].lookup(byte(tok >> tokSymbolBit))
+			code, size := enc[tok>>tokTableBit&3].lookup(byte(tok >> tokSymbolBit))
 			v |= uint64(code) << n
 			n += size
 		}
@@ -81,33 +80,34 @@ func (s *scratch) emitTokens() {
 	w.flush()
 }
 
-// writeScan emits the DHT (when Huffman tables are needed), SOS header, and
-// entropy-coded data for one scan of the script.
-func (s *scratch) writeScan(scan ScanSpec) error {
-	// The tables the scan codes through, in DHT order: one per slot its
-	// components use. A DC refinement scan is raw bits and has none.
-	dcFirst := scan.isDC() && scan.Ah == 0
-	tables := make([]int, 0, 2)
-	if dcFirst || !scan.isDC() {
-		class := 0
-		if !scan.isDC() {
-			class = tableAC
-		}
-		var used [2]bool
-		for _, c := range scan.Comps {
-			used[tableSlot(c)] = true
-		}
-		for slot, u := range used {
-			if u {
-				tables = append(tables, class|slot)
-				s.freq[class|slot] = freqCounter{}
-			}
+// scanTables appends to dst the indices of the tables scan codes through,
+// in DHT order: one per slot its components use. A DC refinement scan is raw
+// bits and has none.
+func scanTables(dst []int, scan ScanSpec) []int {
+	if scan.isDC() && scan.Ah != 0 {
+		return dst
+	}
+	class := 0
+	if !scan.isDC() {
+		class = tableAC
+	}
+	var used [2]bool
+	for _, c := range scan.Comps {
+		used[tableSlot(c)] = true
+	}
+	for slot, u := range used {
+		if u {
+			dst = append(dst, class|slot)
 		}
 	}
+	return dst
+}
 
-	s.toks = s.toks[:0]
+// walkScan records scan's tokens after those already in s.toks, counting
+// its symbols into s.freq.
+func (s *scratch) walkScan(scan ScanSpec) {
 	switch {
-	case dcFirst:
+	case scan.isDC() && scan.Ah == 0:
 		s.walkDCFirst(scan)
 	case scan.isDC():
 		s.walkDCRefine(scan)
@@ -116,12 +116,22 @@ func (s *scratch) writeScan(scan ScanSpec) error {
 	default:
 		s.walkACRefine(scan)
 	}
+}
 
+// writeScan emits the DHT (when Huffman tables are needed), SOS header, and
+// entropy-coded data for one scan of the script.
+func (s *scratch) writeScan(scan ScanSpec) error {
+	tables := scanTables(make([]int, 0, 2), scan)
+	for _, t := range tables {
+		s.freq[t] = freqCounter{}
+	}
+	s.toks = s.toks[:0]
+	s.walkScan(scan)
 	if err := s.writeTables(tables, false); err != nil {
 		return err
 	}
-	s.w.out = appendSOS(s.w.out, scan, dcFirst, !scan.isDC())
-	s.emitTokens()
+	s.w.out = appendSOS(s.w.out, scan, scan.isDC() && scan.Ah == 0, !scan.isDC())
+	emitTokens(&s.w, s.toks, &s.enc)
 	return nil
 }
 
@@ -129,11 +139,7 @@ func (s *scratch) writeScan(scan ScanSpec) error {
 // optimal table for the frequencies counted, or the Annex K one when std is
 // set — and emits the tables in one DHT segment, in the order listed.
 func (s *scratch) writeTables(tables []int, std bool) error {
-	if len(tables) == 0 {
-		return nil
-	}
 	var specs [4]*huffSpec
-	n := 0
 	for _, t := range tables {
 		specs[t] = stdSpecs[t]
 		if !std {
@@ -143,16 +149,28 @@ func (s *scratch) writeTables(tables []int, std bool) error {
 		if err := s.enc[t].build(specs[t]); err != nil {
 			return err
 		}
+	}
+	s.w.out = appendDHT(s.w.out, tables, &specs)
+	return nil
+}
+
+// appendDHT appends one DHT segment holding the listed tables in order,
+// specs being indexed by table index; nothing when the list is empty.
+func appendDHT(out []byte, tables []int, specs *[4]*huffSpec) []byte {
+	if len(tables) == 0 {
+		return out
+	}
+	n := 0
+	for _, t := range tables {
 		n += 1 + 16 + len(specs[t].vals)
 	}
-	out := appendSegment(s.w.out, mDHT, n)
+	out = appendSegment(out, mDHT, n)
 	for _, t := range tables {
 		out = append(out, byte(t>>1)<<4|byte(t&1)) // class (0 = DC, 1 = AC), slot
 		out = append(out, specs[t].bits[:]...)
 		out = append(out, specs[t].vals...)
 	}
-	s.w.out = out
-	return nil
+	return out
 }
 
 // walkDCFirst codes the DC band's first pass: difference coding of

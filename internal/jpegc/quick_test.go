@@ -292,7 +292,8 @@ func oneCodeScan(w *bitWriter, class, sym byte, size uint, spec ScanSpec, n int)
 // checkDims allows, which is what bounds the allocation a header can ask
 // for, or with sample planes that do not cover it. And the transcode is
 // lossless on whatever it accepts: its output decodes to the input's image,
-// sample for sample.
+// sample for sample; and so is the record coder, which codes it beside
+// another image with shared tables: both keep their coefficients.
 func FuzzDecode(f *testing.F) {
 	base, err := Encode(testImage(32, 32, 3), &Options{Quality: 70})
 	if err != nil {
@@ -353,6 +354,23 @@ func FuzzDecode(f *testing.F) {
 		}
 		if err := sameImage(got, img); err != nil {
 			t.Fatalf("transcode changed the image: %v", err)
+		}
+		// Coded as a record beside another image, with the tables they
+		// share, each of the two keeps its coefficients.
+		inputs := [][]byte{data, base}
+		rec, err := new(RecordCoder).Transcode(inputs)
+		if err != nil {
+			t.Fatalf("RecordCoder refuses what Transcode accepts: %v", err)
+		}
+		for i, stream := range recordStreams(rec) {
+			got, err := decoded(stream)
+			if err != nil {
+				t.Fatalf("record image %d does not decode: %v", i, err)
+			}
+			want, _ := decoded(inputs[i])
+			if err := sameCoeffs(got, want); err != nil {
+				t.Fatalf("record image %d: %v", i, err)
+			}
 		}
 	})
 }

@@ -236,23 +236,32 @@ func (s *PCRSet) TestFeatures(g int) ([][]float64, error) {
 }
 
 // SampleSizes reports one train image's storage footprint inside its
-// record: header bytes plus per-scan-group byte lengths.
+// record: its share of the record's framing — the metadata section and the
+// scan groups' preambles, which the record's images share — plus per-scan-
+// group byte lengths of its own slices.
 type SampleSizes struct {
 	HeaderLen int64
 	GroupLens []int64
 }
 
 // SampleGroupLens returns the per-image size breakdown of every train
-// sample in record-major order (the Figure 16/31 data).
+// sample in record-major order (the Figure 16/31 data). A record's framing
+// is split evenly over its images, so that a record's sizes add up to its
+// file.
 func (s *PCRSet) SampleGroupLens() []SampleSizes {
 	var out []SampleSizes
 	for _, m := range s.metas {
+		shared, n := m.TotalLen(), int64(len(m.Samples))
 		for i := range m.Samples {
-			sm := &m.Samples[i]
-			lens := append([]int64(nil), sm.GroupLens...)
+			for _, l := range m.Samples[i].GroupLens {
+				shared -= l
+			}
+		}
+		for i := range m.Samples {
+			k := int64(i)
 			out = append(out, SampleSizes{
-				HeaderLen: int64(len(sm.Header)),
-				GroupLens: lens,
+				HeaderLen: shared*(k+1)/n - shared*k/n,
+				GroupLens: append([]int64(nil), m.Samples[i].GroupLens...),
 			})
 		}
 	}

@@ -255,7 +255,7 @@ func TestRunStaticGolden(t *testing.T) {
 		name      string
 		got, want float64
 	}{
-		{"TotalTimeSec", res.TotalTimeSec, 0.22259945765531003},
+		{"TotalTimeSec", res.TotalTimeSec, 0.20133434828068261},
 		{"FinalAcc", res.FinalAcc, 6.0 / 19},
 		{"first TrainLoss", res.Points[0].TrainLoss, 1.8334632703384777},
 		{"last TrainLoss", res.Points[len(res.Points)-1].TrainLoss, 1.5523396857021083},
