@@ -154,27 +154,16 @@ func runFig15(cfg *Config) error {
 		staticBytes += sink.n
 	}
 
-	// PCR path: one lossless progressive conversion + record creation.
+	// PCR path: one core.WriteRecord per record over the baseline originals.
+	// The record coder decodes each input and codes the record's scans with
+	// shared tables in the same pass, so the conversion and the record
+	// layout are one cost and are timed once.
 	t0 := time.Now()
-	var progressive [][]byte
-	for _, data := range originals {
-		out, err := jpegc.Transcode(data, &jpegc.Options{Progressive: true})
-		if err != nil {
-			return err
-		}
-		progressive = append(progressive, out)
-	}
-	pcrConvert := time.Since(t0)
-	t0 = time.Now()
 	var pcrBytes int64
-	for start := 0; start < len(progressive); start += 16 {
-		end := start + 16
-		if end > len(progressive) {
-			end = len(progressive)
-		}
+	for start := 0; start < len(originals); start += 16 {
 		var samples []core.Sample
-		for i := start; i < end; i++ {
-			samples = append(samples, core.Sample{ID: int64(i), JPEG: progressive[i]})
+		for i := start; i < min(start+16, len(originals)); i++ {
+			samples = append(samples, core.Sample{ID: int64(i), JPEG: originals[i]})
 		}
 		var sink countWriter
 		if _, err := core.WriteRecord(&sink, samples); err != nil {
@@ -182,17 +171,18 @@ func runFig15(cfg *Config) error {
 		}
 		pcrBytes += sink.n
 	}
-	pcrRecord := time.Since(t0)
+	pcrConvert := time.Since(t0)
 
 	fmt.Fprintf(cfg.Out, "%-22s %14s %14s %14s %12s\n", "Method", "Convert", "Record", "Total", "Bytes")
 	fmt.Fprintf(cfg.Out, "%-22s %14v %14v %14v %12d\n", "Static x4 qualities",
 		staticConvert.Round(time.Millisecond), staticRecord.Round(time.Millisecond),
 		(staticConvert + staticRecord).Round(time.Millisecond), staticBytes)
-	fmt.Fprintf(cfg.Out, "%-22s %14v %14v %14v %12d\n", "PCR (one conversion)",
-		pcrConvert.Round(time.Millisecond), pcrRecord.Round(time.Millisecond),
-		(pcrConvert + pcrRecord).Round(time.Millisecond), pcrBytes)
-	ratio := float64(staticConvert+staticRecord) / float64(pcrConvert+pcrRecord)
-	fmt.Fprintf(cfg.Out, "\nstatic/PCR total-time ratio: %.2fx (paper: PCR within 1.13-2.05x of ONE static level,\ni.e. ~4x cheaper than four static levels)\n", ratio)
+	fmt.Fprintf(cfg.Out, "%-22s %14v %14s %14v %12d\n", "PCR (one conversion)",
+		pcrConvert.Round(time.Millisecond), "in Convert", pcrConvert.Round(time.Millisecond), pcrBytes)
+	ratio := float64(staticConvert+staticRecord) / float64(pcrConvert)
+	fmt.Fprintf(cfg.Out, "\nPCR's record is built in its one conversion pass (core.WriteRecord), so its\n"+
+		"record-building share is inside Convert.\n")
+	fmt.Fprintf(cfg.Out, "static/PCR total-time ratio: %.2fx (paper: PCR within 1.13-2.05x of ONE static level,\ni.e. ~4x cheaper than four static levels)\n", ratio)
 	return nil
 }
 

@@ -25,7 +25,10 @@ type DiskCacheStats = diskcache.Stats
 // scan in flight when Close runs observes the close at a sample boundary
 // and terminates with ErrClosed (it never yields partial or corrupt data).
 type Dataset struct {
-	r   formatReader
+	r formatReader
+	// pcr is r when the format is PCR — the record-granular reader every
+	// record read, plan and cache tier belongs to — and nil otherwise.
+	pcr *pcrReader
 	cfg *config
 	// cluster is the fleet-aware client of a remote dataset (nil for
 	// local datasets), kept for ClusterStats.
@@ -35,7 +38,9 @@ type Dataset struct {
 }
 
 func newDataset(r formatReader, cfg *config, cluster *serve.ClusterClient) *Dataset {
-	return &Dataset{r: r, cfg: cfg, cluster: cluster, closed: make(chan struct{})}
+	d := &Dataset{r: r, cfg: cfg, cluster: cluster, closed: make(chan struct{})}
+	d.pcr, _ = r.(*pcrReader)
+	return d
 }
 
 // errScanClosed is how a read that meets a closed dataset ends.
@@ -143,13 +148,12 @@ func (d *Dataset) ScanEncoded(ctx context.Context, q int, opts ...ScanOption) it
 // are scanned: scanEncoded streams every sample in storage order at quality
 // q (1..qualities()), filling Sample.JPEG with a decodable stream, and stops
 // early when ctx is cancelled (yielding ctx.Err()) or the consumer breaks.
-// A formatReader is either this or a recordScanner.
+// Every formatReader but the PCR reader is one.
 type sampleScanner interface {
 	scanEncoded(ctx context.Context, q int) iter.Seq2[Sample, error]
 }
 
 var (
-	_ recordScanner = (*pcrReader)(nil)
 	_ sampleScanner = (*tfrecordReader)(nil)
 	_ sampleScanner = (*fpiReader)(nil)
 )
@@ -210,8 +214,15 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 		return errSeq(err)
 	}
 	var source func(p *pipeline)
-	if rs, ok := d.r.(recordScanner); ok {
-		source = func(p *pipeline) { p.fetch(rs.planScan(qq, sc)) }
+	if d.pcr != nil {
+		// A plan is used up as it is walked: each range gets its own.
+		source = func(p *pipeline) {
+			order := make([]int, d.pcr.ds.NumRecords())
+			for i := range order {
+				order[i] = i
+			}
+			p.fetch(&recordPlan{d: d, order: order, policy: FixedQuality(qq), filter: sc.pred, stats: sc.stats})
+		}
 	} else if decode {
 		source = func(p *pipeline) { p.chunk(d.scanSamples(p.ctx, qq, sc)) }
 	} else {
@@ -232,84 +243,85 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 	}
 }
 
-// recordScanner is the capability behind a scan's record-granular
-// read-ahead: the plan of a storage-order scan. Only the PCR reader has it.
-type recordScanner interface {
-	planScan(q int, sc *scanConfig) planFn
-}
-
 func errSeq(err error) iter.Seq2[Sample, error] {
 	return func(yield func(Sample, error) bool) {
 		yield(Sample{}, err)
 	}
 }
 
-// recordAccessor is the record-granular surface only the PCR format has.
-type recordAccessor interface {
-	numRecords() int
-	recordImages(i int) (int, error)
-	recordPrefixLen(i, q int) (int64, error)
-	readRecord(i, q int) ([]Sample, error)
-	cacheStats() (cache.Stats, bool)
-}
-
 // NumRecords returns the on-disk record count: batched records for PCR, one
 // per image for the baseline formats.
 func (d *Dataset) NumRecords() int {
-	if ra, ok := d.r.(recordAccessor); ok {
-		return ra.numRecords()
+	if d.pcr == nil {
+		return d.r.numImages()
 	}
-	return d.r.numImages()
+	return d.pcr.ds.NumRecords()
+}
+
+// pcrOnly is the PCR reader behind the record-granular methods, or
+// errors.ErrUnsupported naming the format that has none.
+func (d *Dataset) pcrOnly(what string) (*pcrReader, error) {
+	if d.pcr == nil {
+		return nil, fmt.Errorf("pcr: %s on %s format: %w", what, d.cfg.format.Name(), errors.ErrUnsupported)
+	}
+	return d.pcr, nil
 }
 
 // RecordImages returns the image count of record i (PCR format only).
 func (d *Dataset) RecordImages(i int) (int, error) {
-	ra, ok := d.r.(recordAccessor)
-	if !ok {
-		return 0, fmt.Errorf("pcr: record access on %s format: %w", d.cfg.format.Name(), errors.ErrUnsupported)
+	r, err := d.pcrOnly("record access")
+	if err != nil {
+		return 0, err
 	}
-	return ra.recordImages(i)
+	return r.ds.RecordSamples(i)
 }
 
 // RecordPrefixLen returns the bytes one sequential read fetches to
 // materialize record i at quality q (PCR format only). It comes from the
 // record index, not the record file.
 func (d *Dataset) RecordPrefixLen(i, q int) (int64, error) {
-	ra, ok := d.r.(recordAccessor)
-	if !ok {
-		return 0, fmt.Errorf("pcr: record access on %s format: %w", d.cfg.format.Name(), errors.ErrUnsupported)
+	r, err := d.pcrOnly("record access")
+	if err != nil {
+		return 0, err
 	}
 	qq, err := d.resolveQuality(q)
 	if err != nil {
 		return 0, err
 	}
-	return ra.recordPrefixLen(i, qq)
+	return r.recordPrefixLen(i, qq)
 }
 
 // ReadRecordEncoded materializes every image of record i at quality q as
 // reassembled JPEG streams, without decoding — one sequential prefix read
 // (PCR format only).
 func (d *Dataset) ReadRecordEncoded(i, q int) ([]Sample, error) {
-	ra, ok := d.r.(recordAccessor)
-	if !ok {
-		return nil, fmt.Errorf("pcr: record access on %s format: %w", d.cfg.format.Name(), errors.ErrUnsupported)
+	r, err := d.pcrOnly("record access")
+	if err != nil {
+		return nil, err
 	}
 	qq, err := d.resolveQuality(q)
 	if err != nil {
 		return nil, err
 	}
-	return ra.readRecord(i, qq)
+	rr := r.readRecord(i, qq, nil)
+	return rr.samples, rr.err
 }
 
 // ReadRecord materializes every image of record i at quality q — the random
 // access path (PCR format only); Scan is the streaming path. The record is
-// read once and decoded by WithPrefetchWorkers goroutines.
+// read once, as a plan of one record, and decoded by WithPrefetchWorkers
+// goroutines.
 func (d *Dataset) ReadRecord(ctx context.Context, i, q int) ([]Sample, error) {
+	if _, err := d.pcrOnly("record access"); err != nil {
+		return nil, err
+	}
+	qq, err := d.resolveQuality(q)
+	if err != nil {
+		return nil, err
+	}
+	plan := &recordPlan{d: d, order: []int{i}, policy: FixedQuality(qq)}
 	var out []Sample
-	for r, err := range d.pipeline(ctx, true, func(p *pipeline) {
-		samples, err := d.ReadRecordEncoded(i, q)
-		p.emit(recordRead{samples: samples, err: err}, false)
-	}) {
+	for r, err := range d.pipeline(ctx, true, func(p *pipeline) { p.fetch(plan) }) {
 		if err != nil {
 			return nil, err
 		}
@@ -321,10 +333,10 @@ func (d *Dataset) ReadRecord(ctx context.Context, i, q int) ([]Sample, error) {
 // CacheStats reports the prefix cache's counters. ok is false when the
 // dataset has no cache (WithCacheBytes unset or a non-PCR format).
 func (d *Dataset) CacheStats() (stats CacheStats, ok bool) {
-	if ra, raOK := d.r.(recordAccessor); raOK {
-		return ra.cacheStats()
+	if d.pcr == nil || d.pcr.cache == nil {
+		return CacheStats{}, false
 	}
-	return CacheStats{}, false
+	return d.pcr.cache.Stats(), true
 }
 
 // ClusterStats reports the remote client's fleet counters — hedged reads,
@@ -337,18 +349,12 @@ func (d *Dataset) ClusterStats() (stats ClusterStats, ok bool) {
 	return d.cluster.Stats(), true
 }
 
-// diskCacheAccessor is implemented by readers carrying a persistent disk
-// cache tier.
-type diskCacheAccessor interface {
-	diskCacheStats() (diskcache.Stats, bool)
-}
-
 // DiskCacheStats reports the persistent disk tier's counters — hits, delta
 // bytes, evictions, and the entries recovery kept or discarded. ok is
 // false when the dataset has no disk cache (WithDiskCache unset).
 func (d *Dataset) DiskCacheStats() (stats DiskCacheStats, ok bool) {
-	if da, daOK := d.r.(diskCacheAccessor); daOK {
-		return da.diskCacheStats()
+	if d.pcr == nil || d.pcr.disk == nil {
+		return DiskCacheStats{}, false
 	}
-	return DiskCacheStats{}, false
+	return d.pcr.disk.Stats(), true
 }

@@ -14,7 +14,7 @@ func (l *Loader) EpochOrder(epoch int) []int { return l.epochOrder(epoch) }
 // SelectedCount is how many samples of record i the side index says pred
 // selects.
 func (d *Dataset) SelectedCount(i int, pred Predicate) int {
-	_, nsel, err := d.r.(*pcrReader).selection(i, pred)
+	_, nsel, err := d.pcr.selection(i, pred)
 	if err != nil {
 		panic(err)
 	}
@@ -27,16 +27,23 @@ func (d *Dataset) ReadRecordFiltered(i, q int, pred Predicate) (samples []Sample
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	r := d.r.(*pcrReader)
-	sel, _, err := r.selection(i, pred)
+	sel, _, err := d.pcr.selection(i, pred)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return r.readRecordFiltered(i, qq, sel)
+	full, err := d.pcr.recordPrefixLen(i, qq)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	rr := d.pcr.readRecord(i, qq, sel)
+	if rr.err != nil {
+		return nil, 0, 0, rr.err
+	}
+	return rr.samples, rr.bytes, full - rr.bytes, nil
 }
 
 // WrapBackend puts wrap(backend) under a PCR dataset's reads.
 func (d *Dataset) WrapBackend(wrap func(core.Backend) core.Backend) {
-	ds := d.r.(*pcrReader).ds
+	ds := d.pcr.ds
 	ds.SetBackend(wrap(ds.Backend()))
 }

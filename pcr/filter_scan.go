@@ -110,7 +110,10 @@ func applyScanOptions(opts []ScanOption) (*scanConfig, error) {
 	if sc.stats != nil && sc.pred == nil {
 		return nil, fmt.Errorf("pcr: WithFilterStats requires WithFilter")
 	}
-	if sc.stats != nil {
+	if sc.stats == nil {
+		// A filtered scan always counts; WithFilterStats only says where.
+		sc.stats = new(FilterStats)
+	} else {
 		// Stored atomically: a Snapshot may already be polling.
 		for _, field := range []*int64{&sc.stats.Selected, &sc.stats.Skipped, &sc.stats.RecordsSkipped, &sc.stats.BytesRead, &sc.stats.BytesAvoided} {
 			atomic.StoreInt64(field, 0)
@@ -148,24 +151,10 @@ func (d *Dataset) PlanFilter(pred Predicate, q int) (FilterPlan, error) {
 	if err != nil {
 		return FilterPlan{}, err
 	}
-	fp, ok := d.r.(filterPlanner)
-	if !ok {
+	if d.pcr == nil {
 		return FilterPlan{}, fmt.Errorf("pcr: PlanFilter on %s format: filtering is post-read, no plan to compute", d.cfg.format.Name())
 	}
-	return fp.planFilter(pred, qq)
-}
-
-// filterPlanner is the format capability behind PlanFilter.
-type filterPlanner interface {
-	planFilter(pred Predicate, qq int) (FilterPlan, error)
-}
-
-// filteredRecordReader is the record-granular capability behind the
-// Loader's WithLoaderFilter and a filtered scan alike: one record's
-// side-index selection, the skip of a record it leaves empty, and the
-// filtered (possibly sparse) read. Only the PCR reader implements it.
-type filteredRecordReader interface {
-	planFiltered(i, q int, pred Predicate, stats *FilterStats) (nsel int, read func() recordRead, err error)
+	return d.pcr.planFilter(pred, qq)
 }
 
 // filterSeq composes a pure selection stage onto an encoded scan — the
@@ -178,14 +167,10 @@ func filterSeq(seq iter.Seq2[Sample, error], pred Predicate, stats *FilterStats)
 				return
 			}
 			if !pred.Matches(s.ID, s.Label) {
-				if stats != nil {
-					stats.addSamples(0, 1)
-				}
+				stats.addSamples(0, 1)
 				continue
 			}
-			if stats != nil {
-				stats.addSamples(1, 0)
-			}
+			stats.addSamples(1, 0)
 			if !yield(s, nil) {
 				return
 			}

@@ -25,8 +25,8 @@ type formatWriter interface {
 }
 
 // formatReader is the read half a Format must provide, beside the way it is
-// scanned: a recordScanner's plan (PCR) or a sampleScanner's stream (the
-// baselines).
+// scanned: the PCR reader's record plan (pipeline.go) or, for the baselines,
+// a sampleScanner's stream.
 type formatReader interface {
 	// numImages is the total stored image count.
 	numImages() int

@@ -2,7 +2,6 @@ package pcr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"math/rand"
@@ -11,7 +10,7 @@ import (
 )
 
 // Batch is one assembled training batch: BatchSize decoded samples (the
-// final batch of an epoch may be shorter unless WithDropRemainder is set).
+// final batch of an epoch may be shorter).
 type Batch struct {
 	// Epoch is the epoch this batch belongs to.
 	Epoch int
@@ -102,7 +101,6 @@ type Loader struct {
 	window  int
 	seed    int64
 	policy  QualityPolicy
-	dropRem bool
 	filter  Predicate
 
 	records []int // this shard's record indices in storage order
@@ -132,7 +130,6 @@ type loaderConfig struct {
 	window    int
 	seed      int64
 	policy    QualityPolicy
-	dropRem   bool
 	filter    Predicate
 	resume    Checkpoint
 	hasResume bool
@@ -258,31 +255,17 @@ func WithLoaderFilter(pred Predicate) LoaderOption {
 	}
 }
 
-// WithDropRemainder drops an epoch's final short batch instead of yielding
-// it (fixed-shape training steps).
-func WithDropRemainder() LoaderOption {
-	return func(c *loaderConfig) error {
-		c.dropRem = true
-		return nil
-	}
-}
-
 // NewLoader builds a Loader over an opened Dataset. The dataset must be a
 // record-granular format (PCR, local or remote); baseline formats have no
 // record random access and report errors.ErrUnsupported.
 func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
-	if _, ok := ds.r.(recordAccessor); !ok {
-		return nil, fmt.Errorf("pcr: loader on %s format: %w", ds.cfg.format.Name(), errors.ErrUnsupported)
+	if _, err := ds.pcrOnly("loader"); err != nil {
+		return nil, err
 	}
 	cfg := &loaderConfig{batch: 32, shards: 1, window: 16, seed: 1, policy: FixedQuality(Full)}
 	for _, opt := range opts {
 		if err := opt(cfg); err != nil {
 			return nil, err
-		}
-	}
-	if cfg.filter != nil {
-		if _, ok := ds.r.(filteredRecordReader); !ok {
-			return nil, fmt.Errorf("pcr: loader filter on %s format: %w", ds.cfg.format.Name(), errors.ErrUnsupported)
 		}
 	}
 	if ds.cfg.indexShards > 0 && cfg.shards > 1 {
@@ -297,7 +280,6 @@ func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
 		window:    cfg.window,
 		seed:      cfg.seed,
 		policy:    cfg.policy,
-		dropRem:   cfg.dropRem,
 		filter:    cfg.filter,
 		resume:    cfg.resume,
 		hasResume: cfg.hasResume,
@@ -389,7 +371,10 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 		if l.hasResume && epoch == l.resume.Epoch {
 			base = l.resume.Batch
 		}
-		plan := &epochPlan{l: l, epoch: epoch, order: l.epochOrder(epoch), skip: base * l.batch}
+		plan := &recordPlan{
+			d: l.ds, order: l.epochOrder(epoch), policy: l.policy, epoch: epoch,
+			filter: l.filter, stats: new(FilterStats), skip: base * l.batch,
+		}
 
 		stats := EpochStats{Epoch: epoch}
 		cur := make([]Sample, 0, l.batch)
@@ -411,7 +396,7 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 			return yield(b, nil)
 		}
 		waiting := time.Now() // since when the consumer has been in the pipeline's hands
-		for r, err := range l.ds.pipeline(ctx, true, func(p *pipeline) { p.fetch(plan.next) }) {
+		for r, err := range l.ds.pipeline(ctx, true, func(p *pipeline) { p.fetch(plan) }) {
 			stats.Stall += time.Since(waiting)
 			if err != nil {
 				yield(Batch{}, err)
@@ -434,12 +419,12 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 			waiting = time.Now()
 		}
 		stats.Stall += time.Since(waiting)
-		if len(cur) > 0 && !l.dropRem && !flush() {
+		if len(cur) > 0 && !flush() {
 			return
 		}
 		stats.Wall = time.Since(start)
 		// The plan's filter counters are complete: the pipeline has drained.
-		filtered := plan.filtered.Snapshot()
+		filtered := plan.stats.Snapshot()
 		stats.SkippedImages, stats.BytesAvoided = int(filtered.Skipped), filtered.BytesAvoided
 		if s := stats.Wall.Seconds(); s > 0 {
 			stats.ImagesPerSec = float64(stats.Images) / s
@@ -451,93 +436,6 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 		l.last, l.hasLast = stats, true
 		l.mu.Unlock()
 	}
-}
-
-// epochPlan is the plan stage of one epoch: the shuffled visit order walked
-// once, deciding per record — from the index, the filter's side-index
-// selection and the policy — whether it is read, at what quality, and from
-// which sample on.
-type epochPlan struct {
-	l     *Loader
-	epoch int
-	order []int // records still to visit
-	// skip is what remains of the resume prefix, in samples. Records wholly
-	// inside it are skipped without a read — their image counts come from
-	// the index — so only the record straddling its end is read and
-	// partially discarded.
-	skip int
-	// What the filter skipped and saved. Reads add to it from their fetch
-	// goroutines; the consumer reads it once the pipeline has drained.
-	filtered FilterStats
-}
-
-// next implements planFn.
-func (p *epochPlan) next() (func() recordRead, bool) {
-	for len(p.order) > 0 {
-		rec := p.order[0]
-		p.order = p.order[1:]
-		read, err := p.plan(rec)
-		if err != nil {
-			return failedRead(err), true
-		}
-		if read != nil {
-			return read, true
-		}
-	}
-	return nil, false
-}
-
-// plan is next's step for one record: its read, or nil when nothing of it
-// is to be delivered — the filter selects none of it, or all it would
-// deliver lies inside the resume prefix. Without a filter the policy is
-// asked only about a record that is read; a filter's empty-record accounting
-// is in bytes at a quality, so under one the policy is asked about every
-// record visited.
-func (p *epochPlan) plan(rec int) (func() recordRead, error) {
-	l := p.l
-	n, err := l.ds.RecordImages(rec)
-	if err != nil {
-		return nil, err
-	}
-	if l.filter == nil && p.skip >= n {
-		p.skip -= n
-		return nil, nil
-	}
-	qq, err := l.ds.resolveQuality(l.policy.RecordQuality(p.epoch, rec))
-	if err != nil {
-		return nil, err
-	}
-	var read func() recordRead
-	if l.filter == nil {
-		read = func() recordRead { return l.readWhole(rec, qq) }
-	} else if n, read, err = l.ds.r.(filteredRecordReader).planFiltered(rec, qq, l.filter, &p.filtered); err != nil {
-		return nil, err
-	} else if p.skip >= n { // an empty record (n = 0) among them
-		p.skip -= n
-		return nil, nil
-	}
-	if obs, ok := l.policy.(qualityObserver); ok {
-		obs.observeQuality(qq)
-	}
-	from := p.skip
-	p.skip = 0
-	return func() recordRead {
-		rr := read()
-		rr.samples = rr.samples[min(from, len(rr.samples)):]
-		return rr
-	}, nil
-}
-
-// readWhole is one unfiltered fetch: record rec's prefix at quality q, with
-// its accounting.
-func (l *Loader) readWhole(rec, q int) recordRead {
-	var rr recordRead
-	if rr.quality, rr.err = l.ds.resolveQuality(q); rr.err == nil {
-		if rr.bytes, rr.err = l.ds.RecordPrefixLen(rec, q); rr.err == nil {
-			rr.samples, rr.err = l.ds.ReadRecordEncoded(rec, q)
-		}
-	}
-	return rr
 }
 
 // LastEpochStats returns the statistics of the most recently completed

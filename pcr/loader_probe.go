@@ -61,26 +61,12 @@ func (p *Probe) Batches(ctx context.Context, q, n int) (batches []Batch, bytes i
 	rng := rand.New(rand.NewSource(l.epochSeed(-1 - p.seq)))
 	order := append([]int(nil), l.records...)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
 	// The plan is the draw cut off where n batches are covered, which the
 	// index says without a read: no record beyond that is fetched.
-	need := n * l.batch
-	next := func() (func() recordRead, bool) {
-		if need <= 0 || len(order) == 0 {
-			return nil, false
-		}
-		rec := order[0]
-		order = order[1:]
-		images, err := l.ds.RecordImages(rec)
-		if err != nil {
-			return failedRead(err), true
-		}
-		need -= images
-		return func() recordRead { return l.readWhole(rec, q) }, true
-	}
+	plan := &recordPlan{d: l.ds, order: order, policy: FixedQuality(q), need: n * l.batch}
 	cur := make([]Sample, 0, l.batch)
 fill:
-	for r, err := range l.ds.pipeline(ctx, true, func(p *pipeline) { p.fetch(next) }) {
+	for r, err := range l.ds.pipeline(ctx, true, func(p *pipeline) { p.fetch(plan) }) {
 		if err != nil {
 			return nil, bytes, err
 		}

@@ -146,8 +146,8 @@ func TestLoaderShardPartition(t *testing.T) {
 	}
 }
 
-// TestLoaderBatchAssembly checks batch sizes with and without the final
-// short batch.
+// TestLoaderBatchAssembly checks that every batch but the last is full and
+// that the batches cover the epoch.
 func TestLoaderBatchAssembly(t *testing.T) {
 	dir, n := synthDir(t, pcr.WithImagesPerRecord(4))
 	ds, err := pcr.Open(dir)
@@ -181,19 +181,6 @@ func TestLoaderBatchAssembly(t *testing.T) {
 	stats, _ := l.LastEpochStats()
 	if stats.Batches != len(sizes) || stats.Images != n {
 		t.Fatalf("stats report %d batches / %d images, want %d / %d", stats.Batches, stats.Images, len(sizes), n)
-	}
-
-	ld, err := pcr.NewLoader(ds, pcr.WithBatchSize(batch), pcr.WithDropRemainder())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, err := range ld.Epoch(context.Background(), 0) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b.Samples) != batch {
-			t.Fatalf("drop-remainder batch has %d samples, want %d", len(b.Samples), batch)
-		}
 	}
 }
 
@@ -525,7 +512,6 @@ type epochSpec struct {
 	epoch, quality int
 	batch, window  int
 	shard, shards  int
-	dropRem        bool
 	resume         int // batches already delivered; -1 for a fresh epoch
 	pred           pcr.Predicate
 }
@@ -533,9 +519,6 @@ type epochSpec struct {
 func (sp epochSpec) options() []pcr.LoaderOption {
 	opts := []pcr.LoaderOption{pcr.WithBatchSize(sp.batch), pcr.WithShuffleWindow(sp.window),
 		pcr.WithShard(sp.shard, sp.shards), pcr.WithLoaderSeed(17), pcr.WithQuality(sp.quality)}
-	if sp.dropRem {
-		opts = append(opts, pcr.WithDropRemainder())
-	}
 	if sp.pred != nil {
 		opts = append(opts, pcr.WithLoaderFilter(sp.pred))
 	}
@@ -606,7 +589,7 @@ func referenceEpoch(t *testing.T, ds *pcr.Dataset, sp epochSpec) delivered {
 		}
 		skip = 0
 	}
-	if len(cur) > 0 && !sp.dropRem {
+	if len(cur) > 0 {
 		flush()
 	}
 	return out
@@ -642,7 +625,7 @@ func runEpoch(t *testing.T, ds *pcr.Dataset, sp epochSpec) delivered {
 }
 
 // TestLoaderPipelineEquivalence is the property the pipeline has to keep:
-// whatever the shuffle window, batch size, shard, remainder policy, resume
+// whatever the shuffle window, batch size, shard, resume
 // position and filter, locally or over the wire, with reads completing out
 // of order, Epoch yields exactly the samples, batch boundaries, checkpoint
 // positions and counters of the serial reference.
@@ -664,7 +647,6 @@ func TestLoaderPipelineEquivalence(t *testing.T) {
 				batch:   []int{1, 7, 32, 50}[rng.Intn(4)],
 				window:  []int{1, 8, ref.NumRecords()}[rng.Intn(3)],
 				shards:  1 + rng.Intn(2),
-				dropRem: rng.Intn(2) == 0,
 				resume:  -1,
 				pred:    preds[rng.Intn(len(preds))],
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"sync/atomic"
 )
 
 // This file is the one read pipeline behind Loader.Epoch, Probe.Batches,
@@ -11,12 +12,15 @@ import (
 // stages — ScanEncoded runs the first two — and delivers strictly in plan
 // order:
 //
-//	plan   — a planFn walks the records to visit and decides from the index
-//	         alone which are read and how (quality, filter selection, resume
-//	         skip). One goroutine calls it, one record at a time.
-//	fetch  — every planned read runs in its own goroutine, readAhead of them
-//	         at most, and is handed on in plan order however the reads
-//	         complete.
+//	plan   — one planner, recordPlan, walks the records to visit and decides
+//	         from the index alone which are read and how (quality, filter
+//	         selection, resume skip, cut-off). Each caller only fills it in:
+//	         an order, a quality policy or constant, a filter, a skip, a need.
+//	         One goroutine calls it, one record at a time.
+//	fetch  — every planned read is the one record read, pcrReader.readRecord
+//	         (a prefix through the cache tiers, or a filtered sparse gather);
+//	         each runs in its own goroutine, readAhead of them at most, and is
+//	         handed on in plan order however the reads complete.
 //	decode — WithPrefetchWorkers goroutines each take a run of up to runLen
 //	         samples of one record and decode it in place, one completion
 //	         signal per run. A pipeline without this stage hands a record
@@ -49,15 +53,108 @@ type recordRead struct {
 	err     error
 }
 
-// planFn is the plan stage: each call returns the next read to issue, or
-// ok=false at the end of the plan. The read runs on a fetch goroutine of its
-// own; the planFn is called from one goroutine and decides from the index.
-type planFn func() (read func() recordRead, ok bool)
+// recordPlan is the plan stage, and the only one: every record-granular
+// read — Scan and ScanEncoded, Loader.Epoch, Probe.Batches, ReadRecord — is
+// one of these walked by fetch. It visits order once and decides per record,
+// from the index alone, whether the record is read, at what quality and from
+// which sample on. Each read it plans is the one record read,
+// pcrReader.readRecord. One goroutine calls next.
+type recordPlan struct {
+	d     *Dataset
+	order []int // records still to visit
+	// policy is asked for each record's quality (FixedQuality for a
+	// constant): about a record that is read and, under a filter, about
+	// every record visited, since an empty record's accounting is in bytes
+	// at a quality.
+	policy QualityPolicy
+	epoch  int // what the policy is told
+	// filter, when set, restricts each record to the samples its side index
+	// selects; stats (then non-nil) is where the plan and its reads account
+	// for what it selected, skipped and saved.
+	filter Predicate
+	stats  *FilterStats
+	// skip is what remains of a resume prefix, in samples. Records wholly
+	// inside it are skipped without a read — their image counts come from
+	// the index — so only the record straddling its end is read and
+	// partially discarded.
+	skip int
+	// need, when positive, ends the plan once the records planned deliver
+	// that many samples: no record beyond the cut-off is read.
+	need    int
+	planned int
+}
 
-// failedRead plans a read that reports err in its turn, so a plan-time
-// error surfaces after every sample planned before it.
-func failedRead(err error) func() recordRead {
-	return func() recordRead { return recordRead{err: err} }
+// next returns the next read to issue, or ok=false at the end of the plan.
+// A plan-time error is planned as a read that reports it in its turn, so it
+// surfaces after every sample planned before it.
+func (p *recordPlan) next() (func() recordRead, bool) {
+	for len(p.order) > 0 && (p.need <= 0 || p.planned < p.need) {
+		rec := p.order[0]
+		p.order = p.order[1:]
+		read, err := p.record(rec)
+		if err != nil {
+			return func() recordRead { return recordRead{err: err} }, true
+		}
+		if read != nil {
+			return read, true
+		}
+	}
+	return nil, false
+}
+
+// record is next's step for one record: its read, or nil when nothing of it
+// is to be delivered — the filter selects none of it, or all it would
+// deliver lies inside the resume prefix.
+func (p *recordPlan) record(rec int) (func() recordRead, error) {
+	r := p.d.pcr
+	n, err := r.ds.RecordSamples(rec)
+	if err != nil {
+		return nil, err
+	}
+	if p.filter == nil && p.skip >= n {
+		p.skip -= n
+		return nil, nil
+	}
+	q, err := p.d.resolveQuality(p.policy.RecordQuality(p.epoch, rec))
+	if err != nil {
+		return nil, err
+	}
+	var (
+		sel  []bool
+		full int64 // the unfiltered prefix read's bytes
+	)
+	if p.filter != nil {
+		if sel, n, err = r.selection(rec, p.filter); err != nil {
+			return nil, err
+		}
+		if full, err = r.recordPrefixLen(rec, q); err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			p.stats.addSamples(0, int64(len(sel)))
+			p.stats.addBytes(0, full)
+			atomic.AddInt64(&p.stats.RecordsSkipped, 1)
+		}
+		if p.skip >= n { // an empty record (n = 0) among them
+			p.skip -= n
+			return nil, nil
+		}
+	}
+	if obs, ok := p.policy.(qualityObserver); ok {
+		obs.observeQuality(q)
+	}
+	from, stats := p.skip, p.stats
+	p.skip = 0
+	p.planned += n - from
+	return func() recordRead {
+		rr := r.readRecord(rec, q, sel)
+		if sel != nil && rr.err == nil {
+			stats.addSamples(int64(len(rr.samples)), int64(len(sel)-len(rr.samples)))
+			stats.addBytes(rr.bytes, full-rr.bytes)
+		}
+		rr.samples = rr.samples[min(from, len(rr.samples)):]
+		return rr
+	}, nil
 }
 
 // run is up to runLen consecutive samples of one record, decoded in place by
@@ -240,7 +337,7 @@ func (p *pipeline) emit(rr recordRead, token bool) bool {
 // failed read. Backend reads cannot be cancelled, so a read still in flight
 // when the pipeline ends delivers into its buffered slot and its goroutine
 // exits then; nothing waits for it.
-func (p *pipeline) fetch(next planFn) {
+func (p *pipeline) fetch(plan *recordPlan) {
 	// One slot per token, so the planner's sends never block.
 	slots := make(chan chan recordRead, readAhead)
 	go func() {
@@ -251,7 +348,7 @@ func (p *pipeline) fetch(next planFn) {
 			case <-p.ctx.Done():
 				return
 			}
-			read, ok := next()
+			read, ok := plan.next()
 			if !ok {
 				return
 			}

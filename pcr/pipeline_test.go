@@ -285,9 +285,13 @@ func pipelineCancellable(t *testing.T, stream func(ctx context.Context, ds *pcr.
 			// The read of the first record visited goes through; every
 			// other blocks until release is closed.
 			release := make(chan struct{})
+			second := make(chan struct{}) // closed when the second read reaches the store
 			var reads atomic.Int32
 			hook(ds, func(name string) error {
-				if reads.Add(1); name != recordName(0) {
+				if reads.Add(1) == 2 {
+					close(second)
+				}
+				if name != recordName(0) {
 					<-release
 				}
 				return nil
@@ -307,6 +311,14 @@ func pipelineCancellable(t *testing.T, stream func(ctx context.Context, ds *pcr.
 					continue
 				}
 				if tc.stop == nil {
+					// Break once the next read has reached the store: the
+					// read-ahead issues it while the consumer holds this
+					// record, but on a goroutine of its own, so how soon is
+					// up to the scheduler.
+					select {
+					case <-second:
+					case <-time.After(time.Second):
+					}
 					stopped.Store(time.Now().UnixNano())
 					break
 				}
@@ -457,6 +469,67 @@ func TestPipelineScanEncodedEquivalence(t *testing.T) {
 	}
 	if !skippedSome {
 		t.Error("no filter left a record empty: the skip path was not exercised")
+	}
+}
+
+// TestPipelineScanRangesTwice: a Scan or ScanEncoded result is an iterator
+// like any other — ranged twice, one after the other or at once, every range
+// yields the whole scan.
+func TestPipelineScanRangesTwice(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(3))
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	ctx := context.Background()
+	collect := func(seq iter.Seq2[pcr.Sample, error]) ([]sampleKey, error) {
+		var keys []sampleKey
+		for s, err := range seq {
+			if err != nil {
+				return nil, err
+			}
+			keys = append(keys, sampleKey{s.ID, s.Label, sha256.Sum256(s.JPEG)})
+		}
+		return keys, nil
+	}
+	for _, tc := range []struct {
+		name string
+		seq  iter.Seq2[pcr.Sample, error]
+	}{
+		{"encoded", ds.ScanEncoded(ctx, 2)},
+		{"encoded filtered", ds.ScanEncoded(ctx, 2, pcr.WithFilter(pcr.LabelIn(0, 1, 2)))},
+		{"decoded", ds.Scan(ctx, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, err := collect(tc.seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(first) == 0 {
+				t.Fatal("the first range yielded nothing")
+			}
+			var wg sync.WaitGroup
+			got := make([][]sampleKey, 3)
+			errs := make([]error, 3)
+			got[0], errs[0] = collect(tc.seq) // the second, alone
+			for i := 1; i < 3; i++ {          // the third and fourth, at once
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = collect(tc.seq)
+				}()
+			}
+			wg.Wait()
+			for i := range got {
+				if errs[i] != nil {
+					t.Fatalf("range %d: %v", i+2, errs[i])
+				}
+				if !reflect.DeepEqual(got[i], first) {
+					t.Errorf("range %d yielded %d samples, the first %d", i+2, len(got[i]), len(first))
+				}
+			}
+		})
 	}
 }
 

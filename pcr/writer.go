@@ -30,11 +30,10 @@ func Create(dir string, opts ...Option) (*Writer, error) {
 }
 
 // Append adds one sample. When s.JPEG is empty and s.Image is set, the image
-// is encoded first (4:2:0 chroma subsampling at the WithJPEGQuality level,
-// matching how photographic datasets are stored): straight to the
-// progressive form a PCR dataset stores — the same coefficients, and so the
-// same record bytes, as the baseline stream would be transcoded to —, to a
-// baseline stream for the other formats.
+// is encoded first to a baseline stream (4:2:0 chroma subsampling at the
+// WithJPEGQuality level, matching how photographic datasets are stored),
+// whatever the format: a PCR record is coded from its inputs' coefficients,
+// so a progressive encode here would only be decoded again.
 func (w *Writer) Append(s Sample) error {
 	if w.closed {
 		return fmt.Errorf("pcr: append: %w", ErrClosed)
@@ -43,8 +42,7 @@ func (w *Writer) Append(s Sample) error {
 		if s.Image == nil {
 			return fmt.Errorf("pcr: sample %d has neither JPEG bytes nor an image", s.ID)
 		}
-		data, err := jpegc.Encode(s.Image, &jpegc.Options{
-			Quality: w.cfg.jpegQuality, Subsample420: true, Progressive: w.cfg.format == PCR})
+		data, err := jpegc.Encode(s.Image, &jpegc.Options{Quality: w.cfg.jpegQuality, Subsample420: true})
 		if err != nil {
 			return fmt.Errorf("pcr: encoding sample %d: %w", s.ID, err)
 		}
