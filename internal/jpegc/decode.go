@@ -25,10 +25,12 @@ type decoder struct {
 	compQuant    [3]byte
 
 	quant [4][64]uint16 // by table id, natural order
-	// dcTab and acTab point into s at the tables this stream has defined.
-	dcTab  [4]*huffDecoder
-	acTab  [4]*huffDecoder
-	sawSOF bool
+	// dcTab and acTab point into s at the tables this stream has defined;
+	// ntables counts its definitions so far.
+	dcTab   [4]*huffDecoder
+	acTab   [4]*huffDecoder
+	ntables int
+	sawSOF  bool
 }
 
 // decode parses a JPEG stream (baseline or progressive) into the working
@@ -62,6 +64,18 @@ func (s *scratch) decode(data []byte) error {
 // package's subset (ErrUnsupported) is handed to image/jpeg, which a
 // TFRecord or file-per-image dataset, storing its inputs verbatim, can hold.
 func Decode(data []byte) (image.Image, error) {
+	return DecodeInto(data, nil)
+}
+
+// DecodeInto is Decode into reuse, a frame an earlier decode returned and
+// its caller is done with, when the stream's image has the same geometry —
+// type, subsampling and MCU grid; otherwise, and for a stream handed to
+// image/jpeg, into a new image. Every sample of the frame is written, so the
+// result is the same whichever it is. The decoder's scratch comes from a
+// pool: one goroutine decoding a run of streams that share Huffman table
+// definitions and geometry, as a PCR record's samples do, builds their
+// tables and scan order once.
+func DecodeInto(data []byte, reuse image.Image) (image.Image, error) {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	err := s.decode(data)
@@ -71,7 +85,7 @@ func Decode(data []byte) (image.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.pixels(), nil
+	return s.pixels(reuse), nil
 }
 
 // decodeForeign decodes with image/jpeg, which sizes its buffers from the
@@ -293,11 +307,24 @@ func (d *decoder) parseDHT(p []byte) error {
 		if len(p) < 17+total {
 			return fmt.Errorf("jpegc: short DHT values")
 		}
-		tab := &d.s.dcTab[id]
-		if class == 1 {
-			tab = &d.s.acTab[id]
+		// A definition byte for byte the one this scratch last saw at its
+		// position in a stream has its table built already.
+		var tab *huffDecoder
+		if d.ntables < memoTables {
+			m := &d.s.tables[d.ntables]
+			if def := p[:17+total]; !bytes.Equal(m.spec, def) {
+				m.spec = append(m.spec[:0], def...)
+				m.tab.build((*[16]byte)(m.spec[1:17]), m.spec[17:])
+			}
+			tab = &m.tab
+		} else {
+			tab = &d.s.dcTab[id]
+			if class == 1 {
+				tab = &d.s.acTab[id]
+			}
+			tab.build(counts, p[17:17+total])
 		}
-		tab.build(counts, p[17:17+total])
+		d.ntables++
 		if class == 0 {
 			d.dcTab[id] = tab
 		} else {
@@ -377,8 +404,7 @@ func (d *decoder) parseScan(header []byte) error {
 
 	var err error
 	if ss == 0 {
-		s := d.s
-		s.order = s.geo.mcuOrder(s.order[:0], idxs)
+		d.s.scanOrder(idxs) // into d.s.order, which the loops below walk
 		// comps, indexed by component rather than by position in the scan.
 		var byComp [3]scanComp
 		for _, sc := range comps {

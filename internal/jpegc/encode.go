@@ -233,9 +233,8 @@ var stdSpecs = [4]*huffSpec{&stdDCLuma, &stdDCChroma, &stdACLuma, &stdACChroma}
 // chain consistent with the decoder. The AC terms coded are the set bits of
 // each block's Al = 0 bitmap.
 func (s *scratch) walkBaseline(comps []int) {
-	s.order = s.geo.mcuOrder(s.order[:0], comps)
 	var prevDC [3]int32
-	for _, b := range s.order {
+	for _, b := range s.scanOrder(comps) {
 		blk := &s.blocks[b.comp][b.idx]
 		slot := tableSlot(int(b.comp))
 		size, vbits := magnitude(blk[0] - prevDC[b.comp])

@@ -6,15 +6,21 @@ import (
 )
 
 // pixels reconstructs the image whose coefficients the working blocks hold,
-// decoded but not necessarily sealed. Each plane is allocated as image/jpeg
-// allocates it — whole MCUs, of which Rect shows the frame — so a caller
-// cannot tell the two decoders' images apart by their geometry.
-func (s *scratch) pixels() image.Image {
+// decoded but not necessarily sealed, into reuse when that is a frame of the
+// same geometry, or else into a new one. Each plane is sized as image/jpeg
+// sizes it — whole MCUs, of which Rect shows the frame — so a caller cannot
+// tell the two decoders' images apart by their geometry; and every sample of
+// it is written, so neither can tell a reused frame from a new one.
+func (s *scratch) pixels(reuse image.Image) image.Image {
 	geo := &s.geo
 	frame := image.Rect(0, 0, geo.Width, geo.Height)
 	mw, mh := geo.mcuDims()
 	if geo.NumComps == 1 {
-		img := image.NewGray(image.Rect(0, 0, 8*mw, 8*mh))
+		w, h := 8*mw, 8*mh
+		img, ok := reuse.(*image.Gray)
+		if !ok || img.Stride != w || len(img.Pix) != w*h {
+			img = image.NewGray(image.Rect(0, 0, w, h))
+		}
 		s.plane(0, img.Pix, img.Stride)
 		img.Rect = frame
 		return img
@@ -23,7 +29,13 @@ func (s *scratch) pixels() image.Image {
 	if geo.Subsample420 {
 		ratio, side = image.YCbCrSubsampleRatio420, 16
 	}
-	img := image.NewYCbCr(image.Rect(0, 0, side*mw, side*mh), ratio)
+	// Chroma is one block per MCU column and row at either subsampling.
+	w, h, cw, ch := side*mw, side*mh, 8*mw, 8*mh
+	img, ok := reuse.(*image.YCbCr)
+	if !ok || img.SubsampleRatio != ratio || img.YStride != w || len(img.Y) != w*h ||
+		img.CStride != cw || len(img.Cb) != cw*ch || len(img.Cr) != cw*ch {
+		img = image.NewYCbCr(image.Rect(0, 0, w, h), ratio)
+	}
 	s.plane(0, img.Y, img.YStride)
 	s.plane(1, img.Cb, img.CStride)
 	s.plane(2, img.Cr, img.CStride)
@@ -33,7 +45,7 @@ func (s *scratch) pixels() image.Image {
 
 // plane reconstructs component c's blocks into pix. With 4:2:0 the luma
 // plane is wider and taller than the component's own block grid wherever the
-// MCU grid pads it; that margin lies outside the frame and stays zero.
+// MCU grid pads it; that margin lies outside the frame and is cleared.
 func (s *scratch) plane(c int, pix []byte, stride int) {
 	q := multipliers(&s.geo.Quant[tableSlot(c)])
 	bw, bh := s.geo.compBlocks(c)
@@ -45,6 +57,12 @@ func (s *scratch) plane(c int, pix []byte, stride int) {
 			reconstruct(&blocks[i], int(lastNZ[i]), &q, row[bx*8:], stride)
 		}
 	}
+	if w := 8 * bw; w < stride {
+		for y := 0; y < 8*bh; y++ {
+			clear(pix[y*stride+w : (y+1)*stride])
+		}
+	}
+	clear(pix[8*bh*stride:])
 }
 
 // Wang's fast inverse DCT in fixed point, with the constants and the

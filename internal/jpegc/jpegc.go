@@ -17,9 +17,13 @@
 // the pooled scratch into the image returned (idct.go). A decode then costs
 // what its scans hold — a block is transformed no further than its last
 // non-zero coefficient, and a two-scan prefix is mostly DC-only blocks,
-// each one fill — and allocates the image and nothing else, where
-// image/jpeg allocates and zeroes every coefficient of the frame and
-// transforms every block in full whatever the prefix left empty. The
+// each one fill — and allocates the image and nothing else (DecodeInto, given
+// a frame of the same geometry, not even that), where image/jpeg allocates
+// and zeroes every coefficient of the frame and transforms every block in
+// full whatever the prefix left empty. A scratch remembers the Huffman
+// tables it built and the scan order it last walked, so a run of streams
+// that share their table definitions and geometry, as a PCR record's
+// samples do, pays for them once. The
 // transform is the fixed-point one image/jpeg uses, rounding point for
 // rounding point, so the samples are the standard library's exactly; tests
 // hold Decode to that oracle. A well-formed stream outside the subset below

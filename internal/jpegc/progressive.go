@@ -176,9 +176,8 @@ func appendDHT(out []byte, tables []int, specs *[4]*huffSpec) []byte {
 // walkDCFirst codes the DC band's first pass: difference coding of
 // point-transformed DC values in interleaved MCU order.
 func (s *scratch) walkDCFirst(scan ScanSpec) {
-	s.order = s.geo.mcuOrder(s.order[:0], scan.Comps)
 	var prevDC [3]int32
-	for _, b := range s.order {
+	for _, b := range s.scanOrder(scan.Comps) {
 		v := s.blocks[b.comp][b.idx][0] >> uint(scan.Al)
 		size, vbits := magnitude(v - prevDC[b.comp])
 		prevDC[b.comp] = v
@@ -188,8 +187,7 @@ func (s *scratch) walkDCFirst(scan ScanSpec) {
 
 // walkDCRefine codes a DC refinement pass: one raw bit per block.
 func (s *scratch) walkDCRefine(scan ScanSpec) {
-	s.order = s.geo.mcuOrder(s.order[:0], scan.Comps)
-	for _, b := range s.order {
+	for _, b := range s.scanOrder(scan.Comps) {
 		s.rawBits(uint64(s.blocks[b.comp][b.idx][0]>>uint(scan.Al))&1, 1)
 	}
 }

@@ -293,7 +293,11 @@ func oneCodeScan(w *bitWriter, class, sym byte, size uint, spec ScanSpec, n int)
 // for, or with sample planes that do not cover it. And the transcode is
 // lossless on whatever it accepts: its output decodes to the input's image,
 // sample for sample; and so is the record coder, which codes it beside
-// another image with shared tables: both keep their coefficients.
+// another image with shared tables: both keep their coefficients. A scratch
+// remembers tables and a frame is recycled from decode to decode, so neither
+// may carry anything over: decoded on a scratch that has just decoded
+// another seed, into that seed's frame, the input is refused or accepted as
+// on a new scratch, and to the same planes.
 func FuzzDecode(f *testing.F) {
 	base, err := Encode(testImage(32, 32, 3), &Options{Quality: 70})
 	if err != nil {
@@ -322,6 +326,22 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 		img, err := Decode(data)
+		fresh := new(scratch)
+		ferr := fresh.decode(data)
+		other := prog
+		if bytes.Equal(data, prog) {
+			other = base
+		}
+		warm := new(scratch)
+		if err := warm.decode(other); err != nil {
+			t.Fatal(err)
+		}
+		used := warm.pixels(nil)
+		if werr := warm.decode(data); (werr == nil) != (ferr == nil) {
+			t.Fatalf("after another stream: %v; on a new scratch: %v", werr, ferr)
+		} else if werr == nil && !reflect.DeepEqual(warm.pixels(used), fresh.pixels(nil)) {
+			t.Fatal("after another stream, into its frame, the image differs from a new scratch's")
+		}
 		if err == nil {
 			frame := img.Bounds().Size()
 			if err := checkDims(frame.X, frame.Y); err != nil {

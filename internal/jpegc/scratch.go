@@ -28,14 +28,62 @@ type scratch struct {
 	// the encoder's scans walk. Only the encode path sizes them.
 	sig [3][]sigMasks
 
-	order []blockRef // the interleaved scan being coded, from mcuOrder
-	toks  []uint32   // the scan being encoded, as tokens
-	freq  [4]freqCounter
-	spec  [4]huffSpec
-	enc   [4]huffEncoder
-	w     bitWriter // w.out is the stream being assembled
+	// order is the interleaved scan being coded and orderKey what it is
+	// the order of; scanOrder alone writes them.
+	order    []blockRef
+	orderKey orderKey
+	toks     []uint32 // the scan being encoded, as tokens
+	freq     [4]freqCounter
+	spec     [4]huffSpec
+	enc      [4]huffEncoder
+	w        bitWriter // w.out is the stream being assembled
 
-	dcTab, acTab [4]huffDecoder // the decoder's tables, by DHT slot
+	// tables are the decoder's tables for the first memoTables Huffman
+	// table definitions of a stream, by the definition's position in it,
+	// each kept with the bytes it was built from (parseDHT); dcTab and
+	// acTab, by DHT slot, take the definitions past them.
+	tables       [memoTables]builtTable
+	dcTab, acTab [4]huffDecoder
+}
+
+// memoTables is how many of a stream's Huffman table definitions a scratch
+// remembers. The default scan scripts define 10 (color) and 5 (grayscale),
+// a baseline stream at most 4.
+const memoTables = 16
+
+// builtTable is a table definition as a DHT segment carries it — the
+// class/id byte, the 16 counts, the symbols — and the table built from it,
+// whose vals point into spec. T.81 B.4 lets a table be defined once for
+// several streams; a PCR record does the same in its own way, each of its
+// samples repeating one set of definitions at the same positions, so a
+// scratch that decodes a run of them builds each table once.
+type builtTable struct {
+	spec []byte
+	tab  huffDecoder
+}
+
+// orderKey is what an interleaved scan order depends on: the image's
+// geometry and the scan's components.
+type orderKey struct {
+	width, height, ncomp int
+	subsample420         bool
+	comps                [3]int
+	n                    int
+}
+
+// scanOrder returns every block of comps in the order a scan codes them
+// (coeffImage.mcuOrder). It keeps the order in s.order and builds it again
+// only when the geometry or the components differ from the last call's, so
+// the scans of a run of same-sized images share one.
+func (s *scratch) scanOrder(comps []int) []blockRef {
+	key := orderKey{width: s.geo.Width, height: s.geo.Height, ncomp: s.geo.NumComps,
+		subsample420: s.geo.Subsample420, n: len(comps)}
+	copy(key.comps[:], comps) // a scan has at most three
+	if key != s.orderKey {
+		s.order = s.geo.mcuOrder(s.order[:0], comps)
+		s.orderKey = key
+	}
+	return s.order
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -123,7 +123,9 @@ func (d *Decoder) varint() (uint64, error) {
 		}
 		b := d.buf[d.pos]
 		d.pos++
-		if shift >= 64 {
+		// The tenth byte holds bit 63 alone: anything more in it, a
+		// continuation included, does not fit 64 bits.
+		if shift == 63 && b > 1 {
 			return 0, fmt.Errorf("wire: varint overflow")
 		}
 		v |= uint64(b&0x7F) << shift

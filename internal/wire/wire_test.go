@@ -186,3 +186,25 @@ func TestFuzzishRandomGarbage(t *testing.T) {
 		}
 	}
 }
+
+func TestVarintOverflowRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want uint64
+		ok   bool
+	}{
+		{"max uint64", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, math.MaxUint64, true},
+		{"bit 63 alone", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, 1 << 63, true},
+		{"tenth byte past bit 63", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, 0, false},
+		{"tenth byte continues", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x81, 0x00}, 0, false},
+	} {
+		got, err := NewDecoder(tc.in).Uint64()
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("%s: got %d, %v; want %d", tc.name, got, err, tc.want)
+		}
+		if !tc.ok && (err == nil || err.Error() != "wire: varint overflow") {
+			t.Errorf("%s: got %d, %v; want the varint overflow error", tc.name, got, err)
+		}
+	}
+}

@@ -229,7 +229,7 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 		return d.guardClosed(d.scanSamples(ctx, qq, sc))
 	}
 	return func(yield func(Sample, error) bool) {
-		for r, err := range d.pipeline(ctx, decode, source) {
+		for r, err := range d.pipeline(ctx, decode, nil, source) {
 			if err != nil {
 				yield(Sample{}, err)
 				return
@@ -321,7 +321,7 @@ func (d *Dataset) ReadRecord(ctx context.Context, i, q int) ([]Sample, error) {
 	}
 	plan := &recordPlan{d: d, order: []int{i}, policy: FixedQuality(qq)}
 	var out []Sample
-	for r, err := range d.pipeline(ctx, true, func(p *pipeline) { p.fetch(plan) }) {
+	for r, err := range d.pipeline(ctx, true, nil, func(p *pipeline) { p.fetch(plan) }) {
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,10 @@
 package pcr
 
-import "repro/internal/core"
+import (
+	"image"
+
+	"repro/internal/core"
+)
 
 // What the external test package needs of the internals to write a serial
 // reference for the pipeline and to put a misbehaving store under it.
@@ -47,3 +51,7 @@ func (d *Dataset) WrapBackend(wrap func(core.Backend) core.Backend) {
 	ds := d.pcr.ds
 	ds.SetBackend(wrap(ds.Backend()))
 }
+
+// OnRecycle has f see, and change if it likes, every frame l's epochs hand
+// back to their decode workers, before the workers can have it.
+func (l *Loader) OnRecycle(f func(image.Image)) { l.recycled = f }

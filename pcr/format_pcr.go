@@ -2,6 +2,7 @@ package pcr
 
 import (
 	"fmt"
+	"image"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -249,10 +250,11 @@ func (r *pcrReader) planFilter(pred Predicate, qq int) (FilterPlan, error) {
 	return plan, nil
 }
 
-// decodeJPEG decodes s.JPEG into s.Image; the pipeline's decode workers are
-// its one caller.
-func decodeJPEG(s *Sample) error {
-	img, err := jpegc.Decode(s.JPEG)
+// decodeJPEG decodes s.JPEG into s.Image, reusing reuse's planes when it is
+// a frame of the same geometry (jpegc.DecodeInto); the pipeline's decode
+// workers are its one caller.
+func decodeJPEG(s *Sample, reuse image.Image) error {
+	img, err := jpegc.DecodeInto(s.JPEG, reuse)
 	if err != nil {
 		return fmt.Errorf("pcr: decoding sample %d: %w", s.ID, err)
 	}

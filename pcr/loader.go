@@ -3,6 +3,7 @@ package pcr
 import (
 	"context"
 	"fmt"
+	"image"
 	"iter"
 	"math/rand"
 	"sync"
@@ -15,6 +16,11 @@ type Batch struct {
 	// Epoch is the epoch this batch belongs to.
 	Epoch int
 	// Samples have JPEG and Image filled, in the epoch's shuffled order.
+	// A batch from Loader.Epoch lends its Images: they are valid until the
+	// loop body that received the batch returns, as bufio.Scanner's Bytes
+	// are until the next Scan, and later samples are decoded into the same
+	// frames. A caller that keeps an image past the body clones it. The
+	// JPEG bytes, and the batches of Probe.Batches, are the caller's.
 	Samples []Sample
 }
 
@@ -104,6 +110,11 @@ type Loader struct {
 	filter  Predicate
 
 	records []int // this shard's record indices in storage order
+	// frames are the decoded frames Epoch's consumers have handed back,
+	// for its decode workers to decode into; recycled, when set, sees each
+	// frame handed back (export_test.go).
+	frames   frameList
+	recycled func(image.Image)
 
 	resume    Checkpoint
 	hasResume bool
@@ -283,6 +294,9 @@ func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
 		filter:    cfg.filter,
 		resume:    cfg.resume,
 		hasResume: cfg.hasResume,
+		// As many frames as an epoch has decoded at once: the runs ahead of
+		// the consumer and the batch being assembled (see Epoch).
+		frames: make(frameList, (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
 	}
 	for r := 0; r < ds.NumRecords(); r++ {
 		if r%l.shards == l.shardIx {
@@ -362,6 +376,13 @@ func (l *Loader) epochOrder(epoch int) []int {
 // dataset with ErrClosed, even while a read is blocked (backend reads cannot
 // be cancelled: an abandoned one finishes on its own goroutine and is
 // dropped). After a complete epoch, LastEpochStats reports its counters.
+//
+// A batch's images are valid until the loop body that received it returns
+// (see Batch): the Epoch then hands their frames back, and later samples —
+// of this epoch or a later one — are decoded into them, so that an epoch in
+// its steady state allocates no frames. Keep an image past the body by
+// cloning it. Between epochs the Loader holds on to no more frames than an
+// epoch has decoded at once.
 func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 	return func(yield func(Batch, error) bool) {
 		start := time.Now()
@@ -393,10 +414,17 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 			}
 			l.hasPos = true
 			l.mu.Unlock()
-			return yield(b, nil)
+			ok := yield(b, nil)
+			for _, s := range b.Samples {
+				if l.recycled != nil {
+					l.recycled(s.Image)
+				}
+				l.frames.give(s.Image)
+			}
+			return ok
 		}
 		waiting := time.Now() // since when the consumer has been in the pipeline's hands
-		for r, err := range l.ds.pipeline(ctx, true, func(p *pipeline) { p.fetch(plan) }) {
+		for r, err := range l.ds.pipeline(ctx, true, l.frames, func(p *pipeline) { p.fetch(plan) }) {
 			stats.Stall += time.Since(waiting)
 			if err != nil {
 				yield(Batch{}, err)

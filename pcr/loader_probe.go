@@ -66,7 +66,7 @@ func (p *Probe) Batches(ctx context.Context, q, n int) (batches []Batch, bytes i
 	plan := &recordPlan{d: l.ds, order: order, policy: FixedQuality(q), need: n * l.batch}
 	cur := make([]Sample, 0, l.batch)
 fill:
-	for r, err := range l.ds.pipeline(ctx, true, func(p *pipeline) { p.fetch(plan) }) {
+	for r, err := range l.ds.pipeline(ctx, true, nil, func(p *pipeline) { p.fetch(plan) }) {
 		if err != nil {
 			return nil, bytes, err
 		}

@@ -3,6 +3,7 @@ package pcr
 import (
 	"context"
 	"fmt"
+	"image"
 	"iter"
 	"sync/atomic"
 )
@@ -23,8 +24,11 @@ import (
 //	         handed on in plan order however the reads complete.
 //	decode — WithPrefetchWorkers goroutines each take a run of up to runLen
 //	         samples of one record and decode it in place, one completion
-//	         signal per run. A pipeline without this stage hands a record
-//	         over whole, still encoded.
+//	         signal per run: one worker decodes a run's samples back to back,
+//	         so they share its decoder's tables and scan order (jpegc). Given
+//	         a frame list (Loader.Epoch's), a worker decodes into frames the
+//	         consumer has handed back. A pipeline without this stage hands a
+//	         record over whole, still encoded.
 //
 // The consumer (Dataset.pipeline) receives completed runs in order and
 // shuts all of it down when it returns.
@@ -179,17 +183,41 @@ type pipeline struct {
 	out    chan *run       // every run, in delivery order
 	work   chan *run       // the same runs, for the decode workers; nil without a decode stage
 	tokens chan struct{}   // one per record planned and not yet consumed
+	frames frameList       // where the decode workers take frames from; nil for none
+}
+
+// frameList is a free list of decoded frames whose consumer is done with
+// them, for the decode stage to decode into. It holds as many as its
+// capacity, and drops the rest. A nil list holds none.
+type frameList chan image.Image
+
+// take returns a frame from the list, or nil when it is empty.
+func (f frameList) take() image.Image {
+	select {
+	case img := <-f:
+		return img
+	default:
+		return nil
+	}
+}
+
+// give puts img on the list if it has room.
+func (f frameList) give(img image.Image) {
+	select {
+	case f <- img:
+	default:
+	}
 }
 
 // pipeline runs source on its own goroutine under a fresh pipeline and
-// yields the runs it emits, in order: decoded, or with decode false as they
-// were fetched. It stops at the first failed
-// run with that error, with ctx.Err() as soon as ctx is cancelled and with
-// ErrClosed as soon as the dataset is closed — both win over runs already
-// decoded — and never waits for a read: whatever it abandons (an early
-// break included) winds down on its own, each fetch goroutine exiting when
-// its read returns.
-func (d *Dataset) pipeline(ctx context.Context, decode bool, source func(p *pipeline)) iter.Seq2[*run, error] {
+// yields the runs it emits, in order: decoded — into frames from frames,
+// when it has them — or with decode false as they were fetched. It stops at
+// the first failed run with that error, with ctx.Err() as soon as ctx is
+// cancelled and with ErrClosed as soon as the dataset is closed — both win
+// over runs already decoded — and never waits for a read: whatever it
+// abandons (an early break included) winds down on its own, each fetch
+// goroutine exiting when its read returns.
+func (d *Dataset) pipeline(ctx context.Context, decode bool, frames frameList, source func(p *pipeline)) iter.Seq2[*run, error] {
 	return func(yield func(*run, error) bool) {
 		ictx, cancel := context.WithCancel(ctx)
 		defer cancel()
@@ -199,6 +227,7 @@ func (d *Dataset) pipeline(ctx context.Context, decode bool, source func(p *pipe
 			// has a place to wait for the consumer.
 			out:    make(chan *run, readAhead),
 			tokens: make(chan struct{}, readAhead),
+			frames: frames,
 		}
 		if decode {
 			workers := d.cfg.prefetchWorkers()
@@ -271,7 +300,7 @@ func (p *pipeline) decode() {
 		// An abandoned pipeline drains its queue without decoding it.
 		if r.err = p.ctx.Err(); r.err == nil {
 			for i := range r.samples {
-				if r.err = decodeJPEG(&r.samples[i]); r.err != nil {
+				if r.err = decodeJPEG(&r.samples[i], p.frames.take()); r.err != nil {
 					break
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"image"
 	"iter"
 	"math/rand"
 	"reflect"
@@ -598,5 +599,157 @@ func TestPipelineScanEncodedBounded(t *testing.T) {
 	}
 	if _, hi := counter.snapshot(); hi > pcr.ReadAhead {
 		t.Fatalf("%d reads in flight at once, bound is %d", hi, pcr.ReadAhead)
+	}
+}
+
+// framePlanes are an image's sample planes.
+func framePlanes(img image.Image) [][]byte {
+	switch img := img.(type) {
+	case *image.YCbCr:
+		return [][]byte{img.Y, img.Cb, img.Cr}
+	case *image.Gray:
+		return [][]byte{img.Pix}
+	}
+	return nil
+}
+
+// frameSum hashes an image's planes, margins included.
+func frameSum(img image.Image) [32]byte {
+	h := sha256.New()
+	for _, p := range framePlanes(img) {
+		h.Write(p)
+	}
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+const poison = 0xA5
+
+// poisoned reports whether every sample of img is poison.
+func poisoned(img image.Image) bool {
+	for _, p := range framePlanes(img) {
+		for _, v := range p {
+			if v != poison {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPipelineEpochRecyclesFrames holds Loader.Epoch to its frame contract,
+// with every frame it hands back poisoned on the way: inside its loop body
+// each image is, plane for plane, the one Scan decodes at the same quality;
+// an image kept past the body does not stay what it was — the last batch's,
+// which no later decode takes, reads as poison — and frames are reused. Scan,
+// ReadRecord and Probe.Batches hand no frame back.
+func TestPipelineEpochRecyclesFrames(t *testing.T) {
+	dir, n := synthDir(t, pcr.WithImagesPerRecord(8))
+	ds, err := pcr.Open(dir, pcr.WithPrefetchWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	const q = 2
+	ctx := context.Background()
+	want := make(map[int64][32]byte)
+	for s, err := range ds.Scan(ctx, q) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[s.ID] = frameSum(s.Image)
+	}
+	if len(want) != n {
+		t.Fatalf("Scan decoded %d of %d samples", len(want), n)
+	}
+
+	l, err := pcr.NewLoader(ds, pcr.WithQuality(q), pcr.WithBatchSize(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	handedBack := 0
+	l.OnRecycle(func(img image.Image) {
+		for _, p := range framePlanes(img) {
+			for i := range p {
+				p[i] = poison
+			}
+		}
+		handedBack++
+	})
+	type kept struct {
+		img image.Image
+		sum [32]byte
+	}
+	var keep []kept
+	var last []image.Image // the final batch's
+	frames := make(map[image.Image]bool)
+	const epochs = 3
+	for epoch := 0; epoch < epochs; epoch++ {
+		for b, err := range l.Epoch(ctx, epoch) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = last[:0]
+			for _, s := range b.Samples {
+				sum := frameSum(s.Image)
+				if sum != want[s.ID] {
+					t.Fatalf("epoch %d: sample %d differs from Scan's", epoch, s.ID)
+				}
+				keep = append(keep, kept{s.Image, sum})
+				last = append(last, s.Image)
+				frames[s.Image] = true
+			}
+		}
+	}
+	if handedBack != epochs*n {
+		t.Fatalf("%d frames handed back, want %d", handedBack, epochs*n)
+	}
+	if len(frames) >= epochs*n {
+		t.Fatalf("%d samples decoded into %d frames: none reused", epochs*n, len(frames))
+	}
+	for i, k := range keep {
+		if frameSum(k.img) == k.sum {
+			t.Fatalf("image %d, kept past its loop body, still reads as it did", i)
+		}
+	}
+	for i, img := range last {
+		if !poisoned(img) {
+			t.Fatalf("image %d of the last batch, kept past its loop body, is not poison", i)
+		}
+	}
+
+	// The other readers lend nothing: their images stay as decoded.
+	handedBack = 0
+	var others []kept
+	for s, err := range ds.Scan(ctx, q) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		others = append(others, kept{s.Image, want[s.ID]})
+	}
+	rec, err := ds.ReadRecord(ctx, 0, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range rec {
+		others = append(others, kept{s.Image, want[s.ID]})
+	}
+	batches, _, err := l.Probe().Batches(ctx, q, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		for _, s := range b.Samples {
+			others = append(others, kept{s.Image, want[s.ID]})
+		}
+	}
+	if handedBack != 0 {
+		t.Fatalf("Scan, ReadRecord and Probe.Batches handed back %d frames", handedBack)
+	}
+	for i, k := range others {
+		if frameSum(k.img) != k.sum {
+			t.Fatalf("image %d of Scan, ReadRecord or Probe.Batches changed after its delivery", i)
+		}
 	}
 }
