@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"image"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/jpegc"
@@ -332,9 +335,21 @@ func TestDatasetRoundTrip(t *testing.T) {
 	}
 }
 
+// A directory without a dataset, or no directory at all, is fs.ErrNotExist,
+// and opening it creates nothing.
 func TestOpenDatasetMissing(t *testing.T) {
-	if _, err := OpenDataset(t.TempDir()); err == nil {
-		t.Error("empty dir accepted as dataset")
+	empty := t.TempDir()
+	missing := filepath.Join(t.TempDir(), "nope")
+	for _, dir := range []string{empty, missing} {
+		if _, err := OpenDataset(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("OpenDataset(%s) = %v, want fs.ErrNotExist", dir, err)
+		}
+	}
+	if entries, err := os.ReadDir(empty); err != nil || len(entries) != 0 {
+		t.Errorf("OpenDataset wrote into an empty dir: %d entries, %v", len(entries), err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("OpenDataset created %s (stat: %v)", missing, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,8 +11,9 @@ import (
 )
 
 // A corrupt metadata database is structural damage to the dataset:
-// OpenDataset must report it as core.ErrCorrupt (the facade contract),
-// not leak kvstore's private sentinel unwrapped.
+// OpenDataset must report it as core.ErrCorrupt (the facade contract), not
+// leak kvstore's private sentinel unwrapped, and must leave the damaged
+// segment as it found it.
 func TestOpenDatasetCorruptMetadata(t *testing.T) {
 	dir := t.TempDir()
 	w, err := CreateDataset(dir, &DatasetOptions{ImagesPerRecord: 4})
@@ -27,25 +29,12 @@ func TestOpenDatasetCorruptMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Seal the writer's segment by opening and closing the store once:
-	// that creates a successor segment, so the damage below lands in a
-	// non-final segment, where replay must fail rather than apply the
-	// final-segment torn-tail (crash recovery) truncation.
-	db, err := kvstore.Open(filepath.Join(dir, "meta"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip a byte inside the first record of the first metadata segment.
+	// Flip a byte inside the key of the first entry of the only segment.
 	segs, err := filepath.Glob(filepath.Join(dir, "meta", "*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no metadata segments found: %v", err)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("metadata segments = %v, %v; want one", segs, err)
 	}
-	seg := segs[0]
-	data, err := os.ReadFile(seg)
+	data, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +42,7 @@ func TestOpenDatasetCorruptMetadata(t *testing.T) {
 		t.Fatalf("segment unexpectedly small: %d bytes", len(data))
 	}
 	data[20] ^= 0xff
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,5 +56,12 @@ func TestOpenDatasetCorruptMetadata(t *testing.T) {
 	// The kvstore detail stays reachable for diagnostics.
 	if !errors.Is(err, kvstore.ErrCorrupt) {
 		t.Fatalf("OpenDataset error %v lost the kvstore cause", err)
+	}
+	after, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Fatalf("OpenDataset changed the corrupt segment: %d bytes before, %d after", len(data), len(after))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -172,42 +173,44 @@ func (w *DatasetWriter) Close() error {
 // serving layer — from an explicit index.
 type Dataset struct {
 	backend   Backend
-	db        *kvstore.Store // nil when opened via OpenDatasetIndex
 	NumGroups int
 	numRec    int
 	numImg    int
 	records   []RecordInfo
 }
 
-// OpenDataset opens a PCR dataset directory created by DatasetWriter.
+// OpenDataset opens a PCR dataset directory created by DatasetWriter. It
+// only reads: the metadata database is loaded whole and not held open, and
+// nothing under dir is written or created. A dir without dataset metadata —
+// none at all, or a writer's that was never closed — is an error satisfying
+// errors.Is(err, fs.ErrNotExist).
 func OpenDataset(dir string) (*Dataset, error) {
-	db, err := kvstore.Open(filepath.Join(dir, "meta"), nil)
+	kv, err := kvstore.Load(filepath.Join(dir, "meta"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("core: dataset metadata missing: %w", err)
+	}
 	if err != nil {
 		return nil, mapKVErr(err)
 	}
-	ds := &Dataset{backend: NewDirBackend(dir), db: db}
-	raw, err := db.Get([]byte("dataset"))
-	if err != nil {
-		db.Close()
-		return nil, fmt.Errorf("core: dataset metadata missing: %w", mapKVErr(err))
+	raw, ok := kv["dataset"]
+	if !ok {
+		return nil, fmt.Errorf("core: dataset metadata missing (the dataset writer was not closed): %w", fs.ErrNotExist)
 	}
+	ds := &Dataset{backend: NewDirBackend(dir)}
 	d := wire.NewDecoder(raw)
 	for !d.Done() {
 		field, wtype, err := d.Next()
 		if err != nil {
-			db.Close()
 			return nil, err
 		}
 		var v uint64
 		switch field {
 		case 1, 2, 3:
 			if v, err = d.Uint64(); err != nil {
-				db.Close()
 				return nil, err
 			}
 		default:
 			if err := d.Skip(wtype); err != nil {
-				db.Close()
 				return nil, err
 			}
 			continue
@@ -222,14 +225,12 @@ func OpenDataset(dir string) (*Dataset, error) {
 		}
 	}
 	for i := 0; i < ds.numRec; i++ {
-		raw, err := db.Get([]byte(fmt.Sprintf("record/%05d", i)))
-		if err != nil {
-			db.Close()
-			return nil, fmt.Errorf("core: record %d metadata: %w", i, mapKVErr(err))
+		raw, ok := kv[fmt.Sprintf("record/%05d", i)]
+		if !ok {
+			return nil, fmt.Errorf("core: %w: record %d metadata missing", ErrCorrupt, i)
 		}
 		re, err := parseRecordEntry(raw)
 		if err != nil {
-			db.Close()
 			return nil, err
 		}
 		ds.records = append(ds.records, re)
@@ -279,17 +280,8 @@ func parseRecordEntry(raw []byte) (RecordInfo, error) {
 	return re, nil
 }
 
-// Close releases the metadata database (if any) and the storage backend.
-func (ds *Dataset) Close() error {
-	var err error
-	if ds.db != nil {
-		err = ds.db.Close()
-	}
-	if berr := ds.backend.Close(); err == nil {
-		err = berr
-	}
-	return err
-}
+// Close releases the storage backend.
+func (ds *Dataset) Close() error { return ds.backend.Close() }
 
 // Backend returns the storage backend record bytes are read through.
 func (ds *Dataset) Backend() Backend { return ds.backend }

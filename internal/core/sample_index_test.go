@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/kvstore"
 	"repro/internal/wire"
 )
 
@@ -165,12 +167,12 @@ func kvEntry(re RecordInfo) []byte {
 func TestSampleIndexRequired(t *testing.T) {
 	ds, _ := buildIndexedDataset(t)
 	ix := ds.Index()
+	kv, err := kvstore.Load(filepath.Join(ds.backend.(*DirBackend).dir, "meta"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r, re := range ix.Records {
-		raw, err := ds.db.Get([]byte(fmt.Sprintf("record/%05d", r)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, kvEntry(re)) {
+		if raw := kv[fmt.Sprintf("record/%05d", r)]; !bytes.Equal(raw, kvEntry(re)) {
 			t.Fatalf("record %d: kvEntry does not spell the entry the writer stored", r)
 		}
 	}

@@ -1,15 +1,18 @@
-// Package kvstore is an embedded, log-structured key-value store in the
-// bitcask style: an append-only segment log on disk plus a complete
-// in-memory index. It stands in for the SQLite/RocksDB metadata databases
-// the paper's PCR implementation supports (§3.2) — the PCR encoder stores
-// per-record scan-group offsets and per-sample labels in it, the loader
-// reads them back, and the serving layer exports the same index to remote
-// readers.
+// Package kvstore is a PCR dataset's metadata database, the role SQLite or
+// RocksDB plays in the paper's implementation (§3.2): the encoder stores
+// per-record scan-group offsets and per-sample labels in it once, and every
+// reader after that only reads them back.
 //
-// Durability model: Put/Delete append a CRC32C-framed record to the active
-// segment. On reopen the store replays all segments; a torn record at the
-// tail of the newest segment (a crash mid-append) is discarded, while
-// corruption anywhere else is reported as an error.
+// It is a write-once log with two halves. A writer (Open, Put, Close)
+// appends CRC32C-framed key/value records to a segment file of its own. A
+// reader calls Load, which replays every segment in order into a map, the
+// last write of a key winning, and never writes or creates anything.
+//
+// Durability model: a crash mid-append leaves a short record at the end of
+// the newest segment, a torn tail. Load ignores it and leaves the file as it
+// is; the next writer's Open truncates it before appending. A whole record
+// whose checksum fails is ErrCorrupt in any segment, the newest included, and
+// so is a short record anywhere but the end of the newest segment.
 package kvstore
 
 import (
@@ -23,99 +26,125 @@ import (
 	"sync"
 )
 
-// ErrNotFound is returned by Get for missing keys.
-var ErrNotFound = errors.New("kvstore: key not found")
-
-// ErrCorrupt is returned when a non-tail record fails its checksum.
+// ErrCorrupt is returned when a segment holds a record that fails its
+// checksum or is cut short before the end of the newest segment.
 //
 //lint:ignore sentinelwrap kvstore predates and must not import the core facade; core.mapKVErr wraps this into core.ErrCorrupt at the boundary
 var ErrCorrupt = errors.New("kvstore: corrupt segment")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-const (
-	headerSize = 4 + 1 + 4 + 4 // crc, flags, keylen, vallen
-	flagDelete = 1
+// headerSize frames a record: CRC32C of the rest, a flags byte, the key
+// length and the value length, little-endian. The flags byte stays in the
+// on-disk format and must be 0; a record with a flag set is ErrCorrupt.
+const headerSize = 4 + 1 + 4 + 4
 
-	// DefaultMaxSegmentBytes rotates the active segment once it exceeds
-	// this size, bounding compaction unit cost.
-	DefaultMaxSegmentBytes = 4 << 20
-)
+// Options configures a writer and has no fields: there is nothing to
+// configure. The type stays only because the benchmark's flat write path
+// calls Open(dir, nil).
+type Options struct{}
 
-// Options configure a store.
-type Options struct {
-	// MaxSegmentBytes overrides the segment rotation threshold.
-	MaxSegmentBytes int64
-	// SyncEvery forces an fsync after every write when true.
-	SyncEvery bool
-}
-
-func (o *Options) maxSegment() int64 {
-	if o == nil || o.MaxSegmentBytes <= 0 {
-		return DefaultMaxSegmentBytes
-	}
-	return o.MaxSegmentBytes
-}
-
-type entryLoc struct {
-	seg    int
-	offset int64
-	valLen int
-}
-
-// Store is a single-process embedded KV store. All methods are safe for
-// concurrent use.
+// Store is a metadata writer: it appends to a segment no other writer
+// touches. Put and Close are safe for concurrent use.
 type Store struct {
-	mu      sync.RWMutex
-	dir     string
-	opts    Options
-	index   map[string]entryLoc
-	readers map[int]*os.File
-	active  *os.File
-	activeN int
-	size    int64 // bytes written to the active segment
-	closed  bool
-	// garbage counts dead bytes across sealed segments, steering Compact.
-	garbage int64
+	mu sync.Mutex
+	f  *os.File // nil once closed
 }
 
 func segName(n int) string { return fmt.Sprintf("%06d.seg", n) }
 
-// Open opens (or creates) a store in dir.
-func Open(dir string, opts *Options) (*Store, error) {
+// Open starts a writer in dir, creating dir if needed. It truncates a torn
+// tail of the newest segment, then appends to a new segment after it, so a
+// store holds one segment per writer that opened it.
+func Open(dir string, _ *Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("kvstore: %w", err)
-	}
-	var o Options
-	if opts != nil {
-		o = *opts
-	}
-	s := &Store{
-		dir:     dir,
-		opts:    o,
-		index:   make(map[string]entryLoc),
-		readers: make(map[int]*os.File),
 	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
+	next := 1
+	if len(segs) > 0 {
+		last := segs[len(segs)-1]
+		path := filepath.Join(dir, segName(last))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: %w", err)
+		}
+		whole, err := replay(data, last, true, nil)
+		if err != nil {
+			return nil, err
+		}
+		if whole < len(data) {
+			if err := os.Truncate(path, int64(whole)); err != nil {
+				return nil, fmt.Errorf("kvstore: truncating torn tail: %w", err)
+			}
+		}
+		next = last + 1
+	}
+	f, err := os.OpenFile(filepath.Join(dir, segName(next)), os.O_CREATE|os.O_EXCL|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: %w", err)
+	}
+	return &Store{f: f}, nil
+}
+
+// Put appends val under key; a later Put of the same key wins on Load.
+func (s *Store) Put(key, val []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return errors.New("kvstore: store closed")
+	}
+	if _, err := s.f.Write(encodeRecord(key, val)); err != nil {
+		return fmt.Errorf("kvstore: %w", err)
+	}
+	return nil
+}
+
+// Close syncs the writer's segment to stable storage and closes it. Closing
+// twice is a no-op.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return nil
+	}
+	f := s.f
+	s.f = nil
+	err := f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("kvstore: %w", err)
+	}
+	return nil
+}
+
+// Load reads the store in dir: every segment in order, the last write of a
+// key winning. It writes and creates nothing; a torn tail stays on disk for
+// the next writer to truncate. The values share the buffers the segments
+// were read into. A missing dir is an error satisfying
+// errors.Is(err, fs.ErrNotExist).
+func Load(dir string) (map[string][]byte, error) {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	kv := make(map[string][]byte)
+	put := func(key, val []byte) { kv[string(key)] = val }
 	for i, n := range segs {
-		last := i == len(segs)-1
-		if err := s.replaySegment(n, last); err != nil {
-			s.Close()
+		data, err := os.ReadFile(filepath.Join(dir, segName(n)))
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: %w", err)
+		}
+		if _, err := replay(data, n, i == len(segs)-1, put); err != nil {
 			return nil, err
 		}
 	}
-	next := 1
-	if len(segs) > 0 {
-		next = segs[len(segs)-1] + 1
-	}
-	if err := s.openActive(next); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
+	return kv, nil
 }
 
 func listSegments(dir string) ([]int, error) {
@@ -126,7 +155,7 @@ func listSegments(dir string) ([]int, error) {
 	var segs []int
 	for _, e := range entries {
 		var n int
-		if _, err := fmt.Sscanf(e.Name(), "%06d.seg", &n); err == nil {
+		if _, err := fmt.Sscanf(e.Name(), "%06d.seg", &n); err == nil && e.Name() == segName(n) {
 			segs = append(segs, n)
 		}
 	}
@@ -134,369 +163,40 @@ func listSegments(dir string) ([]int, error) {
 	return segs, nil
 }
 
-func (s *Store) openActive(n int) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(n)), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	s.active = f
-	s.activeN = n
-	s.size = 0
-	r, err := os.Open(filepath.Join(s.dir, segName(n)))
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	s.readers[n] = r
-	return nil
-}
-
-// replaySegment rebuilds index entries from segment n. A short or corrupt
-// record at the tail of the final segment is tolerated (crash recovery) by
-// truncating the file there; elsewhere it is an error.
-func (s *Store) replaySegment(n int, last bool) error {
-	path := filepath.Join(s.dir, segName(n))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	off := int64(0)
-	for int(off) < len(data) {
+// replay walks the records of segment seg, handing each to put (when not
+// nil), and returns the length of its whole records. In the newest segment
+// (last) a short record at the end is a torn tail, where replay stops.
+func replay(data []byte, seg int, last bool, put func(key, val []byte)) (int, error) {
+	off := 0
+	for off < len(data) {
 		rec := data[off:]
-		key, val, del, recLen, ok := parseRecord(rec)
-		if !ok {
+		var n uint64 = headerSize
+		if len(rec) >= headerSize {
+			n += uint64(binary.LittleEndian.Uint32(rec[5:9])) + uint64(binary.LittleEndian.Uint32(rec[9:13]))
+		}
+		if uint64(len(rec)) < n {
 			if last {
-				// Torn tail: truncate and continue from here.
-				if err := os.Truncate(path, off); err != nil {
-					return fmt.Errorf("kvstore: truncating torn tail: %w", err)
-				}
-				break
+				return off, nil
 			}
-			return fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, n, off)
+			return 0, fmt.Errorf("%w: segment %d offset %d: record cut short", ErrCorrupt, seg, off)
 		}
-		if del {
-			if old, ok := s.index[string(key)]; ok {
-				s.garbage += int64(headerSize + len(key) + old.valLen)
-			}
-			delete(s.index, string(key))
-			s.garbage += int64(recLen)
-		} else {
-			if old, ok := s.index[string(key)]; ok {
-				s.garbage += int64(headerSize + len(key) + old.valLen)
-			}
-			s.index[string(key)] = entryLoc{
-				seg:    n,
-				offset: off + int64(headerSize+len(key)),
-				valLen: len(val),
-			}
+		if crc32.Checksum(rec[4:n], castagnoli) != binary.LittleEndian.Uint32(rec[0:4]) || rec[4] != 0 {
+			return 0, fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, seg, off)
 		}
-		off += int64(recLen)
+		if put != nil {
+			kl := headerSize + uint64(binary.LittleEndian.Uint32(rec[5:9]))
+			put(rec[headerSize:kl], rec[kl:n])
+		}
+		off += int(n)
 	}
-	r, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	s.readers[n] = r
-	return nil
+	return off, nil
 }
 
-// parseRecord decodes one record from the front of b.
-func parseRecord(b []byte) (key, val []byte, del bool, recLen int, ok bool) {
-	if len(b) < headerSize {
-		return nil, nil, false, 0, false
-	}
-	crc := binary.LittleEndian.Uint32(b[0:4])
-	flags := b[4]
-	kl := int(binary.LittleEndian.Uint32(b[5:9]))
-	vl := int(binary.LittleEndian.Uint32(b[9:13]))
-	recLen = headerSize + kl + vl
-	if kl < 0 || vl < 0 || len(b) < recLen {
-		return nil, nil, false, 0, false
-	}
-	if crc32.Checksum(b[4:recLen], castagnoli) != crc {
-		return nil, nil, false, 0, false
-	}
-	key = b[headerSize : headerSize+kl]
-	val = b[headerSize+kl : recLen]
-	return key, val, flags&flagDelete != 0, recLen, true
-}
-
-func appendRecord(dst []byte, key, val []byte, del bool) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // crc placeholder
-	flags := byte(0)
-	if del {
-		flags = flagDelete
-	}
-	dst = append(dst, flags)
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint32(lenBuf[0:4], uint32(len(key)))
-	binary.LittleEndian.PutUint32(lenBuf[4:8], uint32(len(val)))
-	dst = append(dst, lenBuf[:]...)
-	dst = append(dst, key...)
-	dst = append(dst, val...)
-	crc := crc32.Checksum(dst[start+4:], castagnoli)
-	binary.LittleEndian.PutUint32(dst[start:start+4], crc)
-	return dst
-}
-
-// Put stores val under key, overwriting any previous value.
-func (s *Store) Put(key, val []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("kvstore: store closed")
-	}
-	rec := appendRecord(nil, key, val, false)
-	if _, err := s.active.Write(rec); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	if s.opts.SyncEvery {
-		if err := s.active.Sync(); err != nil {
-			return fmt.Errorf("kvstore: %w", err)
-		}
-	}
-	if old, ok := s.index[string(key)]; ok {
-		s.garbage += int64(headerSize + len(key) + old.valLen)
-	}
-	s.index[string(key)] = entryLoc{
-		seg:    s.activeN,
-		offset: s.size + int64(headerSize+len(key)),
-		valLen: len(val),
-	}
-	s.size += int64(len(rec))
-	if s.size >= s.opts.maxSegment() {
-		return s.rotateLocked()
-	}
-	return nil
-}
-
-// Delete removes key. Deleting a missing key is a no-op.
-func (s *Store) Delete(key []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("kvstore: store closed")
-	}
-	if _, ok := s.index[string(key)]; !ok {
-		return nil
-	}
-	rec := appendRecord(nil, key, nil, true)
-	if _, err := s.active.Write(rec); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	old := s.index[string(key)]
-	s.garbage += int64(headerSize+len(key)+old.valLen) + int64(len(rec))
-	delete(s.index, string(key))
-	s.size += int64(len(rec))
-	return nil
-}
-
-func (s *Store) rotateLocked() error {
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	return s.openActive(s.activeN + 1)
-}
-
-// Get returns the value stored under key.
-func (s *Store) Get(key []byte) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, errors.New("kvstore: store closed")
-	}
-	loc, ok := s.index[string(key)]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	r := s.readers[loc.seg]
-	if r == nil {
-		return nil, fmt.Errorf("kvstore: missing reader for segment %d", loc.seg)
-	}
-	val := make([]byte, loc.valLen)
-	if _, err := r.ReadAt(val, loc.offset); err != nil {
-		return nil, fmt.Errorf("kvstore: %w", err)
-	}
-	return val, nil
-}
-
-// Has reports whether key exists.
-func (s *Store) Has(key []byte) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[string(key)]
-	return ok
-}
-
-// Len returns the number of live keys.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.index)
-}
-
-// Keys returns all live keys in sorted order.
-func (s *Store) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// ForEach calls fn for every live key/value pair in sorted key order,
-// stopping at the first error.
-func (s *Store) ForEach(fn func(key string, val []byte) error) error {
-	for _, k := range s.Keys() {
-		v, err := s.Get([]byte(k))
-		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue // deleted concurrently
-			}
-			return err
-		}
-		if err := fn(k, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GarbageBytes estimates the dead bytes reclaimable by Compact.
-func (s *Store) GarbageBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.garbage
-}
-
-// Compact rewrites all live entries into fresh segments and removes the old
-// ones, reclaiming space from overwrites and deletes.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("kvstore: store closed")
-	}
-	// Snapshot the live set.
-	type kv struct {
-		k string
-		v []byte
-	}
-	live := make([]kv, 0, len(s.index))
-	for k, loc := range s.index {
-		r := s.readers[loc.seg]
-		val := make([]byte, loc.valLen)
-		if _, err := r.ReadAt(val, loc.offset); err != nil {
-			return fmt.Errorf("kvstore: compact read: %w", err)
-		}
-		live = append(live, kv{k, val})
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].k < live[j].k })
-
-	// Write into new segments numbered after the current active one.
-	oldSegs := make([]int, 0, len(s.readers))
-	for n := range s.readers {
-		oldSegs = append(oldSegs, n)
-	}
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	next := s.activeN + 1
-	if err := s.openActive(next); err != nil {
-		return err
-	}
-	newIndex := make(map[string]entryLoc, len(live))
-	for _, e := range live {
-		rec := appendRecord(nil, []byte(e.k), e.v, false)
-		if _, err := s.active.Write(rec); err != nil {
-			return fmt.Errorf("kvstore: compact write: %w", err)
-		}
-		newIndex[e.k] = entryLoc{
-			seg:    s.activeN,
-			offset: s.size + int64(headerSize+len(e.k)),
-			valLen: len(e.v),
-		}
-		s.size += int64(len(rec))
-		if s.size >= s.opts.maxSegment() {
-			if err := s.rotateLocked(); err != nil {
-				return err
-			}
-			// rotateLocked reset s.size; subsequent entries land in the new
-			// segment.
-		}
-	}
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	s.index = newIndex
-	s.garbage = 0
-	// Drop the old segments.
-	for _, n := range oldSegs {
-		if n == s.activeN {
-			continue
-		}
-		if r := s.readers[n]; r != nil && !isLive(newIndex, n) {
-			r.Close()
-			delete(s.readers, n)
-			if err := os.Remove(filepath.Join(s.dir, segName(n))); err != nil {
-				return fmt.Errorf("kvstore: removing segment %d: %w", n, err)
-			}
-		}
-	}
-	return nil
-}
-
-func isLive(index map[string]entryLoc, seg int) bool {
-	for _, loc := range index {
-		if loc.seg == seg {
-			return true
-		}
-	}
-	return false
-}
-
-// Sync flushes the active segment to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("kvstore: store closed")
-	}
-	return s.active.Sync()
-}
-
-// Close releases all file handles. The store must not be used afterwards.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var first error
-	if s.active != nil {
-		if err := s.active.Sync(); err != nil && first == nil {
-			first = err
-		}
-		if err := s.active.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, r := range s.readers {
-		if err := r.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.readers = nil
-	return first
+func encodeRecord(key, val []byte) []byte {
+	rec := make([]byte, 5, headerSize+len(key)+len(val)) // CRC placeholder, flags
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(key)))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(val)))
+	rec = append(append(rec, key...), val...)
+	binary.LittleEndian.PutUint32(rec, crc32.Checksum(rec[4:], castagnoli))
+	return rec
 }

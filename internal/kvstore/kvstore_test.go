@@ -1,433 +1,316 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 )
 
-func openTemp(t *testing.T, opts *Options) (*Store, string) {
+// write opens a writer on dir, puts the pairs in order and closes it.
+func write(t *testing.T, dir string, kvs ...string) {
 	t.Helper()
-	dir := t.TempDir()
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s, dir
-}
-
-func TestPutGetDelete(t *testing.T) {
-	s, _ := openTemp(t, nil)
-	if err := s.Put([]byte("k1"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.Get([]byte("k1"))
-	if err != nil || string(v) != "v1" {
-		t.Fatalf("get = %q, %v", v, err)
-	}
-	if err := s.Put([]byte("k1"), []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	v, _ = s.Get([]byte("k1"))
-	if string(v) != "v2" {
-		t.Errorf("overwrite lost: %q", v)
-	}
-	if err := s.Delete([]byte("k1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get([]byte("k1")); !errors.Is(err, ErrNotFound) {
-		t.Errorf("deleted key returned err %v", err)
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	// Deleting a missing key is a no-op.
-	if err := s.Delete([]byte("nope")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEmptyValuesAndKeys(t *testing.T) {
-	s, _ := openTemp(t, nil)
-	if err := s.Put([]byte("empty"), nil); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.Get([]byte("empty"))
-	if err != nil || len(v) != 0 {
-		t.Errorf("empty value: %q, %v", v, err)
-	}
-	if err := s.Put([]byte{}, []byte("keyless")); err != nil {
-		t.Fatal(err)
-	}
-	v, err = s.Get([]byte{})
-	if err != nil || string(v) != "keyless" {
-		t.Errorf("empty key: %q, %v", v, err)
-	}
-}
-
-func TestReopenRecoversState(t *testing.T) {
-	dir := t.TempDir()
 	s, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{}
-	for i := 0; i < 500; i++ {
-		k := fmt.Sprintf("key-%03d", i%100)
-		v := fmt.Sprintf("val-%d", i)
-		want[k] = v
-		if err := s.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i += 3 {
-		k := fmt.Sprintf("key-%03d", i)
-		delete(want, k)
-		if err := s.Delete([]byte(k)); err != nil {
+	for i := 0; i+1 < len(kvs); i += 2 {
+		if err := s.Put([]byte(kvs[i]), []byte(kvs[i+1])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	s2, err := Open(dir, nil)
+func load(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	kv, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if s2.Len() != len(want) {
-		t.Fatalf("reopened Len = %d, want %d", s2.Len(), len(want))
+	return kv
+}
+
+func equalMaps(got map[string][]byte, want map[string]string) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("loaded %d keys, want %d", len(got), len(want))
 	}
 	for k, v := range want {
-		got, err := s2.Get([]byte(k))
-		if err != nil || string(got) != v {
-			t.Fatalf("key %s: got %q, %v; want %q", k, got, err, v)
+		g, ok := got[k]
+		if !ok || string(g) != v {
+			return fmt.Errorf("key %q = %q (present %v), want %q", k, g, ok, v)
 		}
 	}
+	return nil
 }
 
-func TestSegmentRotation(t *testing.T) {
-	s, dir := openTemp(t, &Options{MaxSegmentBytes: 256})
-	for i := 0; i < 100; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("k%02d", i)), make([]byte, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Errorf("expected multiple segments, got %d", len(segs))
-	}
-	// Old-segment reads must still work.
-	if _, err := s.Get([]byte("k00")); err != nil {
-		t.Errorf("read from sealed segment: %v", err)
-	}
-}
-
-func TestTornTailRecovered(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put([]byte("a"), []byte("1"))
-	s.Put([]byte("b"), []byte("2"))
-	s.Close()
-
-	// Simulate a crash mid-append: append half a record to the active
-	// segment.
-	segs, _ := listSegments(dir)
-	last := filepath.Join(dir, segName(segs[len(segs)-1]))
-	// Find the segment that actually holds data (the first); corrupt its
-	// tail by appending garbage shorter than a header.
-	f, err := os.OpenFile(last, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0xDE, 0xAD})
-	f.Close()
-
-	s2, err := Open(dir, nil)
-	if err != nil {
-		t.Fatalf("reopen after torn tail: %v", err)
-	}
-	defer s2.Close()
-	if v, err := s2.Get([]byte("a")); err != nil || string(v) != "1" {
-		t.Errorf("a = %q, %v", v, err)
-	}
-	if v, err := s2.Get([]byte("b")); err != nil || string(v) != "2" {
-		t.Errorf("b = %q, %v", v, err)
-	}
-}
-
-func TestCorruptionInSealedSegmentDetected(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, &Options{MaxSegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		s.Put([]byte(fmt.Sprintf("k%d", i)), make([]byte, 32))
-	}
-	s.Close()
-	// Flip a byte in the middle of the first (sealed) segment.
-	segs, _ := listSegments(dir)
-	first := filepath.Join(dir, segName(segs[0]))
-	data, _ := os.ReadFile(first)
-	data[len(data)/2] ^= 0xFF
-	os.WriteFile(first, data, 0o644)
-
-	if _, err := Open(dir, nil); err == nil {
-		t.Error("corrupt sealed segment accepted")
-	}
-}
-
-func TestCompactReclaimsSpace(t *testing.T) {
-	s, dir := openTemp(t, &Options{MaxSegmentBytes: 1024})
-	// Heavy overwrite workload.
-	for i := 0; i < 1000; i++ {
-		k := fmt.Sprintf("k%d", i%10)
-		if err := s.Put([]byte(k), make([]byte, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := dirSize(t, dir)
-	if s.GarbageBytes() == 0 {
-		t.Error("no garbage tracked despite overwrites")
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after := dirSize(t, dir)
-	if after >= before/10 {
-		t.Errorf("compaction reclaimed too little: %d -> %d bytes", before, after)
-	}
-	// All live keys must survive.
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := s.Get([]byte(fmt.Sprintf("k%d", i))); err != nil {
-			t.Errorf("k%d lost after compact: %v", i, err)
-		}
-	}
-}
-
-func TestCompactThenReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, &Options{MaxSegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		s.Put([]byte(fmt.Sprintf("k%d", i%20)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 20 {
-		t.Errorf("Len after reopen = %d, want 20", s2.Len())
-	}
-	v, err := s2.Get([]byte("k19"))
-	if err != nil || string(v) != "v199" {
-		t.Errorf("k19 = %q, %v", v, err)
-	}
-}
-
-func TestForEachSortedOrder(t *testing.T) {
-	s, _ := openTemp(t, nil)
-	for _, k := range []string{"zebra", "apple", "mango"} {
-		s.Put([]byte(k), []byte(k))
-	}
-	var got []string
-	err := s.ForEach(func(k string, v []byte) error {
-		got = append(got, k)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"apple", "mango", "zebra"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v", got)
-		}
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	s, _ := openTemp(t, &Options{MaxSegmentBytes: 4096})
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 200; i++ {
-				k := []byte(fmt.Sprintf("g%d-k%d", g, rng.Intn(50)))
-				switch rng.Intn(3) {
-				case 0:
-					if err := s.Put(k, []byte(fmt.Sprintf("%d", i))); err != nil {
-						errs <- err
-						return
-					}
-				case 1:
-					if _, err := s.Get(k); err != nil && !errors.Is(err, ErrNotFound) {
-						errs <- err
-						return
-					}
-				case 2:
-					if err := s.Delete(k); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
-func TestClosedStoreRejectsOps(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if err := s.Put([]byte("k"), []byte("v")); err == nil {
-		t.Error("Put on closed store succeeded")
-	}
-	if _, err := s.Get([]byte("k")); err == nil {
-		t.Error("Get on closed store succeeded")
-	}
-	// Double close is fine.
-	if err := s.Close(); err != nil {
-		t.Errorf("double close: %v", err)
-	}
-}
-
-func dirSize(t *testing.T, dir string) int64 {
+// snapshot is every file under dir by name, with its bytes.
+func snapshot(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	var total int64
+	files := map[string]string{}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		info, err := e.Info()
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += info.Size()
+		files[e.Name()] = string(data)
 	}
-	return total
+	return files
 }
 
-// TestCompactUnderConcurrentReads runs repeated compactions while reader
-// goroutines hammer Get and ForEach. Values are keyed so a read that
-// observes a torn or foreign value fails, readers must never see
-// ErrNotFound for keys that are never deleted, and after the dust settles
-// every key must hold its final version.
-func TestCompactUnderConcurrentReads(t *testing.T) {
-	s, _ := openTemp(t, &Options{MaxSegmentBytes: 2048})
-	const keys = 32
-	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
-	val := func(i, version int) []byte { return []byte(fmt.Sprintf("key-%03d-v%06d", i, version)) }
-	for i := 0; i < keys; i++ {
-		if err := s.Put(key(i), val(i, 0)); err != nil {
+func sameFiles(t *testing.T, before, after map[string]string) {
+	t.Helper()
+	if len(before) != len(after) {
+		t.Fatalf("%d files before, %d after", len(before), len(after))
+	}
+	for name, data := range before {
+		if after[name] != data {
+			t.Fatalf("%s changed: %d bytes before, %d after", name, len(data), len(after[name]))
+		}
+	}
+}
+
+func TestEmptyValuesAndKeys(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "empty", "", "", "keyless")
+	if err := equalMaps(load(t, dir), map[string]string{"empty": "", "": "keyless"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReopenRecoversState writes a store with overwrites through three
+// writers, one segment each, and loads it with the last write winning across
+// segments as well as within one.
+func TestReopenRecoversState(t *testing.T) {
+	dir := t.TempDir()
+	want := map[string]string{}
+	for w := 0; w < 3; w++ {
+		s, err := Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			k := fmt.Sprintf("key-%03d", (i*7+w*31)%100)
+			v := fmt.Sprintf("val-%d-%d", w, i)
+			want[k] = v
+			if err := s.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := equalMaps(load(t, dir), want); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	stop := make(chan struct{})
-	errs := make(chan error, 16)
+// TestSegmentRotation: segments rotate at Open, not by size. Each writer
+// appends to a fresh segment after the newest and leaves the older ones
+// byte-identical, an empty writer included.
+func TestSegmentRotation(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "a", "1")
+	first := snapshot(t, dir)
+	write(t, dir, "a", "2", "b", "1")
+	write(t, dir)
+	if segs, err := listSegments(dir); err != nil || len(segs) != 3 || segs[2] != 3 {
+		t.Fatalf("segments = %v, %v; want 1, 2, 3", segs, err)
+	}
+	if now := snapshot(t, dir); now[segName(1)] != first[segName(1)] {
+		t.Fatal("a later writer changed the first segment")
+	}
+	if err := equalMaps(load(t, dir), map[string]string{"a": "2", "b": "1"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTornTailRecovered: a short record at the end of the newest segment (a
+// crash mid-append) is ignored by Load, which leaves it on disk, and
+// truncated by the next writer.
+func TestTornTailRecovered(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "a", "1", "b", "2")
+	seg := filepath.Join(dir, segName(1))
+	clean, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(append([]byte(nil), clean...), encodeRecord([]byte("c"), []byte("3"))[:headerSize+1]...)
+	if err := os.WriteFile(seg, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := snapshot(t, dir)
+	if err := equalMaps(load(t, dir), map[string]string{"a": "1", "b": "2"}); err != nil {
+		t.Fatal(err)
+	}
+	sameFiles(t, before, snapshot(t, dir))
+
+	write(t, dir, "c", "3")
+	if data, _ := os.ReadFile(seg); !bytes.Equal(data, clean) {
+		t.Fatalf("writer left the torn segment at %d bytes, want %d", len(data), len(clean))
+	}
+	if err := equalMaps(load(t, dir), map[string]string{"a": "1", "b": "2", "c": "3"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptionInSealedSegmentDetected: damage in a segment a later writer
+// followed — a flipped byte, or a record cut short — is ErrCorrupt.
+func TestCorruptionInSealedSegmentDetected(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0xFF; return b }},
+		{"cut short", func(b []byte) []byte { return b[:len(b)-3] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			write(t, dir, "k0", "v0", "k1", "v1", "k2", "v2")
+			write(t, dir, "k3", "v3")
+			first := filepath.Join(dir, segName(1))
+			data, err := os.ReadFile(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(first, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Load = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestCorruptNewestSegmentRefused: a whole record with a bad checksum, or a
+// flag set, in the newest segment is ErrCorrupt for Load and for a writer's
+// Open, and neither touches the file. (A store that truncated here would
+// destroy every entry after the damage.)
+func TestCorruptNewestSegmentRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte)
+	}{
+		{"flipped byte", func(b []byte) { b[len(b)-2] ^= 0xFF }},
+		{"flag set", func(b []byte) {
+			b[4] = 1
+			n := headerSize + len("a") + len("1")
+			putCRC(b[:n])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			write(t, dir, "a", "1", "key-b", "value-b")
+			seg := filepath.Join(dir, segName(1))
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(data)
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := snapshot(t, dir)
+			if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Load = %v, want ErrCorrupt", err)
+			}
+			if s, err := Open(dir, nil); !errors.Is(err, ErrCorrupt) {
+				if err == nil {
+					s.Close()
+				}
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+			sameFiles(t, before, snapshot(t, dir))
+		})
+	}
+}
+
+func putCRC(rec []byte) {
+	binary.LittleEndian.PutUint32(rec, crc32.Checksum(rec[4:], castagnoli))
+}
+
+// TestLoadMissingDir: a store that was never written is fs.ErrNotExist, and
+// loading it creates nothing.
+func TestLoadMissingDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "meta")
+	if _, err := Load(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Load(missing) = %v, want fs.ErrNotExist", err)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Load created %s (stat: %v)", dir, err)
+	}
+}
+
+// TestConcurrentAccess: Puts from several goroutines all land whole.
+func TestConcurrentAccess(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]map[string]string, 8)
 	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
+	for g := range want {
+		want[g] = map[string]string{}
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if rng.Intn(4) == 0 {
-					// Full iteration concurrent with compaction.
-					err := s.ForEach(func(k string, v []byte) error {
-						if !strings.HasPrefix(string(v), k+"-v") {
-							return fmt.Errorf("ForEach: key %q has foreign value %q", k, v)
-						}
-						return nil
-					})
-					if err != nil {
-						errs <- err
-						return
-					}
-					continue
-				}
-				i := rng.Intn(keys)
-				v, err := s.Get(key(i))
-				if err != nil {
-					errs <- fmt.Errorf("Get(%s): %w", key(i), err)
+			for i := 0; i < 200; i++ {
+				k := fmt.Sprintf("g%d-k%d", g, rng.Intn(50))
+				v := fmt.Sprintf("%d", i)
+				if err := s.Put([]byte(k), []byte(v)); err != nil {
+					t.Error(err)
 					return
 				}
-				if !strings.HasPrefix(string(v), string(key(i))+"-v") {
-					errs <- fmt.Errorf("Get(%s) = %q: torn or foreign value", key(i), v)
-					return
-				}
+				want[g][k] = v
 			}
 		}(g)
 	}
-
-	// Writer + compactor: overwrite every key, then compact, repeatedly.
-	for round := 1; round <= 5; round++ {
-		for i := 0; i < keys; i++ {
-			if err := s.Put(key(i), val(i, round)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
+	all := map[string]string{}
+	for _, m := range want {
+		for k, v := range m {
+			all[k] = v
+		}
+	}
+	if err := equalMaps(load(t, dir), all); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// After the dust settles every key holds the final version.
-	for i := 0; i < keys; i++ {
-		v, err := s.Get(key(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(v) != string(val(i, 5)) {
-			t.Fatalf("key %d = %q after compactions, want %q", i, v, val(i, 5))
-		}
+func TestClosedStoreRejectsOps(t *testing.T) {
+	s, err := Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("k"), []byte("v")); err == nil {
+		t.Error("Put on closed store succeeded")
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("double close: %v", err)
 	}
 }

@@ -1,109 +1,77 @@
 package kvstore
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// TestModelBasedRandomOps drives the store with random operation sequences
-// and checks it against a plain map model, including across compactions and
-// reopens — the classic linearizable-single-client property test.
+// TestModelBasedRandomOps drives the store with random sequences of puts,
+// writer reopens and crashes mid-append, and checks every Load against a
+// plain map model.
 func TestModelBasedRandomOps(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
-		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial) * 977))
 			dir := t.TempDir()
-			s, err := Open(dir, &Options{MaxSegmentBytes: 512})
+			s, err := Open(dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() { s.Close() }()
+			newest := 1
 
-			model := map[string][]byte{}
-			key := func() []byte {
-				return []byte(fmt.Sprintf("key-%02d", rng.Intn(30)))
-			}
-
+			model := map[string]string{}
 			for op := 0; op < 600; op++ {
 				switch rng.Intn(10) {
-				case 0, 1, 2, 3: // put
-					k := key()
+				case 0, 1, 2, 3, 4, 5: // put
+					k := fmt.Sprintf("key-%02d", rng.Intn(30))
 					v := make([]byte, rng.Intn(100))
 					rng.Read(v)
-					if err := s.Put(k, v); err != nil {
+					if err := s.Put([]byte(k), v); err != nil {
 						t.Fatalf("op %d: put: %v", op, err)
 					}
-					model[string(k)] = append([]byte(nil), v...)
-				case 4, 5: // delete
-					k := key()
-					if err := s.Delete(k); err != nil {
-						t.Fatalf("op %d: delete: %v", op, err)
+					model[k] = string(v)
+				case 6, 7: // load beside the open writer
+					if err := equalMaps(load(t, dir), model); err != nil {
+						t.Fatalf("op %d: %v", op, err)
 					}
-					delete(model, string(k))
-				case 6, 7: // get
-					k := key()
-					got, err := s.Get(k)
-					want, ok := model[string(k)]
-					switch {
-					case !ok && !errors.Is(err, ErrNotFound):
-						t.Fatalf("op %d: get missing key: err=%v", op, err)
-					case ok && err != nil:
-						t.Fatalf("op %d: get present key: %v", op, err)
-					case ok && !bytes.Equal(got, want):
-						t.Fatalf("op %d: value mismatch", op)
+				case 8: // close and reopen the writer
+					if err := s.Close(); err != nil {
+						t.Fatalf("op %d: close: %v", op, err)
 					}
-				case 8: // compact occasionally
-					if rng.Intn(4) == 0 {
-						if err := s.Compact(); err != nil {
-							t.Fatalf("op %d: compact: %v", op, err)
-						}
+					if s, err = Open(dir, nil); err != nil {
+						t.Fatalf("op %d: reopen: %v", op, err)
 					}
-				case 9: // close + reopen occasionally
-					if rng.Intn(4) == 0 {
-						if err := s.Close(); err != nil {
-							t.Fatalf("op %d: close: %v", op, err)
-						}
-						s, err = Open(dir, &Options{MaxSegmentBytes: 512})
-						if err != nil {
-							t.Fatalf("op %d: reopen: %v", op, err)
-						}
+					newest++
+				case 9: // crash mid-append, load, then reopen
+					rec := encodeRecord([]byte("torn"), []byte("never written"))
+					f, err := os.OpenFile(filepath.Join(dir, segName(newest)), os.O_APPEND|os.O_WRONLY, 0)
+					if err != nil {
+						t.Fatal(err)
 					}
+					if _, err := f.Write(rec[:rng.Intn(len(rec))]); err != nil {
+						t.Fatal(err)
+					}
+					f.Close()
+					s.Close()
+					if err := equalMaps(load(t, dir), model); err != nil {
+						t.Fatalf("op %d: after crash: %v", op, err)
+					}
+					if s, err = Open(dir, nil); err != nil {
+						t.Fatalf("op %d: reopen after crash: %v", op, err)
+					}
+					newest++
 				}
 			}
-
-			// Final full-state comparison.
-			if s.Len() != len(model) {
-				t.Fatalf("Len = %d, model has %d", s.Len(), len(model))
-			}
-			for k, want := range model {
-				got, err := s.Get([]byte(k))
-				if err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("final: key %s mismatch (%v)", k, err)
-				}
-			}
-			// And once more after a final reopen.
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			s2, err := Open(dir, nil)
-			if err != nil {
-				t.Fatal(err)
+			if err := equalMaps(load(t, dir), model); err != nil {
+				t.Fatalf("final: %v", err)
 			}
-			defer s2.Close()
-			if s2.Len() != len(model) {
-				t.Fatalf("after reopen: Len = %d, model has %d", s2.Len(), len(model))
-			}
-			for k, want := range model {
-				got, err := s2.Get([]byte(k))
-				if err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("after reopen: key %s mismatch (%v)", k, err)
-				}
-			}
-			s = s2
 		})
 	}
 }

@@ -30,6 +30,12 @@ const (
 	// downTTL is how long a member that failed a read is deprioritized
 	// before the client gives it another first-choice chance.
 	downTTL = 2 * time.Second
+	// maxClusterDocBytes and maxClusterMembers bound a /cluster document
+	// before the client builds a ring of cluster.DefaultVirtualNodes points
+	// per listed member from it; unbounded, 10⁶ member URLs would cost
+	// about 2 GB.
+	maxClusterDocBytes = 1 << 20
+	maxClusterMembers  = 1024
 )
 
 // ClusterStats snapshots a ClusterClient's fleet counters.
@@ -254,12 +260,33 @@ func (c *ClusterClient) fetchClusterInfo(src string) (*cluster.Info, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("serve: fetching membership from %s: server returned %s", src, resp.Status)
 	}
-	var info cluster.Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxClusterDocBytes+1))
+	if err != nil {
 		return nil, fmt.Errorf("serve: fetching membership from %s: %w", src, err)
 	}
+	info, err := parseClusterInfo(data)
+	if err != nil {
+		return nil, fmt.Errorf("serve: membership from %s: %w", src, err)
+	}
+	return info, nil
+}
+
+// parseClusterInfo decodes a /cluster document, refusing one past
+// maxClusterDocBytes, or listing no members or more than maxClusterMembers.
+// A replication factor below 1 means no replication.
+func parseClusterInfo(data []byte) (*cluster.Info, error) {
+	if len(data) > maxClusterDocBytes {
+		return nil, fmt.Errorf("cluster document over %d bytes", maxClusterDocBytes)
+	}
+	var info cluster.Info
+	if err := json.Unmarshal(data, &info); err != nil {
+		return nil, err
+	}
 	if len(info.Members) == 0 {
-		return nil, fmt.Errorf("serve: %s reported an empty fleet", src)
+		return nil, errors.New("empty fleet")
+	}
+	if len(info.Members) > maxClusterMembers {
+		return nil, fmt.Errorf("%d members, more than %d", len(info.Members), maxClusterMembers)
 	}
 	if info.Replication <= 0 {
 		info.Replication = 1

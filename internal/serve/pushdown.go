@@ -167,7 +167,7 @@ func (s *Server) gatherRanges(rec int, ranges []core.ByteRange) ([]byte, error) 
 	}
 	body := make([]byte, 0, core.RangesTotal(ranges))
 	for _, rg := range ranges {
-		part, err := s.ds.ReadRecordRange(rec, rg.Offset, rg.Length)
+		part, err := s.readBacking(rec, rg.Offset, rg.Length)
 		if err != nil {
 			return nil, err
 		}

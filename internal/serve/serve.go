@@ -137,9 +137,9 @@ type Stats struct {
 	Errors int64 `json:"errors"`
 	// BytesServed counts record payload bytes written to clients.
 	BytesServed int64 `json:"bytes_served"`
-	// BytesRead counts bytes read from the backing store (with the hot
-	// cache enabled this lags BytesServed on re-reads — the serving-side
-	// analogue of the paper's cache-pressure reduction).
+	// BytesRead counts bytes read from the backing store, with or without
+	// the hot cache (with it, this lags BytesServed on re-reads — the
+	// serving-side analogue of the paper's cache-pressure reduction).
 	BytesRead int64 `json:"bytes_read"`
 	// HedgedRequests counts requests that arrived marked as client
 	// hedges (the X-Pcr-Hedge header): tail-latency re-aims that landed
@@ -610,7 +610,7 @@ func (s *Server) readRange(rec int, start, length int64) ([]byte, error) {
 		return nil, nil
 	}
 	if s.cache == nil {
-		return s.ds.ReadRecordRange(rec, start, length)
+		return s.readBacking(rec, start, length)
 	}
 	prefix, err := s.cache.Get(rec, start+length)
 	if err != nil {
@@ -619,11 +619,22 @@ func (s *Server) readRange(rec int, start, length int64) ([]byte, error) {
 	return prefix[start : start+length], nil
 }
 
-// fetchRange is the hot cache's backing fetcher, counted as backing-store
-// reads. While SyncReplicas is warming a replicated record, the fetch is
-// rerouted to the record's owner over HTTP — one attempt, falling back to
-// the backing store on any error — so a replica fills from the member that
-// most likely has the bytes hot instead of hammering cold storage.
+// readBacking reads [offset, offset+length) of record rec from the backing
+// store: every such read, cached server or not, is counted in bytes_read
+// here and nowhere else.
+func (s *Server) readBacking(rec int, offset, length int64) ([]byte, error) {
+	data, err := s.ds.ReadRecordRange(rec, offset, length)
+	if err == nil {
+		s.bytesRead.Add(int64(len(data)))
+	}
+	return data, err
+}
+
+// fetchRange is the hot cache's backing fetcher. While SyncReplicas is
+// warming a replicated record, the fetch is rerouted to the record's owner
+// over HTTP — one attempt, falling back to the backing store on any error —
+// so a replica fills from the member that most likely has the bytes hot
+// instead of hammering cold storage.
 func (s *Server) fetchRange(rec int, offset, length int64) ([]byte, error) {
 	if owner := s.pullTarget(rec); owner != "" {
 		data, err := s.pullFromOwner(owner, rec, offset, length)
@@ -631,11 +642,7 @@ func (s *Server) fetchRange(rec int, offset, length int64) ([]byte, error) {
 			return data, nil
 		}
 	}
-	data, err := s.ds.ReadRecordRange(rec, offset, length)
-	if err == nil {
-		s.bytesRead.Add(int64(len(data)))
-	}
-	return data, err
+	return s.readBacking(rec, offset, length)
 }
 
 func (s *Server) pullTarget(rec int) string {

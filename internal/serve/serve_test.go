@@ -325,6 +325,35 @@ func TestHotCacheServesRepeatsFromMemory(t *testing.T) {
 	}
 }
 
+// TestCachelessServerCountsBackingReads: without the hot cache every read
+// is a backing-store read and is counted in BytesRead exactly once — a
+// group prefix (repeated or not), a Range and a ?samples= selection alike.
+func TestCachelessServerCountsBackingReads(t *testing.T) {
+	_, srv, ts := startServer(t, &serve.Options{})
+	ix := fetchIndex(t, ts)
+	re := ix.Records[0]
+	url := ts.URL + "/records/" + re.Name
+	sel := make([]bool, re.Samples)
+	sel[0], sel[re.Samples-1] = true, true
+
+	var want int64
+	for _, step := range []struct {
+		query string
+		hdr   map[string]string
+	}{
+		{"?group=1", nil},
+		{"?group=1", nil},
+		{"", map[string]string{"Range": "bytes=10-99"}},
+		{"?group=2&samples=" + bitmap(sel), nil},
+	} {
+		_, body := get(t, url+step.query, step.hdr)
+		want += int64(len(body))
+		if st := srv.Stats(); st.BytesRead != want || st.BytesServed != want {
+			t.Fatalf("after %q %v: BytesRead %d, BytesServed %d; want both %d", step.query, step.hdr, st.BytesRead, st.BytesServed, want)
+		}
+	}
+}
+
 func TestVarzAndHealthz(t *testing.T) {
 	_, srv, ts := startServer(t, &serve.Options{CacheBytes: 1 << 20})
 	resp, body := get(t, ts.URL+"/healthz", nil)
