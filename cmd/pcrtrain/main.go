@@ -1,14 +1,19 @@
 // Command pcrtrain runs one training configuration of the reproduction
 // harness over real I/O: the dataset is written to (or opened from) disk —
 // or served by a pcrserved URL — and every epoch streams through pcr.Loader
-// (sharded, shuffled, batch-assembled, quality-adaptive), reporting measured
-// bytes moved, images/s, and stall time per epoch.
+// (shuffled, batch-assembled, quality-adaptive), reporting measured bytes
+// moved, images/s, and stall time per epoch.
 //
 //	pcrtrain -dataset cars -model shufflenetlike -task multiclass -group 2
 //	pcrtrain -dataset cars -dynamic plateau -epochs 12
 //	pcrtrain -dataset cars -data /tmp/cars-pcr            # reuse a dataset dir
 //	pcrtrain -dataset cars -data http://localhost:8100    # train over the wire
 //	pcrtrain -data /tmp/cars-pcr -disk-cache-dir /tmp/dc  # run twice: the second run reads warm
+//	pcrtrain -data http://localhost:8100 -shards 4 -shard 1  # one of four data-parallel workers
+//
+// -shards n -shard i opens the dataset, local or remote, as stride shard i
+// of n (pcr.WithShard): this worker trains on records r with r % n == i,
+// and a remote worker downloads only that share of the index.
 //
 // -disk-cache-dir mounts a persistent prefix cache (one directory per
 // worker). Reopening it reads no cached byte; each entry is CRC-checked on
@@ -91,6 +96,7 @@ func run(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
 	}
 
 	var policy pcr.QualityPolicy
+	var probe *pcr.ProbePolicy
 	switch cfg.dynamic {
 	case "":
 		policy = pcr.FixedQuality(cfg.group) // group 0 == pcr.Full
@@ -99,11 +105,12 @@ func run(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
 			Detector: pcr.PlateauDetector{Window: 3, MinImprove: 0.05},
 		}
 	case "probe":
-		policy = &pcr.ProbePolicy{
+		probe = &pcr.ProbePolicy{
 			Detector:   pcr.PlateauDetector{Window: 3, MinImprove: 0.05},
 			ProbeSteps: cfg.probeSteps,
 			Tolerance:  cfg.probeTol,
 		}
+		policy = probe
 	case "cosine":
 		return nil, fmt.Errorf("cosine tuning needs full-quality gradient probes; it runs on the virtual clock: go run ./cmd/experiments -run fig20")
 	default:
@@ -129,18 +136,9 @@ func run(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
 		fmt.Fprintf(w, "synthesized %s ×%g: %d images → %s\n", cfg.dataset, cfg.scale, n, dir)
 		data = dir
 	}
-	openOpts := []pcr.Option{pcr.WithCacheBytes(cfg.cacheMB << 20)}
+	openOpts := []pcr.Option{pcr.WithCacheBytes(cfg.cacheMB << 20), pcr.WithShard(cfg.shard, cfg.shards)}
 	if cfg.diskCacheDir != "" {
 		openOpts = append(openOpts, pcr.WithDiskCache(cfg.diskCacheDir, cfg.diskCacheMB<<20))
-	}
-	// A remote sharded worker downloads only its stride partition of the
-	// index (GET /index?shard=i&nshards=n); the dataset it sees IS its
-	// shard, so the loader below runs unsharded. Local workers shard at
-	// the loader instead.
-	loaderShards, loaderShard := cfg.shards, cfg.shard
-	if remote && cfg.shards > 1 {
-		openOpts = append(openOpts, pcr.WithIndexShard(cfg.shard, cfg.shards))
-		loaderShards, loaderShard = 1, 0
 	}
 	var ds *pcr.Dataset
 	if remote {
@@ -163,14 +161,12 @@ func run(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
 		mp.Name, task.Name, task.NumClasses, cfg.epochs, cfg.batch, cfg.shard, cfg.shards)
 
 	res, err := realtrain.Run(context.Background(), ds, realtrain.Config{
-		Model:      mp,
-		Task:       task,
-		Epochs:     cfg.epochs,
-		BatchSize:  cfg.batch,
-		Seed:       cfg.seed,
-		Policy:     policy,
-		Shards:     loaderShards,
-		ShardIndex: loaderShard,
+		Model:     mp,
+		Task:      task,
+		Epochs:    cfg.epochs,
+		BatchSize: cfg.batch,
+		Seed:      cfg.seed,
+		Policy:    policy,
 	})
 	if err != nil {
 		return nil, err
@@ -189,9 +185,15 @@ func run(w io.Writer, cfg cliConfig) (*realtrain.Result, error) {
 	}
 	fmt.Fprintf(w, "\nfinal loss %.4f; %.2f MB moved in %v\n",
 		res.FinalLoss, float64(res.TotalBytes)/1e6, res.TotalWall.Round(time.Millisecond))
-	if res.Probes > 0 {
-		fmt.Fprintf(w, "probes: %d upward, %d re-ascended quality; %.2f MB probe reads, model updates rolled back\n",
-			res.Probes, res.ProbeWins, float64(res.ProbeBytes)/1e6)
+	if probe != nil {
+		if run, wins := probe.Probes(); run > 0 {
+			var probeBytes int64
+			for _, p := range res.Epochs {
+				probeBytes += p.Stats.ProbeBytes
+			}
+			fmt.Fprintf(w, "probes: %d upward, %d re-ascended quality; %.2f MB probe reads, model updates rolled back\n",
+				run, wins, float64(probeBytes)/1e6)
+		}
 	}
 	if st, ok := ds.DiskCacheStats(); ok {
 		fmt.Fprintf(w, "disk cache: %d hits, %d delta hits, %d misses; %.2f MB fetched upstream (%.2f MB delta); %d entries recovered warm\n",

@@ -168,10 +168,16 @@ func TestProbeModeEndToEnd(t *testing.T) {
 	if math.IsNaN(res.FinalLoss) || math.IsInf(res.FinalLoss, 0) {
 		t.Fatalf("final loss is %v", res.FinalLoss)
 	}
-	if res.Probes == 0 {
+	var probes int
+	var probeBytes int64
+	for _, p := range res.Epochs {
+		probes += p.Stats.Probes
+		probeBytes += p.Stats.ProbeBytes
+	}
+	if probes == 0 {
 		t.Fatalf("no upward probe ran across two LR drops:\n%s", out.String())
 	}
-	if res.ProbeBytes == 0 {
+	if probeBytes == 0 {
 		t.Fatal("probes read no bytes")
 	}
 	if !strings.Contains(out.String(), "probes:") {

@@ -83,9 +83,13 @@ func runProbe() error {
 		fmt.Printf("%6d %10.4f %10.2f %10s\n",
 			p.Epoch, p.TrainLoss, float64(p.Stats.BytesRead)/1e6, q)
 	}
+	var probeBytes int64
+	for _, p := range res.Epochs {
+		probeBytes += p.Stats.ProbeBytes
+	}
 	run, wins := policy.Probes()
 	fmt.Printf("\n%d upward probes (%d won), %.2f MB probe reads, final quality %d\n",
-		run, wins, float64(res.ProbeBytes)/1e6, policy.Quality())
+		run, wins, float64(probeBytes)/1e6, policy.Quality())
 	return nil
 }
 

@@ -44,16 +44,15 @@ func run() error {
 	fmt.Printf("dataset: %d images on disk at %s\n\n", n, dir)
 
 	// Two shard workers partition the records: disjoint, covering, and
-	// balanced — each worker opens the dataset independently, exactly as
+	// balanced — each worker opens its own shard of the dataset, exactly as
 	// separate processes (or machines, via OpenRemote) would.
 	fmt.Println("-- sharded epoch: two workers, disjoint record sets --")
 	for shard := 0; shard < 2; shard++ {
-		ds, err := pcr.Open(dir)
+		ds, err := pcr.Open(dir, pcr.WithShard(shard, 2))
 		if err != nil {
 			return err
 		}
 		l, err := pcr.NewLoader(ds,
-			pcr.WithShard(shard, 2),
 			pcr.WithBatchSize(32),
 			pcr.WithLoaderSeed(42),
 			pcr.WithQuality(pcr.Full))

@@ -235,6 +235,9 @@ func OpenDataset(dir string) (*Dataset, error) {
 		}
 		ds.records = append(ds.records, re)
 	}
+	if err := checkCounts(ds.numImg, ds.NumGroups, ds.records); err != nil {
+		return nil, err
+	}
 	return ds, nil
 }
 

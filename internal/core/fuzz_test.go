@@ -121,8 +121,9 @@ func FuzzParseRecordMeta(f *testing.F) {
 // An index that comes back is one every read plan can trust: names set,
 // prefixes non-negative and monotone, a side index the size the counts say
 // whose lengths are non-negative and sum to the prefix deltas — so nothing
-// in it is larger than the input that spelled it — and it survives its own
-// encoding.
+// in it is larger than the input that spelled it —, an image count that is
+// its records' samples and a quality count that covers their scan groups,
+// and it survives its own encoding.
 func FuzzParseIndex(f *testing.F) {
 	ds, _ := buildIndexedDataset(f)
 	valid, err := EncodeIndex(ds.Index())
@@ -147,10 +148,17 @@ func FuzzParseIndex(f *testing.F) {
 			}
 			return
 		}
-		words := 0
+		words, images := 0, 0
+		if ix.NumGroups < 0 {
+			t.Fatalf("accepted %d quality levels", ix.NumGroups)
+		}
 		for r := range ix.Records {
 			re := &ix.Records[r]
 			ng := len(re.Prefixes) - 1
+			if ng > ix.NumGroups {
+				t.Fatalf("record %d stores %d groups of an index counting %d", r, ng, ix.NumGroups)
+			}
+			images += re.Samples
 			if re.Name == "" || ng < 0 || re.Prefixes[0] < 0 || re.Samples < 0 ||
 				len(re.SampleIDs) != re.Samples || len(re.SampleLabels) != re.Samples || len(re.SampleGroupLens) != re.Samples*ng {
 				t.Fatalf("record %d accepted malformed: %+v", r, re)
@@ -176,6 +184,9 @@ func FuzzParseIndex(f *testing.F) {
 					t.Fatalf("record %d: negative length in %v", r, re.SampleGroupLens)
 				}
 			}
+		}
+		if images != ix.NumImages {
+			t.Fatalf("index counts %d images, its records hold %d", ix.NumImages, images)
 		}
 		// A number costs the input at least a digit and a separator.
 		if words > len(data)/2 {

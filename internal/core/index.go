@@ -62,12 +62,57 @@ func ParseIndex(data []byte) (*Index, error) {
 	if err := json.Unmarshal(data, &ix); err != nil {
 		return nil, fmt.Errorf("core: %w: parsing index: %w", ErrCorrupt, err)
 	}
-	for i := range ix.Records {
-		if err := ix.Records[i].validate(); err != nil {
-			return nil, fmt.Errorf("core: index record %d: %w", i, err)
-		}
+	if err := ix.validate(); err != nil {
+		return nil, err
 	}
 	return &ix, nil
+}
+
+// validate refuses, as ErrCorrupt, an index a read plan cannot trust: a
+// malformed record entry, or counts its records contradict.
+func (ix *Index) validate() error {
+	for i := range ix.Records {
+		if err := ix.Records[i].validate(); err != nil {
+			return fmt.Errorf("core: index record %d: %w", i, err)
+		}
+	}
+	return checkCounts(ix.NumImages, ix.NumGroups, ix.Records)
+}
+
+// checkCounts holds an index's counts to its (validated) records: the image
+// count is the sum of their samples, and the quality count covers every
+// record's scan groups. It has no upper bound on numGroups: a shard view
+// carries the whole dataset's, which its own records may not reach.
+func checkCounts(numImages, numGroups int, records []RecordInfo) error {
+	sum := 0
+	for i := range records {
+		sum += records[i].Samples
+		if ng := len(records[i].Prefixes) - 1; numGroups < ng {
+			return fmt.Errorf("core: %w: index counts %d quality levels, record %d stores %d", ErrCorrupt, numGroups, i, ng)
+		}
+	}
+	if numGroups < 0 {
+		return fmt.Errorf("core: %w: index counts %d quality levels", ErrCorrupt, numGroups)
+	}
+	if numImages != sum {
+		return fmt.Errorf("core: %w: index counts %d images, its records hold %d", ErrCorrupt, numImages, sum)
+	}
+	return nil
+}
+
+// Shard is stride shard i of n of the index (0 <= i < n): records r with
+// r % n == i, in storage order and renumbered from 0 — disjoint across the
+// n shards, covering the index, and balanced to within one record. The
+// view counts its own images and keeps the dataset's quality count. It is
+// the one sharding of a dataset: a served /index?shard=i&nshards=n and a
+// local shard opened through pcr are both this.
+func (ix *Index) Shard(i, n int) *Index {
+	sub := &Index{NumGroups: ix.NumGroups}
+	for r := i; r < len(ix.Records); r += n {
+		sub.Records = append(sub.Records, ix.Records[r])
+		sub.NumImages += ix.Records[r].Samples
+	}
+	return sub
 }
 
 // IndexFingerprint returns a stable content fingerprint of the index — the
@@ -106,10 +151,8 @@ func OpenDatasetIndex(ix *Index, b Backend) (*Dataset, error) {
 	if b == nil {
 		return nil, fmt.Errorf("core: nil backend")
 	}
-	for i := range ix.Records {
-		if err := ix.Records[i].validate(); err != nil {
-			return nil, fmt.Errorf("core: index record %d: %w", i, err)
-		}
+	if err := ix.validate(); err != nil {
+		return nil, err
 	}
 	return &Dataset{
 		backend:   b,

@@ -44,9 +44,6 @@ type Config struct {
 	// boundaries — model checkpointed, probe minibatches trained per
 	// candidate quality through Loader.Probe().Batches, updates rolled back.
 	Policy pcr.QualityPolicy
-	// Shards and ShardIndex partition records across distributed workers
-	// (defaults: 1 shard, index 0).
-	Shards, ShardIndex int
 	// ShuffleWindow is the loader's shuffle buffer in records (0 = loader
 	// default).
 	ShuffleWindow int
@@ -72,9 +69,6 @@ type ProbeDriver interface {
 	ReportLRDrop()
 	ProbePlan() (candidates []int, steps int, ok bool)
 	CompleteProbe(results []pcr.ProbeResult)
-	// Quality returns the policy's current quality, so the harness can
-	// report whether a completed probe re-ascended it.
-	Quality() int
 }
 
 // EpochResult is one epoch's measured curve point.
@@ -91,22 +85,17 @@ type Result struct {
 	Epochs []EpochResult
 	// FinalLoss is the last epoch's mean loss.
 	FinalLoss float64
-	// TotalBytes sums bytes read across epochs (probe reads excluded; see
-	// ProbeBytes).
+	// TotalBytes sums bytes read across epochs (probe reads excluded: each
+	// epoch's EpochStats.ProbeBytes counts those).
 	TotalBytes int64
 	// TotalWall is the measured wall-clock of all epochs.
 	TotalWall time.Duration
-	// Probes counts upward probes run; ProbeWins counts probes whose
-	// winning candidate re-ascended the quality; ProbeBytes sums the
-	// logical record prefix bytes the probes read (with a warm disk cache
-	// the network moves only the scan-group delta).
-	Probes, ProbeWins int
-	ProbeBytes        int64
 }
 
 // Run trains cfg.Model through a pcr.Loader over ds. The dataset must be a
-// record-granular format; it may come from pcr.Open or pcr.OpenRemote —
-// the loop is identical either way.
+// record-granular format; it may come from pcr.Open or pcr.OpenRemote, and
+// be a whole dataset or one worker's pcr.WithShard — the loop is identical
+// either way.
 func Run(ctx context.Context, ds *pcr.Dataset, cfg Config) (*Result, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("realtrain: non-positive epochs")
@@ -127,18 +116,10 @@ func Run(ctx context.Context, ds *pcr.Dataset, cfg Config) (*Result, error) {
 		policy = pcr.FixedQuality(pcr.Full)
 	}
 
-	// Apply the shard config unconditionally so WithShard's validation runs
-	// even for a lone worker: `ShardIndex: 1` with Shards unset must error,
-	// not silently train the whole dataset.
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
-	}
 	opts := []pcr.LoaderOption{
 		pcr.WithBatchSize(batch),
 		pcr.WithLoaderSeed(cfg.Seed),
 		pcr.WithQualityPolicy(policy),
-		pcr.WithShard(cfg.ShardIndex, shards),
 	}
 	if cfg.ShuffleWindow > 0 {
 		opts = append(opts, pcr.WithShuffleWindow(cfg.ShuffleWindow))
@@ -172,16 +153,8 @@ func Run(ctx context.Context, ds *pcr.Dataset, cfg Config) (*Result, error) {
 		// epoch streams: its reads fold into this epoch's ProbeBytes and
 		// its winning quality applies from this epoch's first record.
 		if driver != nil {
-			ran, won, probeBytes, err := probeOnce(ctx, loader, model, driver, cfg.Task, lr, cfg.Model.Momentum)
-			if err != nil {
+			if err := probeOnce(ctx, loader, model, driver, cfg.Task, lr, cfg.Model.Momentum); err != nil {
 				return nil, err
-			}
-			if ran {
-				res.Probes++
-				res.ProbeBytes += probeBytes
-				if won {
-					res.ProbeWins++
-				}
 			}
 		}
 		var epochLoss float64
@@ -248,28 +221,27 @@ func toNNBatch(b pcr.Batch, task synth.Task) nn.Batch {
 // measured losses to the policy, and rolls every probe update back.
 // Training that follows is bit-identical to a run where a losing probe
 // never happened.
-func probeOnce(ctx context.Context, loader *pcr.Loader, model *nn.MLP, driver ProbeDriver, task synth.Task, lr, momentum float64) (ran, won bool, bytes int64, err error) {
+func probeOnce(ctx context.Context, loader *pcr.Loader, model *nn.MLP, driver ProbeDriver, task synth.Task, lr, momentum float64) error {
 	cands, steps, ok := driver.ProbePlan()
 	if !ok || len(cands) == 0 {
-		return false, false, 0, nil
+		return nil
 	}
 	ckpt := model.Clone()
 	probe := loader.Probe()
 	results := make([]pcr.ProbeResult, 0, len(cands))
 	for _, q := range cands {
 		if err := model.Restore(ckpt); err != nil {
-			return false, false, bytes, err
+			return err
 		}
 		batches, probeBytes, err := probe.Batches(ctx, q, steps)
 		if err != nil {
-			return false, false, bytes, err
+			return err
 		}
-		bytes += probeBytes
 		var last float64
 		for _, b := range batches {
 			grads, loss, _, err := model.Gradient(toNNBatch(b, task))
 			if err != nil {
-				return false, false, bytes, err
+				return err
 			}
 			model.Step(grads, lr, momentum)
 			last = loss
@@ -278,8 +250,8 @@ func probeOnce(ctx context.Context, loader *pcr.Loader, model *nn.MLP, driver Pr
 	}
 	// Roll back: probe minibatches must not perturb the real trajectory.
 	if err := model.Restore(ckpt); err != nil {
-		return false, false, bytes, err
+		return err
 	}
 	driver.CompleteProbe(results)
-	return true, driver.Quality() > cands[0], bytes, nil
+	return nil
 }

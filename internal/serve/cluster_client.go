@@ -153,8 +153,8 @@ func (c *ClusterClient) SetHedgeDelay(floor time.Duration) {
 // (GET /index?shard=i&nshards=n), so a distributed worker's index transfer
 // — and everything planned from it — is proportional to its share of the
 // dataset. Must be called before the first FetchIndex; the served shard
-// view lists records r with r % count == index, the same disjoint
-// partition pcr.Loader's WithShard computes locally.
+// view is core.Index.Shard(index, count), records r with r % count ==
+// index — the view a local pcr.Open WithShard opens too.
 func (c *ClusterClient) SetShard(index, count int) error {
 	if count <= 0 {
 		return fmt.Errorf("serve: shard count must be positive, got %d", count)

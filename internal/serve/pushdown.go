@@ -90,7 +90,7 @@ func decodeSampleBitmap(s string, n int) ([]bool, error) {
 // resolved the record and passed the fleet admission check; bitmap is the
 // raw ?samples= value.
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, bitmap string) {
-	re := &s.records[rec]
+	re := &s.index.Records[rec]
 	gs := r.URL.Query().Get("group")
 	if gs == "" {
 		s.fail(w, http.StatusBadRequest, "serve: samples requires a group")

@@ -59,11 +59,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
@@ -172,9 +174,10 @@ type Stats struct {
 type Server struct {
 	ds      *core.Dataset
 	ownsDS  bool
-	router  *router
+	mux     *http.ServeMux
+	logReqs bool
 	byName  map[string]int
-	records []core.RecordInfo
+	index   *core.Index // the whole record index
 
 	indexJSON []byte
 	indexETag string
@@ -247,8 +250,9 @@ func NewFromDataset(ds *core.Dataset, opts *Options) (*Server, error) {
 	}
 	s := &Server{
 		ds:        ds,
+		logReqs:   o.LogRequests,
 		byName:    make(map[string]int, len(ix.Records)),
-		records:   ix.Records,
+		index:     ix,
 		indexJSON: indexJSON,
 		indexETag: fmt.Sprintf("%q", fmt.Sprintf("idx-%08x-%d", crc32.ChecksumIEEE(indexJSON), len(indexJSON))),
 	}
@@ -279,19 +283,14 @@ func NewFromDataset(ds *core.Dataset, opts *Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	mw := []Middleware{s.metricsMiddleware}
-	if o.LogRequests {
-		mw = append(mw, loggingMiddleware)
-	}
-	rt := newRouter(mw...)
-	rt.handle("GET /index", s.handleIndex)
-	rt.handle("GET /records/{name}", s.handleRecord)
-	rt.handle("GET /cluster", s.handleCluster)
-	rt.handle("GET /varz", s.handleVarz)
-	rt.handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	s.mux = http.NewServeMux()
+	s.mux.HandleFunc("GET /index", s.handleIndex)
+	s.mux.HandleFunc("GET /records/{name}", s.handleRecord)
+	s.mux.HandleFunc("GET /cluster", s.handleCluster)
+	s.mux.HandleFunc("GET /varz", s.handleVarz)
+	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	s.router = rt
 	return s, nil
 }
 
@@ -315,9 +314,9 @@ func (s *Server) initCluster(cc *ClusterConfig) error {
 		return fmt.Errorf("serve: replication %d exceeds the %d-member fleet", repl, len(ring.Members()))
 	}
 	s.ring, s.self, s.replication = ring, cc.Self, repl
-	s.serves = make([]bool, len(s.records))
-	s.owner = make([]string, len(s.records))
-	for i, re := range s.records {
+	s.serves = make([]bool, len(s.index.Records))
+	s.owner = make([]string, len(s.index.Records))
+	for i, re := range s.index.Records {
 		reps := ring.Replicas(re.Name, repl)
 		s.owner[i] = reps[0]
 		for _, m := range reps {
@@ -380,12 +379,40 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// ServeHTTP implements http.Handler: the middleware chain (metrics always;
-// logging when enabled) around the endpoint mux. Every 4xx/5xx — including
-// the mux's own 404/405 for unknown paths and methods — lands in the
-// Errors counter via the metrics middleware.
+// ServeHTTP implements http.Handler: it counts the request (and, fleet
+// mode, a request a client marked as a hedge, so /varz shows hedged load
+// landing on replicas), hands it to the endpoint mux, counts every 4xx/5xx
+// — the mux's own 404/405 for unknown paths and methods included — in
+// Errors, and logs one line per request when Options.LogRequests is set.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.router.ServeHTTP(w, r)
+	var start time.Time
+	if s.logReqs {
+		start = time.Now()
+	}
+	s.requests.Add(1)
+	if r.Header.Get(hedgeHeader) != "" {
+		s.hedgedRequests.Add(1)
+	}
+	sr := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+	s.mux.ServeHTTP(sr, r)
+	if sr.code >= 400 {
+		s.errors.Add(1)
+	}
+	if s.logReqs {
+		log.Printf("serve: %s %s -> %d (%v)", r.Method, r.URL.RequestURI(), sr.code, time.Since(start).Round(time.Microsecond))
+	}
+}
+
+// statusRecorder captures the response code ServeHTTP counts and logs: what
+// the endpoint, or the mux's own 404/405, wrote.
+type statusRecorder struct {
+	http.ResponseWriter
+	code int
+}
+
+func (sr *statusRecorder) WriteHeader(code int) {
+	sr.code = code
+	sr.ResponseWriter.WriteHeader(code)
 }
 
 // fail writes an error status (counted by ServeHTTP's status recorder).
@@ -394,8 +421,8 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 }
 
 // handleIndex serves the record index — whole, or one worker's shard view
-// (?shard=i&nshards=n: records r with r % n == i, the same stride
-// partition pcr.Loader uses), so a distributed worker can plan its reads
+// (?shard=i&nshards=n: core.Index.Shard, the stride partition a local
+// pcr.Open WithShard opens too), so a distributed worker can plan its reads
 // from an index proportional to its share of the dataset.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	shard, nshards := 0, 0
@@ -430,13 +457,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			// (Content-Length is optional on HEAD responses).
 			return
 		}
-		sub := core.Index{NumGroups: s.ds.NumGroups}
-		for i := shard; i < len(s.records); i += nshards {
-			sub.Records = append(sub.Records, s.records[i])
-			sub.NumImages += s.records[i].Samples
-		}
 		var err error
-		if body, err = core.EncodeIndex(&sub); err != nil {
+		if body, err = core.EncodeIndex(s.index.Shard(shard, nshards)); err != nil {
 			w.Header().Del("ETag")
 			s.fail(w, http.StatusInternalServerError, "serve: %v", err)
 			return
@@ -524,7 +546,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		s.handleSamples(w, r, rec, bitmap)
 		return
 	}
-	re := &s.records[rec]
+	re := &s.index.Records[rec]
 
 	// The served object is the record truncated to the requested scan
 	// group's prefix (clamped to what the record stores, mirroring the
@@ -656,7 +678,7 @@ func (s *Server) pullFromOwner(owner string, rec int, offset, length int64) ([]b
 	if err != nil {
 		return nil, err
 	}
-	data, _, err := m.readRangeOnce(s.records[rec].Name, offset, length, false)
+	data, _, err := m.readRangeOnce(s.index.Records[rec].Name, offset, length, false)
 	if err != nil {
 		return nil, err
 	}
@@ -679,14 +701,14 @@ func (s *Server) SyncReplicas(ctx context.Context) (warmed int, err error) {
 		return 0, nil
 	}
 	var firstErr error
-	for rec := range s.records {
+	for rec := range s.index.Records {
 		if !s.serves[rec] || s.owner[rec] == s.self {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return warmed, err
 		}
-		size := s.records[rec].Prefixes[len(s.records[rec].Prefixes)-1]
+		size := s.index.Records[rec].Prefixes[len(s.index.Records[rec].Prefixes)-1]
 		s.pullMu.Lock()
 		if s.pullOwner == nil {
 			s.pullOwner = make(map[int]string)

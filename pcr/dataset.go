@@ -56,8 +56,8 @@ func Open(dir string, opts ...Option) (*Dataset, error) {
 	if cfg.diskCacheDir != "" && cfg.format != PCR {
 		return nil, fmt.Errorf("pcr: disk cache supports the pcr format only, not %s", cfg.format.Name())
 	}
-	if cfg.indexShards > 0 {
-		return nil, fmt.Errorf("pcr: WithIndexShard applies to OpenRemote; shard a local dataset with the loader's WithShard")
+	if cfg.shards > 1 && cfg.format != PCR {
+		return nil, fmt.Errorf("pcr: WithShard supports the pcr format only, not %s", cfg.format.Name())
 	}
 	if cfg.hedgeSet {
 		return nil, fmt.Errorf("pcr: WithHedgeDelay applies to OpenRemote; local reads have no replicas to hedge against")
@@ -217,11 +217,7 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 	if d.pcr != nil {
 		// A plan is used up as it is walked: each range gets its own.
 		source = func(p *pipeline) {
-			order := make([]int, d.pcr.ds.NumRecords())
-			for i := range order {
-				order[i] = i
-			}
-			p.fetch(&recordPlan{d: d, order: order, policy: FixedQuality(qq), filter: sc.pred, stats: sc.stats})
+			p.fetch(&recordPlan{d: d, order: storageOrder(d.pcr.ds.NumRecords()), policy: FixedQuality(qq), filter: sc.pred, stats: sc.stats})
 		}
 	} else if decode {
 		source = func(p *pipeline) { p.chunk(d.scanSamples(p.ctx, qq, sc)) }
@@ -241,6 +237,15 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 			}
 		}
 	}
+}
+
+// storageOrder is records 0..n-1 in storage order.
+func storageOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }
 
 func errSeq(err error) iter.Seq2[Sample, error] {

@@ -30,6 +30,16 @@ func (pcrFormat) open(dir string, cfg *config) (formatReader, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.shards > 1 {
+		// The shard view over the same files: what a server sends a remote
+		// worker for /index?shard=i&nshards=n.
+		view, err := core.OpenDatasetIndex(ds.Index().Shard(cfg.shard, cfg.shards), ds.Backend())
+		if err != nil {
+			ds.Close()
+			return nil, err
+		}
+		ds = view
+	}
 	r, err := newPCRReader(ds, cfg)
 	if err != nil {
 		ds.Close()
@@ -38,13 +48,16 @@ func (pcrFormat) open(dir string, cfg *config) (formatReader, error) {
 	return r, nil
 }
 
-// newPCRReader wires the optional cache tiers over a dataset opened
-// against any Backend — the shared tail of Open (local disk) and
-// OpenRemote (HTTP prefix server). The persistent disk cache
+// newPCRReader refuses an empty shard and wires the optional cache tiers
+// over a dataset opened against any Backend — the shared tail of Open
+// (local disk) and OpenRemote (HTTP prefix server). The persistent disk cache
 // (WithDiskCache) decorates the storage backend itself, so it sits under
 // the in-memory LRU (WithCacheBytes): a read misses memory, then disk,
 // then goes upstream — and each tier fills with exactly the delta bytes.
 func newPCRReader(ds *core.Dataset, cfg *config) (*pcrReader, error) {
+	if cfg.shards > 1 && ds.NumRecords() == 0 {
+		return nil, fmt.Errorf("pcr: shard %d of %d holds no records", cfg.shard, cfg.shards)
+	}
 	disk, err := diskcache.Mount(ds, cfg.diskCacheDir, cfg.diskCacheBytes)
 	if err != nil {
 		return nil, err

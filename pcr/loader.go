@@ -80,9 +80,11 @@ type Checkpoint struct {
 	// Batch counts the batches of Epoch fully delivered before the
 	// checkpoint; resume re-enters at batch index Batch.
 	Batch int `json:"batch"`
-	// Seed, BatchSize, Window, Shard, and Shards record the loader
-	// configuration the position is meaningful under; WithResume restores
-	// them.
+	// Seed, BatchSize, and Window record the loader configuration the
+	// position is meaningful under; WithResume restores them. Shard and
+	// Shards are the dataset's (WithShard; 0 of 1 for a whole dataset):
+	// NewLoader refuses a checkpoint over any other shard. Shards 0 is a
+	// checkpoint that does not say.
 	Seed      int64 `json:"seed"`
 	BatchSize int   `json:"batch_size"`
 	Window    int   `json:"shuffle_window"`
@@ -91,33 +93,22 @@ type Checkpoint struct {
 }
 
 // Loader is a real-I/O, multi-epoch training input pipeline over a
-// record-format Dataset (local or remote): it partitions records across
-// distributed workers (WithShard), visits each epoch's records in a
-// deterministic seeded windowed-shuffle order (WithShuffleWindow /
-// WithLoaderSeed), reads each record's prefix at the quality chosen by a
-// QualityPolicy with a bounded number of reads in flight, decodes samples
-// on the dataset's fixed set of workers, and assembles fixed-size batches
-// with bounded buffering — the paper's Appendix-A.1 loader structure running
-// on real storage.
+// record-format Dataset (local or remote, whole or a WithShard shard): it
+// visits each epoch's records in a deterministic seeded windowed-shuffle
+// order (WithShuffleWindow / WithLoaderSeed), reads each record's prefix at
+// the quality chosen by a QualityPolicy with a bounded number of reads in
+// flight, decodes samples on the dataset's fixed set of workers, and
+// assembles fixed-size batches with bounded buffering — the paper's
+// Appendix-A.1 loader structure running on real storage.
 type Loader struct {
-	ds      *Dataset
-	batch   int
-	shardIx int
-	shards  int
-	window  int
-	seed    int64
-	policy  QualityPolicy
-	filter  Predicate
+	ds *Dataset
+	loaderConfig
 
-	records []int // this shard's record indices in storage order
 	// frames are the decoded frames Epoch's consumers have handed back,
 	// for its decode workers to decode into; recycled, when set, sees each
 	// frame handed back (export_test.go).
 	frames   frameList
 	recycled func(image.Image)
-
-	resume    Checkpoint
-	hasResume bool
 
 	mu      sync.Mutex
 	last    EpochStats
@@ -133,11 +124,9 @@ type Loader struct {
 	pendingProbeWall  time.Duration
 }
 
-// loaderConfig collects LoaderOption results.
+// loaderConfig collects LoaderOption results: what a Loader runs with.
 type loaderConfig struct {
 	batch     int
-	shardIx   int
-	shards    int
 	window    int
 	seed      int64
 	policy    QualityPolicy
@@ -160,27 +149,11 @@ func WithBatchSize(n int) LoaderOption {
 	}
 }
 
-// WithShard partitions records across count distributed workers; this
-// loader reads only records r with r % count == index. Shards are disjoint,
-// cover every record, and are balanced to within one record.
-func WithShard(index, count int) LoaderOption {
-	return func(c *loaderConfig) error {
-		if count <= 0 {
-			return fmt.Errorf("pcr: shard count must be positive, got %d", count)
-		}
-		if index < 0 || index >= count {
-			return fmt.Errorf("pcr: shard index %d out of range [0,%d)", index, count)
-		}
-		c.shardIx, c.shards = index, count
-		return nil
-	}
-}
-
 // WithShuffleWindow sets the windowed-shuffle buffer size in records
 // (default 16). Shuffling is at record granularity — the unit of PCR
 // sequential I/O — so larger windows trade memory-order locality for better
 // mixing; a window of 1 disables shuffling (storage order), and a window of
-// at least the shard's record count gives a full uniform shuffle.
+// at least the dataset's record count gives a full uniform shuffle.
 func WithShuffleWindow(n int) LoaderOption {
 	return func(c *loaderConfig) error {
 		if n <= 0 {
@@ -220,14 +193,15 @@ func WithQualityPolicy(p QualityPolicy) LoaderOption {
 }
 
 // WithResume restores a position saved by Checkpoint: the loader adopts
-// the checkpoint's seed, batch size, shuffle window, and shard (its
-// coordinates are only meaningful under them — apply WithResume before any
-// option that deliberately deviates), and Epoch(ctx, cp.Epoch) skips the
-// cp.Batch batches consumed before the restart, re-entering the epoch at
-// the same shuffled position. Records wholly inside the skipped prefix are
-// never read — their extents come from the index — so resuming deep into
-// an epoch costs at most one partial record read. Epochs other than
-// cp.Epoch stream in full.
+// the checkpoint's seed, batch size, and shuffle window (its coordinates
+// are only meaningful under them — apply WithResume before any option that
+// deliberately deviates), NewLoader refuses it over a dataset opened as
+// another shard than the one it was taken on, and Epoch(ctx, cp.Epoch)
+// skips the cp.Batch batches consumed before the restart, re-entering the
+// epoch at the same shuffled position. Records wholly inside the skipped
+// prefix are never read — their extents come from the index — so resuming
+// deep into an epoch costs at most one partial record read. Epochs other
+// than cp.Epoch stream in full.
 func WithResume(cp Checkpoint) LoaderOption {
 	return func(c *loaderConfig) error {
 		if cp.Epoch < 0 || cp.Batch < 0 {
@@ -238,9 +212,6 @@ func WithResume(cp Checkpoint) LoaderOption {
 		}
 		if cp.Window > 0 {
 			c.window = cp.Window
-		}
-		if cp.Shards > 0 {
-			c.shardIx, c.shards = cp.Shard, cp.Shards
 		}
 		c.seed = cp.Seed
 		c.resume, c.hasResume = cp, true
@@ -273,39 +244,22 @@ func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
 	if _, err := ds.pcrOnly("loader"); err != nil {
 		return nil, err
 	}
-	cfg := &loaderConfig{batch: 32, shards: 1, window: 16, seed: 1, policy: FixedQuality(Full)}
+	cfg := &loaderConfig{batch: 32, window: 16, seed: 1, policy: FixedQuality(Full)}
 	for _, opt := range opts {
 		if err := opt(cfg); err != nil {
 			return nil, err
 		}
 	}
-	if ds.cfg.indexShards > 0 && cfg.shards > 1 {
-		return nil, fmt.Errorf("pcr: dataset opened with WithIndexShard(%d,%d) is already one shard; drop the loader's WithShard",
-			ds.cfg.indexShard, ds.cfg.indexShards)
+	if cp := cfg.resume; cfg.hasResume && cp.Shards > 0 && (cp.Shard != ds.cfg.shard || cp.Shards != ds.cfg.shards) {
+		return nil, fmt.Errorf("pcr: checkpoint taken on shard %d of %d, dataset opened as shard %d of %d",
+			cp.Shard, cp.Shards, ds.cfg.shard, ds.cfg.shards)
 	}
 	l := &Loader{
-		ds:        ds,
-		batch:     cfg.batch,
-		shardIx:   cfg.shardIx,
-		shards:    cfg.shards,
-		window:    cfg.window,
-		seed:      cfg.seed,
-		policy:    cfg.policy,
-		filter:    cfg.filter,
-		resume:    cfg.resume,
-		hasResume: cfg.hasResume,
+		ds:           ds,
+		loaderConfig: *cfg,
 		// As many frames as an epoch has decoded at once: the runs ahead of
 		// the consumer and the batch being assembled (see Epoch).
 		frames: make(frameList, (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
-	}
-	for r := 0; r < ds.NumRecords(); r++ {
-		if r%l.shards == l.shardIx {
-			l.records = append(l.records, r)
-		}
-	}
-	if len(l.records) == 0 {
-		return nil, fmt.Errorf("pcr: shard %d/%d of a %d-record dataset is empty",
-			l.shardIx, l.shards, ds.NumRecords())
 	}
 	// Ground "Full" for the policy immediately: the dataset's top quality
 	// is known at open, so a policy (re)started at a concrete quality below
@@ -317,9 +271,6 @@ func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
 	return l, nil
 }
 
-// NumRecords returns the record count of this loader's shard.
-func (l *Loader) NumRecords() int { return len(l.records) }
-
 // epochSeed mixes the loader seed with the epoch (splitmix64 finalizer) so
 // each epoch draws an independent but reproducible order.
 func (l *Loader) epochSeed(epoch int) int64 {
@@ -329,12 +280,13 @@ func (l *Loader) epochSeed(epoch int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// epochOrder returns the record visit order for an epoch: the shard's
+// epochOrder returns the record visit order for an epoch: the dataset's
 // records streamed through a seeded windowed shuffle (the tf.data
 // shuffle-buffer structure at record granularity).
 func (l *Loader) epochOrder(epoch int) []int {
 	rng := rand.New(rand.NewSource(l.epochSeed(epoch)))
-	out := make([]int, 0, len(l.records))
+	n := l.ds.NumRecords()
+	out := make([]int, 0, n)
 	win := make([]int, 0, l.window)
 	emit := func() {
 		k := rng.Intn(len(win))
@@ -342,7 +294,7 @@ func (l *Loader) epochOrder(epoch int) []int {
 		win[k] = win[len(win)-1]
 		win = win[:len(win)-1]
 	}
-	for _, r := range l.records {
+	for r := range n {
 		win = append(win, r)
 		if len(win) >= l.window {
 			emit()
@@ -355,7 +307,7 @@ func (l *Loader) epochOrder(epoch int) []int {
 }
 
 // Epoch streams epoch e's batches through the decode pipeline (pipeline.go):
-// records of this loader's shard in the epoch's shuffled order, each read at
+// the dataset's records in the epoch's shuffled order, each read at
 // the quality the policy chooses for it, up to four of them read ahead of
 // the consumer, their samples decoded in runs of eight by
 // WithPrefetchWorkers goroutines and assembled in order into WithBatchSize
@@ -410,7 +362,7 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 			l.pos = Checkpoint{
 				Epoch: epoch, Batch: base + stats.Batches,
 				Seed: l.seed, BatchSize: l.batch, Window: l.window,
-				Shard: l.shardIx, Shards: l.shards,
+				Shard: l.ds.cfg.shard, Shards: l.ds.cfg.shards,
 			}
 			l.hasPos = true
 			l.mu.Unlock()

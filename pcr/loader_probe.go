@@ -29,12 +29,12 @@ type Probe struct {
 }
 
 // Batches is the out-of-band probe read path of the §4.5 controller: it
-// reads just enough of this shard's records at quality q to assemble up to
+// reads just enough of the dataset's records at quality q to assemble up to
 // n batches of the loader's batch size — through the same pipeline as Epoch,
 // so reads overlap and the dataset's workers decode — ready to train on,
 // without disturbing any epoch's visit order, resume position, or byte
 // accounting. Record selection is deterministic — a seeded shuffle of the
-// shard keyed by (loader seed, probe sequence number) — so probe reads hit
+// dataset's records keyed by (loader seed, probe sequence number) — so probe reads hit
 // a representative sample, every candidate quality probed through the same
 // handle reads the same records, and a re-run probes the same records.
 // Bytes returns the logical record prefix bytes read; with a warm disk
@@ -59,7 +59,7 @@ func (p *Probe) Batches(ctx context.Context, q, n int) (batches []Batch, bytes i
 	// with a real epoch's seed (the splitmix increment is odd, so only
 	// epoch -1 maps to the raw seed and no non-negative epoch does).
 	rng := rand.New(rand.NewSource(l.epochSeed(-1 - p.seq)))
-	order := append([]int(nil), l.records...)
+	order := storageOrder(l.ds.NumRecords())
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	// The plan is the draw cut off where n batches are covered, which the
 	// index says without a read: no record beyond that is fetched.
@@ -81,7 +81,7 @@ fill:
 			}
 		}
 	}
-	// A shard smaller than n full batches yields what it has.
+	// A dataset smaller than n full batches yields what it has.
 	if len(batches) < n && len(cur) > 0 {
 		batches = append(batches, Batch{Epoch: -1, Samples: cur})
 	}

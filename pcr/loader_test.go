@@ -106,29 +106,29 @@ func equalIDs(a, b []int64) bool {
 	return true
 }
 
-// TestLoaderShardPartition: shards are disjoint, cover every sample, and
-// are balanced to within one record.
+// TestLoaderShardPartition: datasets opened as shards are disjoint, cover
+// every sample, and are balanced to within one record.
 func TestLoaderShardPartition(t *testing.T) {
 	dir, n := synthDir(t, pcr.WithImagesPerRecord(2))
-	ds, err := pcr.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
 
 	const shards = 3
 	seen := make(map[int64]int)
 	var minRec, maxRec int
 	for s := 0; s < shards; s++ {
-		l, err := pcr.NewLoader(ds, pcr.WithShard(s, shards), pcr.WithBatchSize(5))
+		ds, err := pcr.Open(dir, pcr.WithShard(s, shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s == 0 || l.NumRecords() < minRec {
-			minRec = l.NumRecords()
+		defer ds.Close()
+		l, err := pcr.NewLoader(ds, pcr.WithBatchSize(5))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if l.NumRecords() > maxRec {
-			maxRec = l.NumRecords()
+		if s == 0 || ds.NumRecords() < minRec {
+			minRec = ds.NumRecords()
+		}
+		if ds.NumRecords() > maxRec {
+			maxRec = ds.NumRecords()
 		}
 		ids, _ := epochIDs(t, l, 0)
 		for _, id := range ids {
@@ -518,7 +518,7 @@ type epochSpec struct {
 
 func (sp epochSpec) options() []pcr.LoaderOption {
 	opts := []pcr.LoaderOption{pcr.WithBatchSize(sp.batch), pcr.WithShuffleWindow(sp.window),
-		pcr.WithShard(sp.shard, sp.shards), pcr.WithLoaderSeed(17), pcr.WithQuality(sp.quality)}
+		pcr.WithLoaderSeed(17), pcr.WithQuality(sp.quality)}
 	if sp.pred != nil {
 		opts = append(opts, pcr.WithLoaderFilter(sp.pred))
 	}
@@ -530,8 +530,10 @@ func (sp epochSpec) options() []pcr.LoaderOption {
 }
 
 // referenceEpoch is Loader.Epoch written down serially: no read-ahead, no
-// workers, one record at a time straight from the record-level calls.
-func referenceEpoch(t *testing.T, ds *pcr.Dataset, sp epochSpec) delivered {
+// workers, one record at a time straight from the record-level calls of
+// the whole local dataset at dir, shard record r being record
+// sp.shard + r·sp.shards of the whole.
+func referenceEpoch(t *testing.T, dir string, sp epochSpec) delivered {
 	t.Helper()
 	check := func(err error) {
 		t.Helper()
@@ -539,7 +541,15 @@ func referenceEpoch(t *testing.T, ds *pcr.Dataset, sp epochSpec) delivered {
 			t.Fatal(err)
 		}
 	}
-	l, err := pcr.NewLoader(ds, sp.options()...)
+	ds, err := pcr.Open(dir)
+	check(err)
+	defer ds.Close()
+	// The visit order is the Loader's, over as many records as the shard
+	// holds.
+	view, err := pcr.Open(dir, pcr.WithShard(sp.shard, sp.shards))
+	check(err)
+	defer view.Close()
+	l, err := pcr.NewLoader(view, sp.options()...)
 	check(err)
 	var out delivered
 	st := &out.stats
@@ -552,7 +562,8 @@ func referenceEpoch(t *testing.T, ds *pcr.Dataset, sp epochSpec) delivered {
 			BatchSize: sp.batch, Window: sp.window, Shard: sp.shard, Shards: sp.shards})
 	}
 	skip := max(sp.resume, 0) * sp.batch
-	for _, rec := range l.EpochOrder(sp.epoch) {
+	for _, r := range l.EpochOrder(sp.epoch) {
+		rec := sp.shard + r*sp.shards
 		total, err := ds.RecordImages(rec)
 		check(err)
 		full, err := ds.RecordPrefixLen(rec, sp.quality)
@@ -625,27 +636,28 @@ func runEpoch(t *testing.T, ds *pcr.Dataset, sp epochSpec) delivered {
 }
 
 // TestLoaderPipelineEquivalence is the property the pipeline has to keep:
-// whatever the shuffle window, batch size, shard, resume
-// position and filter, locally or over the wire, with reads completing out
-// of order, Epoch yields exactly the samples, batch boundaries, checkpoint
-// positions and counters of the serial reference.
+// whatever the shuffle window, batch size, shard opened, resume position
+// and filter, locally or over the wire, with reads completing out of order,
+// Epoch yields exactly the samples, batch boundaries, checkpoint positions
+// and counters of the serial reference.
 func TestLoaderPipelineEquivalence(t *testing.T) {
 	preds := []pcr.Predicate{nil, nil, pcr.LabelIn(0, 1, 2), pcr.LabelIn(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23)}
 	for _, perRecord := range []int{3, 12} {
 		dir, _ := synthDir(t, pcr.WithImagesPerRecord(perRecord), pcr.WithScanGroups(4))
 		_, ts := startServer(t, dir, nil)
-		ref, err := pcr.Open(dir)
+		whole, err := pcr.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer ref.Close()
+		records := whole.NumRecords()
+		whole.Close()
 		rng := rand.New(rand.NewSource(int64(perRecord)))
 		for draw := 0; draw < 12; draw++ {
 			sp := epochSpec{
 				epoch:   rng.Intn(3),
 				quality: 1 + rng.Intn(4),
 				batch:   []int{1, 7, 32, 50}[rng.Intn(4)],
-				window:  []int{1, 8, ref.NumRecords()}[rng.Intn(3)],
+				window:  []int{1, 8, records}[rng.Intn(3)],
 				shards:  1 + rng.Intn(2),
 				resume:  -1,
 				pred:    preds[rng.Intn(len(preds))],
@@ -654,23 +666,24 @@ func TestLoaderPipelineEquivalence(t *testing.T) {
 			// Resume positions are drawn against the uninterrupted epoch:
 			// its first batch, its last, one past it, or any in between
 			// (with these batch sizes, mostly mid-record).
-			if nb := len(referenceEpoch(t, ref, sp).batches); rng.Intn(3) > 0 {
+			if nb := len(referenceEpoch(t, dir, sp).batches); rng.Intn(3) > 0 {
 				sp.resume = []int{0, max(nb-1, 0), nb, rng.Intn(nb + 1)}[rng.Intn(4)]
 			}
 			remote := rng.Intn(2) == 0
 			name := fmt.Sprintf("perRecord=%d/draw=%d", perRecord, draw)
 
 			var ds *pcr.Dataset
+			opts := []pcr.Option{pcr.WithShard(sp.shard, sp.shards), pcr.WithPrefetchWorkers(3)}
 			if remote {
-				ds, err = pcr.OpenRemote(ts.URL, pcr.WithPrefetchWorkers(3))
+				ds, err = pcr.OpenRemote(ts.URL, opts...)
 			} else {
-				ds, err = pcr.Open(dir, pcr.WithPrefetchWorkers(3))
+				ds, err = pcr.Open(dir, opts...)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			delayReads(ds, rng.Int63())
-			want, got := referenceEpoch(t, ref, sp), runEpoch(t, ds, sp)
+			want, got := referenceEpoch(t, dir, sp), runEpoch(t, ds, sp)
 			ds.Close()
 			if !reflect.DeepEqual(got.stats, want.stats) {
 				t.Errorf("%s %+v remote=%v:\nstats %+v\n want %+v", name, sp, remote, got.stats, want.stats)

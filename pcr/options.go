@@ -15,8 +15,8 @@ type config struct {
 	jpegQuality     int
 	diskCacheDir    string
 	diskCacheBytes  int64
-	indexShard      int
-	indexShards     int // 0 = whole index
+	shard           int
+	shards          int // 1 = the whole dataset
 	hedgeDelay      time.Duration
 	hedgeSet        bool
 }
@@ -26,6 +26,7 @@ func defaultConfig() *config {
 		format:          PCR,
 		imagesPerRecord: 64,
 		jpegQuality:     90,
+		shards:          1,
 	}
 }
 
@@ -122,21 +123,25 @@ func WithDiskCache(dir string, maxBytes int64) Option {
 	}
 }
 
-// WithIndexShard opens only stride shard index-of-count of the dataset's
-// record index: records r with r % count == index, the same disjoint
-// partition pcr.Loader's WithShard uses. A remote worker opened this way
-// downloads only its share of the index (GET /index?shard=i&nshards=n) and
-// sees a dataset whose records ARE its shard — drive it with a default
-// (unsharded) Loader. OpenRemote only.
-func WithIndexShard(index, count int) Option {
+// WithShard opens stride shard index of count of a PCR dataset, local or
+// remote: a dataset holding exactly the records r with r % count == index,
+// renumbered from 0 in storage order. The count workers of a data-parallel
+// job each open their own shard — disjoint, covering every record, and
+// balanced to within one record — and drive it with a Loader as they would
+// a whole dataset. A remote worker downloads only its share of the index
+// (GET /index?shard=i&nshards=n). A shard with no records is refused at
+// open; shard 0 of 1 is the whole dataset. The shard view is what a disk
+// cache (WithDiskCache) is keyed by, and what record indices —
+// QualityPolicy.RecordQuality's included — count.
+func WithShard(index, count int) Option {
 	return func(c *config) error {
 		if count <= 0 {
-			return fmt.Errorf("pcr: index shard count must be positive, got %d", count)
+			return fmt.Errorf("pcr: shard count must be positive, got %d", count)
 		}
 		if index < 0 || index >= count {
-			return fmt.Errorf("pcr: index shard %d out of range [0,%d)", index, count)
+			return fmt.Errorf("pcr: shard index %d out of range [0,%d)", index, count)
 		}
-		c.indexShard, c.indexShards = index, count
+		c.shard, c.shards = index, count
 		return nil
 	}
 }

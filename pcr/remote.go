@@ -26,13 +26,13 @@ type ClusterStats = serve.ClusterStats
 // paper's §5 cache property running across the network (and across a
 // server kill: the delta read simply lands on a surviving replica).
 //
-// Three options change what "remote" costs. WithIndexShard makes this
-// worker download only its stride partition of the index (and see a
-// dataset whose records are exactly its shard — drive it with a default,
-// unsharded Loader). WithDiskCache mounts a persistent local prefix cache
-// under the read path, so a restarted worker re-reads warm local bytes
-// instead of the network, and a later quality upgrade moves only the delta
-// bytes. WithHedgeDelay tunes (or disables) the tail-latency hedging.
+// Three options change what "remote" costs. WithShard makes this worker
+// download only its stride partition of the index, as the dataset it opens
+// (the same records a local Open WithShard holds). WithDiskCache mounts a
+// persistent local prefix cache under the read path, so a restarted worker
+// re-reads warm local bytes instead of the network, and a later quality
+// upgrade moves only the delta bytes. WithHedgeDelay tunes (or disables)
+// the tail-latency hedging.
 //
 // Remote serving is specific to the PCR layout (its whole point is prefix
 // ranges), so WithFormat selecting a baseline format is an error.
@@ -60,8 +60,8 @@ func OpenRemote(baseURL string, opts ...Option) (*Dataset, error) {
 	if cfg.hedgeSet {
 		client.SetHedgeDelay(cfg.hedgeDelay)
 	}
-	if cfg.indexShards > 0 {
-		if err := client.SetShard(cfg.indexShard, cfg.indexShards); err != nil {
+	if cfg.shards > 1 {
+		if err := client.SetShard(cfg.shard, cfg.shards); err != nil {
 			client.Close()
 			return nil, err
 		}

@@ -195,9 +195,8 @@ func TestRemoteRandomAccess(t *testing.T) {
 	}
 }
 
-// TestRemoteIndexShard: a worker opened with WithIndexShard sees exactly
-// its stride partition — the same partition the loader's WithShard computes
-// locally — and the shard views are disjoint and covering.
+// TestRemoteIndexShard: a remote worker opened with WithShard sees exactly
+// its stride partition, and the shard views are disjoint and covering.
 func TestRemoteIndexShard(t *testing.T) {
 	dir, n := synthDir(t, pcr.WithImagesPerRecord(4))
 	_, ts := startServer(t, dir, nil)
@@ -212,18 +211,11 @@ func TestRemoteIndexShard(t *testing.T) {
 	seen := make(map[int64]int)
 	records := 0
 	for shard := 0; shard < 3; shard++ {
-		ds, err := pcr.OpenRemote(ts.URL, pcr.WithIndexShard(shard, 3))
+		ds, err := pcr.OpenRemote(ts.URL, pcr.WithShard(shard, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		records += ds.NumRecords()
-
-		// The shard view IS this worker's shard: a default (unsharded)
-		// loader drives it; a loader WithShard on top is a configuration
-		// error.
-		if _, err := pcr.NewLoader(ds, pcr.WithShard(shard, 3)); err == nil {
-			t.Fatal("loader WithShard over an index-sharded dataset should fail")
-		}
 		l, err := pcr.NewLoader(ds, pcr.WithBatchSize(8))
 		if err != nil {
 			t.Fatal(err)
@@ -248,13 +240,5 @@ func TestRemoteIndexShard(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("image %d delivered %d times across shards, want exactly once", id, c)
 		}
-	}
-}
-
-// TestIndexShardLocalOpenRejected: the option is remote-only.
-func TestIndexShardLocalOpenRejected(t *testing.T) {
-	dir, _ := synthDir(t)
-	if _, err := pcr.Open(dir, pcr.WithIndexShard(0, 2)); err == nil {
-		t.Fatal("WithIndexShard on a local Open should fail")
 	}
 }
