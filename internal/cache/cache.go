@@ -7,7 +7,9 @@
 // prefix. Conventional record formats can do neither: their cache entries
 // are all-or-nothing.
 //
-// The cache is an LRU over record prefixes with byte-budget eviction.
+// The cache is an LRU over record prefixes with byte-budget eviction. A
+// record being fetched is pinned against eviction, so a delta upgrade
+// always extends the prefix it started from and moves only the delta.
 package cache
 
 import (
@@ -45,9 +47,14 @@ type entry struct {
 }
 
 // Cache is a byte-budgeted LRU of PCR record prefixes. The global mutex
-// guards only in-memory state; backing-store fetches run outside it under a
-// per-record lock, so concurrent Gets for different records overlap their
-// I/O while duplicate Gets for the same record coalesce into one fetch.
+// guards only in-memory state; backing-store fetches run outside it, so
+// concurrent Gets for different records overlap their I/O while duplicate
+// Gets for the same record coalesce into one fetch.
+//
+// Eviction skips the records in flight until their fetches are accounted,
+// so used may exceed the capacity by those entries, one per concurrent Get.
+// Once none is in flight it is back under the capacity, unless the last
+// entry fetched alone is bigger (kept until the next fetch evicts it).
 type Cache struct {
 	mu       sync.Mutex
 	capacity int64
@@ -56,9 +63,10 @@ type Cache struct {
 	lru      *list.List // front = most recent; values are record ids
 	fetch    Fetcher
 	stats    Stats
-	// fetching serializes backing fetches per record. Entries are never
-	// removed; the map is bounded by the record count of the dataset.
-	fetching map[int]*sync.Mutex
+	// inflight marks the records being fetched. It is the singleflight —
+	// a Get that finds its record marked waits for the channel to close —
+	// and the pin evictLocked honours.
+	inflight map[int]chan struct{}
 }
 
 // New builds a cache with the given byte capacity over the fetcher.
@@ -74,20 +82,8 @@ func New(capacity int64, fetch Fetcher) (*Cache, error) {
 		entries:  make(map[int]*entry),
 		lru:      list.New(),
 		fetch:    fetch,
-		fetching: make(map[int]*sync.Mutex),
+		inflight: make(map[int]chan struct{}),
 	}, nil
-}
-
-// recordLock returns the per-record fetch mutex, creating it on first use.
-func (c *Cache) recordLock(record int) *sync.Mutex {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.fetching[record]
-	if !ok {
-		m = &sync.Mutex{}
-		c.fetching[record] = m
-	}
-	return m
 }
 
 // serveLocked accounts a request served from the entry's prefix. Caller
@@ -105,110 +101,77 @@ func (c *Cache) Get(record int, prefixLen int64) ([]byte, error) {
 	if prefixLen < 0 {
 		return nil, fmt.Errorf("cache: negative prefix length")
 	}
-
-	// Fast path: a full hit costs only the global lock.
 	c.mu.Lock()
-	if e, ok := c.entries[record]; ok && int64(len(e.prefix)) >= prefixLen {
-		c.stats.Hits++
-		p := c.serveLocked(e, prefixLen)
-		c.mu.Unlock()
-		return p, nil
-	}
-	c.mu.Unlock()
-
-	// Slow path: a backing fetch is needed. Take the record's fetch lock so
-	// concurrent requests for the same record don't fetch twice, then
-	// re-check — a waiter may find the prefix already filled.
-	rl := c.recordLock(record)
-	rl.Lock()
-	defer rl.Unlock()
-
-	c.mu.Lock()
-	var have int64
-	if e, ok := c.entries[record]; ok {
-		if int64(len(e.prefix)) >= prefixLen {
+	for {
+		if e, ok := c.entries[record]; ok && int64(len(e.prefix)) >= prefixLen {
 			c.stats.Hits++
 			p := c.serveLocked(e, prefixLen)
 			c.mu.Unlock()
 			return p, nil
 		}
+		done, busy := c.inflight[record]
+		if !busy {
+			break
+		}
+		// Another Get is fetching this record; it may cover us.
+		c.mu.Unlock()
+		<-done
+		c.mu.Lock()
+	}
+	done := make(chan struct{})
+	c.inflight[record] = done
+	p, err := c.fillLocked(record, prefixLen)
+	c.evictLocked()
+	delete(c.inflight, record)
+	close(done)
+	c.mu.Unlock()
+	return p, err
+}
+
+// fillLocked fetches the bytes of the record past its cached prefix —
+// from offset zero on a miss — and appends them. The record is pinned, so
+// the prefix it extends is still cached when the fetch returns. Caller
+// holds c.mu, which is dropped for the fetch.
+func (c *Cache) fillLocked(record int, prefixLen int64) ([]byte, error) {
+	e := c.entries[record]
+	var have int64
+	if e != nil {
 		have = int64(len(e.prefix))
 	}
-	wasUpgrade := have > 0
 	c.mu.Unlock()
-
-	// Fetch the missing suffix without the global lock: only requests for
-	// this record wait, others proceed.
 	delta, err := c.fetch(record, have, prefixLen-have)
+	c.mu.Lock()
 	if err != nil {
 		return nil, err
 	}
 	if int64(len(delta)) != prefixLen-have {
 		return nil, fmt.Errorf("cache: fetcher returned %d bytes, want %d", len(delta), prefixLen-have)
 	}
-	fetched := int64(len(delta))
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[record]
-	if !ok && have > 0 {
-		// The base prefix was evicted (or invalidated) while we fetched the
-		// delta. Growth is serialized by the record lock we hold, so the
-		// entry cannot have changed any other way; re-fetch the base and
-		// assemble the full prefix.
-		c.mu.Unlock()
-		base, err := c.fetch(record, 0, have)
-		c.mu.Lock()
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(base)) != have {
-			return nil, fmt.Errorf("cache: fetcher returned %d bytes, want %d", len(base), have)
-		}
-		fetched += have
-		delta = append(base, delta...)
-		have = 0
-		// The whole prefix came from backing store after all — count a
-		// miss, not a delta-only upgrade.
-		wasUpgrade = false
-	}
-	if wasUpgrade {
-		c.stats.UpgradeHits++
-	} else {
-		c.stats.Misses++
-	}
-	c.stats.BytesFetched += fetched
+	c.stats.BytesFetched += int64(len(delta))
+	c.used += int64(len(delta))
 	if e == nil {
+		c.stats.Misses++
 		e = &entry{record: record, prefix: delta}
 		e.elem = c.lru.PushFront(record)
 		c.entries[record] = e
-		c.used += int64(len(delta))
 	} else {
+		c.stats.UpgradeHits++
 		e.prefix = append(e.prefix, delta...)
-		c.used += int64(len(delta))
 	}
-	// Serve (which moves the entry to the LRU front) before evicting:
-	// eviction stops at the protected record, so the just-grown entry must
-	// not be sitting at the back or nothing else gets evicted and the
-	// byte budget is never enforced.
-	p := c.serveLocked(e, prefixLen)
-	c.evictLocked(record)
-	return p, nil
+	return c.serveLocked(e, prefixLen), nil
 }
 
 // evictLocked drops least-recently-used entries until the budget holds,
-// never evicting the protected record (the one just served).
-func (c *Cache) evictLocked(protect int) {
-	for c.used > c.capacity && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		rec := back.Value.(int)
-		if rec == protect {
-			// The protected entry is LRU-last only when it is the sole
-			// entry bigger than the budget; stop rather than evict it.
-			return
+// skipping the pinned records (those in flight). Caller holds c.mu.
+func (c *Cache) evictLocked() {
+	for el := c.lru.Back(); el != nil && c.used > c.capacity; {
+		rec := el.Value.(int)
+		back := el
+		el = el.Prev()
+		if _, pinned := c.inflight[rec]; pinned {
+			continue
 		}
-		e := c.entries[rec]
-		c.used -= int64(len(e.prefix))
+		c.used -= int64(len(c.entries[rec].prefix))
 		delete(c.entries, rec)
 		c.lru.Remove(back)
 		c.stats.Evictions++
@@ -243,15 +206,4 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Invalidate drops one record's entry.
-func (c *Cache) Invalidate(record int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[record]; ok {
-		c.used -= int64(len(e.prefix))
-		delete(c.entries, record)
-		c.lru.Remove(e.elem)
-	}
 }

@@ -151,17 +151,6 @@ func TestOversizedEntryKept(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	bk := &backing{}
-	c, _ := New(1<<20, bk.fetch)
-	c.Get(1, 100)
-	c.Invalidate(1)
-	if c.Contains(1, 1) || c.UsedBytes() != 0 {
-		t.Error("invalidate did not drop entry")
-	}
-	c.Invalidate(99) // no-op
-}
-
 func TestFetchErrorPropagates(t *testing.T) {
 	bk := &backing{fail: true}
 	c, _ := New(1<<20, bk.fetch)
@@ -354,46 +343,68 @@ func TestDuplicateGetsCoalesce(t *testing.T) {
 	}
 }
 
-// TestEvictionDuringUpgradeReassembles: if a record's base prefix is
-// evicted while its delta is being fetched, Get must still return the full
-// correct prefix.
-func TestEvictionDuringUpgradeReassembles(t *testing.T) {
-	var c *Cache
-	evictOnce := sync.Once{}
+// TestUpgradePinnedUnderEvictionPressure: while record 1's delta is being
+// fetched, reads of other records push the cache over budget. The record
+// being upgraded is pinned, so another entry is evicted instead and the
+// upgrade extends the prefix it started from: one upgrade hit, exactly the
+// delta fetched.
+func TestUpgradePinnedUnderEvictionPressure(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	bk := &backing{}
 	fetch := func(record int, offset, length int64) ([]byte, error) {
 		if record == 1 && offset > 0 {
-			// Mid-upgrade: drop the base from the cache, as a concurrent
-			// eviction would.
-			evictOnce.Do(func() { c.Invalidate(1) })
+			close(entered)
+			<-release
 		}
-		out := make([]byte, length)
-		for i := range out {
-			out[i] = byte(record*31 + int(offset) + i)
-		}
-		return out, nil
+		return bk.fetch(record, offset, length)
 	}
-	c2, err := New(1<<20, fetch)
+	c, err := New(400, fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c = c2
-	if _, err := c.Get(1, 64); err != nil {
+	if _, err := c.Get(1, 100); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(1, 256) // upgrade; base invalidated mid-fetch
-	if err != nil {
+	before := c.Stats()
+
+	upgraded := make(chan error, 1)
+	go func() {
+		got, err := c.Get(1, 150)
+		if err == nil && !bytes.Equal(got, wantBytes(1, 150)) {
+			err = fmt.Errorf("upgrade returned wrong bytes")
+		}
+		upgraded <- err
+	}()
+	<-entered // record 1 is mid-upgrade and LRU-last
+	for r := 2; r <= 5; r++ {
+		if _, err := c.Get(r, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.Contains(1, 100) {
+		t.Error("record 1 evicted while its upgrade was in flight")
+	}
+	if c.Contains(2, 1) {
+		t.Error("record 2 not evicted in record 1's place")
+	}
+	close(release)
+	if err := <-upgraded; err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, wantBytes(1, 256)) {
-		t.Fatal("reassembled prefix is wrong")
+
+	st := c.Stats()
+	if st.UpgradeHits-before.UpgradeHits != 1 || st.Misses-before.Misses != 4 {
+		t.Fatalf("stats = %+v, want 1 upgrade hit and 4 misses since %+v", st, before)
 	}
-	if !c.Contains(1, 256) {
-		t.Fatal("record not cached after reassembly")
+	if got := st.BytesFetched - before.BytesFetched; got != 4*100+50 {
+		t.Fatalf("fetched %d bytes, want 450 (four misses and the 50-byte delta)", got)
 	}
-	// The whole prefix was re-fetched, so this counts as a miss — not as a
-	// delta-only upgrade.
-	if st := c.Stats(); st.UpgradeHits != 0 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 2 misses and 0 upgrade hits", st)
+	if st.Evictions == 0 || !c.Contains(1, 150) {
+		t.Fatalf("evictions = %d, record 1 cached at 150: %v", st.Evictions, c.Contains(1, 150))
+	}
+	if used := c.UsedBytes(); used > 400 {
+		t.Fatalf("used = %d > capacity 400 with nothing in flight", used)
 	}
 }
 

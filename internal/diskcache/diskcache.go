@@ -39,11 +39,22 @@
 //
 // Recovery reads no cached byte, so reopening a terabyte cache costs one
 // stat per entry. The CRC runs on each recovered entry's first read instead,
-// under the object's fetch lock and before any byte of it is served or
+// under the object's in-flight mark and before any byte of it is served or
 // extended: one pass over the journaled extent checks the CRC and, when the
 // requested window lies inside the extent, copies it out, so the bytes
 // served are the bytes verified. A mismatch quarantines the entry and the
 // read restarts cold from upstream: no corrupt byte is ever served.
+//
+// # Concurrency
+//
+// A read the cached prefix cannot serve marks its object in flight: later
+// readers of the object wait on the mark, so N readers cost one upstream
+// fetch, and eviction skips it, so a fill always appends to the prefix it
+// started from. The byte budget therefore holds up to the entries in
+// flight, and once none is, up to one entry that alone is bigger than the
+// capacity. The one way an entry in flight can still go is external damage
+// to its data file, found by the fill itself or by a concurrent read; the
+// fill then runs again from offset zero.
 //
 // # Coherence
 //
@@ -134,10 +145,11 @@ type Backend struct {
 	stats    Stats
 	closed   bool
 	lock     *dirLock
-	// fetching serializes upstream fetches per object so N concurrent
-	// readers of the same prefix cost one upstream fetch (singleflight).
-	// Entries are never removed; the map is bounded by the object count.
-	fetching map[string]*sync.Mutex
+	// inflight marks the objects a read is checking or filling. It is the
+	// singleflight — N concurrent readers of one prefix cost one upstream
+	// fetch, the others wait for the channel to close — and the pin
+	// evictLocked honours.
+	inflight map[string]chan struct{}
 }
 
 const manifestName = "manifest.log"
@@ -181,7 +193,7 @@ func Wrap(inner core.Backend, dir string, capacity int64, generation string) (*B
 		entries:  make(map[string]*entry),
 		lru:      list.New(),
 		lock:     lock,
-		fetching: make(map[string]*sync.Mutex),
+		inflight: make(map[string]chan struct{}),
 	}
 	if err := b.recover(); err != nil {
 		lock.unlock()
@@ -313,7 +325,7 @@ func (b *Backend) recover() error {
 	}
 	// Enforce the budget against whatever survived (capacity may have
 	// shrunk since the last run).
-	b.evictLocked("")
+	b.evictLocked()
 	return nil
 }
 
@@ -488,18 +500,6 @@ func (b *Backend) journalLocked(l journalLine) error {
 	return nil
 }
 
-// objectLock returns the per-object fetch mutex, creating it on first use.
-func (b *Backend) objectLock(name string) *sync.Mutex {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	m, ok := b.fetching[name]
-	if !ok {
-		m = &sync.Mutex{}
-		b.fetching[name] = m
-	}
-	return m
-}
-
 // readWindow reads [offset, offset+length) from the object's prefix file.
 func (b *Backend) readWindow(name string, offset, length int64) ([]byte, error) {
 	f, err := openForRead(b.objectFile(name))
@@ -517,8 +517,9 @@ func (b *Backend) readWindow(name string, offset, length int64) ([]byte, error) 
 // hitLocked serves [offset, offset+length) from the object's data file when
 // a verified entry covers it, counting a hit. It drops b.mu for the file
 // read; a file that vanished or shrank underfoot (external damage, or an
-// eviction between the check and the read) drops the entry, and the caller
-// fetches upstream instead of failing. Caller holds b.mu.
+// eviction between the check and the read) drops the entry — even one in
+// flight, whose fill then rebuilds it from zero — and the caller fetches
+// upstream instead of failing. Caller holds b.mu.
 func (b *Backend) hitLocked(name string, offset, length int64) ([]byte, bool) {
 	e, ok := b.entries[name]
 	if !ok || !e.verified || e.length < offset+length {
@@ -551,225 +552,168 @@ func (b *Backend) ReadRange(name string, offset, length int64) ([]byte, error) {
 	if length == 0 {
 		return nil, nil
 	}
-	need := offset + length
 
-	// Fast path: the window is inside a verified cached prefix.
 	b.mu.Lock()
-	if b.closed {
+	for {
+		if b.closed {
+			b.mu.Unlock()
+			return nil, fmt.Errorf("diskcache: closed")
+		}
+		// Fast path: the window is inside a verified cached prefix.
+		if buf, ok := b.hitLocked(name, offset, length); ok {
+			b.mu.Unlock()
+			return buf, nil
+		}
+		done, busy := b.inflight[name]
+		if !busy {
+			break
+		}
+		// Another read is checking or filling this object; it may cover us.
 		b.mu.Unlock()
-		return nil, fmt.Errorf("diskcache: closed")
+		<-done
+		b.mu.Lock()
 	}
-	if buf, ok := b.hitLocked(name, offset, length); ok {
-		b.mu.Unlock()
-		return buf, nil
-	}
+	done := make(chan struct{})
+	b.inflight[name] = done
+	out, err := b.fillLocked(name, offset, length)
+	b.evictLocked()
+	delete(b.inflight, name)
+	close(done)
 	b.mu.Unlock()
+	return out, err
+}
 
-	// Slow path: an upstream fetch may be needed. The per-object lock
-	// coalesces concurrent misses for the same object into one fetch.
-	ol := b.objectLock(name)
-	ol.Lock()
-	defer ol.Unlock()
-
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil, fmt.Errorf("diskcache: closed")
-	}
+// fillLocked serves a read the fast path could not: it checks a recovered
+// entry's CRC on first touch, then extends the prefix to the window's end
+// by one fetch → append → sync → journal sequence, from offset zero when
+// nothing is cached. The object is pinned, so the prefix a fill extends
+// stays cached; only external damage can drop it, and the fill then runs
+// again from zero. Caller holds b.mu, which is dropped for file and
+// upstream I/O.
+func (b *Backend) fillLocked(name string, offset, length int64) ([]byte, error) {
+	need := offset + length
+	path := b.objectFile(name)
 	// First touch of a recovered entry: check its CRC now, before any byte
 	// of it is served or extended, and serve the window from the same pass
 	// when it lies inside the extent. A mismatch quarantines the entry and
-	// the read below restarts cold from upstream.
+	// the fill below starts cold.
 	if e, ok := b.entries[name]; ok && !e.verified {
 		extent, crc, window := e.length, e.crc, length
 		if need > extent {
 			window = 0 // an upgrade: check the extent, then extend it below
 		}
 		b.mu.Unlock()
-		out, verr := checkPrefix(b.objectFile(name), extent, crc, offset, window)
+		out, err := checkPrefix(path, extent, crc, offset, window)
 		b.mu.Lock()
-		if current := b.entries[name] == e; current && verr != nil {
+		if err != nil {
 			b.invalidateLocked(name)
 			b.stats.Recovered--
 			b.stats.Discarded++
-		} else if current {
+		} else {
 			e.verified = true
 			b.lru.MoveToFront(e.elem)
-		}
-		if verr == nil && window > 0 {
-			// Verified bytes are right even if a concurrent eviction
-			// dropped the entry while they were read.
-			b.stats.Hits++
-			b.stats.BytesServed += length
-			b.mu.Unlock()
-			return out, nil
-		}
-	}
-	// A waiter: the fetch we queued behind may already cover us.
-	if buf, ok := b.hitLocked(name, offset, length); ok {
-		b.mu.Unlock()
-		return buf, nil
-	}
-	var have int64
-	var haveCRC uint32
-	if e, ok := b.entries[name]; ok {
-		have, haveCRC = e.length, e.crc
-	}
-	b.mu.Unlock()
-
-	// Fetch the missing suffix without any lock but the object's own, so
-	// fetches for different objects overlap.
-	delta, err := b.inner.ReadRange(name, have, need-have)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(delta)) != need-have {
-		return nil, fmt.Errorf("diskcache: upstream returned %d bytes of %s, want %d", len(delta), name, need-have)
-	}
-
-	// Persist: append data, sync, then journal the new extent. Growth of
-	// this object is serialized by the object lock we hold.
-	path := b.objectFile(name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("diskcache: %w", err)
-	}
-	if _, err := f.Write(delta); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("diskcache: writing %s: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("diskcache: syncing %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("diskcache: %w", err)
-	}
-	newCRC := crc32.Update(haveCRC, crc32.IEEETable, delta)
-
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		// The append above was never journaled; trim it so the file again
-		// matches its last journaled extent.
-		os.Truncate(path, have)
-		return nil, fmt.Errorf("diskcache: closed")
-	}
-	e, ok := b.entries[name]
-	if !ok {
-		// Either a cold miss, or the base prefix was evicted while we
-		// fetched. The object lock serialized growth, so if have > 0 the
-		// data file was deleted by eviction and our append recreated it
-		// holding only the delta — unusable as a prefix; restart cold.
-		if have > 0 {
-			os.Remove(path)
-			b.mu.Unlock()
-			data, err := b.refetchCold(name, need)
-			b.mu.Lock()
-			// The discarded delta moved from upstream too; count all of it.
-			b.stats.BytesFetched += need - have
-			if err != nil {
-				return nil, err
+			if window > 0 {
+				b.stats.Hits++
+				b.stats.BytesServed += length
+				return out, nil
 			}
-			b.stats.Misses++
-			b.stats.BytesFetched += need
-			b.installLocked(name, need, crc32.ChecksumIEEE(data))
-			b.stats.BytesServed += length
-			out := make([]byte, length)
-			copy(out, data[offset:need])
-			b.evictLocked(name)
-			return out, nil
 		}
-		if err := b.journalLocked(journalLine{Put: name, Len: need, CRC: newCRC}); err != nil {
-			// Un-journaled data must not linger: a later append would land
-			// past it and corrupt the prefix.
-			os.Remove(path)
+	}
+	for {
+		e := b.entries[name]
+		var have int64
+		var crc uint32
+		if e != nil {
+			have, crc = e.length, e.crc
+		}
+		b.mu.Unlock()
+		delta, err := b.inner.ReadRange(name, have, need-have)
+		if err == nil && int64(len(delta)) != need-have {
+			err = fmt.Errorf("diskcache: upstream returned %d bytes of %s, want %d", len(delta), name, need-have)
+		}
+		if err != nil {
+			b.mu.Lock()
 			return nil, err
 		}
-		b.stats.Misses++
-		b.stats.BytesFetched += int64(len(delta))
-		b.installLocked(name, need, newCRC)
-	} else {
-		if err := b.journalLocked(journalLine{Put: name, Len: need, CRC: newCRC}); err != nil {
+		var out []byte
+		ferr := appendSync(path, delta, e == nil)
+		if ferr == nil && offset < have {
+			// The window begins inside the prefix this fill extends.
+			out, ferr = b.readWindow(name, offset, length)
+		}
+		b.mu.Lock()
+		if b.closed {
+			// The append above was never journaled; trim it so the file
+			// again matches its last journaled extent.
+			os.Truncate(path, have)
+			return nil, fmt.Errorf("diskcache: closed")
+		}
+		if e != nil && (ferr != nil || b.entries[name] != e) {
+			// The data file was damaged underfoot: a fast-path read found
+			// it and dropped the entry, or this fill could not append to it
+			// or read it back. The delta is no prefix on its own; rebuild
+			// from zero.
+			b.stats.BytesFetched += int64(len(delta))
+			b.invalidateLocked(name)
+			continue
+		}
+		if ferr != nil {
+			return nil, ferr
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, delta)
+		if err := b.journalLocked(journalLine{Put: name, Len: need, CRC: crc}); err != nil {
+			// Un-journaled data must not linger: a later append would land
+			// past it and corrupt the prefix.
 			os.Truncate(path, have)
 			return nil, err
 		}
-		b.stats.DeltaHits++
 		b.stats.BytesFetched += int64(len(delta))
-		b.stats.DeltaBytes += int64(len(delta))
-		e.length, e.crc = need, newCRC
+		b.stats.BytesServed += length
 		b.used += int64(len(delta))
-		b.lru.MoveToFront(e.elem)
-	}
-	b.stats.BytesServed += length
-
-	// Serve from the delta when it covers the window; otherwise read the
-	// file (the window begins inside the previously cached prefix).
-	var out []byte
-	if offset >= have {
-		out = make([]byte, length)
-		copy(out, delta[offset-have:])
-	} else {
-		b.mu.Unlock()
-		buf, rerr := b.readWindow(name, offset, length)
-		if rerr != nil {
-			// The just-grown file was evicted underfoot by a concurrent
-			// request's eviction pass. Serve this request straight from
-			// upstream; the entry state fixes itself on the next miss.
-			buf, rerr = b.inner.ReadRange(name, offset, length)
+		if e == nil {
+			b.stats.Misses++
+			e = &entry{name: name, verified: true}
+			e.elem = b.lru.PushFront(name)
+			b.entries[name] = e
+		} else {
+			b.stats.DeltaHits++
+			b.stats.DeltaBytes += int64(len(delta))
+			b.lru.MoveToFront(e.elem)
 		}
-		b.mu.Lock()
-		if rerr != nil {
-			return nil, fmt.Errorf("diskcache: reading back %s: %w", name, rerr)
+		e.length, e.crc = need, crc
+		if out == nil {
+			out = make([]byte, length)
+			copy(out, delta[offset-have:])
 		}
-		out = buf
+		return out, nil
 	}
-	b.evictLocked(name)
-	return out, nil
 }
 
-// refetchCold re-fetches an object's whole prefix [0, need) from upstream
-// and writes a fresh data file. Caller holds the object lock but NOT b.mu.
-func (b *Backend) refetchCold(name string, need int64) ([]byte, error) {
-	data, err := b.inner.ReadRange(name, 0, need)
-	if err != nil {
-		return nil, err
+// appendSync appends data to the object file at path and syncs it. A fresh
+// file is created (or emptied); otherwise the file must already exist, so
+// a data file removed underfoot is reported rather than recreated holding
+// only the delta.
+func appendSync(path string, data []byte, fresh bool) error {
+	flag := os.O_WRONLY | os.O_APPEND
+	if fresh {
+		flag |= os.O_CREATE | os.O_TRUNC
 	}
-	if int64(len(data)) != need {
-		return nil, fmt.Errorf("diskcache: upstream returned %d bytes of %s, want %d", len(data), name, need)
-	}
-	path := b.objectFile(name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("diskcache: %w", err)
+		return fmt.Errorf("diskcache: %w", err)
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("diskcache: writing %s: %w", name, err)
+		return fmt.Errorf("diskcache: writing %s: %w", path, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("diskcache: syncing %s: %w", name, err)
+		return fmt.Errorf("diskcache: syncing %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("diskcache: %w", err)
+		return fmt.Errorf("diskcache: %w", err)
 	}
-	b.mu.Lock()
-	err = b.journalLocked(journalLine{Put: name, Len: need, CRC: crc32.ChecksumIEEE(data)})
-	b.mu.Unlock()
-	if err != nil {
-		os.Remove(path)
-		return nil, err
-	}
-	return data, nil
-}
-
-// installLocked records a fresh entry. Caller holds b.mu.
-func (b *Backend) installLocked(name string, length int64, crc uint32) {
-	e := &entry{name: name, length: length, crc: crc, verified: true}
-	e.elem = b.lru.PushFront(name)
-	b.entries[name] = e
-	b.used += length
+	return nil
 }
 
 // invalidateLocked drops one entry without journaling (used when the data
@@ -784,24 +728,25 @@ func (b *Backend) invalidateLocked(name string) {
 }
 
 // evictLocked drops least-recently-used entries (whole objects: partial
-// prefixes are never trimmed) until the budget holds, never evicting the
-// protected object. Caller holds b.mu.
-func (b *Backend) evictLocked(protect string) {
-	for b.used > b.cap && b.lru.Len() > 1 {
-		back := b.lru.Back()
-		name := back.Value.(string)
-		if name == protect {
-			return // sole entry over budget: keep it
+// prefixes are never trimmed) until the budget holds, skipping the pinned
+// objects (those in flight). A closed Backend evicts nothing: its journal
+// is shut. Caller holds b.mu.
+func (b *Backend) evictLocked() {
+	for el := b.lru.Back(); el != nil && b.used > b.cap && !b.closed; {
+		name := el.Value.(string)
+		back := el
+		el = el.Prev()
+		if _, pinned := b.inflight[name]; pinned {
+			continue
 		}
-		e := b.entries[name]
-		b.used -= e.length
+		b.used -= b.entries[name].length
 		delete(b.entries, name)
 		b.lru.Remove(back)
 		os.Remove(b.objectFile(name))
 		b.stats.Evictions++
 		// Journal the eviction; a failure here only costs journal accuracy
-		// for an entry whose file is already gone — recovery's verification
-		// scan discards it.
+		// for an entry whose file is already gone — recovery's stat check
+		// discards it.
 		b.journalLocked(journalLine{Del: name})
 	}
 }

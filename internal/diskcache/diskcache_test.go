@@ -591,3 +591,166 @@ func TestFirstHitOpensDataFileOnce(t *testing.T) {
 		t.Fatalf("upgrade fetched %d ranges / %d bytes, want 1 / 200 (the delta)", r, n)
 	}
 }
+
+// gatedBackend holds the first upgrade fetch of one object (a fetch at a
+// non-zero offset) until released.
+type gatedBackend struct {
+	*fakeBackend
+	name    string
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func gate(inner *fakeBackend, name string) *gatedBackend {
+	return &gatedBackend{fakeBackend: inner, name: name, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedBackend) ReadRange(name string, offset, length int64) ([]byte, error) {
+	if name == g.name && offset > 0 {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
+	return g.fakeBackend.ReadRange(name, offset, length)
+}
+
+// TestUpgradePinnedUnderEvictionPressure: while a's delta is being fetched,
+// reads of other objects push the tier over budget. The object being
+// upgraded is pinned, so another entry is evicted instead and the upgrade
+// appends to the prefix it started from: one delta hit, exactly the delta
+// fetched, no cold refetch.
+func TestUpgradePinnedUnderEvictionPressure(t *testing.T) {
+	inner := newFake()
+	g := gate(inner, "records/a.pcr")
+	b, err := Wrap(g, t.TempDir(), 1500, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a := inner.objects["records/a.pcr"]
+	mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
+
+	upgraded := make(chan error, 1)
+	go func() {
+		got, err := b.ReadRange("records/a.pcr", 0, 700)
+		if err == nil && !bytes.Equal(got, a[:700]) {
+			err = fmt.Errorf("upgrade returned wrong bytes")
+		}
+		upgraded <- err
+	}()
+	<-g.entered // a is mid-upgrade and LRU-last
+	mustRead(t, b, "records/b.pcr", 0, 600, inner.objects["records/b.pcr"][:600])
+	mustRead(t, b, "records/c.pcr", 0, 600, inner.objects["records/c.pcr"][:600])
+	if !b.Contains("records/a.pcr", 400) {
+		t.Error("a evicted while its upgrade was in flight")
+	}
+	if b.Contains("records/b.pcr", 1) {
+		t.Error("b not evicted in a's place")
+	}
+	before := b.Stats()
+	close(g.release)
+	if err := <-upgraded; err != nil {
+		t.Fatal(err)
+	}
+
+	st := b.Stats()
+	if st.DeltaHits != 1 || st.Misses != 3 {
+		t.Fatalf("stats = %+v, want 1 delta hit and 3 misses", st)
+	}
+	if got := st.BytesFetched - before.BytesFetched; got != 300 || st.DeltaBytes != 300 {
+		t.Fatalf("upgrade fetched %d bytes (%d delta), want exactly the 300-byte delta", got, st.DeltaBytes)
+	}
+	for _, r := range inner.ranges {
+		if r == "records/a.pcr:0+700" {
+			t.Fatalf("a refetched cold: upstream ranges %v", inner.ranges)
+		}
+	}
+	if st.Evictions == 0 || !b.Contains("records/a.pcr", 700) {
+		t.Fatalf("evictions = %d, a cached at 700: %v", st.Evictions, b.Contains("records/a.pcr", 700))
+	}
+	if used := b.UsedBytes(); used > 1500 {
+		t.Fatalf("used = %d > capacity 1500 with nothing in flight", used)
+	}
+}
+
+// TestDataFileRemovedMidUpgrade: a's data file is removed externally while
+// its delta is being fetched — noticed either by the upgrade's own append
+// or by a fast-path read that drops the entry in flight. The upgrade still
+// returns upstream bytes, the entry is rebuilt from offset zero, and the
+// rebuilt file serves later reads without upstream traffic.
+func TestDataFileRemovedMidUpgrade(t *testing.T) {
+	for _, noticed := range []string{"by-append", "by-hit"} {
+		t.Run(noticed, func(t *testing.T) {
+			inner := newFake()
+			g := gate(inner, "records/a.pcr")
+			b, err := Wrap(g, t.TempDir(), 1<<20, "gen1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			a := inner.objects["records/a.pcr"]
+			mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
+
+			upgraded := make(chan error, 1)
+			go func() {
+				got, err := b.ReadRange("records/a.pcr", 0, 700)
+				if err == nil && !bytes.Equal(got, a[:700]) {
+					err = fmt.Errorf("upgrade returned wrong bytes")
+				}
+				upgraded <- err
+			}()
+			<-g.entered
+			path := b.objectFile("records/a.pcr")
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			hit := make(chan error, 1)
+			if noticed == "by-hit" {
+				go func() {
+					got, err := b.ReadRange("records/a.pcr", 0, 100)
+					if err == nil && !bytes.Equal(got, a[:100]) {
+						err = fmt.Errorf("fast-path read returned wrong bytes")
+					}
+					hit <- err
+				}()
+				for deadline := time.Now().Add(5 * time.Second); b.Contains("records/a.pcr", 1); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("fast-path read never dropped the damaged entry")
+					}
+				}
+			} else {
+				hit <- nil
+			}
+			close(g.release)
+			if err := <-upgraded; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-hit; err != nil {
+				t.Fatal(err)
+			}
+
+			if got := inner.ranges[len(inner.ranges)-1]; got != "records/a.pcr:0+700" {
+				t.Fatalf("last upstream read %s, want the rebuild records/a.pcr:0+700", got)
+			}
+			size := int64(-1)
+			if fi, err := os.Stat(path); err == nil {
+				size = fi.Size()
+			}
+			if size != 700 {
+				t.Errorf("rebuilt data file holds %d bytes, want 700", size)
+			}
+			st := b.Stats()
+			if st.DeltaHits != 0 || st.Misses != 2 || st.BytesFetched != 400+300+700 {
+				t.Errorf("stats = %+v, want 2 misses, no delta hit, 1400 bytes fetched", st)
+			}
+			reads, _ := inner.counters()
+			mustRead(t, b, "records/a.pcr", 0, 100, a[:100])
+			mustRead(t, b, "records/a.pcr", 0, 700, a[:700])
+			if r, _ := inner.counters(); r != reads {
+				t.Fatal("rebuilt entry did not serve from disk")
+			}
+		})
+	}
+}

@@ -141,12 +141,3 @@ func (c *Cluster) Reset() {
 		d.Reset()
 	}
 }
-
-// Utilization reports the mean fraction of wall time the devices were busy
-// up to time `until`.
-func (c *Cluster) Utilization(until float64) float64 {
-	if until <= 0 {
-		return 0
-	}
-	return c.Stats().BusySec / (until * float64(len(c.devices)))
-}

@@ -65,15 +65,6 @@ func TestClusterPlacementAndAggregate(t *testing.T) {
 	}
 }
 
-func TestClusterUtilization(t *testing.T) {
-	c, _ := NewCluster(DeviceSpec{BandwidthBps: 100e6, SeekSec: 0}, 2)
-	c.ReadRecord(0, 100e6, 0) // device 0 busy 1s
-	u := c.Utilization(1.0)
-	if math.Abs(u-0.5) > 1e-9 {
-		t.Errorf("utilization = %v, want 0.5", u)
-	}
-}
-
 func TestNewClusterRejectsZeroDevices(t *testing.T) {
 	if _, err := NewCluster(SATASSD, 0); err == nil {
 		t.Error("zero-device cluster accepted")

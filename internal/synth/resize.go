@@ -1,9 +1,6 @@
 package synth
 
-import (
-	"image"
-	"math/rand"
-)
+import "image"
 
 // ResizeBilinear scales an image to w×h with bilinear interpolation. The
 // training pipeline uses it to bring variable-size dataset images to the
@@ -51,43 +48,6 @@ func ResizeBilinear(src image.Image, w, h int) *image.RGBA {
 			dst.Pix[i+1] = blend(g00, g10, g01, g11)
 			dst.Pix[i+2] = blend(b00, b10, b01, b11)
 			dst.Pix[i+3] = 255
-		}
-	}
-	return dst
-}
-
-// CenterCrop extracts the centered w×h region (clipped to the source).
-func CenterCrop(src image.Image, w, h int) *image.RGBA {
-	sb := src.Bounds()
-	if w > sb.Dx() {
-		w = sb.Dx()
-	}
-	if h > sb.Dy() {
-		h = sb.Dy()
-	}
-	x0 := sb.Min.X + (sb.Dx()-w)/2
-	y0 := sb.Min.Y + (sb.Dy()-h)/2
-	dst := image.NewRGBA(image.Rect(0, 0, w, h))
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dst.Set(x, y, src.At(x0+x, y0+y))
-		}
-	}
-	return dst
-}
-
-// RandomFlip returns a horizontally mirrored copy with probability 1/2 —
-// the standard training augmentation the paper applies.
-func RandomFlip(src *image.RGBA, rng *rand.Rand) *image.RGBA {
-	if rng.Intn(2) == 0 {
-		return src
-	}
-	b := src.Bounds()
-	w, h := b.Dx(), b.Dy()
-	dst := image.NewRGBA(image.Rect(0, 0, w, h))
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dst.SetRGBA(x, y, src.RGBAAt(b.Min.X+w-1-x, b.Min.Y+y))
 		}
 	}
 	return dst

@@ -2,8 +2,6 @@ package synth
 
 import (
 	"image"
-	"image/color"
-	"math/rand"
 	"testing"
 
 	"repro/internal/jpegc"
@@ -193,43 +191,5 @@ func TestResizeBilinear(t *testing.T) {
 		if d := int(dst.Pix[i]) - 200; d < -1 || d > 1 {
 			t.Fatalf("pixel %d = %d, want ~200", i, dst.Pix[i])
 		}
-	}
-}
-
-func TestCenterCrop(t *testing.T) {
-	src := image.NewRGBA(image.Rect(0, 0, 10, 10))
-	src.SetRGBA(5, 5, color.RGBA{R: 42, A: 255})
-	dst := CenterCrop(src, 4, 4)
-	if dst.Bounds().Dx() != 4 {
-		t.Fatalf("crop width %d", dst.Bounds().Dx())
-	}
-	if dst.RGBAAt(2, 2).R != 42 {
-		t.Error("crop not centered")
-	}
-	big := CenterCrop(src, 100, 100)
-	if big.Bounds().Dx() != 10 {
-		t.Error("oversized crop not clipped")
-	}
-}
-
-func TestRandomFlipPreservesPixels(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	src := image.NewRGBA(image.Rect(0, 0, 6, 1))
-	for x := 0; x < 6; x++ {
-		src.SetRGBA(x, 0, color.RGBA{R: uint8(x), A: 255})
-	}
-	flipped, identity := 0, 0
-	for i := 0; i < 100; i++ {
-		out := RandomFlip(src, rng)
-		if out.RGBAAt(0, 0).R == 5 {
-			flipped++
-		} else if out.RGBAAt(0, 0).R == 0 {
-			identity++
-		} else {
-			t.Fatal("flip corrupted pixels")
-		}
-	}
-	if flipped == 0 || identity == 0 {
-		t.Errorf("flip not randomized: %d flips, %d identities", flipped, identity)
 	}
 }

@@ -126,9 +126,6 @@ func (s *PCRSet) NumRecords() int { return len(s.records) }
 // NumTrain returns the train sample count.
 func (s *PCRSet) NumTrain() int { return len(s.trainLabels) }
 
-// NumTest returns the test sample count.
-func (s *PCRSet) NumTest() int { return len(s.testLabels) }
-
 // RecordBytesAtGroup returns, for each record, the prefix bytes a reader
 // fetches at scan group g — the loader simulation's input.
 func (s *PCRSet) RecordBytesAtGroup(g int) ([]int64, error) {

@@ -73,8 +73,8 @@ func TestBuildPCRSetBasics(t *testing.T) {
 			if set.NumGroups != tc.wantGroups {
 				t.Fatalf("NumGroups = %d, want %d", set.NumGroups, tc.wantGroups)
 			}
-			if set.NumTrain() != 48 || set.NumTest() != 12 {
-				t.Fatalf("split %d/%d", set.NumTrain(), set.NumTest())
+			if set.NumTrain() != 48 || len(set.testLabels) != 12 {
+				t.Fatalf("split %d/%d", set.NumTrain(), len(set.testLabels))
 			}
 			if set.NumRecords() != 3 {
 				t.Fatalf("records = %d", set.NumRecords())
