@@ -164,11 +164,11 @@ func TestOpenDatasetIndexMatchesLocal(t *testing.T) {
 				t.Fatalf("record %d group %d: prefix len %d vs %d", i, g, a, b)
 			}
 		}
-		pa, ma, err := local.ReadRecordPrefix(i, 1)
+		pa, ma, err := readPrefix(local, i, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, mb, err := viaIndex.ReadRecordPrefix(i, 1)
+		pb, mb, err := readPrefix(viaIndex, i, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -290,11 +290,11 @@ func TestDatasetRoundTrip(t *testing.T) {
 	seen := map[int64]bool{}
 	for r := 0; r < ds.NumRecords(); r++ {
 		for _, g := range []int{1, 5, 10} {
-			prefix, meta, err := ds.ReadRecordPrefix(r, g)
+			prefix, meta, err := readPrefix(ds, r, g)
 			if err != nil {
 				t.Fatalf("record %d group %d: %v", r, g, err)
 			}
-			n, _ := ds.RecordSamples(r)
+			n := ds.records[r].Samples
 			if len(meta.Samples) != n {
 				t.Fatalf("record %d: %d samples, want %d", r, len(meta.Samples), n)
 			}
@@ -324,7 +324,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 		t.Errorf("saw %d unique ids, want 10", len(seen))
 	}
 	// Labels must match the originals.
-	_, meta, err := ds.ReadRecordPrefix(0, 1)
+	_, meta, err := readPrefix(ds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,4 +378,19 @@ func TestGrayscaleRecord(t *testing.T) {
 			t.Fatalf("group %d: %v", g, err)
 		}
 	}
+}
+
+// readPrefix reads record i's prefix through scan group g and parses it: one
+// sequential read from offset zero, as a reader of the index issues it.
+func readPrefix(ds *Dataset, i, g int) ([]byte, *RecordMeta, error) {
+	need, err := ds.RecordPrefixLen(i, g)
+	if err != nil {
+		return nil, nil, err
+	}
+	buf, err := ds.ReadRecordRange(i, 0, need)
+	if err != nil {
+		return nil, nil, err
+	}
+	meta, err := ds.ParseRecordPrefix(i, buf)
+	return buf, meta, err
 }

@@ -337,42 +337,6 @@ func (ds *Dataset) RecordPrefixLen(i, g int) (int64, error) {
 	return re.Prefixes[g], nil
 }
 
-// RecordGroups returns the number of scan groups stored in record i (its
-// highest readable quality level).
-func (ds *Dataset) RecordGroups(i int) (int, error) {
-	if i < 0 || i >= ds.numRec {
-		return 0, fmt.Errorf("core: record %d out of range", i)
-	}
-	return len(ds.records[i].Prefixes) - 1, nil
-}
-
-// RecordSamples returns the number of images in record i.
-func (ds *Dataset) RecordSamples(i int) (int, error) {
-	if i < 0 || i >= ds.numRec {
-		return 0, fmt.Errorf("core: record %d out of range", i)
-	}
-	return ds.records[i].Samples, nil
-}
-
-// ReadRecordPrefix reads exactly the prefix of record i needed for scan
-// group g. This is the dataset's only read path — by construction it is a
-// single sequential read from offset zero, issued through the Backend.
-func (ds *Dataset) ReadRecordPrefix(i, g int) ([]byte, *RecordMeta, error) {
-	need, err := ds.RecordPrefixLen(i, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	buf, err := ds.ReadRecordRange(i, 0, need)
-	if err != nil {
-		return nil, nil, err
-	}
-	meta, err := ds.ParseRecordPrefix(i, buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return buf, meta, nil
-}
-
 // ParseRecordPrefix parses a prefix of record i, however it was read, and
 // refuses as ErrCorrupt a record file that holds another number of samples
 // than the index entry every read plan is made from.

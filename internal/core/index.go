@@ -46,6 +46,12 @@ type RecordInfo struct {
 	SampleGroupLens []int64 `json:"sample_group_lens,omitempty"`
 }
 
+// ClampGroup is the scan group a read of the record at group g serves: g,
+// or the record's last group when it stores fewer than g — a record may
+// store fewer scan groups than the dataset (a grayscale image has fewer
+// scans). Every reader of a record, local or remote, clamps through it.
+func (r *RecordInfo) ClampGroup(g int) int { return min(g, len(r.Prefixes)-1) }
+
 // EncodeIndex serializes the index as JSON (the serving layer's wire form).
 func EncodeIndex(ix *Index) ([]byte, error) {
 	data, err := json.Marshal(ix)

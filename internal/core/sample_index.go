@@ -43,7 +43,15 @@ func (r *RecordInfo) SampleRanges(g int, sel []bool) ([]ByteRange, error) {
 	if len(lens) != samples*ng {
 		return nil, fmt.Errorf("core: %w: sample index has %d lengths, want %d", ErrCorrupt, len(lens), samples*ng)
 	}
-	out := make([]ByteRange, 0, 8)
+	// A group adds at most its preamble and one range per run of adjacent
+	// selected samples, so the ranges are allocated once.
+	runs := 0
+	for i, on := range sel {
+		if on && (i == 0 || !sel[i-1]) {
+			runs++
+		}
+	}
+	out := make([]ByteRange, 0, 1+g*(1+runs))
 	add := func(off, length int64) {
 		if length <= 0 {
 			return

@@ -46,7 +46,7 @@ func TestSampleIndexRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, _ := ds.RecordSamples(r)
+		n := ds.records[r].Samples
 		if len(ids) != n || len(labels) != n {
 			t.Fatalf("record %d: %d ids, %d labels, want %d", r, len(ids), len(labels), n)
 		}
@@ -65,7 +65,7 @@ func TestSampleIndexRoundTrip(t *testing.T) {
 func TestSampleRangesAllSelectedIsThePrefix(t *testing.T) {
 	ds, _ := buildIndexedDataset(t)
 	for r := 0; r < ds.NumRecords(); r++ {
-		n, _ := ds.RecordSamples(r)
+		n := ds.records[r].Samples
 		sel := make([]bool, n)
 		for i := range sel {
 			sel[i] = true
@@ -92,11 +92,11 @@ func TestSampleRangesAllSelectedIsThePrefix(t *testing.T) {
 func TestSampleRangesSparseDecode(t *testing.T) {
 	ds, _ := buildIndexedDataset(t)
 	r := 0
-	n, _ := ds.RecordSamples(r)
+	n := ds.records[r].Samples
 	sel := make([]bool, n)
 	sel[0], sel[n-1] = true, true
 	for _, g := range []int{1, 5, ds.NumGroups} {
-		full, fullMeta, err := ds.ReadRecordPrefix(r, g)
+		full, fullMeta, err := readPrefix(ds, r, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestSampleIndexSurvivesIndexWire(t *testing.T) {
 	defer remote.Close()
 	sel := []bool{true, false, true, false}
 	for r := 0; r < local.NumRecords(); r++ {
-		n, _ := local.RecordSamples(r)
+		n := local.records[r].Samples
 		want, err := local.SampleRanges(r, 2, sel[:n])
 		if err != nil {
 			t.Fatal(err)

@@ -181,8 +181,9 @@ func (m *member) readRangeOnce(name string, offset, length int64, hedge bool) (b
 		return buf, false, nil
 	case http.StatusOK:
 		// The server ignored the Range header; take the window out of the
-		// full body.
-		body, err := io.ReadAll(resp.Body)
+		// body, read only up to the window's end — however much more the
+		// server sends, or if it never stops.
+		body, err := io.ReadAll(io.LimitReader(resp.Body, offset+length))
 		if err != nil {
 			return nil, true, fmt.Errorf("serve: reading %s: %w", name, err)
 		}
@@ -190,7 +191,7 @@ func (m *member) readRangeOnce(name string, offset, length int64, hedge bool) (b
 			return nil, false, fmt.Errorf("serve: reading %s: %w: object is %d bytes, want [%d,%d)",
 				name, core.ErrCorrupt, len(body), offset, offset+length)
 		}
-		return body[offset : offset+length], false, nil
+		return body[offset:], false, nil
 	case http.StatusRequestedRangeNotSatisfiable:
 		return nil, false, fmt.Errorf("serve: reading %s: %w: range [%d,%d) past end of record",
 			name, core.ErrCorrupt, offset, offset+length)
@@ -209,9 +210,7 @@ func (m *member) readRangeOnce(name string, offset, length int64, hedge bool) (b
 // length. A 200 without the pushdown header is not an answer to the request
 // made and is not retryable.
 func (m *member) readSamplesOnce(re *core.RecordInfo, group int, sel []bool) (buf []byte, retryable bool, err error) {
-	if group >= len(re.Prefixes) {
-		group = len(re.Prefixes) - 1 // mirror the server's clamp
-	}
+	group = re.ClampGroup(group)
 	ranges, err := re.SampleRanges(group, sel)
 	if err != nil {
 		return nil, false, err

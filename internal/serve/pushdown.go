@@ -101,9 +101,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 		s.fail(w, http.StatusBadRequest, "serve: bad group %q", gs)
 		return
 	}
-	if g >= len(re.Prefixes) {
-		g = len(re.Prefixes) - 1
-	}
+	g = re.ClampGroup(g)
 	if r.Header.Get("Range") != "" {
 		// A byte range within a range-selected view has no defined object to
 		// range over; refuse rather than guess.

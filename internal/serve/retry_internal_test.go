@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"net/http"
 	"testing"
 	"time"
 )
@@ -31,5 +33,88 @@ func TestRetryDelayJitterBounds(t *testing.T) {
 		if min == max {
 			t.Fatalf("attempt %d: 500 draws all returned %v — no jitter", attempt, min)
 		}
+	}
+}
+
+// endlessBody is a response body that never ends: each Read fills its
+// buffer with a counting byte pattern and counts what it handed out. Past
+// endlessStall bytes it stalls until closed instead, so a reader that does
+// not stop on its own waits there rather than filling memory.
+type endlessBody struct {
+	taken  int64
+	closed chan struct{}
+}
+
+const endlessStall = 1 << 20
+
+func (b *endlessBody) Read(p []byte) (int, error) {
+	if b.taken >= endlessStall {
+		<-b.closed
+		return 0, errors.New("body closed")
+	}
+	for i := range p {
+		p[i] = byte(b.taken + int64(i))
+	}
+	b.taken += int64(len(p))
+	return len(p), nil
+}
+
+func (b *endlessBody) Close() error {
+	select {
+	case <-b.closed:
+	default:
+		close(b.closed)
+	}
+	return nil
+}
+
+// ignoresRange answers every request 200 with an endless body, as a server
+// that ignores the Range header and streams without end would.
+type ignoresRange struct{ body *endlessBody }
+
+func (t ignoresRange) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Header: http.Header{},
+		Body: t.body, Request: req}, nil
+}
+
+// TestReadRangeBoundsIgnoredRange: against a server that ignores Range and
+// sends a body that never ends, a ranged read returns its window promptly
+// and takes no more than offset+length bytes from the body.
+func TestReadRangeBoundsIgnoredRange(t *testing.T) {
+	const offset, length = 1000, 300
+	body := &endlessBody{closed: make(chan struct{})}
+	t.Cleanup(func() { body.Close() })
+	m, err := newMember("http://pcr.invalid", &http.Client{Transport: ignoresRange{body}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		buf []byte
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		buf, _, err := m.readRangeOnce("record-00000.pcr", offset, length, false)
+		done <- result{buf, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a ranged read against an endless 200 body did not return")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.buf) != length {
+		t.Fatalf("read %d bytes, want %d", len(r.buf), length)
+	}
+	for i, c := range r.buf {
+		if want := byte(offset + i); c != want {
+			t.Fatalf("byte %d of the window is %d, want %d", i, c, want)
+		}
+	}
+	if body.taken > offset+length {
+		t.Fatalf("took %d bytes from the body, want at most %d", body.taken, offset+length)
 	}
 }

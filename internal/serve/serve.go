@@ -549,10 +549,10 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	re := &s.index.Records[rec]
 
 	// The served object is the record truncated to the requested scan
-	// group's prefix (clamped to what the record stores, mirroring the
-	// local reader's grayscale clamp); without ?group it is the whole
-	// record file. Scan-group numbering is the record's own: group 0 is
-	// the metadata-only prefix, not the facade's "Full".
+	// group's prefix (clamped to what the record stores, as every reader
+	// clamps); without ?group it is the whole record file. Scan-group
+	// numbering is the record's own: group 0 is the metadata-only prefix,
+	// not the facade's "Full".
 	size := re.Prefixes[len(re.Prefixes)-1]
 	if gs := r.URL.Query().Get("group"); gs != "" {
 		g, err := strconv.Atoi(gs)
@@ -560,10 +560,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusBadRequest, "serve: bad group %q", gs)
 			return
 		}
-		if g >= len(re.Prefixes) {
-			g = len(re.Prefixes) - 1
-		}
-		size = re.Prefixes[g]
+		size = re.Prefixes[re.ClampGroup(g)]
 	}
 
 	etag := s.etags[rec]

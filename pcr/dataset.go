@@ -216,9 +216,7 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 	var source func(p *pipeline)
 	if d.pcr != nil {
 		// A plan is used up as it is walked: each range gets its own.
-		source = func(p *pipeline) {
-			p.fetch(&recordPlan{d: d, order: storageOrder(d.pcr.ds.NumRecords()), policy: FixedQuality(qq), filter: sc.pred, stats: sc.stats})
-		}
+		source = func(p *pipeline) { p.fetch(d.scanPlan(qq, sc.pred, sc.stats)) }
 	} else if decode {
 		source = func(p *pipeline) { p.chunk(d.scanSamples(p.ctx, qq, sc)) }
 	} else {
@@ -237,6 +235,12 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 			}
 		}
 	}
+}
+
+// scanPlan is the read plan of a scan at quality qq over storage order,
+// restricted to what pred selects (when non-nil) and accounted in stats.
+func (d *Dataset) scanPlan(qq int, pred Predicate, stats *FilterStats) *recordPlan {
+	return &recordPlan{d: d, order: storageOrder(d.NumRecords()), policy: FixedQuality(qq), filter: pred, stats: stats}
 }
 
 // storageOrder is records 0..n-1 in storage order.
@@ -278,7 +282,11 @@ func (d *Dataset) RecordImages(i int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.ds.RecordSamples(i)
+	re, err := r.record(i)
+	if err != nil {
+		return 0, err
+	}
+	return re.Samples, nil
 }
 
 // RecordPrefixLen returns the bytes one sequential read fetches to
@@ -293,22 +301,39 @@ func (d *Dataset) RecordPrefixLen(i, q int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.recordPrefixLen(i, qq)
+	re, err := r.record(i)
+	if err != nil {
+		return 0, err
+	}
+	return re.Prefixes[re.ClampGroup(qq)], nil
 }
 
-// ReadRecordEncoded materializes every image of record i at quality q as
-// reassembled JPEG streams, without decoding — one sequential prefix read
-// (PCR format only).
-func (d *Dataset) ReadRecordEncoded(i, q int) ([]Sample, error) {
-	r, err := d.pcrOnly("record access")
-	if err != nil {
+// onePlan is the plan of one read of record i at quality q, the random
+// access methods' (PCR format only).
+func (d *Dataset) onePlan(i, q int) (*recordPlan, error) {
+	if _, err := d.pcrOnly("record access"); err != nil {
 		return nil, err
 	}
 	qq, err := d.resolveQuality(q)
 	if err != nil {
 		return nil, err
 	}
-	rr := r.readRecord(i, qq, nil)
+	return &recordPlan{d: d, order: []int{i}, policy: FixedQuality(qq)}, nil
+}
+
+// ReadRecordEncoded materializes every image of record i at quality q as
+// reassembled JPEG streams, without decoding — one sequential prefix read,
+// planned as a plan of one record (PCR format only).
+func (d *Dataset) ReadRecordEncoded(i, q int) ([]Sample, error) {
+	plan, err := d.onePlan(i, q)
+	if err != nil {
+		return nil, err
+	}
+	read, err := plan.next()
+	if read == nil { // an error, or a record of no images
+		return nil, err
+	}
+	rr := d.pcr.readRecord(read)
 	return rr.samples, rr.err
 }
 
@@ -317,14 +342,10 @@ func (d *Dataset) ReadRecordEncoded(i, q int) ([]Sample, error) {
 // read once, as a plan of one record, and decoded by WithPrefetchWorkers
 // goroutines.
 func (d *Dataset) ReadRecord(ctx context.Context, i, q int) ([]Sample, error) {
-	if _, err := d.pcrOnly("record access"); err != nil {
-		return nil, err
-	}
-	qq, err := d.resolveQuality(q)
+	plan, err := d.onePlan(i, q)
 	if err != nil {
 		return nil, err
 	}
-	plan := &recordPlan{d: d, order: []int{i}, policy: FixedQuality(qq)}
 	var out []Sample
 	for r, err := range d.pipeline(ctx, true, nil, func(p *pipeline) { p.fetch(plan) }) {
 		if err != nil {

@@ -18,32 +18,29 @@ func (l *Loader) EpochOrder(epoch int) []int { return l.epochOrder(epoch) }
 // SelectedCount is how many samples of record i the side index says pred
 // selects.
 func (d *Dataset) SelectedCount(i int, pred Predicate) int {
-	_, nsel, err := d.pcr.selection(i, pred)
+	re, err := d.pcr.record(i)
 	if err != nil {
 		panic(err)
 	}
+	_, nsel := matchSelection(pred, re.SampleIDs, re.SampleLabels)
 	return nsel
 }
 
-// ReadRecordFiltered is one filtered record read as the Loader issues it.
+// ReadRecordFiltered is one filtered record read as the Loader issues it: a
+// plan of one record, carried out.
 func (d *Dataset) ReadRecordFiltered(i, q int, pred Predicate) (samples []Sample, bytesRead, bytesAvoided int64, err error) {
-	qq, err := d.resolveQuality(q)
+	plan, err := d.onePlan(i, q)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sel, _, err := d.pcr.selection(i, pred)
-	if err != nil {
-		return nil, 0, 0, err
+	var st FilterStats
+	plan.filter, plan.stats = pred, &st
+	read, err := plan.next()
+	if read == nil {
+		return nil, st.BytesRead, st.BytesAvoided, err
 	}
-	full, err := d.pcr.recordPrefixLen(i, qq)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	rr := d.pcr.readRecord(i, qq, sel)
-	if rr.err != nil {
-		return nil, 0, 0, rr.err
-	}
-	return rr.samples, rr.bytes, full - rr.bytes, nil
+	rr := d.pcr.readRecord(read)
+	return rr.samples, st.BytesRead, st.BytesAvoided, rr.err
 }
 
 // WrapBackend puts wrap(backend) under a PCR dataset's reads.

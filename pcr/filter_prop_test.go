@@ -3,6 +3,7 @@ package pcr_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,15 +46,28 @@ func randomPredicate(rng *rand.Rand, depth int, ids, labels []int64) pcr.Predica
 	}
 }
 
+// samePrice fails unless plan is the price a drained filtered scan reported
+// in fs: the same samples, records and bytes.
+func samePrice(t *testing.T, what string, plan pcr.FilterPlan, fs pcr.FilterStats) {
+	t.Helper()
+	if int64(plan.Selected) != fs.Selected || int64(plan.Total) != fs.Selected+fs.Skipped ||
+		int64(plan.RecordsSkipped) != fs.RecordsSkipped || plan.Bytes != fs.BytesRead ||
+		plan.FullBytes != fs.BytesRead+fs.BytesAvoided {
+		t.Fatalf("%s: PlanFilter %+v, the drained scan %+v", what, plan, fs)
+	}
+}
+
 // TestFilteredScanEquivalenceProperty is the central correctness property
 // of the queryable dataset: for random predicates, at every quality level,
 // Scan(WithFilter(p)) delivers exactly the samples of an unfiltered scan
 // post-filtered client-side — same samples, same order, byte-identical
 // streams — on every read path: the cacheless sparse-range path, the
-// cached full-read path (including §5 delta upgrades as quality ascends),
-// and the remote pushdown path. The filter must also account every sample
-// and every byte: selected + skipped = all, read + avoided = the
-// unfiltered scan's volume.
+// full-read paths through the memory and the disk tier (including §5 delta
+// upgrades as quality ascends), and the remote pushdown path. The filter
+// must also account every sample and every byte: selected + skipped = all,
+// read + avoided = the unfiltered scan's volume, and the drained stats are
+// exactly what PlanFilter priced on the same dataset — a price that needs
+// no read, so a dataset whose every read fails prices the same.
 func TestFilteredScanEquivalenceProperty(t *testing.T) {
 	datasets := []struct {
 		name string
@@ -79,11 +93,25 @@ func TestFilteredScanEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cached.Close()
+			disk, err := pcr.Open(dir, pcr.WithDiskCache(t.TempDir(), 64<<20)) // full reads through the disk tier
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disk.Close()
 			remote, err := pcr.OpenRemote(ts.URL) // bitmap pushdown over the wire
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer remote.Close()
+			unreadable, err := pcr.Open(dir) // every read fails
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer unreadable.Close()
+			hook(unreadable, func(name string) error { return fmt.Errorf("read of %s refused", name) }, nil)
+			if _, err := unreadable.ReadRecordEncoded(0, pcr.Full); err == nil {
+				t.Fatal("a read through the refusing backend succeeded")
+			}
 
 			// Ground the predicate domain in the dataset's real identities.
 			all, err := collect(ctx, sparse, pcr.Full)
@@ -99,7 +127,7 @@ func TestFilteredScanEquivalenceProperty(t *testing.T) {
 			variants := []struct {
 				name string
 				ds   *pcr.Dataset
-			}{{"sparse", sparse}, {"cached", cached}, {"remote", remote}}
+			}{{"sparse", sparse}, {"cached", cached}, {"disk", disk}, {"remote", remote}}
 			for trial := 0; trial < 8; trial++ {
 				pred := randomPredicate(rng, 3, ids, labels)
 				// Ascending qualities make the cached variant exercise §5
@@ -153,6 +181,20 @@ func TestFilteredScanEquivalenceProperty(t *testing.T) {
 						}
 						if len(want) < v.ds.NumImages() && v.name == "sparse" && fs.BytesRead >= size {
 							t.Fatalf("sparse q%d %q: proper subset read the full size %d", q, pred, size)
+						}
+						plan, err := v.ds.PlanFilter(pred, q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						samePrice(t, fmt.Sprintf("%s q%d %q", v.name, q, pred), plan, fs)
+						if v.name == "sparse" {
+							blind, err := unreadable.PlanFilter(pred, q)
+							if err != nil {
+								t.Fatalf("q%d %q: PlanFilter on an unreadable dataset: %v", q, pred, err)
+							}
+							if blind != plan {
+								t.Fatalf("q%d %q: PlanFilter %+v on an unreadable dataset, %+v on a readable one", q, pred, blind, plan)
+							}
 						}
 					}
 				}

@@ -7,16 +7,18 @@ import (
 )
 
 // FilterStats accounts for one filtered scan: what the predicate selected,
-// what it skipped, and what the selection saved in record bytes. Byte
-// accounting is exact for the PCR format (whose side index makes skipped
-// bytes plannable); the baseline formats filter after the read and report
-// zero byte savings.
+// what it skipped, and what the selection saved in record bytes. On the PCR
+// format the read plan writes them as it plans each record's read, from the
+// index, so a drained scan's stats equal PlanFilter's price for it —
+// Selected, Selected+Skipped = Total, RecordsSkipped, BytesRead = Bytes and
+// BytesRead+BytesAvoided = FullBytes — with cache tiers or without. The
+// baseline formats filter after the read and report zero byte savings.
 //
-// The stats are written while the scan runs, from the goroutines that read
-// records ahead of it; read the fields directly only after the scan's
-// iterator has been fully consumed. While a scan is mid-flight — or was left
-// by an error or an early break, with reads it had issued still to finish —
-// the plain fields are racy: use Snapshot, which loads them atomically.
+// The stats are written while the scan runs, ahead of its consumer; read
+// the fields directly only after the scan's iterator has been fully
+// consumed. While a scan is mid-flight — or was left by an error or an
+// early break — the plain fields are racy: use Snapshot, which loads them
+// atomically.
 type FilterStats struct {
 	// Selected and Skipped count samples for and against the predicate.
 	Selected int64
@@ -30,14 +32,17 @@ type FilterStats struct {
 	BytesAvoided int64
 }
 
-func (s *FilterStats) addSamples(selected, skipped int64) {
-	atomic.AddInt64(&s.Selected, selected)
-	atomic.AddInt64(&s.Skipped, skipped)
-}
-
-func (s *FilterStats) addBytes(read, avoided int64) {
+// add accounts for one planned record of the PCR format: its selected and
+// skipped samples, the bytes its read moves and those it avoids. A record
+// nothing of which is selected is one skipped whole.
+func (s *FilterStats) add(selected, skipped int, read, avoided int64) {
+	atomic.AddInt64(&s.Selected, int64(selected))
+	atomic.AddInt64(&s.Skipped, int64(skipped))
 	atomic.AddInt64(&s.BytesRead, read)
 	atomic.AddInt64(&s.BytesAvoided, avoided)
+	if selected == 0 {
+		atomic.AddInt64(&s.RecordsSkipped, 1)
+	}
 }
 
 // Snapshot returns a consistent-enough copy of the stats, loading each
@@ -72,11 +77,12 @@ type scanConfig struct {
 // pushdown request moving only those bytes). With cache tiers the full
 // prefix is read through the cache (caches are prefix-shaped) and filtering
 // happens afterwards; on the baseline formats filtering likewise happens
-// after the read. Every path yields
-// byte-identical samples. A PCR scan reads up to four records ahead of its
-// consumer (see ScanEncoded), and FilterStats counts a record as its read is
-// planned or completes: after an early break the stats may include up to
-// four records that were fetched — BytesRead counted — and never yielded.
+// after the read. Every path yields byte-identical samples, and a drained
+// PCR scan's FilterStats equal PlanFilter's price, tiers or not. A PCR scan
+// reads up to four records ahead of its consumer (see ScanEncoded), and
+// FilterStats counts a record as its read is planned: after an early break
+// the stats may include up to four records that were planned — BytesRead
+// counted — and never yielded.
 func WithFilter(pred Predicate) ScanOption {
 	return func(sc *scanConfig) error {
 		if pred == nil {
@@ -122,10 +128,12 @@ func applyScanOptions(opts []ScanOption) (*scanConfig, error) {
 	return sc, nil
 }
 
-// FilterPlan is the index-only cost estimate of a filtered scan at one
-// quality: how many samples the predicate selects and how many record
-// bytes a cache-less filtered scan moves versus a full scan — the query
-// planner's view, computed without touching a record file.
+// FilterPlan is the price of a filtered scan at one quality: how many
+// samples the predicate selects and how many record bytes the scan moves
+// versus a full scan — the read plan's own accounting, computed from the
+// index without touching a record file. A drained Scan or ScanEncoded with
+// the same predicate and quality on the same dataset reports it exactly in
+// its FilterStats, with cache tiers mounted or not.
 type FilterPlan struct {
 	// Selected of Total samples match the predicate.
 	Selected int
@@ -134,15 +142,18 @@ type FilterPlan struct {
 	// read at all.
 	Records        int
 	RecordsSkipped int
-	// Bytes is the filtered scan's read volume (coalesced selected
-	// ranges); FullBytes is the unfiltered scan's (SizeAtQuality).
+	// Bytes is the filtered scan's read volume: the coalesced selected
+	// ranges of a sparse read, a whole prefix where a cache tier is mounted
+	// or every sample of a record is selected. FullBytes is the unfiltered
+	// scan's (SizeAtQuality).
 	Bytes     int64
 	FullBytes int64
 }
 
-// PlanFilter estimates what Scan(WithFilter(pred)) at quality q will read,
-// purely from the record index and its sample-offset side index. It
-// requires the PCR format.
+// PlanFilter prices Scan(WithFilter(pred)) at quality q: it walks the scan's
+// read plan over storage order without issuing a read, so the plan equals
+// the drained scan's FilterStats (see FilterPlan). It requires the PCR
+// format.
 func (d *Dataset) PlanFilter(pred Predicate, q int) (FilterPlan, error) {
 	if pred == nil {
 		return FilterPlan{}, fmt.Errorf("pcr: PlanFilter: nil predicate")
@@ -154,7 +165,18 @@ func (d *Dataset) PlanFilter(pred Predicate, q int) (FilterPlan, error) {
 	if d.pcr == nil {
 		return FilterPlan{}, fmt.Errorf("pcr: PlanFilter on %s format: filtering is post-read, no plan to compute", d.cfg.format.Name())
 	}
-	return d.pcr.planFilter(pred, qq)
+	var st FilterStats
+	plan := d.scanPlan(qq, pred, &st)
+	for read, err := plan.next(); read != nil || err != nil; read, err = plan.next() {
+		if err != nil {
+			return FilterPlan{}, err
+		}
+	}
+	return FilterPlan{
+		Selected: int(st.Selected), Total: int(st.Selected + st.Skipped),
+		Records: d.NumRecords(), RecordsSkipped: int(st.RecordsSkipped),
+		Bytes: st.BytesRead, FullBytes: st.BytesRead + st.BytesAvoided,
+	}, nil
 }
 
 // filterSeq composes a pure selection stage onto an encoded scan — the
@@ -167,10 +189,10 @@ func filterSeq(seq iter.Seq2[Sample, error], pred Predicate, stats *FilterStats)
 				return
 			}
 			if !pred.Matches(s.ID, s.Label) {
-				stats.addSamples(0, 1)
+				atomic.AddInt64(&stats.Skipped, 1)
 				continue
 			}
-			stats.addSamples(1, 0)
+			atomic.AddInt64(&stats.Selected, 1)
 			if !yield(s, nil) {
 				return
 			}

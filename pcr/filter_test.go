@@ -1,7 +1,10 @@
 package pcr_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"image"
 	"math"
 	"reflect"
 	"strings"
@@ -249,5 +252,111 @@ func TestPlanFilterNoSampleIndex(t *testing.T) {
 	}
 	if fs.Selected+fs.Skipped != int64(ds.NumImages()) {
 		t.Fatalf("selected %d + skipped %d != %d images", fs.Selected, fs.Skipped, ds.NumImages())
+	}
+}
+
+// TestMixedGroupsReadAtEveryQuality: a record may store fewer scan groups
+// than the dataset — here record 0 holds four colour images and record 1
+// four grayscale ones, which have fewer scans. At every quality, above
+// record 1's own group count too, a filtered scan delivers the samples of a
+// post-filtered local scan byte for byte, locally, through the memory tier
+// and over the wire; ReadRecord reads record 1; and PlanFilter prices
+// exactly what each drained scan reports.
+func TestMixedGroupsReadAtEveryQuality(t *testing.T) {
+	dir := t.TempDir()
+	w, err := pcr.Create(dir, pcr.WithImagesPerRecord(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 32
+	for i := 0; i < 8; i++ {
+		var img image.Image
+		if i < 4 {
+			rgba := image.NewRGBA(image.Rect(0, 0, size, size))
+			for p := range rgba.Pix {
+				rgba.Pix[p] = uint8(p*(i+3) ^ p>>5)
+			}
+			img = rgba
+		} else {
+			gray := image.NewGray(image.Rect(0, 0, size, size))
+			for p := range gray.Pix {
+				gray.Pix[p] = uint8(p*(i+1) ^ p>>4)
+			}
+			img = gray
+		}
+		if err := w.Append(pcr.Sample{ID: int64(i), Label: int64(i % 2), Image: img}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startServer(t, dir, nil)
+	open := func(remote bool, opts ...pcr.Option) *pcr.Dataset {
+		t.Helper()
+		var ds *pcr.Dataset
+		if remote {
+			ds, err = pcr.OpenRemote(ts.URL, opts...)
+		} else {
+			ds, err = pcr.Open(dir, opts...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		return ds
+	}
+	local := open(false)
+	top := local.Qualities()
+	below, err := local.RecordPrefixLen(1, top-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole, _ := local.RecordPrefixLen(1, top); whole != below {
+		t.Fatalf("record 1 stores all %d groups; the test needs a record that stores fewer", top)
+	}
+	variants := []struct {
+		name string
+		ds   *pcr.Dataset
+	}{{"local", local}, {"memory", open(false, pcr.WithCacheBytes(1<<20))}, {"remote", open(true)}}
+	pred := pcr.LabelIn(1)
+	ctx := context.Background()
+	for q := 1; q <= top; q++ {
+		all, err := collect(ctx, local, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []pcr.Sample
+		for _, s := range all {
+			if pred.Matches(s.ID, s.Label) {
+				want = append(want, s)
+			}
+		}
+		for _, v := range variants {
+			var fs pcr.FilterStats
+			var got []pcr.Sample
+			for s, err := range v.ds.ScanEncoded(ctx, q, pcr.WithFilter(pred), pcr.WithFilterStats(&fs)) {
+				if err != nil {
+					t.Fatalf("%s q%d: %v", v.name, q, err)
+				}
+				got = append(got, s)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s q%d: %d samples, want %d", v.name, q, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID || !bytes.Equal(got[i].JPEG, want[i].JPEG) {
+					t.Fatalf("%s q%d: sample %d (id %d) differs from the post-filtered local scan", v.name, q, i, got[i].ID)
+				}
+			}
+			plan, err := v.ds.PlanFilter(pred, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePrice(t, fmt.Sprintf("%s q%d", v.name, q), plan, fs)
+			if rec, err := v.ds.ReadRecord(ctx, 1, q); err != nil || len(rec) != 4 {
+				t.Fatalf("%s q%d: ReadRecord(1) = %d samples, %v", v.name, q, len(rec), err)
+			}
+		}
 	}
 }

@@ -62,7 +62,7 @@ func newPCRReader(ds *core.Dataset, cfg *config) (*pcrReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &pcrReader{ds: ds, disk: disk}
+	r := &pcrReader{ds: ds, records: ds.Index().Records, disk: disk}
 	if cfg.cacheBytes > 0 {
 		c, err := cache.New(cfg.cacheBytes, r.fetchRange)
 		if err != nil {
@@ -84,45 +84,31 @@ func (w *pcrWriter) close() error { return w.w.Close() }
 // pcrReader reads record prefixes, optionally through the in-memory LRU
 // prefix cache and the persistent disk tier beneath it.
 type pcrReader struct {
-	ds    *core.Dataset
-	cache *cache.Cache
-	disk  *diskcache.Backend
+	ds *core.Dataset
+	// records is the dataset's index, which every read is planned from
+	// (recordPlan).
+	records []core.RecordInfo
+	cache   *cache.Cache
+	disk    *diskcache.Backend
 }
 
 func (r *pcrReader) numImages() int { return r.ds.NumImages() }
 func (r *pcrReader) qualities() int { return r.ds.NumGroups }
 func (r *pcrReader) close() error   { return r.ds.Close() }
 
-// recordQuality clamps quality q to what record i actually stores (grayscale
-// records hold fewer scan groups than the dataset maximum).
-func (r *pcrReader) recordQuality(i, q int) (int, error) {
-	groups, err := r.ds.RecordGroups(i)
-	if err != nil {
-		return 0, err
+// record is record i's index entry.
+func (r *pcrReader) record(i int) (*core.RecordInfo, error) {
+	if i < 0 || i >= len(r.records) {
+		return nil, fmt.Errorf("pcr: record %d out of range", i)
 	}
-	if q > groups {
-		q = groups
-	}
-	return q, nil
-}
-
-// recordPrefixLen is the bytes a prefix read of record i at quality q covers.
-func (r *pcrReader) recordPrefixLen(i, q int) (int64, error) {
-	gg, err := r.recordQuality(i, q)
-	if err != nil {
-		return 0, err
-	}
-	return r.ds.RecordPrefixLen(i, gg)
+	return &r.records[i], nil
 }
 
 func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 	var total int64
-	for i := 0; i < r.ds.NumRecords(); i++ {
-		n, err := r.recordPrefixLen(i, q)
-		if err != nil {
-			return 0, err
-		}
-		total += n
+	for i := range r.records {
+		re := &r.records[i]
+		total += re.Prefixes[re.ClampGroup(q)]
 	}
 	return total, nil
 }
@@ -137,130 +123,71 @@ func (r *pcrReader) fetchRange(record int, offset, length int64) ([]byte, error)
 	return r.ds.ReadRecordRange(record, offset, length)
 }
 
-// readRecord is the one record read: record i's samples at quality q, still
-// encoded, with the read's accounting. With sel nil it is the prefix read,
-// through the cache tiers when they are mounted. With a selection mask it
-// yields only the samples sel keeps, and the precedence is: with cache tiers
-// mounted, the full prefix is read through them (caches are prefix-shaped — a
-// sparse read could neither fill nor be served from one) and the selection
-// applies afterwards; without them the read is sparse — only the metadata
-// section and the selected samples' slices are fetched (gatherSelected) and
-// the samples are assembled straight from those bytes, so bytes is what the
-// gather moved. Selecting every sample coalesces to the ordinary full prefix
-// read.
-func (r *pcrReader) readRecord(i, q int, sel []bool) recordRead {
-	gg, err := r.recordQuality(i, q)
-	if err != nil {
-		return recordRead{err: err}
-	}
-	rr := recordRead{quality: q}
-	if rr.bytes, err = r.ds.RecordPrefixLen(i, gg); err != nil {
-		return recordRead{err: err}
-	}
+// readRecord is the fetch stage's one record read: it carries out the read
+// recordPlan decided and priced, and delivers the samples it selects, still
+// encoded. A whole-prefix read goes through the cache tiers when they are
+// mounted and reassembles the selected samples from the prefix; a sparse
+// read fetches only the metadata section and the selected samples' slices
+// (gather) and assembles the samples straight from those bytes.
+func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 	var (
 		meta    *core.RecordMeta
 		prefix  []byte   // of a whole-prefix read
 		streams [][]byte // of a sparse read: the selected samples, assembled
+		err     error
 	)
-	if sel == nil || r.cache != nil || r.disk != nil {
-		if r.cache == nil {
-			prefix, meta, err = r.ds.ReadRecordPrefix(i, gg)
-		} else if prefix, err = r.cache.Get(i, rr.bytes); err == nil {
-			meta, err = r.ds.ParseRecordPrefix(i, prefix)
-		}
-	} else {
+	switch {
+	case pl.ranges != nil:
 		var body []byte
-		if body, err = r.gatherSelected(i, gg, sel); err == nil {
-			rr.bytes = int64(len(body))
-			meta, streams, err = core.AssembleSamples(body, gg, sel)
+		if body, err = r.gather(pl); err == nil {
+			meta, streams, err = core.AssembleSamples(body, pl.group, pl.sel)
+		}
+	case r.cache != nil:
+		if prefix, err = r.cache.Get(pl.rec, pl.bytes); err == nil {
+			meta, err = r.ds.ParseRecordPrefix(pl.rec, prefix)
+		}
+	default:
+		if prefix, err = r.ds.ReadRecordRange(pl.rec, 0, pl.bytes); err == nil {
+			meta, err = r.ds.ParseRecordPrefix(pl.rec, prefix)
 		}
 	}
 	if err != nil {
 		return recordRead{err: err}
 	}
-	rr.samples = make([]Sample, 0, len(meta.Samples))
+	rr := recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, len(meta.Samples))}
 	for si := range meta.Samples {
-		if sel != nil && !sel[si] {
+		if pl.sel != nil && !pl.sel[si] {
 			continue
 		}
 		sm := &meta.Samples[si]
 		var stream []byte
 		if streams != nil {
 			stream = streams[si]
-		} else if stream, err = meta.SampleJPEG(prefix, si, gg); err != nil {
+		} else if stream, err = meta.SampleJPEG(prefix, si, pl.group); err != nil {
 			return recordRead{err: err}
 		}
 		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
 	}
+	rr.samples = rr.samples[min(pl.from, len(rr.samples)):]
 	return rr
 }
 
-// selection evaluates pred over record i's side index without touching the
-// record file: the mask of the samples it selects and how many they are.
-func (r *pcrReader) selection(i int, pred Predicate) (sel []bool, nsel int, err error) {
-	ids, labels, err := r.ds.SampleIndex(i)
-	sel, nsel = matchSelection(pred, ids, labels)
-	return sel, nsel, err
-}
-
-// gatherSelected fetches the bytes a sparse read of record i needs — those of
-// SampleRanges(gg, sel), concatenated in order — as one pushdown request
-// when the backend takes one (remote) or as a read per range (local).
-func (r *pcrReader) gatherSelected(i, gg int, sel []bool) ([]byte, error) {
+// gather fetches a sparse read's bytes — those of its ranges, concatenated
+// in order — as one pushdown request when the backend takes the selection
+// (remote) or as a read per range (local).
+func (r *pcrReader) gather(pl *readPlan) ([]byte, error) {
 	if sr, ok := r.ds.Backend().(core.SampleReader); ok {
-		name, err := r.ds.RecordName(i)
-		if err != nil {
-			return nil, err
-		}
-		return sr.ReadSamples(name, gg, sel)
+		return sr.ReadSamples(r.records[pl.rec].Name, pl.group, pl.sel)
 	}
-	ranges, err := r.ds.SampleRanges(i, gg, sel)
-	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, 0, core.RangesTotal(ranges))
-	for _, rg := range ranges {
-		part, err := r.ds.ReadRecordRange(i, rg.Offset, rg.Length)
+	body := make([]byte, 0, pl.bytes)
+	for _, rg := range pl.ranges {
+		part, err := r.ds.ReadRecordRange(pl.rec, rg.Offset, rg.Length)
 		if err != nil {
 			return nil, err
 		}
 		body = append(body, part...)
 	}
 	return body, nil
-}
-
-// planFilter computes the filtered-scan cost estimate behind
-// Dataset.PlanFilter from the side index alone.
-func (r *pcrReader) planFilter(pred Predicate, qq int) (FilterPlan, error) {
-	var plan FilterPlan
-	plan.Records = r.ds.NumRecords()
-	for i := 0; i < r.ds.NumRecords(); i++ {
-		gg, err := r.recordQuality(i, qq)
-		if err != nil {
-			return FilterPlan{}, err
-		}
-		full, err := r.ds.RecordPrefixLen(i, gg)
-		if err != nil {
-			return FilterPlan{}, err
-		}
-		plan.FullBytes += full
-		sel, nsel, err := r.selection(i, pred)
-		if err != nil {
-			return FilterPlan{}, err
-		}
-		plan.Total += len(sel)
-		if nsel == 0 {
-			plan.RecordsSkipped++
-			continue
-		}
-		plan.Selected += nsel
-		ranges, err := r.ds.SampleRanges(i, gg, sel)
-		if err != nil {
-			return FilterPlan{}, err
-		}
-		plan.Bytes += core.RangesTotal(ranges)
-	}
-	return plan, nil
 }
 
 // decodeJPEG decodes s.JPEG into s.Image, reusing reuse's planes when it is

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"image"
 	"iter"
-	"sync/atomic"
+
+	"repro/internal/core"
 )
 
 // This file is the one read pipeline behind Loader.Epoch, Probe.Batches,
@@ -14,14 +15,17 @@ import (
 // order:
 //
 //	plan   — one planner, recordPlan, walks the records to visit and decides
-//	         from the index alone which are read and how (quality, filter
-//	         selection, resume skip, cut-off). Each caller only fills it in:
-//	         an order, a quality policy or constant, a filter, a skip, a need.
-//	         One goroutine calls it, one record at a time.
-//	fetch  — every planned read is the one record read, pcrReader.readRecord
-//	         (a prefix through the cache tiers, or a filtered sparse gather);
-//	         each runs in its own goroutine, readAhead of them at most, and is
-//	         handed on in plan order however the reads complete.
+//	         and prices from the index alone which are read and how (quality
+//	         and scan group, filter selection, whole prefix or sparse gather,
+//	         bytes, resume skip, cut-off). Each caller only fills it in: an
+//	         order, a quality policy or constant, a filter, a skip, a need.
+//	         One goroutine calls it, one record at a time. Dataset.PlanFilter
+//	         is the same planner walked without the stages behind it.
+//	fetch  — every planned read is carried out by the one record read,
+//	         pcrReader.readRecord (a prefix through the cache tiers, or a
+//	         filtered sparse gather); each runs in its own goroutine,
+//	         readAhead of them at most, and is handed on in plan order
+//	         however the reads complete.
 //	decode — WithPrefetchWorkers goroutines each take a run of up to runLen
 //	         samples of one record and decode it in place, one completion
 //	         signal per run: one worker decodes a run's samples back to back,
@@ -58,11 +62,13 @@ type recordRead struct {
 }
 
 // recordPlan is the plan stage, and the only one: every record-granular
-// read — Scan and ScanEncoded, Loader.Epoch, Probe.Batches, ReadRecord — is
-// one of these walked by fetch. It visits order once and decides per record,
-// from the index alone, whether the record is read, at what quality and from
-// which sample on. Each read it plans is the one record read,
-// pcrReader.readRecord. One goroutine calls next.
+// read — Scan and ScanEncoded, Loader.Epoch, Probe.Batches, ReadRecord and
+// ReadRecordEncoded — is one of these walked by fetch, and PlanFilter is
+// one walked without reading. It visits order once and decides per record,
+// from the index alone, whether the record is read and how (readPlan): at
+// what quality and scan group, which samples, whether as a whole prefix or
+// a sparse gather, and what the read moves. It is the only writer of a
+// plan's FilterStats. One goroutine calls next.
 type recordPlan struct {
 	d     *Dataset
 	order []int // records still to visit
@@ -73,8 +79,8 @@ type recordPlan struct {
 	policy QualityPolicy
 	epoch  int // what the policy is told
 	// filter, when set, restricts each record to the samples its side index
-	// selects; stats (then non-nil) is where the plan and its reads account
-	// for what it selected, skipped and saved.
+	// selects; stats (then non-nil) is where the plan accounts, as it plans
+	// each read, for what it selected, skipped, reads and saves.
 	filter Predicate
 	stats  *FilterStats
 	// skip is what remains of a resume prefix, in samples. Records wholly
@@ -88,33 +94,50 @@ type recordPlan struct {
 	planned int
 }
 
-// next returns the next read to issue, or ok=false at the end of the plan.
-// A plan-time error is planned as a read that reports it in its turn, so it
-// surfaces after every sample planned before it.
-func (p *recordPlan) next() (func() recordRead, bool) {
+// readPlan is one record read as recordPlan decided and priced it; the fetch
+// stage only carries it out (pcrReader.readRecord).
+type readPlan struct {
+	rec     int
+	quality int // resolved, as the read reports it
+	group   int // the scan group read: quality clamped to what the record stores
+	// sel marks the samples delivered; nil for every sample.
+	sel []bool
+	// ranges, when set, make the read a sparse gather of the selected
+	// samples' bytes rather than a whole prefix: these ranges, read locally,
+	// or sel, shipped to a backend that takes it (remote pushdown).
+	ranges []core.ByteRange
+	bytes  int64 // what the read moves
+	from   int   // delivered samples that lie inside a resume prefix
+}
+
+// next returns the next read to issue, or nil at the end of the plan. After
+// an error the plan is not walked further.
+func (p *recordPlan) next() (*readPlan, error) {
 	for len(p.order) > 0 && (p.need <= 0 || p.planned < p.need) {
 		rec := p.order[0]
 		p.order = p.order[1:]
-		read, err := p.record(rec)
-		if err != nil {
-			return func() recordRead { return recordRead{err: err} }, true
-		}
-		if read != nil {
-			return read, true
+		if read, err := p.record(rec); read != nil || err != nil {
+			return read, err
 		}
 	}
-	return nil, false
+	return nil, nil
 }
 
 // record is next's step for one record: its read, or nil when nothing of it
 // is to be delivered — the filter selects none of it, or all it would
 // deliver lies inside the resume prefix.
-func (p *recordPlan) record(rec int) (func() recordRead, error) {
+//
+// The read is a whole prefix unless a filter selects a proper subset of the
+// record and no cache tier is mounted (the tiers are prefix-shaped: a sparse
+// read could neither fill nor be served from one); then it is sparse,
+// moving only the metadata section and the selected samples' slices.
+func (p *recordPlan) record(rec int) (*readPlan, error) {
 	r := p.d.pcr
-	n, err := r.ds.RecordSamples(rec)
+	re, err := r.record(rec)
 	if err != nil {
 		return nil, err
 	}
+	n := re.Samples
 	if p.filter == nil && p.skip >= n {
 		p.skip -= n
 		return nil, nil
@@ -123,23 +146,28 @@ func (p *recordPlan) record(rec int) (func() recordRead, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		sel  []bool
-		full int64 // the unfiltered prefix read's bytes
-	)
+	g := re.ClampGroup(q)
+	read := &readPlan{rec: rec, quality: q, group: g, bytes: re.Prefixes[g]}
 	if p.filter != nil {
-		if sel, n, err = r.selection(rec, p.filter); err != nil {
-			return nil, err
+		full := read.bytes
+		read.sel, n = matchSelection(p.filter, re.SampleIDs, re.SampleLabels)
+		switch {
+		case n == 0:
+			read.bytes = 0
+		case n == len(read.sel):
+			read.sel = nil
+		case r.cache == nil && r.disk == nil:
+			if read.ranges, err = re.SampleRanges(g, read.sel); err != nil {
+				return nil, err
+			}
+			read.bytes = core.RangesTotal(read.ranges)
 		}
-		if full, err = r.recordPrefixLen(rec, q); err != nil {
-			return nil, err
+		// A record the filter empties is accounted whether or not a resume
+		// skips it; any other, only when it is read.
+		if n == 0 || p.skip < n {
+			p.stats.add(n, re.Samples-n, read.bytes, full-read.bytes)
 		}
-		if n == 0 {
-			p.stats.addSamples(0, int64(len(sel)))
-			p.stats.addBytes(0, full)
-			atomic.AddInt64(&p.stats.RecordsSkipped, 1)
-		}
-		if p.skip >= n { // an empty record (n = 0) among them
+		if p.skip >= n {
 			p.skip -= n
 			return nil, nil
 		}
@@ -147,18 +175,10 @@ func (p *recordPlan) record(rec int) (func() recordRead, error) {
 	if obs, ok := p.policy.(qualityObserver); ok {
 		obs.observeQuality(q)
 	}
-	from, stats := p.skip, p.stats
+	read.from = p.skip
 	p.skip = 0
-	p.planned += n - from
-	return func() recordRead {
-		rr := r.readRecord(rec, q, sel)
-		if sel != nil && rr.err == nil {
-			stats.addSamples(int64(len(rr.samples)), int64(len(sel)-len(rr.samples)))
-			stats.addBytes(rr.bytes, full-rr.bytes)
-		}
-		rr.samples = rr.samples[min(from, len(rr.samples)):]
-		return rr
-	}, nil
+	p.planned += n - read.from
+	return read, nil
 }
 
 // run is up to runLen consecutive samples of one record, decoded in place by
@@ -377,11 +397,18 @@ func (p *pipeline) fetch(plan *recordPlan) {
 			case <-p.ctx.Done():
 				return
 			}
-			read, ok := plan.next()
-			if !ok {
+			read, err := plan.next()
+			if read == nil && err == nil {
 				return
 			}
 			slot := make(chan recordRead, 1)
+			slots <- slot
+			if err != nil {
+				// A plan-time error is delivered in its turn, after every
+				// sample planned before it.
+				slot <- recordRead{err: err}
+				return
+			}
 			go func() {
 				// A parser panicking on hostile record bytes fails this
 				// record's read, not the process.
@@ -390,9 +417,8 @@ func (p *pipeline) fetch(plan *recordPlan) {
 						slot <- recordRead{err: fmt.Errorf("pcr: record read panicked: %v", v)}
 					}
 				}()
-				slot <- read()
+				slot <- plan.d.pcr.readRecord(read)
 			}()
-			slots <- slot
 		}
 	}()
 	for slot := range slots {
