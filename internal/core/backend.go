@@ -18,6 +18,10 @@ import (
 // cache upgrades (§5) map onto ReadRange at the cached length.
 //
 // Object names are slash-separated relative paths as produced by List.
+//
+// ReadRange returns a buffer its caller owns. A backend that can read into
+// a buffer the caller lends it also implements RangeReaderInto, whose dst
+// argument ROADMAP item 6 folds into ReadRange itself.
 type Backend interface {
 	// Open returns a reader over the whole named object.
 	Open(name string) (io.ReadCloser, error)
@@ -30,6 +34,25 @@ type Backend interface {
 	List() ([]string, error)
 	// Close releases the backend.
 	Close() error
+}
+
+// RangeReaderInto is an optional Backend capability: ReadRange into a
+// buffer the caller lends. ReadRangeInto returns dst[:length] when
+// cap(dst) >= length and a new buffer of exactly length bytes otherwise;
+// either way the caller owns the result and the backend keeps no reference
+// to it once the call returns. After an error the caller must not reuse
+// dst. Range and truncation checks are ReadRange's.
+type RangeReaderInto interface {
+	ReadRangeInto(dst []byte, name string, offset, length int64) ([]byte, error)
+}
+
+// BufferFor is the buffer a ReadRangeInto of length bytes reads into: dst
+// resliced when it has the room, a new one otherwise.
+func BufferFor(dst []byte, length int64) []byte {
+	if int64(cap(dst)) >= length {
+		return dst[:length]
+	}
+	return make([]byte, length)
 }
 
 // DirBackend serves a local dataset directory — the Backend every format
@@ -67,11 +90,18 @@ func (b *DirBackend) Open(name string) (io.ReadCloser, error) {
 	return f, nil
 }
 
-// ReadRange reads [offset, offset+length) of the named object. A range past
-// the object's end is reported as ErrCorrupt: the caller asked for bytes
-// the index said exist. The range comes from on-disk metadata, so it is
-// checked against the file's size before anything is allocated.
+// ReadRange reads [offset, offset+length) of the named object into a new
+// buffer.
 func (b *DirBackend) ReadRange(name string, offset, length int64) ([]byte, error) {
+	return b.ReadRangeInto(nil, name, offset, length)
+}
+
+// ReadRangeInto reads [offset, offset+length) of the named object into dst
+// (see RangeReaderInto). A range past the object's end is reported as
+// ErrCorrupt: the caller asked for bytes the index said exist. The range
+// comes from on-disk metadata, so it is checked against the file's size
+// before anything is allocated or read.
+func (b *DirBackend) ReadRangeInto(dst []byte, name string, offset, length int64) ([]byte, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("core: negative range length %d for %s", length, name)
 	}
@@ -92,7 +122,7 @@ func (b *DirBackend) ReadRange(name string, offset, length int64) ([]byte, error
 		return nil, fmt.Errorf("core: reading %s: %w: truncated object (%d bytes at offset %d of a %d-byte object)",
 			name, ErrCorrupt, length, offset, st.Size())
 	}
-	buf := make([]byte, length)
+	buf := BufferFor(dst, length)
 	if n, err := f.ReadAt(buf, offset); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("core: reading %s: %w: truncated object (got %d of %d bytes at offset %d)",

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func TestDirBackendReadRange(t *testing.T) {
@@ -66,6 +67,64 @@ func TestDirBackendReadRange(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "obj" {
 		t.Fatalf("List = %v", names)
+	}
+}
+
+// TestDirBackendReadRangeInto runs ReadRange's cases through the read-into
+// seam with no buffer, one too small and one larger than the range: a read
+// lands in dst when it has room and in a new exact-size buffer otherwise,
+// and a negative length or a truncated object is refused before anything
+// is allocated or read into dst.
+func TestDirBackendReadRangeInto(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "obj"), []byte("0123456789abcdef"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := NewDirBackend(dir)
+	for _, tc := range []struct {
+		name string
+		dst  []byte
+	}{
+		{"nil", nil},
+		{"small", make([]byte, 2)},
+		{"large", make([]byte, 3, 64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := b.ReadRangeInto(tc.dst, "obj", 4, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != "456789" {
+				t.Fatalf("ReadRangeInto = %q", got)
+			}
+			if into := cap(tc.dst) >= 6; into != (unsafe.SliceData(got) == unsafe.SliceData(tc.dst)) {
+				t.Fatalf("cap(dst) = %d: read into dst = %v, want %v", cap(tc.dst), !into, into)
+			} else if !into && cap(got) != 6 {
+				t.Fatalf("new buffer has capacity %d, want exactly 6", cap(got))
+			}
+
+			if _, err := b.ReadRangeInto(tc.dst, "obj", 0, -1); err == nil {
+				t.Fatal("ReadRangeInto of a negative length succeeded")
+			}
+			for _, r := range []struct{ off, n int64 }{{10, 100}, {0, 1 << 39}, {1 << 62, 1 << 62}} {
+				if len(tc.dst) > 0 {
+					tc.dst[0] = '#'
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := b.ReadRangeInto(tc.dst, "obj", r.off, r.n)
+				runtime.ReadMemStats(&after)
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("ReadRangeInto(obj, %d, %d) error = %v, want ErrCorrupt", r.off, r.n, err)
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+					t.Errorf("ReadRangeInto(obj, %d, %d) allocated %d bytes before refusing", r.off, r.n, grew)
+				}
+				if len(tc.dst) > 0 && tc.dst[0] != '#' {
+					t.Errorf("ReadRangeInto(obj, %d, %d) read into dst before refusing", r.off, r.n)
+				}
+			}
+		})
 	}
 }
 

@@ -316,9 +316,19 @@ func (ds *Dataset) RecordName(i int) (string, error) {
 // cache's delta upgrades (§5): a miss is ReadRecordRange(i, 0, prefixLen)
 // and an upgrade is ReadRecordRange(i, cachedLen, delta).
 func (ds *Dataset) ReadRecordRange(i int, offset, length int64) ([]byte, error) {
+	return ds.ReadRecordRangeInto(nil, i, offset, length)
+}
+
+// ReadRecordRangeInto is ReadRecordRange into a buffer the caller lends (see
+// RangeReaderInto); over a Backend without that capability it is the
+// Backend's ReadRange, and dst goes unused.
+func (ds *Dataset) ReadRecordRangeInto(dst []byte, i int, offset, length int64) ([]byte, error) {
 	name, err := ds.RecordName(i)
 	if err != nil {
 		return nil, err
+	}
+	if b, ok := ds.backend.(RangeReaderInto); ok {
+		return b.ReadRangeInto(dst, name, offset, length)
 	}
 	return ds.backend.ReadRange(name, offset, length)
 }

@@ -153,8 +153,9 @@ func (e *misdirectedError) Error() string {
 // server does not have — structural damage, reported as core.ErrCorrupt like
 // a truncated local file, and not retryable. hedge marks the request as a
 // tail-latency hedge (the X-Pcr-Hedge header), so the receiving member's
-// /varz shows hedged load.
-func (m *member) readRangeOnce(name string, offset, length int64, hedge bool) (buf []byte, retryable bool, err error) {
+// /varz shows hedged load. The bytes are read into dst when it has room
+// (core.BufferFor).
+func (m *member) readRangeOnce(dst []byte, name string, offset, length int64, hedge bool) (buf []byte, retryable bool, err error) {
 	req, err := http.NewRequest(http.MethodGet, m.recordURL(name), nil)
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: %w", err)
@@ -170,7 +171,7 @@ func (m *member) readRangeOnce(name string, offset, length int64, hedge bool) (b
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusPartialContent:
-		buf := make([]byte, length)
+		buf := core.BufferFor(dst, length)
 		if n, err := io.ReadFull(resp.Body, buf); err != nil {
 			// Could be a dropped connection (transient) or a truly short
 			// object; retry, and report ErrCorrupt only once the budget is
@@ -191,7 +192,9 @@ func (m *member) readRangeOnce(name string, offset, length int64, hedge bool) (b
 			return nil, false, fmt.Errorf("serve: reading %s: %w: object is %d bytes, want [%d,%d)",
 				name, core.ErrCorrupt, len(body), offset, offset+length)
 		}
-		return body[offset:], false, nil
+		buf := core.BufferFor(dst, length)
+		copy(buf, body[offset:])
+		return buf, false, nil
 	case http.StatusRequestedRangeNotSatisfiable:
 		return nil, false, fmt.Errorf("serve: reading %s: %w: range [%d,%d) past end of record",
 			name, core.ErrCorrupt, offset, offset+length)

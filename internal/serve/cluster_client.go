@@ -423,28 +423,39 @@ func readReplicas[T any](c *ClusterClient, name string, try func(i int, reps []*
 }
 
 // ReadRange reads [offset, offset+length) of the named record from its
-// replica set (see readReplicas), hedging each pass's first attempt to the
-// next replica past the hedge delay.
+// replica set into a new buffer (see ReadRangeInto).
 func (c *ClusterClient) ReadRange(name string, offset, length int64) ([]byte, error) {
+	return c.ReadRangeInto(nil, name, offset, length)
+}
+
+var _ core.RangeReaderInto = (*ClusterClient)(nil)
+
+// ReadRangeInto reads [offset, offset+length) of the named record from its
+// replica set (see readReplicas), hedging each pass's first attempt to the
+// next replica past the hedge delay. Only an attempt that is not hedged
+// reads into dst, retries one after another: the losing request of a
+// hedged pair may still be writing when the winner returns, so both
+// requests of a pair read into buffers of their own.
+func (c *ClusterClient) ReadRangeInto(dst []byte, name string, offset, length int64) ([]byte, error) {
 	if length == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
 	if length < 0 {
 		return nil, fmt.Errorf("serve: negative range length %d for %s", length, name)
 	}
 	return readReplicas(c, name, func(i int, reps []*member) ([]byte, bool, error) {
 		if i == 0 && len(reps) > 1 {
-			return c.hedgedRead(reps[0], reps[1], name, offset, length)
+			return c.hedgedRead(dst, reps[0], reps[1], name, offset, length)
 		}
-		return c.readFromMember(reps[i], name, offset, length, false)
+		return c.readFromMember(dst, reps[i], name, offset, length, false)
 	})
 }
 
-// readFromMember is one range read against one member, with latency
-// recorded on success.
-func (c *ClusterClient) readFromMember(m *member, name string, offset, length int64, hedge bool) ([]byte, bool, error) {
+// readFromMember is one range read against one member, into dst when it
+// has room, with latency recorded on success.
+func (c *ClusterClient) readFromMember(dst []byte, m *member, name string, offset, length int64, hedge bool) ([]byte, bool, error) {
 	start := time.Now()
-	buf, retryable, err := m.readRangeOnce(name, offset, length, hedge)
+	buf, retryable, err := m.readRangeOnce(dst, name, offset, length, hedge)
 	if err == nil {
 		c.observeLatency(time.Since(start))
 	}
@@ -456,11 +467,13 @@ func (c *ClusterClient) readFromMember(m *member, name string, offset, length in
 // the first success wins. A structural error (416/404) from EITHER
 // request fails the read immediately — the index promised bytes the fleet
 // does not have, and asking another member cannot change that. Transient
-// errors wait for the other request before giving up.
-func (c *ClusterClient) hedgedRead(primary, backup *member, name string, offset, length int64) ([]byte, bool, error) {
+// errors wait for the other request before giving up. With hedging off
+// the read is the primary's alone and goes into dst; a hedged pair never
+// touches dst.
+func (c *ClusterClient) hedgedRead(dst []byte, primary, backup *member, name string, offset, length int64) ([]byte, bool, error) {
 	delay, hedgeOK := c.hedgeDelay()
 	if !hedgeOK {
-		return c.readFromMember(primary, name, offset, length, false)
+		return c.readFromMember(dst, primary, name, offset, length, false)
 	}
 
 	type result struct {
@@ -471,7 +484,7 @@ func (c *ClusterClient) hedgedRead(primary, backup *member, name string, offset,
 	}
 	resc := make(chan result, 2)
 	attempt := func(m *member, hedge bool) {
-		buf, retryable, err := c.readFromMember(m, name, offset, length, hedge)
+		buf, retryable, err := c.readFromMember(nil, m, name, offset, length, hedge)
 		resc <- result{member: m, buf: buf, retryable: retryable, err: err}
 	}
 	go attempt(primary, false)

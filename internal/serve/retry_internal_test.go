@@ -94,7 +94,7 @@ func TestReadRangeBoundsIgnoredRange(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		buf, _, err := m.readRangeOnce("record-00000.pcr", offset, length, false)
+		buf, _, err := m.readRangeOnce(nil, "record-00000.pcr", offset, length, false)
 		done <- result{buf, err}
 	}()
 	var r result

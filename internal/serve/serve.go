@@ -675,7 +675,7 @@ func (s *Server) pullFromOwner(owner string, rec int, offset, length int64) ([]b
 	if err != nil {
 		return nil, err
 	}
-	data, _, err := m.readRangeOnce(s.index.Records[rec].Name, offset, length, false)
+	data, _, err := m.readRangeOnce(nil, s.index.Records[rec].Name, offset, length, false)
 	if err != nil {
 		return nil, err
 	}

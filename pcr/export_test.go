@@ -2,6 +2,7 @@ package pcr
 
 import (
 	"image"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -52,3 +53,34 @@ func (d *Dataset) WrapBackend(wrap func(core.Backend) core.Backend) {
 // OnRecycle has f see, and change if it likes, every frame l's epochs hand
 // back to their decode workers, before the workers can have it.
 func (l *Loader) OnRecycle(f func(image.Image)) { l.recycled = f }
+
+// ReadRecordFrom is ReadRecordEncoded resumed at sample from: a plan of one
+// record whose resume prefix ends inside it, carried out.
+func (d *Dataset) ReadRecordFrom(i, q, from int) ([]Sample, error) {
+	plan, err := d.onePlan(i, q)
+	if err != nil {
+		return nil, err
+	}
+	plan.skip = from
+	read, err := plan.next()
+	if read == nil {
+		return nil, err
+	}
+	rr := d.pcr.readRecord(read)
+	return rr.samples, rr.err
+}
+
+// FreePrefixes is the backing arrays of the prefix buffers on the reader's
+// free list, in list order; the list is left as it was.
+func (d *Dataset) FreePrefixes() []*byte {
+	var bufs [][]byte
+	for len(d.pcr.prefixes) > 0 {
+		bufs = append(bufs, d.pcr.prefixes.take())
+	}
+	ptrs := make([]*byte, len(bufs))
+	for i, b := range bufs {
+		ptrs[i] = unsafe.SliceData(b)
+		d.pcr.prefixes.give(b)
+	}
+	return ptrs
+}

@@ -62,7 +62,7 @@ func newPCRReader(ds *core.Dataset, cfg *config) (*pcrReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &pcrReader{ds: ds, records: ds.Index().Records, disk: disk}
+	r := &pcrReader{ds: ds, records: ds.Index().Records, disk: disk, prefixes: make(freeList[[]byte], readAhead)}
 	if cfg.cacheBytes > 0 {
 		c, err := cache.New(cfg.cacheBytes, r.fetchRange)
 		if err != nil {
@@ -90,11 +90,21 @@ type pcrReader struct {
 	records []core.RecordInfo
 	cache   *cache.Cache
 	disk    *diskcache.Backend
+	// prefixes are the buffers of tierless prefix reads whose samples have
+	// been spliced out, for the next such read to read into; as many as
+	// the pipeline reads ahead.
+	prefixes freeList[[]byte]
 }
 
 func (r *pcrReader) numImages() int { return r.ds.NumImages() }
 func (r *pcrReader) qualities() int { return r.ds.NumGroups }
-func (r *pcrReader) close() error   { return r.ds.Close() }
+
+func (r *pcrReader) close() error {
+	for len(r.prefixes) > 0 {
+		r.prefixes.take()
+	}
+	return r.ds.Close()
+}
 
 // record is record i's index entry.
 func (r *pcrReader) record(i int) (*core.RecordInfo, error) {
@@ -125,10 +135,18 @@ func (r *pcrReader) fetchRange(record int, offset, length int64) ([]byte, error)
 
 // readRecord is the fetch stage's one record read: it carries out the read
 // recordPlan decided and priced, and delivers the samples it selects, still
-// encoded. A whole-prefix read goes through the cache tiers when they are
-// mounted and reassembles the selected samples from the prefix; a sparse
-// read fetches only the metadata section and the selected samples' slices
-// (gather) and assembles the samples straight from those bytes.
+// encoded, skipping those inside a resume prefix before any is spliced. A
+// whole-prefix read goes through the cache tiers when they are mounted and
+// reassembles the selected samples from the prefix; a sparse read fetches
+// only the metadata section and the selected samples' slices (gather) and
+// assembles the samples straight from those bytes.
+//
+// Every sample's JPEG is a copy (RecordMeta.SampleJPEG), so a tierless
+// prefix read is the prefix's only holder: it reads into a buffer of the
+// reader's free list and gives the buffer it got back once the samples are
+// spliced out. A read through a tier never borrows one: the memory tier
+// keeps the prefix it returns, and the disk tier reads through buffers of
+// its own.
 func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 	var (
 		meta    *core.RecordMeta
@@ -146,17 +164,27 @@ func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 		if prefix, err = r.cache.Get(pl.rec, pl.bytes); err == nil {
 			meta, err = r.ds.ParseRecordPrefix(pl.rec, prefix)
 		}
-	default:
+	case r.disk != nil:
 		if prefix, err = r.ds.ReadRecordRange(pl.rec, 0, pl.bytes); err == nil {
+			meta, err = r.ds.ParseRecordPrefix(pl.rec, prefix)
+		}
+	default:
+		if prefix, err = r.ds.ReadRecordRangeInto(r.prefixes.take(), pl.rec, 0, pl.bytes); err == nil {
+			defer r.prefixes.give(prefix)
 			meta, err = r.ds.ParseRecordPrefix(pl.rec, prefix)
 		}
 	}
 	if err != nil {
 		return recordRead{err: err}
 	}
-	rr := recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, len(meta.Samples))}
+	rr := recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, max(len(meta.Samples)-pl.from, 0))}
+	skip := pl.from
 	for si := range meta.Samples {
 		if pl.sel != nil && !pl.sel[si] {
+			continue
+		}
+		if skip > 0 {
+			skip--
 			continue
 		}
 		sm := &meta.Samples[si]
@@ -168,7 +196,6 @@ func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 		}
 		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
 	}
-	rr.samples = rr.samples[min(pl.from, len(rr.samples)):]
 	return rr
 }
 

@@ -107,7 +107,7 @@ type Loader struct {
 	// frames are the decoded frames Epoch's consumers have handed back,
 	// for its decode workers to decode into; recycled, when set, sees each
 	// frame handed back (export_test.go).
-	frames   frameList
+	frames   freeList[image.Image]
 	recycled func(image.Image)
 
 	mu      sync.Mutex
@@ -259,7 +259,7 @@ func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
 		loaderConfig: *cfg,
 		// As many frames as an epoch has decoded at once: the runs ahead of
 		// the consumer and the batch being assembled (see Epoch).
-		frames: make(frameList, (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
+		frames: make(freeList[image.Image], (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
 	}
 	// Ground "Full" for the policy immediately: the dataset's top quality
 	// is known at open, so a policy (re)started at a concrete quality below

@@ -52,7 +52,8 @@ var ErrClosed = errors.New("pcr: closed")
 // Sample is one labeled image. Append consumes JPEG (or encodes Image when
 // JPEG is empty); Scan fills both JPEG (the reassembled stream at the
 // requested quality) and Image (its decoded pixels); ScanEncoded fills JPEG
-// only.
+// only. A JPEG a read delivers is the caller's: it is spliced into a buffer
+// of its own and never aliases a buffer the reader reuses.
 type Sample struct {
 	ID    int64
 	Label int64

@@ -199,32 +199,35 @@ type run struct {
 
 // pipeline is one running instance of the stages.
 type pipeline struct {
-	ctx    context.Context // ends when the consumer returns
-	out    chan *run       // every run, in delivery order
-	work   chan *run       // the same runs, for the decode workers; nil without a decode stage
-	tokens chan struct{}   // one per record planned and not yet consumed
-	frames frameList       // where the decode workers take frames from; nil for none
+	ctx    context.Context       // ends when the consumer returns
+	out    chan *run             // every run, in delivery order
+	work   chan *run             // the same runs, for the decode workers; nil without a decode stage
+	tokens chan struct{}         // one per record planned and not yet consumed
+	frames freeList[image.Image] // where the decode workers take frames from; nil for none
 }
 
-// frameList is a free list of decoded frames whose consumer is done with
-// them, for the decode stage to decode into. It holds as many as its
-// capacity, and drops the rest. A nil list holds none.
-type frameList chan image.Image
+// freeList is the pcr package's one recycling rule: things whose holder is
+// done with them — decoded frames the Loader's consumer handed back, record
+// prefixes a tierless read has spliced its samples out of — wait here for
+// the next decode or read to reuse. It holds as many as its capacity and
+// drops the rest; neither take nor give ever blocks. A nil list holds none.
+type freeList[T any] chan T
 
-// take returns a frame from the list, or nil when it is empty.
-func (f frameList) take() image.Image {
+// take returns a thing from the list, or T's zero value when it is empty.
+func (f freeList[T]) take() T {
 	select {
-	case img := <-f:
-		return img
+	case v := <-f:
+		return v
 	default:
-		return nil
+		var zero T
+		return zero
 	}
 }
 
-// give puts img on the list if it has room.
-func (f frameList) give(img image.Image) {
+// give puts v on the list if it has room.
+func (f freeList[T]) give(v T) {
 	select {
-	case f <- img:
+	case f <- v:
 	default:
 	}
 }
@@ -237,7 +240,7 @@ func (f frameList) give(img image.Image) {
 // over runs already decoded — and never waits for a read: whatever it
 // abandons (an early break included) winds down on its own, each fetch
 // goroutine exiting when its read returns.
-func (d *Dataset) pipeline(ctx context.Context, decode bool, frames frameList, source func(p *pipeline)) iter.Seq2[*run, error] {
+func (d *Dataset) pipeline(ctx context.Context, decode bool, frames freeList[image.Image], source func(p *pipeline)) iter.Seq2[*run, error] {
 	return func(yield func(*run, error) bool) {
 		ictx, cancel := context.WithCancel(ctx)
 		defer cancel()

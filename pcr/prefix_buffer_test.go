@@ -1,0 +1,229 @@
+package pcr_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/pcr"
+)
+
+// TestPipelineReadBuffersNeverAliased: a tierless read recycles its prefix
+// buffer, and no sample it delivered shares it. Locally and over the wire,
+// concurrent ReadRecordEncoded calls at every quality, a ScanEncoded and a
+// Loader.Epoch run at once over one dataset, followed by 2×ReadAhead more
+// reads; every sample delivered along the way, record 0's first among
+// them, is then still byte for byte what a reader that never recycles
+// (one behind a cache tier) delivers.
+func TestPipelineReadBuffersNeverAliased(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
+	_, ts := startServer(t, dir, nil)
+	ctx := context.Background()
+
+	ref, err := pcr.Open(dir, pcr.WithCacheBytes(64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	qs := ref.Qualities()
+	want := make(map[[2]int64][32]byte) // by quality and ID
+	for q := 1; q <= qs; q++ {
+		for s, err := range ref.ScanEncoded(ctx, q) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[[2]int64{int64(q), s.ID}] = sha256.Sum256(s.JPEG)
+		}
+	}
+
+	for _, remote := range []bool{false, true} {
+		t.Run(fmt.Sprintf("remote=%v", remote), func(t *testing.T) {
+			var ds *pcr.Dataset
+			if remote {
+				ds, err = pcr.OpenRemote(ts.URL)
+			} else {
+				ds, err = pcr.Open(dir)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+
+			type kept struct {
+				q    int
+				id   int64
+				jpeg []byte
+			}
+			var mu sync.Mutex
+			var keep []kept
+			keepAll := func(q int, samples []pcr.Sample) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, s := range samples {
+					keep = append(keep, kept{q, s.ID, s.JPEG})
+				}
+			}
+			first, err := ds.ReadRecordEncoded(0, qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keepAll(qs, first)
+
+			nrec := ds.NumRecords()
+			var wg sync.WaitGroup
+			errs := make(chan error, 4)
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 2*pcr.ReadAhead; i++ {
+						q := 1 + (g+i)%qs
+						samples, err := ds.ReadRecordEncoded((g+i)%nrec, q)
+						if err != nil {
+							errs <- err
+							return
+						}
+						keepAll(q, samples)
+					}
+				}()
+			}
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for s, err := range ds.ScanEncoded(ctx, qs) {
+					if err != nil {
+						errs <- err
+						return
+					}
+					keepAll(qs, []pcr.Sample{s})
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				l, err := pcr.NewLoader(ds, pcr.WithQuality(1), pcr.WithBatchSize(8))
+				if err != nil {
+					errs <- err
+					return
+				}
+				for b, err := range l.Epoch(ctx, 0) {
+					if err != nil {
+						errs <- err
+						return
+					}
+					keepAll(1, b.Samples)
+				}
+			}()
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2*pcr.ReadAhead; i++ {
+				if _, err := ds.ReadRecordEncoded(i%nrec, qs); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			for _, k := range keep {
+				if sha256.Sum256(k.jpeg) != want[[2]int64{int64(k.q), k.id}] {
+					t.Fatalf("sample %d at quality %d no longer reads as delivered", k.id, k.q)
+				}
+			}
+		})
+	}
+}
+
+// TestPrefixBufferReuse: two tierless reads in a row, locally and over the
+// wire, read into one backing array — the second into the buffer the first
+// gave back, at its quality or a lower one — and Close drops the free list.
+// A read through the memory or the disk tier never gives its buffer back.
+func TestPrefixBufferReuse(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
+	_, ts := startServer(t, dir, nil)
+	for _, remote := range []bool{false, true} {
+		open := func(opts ...pcr.Option) *pcr.Dataset {
+			t.Helper()
+			var ds *pcr.Dataset
+			var err error
+			if remote {
+				ds, err = pcr.OpenRemote(ts.URL, opts...)
+			} else {
+				ds, err = pcr.Open(dir, opts...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		}
+		read := func(ds *pcr.Dataset, q int) {
+			t.Helper()
+			if _, err := ds.ReadRecordEncoded(0, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		ds := open()
+		read(ds, pcr.Full)
+		first := ds.FreePrefixes()
+		if len(first) != 1 {
+			t.Fatalf("remote=%v: %d buffers on the free list after one read, want 1", remote, len(first))
+		}
+		for _, q := range []int{pcr.Full, 1} {
+			read(ds, q)
+			if again := ds.FreePrefixes(); len(again) != 1 || again[0] != first[0] {
+				t.Fatalf("remote=%v: a read at quality %d did not reuse the buffer the read before it gave back", remote, q)
+			}
+		}
+		ds.Close()
+		if n := len(ds.FreePrefixes()); n != 0 {
+			t.Fatalf("remote=%v: Close left %d buffers on the free list", remote, n)
+		}
+
+		for _, opt := range []pcr.Option{pcr.WithCacheBytes(1 << 20), pcr.WithDiskCache(t.TempDir(), 64<<20)} {
+			ds := open(opt)
+			read(ds, 1)
+			read(ds, pcr.Full)
+			read(ds, pcr.Full)
+			if n := len(ds.FreePrefixes()); n != 0 {
+				t.Fatalf("remote=%v: reads through a tier gave %d buffers back", remote, n)
+			}
+			ds.Close()
+		}
+	}
+}
+
+// TestResumedReadSplicesOnlyDelivered: a read resumed inside a record
+// reassembles only the samples it delivers. A 32-sample record read from
+// sample 31 makes one splice, 31 fewer than the whole record's read.
+func TestResumedReadSplicesOnlyDelivered(t *testing.T) {
+	dir := t.TempDir()
+	n, err := pcr.Synthesize(dir, "cars", 0.2, 1, pcr.WithImagesPerRecord(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 32 {
+		t.Fatalf("dataset holds %d images, want a whole record of 32", n)
+	}
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	allocs := func(from int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			samples, err := ds.ReadRecordFrom(0, pcr.Full, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(samples) != 32-from {
+				t.Fatalf("read from sample %d delivered %d samples, want %d", from, len(samples), 32-from)
+			}
+		})
+	}
+	whole, resumed := allocs(0), allocs(31)
+	if whole-resumed < 31 {
+		t.Fatalf("a read resumed at sample 31 of 32 makes %.0f allocations, the whole record's %.0f: want at least 31 fewer", resumed, whole)
+	}
+}
