@@ -202,26 +202,6 @@ func Wrap(inner core.Backend, dir string, capacity int64, generation string) (*B
 	return b, nil
 }
 
-// Mount puts the persistent cache at dir under ds's reads: it wraps the
-// dataset's storage backend, keyed by the fingerprint of its record index,
-// and returns the tier. An empty dir mounts nothing and returns nil. The
-// dataset's Close releases the tier.
-func Mount(ds *core.Dataset, dir string, capacity int64) (*Backend, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	gen, err := core.IndexFingerprint(ds.Index())
-	if err != nil {
-		return nil, err
-	}
-	b, err := Wrap(ds.Backend(), dir, capacity, gen)
-	if err != nil {
-		return nil, err
-	}
-	ds.SetBackend(b)
-	return b, nil
-}
-
 // objectFile maps an object name to its prefix file path. Names are hashed:
 // they may contain separators, and the manifest is the authoritative
 // name→extent map anyway.

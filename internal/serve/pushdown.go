@@ -132,7 +132,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 	// handleRecord).
 	var body []byte
 	if r.Method != http.MethodHead {
-		if body, err = s.gatherRanges(rec, ranges); err != nil {
+		if body, err = s.tiers.Gather(rec, g, sel, ranges); err != nil {
 			w.Header().Del("ETag")
 			s.fail(w, http.StatusInternalServerError, "serve: %v", err)
 			return
@@ -147,29 +147,4 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 		return
 	}
 	s.writeBody(w, body)
-}
-
-// gatherRanges reads the given ascending ranges of record rec and returns
-// them concatenated. With the hot prefix cache mounted that is one lookup —
-// the prefix through the last range's end, which a pushdown request thereby
-// still warms and reuses server-side — and a gather from it; without, a
-// backing read per range.
-func (s *Server) gatherRanges(rec int, ranges []core.ByteRange) ([]byte, error) {
-	if s.cache != nil && len(ranges) > 0 {
-		last := ranges[len(ranges)-1]
-		prefix, err := s.cache.Get(rec, last.Offset+last.Length)
-		if err != nil {
-			return nil, err
-		}
-		return core.GatherRanges(prefix, ranges)
-	}
-	body := make([]byte, 0, core.RangesTotal(ranges))
-	for _, rg := range ranges {
-		part, err := s.readBacking(rec, rg.Offset, rg.Length)
-		if err != nil {
-			return nil, err
-		}
-		body = append(body, part...)
-	}
-	return body, nil
 }

@@ -43,14 +43,11 @@
 // request starting at its cached prefix length — the server sends only the
 // delta bytes, which is the §5 cache-pressure property working end to end.
 //
-// The server keeps a byte-budgeted LRU of hot record prefixes (reusing
-// internal/cache): concurrent requests for different records (shards) are
-// served in parallel by net/http, and a request that extends a cached
-// prefix performs one backing delta read rather than a full re-read. A
-// second, persistent tier (internal/diskcache, Options.DiskCacheDir) can
-// sit under the memory LRU for servers whose backing store is itself
-// remote or slow: prefixes evicted from memory stay one local read away,
-// and the tier survives server restarts.
+// The server reads record bytes through the pcr reader's tier stack
+// (cache.Stack): an LRU of hot record prefixes, where a request that
+// extends a cached prefix reads only the delta, over a persistent disk tier
+// that keeps prefixes evicted from memory one local read away and survives
+// server restarts.
 package serve
 
 import (
@@ -102,11 +99,11 @@ type ClusterConfig struct {
 	Replication int
 }
 
-// Options configure a Server.
+// Options configure a Server's tier stack (cache.Stack) and its role.
 type Options struct {
-	// CacheBytes is the byte budget of the server's LRU of hot record
-	// prefixes. Zero disables the cache: every request reads through to
-	// the backing store.
+	// CacheBytes is the byte budget of the memory tier, an LRU of hot
+	// record prefixes; a pushdown request gathers its ranges from the
+	// prefix through the last one. Zero disables the tier.
 	CacheBytes int64
 	// Cluster, when set, runs the server as one member of a serving
 	// fleet; see ClusterConfig. Nil serves the whole dataset standalone.
@@ -115,11 +112,10 @@ type Options struct {
 	// duration) — debugging aid for a fleet member.
 	LogRequests bool
 	// DiskCacheDir mounts a persistent prefix cache (internal/diskcache)
-	// under the memory LRU: record bytes evicted from memory are still one
-	// local read away instead of one backing-store read away — the second
-	// tier of the cache hierarchy, surviving server restarts. Empty
-	// disables the tier. The directory must belong to this server process
-	// alone.
+	// under the memory tier: record bytes evicted from memory are still one
+	// local read away instead of one backing-store read away, and survive
+	// server restarts. Empty disables the tier. The directory must belong
+	// to this server process alone.
 	DiskCacheDir string
 	// DiskCacheBytes is the disk tier's byte budget (default 4× CacheBytes
 	// when a directory is set).
@@ -139,9 +135,12 @@ type Stats struct {
 	Errors int64 `json:"errors"`
 	// BytesServed counts record payload bytes written to clients.
 	BytesServed int64 `json:"bytes_served"`
-	// BytesRead counts bytes read from the backing store, with or without
-	// the hot cache (with it, this lags BytesServed on re-reads — the
-	// serving-side analogue of the paper's cache-pressure reduction).
+	// BytesRead counts the bytes read beneath the memory tier: from the
+	// disk tier when one is mounted, else from the backing store. With the
+	// memory tier it lags BytesServed on re-reads — the serving-side
+	// analogue of the paper's cache-pressure reduction. DiskCache's
+	// BytesFetched is the share of it that reached the backing store.
+	// Replica pulls are counted in ReplicaPullBytes instead.
 	BytesRead int64 `json:"bytes_read"`
 	// HedgedRequests counts requests that arrived marked as client
 	// hedges (the X-Pcr-Hedge header): tail-latency re-aims that landed
@@ -162,7 +161,7 @@ type Stats struct {
 	// predicate pushdown working.
 	PushdownRequests   int64 `json:"pushdown_requests"`
 	PushdownBytesSaved int64 `json:"pushdown_bytes_saved"`
-	// Cache are the hot-prefix cache's counters (zero when disabled).
+	// Cache are the memory tier's counters (zero when disabled).
 	Cache cache.Stats `json:"cache"`
 	// DiskCache are the persistent disk tier's counters (zero when
 	// disabled).
@@ -172,7 +171,6 @@ type Stats struct {
 // Server serves one opened PCR dataset over HTTP. It is an http.Handler;
 // all methods are safe for concurrent use.
 type Server struct {
-	ds      *core.Dataset
 	ownsDS  bool
 	mux     *http.ServeMux
 	logReqs bool
@@ -183,8 +181,7 @@ type Server struct {
 	indexETag string
 	etags     []string
 
-	cache *cache.Cache
-	disk  *diskcache.Backend
+	tiers *cache.Stack
 
 	// Fleet state (nil/empty standalone): the placement ring, this
 	// member's identity, and the per-record verdicts derived from them.
@@ -196,20 +193,17 @@ type Server struct {
 	clusterJSON []byte
 	clusterETag string
 
-	// pullOwner maps a record index to its owner's URL while SyncReplicas
-	// is warming that record, rerouting the cache's backing fetch from
-	// the store to the owner, over peers: the one http.Client for every
-	// pull, so a sync costs a connection per owner, not per record.
-	pullMu    sync.Mutex
-	pullOwner map[int]string
-	peers     *http.Client
+	// pulling holds the records SyncReplicas is warming, whose backing
+	// reads go to their owners (pull) over peers: the one http.Client for
+	// every pull, so a sync costs a connection per owner, not per record.
+	pulling sync.Map
+	peers   *http.Client
 
 	requests           atomic.Int64
 	rangeRequests      atomic.Int64
 	notModified        atomic.Int64
 	errors             atomic.Int64
 	bytesServed        atomic.Int64
-	bytesRead          atomic.Int64
 	hedgedRequests     atomic.Int64
 	misdirected        atomic.Int64
 	replicaPulls       atomic.Int64
@@ -249,7 +243,6 @@ func NewFromDataset(ds *core.Dataset, opts *Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		ds:        ds,
 		logReqs:   o.LogRequests,
 		byName:    make(map[string]int, len(ix.Records)),
 		index:     ix,
@@ -268,15 +261,8 @@ func NewFromDataset(ds *core.Dataset, opts *Options) (*Server, error) {
 			budget = 1 << 30
 		}
 	}
-	if s.disk, err = diskcache.Mount(ds, o.DiskCacheDir, budget); err != nil {
+	if s.tiers, err = cache.NewStack(ds, o.CacheBytes, o.DiskCacheDir, budget, s.pull); err != nil {
 		return nil, err
-	}
-	if o.CacheBytes > 0 {
-		c, err := cache.New(o.CacheBytes, s.fetchRange)
-		if err != nil {
-			return nil, err
-		}
-		s.cache = c
 	}
 	if o.Cluster != nil {
 		if err := s.initCluster(o.Cluster); err != nil {
@@ -349,7 +335,7 @@ func (s *Server) Close() error {
 		s.peers.CloseIdleConnections()
 	}
 	if s.ownsDS {
-		return s.ds.Close()
+		return s.tiers.Close()
 	}
 	return nil
 }
@@ -362,7 +348,7 @@ func (s *Server) Stats() Stats {
 		NotModified:        s.notModified.Load(),
 		Errors:             s.errors.Load(),
 		BytesServed:        s.bytesServed.Load(),
-		BytesRead:          s.bytesRead.Load(),
+		BytesRead:          s.tiers.BytesRead(),
 		HedgedRequests:     s.hedgedRequests.Load(),
 		Misdirected:        s.misdirected.Load(),
 		ReplicaPulls:       s.replicaPulls.Load(),
@@ -370,12 +356,8 @@ func (s *Server) Stats() Stats {
 		PushdownRequests:   s.pushdownRequests.Load(),
 		PushdownBytesSaved: s.pushdownBytesSaved.Load(),
 	}
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
-	}
-	if s.disk != nil {
-		st.DiskCache = s.disk.Stats()
-	}
+	st.Cache, _ = s.tiers.MemStats()
+	st.DiskCache, _ = s.tiers.DiskStats()
 	return st
 }
 
@@ -588,7 +570,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	var data []byte
 	if r.Method != http.MethodHead {
 		var err error
-		data, err = s.readRange(rec, start, length)
+		data, err = s.tiers.Read(rec, start, length)
 		if err != nil {
 			w.Header().Del("ETag")
 			w.Header().Del("Accept-Ranges")
@@ -606,6 +588,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeBody(w, data)
+	s.tiers.Release(data)
 }
 
 // writeBody sends a record payload and counts it in bytes_served. The count
@@ -619,59 +602,19 @@ func (s *Server) writeBody(w http.ResponseWriter, body []byte) {
 	}
 }
 
-// readRange produces [start, start+length) of record rec, through the hot
-// prefix cache when enabled. Because PCR reads are prefix reads, caching
-// the prefix through start+length serves both this request and any future
-// request at the same or lower quality; a longer future request costs only
-// the delta.
-func (s *Server) readRange(rec int, start, length int64) ([]byte, error) {
-	if length == 0 {
-		return nil, nil
-	}
-	if s.cache == nil {
-		return s.readBacking(rec, start, length)
-	}
-	prefix, err := s.cache.Get(rec, start+length)
-	if err != nil {
-		return nil, err
-	}
-	return prefix[start : start+length], nil
-}
+// errNotPulling is pull declining a read: no sync is warming the record.
+var errNotPulling = errors.New("serve: record not being pulled")
 
-// readBacking reads [offset, offset+length) of record rec from the backing
-// store: every such read, cached server or not, is counted in bytes_read
-// here and nowhere else.
-func (s *Server) readBacking(rec int, offset, length int64) ([]byte, error) {
-	data, err := s.ds.ReadRecordRange(rec, offset, length)
-	if err == nil {
-		s.bytesRead.Add(int64(len(data)))
+// pull is the tier stack's backing fetch. While SyncReplicas is warming a
+// replicated record, it reads the record from its owner over HTTP — one
+// attempt; on any error the stack reads the backing store instead — so a
+// replica fills from the member that most likely has the bytes hot instead
+// of hammering cold storage.
+func (s *Server) pull(rec int, offset, length int64) ([]byte, error) {
+	if _, ok := s.pulling.Load(rec); !ok {
+		return nil, errNotPulling
 	}
-	return data, err
-}
-
-// fetchRange is the hot cache's backing fetcher. While SyncReplicas is
-// warming a replicated record, the fetch is rerouted to the record's owner
-// over HTTP — one attempt, falling back to the backing store on any error —
-// so a replica fills from the member that most likely has the bytes hot
-// instead of hammering cold storage.
-func (s *Server) fetchRange(rec int, offset, length int64) ([]byte, error) {
-	if owner := s.pullTarget(rec); owner != "" {
-		data, err := s.pullFromOwner(owner, rec, offset, length)
-		if err == nil {
-			return data, nil
-		}
-	}
-	return s.readBacking(rec, offset, length)
-}
-
-func (s *Server) pullTarget(rec int) string {
-	s.pullMu.Lock()
-	defer s.pullMu.Unlock()
-	return s.pullOwner[rec]
-}
-
-func (s *Server) pullFromOwner(owner string, rec int, offset, length int64) ([]byte, error) {
-	m, err := newMember(owner, s.peers)
+	m, err := newMember(s.owner[rec], s.peers)
 	if err != nil {
 		return nil, err
 	}
@@ -694,7 +637,7 @@ func (s *Server) pullFromOwner(owner string, rec int, offset, length int64) ([]b
 // Best-effort: the first error cancels nothing, and the method reports how
 // many records were warmed.
 func (s *Server) SyncReplicas(ctx context.Context) (warmed int, err error) {
-	if s.ring == nil || s.cache == nil {
+	if _, mem := s.tiers.MemStats(); s.ring == nil || !mem {
 		return 0, nil
 	}
 	var firstErr error
@@ -706,16 +649,9 @@ func (s *Server) SyncReplicas(ctx context.Context) (warmed int, err error) {
 			return warmed, err
 		}
 		size := s.index.Records[rec].Prefixes[len(s.index.Records[rec].Prefixes)-1]
-		s.pullMu.Lock()
-		if s.pullOwner == nil {
-			s.pullOwner = make(map[int]string)
-		}
-		s.pullOwner[rec] = s.owner[rec]
-		s.pullMu.Unlock()
-		_, gerr := s.cache.Get(rec, size)
-		s.pullMu.Lock()
-		delete(s.pullOwner, rec)
-		s.pullMu.Unlock()
+		s.pulling.Store(rec, nil)
+		_, gerr := s.tiers.Read(rec, 0, size)
+		s.pulling.Delete(rec)
 		if gerr != nil {
 			if firstErr == nil {
 				firstErr = gerr

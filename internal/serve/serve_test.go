@@ -354,6 +354,115 @@ func TestCachelessServerCountsBackingReads(t *testing.T) {
 	}
 }
 
+// TestServerDiskCacheTiers: a server serves the same bytes whichever tiers
+// it mounts, and its counters say which tier served them. Over no tier,
+// memory, disk, and memory over disk it runs a cold scan at group 1, a warm
+// re-scan of those prefixes as two Range windows and a pushdown each, an
+// upgrade to whole records, and a whole scan from a server reopened over
+// the same disk directory. Every body equals the tierless server's;
+// BytesRead is what a phase read beneath the memory tier, and
+// DiskCache.BytesFetched the share that reached the dataset's files: an
+// upgrade fetches exactly the delta, and a scan after the reopen nothing.
+func TestServerDiskCacheTiers(t *testing.T) {
+	dir, _, ref := startServer(t, &serve.Options{})
+	ix := fetchIndex(t, ref)
+	phases := []func(re core.RecordInfo) []string{ // the requests of each phase, per record
+		func(re core.RecordInfo) []string { return []string{"?group=1", ""} },
+		func(re core.RecordInfo) []string {
+			sel := make([]bool, re.Samples)
+			sel[0], sel[re.Samples-1] = true, true
+			h := re.Prefixes[1] / 2
+			return []string{"?group=1", fmt.Sprintf("bytes=0-%d", h-1), "?group=1", fmt.Sprintf("bytes=%d-", h), "?group=1&samples=" + bitmap(sel), ""}
+		},
+		func(re core.RecordInfo) []string { return []string{"", ""} },
+		func(re core.RecordInfo) []string { return []string{"", ""} },
+	}
+	// Per phase: the bytes a tierless server reads (its replies), those
+	// read beneath a memory tier, and those a disk tier fetches.
+	var tierless, beneathMem, fetched [4]int64
+	want := make(map[string][]byte) // reply by record, query and range
+	for p, reqs := range phases {
+		for _, re := range ix.Records {
+			q := reqs(re)
+			for i := 0; i < len(q); i += 2 {
+				_, body := get(t, ref.URL+"/records/"+re.Name+q[i], map[string]string{"Range": q[i+1]})
+				want[re.Name+q[i]+q[i+1]] = body
+				tierless[p] += int64(len(body))
+			}
+			low, full := re.Prefixes[1], re.Prefixes[len(re.Prefixes)-1]
+			if p == 0 {
+				beneathMem[0] += low
+				beneathMem[2] += full - low
+				beneathMem[3] += full
+				fetched[0] += low
+				fetched[2] += full - low
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name      string
+		mem, disk bool
+	}{{"none", false, false}, {"mem", true, false}, {"disk", false, true}, {"mem+disk", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := &serve.Options{}
+			if tc.mem {
+				opts.CacheBytes = 1 << 30
+			}
+			if tc.disk {
+				opts.DiskCacheDir = t.TempDir()
+			}
+			var srv *serve.Server
+			var ts *httptest.Server
+			open := func() {
+				var err error
+				if srv, err = serve.New(dir, opts); err != nil {
+					t.Fatal(err)
+				}
+				ts = httptest.NewServer(srv)
+			}
+			open()
+			defer func() { ts.Close(); srv.Close() }()
+			var was serve.Stats
+			for p, reqs := range phases {
+				if p == 3 {
+					ts.Close()
+					srv.Close()
+					open()
+					was = serve.Stats{}
+				}
+				for _, re := range ix.Records {
+					q := reqs(re)
+					for i := 0; i < len(q); i += 2 {
+						_, body := get(t, ts.URL+"/records/"+re.Name+q[i], map[string]string{"Range": q[i+1]})
+						if !bytes.Equal(body, want[re.Name+q[i]+q[i+1]]) {
+							t.Fatalf("phase %d: %s%s %q differs from the tierless server's reply", p, re.Name, q[i], q[i+1])
+						}
+					}
+				}
+				st := srv.Stats()
+				wantRead, wantFetched := tierless[p], int64(0)
+				if tc.mem {
+					wantRead = beneathMem[p]
+				}
+				if tc.disk {
+					wantFetched = fetched[p]
+				}
+				if got := st.BytesRead - was.BytesRead; got != wantRead {
+					t.Errorf("phase %d: BytesRead %d, want %d", p, got, wantRead)
+				}
+				if got := st.DiskCache.BytesFetched - was.DiskCache.BytesFetched; got != wantFetched {
+					t.Errorf("phase %d: DiskCache.BytesFetched %d, want %d", p, got, wantFetched)
+				}
+				if p == 3 && tc.disk && st.DiskCache.Recovered != int64(len(ix.Records)) {
+					t.Errorf("reopened disk tier recovered %d entries, want %d", st.DiskCache.Recovered, len(ix.Records))
+				}
+				was = st
+			}
+		})
+	}
+}
+
 func TestVarzAndHealthz(t *testing.T) {
 	_, srv, ts := startServer(t, &serve.Options{CacheBytes: 1 << 20})
 	resp, body := get(t, ts.URL+"/healthz", nil)

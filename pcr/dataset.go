@@ -359,10 +359,10 @@ func (d *Dataset) ReadRecord(ctx context.Context, i, q int) ([]Sample, error) {
 // CacheStats reports the prefix cache's counters. ok is false when the
 // dataset has no cache (WithCacheBytes unset or a non-PCR format).
 func (d *Dataset) CacheStats() (stats CacheStats, ok bool) {
-	if d.pcr == nil || d.pcr.cache == nil {
+	if d.pcr == nil {
 		return CacheStats{}, false
 	}
-	return d.pcr.cache.Stats(), true
+	return d.pcr.tiers.MemStats()
 }
 
 // ClusterStats reports the remote client's fleet counters — hedged reads,
@@ -379,8 +379,8 @@ func (d *Dataset) ClusterStats() (stats ClusterStats, ok bool) {
 // bytes, evictions, and the entries recovery kept or discarded. ok is
 // false when the dataset has no disk cache (WithDiskCache unset).
 func (d *Dataset) DiskCacheStats() (stats DiskCacheStats, ok bool) {
-	if d.pcr == nil || d.pcr.disk == nil {
+	if d.pcr == nil {
 		return DiskCacheStats{}, false
 	}
-	return d.pcr.disk.Stats(), true
+	return d.pcr.tiers.DiskStats()
 }

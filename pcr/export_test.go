@@ -73,14 +73,10 @@ func (d *Dataset) ReadRecordFrom(i, q, from int) ([]Sample, error) {
 // FreePrefixes is the backing arrays of the prefix buffers on the reader's
 // free list, in list order; the list is left as it was.
 func (d *Dataset) FreePrefixes() []*byte {
-	var bufs [][]byte
-	for len(d.pcr.prefixes) > 0 {
-		bufs = append(bufs, d.pcr.prefixes.take())
-	}
+	bufs := d.pcr.tiers.Free()
 	ptrs := make([]*byte, len(bufs))
 	for i, b := range bufs {
 		ptrs[i] = unsafe.SliceData(b)
-		d.pcr.prefixes.give(b)
 	}
 	return ptrs
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/diskcache"
 	"repro/internal/jpegc"
 )
 
@@ -48,29 +47,19 @@ func (pcrFormat) open(dir string, cfg *config) (formatReader, error) {
 	return r, nil
 }
 
-// newPCRReader refuses an empty shard and wires the optional cache tiers
-// over a dataset opened against any Backend — the shared tail of Open
-// (local disk) and OpenRemote (HTTP prefix server). The persistent disk cache
-// (WithDiskCache) decorates the storage backend itself, so it sits under
-// the in-memory LRU (WithCacheBytes): a read misses memory, then disk,
-// then goes upstream — and each tier fills with exactly the delta bytes.
+// newPCRReader refuses an empty shard and builds the read path over a
+// dataset opened against any Backend — the shared tail of Open (local disk)
+// and OpenRemote (HTTP prefix server): the memory tier (WithCacheBytes)
+// over the persistent disk tier (WithDiskCache) over the storage backend.
 func newPCRReader(ds *core.Dataset, cfg *config) (*pcrReader, error) {
 	if cfg.shards > 1 && ds.NumRecords() == 0 {
 		return nil, fmt.Errorf("pcr: shard %d of %d holds no records", cfg.shard, cfg.shards)
 	}
-	disk, err := diskcache.Mount(ds, cfg.diskCacheDir, cfg.diskCacheBytes)
+	tiers, err := cache.NewStack(ds, cfg.cacheBytes, cfg.diskCacheDir, cfg.diskCacheBytes, nil)
 	if err != nil {
 		return nil, err
 	}
-	r := &pcrReader{ds: ds, records: ds.Index().Records, disk: disk, prefixes: make(freeList[[]byte], readAhead)}
-	if cfg.cacheBytes > 0 {
-		c, err := cache.New(cfg.cacheBytes, r.fetchRange)
-		if err != nil {
-			return nil, err
-		}
-		r.cache = c
-	}
-	return r, nil
+	return &pcrReader{ds: ds, records: ds.Index().Records, tiers: tiers}, nil
 }
 
 type pcrWriter struct{ w *core.DatasetWriter }
@@ -81,30 +70,19 @@ func (w *pcrWriter) append(s Sample) error {
 
 func (w *pcrWriter) close() error { return w.w.Close() }
 
-// pcrReader reads record prefixes, optionally through the in-memory LRU
-// prefix cache and the persistent disk tier beneath it.
+// pcrReader reads records through the dataset's tier stack.
 type pcrReader struct {
 	ds *core.Dataset
 	// records is the dataset's index, which every read is planned from
 	// (recordPlan).
 	records []core.RecordInfo
-	cache   *cache.Cache
-	disk    *diskcache.Backend
-	// prefixes are the buffers of tierless prefix reads whose samples have
-	// been spliced out, for the next such read to read into; as many as
-	// the pipeline reads ahead.
-	prefixes freeList[[]byte]
+	tiers   *cache.Stack
 }
 
 func (r *pcrReader) numImages() int { return r.ds.NumImages() }
 func (r *pcrReader) qualities() int { return r.ds.NumGroups }
 
-func (r *pcrReader) close() error {
-	for len(r.prefixes) > 0 {
-		r.prefixes.take()
-	}
-	return r.ds.Close()
-}
+func (r *pcrReader) close() error { return r.tiers.Close() }
 
 // record is record i's index entry.
 func (r *pcrReader) record(i int) (*core.RecordInfo, error) {
@@ -123,30 +101,14 @@ func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 	return total, nil
 }
 
-// fetchRange is the cache's backing fetcher: one ranged read of a record
-// through the dataset's storage Backend (local disk or a remote prefix
-// server). The cache calls it with offset == 0 on a miss and offset ==
-// cached length on a quality upgrade, so reads stay sequential per record
-// — and a remote upgrade becomes a single HTTP Range request for only the
-// delta bytes.
-func (r *pcrReader) fetchRange(record int, offset, length int64) ([]byte, error) {
-	return r.ds.ReadRecordRange(record, offset, length)
-}
-
 // readRecord is the fetch stage's one record read: it carries out the read
 // recordPlan decided and priced, and delivers the samples it selects, still
 // encoded, skipping those inside a resume prefix before any is spliced. A
-// whole-prefix read goes through the cache tiers when they are mounted and
-// reassembles the selected samples from the prefix; a sparse read fetches
-// only the metadata section and the selected samples' slices (gather) and
-// assembles the samples straight from those bytes.
-//
-// Every sample's JPEG is a copy (RecordMeta.SampleJPEG), so a tierless
-// prefix read is the prefix's only holder: it reads into a buffer of the
-// reader's free list and gives the buffer it got back once the samples are
-// spliced out. A read through a tier never borrows one: the memory tier
-// keeps the prefix it returns, and the disk tier reads through buffers of
-// its own.
+// whole-prefix read reassembles the selected samples from the prefix; a
+// sparse read fetches only the metadata section and the selected samples'
+// slices (Stack.Gather) and assembles the samples straight from those
+// bytes. Every sample's JPEG is a copy (RecordMeta.SampleJPEG), so the
+// prefix goes back to the stack once the samples are spliced out.
 func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 	var (
 		meta    *core.RecordMeta
@@ -157,20 +119,12 @@ func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 	switch {
 	case pl.ranges != nil:
 		var body []byte
-		if body, err = r.gather(pl); err == nil {
+		if body, err = r.tiers.Gather(pl.rec, pl.group, pl.sel, pl.ranges); err == nil {
 			meta, streams, err = core.AssembleSamples(body, pl.group, pl.sel)
 		}
-	case r.cache != nil:
-		if prefix, err = r.cache.Get(pl.rec, pl.bytes); err == nil {
-			meta, err = r.ds.ParseRecordPrefix(pl.rec, prefix)
-		}
-	case r.disk != nil:
-		if prefix, err = r.ds.ReadRecordRange(pl.rec, 0, pl.bytes); err == nil {
-			meta, err = r.ds.ParseRecordPrefix(pl.rec, prefix)
-		}
 	default:
-		if prefix, err = r.ds.ReadRecordRangeInto(r.prefixes.take(), pl.rec, 0, pl.bytes); err == nil {
-			defer r.prefixes.give(prefix)
+		if prefix, err = r.tiers.Read(pl.rec, 0, pl.bytes); err == nil {
+			defer r.tiers.Release(prefix)
 			meta, err = r.ds.ParseRecordPrefix(pl.rec, prefix)
 		}
 	}
@@ -197,24 +151,6 @@ func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
 	}
 	return rr
-}
-
-// gather fetches a sparse read's bytes — those of its ranges, concatenated
-// in order — as one pushdown request when the backend takes the selection
-// (remote) or as a read per range (local).
-func (r *pcrReader) gather(pl *readPlan) ([]byte, error) {
-	if sr, ok := r.ds.Backend().(core.SampleReader); ok {
-		return sr.ReadSamples(r.records[pl.rec].Name, pl.group, pl.sel)
-	}
-	body := make([]byte, 0, pl.bytes)
-	for _, rg := range pl.ranges {
-		part, err := r.ds.ReadRecordRange(pl.rec, rg.Offset, rg.Length)
-		if err != nil {
-			return nil, err
-		}
-		body = append(body, part...)
-	}
-	return body, nil
 }
 
 // decodeJPEG decodes s.JPEG into s.Image, reusing reuse's planes when it is

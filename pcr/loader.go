@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // Batch is one assembled training batch: BatchSize decoded samples (the
@@ -107,7 +109,7 @@ type Loader struct {
 	// frames are the decoded frames Epoch's consumers have handed back,
 	// for its decode workers to decode into; recycled, when set, sees each
 	// frame handed back (export_test.go).
-	frames   freeList[image.Image]
+	frames   cache.FreeList[image.Image]
 	recycled func(image.Image)
 
 	mu      sync.Mutex
@@ -259,7 +261,7 @@ func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
 		loaderConfig: *cfg,
 		// As many frames as an epoch has decoded at once: the runs ahead of
 		// the consumer and the batch being assembled (see Epoch).
-		frames: make(freeList[image.Image], (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
+		frames: make(cache.FreeList[image.Image], (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
 	}
 	// Ground "Full" for the policy immediately: the dataset's top quality
 	// is known at open, so a policy (re)started at a concrete quality below
@@ -371,7 +373,7 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 				if l.recycled != nil {
 					l.recycled(s.Image)
 				}
-				l.frames.give(s.Image)
+				l.frames.Give(s.Image)
 			}
 			return ok
 		}

@@ -82,11 +82,11 @@ func WithScanGroups(n int) Option {
 	}
 }
 
-// WithCacheBytes gives the dataset an LRU prefix cache of the given byte
+// WithCacheBytes gives the dataset's tier stack, the one the server reads
+// through too, a memory tier: an LRU of record prefixes of the given byte
 // budget. Because every PCR quality level is a prefix of the same byte
 // stream, a record cached at a low quality is upgraded in place by fetching
-// only the missing delta (§5 of the paper). Zero (the default) disables
-// caching.
+// only the missing delta (§5 of the paper). Zero (the default) mounts none.
 func WithCacheBytes(n int64) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -97,18 +97,15 @@ func WithCacheBytes(n int64) Option {
 	}
 }
 
-// WithDiskCache gives the dataset a persistent on-disk prefix cache
-// (internal/diskcache) of the given byte budget at dir: a second tier under
-// the in-memory WithCacheBytes LRU that survives process restarts. Record
-// prefixes are stored as append-only files keyed by a fingerprint of the
-// dataset's index, so a restarted worker's next epoch reads warm local
-// bytes instead of re-fetching — near-zero network for a remote dataset —
-// and a later quality upgrade appends only the delta bytes (§5 delta
-// pricing, made durable). Open replays the journal without reading cached
-// bytes; each entry's CRC is checked on its first read, and a torn or
-// corrupt entry is refetched, never served. The directory must belong to
-// exactly one process at a time (give each training worker its own). PCR
-// format only.
+// WithDiskCache mounts a persistent disk tier (internal/diskcache) of the
+// given byte budget at dir in the dataset's tier stack, under the
+// WithCacheBytes memory tier. Record prefixes are stored as append-only
+// files keyed by a fingerprint of the dataset's index, so a restarted
+// worker reads warm local bytes instead of re-fetching, and a quality
+// upgrade appends only the delta bytes. Each recovered entry's CRC is
+// checked on its first read; a torn or corrupt entry is refetched, never
+// served. The directory must belong to one process at a time. PCR format
+// only.
 func WithDiskCache(dir string, maxBytes int64) Option {
 	return func(c *config) error {
 		if dir == "" {

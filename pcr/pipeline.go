@@ -6,6 +6,7 @@ import (
 	"image"
 	"iter"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 )
 
@@ -156,7 +157,7 @@ func (p *recordPlan) record(rec int) (*readPlan, error) {
 			read.bytes = 0
 		case n == len(read.sel):
 			read.sel = nil
-		case r.cache == nil && r.disk == nil:
+		case !r.tiers.Cached():
 			if read.ranges, err = re.SampleRanges(g, read.sel); err != nil {
 				return nil, err
 			}
@@ -199,37 +200,11 @@ type run struct {
 
 // pipeline is one running instance of the stages.
 type pipeline struct {
-	ctx    context.Context       // ends when the consumer returns
-	out    chan *run             // every run, in delivery order
-	work   chan *run             // the same runs, for the decode workers; nil without a decode stage
-	tokens chan struct{}         // one per record planned and not yet consumed
-	frames freeList[image.Image] // where the decode workers take frames from; nil for none
-}
-
-// freeList is the pcr package's one recycling rule: things whose holder is
-// done with them — decoded frames the Loader's consumer handed back, record
-// prefixes a tierless read has spliced its samples out of — wait here for
-// the next decode or read to reuse. It holds as many as its capacity and
-// drops the rest; neither take nor give ever blocks. A nil list holds none.
-type freeList[T any] chan T
-
-// take returns a thing from the list, or T's zero value when it is empty.
-func (f freeList[T]) take() T {
-	select {
-	case v := <-f:
-		return v
-	default:
-		var zero T
-		return zero
-	}
-}
-
-// give puts v on the list if it has room.
-func (f freeList[T]) give(v T) {
-	select {
-	case f <- v:
-	default:
-	}
+	ctx    context.Context             // ends when the consumer returns
+	out    chan *run                   // every run, in delivery order
+	work   chan *run                   // the same runs, for the decode workers; nil without a decode stage
+	tokens chan struct{}               // one per record planned and not yet consumed
+	frames cache.FreeList[image.Image] // where the decode workers take frames from; nil for none
 }
 
 // pipeline runs source on its own goroutine under a fresh pipeline and
@@ -240,7 +215,7 @@ func (f freeList[T]) give(v T) {
 // over runs already decoded — and never waits for a read: whatever it
 // abandons (an early break included) winds down on its own, each fetch
 // goroutine exiting when its read returns.
-func (d *Dataset) pipeline(ctx context.Context, decode bool, frames freeList[image.Image], source func(p *pipeline)) iter.Seq2[*run, error] {
+func (d *Dataset) pipeline(ctx context.Context, decode bool, frames cache.FreeList[image.Image], source func(p *pipeline)) iter.Seq2[*run, error] {
 	return func(yield func(*run, error) bool) {
 		ictx, cancel := context.WithCancel(ctx)
 		defer cancel()
@@ -323,7 +298,7 @@ func (p *pipeline) decode() {
 		// An abandoned pipeline drains its queue without decoding it.
 		if r.err = p.ctx.Err(); r.err == nil {
 			for i := range r.samples {
-				if r.err = decodeJPEG(&r.samples[i], p.frames.take()); r.err != nil {
+				if r.err = decodeJPEG(&r.samples[i], p.frames.Take()); r.err != nil {
 					break
 				}
 			}

@@ -3,20 +3,19 @@ package pcr_test
 import (
 	"context"
 	"crypto/sha256"
-	"fmt"
 	"sync"
 	"testing"
 
 	"repro/pcr"
 )
 
-// TestPipelineReadBuffersNeverAliased: a tierless read recycles its prefix
-// buffer, and no sample it delivered shares it. Locally and over the wire,
-// concurrent ReadRecordEncoded calls at every quality, a ScanEncoded and a
+// TestPipelineReadBuffersNeverAliased: a read beneath the memory tier
+// recycles its prefix buffer, and no sample it delivered shares it. Locally,
+// over the wire and through a disk tier, concurrent ReadRecordEncoded calls at every quality, a ScanEncoded and a
 // Loader.Epoch run at once over one dataset, followed by 2×ReadAhead more
 // reads; every sample delivered along the way, record 0's first among
 // them, is then still byte for byte what a reader that never recycles
-// (one behind a cache tier) delivers.
+// (one behind a memory tier) delivers.
 func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
 	_, ts := startServer(t, dir, nil)
@@ -38,12 +37,15 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 		}
 	}
 
-	for _, remote := range []bool{false, true} {
-		t.Run(fmt.Sprintf("remote=%v", remote), func(t *testing.T) {
+	for _, variant := range []string{"remote=false", "remote=true", "disk"} {
+		t.Run(variant, func(t *testing.T) {
 			var ds *pcr.Dataset
-			if remote {
+			switch variant {
+			case "remote=true":
 				ds, err = pcr.OpenRemote(ts.URL)
-			} else {
+			case "disk":
+				ds, err = pcr.Open(dir, pcr.WithDiskCache(t.TempDir(), 64<<20))
+			default:
 				ds, err = pcr.Open(dir)
 			}
 			if err != nil {
@@ -138,7 +140,8 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 // TestPrefixBufferReuse: two tierless reads in a row, locally and over the
 // wire, read into one backing array — the second into the buffer the first
 // gave back, at its quality or a lower one — and Close drops the free list.
-// A read through the memory or the disk tier never gives its buffer back.
+// A read through the memory tier never gives its buffer back; one through
+// the disk tier alone gives back the buffer the tier returned.
 func TestPrefixBufferReuse(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
 	_, ts := startServer(t, dir, nil)
@@ -181,13 +184,16 @@ func TestPrefixBufferReuse(t *testing.T) {
 			t.Fatalf("remote=%v: Close left %d buffers on the free list", remote, n)
 		}
 
-		for _, opt := range []pcr.Option{pcr.WithCacheBytes(1 << 20), pcr.WithDiskCache(t.TempDir(), 64<<20)} {
-			ds := open(opt)
+		for _, tier := range []struct {
+			opt  pcr.Option
+			back int
+		}{{pcr.WithCacheBytes(1 << 20), 0}, {pcr.WithDiskCache(t.TempDir(), 64<<20), 1}} {
+			ds := open(tier.opt)
 			read(ds, 1)
 			read(ds, pcr.Full)
 			read(ds, pcr.Full)
-			if n := len(ds.FreePrefixes()); n != 0 {
-				t.Fatalf("remote=%v: reads through a tier gave %d buffers back", remote, n)
+			if n := len(ds.FreePrefixes()); n != tier.back {
+				t.Fatalf("remote=%v: reads through a tier left %d buffers on the free list, want %d", remote, n, tier.back)
 			}
 			ds.Close()
 		}
