@@ -337,15 +337,16 @@ var openForRead = os.Open
 // checkPrefix is a recovered entry's first-touch verification: one pass over
 // the data file's journaled extent [0,length) that checks its CRC against
 // want and copies the window [offset,offset+n), which must lie inside the
-// extent (n is zero for none), out of the same read. It allocates the window
-// and one buffer of at most 32 KiB, never the extent.
-func checkPrefix(path string, length int64, want uint32, offset, n int64) ([]byte, error) {
+// extent (n is zero for none), out of the same read, into dst when it has
+// room (core.BufferFor). It allocates one buffer of at most 32 KiB, never
+// the extent.
+func checkPrefix(dst []byte, path string, length int64, want uint32, offset, n int64) ([]byte, error) {
 	f, err := openForRead(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := make([]byte, n)
+	out := core.BufferFor(dst, n)
 	buf := make([]byte, min(length, 32<<10))
 	var crc uint32
 	for pos := int64(0); pos < length; {
@@ -480,14 +481,15 @@ func (b *Backend) journalLocked(l journalLine) error {
 	return nil
 }
 
-// readWindow reads [offset, offset+length) from the object's prefix file.
-func (b *Backend) readWindow(name string, offset, length int64) ([]byte, error) {
+// readWindow reads [offset, offset+length) from the object's prefix file,
+// into dst when it has room.
+func (b *Backend) readWindow(dst []byte, name string, offset, length int64) ([]byte, error) {
 	f, err := openForRead(b.objectFile(name))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	buf := make([]byte, length)
+	buf := core.BufferFor(dst, length)
 	if _, err := f.ReadAt(buf, offset); err != nil {
 		return nil, err
 	}
@@ -500,14 +502,14 @@ func (b *Backend) readWindow(name string, offset, length int64) ([]byte, error) 
 // eviction between the check and the read) drops the entry — even one in
 // flight, whose fill then rebuilds it from zero — and the caller fetches
 // upstream instead of failing. Caller holds b.mu.
-func (b *Backend) hitLocked(name string, offset, length int64) ([]byte, bool) {
+func (b *Backend) hitLocked(dst []byte, name string, offset, length int64) ([]byte, bool) {
 	e, ok := b.entries[name]
 	if !ok || !e.verified || e.length < offset+length {
 		return nil, false
 	}
 	b.lru.MoveToFront(e.elem)
 	b.mu.Unlock()
-	buf, err := b.readWindow(name, offset, length)
+	buf, err := b.readWindow(dst, name, offset, length)
 	b.mu.Lock()
 	if err != nil {
 		b.invalidateLocked(name)
@@ -518,11 +520,21 @@ func (b *Backend) hitLocked(name string, offset, length int64) ([]byte, bool) {
 	return buf, true
 }
 
-// ReadRange reads [offset, offset+length) of the named object, fetching
-// from the inner backend only the bytes past the cached prefix extent —
-// offset zero on a cold miss, the cached length on an upgrade, nothing at
-// all on a warm restart. The returned slice is freshly allocated.
+// ReadRange reads [offset, offset+length) of the named object into a new
+// buffer (see ReadRangeInto).
 func (b *Backend) ReadRange(name string, offset, length int64) ([]byte, error) {
+	return b.ReadRangeInto(nil, name, offset, length)
+}
+
+var _ core.RangeReaderInto = (*Backend)(nil)
+
+// ReadRangeInto reads [offset, offset+length) of the named object into dst
+// when it has room (core.RangeReaderInto), fetching from the inner backend
+// only the bytes past the cached prefix extent — offset zero on a cold
+// miss, the cached length on an upgrade, nothing at all on a warm restart.
+// The tier only ever writes the window into dst and keeps no reference to
+// it.
+func (b *Backend) ReadRangeInto(dst []byte, name string, offset, length int64) ([]byte, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("diskcache: negative range length %d for %s", length, name)
 	}
@@ -530,7 +542,7 @@ func (b *Backend) ReadRange(name string, offset, length int64) ([]byte, error) {
 		return nil, fmt.Errorf("diskcache: negative range offset %d for %s", offset, name)
 	}
 	if length == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
 
 	b.mu.Lock()
@@ -540,7 +552,7 @@ func (b *Backend) ReadRange(name string, offset, length int64) ([]byte, error) {
 			return nil, fmt.Errorf("diskcache: closed")
 		}
 		// Fast path: the window is inside a verified cached prefix.
-		if buf, ok := b.hitLocked(name, offset, length); ok {
+		if buf, ok := b.hitLocked(dst, name, offset, length); ok {
 			b.mu.Unlock()
 			return buf, nil
 		}
@@ -555,7 +567,7 @@ func (b *Backend) ReadRange(name string, offset, length int64) ([]byte, error) {
 	}
 	done := make(chan struct{})
 	b.inflight[name] = done
-	out, err := b.fillLocked(name, offset, length)
+	out, err := b.fillLocked(dst, name, offset, length)
 	b.evictLocked()
 	delete(b.inflight, name)
 	close(done)
@@ -570,7 +582,7 @@ func (b *Backend) ReadRange(name string, offset, length int64) ([]byte, error) {
 // stays cached; only external damage can drop it, and the fill then runs
 // again from zero. Caller holds b.mu, which is dropped for file and
 // upstream I/O.
-func (b *Backend) fillLocked(name string, offset, length int64) ([]byte, error) {
+func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]byte, error) {
 	need := offset + length
 	path := b.objectFile(name)
 	// First touch of a recovered entry: check its CRC now, before any byte
@@ -583,7 +595,7 @@ func (b *Backend) fillLocked(name string, offset, length int64) ([]byte, error) 
 			window = 0 // an upgrade: check the extent, then extend it below
 		}
 		b.mu.Unlock()
-		out, err := checkPrefix(path, extent, crc, offset, window)
+		out, err := checkPrefix(dst, path, extent, crc, offset, window)
 		b.mu.Lock()
 		if err != nil {
 			b.invalidateLocked(name)
@@ -619,7 +631,7 @@ func (b *Backend) fillLocked(name string, offset, length int64) ([]byte, error) 
 		ferr := appendSync(path, delta, e == nil)
 		if ferr == nil && offset < have {
 			// The window begins inside the prefix this fill extends.
-			out, ferr = b.readWindow(name, offset, length)
+			out, ferr = b.readWindow(dst, name, offset, length)
 		}
 		b.mu.Lock()
 		if b.closed {
@@ -662,7 +674,7 @@ func (b *Backend) fillLocked(name string, offset, length int64) ([]byte, error) 
 		}
 		e.length, e.crc = need, crc
 		if out == nil {
-			out = make([]byte, length)
+			out = core.BufferFor(dst, length)
 			copy(out, delta[offset-have:])
 		}
 		return out, nil

@@ -16,8 +16,8 @@ import (
 // Retry policy for the client's idempotent GETs (index, record, range
 // reads): a mid-epoch connection reset or truncated response body must not
 // abort a whole training epoch, so each read gets a small bounded budget of
-// passes over the record's replica set, with jittered exponential backoff
-// between them. Per-attempt limits are the http.Client's own timeouts, so
+// passes over the members that serve it (a record's replica set; every
+// member for the index), with jittered exponential backoff between them. Per-attempt limits are the http.Client's own timeouts, so
 // the worst case stays bounded.
 const (
 	retryAttempts  = 3
@@ -42,18 +42,6 @@ func drainClose(body io.ReadCloser) {
 	body.Close()
 }
 
-// retryableStatus reports whether a response status is worth retrying: the
-// transient server-side 5xx family. Client errors (404, 416) are
-// deterministic and fail immediately.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusInternalServerError, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
 // newHTTPClient is the http.Client a ClusterClient, or a Server pulling from
 // its peers, makes for itself: bounded dial, header and request timeouts, so
 // a wedged server fails a read instead of hanging a scan forever (record
@@ -70,10 +58,10 @@ func newHTTPClient() *http.Client {
 }
 
 // member is the wire protocol against one prefix server: a base URL, the
-// http.Client shared by the whole fleet, and the single-attempt calls. Each
-// call reports whether its failure is worth another try — on this member or
-// another; the policy of retrying, failing over and hedging is the
-// ClusterClient's alone.
+// http.Client shared by the whole fleet, and the single-attempt calls, each
+// one GET through get, which classifies its failure once: worth another try
+// — on this member or another — or not. The policy of retrying, failing
+// over and hedging is the ClusterClient's alone.
 type member struct {
 	url  string // as the fleet's ring names it
 	base string // normalized: no trailing slash
@@ -92,45 +80,55 @@ func newMember(rawURL string, hc *http.Client) (*member, error) {
 	return &member{url: rawURL, base: strings.TrimRight(u.String(), "/"), hc: hc}, nil
 }
 
-// fetchIndexOnce is one GET of the index document at path ("/index", with
-// the shard query when there is one); retryable marks failures worth another
-// try (transport errors, 5xx, truncated bodies).
-func (m *member) fetchIndexOnce(path string) (data []byte, retryable bool, err error) {
-	resp, err := m.hc.Get(m.base + path)
-	if err != nil {
-		return nil, true, fmt.Errorf("serve: fetching index: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, retryableStatus(resp.StatusCode), fmt.Errorf("serve: fetching index: server returned %s", resp.Status)
-	}
-	data, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, true, fmt.Errorf("serve: fetching index: %w", err)
-	}
-	return data, false, nil
-}
+// maxIndexBytes bounds an /index body: ample headroom over a paper-scale
+// index (about 91 MB for ImageNet's 1.28 M images), and a bound on what a
+// broken or hostile server can make a client buffer. A var so that a test
+// can lower it.
+var maxIndexBytes int64 = 1 << 30
 
-func (m *member) recordURL(name string) string {
-	return m.base + "/records/" + url.PathEscape(name)
-}
-
-// openOnce is one request for the whole named record, its body handed over
-// as soon as the headers are in.
-func (m *member) openOnce(name string) (body io.ReadCloser, retryable bool, err error) {
-	resp, err := m.hc.Get(m.recordURL(name))
+// get is the one GET every client call makes of one member: url, with rng
+// as its Range header when set and marked as a tail-latency hedge when
+// hedge is (the X-Pcr-Hedge header, so the receiving member's /varz shows
+// hedged load). It answers a 200, or a 206 to a ranged request, with the
+// response, whose body is the caller's to close. It classifies every other
+// outcome once, with the body drained and closed: a transport error and a
+// 500, 502, 503 or 504 are retryable; a 421 is a misdirectedError carrying
+// the owner header, retryable after a membership refresh; a 416 means the
+// index promised bytes the server does not have — structural damage,
+// reported as core.ErrCorrupt like a truncated local file; any other
+// status is final. name is what is read, for the error.
+func (m *member) get(url, name, rng string, hedge bool) (*http.Response, bool, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
-		return nil, true, fmt.Errorf("serve: %w", err)
+		return nil, false, fmt.Errorf("serve: %w", err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		drainClose(resp.Body)
-		if resp.StatusCode == http.StatusMisdirectedRequest {
-			return nil, true, &misdirectedError{name: name, owner: resp.Header.Get(ownerHeader)}
-		}
-		return nil, retryableStatus(resp.StatusCode),
-			fmt.Errorf("serve: reading %s: server returned %s", name, resp.Status)
+	if rng != "" {
+		req.Header.Set("Range", rng)
 	}
-	return resp.Body, false, nil
+	if hedge {
+		req.Header.Set(hedgeHeader, "1")
+	}
+	resp, err := m.hc.Do(req)
+	if err != nil {
+		return nil, true, fmt.Errorf("serve: reading %s: %w", name, err)
+	}
+	code := resp.StatusCode
+	if code == http.StatusOK || code == http.StatusPartialContent && rng != "" {
+		return resp, false, nil
+	}
+	drainClose(resp.Body)
+	retryable := false
+	switch code {
+	case http.StatusMisdirectedRequest:
+		return nil, true, &misdirectedError{name: name, owner: resp.Header.Get(ownerHeader)}
+	case http.StatusRequestedRangeNotSatisfiable:
+		return nil, false, fmt.Errorf("serve: reading %s: %w: range past end of record (server returned %s)",
+			name, core.ErrCorrupt, resp.Status)
+	case http.StatusInternalServerError, http.StatusBadGateway,
+		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		retryable = true
+	}
+	return nil, retryable, fmt.Errorf("serve: reading %s: server returned %s", name, resp.Status)
 }
 
 // misdirectedError reports a 421 from a fleet member: the client's ring
@@ -147,30 +145,54 @@ func (e *misdirectedError) Error() string {
 	return fmt.Sprintf("serve: reading %s: misdirected (owner is %s)", e.name, e.owner)
 }
 
-// readRangeOnce is one HTTP Range request for [offset, offset+length) of the
-// named record. A reset connection, a 5xx and a response body cut short
-// mid-transfer are retryable; a 416 means the index promised bytes the
-// server does not have — structural damage, reported as core.ErrCorrupt like
-// a truncated local file, and not retryable. hedge marks the request as a
-// tail-latency hedge (the X-Pcr-Hedge header), so the receiving member's
-// /varz shows hedged load. The bytes are read into dst when it has room
-// (core.BufferFor).
-func (m *member) readRangeOnce(dst []byte, name string, offset, length int64, hedge bool) (buf []byte, retryable bool, err error) {
-	req, err := http.NewRequest(http.MethodGet, m.recordURL(name), nil)
+// document is one GET of a JSON document at path (the index, with the shard
+// query when there is one; the membership), read whole. A body cut short is
+// retryable; one over limit bytes is final, and refused unread when its
+// Content-Length says so.
+func (m *member) document(path, name string, limit int64) ([]byte, bool, error) {
+	resp, retryable, err := m.get(m.base+path, name, "", false)
 	if err != nil {
-		return nil, false, fmt.Errorf("serve: %w", err)
+		return nil, retryable, err
 	}
-	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", offset, offset+length-1))
-	if hedge {
-		req.Header.Set(hedgeHeader, "1")
+	if resp.ContentLength > limit {
+		drainClose(resp.Body)
+		return nil, false, fmt.Errorf("serve: reading %s: %d bytes, over %d", name, resp.ContentLength, limit)
 	}
-	resp, err := m.hc.Do(req)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	resp.Body.Close()
 	if err != nil {
 		return nil, true, fmt.Errorf("serve: reading %s: %w", name, err)
 	}
+	if int64(len(data)) > limit {
+		return nil, false, fmt.Errorf("serve: reading %s: over %d bytes", name, limit)
+	}
+	return data, false, nil
+}
+
+func (m *member) recordURL(name string) string {
+	return m.base + "/records/" + url.PathEscape(name)
+}
+
+// openOnce is one request for the whole named record, its body handed over
+// as soon as the headers are in.
+func (m *member) openOnce(name string) (io.ReadCloser, bool, error) {
+	resp, retryable, err := m.get(m.recordURL(name), name, "", false)
+	if err != nil {
+		return nil, retryable, err
+	}
+	return resp.Body, false, nil
+}
+
+// readRangeOnce is one HTTP Range request for [offset, offset+length) of the
+// named record, read into dst when it has room (core.BufferFor). A response
+// body cut short mid-transfer is retryable.
+func (m *member) readRangeOnce(dst []byte, name string, offset, length int64, hedge bool) ([]byte, bool, error) {
+	resp, retryable, err := m.get(m.recordURL(name), name, fmt.Sprintf("bytes=%d-%d", offset, offset+length-1), hedge)
+	if err != nil {
+		return nil, retryable, err
+	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusPartialContent:
+	if resp.StatusCode == http.StatusPartialContent {
 		buf := core.BufferFor(dst, length)
 		if n, err := io.ReadFull(resp.Body, buf); err != nil {
 			// Could be a dropped connection (transient) or a truly short
@@ -180,30 +202,21 @@ func (m *member) readRangeOnce(dst []byte, name string, offset, length int64, he
 				name, core.ErrCorrupt, n, length)
 		}
 		return buf, false, nil
-	case http.StatusOK:
-		// The server ignored the Range header; take the window out of the
-		// body, read only up to the window's end — however much more the
-		// server sends, or if it never stops.
-		body, err := io.ReadAll(io.LimitReader(resp.Body, offset+length))
-		if err != nil {
-			return nil, true, fmt.Errorf("serve: reading %s: %w", name, err)
-		}
-		if int64(len(body)) < offset+length {
-			return nil, false, fmt.Errorf("serve: reading %s: %w: object is %d bytes, want [%d,%d)",
-				name, core.ErrCorrupt, len(body), offset, offset+length)
-		}
-		buf := core.BufferFor(dst, length)
-		copy(buf, body[offset:])
-		return buf, false, nil
-	case http.StatusRequestedRangeNotSatisfiable:
-		return nil, false, fmt.Errorf("serve: reading %s: %w: range [%d,%d) past end of record",
-			name, core.ErrCorrupt, offset, offset+length)
-	case http.StatusMisdirectedRequest:
-		return nil, true, &misdirectedError{name: name, owner: resp.Header.Get(ownerHeader)}
-	default:
-		return nil, retryableStatus(resp.StatusCode),
-			fmt.Errorf("serve: reading %s: server returned %s", name, resp.Status)
 	}
+	// The server ignored the Range header; take the window out of the body,
+	// read only up to the window's end — however much more the server
+	// sends, or if it never stops.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, offset+length))
+	if err != nil {
+		return nil, true, fmt.Errorf("serve: reading %s: %w", name, err)
+	}
+	if int64(len(body)) < offset+length {
+		return nil, false, fmt.Errorf("serve: reading %s: %w: object is %d bytes, want [%d,%d)",
+			name, core.ErrCorrupt, len(body), offset, offset+length)
+	}
+	buf := core.BufferFor(dst, length)
+	copy(buf, body[offset:])
+	return buf, false, nil
 }
 
 // readSamplesOnce is one pushdown request: a GET with the selection as a
@@ -212,33 +225,27 @@ func (m *member) readRangeOnce(dst []byte, name string, offset, length int64, he
 // here from the same index the server holds, so the response is verified by
 // length. A 200 without the pushdown header is not an answer to the request
 // made and is not retryable.
-func (m *member) readSamplesOnce(re *core.RecordInfo, group int, sel []bool) (buf []byte, retryable bool, err error) {
+func (m *member) readSamplesOnce(re *core.RecordInfo, group int, sel []bool) ([]byte, bool, error) {
 	group = re.ClampGroup(group)
 	ranges, err := re.SampleRanges(group, sel)
 	if err != nil {
 		return nil, false, err
 	}
 	want := core.RangesTotal(ranges)
-	resp, err := m.hc.Get(fmt.Sprintf("%s?group=%d&samples=%s", m.recordURL(re.Name), group, encodeSampleBitmap(sel)))
+	resp, retryable, err := m.get(fmt.Sprintf("%s?group=%d&samples=%s", m.recordURL(re.Name), group, encodeSampleBitmap(sel)), re.Name, "", false)
 	if err != nil {
-		return nil, true, fmt.Errorf("serve: reading %s: %w", re.Name, err)
+		return nil, retryable, err
 	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if resp.Header.Get(pushdownHeader) == "" {
-			return nil, false, fmt.Errorf("serve: reading %s: server answered a samples request without %s", re.Name, pushdownHeader)
-		}
-		buf := make([]byte, want)
-		if n, err := io.ReadFull(resp.Body, buf); err != nil {
-			return nil, true, fmt.Errorf("serve: reading %s: %w: truncated pushdown response (got %d of %d bytes)",
-				re.Name, core.ErrCorrupt, n, want)
-		}
-		return buf, false, nil
-	case http.StatusMisdirectedRequest:
-		return nil, true, &misdirectedError{name: re.Name, owner: resp.Header.Get(ownerHeader)}
-	default:
-		return nil, retryableStatus(resp.StatusCode),
-			fmt.Errorf("serve: reading %s: server returned %s", re.Name, resp.Status)
+	if resp.Header.Get(pushdownHeader) == "" {
+		drainClose(resp.Body)
+		return nil, false, fmt.Errorf("serve: reading %s: server answered a samples request without %s", re.Name, pushdownHeader)
 	}
+	buf := make([]byte, want)
+	n, err := io.ReadFull(resp.Body, buf)
+	resp.Body.Close()
+	if err != nil {
+		return nil, true, fmt.Errorf("serve: reading %s: %w: truncated pushdown response (got %d of %d bytes)",
+			re.Name, core.ErrCorrupt, n, want)
+	}
+	return buf, false, nil
 }

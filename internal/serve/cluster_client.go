@@ -45,8 +45,8 @@ type ClusterStats struct {
 	// was used.
 	Hedges    int64 `json:"hedges"`
 	HedgeWins int64 `json:"hedge_wins"`
-	// Failovers counts reads that abandoned one member for the next
-	// replica after a transient failure.
+	// Failovers counts reads, the index fetch among them, that abandoned
+	// one member for the next after a transient failure.
 	Failovers int64 `json:"failovers"`
 	// Refreshes counts membership re-resolutions (/cluster re-fetches
 	// after a member died or a server reported the ring stale).
@@ -76,7 +76,7 @@ type ClusterStats struct {
 // synthesizes a single-member fleet, the ring routes everything there, and
 // hedging never has a second replica to aim at.
 type ClusterClient struct {
-	seeds []string
+	seeds []*member
 	hc    *http.Client
 	// ownsHC marks hc as made here (no caller-supplied client): Close shuts
 	// its idle connections down.
@@ -132,7 +132,7 @@ func NewClusterClient(seedURLs []string, httpClient *http.Client) (*ClusterClien
 		if err != nil {
 			return nil, err
 		}
-		c.seeds = append(c.seeds, m.base)
+		c.seeds = append(c.seeds, m)
 	}
 	return c, nil
 }
@@ -154,14 +154,10 @@ func (c *ClusterClient) SetHedgeDelay(floor time.Duration) {
 // — and everything planned from it — is proportional to its share of the
 // dataset. Must be called before the first FetchIndex; the served shard
 // view is core.Index.Shard(index, count), records r with r % count ==
-// index — the view a local pcr.Open WithShard opens too.
+// index — the view a local pcr.Open WithShard opens too. A count below 1
+// asks for the whole index; the server refuses any other shard out of
+// range, and FetchIndex reports it.
 func (c *ClusterClient) SetShard(index, count int) error {
-	if count <= 0 {
-		return fmt.Errorf("serve: shard count must be positive, got %d", count)
-	}
-	if index < 0 || index >= count {
-		return fmt.Errorf("serve: shard index %d out of range [0,%d)", index, count)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.idx != nil {
@@ -204,7 +200,11 @@ func (c *ClusterClient) refreshMembership() {
 	defer c.mu.Unlock()
 	sources := c.seeds
 	if c.fleet != nil {
-		sources = append(append([]string(nil), c.fleet.info.Members...), c.seeds...)
+		sources = nil
+		for _, u := range c.fleet.info.Members {
+			sources = append(sources, c.fleet.members[u])
+		}
+		sources = append(sources, c.seeds...)
 	}
 	if _, err := c.resolveMembershipLocked(sources); err == nil {
 		c.refreshes.Add(1)
@@ -229,15 +229,15 @@ func newFleet(info *cluster.Info, hc *http.Client) (*fleet, error) {
 
 // resolveMembershipLocked fetches /cluster from the first responsive source
 // whose document makes a fleet, and installs it. Caller holds c.mu.
-func (c *ClusterClient) resolveMembershipLocked(sources []string) (*fleet, error) {
+func (c *ClusterClient) resolveMembershipLocked(sources []*member) (*fleet, error) {
 	var lastErr error
 	tried := make(map[string]bool, len(sources))
 	for _, src := range sources {
-		if tried[src] {
+		if tried[src.base] {
 			continue
 		}
-		tried[src] = true
-		info, err := c.fetchClusterInfo(src)
+		tried[src.base] = true
+		info, err := src.clusterInfo()
 		if err == nil {
 			var f *fleet
 			if f, err = newFleet(info, c.hc); err == nil {
@@ -250,23 +250,15 @@ func (c *ClusterClient) resolveMembershipLocked(sources []string) (*fleet, error
 	return nil, fmt.Errorf("serve: no cluster member reachable: %w", lastErr)
 }
 
-// fetchClusterInfo GETs one source's /cluster document.
-func (c *ClusterClient) fetchClusterInfo(src string) (*cluster.Info, error) {
-	resp, err := c.hc.Get(src + "/cluster")
+// clusterInfo reads the member's /cluster document.
+func (m *member) clusterInfo() (*cluster.Info, error) {
+	data, _, err := m.document("/cluster", "membership from "+m.base, maxClusterDocBytes)
 	if err != nil {
-		return nil, fmt.Errorf("serve: fetching membership from %s: %w", src, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: fetching membership from %s: server returned %s", src, resp.Status)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxClusterDocBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("serve: fetching membership from %s: %w", src, err)
+		return nil, err
 	}
 	info, err := parseClusterInfo(data)
 	if err != nil {
-		return nil, fmt.Errorf("serve: membership from %s: %w", src, err)
+		return nil, fmt.Errorf("serve: membership from %s: %w", m.base, err)
 	}
 	return info, nil
 }
@@ -304,15 +296,15 @@ func (c *ClusterClient) markDown(m *member) {
 	c.down[m.url] = time.Now().Add(downTTL)
 }
 
-// replicasFor returns the record's replica set in preference order: the
-// ring's owner-first order, with members recently marked down moved to the
-// back (their relative order preserved).
-func (c *ClusterClient) replicasFor(name string) ([]*member, error) {
+// preferLive returns the members place picks from the current fleet in
+// preference order: place's order, with members recently marked down moved
+// to the back (their relative order preserved).
+func (c *ClusterClient) preferLive(place func(*fleet) []string) ([]*member, error) {
 	f, err := c.membership()
 	if err != nil {
 		return nil, err
 	}
-	reps := f.ring.Replicas(name, f.info.Replication)
+	reps := place(f)
 	c.mu.Lock()
 	now := time.Now()
 	live := make([]*member, 0, len(reps))
@@ -377,16 +369,27 @@ func (c *ClusterClient) hedgeDelay() (time.Duration, bool) {
 	return d, true
 }
 
-// readReplicas is the one failover loop, behind ReadRange, ReadSamples and
-// Open alike: up to retryAttempts passes over the named record's replica
-// set, owner first, backing off and re-resolving membership between passes
-// (a whole set failed: the fleet may have changed under us). try is one
-// attempt against reps[i] and classifies its own failure. A structural
+// replicasOf places the named record: its replica set, owner first.
+type replicasOf string
+
+func (name replicasOf) place(f *fleet) []string {
+	return f.ring.Replicas(string(name), f.info.Replication)
+}
+
+// everyMember places the index, which every member serves.
+func everyMember(f *fleet) []string { return f.info.Members }
+
+// readReplicas is the one failover loop, behind ReadRange, ReadSamples,
+// Open and FetchIndex alike: up to retryAttempts passes over the members
+// place picks (preferLive) — a record's replica set, owner first, or every
+// member for the index — backing off and re-resolving membership between
+// passes (a whole set failed: the fleet may have changed under us). try is
+// one attempt against reps[i] and classifies its own failure. A structural
 // error — 416/404, a samples answer without the pushdown header: the index
 // promising what no member has — fails the read at once. A 421 (placement
 // disagreement) refreshes membership and moves on. Anything else retryable
 // marks the member down and moves on.
-func readReplicas[T any](c *ClusterClient, name string, try func(i int, reps []*member) (T, bool, error)) (T, error) {
+func readReplicas[T any](c *ClusterClient, place func(*fleet) []string, try func(i int, reps []*member) (T, bool, error)) (T, error) {
 	var none T
 	var lastErr error
 	for round := 0; round < retryAttempts; round++ {
@@ -394,7 +397,7 @@ func readReplicas[T any](c *ClusterClient, name string, try func(i int, reps []*
 			time.Sleep(retryDelay(round - 1))
 			c.refreshMembership()
 		}
-		reps, err := c.replicasFor(name)
+		reps, err := c.preferLive(place)
 		if err != nil {
 			lastErr = err
 			continue
@@ -443,19 +446,22 @@ func (c *ClusterClient) ReadRangeInto(dst []byte, name string, offset, length in
 	if length < 0 {
 		return nil, fmt.Errorf("serve: negative range length %d for %s", length, name)
 	}
-	return readReplicas(c, name, func(i int, reps []*member) ([]byte, bool, error) {
+	return readReplicas(c, replicasOf(name).place, func(i int, reps []*member) ([]byte, bool, error) {
 		if i == 0 && len(reps) > 1 {
 			return c.hedgedRead(dst, reps[0], reps[1], name, offset, length)
 		}
-		return c.readFromMember(dst, reps[i], name, offset, length, false)
+		return c.readFromMember(func() ([]byte, bool, error) {
+			return reps[i].readRangeOnce(dst, name, offset, length, false)
+		})
 	})
 }
 
-// readFromMember is one range read against one member, into dst when it
-// has room, with latency recorded on success.
-func (c *ClusterClient) readFromMember(dst []byte, m *member, name string, offset, length int64, hedge bool) ([]byte, bool, error) {
+// readFromMember is one record read against one member — read, a range or
+// a pushdown request — with its latency recorded on success for the hedge
+// quantiles.
+func (c *ClusterClient) readFromMember(read func() ([]byte, bool, error)) ([]byte, bool, error) {
 	start := time.Now()
-	buf, retryable, err := m.readRangeOnce(dst, name, offset, length, hedge)
+	buf, retryable, err := read()
 	if err == nil {
 		c.observeLatency(time.Since(start))
 	}
@@ -473,7 +479,9 @@ func (c *ClusterClient) readFromMember(dst []byte, m *member, name string, offse
 func (c *ClusterClient) hedgedRead(dst []byte, primary, backup *member, name string, offset, length int64) ([]byte, bool, error) {
 	delay, hedgeOK := c.hedgeDelay()
 	if !hedgeOK {
-		return c.readFromMember(dst, primary, name, offset, length, false)
+		return c.readFromMember(func() ([]byte, bool, error) {
+			return primary.readRangeOnce(dst, name, offset, length, false)
+		})
 	}
 
 	type result struct {
@@ -484,7 +492,9 @@ func (c *ClusterClient) hedgedRead(dst []byte, primary, backup *member, name str
 	}
 	resc := make(chan result, 2)
 	attempt := func(m *member, hedge bool) {
-		buf, retryable, err := c.readFromMember(nil, m, name, offset, length, hedge)
+		buf, retryable, err := c.readFromMember(func() ([]byte, bool, error) {
+			return m.readRangeOnce(nil, name, offset, length, hedge)
+		})
 		resc <- result{member: m, buf: buf, retryable: retryable, err: err}
 	}
 	go attempt(primary, false)
@@ -537,13 +547,8 @@ func (c *ClusterClient) ReadSamples(name string, group int, sel []bool) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	return readReplicas(c, name, func(i int, reps []*member) ([]byte, bool, error) {
-		start := time.Now()
-		buf, retryable, err := reps[i].readSamplesOnce(re, group, sel)
-		if err == nil {
-			c.observeLatency(time.Since(start))
-		}
-		return buf, retryable, err
+	return readReplicas(c, replicasOf(name).place, func(i int, reps []*member) ([]byte, bool, error) {
+		return c.readFromMember(func() ([]byte, bool, error) { return reps[i].readSamplesOnce(re, group, sel) })
 	})
 }
 
@@ -576,15 +581,13 @@ func (c *ClusterClient) recordInfoFor(name string) (*core.RecordInfo, error) {
 // surfaces as a read error there — record readers use ReadRange, which
 // retries the whole window.
 func (c *ClusterClient) Open(name string) (io.ReadCloser, error) {
-	return readReplicas(c, name, func(i int, reps []*member) (io.ReadCloser, bool, error) {
-		return reps[i].openOnce(name)
-	})
+	return readReplicas(c, replicasOf(name).place, func(i int, reps []*member) (io.ReadCloser, bool, error) { return reps[i].openOnce(name) })
 }
 
 // FetchIndex retrieves and caches the dataset's record index (the shard
-// view when SetShard was called) from any live member — the index is
-// identical fleet-wide, so the first member to answer wins. It walks the
-// members, not one record's replicas, so its retry loop is its own.
+// view when SetShard was called) through the one failover loop over every
+// member: the index is identical fleet-wide, so the first member to answer
+// wins. The body is bounded by maxIndexBytes.
 func (c *ClusterClient) FetchIndex() (*core.Index, error) {
 	c.mu.Lock()
 	ix, shard, nshards := c.idx, c.shard, c.nshards
@@ -596,41 +599,21 @@ func (c *ClusterClient) FetchIndex() (*core.Index, error) {
 	if nshards > 0 {
 		path = fmt.Sprintf("/index?shard=%d&nshards=%d", shard, nshards)
 	}
-
-	f, err := c.membership()
+	ix, err := readReplicas(c, everyMember, func(i int, reps []*member) (*core.Index, bool, error) {
+		data, retryable, err := reps[i].document(path, "the index", maxIndexBytes)
+		if err != nil {
+			return nil, retryable, err
+		}
+		ix, err := core.ParseIndex(data)
+		return ix, false, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for round := 0; round < retryAttempts; round++ {
-		if round > 0 {
-			time.Sleep(retryDelay(round - 1))
-			c.refreshMembership()
-			if f, err = c.membership(); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		for _, u := range f.info.Members {
-			data, retryable, err := f.members[u].fetchIndexOnce(path)
-			if err == nil {
-				ix, err := core.ParseIndex(data)
-				if err != nil {
-					return nil, err
-				}
-				c.mu.Lock()
-				c.idx = ix
-				c.mu.Unlock()
-				return ix, nil
-			}
-			if !retryable {
-				return nil, err
-			}
-			c.markDown(f.members[u])
-			lastErr = err
-		}
-	}
-	return nil, lastErr
+	c.mu.Lock()
+	c.idx = ix
+	c.mu.Unlock()
+	return ix, nil
 }
 
 // List returns the record object names from the index.

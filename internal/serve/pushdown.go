@@ -120,11 +120,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 	}
 	total := core.RangesTotal(ranges)
 
-	etag := s.etags[rec]
-	w.Header().Set("ETag", etag)
-	if ifNoneMatch(r, etag) {
-		s.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
+	if s.unmodified(w, r, s.etags[rec]) {
 		return
 	}
 

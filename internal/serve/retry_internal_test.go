@@ -2,7 +2,10 @@ package serve
 
 import (
 	"errors"
+	"io"
 	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -116,5 +119,69 @@ func TestReadRangeBoundsIgnoredRange(t *testing.T) {
 	}
 	if body.taken > offset+length {
 		t.Fatalf("took %d bytes from the body, want at most %d", body.taken, offset+length)
+	}
+}
+
+// endlessIndex serves a one-member /cluster document and answers /index
+// with body, declaring a length over maxIndexBytes when declared is set.
+type endlessIndex struct {
+	body     *endlessBody
+	declared bool
+	indexes  atomic.Int32
+}
+
+func (t *endlessIndex) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp := &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Header: http.Header{}, ContentLength: -1, Request: req}
+	if req.URL.Path == "/cluster" {
+		resp.Body = io.NopCloser(strings.NewReader(`{"members":["http://pcr.invalid"],"replication":1}`))
+		return resp, nil
+	}
+	t.indexes.Add(1)
+	if t.declared {
+		resp.ContentLength = maxIndexBytes + 1
+	}
+	resp.Body = t.body
+	return resp, nil
+}
+
+// TestFetchIndexBoundsBody: against a server whose /index body never ends,
+// FetchIndex fails promptly after one request, without retrying, having
+// taken at most maxIndexBytes+1 bytes of the body; a body whose
+// Content-Length is over the bound is refused unread, drained only as far
+// as drainClose drains an error body.
+func TestFetchIndexBoundsBody(t *testing.T) {
+	defer func(bound int64) { maxIndexBytes = bound }(maxIndexBytes)
+	maxIndexBytes = 64 << 10 // below endlessStall, so an unbounded read stalls
+	for _, declared := range []bool{false, true} {
+		body := &endlessBody{closed: make(chan struct{})}
+		t.Cleanup(func() { body.Close() })
+		rt := &endlessIndex{body: body, declared: declared}
+		c, err := NewClusterClient([]string{"http://pcr.invalid"}, &http.Client{Transport: rt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.FetchIndex()
+			done <- err
+		}()
+		select {
+		case err = <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("declared=%v: FetchIndex against an endless /index body did not return", declared)
+		}
+		if err == nil || !strings.Contains(err.Error(), "over") {
+			t.Fatalf("declared=%v: FetchIndex = %v, want a refusal of a body over the bound", declared, err)
+		}
+		if n := rt.indexes.Load(); n != 1 {
+			t.Fatalf("declared=%v: %d /index requests, want 1 (a body over the bound is final)", declared, n)
+		}
+		limit := maxIndexBytes + 1
+		if declared {
+			limit = 4 << 10
+		}
+		if body.taken > limit {
+			t.Fatalf("declared=%v: took %d bytes of the body, want at most %d", declared, body.taken, limit)
+		}
 	}
 }

@@ -421,36 +421,12 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	// A shard view is a pure function of the immutable index, so its
 	// validator derives from the whole-index ETag — a conditional poll is
 	// answered with 304 before any encoding work.
-	etag := s.indexETag
-	if nshards > 0 {
-		etag = fmt.Sprintf("%q", fmt.Sprintf("%s-s%d.%d", strings.Trim(s.indexETag, `"`), shard, nshards))
-	}
-	w.Header().Set("ETag", etag)
-	if ifNoneMatch(r, etag) {
-		s.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
+	if nshards == 0 {
+		s.writeDocument(w, r, s.indexETag, func() ([]byte, error) { return s.indexJSON, nil })
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	body := s.indexJSON
-	if nshards > 0 {
-		if r.Method == http.MethodHead {
-			// Don't pay the per-request encode just to discard the body
-			// (Content-Length is optional on HEAD responses).
-			return
-		}
-		var err error
-		if body, err = core.EncodeIndex(s.index.Shard(shard, nshards)); err != nil {
-			w.Header().Del("ETag")
-			s.fail(w, http.StatusInternalServerError, "serve: %v", err)
-			return
-		}
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if r.Method == http.MethodHead {
-		return
-	}
-	w.Write(body)
+	etag := fmt.Sprintf("%q", fmt.Sprintf("%s-s%d.%d", strings.Trim(s.indexETag, `"`), shard, nshards))
+	s.writeDocument(w, r, etag, func() ([]byte, error) { return core.EncodeIndex(s.index.Shard(shard, nshards)) })
 }
 
 // handleCluster serves the fleet membership (cluster.Info): member list,
@@ -461,38 +437,43 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 // the client reached it at — so a cluster-aware client speaks one protocol
 // to any server, fleet or not.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	body, etag := s.clusterJSON, s.clusterETag
-	if s.ring == nil {
-		scheme := "http"
-		if r.TLS != nil {
-			scheme = "https"
-		}
-		self := scheme + "://" + r.Host
-		info := cluster.Info{
-			Members:     []string{self},
-			Replication: 1,
-			Self:        self,
-			Epoch:       cluster.Epoch([]string{self}, 1),
-		}
-		var err error
-		if body, err = json.Marshal(info); err != nil {
-			s.fail(w, http.StatusInternalServerError, "serve: %v", err)
-			return
-		}
-		etag = fmt.Sprintf("%q", "cl-"+info.Epoch)
+	if s.ring != nil {
+		s.writeDocument(w, r, s.clusterETag, func() ([]byte, error) { return s.clusterJSON, nil })
+		return
 	}
-	w.Header().Set("ETag", etag)
-	if ifNoneMatch(r, etag) {
-		s.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
+	scheme := "http"
+	if r.TLS != nil {
+		scheme = "https"
+	}
+	self := scheme + "://" + r.Host
+	info := cluster.Info{
+		Members:     []string{self},
+		Replication: 1,
+		Self:        self,
+		Epoch:       cluster.Epoch([]string{self}, 1),
+	}
+	s.writeDocument(w, r, fmt.Sprintf("%q", "cl-"+info.Epoch), func() ([]byte, error) { return json.Marshal(info) })
+}
+
+// writeDocument answers a GET or HEAD of a JSON document, /index or
+// /cluster: a counted 304 when the request's If-None-Match matches etag
+// (unmodified), else the document encode makes — run only then — with its
+// type and length.
+func (s *Server) writeDocument(w http.ResponseWriter, r *http.Request, etag string, encode func() ([]byte, error)) {
+	if s.unmodified(w, r, etag) {
+		return
+	}
+	body, err := encode()
+	if err != nil {
+		w.Header().Del("ETag")
+		s.fail(w, http.StatusInternalServerError, "serve: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if r.Method == http.MethodHead {
-		return
+	if r.Method != http.MethodHead {
+		w.Write(body)
 	}
-	w.Write(body)
 }
 
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
@@ -545,12 +526,8 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		size = re.Prefixes[re.ClampGroup(g)]
 	}
 
-	etag := s.etags[rec]
-	w.Header().Set("ETag", etag)
 	w.Header().Set("Accept-Ranges", "bytes")
-	if ifNoneMatch(r, etag) {
-		s.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
+	if s.unmodified(w, r, s.etags[rec]) {
 		return
 	}
 
@@ -663,17 +640,21 @@ func (s *Server) SyncReplicas(ctx context.Context) (warmed int, err error) {
 	return warmed, firstErr
 }
 
-// ifNoneMatch reports whether the request's If-None-Match header matches
-// the entity tag (weak comparison over a list, per RFC 9110 §13.1.2).
-func ifNoneMatch(r *http.Request, etag string) bool {
+// unmodified is the one conditional step of every response that carries
+// an entity tag: it sets the ETag header and, when the request's
+// If-None-Match matches etag (weak comparison over a list, per RFC 9110
+// §13.1.2), answers 304, counts it, and reports true.
+func (s *Server) unmodified(w http.ResponseWriter, r *http.Request, etag string) bool {
+	w.Header().Set("ETag", etag)
 	h := r.Header.Get("If-None-Match")
 	if h == "" {
 		return false
 	}
 	for _, part := range strings.Split(h, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
+		part = strings.TrimPrefix(strings.TrimSpace(part), "W/")
 		if part == "*" || part == etag {
+			s.notModified.Add(1)
+			w.WriteHeader(http.StatusNotModified)
 			return true
 		}
 	}

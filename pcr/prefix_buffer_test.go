@@ -137,11 +137,12 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 	}
 }
 
-// TestPrefixBufferReuse: two tierless reads in a row, locally and over the
-// wire, read into one backing array — the second into the buffer the first
-// gave back, at its quality or a lower one — and Close drops the free list.
-// A read through the memory tier never gives its buffer back; one through
-// the disk tier alone gives back the buffer the tier returned.
+// TestPrefixBufferReuse: reads in a row without a memory tier, locally and
+// over the wire, read into one backing array — each into the buffer the
+// read before it gave back, at its quality or a lower one — and Close drops
+// the free list. Through the disk tier alone that holds for a warm read, a
+// cold fill and an upgrade alike. A read through the memory tier never
+// gives its buffer back.
 func TestPrefixBufferReuse(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
 	_, ts := startServer(t, dir, nil)
@@ -160,43 +161,52 @@ func TestPrefixBufferReuse(t *testing.T) {
 			}
 			return ds
 		}
-		read := func(ds *pcr.Dataset, q int) {
+		read := func(ds *pcr.Dataset, rec, q int) {
 			t.Helper()
-			if _, err := ds.ReadRecordEncoded(0, q); err != nil {
+			if _, err := ds.ReadRecordEncoded(rec, q); err != nil {
 				t.Fatal(err)
 			}
 		}
 
-		ds := open()
-		read(ds, pcr.Full)
-		first := ds.FreePrefixes()
-		if len(first) != 1 {
-			t.Fatalf("remote=%v: %d buffers on the free list after one read, want 1", remote, len(first))
-		}
-		for _, q := range []int{pcr.Full, 1} {
-			read(ds, q)
-			if again := ds.FreePrefixes(); len(again) != 1 || again[0] != first[0] {
-				t.Fatalf("remote=%v: a read at quality %d did not reuse the buffer the read before it gave back", remote, q)
+		for _, tc := range []struct {
+			name string
+			opts []pcr.Option
+			// then are the reads after the first, each as {record, quality}.
+			then [][2]int
+		}{
+			{"no tier", nil, [][2]int{{0, pcr.Full}, {0, 1}}},
+			// Warm at Full and at 1, a cold fill of record 1 at 1, then its
+			// upgrade to 2: each read is smaller than record 0 at Full.
+			{"disk tier", []pcr.Option{pcr.WithDiskCache(t.TempDir(), 64<<20)},
+				[][2]int{{0, pcr.Full}, {0, 1}, {1, 1}, {1, 2}}},
+		} {
+			ds := open(tc.opts...)
+			read(ds, 0, pcr.Full)
+			first := ds.FreePrefixes()
+			if len(first) != 1 {
+				t.Fatalf("remote=%v, %s: %d buffers on the free list after one read, want 1", remote, tc.name, len(first))
 			}
-		}
-		ds.Close()
-		if n := len(ds.FreePrefixes()); n != 0 {
-			t.Fatalf("remote=%v: Close left %d buffers on the free list", remote, n)
-		}
-
-		for _, tier := range []struct {
-			opt  pcr.Option
-			back int
-		}{{pcr.WithCacheBytes(1 << 20), 0}, {pcr.WithDiskCache(t.TempDir(), 64<<20), 1}} {
-			ds := open(tier.opt)
-			read(ds, 1)
-			read(ds, pcr.Full)
-			read(ds, pcr.Full)
-			if n := len(ds.FreePrefixes()); n != tier.back {
-				t.Fatalf("remote=%v: reads through a tier left %d buffers on the free list, want %d", remote, n, tier.back)
+			for _, rq := range tc.then {
+				read(ds, rq[0], rq[1])
+				if again := ds.FreePrefixes(); len(again) != 1 || again[0] != first[0] {
+					t.Fatalf("remote=%v, %s: a read of record %d at quality %d did not reuse the buffer the read before it gave back",
+						remote, tc.name, rq[0], rq[1])
+				}
 			}
 			ds.Close()
+			if n := len(ds.FreePrefixes()); n != 0 {
+				t.Fatalf("remote=%v, %s: Close left %d buffers on the free list", remote, tc.name, n)
+			}
 		}
+
+		ds := open(pcr.WithCacheBytes(1 << 20))
+		read(ds, 0, 1)
+		read(ds, 0, pcr.Full)
+		read(ds, 0, pcr.Full)
+		if n := len(ds.FreePrefixes()); n != 0 {
+			t.Fatalf("remote=%v: reads through the memory tier left %d buffers on the free list, want 0", remote, n)
+		}
+		ds.Close()
 	}
 }
 
