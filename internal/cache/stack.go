@@ -12,8 +12,8 @@ import (
 // dataset's backend, either tier optional. A read at one quality is a byte
 // prefix of the read at the next, so each tier fills with exactly the delta
 // of an upgrade. A read beneath the memory tier reads into a buffer from
-// the stack's free list where the backend can, and the caller hands the
-// result back with Release; Release leaves a memory tier's prefix alone.
+// the stack's free list, and the caller hands the result back with
+// Release; Release leaves a memory tier's prefix alone.
 type Stack struct {
 	ds   *core.Dataset
 	mem  *Cache
@@ -49,7 +49,8 @@ func NewStack(ds *core.Dataset, memBytes int64, diskDir string, diskBytes int64,
 }
 
 // read reads [off, off+n) of record rec beneath the memory tier, into dst
-// where the backend can (core.RangeReaderInto).
+// when it has room (core.ReadRangeInto); a pulled read is the puller's
+// buffer.
 func (s *Stack) read(dst []byte, rec int, off, n int64) ([]byte, error) {
 	if s.pull != nil {
 		if b, err := s.pull(rec, off, n); err == nil {

@@ -39,11 +39,37 @@ type Backend interface {
 // RangeReaderInto is an optional Backend capability: ReadRange into a
 // buffer the caller lends. ReadRangeInto returns dst[:length] when
 // cap(dst) >= length and a new buffer of exactly length bytes otherwise;
-// either way the caller owns the result and the backend keeps no reference
-// to it once the call returns. After an error the caller must not reuse
-// dst. Range and truncation checks are ReadRange's.
+// a backend may also answer in a buffer of its own (a hedged remote read
+// does, so that its losing request never writes dst). Either way the
+// caller owns the result and the backend keeps no reference to it once the
+// call returns. After an error the caller must not reuse dst. Range and
+// truncation checks are ReadRange's.
 type RangeReaderInto interface {
 	ReadRangeInto(dst []byte, name string, offset, length int64) ([]byte, error)
+}
+
+// ReadRangeInto reads [offset, offset+length) of the named object from b
+// into dst when it has room (BufferFor), whichever reads b offers: its
+// ReadRangeInto when it is a RangeReaderInto, else its ReadRange and a
+// copy. An answer of exactly length bytes in a buffer other than dst is
+// copied in as well, so when dst has room the result is always
+// dst[:length].
+func ReadRangeInto(b Backend, dst []byte, name string, offset, length int64) ([]byte, error) {
+	var buf []byte
+	var err error
+	if r, ok := b.(RangeReaderInto); ok {
+		buf, err = r.ReadRangeInto(dst, name, offset, length)
+	} else {
+		buf, err = b.ReadRange(name, offset, length)
+	}
+	if err != nil || length == 0 || int64(len(buf)) != length || int64(cap(dst)) < length {
+		return buf, err
+	}
+	out := dst[:length]
+	if &out[0] != &buf[0] {
+		copy(out, buf)
+	}
+	return out, nil
 }
 
 // BufferFor is the buffer a ReadRangeInto of length bytes reads into: dst

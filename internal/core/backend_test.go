@@ -128,6 +128,51 @@ func TestDirBackendReadRangeInto(t *testing.T) {
 	}
 }
 
+// rangeOnly hides every method of a Backend but the four it must have.
+type rangeOnly struct{ Backend }
+
+// ownBuffer is a RangeReaderInto that always answers in a buffer of its
+// own, as a hedged remote read does.
+type ownBuffer struct{ *DirBackend }
+
+func (b ownBuffer) ReadRangeInto(_ []byte, name string, offset, length int64) ([]byte, error) {
+	return b.DirBackend.ReadRange(name, offset, length)
+}
+
+// TestReadRangeInto: whatever the backend reads — into a lent buffer, only
+// with ReadRange, or into a buffer of its own — the function returns the
+// window in dst when it has room and in a new exact-size buffer otherwise,
+// and passes a refusal through.
+func TestReadRangeInto(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "obj"), []byte("0123456789abcdef"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name string
+		b    Backend
+	}{
+		{"into", NewDirBackend(dir)},
+		{"range-only", rangeOnly{NewDirBackend(dir)}},
+		{"own-buffer", ownBuffer{NewDirBackend(dir)}},
+	} {
+		for _, dst := range [][]byte{nil, make([]byte, 2), make([]byte, 3, 64)} {
+			got, err := ReadRangeInto(b.b, dst, "obj", 4, 6)
+			if err != nil || string(got) != "456789" {
+				t.Fatalf("%s, cap(dst) %d: ReadRangeInto = %q, %v", b.name, cap(dst), got, err)
+			}
+			if into := cap(dst) >= 6; into != (unsafe.SliceData(got) == unsafe.SliceData(dst)) {
+				t.Fatalf("%s, cap(dst) %d: read into dst = %v, want %v", b.name, cap(dst), !into, into)
+			} else if !into && cap(got) != 6 {
+				t.Fatalf("%s: new buffer has capacity %d, want exactly 6", b.name, cap(got))
+			}
+		}
+		if _, err := ReadRangeInto(b.b, make([]byte, 64), "obj", 10, 100); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: reading past the end = %v, want ErrCorrupt", b.name, err)
+		}
+	}
+}
+
 func TestIndexRoundTripAndValidation(t *testing.T) {
 	ix := &Index{
 		NumGroups: 3,

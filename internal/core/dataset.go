@@ -319,18 +319,14 @@ func (ds *Dataset) ReadRecordRange(i int, offset, length int64) ([]byte, error) 
 	return ds.ReadRecordRangeInto(nil, i, offset, length)
 }
 
-// ReadRecordRangeInto is ReadRecordRange into a buffer the caller lends (see
-// RangeReaderInto); over a Backend without that capability it is the
-// Backend's ReadRange, and dst goes unused.
+// ReadRecordRangeInto is ReadRecordRange into a buffer the caller lends,
+// whatever the Backend (see ReadRangeInto).
 func (ds *Dataset) ReadRecordRangeInto(dst []byte, i int, offset, length int64) ([]byte, error) {
 	name, err := ds.RecordName(i)
 	if err != nil {
 		return nil, err
 	}
-	if b, ok := ds.backend.(RangeReaderInto); ok {
-		return b.ReadRangeInto(dst, name, offset, length)
-	}
-	return ds.backend.ReadRange(name, offset, length)
+	return ReadRangeInto(ds.backend, dst, name, offset, length)
 }
 
 // RecordPrefixLen returns the bytes needed to read record i at scan group g

@@ -22,28 +22,37 @@
 //	{"del":"<name>"}                    entry evicted
 //
 // Growing a cached prefix appends only the new bytes to the data file
-// (never rewriting the cached prefix), syncs it, then journals the new
-// extent. The CRC is maintained incrementally, so journaling an upgrade
+// (never rewriting the cached prefix) in one unsynced write, then journals
+// the new extent. The delta is fetched into the buffer the read returns,
+// behind the window's cached part, so the bytes written are the bytes
+// served. The CRC is maintained incrementally, so journaling an upgrade
 // does not re-read the prefix.
 //
 // # Crash safety
 //
-// Writes are ordered data-file-first: on reopen, a journal line whose bytes
-// all made it to disk describes data that also made it to disk. Recovery
-// reads the journal up to the first torn or unparsable line (truncating the
-// tail), then stats every surviving entry's data file, discarding any that
-// is missing or shorter than its journaled extent. Data beyond the journaled
-// extent (a crash after a data append but before its journal line) is
-// truncated away to restore the append invariant. Orphaned data files are
-// swept and the manifest is compacted by atomic rename.
+// Correctness after a crash rests on two checks, not on write order: the
+// stat at open and the CRC on each recovered entry's first read. Neither
+// data files nor journal appends are synced (only compaction's rewrite of
+// the manifest is), so a machine crash may persist a journal line without
+// its data; those checks then discard the entry. A crash costs warmth,
+// never a wrong byte.
+//
+// Recovery reads the journal up to the first torn or unparsable line
+// (truncating the tail), then stats every surviving entry's data file,
+// discarding any that is missing or shorter than its journaled extent. Data
+// beyond the journaled extent (a journal line lost, or a crash after a data
+// append but before its journal line) is truncated away to restore the
+// append invariant. Orphaned data files are swept and the manifest is
+// compacted by a synced rewrite and an atomic rename.
 //
 // Recovery reads no cached byte, so reopening a terabyte cache costs one
 // stat per entry. The CRC runs on each recovered entry's first read instead,
 // under the object's in-flight mark and before any byte of it is served or
 // extended: one pass over the journaled extent checks the CRC and, when the
 // requested window lies inside the extent, copies it out, so the bytes
-// served are the bytes verified. A mismatch quarantines the entry and the
-// read restarts cold from upstream: no corrupt byte is ever served.
+// served are the bytes verified. A mismatch — a flipped byte, or a delta
+// the crash lost while the file kept its length — quarantines the entry and
+// the read restarts cold from upstream: no corrupt byte is ever served.
 //
 // # Concurrency
 //
@@ -458,11 +467,10 @@ func (b *Backend) compactLocked() error {
 }
 
 // journalLocked appends one line to the manifest. Caller holds b.mu.
-// The append is deliberately not fsynced: the data file is synced BEFORE
-// its journal line is written, so a journal line on disk always describes
-// durable data regardless of when the line itself reaches the platter — a
-// crash can only lose recent lines, costing cache warmth (recovery trims
-// the un-journaled data tails), never correctness. Compaction (which does
+// Like the data append it describes, it is not synced: a crash may lose
+// recent lines (recovery trims the un-journaled data tails) or keep a line
+// whose data it lost (recovery's stat or the first-read CRC discards the
+// entry), costing cache warmth, never correctness. Compaction (which does
 // sync) triggers when the journal has grown well past the live entry
 // count.
 func (b *Backend) journalLocked(l journalLine) error {
@@ -577,11 +585,14 @@ func (b *Backend) ReadRangeInto(dst []byte, name string, offset, length int64) (
 
 // fillLocked serves a read the fast path could not: it checks a recovered
 // entry's CRC on first touch, then extends the prefix to the window's end
-// by one fetch → append → sync → journal sequence, from offset zero when
-// nothing is cached. The object is pinned, so the prefix a fill extends
-// stays cached; only external damage can drop it, and the fill then runs
-// again from zero. Caller holds b.mu, which is dropped for file and
-// upstream I/O.
+// by one fetch → append → journal sequence, from offset zero when nothing
+// is cached. The window's cached part is read from the data file first and
+// the delta is fetched behind it into the same buffer, which is the one
+// written to the file and returned; only a window that starts past the
+// cached extent takes the delta into a buffer of its own. The object is
+// pinned, so the prefix a fill extends stays cached; only external damage
+// can drop it, and the fill then runs again from zero. Caller holds b.mu,
+// which is dropped for file and upstream I/O.
 func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]byte, error) {
 	need := offset + length
 	path := b.objectFile(name)
@@ -619,20 +630,30 @@ func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]b
 			have, crc = e.length, e.crc
 		}
 		b.mu.Unlock()
-		delta, err := b.inner.ReadRange(name, have, need-have)
-		if err == nil && int64(len(delta)) != need-have {
-			err = fmt.Errorf("diskcache: upstream returned %d bytes of %s, want %d", len(delta), name, need-have)
+		var out, delta []byte
+		if offset <= have {
+			out = core.BufferFor(dst, length)
+			delta = out[have-offset:]
+		} else {
+			delta = make([]byte, need-have)
+		}
+		if offset < have {
+			if _, err := b.readWindow(out, name, offset, have-offset); err != nil {
+				// The data file was damaged underfoot: rebuild from zero.
+				b.mu.Lock()
+				b.invalidateLocked(name)
+				continue
+			}
+		}
+		got, err := core.ReadRangeInto(b.inner, delta, name, have, need-have)
+		if err == nil && int64(len(got)) != need-have {
+			err = fmt.Errorf("diskcache: upstream returned %d bytes of %s, want %d", len(got), name, need-have)
 		}
 		if err != nil {
 			b.mu.Lock()
 			return nil, err
 		}
-		var out []byte
-		ferr := appendSync(path, delta, e == nil)
-		if ferr == nil && offset < have {
-			// The window begins inside the prefix this fill extends.
-			out, ferr = b.readWindow(dst, name, offset, length)
-		}
+		ferr := appendTo(path, delta, e == nil)
 		b.mu.Lock()
 		if b.closed {
 			// The append above was never journaled; trim it so the file
@@ -642,9 +663,8 @@ func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]b
 		}
 		if e != nil && (ferr != nil || b.entries[name] != e) {
 			// The data file was damaged underfoot: a fast-path read found
-			// it and dropped the entry, or this fill could not append to it
-			// or read it back. The delta is no prefix on its own; rebuild
-			// from zero.
+			// it and dropped the entry, or this fill could not append to
+			// it. The delta is no prefix on its own; rebuild from zero.
 			b.stats.BytesFetched += int64(len(delta))
 			b.invalidateLocked(name)
 			continue
@@ -681,11 +701,13 @@ func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]b
 	}
 }
 
-// appendSync appends data to the object file at path and syncs it. A fresh
-// file is created (or emptied); otherwise the file must already exist, so
-// a data file removed underfoot is reported rather than recreated holding
-// only the delta.
-func appendSync(path string, data []byte, fresh bool) error {
+// appendTo appends data to the object file at path in one write, unsynced:
+// a machine crash may lose it after its journal line survived, which
+// recovery's stat or the entry's first-read CRC finds. A fresh file is
+// created (or emptied); otherwise the file must already exist, so a data
+// file removed underfoot is reported rather than recreated holding only
+// the delta.
+func appendTo(path string, data []byte, fresh bool) error {
 	flag := os.O_WRONLY | os.O_APPEND
 	if fresh {
 		flag |= os.O_CREATE | os.O_TRUNC
@@ -697,10 +719,6 @@ func appendSync(path string, data []byte, fresh bool) error {
 	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return fmt.Errorf("diskcache: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("diskcache: syncing %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("diskcache: %w", err)

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // fakeBackend is an in-memory core.Backend that counts upstream traffic.
@@ -18,6 +20,7 @@ type fakeBackend struct {
 	reads   int
 	bytes   int64
 	ranges  []string // "name:offset+length" per ReadRange, in call order
+	lent    [][]byte // the buffers an intoFake was lent, in call order
 	delay   time.Duration
 	closed  bool
 }
@@ -50,6 +53,11 @@ func (f *fakeBackend) Open(name string) (io.ReadCloser, error) {
 }
 
 func (f *fakeBackend) ReadRange(name string, offset, length int64) ([]byte, error) {
+	return f.read(nil, name, offset, length)
+}
+
+// read is ReadRange into dst when it has room.
+func (f *fakeBackend) read(dst []byte, name string, offset, length int64) ([]byte, error) {
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}
@@ -65,9 +73,20 @@ func (f *fakeBackend) ReadRange(name string, offset, length int64) ([]byte, erro
 	f.reads++
 	f.bytes += length
 	f.ranges = append(f.ranges, fmt.Sprintf("%s:%d+%d", name, offset, length))
-	out := make([]byte, length)
+	out := core.BufferFor(dst, length)
 	copy(out, data[offset:offset+length])
 	return out, nil
+}
+
+// intoFake is a fakeBackend that also reads into a lent buffer
+// (core.RangeReaderInto), keeping each buffer it is lent in lent.
+type intoFake struct{ *fakeBackend }
+
+func (f intoFake) ReadRangeInto(dst []byte, name string, offset, length int64) ([]byte, error) {
+	f.mu.Lock()
+	f.lent = append(f.lent, dst)
+	f.mu.Unlock()
+	return f.read(dst, name, offset, length)
 }
 
 func (f *fakeBackend) List() ([]string, error) {
@@ -606,14 +625,58 @@ func gate(inner *fakeBackend, name string) *gatedBackend {
 	return &gatedBackend{fakeBackend: inner, name: name, entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gatedBackend) ReadRange(name string, offset, length int64) ([]byte, error) {
+func (g *gatedBackend) hold(name string, offset int64) {
 	if name == g.name && offset > 0 {
 		g.once.Do(func() {
 			close(g.entered)
 			<-g.release
 		})
 	}
+}
+
+func (g *gatedBackend) ReadRange(name string, offset, length int64) ([]byte, error) {
+	g.hold(name, offset)
 	return g.fakeBackend.ReadRange(name, offset, length)
+}
+
+// gatedInto is a gatedBackend whose fills read into the lent buffer.
+type gatedInto struct{ *gatedBackend }
+
+func (g gatedInto) ReadRangeInto(dst []byte, name string, offset, length int64) ([]byte, error) {
+	g.hold(name, offset)
+	return intoFake{g.fakeBackend}.ReadRangeInto(dst, name, offset, length)
+}
+
+// fetchPaths are the two ways a fill reaches a gated upstream: ReadRange,
+// or ReadRangeInto where the inner backend has it. Each gates the fill.
+var fetchPaths = []struct {
+	name string
+	into bool
+}{
+	{"ReadRange", false},
+	{"ReadRangeInto", true},
+}
+
+// wrapGated opens a tier of the given capacity over g, reached by
+// ReadRangeInto when into is set and by ReadRange otherwise, and checks
+// when the test ends that its fills took that path.
+func wrapGated(t *testing.T, g *gatedBackend, into bool, capacity int64) *Backend {
+	t.Helper()
+	var inner core.Backend = g
+	if into {
+		inner = gatedInto{g}
+	}
+	b, err := Wrap(inner, t.TempDir(), capacity, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		b.Close()
+		if lent := len(g.lent) > 0; lent != into {
+			t.Errorf("fills read into a lent buffer: %v, want %v", lent, into)
+		}
+	})
+	return b
 }
 
 // TestUpgradePinnedUnderEvictionPressure: while a's delta is being fetched,
@@ -622,74 +685,11 @@ func (g *gatedBackend) ReadRange(name string, offset, length int64) ([]byte, err
 // appends to the prefix it started from: one delta hit, exactly the delta
 // fetched, no cold refetch.
 func TestUpgradePinnedUnderEvictionPressure(t *testing.T) {
-	inner := newFake()
-	g := gate(inner, "records/a.pcr")
-	b, err := Wrap(g, t.TempDir(), 1500, "gen1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a := inner.objects["records/a.pcr"]
-	mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
-
-	upgraded := make(chan error, 1)
-	go func() {
-		got, err := b.ReadRange("records/a.pcr", 0, 700)
-		if err == nil && !bytes.Equal(got, a[:700]) {
-			err = fmt.Errorf("upgrade returned wrong bytes")
-		}
-		upgraded <- err
-	}()
-	<-g.entered // a is mid-upgrade and LRU-last
-	mustRead(t, b, "records/b.pcr", 0, 600, inner.objects["records/b.pcr"][:600])
-	mustRead(t, b, "records/c.pcr", 0, 600, inner.objects["records/c.pcr"][:600])
-	if !b.Contains("records/a.pcr", 400) {
-		t.Error("a evicted while its upgrade was in flight")
-	}
-	if b.Contains("records/b.pcr", 1) {
-		t.Error("b not evicted in a's place")
-	}
-	before := b.Stats()
-	close(g.release)
-	if err := <-upgraded; err != nil {
-		t.Fatal(err)
-	}
-
-	st := b.Stats()
-	if st.DeltaHits != 1 || st.Misses != 3 {
-		t.Fatalf("stats = %+v, want 1 delta hit and 3 misses", st)
-	}
-	if got := st.BytesFetched - before.BytesFetched; got != 300 || st.DeltaBytes != 300 {
-		t.Fatalf("upgrade fetched %d bytes (%d delta), want exactly the 300-byte delta", got, st.DeltaBytes)
-	}
-	for _, r := range inner.ranges {
-		if r == "records/a.pcr:0+700" {
-			t.Fatalf("a refetched cold: upstream ranges %v", inner.ranges)
-		}
-	}
-	if st.Evictions == 0 || !b.Contains("records/a.pcr", 700) {
-		t.Fatalf("evictions = %d, a cached at 700: %v", st.Evictions, b.Contains("records/a.pcr", 700))
-	}
-	if used := b.UsedBytes(); used > 1500 {
-		t.Fatalf("used = %d > capacity 1500 with nothing in flight", used)
-	}
-}
-
-// TestDataFileRemovedMidUpgrade: a's data file is removed externally while
-// its delta is being fetched — noticed either by the upgrade's own append
-// or by a fast-path read that drops the entry in flight. The upgrade still
-// returns upstream bytes, the entry is rebuilt from offset zero, and the
-// rebuilt file serves later reads without upstream traffic.
-func TestDataFileRemovedMidUpgrade(t *testing.T) {
-	for _, noticed := range []string{"by-append", "by-hit"} {
-		t.Run(noticed, func(t *testing.T) {
+	for _, path := range fetchPaths {
+		t.Run(path.name, func(t *testing.T) {
 			inner := newFake()
 			g := gate(inner, "records/a.pcr")
-			b, err := Wrap(g, t.TempDir(), 1<<20, "gen1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
+			b := wrapGated(t, g, path.into, 1500)
 			a := inner.objects["records/a.pcr"]
 			mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
 
@@ -701,55 +701,240 @@ func TestDataFileRemovedMidUpgrade(t *testing.T) {
 				}
 				upgraded <- err
 			}()
-			<-g.entered
-			path := b.objectFile("records/a.pcr")
-			if err := os.Remove(path); err != nil {
-				t.Fatal(err)
+			<-g.entered // a is mid-upgrade and LRU-last
+			mustRead(t, b, "records/b.pcr", 0, 600, inner.objects["records/b.pcr"][:600])
+			mustRead(t, b, "records/c.pcr", 0, 600, inner.objects["records/c.pcr"][:600])
+			if !b.Contains("records/a.pcr", 400) {
+				t.Error("a evicted while its upgrade was in flight")
 			}
-			hit := make(chan error, 1)
-			if noticed == "by-hit" {
-				go func() {
-					got, err := b.ReadRange("records/a.pcr", 0, 100)
-					if err == nil && !bytes.Equal(got, a[:100]) {
-						err = fmt.Errorf("fast-path read returned wrong bytes")
-					}
-					hit <- err
-				}()
-				for deadline := time.Now().Add(5 * time.Second); b.Contains("records/a.pcr", 1); time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatal("fast-path read never dropped the damaged entry")
-					}
-				}
-			} else {
-				hit <- nil
+			if b.Contains("records/b.pcr", 1) {
+				t.Error("b not evicted in a's place")
 			}
+			before := b.Stats()
 			close(g.release)
 			if err := <-upgraded; err != nil {
 				t.Fatal(err)
 			}
-			if err := <-hit; err != nil {
+
+			st := b.Stats()
+			if st.DeltaHits != 1 || st.Misses != 3 {
+				t.Fatalf("stats = %+v, want 1 delta hit and 3 misses", st)
+			}
+			if got := st.BytesFetched - before.BytesFetched; got != 300 || st.DeltaBytes != 300 {
+				t.Fatalf("upgrade fetched %d bytes (%d delta), want exactly the 300-byte delta", got, st.DeltaBytes)
+			}
+			for _, r := range inner.ranges {
+				if r == "records/a.pcr:0+700" {
+					t.Fatalf("a refetched cold: upstream ranges %v", inner.ranges)
+				}
+			}
+			if st.Evictions == 0 || !b.Contains("records/a.pcr", 700) {
+				t.Fatalf("evictions = %d, a cached at 700: %v", st.Evictions, b.Contains("records/a.pcr", 700))
+			}
+			if used := b.UsedBytes(); used > 1500 {
+				t.Fatalf("used = %d > capacity 1500 with nothing in flight", used)
+			}
+		})
+	}
+}
+
+// TestDataFileRemovedMidUpgrade: a's data file is removed externally while
+// its delta is being fetched — noticed either by the upgrade's own append
+// or by a fast-path read that drops the entry in flight. The upgrade still
+// returns upstream bytes, the entry is rebuilt from offset zero, and the
+// rebuilt file serves later reads without upstream traffic.
+func TestDataFileRemovedMidUpgrade(t *testing.T) {
+	for _, noticed := range []string{"by-append", "by-hit"} {
+		t.Run(noticed, func(t *testing.T) {
+			for _, path := range fetchPaths {
+				t.Run(path.name, func(t *testing.T) {
+					inner := newFake()
+					g := gate(inner, "records/a.pcr")
+					b := wrapGated(t, g, path.into, 1<<20)
+					a := inner.objects["records/a.pcr"]
+					mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
+
+					upgraded := make(chan error, 1)
+					go func() {
+						got, err := b.ReadRange("records/a.pcr", 0, 700)
+						if err == nil && !bytes.Equal(got, a[:700]) {
+							err = fmt.Errorf("upgrade returned wrong bytes")
+						}
+						upgraded <- err
+					}()
+					<-g.entered
+					path := b.objectFile("records/a.pcr")
+					if err := os.Remove(path); err != nil {
+						t.Fatal(err)
+					}
+					hit := make(chan error, 1)
+					if noticed == "by-hit" {
+						go func() {
+							got, err := b.ReadRange("records/a.pcr", 0, 100)
+							if err == nil && !bytes.Equal(got, a[:100]) {
+								err = fmt.Errorf("fast-path read returned wrong bytes")
+							}
+							hit <- err
+						}()
+						for deadline := time.Now().Add(5 * time.Second); b.Contains("records/a.pcr", 1); time.Sleep(time.Millisecond) {
+							if time.Now().After(deadline) {
+								t.Fatal("fast-path read never dropped the damaged entry")
+							}
+						}
+					} else {
+						hit <- nil
+					}
+					close(g.release)
+					if err := <-upgraded; err != nil {
+						t.Fatal(err)
+					}
+					if err := <-hit; err != nil {
+						t.Fatal(err)
+					}
+
+					if got := inner.ranges[len(inner.ranges)-1]; got != "records/a.pcr:0+700" {
+						t.Fatalf("last upstream read %s, want the rebuild records/a.pcr:0+700", got)
+					}
+					size := int64(-1)
+					if fi, err := os.Stat(path); err == nil {
+						size = fi.Size()
+					}
+					if size != 700 {
+						t.Errorf("rebuilt data file holds %d bytes, want 700", size)
+					}
+					st := b.Stats()
+					if st.DeltaHits != 0 || st.Misses != 2 || st.BytesFetched != 400+300+700 {
+						t.Errorf("stats = %+v, want 2 misses, no delta hit, 1400 bytes fetched", st)
+					}
+					reads, _ := inner.counters()
+					mustRead(t, b, "records/a.pcr", 0, 100, a[:100])
+					mustRead(t, b, "records/a.pcr", 0, 700, a[:700])
+					if r, _ := inner.counters(); r != reads {
+						t.Fatal("rebuilt entry did not serve from disk")
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestFillReadsIntoLentBuffer: over an inner backend that reads into a lent
+// buffer, a cold fill hands it the caller's buffer, an upgrade hands it the
+// slice of the caller's buffer behind the window's cached part, each
+// fetches exactly the bytes past the cached extent, and every read returns
+// the caller's backing array. A window that starts past the cached extent
+// still fetches the whole prefix and lands in the caller's buffer.
+func TestFillReadsIntoLentBuffer(t *testing.T) {
+	inner := newFake()
+	b, err := Wrap(intoFake{inner}, t.TempDir(), 1<<20, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	buf := make([]byte, 1000)
+	for _, step := range []struct {
+		name      string
+		off, n    int64
+		fetch     string // the upstream read, "" for none
+		lentAt    int64  // where in buf the buffer lent upstream starts, -1 for elsewhere
+		lentBytes int64
+	}{
+		{"records/a.pcr", 0, 400, "records/a.pcr:0+400", 0, 400},       // cold fill
+		{"records/a.pcr", 0, 700, "records/a.pcr:400+300", 400, 300},   // upgrade
+		{"records/a.pcr", 100, 800, "records/a.pcr:700+200", 600, 200}, // upgrade of a window inside the prefix
+		{"records/a.pcr", 0, 900, "", 0, 0},                            // warm
+		{"records/b.pcr", 300, 100, "records/b.pcr:0+400", -1, 400},    // cold window past the extent
+	} {
+		reads, _ := inner.counters()
+		lent := len(inner.lent)
+		got, err := b.ReadRangeInto(buf, step.name, step.off, step.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := inner.objects[step.name][step.off : step.off+step.n]
+		if !bytes.Equal(got, want) || &got[0] != &buf[0] {
+			t.Fatalf("%s [%d,+%d): wrong bytes, or not in the caller's buffer", step.name, step.off, step.n)
+		}
+		r, _ := inner.counters()
+		if step.fetch == "" {
+			if r != reads {
+				t.Fatalf("%s [%d,+%d): warm read went upstream", step.name, step.off, step.n)
+			}
+			continue
+		}
+		if r != reads+1 || inner.ranges[len(inner.ranges)-1] != step.fetch || len(inner.lent) != lent+1 {
+			t.Fatalf("%s [%d,+%d): upstream reads %v, want one more, %s, read into a lent buffer", step.name, step.off, step.n, inner.ranges, step.fetch)
+		}
+		l := inner.lent[lent]
+		if int64(len(l)) != step.lentBytes {
+			t.Fatalf("%s [%d,+%d): lent %d bytes upstream, want %d", step.name, step.off, step.n, len(l), step.lentBytes)
+		}
+		if inBuf := &l[:1][0] == &buf[max(step.lentAt, 0)]; inBuf != (step.lentAt >= 0) {
+			t.Fatalf("%s [%d,+%d): lent buffer in the caller's at %d: %v", step.name, step.off, step.n, step.lentAt, inBuf)
+		}
+	}
+	if st := b.Stats(); st.Misses != 2 || st.DeltaHits != 2 || st.Hits != 1 || st.BytesFetched != 1300 || st.DeltaBytes != 500 {
+		t.Fatalf("stats = %+v, want 2 misses, 2 delta hits, 1 hit, 1300 bytes fetched of which 500 delta", st)
+	}
+}
+
+// TestCrashLosesOnlyWarmth: fills are not synced, so a machine crash may
+// persist a journal line without its data. Two such crashes after a cold
+// fill and an upgrade — the data file cut back to the pre-upgrade extent,
+// or at full length with the upgrade's delta zeroed — leave the journal's
+// upgrade line in place. After a reopen the entry is discarded (by the
+// open-time stat, or by its first read's CRC), every read returns
+// upstream's bytes, the entry is refetched exactly once, and the next read
+// is a hit.
+func TestCrashLosesOnlyWarmth(t *testing.T) {
+	for _, crash := range []string{"cut-back", "zeroed-delta"} {
+		t.Run(crash, func(t *testing.T) {
+			inner := newFake()
+			dir := t.TempDir()
+			b, err := Wrap(inner, dir, 1<<20, "gen1")
+			if err != nil {
 				t.Fatal(err)
 			}
-
-			if got := inner.ranges[len(inner.ranges)-1]; got != "records/a.pcr:0+700" {
-				t.Fatalf("last upstream read %s, want the rebuild records/a.pcr:0+700", got)
-			}
-			size := int64(-1)
-			if fi, err := os.Stat(path); err == nil {
-				size = fi.Size()
-			}
-			if size != 700 {
-				t.Errorf("rebuilt data file holds %d bytes, want 700", size)
-			}
-			st := b.Stats()
-			if st.DeltaHits != 0 || st.Misses != 2 || st.BytesFetched != 400+300+700 {
-				t.Errorf("stats = %+v, want 2 misses, no delta hit, 1400 bytes fetched", st)
-			}
-			reads, _ := inner.counters()
-			mustRead(t, b, "records/a.pcr", 0, 100, a[:100])
+			a := inner.objects["records/a.pcr"]
+			mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
 			mustRead(t, b, "records/a.pcr", 0, 700, a[:700])
-			if r, _ := inner.counters(); r != reads {
-				t.Fatal("rebuilt entry did not serve from disk")
+			path := b.objectFile("records/a.pcr")
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			switch crash {
+			case "cut-back":
+				if err := os.Truncate(path, 400); err != nil {
+					t.Fatal(err)
+				}
+			case "zeroed-delta":
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				clear(raw[400:])
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if raw, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Contains(raw, []byte(`"len":700`)) {
+				t.Fatalf("manifest lost the upgrade line (%v): %s", err, raw)
+			}
+
+			inner2 := newFake()
+			b2, err := Wrap(inner2, dir, 1<<20, "gen1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b2.Close()
+			mustRead(t, b2, "records/a.pcr", 0, 700, a[:700])
+			mustRead(t, b2, "records/a.pcr", 100, 300, a[100:400])
+			st := b2.Stats()
+			if st.Recovered != 0 || st.Discarded != 1 || st.Misses != 1 || st.Hits != 1 {
+				t.Fatalf("stats = %+v, want 0 recovered, 1 discarded, 1 miss, then 1 hit", st)
+			}
+			if r, n := inner2.counters(); r != 1 || n != 700 {
+				t.Fatalf("refetched %d ranges / %d bytes, want the entry once: 1 / 700", r, n)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -184,8 +185,9 @@ func (m *member) openOnce(name string) (io.ReadCloser, bool, error) {
 }
 
 // readRangeOnce is one HTTP Range request for [offset, offset+length) of the
-// named record, read into dst when it has room (core.BufferFor). A response
-// body cut short mid-transfer is retryable.
+// named record, read into dst when it has room (core.BufferFor). A 206 that
+// declares another window or length (holdsWindow), and a response body cut
+// short mid-transfer, are core.ErrCorrupt and retryable.
 func (m *member) readRangeOnce(dst []byte, name string, offset, length int64, hedge bool) ([]byte, bool, error) {
 	resp, retryable, err := m.get(m.recordURL(name), name, fmt.Sprintf("bytes=%d-%d", offset, offset+length-1), hedge)
 	if err != nil {
@@ -193,6 +195,10 @@ func (m *member) readRangeOnce(dst []byte, name string, offset, length int64, he
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusPartialContent {
+		if !holdsWindow(resp, offset, length) {
+			return nil, true, fmt.Errorf("serve: reading %s: %w: a 206 for bytes %d-%d declares Content-Range %q and Content-Length %d",
+				name, core.ErrCorrupt, offset, offset+length-1, resp.Header.Get("Content-Range"), resp.ContentLength)
+		}
 		buf := core.BufferFor(dst, length)
 		if n, err := io.ReadFull(resp.Body, buf); err != nil {
 			// Could be a dropped connection (transient) or a truly short
@@ -219,12 +225,31 @@ func (m *member) readRangeOnce(dst []byte, name string, offset, length int64, he
 	return buf, false, nil
 }
 
+// holdsWindow reports whether a 206 declares exactly the length bytes at
+// offset: a Content-Range of "bytes offset-(offset+length-1)/" and a total,
+// and no Content-Length but length. It allocates nothing.
+func holdsWindow(resp *http.Response, offset, length int64) bool {
+	if resp.ContentLength >= 0 && resp.ContentLength != length {
+		return false
+	}
+	var b [48]byte
+	want := append(b[:0], "bytes "...)
+	want = strconv.AppendInt(want, offset, 10)
+	want = append(want, '-')
+	want = strconv.AppendInt(want, offset+length-1, 10)
+	want = append(want, '/')
+	cr := resp.Header.Get("Content-Range")
+	return len(cr) > len(want) && cr[:len(want)] == string(want)
+}
+
 // readSamplesOnce is one pushdown request: a GET with the selection as a
 // compact bitmap (?group=g&samples=b), answered by the server with only the
 // selected samples' coalesced byte ranges. The expected ranges are computed
 // here from the same index the server holds, so the response is verified by
-// length. A 200 without the pushdown header is not an answer to the request
-// made and is not retryable.
+// length: a declared Content-Length other than the planned total is refused
+// unread, and it and a body cut short are core.ErrCorrupt and retryable. A
+// 200 without the pushdown header is not an answer to the request made and
+// is not retryable.
 func (m *member) readSamplesOnce(re *core.RecordInfo, group int, sel []bool) ([]byte, bool, error) {
 	group = re.ClampGroup(group)
 	ranges, err := re.SampleRanges(group, sel)
@@ -239,6 +264,11 @@ func (m *member) readSamplesOnce(re *core.RecordInfo, group int, sel []bool) ([]
 	if resp.Header.Get(pushdownHeader) == "" {
 		drainClose(resp.Body)
 		return nil, false, fmt.Errorf("serve: reading %s: server answered a samples request without %s", re.Name, pushdownHeader)
+	}
+	if resp.ContentLength >= 0 && resp.ContentLength != want {
+		resp.Body.Close()
+		return nil, true, fmt.Errorf("serve: reading %s: %w: pushdown response declares %d bytes, want %d",
+			re.Name, core.ErrCorrupt, resp.ContentLength, want)
 	}
 	buf := make([]byte, want)
 	n, err := io.ReadFull(resp.Body, buf)

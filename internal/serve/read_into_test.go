@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -15,9 +16,10 @@ import (
 	"repro/internal/serve"
 )
 
-// shortBody answers every record request 206 with the Content-Length the
-// range asks for and only half its bytes, as a connection cut mid-transfer
-// would; the membership document passes through.
+// shortBody answers every record request 206 with the Content-Range and
+// Content-Length of the 64-byte range the tests ask for and only half its
+// bytes, as a connection cut mid-transfer would; the membership document
+// passes through.
 type shortBody struct{ inner http.Handler }
 
 func (h shortBody) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -26,6 +28,7 @@ func (h shortBody) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Length", "64")
+	w.Header().Set("Content-Range", "bytes 0-63/64")
 	w.WriteHeader(http.StatusPartialContent)
 	w.Write(make([]byte, 32))
 }
@@ -140,6 +143,7 @@ func TestReadRangeIntoHedgeLoserNeverWrites(t *testing.T) {
 					defer close(loserDone)
 				}
 			}
+			w.Header().Set("Content-Range", fmt.Sprintf("bytes 0-%d/%d", length-1, length))
 			w.WriteHeader(http.StatusPartialContent)
 			w.Write(bytes.Repeat([]byte{fill}, length))
 			if f, ok := w.(http.Flusher); ok {

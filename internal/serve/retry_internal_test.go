@@ -185,3 +185,38 @@ func TestFetchIndexBoundsBody(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldsWindow: a 206 holds the window asked for only when its
+// Content-Range names exactly that window, followed by a total, and its
+// Content-Length, when declared, is the window's; the check allocates
+// nothing.
+func TestHoldsWindow(t *testing.T) {
+	for _, tc := range []struct {
+		contentRange  string
+		contentLength int64
+		want          bool
+	}{
+		{"bytes 10-73/1000", 64, true},
+		{"bytes 10-73/*", 64, true},
+		{"bytes 10-73/1000", -1, true},
+		{"bytes 10-73/1000", 65, false},
+		{"bytes 11-74/1000", 64, false},
+		{"bytes 10-730/1000", 64, false},
+		{"bytes 10-73/", 64, false},
+		{"bytes 10-73", 64, false},
+		{"bytes  10-73/1000", 64, false},
+		{"", 64, false},
+	} {
+		resp := &http.Response{ContentLength: tc.contentLength, Header: http.Header{}}
+		if tc.contentRange != "" {
+			resp.Header.Set("Content-Range", tc.contentRange)
+		}
+		if got := holdsWindow(resp, 10, 64); got != tc.want {
+			t.Errorf("Content-Range %q, Content-Length %d: holdsWindow = %v, want %v", tc.contentRange, tc.contentLength, got, tc.want)
+		}
+	}
+	resp := &http.Response{ContentLength: 1 << 20, Header: http.Header{"Content-Range": {"bytes 123456789-124505364/999999999"}}}
+	if n := testing.AllocsPerRun(100, func() { holdsWindow(resp, 123456789, 1<<20) }); n != 0 {
+		t.Fatalf("holdsWindow allocated %.0f times a call", n)
+	}
+}
