@@ -17,9 +17,9 @@
 // higher quality than was cached reads only the delta bytes from disk.
 // -disk-cache-dir mounts a second, persistent tier under the memory LRU
 // (internal/diskcache): prefixes evicted from memory are still a local
-// read away, and the tier survives restarts: startup replays its journal
-// without reading cached bytes, and each entry is CRC-checked on its first
-// read. The directory must belong to this server process alone.
+// read away, and the tier survives restarts: startup reads each data
+// file's header without reading cached bytes, and each entry is CRC-checked
+// on its first read. The directory must belong to this server process alone.
 //
 // Fleet mode: -peers lists the other members of a sharded serving fleet
 // and -self is this member's own URL as clients reach it. Every member is

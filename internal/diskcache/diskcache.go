@@ -13,43 +13,41 @@
 //
 // # Layout
 //
-// A cache directory holds one append-only prefix file per cached object
-// (obj-<sha256(name)>.p — always bytes [0,extent) of the upstream object)
-// plus a manifest journal (manifest.log) of newline-delimited JSON entries:
+// A cache directory holds one prefix file per cached object,
+// obj-<sha256(name)>.p, and nothing else but the lock file. The file is the
+// entry: a fixed header of headerSize bytes, then bytes [0,extent) of the
+// upstream object. The header holds a magic, a hash of the generation, the
+// extent, the CRC32 (IEEE) of [0,extent), a fill sequence number and a
+// CRC32 of the file's name and the header, so a header is only intact in
+// the file it was written to.
 //
-//	{"gen":"<generation>","v":1}        header: dataset generation
-//	{"put":"<name>","len":N,"crc":C}    extent N is valid, crc32(IEEE) C
-//	{"del":"<name>"}                    entry evicted
-//
-// Growing a cached prefix appends only the new bytes to the data file
-// (never rewriting the cached prefix) in one unsynced write, then journals
-// the new extent. The delta is fetched into the buffer the read returns,
-// behind the window's cached part, so the bytes written are the bytes
-// served. The CRC is maintained incrementally, so journaling an upgrade
-// does not re-read the prefix.
+// Growing a cached prefix writes only the new bytes, at their place behind
+// the header (never rewriting the cached prefix), then rewrites the header
+// in place: two positioned writes, neither synced. The delta is fetched into
+// the buffer the read returns, behind the window's cached part, so the bytes
+// written are the bytes served. The CRC is maintained incrementally, so an
+// upgrade does not re-read the prefix. Eviction is one unlink.
 //
 // # Crash safety
 //
 // Correctness after a crash rests on two checks, not on write order: the
-// stat at open and the CRC on each recovered entry's first read. Neither
-// data files nor journal appends are synced (only compaction's rewrite of
-// the manifest is), so a machine crash may persist a journal line without
-// its data; those checks then discard the entry. A crash costs warmth,
-// never a wrong byte.
+// size check at open and the CRC on each recovered entry's first read. No
+// write is synced, so a machine crash may persist a header without the data
+// it describes; those checks then discard the entry. A crash between a
+// fill's data write and its header write leaves the old header, which still
+// describes the old prefix, intact behind it. A crash costs warmth, never a
+// wrong byte.
 //
-// Recovery reads the journal up to the first torn or unparsable line
-// (truncating the tail), then stats every surviving entry's data file,
-// discarding any that is missing or shorter than its journaled extent. Data
-// beyond the journaled extent (a journal line lost, or a crash after a data
-// append but before its journal line) is truncated away to restore the
-// append invariant. Orphaned data files are swept and the manifest is
-// compacted by a synced rewrite and an atomic rename.
+// Open reads each data file's header and stats the file. A torn header or a
+// file shorter than header + extent is removed and counted Discarded; data
+// beyond the extent (a delta whose header never landed) is truncated away.
+// Open writes nothing else.
 //
-// Recovery reads no cached byte, so reopening a terabyte cache costs one
-// stat per entry. The CRC runs on each recovered entry's first read instead,
-// under the object's in-flight mark and before any byte of it is served or
-// extended: one pass over the journaled extent checks the CRC and, when the
-// requested window lies inside the extent, copies it out, so the bytes
+// Open reads no cached byte, so reopening a terabyte cache costs one small
+// read and one stat per entry. The CRC runs on each recovered entry's first
+// read instead, under the object's in-flight mark and before any byte of it
+// is served or extended: one pass over the extent checks the CRC and, when
+// the requested window lies inside the extent, copies it out, so the bytes
 // served are the bytes verified. A mismatch — a flipped byte, or a delta
 // the crash lost while the file kept its length — quarantines the entry and
 // the read restarts cold from upstream: no corrupt byte is ever served.
@@ -68,27 +66,29 @@
 // # Coherence
 //
 // The cache is keyed by a caller-supplied generation string — in the pcr
-// facade, a fingerprint of the dataset's record index (its ETag role). A
-// generation mismatch on open purges the directory: entries never outlive
-// the dataset build they were fetched from.
+// facade, a fingerprint of the dataset's record index (its ETag role). Open
+// removes every data file whose header names another generation: entries
+// never outlive the dataset build they were fetched from.
 //
 // A cache directory belongs to exactly one process at a time (each training
-// worker mounts its own directory); Open takes an advisory lock and fails
-// fast on a second opener where the platform supports it.
+// worker mounts its own directory); Wrap takes an advisory lock and fails
+// fast on a second opener where the platform supports it, and Close waits
+// for the writes already started before it lets the lock go.
 package diskcache
 
 import (
-	"bufio"
-	"bytes"
+	"cmp"
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -113,19 +113,20 @@ type Stats struct {
 	DeltaBytes int64 `json:"delta_bytes"`
 	// Evictions counts entries evicted to hold the byte budget.
 	Evictions int64 `json:"evictions"`
-	// Recovered counts journaled entries Wrap kept: their data files hold
-	// the journaled extent. Their CRCs are checked on first read; an entry
-	// that fails moves from Recovered to Discarded, so once every entry has
-	// been read the pair is what a full CRC pass at open would report.
+	// Recovered counts data files Wrap kept: an intact header of this
+	// generation on a file that holds the header's extent. Their CRCs are
+	// checked on first read; an entry that fails moves from Recovered to
+	// Discarded, so once every entry has been read the pair is what a full
+	// CRC pass at open would report.
 	Recovered int64 `json:"recovered"`
-	// Discarded counts a torn journal tail, entries dropped at open for
-	// missing or short data files, and recovered entries quarantined by
-	// their first-read CRC check.
+	// Discarded counts data files removed at open for a torn header or for
+	// holding less than their header's extent, and recovered entries
+	// quarantined by their first-read CRC check. Files of another
+	// generation are removed without being counted.
 	Discarded int64 `json:"discarded"`
 }
 
 type entry struct {
-	name   string
 	length int64  // validated prefix extent on disk
 	crc    uint32 // crc32(IEEE) of the first length bytes
 	elem   *list.Element
@@ -136,24 +137,25 @@ type entry struct {
 }
 
 // Backend is a persistent prefix cache over an inner core.Backend. ReadRange
-// serves byte windows out of append-only local prefix files, fetching only
-// missing suffix bytes from the inner backend; Open and List delegate.
+// serves byte windows out of local prefix files, fetching only missing
+// suffix bytes from the inner backend; Open and List delegate.
 // All methods are safe for concurrent use.
 type Backend struct {
 	inner core.Backend
 	dir   string
 	cap   int64
-	gen   string
+	gen   [16]byte // the first 16 bytes of sha256(generation)
 
-	mu       sync.Mutex
-	entries  map[string]*entry
-	lru      *list.List // front = most recent; values are object names
-	used     int64
-	manifest *os.File
-	lines    int // journal lines since last compaction
-	stats    Stats
-	closed   bool
-	lock     *dirLock
+	mu      sync.Mutex
+	entries map[string]*entry // by data file name (fileKey)
+	lru     *list.List        // front = most recent; values are file names
+	used    int64
+	seq     uint64 // the last fill sequence number written
+	stats   Stats
+	closed  bool
+	lock    *dirLock
+	// writes counts the fills writing a data file; Close waits for them.
+	writes sync.WaitGroup
 	// inflight marks the objects a read is checking or filling. It is the
 	// singleflight — N concurrent readers of one prefix cost one upstream
 	// fetch, the others wait for the channel to close — and the pin
@@ -161,22 +163,14 @@ type Backend struct {
 	inflight map[string]chan struct{}
 }
 
-const manifestName = "manifest.log"
-
-type journalLine struct {
-	Gen *string `json:"gen,omitempty"`
-	V   int     `json:"v,omitempty"`
-	Put string  `json:"put,omitempty"`
-	Len int64   `json:"len,omitempty"`
-	CRC uint32  `json:"crc,omitempty"`
-	Del string  `json:"del,omitempty"`
-}
+var errClosed = errors.New("diskcache: closed")
 
 // Wrap opens (or creates) the persistent cache at dir over the inner
-// backend, with the given byte capacity and dataset generation. Entries
-// journaled by a previous process are reused when the generation matches,
-// each CRC-checked on its first read; a mismatch purges the directory. The
-// returned Backend owns inner and closes it with Close.
+// backend, with the given byte capacity and dataset generation. Data files
+// a previous process left are reused when their header names this
+// generation, each CRC-checked on its first read; files of another
+// generation are removed. The returned Backend owns inner and closes it
+// with Close.
 func Wrap(inner core.Backend, dir string, capacity int64, generation string) (*Backend, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("diskcache: nil inner backend")
@@ -194,11 +188,12 @@ func Wrap(inner core.Backend, dir string, capacity int64, generation string) (*B
 	if err != nil {
 		return nil, err
 	}
+	gen := sha256.Sum256([]byte(generation))
 	b := &Backend{
 		inner:    inner,
 		dir:      dir,
 		cap:      capacity,
-		gen:      generation,
+		gen:      [16]byte(gen[:]),
 		entries:  make(map[string]*entry),
 		lru:      list.New(),
 		lock:     lock,
@@ -211,132 +206,144 @@ func Wrap(inner core.Backend, dir string, capacity int64, generation string) (*B
 	return b, nil
 }
 
-// objectFile maps an object name to its prefix file path. Names are hashed:
-// they may contain separators, and the manifest is the authoritative
-// name→extent map anyway.
-func (b *Backend) objectFile(name string) string {
+// fileKey names an object's data file. Names are hashed because they may
+// contain separators; the file's header, not its name, says which extent of
+// the object it holds.
+func fileKey(name string) string {
 	sum := sha256.Sum256([]byte(name))
-	return filepath.Join(b.dir, "obj-"+hex.EncodeToString(sum[:16])+".p")
+	return "obj-" + hex.EncodeToString(sum[:16]) + ".p"
 }
 
-// recover replays the manifest journal, stat-checks surviving entries
-// against their data files, purges on generation mismatch, and compacts the
-// journal so the directory starts clean. It reads no cached byte: each
-// entry's CRC is checked on its first read.
+func (b *Backend) path(key string) string { return filepath.Join(b.dir, key) }
+
+// headerSize is the size of the header every data file starts with:
+//
+//	[0,4)   magic "PCRc"
+//	[4,20)  the first 16 bytes of sha256(generation)
+//	[20,28) extent, little-endian
+//	[28,32) crc32(IEEE) of the object's bytes [0,extent)
+//	[32,40) fill sequence number, little-endian: a later fill writes a
+//	        larger one, so open reseeds the LRU in fill order
+//	[40,44) crc32(IEEE) of the data file's name, then of [0,40)
+//
+// The last CRC covers the name because the data CRC alone would let a
+// file copied to another object's name serve that object wrong bytes.
+const headerSize = 44
+
+const magic = "PCRc"
+
+type header struct {
+	gen    [16]byte
+	extent int64
+	crc    uint32
+	seq    uint64
+}
+
+// marshal encodes h as the header of the data file named key.
+func (h header) marshal(key string) []byte {
+	raw := make([]byte, headerSize)
+	copy(raw, magic)
+	copy(raw[4:20], h.gen[:])
+	binary.LittleEndian.PutUint64(raw[20:], uint64(h.extent))
+	binary.LittleEndian.PutUint32(raw[28:], h.crc)
+	binary.LittleEndian.PutUint64(raw[32:], h.seq)
+	binary.LittleEndian.PutUint32(raw[40:], headerCRC(key, raw))
+	return raw
+}
+
+func headerCRC(key string, raw []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE([]byte(key)), crc32.IEEETable, raw[:40])
+}
+
+// parseHeader decodes the header of the data file named key, refusing a
+// torn or foreign one: a wrong magic, a header CRC that does not match, or
+// an extent that is not positive (a fill never writes an empty entry).
+func parseHeader(key string, raw []byte) (header, bool) {
+	if len(raw) < headerSize || string(raw[:4]) != magic ||
+		binary.LittleEndian.Uint32(raw[40:]) != headerCRC(key, raw) {
+		return header{}, false
+	}
+	h := header{
+		extent: int64(binary.LittleEndian.Uint64(raw[20:])),
+		crc:    binary.LittleEndian.Uint32(raw[28:]),
+		seq:    binary.LittleEndian.Uint64(raw[32:]),
+	}
+	copy(h.gen[:], raw[4:20])
+	return h, h.extent > 0
+}
+
+// readHeader reads the header of the data file at path, and the file's size.
+func readHeader(path string) (header, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return header{}, 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return header{}, 0, err
+	}
+	raw := make([]byte, headerSize)
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return header{}, 0, err
+	}
+	h, ok := parseHeader(filepath.Base(path), raw)
+	if !ok {
+		return header{}, 0, fmt.Errorf("diskcache: %s has a torn header", path)
+	}
+	return h, fi.Size(), nil
+}
+
+// recover makes an entry of every data file in the directory whose header
+// is intact, names this generation and whose file holds the extent, and
+// removes every other data file; data past an entry's extent is truncated.
+// It reads no cached byte (each entry's CRC is checked on its first read)
+// and writes nothing else.
 func (b *Backend) recover() error {
-	raw, err := os.ReadFile(filepath.Join(b.dir, manifestName))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("diskcache: reading manifest: %w", err)
+	des, err := os.ReadDir(b.dir)
+	if err != nil {
+		return fmt.Errorf("diskcache: %w", err)
 	}
-
-	// Replay: stop at the first torn line (a crash mid-append); later lines
-	// cannot be trusted to describe synced data.
-	type state struct {
-		length int64
-		crc    uint32
+	type found struct {
+		key string
+		header
 	}
-	journaled := make(map[string]state)
-	order := []string{} // first-journaled order, for LRU seeding
-	genOK := len(raw) == 0
-	first := true
-	for rest := raw; len(rest) > 0; {
-		var line []byte
-		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
-		var l journalLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			b.stats.Discarded++ // torn or corrupt tail
-			break
-		}
-		if first {
-			first = false
-			if l.Gen == nil || *l.Gen != b.gen {
-				genOK = false
-				break
-			}
-			genOK = true
+	var kept []found
+	for _, de := range des {
+		key := de.Name()
+		if !strings.HasPrefix(key, "obj-") || !strings.HasSuffix(key, ".p") {
 			continue
 		}
+		path := b.path(key)
+		h, size, err := readHeader(path)
 		switch {
-		case l.Put != "":
-			if l.Len < 0 {
-				continue
-			}
-			if _, seen := journaled[l.Put]; !seen {
-				order = append(order, l.Put)
-			}
-			journaled[l.Put] = state{length: l.Len, crc: l.CRC}
-		case l.Del != "":
-			delete(journaled, l.Del)
-		}
-	}
-	// A trailing partial line has no newline; the loop still yields it and
-	// json.Unmarshal rejects it. A final line that parses but whose newline
-	// is missing is complete enough to trust (its bytes are on disk).
-
-	if !genOK {
-		// Different dataset build (or pre-generation directory): purge.
-		if err := b.purgeDir(); err != nil {
-			return err
-		}
-		journaled, order = nil, nil
-	}
-
-	// Stat each journaled entry's data file (trimming un-journaled tails);
-	// the CRC waits for the entry's first read.
-	for _, name := range order {
-		st, ok := journaled[name]
-		if !ok {
-			continue // deleted later in the journal
-		}
-		path := b.objectFile(name)
-		if !statTrim(path, st.length) {
-			os.Remove(path)
+		case err == nil && h.gen != b.gen:
+			// Another dataset build's entry: removed, not counted.
+		case err != nil || size-headerSize < h.extent:
 			b.stats.Discarded++
+		case size-headerSize > h.extent && os.Truncate(path, headerSize+h.extent) != nil:
+			b.stats.Discarded++
+		default:
+			kept = append(kept, found{key, h})
 			continue
 		}
-		e := &entry{name: name, length: st.length, crc: st.crc}
-		e.elem = b.lru.PushFront(name)
-		b.entries[name] = e
-		b.used += st.length
-		b.stats.Recovered++
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("diskcache: %w", err)
+		}
 	}
-
-	// Drop data files the (possibly truncated) journal no longer accounts
-	// for, and trim any trailing bytes past each entry's journaled extent so
-	// O_APPEND writes land at the right offset.
-	if err := b.sweepDir(); err != nil {
-		return err
+	slices.SortStableFunc(kept, func(x, y found) int { return cmp.Compare(x.seq, y.seq) })
+	for _, f := range kept {
+		e := &entry{length: f.extent, crc: f.crc}
+		e.elem = b.lru.PushFront(f.key)
+		b.entries[f.key] = e
+		b.used += f.extent
+		b.seq = max(b.seq, f.seq)
 	}
-
-	// Compact: rewrite the manifest to exactly the live entries, atomically.
-	if err := b.compactLocked(); err != nil {
-		return err
-	}
+	b.stats.Recovered = int64(len(kept))
 	// Enforce the budget against whatever survived (capacity may have
 	// shrunk since the last run).
 	b.evictLocked()
 	return nil
-}
-
-// statTrim is recovery's metadata-only check: path must hold at least
-// length bytes (trailing un-journaled bytes are trimmed so later O_APPEND
-// writes land at the journaled extent). No data bytes are read.
-func statTrim(path string, length int64) bool {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil || fi.Size() < length {
-		return false
-	}
-	if fi.Size() > length {
-		if err := f.Truncate(length); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // openForRead opens an object's data file for reading. Tests replace it to
@@ -344,23 +351,24 @@ func statTrim(path string, length int64) bool {
 var openForRead = os.Open
 
 // checkPrefix is a recovered entry's first-touch verification: one pass over
-// the data file's journaled extent [0,length) that checks its CRC against
-// want and copies the window [offset,offset+n), which must lie inside the
-// extent (n is zero for none), out of the same read, into dst when it has
-// room (core.BufferFor). It allocates one buffer of at most 32 KiB, never
-// the extent.
+// the data file's extent [0,length) that checks its CRC against want and
+// copies the window [offset,offset+n), which must lie inside the extent (n
+// is zero for none), out of the same read, into dst when it has room
+// (core.BufferFor). It allocates one buffer of at most 32 KiB, never the
+// extent.
 func checkPrefix(dst []byte, path string, length int64, want uint32, offset, n int64) ([]byte, error) {
 	f, err := openForRead(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	r := io.NewSectionReader(f, headerSize, length)
 	out := core.BufferFor(dst, n)
 	buf := make([]byte, min(length, 32<<10))
 	var crc uint32
 	for pos := int64(0); pos < length; {
 		chunk := buf[:min(int64(len(buf)), length-pos)]
-		if _, err := io.ReadFull(f, chunk); err != nil {
+		if _, err := io.ReadFull(r, chunk); err != nil {
 			return nil, err
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, chunk)
@@ -370,135 +378,21 @@ func checkPrefix(dst []byte, path string, length int64, want uint32, offset, n i
 		pos += int64(len(chunk))
 	}
 	if crc != want {
-		return nil, fmt.Errorf("diskcache: %s fails its journaled CRC", path)
+		return nil, fmt.Errorf("diskcache: %s fails its header's CRC", path)
 	}
 	return out, nil
 }
 
-// purgeDir removes every cache artifact in the directory (generation
-// mismatch). The lock file survives.
-func (b *Backend) purgeDir() error {
-	des, err := os.ReadDir(b.dir)
-	if err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	for _, de := range des {
-		n := de.Name()
-		if n == manifestName || (strings.HasPrefix(n, "obj-") && strings.HasSuffix(n, ".p")) {
-			if err := os.Remove(filepath.Join(b.dir, n)); err != nil {
-				return fmt.Errorf("diskcache: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// sweepDir removes object files no live entry accounts for.
-func (b *Backend) sweepDir() error {
-	live := make(map[string]bool, len(b.entries))
-	for name := range b.entries {
-		live[filepath.Base(b.objectFile(name))] = true
-	}
-	des, err := os.ReadDir(b.dir)
-	if err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	for _, de := range des {
-		n := de.Name()
-		if strings.HasPrefix(n, "obj-") && strings.HasSuffix(n, ".p") && !live[n] {
-			if err := os.Remove(filepath.Join(b.dir, n)); err != nil {
-				return fmt.Errorf("diskcache: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// compactLocked atomically rewrites the manifest to the live entries and
-// (re)opens the append handle. Caller holds b.mu or is in single-threaded
-// setup.
-func (b *Backend) compactLocked() error {
-	if b.manifest != nil {
-		b.manifest.Close()
-		b.manifest = nil
-	}
-	tmp := filepath.Join(b.dir, manifestName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	gen := b.gen
-	lines := 1
-	writeLine := func(l journalLine) {
-		data, _ := json.Marshal(l)
-		w.Write(data)
-		w.WriteByte('\n')
-	}
-	writeLine(journalLine{Gen: &gen, V: 1})
-	// Journal back-to-front so recovery's first-journaled order matches LRU
-	// order, oldest first.
-	for el := b.lru.Back(); el != nil; el = el.Prev() {
-		e := b.entries[el.Value.(string)]
-		writeLine(journalLine{Put: e.name, Len: e.length, CRC: e.crc})
-		lines++
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(b.dir, manifestName)); err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	m, err := os.OpenFile(filepath.Join(b.dir, manifestName), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	b.manifest = m
-	b.lines = lines
-	return nil
-}
-
-// journalLocked appends one line to the manifest. Caller holds b.mu.
-// Like the data append it describes, it is not synced: a crash may lose
-// recent lines (recovery trims the un-journaled data tails) or keep a line
-// whose data it lost (recovery's stat or the first-read CRC discards the
-// entry), costing cache warmth, never correctness. Compaction (which does
-// sync) triggers when the journal has grown well past the live entry
-// count.
-func (b *Backend) journalLocked(l journalLine) error {
-	data, err := json.Marshal(l)
-	if err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	data = append(data, '\n')
-	if _, err := b.manifest.Write(data); err != nil {
-		return fmt.Errorf("diskcache: journaling: %w", err)
-	}
-	b.lines++
-	if b.lines > 64 && b.lines > 4*(len(b.entries)+1) {
-		return b.compactLocked()
-	}
-	return nil
-}
-
-// readWindow reads [offset, offset+length) from the object's prefix file,
-// into dst when it has room.
-func (b *Backend) readWindow(dst []byte, name string, offset, length int64) ([]byte, error) {
-	f, err := openForRead(b.objectFile(name))
+// readWindow reads [offset, offset+length) of the object whose data file is
+// path, into dst when it has room.
+func readWindow(dst []byte, path string, offset, length int64) ([]byte, error) {
+	f, err := openForRead(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	buf := core.BufferFor(dst, length)
-	if _, err := f.ReadAt(buf, offset); err != nil {
+	if _, err := f.ReadAt(buf, headerSize+offset); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -510,17 +404,17 @@ func (b *Backend) readWindow(dst []byte, name string, offset, length int64) ([]b
 // eviction between the check and the read) drops the entry — even one in
 // flight, whose fill then rebuilds it from zero — and the caller fetches
 // upstream instead of failing. Caller holds b.mu.
-func (b *Backend) hitLocked(dst []byte, name string, offset, length int64) ([]byte, bool) {
-	e, ok := b.entries[name]
+func (b *Backend) hitLocked(dst []byte, key string, offset, length int64) ([]byte, bool) {
+	e, ok := b.entries[key]
 	if !ok || !e.verified || e.length < offset+length {
 		return nil, false
 	}
 	b.lru.MoveToFront(e.elem)
 	b.mu.Unlock()
-	buf, err := b.readWindow(dst, name, offset, length)
+	buf, err := readWindow(dst, b.path(key), offset, length)
 	b.mu.Lock()
 	if err != nil {
-		b.invalidateLocked(name)
+		b.invalidateLocked(key)
 		return nil, false
 	}
 	b.stats.Hits++
@@ -553,18 +447,19 @@ func (b *Backend) ReadRangeInto(dst []byte, name string, offset, length int64) (
 		return dst[:0], nil
 	}
 
+	key := fileKey(name)
 	b.mu.Lock()
 	for {
 		if b.closed {
 			b.mu.Unlock()
-			return nil, fmt.Errorf("diskcache: closed")
+			return nil, errClosed
 		}
 		// Fast path: the window is inside a verified cached prefix.
-		if buf, ok := b.hitLocked(dst, name, offset, length); ok {
+		if buf, ok := b.hitLocked(dst, key, offset, length); ok {
 			b.mu.Unlock()
 			return buf, nil
 		}
-		done, busy := b.inflight[name]
+		done, busy := b.inflight[key]
 		if !busy {
 			break
 		}
@@ -574,10 +469,10 @@ func (b *Backend) ReadRangeInto(dst []byte, name string, offset, length int64) (
 		b.mu.Lock()
 	}
 	done := make(chan struct{})
-	b.inflight[name] = done
-	out, err := b.fillLocked(dst, name, offset, length)
+	b.inflight[key] = done
+	out, err := b.fillLocked(dst, name, key, offset, length)
 	b.evictLocked()
-	delete(b.inflight, name)
+	delete(b.inflight, key)
 	close(done)
 	b.mu.Unlock()
 	return out, err
@@ -585,22 +480,23 @@ func (b *Backend) ReadRangeInto(dst []byte, name string, offset, length int64) (
 
 // fillLocked serves a read the fast path could not: it checks a recovered
 // entry's CRC on first touch, then extends the prefix to the window's end
-// by one fetch → append → journal sequence, from offset zero when nothing
-// is cached. The window's cached part is read from the data file first and
-// the delta is fetched behind it into the same buffer, which is the one
-// written to the file and returned; only a window that starts past the
-// cached extent takes the delta into a buffer of its own. The object is
-// pinned, so the prefix a fill extends stays cached; only external damage
-// can drop it, and the fill then runs again from zero. Caller holds b.mu,
-// which is dropped for file and upstream I/O.
-func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]byte, error) {
+// by one fetch → write sequence, from offset zero when nothing is cached.
+// The window's cached part is read from the data file first and the delta
+// is fetched behind it into the same buffer, which is the one written to
+// the file and returned; only a window that starts past the cached extent
+// takes the delta into a buffer of its own. The object is pinned, so the
+// prefix a fill extends stays cached; only external damage can drop it, and
+// the fill then runs again from zero. A fill that finds the tier closed
+// when its fetch returns writes nothing. Caller holds b.mu, which is
+// dropped for file and upstream I/O.
+func (b *Backend) fillLocked(dst []byte, name, key string, offset, length int64) ([]byte, error) {
 	need := offset + length
-	path := b.objectFile(name)
+	path := b.path(key)
 	// First touch of a recovered entry: check its CRC now, before any byte
 	// of it is served or extended, and serve the window from the same pass
 	// when it lies inside the extent. A mismatch quarantines the entry and
 	// the fill below starts cold.
-	if e, ok := b.entries[name]; ok && !e.verified {
+	if e, ok := b.entries[key]; ok && !e.verified {
 		extent, crc, window := e.length, e.crc, length
 		if need > extent {
 			window = 0 // an upgrade: check the extent, then extend it below
@@ -609,7 +505,7 @@ func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]b
 		out, err := checkPrefix(dst, path, extent, crc, offset, window)
 		b.mu.Lock()
 		if err != nil {
-			b.invalidateLocked(name)
+			b.invalidateLocked(key)
 			b.stats.Recovered--
 			b.stats.Discarded++
 		} else {
@@ -623,7 +519,7 @@ func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]b
 		}
 	}
 	for {
-		e := b.entries[name]
+		e := b.entries[key]
 		var have int64
 		var crc uint32
 		if e != nil {
@@ -638,10 +534,10 @@ func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]b
 			delta = make([]byte, need-have)
 		}
 		if offset < have {
-			if _, err := b.readWindow(out, name, offset, have-offset); err != nil {
+			if _, err := readWindow(out, path, offset, have-offset); err != nil {
 				// The data file was damaged underfoot: rebuild from zero.
 				b.mu.Lock()
-				b.invalidateLocked(name)
+				b.invalidateLocked(key)
 				continue
 			}
 		}
@@ -653,40 +549,37 @@ func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]b
 			b.mu.Lock()
 			return nil, err
 		}
-		ferr := appendTo(path, delta, e == nil)
+		crc = crc32.Update(crc, crc32.IEEETable, delta)
 		b.mu.Lock()
 		if b.closed {
-			// The append above was never journaled; trim it so the file
-			// again matches its last journaled extent.
-			os.Truncate(path, have)
-			return nil, fmt.Errorf("diskcache: closed")
+			return nil, errClosed
 		}
-		if e != nil && (ferr != nil || b.entries[name] != e) {
+		b.seq++
+		h := header{gen: b.gen, extent: need, crc: crc, seq: b.seq}
+		b.writes.Add(1)
+		b.mu.Unlock()
+		ferr := writeEntry(path, h, delta, have, e == nil)
+		b.mu.Lock()
+		b.writes.Done()
+		if e != nil && (ferr != nil || b.entries[key] != e) {
 			// The data file was damaged underfoot: a fast-path read found
-			// it and dropped the entry, or this fill could not append to
+			// it and dropped the entry, or this fill could not write to
 			// it. The delta is no prefix on its own; rebuild from zero.
 			b.stats.BytesFetched += int64(len(delta))
-			b.invalidateLocked(name)
+			b.invalidateLocked(key)
 			continue
 		}
 		if ferr != nil {
 			return nil, ferr
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, delta)
-		if err := b.journalLocked(journalLine{Put: name, Len: need, CRC: crc}); err != nil {
-			// Un-journaled data must not linger: a later append would land
-			// past it and corrupt the prefix.
-			os.Truncate(path, have)
-			return nil, err
 		}
 		b.stats.BytesFetched += int64(len(delta))
 		b.stats.BytesServed += length
 		b.used += int64(len(delta))
 		if e == nil {
 			b.stats.Misses++
-			e = &entry{name: name, verified: true}
-			e.elem = b.lru.PushFront(name)
-			b.entries[name] = e
+			e = &entry{verified: true}
+			e.elem = b.lru.PushFront(key)
+			b.entries[key] = e
 		} else {
 			b.stats.DeltaHits++
 			b.stats.DeltaBytes += int64(len(delta))
@@ -701,14 +594,16 @@ func (b *Backend) fillLocked(dst []byte, name string, offset, length int64) ([]b
 	}
 }
 
-// appendTo appends data to the object file at path in one write, unsynced:
-// a machine crash may lose it after its journal line survived, which
-// recovery's stat or the entry's first-read CRC finds. A fresh file is
-// created (or emptied); otherwise the file must already exist, so a data
-// file removed underfoot is reported rather than recreated holding only
-// the delta.
-func appendTo(path string, data []byte, fresh bool) error {
-	flag := os.O_WRONLY | os.O_APPEND
+// writeEntry writes a fill to the data file at path: the delta at its place
+// behind the header, at object offset have, then the header h describing
+// the grown extent, each one positioned write and neither synced. A crash
+// between the two leaves the old header, which still describes the old
+// prefix; a header that outlives its data is found by open's size check or
+// the entry's first-read CRC. A fresh file is created (or emptied);
+// otherwise the file must already exist, so a data file removed underfoot
+// is reported rather than recreated holding only the delta.
+func writeEntry(path string, h header, delta []byte, have int64, fresh bool) error {
+	flag := os.O_WRONLY
 	if fresh {
 		flag |= os.O_CREATE | os.O_TRUNC
 	}
@@ -716,48 +611,50 @@ func appendTo(path string, data []byte, fresh bool) error {
 	if err != nil {
 		return fmt.Errorf("diskcache: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("diskcache: writing %s: %w", path, err)
+	if _, err = f.WriteAt(delta, headerSize+have); err == nil {
+		_, err = f.WriteAt(h.marshal(filepath.Base(path)), 0)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("diskcache: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("diskcache: writing %s: %w", path, err)
 	}
 	return nil
 }
 
-// invalidateLocked drops one entry without journaling (used when the data
-// file is found damaged underfoot; the next compaction forgets it).
-func (b *Backend) invalidateLocked(name string) {
-	if e, ok := b.entries[name]; ok {
+// invalidateLocked drops one entry whose data file was found damaged
+// underfoot, and removes the file unless the tier is closed (the directory
+// may belong to another process by then).
+func (b *Backend) invalidateLocked(key string) {
+	if e, ok := b.entries[key]; ok {
 		b.used -= e.length
-		delete(b.entries, name)
+		delete(b.entries, key)
 		b.lru.Remove(e.elem)
-		os.Remove(b.objectFile(name))
+		if !b.closed {
+			os.Remove(b.path(key))
+		}
 	}
 }
 
 // evictLocked drops least-recently-used entries (whole objects: partial
 // prefixes are never trimmed) until the budget holds, skipping the pinned
-// objects (those in flight). A closed Backend evicts nothing: its journal
-// is shut. Caller holds b.mu.
+// objects (those in flight). Eviction is one unlink. A closed Backend
+// evicts nothing: the directory may belong to another process by then.
+// Caller holds b.mu.
 func (b *Backend) evictLocked() {
 	for el := b.lru.Back(); el != nil && b.used > b.cap && !b.closed; {
-		name := el.Value.(string)
+		key := el.Value.(string)
 		back := el
 		el = el.Prev()
-		if _, pinned := b.inflight[name]; pinned {
+		if _, pinned := b.inflight[key]; pinned {
 			continue
 		}
-		b.used -= b.entries[name].length
-		delete(b.entries, name)
+		b.used -= b.entries[key].length
+		delete(b.entries, key)
 		b.lru.Remove(back)
-		os.Remove(b.objectFile(name))
+		os.Remove(b.path(key))
 		b.stats.Evictions++
-		// Journal the eviction; a failure here only costs journal accuracy
-		// for an entry whose file is already gone — recovery's stat check
-		// discards it.
-		b.journalLocked(journalLine{Del: name})
 	}
 }
 
@@ -774,7 +671,7 @@ func (b *Backend) List() ([]string, error) { return b.inner.List() }
 func (b *Backend) Contains(name string, prefixLen int64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, ok := b.entries[name]
+	e, ok := b.entries[fileKey(name)]
 	return ok && e.length >= prefixLen
 }
 
@@ -799,8 +696,10 @@ func (b *Backend) Stats() Stats {
 	return b.stats
 }
 
-// Close flushes and closes the manifest, releases the directory lock, and
-// closes the inner backend. The cached files remain for the next process.
+// Close waits for the data-file writes already started, releases the
+// directory lock, and closes the inner backend. A fill still fetching
+// writes nothing once Close has begun. The cached files remain for the next
+// process.
 func (b *Backend) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -808,17 +707,10 @@ func (b *Backend) Close() error {
 		return nil
 	}
 	b.closed = true
-	var err error
-	if b.manifest != nil {
-		err = b.manifest.Close()
-		b.manifest = nil
-	}
 	b.mu.Unlock()
+	b.writes.Wait()
 	if b.lock != nil {
 		b.lock.unlock()
 	}
-	if cerr := b.inner.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return b.inner.Close()
 }

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -112,6 +113,9 @@ func (f *fakeBackend) counters() (int, int64) {
 	return f.reads, f.bytes
 }
 
+// objectFile is the path of the named object's data file.
+func (b *Backend) objectFile(name string) string { return b.path(fileKey(name)) }
+
 func mustRead(t *testing.T, b *Backend, name string, offset, length int64, want []byte) {
 	t.Helper()
 	got, err := b.ReadRange(name, offset, length)
@@ -155,6 +159,28 @@ func TestMissHitAndDeltaUpgrade(t *testing.T) {
 	}
 	if st.DeltaBytes != 200 || st.BytesFetched != 300 {
 		t.Fatalf("stats = %+v, want 200 delta of 300 fetched", st)
+	}
+
+	// Growing an entry a byte at a time leaves one file of header + extent,
+	// and the directory holds nothing but the lock and the data files.
+	bb := inner.objects["records/b.pcr"]
+	for n := int64(1); n <= 300; n++ {
+		mustRead(t, b, "records/b.pcr", 0, n, bb[:n])
+	}
+	if fi, err := os.Stat(b.objectFile("records/b.pcr")); err != nil || fi.Size() != headerSize+300 {
+		t.Fatalf("data file after 300 one-byte upgrades: %v, %v; want %d bytes", fi, err, headerSize+300)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	want := []string{fileKey("records/a.pcr"), fileKey("records/b.pcr"), "lock"}
+	if slices.Sort(want); !slices.Equal(names, want) {
+		t.Fatalf("cache directory holds %v, want %v: the lock and two data files", names, want)
 	}
 }
 
@@ -224,10 +250,10 @@ func TestGenerationMismatchPurges(t *testing.T) {
 	}
 }
 
-// TestTruncatedManifestRecovery simulates a kill -9 mid-journal-append: the
-// manifest's final line is torn. Reopening must keep every entry journaled
-// before the tear and serve it without upstream traffic.
-func TestTruncatedManifestRecovery(t *testing.T) {
+// TestTornHeaderRecovery simulates a crash mid-header-write: one data file's
+// header holds a new extent under its old CRC. Reopening discards that entry
+// and keeps the other, which serves without upstream traffic.
+func TestTornHeaderRecovery(t *testing.T) {
 	inner := newFake()
 	dir := t.TempDir()
 	b, err := Wrap(inner, dir, 1<<20, "gen1")
@@ -238,15 +264,16 @@ func TestTruncatedManifestRecovery(t *testing.T) {
 	bb := inner.objects["records/b.pcr"]
 	mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
 	mustRead(t, b, "records/b.pcr", 0, 200, bb[:200])
+	path := b.objectFile("records/b.pcr")
 	b.Close()
 
-	// Tear the final journal line mid-bytes.
-	mpath := filepath.Join(dir, manifestName)
-	raw, err := os.ReadFile(mpath)
+	// Half of a header rewrite landed: the extent field, not its CRC.
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(mpath, raw[:len(raw)-7], 0o644); err != nil {
+	raw[20]++
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,8 +284,8 @@ func TestTruncatedManifestRecovery(t *testing.T) {
 	}
 	defer b2.Close()
 	st := b2.Stats()
-	if st.Recovered != 1 || st.Discarded == 0 {
-		t.Fatalf("recovery stats = %+v, want 1 recovered and a discarded tear", st)
+	if st.Recovered != 1 || st.Discarded != 1 {
+		t.Fatalf("recovery stats = %+v, want 1 recovered and 1 discarded", st)
 	}
 	// The surviving entry serves warm; the torn one refetches correctly.
 	mustRead(t, b2, "records/a.pcr", 0, 400, a[:400])
@@ -269,9 +296,12 @@ func TestTruncatedManifestRecovery(t *testing.T) {
 	if r, _ := inner2.counters(); r != 1 {
 		t.Fatalf("torn entry served stale bytes without refetch")
 	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("refetched entry has no data file: %v", err)
+	}
 }
 
-// TestTornPrefixFileRecovery simulates a crash mid-data-append (journal
+// TestTornPrefixFileRecovery simulates a crash mid-data-write (the header
 // promises more bytes than the file holds) and silent corruption (CRC
 // mismatch). A short file is discarded at open, where a stat sees it; a
 // corrupt one is recovered, then quarantined by its first read's CRC check.
@@ -340,10 +370,10 @@ func TestTornPrefixFileRecovery(t *testing.T) {
 	}
 }
 
-// TestDataPastJournaledExtentIsTrimmed simulates a crash after a data
-// append but before its journal line: the file holds more bytes than the
-// journal promises. The journaled prefix must survive and the tail must be
-// trimmed so later appends extend the verified prefix correctly.
+// TestDataPastJournaledExtentIsTrimmed simulates a crash after a data write
+// but before its header rewrite: the file holds more bytes than the header
+// promises. The prefix the header describes must survive and the tail must
+// be trimmed, and a later upgrade extends that prefix at its extent.
 func TestDataPastJournaledExtentIsTrimmed(t *testing.T) {
 	inner := newFake()
 	dir := t.TempDir()
@@ -356,7 +386,7 @@ func TestDataPastJournaledExtentIsTrimmed(t *testing.T) {
 	path := b.objectFile("records/a.pcr")
 	b.Close()
 
-	// Un-journaled garbage lands at the end of the file.
+	// Garbage no header describes lands at the end of the file.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -371,9 +401,12 @@ func TestDataPastJournaledExtentIsTrimmed(t *testing.T) {
 	}
 	defer b2.Close()
 	if st := b2.Stats(); st.Recovered != 1 || st.Discarded != 0 {
-		t.Fatalf("recovery stats = %+v, want the journaled prefix recovered", st)
+		t.Fatalf("recovery stats = %+v, want the described prefix recovered", st)
 	}
-	// A quality upgrade must append at exactly the journaled extent.
+	if fi, err := os.Stat(path); err != nil || fi.Size() != headerSize+300 {
+		t.Fatalf("data file after open: %v, %v; want the tail trimmed to %d bytes", fi, err, headerSize+300)
+	}
+	// A quality upgrade must extend the prefix at exactly its extent.
 	mustRead(t, b2, "records/a.pcr", 0, 500, a[:500])
 	if got := inner2.ranges[len(inner2.ranges)-1]; got != "records/a.pcr:300+200" {
 		t.Fatalf("post-trim upgrade fetched %s, want records/a.pcr:300+200", got)
@@ -483,29 +516,6 @@ func TestShrunkCapacityEvictsOnOpen(t *testing.T) {
 	}
 }
 
-func TestJournalCompaction(t *testing.T) {
-	inner := newFake()
-	dir := t.TempDir()
-	b, err := Wrap(inner, dir, 1<<20, "gen1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a := inner.objects["records/a.pcr"]
-	// Grow one entry a byte at a time: hundreds of journal lines for one
-	// live entry must trigger compaction.
-	for n := int64(1); n <= 300; n++ {
-		mustRead(t, b, "records/a.pcr", 0, n, a[:n])
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := bytes.Count(raw, []byte("\n")); lines > 100 {
-		t.Fatalf("journal not compacted: %d lines for 1 live entry", lines)
-	}
-}
-
 func TestSecondOpenerFailsFast(t *testing.T) {
 	inner := newFake()
 	dir := t.TempDir()
@@ -612,10 +622,11 @@ func TestFirstHitOpensDataFileOnce(t *testing.T) {
 }
 
 // gatedBackend holds the first upgrade fetch of one object (a fetch at a
-// non-zero offset) until released.
+// non-zero offset, or at any offset with cold set) until released.
 type gatedBackend struct {
 	*fakeBackend
 	name    string
+	cold    bool
 	once    sync.Once
 	entered chan struct{}
 	release chan struct{}
@@ -626,7 +637,7 @@ func gate(inner *fakeBackend, name string) *gatedBackend {
 }
 
 func (g *gatedBackend) hold(name string, offset int64) {
-	if name == g.name && offset > 0 {
+	if name == g.name && (offset > 0 || g.cold) {
 		g.once.Do(func() {
 			close(g.entered)
 			<-g.release
@@ -799,8 +810,8 @@ func TestDataFileRemovedMidUpgrade(t *testing.T) {
 					if fi, err := os.Stat(path); err == nil {
 						size = fi.Size()
 					}
-					if size != 700 {
-						t.Errorf("rebuilt data file holds %d bytes, want 700", size)
+					if size != headerSize+700 {
+						t.Errorf("rebuilt data file holds %d bytes, want header + 700", size)
 					}
 					st := b.Stats()
 					if st.DeltaHits != 0 || st.Misses != 2 || st.BytesFetched != 400+300+700 {
@@ -879,10 +890,10 @@ func TestFillReadsIntoLentBuffer(t *testing.T) {
 }
 
 // TestCrashLosesOnlyWarmth: fills are not synced, so a machine crash may
-// persist a journal line without its data. Two such crashes after a cold
-// fill and an upgrade — the data file cut back to the pre-upgrade extent,
-// or at full length with the upgrade's delta zeroed — leave the journal's
-// upgrade line in place. After a reopen the entry is discarded (by the
+// persist a header without its data. Two such crashes after a cold fill and
+// an upgrade — the data file cut back to the pre-upgrade extent, or at full
+// length with the upgrade's delta zeroed — leave the upgrade's header in
+// place. After a reopen the entry is discarded (by the
 // open-time stat, or by its first read's CRC), every read returns
 // upstream's bytes, the entry is refetched exactly once, and the next read
 // is a hit.
@@ -904,7 +915,7 @@ func TestCrashLosesOnlyWarmth(t *testing.T) {
 			}
 			switch crash {
 			case "cut-back":
-				if err := os.Truncate(path, 400); err != nil {
+				if err := os.Truncate(path, headerSize+400); err != nil {
 					t.Fatal(err)
 				}
 			case "zeroed-delta":
@@ -912,13 +923,13 @@ func TestCrashLosesOnlyWarmth(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				clear(raw[400:])
+				clear(raw[headerSize+400:])
 				if err := os.WriteFile(path, raw, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if raw, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Contains(raw, []byte(`"len":700`)) {
-				t.Fatalf("manifest lost the upgrade line (%v): %s", err, raw)
+			if h, _, err := readHeader(path); err != nil || h.extent != 700 {
+				t.Fatalf("header lost the upgrade (%v): extent %d", err, h.extent)
 			}
 
 			inner2 := newFake()
@@ -937,5 +948,76 @@ func TestCrashLosesOnlyWarmth(t *testing.T) {
 				t.Fatalf("refetched %d ranges / %d bytes, want the entry once: 1 / 700", r, n)
 			}
 		})
+	}
+}
+
+// TestCloseStopsFillWrites: a cold fill whose fetch is in flight when Close
+// returns writes nothing once the fetch comes back. The read fails and no
+// data file is left for the directory's next owner.
+func TestCloseStopsFillWrites(t *testing.T) {
+	inner := newFake()
+	g := gate(inner, "records/a.pcr")
+	g.cold = true
+	dir := t.TempDir()
+	b, err := Wrap(g, dir, 1<<20, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := make(chan error, 1)
+	go func() {
+		_, err := b.ReadRange("records/a.pcr", 0, 400)
+		filled <- err
+	}()
+	<-g.entered
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(g.release)
+	if err := <-filled; err == nil {
+		t.Fatal("a fill whose fetch outlived Close succeeded")
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if strings.HasPrefix(de.Name(), "obj-") {
+			t.Fatalf("a fill wrote %s after Close", de.Name())
+		}
+	}
+}
+
+// TestLRUOrderSurvivesRestart: open reseeds the LRU in fill order, which
+// each data file's header records, not in the order of the files' names.
+// Three entries are filled in an order that is neither their names' order
+// nor its reverse, then reopened with room for two: the entry filled first
+// is the one evicted.
+func TestLRUOrderSurvivesRestart(t *testing.T) {
+	inner := newFake()
+	dir := t.TempDir()
+	byKey := []string{"records/a.pcr", "records/b.pcr", "records/c.pcr"}
+	slices.SortFunc(byKey, func(x, y string) int { return strings.Compare(fileKey(x), fileKey(y)) })
+	filled := []string{byKey[1], byKey[2], byKey[0]}
+	b, err := Wrap(inner, dir, 1<<20, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range filled {
+		mustRead(t, b, name, 0, 300, inner.objects[name][:300])
+	}
+	b.Close()
+
+	b2, err := Wrap(inner, dir, 600, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if st := b2.Stats(); st.Recovered != 3 || st.Evictions != 1 {
+		t.Fatalf("reopen stats = %+v, want 3 recovered and 1 evicted", st)
+	}
+	for i, name := range filled {
+		if kept := b2.Contains(name, 300); kept != (i > 0) {
+			t.Errorf("entry filled %d of 3 kept: %v", i+1, kept)
+		}
 	}
 }

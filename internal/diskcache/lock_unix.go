@@ -10,9 +10,9 @@ import (
 )
 
 // dirLock is an advisory flock on a sentinel file in the cache directory:
-// two processes mounting the same directory would interleave journal and
-// data appends, so the second opener fails fast with a configuration error
-// (each training worker mounts its own directory).
+// two processes mounting the same directory would write the same data files
+// and remove each other's, so the second opener fails fast with a
+// configuration error (each training worker mounts its own directory).
 type dirLock struct{ f *os.File }
 
 func lockDir(dir string) (*dirLock, error) {

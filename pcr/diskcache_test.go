@@ -196,7 +196,7 @@ func TestDiskCacheLocalWarmRestart(t *testing.T) {
 }
 
 // TestDiskCacheCrashRecoveryNeverCorruptsScan damages the cache like a
-// crash would — torn manifest tail, truncated prefix file, flipped byte —
+// crash would — torn header, truncated prefix file, flipped byte —
 // and requires every subsequent Scan to deliver bit-identical samples:
 // recovery discards what it cannot verify and refetches.
 func TestDiskCacheCrashRecoveryNeverCorruptsScan(t *testing.T) {
@@ -224,7 +224,7 @@ func TestDiskCacheCrashRecoveryNeverCorruptsScan(t *testing.T) {
 	ds.Close()
 
 	// Damage everything damageable: truncate one object file, flip a byte
-	// in another, tear the manifest's final line.
+	// in another, tear a third one's header.
 	var objects []string
 	entries, err := os.ReadDir(cacheDir)
 	if err != nil {
@@ -235,8 +235,8 @@ func TestDiskCacheCrashRecoveryNeverCorruptsScan(t *testing.T) {
 			objects = append(objects, filepath.Join(cacheDir, de.Name()))
 		}
 	}
-	if len(objects) < 2 {
-		t.Fatalf("expected ≥2 cached objects, got %d", len(objects))
+	if len(objects) < 3 {
+		t.Fatalf("expected ≥3 cached objects, got %d", len(objects))
 	}
 	if err := os.Truncate(objects[0], 10); err != nil {
 		t.Fatal(err)
@@ -249,12 +249,12 @@ func TestDiskCacheCrashRecoveryNeverCorruptsScan(t *testing.T) {
 	if err := os.WriteFile(objects[1], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mpath := filepath.Join(cacheDir, "manifest.log")
-	mraw, err := os.ReadFile(mpath)
+	raw, err = os.ReadFile(objects[2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(mpath, mraw[:len(mraw)-5], 0o644); err != nil {
+	clear(raw[:8])
+	if err := os.WriteFile(objects[2], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -264,8 +264,8 @@ func TestDiskCacheCrashRecoveryNeverCorruptsScan(t *testing.T) {
 	}
 	defer ds2.Close()
 	st, _ := ds2.DiskCacheStats()
-	if st.Discarded == 0 {
-		t.Fatalf("recovery discarded nothing after crash damage: %+v", st)
+	if st.Discarded != 2 {
+		t.Fatalf("recovery discarded %d entries at open, want the truncated one and the torn header: %+v", st.Discarded, st)
 	}
 	got := collect(ds2)
 	if len(got) != len(want) {
@@ -275,6 +275,9 @@ func TestDiskCacheCrashRecoveryNeverCorruptsScan(t *testing.T) {
 		if got[i].ID != want[i].ID || !bytes.Equal(got[i].JPEG, want[i].JPEG) {
 			t.Fatalf("post-crash sample %d differs from pristine scan — corrupt bytes reached Scan", i)
 		}
+	}
+	if st, _ := ds2.DiskCacheStats(); st.Discarded != 3 {
+		t.Fatalf("after the scan %d entries discarded, want the flipped byte's too: %+v", st.Discarded, st)
 	}
 }
 
