@@ -132,9 +132,8 @@ func (d *Dataset) SizeAtQuality(q int) (int64, error) {
 // the record prefix) but not decoding it. On a PCR dataset it is the plan and
 // fetch stages of the read pipeline (pipeline.go) with no decode behind them:
 // up to four record reads are in flight ahead of the consumer and are handed
-// over in storage order, so an early break may have fetched — and a
-// filtered scan's FilterStats.BytesRead counted — up to four records it did
-// not yield; the baseline formats stream sample by sample.
+// over in storage order, so an early break may have fetched up to four
+// records it did not yield; the baseline formats stream sample by sample.
 // Iteration stops at the first error; cancelling ctx stops it promptly with
 // ctx.Err(), and closing the dataset with ErrClosed, even while a read is
 // blocked. WithFilter restricts the stream to the samples a predicate
@@ -163,7 +162,7 @@ var (
 func (d *Dataset) scanSamples(ctx context.Context, qq int, sc *scanConfig) iter.Seq2[Sample, error] {
 	seq := d.r.(sampleScanner).scanEncoded(ctx, qq)
 	if sc.pred != nil {
-		seq = filterSeq(seq, sc.pred, sc.stats)
+		seq = filterSeq(seq, sc.pred)
 	}
 	return seq
 }
@@ -216,7 +215,7 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 	var source func(p *pipeline)
 	if d.pcr != nil {
 		// A plan is used up as it is walked: each range gets its own.
-		source = func(p *pipeline) { p.fetch(d.scanPlan(qq, sc.pred, sc.stats)) }
+		source = func(p *pipeline) { p.fetch(d.scanPlan(qq, sc.pred)) }
 	} else if decode {
 		source = func(p *pipeline) { p.chunk(d.scanSamples(p.ctx, qq, sc)) }
 	} else {
@@ -238,9 +237,9 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 }
 
 // scanPlan is the read plan of a scan at quality qq over storage order,
-// restricted to what pred selects (when non-nil) and accounted in stats.
-func (d *Dataset) scanPlan(qq int, pred Predicate, stats *FilterStats) *recordPlan {
-	return &recordPlan{d: d, order: storageOrder(d.NumRecords()), policy: FixedQuality(qq), filter: pred, stats: stats}
+// restricted to what pred selects (when non-nil).
+func (d *Dataset) scanPlan(qq int, pred Predicate) *recordPlan {
+	return &recordPlan{d: d, order: storageOrder(d.NumRecords()), policy: FixedQuality(qq), filter: pred}
 }
 
 // storageOrder is records 0..n-1 in storage order.

@@ -34,14 +34,14 @@ func (d *Dataset) ReadRecordFiltered(i, q int, pred Predicate) (samples []Sample
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var st FilterStats
-	plan.filter, plan.stats = pred, &st
+	plan.filter = pred
 	read, err := plan.next()
+	price := plan.price
 	if read == nil {
-		return nil, st.BytesRead, st.BytesAvoided, err
+		return nil, price.Bytes, price.FullBytes - price.Bytes, err
 	}
 	rr := d.pcr.readRecord(read)
-	return rr.samples, st.BytesRead, st.BytesAvoided, rr.err
+	return rr.samples, price.Bytes, price.FullBytes - price.Bytes, rr.err
 }
 
 // WrapBackend puts wrap(backend) under a PCR dataset's reads.

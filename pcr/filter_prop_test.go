@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/serve"
 	"repro/pcr"
 )
 
@@ -46,14 +49,45 @@ func randomPredicate(rng *rand.Rand, depth int, ids, labels []int64) pcr.Predica
 	}
 }
 
-// samePrice fails unless plan is the price a drained filtered scan reported
-// in fs: the same samples, records and bytes.
-func samePrice(t *testing.T, what string, plan pcr.FilterPlan, fs pcr.FilterStats) {
+// countingBackend counts the bytes its ReadRange calls return: every byte a
+// tierless local dataset reads, whole prefixes and sparse ranges alike.
+type countingBackend struct {
+	core.Backend
+	n *atomic.Int64
+}
+
+func (b countingBackend) ReadRange(name string, off, n int64) ([]byte, error) {
+	buf, err := b.Backend.ReadRange(name, off, n)
+	b.n.Add(int64(len(buf)))
+	return buf, err
+}
+
+// movedBelow returns a reading of the record bytes ds's reads take from the
+// layer beneath pcr, each layer by its own count: the memory tier's
+// BytesServed when it is mounted, else the disk tier's, else the server's
+// for a remote dataset (srv), else a countingBackend put under ds.
+func movedBelow(ds *pcr.Dataset, srv *serve.Server) func() int64 {
+	if _, ok := ds.CacheStats(); ok {
+		return func() int64 { st, _ := ds.CacheStats(); return st.BytesServed }
+	}
+	if _, ok := ds.DiskCacheStats(); ok {
+		return func() int64 { st, _ := ds.DiskCacheStats(); return st.BytesServed }
+	}
+	if srv != nil {
+		return func() int64 { return srv.Stats().BytesServed }
+	}
+	n := new(atomic.Int64)
+	ds.WrapBackend(func(inner core.Backend) core.Backend { return countingBackend{inner, n} })
+	return n.Load
+}
+
+// samePrice fails unless a drained filtered scan yielded and moved what
+// plan priced: its selected samples, and its bytes as the layer beneath pcr
+// counted them (movedBelow).
+func samePrice(t *testing.T, what string, plan pcr.FilterPlan, yielded int, moved int64) {
 	t.Helper()
-	if int64(plan.Selected) != fs.Selected || int64(plan.Total) != fs.Selected+fs.Skipped ||
-		int64(plan.RecordsSkipped) != fs.RecordsSkipped || plan.Bytes != fs.BytesRead ||
-		plan.FullBytes != fs.BytesRead+fs.BytesAvoided {
-		t.Fatalf("%s: PlanFilter %+v, the drained scan %+v", what, plan, fs)
+	if yielded != plan.Selected || moved != plan.Bytes {
+		t.Fatalf("%s: the drained scan yielded %d samples and moved %d bytes, PlanFilter %+v", what, yielded, moved, plan)
 	}
 }
 
@@ -64,10 +98,11 @@ func samePrice(t *testing.T, what string, plan pcr.FilterPlan, fs pcr.FilterStat
 // streams — on every read path: the cacheless sparse-range path, the
 // full-read paths through the memory and the disk tier (including §5 delta
 // upgrades as quality ascends), and the remote pushdown path. The filter
-// must also account every sample and every byte: selected + skipped = all,
-// read + avoided = the unfiltered scan's volume, and the drained stats are
-// exactly what PlanFilter priced on the same dataset — a price that needs
-// no read, so a dataset whose every read fails prices the same.
+// must also be priced exactly: PlanFilter on the same dataset selects the
+// samples delivered out of all of them, prices the unfiltered volume in
+// FullBytes and the bytes the layer beneath pcr moved for the scan in Bytes
+// — a price that needs no read, so a dataset whose every read fails prices
+// the same.
 func TestFilteredScanEquivalenceProperty(t *testing.T) {
 	datasets := []struct {
 		name string
@@ -81,7 +116,7 @@ func TestFilteredScanEquivalenceProperty(t *testing.T) {
 	for _, dc := range datasets {
 		t.Run(dc.name, func(t *testing.T) {
 			dir, _ := synthDir(t, dc.opts...)
-			_, ts := startServer(t, dir, nil)
+			srv, ts := startServer(t, dir, nil)
 
 			sparse, err := pcr.Open(dir) // no cache tiers: sparse range reads
 			if err != nil {
@@ -125,9 +160,15 @@ func TestFilteredScanEquivalenceProperty(t *testing.T) {
 			}
 
 			variants := []struct {
-				name string
-				ds   *pcr.Dataset
-			}{{"sparse", sparse}, {"cached", cached}, {"disk", disk}, {"remote", remote}}
+				name  string
+				ds    *pcr.Dataset
+				moved func() int64
+			}{
+				{"sparse", sparse, movedBelow(sparse, nil)},
+				{"cached", cached, movedBelow(cached, nil)},
+				{"disk", disk, movedBelow(disk, nil)},
+				{"remote", remote, movedBelow(remote, srv)},
+			}
 			for trial := 0; trial < 8; trial++ {
 				pred := randomPredicate(rng, 3, ids, labels)
 				// Ascending qualities make the cached variant exercise §5
@@ -148,14 +189,15 @@ func TestFilteredScanEquivalenceProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, v := range variants {
-						var fs pcr.FilterStats
 						var got []pcr.Sample
-						for s, err := range v.ds.ScanEncoded(ctx, q, pcr.WithFilter(pred), pcr.WithFilterStats(&fs)) {
+						before := v.moved()
+						for s, err := range v.ds.ScanEncoded(ctx, q, pcr.WithFilter(pred)) {
 							if err != nil {
 								t.Fatalf("%s q%d %q: %v", v.name, q, pred, err)
 							}
 							got = append(got, s)
 						}
+						moved := v.moved() - before
 						if len(got) != len(want) {
 							t.Fatalf("%s q%d %q: %d samples, want %d", v.name, q, pred, len(got), len(want))
 						}
@@ -168,25 +210,22 @@ func TestFilteredScanEquivalenceProperty(t *testing.T) {
 								t.Fatalf("%s q%d %q: sample %d stream differs", v.name, q, pred, i)
 							}
 						}
-						if fs.Selected != int64(len(want)) || fs.Selected+fs.Skipped != int64(v.ds.NumImages()) {
-							t.Fatalf("%s q%d %q: stats %+v inconsistent with %d/%d samples",
-								v.name, q, pred, fs, len(want), v.ds.NumImages())
-						}
-						// Byte accounting covers the unfiltered volume exactly.
-						// (The cached variant reads full prefixes through the
-						// cache, so its split differs, but the sum must not.)
-						if fs.BytesRead+fs.BytesAvoided != size {
-							t.Fatalf("%s q%d %q: read %d + avoided %d != size %d",
-								v.name, q, pred, fs.BytesRead, fs.BytesAvoided, size)
-						}
-						if len(want) < v.ds.NumImages() && v.name == "sparse" && fs.BytesRead >= size {
-							t.Fatalf("sparse q%d %q: proper subset read the full size %d", q, pred, size)
-						}
 						plan, err := v.ds.PlanFilter(pred, q)
 						if err != nil {
 							t.Fatal(err)
 						}
-						samePrice(t, fmt.Sprintf("%s q%d %q", v.name, q, pred), plan, fs)
+						// The price covers every sample and the unfiltered
+						// volume exactly. (The cached variants read full
+						// prefixes through the cache, so their Bytes differ,
+						// but FullBytes must not.)
+						if plan.Total != v.ds.NumImages() || plan.FullBytes != size {
+							t.Fatalf("%s q%d %q: PlanFilter %+v, want %d samples and %d bytes in all",
+								v.name, q, pred, plan, v.ds.NumImages(), size)
+						}
+						samePrice(t, fmt.Sprintf("%s q%d %q", v.name, q, pred), plan, len(got), moved)
+						if len(want) < v.ds.NumImages() && v.name == "sparse" && moved >= size {
+							t.Fatalf("sparse q%d %q: proper subset read the full size %d", q, pred, size)
+						}
 						if v.name == "sparse" {
 							blind, err := unreadable.PlanFilter(pred, q)
 							if err != nil {

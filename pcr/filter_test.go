@@ -7,6 +7,7 @@ import (
 	"image"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,12 +152,10 @@ func TestScanOptionValidation(t *testing.T) {
 		}
 	}
 	expectErr("nil predicate", pcr.WithFilter(nil))
-	expectErr("nil stats", pcr.WithFilter(pcr.LabelIn(1)), pcr.WithFilterStats(nil))
-	var fs pcr.FilterStats
-	expectErr("stats without filter", pcr.WithFilterStats(&fs))
 }
 
-// The planner must price exactly what the filtered scan then reads.
+// The planner must price exactly what the filtered scan then reads, by the
+// count of the backend beneath it.
 func TestPlanFilterMatchesScan(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8))
 	ds, err := pcr.Open(dir)
@@ -164,6 +163,7 @@ func TestPlanFilterMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
+	moved := movedBelow(ds, nil)
 	pred, err := pcr.ParseFilter("label IN (0, 1, 2)")
 	if err != nil {
 		t.Fatal(err)
@@ -183,9 +183,9 @@ func TestPlanFilterMatchesScan(t *testing.T) {
 		if plan.FullBytes != full {
 			t.Fatalf("q%d: plan.FullBytes = %d, want %d", q, plan.FullBytes, full)
 		}
-		var fs pcr.FilterStats
 		got := 0
-		for s, err := range ds.ScanEncoded(context.Background(), q, pcr.WithFilter(pred), pcr.WithFilterStats(&fs)) {
+		before := moved()
+		for s, err := range ds.ScanEncoded(context.Background(), q, pcr.WithFilter(pred)) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,33 +194,26 @@ func TestPlanFilterMatchesScan(t *testing.T) {
 			}
 			got++
 		}
-		if got != plan.Selected {
-			t.Fatalf("q%d: scan delivered %d, plan said %d", q, got, plan.Selected)
-		}
-		if fs.BytesRead != plan.Bytes {
-			t.Fatalf("q%d: scan read %d bytes, plan said %d", q, fs.BytesRead, plan.Bytes)
-		}
-		if int(fs.RecordsSkipped) != plan.RecordsSkipped {
-			t.Fatalf("q%d: scan skipped %d records, plan said %d", q, fs.RecordsSkipped, plan.RecordsSkipped)
-		}
-		if fs.Selected+fs.Skipped != int64(plan.Total) {
-			t.Fatalf("q%d: selected %d + skipped %d != total %d", q, fs.Selected, fs.Skipped, plan.Total)
-		}
+		samePrice(t, fmt.Sprintf("q%d", q), plan, got, moved()-before)
 	}
 	// A predicate matching nothing reads nothing.
 	none, _ := pcr.ParseFilter("id < -1000000")
-	var fs pcr.FilterStats
-	for _, err := range ds.ScanEncoded(context.Background(), pcr.Full, pcr.WithFilter(none), pcr.WithFilterStats(&fs)) {
+	plan, err := ds.PlanFilter(none, pcr.Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Bytes != 0 || plan.Selected != 0 || plan.RecordsSkipped != plan.Records || plan.FullBytes == 0 {
+		t.Fatalf("empty predicate priced %+v", plan)
+	}
+	before := moved()
+	for _, err := range ds.ScanEncoded(context.Background(), pcr.Full, pcr.WithFilter(none)) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Fatal("empty predicate delivered a sample")
 	}
-	if fs.BytesRead != 0 || fs.Selected != 0 {
-		t.Fatalf("empty predicate read %d bytes, selected %d", fs.BytesRead, fs.Selected)
-	}
-	if fs.BytesAvoided == 0 {
-		t.Fatal("empty predicate avoided no bytes")
+	if n := moved() - before; n != 0 {
+		t.Fatalf("empty predicate read %d bytes", n)
 	}
 }
 
@@ -235,23 +228,26 @@ func TestPlanFilterNoSampleIndex(t *testing.T) {
 		t.Fatal("PlanFilter on tfrecord succeeded; filtering there is post-read with no plan")
 	}
 	// Filtered scans still work on baseline formats via the generic
-	// post-read selection stage.
-	var fs pcr.FilterStats
-	n := 0
-	for s, err := range ds.ScanEncoded(context.Background(), pcr.Full, pcr.WithFilter(pcr.LabelIn(0, 1)), pcr.WithFilterStats(&fs)) {
+	// post-read selection stage: the unfiltered scan, post-filtered.
+	all, err := collect(context.Background(), ds, pcr.Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for _, s := range all {
+		if s.Label == 0 || s.Label == 1 {
+			want = append(want, s.ID)
+		}
+	}
+	var got []int64
+	for s, err := range ds.ScanEncoded(context.Background(), pcr.Full, pcr.WithFilter(pcr.LabelIn(0, 1))) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Label != 0 && s.Label != 1 {
-			t.Fatalf("label %d escaped the filter", s.Label)
-		}
-		n++
+		got = append(got, s.ID)
 	}
-	if int64(n) != fs.Selected {
-		t.Fatalf("delivered %d, stats say %d", n, fs.Selected)
-	}
-	if fs.Selected+fs.Skipped != int64(ds.NumImages()) {
-		t.Fatalf("selected %d + skipped %d != %d images", fs.Selected, fs.Skipped, ds.NumImages())
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("filtered scan delivered ids %v, the post-filtered scan %v", got, want)
 	}
 }
 
@@ -261,7 +257,7 @@ func TestPlanFilterNoSampleIndex(t *testing.T) {
 // record 1's own group count too, a filtered scan delivers the samples of a
 // post-filtered local scan byte for byte, locally, through the memory tier
 // and over the wire; ReadRecord reads record 1; and PlanFilter prices
-// exactly what each drained scan reports.
+// exactly what each drained scan yields and moves beneath pcr.
 func TestMixedGroupsReadAtEveryQuality(t *testing.T) {
 	dir := t.TempDir()
 	w, err := pcr.Create(dir, pcr.WithImagesPerRecord(4))
@@ -291,7 +287,7 @@ func TestMixedGroupsReadAtEveryQuality(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, ts := startServer(t, dir, nil)
+	srv, ts := startServer(t, dir, nil)
 	open := func(remote bool, opts ...pcr.Option) *pcr.Dataset {
 		t.Helper()
 		var ds *pcr.Dataset
@@ -315,10 +311,16 @@ func TestMixedGroupsReadAtEveryQuality(t *testing.T) {
 	if whole, _ := local.RecordPrefixLen(1, top); whole != below {
 		t.Fatalf("record 1 stores all %d groups; the test needs a record that stores fewer", top)
 	}
+	memory, remote := open(false, pcr.WithCacheBytes(1<<20)), open(true)
 	variants := []struct {
-		name string
-		ds   *pcr.Dataset
-	}{{"local", local}, {"memory", open(false, pcr.WithCacheBytes(1<<20))}, {"remote", open(true)}}
+		name  string
+		ds    *pcr.Dataset
+		moved func() int64
+	}{
+		{"local", local, movedBelow(local, nil)},
+		{"memory", memory, movedBelow(memory, nil)},
+		{"remote", remote, movedBelow(remote, srv)},
+	}
 	pred := pcr.LabelIn(1)
 	ctx := context.Background()
 	for q := 1; q <= top; q++ {
@@ -333,14 +335,15 @@ func TestMixedGroupsReadAtEveryQuality(t *testing.T) {
 			}
 		}
 		for _, v := range variants {
-			var fs pcr.FilterStats
 			var got []pcr.Sample
-			for s, err := range v.ds.ScanEncoded(ctx, q, pcr.WithFilter(pred), pcr.WithFilterStats(&fs)) {
+			before := v.moved()
+			for s, err := range v.ds.ScanEncoded(ctx, q, pcr.WithFilter(pred)) {
 				if err != nil {
 					t.Fatalf("%s q%d: %v", v.name, q, err)
 				}
 				got = append(got, s)
 			}
+			moved := v.moved() - before
 			if len(got) != len(want) {
 				t.Fatalf("%s q%d: %d samples, want %d", v.name, q, len(got), len(want))
 			}
@@ -353,7 +356,7 @@ func TestMixedGroupsReadAtEveryQuality(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			samePrice(t, fmt.Sprintf("%s q%d", v.name, q), plan, fs)
+			samePrice(t, fmt.Sprintf("%s q%d", v.name, q), plan, len(got), moved)
 			if rec, err := v.ds.ReadRecord(ctx, 1, q); err != nil || len(rec) != 4 {
 				t.Fatalf("%s q%d: ReadRecord(1) = %d samples, %v", v.name, q, len(rec), err)
 			}

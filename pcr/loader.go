@@ -348,7 +348,7 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 		}
 		plan := &recordPlan{
 			d: l.ds, order: l.epochOrder(epoch), policy: l.policy, epoch: epoch,
-			filter: l.filter, stats: new(FilterStats), skip: base * l.batch,
+			filter: l.filter, skip: base * l.batch,
 		}
 
 		stats := EpochStats{Epoch: epoch}
@@ -405,9 +405,9 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 			return
 		}
 		stats.Wall = time.Since(start)
-		// The plan's filter counters are complete: the pipeline has drained.
-		filtered := plan.stats.Snapshot()
-		stats.SkippedImages, stats.BytesAvoided = int(filtered.Skipped), filtered.BytesAvoided
+		// The plan's price is complete: the pipeline has drained.
+		stats.SkippedImages = plan.price.Total - plan.price.Selected
+		stats.BytesAvoided = plan.price.FullBytes - plan.price.Bytes
 		if s := stats.Wall.Seconds(); s > 0 {
 			stats.ImagesPerSec = float64(stats.Images) / s
 		}

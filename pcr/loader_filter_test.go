@@ -85,6 +85,64 @@ func TestLoaderFilterDelivery(t *testing.T) {
 	}
 }
 
+// TestLocalFilteredLoaderMovesPlannedBytes is the local counterpart of
+// TestRemoteFilteredLoaderMovesOnlySelectedBytes: tierless (sparse reads)
+// and behind either cache tier (whole prefixes), one filtered epoch delivers
+// PlanFilter's selection, moves its Bytes by the count of the layer beneath
+// pcr, and reports its price in EpochStats.
+func TestLocalFilteredLoaderMovesPlannedBytes(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
+	pred, err := pcr.ParseFilter("label IN (0, 1, 2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []pcr.Option
+	}{
+		{"tierless", nil},
+		{"memory", []pcr.Option{pcr.WithCacheBytes(1 << 20)}},
+		{"disk", []pcr.Option{pcr.WithDiskCache(t.TempDir(), 64<<20)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := pcr.Open(dir, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			moved := movedBelow(ds, nil)
+			plan, err := ds.PlanFilter(pred, pcr.Full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Selected == 0 || plan.Selected == plan.Total {
+				t.Fatalf("degenerate plan %+v", plan)
+			}
+			l, err := pcr.NewLoader(ds, pcr.WithBatchSize(4), pcr.WithLoaderFilter(pred))
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered := 0
+			for b, err := range l.Epoch(context.Background(), 0) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				delivered += len(b.Samples)
+			}
+			samePrice(t, "epoch", plan, delivered, moved())
+			st, ok := l.LastEpochStats()
+			if !ok {
+				t.Fatal("no epoch stats")
+			}
+			if st.Images != plan.Selected || st.SkippedImages != plan.Total-plan.Selected ||
+				st.BytesRead != plan.Bytes || st.BytesAvoided != plan.FullBytes-plan.Bytes {
+				t.Fatalf("epoch stats %d images, %d skipped, %d bytes read, %d avoided; PlanFilter %+v",
+					st.Images, st.SkippedImages, st.BytesRead, st.BytesAvoided, plan)
+			}
+		})
+	}
+}
+
 // TestLoaderFilterResume: a checkpoint taken mid-epoch under a filter
 // resumes to exactly the uninterrupted epoch's remaining batches — the
 // skip-shortcut counts selected samples, not record sizes.

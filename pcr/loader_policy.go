@@ -107,10 +107,13 @@ func (s *adaptiveState) resolvedCur() int {
 	return s.cur
 }
 
-// report appends one observed loss, runs the plateau detector, and steps
-// the quality down one level on a plateau (not below min). Caller holds
-// s.mu.
-func (s *adaptiveState) report(det PlateauDetector, min int, loss float64) {
+// report is Report of both policies: it appends one observed loss, runs the
+// plateau detector, and steps the quality down one level on a plateau (not
+// below min).
+func (s *adaptiveState) report(start int, det PlateauDetector, min int, loss float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.init(start)
 	s.losses = append(s.losses, loss)
 	// The detector only reads the trailing 2×Window losses; keep the
 	// history bounded so a long run doesn't grow it one float per report.
@@ -130,6 +133,15 @@ func (s *adaptiveState) report(det PlateauDetector, min int, loss float64) {
 			s.cur = cur - 1
 		}
 	}
+}
+
+// quality is RecordQuality and Quality of both policies: the current
+// quality, start until the first step.
+func (s *adaptiveState) quality(start int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.init(start)
+	return s.cur
 }
 
 // observeQuality tells the policy the dataset-level quality its answers
@@ -174,29 +186,14 @@ type PlateauPolicy struct {
 // Report feeds one observed training loss to the plateau detector; on a
 // detected plateau the policy steps down one quality level (not below Min).
 // It is safe to call concurrently with a running Loader.
-func (p *PlateauPolicy) Report(loss float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.init(p.Start)
-	p.report(p.Detector, p.Min, loss)
-}
+func (p *PlateauPolicy) Report(loss float64) { p.report(p.Start, p.Detector, p.Min, loss) }
 
 // RecordQuality implements QualityPolicy.
-func (p *PlateauPolicy) RecordQuality(int, int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.init(p.Start)
-	return p.cur
-}
+func (p *PlateauPolicy) RecordQuality(int, int) int { return p.quality(p.Start) }
 
 // Quality returns the policy's current quality (Full until the first
 // plateau).
-func (p *PlateauPolicy) Quality() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.init(p.Start)
-	return p.cur
-}
+func (p *PlateauPolicy) Quality() int { return p.quality(p.Start) }
 
 // ProbeResult is one candidate's measured outcome from an upward probe: the
 // harness trained a few minibatches at Quality and observed Loss, moving
@@ -245,12 +242,7 @@ type ProbePolicy struct {
 
 // Report feeds one observed training loss in; plateaus descend exactly as
 // in PlateauPolicy. Safe to call concurrently with a running Loader.
-func (p *ProbePolicy) Report(loss float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.init(p.Start)
-	p.report(p.Detector, p.Min, loss)
-}
+func (p *ProbePolicy) Report(loss float64) { p.report(p.Start, p.Detector, p.Min, loss) }
 
 // ReportLRDrop signals an improvement opportunity (the optimizer's learning
 // rate just dropped, so the loss landscape is about to shift): if the
@@ -332,20 +324,10 @@ func (p *ProbePolicy) CompleteProbe(results []ProbeResult) {
 }
 
 // RecordQuality implements QualityPolicy.
-func (p *ProbePolicy) RecordQuality(int, int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.init(p.Start)
-	return p.cur
-}
+func (p *ProbePolicy) RecordQuality(int, int) int { return p.quality(p.Start) }
 
 // Quality returns the policy's current quality.
-func (p *ProbePolicy) Quality() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.init(p.Start)
-	return p.cur
-}
+func (p *ProbePolicy) Quality() int { return p.quality(p.Start) }
 
 // Probes reports how many upward probes completed and how many of them won
 // (re-ascended the quality).
@@ -356,8 +338,8 @@ func (p *ProbePolicy) Probes() (run, wins int) {
 }
 
 // qualityObserver is implemented by policies that want to learn what
-// dataset-level quality their answers resolve to (PlateauPolicy uses it to
-// ground Full).
+// dataset-level quality their answers resolve to (PlateauPolicy and
+// ProbePolicy use it to ground Full).
 type qualityObserver interface {
 	observeQuality(resolved int)
 }

@@ -68,8 +68,8 @@ type recordRead struct {
 // one walked without reading. It visits order once and decides per record,
 // from the index alone, whether the record is read and how (readPlan): at
 // what quality and scan group, which samples, whether as a whole prefix or
-// a sparse gather, and what the read moves. It is the only writer of a
-// plan's FilterStats. One goroutine calls next.
+// a sparse gather, and what the read moves. Under a filter it adds that up
+// in price, the plan's FilterPlan. One goroutine calls next.
 type recordPlan struct {
 	d     *Dataset
 	order []int // records still to visit
@@ -80,10 +80,12 @@ type recordPlan struct {
 	policy QualityPolicy
 	epoch  int // what the policy is told
 	// filter, when set, restricts each record to the samples its side index
-	// selects; stats (then non-nil) is where the plan accounts, as it plans
-	// each read, for what it selected, skipped, reads and saves.
+	// selects, and price is where the plan accounts, as it plans each read,
+	// for what it selects and moves. Only the walking goroutine writes it;
+	// the pipeline's closing channels order those writes before a drained
+	// consumer reads it.
 	filter Predicate
-	stats  *FilterStats
+	price  FilterPlan
 	// skip is what remains of a resume prefix, in samples. Records wholly
 	// inside it are skipped without a read — their image counts come from
 	// the index — so only the record straddling its end is read and
@@ -166,7 +168,14 @@ func (p *recordPlan) record(rec int) (*readPlan, error) {
 		// A record the filter empties is accounted whether or not a resume
 		// skips it; any other, only when it is read.
 		if n == 0 || p.skip < n {
-			p.stats.add(n, re.Samples-n, read.bytes, full-read.bytes)
+			p.price.Selected += n
+			p.price.Total += re.Samples
+			p.price.Records++
+			p.price.Bytes += read.bytes
+			p.price.FullBytes += full
+			if n == 0 {
+				p.price.RecordsSkipped++
+			}
 		}
 		if p.skip >= n {
 			p.skip -= n

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 	"repro/pcr"
 )
 
@@ -356,15 +357,14 @@ func pipelineCancellable(t *testing.T, stream func(ctx context.Context, ds *pcr.
 }
 
 // referenceScan is ScanEncoded written down serially, one record at a time
-// from ReadRecordEncoded and Predicate.Matches, with the accounting a
-// filtered scan owes: a record no sample of which matches is skipped and its
-// prefix avoided; the others cost their whole prefix through cache tiers and
-// what PlanFilter prices without.
-func referenceScan(t *testing.T, ref *pcr.Dataset, q int, pred pcr.Predicate, cached bool) ([]sampleKey, pcr.FilterStats) {
+// from ReadRecordEncoded and Predicate.Matches, with the price a filtered
+// scan owes: a record no sample of which matches is skipped and its prefix
+// avoided, and each other costs at most its whole prefix — exactly that
+// through cache tiers, which is what Bytes counts.
+func referenceScan(t *testing.T, ref *pcr.Dataset, q int, pred pcr.Predicate) ([]sampleKey, pcr.FilterPlan) {
 	t.Helper()
 	var keys []sampleKey
-	var st pcr.FilterStats
-	var fullBytes int64
+	price := pcr.FilterPlan{Records: ref.NumRecords()}
 	for rec := 0; rec < ref.NumRecords(); rec++ {
 		samples, err := ref.ReadRecordEncoded(rec, q)
 		if err != nil {
@@ -374,7 +374,6 @@ func referenceScan(t *testing.T, ref *pcr.Dataset, q int, pred pcr.Predicate, ca
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullBytes += full
 		selected := 0
 		for _, s := range samples {
 			if pred == nil || pred.Matches(s.ID, s.Label) {
@@ -382,35 +381,27 @@ func referenceScan(t *testing.T, ref *pcr.Dataset, q int, pred pcr.Predicate, ca
 				selected++
 			}
 		}
-		st.Selected += int64(selected)
-		st.Skipped += int64(len(samples) - selected)
+		price.Selected += selected
+		price.Total += len(samples)
+		price.FullBytes += full
 		if selected == 0 {
-			st.RecordsSkipped++
-		} else if cached {
-			st.BytesRead += full
+			price.RecordsSkipped++
+		} else {
+			price.Bytes += full
 		}
 	}
-	if pred == nil {
-		return keys, pcr.FilterStats{}
-	}
-	if !cached {
-		plan, err := ref.PlanFilter(pred, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.BytesRead = plan.Bytes
-	}
-	st.BytesAvoided = fullBytes - st.BytesRead
-	return keys, st
+	return keys, price
 }
 
 // TestPipelineScanEncodedEquivalence: plain and filtered, locally and over
 // the wire, bare and behind either or both cache tiers, with reads completing
 // out of order, ScanEncoded yields exactly the samples of the serial
-// reference, in its order, and a drained filtered scan its FilterStats.
+// reference, in its order, and moves what the reference prices, by the
+// count of the layer beneath pcr: a filtered scan PlanFilter's price, which
+// agrees with the reference's, and a plain one SizeAtQuality.
 func TestPipelineScanEncodedEquivalence(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(3), pcr.WithScanGroups(4))
-	_, ts := startServer(t, dir, nil)
+	srv, ts := startServer(t, dir, nil)
 	ref, err := pcr.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -431,8 +422,10 @@ func TestPipelineScanEncodedEquivalence(t *testing.T) {
 					opts = append(opts, pcr.WithDiskCache(t.TempDir(), 64<<20))
 				}
 				var ds *pcr.Dataset
+				var below *serve.Server
 				if remote {
 					ds, err = pcr.OpenRemote(ts.URL, opts...)
+					below = srv
 				} else {
 					ds, err = pcr.Open(dir, opts...)
 				}
@@ -440,12 +433,13 @@ func TestPipelineScanEncodedEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				delayReads(ds, rng.Int63())
-				var stats pcr.FilterStats
+				moved := movedBelow(ds, below)
 				var scanOpts []pcr.ScanOption
 				if pred != nil {
-					scanOpts = []pcr.ScanOption{pcr.WithFilter(pred), pcr.WithFilterStats(&stats)}
+					scanOpts = []pcr.ScanOption{pcr.WithFilter(pred)}
 				}
 				var got []sampleKey
+				before := moved()
 				for s, err := range ds.ScanEncoded(context.Background(), q, scanOpts...) {
 					if err != nil {
 						t.Fatal(err)
@@ -455,16 +449,35 @@ func TestPipelineScanEncodedEquivalence(t *testing.T) {
 					}
 					got = append(got, sampleKey{s.ID, s.Label, sha256.Sum256(s.JPEG)})
 				}
+				movedBytes := moved() - before
+				var plan pcr.FilterPlan
+				if pred != nil {
+					if plan, err = ds.PlanFilter(pred, q); err != nil {
+						t.Fatal(err)
+					}
+				}
 				ds.Close()
-				want, wantStats := referenceScan(t, ref, q, pred, tiers != 0)
+				want, price := referenceScan(t, ref, q, pred)
 				name := fmt.Sprintf("remote=%v tiers=%02b q=%d filter=%v", remote, tiers, q, pred)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: %d samples differ from the reference's %d", name, len(got), len(want))
 				}
-				if stats != wantStats {
-					t.Errorf("%s:\nstats %+v\n want %+v", name, stats, wantStats)
+				if pred == nil {
+					if movedBytes != price.FullBytes {
+						t.Errorf("%s: moved %d bytes, want the whole %d", name, movedBytes, price.FullBytes)
+					}
+					continue
 				}
-				skippedSome = skippedSome || wantStats.RecordsSkipped > 0
+				// Without tiers the plan reads sparse ranges, which the
+				// reference cannot price: no more than its whole prefixes.
+				if tiers == 0 && plan.Bytes <= price.Bytes {
+					price.Bytes = plan.Bytes
+				}
+				if plan != price {
+					t.Errorf("%s:\nPlanFilter %+v\n reference %+v", name, plan, price)
+				}
+				samePrice(t, name, plan, len(got), movedBytes)
+				skippedSome = skippedSome || price.RecordsSkipped > 0
 			}
 		}
 	}
