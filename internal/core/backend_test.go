@@ -199,15 +199,30 @@ func TestIndexRoundTripAndValidation(t *testing.T) {
 		t.Fatalf("round trip damaged records: %+v", back.Records)
 	}
 
-	for _, bad := range []string{
-		`{"records":[{"name":"","samples":1,"prefixes":[1]}]}`,
-		`{"records":[{"name":"r","samples":1,"prefixes":[]}]}`,
-		`{"records":[{"name":"r","samples":1,"prefixes":[10,5]}]}`,
-		`{"records":[{"name":"r","samples":1,"prefixes":[-10,-5]}]}`,
-		`not json`,
+	// Malformed documents: each is refused as corrupt, however far it
+	// parses.
+	header := encodeHeader(3, ix.NumGroups, ix.NumImages)
+	for i := range ix.Records {
+		header.Bytes(4, encodeRecordEntry(nil, &ix.Records[i]))
+	}
+	unnamed := *ix
+	unnamed.Records = []RecordInfo{ix.Records[0], ix.Records[1]}
+	unnamed.Records[1].Name = ""
+	noName, err := EncodeIndex(&unnamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		name string
+		doc  []byte
+	}{
+		{"truncated varint", []byte{0x08, 0x80}},
+		{"header counts more records than it holds", header.Encode()},
+		{"entry with an empty name", noName},
+		{"trailing partial field", append(data[:len(data):len(data)], 0x22, 0x05, 0x0a)},
 	} {
-		if _, err := ParseIndex([]byte(bad)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("ParseIndex(%q) error = %v, want ErrCorrupt", bad, err)
+		if _, err := ParseIndex(bad.doc); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ParseIndex of a %s: error = %v, want ErrCorrupt", bad.name, err)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/kvstore"
-	"repro/internal/wire"
 )
 
 // mapKVErr lifts kvstore's private error namespace onto the facade's:
@@ -84,6 +83,9 @@ func (w *DatasetWriter) Append(s Sample) error {
 
 func recordName(i int) string { return fmt.Sprintf("record-%05d.pcr", i) }
 
+// recordKey is record i's entry's key in the metadata database.
+func recordKey(i int) string { return fmt.Sprintf("record/%05d", i) }
+
 func (w *DatasetWriter) flush() error {
 	if len(w.pending) == 0 {
 		return nil
@@ -106,35 +108,21 @@ func (w *DatasetWriter) flush() error {
 	}
 
 	// Record index entry: file name, sample count, prefix length per group
-	// and the sample-offset side index — per-sample IDs, labels, and
-	// sample-major flattened scan-group lengths.
-	enc := wire.NewEncoder(nil)
-	enc.String(1, name)
-	enc.Uint64(2, uint64(len(w.pending)))
-	prefixes := make([]uint64, meta.NumGroups+1)
-	for g := 0; g <= meta.NumGroups; g++ {
-		n, err := meta.PrefixLen(g)
-		if err != nil {
+	// and the sample-offset side index.
+	n := len(meta.Samples)
+	re := RecordInfo{Name: name, Samples: n, Prefixes: make([]int64, meta.NumGroups+1),
+		SampleIDs: make([]int64, 0, n), SampleLabels: make([]int64, 0, n), SampleGroupLens: make([]int64, 0, n*meta.NumGroups)}
+	for g := range re.Prefixes {
+		if re.Prefixes[g], err = meta.PrefixLen(g); err != nil {
 			return err
 		}
-		prefixes[g] = uint64(n)
 	}
-	enc.PackedUint64(3, prefixes)
-	ids := make([]uint64, len(meta.Samples))
-	labels := make([]uint64, len(meta.Samples))
-	lens := make([]uint64, 0, len(meta.Samples)*meta.NumGroups)
-	for i := range meta.Samples {
-		s := &meta.Samples[i]
-		ids[i] = uint64(s.ID)
-		labels[i] = uint64(s.Label)
-		for g := 0; g < meta.NumGroups; g++ {
-			lens = append(lens, uint64(s.GroupLens[g]))
-		}
+	for _, s := range meta.Samples {
+		re.SampleIDs = append(re.SampleIDs, s.ID)
+		re.SampleLabels = append(re.SampleLabels, s.Label)
+		re.SampleGroupLens = append(re.SampleGroupLens, s.GroupLens[:meta.NumGroups]...)
 	}
-	enc.PackedUint64(4, ids)
-	enc.PackedUint64(5, labels)
-	enc.PackedUint64(6, lens)
-	if err := w.db.Put([]byte(fmt.Sprintf("record/%05d", w.nrec)), enc.Encode()); err != nil {
+	if err := w.db.Put([]byte(recordKey(w.nrec)), encodeRecordEntry(nil, &re)); err != nil {
 		return err
 	}
 
@@ -155,11 +143,7 @@ func (w *DatasetWriter) Close() error {
 	if err := w.flush(); err != nil {
 		return err
 	}
-	enc := wire.NewEncoder(nil)
-	enc.Uint64(1, uint64(w.nrec))
-	enc.Uint64(2, uint64(w.ngroups))
-	enc.Uint64(3, uint64(w.nimg))
-	if err := w.db.Put([]byte("dataset"), enc.Encode()); err != nil {
+	if err := w.db.Put([]byte("dataset"), encodeHeader(w.nrec, w.ngroups, w.nimg).Encode()); err != nil {
 		return err
 	}
 	w.closed = true
@@ -174,7 +158,6 @@ func (w *DatasetWriter) Close() error {
 type Dataset struct {
 	backend   Backend
 	NumGroups int
-	numRec    int
 	numImg    int
 	records   []RecordInfo
 }
@@ -196,91 +179,11 @@ func OpenDataset(dir string) (*Dataset, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: dataset metadata missing (the dataset writer was not closed): %w", fs.ErrNotExist)
 	}
-	ds := &Dataset{backend: NewDirBackend(dir)}
-	d := wire.NewDecoder(raw)
-	for !d.Done() {
-		field, wtype, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		var v uint64
-		switch field {
-		case 1, 2, 3:
-			if v, err = d.Uint64(); err != nil {
-				return nil, err
-			}
-		default:
-			if err := d.Skip(wtype); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		switch field {
-		case 1:
-			ds.numRec = int(v)
-		case 2:
-			ds.NumGroups = int(v)
-		case 3:
-			ds.numImg = int(v)
-		}
-	}
-	for i := 0; i < ds.numRec; i++ {
-		raw, ok := kv[fmt.Sprintf("record/%05d", i)]
-		if !ok {
-			return nil, fmt.Errorf("core: %w: record %d metadata missing", ErrCorrupt, i)
-		}
-		re, err := parseRecordEntry(raw)
-		if err != nil {
-			return nil, err
-		}
-		ds.records = append(ds.records, re)
-	}
-	if err := checkCounts(ds.numImg, ds.NumGroups, ds.records); err != nil {
+	ix, err := decodeIndex(raw, kv)
+	if err != nil {
 		return nil, err
 	}
-	return ds, nil
-}
-
-// parseRecordEntry decodes and validates one record entry of the metadata
-// database.
-func parseRecordEntry(raw []byte) (RecordInfo, error) {
-	var re RecordInfo
-	d := wire.NewDecoder(raw)
-	for !d.Done() {
-		field, wtype, err := d.Next()
-		if err != nil {
-			return re, err
-		}
-		switch field {
-		case 1:
-			if re.Name, err = d.String(); err != nil {
-				return re, err
-			}
-		case 2:
-			v, err := d.Uint64()
-			if err != nil {
-				return re, err
-			}
-			re.Samples = int(v)
-		case 3, 4, 5, 6:
-			vs, err := d.PackedUint64()
-			if err != nil {
-				return re, err
-			}
-			dst := map[int]*[]int64{3: &re.Prefixes, 4: &re.SampleIDs, 5: &re.SampleLabels, 6: &re.SampleGroupLens}[field]
-			for _, v := range vs {
-				*dst = append(*dst, int64(v))
-			}
-		default:
-			if err := d.Skip(wtype); err != nil {
-				return re, err
-			}
-		}
-	}
-	if err := re.validate(); err != nil {
-		return re, fmt.Errorf("core: record entry %s: %w", re.Name, err)
-	}
-	return re, nil
+	return OpenDatasetIndex(ix, NewDirBackend(dir))
 }
 
 // Close releases the storage backend.
@@ -298,14 +201,14 @@ func (ds *Dataset) Backend() Backend { return ds.backend }
 func (ds *Dataset) SetBackend(b Backend) { ds.backend = b }
 
 // NumRecords returns the record count.
-func (ds *Dataset) NumRecords() int { return ds.numRec }
+func (ds *Dataset) NumRecords() int { return len(ds.records) }
 
 // NumImages returns the total image count.
 func (ds *Dataset) NumImages() int { return ds.numImg }
 
 // RecordName returns the Backend object name of record i.
 func (ds *Dataset) RecordName(i int) (string, error) {
-	if i < 0 || i >= ds.numRec {
+	if i < 0 || i >= len(ds.records) {
 		return "", fmt.Errorf("core: record %d out of range", i)
 	}
 	return ds.records[i].Name, nil
@@ -333,7 +236,7 @@ func (ds *Dataset) ReadRecordRangeInto(dst []byte, i int, offset, length int64) 
 // — the quantity the paper's bandwidth model is built on — without touching
 // the record file (it comes from the metadata DB).
 func (ds *Dataset) RecordPrefixLen(i, g int) (int64, error) {
-	if i < 0 || i >= ds.numRec {
+	if i < 0 || i >= len(ds.records) {
 		return 0, fmt.Errorf("core: record %d out of range", i)
 	}
 	re := &ds.records[i]

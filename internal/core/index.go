@@ -3,47 +3,48 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
-// Index is the serializable record index of a PCR dataset: everything a
-// reader needs to plan prefix reads without touching a record file. Locally
-// it lives in the kvstore metadata database (the paper's SQLite/RocksDB
-// role, §3.2); the serving layer ships it to remote readers as JSON over
-// GET /index, which is what lets a network client compute prefix lengths,
-// quality budgets (SizeAtQuality), and delta upgrades entirely client-side.
+// Index is the record index of a PCR dataset: everything a reader needs to
+// plan prefix reads without touching a record file. Its one encoding is the
+// kvstore metadata database's dataset header and record entries (the
+// paper's SQLite/RocksDB role, §3.2), which GET /index ships as one
+// document (EncodeIndex) — what lets a network client compute prefix
+// lengths, quality budgets (SizeAtQuality), and delta upgrades entirely
+// client-side.
 type Index struct {
 	// NumGroups is the dataset-wide maximum scan-group count (the number
 	// of quality levels).
-	NumGroups int `json:"num_groups"`
+	NumGroups int
 	// NumImages is the total stored image count.
-	NumImages int `json:"num_images"`
+	NumImages int
 	// Records lists every record in storage order.
-	Records []RecordInfo `json:"records"`
+	Records []RecordInfo
 }
 
 // RecordInfo is one record's index entry.
 type RecordInfo struct {
 	// Name is the record's object name within its Backend.
-	Name string `json:"name"`
+	Name string
 	// Samples is the record's image count.
-	Samples int `json:"samples"`
+	Samples int
 	// Prefixes[g] is the byte length of the record prefix through scan
 	// group g; Prefixes[0] covers metadata only and the last element is
 	// the whole record file.
-	Prefixes []int64 `json:"prefixes"`
+	Prefixes []int64
 
 	// Sample-offset side index. SampleIDs and SampleLabels list the
 	// per-sample identity in storage order; SampleGroupLens is sample-major
 	// flattened, SampleGroupLens[i*numGroups+(g-1)] being sample i's byte
 	// length within scan group g. Together with Prefixes these let any
 	// reader compute the exact byte ranges of a sample subset at any quality
-	// (SampleRanges) without touching the record file. (omitempty is for a
-	// record of no samples; validate holds every other to Samples × groups.)
-	SampleIDs       []int64 `json:"sample_ids,omitempty"`
-	SampleLabels    []int64 `json:"sample_labels,omitempty"`
-	SampleGroupLens []int64 `json:"sample_group_lens,omitempty"`
+	// (SampleRanges) without touching the record file.
+	SampleIDs       []int64
+	SampleLabels    []int64
+	SampleGroupLens []int64
 }
 
 // ClampGroup is the scan group a read of the record at group g serves: g,
@@ -52,26 +53,118 @@ type RecordInfo struct {
 // scans). Every reader of a record, local or remote, clamps through it.
 func (r *RecordInfo) ClampGroup(g int) int { return min(g, len(r.Prefixes)-1) }
 
-// EncodeIndex serializes the index as JSON (the serving layer's wire form).
-func EncodeIndex(ix *Index) ([]byte, error) {
-	data, err := json.Marshal(ix)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding index: %w", err)
-	}
-	return data, nil
+// encodeHeader starts the dataset header: record, quality-level and image
+// counts as fields 1–3.
+func encodeHeader(records, groups, images int) *wire.Encoder {
+	e := wire.NewEncoder(nil)
+	e.Uint64(1, uint64(records))
+	e.Uint64(2, uint64(groups))
+	e.Uint64(3, uint64(images))
+	return e
 }
 
-// ParseIndex deserializes an index and validates its shape; malformed input
-// is reported as ErrCorrupt.
-func ParseIndex(data []byte) (*Index, error) {
-	var ix Index
-	if err := json.Unmarshal(data, &ix); err != nil {
-		return nil, fmt.Errorf("core: %w: parsing index: %w", ErrCorrupt, err)
+// encodeRecordEntry is the one encoding of a record entry, over buf's
+// storage: name (field 1), sample count (2), and as packed varints, each
+// negative one as its two's complement, the prefix lengths (3) and side
+// index — sample IDs (4), labels (5) and group lengths (6).
+func encodeRecordEntry(buf []byte, re *RecordInfo) []byte {
+	e := wire.NewEncoder(buf)
+	e.String(1, re.Name)
+	e.Uint64(2, uint64(re.Samples))
+	for f, vs := range [][]int64{re.Prefixes, re.SampleIDs, re.SampleLabels, re.SampleGroupLens} {
+		wire.Packed(e, 3+f, vs)
+	}
+	return e.Encode()
+}
+
+// parseRecordEntry is the one parser of a record entry (encodeRecordEntry):
+// a malformed one is ErrCorrupt. decodeIndex validates what it returns.
+func parseRecordEntry(raw []byte) (RecordInfo, error) {
+	var re RecordInfo
+	d := wire.NewDecoder(raw)
+	for !d.Done() {
+		field, wtype, err := d.Next()
+		if err == nil {
+			switch field {
+			case 1:
+				re.Name, err = d.String()
+			case 2:
+				var v uint64
+				v, err = d.Uint64()
+				re.Samples = int(v)
+			case 3, 4, 5, 6:
+				dst := [...]*[]int64{&re.Prefixes, &re.SampleIDs, &re.SampleLabels, &re.SampleGroupLens}[field-3]
+				*dst, err = wire.ReadPacked(d, *dst)
+			default:
+				err = d.Skip(wtype)
+			}
+		}
+		if err != nil {
+			return re, fmt.Errorf("%w: record entry: %w", ErrCorrupt, err)
+		}
+	}
+	return re, nil
+}
+
+// EncodeIndex serializes the index as the /index document: the dataset
+// header with every record entry appended as field 4.
+func EncodeIndex(ix *Index) ([]byte, error) {
+	e := encodeHeader(len(ix.Records), ix.NumGroups, ix.NumImages)
+	var entry []byte
+	for i := range ix.Records {
+		entry = encodeRecordEntry(entry, &ix.Records[i])
+		e.Bytes(4, entry)
+	}
+	return e.Encode(), nil
+}
+
+// ParseIndex deserializes an /index document and validates its shape;
+// malformed input is reported as ErrCorrupt.
+func ParseIndex(data []byte) (*Index, error) { return decodeIndex(data, nil) }
+
+// decodeIndex is the one parser of an index: a dataset header whose record
+// entries are its field 4 (an /index document) or stored's record/%05d
+// values (the metadata database), each parsed by parseRecordEntry, their
+// number held to the header's, the whole validated; it refuses as ErrCorrupt.
+func decodeIndex(header []byte, stored map[string][]byte) (*Index, error) {
+	var counts [4]uint64 // fields 1–3: records, quality levels, images
+	var entries [][]byte
+	d := wire.NewDecoder(header)
+	for !d.Done() {
+		field, wtype, err := d.Next()
+		if err == nil {
+			switch field {
+			case 1, 2, 3:
+				counts[field], err = d.Uint64()
+			case 4:
+				var e []byte
+				e, err = d.Bytes()
+				entries = append(entries, e)
+			default:
+				err = d.Skip(wtype)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %w: index header: %w", ErrCorrupt, err)
+		}
+	}
+	for i := len(entries); uint64(i) < counts[1] && stored[recordKey(i)] != nil; i++ {
+		entries = append(entries, stored[recordKey(i)])
+	}
+	if counts[1] != uint64(len(entries)) {
+		return nil, fmt.Errorf("core: %w: index header counts %d records, holds %d", ErrCorrupt, counts[1], len(entries))
+	}
+	ix := &Index{NumGroups: int(counts[2]), NumImages: int(counts[3]), Records: make([]RecordInfo, len(entries))}
+	for i, e := range entries {
+		var err error
+		if ix.Records[i], err = parseRecordEntry(e); err != nil {
+			return nil, fmt.Errorf("core: index record %d: %w", i, err)
+		}
 	}
 	if err := ix.validate(); err != nil {
 		return nil, err
 	}
-	return &ix, nil
+	return ix, nil
 }
 
 // validate refuses, as ErrCorrupt, an index a read plan cannot trust: a
@@ -121,11 +214,12 @@ func (ix *Index) Shard(i, n int) *Index {
 	return sub
 }
 
-// IndexFingerprint returns a stable content fingerprint of the index — the
-// dataset's generation for cache-coherence purposes (its ETag role).
-// Datasets are immutable once written, so two readers that fingerprint the
-// same index are reading the same bytes, and a persistent cache keyed by
-// the fingerprint can never serve bytes from a different dataset build.
+// IndexFingerprint returns a stable content fingerprint of the index, the
+// SHA-256 of its /index document: the dataset's generation for cache
+// coherence and the server's /index ETag. Datasets are immutable once
+// written, so two readers that fingerprint the same index are reading the
+// same bytes, and a persistent cache keyed by the fingerprint can never
+// serve bytes from a different dataset build.
 func IndexFingerprint(ix *Index) (string, error) {
 	data, err := EncodeIndex(ix)
 	if err != nil {
@@ -163,7 +257,6 @@ func OpenDatasetIndex(ix *Index, b Backend) (*Dataset, error) {
 	return &Dataset{
 		backend:   b,
 		NumGroups: ix.NumGroups,
-		numRec:    len(ix.Records),
 		numImg:    ix.NumImages,
 		records:   append([]RecordInfo(nil), ix.Records...),
 	}, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 )
 
 // An index whose counts contradict its records is corrupt, however it
-// arrives: index JSON, a caller's Index, or the metadata database. A shard
-// view's quality count may exceed its own records' groups.
+// arrives: an /index document, a caller's Index, or the metadata database.
+// A shard view's quality count may exceed its own records' groups.
 func TestIndexCountsChecked(t *testing.T) {
 	ds, _ := buildIndexedDataset(t)
 	base := ds.Index()
@@ -124,4 +125,55 @@ func TestIndexShard(t *testing.T) {
 	if seen != len(whole.Records) {
 		t.Fatalf("%d shards hold %d records, want %d", n, seen, len(whole.Records))
 	}
+}
+
+// paperScaleIndex is a synthetic index at the paper's ImageNet scale: 1 250
+// records of 1 024 samples in 10 scan groups, 1.28 M samples in all, with
+// lengths of two and three varint bytes and IDs numbered through.
+func paperScaleIndex() *Index {
+	const records, samples, groups = 1250, 1024, 10
+	ix := &Index{NumGroups: groups, NumImages: records * samples}
+	for r := 0; r < records; r++ {
+		re := RecordInfo{Name: fmt.Sprintf("record-%05d.pcr", r), Samples: samples, Prefixes: make([]int64, groups+1)}
+		re.Prefixes[0] = 4096
+		lens := make([]int64, samples*groups)
+		for i := range samples {
+			re.SampleIDs = append(re.SampleIDs, int64(r*samples+i))
+			re.SampleLabels = append(re.SampleLabels, int64((r*samples+i)%1000))
+			for g := range groups {
+				lens[i*groups+g] = int64(100 + (i*31+g*17)%20000)
+			}
+		}
+		for g := 1; g <= groups; g++ {
+			re.Prefixes[g] = re.Prefixes[g-1] + 600 // the group's preamble
+			for i := range samples {
+				re.Prefixes[g] += lens[i*groups+g-1]
+			}
+		}
+		re.SampleGroupLens = lens
+		ix.Records = append(ix.Records, re)
+	}
+	return ix
+}
+
+// BenchmarkParseIndexPaperScale is what opening a paper-scale dataset
+// remotely costs before any record is read: ParseIndex of the /index
+// document and IndexFingerprint of the result, the disk tier's generation.
+// It reports the document's size.
+func BenchmarkParseIndexPaperScale(b *testing.B) {
+	doc, err := EncodeIndex(paperScaleIndex())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for range b.N {
+		ix, err := ParseIndex(doc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := IndexFingerprint(ix); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(doc))/1e6, "MB/index")
 }

@@ -198,7 +198,7 @@ type SampleReader interface {
 // index, in storage order, without touching the record file. The slices
 // alias dataset state and must not be mutated.
 func (ds *Dataset) SampleIndex(i int) (ids, labels []int64, err error) {
-	if i < 0 || i >= ds.numRec {
+	if i < 0 || i >= len(ds.records) {
 		return nil, nil, fmt.Errorf("core: record %d out of range", i)
 	}
 	return ds.records[i].SampleIDs, ds.records[i].SampleLabels, nil
@@ -207,14 +207,14 @@ func (ds *Dataset) SampleIndex(i int) (ids, labels []int64, err error) {
 // SampleRanges returns the coalesced byte ranges of record i covering the
 // selected samples at scan group g (see RecordInfo.SampleRanges).
 func (ds *Dataset) SampleRanges(i, g int, sel []bool) ([]ByteRange, error) {
-	if i < 0 || i >= ds.numRec {
+	if i < 0 || i >= len(ds.records) {
 		return nil, fmt.Errorf("core: record %d out of range", i)
 	}
 	return ds.records[i].SampleRanges(g, sel)
 }
 
-// validate checks one record entry, however it arrived (index JSON, the
-// metadata database, a caller's Index): a name, a non-negative metadata
+// validate checks one record entry, however it arrived (an /index document,
+// the metadata database, a caller's Index): a name, a non-negative metadata
 // prefix, and a side index whose arrays match Samples × groups with
 // non-negative slice lengths that sum, group by group, to no more than the
 // (non-negative) prefix deltas — what they leave is the group's preamble.

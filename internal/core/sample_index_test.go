@@ -161,6 +161,17 @@ func kvEntry(re RecordInfo) []byte {
 	return enc.Encode()
 }
 
+// decodeStored parses ix as the metadata database stores it: a dataset
+// header, and kvEntry's spelling of each record under its key.
+func decodeStored(ix *Index) error {
+	stored := make(map[string][]byte)
+	for r, re := range ix.Records {
+		stored[recordKey(r)] = kvEntry(re)
+	}
+	_, err := decodeIndex(encodeHeader(len(ix.Records), ix.NumGroups, ix.NumImages).Encode(), stored)
+	return err
+}
+
 // The side index is part of the format: an index, a caller's Index and a
 // metadata-database entry that name a record without it are all refused as
 // corrupt, and the writer's own entries spell exactly what kvEntry does.
@@ -176,6 +187,9 @@ func TestSampleIndexRequired(t *testing.T) {
 			t.Fatalf("record %d: kvEntry does not spell the entry the writer stored", r)
 		}
 	}
+	if err := decodeStored(ix); err != nil {
+		t.Fatalf("the writer's own entries: %v", err)
+	}
 	ix.Records[1].SampleIDs, ix.Records[1].SampleLabels, ix.Records[1].SampleGroupLens = nil, nil, nil
 	data, err := EncodeIndex(ix)
 	if err != nil {
@@ -187,26 +201,28 @@ func TestSampleIndexRequired(t *testing.T) {
 	if _, err := OpenDatasetIndex(ix, NewDirBackend(t.TempDir())); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("OpenDatasetIndex of an index without the side index: %v, want ErrCorrupt", err)
 	}
-	if _, err := parseRecordEntry(kvEntry(ix.Records[1])); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("parseRecordEntry of an entry without the side index: %v, want ErrCorrupt", err)
+	if err := decodeStored(ix); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("metadata database entries without the side index: %v, want ErrCorrupt", err)
 	}
 }
 
-// The encodings of a conforming index have not moved: the fingerprint of the
-// seeded dataset above is the one the tree computed for it before the side
-// index became mandatory, so warm disk caches keyed by it stay valid.
+// The encoding of a conforming index has not moved: the fingerprint of the
+// seeded dataset above is the SHA-256 of its /index document, the dataset
+// header with the metadata database's record entries inline. A disk tier
+// keys its entries by this fingerprint, so a change here orphans every warm
+// disk cache: Wrap discards entries of another generation on open.
 func TestIndexFingerprintPinned(t *testing.T) {
 	ds, _ := buildIndexedDataset(t)
 	got, err := IndexFingerprint(ds.Index())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "e5c6f4a079bc811fd9724475f785f268"; got != want {
+	if want := "f5eba2c8e152ed5cddacaea244986036"; got != want {
 		t.Fatalf("IndexFingerprint = %s, want %s", got, want)
 	}
 }
 
-// The side index survives the JSON wire form: an index exported, encoded,
+// The side index survives the /index document: an index exported, encoded,
 // parsed, and mounted over a DirBackend plans the same ranges as the local
 // dataset.
 func TestSampleIndexSurvivesIndexWire(t *testing.T) {
@@ -319,7 +335,7 @@ func cloneEntry(re RecordInfo) RecordInfo {
 }
 
 // Corrupt record entries must be rejected at parse time, not discovered as
-// bogus reads later — whichever way the entry arrives: index JSON, a
+// bogus reads later — whichever way the entry arrives: an /index document, a
 // caller's Index, or the metadata database.
 func TestParseIndexRejectsCorruptSampleIndex(t *testing.T) {
 	ds, _ := buildIndexedDataset(t)
@@ -341,8 +357,8 @@ func TestParseIndexRejectsCorruptSampleIndex(t *testing.T) {
 			if _, err := OpenDatasetIndex(ix, NewDirBackend(t.TempDir())); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("OpenDatasetIndex err = %v, want ErrCorrupt", err)
 			}
-			if _, err := parseRecordEntry(kvEntry(ix.Records[0])); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("parseRecordEntry err = %v, want ErrCorrupt", err)
+			if err := decodeStored(ix); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("metadata database entries: err = %v, want ErrCorrupt", err)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -298,6 +299,100 @@ func TestTornHeaderRecovery(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("refetched entry has no data file: %v", err)
+	}
+}
+
+// TestExtentZeroHeaderDiscarded: a data file whose intact header, of this
+// generation, names an empty extent is discarded at open, not recovered —
+// a fill never writes one — and the object refetches on its first read.
+func TestExtentZeroHeaderDiscarded(t *testing.T) {
+	inner := newFake()
+	dir := t.TempDir()
+	b, err := Wrap(inner, dir, 1<<20, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := inner.objects["records/a.pcr"]
+	bb := inner.objects["records/b.pcr"]
+	mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
+	mustRead(t, b, "records/b.pcr", 0, 200, bb[:200])
+	path := b.objectFile("records/b.pcr")
+	b.Close()
+
+	h, _, err := readHeader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.extent, h.crc = 0, 0
+	if err := os.WriteFile(path, h.marshal(filepath.Base(path)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	inner2 := newFake()
+	b2, err := Wrap(inner2, dir, 1<<20, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if st := b2.Stats(); st.Recovered != 1 || st.Discarded != 1 {
+		t.Fatalf("recovery stats = %+v, want 1 recovered and 1 discarded", st)
+	}
+	mustRead(t, b2, "records/b.pcr", 0, 200, bb[:200])
+	if st := b2.Stats(); st.Misses != 1 || st.DeltaHits != 0 {
+		t.Fatalf("stats = %+v, want the discarded entry refetched as a miss", st)
+	}
+}
+
+// shortBackend answers every ReadRange one byte short, without an error,
+// while short is set.
+type shortBackend struct {
+	*fakeBackend
+	short bool
+}
+
+func (s *shortBackend) ReadRange(name string, offset, length int64) ([]byte, error) {
+	got, err := s.fakeBackend.ReadRange(name, offset, length)
+	if err == nil && s.short {
+		got = got[:len(got)-1]
+	}
+	return got, err
+}
+
+// TestShortUpstreamAnswerCachesNothing: an upstream answer shorter than the
+// fill asked for fails the read, a cold fill and an upgrade alike, and
+// caches none of it: the cold object has no data file, the upgraded one
+// keeps its extent, and once the upstream answers whole each fetches
+// exactly what it lacks.
+func TestShortUpstreamAnswerCachesNothing(t *testing.T) {
+	inner := &shortBackend{fakeBackend: newFake()}
+	b, err := Wrap(inner, t.TempDir(), 1<<20, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a := inner.objects["records/a.pcr"]
+	bb := inner.objects["records/b.pcr"]
+	mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
+
+	inner.short = true
+	if _, err := b.ReadRange("records/b.pcr", 0, 200); err == nil {
+		t.Fatal("a cold fill from a short answer succeeded")
+	}
+	if _, err := os.Stat(b.objectFile("records/b.pcr")); !os.IsNotExist(err) {
+		t.Fatalf("a short cold fill left a data file: %v", err)
+	}
+	if _, err := b.ReadRange("records/a.pcr", 0, 700); err == nil {
+		t.Fatal("an upgrade from a short answer succeeded")
+	}
+	if h, _, err := readHeader(b.objectFile("records/a.pcr")); err != nil || h.extent != 400 {
+		t.Fatalf("a short upgrade moved the extent (%v): %d, want 400", err, h.extent)
+	}
+
+	inner.short = false
+	mustRead(t, b, "records/a.pcr", 0, 700, a[:700])
+	mustRead(t, b, "records/b.pcr", 0, 200, bb[:200])
+	if got := inner.ranges[len(inner.ranges)-2:]; !slices.Equal(got, []string{"records/a.pcr:400+300", "records/b.pcr:0+200"}) {
+		t.Fatalf("fetched %v after the short answers, want a's delta and b whole", got)
 	}
 }
 

@@ -82,7 +82,7 @@ func newMember(rawURL string, hc *http.Client) (*member, error) {
 }
 
 // maxIndexBytes bounds an /index body: ample headroom over a paper-scale
-// index (about 91 MB for ImageNet's 1.28 M images), and a bound on what a
+// index (≈ 33 MB for ImageNet's 1.28 M images), and a bound on what a
 // broken or hostile server can make a client buffer. A var so that a test
 // can lower it.
 var maxIndexBytes int64 = 1 << 30
@@ -146,10 +146,10 @@ func (e *misdirectedError) Error() string {
 	return fmt.Sprintf("serve: reading %s: misdirected (owner is %s)", e.name, e.owner)
 }
 
-// document is one GET of a JSON document at path (the index, with the shard
-// query when there is one; the membership), read whole. A body cut short is
-// retryable; one over limit bytes is final, and refused unread when its
-// Content-Length says so.
+// document is one GET of a document at path (the index, with the shard
+// query when there is one; the JSON membership), read whole. A body cut
+// short is retryable; one over limit bytes is final, and refused unread
+// when its Content-Length says so.
 func (m *member) document(path, name string, limit int64) ([]byte, bool, error) {
 	resp, retryable, err := m.get(m.base+path, name, "", false)
 	if err != nil {

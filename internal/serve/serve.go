@@ -7,12 +7,12 @@
 // The wire protocol is deliberately tiny and HTTP-native, because the
 // paper's central operation maps exactly onto an HTTP Range request:
 //
-//	GET /index                      → the record index as JSON (core.Index):
+//	GET /index                      → the record index (core.EncodeIndex):
 //	                                  record names, sample counts, and the
 //	                                  per-scan-group prefix lengths readers
 //	                                  plan reads with (§3.2's metadata DB
-//	                                  role). Carries an ETag; If-None-Match
-//	                                  is answered with 304.
+//	                                  entries). Its ETag, the index
+//	                                  fingerprint, is answered with 304.
 //	GET /records/{name}             → record bytes. "Range: bytes=a-b" is
 //	                                  honored with 206/Content-Range;
 //	                                  a past-EOF start yields 416. Each
@@ -55,7 +55,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"net/http"
 	"strconv"
@@ -177,8 +176,8 @@ type Server struct {
 	byName  map[string]int
 	index   *core.Index // the whole record index
 
-	indexJSON []byte
-	indexETag string
+	indexDoc  []byte
+	indexETag string // the index fingerprint, quoted
 	etags     []string
 
 	tiers *cache.Stack
@@ -238,7 +237,11 @@ func NewFromDataset(ds *core.Dataset, opts *Options) (*Server, error) {
 		o = *opts
 	}
 	ix := ds.Index()
-	indexJSON, err := core.EncodeIndex(ix)
+	indexDoc, err := core.EncodeIndex(ix)
+	if err != nil {
+		return nil, err
+	}
+	fingerprint, err := core.IndexFingerprint(ix)
 	if err != nil {
 		return nil, err
 	}
@@ -246,8 +249,8 @@ func NewFromDataset(ds *core.Dataset, opts *Options) (*Server, error) {
 		logReqs:   o.LogRequests,
 		byName:    make(map[string]int, len(ix.Records)),
 		index:     ix,
-		indexJSON: indexJSON,
-		indexETag: fmt.Sprintf("%q", fmt.Sprintf("idx-%08x-%d", crc32.ChecksumIEEE(indexJSON), len(indexJSON))),
+		indexDoc:  indexDoc,
+		indexETag: fmt.Sprintf("%q", fingerprint),
 	}
 	for i, re := range ix.Records {
 		s.byName[re.Name] = i
@@ -422,11 +425,11 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	// validator derives from the whole-index ETag — a conditional poll is
 	// answered with 304 before any encoding work.
 	if nshards == 0 {
-		s.writeDocument(w, r, s.indexETag, func() ([]byte, error) { return s.indexJSON, nil })
+		s.writeDocument(w, r, s.indexETag, "application/octet-stream", func() ([]byte, error) { return s.indexDoc, nil })
 		return
 	}
 	etag := fmt.Sprintf("%q", fmt.Sprintf("%s-s%d.%d", strings.Trim(s.indexETag, `"`), shard, nshards))
-	s.writeDocument(w, r, etag, func() ([]byte, error) { return core.EncodeIndex(s.index.Shard(shard, nshards)) })
+	s.writeDocument(w, r, etag, "application/octet-stream", func() ([]byte, error) { return core.EncodeIndex(s.index.Shard(shard, nshards)) })
 }
 
 // handleCluster serves the fleet membership (cluster.Info): member list,
@@ -438,7 +441,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 // to any server, fleet or not.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if s.ring != nil {
-		s.writeDocument(w, r, s.clusterETag, func() ([]byte, error) { return s.clusterJSON, nil })
+		s.writeDocument(w, r, s.clusterETag, "application/json", func() ([]byte, error) { return s.clusterJSON, nil })
 		return
 	}
 	scheme := "http"
@@ -452,14 +455,14 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		Self:        self,
 		Epoch:       cluster.Epoch([]string{self}, 1),
 	}
-	s.writeDocument(w, r, fmt.Sprintf("%q", "cl-"+info.Epoch), func() ([]byte, error) { return json.Marshal(info) })
+	s.writeDocument(w, r, fmt.Sprintf("%q", "cl-"+info.Epoch), "application/json", func() ([]byte, error) { return json.Marshal(info) })
 }
 
-// writeDocument answers a GET or HEAD of a JSON document, /index or
-// /cluster: a counted 304 when the request's If-None-Match matches etag
-// (unmodified), else the document encode makes — run only then — with its
-// type and length.
-func (s *Server) writeDocument(w http.ResponseWriter, r *http.Request, etag string, encode func() ([]byte, error)) {
+// writeDocument answers a GET or HEAD of a document — /index, the
+// core.EncodeIndex wire message, or /cluster, JSON: a counted 304 when the
+// request's If-None-Match matches etag (unmodified), else the document
+// encode makes — run only then — with its media type ctype and its length.
+func (s *Server) writeDocument(w http.ResponseWriter, r *http.Request, etag, ctype string, encode func() ([]byte, error)) {
 	if s.unmodified(w, r, etag) {
 		return
 	}
@@ -469,7 +472,7 @@ func (s *Server) writeDocument(w http.ResponseWriter, r *http.Request, etag stri
 		s.fail(w, http.StatusInternalServerError, "serve: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ctype)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if r.Method != http.MethodHead {
 		w.Write(body)

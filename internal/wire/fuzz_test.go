@@ -102,10 +102,10 @@ func readFields(t *testing.T, b []byte) []fuzzField {
 			if (serr == nil) != (err == nil) || str.pos != d.pos || s != string(fl.b) {
 				t.Fatalf("String read %q, %v to %d; Bytes %q, %v to %d", s, serr, str.pos, fl.b, err, d.pos)
 			}
-			vs, perr := packed.PackedUint64()
+			vs, perr := ReadPacked[uint64](&packed, nil)
 			if perr == nil {
 				if err != nil || packed.pos != d.pos {
-					t.Fatalf("PackedUint64 read to %d; Bytes to %d, %v", packed.pos, d.pos, err)
+					t.Fatalf("ReadPacked read to %d; Bytes to %d, %v", packed.pos, d.pos, err)
 				}
 				for _, v := range vs {
 					checkVarint(t, v)

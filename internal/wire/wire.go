@@ -3,14 +3,17 @@
 // signed integers, and length-delimited fields. The paper notes that
 // "serialization libraries, such as Protobuf, handle both the packing and
 // unpacking steps transparently" — this package is that library, used by
-// the record metadata sections, the kvstore index entries, and the
-// TFRecord baseline's frames.
+// the record metadata sections, the record index (one encoding: the
+// kvstore's dataset and record entries, which the served /index document
+// carries inline), and the TFRecord baseline's frames.
 package wire
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Wire types (protobuf-compatible numbering).
@@ -93,14 +96,23 @@ func (e *Encoder) String(field int, v string) {
 	e.buf = append(e.buf, v...)
 }
 
-// PackedUint64 appends a packed repeated varint field.
-func (e *Encoder) PackedUint64(field int, vs []uint64) {
-	var tmp Encoder
+// Packed appends a packed repeated varint field, sized before it is
+// written. A signed value is spelled as its 64-bit two's complement
+// (protobuf's int64, not the zigzag sint64 of Int64).
+func Packed[T ~uint64 | ~int64](e *Encoder, field int, vs []T) {
+	n := 0
 	for _, v := range vs {
-		tmp.varint(v)
+		n += (bits.Len64(uint64(v)|1) + 6) / 7
 	}
-	e.Bytes(field, tmp.buf)
+	e.tag(field, TypeBytes)
+	e.varint(uint64(n))
+	for _, v := range vs {
+		e.varint(uint64(v))
+	}
 }
+
+// PackedUint64 appends a packed repeated varint field.
+func (e *Encoder) PackedUint64(field int, vs []uint64) { Packed(e, field, vs) }
 
 // Decoder iterates the fields of a wire-format message.
 type Decoder struct {
@@ -202,22 +214,29 @@ func (d *Decoder) String() (string, error) {
 	return string(b), err
 }
 
-// PackedUint64 reads a packed repeated varint payload.
-func (d *Decoder) PackedUint64() ([]uint64, error) {
+// ReadPacked reads a packed repeated varint payload, appending its values
+// to dst; it grows dst once, by the number of varints the payload ends.
+func ReadPacked[T ~uint64 | ~int64](d *Decoder, dst []T) ([]T, error) {
 	b, err := d.Bytes()
 	if err != nil {
 		return nil, err
 	}
+	n := 0
+	for _, c := range b {
+		if c < 0x80 {
+			n++
+		}
+	}
+	dst = slices.Grow(dst, n)
 	sub := NewDecoder(b)
-	var out []uint64
 	for !sub.Done() {
 		v, err := sub.varint()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
+		dst = append(dst, T(v))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Skip discards a field of the given wire type.

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -53,7 +55,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		t.Errorf("string = %q", v)
 	}
 	expectField(7, TypeBytes)
-	vs, err := d.PackedUint64()
+	vs, err := ReadPacked[uint64](d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,5 +208,30 @@ func TestVarintOverflowRefused(t *testing.T) {
 		if !tc.ok && (err == nil || err.Error() != "wire: varint overflow") {
 			t.Errorf("%s: got %d, %v; want the varint overflow error", tc.name, got, err)
 		}
+	}
+}
+
+// A packed int64 field is spelled as the uint64s of its two's complements,
+// its length computed up front agrees with the varints written, and
+// ReadPacked appends to what it is given.
+func TestPackedSignedMatchesUnsigned(t *testing.T) {
+	signed := []int64{0, 1, -1, 127, 128, -300, math.MaxInt64, math.MinInt64}
+	unsigned := make([]uint64, len(signed))
+	for i, v := range signed {
+		unsigned[i] = uint64(v)
+	}
+	a, b := NewEncoder(nil), NewEncoder(nil)
+	Packed(a, 3, signed)
+	b.PackedUint64(3, unsigned)
+	if !bytes.Equal(a.Encode(), b.Encode()) {
+		t.Fatalf("packed int64 %x, packed uint64 %x", a.Encode(), b.Encode())
+	}
+	d := NewDecoder(a.Encode())
+	if _, _, err := d.Next(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadPacked(d, []int64{42})
+	if err != nil || !d.Done() || !slices.Equal(got, append([]int64{42}, signed...)) {
+		t.Fatalf("ReadPacked = %v, %v; want 42 then %v", got, err, signed)
 	}
 }
