@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -11,9 +13,16 @@ import (
 // and the server's: the memory LRU over the persistent disk tier over the
 // dataset's backend, either tier optional. A read at one quality is a byte
 // prefix of the read at the next, so each tier fills with exactly the delta
-// of an upgrade. A read beneath the memory tier reads into a buffer from
-// the stack's free list, and the caller hands the result back with
-// Release; Release leaves a memory tier's prefix alone.
+// of an upgrade.
+//
+// Every buffer Read and Gather return is a lease, which the caller hands
+// back with Release whichever tier answered. A window of the memory tier's
+// prefix stays the prefix's bytes until then; the prefix goes to the
+// stack's free list once the tier has dropped it and no lease holds it.
+// Any other buffer goes to the free list at Release. A memory-tier miss or
+// upgrade takes its buffer from that list, as do a gather and a read
+// beneath no memory tier; a prefix the tier keeps takes one at most twice
+// its length, so its prefixes occupy at most twice the bytes it counts.
 type Stack struct {
 	ds   *core.Dataset
 	mem  *Cache
@@ -22,16 +31,21 @@ type Stack struct {
 	// tier; on an error the read goes to the dataset's backend instead.
 	pull      Fetcher
 	bytesRead atomic.Int64
-	free      FreeList[[]byte] // as many as a reader reads ahead (pcr: four records)
+	free      buffers
 }
+
+// freeBuffers is how many buffers the free list keeps: as many as a pcr
+// reader reads ahead (four records). The list drops its oldest when full,
+// so the small prefixes upgrades drop cannot crowd out the large ones
+// evictions return.
+const freeBuffers = 4
 
 // NewStack builds the tiers over ds: a disk tier of diskBytes at diskDir
 // unless it is empty, keyed by the fingerprint of ds's index and closed by
 // ds.Close, under a memory tier of memBytes unless it is zero. pull, when
 // non-nil, is the backing fetch tried before the dataset's backend.
 func NewStack(ds *core.Dataset, memBytes int64, diskDir string, diskBytes int64, pull Fetcher) (*Stack, error) {
-	s := &Stack{ds: ds, pull: pull, free: make(FreeList[[]byte], 4)}
-	var err error
+	s := &Stack{ds: ds, pull: pull, free: buffers{max: freeBuffers}}
 	if diskDir != "" {
 		gen, err := core.IndexFingerprint(ds.Index())
 		if err != nil {
@@ -43,9 +57,9 @@ func NewStack(ds *core.Dataset, memBytes int64, diskDir string, diskBytes int64,
 		ds.SetBackend(s.disk)
 	}
 	if memBytes > 0 {
-		s.mem, err = New(memBytes, func(rec int, off, n int64) ([]byte, error) { return s.read(nil, rec, off, n) })
+		s.mem = newCache(memBytes, s.read, &s.free)
 	}
-	return s, err
+	return s, nil
 }
 
 // read reads [off, off+n) of record rec beneath the memory tier, into dst
@@ -66,40 +80,38 @@ func (s *Stack) read(dst []byte, rec int, off, n int64) ([]byte, error) {
 // The memory tier caches the prefix through off+n, which serves any later
 // read at the same or a lower quality and costs a longer one the delta.
 func (s *Stack) Read(rec int, off, n int64) ([]byte, error) {
-	if s.mem == nil {
-		return s.read(s.free.Take(), rec, off, n)
+	if s.mem != nil {
+		return s.mem.lend(rec, off, off+n)
 	}
-	p, err := s.mem.Get(rec, off+n)
-	if err != nil {
-		return nil, err
-	}
-	return p[off:], nil
+	return s.read(s.free.take(n, math.MaxInt64), rec, off, n)
 }
 
-// Release hands back a buffer Read returned, for a later read to reuse.
+// Release hands back a buffer Read or Gather returned; the caller must not
+// touch it again.
 func (s *Stack) Release(b []byte) {
-	if s.mem == nil && cap(b) > 0 {
-		s.free.Give(b)
+	if cap(b) > 0 && (s.mem == nil || !s.mem.release(b)) {
+		s.free.give(b)
 	}
 }
 
 // Gather returns the bytes of ranges, ascending ranges of record rec that
 // hold the scan-group-group slices of the samples sel selects, concatenated
-// in order; the caller owns them. Through the memory tier that is one
-// prefix read up to the last range's end, which warms the prefix, and a
-// gather from it. Beneath it, it is one pushdown request when the backend
-// takes the selection (core.SampleReader) and a read per range otherwise.
+// in order. Through the memory tier that is one prefix read up to the last
+// range's end, which warms the prefix, and a gather from it. Beneath it, it
+// is one pushdown request when the backend takes the selection
+// (core.SampleReader) and a read per range otherwise.
 func (s *Stack) Gather(rec, group int, sel []bool, ranges []core.ByteRange) ([]byte, error) {
 	if len(ranges) == 0 {
 		return nil, nil
 	}
 	if s.mem != nil {
 		last := ranges[len(ranges)-1]
-		prefix, err := s.mem.Get(rec, last.Offset+last.Length)
+		prefix, err := s.mem.lend(rec, 0, last.Offset+last.Length)
 		if err != nil {
 			return nil, err
 		}
-		return core.GatherRanges(prefix, ranges)
+		defer s.Release(prefix)
+		return core.GatherRanges(s.free.take(core.RangesTotal(ranges), math.MaxInt64), prefix, ranges)
 	}
 	if sr, ok := s.ds.Backend().(core.SampleReader); ok {
 		name, err := s.ds.RecordName(rec)
@@ -110,9 +122,9 @@ func (s *Stack) Gather(rec, group int, sel []bool, ranges []core.ByteRange) ([]b
 		s.bytesRead.Add(int64(len(body)))
 		return body, err
 	}
-	body := make([]byte, 0, core.RangesTotal(ranges))
+	body := s.free.take(core.RangesTotal(ranges), math.MaxInt64)[:0]
 	for _, rg := range ranges {
-		part, err := s.read(nil, rec, rg.Offset, rg.Length)
+		part, err := s.read(body[len(body):], rec, rg.Offset, rg.Length)
 		if err != nil {
 			return nil, err
 		}
@@ -144,30 +156,66 @@ func (s *Stack) DiskStats() (st diskcache.Stats, ok bool) {
 // dataset's backend, of which the disk tier fetched BytesFetched.
 func (s *Stack) BytesRead() int64 { return s.bytesRead.Load() }
 
-// Free returns the buffers on the free list, leaving it as it was; tests
-// use it to see a buffer reused.
+// Free returns the buffers on the free list, oldest first, leaving it as it
+// was; tests use it to see a buffer reused.
 func (s *Stack) Free() [][]byte {
-	bufs := make([][]byte, len(s.free))
-	for i := range bufs {
-		bufs[i] = s.free.Take()
-		s.free.Give(bufs[i])
-	}
-	return bufs
+	s.free.mu.Lock()
+	defer s.free.mu.Unlock()
+	return append([][]byte(nil), s.free.bufs...)
 }
 
 // Close empties the free list and closes the dataset, the disk tier with it.
 func (s *Stack) Close() error {
-	for len(s.free) > 0 {
-		s.free.Take()
-	}
+	s.free.mu.Lock()
+	s.free.bufs = nil
+	s.free.mu.Unlock()
 	return s.ds.Close()
 }
 
-// FreeList holds things whose holder is done with them — buffers a read
-// beneath the memory tier returned, frames the pcr Loader's consumer handed
-// back — for the next read or decode to reuse. It holds as many as its
-// capacity and drops the rest; neither Take nor Give ever blocks. A nil
-// list holds none.
+// buffers is a Stack's free list of byte buffers, for reads and fills to
+// reuse. It keeps the max newest and drops the oldest.
+type buffers struct {
+	mu   sync.Mutex
+	bufs [][]byte // oldest first
+	max  int
+}
+
+// take returns a buffer of length n: the smallest on the list whose
+// capacity is between n and most, else a new one with an eighth to spare,
+// so that a slightly longer read can reuse it later.
+func (f *buffers) take(n, most int64) []byte {
+	f.mu.Lock()
+	best := -1
+	for i, b := range f.bufs {
+		c := int64(cap(b))
+		if c >= n && c <= most && (best < 0 || c < int64(cap(f.bufs[best]))) {
+			best = i
+		}
+	}
+	if best < 0 {
+		f.mu.Unlock()
+		return make([]byte, n, n+n/8)
+	}
+	b := f.bufs[best]
+	f.bufs = append(f.bufs[:best], f.bufs[best+1:]...)
+	f.mu.Unlock()
+	return b[:n]
+}
+
+// give puts b on the list, dropping the oldest buffer if it is full.
+func (f *buffers) give(b []byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.bufs) == f.max {
+		f.bufs = append(f.bufs[:0], f.bufs[1:]...)
+	}
+	f.bufs = append(f.bufs, b)
+}
+
+// FreeList holds things whose holder is done with them — frames the pcr
+// Loader's consumer handed back — for the next decode to reuse. It holds
+// as many as its capacity and drops the rest; neither Take nor Give ever
+// blocks. A nil list holds none.
 type FreeList[T any] chan T
 
 // Take returns a thing from the list, or T's zero value when it is empty.

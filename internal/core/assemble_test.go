@@ -86,7 +86,7 @@ func TestAssembleSamplesMatchesScatter(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				body, err := GatherRanges(data, ranges)
+				body, err := GatherRanges(nil, data, ranges)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +142,7 @@ func TestAssembleSamplesRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := GatherRanges(data, ranges)
+	body, err := GatherRanges(nil, data, ranges)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,12 +221,19 @@ func (ix *Index) Shard(i, n int) *Index {
 // same bytes, and a persistent cache keyed by the fingerprint can never
 // serve bytes from a different dataset build.
 func IndexFingerprint(ix *Index) (string, error) {
-	data, err := EncodeIndex(ix)
+	doc, err := EncodeIndex(ix)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16]), nil
+	return DocFingerprint(doc), nil
+}
+
+// DocFingerprint is IndexFingerprint of the index whose /index document
+// (EncodeIndex) is doc, for a holder of the document that need not encode
+// it again.
+func DocFingerprint(doc []byte) string {
+	sum := sha256.Sum256(doc)
+	return hex.EncodeToString(sum[:16])
 }
 
 // Index returns the dataset's record index. The Index and its Records

@@ -171,7 +171,7 @@ func TestCoalescedRecordSparseReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := GatherRanges(data, ranges)
+		body, err := GatherRanges(nil, data, ranges)
 		if err != nil {
 			t.Fatal(err)
 		}

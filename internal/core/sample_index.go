@@ -90,10 +90,11 @@ func RangesTotal(ranges []ByteRange) int64 {
 }
 
 // GatherRanges extracts the given ranges from a buffer holding the record
-// prefix from offset zero and returns their concatenation in order — the
-// server-side (and fallback client-side) half of a pushdown read.
-func GatherRanges(buf []byte, ranges []ByteRange) ([]byte, error) {
-	out := make([]byte, 0, RangesTotal(ranges))
+// prefix from offset zero and returns their concatenation in order, in dst
+// when it has room — the server-side (and fallback client-side) half of a
+// pushdown read.
+func GatherRanges(dst, buf []byte, ranges []ByteRange) ([]byte, error) {
+	out := BufferFor(dst, RangesTotal(ranges))[:0]
 	for _, r := range ranges {
 		end := r.Offset + r.Length
 		if r.Offset < 0 || end > int64(len(buf)) {

@@ -108,7 +108,7 @@ func TestSampleRangesSparseDecode(t *testing.T) {
 		if total >= int64(len(full)) {
 			t.Fatalf("group %d: subset plan %d bytes, full prefix %d", g, total, len(full))
 		}
-		concat, err := GatherRanges(full, ranges)
+		concat, err := GatherRanges(nil, full, ranges)
 		if err != nil {
 			t.Fatal(err)
 		}

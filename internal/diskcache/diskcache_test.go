@@ -611,6 +611,28 @@ func TestShrunkCapacityEvictsOnOpen(t *testing.T) {
 	}
 }
 
+// TestWrapRefusesBadArguments: a tier of no bytes, a negative capacity, no
+// inner backend and no directory are each refused; a zero-byte tier would
+// evict every prefix it fills and serve nothing.
+func TestWrapRefusesBadArguments(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		inner    core.Backend
+		dir      string
+		capacity int64
+	}{
+		{"zero capacity", newFake(), t.TempDir(), 0},
+		{"negative capacity", newFake(), t.TempDir(), -1},
+		{"nil inner", nil, t.TempDir(), 1 << 20},
+		{"empty dir", newFake(), "", 1 << 20},
+	} {
+		if b, err := Wrap(tc.inner, tc.dir, tc.capacity, "gen1"); err == nil {
+			b.Close()
+			t.Errorf("%s: Wrap accepted it", tc.name)
+		}
+	}
+}
+
 func TestSecondOpenerFailsFast(t *testing.T) {
 	inner := newFake()
 	dir := t.TempDir()

@@ -143,4 +143,5 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 		return
 	}
 	s.writeBody(w, body)
+	s.tiers.Release(body)
 }

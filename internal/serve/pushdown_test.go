@@ -97,7 +97,7 @@ func TestSamplesEndpointTable(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("full read: %s", resp.Status)
 		}
-		expect, err := core.GatherRanges(fullPrefix, ranges)
+		expect, err := core.GatherRanges(nil, fullPrefix, ranges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestClientReadSamplesPushdown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			expect, err := core.GatherRanges(full, ranges)
+			expect, err := core.GatherRanges(nil, full, ranges)
 			if err != nil {
 				t.Fatal(err)
 			}

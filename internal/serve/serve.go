@@ -241,16 +241,12 @@ func NewFromDataset(ds *core.Dataset, opts *Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	fingerprint, err := core.IndexFingerprint(ix)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		logReqs:   o.LogRequests,
 		byName:    make(map[string]int, len(ix.Records)),
 		index:     ix,
 		indexDoc:  indexDoc,
-		indexETag: fmt.Sprintf("%q", fingerprint),
+		indexETag: fmt.Sprintf("%q", core.DocFingerprint(indexDoc)),
 	}
 	for i, re := range ix.Records {
 		s.byName[re.Name] = i
@@ -630,7 +626,7 @@ func (s *Server) SyncReplicas(ctx context.Context) (warmed int, err error) {
 		}
 		size := s.index.Records[rec].Prefixes[len(s.index.Records[rec].Prefixes)-1]
 		s.pulling.Store(rec, nil)
-		_, gerr := s.tiers.Read(rec, 0, size)
+		b, gerr := s.tiers.Read(rec, 0, size)
 		s.pulling.Delete(rec)
 		if gerr != nil {
 			if firstErr == nil {
@@ -638,6 +634,7 @@ func (s *Server) SyncReplicas(ctx context.Context) (warmed int, err error) {
 			}
 			continue
 		}
+		s.tiers.Release(b)
 		warmed++
 	}
 	return warmed, firstErr

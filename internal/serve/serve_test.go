@@ -325,6 +325,106 @@ func TestHotCacheServesRepeatsFromMemory(t *testing.T) {
 	}
 }
 
+// TestHotCacheLeasesUnderEviction: concurrent record, Range and pushdown
+// reads over a hot cache a third the size of the dataset, so fills evict
+// prefixes other handlers may still be writing. Every body is the record
+// file's bytes: a prefix recycled while a handler held it would be
+// overwritten by the fill that took it.
+func TestHotCacheLeasesUnderEviction(t *testing.T) {
+	dir, _, ts := startServer(t, nil)
+	ix := fetchIndex(t, ts)
+	files := make([][]byte, len(ix.Records))
+	var total int64
+	for i, re := range ix.Records {
+		data, err := os.ReadFile(filepath.Join(dir, re.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = data
+		total += int64(len(data))
+	}
+	srv, err := serve.New(dir, &serve.Options{CacheBytes: total / 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hot := httptest.NewServer(srv)
+	defer hot.Close()
+
+	fetch := func(url, rangeHdr string) ([]byte, error) {
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			return nil, err
+		}
+		if rangeHdr != "" {
+			req.Header.Set("Range", rangeHdr)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
+			return nil, fmt.Errorf("%s: %s", url, resp.Status)
+		}
+		return io.ReadAll(resp.Body)
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for range 150 {
+				rec := rng.Intn(len(ix.Records))
+				re := ix.Records[rec]
+				g := 1 + rng.Intn(len(re.Prefixes)-1)
+				prefix := files[rec][:re.Prefixes[g]]
+				url := fmt.Sprintf("%s/records/%s?group=%d", hot.URL, re.Name, g)
+				var want []byte
+				var rangeHdr string
+				switch rng.Intn(3) {
+				case 0:
+					want = prefix
+				case 1:
+					off := rng.Int63n(int64(len(prefix)))
+					rangeHdr = fmt.Sprintf("bytes=%d-", off)
+					want = prefix[off:]
+				default:
+					sel := make([]bool, re.Samples)
+					for i := range sel {
+						sel[i] = rng.Intn(2) == 0
+					}
+					sel[rng.Intn(re.Samples)] = true
+					ranges, err := re.SampleRanges(g, sel)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if want, err = core.GatherRanges(nil, prefix, ranges); err != nil {
+						t.Error(err)
+						return
+					}
+					url += "&samples=" + bitmap(sel)
+				}
+				body, err := fetch(url, rangeHdr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(body, want) {
+					t.Errorf("%s (Range %q) served wrong bytes", url, rangeHdr)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := srv.Stats(); st.Cache.Evictions == 0 || st.Cache.UpgradeHits == 0 {
+		t.Fatalf("hot cache counted %+v: the run should have evicted and upgraded", st.Cache)
+	}
+}
+
 // TestCachelessServerCountsBackingReads: without the hot cache every read
 // is a backing-store read and is counted in BytesRead exactly once — a
 // group prefix (repeated or not), a Range and a ?samples= selection alike.

@@ -80,3 +80,17 @@ func (d *Dataset) FreePrefixes() []*byte {
 	}
 	return ptrs
 }
+
+// HoldRecord reads record i whole through the reader's tier stack and
+// keeps the read leased until the returned release is called.
+func (d *Dataset) HoldRecord(i int) (release func(), err error) {
+	re, err := d.pcr.record(i)
+	if err != nil {
+		return nil, err
+	}
+	b, err := d.pcr.tiers.Read(i, 0, re.Prefixes[len(re.Prefixes)-1])
+	if err != nil {
+		return nil, err
+	}
+	return func() { d.pcr.tiers.Release(b) }, nil
+}

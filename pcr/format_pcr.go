@@ -107,8 +107,9 @@ func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 // whole-prefix read reassembles the selected samples from the prefix; a
 // sparse read fetches only the metadata section and the selected samples'
 // slices (Stack.Gather) and assembles the samples straight from those
-// bytes. Every sample's JPEG is a copy (RecordMeta.SampleJPEG), so the
-// prefix goes back to the stack once the samples are spliced out.
+// bytes. Every sample's JPEG is a copy (RecordMeta.SampleJPEG,
+// AssembleSamples), so the prefix or the gathered body goes back to the
+// stack once the samples are spliced out.
 func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 	var (
 		meta    *core.RecordMeta
@@ -120,6 +121,7 @@ func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 	case pl.ranges != nil:
 		var body []byte
 		if body, err = r.tiers.Gather(pl.rec, pl.group, pl.sel, pl.ranges); err == nil {
+			defer r.tiers.Release(body)
 			meta, streams, err = core.AssembleSamples(body, pl.group, pl.sel)
 		}
 	default:

@@ -141,8 +141,10 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 // over the wire, read into one backing array — each into the buffer the
 // read before it gave back, at its quality or a lower one — and Close drops
 // the free list. Through the disk tier alone that holds for a warm read, a
-// cold fill and an upgrade alike. A read through the memory tier never
-// gives its buffer back.
+// cold fill and an upgrade alike. The memory tier lends its prefixes: one
+// it has evicted goes to the free list once its read is released, and the
+// next fill that fits reuses it; one a read still holds stays off the list
+// until that read is released.
 func TestPrefixBufferReuse(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
 	_, ts := startServer(t, dir, nil)
@@ -199,12 +201,34 @@ func TestPrefixBufferReuse(t *testing.T) {
 			}
 		}
 
-		ds := open(pcr.WithCacheBytes(1 << 20))
-		read(ds, 0, 1)
+		// A one-byte memory tier keeps only the record fetched last, so each
+		// Full read of the other record evicts it.
+		ds := open(pcr.WithCacheBytes(1))
 		read(ds, 0, pcr.Full)
+		read(ds, 1, pcr.Full)
+		evicted := ds.FreePrefixes()
+		if len(evicted) != 1 {
+			t.Fatalf("remote=%v: %d buffers on the free list after record 0's prefix was evicted, want 1", remote, len(evicted))
+		}
+		read(ds, 0, pcr.Full)
+		again := ds.FreePrefixes()
+		if len(again) != 1 || again[0] == evicted[0] {
+			t.Fatalf("remote=%v: record 0's refill did not reuse its evicted prefix, or record 1's did not take its place", remote)
+		}
+		// Record 1's refill takes its old buffer back and evicts record 0's,
+		// which record 0's refill takes back in turn, evicting record 1's
+		// while it is held.
+		release, err := ds.HoldRecord(1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		read(ds, 0, pcr.Full)
 		if n := len(ds.FreePrefixes()); n != 0 {
-			t.Fatalf("remote=%v: reads through the memory tier left %d buffers on the free list, want 0", remote, n)
+			t.Fatalf("remote=%v: a held prefix went to the free list when it was evicted (%d buffers on it)", remote, n)
+		}
+		release()
+		if free := ds.FreePrefixes(); len(free) != 1 || free[0] != again[0] {
+			t.Fatalf("remote=%v: the evicted prefix did not go to the free list when its read was released", remote)
 		}
 		ds.Close()
 	}
