@@ -99,7 +99,8 @@ func (s *Stack) Release(b []byte) {
 // in order. Through the memory tier that is one prefix read up to the last
 // range's end, which warms the prefix, and a gather from it. Beneath it, it
 // is one pushdown request when the backend takes the selection
-// (core.SampleReader) and a read per range otherwise.
+// (core.SampleReader), into a buffer from the free list when it also reads
+// into one (core.SampleReaderInto), and a read per range otherwise.
 func (s *Stack) Gather(rec, group int, sel []bool, ranges []core.ByteRange) ([]byte, error) {
 	if len(ranges) == 0 {
 		return nil, nil
@@ -118,7 +119,12 @@ func (s *Stack) Gather(rec, group int, sel []bool, ranges []core.ByteRange) ([]b
 		if err != nil {
 			return nil, err
 		}
-		body, err := sr.ReadSamples(name, group, sel)
+		var body []byte
+		if into, ok := sr.(core.SampleReaderInto); ok {
+			body, err = into.ReadSamplesInto(s.free.take(core.RangesTotal(ranges), math.MaxInt64), name, group, sel)
+		} else {
+			body, err = sr.ReadSamples(name, group, sel)
+		}
 		s.bytesRead.Add(int64(len(body)))
 		return body, err
 	}

@@ -8,7 +8,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/jpegc"
 	"repro/internal/mssim"
@@ -228,6 +230,78 @@ func TestSampleJPEGAllocatesOnce(t *testing.T) {
 		if _, err := meta.SampleJPEG(data, 1, 3); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("group length %d: err = %v, want ErrCorrupt", n, err)
 		}
+	}
+}
+
+// TestSampleJPEGsMatchSampleJPEG: a record read's streams are SampleJPEG's,
+// delivered in sample order for the samples the selection keeps past the
+// resume point; they share one buffer of exactly their total length, each
+// with no room to grow into the next; and what SampleJPEG refuses, they
+// refuse, delivering nothing.
+func TestSampleJPEGsMatchSampleJPEG(t *testing.T) {
+	data, meta := writeTestRecord(t, buildSamples(t, 6))
+	n := len(meta.Samples)
+	sel := []bool{true, false, true, true, false, true}
+	for _, tc := range []struct {
+		sel  []bool
+		from int
+		want []int // the samples delivered
+	}{
+		{nil, 0, []int{0, 1, 2, 3, 4, 5}},
+		{nil, 4, []int{4, 5}},
+		{sel, 0, []int{0, 2, 3, 5}},
+		{sel, 2, []int{3, 5}},
+		{sel, 4, nil},
+	} {
+		for _, g := range []int{1, meta.NumGroups} {
+			var got []int
+			streams := make([][]byte, n)
+			if err := meta.SampleJPEGs(data, g, tc.sel, tc.from, func(i int, s []byte) {
+				got = append(got, i)
+				streams[i] = s
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("sel %v from %d: delivered samples %v, want %v", tc.sel, tc.from, got, tc.want)
+			}
+			total := 0
+			for _, i := range tc.want {
+				s := streams[i]
+				want, err := meta.SampleJPEG(data, i, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(s, want) || cap(s) != len(s) {
+					t.Fatalf("sel %v from %d, group %d: sample %d differs from SampleJPEG's or has room to grow", tc.sel, tc.from, g, i)
+				}
+				total += len(s)
+			}
+			if len(tc.want) > 0 {
+				first, last := streams[tc.want[0]], streams[tc.want[len(tc.want)-1]]
+				if got := int(uintptr(unsafe.Pointer(unsafe.SliceData(last))) + uintptr(len(last)) - uintptr(unsafe.Pointer(unsafe.SliceData(first)))); got != total {
+					t.Fatalf("sel %v from %d: the streams span %d bytes, total %d", tc.sel, tc.from, got, total)
+				}
+			}
+		}
+	}
+	deliver := func(i int, _ []byte) { t.Errorf("sample %d delivered by a refused read", i) }
+	if err := meta.SampleJPEGs(data, 1, sel[:n-1], 0, deliver); err == nil {
+		t.Error("a selection of the wrong length was accepted")
+	}
+	if err := meta.SampleJPEGs(data, 0, nil, 0, deliver); err == nil {
+		t.Error("scan group 0 accepted")
+	}
+	need, err := meta.PrefixLen(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := meta.SampleJPEGs(data[:need-1], 2, nil, 0, deliver); err == nil {
+		t.Error("a prefix too short for its group accepted")
+	}
+	meta.Samples[3].GroupLens[0] = int64(len(data))
+	if err := meta.SampleJPEGs(data, 2, nil, 0, deliver); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a group length past the prefix: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -129,7 +129,10 @@ func TestParseRecordMetaFieldOrder(t *testing.T) {
 }
 
 // BenchmarkSampleJPEG reassembles every sample of a 32-sample record at two,
-// five and all scan groups — what a read pays per image before it decodes.
+// five and all scan groups — what a read pays per image before it decodes —
+// one stream at a time (SampleJPEG, a buffer each) and as a record read
+// does (record/…: SampleJPEGs, one buffer for the record). An op is one
+// record, so B/op and allocs/op are per record.
 func BenchmarkSampleJPEG(b *testing.B) {
 	data, meta := writeTestRecord(b, buildSamples(b, 32))
 	for _, g := range []int{2, 5, meta.NumGroups} {
@@ -140,6 +143,14 @@ func BenchmarkSampleJPEG(b *testing.B) {
 					if _, err := meta.SampleJPEG(data, i, g); err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("record/groups=%d", g), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if err := meta.SampleJPEGs(data, g, nil, 0, func(int, []byte) {}); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

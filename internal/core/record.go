@@ -629,67 +629,168 @@ func (m *RecordMeta) buildOffsets() {
 	}
 }
 
-// splice builds sample i's stream at scan group g in one allocation of
-// exactly its size: its header; for each group, the framing of each of its
-// scans there, from the group's preamble, followed by its data of that scan,
-// from its slice; then EOI. group(k) returns group k+1's preamble and the
-// sample's slice of it, and is called once per group, in order. It is the
-// one place a stream is put together: SampleJPEG takes the pieces from a
-// record prefix, AssembleSamples from a gathered body. The caller has held
-// the sample's group lengths to the bytes it has; a slice is exactly as long
-// as the sample's scans in its group, which buildOffsets summed over the same
-// scans this walks.
-func (m *RecordMeta) splice(i, g int, group func(k int) (preamble, slice []byte)) []byte {
+// maxSharedStreams bounds a buffer that the streams of one read share
+// (spliceAll), so a sample a caller keeps pins at most this much besides
+// its own bytes. A stream longer than it gets a buffer of its own.
+const maxSharedStreams = 1 << 20
+
+// streamLen is the length of sample i's stream at scan group g: its header,
+// the framing of its scans in groups 1..g, their data, and EOI.
+func (m *RecordMeta) streamLen(i, g int) int64 {
 	s := &m.Samples[i]
 	h := &m.Headers[s.Header]
-	sc := &m.scripts[h.Script]
-	size := int64(len(h.JPEG)) + 2 + sc.framed[g]
+	size := int64(len(h.JPEG)) + 2 + m.scripts[h.Script].framed[g]
 	for _, l := range s.GroupLens[:g] {
 		size += l
 	}
-	out := make([]byte, size)
-	w := copy(out, h.JPEG)
+	return size
+}
+
+// splice appends sample i's stream at scan group g to dst, which the caller
+// sized for it (streamLen): its header; for each group, the framing of each
+// of its scans there, from the group's preamble, followed by its data of
+// that scan, from its slice; then EOI. group(k) returns group k+1's
+// preamble and the sample's slice of it, and is called once per group, in
+// order. It is the one place a stream is put together: SampleJPEG and
+// SampleJPEGs take the pieces from a record prefix, AssembleSamples from a
+// gathered body. The caller has held the sample's group lengths to the
+// bytes it has; a slice is exactly as long as the sample's scans in its
+// group, which buildOffsets summed over the same scans this walks.
+func (m *RecordMeta) splice(dst []byte, i, g int, group func(k int) (preamble, slice []byte)) []byte {
+	s := &m.Samples[i]
+	h := &m.Headers[s.Header]
+	sc := &m.scripts[h.Script]
+	dst = append(dst, h.JPEG...)
 	scanLens, framing, at, first := s.scanLens, sc.framing, sc.at, sc.first
 	for k := range g {
 		pre, slice := group(k)
 		for j := first[k]; j < first[k+1]; j++ {
 			n := scanLens[j]
-			w += copy(out[w:], pre[at[j]:at[j]+framing[j]])
-			w += copy(out[w:], slice[:n])
+			dst = append(dst, pre[at[j]:at[j]+framing[j]]...)
+			dst = append(dst, slice[:n]...)
 			slice = slice[n:]
 		}
 	}
-	copy(out[w:], []byte{0xFF, 0xD9}) // EOI
-	return out
+	return append(dst, 0xFF, 0xD9) // EOI
+}
+
+// spliceAll splices, in sample order, the samples sel selects (every one
+// when sel is nil) past the first from of them at scan group g, and hands
+// each to deliver with its index. group(i, k) is splice's group(k) for
+// sample i. The streams share buffers, each exactly as long as the
+// consecutive streams it holds and at most maxSharedStreams unless it holds
+// one longer stream alone; each stream is a full slice expression of its
+// buffer, so appending to it never writes into the next.
+func (m *RecordMeta) spliceAll(g int, sel []bool, from int, group func(i, k int) (preamble, slice []byte), deliver func(i int, stream []byte)) {
+	var buf []byte
+	for i := range m.Samples {
+		if sel != nil && !sel[i] {
+			continue
+		}
+		if from > 0 {
+			from--
+			continue
+		}
+		n := m.streamLen(i, g)
+		if int64(cap(buf)-len(buf)) < n {
+			// A new buffer, for this stream and as many of the delivered
+			// streams after it as fit under the bound.
+			size := n
+			for j := i + 1; j < len(m.Samples); j++ {
+				if sel != nil && !sel[j] {
+					continue
+				}
+				l := m.streamLen(j, g)
+				if size+l > maxSharedStreams {
+					break
+				}
+				size += l
+			}
+			buf = make([]byte, 0, size)
+		}
+		start := len(buf)
+		buf = m.splice(buf, i, g, func(k int) ([]byte, []byte) { return group(i, k) })
+		deliver(i, buf[start:len(buf):len(buf)])
+	}
+}
+
+// checkSample refuses sample i at scan group g unless the prefix holds
+// every slice its group lengths claim. A stream is sized by those lengths,
+// so they are held to the bytes there are before anything is sized or
+// sliced by them. The caller has checked i, g and the prefix length.
+func (m *RecordMeta) checkSample(prefix []byte, i, g int) error {
+	n := len(m.Samples)
+	for k, l := range m.Samples[i].GroupLens[:g] {
+		if l < 0 || l > int64(len(prefix))-m.prefix[k]-m.sampleOffset[k*n+i] {
+			return fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, i, l, k+1)
+		}
+	}
+	return nil
+}
+
+// checkPrefix refuses a scan group the record does not store and a prefix
+// too short for it.
+func (m *RecordMeta) checkPrefix(prefix []byte, g int) error {
+	if g < 1 || g > m.NumGroups {
+		return fmt.Errorf("core: scan group %d out of range [1,%d]", g, m.NumGroups)
+	}
+	if need := m.prefix[g]; int64(len(prefix)) < need {
+		return fmt.Errorf("core: prefix has %d bytes, scan group %d needs %d", len(prefix), g, need)
+	}
+	return nil
+}
+
+// prefixPieces is splice's group for sample i, from a record prefix.
+func (m *RecordMeta) prefixPieces(prefix []byte, i, k int) (preamble, slice []byte) {
+	start := m.prefix[k]
+	off := start + m.sampleOffset[k*len(m.Samples)+i]
+	return prefix[start : start+m.preamble[k]], prefix[off : off+m.Samples[i].GroupLens[k]]
 }
 
 // SampleJPEG reassembles sample i as a decodable JPEG stream at scan group
 // g: its header, the framing and its data of every scan in groups 1..g, and
 // a terminating EOI. prefix must hold at least PrefixLen(g) bytes of the
-// record file.
+// record file. The stream is a buffer of its own, exactly its length.
 func (m *RecordMeta) SampleJPEG(prefix []byte, i, g int) ([]byte, error) {
 	if i < 0 || i >= len(m.Samples) {
 		return nil, fmt.Errorf("core: sample %d out of range", i)
 	}
-	if g < 1 || g > m.NumGroups {
-		return nil, fmt.Errorf("core: scan group %d out of range [1,%d]", g, m.NumGroups)
+	if err := m.checkPrefix(prefix, g); err != nil {
+		return nil, err
 	}
-	if need := m.prefix[g]; int64(len(prefix)) < need {
-		return nil, fmt.Errorf("core: prefix has %d bytes, scan group %d needs %d", len(prefix), g, need)
+	if err := m.checkSample(prefix, i, g); err != nil {
+		return nil, err
 	}
-	// The stream is sized by the sample's lengths, so they are held to the
-	// bytes there are before anything is sized or sliced by them.
-	n, lens := len(m.Samples), m.Samples[i].GroupLens
-	for k, l := range lens[:g] {
-		if l < 0 || l > int64(len(prefix))-m.prefix[k]-m.sampleOffset[k*n+i] {
-			return nil, fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, i, l, k+1)
+	return m.splice(make([]byte, 0, m.streamLen(i, g)), i, g, func(k int) ([]byte, []byte) {
+		return m.prefixPieces(prefix, i, k)
+	}), nil
+}
+
+// SampleJPEGs reassembles, as SampleJPEG does, the samples sel selects
+// (every sample when sel is nil) past the first from of them — what one
+// record read delivers — and hands each to deliver with its index, in
+// sample order. The streams share exactly-sized buffers of at most 1 MiB
+// (a longer stream has its own), none of them prefix; appending to one
+// stream never changes another. Nothing is delivered unless every selected
+// sample checks out.
+func (m *RecordMeta) SampleJPEGs(prefix []byte, g int, sel []bool, from int, deliver func(i int, stream []byte)) error {
+	if sel != nil && len(sel) != len(m.Samples) {
+		return fmt.Errorf("core: selection has %d entries, record has %d samples", len(sel), len(m.Samples))
+	}
+	if err := m.checkPrefix(prefix, g); err != nil {
+		return err
+	}
+	for i := range m.Samples {
+		if sel == nil || sel[i] {
+			if err := m.checkSample(prefix, i, g); err != nil {
+				return err
+			}
 		}
 	}
-	return m.splice(i, g, func(k int) ([]byte, []byte) {
-		start := m.prefix[k]
-		off := start + m.sampleOffset[k*n+i]
-		return prefix[start : start+m.preamble[k]], prefix[off : off+lens[k]]
-	}), nil
+	m.spliceAll(g, sel, from, func(i, k int) ([]byte, []byte) {
+		return m.prefixPieces(prefix, i, k)
+	}, deliver)
+	return nil
 }
 
 // DecodeSample reassembles and decodes sample i at scan group g.

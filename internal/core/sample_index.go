@@ -135,10 +135,11 @@ func ScatterRanges(concat []byte, ranges []ByteRange, size int64) ([]byte, error
 // preamble and the selected samples' slices in sample order. It returns the
 // parsed metadata, which aliases body, and one JPEG stream per sample — the
 // stream SampleJPEG builds from a full prefix — nil for the samples not
-// selected. A body that is not exactly as long as its own metadata says the
-// selection is, a selection of the wrong length and a group the record does
-// not store are refused as ErrCorrupt: the index the read was planned from
-// and the record disagree.
+// selected. The streams share bounded, exactly-sized buffers, as
+// SampleJPEGs's do, and never alias body. A body that is not exactly as
+// long as its own metadata says the selection is, a selection of the wrong
+// length and a group the record does not store are refused as ErrCorrupt:
+// the index the read was planned from and the record disagree.
 func AssembleSamples(body []byte, g int, sel []bool) (*RecordMeta, [][]byte, error) {
 	m, err := ParseRecordMeta(body)
 	if err != nil {
@@ -169,18 +170,15 @@ func AssembleSamples(body []byte, g int, sel []bool) (*RecordMeta, [][]byte, err
 	if int64(len(body)) != at {
 		return nil, nil, fmt.Errorf("core: %w: gathered body has %d bytes, the selection spans %d", ErrCorrupt, len(body), at)
 	}
+	// spliceAll visits the selected samples in order, as they lie in each
+	// group of the body.
 	streams := make([][]byte, len(sel))
-	for i, on := range sel {
-		if !on {
-			continue
-		}
-		lens := m.Samples[i].GroupLens
-		streams[i] = m.splice(i, g, func(k int) ([]byte, []byte) {
-			slice := body[next[k] : next[k]+lens[k]]
-			next[k] += lens[k]
-			return body[pre[k] : pre[k]+m.preamble[k]], slice
-		})
-	}
+	m.spliceAll(g, sel, 0, func(i, k int) ([]byte, []byte) {
+		l := m.Samples[i].GroupLens[k]
+		slice := body[next[k] : next[k]+l]
+		next[k] += l
+		return body[pre[k] : pre[k]+m.preamble[k]], slice
+	}, func(i int, stream []byte) { streams[i] = stream })
 	return m, streams, nil
 }
 
@@ -193,6 +191,12 @@ func AssembleSamples(body []byte, g int, sel []bool) (*RecordMeta, [][]byte, err
 // selected bytes cross the wire.
 type SampleReader interface {
 	ReadSamples(name string, group int, sel []bool) ([]byte, error)
+}
+
+// SampleReaderInto is an optional SampleReader capability: ReadSamples into
+// a buffer the caller lends, with RangeReaderInto's contract for dst.
+type SampleReaderInto interface {
+	ReadSamplesInto(dst []byte, name string, group int, sel []bool) ([]byte, error)
 }
 
 // SampleIndex returns record i's per-sample IDs and labels from the side

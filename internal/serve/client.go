@@ -244,13 +244,14 @@ func holdsWindow(resp *http.Response, offset, length int64) bool {
 
 // readSamplesOnce is one pushdown request: a GET with the selection as a
 // compact bitmap (?group=g&samples=b), answered by the server with only the
-// selected samples' coalesced byte ranges. The expected ranges are computed
-// here from the same index the server holds, so the response is verified by
-// length: a declared Content-Length other than the planned total is refused
-// unread, and it and a body cut short are core.ErrCorrupt and retryable. A
-// 200 without the pushdown header is not an answer to the request made and
-// is not retryable.
-func (m *member) readSamplesOnce(re *core.RecordInfo, group int, sel []bool) ([]byte, bool, error) {
+// selected samples' coalesced byte ranges, read into dst when it has room
+// (core.BufferFor). The expected ranges are computed here from the same
+// index the server holds, so the response is verified by length: a
+// declared Content-Length other than the planned total is refused unread,
+// and it and a body cut short are core.ErrCorrupt and retryable. A 200
+// without the pushdown header is not an answer to the request made and is
+// not retryable.
+func (m *member) readSamplesOnce(dst []byte, re *core.RecordInfo, group int, sel []bool) ([]byte, bool, error) {
 	group = re.ClampGroup(group)
 	ranges, err := re.SampleRanges(group, sel)
 	if err != nil {
@@ -270,7 +271,7 @@ func (m *member) readSamplesOnce(re *core.RecordInfo, group int, sel []bool) ([]
 		return nil, true, fmt.Errorf("serve: reading %s: %w: pushdown response declares %d bytes, want %d",
 			re.Name, core.ErrCorrupt, resp.ContentLength, want)
 	}
-	buf := make([]byte, want)
+	buf := core.BufferFor(dst, want)
 	n, err := io.ReadFull(resp.Body, buf)
 	resp.Body.Close()
 	if err != nil {

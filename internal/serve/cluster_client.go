@@ -543,12 +543,21 @@ func (c *ClusterClient) hedgedRead(dst []byte, primary, backup *member, name str
 var _ core.SampleReader = (*ClusterClient)(nil)
 
 func (c *ClusterClient) ReadSamples(name string, group int, sel []bool) ([]byte, error) {
+	return c.ReadSamplesInto(nil, name, group, sel)
+}
+
+var _ core.SampleReaderInto = (*ClusterClient)(nil)
+
+// ReadSamplesInto is ReadSamples into dst when it has room
+// (core.SampleReaderInto). The attempts run one after another, so each may
+// read into dst.
+func (c *ClusterClient) ReadSamplesInto(dst []byte, name string, group int, sel []bool) ([]byte, error) {
 	re, err := c.recordInfoFor(name)
 	if err != nil {
 		return nil, err
 	}
 	return readReplicas(c, replicasOf(name).place, func(i int, reps []*member) ([]byte, bool, error) {
-		return c.readFromMember(func() ([]byte, bool, error) { return reps[i].readSamplesOnce(re, group, sel) })
+		return c.readFromMember(func() ([]byte, bool, error) { return reps[i].readSamplesOnce(dst, re, group, sel) })
 	})
 }
 

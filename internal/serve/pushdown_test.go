@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -247,5 +248,50 @@ func TestClientReadSamplesOldServerFallback(t *testing.T) {
 	}
 	if n := dropped.Load(); n != 1 {
 		t.Fatalf("the refused read was tried %d times, want once", n)
+	}
+}
+
+// TestReadSamplesIntoSeamCases: a pushdown read lands in dst when it has
+// room and in a new buffer of exactly the answer's length otherwise, with
+// the bytes ReadSamples reads.
+func TestReadSamplesIntoSeamCases(t *testing.T) {
+	_, _, ts := startServer(t, nil)
+	c, err := serve.NewClusterClient([]string{ts.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ix, err := c.FetchIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := ix.Records[0]
+	sel := make([]bool, re.Samples)
+	sel[0], sel[re.Samples-1] = true, true
+	want, err := c.ReadSamples(re.Name, 1, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(want)
+	for _, tc := range []struct {
+		name string
+		dst  []byte
+	}{
+		{"nil", nil},
+		{"small", make([]byte, n-1)},
+		{"large", make([]byte, 0, 2*n)},
+	} {
+		got, err := c.ReadSamplesInto(tc.dst, re.Name, 1, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s: ReadSamplesInto read other bytes than ReadSamples", tc.name)
+		}
+		if into := cap(tc.dst) >= n; into != (unsafe.SliceData(got) == unsafe.SliceData(tc.dst)) {
+			t.Fatalf("%s: cap(dst) = %d: read into dst = %v, want %v", tc.name, cap(tc.dst), !into, into)
+		} else if !into && cap(got) != n {
+			t.Fatalf("%s: new buffer has capacity %d, want exactly %d", tc.name, cap(got), n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package pcr_test
 import (
 	"context"
 	"crypto/sha256"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -234,9 +235,57 @@ func TestPrefixBufferReuse(t *testing.T) {
 	}
 }
 
+// TestPushdownBodyReusesPrefixBuffer: a tierless remote filtered read
+// receives its pushdown body into a buffer from the reader's free list, so
+// the second record's body reuses the buffer the first's gave back.
+func TestPushdownBodyReusesPrefixBuffer(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
+	_, ts := startServer(t, dir, nil)
+	pred := firstHalf(t, dir, 0, 1)
+	open := func() *pcr.Dataset {
+		t.Helper()
+		ds, err := pcr.OpenRemote(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		return ds
+	}
+	read := func(ds *pcr.Dataset, rec int) int64 {
+		t.Helper()
+		_, body, avoided, err := ds.ReadRecordFiltered(rec, pcr.Full, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if avoided == 0 {
+			t.Fatalf("record %d: the filtered read is not sparse", rec)
+		}
+		return body
+	}
+	// The larger body first, so that the smaller fits its buffer.
+	sizes := open()
+	order := []int{0, 1}
+	if read(sizes, 0) < read(sizes, 1) {
+		order = []int{1, 0}
+	}
+	ds := open()
+	read(ds, order[0])
+	first := ds.FreePrefixes()
+	if len(first) != 1 {
+		t.Fatalf("%d buffers on the free list after one pushdown read, want 1", len(first))
+	}
+	read(ds, order[1])
+	if again := ds.FreePrefixes(); len(again) != 1 || again[0] != first[0] {
+		t.Fatalf("record %d's pushdown body did not reuse the buffer record %d's gave back", order[1], order[0])
+	}
+}
+
 // TestResumedReadSplicesOnlyDelivered: a read resumed inside a record
-// reassembles only the samples it delivers. A 32-sample record read from
-// sample 31 makes one splice, 31 fewer than the whole record's read.
+// reassembles only the samples it delivers. The streams of one read share
+// a buffer, so a resumed read makes as many allocations as the whole
+// record's; it is its bytes that show what was spliced. A 32-sample record
+// read from sample 31 allocates at least the 31 skipped streams' bytes
+// less than the whole record's read.
 func TestResumedReadSplicesOnlyDelivered(t *testing.T) {
 	dir := t.TempDir()
 	n, err := pcr.Synthesize(dir, "cars", 0.2, 1, pcr.WithImagesPerRecord(32))
@@ -251,19 +300,37 @@ func TestResumedReadSplicesOnlyDelivered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	allocs := func(from int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			samples, err := ds.ReadRecordFrom(0, pcr.Full, from)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(samples) != 32-from {
-				t.Fatalf("read from sample %d delivered %d samples, want %d", from, len(samples), 32-from)
-			}
-		})
+	read := func(from int) []pcr.Sample {
+		samples, err := ds.ReadRecordFrom(0, pcr.Full, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(samples) != 32-from {
+			t.Fatalf("read from sample %d delivered %d samples, want %d", from, len(samples), 32-from)
+		}
+		return samples
 	}
-	whole, resumed := allocs(0), allocs(31)
-	if whole-resumed < 31 {
-		t.Fatalf("a read resumed at sample 31 of 32 makes %.0f allocations, the whole record's %.0f: want at least 31 fewer", resumed, whole)
+	var skipped int
+	for _, s := range read(0)[:31] {
+		skipped += len(s.JPEG)
+	}
+	// allocated is the bytes one read allocates, averaged over runs as
+	// testing.AllocsPerRun averages its counts: on one P, after a warm-up.
+	allocated := func(from int) float64 {
+		const runs = 20
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		read(from)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			read(from)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	whole, resumed := allocated(0), allocated(31)
+	if whole-resumed < float64(skipped) {
+		t.Fatalf("a read resumed at sample 31 of 32 allocates %.0f bytes, the whole record's %.0f: want at least the %d bytes of the 31 skipped streams fewer",
+			resumed, whole, skipped)
 	}
 }
