@@ -71,20 +71,41 @@ func selections(rng *rand.Rand, n int) [][]bool {
 	return sels
 }
 
+// assemble parses a gathered body and collects what AssembleSamples
+// delivers past the first from selected samples: a stream per sample, nil
+// for each one not delivered.
+func assemble(body []byte, g int, sel []bool, from int) (*RecordMeta, [][]byte, error) {
+	m, err := ParseRecordMeta(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	streams := make([][]byte, len(m.Samples))
+	if err := m.AssembleSamples(body, g, sel, from, func(i int, s []byte) { streams[i] = s }); err != nil {
+		return nil, nil, err
+	}
+	return m, streams, nil
+}
+
 // TestAssembleSamplesMatchesScatter holds the direct assembly of a sparse
 // read to the path it replaced: scatter the gathered ranges back into a
 // prefix-sized buffer, parse it, slice every selected sample out with
 // SampleJPEG. Byte for byte, for every scan group, on colour-only and mixed
-// colour/grayscale records.
+// colour/grayscale records, whole and resumed past two selected samples.
+// The ranges total what SampleBytes says, which a pushdown client holds the
+// server's answer to.
 func TestAssembleSamplesMatchesScatter(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, gray := range []bool{false, true} {
 		data, meta, re := mixedRecord(t, 9, gray)
 		for g := 1; g <= meta.NumGroups; g++ {
-			for _, sel := range selections(rng, len(meta.Samples)) {
+			for k, sel := range selections(rng, len(meta.Samples)) {
+				from := 2 * (k % 2)
 				ranges, err := re.SampleRanges(g, sel)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if n, err := re.SampleBytes(g, sel); err != nil || n != RangesTotal(ranges) {
+					t.Fatalf("gray=%v group %d selection %v: SampleBytes %d, %v; the ranges total %d", gray, g, sel, n, err, RangesTotal(ranges))
 				}
 				body, err := GatherRanges(nil, data, ranges)
 				if err != nil {
@@ -98,17 +119,21 @@ func TestAssembleSamplesMatchesScatter(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, streams, err := AssembleSamples(body, g, sel)
+				m, streams, err := assemble(body, g, sel, from)
 				if err != nil {
 					t.Fatalf("gray=%v group %d selection %v: %v", gray, g, sel, err)
 				}
-				if len(streams) != len(sel) || len(m.Samples) != len(sel) {
-					t.Fatalf("%d streams and %d samples for a selection of %d", len(streams), len(m.Samples), len(sel))
+				if len(m.Samples) != len(sel) {
+					t.Fatalf("%d samples for a selection of %d", len(m.Samples), len(sel))
 				}
+				skip := from
 				for i, on := range sel {
-					if !on {
+					if !on || skip > 0 {
+						if on {
+							skip--
+						}
 						if streams[i] != nil {
-							t.Fatalf("gray=%v group %d: sample %d was not selected and has a stream", gray, g, i)
+							t.Fatalf("gray=%v group %d from %d: sample %d was not delivered and has a stream", gray, g, from, i)
 						}
 						continue
 					}
@@ -146,7 +171,7 @@ func TestAssembleSamplesRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := AssembleSamples(body, g, sel); err != nil {
+	if _, _, err := assemble(body, g, sel, 0); err != nil {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct {
@@ -165,7 +190,7 @@ func TestAssembleSamplesRefuses(t *testing.T) {
 		"another selection":   {body, g, []bool{true, true, true, true, true, true}},
 		"a lower group":       {body, g - 1, sel},
 	} {
-		m, streams, err := AssembleSamples(tc.body, tc.g, tc.sel)
+		m, streams, err := assemble(tc.body, tc.g, tc.sel, 0)
 		if !errors.Is(err, ErrCorrupt) || m != nil || streams != nil {
 			t.Errorf("%s: got %v, want an ErrCorrupt refusal", name, err)
 		}

@@ -208,8 +208,10 @@ func TestShortPrefixRejected(t *testing.T) {
 
 // TestSampleJPEGAllocatesOnce: the reassembled stream is sized before it is
 // filled, so reassembly costs one allocation of exactly the stream's length
-// however many scan groups are appended — and a length the record file lies
-// about is refused before anything is sized by it.
+// however many scan groups are appended — and a read of a record file that
+// lies about a length is refused as corruption before anything is sized by
+// it: the lie moves the prefix lengths off the index entry's, or is one no
+// record can hold.
 func TestSampleJPEGAllocatesOnce(t *testing.T) {
 	samples := buildSamples(t, 2)
 	data, meta := writeTestRecord(t, samples)
@@ -225,10 +227,41 @@ func TestSampleJPEGAllocatesOnce(t *testing.T) {
 			t.Errorf("group %d: %v allocations, %d bytes reserved for a %d-byte stream; want 1 and no slack", g, allocs, cap(out), len(out))
 		}
 	}
-	for _, n := range []int64{-1, int64(len(data)) + 1, math.MaxInt64} {
-		meta.Samples[1].GroupLens[1] = n
-		if _, err := meta.SampleJPEG(data, 1, 3); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("group length %d: err = %v, want ErrCorrupt", n, err)
+
+	ds, _ := buildIndexedDataset(t)
+	need, err := ds.RecordPrefixLen(0, ds.NumGroups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err = ds.ReadRecordRange(0, 0, need); err != nil {
+		t.Fatal(err)
+	}
+	if meta, err = ParseRecordMeta(data); err != nil {
+		t.Fatal(err)
+	}
+	// read is a record read of the file's bytes: parsed against its index
+	// entry, then reassembled.
+	read := func(file []byte) error {
+		m, err := ds.ParseRecordPrefix(0, file)
+		if err == nil {
+			_, err = m.SampleJPEG(file, 1, 3)
+		}
+		return err
+	}
+	// spell is the record with sample 1's scan 2 claiming n bytes.
+	spell := func(n int64) []byte {
+		m := *meta
+		m.lens = slices.Clone(meta.lens)
+		m.scanLens(&m.Samples[1])[1] = n
+		return respell(data, &m, false, false)
+	}
+	honest := meta.scanLens(&meta.Samples[1])[1]
+	if err := read(spell(honest)); err != nil {
+		t.Fatalf("the record respelled with its own lengths: %v", err)
+	}
+	for _, n := range []int64{-1, honest + 1, int64(len(data)) + 1, math.MaxInt64} {
+		if err := read(spell(n)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("scan length %d: err = %v, want ErrCorrupt", n, err)
 		}
 	}
 }

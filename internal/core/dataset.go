@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/kvstore"
 )
@@ -246,16 +247,22 @@ func (ds *Dataset) RecordPrefixLen(i, g int) (int64, error) {
 	return re.Prefixes[g], nil
 }
 
-// ParseRecordPrefix parses a prefix of record i, however it was read, and
-// refuses as ErrCorrupt a record file that holds another number of samples
-// than the index entry every read plan is made from.
+// ParseRecordPrefix parses the metadata section at the start of record i's
+// bytes, however they were read — a prefix, or a gathered body — and
+// refuses as ErrCorrupt a record file that disagrees with the index entry
+// every read plan is made from: another number of samples, or other prefix
+// lengths.
 func (ds *Dataset) ParseRecordPrefix(i int, prefix []byte) (*RecordMeta, error) {
 	meta, err := ParseRecordMeta(prefix)
 	if err != nil {
 		return nil, err
 	}
-	if n := ds.records[i].Samples; len(meta.Samples) != n {
+	re := &ds.records[i]
+	if n := re.Samples; len(meta.Samples) != n {
 		return nil, fmt.Errorf("core: %w: record %d holds %d samples, its index entry %d", ErrCorrupt, i, len(meta.Samples), n)
+	}
+	if !slices.Equal(meta.prefix, re.Prefixes) {
+		return nil, fmt.Errorf("core: %w: record %d's prefix lengths are %v, its index entry's %v", ErrCorrupt, i, meta.prefix, re.Prefixes)
 	}
 	return meta, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/jpegc"
@@ -67,7 +68,10 @@ func TestRecord420(t *testing.T) {
 // thousands of empty scripts no header names, and bit-flipped records that
 // still parse. Any input may be refused. None may panic, none may size
 // an allocation by a number the bytes merely spell, and a stream that comes
-// back is made of bytes that were there.
+// back is made of bytes that were there. The parser is held to the one
+// before it (reference_test.go): both refuse the same inputs, and on the
+// rest agree on every prefix length and on every stream SampleJPEG,
+// SampleJPEGs and AssembleSamples return — whole, selected and resumed.
 func FuzzParseRecordMeta(f *testing.F) {
 	var buf bytes.Buffer
 	meta, err := WriteRecord(&buf, buildSamples(f, 3))
@@ -84,8 +88,15 @@ func FuzzParseRecordMeta(f *testing.F) {
 	f.Add(respell(valid, meta, false, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseRecordMeta(data)
+		ref, refPanicked, refErr := refParse(data)
+		if !refPanicked && (err == nil) != (refErr == nil) {
+			t.Fatalf("the parser says %v, the reference %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !refPanicked {
+			agreeWithReference(t, data, m, ref)
 		}
 		// The offset tables hold a word per sample and group, and every one
 		// of those was a byte of the metadata section.
@@ -113,6 +124,118 @@ func FuzzParseRecordMeta(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refParse is the reference parser, which panics on a section whose
+// fields' wire types steer its counting pass and its parse apart, so that
+// the parse meets a sample the count did not (slices.Grow by a negative
+// count; the seed be2d58fba19229d7). Such a section is held to the
+// parser's own properties alone.
+func refParse(data []byte) (ref *refRecordMeta, panicked bool, err error) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	ref, err = refParseRecordMeta(data)
+	return ref, false, err
+}
+
+// delivered is what one record read handed its deliver callback, in order.
+type delivered struct {
+	samples []int
+	streams [][]byte
+	err     error
+}
+
+func collect(read func(deliver func(i int, stream []byte)) error) delivered {
+	var d delivered
+	d.err = read(func(i int, stream []byte) {
+		d.samples = append(d.samples, i)
+		d.streams = append(d.streams, stream)
+	})
+	return d
+}
+
+func (d delivered) equal(o delivered) bool {
+	return (d.err == nil) == (o.err == nil) && slices.Equal(d.samples, o.samples) &&
+		slices.EqualFunc(d.streams, o.streams, bytes.Equal)
+}
+
+// agreeWithReference fails t unless m, parsed from data, and ref, the
+// reference parser's reading of it, agree on every prefix length and every
+// stream a read reassembles: each sample alone (SampleJPEG), a record read
+// whole and a selection of every other sample resumed past its first
+// (SampleJPEGs), and the same selection gathered as the record's own index
+// entry plans it (AssembleSamples), at every scan group.
+func agreeWithReference(t *testing.T, data []byte, m *RecordMeta, ref *refRecordMeta) {
+	t.Helper()
+	if m.NumGroups != ref.NumGroups || len(m.Samples) != len(ref.Samples) {
+		t.Fatalf("%d groups and %d samples, the reference %d and %d", m.NumGroups, len(m.Samples), ref.NumGroups, len(ref.Samples))
+	}
+	re := &RecordInfo{Name: "record", Samples: len(ref.Samples), Prefixes: ref.prefix}
+	sel := make([]bool, len(m.Samples))
+	for i, s := range ref.Samples {
+		if m.Samples[i].ID != s.ID || m.Samples[i].Label != s.Label || !slices.Equal(m.Samples[i].GroupLens, s.GroupLens) {
+			t.Fatalf("sample %d differs from the reference's", i)
+		}
+		re.SampleGroupLens = append(re.SampleGroupLens, s.GroupLens...)
+		sel[i] = i%2 == 0
+	}
+	for g := 0; g <= m.NumGroups; g++ {
+		need, err := m.PrefixLen(g)
+		if want, _ := ref.PrefixLen(g); err != nil || need != want {
+			t.Fatalf("PrefixLen(%d) = %d, %v; the reference's %d", g, need, err, want)
+		}
+		prefix := data[:min(need, int64(len(data)))]
+		for i := range m.Samples {
+			stream, err := m.SampleJPEG(prefix, i, g)
+			want, wantErr := ref.SampleJPEG(prefix, i, g)
+			if (err == nil) != (wantErr == nil) || !bytes.Equal(stream, want) {
+				t.Fatalf("sample %d at group %d: %d bytes, %v; the reference %d bytes, %v", i, g, len(stream), err, len(want), wantErr)
+			}
+		}
+		for _, read := range []struct {
+			sel  []bool
+			from int
+		}{{nil, 0}, {sel, 1}} {
+			got := collect(func(deliver func(int, []byte)) error { return m.SampleJPEGs(prefix, g, read.sel, read.from, deliver) })
+			want := collect(func(deliver func(int, []byte)) error { return ref.SampleJPEGs(prefix, g, read.sel, read.from, deliver) })
+			if !got.equal(want) {
+				t.Fatalf("record read at group %d, selection %v from %d: samples %v, %v; the reference %v, %v", g, read.sel, read.from, got.samples, got.err, want.samples, want.err)
+			}
+		}
+		if g == 0 || need > int64(len(data)) {
+			continue
+		}
+		ranges, err := re.SampleRanges(g, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := GatherRanges(nil, data, ranges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm, err := ParseRecordMeta(body)
+		if err != nil {
+			t.Fatalf("gathered body at group %d: %v", g, err)
+		}
+		got := collect(func(deliver func(int, []byte)) error { return bm.AssembleSamples(body, g, sel, 1, deliver) })
+		_, streams, err := refAssembleSamples(body, g, sel)
+		want := delivered{err: err}
+		skip := 1
+		for i, stream := range streams {
+			if stream != nil && skip > 0 {
+				skip--
+			} else if stream != nil {
+				want.samples = append(want.samples, i)
+				want.streams = append(want.streams, stream)
+			}
+		}
+		if !got.equal(want) {
+			t.Fatalf("gathered read at group %d: samples %v, %v; the reference %v, %v", g, got.samples, got.err, want.samples, want.err)
+		}
+	}
 }
 
 // FuzzParseIndex feeds arbitrary bytes to the index parser — the /index

@@ -175,7 +175,7 @@ func TestCoalescedRecordSparseReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := AssembleSamples(body, g, sel)
+		_, got, err := assemble(body, g, sel, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,9 +204,7 @@ func TestParseRecordMetaRefusesBadReferences(t *testing.T) {
 		m.Headers = slices.Clone(want.Headers)
 		m.Samples = slices.Clone(want.Samples)
 		m.scripts = slices.Clone(want.scripts)
-		for i := range m.Samples {
-			m.Samples[i].scanLens = slices.Clone(m.Samples[i].scanLens)
-		}
+		m.lens = slices.Clone(want.lens)
 		for k := range m.scripts {
 			m.scripts[k].framing = slices.Clone(m.scripts[k].framing)
 		}
@@ -215,9 +213,11 @@ func TestParseRecordMetaRefusesBadReferences(t *testing.T) {
 	for name, mut := range map[string]func(m *RecordMeta){
 		"header index out of range": func(m *RecordMeta) { m.Samples[2].Header = len(m.Headers) },
 		"script index out of range": func(m *RecordMeta) { m.Headers[0].Script = 2 },
-		"a scan length too few":     func(m *RecordMeta) { m.Samples[0].scanLens = m.Samples[0].scanLens[1:] },
-		"slices overflow":           func(m *RecordMeta) { m.Samples[0].scanLens[0], m.Samples[1].scanLens[0] = math.MaxInt64, math.MaxInt64 },
-		"preamble overflows":        func(m *RecordMeta) { m.scripts[0].framing[0] = math.MaxInt64 },
+		"a scan length too few":     func(m *RecordMeta) { m.Samples[0].scanN-- },
+		"slices overflow": func(m *RecordMeta) {
+			m.scanLens(&m.Samples[0])[0], m.scanLens(&m.Samples[1])[0] = math.MaxInt64, math.MaxInt64
+		},
+		"preamble overflows": func(m *RecordMeta) { m.scripts[0].framing[0] = math.MaxInt64 },
 		// Two bytes apiece, each of which would take NumGroups+1 entries
 		// of two offset tables.
 		"unreferenced empty scripts": func(m *RecordMeta) {

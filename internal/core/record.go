@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"image"
 	"io"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/jpegc"
@@ -54,12 +53,14 @@ type SampleMeta struct {
 	// Header indexes RecordMeta.Headers.
 	Header int
 	// GroupLens[g-1] is the length of the sample's slice of scan group g:
-	// its entropy-coded data of the group's scans, no framing.
+	// its entropy-coded data of the group's scans, no framing. When each of
+	// the sample's scans is a group of its own it is the sample's scan
+	// lengths themselves, so it is the parser's to write, not the caller's.
 	GroupLens []int64
 
-	// scanLens[j] is the length of its data of scan j of its script; a
-	// slice holds those of the scans in its group, back to back.
-	scanLens []int64
+	// scanAt and scanN place the sample's scan lengths in RecordMeta.lens
+	// (RecordMeta.scanLens).
+	scanAt, scanN uint32
 }
 
 // RecordHeader is one distinct stream header of a record, SOI through SOF,
@@ -70,8 +71,13 @@ type RecordHeader struct {
 	Script int
 }
 
-// RecordMeta is the parsed metadata section of a PCR file plus derived
-// offset tables.
+// RecordMeta is the parsed metadata section of a PCR file plus the tables
+// derived from it, all of them per record or per script — prefix and
+// preamble lengths, where each scan's framing lies — but for GroupLens,
+// which a sample has a row of its own for only when its scans are coalesced
+// (otherwise GroupLens aliases its scan lengths). No table locates a
+// sample's slices: a read finds them by summing, in sample order, the slices
+// before them.
 //
 // The body is scan group 1, then scan group 2, and so on. Scan j of a
 // script of S scans lands in group j·NumGroups/maxS, maxS being the longest
@@ -90,12 +96,19 @@ type RecordMeta struct {
 
 	scripts  []recordScript
 	maxScans int // the longest script's scan count
+	// lens holds every sample's scan lengths, in sample order.
+	lens []int64
 	// prefix[g] is PrefixLen(g); preamble[g-1] is scan group g's preamble
 	// length.
 	prefix, preamble []int64
-	// sampleOffset[(g-1)*len(Samples)+i] is the offset of sample i's slice
-	// within group g.
-	sampleOffset []int64
+}
+
+// scanLens returns s's scan lengths: [j] is the length of its data of scan
+// j of its script; a slice holds those of the scans in its group, back to
+// back.
+func (m *RecordMeta) scanLens(s *SampleMeta) []int64 {
+	end := s.scanAt + s.scanN
+	return m.lens[s.scanAt:end:end]
 }
 
 // PrefixLen returns the number of bytes that must be read from the start of
@@ -302,6 +315,14 @@ func optScanGroups(opts *RecordOptions) int {
 // least the magic, the length word, and the metadata bytes (a PrefixLen(0)
 // read suffices; longer prefixes and whole files also work).
 //
+// A first pass over the section (measure) sizes everything the parse
+// allocates, once: the RecordMeta, its samples, headers and scripts, and
+// one arena that holds every framing and scan length the section spells and
+// every table derived from them — prefix and preamble lengths, each
+// script's framing offsets, and a GroupLens row for each sample whose scans
+// are coalesced into fewer groups (every other sample's GroupLens is its
+// scan lengths).
+//
 // The returned RecordMeta aliases data — every header is a slice of it — so
 // it is valid for as long as data is left unmodified.
 func ParseRecordMeta(data []byte) (*RecordMeta, error) {
@@ -316,17 +337,116 @@ func ParseRecordMeta(data []byte) (*RecordMeta, error) {
 		return nil, fmt.Errorf("core: %w: short metadata section (%d < %d)", ErrCorrupt, len(data)-8, metaLen)
 	}
 	section := data[8 : 8+metaLen]
-	m := &RecordMeta{BodyStart: int64(8 + metaLen)}
 	// Any wire-level decode failure inside the metadata section is
 	// structural damage, so the whole parse reports as ErrCorrupt.
-	if err := parseRecordFields(section, m); err != nil {
+	shape, err := measure(section)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
+	}
+	m := &RecordMeta{
+		BodyStart: int64(8 + metaLen),
+		Samples:   make([]SampleMeta, 0, shape.samples),
+		Headers:   make([]RecordHeader, 0, shape.headers),
+		scripts:   make([]recordScript, 0, shape.scripts),
+	}
+	lens, framing := shape.scans, shape.scans+shape.framing
+	arena := make([]int64, framing+shape.derived(len(section)))
+	if err := parseRecordFields(section, m, arena[:0:lens], arena[lens:lens:framing]); err != nil {
 		return nil, fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
 	}
 	if err := m.check(len(section)); err != nil {
 		return nil, fmt.Errorf("core: %w: %w", ErrCorrupt, err)
 	}
-	m.buildOffsets()
+	m.buildOffsets(arena[framing:])
 	return m, nil
+}
+
+// recordShape is what the first pass over a metadata section learns before
+// anything is allocated.
+type recordShape struct {
+	samples, headers, scripts int
+	// scans and framing are how many scan and framing lengths the samples
+	// and the scripts spell: the varints their packed fields end.
+	scans, framing int
+	groups         int // the group count, as last spelled
+	maxScans       int // the most framing lengths one script spells
+	// longest is the most scan lengths one sample spells, atLongest how
+	// many samples spell that many.
+	longest, atLongest int
+}
+
+// derived is how many words buildOffsets carves from the arena for a
+// section of this shape: prefix and preamble lengths, each script's framing
+// offsets and two entries per group and one more, and a row of group
+// lengths for each sample but those whose scan lengths are their group
+// lengths (scansAreGroups). A shape that check refuses reserves nothing:
+// nothing is sized by the numbers it spells.
+func (s *recordShape) derived(sectionLen int) int {
+	ng, limit := s.groups, int64(sectionLen)
+	if s.samples == 0 || ng <= 0 || ng > s.maxScans ||
+		int64(ng)*int64(s.samples) > limit || int64(ng+1)*int64(s.scripts) > limit {
+		return 0
+	}
+	rows := s.samples
+	if ng == s.maxScans && s.longest == ng {
+		rows -= s.atLongest
+	}
+	return 2*ng + 1 + s.framing + 2*(ng+1)*s.scripts + rows*ng
+}
+
+// measure is ParseRecordMeta's first pass. It steps over each field as its
+// wire type says, and refuses what that walk cannot step over, as the parse
+// always has; of the fields the parse decodes, it counts what they spell.
+// A sample message it cannot read it counts as far as it reads: the parse
+// refuses it.
+func measure(section []byte) (recordShape, error) {
+	var s recordShape
+	for d := wire.NewDecoder(section); !d.Done(); {
+		field, wtype, err := d.Next()
+		if err != nil {
+			return s, err
+		}
+		switch field {
+		case fieldSample:
+			s.samples++
+		case fieldHeader:
+			s.headers++
+		case fieldScript:
+			s.scripts++
+		}
+		switch {
+		case field == fieldNumGroups && wtype == wire.TypeVarint:
+			v, err := d.Uint64()
+			if err != nil {
+				return s, err
+			}
+			s.groups = int(v)
+		case (field == fieldScript || field == fieldSample) && wtype == wire.TypeBytes:
+			raw, err := d.Bytes()
+			if err != nil {
+				return s, err
+			}
+			if field == fieldScript {
+				n := wire.Varints(raw)
+				s.framing += n
+				s.maxScans = max(s.maxScans, n)
+				break
+			}
+			n := countScanLens(raw)
+			s.scans += n
+			switch {
+			case n > s.longest:
+				s.longest, s.atLongest = n, 1
+			case n == s.longest:
+				s.atLongest++
+			}
+		default:
+			if err := d.Skip(wtype); err != nil {
+				return s, err
+			}
+		}
+	}
+	return s, nil
 }
 
 // check holds a parsed section to what every table derived from it needs:
@@ -381,10 +501,10 @@ func (m *RecordMeta) check(sectionLen int) error {
 		if s.Header < 0 || s.Header >= len(m.Headers) {
 			return fmt.Errorf("sample %d names header %d of %d", i, s.Header, len(m.Headers))
 		}
-		if want := len(m.scripts[m.Headers[s.Header].Script].framing); len(s.scanLens) != want {
-			return fmt.Errorf("sample %d has %d scan lengths, its script %d scans", i, len(s.scanLens), want)
+		if want := len(m.scripts[m.Headers[s.Header].Script].framing); int(s.scanN) != want {
+			return fmt.Errorf("sample %d has %d scan lengths, its script %d scans", i, s.scanN, want)
 		}
-		for j, n := range s.scanLens {
+		for j, n := range m.scanLens(s) {
 			if !add(n) {
 				return fmt.Errorf("sample %d claims %d bytes of scan %d", i, uint64(n), j)
 			}
@@ -393,29 +513,12 @@ func (m *RecordMeta) check(sectionLen int) error {
 	return nil
 }
 
-// parseRecordFields fills m from the metadata section. Nothing is sized by a
-// number the section merely spells: the samples, headers and scripts by the
-// fields present, the arrays of lengths by the bytes present. Each sample's
-// scan lengths and each script's framing lengths are decoded into one array
-// apiece and sliced out of it once the section is read.
-func parseRecordFields(section []byte, m *RecordMeta) error {
-	var counts [5]int // by field number
-	for d := wire.NewDecoder(section); !d.Done(); {
-		field, wtype, err := d.Next()
-		if err != nil {
-			return err
-		}
-		if field < len(counts) {
-			counts[field]++
-		}
-		if err := d.Skip(wtype); err != nil {
-			return err
-		}
-	}
-	m.Samples = make([]SampleMeta, 0, counts[fieldSample])
-	m.Headers = make([]RecordHeader, 0, counts[fieldHeader])
-	m.scripts = make([]recordScript, 0, counts[fieldScript])
-	var lens, frames []int64
+// parseRecordFields fills m from the metadata section. It sizes nothing:
+// m's slices, and lens and frames, where the samples' scan lengths and the
+// scripts' framing lengths are decoded to, come with the room the first
+// pass counted (measure). A section that spells more than that — one whose
+// fields' wire types disagree with their numbers — only grows them.
+func parseRecordFields(section []byte, m *RecordMeta, lens, frames []int64) error {
 	d := wire.NewDecoder(section)
 	for !d.Done() {
 		field, wtype, err := d.Next()
@@ -438,7 +541,7 @@ func parseRecordFields(section []byte, m *RecordMeta) error {
 			if frames, err = appendPacked(frames, packed); err != nil {
 				return err
 			}
-			m.scripts = append(m.scripts, recordScript{framing: frames[from:]})
+			m.scripts = append(m.scripts, recordScript{framing: frames[from:len(frames):len(frames)]})
 		case fieldHeader:
 			raw, err := d.Bytes()
 			if err != nil {
@@ -459,40 +562,22 @@ func parseRecordFields(section []byte, m *RecordMeta) error {
 			if lens, err = parseSampleMeta(raw, &sm, lens); err != nil {
 				return err
 			}
-			sm.scanLens = lens[from:]
+			// Each length takes a byte of the section at least, whose own
+			// length is a 32-bit word: so does their count.
+			sm.scanAt, sm.scanN = uint32(from), uint32(len(lens)-from)
 			m.Samples = append(m.Samples, sm)
-			if len(m.Samples) == 1 {
-				// A writer gives most samples as many lengths as the
-				// first; a length is at least a byte of the section.
-				lens = slices.Grow(lens, min((counts[fieldSample]-1)*len(lens), len(section)))
-			}
 		default:
 			if err := d.Skip(wtype); err != nil {
 				return err
 			}
 		}
 	}
-	// The arrays may have moved as they grew: slice every sample's and
-	// every script's lengths out of where they ended up.
-	off := 0
-	for k := range m.scripts {
-		n := len(m.scripts[k].framing)
-		m.scripts[k].framing = frames[off : off+n : off+n]
-		off += n
-	}
-	off = 0
-	for i := range m.Samples {
-		n := len(m.Samples[i].scanLens)
-		m.Samples[i].scanLens = lens[off : off+n : off+n]
-		off += n
-	}
+	m.lens = lens
 	return nil
 }
 
-// appendPacked appends the varints of a packed field to vs, growing vs at
-// most once: there are no more of them than bytes.
+// appendPacked appends the varints of a packed field to vs.
 func appendPacked(vs []int64, packed []byte) ([]int64, error) {
-	vs = slices.Grow(vs, len(packed))
 	for p := wire.NewDecoder(packed); !p.Done(); {
 		v, err := p.Uint64()
 		if err != nil {
@@ -574,21 +659,55 @@ func parseSampleMeta(raw []byte, sm *SampleMeta, lens []int64) ([]int64, error) 
 	return lens, nil
 }
 
-// buildOffsets derives, in one allocation, every sample's group lengths and
-// the offset tables from the checked lengths.
-func (m *RecordMeta) buildOffsets() {
-	n, ng := len(m.Samples), m.NumGroups
-	nf := 0
-	for _, sc := range m.scripts {
-		nf += len(sc.framing)
+// countScanLens counts the scan lengths one sample message spells, walking
+// it as parseSampleMeta does, as far as it can.
+func countScanLens(raw []byte) int {
+	n := 0
+	for d := wire.NewDecoder(raw); !d.Done(); {
+		field, wtype, err := d.Next()
+		if err != nil {
+			return n
+		}
+		switch field {
+		case sfScanLens:
+			var packed []byte
+			if packed, err = d.Bytes(); err == nil {
+				n += wire.Varints(packed)
+			}
+		case sfID, sfLabel, sfHeader:
+			_, err = d.Uint64()
+		default:
+			err = d.Skip(wtype)
+		}
+		if err != nil {
+			return n
+		}
 	}
-	table := make([]int64, (ng+1)+ng+2*ng*n+nf+2*(ng+1)*len(m.scripts))
+	return n
+}
+
+// scansAreGroups reports whether s's scan lengths are its group lengths: it
+// has as many scans as the record has groups, and each scan of the longest
+// script is a group of its own, so each of s's is too.
+func (m *RecordMeta) scansAreGroups(s *SampleMeta) bool {
+	return int(s.scanN) == m.NumGroups && m.NumGroups == m.maxScans
+}
+
+// buildOffsets derives every table from the checked lengths, carving them
+// from arena, which the first pass sized for them (recordShape.derived).
+func (m *RecordMeta) buildOffsets(arena []int64) {
+	ng := m.NumGroups
 	carve := func(k int) []int64 {
-		s := table[:k:k]
-		table = table[k:]
+		if len(arena) < k {
+			// Only a section whose fields' wire types misled the first
+			// pass gets here.
+			arena = make([]int64, k)
+		}
+		s := arena[:k:k]
+		arena = arena[k:]
 		return s
 	}
-	m.prefix, m.preamble, m.sampleOffset = carve(ng+1), carve(ng), carve(ng*n)
+	m.prefix, m.preamble = carve(ng+1), carve(ng)
 	for k := range m.scripts {
 		sc := &m.scripts[k]
 		sc.at, sc.first, sc.framed = carve(len(sc.framing)), carve(ng+1), carve(ng+1)
@@ -602,24 +721,26 @@ func (m *RecordMeta) buildOffsets() {
 			}
 		}
 	}
-	// A sample's group lengths sum its scans group by group; each slice
-	// starts where the one before it in the group ends, the first where
-	// the preamble does. prefix[g+1] runs along group g until the end,
-	// when it becomes the prefix length.
+	// A sample's group lengths sum its scans group by group. prefix[g+1]
+	// runs along group g — its preamble, then every sample's slice — until
+	// the end, when it becomes the prefix length.
 	copy(m.prefix[1:], m.preamble)
 	for i := range m.Samples {
 		s := &m.Samples[i]
-		first := m.scripts[m.Headers[s.Header].Script].first
-		s.GroupLens = carve(ng)
-		g := 0
-		for j, l := range s.scanLens {
-			for int64(j) >= first[g+1] {
-				g++
+		if m.scansAreGroups(s) {
+			s.GroupLens = m.scanLens(s)
+		} else {
+			first := m.scripts[m.Headers[s.Header].Script].first
+			s.GroupLens = carve(ng)
+			g := 0
+			for j, l := range m.scanLens(s) {
+				for int64(j) >= first[g+1] {
+					g++
+				}
+				s.GroupLens[g] += l
 			}
-			s.GroupLens[g] += l
 		}
 		for g, l := range s.GroupLens {
-			m.sampleOffset[g*n+i] = m.prefix[g+1]
 			m.prefix[g+1] += l
 		}
 	}
@@ -646,24 +767,87 @@ func (m *RecordMeta) streamLen(i, g int) int64 {
 	return size
 }
 
+// cursor is where a read finds the pieces of the streams it splices in
+// src, a record prefix or a gathered body: scan group k+1's preamble at
+// pre[k], and the group's slices one after another from next[k], which
+// moves past each slice the read passes. In a prefix every sample's slices
+// lie there (all); in a gathered body only the selected samples'.
+type cursor struct {
+	m         *RecordMeta
+	src       []byte
+	pre, next []int64
+	all       bool
+}
+
+// stackGroups is the most scan groups whose cursor a read keeps in an array
+// of its own frame; a record of more groups (no writer here makes one)
+// allocates it.
+const stackGroups = 16
+
+// words returns n words of buf, or n new ones when buf is too short.
+func words(buf []int64, n int) []int64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int64, n)
+}
+
+// prefixCursor starts a walk of a record prefix at scan group g, in buf
+// when it has room: every slice of group k+1 follows its preamble.
+func (m *RecordMeta) prefixCursor(prefix []byte, g int, buf []int64) cursor {
+	next := words(buf, g)
+	for k := range next {
+		next[k] = m.prefix[k] + m.preamble[k]
+	}
+	return cursor{m: m, src: prefix, pre: m.prefix, next: next, all: true}
+}
+
+// check refuses sample i at scan group g unless src holds every slice its
+// group lengths claim where the cursor stands. A stream is sized by those
+// lengths, so they are held to the bytes there are before anything is
+// sized or sliced by them.
+func (c *cursor) check(i, g int) error {
+	for k, l := range c.m.Samples[i].GroupLens[:g] {
+		if at := c.next[k]; l < 0 || at < 0 || l > int64(len(c.src))-at {
+			return fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, i, l, k+1)
+		}
+	}
+	return nil
+}
+
+// skip moves the cursor past sample i's slices of groups 1..g.
+func (c *cursor) skip(i, g int) {
+	for k, l := range c.m.Samples[i].GroupLens[:g] {
+		c.next[k] += l
+	}
+}
+
+// pieces returns scan group k+1's preamble and sample i's slice of it,
+// which the cursor stands at, and moves past the slice.
+func (c *cursor) pieces(i, k int) (preamble, slice []byte) {
+	pre, at := c.pre[k], c.next[k]
+	c.next[k] += c.m.Samples[i].GroupLens[k]
+	return c.src[pre : pre+c.m.preamble[k]], c.src[at:c.next[k]]
+}
+
 // splice appends sample i's stream at scan group g to dst, which the caller
 // sized for it (streamLen): its header; for each group, the framing of each
 // of its scans there, from the group's preamble, followed by its data of
-// that scan, from its slice; then EOI. group(k) returns group k+1's
-// preamble and the sample's slice of it, and is called once per group, in
-// order. It is the one place a stream is put together: SampleJPEG and
-// SampleJPEGs take the pieces from a record prefix, AssembleSamples from a
-// gathered body. The caller has held the sample's group lengths to the
-// bytes it has; a slice is exactly as long as the sample's scans in its
-// group, which buildOffsets summed over the same scans this walks.
-func (m *RecordMeta) splice(dst []byte, i, g int, group func(k int) (preamble, slice []byte)) []byte {
+// that scan, from its slice; then EOI. It takes the pieces where c stands,
+// and leaves c past the sample. It is the one place a stream is put
+// together: SampleJPEG and SampleJPEGs take the pieces from a record
+// prefix, AssembleSamples from a gathered body. The caller has held the
+// sample's group lengths to the bytes it has (cursor.check); a slice is
+// exactly as long as the sample's scans in its group, which buildOffsets
+// summed over the same scans this walks.
+func (m *RecordMeta) splice(dst []byte, i, g int, c *cursor) []byte {
 	s := &m.Samples[i]
 	h := &m.Headers[s.Header]
 	sc := &m.scripts[h.Script]
 	dst = append(dst, h.JPEG...)
-	scanLens, framing, at, first := s.scanLens, sc.framing, sc.at, sc.first
+	scanLens, framing, at, first := m.scanLens(s), sc.framing, sc.at, sc.first
 	for k := range g {
-		pre, slice := group(k)
+		pre, slice := c.pieces(i, k)
 		for j := first[k]; j < first[k+1]; j++ {
 			n := scanLens[j]
 			dst = append(dst, pre[at[j]:at[j]+framing[j]]...)
@@ -675,20 +859,24 @@ func (m *RecordMeta) splice(dst []byte, i, g int, group func(k int) (preamble, s
 }
 
 // spliceAll splices, in sample order, the samples sel selects (every one
-// when sel is nil) past the first from of them at scan group g, and hands
-// each to deliver with its index. group(i, k) is splice's group(k) for
-// sample i. The streams share buffers, each exactly as long as the
-// consecutive streams it holds and at most maxSharedStreams unless it holds
-// one longer stream alone; each stream is a full slice expression of its
-// buffer, so appending to it never writes into the next.
-func (m *RecordMeta) spliceAll(g int, sel []bool, from int, group func(i, k int) (preamble, slice []byte), deliver func(i int, stream []byte)) {
+// when sel is nil) past the first from of them at scan group g, from where
+// c stands, and hands each to deliver with its index. The streams share
+// buffers, each exactly as long as the consecutive streams it holds and at
+// most maxSharedStreams unless it holds one longer stream alone; each
+// stream is a full slice expression of its buffer, so appending to it never
+// writes into the next.
+func (m *RecordMeta) spliceAll(c *cursor, g int, sel []bool, from int, deliver func(i int, stream []byte)) {
 	var buf []byte
 	for i := range m.Samples {
 		if sel != nil && !sel[i] {
+			if c.all {
+				c.skip(i, g)
+			}
 			continue
 		}
 		if from > 0 {
 			from--
+			c.skip(i, g)
 			continue
 		}
 		n := m.streamLen(i, g)
@@ -709,23 +897,9 @@ func (m *RecordMeta) spliceAll(g int, sel []bool, from int, group func(i, k int)
 			buf = make([]byte, 0, size)
 		}
 		start := len(buf)
-		buf = m.splice(buf, i, g, func(k int) ([]byte, []byte) { return group(i, k) })
+		buf = m.splice(buf, i, g, c)
 		deliver(i, buf[start:len(buf):len(buf)])
 	}
-}
-
-// checkSample refuses sample i at scan group g unless the prefix holds
-// every slice its group lengths claim. A stream is sized by those lengths,
-// so they are held to the bytes there are before anything is sized or
-// sliced by them. The caller has checked i, g and the prefix length.
-func (m *RecordMeta) checkSample(prefix []byte, i, g int) error {
-	n := len(m.Samples)
-	for k, l := range m.Samples[i].GroupLens[:g] {
-		if l < 0 || l > int64(len(prefix))-m.prefix[k]-m.sampleOffset[k*n+i] {
-			return fmt.Errorf("core: %w: sample %d claims %d bytes of scan group %d", ErrCorrupt, i, l, k+1)
-		}
-	}
-	return nil
 }
 
 // checkPrefix refuses a scan group the record does not store and a prefix
@@ -740,17 +914,11 @@ func (m *RecordMeta) checkPrefix(prefix []byte, g int) error {
 	return nil
 }
 
-// prefixPieces is splice's group for sample i, from a record prefix.
-func (m *RecordMeta) prefixPieces(prefix []byte, i, k int) (preamble, slice []byte) {
-	start := m.prefix[k]
-	off := start + m.sampleOffset[k*len(m.Samples)+i]
-	return prefix[start : start+m.preamble[k]], prefix[off : off+m.Samples[i].GroupLens[k]]
-}
-
 // SampleJPEG reassembles sample i as a decodable JPEG stream at scan group
 // g: its header, the framing and its data of every scan in groups 1..g, and
 // a terminating EOI. prefix must hold at least PrefixLen(g) bytes of the
-// record file. The stream is a buffer of its own, exactly its length.
+// record file. The stream is a buffer of its own, exactly its length. Its
+// slices are found past those of every sample before it.
 func (m *RecordMeta) SampleJPEG(prefix []byte, i, g int) ([]byte, error) {
 	if i < 0 || i >= len(m.Samples) {
 		return nil, fmt.Errorf("core: sample %d out of range", i)
@@ -758,12 +926,15 @@ func (m *RecordMeta) SampleJPEG(prefix []byte, i, g int) ([]byte, error) {
 	if err := m.checkPrefix(prefix, g); err != nil {
 		return nil, err
 	}
-	if err := m.checkSample(prefix, i, g); err != nil {
+	var row [stackGroups]int64
+	c := m.prefixCursor(prefix, g, row[:])
+	for j := range i {
+		c.skip(j, g)
+	}
+	if err := c.check(i, g); err != nil {
 		return nil, err
 	}
-	return m.splice(make([]byte, 0, m.streamLen(i, g)), i, g, func(k int) ([]byte, []byte) {
-		return m.prefixPieces(prefix, i, k)
-	}), nil
+	return m.splice(make([]byte, 0, m.streamLen(i, g)), i, g, &c), nil
 }
 
 // SampleJPEGs reassembles, as SampleJPEG does, the samples sel selects
@@ -780,16 +951,18 @@ func (m *RecordMeta) SampleJPEGs(prefix []byte, g int, sel []bool, from int, del
 	if err := m.checkPrefix(prefix, g); err != nil {
 		return err
 	}
+	var row [stackGroups]int64
+	c := m.prefixCursor(prefix, g, row[:])
 	for i := range m.Samples {
 		if sel == nil || sel[i] {
-			if err := m.checkSample(prefix, i, g); err != nil {
+			if err := c.check(i, g); err != nil {
 				return err
 			}
 		}
+		c.skip(i, g)
 	}
-	m.spliceAll(g, sel, from, func(i, k int) ([]byte, []byte) {
-		return m.prefixPieces(prefix, i, k)
-	}, deliver)
+	c = m.prefixCursor(prefix, g, row[:])
+	m.spliceAll(&c, g, sel, from, deliver)
 	return nil
 }
 

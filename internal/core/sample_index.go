@@ -32,17 +32,11 @@ type ByteRange struct {
 // bitmap rather than an offset list: the byte layout is already shared
 // knowledge.
 func (r *RecordInfo) SampleRanges(g int, sel []bool) ([]ByteRange, error) {
+	if err := r.checkSelection(g, sel); err != nil {
+		return nil, err
+	}
 	prefixes, lens, samples := r.Prefixes, r.SampleGroupLens, r.Samples
 	ng := len(prefixes) - 1
-	if g < 0 || g > ng {
-		return nil, fmt.Errorf("core: scan group %d out of range [0,%d]", g, ng)
-	}
-	if len(sel) != samples {
-		return nil, fmt.Errorf("core: selection has %d entries, record has %d samples", len(sel), samples)
-	}
-	if len(lens) != samples*ng {
-		return nil, fmt.Errorf("core: %w: sample index has %d lengths, want %d", ErrCorrupt, len(lens), samples*ng)
-	}
 	// A group adds at most its preamble and one range per run of adjacent
 	// selected samples, so the ranges are allocated once.
 	runs := 0
@@ -78,6 +72,47 @@ func (r *RecordInfo) SampleRanges(g int, sel []bool) ([]ByteRange, error) {
 		}
 	}
 	return out, nil
+}
+
+// checkSelection refuses what SampleRanges cannot plan from: a scan group
+// the record does not store, a selection that is not one entry per sample,
+// and a side index of the wrong size.
+func (r *RecordInfo) checkSelection(g int, sel []bool) error {
+	ng := len(r.Prefixes) - 1
+	if g < 0 || g > ng {
+		return fmt.Errorf("core: scan group %d out of range [0,%d]", g, ng)
+	}
+	if len(sel) != r.Samples {
+		return fmt.Errorf("core: selection has %d entries, record has %d samples", len(sel), r.Samples)
+	}
+	if len(r.SampleGroupLens) != r.Samples*ng {
+		return fmt.Errorf("core: %w: sample index has %d lengths, want %d", ErrCorrupt, len(r.SampleGroupLens), r.Samples*ng)
+	}
+	return nil
+}
+
+// SampleBytes returns what the ranges of SampleRanges(g, sel) total — the
+// bytes a sparse read of the selection moves — without building them.
+func (r *RecordInfo) SampleBytes(g int, sel []bool) (int64, error) {
+	if err := r.checkSelection(g, sel); err != nil {
+		return 0, err
+	}
+	prefixes, lens, samples := r.Prefixes, r.SampleGroupLens, r.Samples
+	ng := len(prefixes) - 1
+	// SampleRanges adds no range of a length below one.
+	total := max(prefixes[0], 0)
+	for k := 1; k <= g; k++ {
+		preamble := prefixes[k] - prefixes[k-1]
+		for i := 0; i < samples; i++ {
+			l := lens[i*ng+(k-1)]
+			preamble -= l
+			if sel[i] {
+				total += max(l, 0)
+			}
+		}
+		total += max(preamble, 0)
+	}
+	return total, nil
 }
 
 // RangesTotal returns the summed length of the ranges.
@@ -129,38 +164,36 @@ func ScatterRanges(concat []byte, ranges []ByteRange, size int64) ([]byte, error
 	return buf, nil
 }
 
-// AssembleSamples reassembles the samples sel selects at scan group g
-// straight from a gathered body: the bytes of SampleRanges(g, sel) in order,
-// which are the metadata section followed, group by group, by the group's
-// preamble and the selected samples' slices in sample order. It returns the
-// parsed metadata, which aliases body, and one JPEG stream per sample — the
-// stream SampleJPEG builds from a full prefix — nil for the samples not
-// selected. The streams share bounded, exactly-sized buffers, as
-// SampleJPEGs's do, and never alias body. A body that is not exactly as
-// long as its own metadata says the selection is, a selection of the wrong
-// length and a group the record does not store are refused as ErrCorrupt:
-// the index the read was planned from and the record disagree.
-func AssembleSamples(body []byte, g int, sel []bool) (*RecordMeta, [][]byte, error) {
-	m, err := ParseRecordMeta(body)
-	if err != nil {
-		return nil, nil, err
-	}
+// AssembleSamples reassembles, as SampleJPEGs does, the samples sel selects
+// at scan group g past the first from of them, straight from a gathered
+// body: the bytes of SampleRanges(g, sel) in order, which are the metadata
+// section m was parsed from followed, group by group, by the group's
+// preamble and the selected samples' slices in sample order. It hands each
+// stream — the one SampleJPEG builds from a full prefix — to deliver with
+// its index, in sample order, and splices none inside the resume prefix.
+// The streams share bounded, exactly-sized buffers, as SampleJPEGs's do,
+// and never alias body. A body that is not exactly as long as its own
+// metadata says the selection is, a selection of the wrong length and a
+// group the record does not store are refused as ErrCorrupt, delivering
+// nothing: the index the read was planned from and the record disagree.
+func (m *RecordMeta) AssembleSamples(body []byte, g int, sel []bool, from int, deliver func(i int, stream []byte)) error {
 	if g < 1 || g > m.NumGroups {
-		return nil, nil, fmt.Errorf("core: %w: gathered body of scan group %d, record stores [1,%d]", ErrCorrupt, g, m.NumGroups)
+		return fmt.Errorf("core: %w: gathered body of scan group %d, record stores [1,%d]", ErrCorrupt, g, m.NumGroups)
 	}
 	if len(sel) != len(m.Samples) {
-		return nil, nil, fmt.Errorf("core: %w: selection has %d entries, record has %d samples", ErrCorrupt, len(sel), len(m.Samples))
+		return fmt.Errorf("core: %w: selection has %d entries, record has %d samples", ErrCorrupt, len(sel), len(m.Samples))
 	}
 	// Where each group's preamble and its first selected slice start in the
 	// body. The body's length is held to the plan before anything is sliced
 	// by the lengths in it.
-	pos := make([]int64, 2*g)
-	pre, next := pos[:g], pos[g:]
+	var row [2 * stackGroups]int64
+	pos := words(row[:], 2*g)
+	c := cursor{m: m, src: body, pre: pos[:g], next: pos[g:]}
 	at := m.BodyStart
 	for k := range g {
-		pre[k] = at
+		c.pre[k] = at
 		at += m.preamble[k]
-		next[k] = at
+		c.next[k] = at
 		for i, s := range m.Samples {
 			if sel[i] {
 				at += s.GroupLens[k]
@@ -168,18 +201,10 @@ func AssembleSamples(body []byte, g int, sel []bool) (*RecordMeta, [][]byte, err
 		}
 	}
 	if int64(len(body)) != at {
-		return nil, nil, fmt.Errorf("core: %w: gathered body has %d bytes, the selection spans %d", ErrCorrupt, len(body), at)
+		return fmt.Errorf("core: %w: gathered body has %d bytes, the selection spans %d", ErrCorrupt, len(body), at)
 	}
-	// spliceAll visits the selected samples in order, as they lie in each
-	// group of the body.
-	streams := make([][]byte, len(sel))
-	m.spliceAll(g, sel, 0, func(i, k int) ([]byte, []byte) {
-		l := m.Samples[i].GroupLens[k]
-		slice := body[next[k] : next[k]+l]
-		next[k] += l
-		return body[pre[k] : pre[k]+m.preamble[k]], slice
-	}, func(i int, stream []byte) { streams[i] = stream })
-	return m, streams, nil
+	m.spliceAll(&c, g, sel, from, deliver)
+	return nil
 }
 
 // SampleReader is an optional Backend capability: fetch, in one operation,

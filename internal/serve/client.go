@@ -245,19 +245,18 @@ func holdsWindow(resp *http.Response, offset, length int64) bool {
 // readSamplesOnce is one pushdown request: a GET with the selection as a
 // compact bitmap (?group=g&samples=b), answered by the server with only the
 // selected samples' coalesced byte ranges, read into dst when it has room
-// (core.BufferFor). The expected ranges are computed here from the same
-// index the server holds, so the response is verified by length: a
-// declared Content-Length other than the planned total is refused unread,
-// and it and a body cut short are core.ErrCorrupt and retryable. A 200
+// (core.BufferFor). The ranges' total is computed here from the same index
+// the server holds (RecordInfo.SampleBytes), so the response is verified by
+// length: a declared Content-Length other than the planned total is refused
+// unread, and it and a body cut short are core.ErrCorrupt and retryable. A 200
 // without the pushdown header is not an answer to the request made and is
 // not retryable.
 func (m *member) readSamplesOnce(dst []byte, re *core.RecordInfo, group int, sel []bool) ([]byte, bool, error) {
 	group = re.ClampGroup(group)
-	ranges, err := re.SampleRanges(group, sel)
+	want, err := re.SampleBytes(group, sel)
 	if err != nil {
 		return nil, false, err
 	}
-	want := core.RangesTotal(ranges)
 	resp, retryable, err := m.get(fmt.Sprintf("%s?group=%d&samples=%s", m.recordURL(re.Name), group, encodeSampleBitmap(sel)), re.Name, "", false)
 	if err != nil {
 		return nil, retryable, err

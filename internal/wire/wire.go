@@ -126,7 +126,25 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // Done reports whether the whole message was consumed.
 func (d *Decoder) Done() bool { return d.pos >= len(d.buf) }
 
+// varint reads a varint. One of one or two bytes — every field's tag, most
+// of the lengths a record spells — it reads without a loop, unless it ends
+// the buffer; any other takes varintLong.
 func (d *Decoder) varint() (uint64, error) {
+	if p := d.pos; p+1 < len(d.buf) {
+		b0, b1 := d.buf[p], d.buf[p+1]
+		if b0 < 0x80 {
+			d.pos = p + 1
+			return uint64(b0), nil
+		}
+		if b1 < 0x80 {
+			d.pos = p + 2
+			return uint64(b0&0x7F) | uint64(b1)<<7, nil
+		}
+	}
+	return d.varintLong()
+}
+
+func (d *Decoder) varintLong() (uint64, error) {
 	var v uint64
 	var shift uint
 	for {
@@ -221,13 +239,7 @@ func ReadPacked[T ~uint64 | ~int64](d *Decoder, dst []T) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	for _, c := range b {
-		if c < 0x80 {
-			n++
-		}
-	}
-	dst = slices.Grow(dst, n)
+	dst = slices.Grow(dst, Varints(b))
 	sub := NewDecoder(b)
 	for !sub.Done() {
 		v, err := sub.varint()
@@ -237,6 +249,18 @@ func ReadPacked[T ~uint64 | ~int64](d *Decoder, dst []T) ([]T, error) {
 		dst = append(dst, T(v))
 	}
 	return dst, nil
+}
+
+// Varints counts the varints a packed payload ends: its bytes without the
+// continuation bit. It is how many values the payload holds if it decodes.
+func Varints(b []byte) int {
+	n := 0
+	for _, c := range b {
+		if c < 0x80 {
+			n++
+		}
+	}
+	return n
 }
 
 // Skip discards a field of the given wire type.

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -83,6 +85,26 @@ func TestVarintQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVarintWidths: a varint of every width up to the two bytes read
+// inline and past them decodes to its value whether it ends the buffer or
+// bytes follow it, and every cut of it is ErrShort.
+func TestVarintWidths(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 255, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, math.MaxUint64} {
+		enc := binary.AppendUvarint(nil, v)
+		for _, tail := range [][]byte{nil, {0x7F}, {0x80, 0x01}} {
+			d := NewDecoder(append(slices.Clone(enc), tail...))
+			if got, err := d.Uint64(); err != nil || got != v || d.pos != len(enc) {
+				t.Errorf("%d followed by %x: got %d at %d, %v; want it at %d", v, tail, got, d.pos, err, len(enc))
+			}
+		}
+		for cut := range len(enc) {
+			if _, err := NewDecoder(enc[:cut]).Uint64(); !errors.Is(err, ErrShort) {
+				t.Errorf("%d cut to %d of %d bytes: err = %v, want ErrShort", v, cut, len(enc), err)
+			}
+		}
 	}
 }
 

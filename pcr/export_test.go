@@ -30,11 +30,23 @@ func (d *Dataset) SelectedCount(i int, pred Predicate) int {
 // ReadRecordFiltered is one filtered record read as the Loader issues it: a
 // plan of one record, carried out.
 func (d *Dataset) ReadRecordFiltered(i, q int, pred Predicate) (samples []Sample, bytesRead, bytesAvoided int64, err error) {
+	return d.readFiltered(i, q, pred, 0)
+}
+
+// ReadRecordFilteredFrom is ReadRecordFiltered resumed at the from-th sample
+// pred selects.
+func (d *Dataset) ReadRecordFilteredFrom(i, q int, pred Predicate, from int) ([]Sample, error) {
+	samples, _, _, err := d.readFiltered(i, q, pred, from)
+	return samples, err
+}
+
+func (d *Dataset) readFiltered(i, q int, pred Predicate, from int) (samples []Sample, bytesRead, bytesAvoided int64, err error) {
 	plan, err := d.onePlan(i, q)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	plan.filter = pred
+	plan.skip = from
 	read, err := plan.next()
 	price := plan.price
 	if read == nil {

@@ -104,48 +104,34 @@ func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 // readRecord is the fetch stage's one record read: it carries out the read
 // recordPlan decided and priced, and delivers the samples it selects, still
 // encoded, skipping those inside a resume prefix. A whole-prefix read
-// reassembles the delivered samples from the prefix (SampleJPEGs), and
-// splices none inside the resume prefix; a sparse read fetches only the
-// metadata section and the selected samples' slices (Stack.Gather) and
-// assembles the samples straight from those bytes (AssembleSamples). Either
-// way the delivered JPEGs share bounded, exactly-sized buffers of their own,
-// so the prefix or the gathered body goes back to the stack once the
+// reassembles the delivered samples from the prefix (SampleJPEGs); a sparse
+// read fetches only the metadata section and the selected samples' slices
+// (Stack.Gather) and assembles the samples straight from those bytes
+// (AssembleSamples). Either way none inside the resume prefix is spliced,
+// and the delivered JPEGs share bounded, exactly-sized buffers of their
+// own, so the prefix or the gathered body goes back to the stack once the
 // samples are spliced out.
 func (r *pcrReader) readRecord(pl *readPlan) recordRead {
 	var meta *core.RecordMeta
-	rr := recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, max(r.records[pl.rec].Samples-pl.from, 0))}
+	rr := recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, pl.delivers)}
 	deliver := func(si int, stream []byte) {
 		sm := &meta.Samples[si]
 		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
 	}
+	var buf []byte
 	var err error
-	switch {
-	case pl.ranges != nil:
-		var body []byte
-		if body, err = r.tiers.Gather(pl.rec, pl.group, pl.sel, pl.ranges); err == nil {
-			defer r.tiers.Release(body)
-			var streams [][]byte
-			if meta, streams, err = core.AssembleSamples(body, pl.group, pl.sel); err == nil {
-				// The resume prefix's samples are assembled too; drop them.
-				skip := pl.from
-				for si, stream := range streams {
-					if stream == nil {
-						continue
-					}
-					if skip > 0 {
-						skip--
-						continue
-					}
-					deliver(si, stream)
-				}
-			}
-		}
-	default:
-		var prefix []byte
-		if prefix, err = r.tiers.Read(pl.rec, 0, pl.bytes); err == nil {
-			defer r.tiers.Release(prefix)
-			if meta, err = r.ds.ParseRecordPrefix(pl.rec, prefix); err == nil {
-				err = meta.SampleJPEGs(prefix, pl.group, pl.sel, pl.from, deliver)
+	if pl.ranges != nil {
+		buf, err = r.tiers.Gather(pl.rec, pl.group, pl.sel, pl.ranges)
+	} else {
+		buf, err = r.tiers.Read(pl.rec, 0, pl.bytes)
+	}
+	if err == nil {
+		defer r.tiers.Release(buf)
+		if meta, err = r.ds.ParseRecordPrefix(pl.rec, buf); err == nil {
+			if pl.ranges != nil {
+				err = meta.AssembleSamples(buf, pl.group, pl.sel, pl.from, deliver)
+			} else {
+				err = meta.SampleJPEGs(buf, pl.group, pl.sel, pl.from, deliver)
 			}
 		}
 	}

@@ -110,7 +110,10 @@ type readPlan struct {
 	// or sel, shipped to a backend that takes it (remote pushdown).
 	ranges []core.ByteRange
 	bytes  int64 // what the read moves
-	from   int   // delivered samples that lie inside a resume prefix
+	from   int   // selected samples that lie inside a resume prefix
+	// delivers is how many samples the read delivers: those selected past
+	// the resume prefix.
+	delivers int
 }
 
 // next returns the next read to issue, or nil at the end of the plan. After
@@ -186,8 +189,9 @@ func (p *recordPlan) record(rec int) (*readPlan, error) {
 		obs.observeQuality(q)
 	}
 	read.from = p.skip
+	read.delivers = n - read.from
 	p.skip = 0
-	p.planned += n - read.from
+	p.planned += read.delivers
 	return read, nil
 }
 

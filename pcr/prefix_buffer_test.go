@@ -280,13 +280,25 @@ func TestPushdownBodyReusesPrefixBuffer(t *testing.T) {
 	}
 }
 
-// TestResumedReadSplicesOnlyDelivered: a read resumed inside a record
-// reassembles only the samples it delivers. The streams of one read share
-// a buffer, so a resumed read makes as many allocations as the whole
-// record's; it is its bytes that show what was spliced. A 32-sample record
-// read from sample 31 allocates at least the 31 skipped streams' bytes
-// less than the whole record's read.
-func TestResumedReadSplicesOnlyDelivered(t *testing.T) {
+// allocatedBytes is the bytes one call of read allocates, averaged over
+// runs as testing.AllocsPerRun averages its counts: on one P, after a
+// warm-up.
+func allocatedBytes(read func()) float64 {
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	read()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// resumable synthesizes a dataset whose first record holds 32 samples.
+func resumable(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
 	n, err := pcr.Synthesize(dir, "cars", 0.2, 1, pcr.WithImagesPerRecord(32))
 	if err != nil {
@@ -295,7 +307,17 @@ func TestResumedReadSplicesOnlyDelivered(t *testing.T) {
 	if n < 32 {
 		t.Fatalf("dataset holds %d images, want a whole record of 32", n)
 	}
-	ds, err := pcr.Open(dir)
+	return dir
+}
+
+// TestResumedReadSplicesOnlyDelivered: a read resumed inside a record
+// reassembles only the samples it delivers. The streams of one read share
+// a buffer, so a resumed read makes as many allocations as the whole
+// record's; it is its bytes that show what was spliced. A 32-sample record
+// read from sample 31 allocates at least the 31 skipped streams' bytes
+// less than the whole record's read.
+func TestResumedReadSplicesOnlyDelivered(t *testing.T) {
+	ds, err := pcr.Open(resumable(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,23 +336,45 @@ func TestResumedReadSplicesOnlyDelivered(t *testing.T) {
 	for _, s := range read(0)[:31] {
 		skipped += len(s.JPEG)
 	}
-	// allocated is the bytes one read allocates, averaged over runs as
-	// testing.AllocsPerRun averages its counts: on one P, after a warm-up.
-	allocated := func(from int) float64 {
-		const runs = 20
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		read(from)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			read(from)
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
-	}
-	whole, resumed := allocated(0), allocated(31)
+	whole, resumed := allocatedBytes(func() { read(0) }), allocatedBytes(func() { read(31) })
 	if whole-resumed < float64(skipped) {
 		t.Fatalf("a read resumed at sample 31 of 32 allocates %.0f bytes, the whole record's %.0f: want at least the %d bytes of the 31 skipped streams fewer",
+			resumed, whole, skipped)
+	}
+}
+
+// TestResumedReadSparseSplicesOnlyDelivered is the same for a sparse read:
+// a filter selecting half of a 32-sample record, gathered from the local
+// files and resumed at the last sample it selects, allocates at least the
+// 15 skipped streams' bytes less than the whole selection's read.
+func TestResumedReadSparseSplicesOnlyDelivered(t *testing.T) {
+	dir := resumable(t)
+	pred := firstHalf(t, dir, 0)
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	read := func(from int) []pcr.Sample {
+		samples, err := ds.ReadRecordFilteredFrom(0, pcr.Full, pred, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(samples) != 16-from {
+			t.Fatalf("read from selected sample %d delivered %d samples, want %d", from, len(samples), 16-from)
+		}
+		return samples
+	}
+	if _, _, avoided, err := ds.ReadRecordFiltered(0, pcr.Full, pred); err != nil || avoided == 0 {
+		t.Fatalf("the filtered read avoided %d bytes (%v): it is not sparse", avoided, err)
+	}
+	var skipped int
+	for _, s := range read(0)[:15] {
+		skipped += len(s.JPEG)
+	}
+	whole, resumed := allocatedBytes(func() { read(0) }), allocatedBytes(func() { read(15) })
+	if whole-resumed < float64(skipped) {
+		t.Fatalf("a sparse read resumed at the last of 16 selected samples allocates %.0f bytes, the whole selection's %.0f: want at least the %d bytes of the 15 skipped streams fewer",
 			resumed, whole, skipped)
 	}
 }

@@ -129,6 +129,18 @@ func TestSplicedStreamsNeverOverlap(t *testing.T) {
 	}
 }
 
+// TestSplicedStreamsSamplesExactlySized: the samples a read returns are a
+// slice exactly as long as what it delivers, whichever shape the read
+// takes; a sparse read reserves no room for the samples it does not select.
+func TestSplicedStreamsSamplesExactlySized(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
+	for _, sh := range readShapes(t, dir, firstHalf(t, dir, 0)) {
+		if samples := sh.read(t, 0); cap(samples) != len(samples) {
+			t.Errorf("%s: %d samples returned in room for %d", sh.name, len(samples), cap(samples))
+		}
+	}
+}
+
 // TestSplicedStreamsAllocationsFlat: a record read allocates as often for
 // 64 samples as for 32, whichever shape it takes; a buffer per delivered
 // sample would add one allocation for each of the 16 or 32 more samples
