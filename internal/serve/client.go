@@ -90,14 +90,17 @@ var maxIndexBytes int64 = 1 << 30
 // get is the one GET every client call makes of one member: url, with rng
 // as its Range header when set and marked as a tail-latency hedge when
 // hedge is (the X-Pcr-Hedge header, so the receiving member's /varz shows
-// hedged load). It answers a 200, or a 206 to a ranged request, with the
-// response, whose body is the caller's to close. It classifies every other
-// outcome once, with the body drained and closed: a transport error and a
-// 500, 502, 503 or 504 are retryable; a 421 is a misdirectedError carrying
-// the owner header, retryable after a membership refresh; a 416 means the
-// index promised bytes the server does not have — structural damage,
-// reported as core.ErrCorrupt like a truncated local file; any other
-// status is final. name is what is read, for the error.
+// hedged load). It accepts a 200 to an unranged request and a 206 to a
+// ranged one, and answers with the response, whose body is the caller's to
+// close. A 200 to a ranged request is the whole object, which no prefix
+// server sends (resolveRange answers every window a client asks for with
+// 206 or 416): it is refused, not retryable, its body closed unread. Every
+// other outcome is classified once, with the body drained and closed: a
+// transport error and a 500, 502, 503 or 504 are retryable; a 421 is a
+// misdirectedError carrying the owner header, retryable after a membership
+// refresh; a 416 means the index promised bytes the server does not have —
+// structural damage, reported as core.ErrCorrupt like a truncated local
+// file; any other status is final. name is what is read, for the error.
 func (m *member) get(url, name, rng string, hedge bool) (*http.Response, bool, error) {
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
@@ -114,8 +117,13 @@ func (m *member) get(url, name, rng string, hedge bool) (*http.Response, bool, e
 		return nil, true, fmt.Errorf("serve: reading %s: %w", name, err)
 	}
 	code := resp.StatusCode
-	if code == http.StatusOK || code == http.StatusPartialContent && rng != "" {
+	if code == http.StatusOK && rng == "" || code == http.StatusPartialContent && rng != "" {
 		return resp, false, nil
+	}
+	if code == http.StatusOK {
+		//lint:ignore bodycloseretry a whole object is refused unread: no drain cap would free the connection
+		resp.Body.Close()
+		return nil, false, fmt.Errorf("serve: reading %s: server answered a request for %s with the whole object (%s)", name, rng, resp.Status)
 	}
 	drainClose(resp.Body)
 	retryable := false
@@ -185,43 +193,33 @@ func (m *member) openOnce(name string) (io.ReadCloser, bool, error) {
 }
 
 // readRangeOnce is one HTTP Range request for [offset, offset+length) of the
-// named record, read into dst when it has room (core.BufferFor). A 206 that
-// declares another window or length (holdsWindow), and a response body cut
-// short mid-transfer, are core.ErrCorrupt and retryable.
+// named record, read by readBody. A 206 that declares another window or
+// length (holdsWindow) is core.ErrCorrupt and retryable.
 func (m *member) readRangeOnce(dst []byte, name string, offset, length int64, hedge bool) ([]byte, bool, error) {
 	resp, retryable, err := m.get(m.recordURL(name), name, fmt.Sprintf("bytes=%d-%d", offset, offset+length-1), hedge)
 	if err != nil {
 		return nil, retryable, err
 	}
+	if !holdsWindow(resp, offset, length) {
+		resp.Body.Close()
+		return nil, true, fmt.Errorf("serve: reading %s: %w: a 206 for bytes %d-%d declares Content-Range %q and Content-Length %d",
+			name, core.ErrCorrupt, offset, offset+length-1, resp.Header.Get("Content-Range"), resp.ContentLength)
+	}
+	return readBody(resp, dst, name, length)
+}
+
+// readBody reads and closes a record answer's body, exactly n bytes, into
+// dst when it has room (core.BufferFor). A body cut short is core.ErrCorrupt
+// and retryable: a dropped connection looks the same as a truly short
+// object, so the failover loop retries and reports ErrCorrupt only once its
+// budget is spent.
+func readBody(resp *http.Response, dst []byte, name string, n int64) ([]byte, bool, error) {
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusPartialContent {
-		if !holdsWindow(resp, offset, length) {
-			return nil, true, fmt.Errorf("serve: reading %s: %w: a 206 for bytes %d-%d declares Content-Range %q and Content-Length %d",
-				name, core.ErrCorrupt, offset, offset+length-1, resp.Header.Get("Content-Range"), resp.ContentLength)
-		}
-		buf := core.BufferFor(dst, length)
-		if n, err := io.ReadFull(resp.Body, buf); err != nil {
-			// Could be a dropped connection (transient) or a truly short
-			// object; retry, and report ErrCorrupt only once the budget is
-			// spent.
-			return nil, true, fmt.Errorf("serve: reading %s: %w: truncated response (got %d of %d bytes)",
-				name, core.ErrCorrupt, n, length)
-		}
-		return buf, false, nil
+	buf := core.BufferFor(dst, n)
+	if got, err := io.ReadFull(resp.Body, buf); err != nil {
+		return nil, true, fmt.Errorf("serve: reading %s: %w: truncated response (got %d of %d bytes)",
+			name, core.ErrCorrupt, got, n)
 	}
-	// The server ignored the Range header; take the window out of the body,
-	// read only up to the window's end — however much more the server
-	// sends, or if it never stops.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, offset+length))
-	if err != nil {
-		return nil, true, fmt.Errorf("serve: reading %s: %w", name, err)
-	}
-	if int64(len(body)) < offset+length {
-		return nil, false, fmt.Errorf("serve: reading %s: %w: object is %d bytes, want [%d,%d)",
-			name, core.ErrCorrupt, len(body), offset, offset+length)
-	}
-	buf := core.BufferFor(dst, length)
-	copy(buf, body[offset:])
 	return buf, false, nil
 }
 
@@ -244,13 +242,12 @@ func holdsWindow(resp *http.Response, offset, length int64) bool {
 
 // readSamplesOnce is one pushdown request: a GET with the selection as a
 // compact bitmap (?group=g&samples=b), answered by the server with only the
-// selected samples' coalesced byte ranges, read into dst when it has room
-// (core.BufferFor). The ranges' total is computed here from the same index
-// the server holds (RecordInfo.SampleBytes), so the response is verified by
-// length: a declared Content-Length other than the planned total is refused
-// unread, and it and a body cut short are core.ErrCorrupt and retryable. A 200
-// without the pushdown header is not an answer to the request made and is
-// not retryable.
+// selected samples' coalesced byte ranges, read by readBody. The ranges'
+// total is computed here from the same index the server holds
+// (RecordInfo.SampleBytes), so the response is verified by length: a
+// declared Content-Length other than the planned total is refused unread,
+// core.ErrCorrupt and retryable. A 200 without the pushdown header is not
+// an answer to the request made and is not retryable.
 func (m *member) readSamplesOnce(dst []byte, re *core.RecordInfo, group int, sel []bool) ([]byte, bool, error) {
 	group = re.ClampGroup(group)
 	want, err := re.SampleBytes(group, sel)
@@ -270,12 +267,5 @@ func (m *member) readSamplesOnce(dst []byte, re *core.RecordInfo, group int, sel
 		return nil, true, fmt.Errorf("serve: reading %s: %w: pushdown response declares %d bytes, want %d",
 			re.Name, core.ErrCorrupt, resp.ContentLength, want)
 	}
-	buf := core.BufferFor(dst, want)
-	n, err := io.ReadFull(resp.Body, buf)
-	resp.Body.Close()
-	if err != nil {
-		return nil, true, fmt.Errorf("serve: reading %s: %w: truncated pushdown response (got %d of %d bytes)",
-			re.Name, core.ErrCorrupt, n, want)
-	}
-	return buf, false, nil
+	return readBody(resp, dst, re.Name, want)
 }

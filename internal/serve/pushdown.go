@@ -86,22 +86,12 @@ func decodeSampleBitmap(s string, n int) ([]bool, error) {
 	return sel, nil
 }
 
-// handleSamples serves a pushdown request for record rec. The caller has
-// resolved the record and passed the fleet admission check; bitmap is the
-// raw ?samples= value.
-func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, bitmap string) {
+// serveSamples answers a pushdown request for record rec at scan group g,
+// clamped; bitmap is the raw ?samples= value. Its own checks come before
+// the conditional step, so a malformed request is a 400 even when it names
+// a current ETag.
+func (s *Server) serveSamples(w http.ResponseWriter, r *http.Request, rec, g int, bitmap string) {
 	re := &s.index.Records[rec]
-	gs := r.URL.Query().Get("group")
-	if gs == "" {
-		s.fail(w, http.StatusBadRequest, "serve: samples requires a group")
-		return
-	}
-	g, err := strconv.Atoi(gs)
-	if err != nil || g < 0 {
-		s.fail(w, http.StatusBadRequest, "serve: bad group %q", gs)
-		return
-	}
-	g = re.ClampGroup(g)
 	if r.Header.Get("Range") != "" {
 		// A byte range within a range-selected view has no defined object to
 		// range over; refuse rather than guess.
@@ -119,29 +109,14 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, rec int, 
 		return
 	}
 	total := core.RangesTotal(ranges)
-
 	if s.unmodified(w, r, s.etags[rec]) {
 		return
 	}
-
-	// Read all ranges before committing success headers (same discipline as
-	// handleRecord).
-	var body []byte
-	if r.Method != http.MethodHead {
-		if body, err = s.tiers.Gather(rec, g, sel, ranges); err != nil {
-			w.Header().Del("ETag")
-			s.fail(w, http.StatusInternalServerError, "serve: %v", err)
-			return
-		}
-	}
-	s.pushdownRequests.Add(1)
-	s.pushdownBytesSaved.Add(re.Prefixes[g] - total)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(total, 10))
-	w.Header().Set(pushdownHeader, strconv.Itoa(len(ranges)))
-	if r.Method == http.MethodHead {
-		return
-	}
-	s.writeBody(w, body)
-	s.tiers.Release(body)
+	s.writeAnswer(w, r, http.StatusOK, total,
+		func() ([]byte, error) { return s.tiers.Gather(rec, g, sel, ranges) },
+		func(h http.Header) {
+			s.pushdownRequests.Add(1)
+			s.pushdownBytesSaved.Add(re.Prefixes[g] - total)
+			h.Set(pushdownHeader, strconv.Itoa(len(ranges)))
+		})
 }

@@ -81,8 +81,9 @@ func (t ignoresRange) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestReadRangeBoundsIgnoredRange: against a server that ignores Range and
-// sends a body that never ends, a ranged read returns its window promptly
-// and takes no more than offset+length bytes from the body.
+// sends a body that never ends, a ranged read is refused promptly — an
+// error, not retryable, since the whole object is no answer to a window —
+// and takes not one byte from the body.
 func TestReadRangeBoundsIgnoredRange(t *testing.T) {
 	const offset, length = 1000, 300
 	body := &endlessBody{closed: make(chan struct{})}
@@ -92,13 +93,14 @@ func TestReadRangeBoundsIgnoredRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	type result struct {
-		buf []byte
-		err error
+		buf       []byte
+		retryable bool
+		err       error
 	}
 	done := make(chan result, 1)
 	go func() {
-		buf, _, err := m.readRangeOnce(nil, "record-00000.pcr", offset, length, false)
-		done <- result{buf, err}
+		buf, retryable, err := m.readRangeOnce(nil, "record-00000.pcr", offset, length, false)
+		done <- result{buf, retryable, err}
 	}()
 	var r result
 	select {
@@ -106,19 +108,16 @@ func TestReadRangeBoundsIgnoredRange(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a ranged read against an endless 200 body did not return")
 	}
-	if r.err != nil {
-		t.Fatal(r.err)
+	if r.err == nil || r.retryable || r.buf != nil {
+		t.Fatalf("ranged read answered 200: %d bytes, retryable %v, error %v; want a final error", len(r.buf), r.retryable, r.err)
 	}
-	if len(r.buf) != length {
-		t.Fatalf("read %d bytes, want %d", len(r.buf), length)
+	if body.taken != 0 {
+		t.Fatalf("took %d bytes from the body, want none", body.taken)
 	}
-	for i, c := range r.buf {
-		if want := byte(offset + i); c != want {
-			t.Fatalf("byte %d of the window is %d, want %d", i, c, want)
-		}
-	}
-	if body.taken > offset+length {
-		t.Fatalf("took %d bytes from the body, want at most %d", body.taken, offset+length)
+	select {
+	case <-body.closed:
+	default:
+		t.Fatal("the refused body was not closed")
 	}
 }
 

@@ -2,8 +2,10 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -55,9 +57,18 @@ func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	case "truncate":
 		// Promise a body and cut it short: the client's body read fails
-		// with an unexpected EOF mid-transfer.
-		w.Header().Set("Content-Length", "1048576")
-		w.WriteHeader(http.StatusOK)
+		// with an unexpected EOF mid-transfer. A ranged request gets the
+		// 206 a prefix server sends, declaring the window asked for.
+		status, length := http.StatusOK, 1<<20
+		if rng, ok := strings.CutPrefix(r.Header.Get("Range"), "bytes="); ok {
+			first, last, _ := strings.Cut(rng, "-")
+			a, _ := strconv.Atoi(first)
+			b, _ := strconv.Atoi(last)
+			status, length = http.StatusPartialContent, b-a+1
+			w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", a, b, 1<<20))
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(length))
+		w.WriteHeader(status)
 		w.Write([]byte("short"))
 	case "unavailable":
 		http.Error(w, "try again", http.StatusServiceUnavailable)

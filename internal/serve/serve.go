@@ -482,8 +482,12 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(s.Stats())
 }
 
-// handleRecord serves record bytes: the whole record, a ?group=g prefix
-// view, or a byte range within either.
+// handleRecord serves a record answer: the record's bytes — the whole
+// record, a ?group=g prefix view, or a byte range within either
+// (serveRange) — or, for a ?samples= bitmap, the selected samples' bytes
+// (serveSamples, pushdown.go). Both share the record lookup, the fleet
+// admission, the ?group parse and the tail (writeAnswer); each keeps its
+// own checks.
 func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	rec, ok := s.byName[name]
@@ -502,80 +506,95 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 			"serve: record %q belongs to %s (this member is %s)", name, s.owner[rec], s.self)
 		return
 	}
-	// Sample-level pushdown: serve only the selected samples' byte ranges
-	// (see pushdown.go).
-	if bitmap := r.URL.Query().Get("samples"); bitmap != "" {
-		s.handleSamples(w, r, rec, bitmap)
-		return
-	}
 	re := &s.index.Records[rec]
 
-	// The served object is the record truncated to the requested scan
+	// The answer is cut from the record truncated to the requested scan
 	// group's prefix (clamped to what the record stores, as every reader
 	// clamps); without ?group it is the whole record file. Scan-group
 	// numbering is the record's own: group 0 is the metadata-only prefix,
 	// not the facade's "Full".
-	size := re.Prefixes[len(re.Prefixes)-1]
-	if gs := r.URL.Query().Get("group"); gs != "" {
-		g, err := strconv.Atoi(gs)
-		if err != nil || g < 0 {
+	query := r.URL.Query()
+	gs := query.Get("group")
+	g := len(re.Prefixes) - 1
+	if gs != "" {
+		n, err := strconv.Atoi(gs)
+		if err != nil || n < 0 {
 			s.fail(w, http.StatusBadRequest, "serve: bad group %q", gs)
 			return
 		}
-		size = re.Prefixes[re.ClampGroup(g)]
+		g = re.ClampGroup(n)
 	}
+	if bitmap := query.Get("samples"); bitmap != "" {
+		if gs == "" {
+			s.fail(w, http.StatusBadRequest, "serve: samples requires a group")
+			return
+		}
+		s.serveSamples(w, r, rec, g, bitmap)
+		return
+	}
+	s.serveRange(w, r, rec, re.Prefixes[g])
+}
 
+// serveRange answers a record request without a selection: the size-byte
+// object, or the window of it a Range header asks for.
+func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, rec int, size int64) {
 	w.Header().Set("Accept-Ranges", "bytes")
 	if s.unmodified(w, r, s.etags[rec]) {
 		return
 	}
-
 	start, length, status := resolveRange(r.Header.Get("Range"), size)
-	if status == http.StatusRequestedRangeNotSatisfiable {
+	switch status {
+	case http.StatusRequestedRangeNotSatisfiable:
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))
 		s.fail(w, status, "serve: unsatisfiable range %q for %d-byte object", r.Header.Get("Range"), size)
 		return
-	}
-
-	if status == http.StatusPartialContent {
+	case http.StatusPartialContent:
 		s.rangeRequests.Add(1)
 	}
-	// Read before committing any success headers, so a backing failure
-	// (record deleted or truncated underfoot) yields a clean 500 without a
-	// stale Content-Range or ETag attached.
-	var data []byte
-	if r.Method != http.MethodHead {
+	s.writeAnswer(w, r, status, length,
+		func() ([]byte, error) { return s.tiers.Read(rec, start, length) },
+		func(h http.Header) {
+			if status == http.StatusPartialContent {
+				h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
+			}
+		})
+}
+
+// writeAnswer is the tail of every record answer, once the answer's own
+// checks and the conditional step have passed. It reads the body before
+// any success header — not for a HEAD — so a backing failure (record
+// deleted or truncated underfoot) is a clean 500 with no validator
+// attached. Then commit adds the answer's own headers and counters beside
+// its type and length, and a GET gets the body: counted in bytes_served
+// first, since once Write hands the bytes to the connection a client can
+// read them and ask for Stats or /varz and must find its body counted (a
+// short write takes the unsent remainder back off), then handed back to
+// the tier stack.
+func (s *Server) writeAnswer(w http.ResponseWriter, r *http.Request, status int, length int64, read func() ([]byte, error), commit func(http.Header)) {
+	head := r.Method == http.MethodHead
+	var body []byte
+	if !head {
 		var err error
-		data, err = s.tiers.Read(rec, start, length)
-		if err != nil {
+		if body, err = read(); err != nil {
 			w.Header().Del("ETag")
 			w.Header().Del("Accept-Ranges")
 			s.fail(w, http.StatusInternalServerError, "serve: %v", err)
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
-	if status == http.StatusPartialContent {
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
-	}
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.FormatInt(length, 10))
+	commit(h)
 	w.WriteHeader(status)
-	if r.Method == http.MethodHead {
+	if head {
 		return
 	}
-	s.writeBody(w, data)
-	s.tiers.Release(data)
-}
-
-// writeBody sends a record payload and counts it in bytes_served. The count
-// goes first: once Write hands the bytes to the connection a client can read
-// them and ask for Stats or /varz, and must find its own body already
-// counted. A short write takes the unsent remainder back off.
-func (s *Server) writeBody(w http.ResponseWriter, body []byte) {
 	s.bytesServed.Add(int64(len(body)))
 	if n, _ := w.Write(body); n < len(body) {
 		s.bytesServed.Add(int64(n - len(body)))
 	}
+	s.tiers.Release(body)
 }
 
 // errNotPulling is pull declining a read: no sync is warming the record.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,7 +66,14 @@ func fetchIndex(t *testing.T, ts *httptest.Server) *core.Index {
 // get issues a GET with optional headers and returns the response and body.
 func get(t *testing.T, url string, headers map[string]string) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	return request(t, http.MethodGet, url, headers)
+}
+
+// request issues a request with optional headers and returns the response
+// and body.
+func request(t *testing.T, method, url string, headers map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,5 +726,150 @@ func TestBytesServedCountedBeforeRelease(t *testing.T) {
 		if got := srv.Stats().BytesServed - before; got != 100 {
 			t.Errorf("GET %s cut at 100 bytes: bytes_served rose by %d", u, got)
 		}
+	}
+}
+
+// TestRecordAnswerTails holds both record answers — a record's bytes (whole,
+// a group prefix or a window of either) and a pushdown selection — to the
+// one tail they share. Each answers its own statuses in its own order: a
+// range's 304 before its 416, a pushdown's 400s before its 304. A HEAD
+// carries the GET's status, headers and counters without a body, and a read
+// that fails underfoot is a 500 without the record's validators.
+func TestRecordAnswerTails(t *testing.T) {
+	dir, srv, ts := startServer(t, nil)
+	ix := fetchIndex(t, ts)
+	re := &ix.Records[0]
+	url := ts.URL + "/records/" + re.Name
+	size := re.Prefixes[len(re.Prefixes)-1]
+	sel := make([]bool, re.Samples)
+	sel[0], sel[re.Samples-1] = true, true
+	ranges, err := re.SampleRanges(1, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushdown := url + "?group=1&samples=" + bitmap(sel)
+
+	resp, _ := request(t, http.MethodHead, url, nil)
+	etag := resp.Header.Get("ETag")
+	if etag == "" {
+		t.Fatal("record has no ETag")
+	}
+	fresh := map[string]string{"If-None-Match": etag}
+	with := func(h map[string]string, k, v string) map[string]string {
+		out := map[string]string{k: v}
+		for k, v := range h {
+			out[k] = v
+		}
+		return out
+	}
+	pastEnd := fmt.Sprintf("bytes=%d-", size)
+
+	// Every header either answer may carry; want names those it must, and
+	// with what value, and the rest must be absent.
+	answerHeaders := []string{"ETag", "Accept-Ranges", "Content-Type", "Content-Range", pushdownHeaderName}
+	octets := "application/octet-stream"
+	for _, tc := range []struct {
+		name    string
+		url     string
+		headers map[string]string
+		status  int
+		length  int64 // of a 2xx body
+		want    map[string]string
+		moves   serve.Stats // the counters one request moves, bytes aside
+	}{
+		{"whole record", url, nil, http.StatusOK, size,
+			map[string]string{"ETag": etag, "Accept-Ranges": "bytes", "Content-Type": octets}, serve.Stats{Requests: 1}},
+		{"group prefix", url + "?group=1", nil, http.StatusOK, re.Prefixes[1],
+			map[string]string{"ETag": etag, "Accept-Ranges": "bytes", "Content-Type": octets}, serve.Stats{Requests: 1}},
+		{"window", url, map[string]string{"Range": "bytes=10-19"}, http.StatusPartialContent, 10,
+			map[string]string{"ETag": etag, "Accept-Ranges": "bytes", "Content-Type": octets,
+				"Content-Range": fmt.Sprintf("bytes 10-19/%d", size)}, serve.Stats{Requests: 1, RangeRequests: 1}},
+		{"range unmodified", url, fresh, http.StatusNotModified, 0,
+			map[string]string{"ETag": etag, "Accept-Ranges": "bytes"}, serve.Stats{Requests: 1, NotModified: 1}},
+		{"range 304 before 416", url, with(fresh, "Range", pastEnd), http.StatusNotModified, 0,
+			map[string]string{"ETag": etag, "Accept-Ranges": "bytes"}, serve.Stats{Requests: 1, NotModified: 1}},
+		{"range 416", url, map[string]string{"Range": pastEnd}, http.StatusRequestedRangeNotSatisfiable, 0,
+			map[string]string{"ETag": etag, "Accept-Ranges": "bytes", "Content-Type": "text/plain; charset=utf-8",
+				"Content-Range": fmt.Sprintf("bytes */%d", size)}, serve.Stats{Requests: 1, Errors: 1}},
+		{"range bad group", url + "?group=x", fresh, http.StatusBadRequest, 0,
+			map[string]string{"Content-Type": "text/plain; charset=utf-8"}, serve.Stats{Requests: 1, Errors: 1}},
+		{"pushdown", pushdown, nil, http.StatusOK, core.RangesTotal(ranges),
+			map[string]string{"ETag": etag, "Content-Type": octets, pushdownHeaderName: strconv.Itoa(len(ranges))},
+			serve.Stats{Requests: 1, PushdownRequests: 1, PushdownBytesSaved: re.Prefixes[1] - core.RangesTotal(ranges)}},
+		{"pushdown unmodified", pushdown, fresh, http.StatusNotModified, 0,
+			map[string]string{"ETag": etag}, serve.Stats{Requests: 1, NotModified: 1}},
+		{"pushdown no group 400 before 304", url + "?samples=" + bitmap(sel), fresh, http.StatusBadRequest, 0,
+			map[string]string{"Content-Type": "text/plain; charset=utf-8"}, serve.Stats{Requests: 1, Errors: 1}},
+		{"pushdown Range 400 before 304", pushdown, with(fresh, "Range", "bytes=0-9"), http.StatusBadRequest, 0,
+			map[string]string{"Content-Type": "text/plain; charset=utf-8"}, serve.Stats{Requests: 1, Errors: 1}},
+		{"pushdown bad bitmap 400 before 304", url + "?group=1&samples=AQ%3D%3D", fresh, http.StatusBadRequest, 0,
+			map[string]string{"Content-Type": "text/plain; charset=utf-8"}, serve.Stats{Requests: 1, Errors: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got [2]*http.Response
+			var moved [2]serve.Stats
+			for i, method := range []string{http.MethodGet, http.MethodHead} {
+				before := srv.Stats()
+				resp, body := request(t, method, tc.url, tc.headers)
+				moved[i] = statsDelta(before, srv.Stats())
+				got[i] = resp
+				if resp.StatusCode != tc.status {
+					t.Fatalf("%s: %s, want %d", method, resp.Status, tc.status)
+				}
+				for _, k := range answerHeaders {
+					if v := resp.Header.Get(k); v != tc.want[k] {
+						t.Errorf("%s: %s %q, want %q", method, k, v, tc.want[k])
+					}
+				}
+				if tc.status/100 != 2 {
+					continue
+				}
+				if resp.ContentLength != tc.length {
+					t.Errorf("%s: Content-Length %d, want %d", method, resp.ContentLength, tc.length)
+				}
+				if want := map[string]int64{http.MethodGet: tc.length, http.MethodHead: 0}[method]; int64(len(body)) != want {
+					t.Errorf("%s: %d body bytes, want %d", method, len(body), want)
+				}
+			}
+			get, head := moved[0], moved[1]
+			get.BytesServed, get.BytesRead = 0, 0 // what only the GET moves
+			if get != tc.moves || head != tc.moves {
+				t.Errorf("GET moved %+v, HEAD %+v, want %+v", get, head, tc.moves)
+			}
+		})
+	}
+
+	// A record cut short underfoot: each answer's read fails, and the 500
+	// carries no validator a client could revalidate the error with.
+	if err := os.Truncate(filepath.Join(dir, re.Name), 16); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []string{url, pushdown} {
+		resp, _ := get(t, u, nil)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("GET %s of a truncated record: %s, want 500", u, resp.Status)
+		}
+		for _, k := range []string{"ETag", "Accept-Ranges", "Content-Range", pushdownHeaderName} {
+			if v := resp.Header.Get(k); v != "" {
+				t.Errorf("GET %s of a truncated record: 500 carries %s %q", u, k, v)
+			}
+		}
+	}
+}
+
+// pushdownHeaderName is the header that marks a pushdown answer.
+const pushdownHeaderName = "X-Pcr-Pushdown"
+
+// statsDelta is what one request moved of the counters an answer keeps.
+func statsDelta(before, after serve.Stats) serve.Stats {
+	return serve.Stats{
+		Requests:           after.Requests - before.Requests,
+		RangeRequests:      after.RangeRequests - before.RangeRequests,
+		NotModified:        after.NotModified - before.NotModified,
+		Errors:             after.Errors - before.Errors,
+		BytesServed:        after.BytesServed - before.BytesServed,
+		BytesRead:          after.BytesRead - before.BytesRead,
+		PushdownRequests:   after.PushdownRequests - before.PushdownRequests,
+		PushdownBytesSaved: after.PushdownBytesSaved - before.PushdownBytesSaved,
 	}
 }

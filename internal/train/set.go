@@ -188,13 +188,24 @@ func (s *PCRSet) TrainFeatures(g int) ([][]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		prefix := s.records[r][:need]
-		for i := range meta.Samples {
-			img, err := meta.DecodeSample(prefix, i, gg)
+		// One pass splices every sample's stream out of the prefix.
+		var decodeErr error
+		err = meta.SampleJPEGs(s.records[r][:need], gg, nil, 0, func(i int, stream []byte) {
+			if decodeErr != nil {
+				return
+			}
+			img, err := jpegc.Decode(stream)
 			if err != nil {
-				return nil, fmt.Errorf("train: record %d sample %d at group %d: %w", r, i, gg, err)
+				decodeErr = fmt.Errorf("train: record %d sample %d at group %d: %w", r, i, gg, err)
+				return
 			}
 			feats = append(feats, Featurize(img))
+		})
+		if err != nil {
+			return nil, fmt.Errorf("train: record %d at group %d: %w", r, gg, err)
+		}
+		if decodeErr != nil {
+			return nil, decodeErr
 		}
 	}
 	s.trainFeats[g] = feats

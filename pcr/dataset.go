@@ -129,16 +129,16 @@ func (d *Dataset) SizeAtQuality(q int) (int64, error) {
 
 // ScanEncoded streams every sample in storage order at quality q, filling
 // Sample.JPEG with a self-contained stream (PCR samples are reassembled from
-// the record prefix) but not decoding it. On a PCR dataset it is the plan and
-// fetch stages of the read pipeline (pipeline.go) with no decode behind them:
-// up to four record reads are in flight ahead of the consumer and are handed
-// over in storage order, so an early break may have fetched up to four
-// records it did not yield; the baseline formats stream sample by sample.
-// Iteration stops at the first error; cancelling ctx stops it promptly with
-// ctx.Err(), and closing the dataset with ErrClosed, even while a read is
-// blocked. WithFilter restricts the stream to the samples a predicate
-// selects, pushing the selection into the read plan where the format allows
-// it.
+// the record prefix) but not decoding it. It is the read pipeline
+// (pipeline.go) with no decode stage: on a PCR dataset up to four record
+// reads are in flight ahead of the consumer and are handed over in storage
+// order, so an early break may have fetched up to four records it did not
+// yield; a baseline format's per-sample stream is read ahead of it in runs
+// of eight. Iteration stops at the first error; cancelling ctx stops it
+// promptly with ctx.Err(), and closing the dataset with ErrClosed, even
+// while a read is blocked. WithFilter restricts the stream to the samples a
+// predicate selects, pushing the selection into the read plan where the
+// format allows it.
 func (d *Dataset) ScanEncoded(ctx context.Context, q int, opts ...ScanOption) iter.Seq2[Sample, error] {
 	return d.scan(ctx, q, opts, false)
 }
@@ -157,52 +157,25 @@ var (
 	_ sampleScanner = (*fpiReader)(nil)
 )
 
-// scanSamples is a baseline format's encoded scan, the filter applied after
-// the read.
-func (d *Dataset) scanSamples(ctx context.Context, qq int, sc *scanConfig) iter.Seq2[Sample, error] {
-	seq := d.r.(sampleScanner).scanEncoded(ctx, qq)
-	if sc.pred != nil {
-		seq = filterSeq(seq, sc.pred)
-	}
-	return seq
-}
-
-// guardClosed makes a baseline format's in-flight encoded scan observe a
-// concurrent Close at its next sample boundary, as the pipeline does for
-// every other scan (a local backend would otherwise happily keep reading
-// after Close).
-func (d *Dataset) guardClosed(seq iter.Seq2[Sample, error]) iter.Seq2[Sample, error] {
-	return func(yield func(Sample, error) bool) {
-		for s, err := range seq {
-			if err == nil && d.isClosed() {
-				yield(Sample{}, errScanClosed)
-				return
-			}
-			if !yield(s, err) {
-				return
-			}
-		}
-	}
-}
-
 // Scan streams every sample in storage order at quality q with Image
 // decoded, through the decode pipeline (pipeline.go): on a PCR dataset up to
 // four record prefixes are read ahead of the consumer (through the LRU
 // prefix cache when WithCacheBytes is set) and their samples are decoded in
-// runs of eight by WithPrefetchWorkers goroutines; the baseline formats
-// stream sample by sample into the same workers. Memory is bounded as
-// Loader.Epoch states it, less the batch. Samples are yielded in storage
+// runs of eight by WithPrefetchWorkers goroutines; a baseline format's
+// per-sample stream is cut into runs for the same workers. Memory is bounded
+// as Loader.Epoch states it, less the batch. Samples are yielded in storage
 // order. Iteration stops at the first error; cancelling ctx stops it
-// promptly with ctx.Err(), even while a read is blocked. WithFilter
-// restricts the stream to the samples a predicate selects (see ScanEncoded);
-// records it excludes are not read and only selected samples are decoded.
+// promptly with ctx.Err(), and closing the dataset with ErrClosed, even
+// while a read is blocked. WithFilter restricts the stream to the samples a
+// predicate selects (see ScanEncoded); records it excludes are not read and
+// only selected samples are decoded.
 func (d *Dataset) Scan(ctx context.Context, q int, opts ...ScanOption) iter.Seq2[Sample, error] {
 	return d.scan(ctx, q, opts, true)
 }
 
-// scan is Scan (decode true) and ScanEncoded: a PCR dataset's scan plan
-// through the pipeline's fetch stage, a baseline format's per-sample stream
-// cut into runs for the decode workers or, encoded, yielded as it is.
+// scan is Scan (decode true) and ScanEncoded, both through the pipeline: a
+// PCR dataset's scan plan through its fetch stage, a baseline format's
+// per-sample stream cut into runs by its chunk stage.
 func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode bool) iter.Seq2[Sample, error] {
 	qq, err := d.resolveQuality(q)
 	if err != nil {
@@ -212,14 +185,10 @@ func (d *Dataset) scan(ctx context.Context, q int, opts []ScanOption, decode boo
 	if err != nil {
 		return errSeq(err)
 	}
-	var source func(p *pipeline)
+	source := func(p *pipeline) { p.chunk(d.r.(sampleScanner).scanEncoded(p.ctx, qq), sc.pred) }
 	if d.pcr != nil {
 		// A plan is used up as it is walked: each range gets its own.
 		source = func(p *pipeline) { p.fetch(d.scanPlan(qq, sc.pred)) }
-	} else if decode {
-		source = func(p *pipeline) { p.chunk(d.scanSamples(p.ctx, qq, sc)) }
-	} else {
-		return d.guardClosed(d.scanSamples(ctx, qq, sc))
 	}
 	return func(yield func(Sample, error) bool) {
 		for r, err := range d.pipeline(ctx, decode, nil, source) {

@@ -13,6 +13,10 @@ import (
 // ReadAhead is the pipeline's read-ahead depth.
 const ReadAhead = readAhead
 
+// RunLen is the samples of a baseline format's stream the pipeline hands
+// over at once.
+const RunLen = runLen
+
 // EpochOrder is the record visit order of an epoch.
 func (l *Loader) EpochOrder(epoch int) []int { return l.epochOrder(epoch) }
 

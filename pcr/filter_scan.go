@@ -1,9 +1,6 @@
 package pcr
 
-import (
-	"fmt"
-	"iter"
-)
+import "fmt"
 
 // ScanOption configures one Scan or ScanEncoded call.
 type ScanOption func(*scanConfig) error
@@ -23,9 +20,9 @@ type scanConfig struct {
 // happens afterwards; on the baseline formats filtering likewise happens
 // after the read. Every path yields byte-identical samples, and a drained
 // PCR scan yields and moves exactly what PlanFilter prices, tiers or not.
-// A PCR scan reads up to four records ahead of its consumer (see
-// ScanEncoded), so after an early break it may have read up to four records
-// it never yielded.
+// Every scan reads ahead of its consumer (see ScanEncoded), so after an
+// early break a PCR scan may have read up to four records it never yielded,
+// a baseline scan a few runs of eight samples.
 func WithFilter(pred Predicate) ScanOption {
 	return func(sc *scanConfig) error {
 		if pred == nil {
@@ -91,20 +88,4 @@ func (d *Dataset) PlanFilter(pred Predicate, q int) (FilterPlan, error) {
 		}
 	}
 	return plan.price, nil
-}
-
-// filterSeq composes a pure selection stage onto an encoded scan — the
-// relational-algebra view of WithFilter, usable over any sample stream.
-func filterSeq(seq iter.Seq2[Sample, error], pred Predicate) iter.Seq2[Sample, error] {
-	return func(yield func(Sample, error) bool) {
-		for s, err := range seq {
-			if err != nil {
-				yield(s, err)
-				return
-			}
-			if pred.Matches(s.ID, s.Label) && !yield(s, nil) {
-				return
-			}
-		}
-	}
 }

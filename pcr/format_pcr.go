@@ -110,10 +110,16 @@ func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 // (AssembleSamples). Either way none inside the resume prefix is spliced,
 // and the delivered JPEGs share bounded, exactly-sized buffers of their
 // own, so the prefix or the gathered body goes back to the stack once the
-// samples are spliced out.
-func (r *pcrReader) readRecord(pl *readPlan) recordRead {
+// samples are spliced out. A read or parse that panics on hostile record
+// bytes fails this read, not the process, and its buffer still goes back.
+func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
+	defer func() {
+		if v := recover(); v != nil {
+			rr = recordRead{err: fmt.Errorf("pcr: record read panicked: %v", v)}
+		}
+	}()
 	var meta *core.RecordMeta
-	rr := recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, pl.delivers)}
+	rr = recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, pl.delivers)}
 	deliver := func(si int, stream []byte) {
 		sm := &meta.Samples[si]
 		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})

@@ -127,7 +127,7 @@ func (s *adaptiveState) report(start int, det PlateauDetector, min int, loss flo
 		if min <= 0 {
 			min = 1
 		}
-		// Full stays symbolic until the loader resolves it against the
+		// Full stays symbolic until NewLoader grounds it against the
 		// dataset (observeQuality); until then a plateau cannot step.
 		if cur := s.resolvedCur(); cur > min {
 			s.cur = cur - 1
@@ -145,8 +145,8 @@ func (s *adaptiveState) quality(start int) int {
 }
 
 // observeQuality tells the policy the dataset-level quality its answers
-// resolve against — the dataset's top at NewLoader, then each record's
-// resolved answer — so "step down from Full" and "probe up to full" are
+// resolve against — the dataset's top, which NewLoader passes it, and which
+// no answer exceeds — so "step down from Full" and "probe up to full" are
 // well-defined even for a policy started below full quality.
 func (s *adaptiveState) observeQuality(resolved int) {
 	s.mu.Lock()
@@ -337,8 +337,8 @@ func (p *ProbePolicy) Probes() (run, wins int) {
 	return p.probes, p.probeWins
 }
 
-// qualityObserver is implemented by policies that want to learn what
-// dataset-level quality their answers resolve to (PlateauPolicy and
+// qualityObserver is implemented by policies that want to learn the
+// dataset's top quality, which NewLoader tells them once (PlateauPolicy and
 // ProbePolicy use it to ground Full).
 type qualityObserver interface {
 	observeQuality(resolved int)

@@ -2,7 +2,6 @@ package pcr
 
 import (
 	"context"
-	"fmt"
 	"image"
 	"iter"
 
@@ -10,8 +9,9 @@ import (
 	"repro/internal/core"
 )
 
-// This file is the one read pipeline behind Loader.Epoch, Probe.Batches,
-// Dataset.Scan, Dataset.ReadRecord and Dataset.ScanEncoded. It has three
+// This file is the one read pipeline behind every scan and every record
+// read that decodes: Loader.Epoch, Probe.Batches, Dataset.ReadRecord, and
+// Dataset.Scan and Dataset.ScanEncoded over every format. It has three
 // stages — ScanEncoded runs the first two — and delivers strictly in plan
 // order:
 //
@@ -35,8 +35,11 @@ import (
 //	         consumer has handed back. A pipeline without this stage hands a
 //	         record over whole, still encoded.
 //
-// The consumer (Dataset.pipeline) receives completed runs in order and
-// shuts all of it down when it returns.
+// A baseline format (TFRecord, FilePerImage) has no records to plan: its
+// per-sample stream, filtered after the read, takes the place of the first
+// two stages (chunk). The consumer (Dataset.pipeline) receives completed
+// runs in order, is the one place a scan observes cancellation and Close,
+// and shuts all of it down when it returns.
 
 const (
 	// runLen is the decode stage's unit of work: long enough that a run's
@@ -184,9 +187,6 @@ func (p *recordPlan) record(rec int) (*readPlan, error) {
 			p.skip -= n
 			return nil, nil
 		}
-	}
-	if obs, ok := p.policy.(qualityObserver); ok {
-		obs.observeQuality(q)
 	}
 	read.from = p.skip
 	read.delivers = n - read.from
@@ -400,16 +400,7 @@ func (p *pipeline) fetch(plan *recordPlan) {
 				slot <- recordRead{err: err}
 				return
 			}
-			go func() {
-				// A parser panicking on hostile record bytes fails this
-				// record's read, not the process.
-				defer func() {
-					if v := recover(); v != nil {
-						slot <- recordRead{err: fmt.Errorf("pcr: record read panicked: %v", v)}
-					}
-				}()
-				slot <- plan.d.pcr.readRecord(read)
-			}()
+			go func() { slot <- plan.d.pcr.readRecord(read) }()
 		}
 	}()
 	for slot := range slots {
@@ -425,13 +416,17 @@ func (p *pipeline) fetch(plan *recordPlan) {
 }
 
 // chunk is the source of a pipeline over a format with no record access:
-// the format's per-sample encoded stream, cut into runs.
-func (p *pipeline) chunk(seq iter.Seq2[Sample, error]) {
+// the format's per-sample encoded stream, the samples pred selects (every
+// one when nil) cut into runs. The filter can only follow the read.
+func (p *pipeline) chunk(seq iter.Seq2[Sample, error], pred Predicate) {
 	buf := make([]Sample, 0, runLen)
 	for s, err := range seq {
 		if err != nil {
 			p.emit(recordRead{samples: buf, err: err}, false)
 			return
+		}
+		if pred != nil && !pred.Matches(s.ID, s.Label) {
+			continue
 		}
 		if buf = append(buf, s); len(buf) == runLen {
 			if !p.emit(recordRead{samples: buf}, false) {

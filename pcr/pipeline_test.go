@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -343,16 +344,129 @@ func pipelineCancellable(t *testing.T, stream func(ctx context.Context, ds *pcr.
 			}
 
 			close(release)
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline {
-				if time.Now().After(deadline) {
-					buf := make([]byte, 1<<16)
-					t.Fatalf("%d goroutines, %d before the stream:\n%s",
-						runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-				}
-				time.Sleep(time.Millisecond)
-			}
+			waitGoroutines(t, baseline)
 		})
+	}
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to baseline
+// within five seconds.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the stream:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPipelineScanEncodedEveryFormatStops: in every format an encoded scan,
+// which the pipeline runs for all of them, stopped by Close or by
+// cancelling its context ends with ErrClosed or ctx.Err() within the
+// delivery it was in, yielding only whole samples, and one left by an
+// early break ends there; neither leaves a goroutine behind.
+func TestPipelineScanEncodedEveryFormatStops(t *testing.T) {
+	const stopAt = 3
+	for _, f := range pcr.Formats() {
+		dir := t.TempDir()
+		n, err := pcr.Synthesize(dir, "cars", 0.1, 1, pcr.WithFormat(f), pcr.WithImagesPerRecord(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n < stopAt+pcr.RunLen {
+			t.Fatalf("%s: %d images, too few to stop a scan mid-stream", f.Name(), n)
+		}
+		for _, tc := range []struct {
+			name string
+			stop func(cancel context.CancelFunc, ds *pcr.Dataset)
+			want error
+		}{
+			{"close", func(_ context.CancelFunc, ds *pcr.Dataset) { ds.Close() }, pcr.ErrClosed},
+			{"cancel", func(cancel context.CancelFunc, _ *pcr.Dataset) { cancel() }, context.Canceled},
+			{"break", nil, nil},
+		} {
+			t.Run(f.Name()+"/"+tc.name, func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				ds, err := pcr.Open(dir, pcr.WithFormat(f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ds.Close()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				yielded := 0
+				var got error
+				for s, err := range ds.ScanEncoded(ctx, pcr.Full) {
+					if err != nil {
+						got = err
+						break
+					}
+					if len(s.JPEG) == 0 {
+						t.Fatalf("sample %d yielded with no JPEG bytes", s.ID)
+					}
+					if yielded++; yielded == stopAt {
+						if tc.stop == nil {
+							break
+						}
+						tc.stop(cancel, ds)
+					}
+				}
+				if !errors.Is(got, tc.want) {
+					t.Fatalf("scan ended with %v, want %v", got, tc.want)
+				}
+				// A delivery already handed over is yielded to its end: a
+				// record, or a run of a baseline's stream.
+				if yielded < stopAt || yielded >= stopAt+pcr.RunLen || tc.stop == nil && yielded != stopAt {
+					t.Fatalf("%d samples yielded, stopped after %d", yielded, stopAt)
+				}
+				ds.Close()
+				waitGoroutines(t, baseline)
+			})
+		}
+	}
+}
+
+// TestPipelineRecordReadPanicIsAnError: a store whose read panics fails every
+// record read — ReadRecordEncoded, which runs it on the caller's goroutine,
+// as well as ReadRecord, Scan and ScanEncoded, which run it on the
+// pipeline's — with an error, not a crash, and the dataset reads on once
+// the store does.
+func TestPipelineRecordReadPanicIsAnError(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(4))
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	var panicking atomic.Bool
+	panicking.Store(true)
+	hook(ds, func(string) error {
+		if panicking.Load() {
+			panic("store fault")
+		}
+		return nil
+	}, nil)
+	ctx := context.Background()
+	for _, read := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ReadRecordEncoded", func() error { _, err := ds.ReadRecordEncoded(0, pcr.Full); return err }},
+		{"ReadRecord", func() error { _, err := ds.ReadRecord(ctx, 0, pcr.Full); return err }},
+		{"Scan", func() error { return firstErr(ds.Scan(ctx, pcr.Full)) }},
+		{"ScanEncoded", func() error { return firstErr(ds.ScanEncoded(ctx, pcr.Full)) }},
+	} {
+		if err := read.run(); err == nil || !strings.Contains(err.Error(), "store fault") {
+			t.Errorf("%s over a panicking store: %v, want the panic as an error", read.name, err)
+		}
+	}
+	panicking.Store(false)
+	if samples, err := ds.ReadRecordEncoded(0, pcr.Full); err != nil || len(samples) != 4 {
+		t.Fatalf("ReadRecordEncoded once the store recovers: %d samples, %v", len(samples), err)
 	}
 }
 
