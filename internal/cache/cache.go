@@ -7,21 +7,19 @@
 // prefix. Conventional record formats can do neither: their cache entries
 // are all-or-nothing.
 //
-// The cache is an LRU over record prefixes with byte-budget eviction. A
-// record being fetched is pinned against eviction, so a delta upgrade
-// always extends the prefix it started from and moves only the delta.
+// The cache is an lru.Cache of record prefixes: byte-budget eviction, and
+// a record being fetched pinned against it, so a delta upgrade always
+// extends the prefix it started from and moves only the delta.
 //
-// A Cache built by New keeps every prefix it returns. The memory tier of a
-// Stack instead lends its prefixes: each read holds its window until
-// Stack.Release, and a prefix the tier has dropped — evicted, or replaced by
-// its upgrade — goes back to the stack's free list once no read holds it,
-// for the next fill, upgrade or gather to reuse.
+// A Cache built by New keeps every prefix it returns; the memory tier of a
+// Stack lends its prefixes instead (see Stack).
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // Fetcher reads a byte range of a record from backing storage. It is the
@@ -47,9 +45,7 @@ type Stats struct {
 }
 
 type entry struct {
-	record int
 	prefix []byte
-	elem   *list.Element
 	// leases counts the reads holding prefix; a Get's is never handed back.
 	// dropped marks an entry evicted or replaced by its upgrade: its prefix
 	// goes to the free list once leases is zero.
@@ -57,27 +53,15 @@ type entry struct {
 	dropped bool
 }
 
-// Cache is a byte-budgeted LRU of PCR record prefixes. The global mutex
-// guards only in-memory state; backing-store fetches run outside it, so
-// concurrent Gets for different records overlap their I/O while duplicate
-// Gets for the same record coalesce into one fetch.
-//
-// Eviction skips the records in flight until their fetches are accounted,
-// so used may exceed the capacity by those entries, one per concurrent Get.
-// Once none is in flight it is back under the capacity, unless the last
-// entry fetched alone is bigger (kept until the next fetch evicts it).
+// Cache is a byte-budgeted LRU of PCR record prefixes, an lru.Cache keyed
+// by record. Backing-store fetches run outside its mutex, so concurrent
+// Gets for different records overlap their I/O while duplicate Gets for the
+// same record coalesce into one fetch.
 type Cache struct {
-	mu       sync.Mutex
-	capacity int64
-	used     int64
-	entries  map[int]*entry
-	lru      *list.List // front = most recent; values are record ids
-	fetch    fetchInto
-	stats    Stats
-	// inflight marks the records being fetched. It is the singleflight —
-	// a Get that finds its record marked waits for the channel to close —
-	// and the pin evictLocked honours.
-	inflight map[int]chan struct{}
+	mu    sync.Mutex
+	lru   *lru.Cache[int, *entry]
+	fetch fetchInto
+	stats Stats
 	// A Stack's memory tier lends its prefixes: fills take their buffers
 	// from free and dropped prefixes go back to it, and lent finds the
 	// entry of a window by the last byte of its prefix's array (lastByte).
@@ -106,14 +90,17 @@ func New(capacity int64, fetch Fetcher) (*Cache, error) {
 // newCache builds a cache over fetch; with a free list it is a Stack's
 // memory tier, which lends its prefixes.
 func newCache(capacity int64, fetch fetchInto, free *buffers) *Cache {
-	c := &Cache{
-		capacity: capacity,
-		entries:  make(map[int]*entry),
-		lru:      list.New(),
-		fetch:    fetch,
-		inflight: make(map[int]chan struct{}),
-		free:     free,
-	}
+	c := &Cache{fetch: fetch, free: free}
+	c.lru = lru.New(&c.mu, "cache", capacity, func(_ int, e *entry, evicted bool) {
+		if evicted {
+			c.stats.Evictions++
+		}
+		// No longer cached: the prefix is recycled once no read holds it,
+		// an upgrade's before the evictions that follow it.
+		if e.dropped = true; e.leases == 0 {
+			c.recycleLocked(e)
+		}
+	})
 	if free != nil {
 		c.lent = make(map[*byte]*entry)
 	}
@@ -124,25 +111,28 @@ func newCache(capacity int64, fetch fetchInto, free *buffers) *Cache {
 // backing store only the bytes the cache does not already hold. The
 // returned slice must not be modified; the cache never reuses it.
 func (c *Cache) Get(record int, prefixLen int64) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, err := c.getLocked(record, prefixLen)
-	if err != nil {
-		return nil, err
-	}
-	e.leases++ // never handed back
-	return e.prefix[:prefixLen:prefixLen], nil
+	b, err := c.lend(record, 0, prefixLen) // never handed back
+	return b[:len(b):len(b)], err
 }
 
-// lend is Get for a Stack: it returns [off, end) of the record's prefix,
-// leased until release is handed it.
+// lend returns [off, end) of the record's prefix, leased until release is
+// handed it, filling the prefix first when the tier holds less of it.
 func (c *Cache) lend(record int, off, end int64) ([]byte, error) {
+	if end < 0 {
+		return nil, fmt.Errorf("cache: negative prefix length")
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, err := c.getLocked(record, end)
-	if err != nil {
-		return nil, err
+	var e *entry
+	var err error
+	for ok := false; !ok; {
+		if e, _, ok = c.lru.Get(record, end); ok {
+			c.stats.Hits++
+		} else if e, ok, err = c.fillLocked(record, end); err != nil {
+			return nil, err
+		}
 	}
+	c.stats.BytesServed += end
 	b := e.prefix[off:end]
 	if cap(b) > 0 {
 		e.leases++
@@ -169,128 +159,54 @@ func (c *Cache) release(b []byte) bool {
 // of it that reaches that far shares; b must have capacity.
 func lastByte(b []byte) *byte { return &b[:cap(b)][cap(b)-1] }
 
-// getLocked returns the record's entry holding at least prefixLen bytes,
-// served and accounted, filling it first when it holds fewer. Caller holds
-// c.mu, which is dropped while a fill fetches or another Get's fill of the
-// record is awaited.
-func (c *Cache) getLocked(record int, prefixLen int64) (*entry, error) {
-	if prefixLen < 0 {
-		return nil, fmt.Errorf("cache: negative prefix length")
-	}
-	for {
-		if e, ok := c.entries[record]; ok && int64(len(e.prefix)) >= prefixLen {
-			c.stats.Hits++
-			c.serveLocked(e, prefixLen)
-			return e, nil
-		}
-		done, busy := c.inflight[record]
-		if !busy {
-			break
-		}
-		// Another Get is fetching this record; it may cover us.
-		c.mu.Unlock()
-		<-done
-		c.mu.Lock()
-	}
-	done := make(chan struct{})
-	c.inflight[record] = done
-	e, err := c.fillLocked(record, prefixLen)
-	c.evictLocked()
-	delete(c.inflight, record)
-	close(done)
-	return e, err
-}
-
-// serveLocked accounts a request served from the entry's prefix. Caller
-// holds c.mu.
-func (c *Cache) serveLocked(e *entry, prefixLen int64) {
-	c.lru.MoveToFront(e.elem)
-	c.stats.BytesServed += prefixLen
-}
-
-// fillLocked fetches the bytes of the record past its cached prefix —
-// from offset zero on a miss — into the tail of a buffer that holds the
-// cached prefix at its head, and caches that buffer in the old prefix's
-// place. A lending tier takes the buffer from its free list and drops the
-// old prefix; otherwise a miss keeps the fetcher's buffer and an upgrade
-// allocates. The record is pinned, so the prefix it extends is still
-// cached when the fetch returns. Caller holds c.mu, which is dropped for
-// the fetch.
-func (c *Cache) fillLocked(record int, prefixLen int64) (*entry, error) {
-	old := c.entries[record]
+// fillLocked fills the record's prefix to prefixLen bytes and reports
+// true, or reports false when it waited on another read's fill instead.
+// The fetch runs with the record pinned and c.mu dropped (lru.Cache.Fill):
+// it reads the bytes past the cached prefix (all of them on a miss) behind
+// that prefix, into a buffer from the free list of a lending tier, the
+// fetcher's buffer on a miss, or a new one. Caller holds c.mu.
+func (c *Cache) fillLocked(record int, prefixLen int64) (*entry, bool, error) {
+	var old *entry
 	var have int64
-	if old != nil {
-		have = int64(len(old.prefix))
+	e, filled, err := c.lru.Fill(record, func(cached *entry, size int64) (*entry, int64, error) {
+		old, have = cached, size
+		var buf []byte
+		switch {
+		case c.free != nil:
+			buf = c.free.take(prefixLen, 2*prefixLen)
+		case old != nil:
+			buf = make([]byte, prefixLen)
+		}
+		if old != nil {
+			copy(buf, old.prefix)
+		}
+		delta, err := c.fetch(buf[have:], record, have, prefixLen-have)
+		if err != nil {
+			return nil, 0, err
+		}
+		if int64(len(delta)) != prefixLen-have {
+			return nil, 0, fmt.Errorf("cache: fetcher returned %d bytes, want %d", len(delta), prefixLen-have)
+		}
+		if buf == nil {
+			buf = delta
+		} else if len(delta) > 0 && &delta[0] != &buf[have] {
+			copy(buf[have:], delta)
+		}
+		return &entry{prefix: buf}, prefixLen, nil
+	})
+	if !filled {
+		return nil, false, err
 	}
-	c.mu.Unlock()
-	var buf []byte
-	switch {
-	case c.free != nil:
-		buf = c.free.take(prefixLen, 2*prefixLen)
-	case old != nil:
-		buf = make([]byte, prefixLen)
-	}
-	if old != nil {
-		copy(buf, old.prefix)
-	}
-	delta, err := c.fetch(buf[have:], record, have, prefixLen-have)
-	c.mu.Lock()
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(delta)) != prefixLen-have {
-		return nil, fmt.Errorf("cache: fetcher returned %d bytes, want %d", len(delta), prefixLen-have)
-	}
-	if buf == nil {
-		buf = delta
-	} else if len(delta) > 0 && &delta[0] != &buf[have] {
-		copy(buf[have:], delta)
-	}
-	c.stats.BytesFetched += int64(len(delta))
-	c.used += int64(len(delta))
-	e := &entry{record: record, prefix: buf}
 	if old == nil {
 		c.stats.Misses++
-		e.elem = c.lru.PushFront(record)
 	} else {
 		c.stats.UpgradeHits++
-		e.elem = old.elem
-		c.dropLocked(old)
 	}
-	c.entries[record] = e
-	if c.lent != nil && cap(buf) > 0 {
-		c.lent[lastByte(buf)] = e
+	c.stats.BytesFetched += prefixLen - have
+	if c.lent != nil && cap(e.prefix) > 0 {
+		c.lent[lastByte(e.prefix)] = e
 	}
-	c.serveLocked(e, prefixLen)
-	return e, nil
-}
-
-// evictLocked drops least-recently-used entries until the budget holds,
-// skipping the pinned records (those in flight). Caller holds c.mu.
-func (c *Cache) evictLocked() {
-	for el := c.lru.Back(); el != nil && c.used > c.capacity; {
-		rec := el.Value.(int)
-		back := el
-		el = el.Prev()
-		if _, pinned := c.inflight[rec]; pinned {
-			continue
-		}
-		e := c.entries[rec]
-		c.used -= int64(len(e.prefix))
-		delete(c.entries, rec)
-		c.lru.Remove(back)
-		c.dropLocked(e)
-		c.stats.Evictions++
-	}
-}
-
-// dropLocked marks an entry no longer cached and recycles its prefix if no
-// read holds it. Caller holds c.mu.
-func (c *Cache) dropLocked(e *entry) {
-	e.dropped = true
-	if e.leases == 0 {
-		c.recycleLocked(e)
-	}
+	return e, true, nil
 }
 
 // recycleLocked hands a dropped, unleased entry's prefix to the free list
@@ -308,22 +224,22 @@ func (c *Cache) recycleLocked(e *entry) {
 func (c *Cache) Contains(record int, prefixLen int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[record]
-	return ok && int64(len(e.prefix)) >= prefixLen
+	_, have, ok := c.lru.Peek(record)
+	return ok && have >= prefixLen
 }
 
 // UsedBytes returns the bytes currently cached.
 func (c *Cache) UsedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.used
+	return c.lru.Used()
 }
 
 // Len returns the number of cached records.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.lru.Len()
 }
 
 // Stats returns a snapshot of the counters.

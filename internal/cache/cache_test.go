@@ -2,10 +2,15 @@ package cache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // backing simulates record files of a fixed size with byte values derived
@@ -14,15 +19,11 @@ type backing struct {
 	mu      sync.Mutex
 	fetches int64
 	bytes   int64
-	fail    bool
 }
 
 func (bk *backing) fetch(record int, offset, length int64) ([]byte, error) {
 	bk.mu.Lock()
 	defer bk.mu.Unlock()
-	if bk.fail {
-		return nil, fmt.Errorf("backing: injected failure")
-	}
 	bk.fetches++
 	bk.bytes += length
 	out := make([]byte, length)
@@ -151,14 +152,170 @@ func TestOversizedEntryKept(t *testing.T) {
 	}
 }
 
+// TestFetchErrorPropagates: a cold fill and an upgrade whose fetch fails,
+// comes up short or panics — in a Cache built by New and in a Stack's
+// memory tier, which lends — fail the read that filled, with an error
+// naming the fault, and leave the tier as they found it: Len, UsedBytes and
+// Stats unchanged while the read that waited on the fill refills the record
+// itself, that read and the next one the store's bytes.
 func TestFetchErrorPropagates(t *testing.T) {
-	bk := &backing{fail: true}
-	c, _ := New(1<<20, bk.fetch)
-	if _, err := c.Get(1, 10); err == nil {
-		t.Error("fetch error swallowed")
+	for _, tier := range []string{"New", "Stack"} {
+		for _, kind := range []string{"error", "short", "panic"} {
+			t.Run(tier+"/"+kind, func(t *testing.T) {
+				f := &faulty{kind: kind}
+				var c *Cache
+				var read func(rec int, n int64) ([]byte, error)
+				if tier == "New" {
+					bk := &backing{}
+					c, _ = New(1<<20, func(rec int, off, n int64) ([]byte, error) {
+						return f.read(func() ([]byte, error) { return bk.fetch(rec, off, n) })
+					})
+					read = c.Get
+				} else {
+					sizes := []int64{1000, 1000, 1000}
+					s := newStackOver(t, faultyRecords{records{sizes}, f}, sizes, 1<<20, "")
+					c = s.mem
+					read = func(rec int, n int64) ([]byte, error) {
+						b, err := s.Read(rec, 0, n)
+						defer s.Release(b)
+						return bytes.Clone(b), err
+					}
+				}
+				for rec := range 2 {
+					if _, err := read(rec, 300); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				for _, fill := range []struct {
+					rec        int
+					have, want int64
+				}{{2, 0, 600}, {1, 300, 600}} {
+					n0, used0, st0 := c.Len(), c.UsedBytes(), c.Stats()
+					f.arm()
+					failed, waited := make(chan error, 1), make(chan error, 1)
+					go func() {
+						_, err := read(fill.rec, fill.want)
+						failed <- err
+					}()
+					<-f.entered
+					go func() {
+						got, err := read(fill.rec, fill.want)
+						if err == nil && !bytes.Equal(got, wantBytes(fill.rec, fill.want)) {
+							err = fmt.Errorf("the read that waited on %d returned wrong bytes", fill.rec)
+						}
+						waited <- err
+					}()
+					parked(t)
+					close(f.release)
+					wantErr := map[string]string{
+						"error": "store fault",
+						"short": fmt.Sprintf("cache: fetcher returned %d bytes, want %d", fill.want-fill.have-1, fill.want-fill.have),
+						"panic": fmt.Sprintf("cache: fill of %d panicked: store fault", fill.rec),
+					}[kind]
+					if err := <-failed; err == nil || err.Error() != wantErr {
+						t.Fatalf("the fill of %d failed with %v, want %q", fill.rec, err, wantErr)
+					}
+					await(t, f.refetch, "the read that waited never refilled")
+					if n, used, st := c.Len(), c.UsedBytes(), c.Stats(); n != n0 || used != used0 || st != st0 {
+						t.Fatalf("after the failed fill of %d: len %d, used %d, stats %+v; before it %d, %d, %+v", fill.rec, n, used, st, n0, used0, st0)
+					}
+					close(f.resume)
+					if err := <-waited; err != nil {
+						t.Fatal(err)
+					}
+					got, err := read(fill.rec, fill.want)
+					if err != nil || !bytes.Equal(got, wantBytes(fill.rec, fill.want)) {
+						t.Fatalf("the next read of %d: %v", fill.rec, err)
+					}
+				}
+			})
+		}
 	}
-	if c.Len() != 0 {
-		t.Error("failed fetch left an entry")
+}
+
+// faulty injects one fault per arm into a store's reads: the first read
+// after arm waits for release and then fails by kind — an error, an answer
+// a byte short, or a panic — and the read after it waits for resume, so a
+// test can look at a tier between the failed fill and the next one.
+type faulty struct {
+	kind  string
+	calls atomic.Int32 // reads since arm, once armed
+	armed atomic.Bool
+
+	entered, release, refetch, resume chan struct{}
+}
+
+func (f *faulty) arm() {
+	f.entered, f.release = make(chan struct{}), make(chan struct{})
+	f.refetch, f.resume = make(chan struct{}), make(chan struct{})
+	f.calls.Store(0)
+	f.armed.Store(true)
+}
+
+// read performs one read through read, faulted as above.
+func (f *faulty) read(read func() ([]byte, error)) ([]byte, error) {
+	if !f.armed.Load() {
+		return read()
+	}
+	switch f.calls.Add(1) {
+	case 1:
+		close(f.entered)
+		<-f.release
+		switch f.kind {
+		case "error":
+			return nil, errors.New("store fault")
+		case "panic":
+			panic("store fault")
+		}
+		b, err := read()
+		return b[:len(b)-1], err
+	case 2:
+		close(f.refetch)
+		f.armed.Store(false)
+		<-f.resume
+	}
+	return read()
+}
+
+// faultyRecords is records whose reads go through a faulty.
+type faultyRecords struct {
+	records
+	f *faulty
+}
+
+func (fr faultyRecords) ReadRangeInto(dst []byte, name string, offset, length int64) ([]byte, error) {
+	return fr.f.read(func() ([]byte, error) { return fr.records.ReadRangeInto(dst, name, offset, length) })
+}
+
+func (fr faultyRecords) ReadRange(name string, offset, length int64) ([]byte, error) {
+	return fr.ReadRangeInto(nil, name, offset, length)
+}
+
+// parked waits until a read is blocked on a channel inside the tier, other
+// than the faulted read (which blocks in the store): a read waiting on that
+// read's fill.
+func parked(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if lines := strings.SplitN(g, "\n", 3); len(lines) > 1 && strings.Contains(lines[0], "[chan receive") &&
+				strings.HasPrefix(lines[1], "repro/internal/") && !strings.HasPrefix(lines[1], "repro/internal/cache.(*faulty)") {
+				return
+			}
+		}
+	}
+	t.Fatal("no read waited on the fill")
+}
+
+// await fails the test unless ch closes within five seconds.
+func await(t *testing.T, ch <-chan struct{}, msg string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatal(msg)
 	}
 }
 

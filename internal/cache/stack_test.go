@@ -58,11 +58,17 @@ func (rs records) Close() error { return nil }
 // with three scan groups ending at 30 %, 60 % and 100 % of it.
 func newTestStack(t testing.TB, sizes []int64, memBytes int64, diskDir string) *Stack {
 	t.Helper()
+	return newStackOver(t, records{sizes}, sizes, memBytes, diskDir)
+}
+
+// newStackOver is newTestStack over be, a backend of records of those sizes.
+func newStackOver(t testing.TB, be core.Backend, sizes []int64, memBytes int64, diskDir string) *Stack {
+	t.Helper()
 	ix := &core.Index{NumGroups: 3}
 	for i, n := range sizes {
 		ix.Records = append(ix.Records, core.RecordInfo{Name: fmt.Sprintf("r%03d", i), Prefixes: []int64{0, n * 3 / 10, n * 6 / 10, n}})
 	}
-	ds, err := core.OpenDatasetIndex(ix, records{sizes})
+	ds, err := core.OpenDatasetIndex(ix, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +80,16 @@ func newTestStack(t testing.TB, sizes []int64, memBytes int64, diskDir string) *
 	return s
 }
 
-// heldBytes is what the tier's cached prefixes occupy: their capacities,
-// where the budget counts their lengths.
+// heldBytes is what the lending tier's cached prefixes occupy: their
+// capacities, where the budget counts their lengths.
 func (c *Cache) heldBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
-	for _, e := range c.entries {
-		n += int64(cap(e.prefix))
+	for _, e := range c.lent {
+		if !e.dropped {
+			n += int64(cap(e.prefix))
+		}
 	}
 	return n
 }
@@ -113,7 +121,8 @@ func TestStackLeasesUnderEviction(t *testing.T) {
 		sizes[i] = 1000 + rng.Int63n(maxSize-1000)
 		total += sizes[i]
 	}
-	s := newTestStack(t, sizes, total/3, "")
+	budget := total / 3
+	s := newTestStack(t, sizes, budget, "")
 	kept, err := s.mem.Get(5, sizes[5])
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +178,7 @@ func TestStackLeasesUnderEviction(t *testing.T) {
 					}
 					held = held[1:]
 				}
-				if n, most := s.mem.heldBytes(), 2*(s.mem.capacity+workers*4*maxSize); n > most {
+				if n, most := s.mem.heldBytes(), 2*(budget+workers*4*maxSize); n > most {
 					t.Errorf("the tier's prefixes occupy %d bytes, over twice its budget plus the prefixes in flight (%d)", n, most)
 					return
 				}
@@ -188,8 +197,8 @@ func TestStackLeasesUnderEviction(t *testing.T) {
 	if onFreeList(s, kept) || !bytes.Equal(kept, wantBytes(5, sizes[5])) {
 		t.Fatal("a prefix Cache.Get returned was recycled")
 	}
-	if n, most := s.mem.heldBytes(), 2*s.mem.capacity; n > most {
-		t.Fatalf("with nothing in flight the tier's prefixes occupy %d bytes, over twice its %d-byte budget", n, s.mem.capacity)
+	if n, most := s.mem.heldBytes(), 2*budget; n > most {
+		t.Fatalf("with nothing in flight the tier's prefixes occupy %d bytes, over twice its %d-byte budget", n, budget)
 	}
 }
 
@@ -198,9 +207,10 @@ func TestStackLeasesUnderEviction(t *testing.T) {
 // recycled buffers occupy at most twice its budget.
 func TestStackMemTierCountsAsCache(t *testing.T) {
 	sizes := []int64{3000, 5000, 2000, 8000, 4000, 6000, 1000, 7000}
-	s := newTestStack(t, sizes, 12000, "")
+	const budget = 12000
+	s := newTestStack(t, sizes, budget, "")
 	bk := &backing{}
-	ref, err := New(12000, bk.fetch)
+	ref, err := New(budget, bk.fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +229,8 @@ func TestStackMemTierCountsAsCache(t *testing.T) {
 		if _, err := ref.Get(rec, end); err != nil {
 			t.Fatal(err)
 		}
-		if n, most := s.mem.heldBytes(), 2*s.mem.capacity; n > most {
-			t.Fatalf("the tier's prefixes occupy %d bytes, over twice its %d-byte budget", n, s.mem.capacity)
+		if n, most := s.mem.heldBytes(), int64(2*budget); n > most {
+			t.Fatalf("the tier's prefixes occupy %d bytes, over twice its %d-byte budget", n, budget)
 		}
 	}
 	if got, want := s.mem.Stats(), ref.Stats(); got != want {
@@ -258,4 +268,21 @@ func BenchmarkStackScan(b *testing.B) {
 		scan()
 	}
 	b.SetBytes(32 * 64 << 10)
+}
+
+// TestStackMemHitAllocatesNothing: a read the memory tier holds, and its
+// Release, allocate nothing.
+func TestStackMemHitAllocatesNothing(t *testing.T) {
+	s := newTestStack(t, []int64{4000}, 1<<20, "")
+	read := func() {
+		b, err := s.Read(0, 100, 1100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Release(b)
+	}
+	read()
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Fatalf("a memory-tier hit allocates %.1f times, want 0", n)
+	}
 }

@@ -92,7 +92,7 @@ func TestEveryPrefixDecodesEveryImage(t *testing.T) {
 		}
 		prefix := data[:need]
 		for i := range meta.Samples {
-			img, err := meta.DecodeSample(prefix, i, g)
+			img, err := decodeSample(meta, prefix, i, g)
 			if err != nil {
 				t.Fatalf("group %d sample %d: %v", g, i, err)
 			}
@@ -108,14 +108,14 @@ func TestQualityMonotoneInScanGroup(t *testing.T) {
 	data, meta := writeTestRecord(t, samples)
 	full := data[:meta.TotalLen()]
 	for i := range meta.Samples {
-		ref, err := meta.DecodeSample(full, i, meta.NumGroups)
+		ref, err := decodeSample(meta, full, i, meta.NumGroups)
 		if err != nil {
 			t.Fatal(err)
 		}
 		prev := -1.0
 		for _, g := range []int{1, 2, 5, 10} {
 			need, _ := meta.PrefixLen(g)
-			img, err := meta.DecodeSample(data[:need], i, g)
+			img, err := decodeSample(meta, data[:need], i, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,7 +409,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 				if g == 10 {
 					seen[s.ID] = true
 				}
-				if _, err := meta.DecodeSample(prefix, si, g); err != nil {
+				if _, err := decodeSample(meta, prefix, si, g); err != nil {
 					t.Fatalf("record %d group %d sample %d: %v", r, g, si, err)
 				}
 			}
@@ -481,7 +481,7 @@ func TestGrayscaleRecord(t *testing.T) {
 	}
 	for g := 1; g <= 6; g++ {
 		need, _ := meta.PrefixLen(g)
-		if _, err := meta.DecodeSample(buf.Bytes()[:need], 0, g); err != nil {
+		if _, err := decodeSample(meta, buf.Bytes()[:need], 0, g); err != nil {
 			t.Fatalf("group %d: %v", g, err)
 		}
 	}
@@ -500,4 +500,13 @@ func readPrefix(ds *Dataset, i, g int) ([]byte, *RecordMeta, error) {
 	}
 	meta, err := ds.ParseRecordPrefix(i, buf)
 	return buf, meta, err
+}
+
+// decodeSample reassembles and decodes sample i at scan group g.
+func decodeSample(m *RecordMeta, prefix []byte, i, g int) (image.Image, error) {
+	stream, err := m.SampleJPEG(prefix, i, g)
+	if err != nil {
+		return nil, err
+	}
+	return jpegc.Decode(stream)
 }

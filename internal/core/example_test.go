@@ -55,7 +55,11 @@ func Example() {
 		}
 		prev = n
 		for i := range meta.Samples {
-			if _, err := meta.DecodeSample(record[:n], i, g); err != nil {
+			stream, err := meta.SampleJPEG(record[:n], i, g)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if _, err := jpegc.Decode(stream); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -43,7 +43,7 @@ func TestRecord420(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range meta.Samples {
-			img, err := meta.DecodeSample(data[:need], i, g)
+			img, err := decodeSample(meta, data[:need], i, g)
 			if err != nil {
 				t.Fatalf("group %d sample %d: %v", g, i, err)
 			}

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"image"
 	"io"
 	"sync/atomic"
 
@@ -964,17 +963,4 @@ func (m *RecordMeta) SampleJPEGs(prefix []byte, g int, sel []bool, from int, del
 	c = m.prefixCursor(prefix, g, row[:])
 	m.spliceAll(&c, g, sel, from, deliver)
 	return nil
-}
-
-// DecodeSample reassembles and decodes sample i at scan group g.
-func (m *RecordMeta) DecodeSample(prefix []byte, i, g int) (image.Image, error) {
-	stream, err := m.SampleJPEG(prefix, i, g)
-	if err != nil {
-		return nil, err
-	}
-	img, err := jpegc.Decode(stream)
-	if err != nil {
-		return nil, fmt.Errorf("core: sample %d at group %d: %w", i, g, err)
-	}
-	return img, nil
 }

@@ -54,14 +54,9 @@
 //
 // # Concurrency
 //
-// A read the cached prefix cannot serve marks its object in flight: later
-// readers of the object wait on the mark, so N readers cost one upstream
-// fetch, and eviction skips it, so a fill always appends to the prefix it
-// started from. The byte budget therefore holds up to the entries in
-// flight, and once none is, up to one entry that alone is bigger than the
-// capacity. The one way an entry in flight can still go is external damage
-// to its data file, found by the fill itself or by a concurrent read; the
-// fill then runs again from offset zero.
+// The entries are an lru.Cache of data files, which pins an object being
+// filled. External damage to its data file still drops it; the fill then
+// runs again from offset zero.
 //
 // # Coherence
 //
@@ -78,7 +73,6 @@ package diskcache
 
 import (
 	"cmp"
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -93,6 +87,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 )
 
 // Stats counts cache activity over the Backend's lifetime.
@@ -126,14 +121,13 @@ type Stats struct {
 	Discarded int64 `json:"discarded"`
 }
 
+// entry is a cached prefix; its extent on disk is its size in the LRU.
 type entry struct {
-	length int64  // validated prefix extent on disk
-	crc    uint32 // crc32(IEEE) of the first length bytes
-	elem   *list.Element
-	// verified is false for a recovered entry whose CRC has not been
-	// checked yet; the first ReadRange touching it checks it (and
-	// quarantines it on mismatch) before serving.
-	verified bool
+	crc uint32 // crc32(IEEE) of the extent
+	// unchecked marks a recovered entry whose CRC has not been checked yet;
+	// the first read touching it checks it (and quarantines it on mismatch)
+	// before serving.
+	unchecked bool
 }
 
 // Backend is a persistent prefix cache over an inner core.Backend. ReadRange
@@ -143,24 +137,16 @@ type entry struct {
 type Backend struct {
 	inner core.Backend
 	dir   string
-	cap   int64
 	gen   [16]byte // the first 16 bytes of sha256(generation)
 
 	mu      sync.Mutex
-	entries map[string]*entry // by data file name (fileKey)
-	lru     *list.List        // front = most recent; values are file names
-	used    int64
-	seq     uint64 // the last fill sequence number written
+	entries *lru.Cache[string, entry] // by data file name (fileKey)
+	seq     uint64                    // the last fill sequence number written
 	stats   Stats
 	closed  bool
 	lock    *dirLock
 	// writes counts the fills writing a data file; Close waits for them.
 	writes sync.WaitGroup
-	// inflight marks the objects a read is checking or filling. It is the
-	// singleflight — N concurrent readers of one prefix cost one upstream
-	// fetch, the others wait for the channel to close — and the pin
-	// evictLocked honours.
-	inflight map[string]chan struct{}
 }
 
 var errClosed = errors.New("diskcache: closed")
@@ -189,16 +175,15 @@ func Wrap(inner core.Backend, dir string, capacity int64, generation string) (*B
 		return nil, err
 	}
 	gen := sha256.Sum256([]byte(generation))
-	b := &Backend{
-		inner:    inner,
-		dir:      dir,
-		cap:      capacity,
-		gen:      [16]byte(gen[:]),
-		entries:  make(map[string]*entry),
-		lru:      list.New(),
-		lock:     lock,
-		inflight: make(map[string]chan struct{}),
-	}
+	b := &Backend{inner: inner, dir: dir, gen: [16]byte(gen[:]), lock: lock}
+	// Eviction is one unlink, and none once closed: the directory may
+	// belong to another process by then.
+	b.entries = lru.New(&b.mu, "diskcache", capacity, func(key string, _ entry, evicted bool) {
+		if evicted && !b.closed {
+			b.stats.Evictions++
+			os.Remove(b.path(key))
+		}
+	})
 	if err := b.recover(); err != nil {
 		lock.unlock()
 		return nil, err
@@ -331,18 +316,14 @@ func (b *Backend) recover() error {
 			return fmt.Errorf("diskcache: %w", err)
 		}
 	}
+	b.stats.Recovered = int64(len(kept))
+	// Each Put enforces the budget (capacity may have shrunk since the last
+	// run), so the oldest fills go first.
 	slices.SortStableFunc(kept, func(x, y found) int { return cmp.Compare(x.seq, y.seq) })
 	for _, f := range kept {
-		e := &entry{length: f.extent, crc: f.crc}
-		e.elem = b.lru.PushFront(f.key)
-		b.entries[f.key] = e
-		b.used += f.extent
+		b.entries.Put(f.key, entry{crc: f.crc, unchecked: true}, f.extent)
 		b.seq = max(b.seq, f.seq)
 	}
-	b.stats.Recovered = int64(len(kept))
-	// Enforce the budget against whatever survived (capacity may have
-	// shrunk since the last run).
-	b.evictLocked()
 	return nil
 }
 
@@ -353,34 +334,32 @@ var openForRead = os.Open
 // checkPrefix is a recovered entry's first-touch verification: one pass over
 // the data file's extent [0,length) that checks its CRC against want and
 // copies the window [offset,offset+n), which must lie inside the extent (n
-// is zero for none), out of the same read, into dst when it has room
-// (core.BufferFor). It allocates one buffer of at most 32 KiB, never the
-// extent.
-func checkPrefix(dst []byte, path string, length int64, want uint32, offset, n int64) ([]byte, error) {
+// is zero for none), out of the same read into dst, which holds n bytes. It
+// allocates one buffer of at most 32 KiB, never the extent.
+func checkPrefix(dst []byte, path string, length int64, want uint32, offset, n int64) error {
 	f, err := openForRead(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	r := io.NewSectionReader(f, headerSize, length)
-	out := core.BufferFor(dst, n)
 	buf := make([]byte, min(length, 32<<10))
 	var crc uint32
 	for pos := int64(0); pos < length; {
 		chunk := buf[:min(int64(len(buf)), length-pos)]
 		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, err
+			return err
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, chunk)
 		if lo, hi := max(pos, offset), min(pos+int64(len(chunk)), offset+n); lo < hi {
-			copy(out[lo-offset:], chunk[lo-pos:hi-pos])
+			copy(dst[lo-offset:], chunk[lo-pos:hi-pos])
 		}
 		pos += int64(len(chunk))
 	}
 	if crc != want {
-		return nil, fmt.Errorf("diskcache: %s fails its header's CRC", path)
+		return fmt.Errorf("diskcache: %s fails its header's CRC", path)
 	}
-	return out, nil
+	return nil
 }
 
 // readWindow reads [offset, offset+length) of the object whose data file is
@@ -396,30 +375,6 @@ func readWindow(dst []byte, path string, offset, length int64) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// hitLocked serves [offset, offset+length) from the object's data file when
-// a verified entry covers it, counting a hit. It drops b.mu for the file
-// read; a file that vanished or shrank underfoot (external damage, or an
-// eviction between the check and the read) drops the entry — even one in
-// flight, whose fill then rebuilds it from zero — and the caller fetches
-// upstream instead of failing. Caller holds b.mu.
-func (b *Backend) hitLocked(dst []byte, key string, offset, length int64) ([]byte, bool) {
-	e, ok := b.entries[key]
-	if !ok || !e.verified || e.length < offset+length {
-		return nil, false
-	}
-	b.lru.MoveToFront(e.elem)
-	b.mu.Unlock()
-	buf, err := readWindow(dst, b.path(key), offset, length)
-	b.mu.Lock()
-	if err != nil {
-		b.invalidateLocked(key)
-		return nil, false
-	}
-	b.stats.Hits++
-	b.stats.BytesServed += length
-	return buf, true
 }
 
 // ReadRange reads [offset, offset+length) of the named object into a new
@@ -447,150 +402,135 @@ func (b *Backend) ReadRangeInto(dst []byte, name string, offset, length int64) (
 		return dst[:0], nil
 	}
 
-	key := fileKey(name)
+	key, need := fileKey(name), offset+length
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	for {
+		// Checked again after every wait on another read's fill, so a read
+		// parked across Close reads nothing.
 		if b.closed {
-			b.mu.Unlock()
 			return nil, errClosed
 		}
-		// Fast path: the window is inside a verified cached prefix.
-		if buf, ok := b.hitLocked(dst, key, offset, length); ok {
+		// Fast path: the window is inside a checked cached prefix. A data
+		// file that vanished or shrank underfoot (external damage, or an
+		// eviction between the check and the read) drops the entry — even
+		// one in flight, whose fill then rebuilds it from zero — and the
+		// read fills instead.
+		if e, _, ok := b.entries.Get(key, need); ok && !e.unchecked {
 			b.mu.Unlock()
-			return buf, nil
-		}
-		done, busy := b.inflight[key]
-		if !busy {
-			break
-		}
-		// Another read is checking or filling this object; it may cover us.
-		b.mu.Unlock()
-		<-done
-		b.mu.Lock()
-	}
-	done := make(chan struct{})
-	b.inflight[key] = done
-	out, err := b.fillLocked(dst, name, key, offset, length)
-	b.evictLocked()
-	delete(b.inflight, key)
-	close(done)
-	b.mu.Unlock()
-	return out, err
-}
-
-// fillLocked serves a read the fast path could not: it checks a recovered
-// entry's CRC on first touch, then extends the prefix to the window's end
-// by one fetch → write sequence, from offset zero when nothing is cached.
-// The window's cached part is read from the data file first and the delta
-// is fetched behind it into the same buffer, which is the one written to
-// the file and returned; only a window that starts past the cached extent
-// takes the delta into a buffer of its own. The object is pinned, so the
-// prefix a fill extends stays cached; only external damage can drop it, and
-// the fill then runs again from zero. A fill that finds the tier closed
-// when its fetch returns writes nothing. Caller holds b.mu, which is
-// dropped for file and upstream I/O.
-func (b *Backend) fillLocked(dst []byte, name, key string, offset, length int64) ([]byte, error) {
-	need := offset + length
-	path := b.path(key)
-	// First touch of a recovered entry: check its CRC now, before any byte
-	// of it is served or extended, and serve the window from the same pass
-	// when it lies inside the extent. A mismatch quarantines the entry and
-	// the fill below starts cold.
-	if e, ok := b.entries[key]; ok && !e.verified {
-		extent, crc, window := e.length, e.crc, length
-		if need > extent {
-			window = 0 // an upgrade: check the extent, then extend it below
-		}
-		b.mu.Unlock()
-		out, err := checkPrefix(dst, path, extent, crc, offset, window)
-		b.mu.Lock()
-		if err != nil {
-			b.invalidateLocked(key)
-			b.stats.Recovered--
-			b.stats.Discarded++
-		} else {
-			e.verified = true
-			b.lru.MoveToFront(e.elem)
-			if window > 0 {
+			buf, err := readWindow(dst, b.path(key), offset, length)
+			b.mu.Lock()
+			if err == nil {
 				b.stats.Hits++
 				b.stats.BytesServed += length
-				return out, nil
+				return buf, nil
 			}
+			b.invalidateLocked(key)
+		}
+		var out []byte
+		_, filled, err := b.entries.Fill(key, func(e entry, have int64) (entry, int64, error) {
+			var err error
+			out, e, have, err = b.fill(dst, name, key, offset, length, e, have)
+			return e, have, err
+		})
+		if filled || err != nil {
+			return out, err
 		}
 	}
-	for {
-		e := b.entries[key]
-		var have int64
-		var crc uint32
-		if e != nil {
-			have, crc = e.length, e.crc
-		}
-		b.mu.Unlock()
+}
+
+// fill serves a read the fast path could not, with the object pinned and
+// b.mu dropped (lru.Cache.Fill); e and have are its cached entry and
+// extent. The window's cached part is read from the data file and the
+// delta is fetched behind it into the same buffer, which is the one written
+// to the file and returned; only a window that starts past the extent takes
+// the delta into a buffer of its own. A recovered entry's first touch reads
+// its whole extent instead, checking the CRC in the same pass, before any
+// byte of it is served or extended; when the extent holds the window, that
+// pass is the read, a hit. A mismatch quarantines the entry, and a data
+// file damaged underfoot drops it; either way the fill runs again from
+// zero. A fill that finds the tier closed when its fetch returns writes
+// nothing. It returns the window and the entry and extent to cache.
+func (b *Backend) fill(dst []byte, name, key string, offset, length int64, e entry, have int64) ([]byte, entry, int64, error) {
+	need, path := offset+length, b.path(key)
+	for ; ; e, have = (entry{}), 0 { // a pass after the first rebuilds from zero
 		var out, delta []byte
 		if offset <= have {
 			out = core.BufferFor(dst, length)
-			delta = out[have-offset:]
+			delta = out[min(have, need)-offset:]
 		} else {
 			delta = make([]byte, need-have)
 		}
-		if offset < have {
-			if _, err := readWindow(out, path, offset, have-offset); err != nil {
-				// The data file was damaged underfoot: rebuild from zero.
-				b.mu.Lock()
-				b.invalidateLocked(key)
-				continue
+		var err error
+		if cached := max(min(have, need)-offset, 0); e.unchecked {
+			err = checkPrefix(out, path, have, e.crc, offset, cached)
+		} else if cached > 0 {
+			_, err = readWindow(out, path, offset, cached)
+		}
+		if err != nil || len(delta) == 0 {
+			b.mu.Lock()
+			if err == nil { // a first touch that held the window
+				b.stats.Hits++
+				b.stats.BytesServed += length
+				b.mu.Unlock()
+				return out, entry{crc: e.crc}, have, nil
 			}
+			if e.unchecked {
+				b.stats.Recovered--
+				b.stats.Discarded++
+			}
+			b.invalidateLocked(key)
+			b.mu.Unlock()
+			continue
 		}
 		got, err := core.ReadRangeInto(b.inner, delta, name, have, need-have)
 		if err == nil && int64(len(got)) != need-have {
 			err = fmt.Errorf("diskcache: upstream returned %d bytes of %s, want %d", len(got), name, need-have)
 		}
 		if err != nil {
-			b.mu.Lock()
-			return nil, err
+			return nil, e, have, err
 		}
-		crc = crc32.Update(crc, crc32.IEEETable, delta)
+		crc := crc32.Update(e.crc, crc32.IEEETable, delta)
 		b.mu.Lock()
 		if b.closed {
-			return nil, errClosed
+			b.mu.Unlock()
+			return nil, e, have, errClosed
 		}
 		b.seq++
 		h := header{gen: b.gen, extent: need, crc: crc, seq: b.seq}
 		b.writes.Add(1)
 		b.mu.Unlock()
-		ferr := writeEntry(path, h, delta, have, e == nil)
+		err = writeEntry(path, h, delta, have, have == 0)
 		b.mu.Lock()
 		b.writes.Done()
-		if e != nil && (ferr != nil || b.entries[key] != e) {
-			// The data file was damaged underfoot: a fast-path read found
-			// it and dropped the entry, or this fill could not write to
-			// it. The delta is no prefix on its own; rebuild from zero.
+		if _, _, ok := b.entries.Peek(key); have > 0 && (err != nil || !ok) {
+			// A fast-path read found the data file damaged and dropped the
+			// entry, or this fill could not write to it. The delta is no
+			// prefix on its own; rebuild from zero.
 			b.stats.BytesFetched += int64(len(delta))
 			b.invalidateLocked(key)
+			b.mu.Unlock()
 			continue
 		}
-		if ferr != nil {
-			return nil, ferr
+		if err == nil {
+			b.stats.BytesFetched += int64(len(delta))
+			b.stats.BytesServed += length
+			if have == 0 {
+				b.stats.Misses++
+			} else {
+				b.stats.DeltaHits++
+				b.stats.DeltaBytes += int64(len(delta))
+			}
 		}
-		b.stats.BytesFetched += int64(len(delta))
-		b.stats.BytesServed += length
-		b.used += int64(len(delta))
-		if e == nil {
-			b.stats.Misses++
-			e = &entry{verified: true}
-			e.elem = b.lru.PushFront(key)
-			b.entries[key] = e
-		} else {
-			b.stats.DeltaHits++
-			b.stats.DeltaBytes += int64(len(delta))
-			b.lru.MoveToFront(e.elem)
+		b.mu.Unlock()
+		if err != nil {
+			return nil, e, have, err
 		}
-		e.length, e.crc = need, crc
 		if out == nil {
 			out = core.BufferFor(dst, length)
 			copy(out, delta[offset-have:])
 		}
-		return out, nil
+		return out, entry{crc: crc}, need, nil
 	}
 }
 
@@ -627,34 +567,8 @@ func writeEntry(path string, h header, delta []byte, have int64, fresh bool) err
 // underfoot, and removes the file unless the tier is closed (the directory
 // may belong to another process by then).
 func (b *Backend) invalidateLocked(key string) {
-	if e, ok := b.entries[key]; ok {
-		b.used -= e.length
-		delete(b.entries, key)
-		b.lru.Remove(e.elem)
-		if !b.closed {
-			os.Remove(b.path(key))
-		}
-	}
-}
-
-// evictLocked drops least-recently-used entries (whole objects: partial
-// prefixes are never trimmed) until the budget holds, skipping the pinned
-// objects (those in flight). Eviction is one unlink. A closed Backend
-// evicts nothing: the directory may belong to another process by then.
-// Caller holds b.mu.
-func (b *Backend) evictLocked() {
-	for el := b.lru.Back(); el != nil && b.used > b.cap && !b.closed; {
-		key := el.Value.(string)
-		back := el
-		el = el.Prev()
-		if _, pinned := b.inflight[key]; pinned {
-			continue
-		}
-		b.used -= b.entries[key].length
-		delete(b.entries, key)
-		b.lru.Remove(back)
+	if b.entries.Remove(key) && !b.closed {
 		os.Remove(b.path(key))
-		b.stats.Evictions++
 	}
 }
 
@@ -671,22 +585,22 @@ func (b *Backend) List() ([]string, error) { return b.inner.List() }
 func (b *Backend) Contains(name string, prefixLen int64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, ok := b.entries[fileKey(name)]
-	return ok && e.length >= prefixLen
+	_, have, ok := b.entries.Peek(fileKey(name))
+	return ok && have >= prefixLen
 }
 
 // UsedBytes returns the bytes currently cached on disk.
 func (b *Backend) UsedBytes() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.used
+	return b.entries.Used()
 }
 
 // Len returns the number of cached objects.
 func (b *Backend) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.entries)
+	return b.entries.Len()
 }
 
 // Stats returns a snapshot of the counters.

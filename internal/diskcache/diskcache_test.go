@@ -2,13 +2,16 @@ package diskcache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -343,56 +346,170 @@ func TestExtentZeroHeaderDiscarded(t *testing.T) {
 	}
 }
 
-// shortBackend answers every ReadRange one byte short, without an error,
-// while short is set.
-type shortBackend struct {
+// faultyBackend injects one fault per arm into its upstream reads: the
+// first read after arm waits for release and then fails by kind — an
+// error, an answer a byte short, or a panic — and the read after it waits
+// for resume, so a test can look at the tier between the failed fill and
+// the next one.
+type faultyBackend struct {
 	*fakeBackend
-	short bool
+	kind  string
+	calls atomic.Int32 // reads since arm, once armed
+	armed atomic.Bool
+
+	entered, release, refetch, resume chan struct{}
 }
 
-func (s *shortBackend) ReadRange(name string, offset, length int64) ([]byte, error) {
-	got, err := s.fakeBackend.ReadRange(name, offset, length)
-	if err == nil && s.short {
-		got = got[:len(got)-1]
+func (f *faultyBackend) arm() {
+	f.entered, f.release = make(chan struct{}), make(chan struct{})
+	f.refetch, f.resume = make(chan struct{}), make(chan struct{})
+	f.calls.Store(0)
+	f.armed.Store(true)
+}
+
+func (f *faultyBackend) ReadRange(name string, offset, length int64) ([]byte, error) {
+	if f.armed.Load() {
+		switch f.calls.Add(1) {
+		case 1:
+			close(f.entered)
+			<-f.release
+			switch f.kind {
+			case "error":
+				return nil, errors.New("store fault")
+			case "panic":
+				panic("store fault")
+			}
+			got, err := f.fakeBackend.ReadRange(name, offset, length)
+			return got[:len(got)-1], err
+		case 2:
+			close(f.refetch)
+			f.armed.Store(false)
+			<-f.resume
+		}
 	}
-	return got, err
+	return f.fakeBackend.ReadRange(name, offset, length)
 }
 
-// TestShortUpstreamAnswerCachesNothing: an upstream answer shorter than the
-// fill asked for fails the read, a cold fill and an upgrade alike, and
-// caches none of it: the cold object has no data file, the upgraded one
-// keeps its extent, and once the upstream answers whole each fetches
-// exactly what it lacks.
+// parked waits until a read is blocked on a channel inside the tier, other
+// than the filling read (which blocks in a faulty or gated store): a read
+// waiting on that read's fill.
+func parked(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if lines := strings.SplitN(g, "\n", 3); len(lines) > 1 && strings.Contains(lines[0], "[chan receive") &&
+				strings.HasPrefix(lines[1], "repro/internal/") && !strings.HasPrefix(lines[1], "repro/internal/diskcache.(*faultyBackend)") &&
+				!strings.HasPrefix(lines[1], "repro/internal/diskcache.(*gatedBackend)") {
+				return
+			}
+		}
+	}
+	t.Fatal("no read waited on the fill")
+}
+
+// await fails the test unless ch yields within five seconds.
+func await[T any](t *testing.T, ch <-chan T, msg string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatal(msg)
+		panic("unreachable")
+	}
+}
+
+// TestShortUpstreamAnswerCachesNothing: a fill whose upstream read fails,
+// comes up short or panics — a cold fill and an upgrade alike — fails the
+// read that filled, with an error naming the fault, and caches none of it:
+// while the read that waited on the fill refills the object itself, Len,
+// UsedBytes and Stats are as before, the cold object has no data file and
+// the upgraded one keeps its extent. Each waiting read fetches exactly what
+// its object lacks, later reads are served warm, and Close returns.
 func TestShortUpstreamAnswerCachesNothing(t *testing.T) {
-	inner := &shortBackend{fakeBackend: newFake()}
-	b, err := Wrap(inner, t.TempDir(), 1<<20, "gen1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a := inner.objects["records/a.pcr"]
-	bb := inner.objects["records/b.pcr"]
-	mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
+	for _, kind := range []string{"error", "short", "panic"} {
+		t.Run(kind, func(t *testing.T) {
+			inner := &faultyBackend{fakeBackend: newFake(), kind: kind}
+			b, err := Wrap(inner, t.TempDir(), 1<<20, "gen1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := inner.objects["records/a.pcr"]
+			bb := inner.objects["records/b.pcr"]
+			mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
+			// read is ReadRange with a panic recovered into an error, as
+			// a caller that guards its reads has it.
+			read := func(name string, n int64) (got []byte, err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("read panicked: %v", r)
+					}
+				}()
+				return b.ReadRange(name, 0, n)
+			}
 
-	inner.short = true
-	if _, err := b.ReadRange("records/b.pcr", 0, 200); err == nil {
-		t.Fatal("a cold fill from a short answer succeeded")
-	}
-	if _, err := os.Stat(b.objectFile("records/b.pcr")); !os.IsNotExist(err) {
-		t.Fatalf("a short cold fill left a data file: %v", err)
-	}
-	if _, err := b.ReadRange("records/a.pcr", 0, 700); err == nil {
-		t.Fatal("an upgrade from a short answer succeeded")
-	}
-	if h, _, err := readHeader(b.objectFile("records/a.pcr")); err != nil || h.extent != 400 {
-		t.Fatalf("a short upgrade moved the extent (%v): %d, want 400", err, h.extent)
-	}
-
-	inner.short = false
-	mustRead(t, b, "records/a.pcr", 0, 700, a[:700])
-	mustRead(t, b, "records/b.pcr", 0, 200, bb[:200])
-	if got := inner.ranges[len(inner.ranges)-2:]; !slices.Equal(got, []string{"records/a.pcr:400+300", "records/b.pcr:0+200"}) {
-		t.Fatalf("fetched %v after the short answers, want a's delta and b whole", got)
+			for _, fill := range []struct {
+				name       string
+				have, want int64
+			}{{"records/b.pcr", 0, 200}, {"records/a.pcr", 400, 700}} {
+				data := inner.objects[fill.name]
+				n0, used0, st0 := b.Len(), b.UsedBytes(), b.Stats()
+				inner.arm()
+				failed, waited := make(chan error, 1), make(chan error, 1)
+				go func() {
+					_, err := read(fill.name, fill.want)
+					failed <- err
+				}()
+				<-inner.entered
+				go func() {
+					got, err := read(fill.name, fill.want)
+					if err == nil && !bytes.Equal(got, data[:fill.want]) {
+						err = fmt.Errorf("the read that waited on %s returned wrong bytes", fill.name)
+					}
+					waited <- err
+				}()
+				parked(t)
+				close(inner.release)
+				await(t, inner.refetch, "the read that waited on "+fill.name+" never refilled")
+				wantErr := map[string]string{
+					"error": "store fault",
+					"short": fmt.Sprintf("diskcache: upstream returned %d bytes of %s, want %d", fill.want-fill.have-1, fill.name, fill.want-fill.have),
+					"panic": fmt.Sprintf("diskcache: fill of %s panicked: store fault", fileKey(fill.name)),
+				}[kind]
+				if err := <-failed; err == nil || err.Error() != wantErr {
+					t.Fatalf("the fill of %s failed with %v, want %q", fill.name, err, wantErr)
+				}
+				if n, used, st := b.Len(), b.UsedBytes(), b.Stats(); n != n0 || used != used0 || st != st0 {
+					t.Fatalf("after the failed fill of %s: len %d, used %d, stats %+v; before it %d, %d, %+v", fill.name, n, used, st, n0, used0, st0)
+				}
+				h, _, err := readHeader(b.objectFile(fill.name))
+				if fill.have == 0 && !os.IsNotExist(err) {
+					t.Fatalf("a failed cold fill left a data file: %v", err)
+				}
+				if fill.have > 0 && (err != nil || h.extent != fill.have) {
+					t.Fatalf("a failed upgrade moved the extent (%v): %d, want %d", err, h.extent, fill.have)
+				}
+				close(inner.resume)
+				if err := await(t, waited, "the read that waited on "+fill.name+" never returned"); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := inner.ranges[len(inner.ranges)-1], fmt.Sprintf("%s:%d+%d", fill.name, fill.have, fill.want-fill.have); got != want {
+					t.Fatalf("the read that waited fetched %s, want %s", got, want)
+				}
+			}
+			reads, _ := inner.counters()
+			mustRead(t, b, "records/a.pcr", 0, 700, a[:700])
+			mustRead(t, b, "records/b.pcr", 0, 200, bb[:200])
+			if r, _ := inner.counters(); r != reads {
+				t.Fatal("the refilled entries did not serve warm")
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- b.Close() }()
+			if err := await(t, closed, "Close never returned"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -1068,39 +1185,72 @@ func TestCrashLosesOnlyWarmth(t *testing.T) {
 	}
 }
 
-// TestCloseStopsFillWrites: a cold fill whose fetch is in flight when Close
-// returns writes nothing once the fetch comes back. The read fails and no
-// data file is left for the directory's next owner.
+// TestCloseStopsFillWrites: a fill whose fetch is in flight when Close
+// returns writes nothing once the fetch comes back, and a read parked on
+// that fill reads nothing once it wakes: both fail, and the directory's next
+// owner finds no byte the fill wrote. In the parked row the fill upgrades a
+// recovered entry whose extent holds the parked read's window, so only the
+// closed check keeps that read out of the data file.
 func TestCloseStopsFillWrites(t *testing.T) {
-	inner := newFake()
-	g := gate(inner, "records/a.pcr")
-	g.cold = true
-	dir := t.TempDir()
-	b, err := Wrap(g, dir, 1<<20, "gen1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	filled := make(chan error, 1)
-	go func() {
-		_, err := b.ReadRange("records/a.pcr", 0, 400)
-		filled <- err
-	}()
-	<-g.entered
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	close(g.release)
-	if err := <-filled; err == nil {
-		t.Fatal("a fill whose fetch outlived Close succeeded")
-	}
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range des {
-		if strings.HasPrefix(de.Name(), "obj-") {
-			t.Fatalf("a fill wrote %s after Close", de.Name())
-		}
+	for _, row := range []string{"cold", "parked"} {
+		t.Run(row, func(t *testing.T) {
+			inner := newFake()
+			dir := t.TempDir()
+			a := inner.objects["records/a.pcr"]
+			g := gate(inner, "records/a.pcr")
+			if row == "parked" {
+				b, err := Wrap(inner, dir, 1<<20, "gen1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustRead(t, b, "records/a.pcr", 0, 400, a[:400])
+				b.Close()
+			} else {
+				g.cold = true
+			}
+			b, err := Wrap(g, dir, 1<<20, "gen1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			filled, waited := make(chan error, 1), make(chan error, 1)
+			go func() {
+				_, err := b.ReadRange("records/a.pcr", 0, 700)
+				filled <- err
+			}()
+			<-g.entered
+			if row == "parked" {
+				go func() {
+					_, err := b.ReadRange("records/a.pcr", 0, 300)
+					waited <- err
+				}()
+				parked(t)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			close(g.release)
+			if err := <-filled; err == nil {
+				t.Fatal("a fill whose fetch outlived Close succeeded")
+			}
+			if row == "parked" {
+				if err := await(t, waited, "the parked read never returned"); !errors.Is(err, errClosed) {
+					t.Fatalf("the read parked across Close returned %v, want %v", err, errClosed)
+				}
+				if h, _, err := readHeader(b.objectFile("records/a.pcr")); err != nil || h.extent != 400 {
+					t.Fatalf("the data file after Close: extent %d (%v), want 400", h.extent, err)
+				}
+				return
+			}
+			des, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, de := range des {
+				if strings.HasPrefix(de.Name(), "obj-") {
+					t.Fatalf("a fill wrote %s after Close", de.Name())
+				}
+			}
+		})
 	}
 }
 

@@ -333,6 +333,64 @@ func TestHotCacheServesRepeatsFromMemory(t *testing.T) {
 	}
 }
 
+// panicOnce is a store whose first read panics.
+type panicOnce struct {
+	core.Backend
+	fired atomic.Bool
+}
+
+func (p *panicOnce) ReadRange(name string, offset, length int64) ([]byte, error) {
+	if p.fired.CompareAndSwap(false, true) {
+		panic("store fault")
+	}
+	return p.Backend.ReadRange(name, offset, length)
+}
+
+// TestHotCacheFillPanicIsA500: a server whose memory tier, or disk tier,
+// fills from a store that panics once answers that read 500 without an
+// ETag, and the record's next read 200 with the store's bytes.
+func TestHotCacheFillPanicIsA500(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := pcr.Synthesize(dir, "cars", 0.1, 1, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range []struct {
+		name string
+		opts serve.Options
+	}{
+		{"memory", serve.Options{CacheBytes: 1 << 20}},
+		{"disk", serve.Options{DiskCacheDir: t.TempDir()}},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			ds, err := core.OpenDataset(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			ds.SetBackend(&panicOnce{Backend: ds.Backend()})
+			srv, err := serve.NewFromDataset(ds, &tier.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			name := ds.Index().Records[0].Name
+			want, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, _ := get(t, ts.URL+"/records/"+name, nil)
+			if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("ETag") != "" {
+				t.Fatalf("a read whose fill panicked: %s, ETag %q; want 500 and none", resp.Status, resp.Header.Get("ETag"))
+			}
+			resp, body := get(t, ts.URL+"/records/"+name, nil)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+				t.Fatalf("the next read: %s, %d bytes equal to the store's: %v", resp.Status, len(body), bytes.Equal(body, want))
+			}
+		})
+	}
+}
+
 // TestHotCacheLeasesUnderEviction: concurrent record, Range and pushdown
 // reads over a hot cache a third the size of the dataset, so fills evict
 // prefixes other handlers may still be writing. Every body is the record

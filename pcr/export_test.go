@@ -60,10 +60,31 @@ func (d *Dataset) readFiltered(i, q int, pred Predicate, from int) (samples []Sa
 	return rr.samples, price.Bytes, price.FullBytes - price.Bytes, rr.err
 }
 
-// WrapBackend puts wrap(backend) under a PCR dataset's reads.
+// WrapBackend puts wrap(backend) under a PCR dataset's reads: above its
+// disk tier, when it has one (see OpenWrapped).
 func (d *Dataset) WrapBackend(wrap func(core.Backend) core.Backend) {
 	ds := d.pcr.ds
 	ds.SetBackend(wrap(ds.Backend()))
+}
+
+// OpenWrapped is Open of a local PCR dataset with wrap(backend) beneath
+// its cache tiers: the disk tier, when there is one, fills from it.
+func OpenWrapped(dir string, wrap func(core.Backend) core.Backend, opts ...Option) (*Dataset, error) {
+	cfg, err := applyOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := core.OpenDataset(dir)
+	if err != nil {
+		return nil, err
+	}
+	ds.SetBackend(wrap(ds.Backend()))
+	r, err := newPCRReader(ds, cfg)
+	if err != nil {
+		ds.Close()
+		return nil, err
+	}
+	return newDataset(r, cfg, nil), nil
 }
 
 // OnRecycle has f see, and change if it likes, every frame l's epochs hand

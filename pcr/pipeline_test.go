@@ -1,6 +1,7 @@
 package pcr_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -58,13 +59,18 @@ func (b *hookedSampleBackend) ReadSamples(name string, group int, sel []bool) ([
 
 // hook puts before and after around every read of ds.
 func hook(ds *pcr.Dataset, before func(name string) error, after func()) {
-	ds.WrapBackend(func(inner core.Backend) core.Backend {
+	ds.WrapBackend(hooked(before, after))
+}
+
+// hooked wraps a backend in before and after.
+func hooked(before func(name string) error, after func()) func(core.Backend) core.Backend {
+	return func(inner core.Backend) core.Backend {
 		hb := hookedBackend{Backend: inner, before: before, after: after}
 		if sr, ok := inner.(core.SampleReader); ok {
 			return &hookedSampleBackend{hookedBackend: hb, sr: sr}
 		}
 		return &hb
-	})
+	}
 }
 
 // delayReads makes every read of ds take a seeded 0–2 ms longer, so reads
@@ -434,39 +440,65 @@ func TestPipelineScanEncodedEveryFormatStops(t *testing.T) {
 // record read — ReadRecordEncoded, which runs it on the caller's goroutine,
 // as well as ReadRecord, Scan and ScanEncoded, which run it on the
 // pipeline's — with an error, not a crash, and the dataset reads on once
-// the store does.
+// the store does: tierless, and with the store beneath a memory tier, a
+// disk tier, or both, where the tier's fill is what panics.
 func TestPipelineRecordReadPanicIsAnError(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(4))
-	ds, err := pcr.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	var panicking atomic.Bool
-	panicking.Store(true)
-	hook(ds, func(string) error {
-		if panicking.Load() {
-			panic("store fault")
-		}
-		return nil
-	}, nil)
-	ctx := context.Background()
-	for _, read := range []struct {
+	for _, tiers := range []struct {
 		name string
-		run  func() error
+		opts []pcr.Option
 	}{
-		{"ReadRecordEncoded", func() error { _, err := ds.ReadRecordEncoded(0, pcr.Full); return err }},
-		{"ReadRecord", func() error { _, err := ds.ReadRecord(ctx, 0, pcr.Full); return err }},
-		{"Scan", func() error { return firstErr(ds.Scan(ctx, pcr.Full)) }},
-		{"ScanEncoded", func() error { return firstErr(ds.ScanEncoded(ctx, pcr.Full)) }},
+		{"tierless", nil},
+		{"memory", []pcr.Option{pcr.WithCacheBytes(1 << 20)}},
+		{"disk", []pcr.Option{pcr.WithDiskCache(t.TempDir(), 64<<20)}},
+		{"both", []pcr.Option{pcr.WithCacheBytes(1 << 20), pcr.WithDiskCache(t.TempDir(), 64<<20)}},
 	} {
-		if err := read.run(); err == nil || !strings.Contains(err.Error(), "store fault") {
-			t.Errorf("%s over a panicking store: %v, want the panic as an error", read.name, err)
-		}
-	}
-	panicking.Store(false)
-	if samples, err := ds.ReadRecordEncoded(0, pcr.Full); err != nil || len(samples) != 4 {
-		t.Fatalf("ReadRecordEncoded once the store recovers: %d samples, %v", len(samples), err)
+		t.Run(tiers.name, func(t *testing.T) {
+			var panicking atomic.Bool
+			panicking.Store(true)
+			ds, err := pcr.OpenWrapped(dir, hooked(func(string) error {
+				if panicking.Load() {
+					panic("store fault")
+				}
+				return nil
+			}, nil), tiers.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			ctx := context.Background()
+			for _, read := range []struct {
+				name string
+				run  func() error
+			}{
+				{"ReadRecordEncoded", func() error { _, err := ds.ReadRecordEncoded(0, pcr.Full); return err }},
+				{"ReadRecord", func() error { _, err := ds.ReadRecord(ctx, 0, pcr.Full); return err }},
+				{"Scan", func() error { return firstErr(ds.Scan(ctx, pcr.Full)) }},
+				{"ScanEncoded", func() error { return firstErr(ds.ScanEncoded(ctx, pcr.Full)) }},
+			} {
+				if err := read.run(); err == nil || !strings.Contains(err.Error(), "store fault") {
+					t.Errorf("%s over a panicking store: %v, want the panic as an error", read.name, err)
+				}
+			}
+			panicking.Store(false)
+			want, err := pcr.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer want.Close()
+			for range 2 { // the fill, then a read the tiers serve
+				samples, err := ds.ReadRecordEncoded(0, pcr.Full)
+				ref, _ := want.ReadRecordEncoded(0, pcr.Full)
+				if err != nil || len(samples) != 4 {
+					t.Fatalf("ReadRecordEncoded once the store recovers: %d samples, %v", len(samples), err)
+				}
+				for i := range samples {
+					if !bytes.Equal(samples[i].JPEG, ref[i].JPEG) {
+						t.Fatalf("sample %d once the store recovers differs from the store's", i)
+					}
+				}
+			}
+		})
 	}
 }
 
