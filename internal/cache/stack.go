@@ -94,14 +94,40 @@ func (s *Stack) Release(b []byte) {
 	}
 }
 
-// Gather returns the bytes of ranges, ascending ranges of record rec that
-// hold the scan-group-group slices of the samples sel selects, concatenated
-// in order. Through the memory tier that is one prefix read up to the last
-// range's end, which warms the prefix, and a gather from it. Beneath it, it
-// is one pushdown request when the backend takes the selection
-// (core.SampleReader), into a buffer from the free list when it also reads
-// into one (core.SampleReaderInto), and a read per range otherwise.
+// Gather returns the bytes of the ranges of record rec that hold the scan
+// group 1..group slices of the samples sel selects
+// (core.RecordInfo.SampleRanges), concatenated in order. Beneath the memory
+// tier, when the backend takes the selection (core.SampleReader), that is
+// one pushdown request, into a buffer from the free list when it also reads
+// into one (core.SampleReaderInto). Otherwise Gather slices by the ranges —
+// the caller's, or when nil its own: through the memory tier one prefix
+// read up to the last range's end, which warms the prefix, and a gather
+// from it, beneath it a read per range.
 func (s *Stack) Gather(rec, group int, sel []bool, ranges []core.ByteRange) ([]byte, error) {
+	if sr, ok := s.ds.Backend().(core.SampleReader); ok && s.mem == nil {
+		name, err := s.ds.RecordName(rec)
+		if err != nil {
+			return nil, err
+		}
+		var body []byte
+		if into, ok := sr.(core.SampleReaderInto); ok {
+			var n int64
+			if n, err = s.ds.SampleBytes(rec, group, sel); err != nil {
+				return nil, err
+			}
+			body, err = into.ReadSamplesInto(s.free.take(n, math.MaxInt64), name, group, sel)
+		} else {
+			body, err = sr.ReadSamples(name, group, sel)
+		}
+		s.bytesRead.Add(int64(len(body)))
+		return body, err
+	}
+	if ranges == nil {
+		var err error
+		if ranges, err = s.ds.SampleRanges(rec, group, sel); err != nil {
+			return nil, err
+		}
+	}
 	if len(ranges) == 0 {
 		return nil, nil
 	}
@@ -113,20 +139,6 @@ func (s *Stack) Gather(rec, group int, sel []bool, ranges []core.ByteRange) ([]b
 		}
 		defer s.Release(prefix)
 		return core.GatherRanges(s.free.take(core.RangesTotal(ranges), math.MaxInt64), prefix, ranges)
-	}
-	if sr, ok := s.ds.Backend().(core.SampleReader); ok {
-		name, err := s.ds.RecordName(rec)
-		if err != nil {
-			return nil, err
-		}
-		var body []byte
-		if into, ok := sr.(core.SampleReaderInto); ok {
-			body, err = into.ReadSamplesInto(s.free.take(core.RangesTotal(ranges), math.MaxInt64), name, group, sel)
-		} else {
-			body, err = sr.ReadSamples(name, group, sel)
-		}
-		s.bytesRead.Add(int64(len(body)))
-		return body, err
 	}
 	body := s.free.take(core.RangesTotal(ranges), math.MaxInt64)[:0]
 	for _, rg := range ranges {

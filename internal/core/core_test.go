@@ -242,7 +242,7 @@ func TestSampleJPEGAllocatesOnce(t *testing.T) {
 	// read is a record read of the file's bytes: parsed against its index
 	// entry, then reassembled.
 	read := func(file []byte) error {
-		m, err := ds.ParseRecordPrefix(0, file)
+		m, err := ds.ParseRecordPrefix(0, file, nil, 0)
 		if err == nil {
 			_, err = m.SampleJPEG(file, 1, 3)
 		}
@@ -498,7 +498,7 @@ func readPrefix(ds *Dataset, i, g int) ([]byte, *RecordMeta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	meta, err := ds.ParseRecordPrefix(i, buf)
+	meta, err := ds.ParseRecordPrefix(i, buf, nil, 0)
 	return buf, meta, err
 }
 

@@ -248,21 +248,30 @@ func (ds *Dataset) RecordPrefixLen(i, g int) (int64, error) {
 }
 
 // ParseRecordPrefix parses the metadata section at the start of record i's
-// bytes, however they were read — a prefix, or a gathered body — and
-// refuses as ErrCorrupt a record file that disagrees with the index entry
-// every read plan is made from: another number of samples, or other prefix
-// lengths.
-func (ds *Dataset) ParseRecordPrefix(i int, prefix []byte) (*RecordMeta, error) {
-	meta, err := ParseRecordMeta(prefix)
+// bytes, however they were read — a prefix, or a gathered body — keeping an
+// entry for the samples the read delivers: those sel selects past the
+// first from of them, or every sample when sel is nil. Every other sample
+// is held to the same checks and counted in the prefix lengths, but costs
+// no entry, so a sparse read's parse allocates for what it delivers (see
+// RecordMeta.AssembleSamples). It refuses as ErrCorrupt a record file that
+// disagrees with the index entry every read plan is made from: another
+// number of samples, or other prefix lengths. The returned RecordMeta
+// aliases sel as it aliases prefix.
+func (ds *Dataset) ParseRecordPrefix(i int, prefix []byte, sel []bool, from int) (*RecordMeta, error) {
+	return ds.records[i].parse(i, prefix, sel, from)
+}
+
+// parse is ParseRecordPrefix of record i, whose index entry r is.
+func (r *RecordInfo) parse(i int, prefix []byte, sel []bool, from int) (*RecordMeta, error) {
+	meta, err := parseRecordMeta(prefix, deliveryOf(sel, from))
 	if err != nil {
 		return nil, err
 	}
-	re := &ds.records[i]
-	if n := re.Samples; len(meta.Samples) != n {
-		return nil, fmt.Errorf("core: %w: record %d holds %d samples, its index entry %d", ErrCorrupt, i, len(meta.Samples), n)
+	if n := r.Samples; meta.count != n {
+		return nil, fmt.Errorf("core: %w: record %d holds %d samples, its index entry %d", ErrCorrupt, i, meta.count, n)
 	}
-	if !slices.Equal(meta.prefix, re.Prefixes) {
-		return nil, fmt.Errorf("core: %w: record %d's prefix lengths are %v, its index entry's %v", ErrCorrupt, i, meta.prefix, re.Prefixes)
+	if !slices.Equal(meta.prefix, r.Prefixes) {
+		return nil, fmt.Errorf("core: %w: record %d's prefix lengths are %v, its index entry's %v", ErrCorrupt, i, meta.prefix, r.Prefixes)
 	}
 	return meta, nil
 }

@@ -216,11 +216,14 @@ func agreeWithReference(t *testing.T, data []byte, m *RecordMeta, ref *refRecord
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm, err := ParseRecordMeta(body)
+		kept := deliveryOf(sel, 1)
+		bm, err := parseRecordMeta(body, kept)
 		if err != nil {
 			t.Fatalf("gathered body at group %d: %v", g, err)
 		}
-		got := collect(func(deliver func(int, []byte)) error { return bm.AssembleSamples(body, g, sel, 1, deliver) })
+		got := collect(func(deliver func(int, []byte)) error {
+			return bm.AssembleSamples(body, g, func(e int, s []byte) { deliver(kept.index(e), s) })
+		})
 		_, streams, err := refAssembleSamples(body, g, sel)
 		want := delivered{err: err}
 		skip := 1

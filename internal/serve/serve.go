@@ -564,7 +564,9 @@ func (s *Server) serveRange(w http.ResponseWriter, r *http.Request, rec int, siz
 // checks and the conditional step have passed. It reads the body before
 // any success header — not for a HEAD — so a backing failure (record
 // deleted or truncated underfoot) is a clean 500 with no validator
-// attached. Then commit adds the answer's own headers and counters beside
+// attached; a read that panics — a store that does — is such a failure,
+// not a dropped connection. Then commit adds the answer's own headers and
+// counters beside
 // its type and length, and a GET gets the body: counted in bytes_served
 // first, since once Write hands the bytes to the connection a client can
 // read them and ask for Stats or /varz and must find its body counted (a
@@ -575,7 +577,7 @@ func (s *Server) writeAnswer(w http.ResponseWriter, r *http.Request, status int,
 	var body []byte
 	if !head {
 		var err error
-		if body, err = read(); err != nil {
+		if body, err = readGuarded(read); err != nil {
 			w.Header().Del("ETag")
 			w.Header().Del("Accept-Ranges")
 			s.fail(w, http.StatusInternalServerError, "serve: %v", err)
@@ -595,6 +597,16 @@ func (s *Server) writeAnswer(w http.ResponseWriter, r *http.Request, status int,
 		s.bytesServed.Add(int64(n - len(body)))
 	}
 	s.tiers.Release(body)
+}
+
+// readGuarded is read, with a panic in it returned as an error.
+func readGuarded(read func() ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			body, err = nil, fmt.Errorf("read panicked: %v", v)
+		}
+	}()
+	return read()
 }
 
 // errNotPulling is pull declining a read: no sync is warming the record.

@@ -347,8 +347,9 @@ func (p *panicOnce) ReadRange(name string, offset, length int64) ([]byte, error)
 }
 
 // TestHotCacheFillPanicIsA500: a server whose memory tier, or disk tier,
-// fills from a store that panics once answers that read 500 without an
-// ETag, and the record's next read 200 with the store's bytes.
+// fills from a store that panics once — or that reads from it with no tier
+// between — answers that read 500 without an ETag, and the record's next
+// read 200 with the store's bytes.
 func TestHotCacheFillPanicIsA500(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := pcr.Synthesize(dir, "cars", 0.1, 1, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4)); err != nil {
@@ -360,6 +361,7 @@ func TestHotCacheFillPanicIsA500(t *testing.T) {
 	}{
 		{"memory", serve.Options{CacheBytes: 1 << 20}},
 		{"disk", serve.Options{DiskCacheDir: t.TempDir()}},
+		{"none", serve.Options{}},
 	} {
 		t.Run(tier.name, func(t *testing.T) {
 			ds, err := core.OpenDataset(dir)

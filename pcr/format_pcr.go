@@ -104,9 +104,10 @@ func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 // readRecord is the fetch stage's one record read: it carries out the read
 // recordPlan decided and priced, and delivers the samples it selects, still
 // encoded, skipping those inside a resume prefix. A whole-prefix read
-// reassembles the delivered samples from the prefix (SampleJPEGs); a sparse
-// read fetches only the metadata section and the selected samples' slices
-// (Stack.Gather) and assembles the samples straight from those bytes
+// parses every sample and reassembles the delivered ones from the prefix
+// (SampleJPEGs); a sparse read fetches only the metadata section and the
+// selected samples' slices (Stack.Gather), parses an entry for the
+// delivered samples alone, and assembles them straight from those bytes
 // (AssembleSamples). Either way none inside the resume prefix is spliced,
 // and the delivered JPEGs share bounded, exactly-sized buffers of their
 // own, so the prefix or the gathered body goes back to the stack once the
@@ -120,25 +121,25 @@ func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
 	}()
 	var meta *core.RecordMeta
 	rr = recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, pl.delivers)}
-	deliver := func(si int, stream []byte) {
-		sm := &meta.Samples[si]
+	deliver := func(e int, stream []byte) {
+		sm := &meta.Samples[e]
 		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
 	}
 	var buf []byte
 	var err error
-	if pl.ranges != nil {
-		buf, err = r.tiers.Gather(pl.rec, pl.group, pl.sel, pl.ranges)
+	if pl.sparse {
+		buf, err = r.tiers.Gather(pl.rec, pl.group, pl.sel, nil)
 	} else {
 		buf, err = r.tiers.Read(pl.rec, 0, pl.bytes)
 	}
 	if err == nil {
 		defer r.tiers.Release(buf)
-		if meta, err = r.ds.ParseRecordPrefix(pl.rec, buf); err == nil {
-			if pl.ranges != nil {
-				err = meta.AssembleSamples(buf, pl.group, pl.sel, pl.from, deliver)
-			} else {
-				err = meta.SampleJPEGs(buf, pl.group, pl.sel, pl.from, deliver)
+		if pl.sparse {
+			if meta, err = r.ds.ParseRecordPrefix(pl.rec, buf, pl.sel, pl.from); err == nil {
+				err = meta.AssembleSamples(buf, pl.group, deliver)
 			}
+		} else if meta, err = r.ds.ParseRecordPrefix(pl.rec, buf, nil, 0); err == nil {
+			err = meta.SampleJPEGs(buf, pl.group, pl.sel, pl.from, deliver)
 		}
 	}
 	if err != nil {

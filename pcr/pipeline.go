@@ -6,7 +6,6 @@ import (
 	"iter"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 )
 
 // This file is the one read pipeline behind every scan and every record
@@ -24,9 +23,9 @@ import (
 //	         is the same planner walked without the stages behind it.
 //	fetch  — every planned read is carried out by the one record read,
 //	         pcrReader.readRecord (a prefix through the cache tiers, or a
-//	         filtered sparse gather); each runs in its own goroutine,
-//	         readAhead of them at most, and is handed on in plan order
-//	         however the reads complete.
+//	         filtered sparse gather), on one of up to readAhead fetch
+//	         workers that live as long as the pipeline, and is handed on in
+//	         plan order however the reads complete.
 //	decode — WithPrefetchWorkers goroutines each take a run of up to runLen
 //	         samples of one record and decode it in place, one completion
 //	         signal per run: one worker decodes a run's samples back to back,
@@ -108,10 +107,10 @@ type readPlan struct {
 	group   int // the scan group read: quality clamped to what the record stores
 	// sel marks the samples delivered; nil for every sample.
 	sel []bool
-	// ranges, when set, make the read a sparse gather of the selected
-	// samples' bytes rather than a whole prefix: these ranges, read locally,
+	// sparse makes the read a gather of the selected samples' bytes rather
+	// than a whole prefix (cache.Stack.Gather): their ranges, read locally,
 	// or sel, shipped to a backend that takes it (remote pushdown).
-	ranges []core.ByteRange
+	sparse bool
 	bytes  int64 // what the read moves
 	from   int   // selected samples that lie inside a resume prefix
 	// delivers is how many samples the read delivers: those selected past
@@ -166,10 +165,10 @@ func (p *recordPlan) record(rec int) (*readPlan, error) {
 		case n == len(read.sel):
 			read.sel = nil
 		case !r.tiers.Cached():
-			if read.ranges, err = re.SampleRanges(g, read.sel); err != nil {
+			read.sparse = true
+			if read.bytes, err = re.SampleBytes(g, read.sel); err != nil {
 				return nil, err
 			}
-			read.bytes = core.RangesTotal(read.ranges)
 		}
 		// A record the filter empties is accounted whether or not a resume
 		// skips it; any other, only when it is read.
@@ -227,7 +226,7 @@ type pipeline struct {
 // cancelled and with ErrClosed as soon as the dataset is closed — both win
 // over runs already decoded — and never waits for a read: whatever it
 // abandons (an early break included) winds down on its own, each fetch
-// goroutine exiting when its read returns.
+// worker exiting once its read returns.
 func (d *Dataset) pipeline(ctx context.Context, decode bool, frames cache.FreeList[image.Image], source func(p *pipeline)) iter.Seq2[*run, error] {
 	return func(yield func(*run, error) bool) {
 		ictx, cancel := context.WithCancel(ctx)
@@ -371,18 +370,36 @@ func (p *pipeline) emit(rr recordRead, token bool) bool {
 	return false
 }
 
-// fetch is the source of a record-granular pipeline: one goroutine walks
-// the plan, taking a token and starting a read for each record it returns;
-// this one hands the results on in plan order and stops after the first
-// failed read. Backend reads cannot be cancelled, so a read still in flight
-// when the pipeline ends delivers into its buffered slot and its goroutine
-// exits then; nothing waits for it.
+// fetch is the source of a record-granular pipeline. One goroutine walks
+// the plan, taking a token for each read it returns and queueing the read,
+// with a slot for its result, for the fetch workers: up to readAhead of
+// them, started as reads are queued and kept for the pipeline's life, so a
+// scan's reads run on a few goroutines whose stacks have grown to what a
+// read needs rather than a new one each. This one hands the results on in
+// plan order and stops after the first failed read. Backend reads cannot
+// be cancelled, so a read still in flight when the pipeline ends delivers
+// into its buffered slot, nothing waits for it, and its worker exits then;
+// a read still queued is not carried out.
 func (p *pipeline) fetch(plan *recordPlan) {
-	// One slot per token, so the planner's sends never block.
+	type fetchJob struct {
+		read *readPlan
+		slot chan recordRead
+	}
+	// One slot and one queued job per token, so the planner's sends never
+	// block.
 	slots := make(chan chan recordRead, readAhead)
+	jobs := make(chan fetchJob, readAhead)
+	worker := func() {
+		for job := range jobs {
+			if p.ctx.Err() == nil {
+				job.slot <- plan.d.pcr.readRecord(job.read)
+			}
+		}
+	}
 	go func() {
 		defer close(slots)
-		for {
+		defer close(jobs)
+		for workers := 0; ; {
 			select {
 			case p.tokens <- struct{}{}:
 			case <-p.ctx.Done():
@@ -400,7 +417,11 @@ func (p *pipeline) fetch(plan *recordPlan) {
 				slot <- recordRead{err: err}
 				return
 			}
-			go func() { slot <- plan.d.pcr.readRecord(read) }()
+			jobs <- fetchJob{read, slot}
+			if workers < readAhead {
+				workers++
+				go worker()
+			}
 		}
 	}()
 	for slot := range slots {

@@ -370,6 +370,125 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// goroutinesIn returns the IDs of the goroutines whose stacks hold any of
+// frames.
+func goroutinesIn(frames ...string) map[string]bool {
+	buf := make([]byte, 1<<20)
+	ids := make(map[string]bool)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		for _, f := range frames {
+			if strings.Contains(g, f) {
+				id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+				ids[id] = true
+			}
+		}
+	}
+	return ids
+}
+
+// TestPipelineFetchWorkers: a scan's record reads run on at most ReadAhead
+// goroutines, however many records it reads, and none is left once it
+// ends. The store holds every read until the test lets one go, and while
+// reads are held the goroutines in readRecord are found by their stacks:
+// never more than ReadAhead at once, nor over a scan of many times more
+// records. Once the scan ends — run to the end, broken off, cancelled or
+// closed — and the held reads are let go, no goroutine of the pipeline is
+// left.
+func TestPipelineFetchWorkers(t *testing.T) {
+	const perRecord = 2
+	dir, n := synthDir(t, pcr.WithImagesPerRecord(perRecord))
+	records := (n + perRecord - 1) / perRecord
+	if records < 4*pcr.ReadAhead {
+		t.Fatalf("%d records; the test needs many more than %d", records, pcr.ReadAhead)
+	}
+	const stopAt = 5 // records delivered before a scan is stopped
+	for _, tc := range []struct {
+		name string
+		stop func(cancel context.CancelFunc, ds *pcr.Dataset) // nil: break
+		want error
+		all  bool
+	}{
+		{"end", nil, nil, true},
+		{"break", nil, nil, false},
+		{"cancel", func(cancel context.CancelFunc, _ *pcr.Dataset) { cancel() }, context.Canceled, false},
+		{"close", func(_ context.CancelFunc, ds *pcr.Dataset) { ds.Close() }, pcr.ErrClosed, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := pcr.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			arrived := make(chan struct{}, records)
+			release := make(chan struct{})
+			hook(ds, func(string) error {
+				arrived <- struct{}{}
+				<-release
+				return nil
+			}, nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			type result struct {
+				samples int
+				err     error
+			}
+			done := make(chan result, 1)
+			go func() {
+				var r result
+				for _, err := range ds.ScanEncoded(ctx, pcr.Full) {
+					if err != nil {
+						r.err = err
+						break
+					}
+					if r.samples++; !tc.all && r.samples == stopAt*perRecord {
+						if tc.stop == nil {
+							break
+						}
+						tc.stop(cancel, ds)
+					}
+				}
+				done <- r
+			}()
+
+			readers := make(map[string]bool)
+			var got result
+			for finished := false; !finished; {
+				select {
+				case <-arrived:
+					now := goroutinesIn("repro/pcr.(*pcrReader).readRecord(")
+					if len(now) > pcr.ReadAhead {
+						t.Fatalf("%d goroutines in readRecord at once, want at most %d", len(now), pcr.ReadAhead)
+					}
+					for id := range now {
+						readers[id] = true
+					}
+					release <- struct{}{}
+				case got = <-done:
+					finished = true
+				case <-time.After(5 * time.Second):
+					t.Fatal("the scan stalled")
+				}
+			}
+			if !errors.Is(got.err, tc.want) || tc.all && got.samples != n || !tc.all && got.samples != stopAt*perRecord {
+				t.Fatalf("scan delivered %d samples and ended with %v; want %d and %v", got.samples, got.err, n, tc.want)
+			}
+			if len(readers) > pcr.ReadAhead {
+				t.Errorf("%d goroutines read records, want at most %d", len(readers), pcr.ReadAhead)
+			}
+			close(release)
+			for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+				left := goroutinesIn("repro/pcr.(*pipeline).", "repro/pcr.(*Dataset).pipeline", "repro/pcr.(*pcrReader).readRecord(")
+				if len(left) == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines of the pipeline left after the scan ended", len(left))
+				}
+			}
+		})
+	}
+}
+
 // TestPipelineScanEncodedEveryFormatStops: in every format an encoded scan,
 // which the pipeline runs for all of them, stopped by Close or by
 // cancelling its context ends with ErrClosed or ctx.Err() within the

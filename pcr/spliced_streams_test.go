@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"image"
 	"image/color"
+	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -145,7 +146,9 @@ func TestSplicedStreamsSamplesExactlySized(t *testing.T) {
 // 64 samples as for 32, whichever shape it takes; a buffer per delivered
 // sample would add one allocation for each of the 16 or 32 more samples
 // delivered. The slack is the loopback HTTP exchange's jitter (it reads
-// one allocation more or less from pass to pass).
+// one allocation more or less from pass to pass); each size takes the least
+// of three passes, since under the race detector a pass now and then reads
+// a few more.
 func TestSplicedStreamsAllocationsFlat(t *testing.T) {
 	const allocSlack = 2
 	allocs := make(map[string][]float64)
@@ -155,11 +158,15 @@ func TestSplicedStreamsAllocationsFlat(t *testing.T) {
 			t.Fatalf("synthesized %d images (%v), want a whole record of %d", n, err, per)
 		}
 		for _, sh := range readShapes(t, dir, firstHalf(t, dir, 0)) {
-			allocs[sh.name] = append(allocs[sh.name], testing.AllocsPerRun(20, func() {
-				if got := len(sh.read(t, 0)); got != per && got != per/2 {
-					t.Fatalf("%s: read delivered %d samples of %d", sh.name, got, per)
-				}
-			}))
+			least := math.Inf(1)
+			for range 3 {
+				least = min(least, testing.AllocsPerRun(20, func() {
+					if got := len(sh.read(t, 0)); got != per && got != per/2 {
+						t.Fatalf("%s: read delivered %d samples of %d", sh.name, got, per)
+					}
+				}))
+			}
+			allocs[sh.name] = append(allocs[sh.name], least)
 		}
 	}
 	for name, a := range allocs {
