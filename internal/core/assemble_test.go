@@ -83,7 +83,7 @@ func assemble(body []byte, g int, sel []bool, from int) (*RecordMeta, [][]byte, 
 	}
 	streams := make([][]byte, len(sel))
 	entries := make(map[int]*SampleMeta)
-	if err := m.AssembleSamples(body, g, func(e int, s []byte) {
+	if err := m.AssembleSamples(body, g, nil, func(e int, s []byte) {
 		streams[want.index(e)] = s
 		entries[want.index(e)] = &m.Samples[e]
 	}); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"image"
 	"io/fs"
 	"math"
@@ -242,7 +243,8 @@ func TestSampleJPEGAllocatesOnce(t *testing.T) {
 	// read is a record read of the file's bytes: parsed against its index
 	// entry, then reassembled.
 	read := func(file []byte) error {
-		m, err := ds.ParseRecordPrefix(0, file, nil, 0)
+		m := new(RecordMeta)
+		err := ds.ParseRecordPrefix(m, 0, file, nil, 0)
 		if err == nil {
 			_, err = m.SampleJPEG(file, 1, 3)
 		}
@@ -289,7 +291,7 @@ func TestSampleJPEGsMatchSampleJPEG(t *testing.T) {
 		for _, g := range []int{1, meta.NumGroups} {
 			var got []int
 			streams := make([][]byte, n)
-			if err := meta.SampleJPEGs(data, g, tc.sel, tc.from, func(i int, s []byte) {
+			if err := meta.SampleJPEGs(data, g, tc.sel, tc.from, nil, func(i int, s []byte) {
 				got = append(got, i)
 				streams[i] = s
 			}); err != nil {
@@ -319,21 +321,21 @@ func TestSampleJPEGsMatchSampleJPEG(t *testing.T) {
 		}
 	}
 	deliver := func(i int, _ []byte) { t.Errorf("sample %d delivered by a refused read", i) }
-	if err := meta.SampleJPEGs(data, 1, sel[:n-1], 0, deliver); err == nil {
+	if err := meta.SampleJPEGs(data, 1, sel[:n-1], 0, nil, deliver); err == nil {
 		t.Error("a selection of the wrong length was accepted")
 	}
-	if err := meta.SampleJPEGs(data, 0, nil, 0, deliver); err == nil {
+	if err := meta.SampleJPEGs(data, 0, nil, 0, nil, deliver); err == nil {
 		t.Error("scan group 0 accepted")
 	}
 	need, err := meta.PrefixLen(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := meta.SampleJPEGs(data[:need-1], 2, nil, 0, deliver); err == nil {
+	if err := meta.SampleJPEGs(data[:need-1], 2, nil, 0, nil, deliver); err == nil {
 		t.Error("a prefix too short for its group accepted")
 	}
 	meta.Samples[3].GroupLens[0] = int64(len(data))
-	if err := meta.SampleJPEGs(data, 2, nil, 0, deliver); !errors.Is(err, ErrCorrupt) {
+	if err := meta.SampleJPEGs(data, 2, nil, 0, nil, deliver); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("a group length past the prefix: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -442,6 +444,51 @@ func TestDatasetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordOutOfRange: every Dataset method that takes a record number
+// refuses one before the first record or past the last, naming it, and
+// reads nothing.
+func TestRecordOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	w, err := CreateDataset(dir, &DatasetOptions{ImagesPerRecord: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range buildSamples(t, 6) {
+		if err := w.Append(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := OpenDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	prefix, _, err := readPrefix(ds, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]func(i int) error{
+		"RecordName":        func(i int) error { _, err := ds.RecordName(i); return err },
+		"RecordPrefixLen":   func(i int) error { _, err := ds.RecordPrefixLen(i, 1); return err },
+		"ReadRecordRange":   func(i int) error { _, err := ds.ReadRecordRange(i, 0, 8); return err },
+		"SampleIndex":       func(i int) error { _, _, err := ds.SampleIndex(i); return err },
+		"SampleRanges":      func(i int) error { _, err := ds.SampleRanges(i, 1, nil); return err },
+		"SampleBytes":       func(i int) error { _, err := ds.SampleBytes(i, 1, nil); return err },
+		"ParseRecordPrefix": func(i int) error { return ds.ParseRecordPrefix(new(RecordMeta), i, prefix, nil, 0) },
+	}
+	for name, call := range calls {
+		for _, i := range []int{-1, ds.NumRecords()} {
+			want := fmt.Sprintf("core: record %d out of range", i)
+			if err := call(i); err == nil || err.Error() != want {
+				t.Errorf("%s(%d): %v, want %q", name, i, err, want)
+			}
+		}
+	}
+}
+
 // A directory without a dataset, or no directory at all, is fs.ErrNotExist,
 // and opening it creates nothing.
 func TestOpenDatasetMissing(t *testing.T) {
@@ -498,8 +545,11 @@ func readPrefix(ds *Dataset, i, g int) ([]byte, *RecordMeta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	meta, err := ds.ParseRecordPrefix(i, buf, nil, 0)
-	return buf, meta, err
+	meta := new(RecordMeta)
+	if err := ds.ParseRecordPrefix(meta, i, buf, nil, 0); err != nil {
+		return nil, nil, err
+	}
+	return buf, meta, nil
 }
 
 // decodeSample reassembles and decodes sample i at scan group g.

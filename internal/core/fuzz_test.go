@@ -71,7 +71,9 @@ func TestRecord420(t *testing.T) {
 // back is made of bytes that were there. The parser is held to the one
 // before it (reference_test.go): both refuse the same inputs, and on the
 // rest agree on every prefix length and on every stream SampleJPEG,
-// SampleJPEGs and AssembleSamples return — whole, selected and resumed.
+// SampleJPEGs and AssembleSamples return — whole, selected and resumed. So
+// does a parse into a RecordMeta that holds another record, as a reader
+// reuses one from read to read.
 func FuzzParseRecordMeta(f *testing.F) {
 	var buf bytes.Buffer
 	meta, err := WriteRecord(&buf, buildSamples(f, 3))
@@ -92,11 +94,22 @@ func FuzzParseRecordMeta(f *testing.F) {
 		if !refPanicked && (err == nil) != (refErr == nil) {
 			t.Fatalf("the parser says %v, the reference %v", err, refErr)
 		}
+		// A parse into a RecordMeta that holds another record — the valid
+		// one, parsed for two of its samples resumed past the first — as a
+		// reader's does, is a fresh parse.
+		used, usedErr := parseRecordMeta(valid, deliveryOf([]bool{true, false, true}, 1))
+		if usedErr != nil {
+			t.Fatal(usedErr)
+		}
+		if usedErr := used.parse(data, delivery{}); (usedErr == nil) != (err == nil) {
+			t.Fatalf("a fresh parse says %v, a parse into a used RecordMeta %v", err, usedErr)
+		}
 		if err != nil {
 			return
 		}
 		if !refPanicked {
 			agreeWithReference(t, data, m, ref)
+			agreeWithReference(t, data, used, ref)
 		}
 		// The offset tables hold a word per sample and group, and every one
 		// of those was a byte of the metadata section.
@@ -182,6 +195,9 @@ func agreeWithReference(t *testing.T, data []byte, m *RecordMeta, ref *refRecord
 		re.SampleGroupLens = append(re.SampleGroupLens, s.GroupLens...)
 		sel[i] = i%2 == 0
 	}
+	// Each group's gathered body is parsed into the RecordMeta the group
+	// before parsed its own into, as a reader's reads are.
+	bm := new(RecordMeta)
 	for g := 0; g <= m.NumGroups; g++ {
 		need, err := m.PrefixLen(g)
 		if want, _ := ref.PrefixLen(g); err != nil || need != want {
@@ -199,7 +215,9 @@ func agreeWithReference(t *testing.T, data []byte, m *RecordMeta, ref *refRecord
 			sel  []bool
 			from int
 		}{{nil, 0}, {sel, 1}} {
-			got := collect(func(deliver func(int, []byte)) error { return m.SampleJPEGs(prefix, g, read.sel, read.from, deliver) })
+			got := collect(func(deliver func(int, []byte)) error {
+				return m.SampleJPEGs(prefix, g, read.sel, read.from, nil, deliver)
+			})
 			want := collect(func(deliver func(int, []byte)) error { return ref.SampleJPEGs(prefix, g, read.sel, read.from, deliver) })
 			if !got.equal(want) {
 				t.Fatalf("record read at group %d, selection %v from %d: samples %v, %v; the reference %v, %v", g, read.sel, read.from, got.samples, got.err, want.samples, want.err)
@@ -217,12 +235,11 @@ func agreeWithReference(t *testing.T, data []byte, m *RecordMeta, ref *refRecord
 			t.Fatal(err)
 		}
 		kept := deliveryOf(sel, 1)
-		bm, err := parseRecordMeta(body, kept)
-		if err != nil {
+		if err := bm.parse(body, kept); err != nil {
 			t.Fatalf("gathered body at group %d: %v", g, err)
 		}
 		got := collect(func(deliver func(int, []byte)) error {
-			return bm.AssembleSamples(body, g, func(e int, s []byte) { deliver(kept.index(e), s) })
+			return bm.AssembleSamples(body, g, nil, func(e int, s []byte) { deliver(kept.index(e), s) })
 		})
 		_, streams, err := refAssembleSamples(body, g, sel)
 		want := delivered{err: err}

@@ -170,7 +170,7 @@ func BenchmarkSampleJPEG(b *testing.B) {
 		b.Run(fmt.Sprintf("record/groups=%d", g), func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				if err := meta.SampleJPEGs(data, g, nil, 0, func(int, []byte) {}); err != nil {
+				if err := meta.SampleJPEGs(data, g, nil, 0, nil, func(int, []byte) {}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -100,7 +100,11 @@ type RecordMeta struct {
 	count    int
 	scripts  []recordScript
 	maxScans int // the longest script's scan count
-	// lens holds the scan lengths of every sample in Samples, in order.
+	// lens holds the scan lengths of every sample in Samples, in order, at
+	// the start of the arena that holds the scripts' framing lengths and
+	// every derived table too. Its capacity is the arena's, which a parse
+	// into this RecordMeta reuses, as it does the room of Samples, Headers
+	// and scripts.
 	lens []int64
 	// prefix[g] is PrefixLen(g); preamble[g-1] is scan group g's preamble
 	// length.
@@ -338,52 +342,71 @@ func ParseRecordMeta(data []byte) (*RecordMeta, error) {
 	return parseRecordMeta(data, delivery{})
 }
 
-// parseRecordMeta is the one record parser: ParseRecordMeta, and
+// parseRecordMeta is parse into a new RecordMeta.
+func parseRecordMeta(data []byte, want delivery) (*RecordMeta, error) {
+	m := new(RecordMeta)
+	if err := m.parse(data, want); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// parse is the one record parser: ParseRecordMeta, and
 // Dataset.ParseRecordPrefix, which hands it the samples a read delivers.
 // It keeps an entry for those alone, and sizes nothing by the others: their
 // messages are walked once the rest is parsed (addUndelivered), held to the
-// same checks, and summed into the prefix lengths.
-func parseRecordMeta(data []byte, want delivery) (*RecordMeta, error) {
+// same checks, and summed into the prefix lengths. It overwrites all of m,
+// and allocates only where m's slices, from the parse before, lack the room
+// this section needs.
+func (m *RecordMeta) parse(data []byte, want delivery) error {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("core: %w: short record header", ErrCorrupt)
+		return fmt.Errorf("core: %w: short record header", ErrCorrupt)
 	}
 	if [4]byte(data[0:4]) != Magic {
-		return nil, fmt.Errorf("core: %w: bad magic %q", ErrCorrupt, data[0:4])
+		return fmt.Errorf("core: %w: bad magic %q", ErrCorrupt, data[0:4])
 	}
 	metaLen := int(binary.LittleEndian.Uint32(data[4:8]))
 	if len(data) < 8+metaLen {
-		return nil, fmt.Errorf("core: %w: short metadata section (%d < %d)", ErrCorrupt, len(data)-8, metaLen)
+		return fmt.Errorf("core: %w: short metadata section (%d < %d)", ErrCorrupt, len(data)-8, metaLen)
 	}
 	section := data[8 : 8+metaLen]
 	// Any wire-level decode failure inside the metadata section is
 	// structural damage, so the whole parse reports as ErrCorrupt.
 	shape, err := measure(section, want)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
-	}
-	m := &RecordMeta{
-		BodyStart: int64(8 + metaLen),
-		Samples:   make([]SampleMeta, 0, shape.kept),
-		Headers:   make([]RecordHeader, 0, shape.headers),
-		scripts:   make([]recordScript, 0, shape.scripts),
+		return fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
 	}
 	sparse := want.sel != nil
 	lens, framing := shape.scans, shape.scans+shape.framing
-	arena := make([]int64, framing+shape.derived(len(section), sparse))
-	if err := parseRecordFields(section, m, arena[:0:lens], arena[lens:lens:framing], want); err != nil {
-		return nil, fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
+	size := framing + shape.derived(len(section), sparse)
+	arena := room(m.lens, size)[:size]
+	clear(arena)
+	*m = RecordMeta{
+		BodyStart: int64(8 + metaLen),
+		Samples:   room(m.Samples, shape.kept),
+		Headers:   room(m.Headers, shape.headers),
+		scripts:   room(m.scripts, shape.scripts),
+	}
+	err = parseRecordFields(section, m, arena[:0:lens], arena[lens:lens:framing], want)
+	if len(m.lens) <= lens {
+		// The arena's room goes with lens (a section whose wire types
+		// misled the first pass moved lens off it).
+		m.lens = arena[:len(m.lens)]
+	}
+	if err != nil {
+		return fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
 	}
 	total := tally(m.BodyStart)
 	if err := m.check(len(section), want, &total); err != nil {
-		return nil, fmt.Errorf("core: %w: %w", ErrCorrupt, err)
+		return fmt.Errorf("core: %w: %w", ErrCorrupt, err)
 	}
 	if sparse && len(want.sel) != m.count {
-		return nil, fmt.Errorf("core: %w: selection has %d entries, record has %d samples", ErrCorrupt, len(want.sel), m.count)
+		return fmt.Errorf("core: %w: selection has %d entries, record has %d samples", ErrCorrupt, len(want.sel), m.count)
 	}
 	m.buildOffsets(arena[framing:], sparse)
 	if sparse {
 		if err := m.addUndelivered(section, want, &total); err != nil {
-			return nil, fmt.Errorf("core: %w: %w", ErrCorrupt, err)
+			return fmt.Errorf("core: %w: %w", ErrCorrupt, err)
 		}
 	}
 	// prefix[g+1] holds group g's length; each prefix length is the sum
@@ -392,7 +415,24 @@ func parseRecordMeta(data []byte, want delivery) (*RecordMeta, error) {
 	for g := range m.NumGroups {
 		m.prefix[g+1] += m.prefix[g]
 	}
-	return m, nil
+	return nil
+}
+
+// room returns s emptied, over its own array when that holds n and over a
+// new one of n otherwise.
+func room[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// Reset lets go of the bytes m was last parsed from — its headers alias
+// them — and keeps the room of its tables for the next parse into it
+// (Dataset.ParseRecordPrefix).
+func (m *RecordMeta) Reset() {
+	clear(m.Headers[:cap(m.Headers)])
+	*m = RecordMeta{Samples: m.Samples[:0], Headers: m.Headers[:0], scripts: m.scripts[:0], lens: m.lens[:0]}
 }
 
 // delivery is the samples a parse keeps an entry for: every one when sel
@@ -1030,15 +1070,29 @@ func (m *RecordMeta) splice(dst []byte, i, g int, c *cursor) []byte {
 	return append(dst, 0xFF, 0xD9) // EOI
 }
 
+// StreamBuffers gives a read's splice (SampleJPEGs, AssembleSamples) the
+// buffer its next streams go into: an empty slice with room for at least n
+// bytes. The streams one buffer holds are consecutive in sample order, and
+// the splice asks for the next buffer only once the stream at hand does not
+// fit in what is left of this one. A nil StreamBuffers makes each buffer
+// exactly n bytes long, the caller's to keep.
+type StreamBuffers func(n int64) []byte
+
+// exactly is the nil StreamBuffers: a new buffer of exactly n bytes.
+func exactly(n int64) []byte { return make([]byte, 0, n) }
+
 // spliceAll splices, in order, the samples of m.Samples that sel selects
 // (every one when sel is nil) past the first from of them at scan group g,
-// from where c stands, and hands each to deliver with its index in
-// m.Samples. The streams share
-// buffers, each exactly as long as the consecutive streams it holds and at
-// most maxSharedStreams unless it holds one longer stream alone; each
-// stream is a full slice expression of its buffer, so appending to it never
-// writes into the next.
-func (m *RecordMeta) spliceAll(c *cursor, g int, sel []bool, from int, deliver func(i int, stream []byte)) {
+// from where c stands, into buffers from bufs, and hands each to deliver
+// with its index in m.Samples. The streams share buffers, each asked for
+// exactly as long as the consecutive streams it is to hold and at most
+// maxSharedStreams unless it holds one longer stream alone; each stream is a
+// full slice expression of its buffer, so appending to it never writes into
+// the next.
+func (m *RecordMeta) spliceAll(c *cursor, g int, sel []bool, from int, bufs StreamBuffers, deliver func(i int, stream []byte)) {
+	if bufs == nil {
+		bufs = exactly
+	}
 	var buf []byte
 	for i := range m.Samples {
 		if sel != nil && !sel[i] {
@@ -1065,7 +1119,7 @@ func (m *RecordMeta) spliceAll(c *cursor, g int, sel []bool, from int, deliver f
 				}
 				size += l
 			}
-			buf = make([]byte, 0, size)
+			buf = bufs(size)
 		}
 		start := len(buf)
 		buf = m.splice(buf, i, g, c)
@@ -1115,11 +1169,11 @@ func (m *RecordMeta) SampleJPEG(prefix []byte, i, g int) ([]byte, error) {
 // SampleJPEGs reassembles, as SampleJPEG does, the samples sel selects
 // (every sample when sel is nil) past the first from of them — what one
 // record read delivers — and hands each to deliver with its index, in
-// sample order. The streams share exactly-sized buffers of at most 1 MiB
-// (a longer stream has its own), none of them prefix; appending to one
-// stream never changes another. Nothing is delivered unless every selected
-// sample checks out.
-func (m *RecordMeta) SampleJPEGs(prefix []byte, g int, sel []bool, from int, deliver func(i int, stream []byte)) error {
+// sample order. The streams share buffers from bufs of at most 1 MiB (a
+// longer stream has its own; a nil bufs makes them exactly sized), none of
+// them prefix; appending to one stream never changes another. Nothing is
+// delivered unless every selected sample checks out.
+func (m *RecordMeta) SampleJPEGs(prefix []byte, g int, sel []bool, from int, bufs StreamBuffers, deliver func(i int, stream []byte)) error {
 	if sel != nil && len(sel) != len(m.Samples) {
 		return fmt.Errorf("core: selection has %d entries, record has %d samples", len(sel), len(m.Samples))
 	}
@@ -1137,6 +1191,6 @@ func (m *RecordMeta) SampleJPEGs(prefix []byte, g int, sel []bool, from int, del
 		c.skip(i, g)
 	}
 	c = m.prefixCursor(prefix, g, row[:])
-	m.spliceAll(&c, g, sel, from, deliver)
+	m.spliceAll(&c, g, sel, from, bufs, deliver)
 	return nil
 }

@@ -173,12 +173,12 @@ func ScatterRanges(concat []byte, ranges []ByteRange, size int64) ([]byte, error
 // samples' slices in sample order. It hands each stream — the one
 // SampleJPEG builds from a full prefix — to deliver with its index in
 // m.Samples, in order, and splices none inside the resume prefix. The
-// streams share bounded, exactly-sized buffers, as SampleJPEGs's do, and
-// never alias body. A body that is not exactly as long as its own metadata
+// streams share bounded buffers from bufs, as SampleJPEGs's do, and never
+// alias body. A body that is not exactly as long as its own metadata
 // says the selection is and a group the record does not store are refused
 // as ErrCorrupt, delivering nothing: the index the read was planned from
 // and the record disagree.
-func (m *RecordMeta) AssembleSamples(body []byte, g int, deliver func(i int, stream []byte)) error {
+func (m *RecordMeta) AssembleSamples(body []byte, g int, bufs StreamBuffers, deliver func(i int, stream []byte)) error {
 	if g < 1 || g > m.NumGroups {
 		return fmt.Errorf("core: %w: gathered body of scan group %d, record stores [1,%d]", ErrCorrupt, g, m.NumGroups)
 	}
@@ -204,7 +204,7 @@ func (m *RecordMeta) AssembleSamples(body []byte, g int, deliver func(i int, str
 	if int64(len(body)) != at {
 		return fmt.Errorf("core: %w: gathered body has %d bytes, the selection spans %d", ErrCorrupt, len(body), at)
 	}
-	m.spliceAll(&c, g, nil, 0, deliver)
+	m.spliceAll(&c, g, nil, 0, bufs, deliver)
 	return nil
 }
 

@@ -58,9 +58,10 @@ func selectionOf(n int, at ...int) []bool {
 }
 
 // BenchmarkParseRecordPrefix parses a record's metadata as a read does,
-// against its index entry: in full, as a whole-prefix read does, and for
-// the three samples a sparse read delivers, on records of 32 and of 1 024
-// samples (the paper's size). An op is one parse.
+// against its index entry and into the RecordMeta of the read before: in
+// full, as a whole-prefix read does, and for the three samples a sparse
+// read delivers, on records of 32 and of 1 024 samples (the paper's size).
+// An op is one parse.
 func BenchmarkParseRecordPrefix(b *testing.B) {
 	data, meta := writeTestRecord(b, buildSamples(b, 32))
 	for _, n := range []int{32, 1024} {
@@ -71,14 +72,24 @@ func BenchmarkParseRecordPrefix(b *testing.B) {
 		}{{"full", nil}, {"sparse", selectionOf(n, 3, 14, 29)}} {
 			b.Run(fmt.Sprintf("%s/samples=%d", read.name, n), func(b *testing.B) {
 				b.ReportAllocs()
+				m := new(RecordMeta)
 				for range b.N {
-					if _, err := re.parse(0, section, read.sel, 0); err != nil {
+					if err := re.parse(m, 0, section, read.sel, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
+}
+
+// parsed is re's parse, as record 0, of data into a new RecordMeta.
+func parsed(re *RecordInfo, data []byte, sel []bool, from int) (*RecordMeta, error) {
+	m := new(RecordMeta)
+	if err := re.parse(m, 0, data, sel, from); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // parseBytes is the bytes one call of parse allocates: the least of three
@@ -117,7 +128,7 @@ func TestSparseParseAllocationsFlat(t *testing.T) {
 		section, re := widened(t, data, meta, n)
 		sel := selectionOf(n, 3, 14, 29)
 		sizes = append(sizes, parseBytes(func() {
-			if _, err := re.parse(0, section, sel, 0); err != nil {
+			if _, err := parsed(re, section, sel, 0); err != nil {
 				t.Fatal(err)
 			}
 		}))
@@ -186,8 +197,8 @@ func TestSparseParseRefusesAsFullParse(t *testing.T) {
 		// A length the index entry does not sum to: check passes it, the
 		// index agreement refuses it.
 		spelled := spell(i, scan(4, meta.scanLens(&meta.Samples[i])[4]+1))
-		_, fullErr := re.parse(0, spelled, nil, 0)
-		_, sparseErr := re.parse(0, spelled, sel, from)
+		_, fullErr := parsed(re, spelled, nil, 0)
+		_, sparseErr := parsed(re, spelled, sel, from)
 		if !errors.Is(fullErr, ErrCorrupt) || !errors.Is(sparseErr, ErrCorrupt) {
 			t.Errorf("sample %d claims another length: the full parse says %v, the sparse parse %v; want ErrCorrupt from both", i, fullErr, sparseErr)
 		}
@@ -199,8 +210,8 @@ func TestSparseParseRefusesAsFullParse(t *testing.T) {
 	fewer.Samples = meta.Samples[:7]
 	for name, m := range map[string]*RecordMeta{"a sample too many": &extra, "a sample too few": &fewer} {
 		spelled := respell(data, m, false, false)
-		_, fullErr := re.parse(0, spelled, nil, 0)
-		_, sparseErr := re.parse(0, spelled, sel, from)
+		_, fullErr := parsed(re, spelled, nil, 0)
+		_, sparseErr := parsed(re, spelled, sel, from)
 		if !errors.Is(fullErr, ErrCorrupt) || !errors.Is(sparseErr, ErrCorrupt) {
 			t.Errorf("%s: the full parse says %v, the sparse parse %v; want ErrCorrupt from both", name, fullErr, sparseErr)
 		}
@@ -209,8 +220,8 @@ func TestSparseParseRefusesAsFullParse(t *testing.T) {
 	// a varint cut short.
 	for _, i := range []int{0, 1, 5} {
 		spelled := withSampleMessage(t, data, meta, i, []byte{sfID << 3, 0x80})
-		_, fullErr := re.parse(0, spelled, nil, 0)
-		_, sparseErr := re.parse(0, spelled, sel, from)
+		_, fullErr := parsed(re, spelled, nil, 0)
+		_, sparseErr := parsed(re, spelled, sel, from)
 		if !errors.Is(fullErr, ErrCorrupt) || !errors.Is(sparseErr, ErrCorrupt) {
 			t.Errorf("sample %d's message cut: the full parse says %v, the sparse parse %v; want ErrCorrupt from both", i, fullErr, sparseErr)
 		}
@@ -220,10 +231,10 @@ func TestSparseParseRefusesAsFullParse(t *testing.T) {
 		"respelled":             respell(data, meta, false, false),
 		"rewalked":              withSampleMessage(t, data, meta, -1, nil),
 	} {
-		if _, err := re.parse(0, spelled, nil, 0); err != nil {
+		if _, err := parsed(re, spelled, nil, 0); err != nil {
 			t.Fatalf("%s, in full: %v", name, err)
 		}
-		if _, err := re.parse(0, spelled, sel, from); err != nil {
+		if _, err := parsed(re, spelled, sel, from); err != nil {
 			t.Fatalf("%s, sparse: %v", name, err)
 		}
 	}
@@ -334,8 +345,8 @@ func FuzzParseRecordPrefix(f *testing.F) {
 				own != nil && len(sel) == own.count && err != nil {
 				t.Fatalf("entry %d: the full parse alone says %v, the sparse parse alone %v", k, ownErr, err)
 			}
-			full, fullErr := re.parse(0, data, nil, 0)
-			sparse, sparseErr := re.parse(0, data, sel, int(from))
+			full, fullErr := parsed(re, data, nil, 0)
+			sparse, sparseErr := parsed(re, data, sel, int(from))
 			if (fullErr == nil) != (sparseErr == nil) {
 				t.Fatalf("entry %d: the full parse says %v, the sparse parse %v", k, fullErr, sparseErr)
 			}
@@ -377,10 +388,10 @@ func FuzzParseRecordPrefix(f *testing.F) {
 					t.Fatal(err)
 				}
 				got := collect(func(deliver func(int, []byte)) error {
-					return sparse.AssembleSamples(body, g, func(e int, s []byte) { deliver(kept.index(e), s) })
+					return sparse.AssembleSamples(body, g, nil, func(e int, s []byte) { deliver(kept.index(e), s) })
 				})
 				want := collect(func(deliver func(int, []byte)) error {
-					return full.SampleJPEGs(data[:full.prefix[g]], g, sel, int(from), deliver)
+					return full.SampleJPEGs(data[:full.prefix[g]], g, sel, int(from), nil, deliver)
 				})
 				if !got.equal(want) {
 					t.Fatalf("entry %d group %d: gathered read delivers %v, %v; the prefix read %v, %v", k, g, got.samples, got.err, want.samples, want.err)

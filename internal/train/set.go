@@ -190,7 +190,7 @@ func (s *PCRSet) TrainFeatures(g int) ([][]float64, error) {
 		}
 		// One pass splices every sample's stream out of the prefix.
 		var decodeErr error
-		err = meta.SampleJPEGs(s.records[r][:need], gg, nil, 0, func(i int, stream []byte) {
+		err = meta.SampleJPEGs(s.records[r][:need], gg, nil, 0, nil, func(i int, stream []byte) {
 			if decodeErr != nil {
 				return
 			}

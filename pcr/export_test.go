@@ -131,3 +131,8 @@ func (d *Dataset) HoldRecord(i int) (release func(), err error) {
 	}
 	return func() { d.pcr.tiers.Release(b) }, nil
 }
+
+// OnRecycleStreams has f see, and change if it likes, the whole of every
+// stream buffer l's epochs hand back to their record reads, before a read
+// can have it.
+func (l *Loader) OnRecycleStreams(f func([]byte)) { l.recycledStreams = f }

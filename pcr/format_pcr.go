@@ -59,7 +59,7 @@ func newPCRReader(ds *core.Dataset, cfg *config) (*pcrReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pcrReader{ds: ds, records: ds.Index().Records, tiers: tiers}, nil
+	return &pcrReader{ds: ds, records: ds.Index().Records, tiers: tiers, metas: make(cache.FreeList[*core.RecordMeta], readAhead)}, nil
 }
 
 type pcrWriter struct{ w *core.DatasetWriter }
@@ -77,6 +77,9 @@ type pcrReader struct {
 	// (recordPlan).
 	records []core.RecordInfo
 	tiers   *cache.Stack
+	// metas is the parsed records that reads are done with, for the next
+	// read to parse into: as many as one pipeline reads at once.
+	metas cache.FreeList[*core.RecordMeta]
 }
 
 func (r *pcrReader) numImages() int { return r.ds.NumImages() }
@@ -109,8 +112,10 @@ func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 // selected samples' slices (Stack.Gather), parses an entry for the
 // delivered samples alone, and assembles them straight from those bytes
 // (AssembleSamples). Either way none inside the resume prefix is spliced,
-// and the delivered JPEGs share bounded, exactly-sized buffers of their
-// own, so the prefix or the gathered body goes back to the stack once the
+// the parse goes into a RecordMeta an earlier read is done with, and the
+// delivered JPEGs share bounded buffers of their own — exactly sized and the
+// caller's, or, for a lent read, taken from pl.lend and listed in rr.lent —
+// so the prefix or the gathered body goes back to the stack once the
 // samples are spliced out. A read or parse that panics on hostile record
 // bytes fails this read, not the process, and its buffer still goes back.
 func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
@@ -119,11 +124,26 @@ func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
 			rr = recordRead{err: fmt.Errorf("pcr: record read panicked: %v", v)}
 		}
 	}()
-	var meta *core.RecordMeta
+	meta := r.metas.Take()
+	if meta == nil {
+		meta = new(core.RecordMeta)
+	}
 	rr = recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, pl.delivers)}
 	deliver := func(e int, stream []byte) {
 		sm := &meta.Samples[e]
 		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
+		if len(rr.lent) > 0 {
+			// The stream went into the buffer taken last.
+			rr.lent[len(rr.lent)-1].last = len(rr.samples) - 1
+		}
+	}
+	var bufs core.StreamBuffers
+	if pl.lend != nil {
+		bufs = func(n int64) []byte {
+			b := takeBuffer(pl.lend, n)
+			rr.lent = append(rr.lent, lentBuffer{buf: b})
+			return b
+		}
 	}
 	var buf []byte
 	var err error
@@ -135,13 +155,15 @@ func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
 	if err == nil {
 		defer r.tiers.Release(buf)
 		if pl.sparse {
-			if meta, err = r.ds.ParseRecordPrefix(pl.rec, buf, pl.sel, pl.from); err == nil {
-				err = meta.AssembleSamples(buf, pl.group, deliver)
+			if err = r.ds.ParseRecordPrefix(meta, pl.rec, buf, pl.sel, pl.from); err == nil {
+				err = meta.AssembleSamples(buf, pl.group, bufs, deliver)
 			}
-		} else if meta, err = r.ds.ParseRecordPrefix(pl.rec, buf, nil, 0); err == nil {
-			err = meta.SampleJPEGs(buf, pl.group, pl.sel, pl.from, deliver)
+		} else if err = r.ds.ParseRecordPrefix(meta, pl.rec, buf, nil, 0); err == nil {
+			err = meta.SampleJPEGs(buf, pl.group, pl.sel, pl.from, bufs, deliver)
 		}
 	}
+	meta.Reset()
+	r.metas.Give(meta)
 	if err != nil {
 		return recordRead{err: err}
 	}

@@ -18,11 +18,12 @@ type Batch struct {
 	// Epoch is the epoch this batch belongs to.
 	Epoch int
 	// Samples have JPEG and Image filled, in the epoch's shuffled order.
-	// A batch from Loader.Epoch lends its Images: they are valid until the
-	// loop body that received the batch returns, as bufio.Scanner's Bytes
-	// are until the next Scan, and later samples are decoded into the same
-	// frames. A caller that keeps an image past the body clones it. The
-	// JPEG bytes, and the batches of Probe.Batches, are the caller's.
+	// A batch from Loader.Epoch lends its Images and its JPEG bytes alike:
+	// they are valid until the loop body that received the batch returns,
+	// as bufio.Scanner's Bytes are until the next Scan, and later samples
+	// are decoded into the same frames and spliced into the same buffers.
+	// A caller that keeps an image past the body clones it, and keeps a
+	// JPEG with bytes.Clone. The batches of Probe.Batches are the caller's.
 	Samples []Sample
 }
 
@@ -107,10 +108,14 @@ type Loader struct {
 	loaderConfig
 
 	// frames are the decoded frames Epoch's consumers have handed back,
-	// for its decode workers to decode into; recycled, when set, sees each
-	// frame handed back (export_test.go).
-	frames   cache.FreeList[image.Image]
-	recycled func(image.Image)
+	// for its decode workers to decode into, and streams the buffers of
+	// spliced JPEG streams, for its record reads to splice into; recycled
+	// and recycledStreams, when set, see each frame and each buffer handed
+	// back (export_test.go).
+	frames          cache.FreeList[image.Image]
+	streams         cache.FreeList[[]byte]
+	recycled        func(image.Image)
+	recycledStreams func([]byte)
 
 	mu      sync.Mutex
 	last    EpochStats
@@ -262,6 +267,9 @@ func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
 		// As many frames as an epoch has decoded at once: the runs ahead of
 		// the consumer and the batch being assembled (see Epoch).
 		frames: make(cache.FreeList[image.Image], (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
+		// As many stream buffers as an epoch has out at once: those of the
+		// records read ahead and of the batch in the consumer's hands.
+		streams: make(cache.FreeList[[]byte], readAhead+cfg.batch),
 	}
 	// Ground "Full" for the policy immediately: the dataset's top quality
 	// is known at open, so a policy (re)started at a concrete quality below
@@ -331,12 +339,18 @@ func (l *Loader) epochOrder(epoch int) []int {
 // be cancelled: an abandoned one finishes on its own goroutine and is
 // dropped). After a complete epoch, LastEpochStats reports its counters.
 //
-// A batch's images are valid until the loop body that received it returns
-// (see Batch): the Epoch then hands their frames back, and later samples —
-// of this epoch or a later one — are decoded into them, so that an epoch in
-// its steady state allocates no frames. Keep an image past the body by
-// cloning it. Between epochs the Loader holds on to no more frames than an
-// epoch has decoded at once.
+// A batch's images and JPEG bytes are valid until the loop body that
+// received it returns (see Batch). The Epoch then hands back the batch's
+// frames, and each buffer of spliced streams whose last stream is in the
+// batch: a buffer's streams belong to consecutive samples, so the body has
+// returned for every one of them. Later samples, of this epoch or a later
+// one, are decoded into those frames and spliced into those buffers, so
+// that an epoch in its steady state allocates neither. Keep an image past
+// the body by cloning it, and a JPEG with bytes.Clone. Between epochs the
+// Loader holds on to no more than an epoch has out at once: (2·workers +
+// 1)·8 + the batch size frames, and 4 + the batch size stream buffers —
+// those of the records read ahead and of one batch — each of at most 1 MiB
+// and an eighth unless it held one longer stream.
 func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 	return func(yield func(Batch, error) bool) {
 		start := time.Now()
@@ -348,11 +362,12 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 		}
 		plan := &recordPlan{
 			d: l.ds, order: l.epochOrder(epoch), policy: l.policy, epoch: epoch,
-			filter: l.filter, skip: base * l.batch,
+			filter: l.filter, skip: base * l.batch, lend: l.streams,
 		}
 
 		stats := EpochStats{Epoch: epoch}
 		cur := make([]Sample, 0, l.batch)
+		var back [][]byte // the stream buffers whose last stream is in cur
 		flush := func() bool {
 			b := Batch{Epoch: epoch, Samples: cur}
 			cur = make([]Sample, 0, l.batch)
@@ -375,6 +390,13 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 				}
 				l.frames.Give(s.Image)
 			}
+			for _, buf := range back {
+				if l.recycledStreams != nil {
+					l.recycledStreams(buf[:cap(buf)])
+				}
+				l.streams.Give(buf)
+			}
+			back = back[:0]
 			return ok
 		}
 		waiting := time.Now() // since when the consumer has been in the pipeline's hands
@@ -393,8 +415,13 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 				stats.MaxQuality = max(stats.MaxQuality, r.quality)
 			}
 			stats.Images += len(r.samples)
-			for _, s := range r.samples {
-				if cur = append(cur, s); len(cur) == l.batch && !flush() {
+			lent := r.lent
+			for i, s := range r.samples {
+				cur = append(cur, s)
+				for ; len(lent) > 0 && lent[0].last == i; lent = lent[1:] {
+					back = append(back, lent[0].buf)
+				}
+				if len(cur) == l.batch && !flush() {
 					return
 				}
 			}

@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/jpegc"
 	"repro/internal/serve"
-	"repro/internal/synth"
 	"repro/pcr"
 )
 
@@ -25,34 +23,10 @@ func cpuTime(b *testing.B) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// benchV1 writes a bench-v1-shaped dataset (384 synth.ImageNet images at
-// 128×128, quality 92 with 4:2:0 chroma, 32 to a record) and serves it from
-// an in-process prefix server with a hot cache over loopback.
+// benchV1 writes a bench-v1-shaped dataset (benchShaped, 384 images) and
+// serves it from an in-process prefix server with a hot cache over loopback.
 func benchV1(b *testing.B) (dir, url string) {
-	p := synth.ImageNet
-	p.ImageSize = 128
-	p.NumImages = 384 * 5 / 4
-	src, err := synth.Generate(p, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir = b.TempDir()
-	w, err := pcr.Create(dir, pcr.WithImagesPerRecord(32))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, s := range src.Train {
-		data, err := jpegc.Encode(s.Img, &jpegc.Options{Quality: 92, Subsample420: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Append(pcr.Sample{ID: int64(s.ID), Label: int64(s.Label), JPEG: data}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
+	dir = benchShaped(b, 384)
 	srv, err := serve.New(dir, &serve.Options{CacheBytes: 256 << 20})
 	if err != nil {
 		b.Fatal(err)

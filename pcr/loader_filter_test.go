@@ -3,6 +3,7 @@ package pcr_test
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"repro/pcr"
@@ -11,7 +12,8 @@ import (
 // TestLoaderFilterDelivery: a filtered epoch is the unfiltered epoch with
 // the predicate applied — same shuffled record order, selected samples
 // only, byte-identical streams — and the stats account every sample and
-// every byte of the difference.
+// every byte of the difference. An epoch lends its streams, so each is
+// cloned inside the loop body.
 func TestLoaderFilterDelivery(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
 	pred, err := pcr.ParseFilter("label IN (0, 1, 2)")
@@ -37,7 +39,7 @@ func TestLoaderFilterDelivery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, b.Samples...)
+			out = append(out, cloneStreams(b.Samples)...)
 		}
 		st, ok := l.LastEpochStats()
 		if !ok {
@@ -145,7 +147,8 @@ func TestLocalFilteredLoaderMovesPlannedBytes(t *testing.T) {
 
 // TestLoaderFilterResume: a checkpoint taken mid-epoch under a filter
 // resumes to exactly the uninterrupted epoch's remaining batches — the
-// skip-shortcut counts selected samples, not record sizes.
+// skip-shortcut counts selected samples, not record sizes. Streams are
+// cloned inside the loop body, since an epoch lends them.
 func TestLoaderFilterResume(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
 	pred, err := pcr.ParseFilter("label IN (0, 1, 2) OR id IN [10..20]")
@@ -174,7 +177,7 @@ func TestLoaderFilterResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full = append(full, b.Samples)
+		full = append(full, cloneStreams(b.Samples))
 	}
 	if len(full) < 3 {
 		t.Fatalf("only %d filtered batches; dataset too small for a resume test", len(full))
@@ -211,7 +214,7 @@ func TestLoaderFilterResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tail = append(tail, b.Samples)
+		tail = append(tail, cloneStreams(b.Samples))
 	}
 	want := full[2:]
 	if len(tail) != len(want) {
@@ -227,6 +230,16 @@ func TestLoaderFilterResume(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cloneStreams is samples with JPEG bytes of their own: a Loader.Epoch
+// batch's are lent, valid only until its loop body returns.
+func cloneStreams(samples []pcr.Sample) []pcr.Sample {
+	out := slices.Clone(samples)
+	for i := range out {
+		out[i].JPEG = bytes.Clone(out[i].JPEG)
+	}
+	return out
 }
 
 func TestWithLoaderFilterValidation(t *testing.T) {

@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/jpegc"
+	"repro/internal/synth"
 	"repro/pcr"
 )
 
@@ -821,5 +825,90 @@ func TestLoaderPipelinePolicyLag(t *testing.T) {
 	}
 	if fresh == 0 {
 		t.Error("no record arrived at the new quality: the step never took effect")
+	}
+}
+
+// benchShaped writes a dataset shaped as the repository benchmark's input
+// (synth.ImageNet images at 128×128, quality 92 with 4:2:0 chroma, 32 to a
+// record), of n images: the training split of the 5n/4 it generates.
+func benchShaped(tb testing.TB, n int) string {
+	p := synth.ImageNet
+	p.ImageSize = 128
+	p.NumImages = n * 5 / 4
+	src, err := synth.Generate(p, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	w, err := pcr.Create(dir, pcr.WithImagesPerRecord(32))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, s := range src.Train {
+		data, err := jpegc.Encode(s.Img, &jpegc.Options{Quality: 92, Subsample420: true})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := w.Append(pcr.Sample{ID: int64(s.ID), Label: int64(s.Label), JPEG: data}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// raceEnabled is set under the race detector (race_test.go), whose
+// sync.Pool drops at random what is put back — the decoders' scratch
+// (jpegc) among it — so what an epoch allocates there is the pool's, not
+// the Loader's.
+var raceEnabled bool
+
+// TestLoaderEpochAllocationsBounded: once an epoch has run, the next
+// allocates less than an eighth of the JPEG bytes it delivers — its record
+// reads splice into the buffers the epoch before handed back, and parse
+// into the RecordMetas earlier reads are done with, so what is left is per
+// record and per batch, not per byte. It is the least of three epochs, each
+// on one P after a warm-up one, by TotalAlloc, which counts every
+// allocation.
+func TestLoaderEpochAllocationsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool reallocates decoder scratch at random")
+	}
+	ds, err := pcr.Open(benchShaped(t, 128), pcr.WithPrefetchWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	l, err := pcr.NewLoader(ds, pcr.WithBatchSize(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	epoch := func() (delivered int) {
+		for b, err := range l.Epoch(context.Background(), 0) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range b.Samples {
+				delivered += len(s.JPEG)
+			}
+		}
+		return delivered
+	}
+	epoch()
+	least := uint64(math.MaxUint64)
+	var delivered int
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		delivered = epoch()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a steady-state epoch delivers %d JPEG bytes and allocates %d", delivered, least)
+	if least >= uint64(delivered)/8 {
+		t.Fatalf("a steady-state epoch allocates %d bytes for %d JPEG bytes delivered, want under an eighth", least, delivered)
 	}
 }

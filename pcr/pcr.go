@@ -52,11 +52,12 @@ var ErrClosed = errors.New("pcr: closed")
 // Sample is one labeled image. Append consumes JPEG (or encodes Image when
 // JPEG is empty); Scan fills both JPEG (the reassembled stream at the
 // requested quality) and Image (its decoded pixels); ScanEncoded fills JPEG
-// only. A JPEG a read delivers is the caller's. It shares a buffer of at
-// most 1 MiB only with other samples of the same record read, with no room
-// to grow into theirs, and never aliases a buffer the reader reuses. A
-// caller that keeps a few samples of many records should bytes.Clone them,
-// so that each does not pin the rest of its read.
+// only. A JPEG a read delivers is the caller's, except under Loader.Epoch,
+// which lends it (see Batch). It shares a buffer of at most 1 MiB only with
+// other samples of the same record read, with no room to grow into theirs,
+// and everywhere but Loader.Epoch never aliases a buffer the reader reuses.
+// A caller that keeps a few samples of many records should bytes.Clone
+// them, so that each does not pin the rest of its read.
 type Sample struct {
 	ID    int64
 	Label int64

@@ -25,7 +25,9 @@ import (
 //	         pcrReader.readRecord (a prefix through the cache tiers, or a
 //	         filtered sparse gather), on one of up to readAhead fetch
 //	         workers that live as long as the pipeline, and is handed on in
-//	         plan order however the reads complete.
+//	         plan order however the reads complete. A read Loader.Epoch
+//	         plans splices its streams into buffers its consumer has handed
+//	         back; every other read's streams are the caller's.
 //	decode — WithPrefetchWorkers goroutines each take a run of up to runLen
 //	         samples of one record and decode it in place, one completion
 //	         signal per run: one worker decodes a run's samples back to back,
@@ -59,9 +61,33 @@ const (
 // with the read's accounting.
 type recordRead struct {
 	samples []Sample
+	// lent is the stream buffers a lent read (readPlan.lend) spliced the
+	// samples into, in order.
+	lent    []lentBuffer
 	bytes   int64 // record bytes the read covered
 	quality int   // resolved quality it was read at
 	err     error
+}
+
+// lentBuffer is a buffer of spliced streams that Loader.Epoch lends out:
+// the samples holding its streams are consecutive, and last indexes the one
+// holding its last stream in the samples it travels with — a read's, then a
+// run's. Once the consumer is done with that sample, it is done with every
+// stream of the buffer.
+type lentBuffer struct {
+	buf  []byte
+	last int
+}
+
+// takeBuffer is where a lent read's splice gets each buffer: one from list
+// with room for n bytes, or a new one with an eighth to spare, so that a
+// slightly longer read can reuse it later. A buffer taken too small is
+// dropped.
+func takeBuffer(list cache.FreeList[[]byte], n int64) []byte {
+	if b := list.Take(); int64(cap(b)) >= n {
+		return b[:0]
+	}
+	return make([]byte, 0, n+n/8)
 }
 
 // recordPlan is the plan stage, and the only one: every record-granular
@@ -97,6 +123,10 @@ type recordPlan struct {
 	// that many samples: no record beyond the cut-off is read.
 	need    int
 	planned int
+	// lend, when set, lends the plan's reads: each splices its streams into
+	// buffers from this list (Loader.Epoch's), which its consumer hands
+	// back.
+	lend cache.FreeList[[]byte]
 }
 
 // readPlan is one record read as recordPlan decided and priced it; the fetch
@@ -116,6 +146,9 @@ type readPlan struct {
 	// delivers is how many samples the read delivers: those selected past
 	// the resume prefix.
 	delivers int
+	// lend is where the read takes its stream buffers from; nil makes the
+	// streams the caller's (recordPlan.lend).
+	lend cache.FreeList[[]byte]
 }
 
 // next returns the next read to issue, or nil at the end of the plan. After
@@ -155,7 +188,7 @@ func (p *recordPlan) record(rec int) (*readPlan, error) {
 		return nil, err
 	}
 	g := re.ClampGroup(q)
-	read := &readPlan{rec: rec, quality: q, group: g, bytes: re.Prefixes[g]}
+	read := &readPlan{rec: rec, quality: q, group: g, bytes: re.Prefixes[g], lend: p.lend}
 	if p.filter != nil {
 		full := read.bytes
 		read.sel, n = matchSelection(p.filter, re.SampleIDs, re.SampleLabels)
@@ -208,6 +241,8 @@ type run struct {
 	// last marks the final run of a fetched record: receiving it returns
 	// the record's read-ahead token.
 	last bool
+	// lent is the lent stream buffers whose last stream is in this run.
+	lent []lentBuffer
 }
 
 // pipeline is one running instance of the stages.
@@ -347,9 +382,16 @@ func (p *pipeline) emit(rr recordRead, token bool) bool {
 	if p.work == nil {
 		step = max(n, 1)
 	}
+	lent := rr.lent
 	for from := 0; from < n; from += step {
 		to := min(from+step, n)
 		r := &run{samples: rr.samples[from:to:to], last: token && to == n}
+		// The buffers whose last stream is in the run go with it.
+		k := 0
+		for ; k < len(lent) && lent[k].last < to; k++ {
+			lent[k].last -= from
+		}
+		r.lent, lent = lent[:k:k], lent[k:]
 		if p.work != nil {
 			r.done = make(chan struct{})
 		}

@@ -1031,3 +1031,181 @@ func TestPipelineEpochRecyclesFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineEpochLendsStreams holds Loader.Epoch to its stream contract,
+// with every stream buffer it hands back poisoned on the way: inside its
+// loop body each sample's JPEG is the one ScanEncoded delivers at the same
+// quality — over whole-prefix reads, sparse filtered reads and a resumed
+// epoch entered mid-record, in batches that cut records apart, while later
+// reads splice into the buffers handed back — each record read's buffer goes
+// back once, a JPEG kept past the body reads as poison once its buffer is
+// back, and buffers are reused across epochs. Scan, ScanEncoded, ReadRecord,
+// ReadRecordEncoded and Probe.Batches hand nothing back, and their bytes
+// never change after delivery.
+func TestPipelineEpochLendsStreams(t *testing.T) {
+	// Twice as many records as are read ahead, so that reads splice into
+	// buffers an epoch has handed back while later batches are in flight.
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(4), pcr.WithScanGroups(4))
+	ds, err := pcr.Open(dir, pcr.WithPrefetchWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	const q, batch = 2, 5
+	ctx := context.Background()
+	want := make(map[int64][32]byte)
+	for s, err := range ds.ScanEncoded(ctx, q) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[s.ID] = sha256.Sum256(s.JPEG)
+	}
+	pred, err := pcr.ParseFilter("label IN (0, 1, 2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	isPoison := func(b []byte) bool {
+		return len(b) > 0 && bytes.Count(b, []byte{poison}) == len(b)
+	}
+
+	handedBack := 0
+	lend := func(opts ...pcr.LoaderOption) *pcr.Loader {
+		t.Helper()
+		l, err := pcr.NewLoader(ds, append([]pcr.LoaderOption{pcr.WithQuality(q), pcr.WithBatchSize(batch)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	for _, tc := range []struct {
+		name   string
+		l      *pcr.Loader
+		epochs []int
+	}{
+		{"whole", lend(), []int{0, 1, 2}},
+		{"filtered", lend(pcr.WithLoaderFilter(pred)), []int{0, 1, 2}},
+		// Resumed mid-record, at batch 3 of epoch 1, and then epoch 2 whole.
+		{"resumed", lend(pcr.WithResume(pcr.Checkpoint{Epoch: 1, Batch: 3, Seed: 1, BatchSize: batch, Window: 16})), []int{1, 2}},
+	} {
+		buffers := make(map[*byte]int) // the epoch each buffer was first handed back in
+		reused := false
+		epoch := 0
+		tc.l.OnRecycleStreams(func(b []byte) {
+			if cap(b) == 0 {
+				t.Fatalf("%s: an empty stream buffer handed back", tc.name)
+			}
+			for i := range b {
+				b[i] = poison
+			}
+			handedBack++
+			p := &b[0]
+			if first, ok := buffers[p]; !ok {
+				buffers[p] = epoch
+			} else if first < epoch {
+				reused = true
+			}
+		})
+		for _, epoch = range tc.epochs {
+			handedBack = 0
+			var last [][]byte // the final batch's JPEGs
+			delivered := 0
+			for b, err := range tc.l.Epoch(ctx, epoch) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				last = last[:0]
+				for _, s := range b.Samples {
+					if sha256.Sum256(s.JPEG) != want[s.ID] {
+						t.Fatalf("%s epoch %d: sample %d's JPEG differs from ScanEncoded's inside its loop body", tc.name, epoch, s.ID)
+					}
+					if tc.name == "filtered" && !pred.Matches(s.ID, s.Label) {
+						t.Fatalf("%s: sample %d escaped the filter", tc.name, s.ID)
+					}
+					last = append(last, s.JPEG)
+					delivered++
+				}
+			}
+			st, ok := tc.l.LastEpochStats()
+			if !ok || st.Images != delivered {
+				t.Fatalf("%s epoch %d: stats %+v for %d samples delivered", tc.name, epoch, st, delivered)
+			}
+			// Every read's streams fit one buffer, and each goes back once.
+			if handedBack != st.Records {
+				t.Fatalf("%s epoch %d: %d stream buffers handed back for %d record reads", tc.name, epoch, handedBack, st.Records)
+			}
+			for i, jpeg := range last {
+				if !isPoison(jpeg) {
+					t.Fatalf("%s epoch %d: JPEG %d of the last batch, kept past its loop body, is not poison", tc.name, epoch, i)
+				}
+			}
+		}
+		if !reused {
+			t.Fatalf("%s: no stream buffer handed back in one epoch was handed back in a later one", tc.name)
+		}
+	}
+
+	// The other readers lend nothing: their streams stay as delivered, with
+	// a lending epoch run after them.
+	l := lend()
+	l.OnRecycleStreams(func(b []byte) {
+		for i := range b {
+			b[i] = poison
+		}
+		handedBack++
+	})
+	handedBack = 0
+	type kept struct {
+		jpeg []byte
+		sum  [32]byte
+	}
+	var others []kept
+	keep := func(samples ...pcr.Sample) {
+		for _, s := range samples {
+			others = append(others, kept{s.JPEG, want[s.ID]})
+		}
+	}
+	for s, err := range ds.Scan(ctx, q) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep(s)
+	}
+	for s, err := range ds.ScanEncoded(ctx, q, pcr.WithFilter(pred)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep(s)
+	}
+	rec, err := ds.ReadRecord(ctx, 0, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep(rec...)
+	if rec, err = ds.ReadRecordEncoded(1, q); err != nil {
+		t.Fatal(err)
+	}
+	keep(rec...)
+	batches, _, err := l.Probe().Batches(ctx, q, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		keep(b.Samples...)
+	}
+	if handedBack != 0 {
+		t.Fatalf("Scan, ScanEncoded, ReadRecord, ReadRecordEncoded and Probe.Batches handed back %d stream buffers", handedBack)
+	}
+	for _, err := range l.Epoch(ctx, 0) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if handedBack == 0 {
+		t.Fatal("the epoch after the other reads handed back no stream buffer")
+	}
+	for i, k := range others {
+		if sha256.Sum256(k.jpeg) != k.sum {
+			t.Fatalf("JPEG %d of Scan, ScanEncoded, ReadRecord, ReadRecordEncoded or Probe.Batches changed after its delivery", i)
+		}
+	}
+}

@@ -16,7 +16,8 @@ import (
 // Loader.Epoch run at once over one dataset, followed by 2×ReadAhead more
 // reads; every sample delivered along the way, record 0's first among
 // them, is then still byte for byte what a reader that never recycles
-// (one behind a memory tier) delivers.
+// (one behind a memory tier) delivers — the Loader's as they read inside
+// its loop body, since an epoch lends its streams.
 func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
 	_, ts := startServer(t, dir, nil)
@@ -115,7 +116,9 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 						errs <- err
 						return
 					}
-					keepAll(1, b.Samples)
+					// An epoch lends its streams: they are kept as they read
+					// inside the loop body.
+					keepAll(1, cloneStreams(b.Samples))
 				}
 			}()
 			wg.Wait()
