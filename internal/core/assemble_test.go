@@ -71,25 +71,19 @@ func selections(rng *rand.Rand, n int) [][]bool {
 	return sels
 }
 
-// assemble parses a gathered body for the samples sel selects past the
-// first from of them, as a sparse read does, and collects what
-// AssembleSamples delivers: a stream per sample, nil for each one not
-// delivered, and the delivered samples' entries by sample number.
-func assemble(body []byte, g int, sel []bool, from int) (*RecordMeta, [][]byte, map[int]*SampleMeta, error) {
-	want := deliveryOf(sel, from)
-	m, err := parseRecordMeta(body, want)
+// assemble parses a gathered body and collects what AssembleSamples
+// delivers past the first from selected samples: a stream per sample, nil
+// for each one not delivered.
+func assemble(body []byte, g int, sel []bool, from int) (*RecordMeta, [][]byte, error) {
+	m, err := ParseRecordMeta(body)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	streams := make([][]byte, len(sel))
-	entries := make(map[int]*SampleMeta)
-	if err := m.AssembleSamples(body, g, nil, func(e int, s []byte) {
-		streams[want.index(e)] = s
-		entries[want.index(e)] = &m.Samples[e]
-	}); err != nil {
-		return nil, nil, nil, err
+	streams := make([][]byte, len(m.Samples))
+	if err := m.AssembleSamples(body, g, sel, from, nil, func(i int, s []byte) { streams[i] = s }); err != nil {
+		return nil, nil, err
 	}
-	return m, streams, entries, nil
+	return m, streams, nil
 }
 
 // TestAssembleSamplesMatchesScatter holds the direct assembly of a sparse
@@ -125,12 +119,12 @@ func TestAssembleSamplesMatchesScatter(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, streams, entries, err := assemble(body, g, sel, from)
+				m, streams, err := assemble(body, g, sel, from)
 				if err != nil {
 					t.Fatalf("gray=%v group %d selection %v: %v", gray, g, sel, err)
 				}
-				if m.count != len(sel) || len(m.Samples) != len(entries) {
-					t.Fatalf("%d samples, %d entries, %d delivered for a selection of %d", m.count, len(m.Samples), len(entries), len(sel))
+				if len(m.Samples) != len(sel) {
+					t.Fatalf("%d samples for a selection of %d", len(m.Samples), len(sel))
 				}
 				skip := from
 				for i, on := range sel {
@@ -153,7 +147,7 @@ func TestAssembleSamplesMatchesScatter(t *testing.T) {
 					if cap(streams[i]) != len(want) {
 						t.Fatalf("sample %d: stream of %d bytes in an allocation of %d", i, len(want), cap(streams[i]))
 					}
-					if e := entries[i]; e.ID != ref.Samples[i].ID || e.Label != ref.Samples[i].Label || e.Header != ref.Samples[i].Header {
+					if s := m.Samples[i]; s.ID != ref.Samples[i].ID || s.Label != ref.Samples[i].Label || s.Header != ref.Samples[i].Header {
 						t.Fatalf("sample %d: identity differs from the reference", i)
 					}
 				}
@@ -163,8 +157,8 @@ func TestAssembleSamplesMatchesScatter(t *testing.T) {
 }
 
 // TestAssembleSamplesRefuses: a body that is not the selection's length, a
-// selection that is not the record's — refused by the parse — and a group
-// the record does not store are each reported as corruption, never sliced.
+// selection that is not the record's, and a group the record does not store
+// are each reported as corruption, never sliced.
 func TestAssembleSamplesRefuses(t *testing.T) {
 	data, meta, re := mixedRecord(t, 6, true)
 	sel := []bool{true, false, false, true, true, false}
@@ -177,7 +171,7 @@ func TestAssembleSamplesRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := assemble(body, g, sel, 0); err != nil {
+	if _, _, err := assemble(body, g, sel, 0); err != nil {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct {
@@ -196,7 +190,7 @@ func TestAssembleSamplesRefuses(t *testing.T) {
 		"another selection":   {body, g, []bool{true, true, true, true, true, true}},
 		"a lower group":       {body, g - 1, sel},
 	} {
-		m, streams, _, err := assemble(tc.body, tc.g, tc.sel, 0)
+		m, streams, err := assemble(tc.body, tc.g, tc.sel, 0)
 		if !errors.Is(err, ErrCorrupt) || m != nil || streams != nil {
 			t.Errorf("%s: got %v, want an ErrCorrupt refusal", name, err)
 		}

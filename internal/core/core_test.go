@@ -244,7 +244,7 @@ func TestSampleJPEGAllocatesOnce(t *testing.T) {
 	// entry, then reassembled.
 	read := func(file []byte) error {
 		m := new(RecordMeta)
-		err := ds.ParseRecordPrefix(m, 0, file, nil, 0)
+		err := ds.ParseRecordPrefix(m, 0, file)
 		if err == nil {
 			_, err = m.SampleJPEG(file, 1, 3)
 		}
@@ -477,7 +477,7 @@ func TestRecordOutOfRange(t *testing.T) {
 		"SampleIndex":       func(i int) error { _, _, err := ds.SampleIndex(i); return err },
 		"SampleRanges":      func(i int) error { _, err := ds.SampleRanges(i, 1, nil); return err },
 		"SampleBytes":       func(i int) error { _, err := ds.SampleBytes(i, 1, nil); return err },
-		"ParseRecordPrefix": func(i int) error { return ds.ParseRecordPrefix(new(RecordMeta), i, prefix, nil, 0) },
+		"ParseRecordPrefix": func(i int) error { return ds.ParseRecordPrefix(new(RecordMeta), i, prefix) },
 	}
 	for name, call := range calls {
 		for _, i := range []int{-1, ds.NumRecords()} {
@@ -546,7 +546,7 @@ func readPrefix(ds *Dataset, i, g int) ([]byte, *RecordMeta, error) {
 		return nil, nil, err
 	}
 	meta := new(RecordMeta)
-	if err := ds.ParseRecordPrefix(meta, i, buf, nil, 0); err != nil {
+	if err := ds.ParseRecordPrefix(meta, i, buf); err != nil {
 		return nil, nil, err
 	}
 	return buf, meta, nil

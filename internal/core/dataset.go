@@ -249,30 +249,27 @@ func (ds *Dataset) RecordPrefixLen(i, g int) (int64, error) {
 
 // ParseRecordPrefix parses into m, whatever m held, the metadata section
 // at the start of record i's bytes, however they were read — a prefix, or a
-// gathered body — keeping an entry for the samples the read delivers: those
-// sel selects past the first from of them, or every sample when sel is nil.
-// Every other sample is held to the same checks and counted in the prefix
-// lengths, but costs no entry, so a sparse read's parse allocates for what
-// it delivers (see RecordMeta.AssembleSamples), and a reader that parses
-// every record it reads into one RecordMeta allocates nothing for the parse
-// once m has the room of the records' shape. It refuses as ErrCorrupt a
-// record file that disagrees with the index entry every read plan is made
-// from: another number of samples, or other prefix lengths. m aliases
-// prefix until it is parsed into again or Reset.
-func (ds *Dataset) ParseRecordPrefix(m *RecordMeta, i int, prefix []byte, sel []bool, from int) error {
+// gathered body — with an entry for every sample, which SampleJPEGs and
+// AssembleSamples both splice by. A reader that parses every record it
+// reads into one RecordMeta allocates nothing for the parse once m has the
+// room of the records' shape. It refuses as ErrCorrupt a record file that
+// disagrees with the index entry every read plan is made from: another
+// number of samples, or other prefix lengths. m aliases prefix until it is
+// parsed into again or Reset.
+func (ds *Dataset) ParseRecordPrefix(m *RecordMeta, i int, prefix []byte) error {
 	if i < 0 || i >= len(ds.records) {
 		return fmt.Errorf("core: record %d out of range", i)
 	}
-	return ds.records[i].parse(m, i, prefix, sel, from)
+	return ds.records[i].parse(m, i, prefix)
 }
 
 // parse is ParseRecordPrefix of record i, whose index entry r is.
-func (r *RecordInfo) parse(meta *RecordMeta, i int, prefix []byte, sel []bool, from int) error {
-	if err := meta.parse(prefix, deliveryOf(sel, from)); err != nil {
+func (r *RecordInfo) parse(meta *RecordMeta, i int, prefix []byte) error {
+	if err := meta.parse(prefix); err != nil {
 		return err
 	}
-	if n := r.Samples; meta.count != n {
-		return fmt.Errorf("core: %w: record %d holds %d samples, its index entry %d", ErrCorrupt, i, meta.count, n)
+	if n := r.Samples; len(meta.Samples) != n {
+		return fmt.Errorf("core: %w: record %d holds %d samples, its index entry %d", ErrCorrupt, i, len(meta.Samples), n)
 	}
 	if !slices.Equal(meta.prefix, r.Prefixes) {
 		return fmt.Errorf("core: %w: record %d's prefix lengths are %v, its index entry's %v", ErrCorrupt, i, meta.prefix, r.Prefixes)

@@ -95,13 +95,12 @@ func FuzzParseRecordMeta(f *testing.F) {
 			t.Fatalf("the parser says %v, the reference %v", err, refErr)
 		}
 		// A parse into a RecordMeta that holds another record — the valid
-		// one, parsed for two of its samples resumed past the first — as a
-		// reader's does, is a fresh parse.
-		used, usedErr := parseRecordMeta(valid, deliveryOf([]bool{true, false, true}, 1))
+		// one — as a reader's does, is a fresh parse.
+		used, usedErr := ParseRecordMeta(valid)
 		if usedErr != nil {
 			t.Fatal(usedErr)
 		}
-		if usedErr := used.parse(data, delivery{}); (usedErr == nil) != (err == nil) {
+		if usedErr := used.parse(data); (usedErr == nil) != (err == nil) {
 			t.Fatalf("a fresh parse says %v, a parse into a used RecordMeta %v", err, usedErr)
 		}
 		if err != nil {
@@ -234,13 +233,10 @@ func agreeWithReference(t *testing.T, data []byte, m *RecordMeta, ref *refRecord
 		if err != nil {
 			t.Fatal(err)
 		}
-		kept := deliveryOf(sel, 1)
-		if err := bm.parse(body, kept); err != nil {
+		if err := bm.parse(body); err != nil {
 			t.Fatalf("gathered body at group %d: %v", g, err)
 		}
-		got := collect(func(deliver func(int, []byte)) error {
-			return bm.AssembleSamples(body, g, nil, func(e int, s []byte) { deliver(kept.index(e), s) })
-		})
+		got := collect(func(deliver func(int, []byte)) error { return bm.AssembleSamples(body, g, sel, 1, nil, deliver) })
 		_, streams, err := refAssembleSamples(body, g, sel)
 		want := delivered{err: err}
 		skip := 1

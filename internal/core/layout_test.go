@@ -175,7 +175,7 @@ func TestCoalescedRecordSparseReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, _, err := assemble(body, g, sel, 0)
+		_, got, err := assemble(body, g, sel, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

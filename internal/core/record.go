@@ -88,16 +88,13 @@ type RecordHeader struct {
 type RecordMeta struct {
 	NumGroups int
 	Headers   []RecordHeader
-	Samples   []SampleMeta
+	// Samples holds every sample of the record, in sample order, whatever
+	// bytes it was parsed from: a whole prefix or a gathered body.
+	Samples []SampleMeta
 
 	// BodyStart is the file offset where scan group 1 begins.
 	BodyStart int64
 
-	// count is the record's sample count. Samples holds as many, unless
-	// the parse was given the samples a read delivers
-	// (Dataset.ParseRecordPrefix); then it holds those alone, in sample
-	// order.
-	count    int
 	scripts  []recordScript
 	maxScans int // the longest script's scan count
 	// lens holds the scan lengths of every sample in Samples, in order, at
@@ -109,11 +106,6 @@ type RecordMeta struct {
 	// prefix[g] is PrefixLen(g); preamble[g-1] is scan group g's preamble
 	// length.
 	prefix, preamble []int64
-	// skipped[k], set by a parse given a selection, sums the group k+1
-	// slices of the samples selected inside the resume prefix: a gathered
-	// body holds them between the group's preamble and the first delivered
-	// slice.
-	skipped []int64
 }
 
 // scanLens returns s's scan lengths: [j] is the length of its data of scan
@@ -339,26 +331,18 @@ func optScanGroups(opts *RecordOptions) int {
 // The returned RecordMeta aliases data — every header is a slice of it — so
 // it is valid for as long as data is left unmodified.
 func ParseRecordMeta(data []byte) (*RecordMeta, error) {
-	return parseRecordMeta(data, delivery{})
-}
-
-// parseRecordMeta is parse into a new RecordMeta.
-func parseRecordMeta(data []byte, want delivery) (*RecordMeta, error) {
 	m := new(RecordMeta)
-	if err := m.parse(data, want); err != nil {
+	if err := m.parse(data); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// parse is the one record parser: ParseRecordMeta, and
-// Dataset.ParseRecordPrefix, which hands it the samples a read delivers.
-// It keeps an entry for those alone, and sizes nothing by the others: their
-// messages are walked once the rest is parsed (addUndelivered), held to the
-// same checks, and summed into the prefix lengths. It overwrites all of m,
-// and allocates only where m's slices, from the parse before, lack the room
-// this section needs.
-func (m *RecordMeta) parse(data []byte, want delivery) error {
+// parse is the one record parser, under ParseRecordMeta and
+// Dataset.ParseRecordPrefix. It overwrites all of m, and allocates only
+// where m's slices, from the parse before, lack the room this section
+// needs.
+func (m *RecordMeta) parse(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("core: %w: short record header", ErrCorrupt)
 	}
@@ -372,22 +356,21 @@ func (m *RecordMeta) parse(data []byte, want delivery) error {
 	section := data[8 : 8+metaLen]
 	// Any wire-level decode failure inside the metadata section is
 	// structural damage, so the whole parse reports as ErrCorrupt.
-	shape, err := measure(section, want)
+	shape, err := measure(section)
 	if err != nil {
 		return fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
 	}
-	sparse := want.sel != nil
 	lens, framing := shape.scans, shape.scans+shape.framing
-	size := framing + shape.derived(len(section), sparse)
+	size := framing + shape.derived(len(section))
 	arena := room(m.lens, size)[:size]
 	clear(arena)
 	*m = RecordMeta{
 		BodyStart: int64(8 + metaLen),
-		Samples:   room(m.Samples, shape.kept),
+		Samples:   room(m.Samples, shape.samples),
 		Headers:   room(m.Headers, shape.headers),
 		scripts:   room(m.scripts, shape.scripts),
 	}
-	err = parseRecordFields(section, m, arena[:0:lens], arena[lens:lens:framing], want)
+	err = parseRecordFields(section, m, arena[:0:lens], arena[lens:lens:framing])
 	if len(m.lens) <= lens {
 		// The arena's room goes with lens (a section whose wire types
 		// misled the first pass moved lens off it).
@@ -396,25 +379,10 @@ func (m *RecordMeta) parse(data []byte, want delivery) error {
 	if err != nil {
 		return fmt.Errorf("core: %w: metadata: %w", ErrCorrupt, err)
 	}
-	total := tally(m.BodyStart)
-	if err := m.check(len(section), want, &total); err != nil {
+	if err := m.check(len(section)); err != nil {
 		return fmt.Errorf("core: %w: %w", ErrCorrupt, err)
 	}
-	if sparse && len(want.sel) != m.count {
-		return fmt.Errorf("core: %w: selection has %d entries, record has %d samples", ErrCorrupt, len(want.sel), m.count)
-	}
-	m.buildOffsets(arena[framing:], sparse)
-	if sparse {
-		if err := m.addUndelivered(section, want, &total); err != nil {
-			return fmt.Errorf("core: %w: %w", ErrCorrupt, err)
-		}
-	}
-	// prefix[g+1] holds group g's length; each prefix length is the sum
-	// of those before it.
-	m.prefix[0] = m.BodyStart
-	for g := range m.NumGroups {
-		m.prefix[g+1] += m.prefix[g]
-	}
+	m.buildOffsets(arena[framing:])
 	return nil
 }
 
@@ -435,109 +403,53 @@ func (m *RecordMeta) Reset() {
 	*m = RecordMeta{Samples: m.Samples[:0], Headers: m.Headers[:0], scripts: m.scripts[:0], lens: m.lens[:0]}
 }
 
-// delivery is the samples a parse keeps an entry for: every one when sel
-// is nil, else those sel selects from sample start on, start being where
-// the resume prefix of selected samples ends.
-type delivery struct {
-	sel   []bool
-	start int
-}
-
-// deliveryOf is the delivery of the samples sel selects (every one when sel
-// is nil) past the first from of them.
-func deliveryOf(sel []bool, from int) delivery {
-	d := delivery{sel: sel}
-	for d.start < len(sel) && (from > 0 || !sel[d.start]) {
-		if sel[d.start] {
-			from--
-		}
-		d.start++
-	}
-	return d
-}
-
-// keeps reports whether the parse keeps an entry for sample i.
-func (d delivery) keeps(i int) bool {
-	return d.sel == nil || i >= d.start && i < len(d.sel) && d.sel[i]
-}
-
-// skips reports whether sample i is selected inside the resume prefix: a
-// gathered body holds its slices, and the parse keeps no entry for it.
-func (d delivery) skips(i int) bool { return i < d.start && d.sel[i] }
-
-// index returns the sample number of the e-th entry the parse keeps.
-func (d delivery) index(e int) int {
-	if d.sel == nil {
-		return e
-	}
-	for i := d.start; ; i++ {
-		if d.sel[i] {
-			if e == 0 {
-				return i
-			}
-			e--
-		}
-	}
-}
-
 // recordShape is what the first pass over a metadata section learns before
 // anything is allocated.
 type recordShape struct {
-	// samples counts the sample messages, kept those the parse keeps an
-	// entry for.
-	samples, kept    int
-	headers, scripts int
-	// scans and framing are how many scan and framing lengths the kept
-	// samples and the scripts spell: the varints their packed fields end.
+	samples, headers, scripts int
+	// scans and framing are how many scan and framing lengths the samples
+	// and the scripts spell: the varints their packed fields end.
 	scans, framing int
 	groups         int // the group count, as last spelled
 	maxScans       int // the most framing lengths one script spells
-	// longest is the most scan lengths one kept sample spells, atLongest
-	// how many kept samples spell that many.
+	// longest is the most scan lengths one sample spells, atLongest how
+	// many samples spell that many.
 	longest, atLongest int
 }
 
 // derived is how many words buildOffsets carves from the arena for a
 // section of this shape: prefix and preamble lengths, each script's framing
-// offsets and two entries per group and one more, a row of group lengths
-// for each kept sample but those whose scan lengths are their group lengths
-// (scansAreGroups), and, for a sparse parse, the skipped row. A shape that
-// check refuses reserves nothing: nothing is sized by the numbers it
-// spells.
-func (s *recordShape) derived(sectionLen int, sparse bool) int {
+// offsets and two entries per group and one more, and a row of group
+// lengths for each sample but those whose scan lengths are their group
+// lengths (scansAreGroups). A shape that check refuses reserves nothing:
+// nothing is sized by the numbers it spells.
+func (s *recordShape) derived(sectionLen int) int {
 	ng, limit := s.groups, int64(sectionLen)
 	if s.samples == 0 || ng <= 0 || ng > s.maxScans ||
 		int64(ng)*int64(s.samples) > limit || int64(ng+1)*int64(s.scripts) > limit {
 		return 0
 	}
-	rows := s.kept
+	rows := s.samples
 	if ng == s.maxScans && s.longest == ng {
 		rows -= s.atLongest
-	}
-	if sparse {
-		rows++
 	}
 	return 2*ng + 1 + s.framing + 2*(ng+1)*s.scripts + rows*ng
 }
 
 // measure is ParseRecordMeta's first pass. It steps over each field as its
 // wire type says, and refuses what that walk cannot step over, as the parse
-// always has; of the fields the parse decodes, it counts what they spell —
-// of the sample messages, those of the samples want keeps. A sample message
-// it cannot read it counts as far as it reads: the parse refuses it.
-func measure(section []byte, want delivery) (recordShape, error) {
+// always has; of the fields the parse decodes, it counts what they spell.
+// A sample message it cannot read it counts as far as it reads: the parse
+// refuses it.
+func measure(section []byte) (recordShape, error) {
 	var s recordShape
 	for d := wire.NewDecoder(section); !d.Done(); {
 		field, wtype, err := d.Next()
 		if err != nil {
 			return s, err
 		}
-		keep := false
 		switch field {
 		case fieldSample:
-			if keep = want.keeps(s.samples); keep {
-				s.kept++
-			}
 			s.samples++
 		case fieldHeader:
 			s.headers++
@@ -562,9 +474,6 @@ func measure(section []byte, want delivery) (recordShape, error) {
 				s.maxScans = max(s.maxScans, n)
 				break
 			}
-			if !keep {
-				break
-			}
 			n := countScanLens(raw)
 			s.scans += n
 			switch {
@@ -582,28 +491,16 @@ func measure(section []byte, want delivery) (recordShape, error) {
 	return s, nil
 }
 
-// tally is the running total of the lengths a record spells, from the
-// start of its body.
-type tally int64
-
-// plus returns t+n, and false for a negative n or a total past int64.
-func (t tally) plus(n int64) (tally, bool) {
-	sum := t + tally(n)
-	return sum, n >= 0 && sum >= t
-}
-
 // check holds a parsed section to what every table derived from it needs:
 // references in range, as many slice lengths as each sample's script has
 // scans, no negative length and a total that stays an int64 — so that
 // SampleJPEG never indexes before the start of the prefix it is given — and
-// offset tables no larger than the section that spelled them. It adds
-// every length it checks to total; the samples the parse kept no entry for
-// are checked as they are walked (addUndelivered).
-func (m *RecordMeta) check(sectionLen int, want delivery, total *tally) error {
+// offset tables no larger than the section that spelled them.
+func (m *RecordMeta) check(sectionLen int) error {
 	// No writer makes an empty record, and without a sample to hold it to,
 	// NumGroups — which sizes the offset tables — would be any number the
 	// file cares to spell.
-	if m.count == 0 {
+	if len(m.Samples) == 0 {
 		return fmt.Errorf("record has no samples")
 	}
 	for _, sc := range m.scripts {
@@ -614,8 +511,8 @@ func (m *RecordMeta) check(sectionLen int, want delivery, total *tally) error {
 	}
 	// Every sample spells more bytes than it has groups; a section that
 	// does not is no writer's, and would size the tables beyond itself.
-	if int64(m.NumGroups)*int64(m.count) > int64(sectionLen) {
-		return fmt.Errorf("%d groups × %d samples from a %d-byte section", m.NumGroups, m.count, sectionLen)
+	if int64(m.NumGroups)*int64(len(m.Samples)) > int64(sectionLen) {
+		return fmt.Errorf("%d groups × %d samples from a %d-byte section", m.NumGroups, len(m.Samples), sectionLen)
 	}
 	// Nor may the scripts, each of which takes NumGroups+1 entries of two
 	// tables however few scans it has: a writer makes one or two, beside
@@ -628,92 +525,66 @@ func (m *RecordMeta) check(sectionLen int, want delivery, total *tally) error {
 			return fmt.Errorf("header %d names script %d of %d", k, h.Script, len(m.scripts))
 		}
 	}
+	// add sums every length from the start of the body, and is false for a
+	// negative one or a total past int64.
+	total := m.BodyStart
+	add := func(n int64) bool {
+		ok := n >= 0 && total+n >= total
+		total += n
+		return ok
+	}
 	for k, sc := range m.scripts {
 		for j, n := range sc.framing {
-			var ok bool
-			if *total, ok = total.plus(n); !ok {
+			if !add(n) {
 				return fmt.Errorf("script %d claims %d bytes of framing for scan %d", k, uint64(n), j)
 			}
 		}
 	}
-	for e := range m.Samples {
-		s := &m.Samples[e]
-		if err := m.checkSample(s.Header, m.scanLens(s), total); err != nil {
-			return fmt.Errorf("sample %d %w", want.index(e), err)
+	for i := range m.Samples {
+		s := &m.Samples[i]
+		if s.Header < 0 || s.Header >= len(m.Headers) {
+			return fmt.Errorf("sample %d names header %d of %d", i, s.Header, len(m.Headers))
+		}
+		if want := len(m.scripts[m.Headers[s.Header].Script].framing); int(s.scanN) != want {
+			return fmt.Errorf("sample %d has %d scan lengths, its script %d scans", i, s.scanN, want)
+		}
+		for j, n := range m.scanLens(s) {
+			if !add(n) {
+				return fmt.Errorf("sample %d claims %d bytes of scan %d", i, uint64(n), j)
+			}
 		}
 	}
 	return nil
 }
 
-// checkSample holds a sample that names header h and spells the scan
-// lengths lens to the record's headers and scripts, and adds its lengths
-// to total.
-func (m *RecordMeta) checkSample(h int, lens []int64, total *tally) error {
-	if h < 0 || h >= len(m.Headers) {
-		return fmt.Errorf("names header %d of %d", h, len(m.Headers))
-	}
-	if want := len(m.scripts[m.Headers[h].Script].framing); len(lens) != want {
-		return fmt.Errorf("has %d scan lengths, its script %d scans", len(lens), want)
-	}
-	// A local keeps the sum in a register: through total, each addition
-	// would wait on the store of the one before.
-	t := *total
-	for j, n := range lens {
-		var ok bool
-		if t, ok = t.plus(n); !ok {
-			return fmt.Errorf("claims %d bytes of scan %d", uint64(n), j)
-		}
-	}
-	*total = t
-	return nil
-}
-
-// walkFields steps over a metadata section's fields as the parse reads
-// them — by number, whatever wire type each spells: the group count a
-// varint; a script, header or sample a length-delimited message — and hands
-// visit each one's number and value. It skips every other field.
-func walkFields(section []byte, visit func(field int, v uint64, raw []byte) error) error {
-	d := wire.NewDecoder(section)
-	for !d.Done() {
+// parseRecordFields fills m from the metadata section. It sizes nothing:
+// m's slices, and lens and frames, where the samples' scan lengths and the
+// scripts' framing lengths are decoded to, come with the room the first
+// pass counted (measure). A section that spells more than that — one whose
+// fields' wire types disagree with their numbers — only grows them. It
+// reads each field by number, whatever wire type it spells: the group
+// count a varint; a script, header or sample a length-delimited message.
+func parseRecordFields(section []byte, m *RecordMeta, lens, frames []int64) error {
+	for d := wire.NewDecoder(section); !d.Done(); {
 		field, wtype, err := d.Next()
 		if err != nil {
 			return err
 		}
-		var v uint64
 		var raw []byte
 		switch field {
 		case fieldNumGroups:
+			var v uint64
 			v, err = d.Uint64()
+			m.NumGroups = int(v)
 		case fieldScript, fieldHeader, fieldSample:
 			raw, err = d.Bytes()
 		default:
-			if err = d.Skip(wtype); err == nil {
-				continue
-			}
-		}
-		if err == nil {
-			err = visit(field, v, raw)
+			err = d.Skip(wtype)
 		}
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// parseRecordFields fills m from the metadata section: every field, and of
-// the sample messages those of the samples want keeps, counting them all.
-// It sizes nothing: m's slices, and lens and frames, where the kept samples'
-// scan lengths and the scripts' framing lengths are decoded to, come with
-// the room the first pass counted (measure). A section that spells more
-// than that — one whose fields' wire types disagree with their numbers —
-// only grows them.
-func parseRecordFields(section []byte, m *RecordMeta, lens, frames []int64, want delivery) error {
-	err := walkFields(section, func(field int, v uint64, raw []byte) error {
-		var err error
 		switch field {
-		case fieldNumGroups:
-			m.NumGroups = int(v)
 		case fieldScript:
 			from := len(frames)
 			if frames, err = appendPacked(frames, raw); err != nil {
@@ -727,11 +598,6 @@ func parseRecordFields(section []byte, m *RecordMeta, lens, frames []int64, want
 			}
 			m.Headers = append(m.Headers, h)
 		case fieldSample:
-			i := m.count
-			m.count++
-			if !want.keeps(i) {
-				return nil
-			}
 			var sm SampleMeta
 			from := len(lens)
 			if lens, err = parseSampleMeta(raw, &sm, lens); err != nil {
@@ -742,47 +608,9 @@ func parseRecordFields(section []byte, m *RecordMeta, lens, frames []int64, want
 			sm.scanAt, sm.scanN = uint32(from), uint32(len(lens)-from)
 			m.Samples = append(m.Samples, sm)
 		}
-		return nil
-	})
+	}
 	m.lens = lens
-	return err
-}
-
-// stackScans is the most scan lengths of a sample that addUndelivered
-// decodes into an array of its own frame; a sample that spells more (no
-// writer here makes one) allocates them.
-const stackScans = 16
-
-// addUndelivered walks the sample messages the parse kept no entry for,
-// holds each to what check holds a kept one to, and adds its group lengths
-// to prefix — and, for a sample selected inside the resume prefix, to
-// skipped — as buildOffsets adds a kept sample's.
-func (m *RecordMeta) addUndelivered(section []byte, want delivery, total *tally) error {
-	var row [stackScans]int64
-	next := 0 // the number of the next sample message
-	return walkFields(section, func(field int, _ uint64, raw []byte) error {
-		if field != fieldSample {
-			return nil
-		}
-		i := next
-		if next++; want.keeps(i) {
-			return nil
-		}
-		var sm SampleMeta
-		lens, err := parseSampleMeta(raw, &sm, row[:0])
-		if err != nil {
-			return err
-		}
-		if err := m.checkSample(sm.Header, lens, total); err != nil {
-			return fmt.Errorf("sample %d %w", i, err)
-		}
-		first := m.scripts[m.Headers[sm.Header].Script].first
-		addGroupLens(m.prefix[1:], lens, first)
-		if want.skips(i) {
-			addGroupLens(m.skipped, lens, first)
-		}
-		return nil
-	})
+	return nil
 }
 
 // appendPacked appends the varints of a packed field to vs.
@@ -903,11 +731,8 @@ func (m *RecordMeta) scansAreGroups(s *SampleMeta) bool {
 }
 
 // buildOffsets derives every table from the checked lengths, carving them
-// from arena, which the first pass sized for them (recordShape.derived):
-// skipped too when the parse is sparse. It leaves prefix[g+1] at group g's
-// length — its preamble, then the kept samples' slices — for the parse to
-// add the other samples' slices to and sum.
-func (m *RecordMeta) buildOffsets(arena []int64, sparse bool) {
+// from arena, which the first pass sized for them (recordShape.derived).
+func (m *RecordMeta) buildOffsets(arena []int64) {
 	ng := m.NumGroups
 	carve := func(k int) []int64 {
 		if len(arena) < k {
@@ -920,9 +745,6 @@ func (m *RecordMeta) buildOffsets(arena []int64, sparse bool) {
 		return s
 	}
 	m.prefix, m.preamble = carve(ng+1), carve(ng)
-	if sparse {
-		m.skipped = carve(ng)
-	}
 	for k := range m.scripts {
 		sc := &m.scripts[k]
 		sc.at, sc.first, sc.framed = carve(len(sc.framing)), carve(ng+1), carve(ng+1)
@@ -936,30 +758,32 @@ func (m *RecordMeta) buildOffsets(arena []int64, sparse bool) {
 			}
 		}
 	}
+	// A sample's group lengths sum its scans group by group. prefix[g+1]
+	// runs along group g — its preamble, then every sample's slice — until
+	// the end, when it becomes the prefix length.
 	copy(m.prefix[1:], m.preamble)
 	for i := range m.Samples {
 		s := &m.Samples[i]
 		if m.scansAreGroups(s) {
 			s.GroupLens = m.scanLens(s)
 		} else {
+			first := m.scripts[m.Headers[s.Header].Script].first
 			s.GroupLens = carve(ng)
-			addGroupLens(s.GroupLens, m.scanLens(s), m.scripts[m.Headers[s.Header].Script].first)
+			g := 0
+			for j, l := range m.scanLens(s) {
+				for int64(j) >= first[g+1] {
+					g++
+				}
+				s.GroupLens[g] += l
+			}
 		}
 		for g, l := range s.GroupLens {
 			m.prefix[g+1] += l
 		}
 	}
-}
-
-// addGroupLens adds a sample's scan lengths, lens, group by group to into;
-// first is its script's (recordScript.first).
-func addGroupLens(into, lens, first []int64) {
-	g := 0
-	for j, l := range lens {
-		for int64(j) >= first[g+1] {
-			g++
-		}
-		into[g] += l
+	m.prefix[0] = m.BodyStart
+	for g := range ng {
+		m.prefix[g+1] += m.prefix[g]
 	}
 }
 
@@ -984,11 +808,12 @@ func (m *RecordMeta) streamLen(i, g int) int64 {
 // src, a record prefix or a gathered body: scan group k+1's preamble at
 // pre[k], and the group's slices one after another from next[k], which
 // moves past each slice the read passes. In a prefix every sample's slices
-// lie there; in a gathered body only the delivered samples'.
+// lie there (all); in a gathered body only the selected samples'.
 type cursor struct {
 	m         *RecordMeta
 	src       []byte
 	pre, next []int64
+	all       bool
 }
 
 // stackGroups is the most scan groups whose cursor a read keeps in an array
@@ -1011,7 +836,7 @@ func (m *RecordMeta) prefixCursor(prefix []byte, g int, buf []int64) cursor {
 	for k := range next {
 		next[k] = m.prefix[k] + m.preamble[k]
 	}
-	return cursor{m: m, src: prefix, pre: m.prefix, next: next}
+	return cursor{m: m, src: prefix, pre: m.prefix, next: next, all: true}
 }
 
 // check refuses sample i at scan group g unless src holds every slice its
@@ -1081,14 +906,15 @@ type StreamBuffers func(n int64) []byte
 // exactly is the nil StreamBuffers: a new buffer of exactly n bytes.
 func exactly(n int64) []byte { return make([]byte, 0, n) }
 
-// spliceAll splices, in order, the samples of m.Samples that sel selects
-// (every one when sel is nil) past the first from of them at scan group g,
-// from where c stands, into buffers from bufs, and hands each to deliver
-// with its index in m.Samples. The streams share buffers, each asked for
-// exactly as long as the consecutive streams it is to hold and at most
-// maxSharedStreams unless it holds one longer stream alone; each stream is a
-// full slice expression of its buffer, so appending to it never writes into
-// the next.
+// spliceAll splices, in sample order, the samples sel selects (every one
+// when sel is nil) past the first from of them at scan group g, from where
+// c stands, into buffers from bufs, and hands each to deliver with its
+// index. It steps over an unselected sample's slices only where c walks a
+// prefix: a gathered body holds none. The streams share buffers, each asked
+// for exactly as long as the consecutive streams it is to hold and at most
+// maxSharedStreams unless it holds one longer stream alone; each stream is
+// a full slice expression of its buffer, so appending to it never writes
+// into the next.
 func (m *RecordMeta) spliceAll(c *cursor, g int, sel []bool, from int, bufs StreamBuffers, deliver func(i int, stream []byte)) {
 	if bufs == nil {
 		bufs = exactly
@@ -1096,7 +922,9 @@ func (m *RecordMeta) spliceAll(c *cursor, g int, sel []bool, from int, bufs Stre
 	var buf []byte
 	for i := range m.Samples {
 		if sel != nil && !sel[i] {
-			c.skip(i, g)
+			if c.all {
+				c.skip(i, g)
+			}
 			continue
 		}
 		if from > 0 {
@@ -1127,13 +955,9 @@ func (m *RecordMeta) spliceAll(c *cursor, g int, sel []bool, from int, bufs Stre
 	}
 }
 
-// checkPrefix refuses a record parsed without every sample's entry, which
-// a prefix read walks, a scan group the record does not store and a prefix
+// checkPrefix refuses a scan group the record does not store and a prefix
 // too short for it.
 func (m *RecordMeta) checkPrefix(prefix []byte, g int) error {
-	if len(m.Samples) != m.count {
-		return fmt.Errorf("core: record parsed for %d of its %d samples, a prefix read needs every one", len(m.Samples), m.count)
-	}
 	if g < 1 || g > m.NumGroups {
 		return fmt.Errorf("core: scan group %d out of range [1,%d]", g, m.NumGroups)
 	}

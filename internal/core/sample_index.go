@@ -164,28 +164,30 @@ func ScatterRanges(concat []byte, ranges []ByteRange, size int64) ([]byte, error
 	return buf, nil
 }
 
-// AssembleSamples reassembles, as SampleJPEGs does, the samples m was
-// parsed for (Dataset.ParseRecordPrefix: those selected past a resume
-// prefix; every one for ParseRecordMeta) at scan group g, straight from a
-// gathered body: the bytes of SampleRanges(g, sel) for the selection m was
-// parsed with, in order, which are the metadata section m was parsed from
-// followed, group by group, by the group's preamble and the selected
-// samples' slices in sample order. It hands each stream — the one
-// SampleJPEG builds from a full prefix — to deliver with its index in
-// m.Samples, in order, and splices none inside the resume prefix. The
-// streams share bounded buffers from bufs, as SampleJPEGs's do, and never
-// alias body. A body that is not exactly as long as its own metadata
-// says the selection is and a group the record does not store are refused
-// as ErrCorrupt, delivering nothing: the index the read was planned from
-// and the record disagree.
-func (m *RecordMeta) AssembleSamples(body []byte, g int, bufs StreamBuffers, deliver func(i int, stream []byte)) error {
+// AssembleSamples reassembles, as SampleJPEGs does, the samples sel selects
+// at scan group g past the first from of them, straight from a gathered
+// body: the bytes of SampleRanges(g, sel) in order, which are the metadata
+// section m was parsed from followed, group by group, by the group's
+// preamble and the selected samples' slices in sample order. m is the
+// parse of that section, with every sample's entry, as of a whole prefix
+// (Dataset.ParseRecordPrefix). It hands each stream — the one SampleJPEG
+// builds from a full prefix — to deliver with its index, in sample order,
+// and splices none inside the resume prefix. The streams share bounded
+// buffers from bufs, as SampleJPEGs's do, and never alias body. A body
+// that is not exactly as long as its own metadata says the selection is, a
+// selection of the wrong length and a group the record does not store are
+// refused as ErrCorrupt, delivering nothing: the index the read was planned
+// from and the record disagree.
+func (m *RecordMeta) AssembleSamples(body []byte, g int, sel []bool, from int, bufs StreamBuffers, deliver func(i int, stream []byte)) error {
 	if g < 1 || g > m.NumGroups {
 		return fmt.Errorf("core: %w: gathered body of scan group %d, record stores [1,%d]", ErrCorrupt, g, m.NumGroups)
 	}
-	// Where each group's preamble and its first delivered slice start in
-	// the body: past the slices of the samples selected inside the resume
-	// prefix. The body's length is held to the plan before anything is
-	// sliced by the lengths in it.
+	if len(sel) != len(m.Samples) {
+		return fmt.Errorf("core: %w: selection has %d entries, record has %d samples", ErrCorrupt, len(sel), len(m.Samples))
+	}
+	// Where each group's preamble and its first selected slice start in the
+	// body. The body's length is held to the plan before anything is sliced
+	// by the lengths in it.
 	var row [2 * stackGroups]int64
 	pos := words(row[:], 2*g)
 	c := cursor{m: m, src: body, pre: pos[:g], next: pos[g:]}
@@ -193,18 +195,17 @@ func (m *RecordMeta) AssembleSamples(body []byte, g int, bufs StreamBuffers, del
 	for k := range g {
 		c.pre[k] = at
 		at += m.preamble[k]
-		if m.skipped != nil {
-			at += m.skipped[k]
-		}
 		c.next[k] = at
-		for i := range m.Samples {
-			at += m.Samples[i].GroupLens[k]
+		for i, s := range m.Samples {
+			if sel[i] {
+				at += s.GroupLens[k]
+			}
 		}
 	}
 	if int64(len(body)) != at {
 		return fmt.Errorf("core: %w: gathered body has %d bytes, the selection spans %d", ErrCorrupt, len(body), at)
 	}
-	m.spliceAll(&c, g, nil, 0, bufs, deliver)
+	m.spliceAll(&c, g, sel, from, bufs, deliver)
 	return nil
 }
 

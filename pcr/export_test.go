@@ -136,3 +136,26 @@ func (d *Dataset) HoldRecord(i int) (release func(), err error) {
 // stream buffer l's epochs hand back to their record reads, before a read
 // can have it.
 func (l *Loader) OnRecycleStreams(f func([]byte)) { l.recycledStreams = f }
+
+// SparseSamples is the IDs of the samples of every record that a read
+// filtered by pred gathers sparsely, as its plan decides (recordPlan).
+func (d *Dataset) SparseSamples(pred Predicate) map[int64]bool {
+	out := make(map[int64]bool)
+	for i := range d.pcr.records {
+		plan, err := d.onePlan(i, Full)
+		if err != nil {
+			panic(err)
+		}
+		plan.filter = pred
+		read, err := plan.next()
+		if err != nil {
+			panic(err)
+		}
+		if read != nil && read.sparse {
+			for _, id := range d.pcr.records[i].SampleIDs {
+				out[id] = true
+			}
+		}
+	}
+	return out
+}

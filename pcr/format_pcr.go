@@ -107,17 +107,17 @@ func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 // readRecord is the fetch stage's one record read: it carries out the read
 // recordPlan decided and priced, and delivers the samples it selects, still
 // encoded, skipping those inside a resume prefix. A whole-prefix read
-// parses every sample and reassembles the delivered ones from the prefix
-// (SampleJPEGs); a sparse read fetches only the metadata section and the
-// selected samples' slices (Stack.Gather), parses an entry for the
-// delivered samples alone, and assembles them straight from those bytes
-// (AssembleSamples). Either way none inside the resume prefix is spliced,
-// the parse goes into a RecordMeta an earlier read is done with, and the
-// delivered JPEGs share bounded buffers of their own — exactly sized and the
-// caller's, or, for a lent read, taken from pl.lend and listed in rr.lent —
-// so the prefix or the gathered body goes back to the stack once the
-// samples are spliced out. A read or parse that panics on hostile record
-// bytes fails this read, not the process, and its buffer still goes back.
+// reassembles the delivered samples from the prefix (SampleJPEGs); a sparse
+// read fetches only the metadata section and the selected samples' slices
+// (Stack.Gather) and assembles them straight from those bytes
+// (AssembleSamples). Either way one parse call, which keeps every sample's
+// entry, goes into a RecordMeta an earlier read is done with, none inside
+// the resume prefix is spliced, and the delivered JPEGs share bounded
+// buffers of their own — exactly sized and the caller's, or, for a lent
+// read, taken from pl.lend and listed in rr.lent — so the prefix or the
+// gathered body goes back to the stack once the samples are spliced out. A
+// read or parse that panics on hostile record bytes fails this read, not
+// the process, and its buffer still goes back.
 func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -129,8 +129,8 @@ func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
 		meta = new(core.RecordMeta)
 	}
 	rr = recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, pl.delivers)}
-	deliver := func(e int, stream []byte) {
-		sm := &meta.Samples[e]
+	deliver := func(i int, stream []byte) {
+		sm := &meta.Samples[i]
 		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
 		if len(rr.lent) > 0 {
 			// The stream went into the buffer taken last.
@@ -154,12 +154,12 @@ func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
 	}
 	if err == nil {
 		defer r.tiers.Release(buf)
-		if pl.sparse {
-			if err = r.ds.ParseRecordPrefix(meta, pl.rec, buf, pl.sel, pl.from); err == nil {
-				err = meta.AssembleSamples(buf, pl.group, bufs, deliver)
+		if err = r.ds.ParseRecordPrefix(meta, pl.rec, buf); err == nil {
+			if pl.sparse {
+				err = meta.AssembleSamples(buf, pl.group, pl.sel, pl.from, bufs, deliver)
+			} else {
+				err = meta.SampleJPEGs(buf, pl.group, pl.sel, pl.from, bufs, deliver)
 			}
-		} else if err = r.ds.ParseRecordPrefix(meta, pl.rec, buf, nil, 0); err == nil {
-			err = meta.SampleJPEGs(buf, pl.group, pl.sel, pl.from, bufs, deliver)
 		}
 	}
 	meta.Reset()

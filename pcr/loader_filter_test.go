@@ -5,6 +5,7 @@ import (
 	"context"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/pcr"
 )
@@ -13,16 +14,18 @@ import (
 // the predicate applied — same shuffled record order, selected samples
 // only, byte-identical streams — and the stats account every sample and
 // every byte of the difference. An epoch lends its streams, so each is
-// cloned inside the loop body.
+// cloned inside the loop body; it runs over more records than are read
+// ahead and batched, so that its sparse reads splice into buffers it has
+// handed back, which at least one does.
 func TestLoaderFilterDelivery(t *testing.T) {
-	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
-	pred, err := pcr.ParseFilter("label IN (0, 1, 2)")
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(2), pcr.WithScanGroups(4))
+	pred, err := pcr.ParseFilter("label IN (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
-	epochOf := func(opts ...pcr.LoaderOption) ([]pcr.Sample, pcr.EpochStats) {
+	epochOf := func(opts ...pcr.LoaderOption) ([]pcr.Sample, pcr.EpochStats, int) {
 		t.Helper()
 		ds, err := pcr.Open(dir)
 		if err != nil {
@@ -34,22 +37,27 @@ func TestLoaderFilterDelivery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w := watchReuse(l, ds.SparseSamples(pred))
 		var out []pcr.Sample
 		for b, err := range l.Epoch(ctx, 0) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			w.saw(b.Samples)
 			out = append(out, cloneStreams(b.Samples)...)
 		}
 		st, ok := l.LastEpochStats()
 		if !ok {
 			t.Fatal("no epoch stats")
 		}
-		return out, st
+		return out, st, w.reused
 	}
 
-	all, allStats := epochOf()
-	got, st := epochOf(pcr.WithLoaderFilter(pred))
+	all, allStats, _ := epochOf()
+	got, st, reused := epochOf(pcr.WithLoaderFilter(pred))
+	if reused == 0 {
+		t.Fatal("no sparse read of the filtered epoch spliced into a stream buffer the epoch had handed back")
+	}
 
 	var want []pcr.Sample
 	for _, s := range all {
@@ -148,10 +156,12 @@ func TestLocalFilteredLoaderMovesPlannedBytes(t *testing.T) {
 // TestLoaderFilterResume: a checkpoint taken mid-epoch under a filter
 // resumes to exactly the uninterrupted epoch's remaining batches — the
 // skip-shortcut counts selected samples, not record sizes. Streams are
-// cloned inside the loop body, since an epoch lends them.
+// cloned inside the loop body, since an epoch lends them; in the
+// uninterrupted epoch and in the resumed one, at least one sparse read
+// splices into a buffer the epoch has handed back.
 func TestLoaderFilterResume(t *testing.T) {
-	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
-	pred, err := pcr.ParseFilter("label IN (0, 1, 2) OR id IN [10..20]")
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(2), pcr.WithScanGroups(4))
+	pred, err := pcr.ParseFilter("label IN (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23) OR id = 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +182,17 @@ func TestLoaderFilterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w1 := watchReuse(l1, ds1.SparseSamples(pred))
 	var full [][]pcr.Sample
 	for b, err := range l1.Epoch(ctx, 1) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w1.saw(b.Samples)
 		full = append(full, cloneStreams(b.Samples))
+	}
+	if w1.reused == 0 {
+		t.Fatal("no sparse read of the filtered epoch spliced into a stream buffer the epoch had handed back")
 	}
 	if len(full) < 3 {
 		t.Fatalf("only %d filtered batches; dataset too small for a resume test", len(full))
@@ -209,12 +224,17 @@ func TestLoaderFilterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w3 := watchReuse(l3, ds3.SparseSamples(pred))
 	var tail [][]pcr.Sample
 	for b, err := range l3.Epoch(ctx, cp.Epoch) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w3.saw(b.Samples)
 		tail = append(tail, cloneStreams(b.Samples))
+	}
+	if w3.reused == 0 {
+		t.Fatal("no sparse read of the resumed epoch spliced into a stream buffer the epoch had handed back")
 	}
 	want := full[2:]
 	if len(tail) != len(want) {
@@ -228,6 +248,35 @@ func TestLoaderFilterResume(t *testing.T) {
 			if tail[i][j].ID != want[i][j].ID || !bytes.Equal(tail[i][j].JPEG, want[i][j].JPEG) {
 				t.Fatalf("batch %d sample %d differs after resume", i, j)
 			}
+		}
+	}
+}
+
+// reuseWatch counts, over one epoch of a Loader, the sparse reads that
+// splice into a stream buffer the epoch handed back before them.
+type reuseWatch struct {
+	sparse map[int64]bool // the samples sparse reads deliver (Dataset.SparseSamples)
+	// back is the first byte of each buffer the epoch has handed back;
+	// holding it keeps the buffer's address the buffer's.
+	back   map[*byte]bool
+	reused int
+}
+
+// watchReuse watches l's stream buffers through OnRecycleStreams; l runs
+// one epoch.
+func watchReuse(l *pcr.Loader, sparse map[int64]bool) *reuseWatch {
+	w := &reuseWatch{sparse: sparse, back: make(map[*byte]bool)}
+	l.OnRecycleStreams(func(b []byte) { w.back[&b[0]] = true })
+	return w
+}
+
+// saw takes a batch inside its loop body. A read splices its first stream
+// at the start of the buffer it takes, so a sparse read's stream that
+// starts a buffer handed back already is a sparse read into that buffer.
+func (w *reuseWatch) saw(samples []pcr.Sample) {
+	for _, s := range samples {
+		if w.sparse[s.ID] && w.back[unsafe.SliceData(s.JPEG)] {
+			w.reused++
 		}
 	}
 }
