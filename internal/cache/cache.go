@@ -66,7 +66,7 @@ type Cache struct {
 	// from free and dropped prefixes go back to it, and lent finds the
 	// entry of a window by the last byte of its prefix's array (lastByte).
 	// Both are nil in a Cache built by New.
-	free *buffers
+	free *Buffers
 	lent map[*byte]*entry
 }
 
@@ -89,7 +89,7 @@ func New(capacity int64, fetch Fetcher) (*Cache, error) {
 
 // newCache builds a cache over fetch; with a free list it is a Stack's
 // memory tier, which lends its prefixes.
-func newCache(capacity int64, fetch fetchInto, free *buffers) *Cache {
+func newCache(capacity int64, fetch fetchInto, free *Buffers) *Cache {
 	c := &Cache{fetch: fetch, free: free}
 	c.lru = lru.New(&c.mu, "cache", capacity, func(_ int, e *entry, evicted bool) {
 		if evicted {
@@ -173,7 +173,7 @@ func (c *Cache) fillLocked(record int, prefixLen int64) (*entry, bool, error) {
 		var buf []byte
 		switch {
 		case c.free != nil:
-			buf = c.free.take(prefixLen, 2*prefixLen)
+			buf = c.free.Take(prefixLen, 2*prefixLen)
 		case old != nil:
 			buf = make([]byte, prefixLen)
 		}
@@ -216,7 +216,7 @@ func (c *Cache) recycleLocked(e *entry) {
 		return
 	}
 	delete(c.lent, lastByte(e.prefix))
-	c.free.give(e.prefix)
+	c.free.Give(e.prefix)
 }
 
 // Contains reports whether the cache holds at least prefixLen bytes of the

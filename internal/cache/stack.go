@@ -31,7 +31,7 @@ type Stack struct {
 	// tier; on an error the read goes to the dataset's backend instead.
 	pull      Fetcher
 	bytesRead atomic.Int64
-	free      buffers
+	free      Buffers
 }
 
 // freeBuffers is how many buffers the free list keeps: as many as a pcr
@@ -45,7 +45,7 @@ const freeBuffers = 4
 // ds.Close, under a memory tier of memBytes unless it is zero. pull, when
 // non-nil, is the backing fetch tried before the dataset's backend.
 func NewStack(ds *core.Dataset, memBytes int64, diskDir string, diskBytes int64, pull Fetcher) (*Stack, error) {
-	s := &Stack{ds: ds, pull: pull, free: buffers{max: freeBuffers}}
+	s := &Stack{ds: ds, pull: pull, free: Buffers{max: freeBuffers}}
 	if diskDir != "" {
 		gen, err := core.IndexFingerprint(ds.Index())
 		if err != nil {
@@ -83,14 +83,14 @@ func (s *Stack) Read(rec int, off, n int64) ([]byte, error) {
 	if s.mem != nil {
 		return s.mem.lend(rec, off, off+n)
 	}
-	return s.read(s.free.take(n, math.MaxInt64), rec, off, n)
+	return s.read(s.free.Take(n, math.MaxInt64), rec, off, n)
 }
 
 // Release hands back a buffer Read or Gather returned; the caller must not
 // touch it again.
 func (s *Stack) Release(b []byte) {
 	if cap(b) > 0 && (s.mem == nil || !s.mem.release(b)) {
-		s.free.give(b)
+		s.free.Give(b)
 	}
 }
 
@@ -115,7 +115,7 @@ func (s *Stack) Gather(rec, group int, sel []bool, ranges []core.ByteRange) ([]b
 			if n, err = s.ds.SampleBytes(rec, group, sel); err != nil {
 				return nil, err
 			}
-			body, err = into.ReadSamplesInto(s.free.take(n, math.MaxInt64), name, group, sel)
+			body, err = into.ReadSamplesInto(s.free.Take(n, math.MaxInt64), name, group, sel)
 		} else {
 			body, err = sr.ReadSamples(name, group, sel)
 		}
@@ -138,9 +138,9 @@ func (s *Stack) Gather(rec, group int, sel []bool, ranges []core.ByteRange) ([]b
 			return nil, err
 		}
 		defer s.Release(prefix)
-		return core.GatherRanges(s.free.take(core.RangesTotal(ranges), math.MaxInt64), prefix, ranges)
+		return core.GatherRanges(s.free.Take(core.RangesTotal(ranges), math.MaxInt64), prefix, ranges)
 	}
-	body := s.free.take(core.RangesTotal(ranges), math.MaxInt64)[:0]
+	body := s.free.Take(core.RangesTotal(ranges), math.MaxInt64)[:0]
 	for _, rg := range ranges {
 		part, err := s.read(body[len(body):], rec, rg.Offset, rg.Length)
 		if err != nil {
@@ -176,11 +176,7 @@ func (s *Stack) BytesRead() int64 { return s.bytesRead.Load() }
 
 // Free returns the buffers on the free list, oldest first, leaving it as it
 // was; tests use it to see a buffer reused.
-func (s *Stack) Free() [][]byte {
-	s.free.mu.Lock()
-	defer s.free.mu.Unlock()
-	return append([][]byte(nil), s.free.bufs...)
-}
+func (s *Stack) Free() [][]byte { return s.free.Free() }
 
 // Close empties the free list and closes the dataset, the disk tier with it.
 func (s *Stack) Close() error {
@@ -190,18 +186,26 @@ func (s *Stack) Close() error {
 	return s.ds.Close()
 }
 
-// buffers is a Stack's free list of byte buffers, for reads and fills to
-// reuse. It keeps the max newest and drops the oldest.
-type buffers struct {
+// Buffers is a free list of byte buffers whose holders are done with them,
+// for the next read that fits one to reuse: a Stack's, for its reads and
+// fills, and the pcr Loader's, for its spliced streams. A take gets the
+// smallest buffer that fits, so a list of mixed sizes keeps the ones too
+// small for the read at hand for the reads they fit. It keeps the newest
+// and drops the oldest once full.
+type Buffers struct {
 	mu   sync.Mutex
 	bufs [][]byte // oldest first
 	max  int
+	made atomic.Int64
 }
 
-// take returns a buffer of length n: the smallest on the list whose
+// NewBuffers returns an empty list that keeps up to max buffers.
+func NewBuffers(max int) *Buffers { return &Buffers{max: max} }
+
+// Take returns a buffer of length n: the smallest on the list whose
 // capacity is between n and most, else a new one with an eighth to spare,
 // so that a slightly longer read can reuse it later.
-func (f *buffers) take(n, most int64) []byte {
+func (f *Buffers) Take(n, most int64) []byte {
 	f.mu.Lock()
 	best := -1
 	for i, b := range f.bufs {
@@ -212,6 +216,7 @@ func (f *buffers) take(n, most int64) []byte {
 	}
 	if best < 0 {
 		f.mu.Unlock()
+		f.made.Add(1)
 		return make([]byte, n, n+n/8)
 	}
 	b := f.bufs[best]
@@ -220,14 +225,26 @@ func (f *buffers) take(n, most int64) []byte {
 	return b[:n]
 }
 
-// give puts b on the list, dropping the oldest buffer if it is full.
-func (f *buffers) give(b []byte) {
+// Give puts b on the list, dropping the oldest buffer if it is full.
+func (f *Buffers) Give(b []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.bufs) == f.max {
 		f.bufs = append(f.bufs[:0], f.bufs[1:]...)
 	}
 	f.bufs = append(f.bufs, b)
+}
+
+// Made counts the buffers Take has made rather than reused; tests use it
+// to see a list that keeps what its reads need.
+func (f *Buffers) Made() int64 { return f.made.Load() }
+
+// Free returns the buffers on the list, oldest first, leaving it as it
+// was; tests use it to see a buffer reused.
+func (f *Buffers) Free() [][]byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([][]byte(nil), f.bufs...)
 }
 
 // FreeList holds things whose holder is done with them — frames the pcr

@@ -334,27 +334,37 @@ var openForRead = os.Open
 // checkPrefix is a recovered entry's first-touch verification: one pass over
 // the data file's extent [0,length) that checks its CRC against want and
 // copies the window [offset,offset+n), which must lie inside the extent (n
-// is zero for none), out of the same read into dst, which holds n bytes. It
-// allocates one buffer of at most 32 KiB, never the extent.
+// is zero for none), out of the same read into dst, which holds n bytes.
+// A window that is the whole extent is read straight into dst, in one
+// positioned read, and checked there; any other window goes through a
+// buffer of at most 32 KiB, never the extent. Either way dst holds bytes
+// that passed the check only when it returns nil.
 func checkPrefix(dst []byte, path string, length int64, want uint32, offset, n int64) error {
 	f, err := openForRead(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r := io.NewSectionReader(f, headerSize, length)
-	buf := make([]byte, min(length, 32<<10))
 	var crc uint32
-	for pos := int64(0); pos < length; {
-		chunk := buf[:min(int64(len(buf)), length-pos)]
-		if _, err := io.ReadFull(r, chunk); err != nil {
+	if offset == 0 && n == length {
+		if _, err := f.ReadAt(dst[:n], headerSize); err != nil {
 			return err
 		}
-		crc = crc32.Update(crc, crc32.IEEETable, chunk)
-		if lo, hi := max(pos, offset), min(pos+int64(len(chunk)), offset+n); lo < hi {
-			copy(dst[lo-offset:], chunk[lo-pos:hi-pos])
+		crc = crc32.ChecksumIEEE(dst[:n])
+	} else {
+		r := io.NewSectionReader(f, headerSize, length)
+		buf := make([]byte, min(length, 32<<10))
+		for pos := int64(0); pos < length; {
+			chunk := buf[:min(int64(len(buf)), length-pos)]
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				return err
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, chunk)
+			if lo, hi := max(pos, offset), min(pos+int64(len(chunk)), offset+n); lo < hi {
+				copy(dst[lo-offset:], chunk[lo-pos:hi-pos])
+			}
+			pos += int64(len(chunk))
 		}
-		pos += int64(len(chunk))
 	}
 	if crc != want {
 		return fmt.Errorf("diskcache: %s fails its header's CRC", path)

@@ -1288,3 +1288,68 @@ func TestLRUOrderSurvivesRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstTouchReadsExtentInPlace: a recovered entry's first read whose
+// window is the whole extent reads the extent straight into the caller's
+// buffer, in place of a 32 KiB scratch, and serves it only once its CRC
+// holds: a warm entry serves its bytes without an upstream read, and one
+// damaged on disk is discarded and refetched, never served.
+func TestFirstTouchReadsExtentInPlace(t *testing.T) {
+	const name, n = "records/big.pcr", 200_000
+	inner := newFake()
+	inner.objects[name] = seq(3, n)
+	want := inner.objects[name]
+	dir := t.TempDir()
+	b, err := Wrap(inner, dir, 1<<20, "gen1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRead(t, b, name, 0, n, want)
+	path := b.objectFile(name)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, damaged := range []bool{false, true} {
+		if damaged {
+			f, err := os.OpenFile(path, os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte{^want[n/2]}, headerSize+n/2); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+		inner2 := newFake()
+		inner2.objects[name] = want
+		b2, err := Wrap(intoFake{inner2}, dir, 1<<20, "gen1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := b2.ReadRangeInto(buf, name, 0, n)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || &got[0] != &buf[0] {
+			t.Fatalf("damaged=%v: wrong bytes, or not in the caller's buffer", damaged)
+		}
+		reads, _ := inner2.counters()
+		st := b2.Stats()
+		switch {
+		case !damaged && (reads != 0 || st.Hits != 1):
+			t.Fatalf("warm first touch: %d upstream reads and stats %+v, want none and one hit", reads, st)
+		case !damaged && after.TotalAlloc-before.TotalAlloc >= 32<<10:
+			t.Fatalf("warm first touch allocated %d bytes, want under the 32 KiB scratch", after.TotalAlloc-before.TotalAlloc)
+		case damaged && (reads != 1 || st.Discarded != 1):
+			t.Fatalf("damaged first touch: %d upstream reads and stats %+v, want one refetch and one discarded", reads, st)
+		}
+		if err := b2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

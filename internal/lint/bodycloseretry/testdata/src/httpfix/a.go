@@ -37,3 +37,13 @@ func closeUndrained(url string) error {
 	resp.Body.Close()
 	return nil
 }
+
+// A response from a bare RoundTrip is held to the same rules as one from
+// a client's Do.
+func roundTripLeak(rt http.RoundTripper, req *http.Request) (int, error) {
+	resp, err := rt.RoundTrip(req) // want `never closed`
+	if err != nil {
+		return 0, err
+	}
+	return resp.StatusCode, nil
+}

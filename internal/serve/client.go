@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -18,8 +19,9 @@ import (
 // reads): a mid-epoch connection reset or truncated response body must not
 // abort a whole training epoch, so each read gets a small bounded budget of
 // passes over the members that serve it (a record's replica set; every
-// member for the index), with jittered exponential backoff between them. Per-attempt limits are the http.Client's own timeouts, so
-// the worst case stays bounded.
+// member for the index), with jittered exponential backoff between them.
+// Per-attempt limits are the http.Client's timeouts (member.get), so the
+// worst case stays bounded.
 const (
 	retryAttempts  = 3
 	retryBaseDelay = 50 * time.Millisecond
@@ -59,10 +61,11 @@ func newHTTPClient() *http.Client {
 }
 
 // member is the wire protocol against one prefix server: a base URL, the
-// http.Client shared by the whole fleet, and the single-attempt calls, each
-// one GET through get, which classifies its failure once: worth another try
-// — on this member or another — or not. The policy of retrying, failing
-// over and hedging is the ClusterClient's alone.
+// http.Client shared by the whole fleet — of which get uses the Transport
+// and the Timeout — and the single-attempt calls, each one GET through
+// get, which classifies its failure once: worth another try — on this
+// member or another — or not. The policy of retrying, failing over and
+// hedging is the ClusterClient's alone.
 type member struct {
 	url  string // as the fleet's ring names it
 	base string // normalized: no trailing slash
@@ -90,20 +93,30 @@ var maxIndexBytes int64 = 1 << 30
 // get is the one GET every client call makes of one member: url, with rng
 // as its Range header when set and marked as a tail-latency hedge when
 // hedge is (the X-Pcr-Hedge header, so the receiving member's /varz shows
-// hedged load). It accepts a 200 to an unranged request and a 206 to a
-// ranged one, and answers with the response, whose body is the caller's to
-// close. A 200 to a ranged request is the whole object, which no prefix
-// server sends (resolveRange answers every window a client asks for with
-// 206 or 416): it is refused, not retryable, its body closed unread. Every
-// other outcome is classified once, with the body drained and closed: a
+// hedged load). It sends the request as one RoundTrip of the client's
+// Transport, not through the client's Do: the client's Timeout becomes the
+// request's deadline, which holds over the body too and is released when
+// the body is closed, and no redirect is followed — no prefix server sends
+// one, so a 3xx is a final error like any other status not asked for. It
+// accepts a 200 to an unranged request and a 206 to a ranged one, and
+// answers with the response, whose body is the caller's to close. A 200 to
+// a ranged request is the whole object, which no prefix server sends
+// (resolveRange answers every window a client asks for with 206 or 416):
+// it is refused, not retryable, its body closed unread. Every other
+// outcome is classified once, with the body drained and closed: a
 // transport error and a 500, 502, 503 or 504 are retryable; a 421 is a
 // misdirectedError carrying the owner header, retryable after a membership
 // refresh; a 416 means the index promised bytes the server does not have —
 // structural damage, reported as core.ErrCorrupt like a truncated local
 // file; any other status is final. name is what is read, for the error.
 func (m *member) get(url, name, rng string, hedge bool) (*http.Response, bool, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	ctx, release := context.Background(), func() {}
+	if m.hc.Timeout > 0 {
+		ctx, release = context.WithTimeout(ctx, m.hc.Timeout)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
+		release()
 		return nil, false, fmt.Errorf("serve: %w", err)
 	}
 	if rng != "" {
@@ -112,10 +125,16 @@ func (m *member) get(url, name, rng string, hedge bool) (*http.Response, bool, e
 	if hedge {
 		req.Header.Set(hedgeHeader, "1")
 	}
-	resp, err := m.hc.Do(req)
+	rt := m.hc.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
+		release()
 		return nil, true, fmt.Errorf("serve: reading %s: %w", name, err)
 	}
+	resp.Body = &deadlineBody{ReadCloser: resp.Body, release: release}
 	code := resp.StatusCode
 	if code == http.StatusOK && rng == "" || code == http.StatusPartialContent && rng != "" {
 		return resp, false, nil
@@ -138,6 +157,19 @@ func (m *member) get(url, name, rng string, hedge bool) (*http.Response, bool, e
 		retryable = true
 	}
 	return nil, retryable, fmt.Errorf("serve: reading %s: server returned %s", name, resp.Status)
+}
+
+// deadlineBody is the body of a response to a request that may have a
+// deadline, which closing the body releases.
+type deadlineBody struct {
+	io.ReadCloser
+	release func()
+}
+
+func (b *deadlineBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.release()
+	return err
 }
 
 // misdirectedError reports a 421 from a fleet member: the client's ring

@@ -116,7 +116,9 @@ type fleet struct {
 // (a standalone server's, or any member's of a fleet; one is enough — the
 // rest of the membership comes from /cluster). A nil httpClient gets a
 // default with bounded dial, header and request timeouts; pass an explicit
-// client to change the limits. Membership is fetched lazily on the first
+// client to change the limits. Of a client passed in, the reads use its
+// Transport and its Timeout only: redirects are not followed, and a Jar is
+// not consulted. Membership is fetched lazily on the first
 // read or FetchIndex, so constructing a client does not require a live
 // fleet.
 func NewClusterClient(seedURLs []string, httpClient *http.Client) (*ClusterClient, error) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -193,6 +194,44 @@ func TestClientDoesNotRetryStructuralErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("3xx_is_final", func(t *testing.T) {
+		_, srv, ts := startServer(t, nil)
+		ix := fetchIndex(t, ts)
+		var mu sync.Mutex
+		redirected, followed := 0, 0
+		target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			followed++
+			mu.Unlock()
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(target.Close)
+		moved := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cluster" {
+				srv.ServeHTTP(w, r)
+				return
+			}
+			mu.Lock()
+			redirected++
+			mu.Unlock()
+			http.Redirect(w, r, target.URL+r.URL.Path, http.StatusFound)
+		}))
+		t.Cleanup(moved.Close)
+		c, err := serve.NewClusterClient([]string{moved.URL}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.ReadRange(ix.Records[0].Name, 0, 64); err == nil || !strings.Contains(err.Error(), "302") {
+			t.Fatalf("read redirected elsewhere: %v, want an error naming the 302", err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if redirected != 1 || followed != 0 {
+			t.Fatalf("%d requests redirected and %d followed, want 1 and 0", redirected, followed)
+		}
+	})
+
 	t.Run("404_fails_fast", func(t *testing.T) {
 		flaky, fts, _ := flakyServer(t, "", 0)
 		c, err := serve.NewClusterClient([]string{fts.URL}, nil)
@@ -207,4 +246,48 @@ func TestClientDoesNotRetryStructuralErrors(t *testing.T) {
 			t.Fatalf("server saw %d attempts for a 404, want 1", n)
 		}
 	})
+}
+
+// TestClientTimeoutBoundsEachRetry: the client's Timeout is each request's
+// deadline, over the body as well as the headers: against a server that
+// sends a 206's headers and then stalls its body, a read fails after its
+// three attempts, each cut off at the deadline, rather than hanging.
+func TestClientTimeoutBoundsEachRetry(t *testing.T) {
+	var mu sync.Mutex
+	attempts := 0
+	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		attempts++
+		mu.Unlock()
+		w.Header().Set("Content-Range", "bytes 0-63/1000")
+		w.Header().Set("Content-Length", "64")
+		w.WriteHeader(http.StatusPartialContent)
+		w.Write([]byte("short"))
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+		case <-time.After(10 * time.Second):
+		}
+	}))
+	t.Cleanup(stall.Close)
+	c, err := serve.NewClusterClient([]string{stall.URL}, &http.Client{Timeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	// A standalone server: the /cluster document is not served, so the
+	// client falls back to the seed alone.
+	_, err = c.ReadRange("record-00000.pcr", 0, 64)
+	if err == nil {
+		t.Fatal("a read whose body never arrives succeeded")
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("the read took %v to fail against a stalled body, want each attempt cut off at 100ms", took)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if attempts < 3 {
+		t.Fatalf("%d record requests, want the retry budget's 3", attempts)
+	}
 }

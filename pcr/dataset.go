@@ -297,11 +297,11 @@ func (d *Dataset) ReadRecordEncoded(i, q int) ([]Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	read, err := plan.next()
-	if read == nil { // an error, or a record of no images
+	read, ok, err := plan.next()
+	if !ok { // an error, or a record of no images
 		return nil, err
 	}
-	rr := d.pcr.readRecord(read)
+	rr := d.pcr.readRecord(&read, false)
 	return rr.samples, rr.err
 }
 

@@ -20,6 +20,9 @@ const RunLen = runLen
 // EpochOrder is the record visit order of an epoch.
 func (l *Loader) EpochOrder(epoch int) []int { return l.epochOrder(epoch) }
 
+// EpochSeed is the seed an epoch's order is drawn with.
+func (l *Loader) EpochSeed(epoch int) int64 { return l.epochSeed(epoch) }
+
 // SelectedCount is how many samples of record i the side index says pred
 // selects.
 func (d *Dataset) SelectedCount(i int, pred Predicate) int {
@@ -51,12 +54,12 @@ func (d *Dataset) readFiltered(i, q int, pred Predicate, from int) (samples []Sa
 	}
 	plan.filter = pred
 	plan.skip = from
-	read, err := plan.next()
+	read, ok, err := plan.next()
 	price := plan.price
-	if read == nil {
+	if !ok {
 		return nil, price.Bytes, price.FullBytes - price.Bytes, err
 	}
-	rr := d.pcr.readRecord(read)
+	rr := d.pcr.readRecord(&read, false)
 	return rr.samples, price.Bytes, price.FullBytes - price.Bytes, rr.err
 }
 
@@ -99,11 +102,11 @@ func (d *Dataset) ReadRecordFrom(i, q, from int) ([]Sample, error) {
 		return nil, err
 	}
 	plan.skip = from
-	read, err := plan.next()
-	if read == nil {
+	read, ok, err := plan.next()
+	if !ok {
 		return nil, err
 	}
-	rr := d.pcr.readRecord(read)
+	rr := d.pcr.readRecord(&read, false)
 	return rr.samples, rr.err
 }
 
@@ -147,11 +150,11 @@ func (d *Dataset) SparseSamples(pred Predicate) map[int64]bool {
 			panic(err)
 		}
 		plan.filter = pred
-		read, err := plan.next()
+		read, ok, err := plan.next()
 		if err != nil {
 			panic(err)
 		}
-		if read != nil && read.sparse {
+		if ok && read.sparse {
 			for _, id := range d.pcr.records[i].SampleIDs {
 				out[id] = true
 			}
@@ -159,3 +162,10 @@ func (d *Dataset) SparseSamples(pred Predicate) map[int64]bool {
 	}
 	return out
 }
+
+// StreamBuffersMade counts the stream buffers l's epochs have made rather
+// than taken from the buffers handed back.
+func (l *Loader) StreamBuffersMade() int64 { return l.streams.Made() }
+
+// StreamBuffersListed is the stream buffers on l's list, oldest first.
+func (l *Loader) StreamBuffersListed() [][]byte { return l.streams.Free() }

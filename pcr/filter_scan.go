@@ -82,10 +82,13 @@ func (d *Dataset) PlanFilter(pred Predicate, q int) (FilterPlan, error) {
 		return FilterPlan{}, fmt.Errorf("pcr: PlanFilter on %s format: filtering is post-read, no plan to compute", d.cfg.format.Name())
 	}
 	plan := d.scanPlan(qq, pred)
-	for read, err := plan.next(); read != nil || err != nil; read, err = plan.next() {
+	for {
+		_, ok, err := plan.next()
 		if err != nil {
 			return FilterPlan{}, err
 		}
+		if !ok {
+			return plan.price, nil
+		}
 	}
-	return plan.price, nil
 }

@@ -3,6 +3,7 @@ package pcr
 import (
 	"fmt"
 	"image"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -59,7 +60,11 @@ func newPCRReader(ds *core.Dataset, cfg *config) (*pcrReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pcrReader{ds: ds, records: ds.Index().Records, tiers: tiers, metas: make(cache.FreeList[*core.RecordMeta], readAhead)}, nil
+	return &pcrReader{
+		ds: ds, records: ds.Index().Records, tiers: tiers,
+		metas: make(cache.FreeList[*core.RecordMeta], readAhead),
+		spent: make(cache.FreeList[readSlices], readAhead+1),
+	}, nil
 }
 
 type pcrWriter struct{ w *core.DatasetWriter }
@@ -80,6 +85,11 @@ type pcrReader struct {
 	// metas is the parsed records that reads are done with, for the next
 	// read to parse into: as many as one pipeline reads at once.
 	metas cache.FreeList[*core.RecordMeta]
+	// spent is the slices of pipelined reads whose consumers are done with
+	// them, cleared, for the next pipelined read to deliver into: as many
+	// as one pipeline has out at once, the records read ahead and the one
+	// whose last run its consumer holds.
+	spent cache.FreeList[readSlices]
 }
 
 func (r *pcrReader) numImages() int { return r.ds.NumImages() }
@@ -115,10 +125,13 @@ func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 // the resume prefix is spliced, and the delivered JPEGs share bounded
 // buffers of their own — exactly sized and the caller's, or, for a lent
 // read, taken from pl.lend and listed in rr.lent — so the prefix or the
-// gathered body goes back to the stack once the samples are spliced out. A
-// read or parse that panics on hostile record bytes fails this read, not
-// the process, and its buffer still goes back.
-func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
+// gathered body goes back to the stack once the samples are spliced out.
+// A pipelined read (pipelined true) delivers into slices from r.spent,
+// which its consumer gives back (spend); any other read's samples slice is
+// the caller's, exactly as long as what it delivers. A read or parse that
+// panics on hostile record bytes fails this read, not the process, and its
+// buffer still goes back.
+func (r *pcrReader) readRecord(pl *readPlan, pipelined bool) (rr recordRead) {
 	defer func() {
 		if v := recover(); v != nil {
 			rr = recordRead{err: fmt.Errorf("pcr: record read panicked: %v", v)}
@@ -128,7 +141,14 @@ func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
 	if meta == nil {
 		meta = new(core.RecordMeta)
 	}
-	rr = recordRead{quality: pl.quality, bytes: pl.bytes, samples: make([]Sample, 0, pl.delivers)}
+	rr = recordRead{quality: pl.quality, bytes: pl.bytes}
+	if !pipelined {
+		rr.samples = make([]Sample, 0, pl.delivers)
+	} else if rr.readSlices = r.spent.Take(); cap(rr.samples) < pl.delivers {
+		// Room for every sample of the record, so that the slice fits any
+		// later read of a record as large.
+		rr.samples = make([]Sample, 0, r.records[pl.rec].Samples)
+	}
 	deliver := func(i int, stream []byte) {
 		sm := &meta.Samples[i]
 		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
@@ -138,9 +158,9 @@ func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
 		}
 	}
 	var bufs core.StreamBuffers
-	if pl.lend != nil {
+	if lend := pl.lend; lend != nil {
 		bufs = func(n int64) []byte {
-			b := takeBuffer(pl.lend, n)
+			b := lend.Take(n, math.MaxInt64)[:0]
 			rr.lent = append(rr.lent, lentBuffer{buf: b})
 			return b
 		}
@@ -168,6 +188,15 @@ func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
 		return recordRead{err: err}
 	}
 	return rr
+}
+
+// spend takes back the slices a pipelined read delivered into once its
+// consumer is done with them, cleared, so that they hold on to no stream or
+// frame.
+func (r *pcrReader) spend(s readSlices) {
+	clear(s.samples)
+	clear(s.lent)
+	r.spent.Give(readSlices{samples: s.samples[:0], lent: s.lent[:0]})
 }
 
 // decodeJPEG decodes s.JPEG into s.Image, reusing reuse's planes when it is

@@ -18,12 +18,14 @@ type Batch struct {
 	// Epoch is the epoch this batch belongs to.
 	Epoch int
 	// Samples have JPEG and Image filled, in the epoch's shuffled order.
-	// A batch from Loader.Epoch lends its Images and its JPEG bytes alike:
-	// they are valid until the loop body that received the batch returns,
-	// as bufio.Scanner's Bytes are until the next Scan, and later samples
-	// are decoded into the same frames and spliced into the same buffers.
-	// A caller that keeps an image past the body clones it, and keeps a
-	// JPEG with bytes.Clone. The batches of Probe.Batches are the caller's.
+	// A batch from Loader.Epoch is lent whole — the Samples slice, its
+	// Images and its JPEG bytes: they are valid until the loop body that
+	// received the batch returns, as bufio.Scanner's Bytes are until the
+	// next Scan, and later batches are assembled in the same slice, their
+	// samples decoded into the same frames and spliced into the same
+	// buffers. A caller that keeps a sample past the body copies it out of
+	// the slice, clones its image and keeps its JPEG with bytes.Clone. The
+	// batches of Probe.Batches are the caller's.
 	Samples []Sample
 }
 
@@ -113,11 +115,14 @@ type Loader struct {
 	// and recycledStreams, when set, see each frame and each buffer handed
 	// back (export_test.go).
 	frames          cache.FreeList[image.Image]
-	streams         cache.FreeList[[]byte]
+	streams         *cache.Buffers
 	recycled        func(image.Image)
 	recycledStreams func([]byte)
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// shuffle draws every epoch's order, reseeded per epoch (epochOrder);
+	// mu guards it.
+	shuffle *rand.Rand
 	last    EpochStats
 	hasLast bool
 	pos     Checkpoint
@@ -269,7 +274,8 @@ func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
 		frames: make(cache.FreeList[image.Image], (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
 		// As many stream buffers as an epoch has out at once: those of the
 		// records read ahead and of the batch in the consumer's hands.
-		streams: make(cache.FreeList[[]byte], readAhead+cfg.batch),
+		streams: cache.NewBuffers(readAhead + cfg.batch),
+		shuffle: rand.New(rand.NewSource(0)),
 	}
 	// Ground "Full" for the policy immediately: the dataset's top quality
 	// is known at open, so a policy (re)started at a concrete quality below
@@ -292,9 +298,14 @@ func (l *Loader) epochSeed(epoch int) int64 {
 
 // epochOrder returns the record visit order for an epoch: the dataset's
 // records streamed through a seeded windowed shuffle (the tf.data
-// shuffle-buffer structure at record granularity).
+// shuffle-buffer structure at record granularity). The Loader's one source,
+// reseeded with the epoch's seed, draws what a new source of that seed
+// would.
 func (l *Loader) epochOrder(epoch int) []int {
-	rng := rand.New(rand.NewSource(l.epochSeed(epoch)))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rng := l.shuffle
+	rng.Seed(l.epochSeed(epoch))
 	n := l.ds.NumRecords()
 	out := make([]int, 0, n)
 	win := make([]int, 0, l.window)
@@ -339,18 +350,22 @@ func (l *Loader) epochOrder(epoch int) []int {
 // be cancelled: an abandoned one finishes on its own goroutine and is
 // dropped). After a complete epoch, LastEpochStats reports its counters.
 //
-// A batch's images and JPEG bytes are valid until the loop body that
-// received it returns (see Batch). The Epoch then hands back the batch's
-// frames, and each buffer of spliced streams whose last stream is in the
-// batch: a buffer's streams belong to consecutive samples, so the body has
-// returned for every one of them. Later samples, of this epoch or a later
-// one, are decoded into those frames and spliced into those buffers, so
-// that an epoch in its steady state allocates neither. Keep an image past
-// the body by cloning it, and a JPEG with bytes.Clone. Between epochs the
-// Loader holds on to no more than an epoch has out at once: (2·workers +
-// 1)·8 + the batch size frames, and 4 + the batch size stream buffers —
-// those of the records read ahead and of one batch — each of at most 1 MiB
-// and an eighth unless it held one longer stream.
+// A batch is lent whole: its Samples slice, images and JPEG bytes are valid
+// until the loop body that received it returns (see Batch). The Epoch then
+// takes back the slice, clears it and assembles the next batch in it,
+// hands back the batch's frames, and each buffer of spliced streams whose
+// last stream is in the batch: a buffer's streams belong to consecutive
+// samples, so the body has returned for every one of them. Later samples,
+// of this epoch or a later one, are decoded into those frames and spliced
+// into those buffers, and each record read delivers into slices an earlier
+// one is done with, so that an epoch in its steady state allocates per
+// epoch — its order, its one batch slice, its pipeline — and not per
+// record, batch or byte. Keep a sample past the body by copying it out of
+// the slice, its image by cloning it, and its JPEG with bytes.Clone.
+// Between epochs the Loader holds on to no more than an epoch has out at
+// once: (2·workers + 1)·8 + the batch size frames, and 4 + the batch size
+// stream buffers — those of the records read ahead and of one batch — each
+// of at most 1 MiB and an eighth unless it held one longer stream.
 func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 	return func(yield func(Batch, error) bool) {
 		start := time.Now()
@@ -370,7 +385,6 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 		var back [][]byte // the stream buffers whose last stream is in cur
 		flush := func() bool {
 			b := Batch{Epoch: epoch, Samples: cur}
-			cur = make([]Sample, 0, l.batch)
 			stats.Batches++
 			// Advance the checkpoint position before handing the batch
 			// over: a Checkpoint() taken while the consumer holds batch k
@@ -396,7 +410,11 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 				}
 				l.streams.Give(buf)
 			}
+			clear(back)
 			back = back[:0]
+			// The next batch is assembled in the same slice.
+			clear(cur)
+			cur = cur[:0]
 			return ok
 		}
 		waiting := time.Now() // since when the consumer has been in the pipeline's hands

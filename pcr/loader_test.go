@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/jpegc"
 	"repro/internal/synth"
 	"repro/pcr"
@@ -94,6 +96,54 @@ func TestLoaderDeterministicShuffle(t *testing.T) {
 				t.Fatalf("sample %d delivered twice in one epoch", id)
 			}
 			seen[id] = true
+		}
+	}
+}
+
+// TestLoaderEpochOrderMatchesFreshSource: the Loader draws every epoch's
+// order from its one shuffle source, reseeded with the epoch's seed, and
+// each order is the one a new rand.NewSource of that seed draws — for
+// several seeds and windows, with epochs visited out of order and again.
+func TestLoaderEpochOrderMatchesFreshSource(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(2))
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	n := ds.NumRecords()
+	// fresh is the windowed shuffle of n records through window, drawn from
+	// a new source of seed.
+	fresh := func(seed int64, window int) []int {
+		rng := rand.New(rand.NewSource(seed))
+		var out, win []int
+		emit := func() {
+			k := rng.Intn(len(win))
+			out = append(out, win[k])
+			win[k] = win[len(win)-1]
+			win = win[:len(win)-1]
+		}
+		for r := range n {
+			if win = append(win, r); len(win) >= window {
+				emit()
+			}
+		}
+		for len(win) > 0 {
+			emit()
+		}
+		return out
+	}
+	for _, seed := range []int64{1, 7, -3, 1 << 40} {
+		for _, window := range []int{1, 3, 16, n + 5} {
+			l, err := pcr.NewLoader(ds, pcr.WithLoaderSeed(seed), pcr.WithShuffleWindow(window))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, epoch := range []int{0, 5, 1, 5, 0, 99} {
+				if got, want := l.EpochOrder(epoch), fresh(l.EpochSeed(epoch), window); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, window %d, epoch %d: order %v, a fresh source draws %v", seed, window, epoch, got, want)
+				}
+			}
 		}
 	}
 }
@@ -865,50 +915,106 @@ func benchShaped(tb testing.TB, n int) string {
 // the Loader's.
 var raceEnabled bool
 
-// TestLoaderEpochAllocationsBounded: once an epoch has run, the next
-// allocates less than an eighth of the JPEG bytes it delivers — its record
-// reads splice into the buffers the epoch before handed back, and parse
-// into the RecordMetas earlier reads are done with, so what is left is per
-// record and per batch, not per byte. It is the least of three epochs, each
-// on one P after a warm-up one, by TotalAlloc, which counts every
-// allocation.
+// memBackend serves a dataset's objects from memory, read whole from the
+// backend it stands in for, so that what a read allocates is the reader's
+// alone: a directory's reads open the record's file each time.
+type memBackend struct {
+	core.Backend
+	objects map[string][]byte
+}
+
+// inMemory is an OpenWrapped wrapper that puts a memBackend in place of the
+// dataset's backend.
+func inMemory(tb testing.TB) func(core.Backend) core.Backend {
+	return func(b core.Backend) core.Backend {
+		names, err := b.List()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		m := &memBackend{Backend: b, objects: make(map[string][]byte)}
+		for _, name := range names {
+			rc, err := b.Open(name)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if m.objects[name], err = io.ReadAll(rc); err != nil {
+				tb.Fatal(err)
+			}
+			rc.Close()
+		}
+		return m
+	}
+}
+
+func (m *memBackend) ReadRange(name string, off, n int64) ([]byte, error) {
+	return m.ReadRangeInto(nil, name, off, n)
+}
+
+func (m *memBackend) ReadRangeInto(dst []byte, name string, off, n int64) ([]byte, error) {
+	data, ok := m.objects[name]
+	if !ok || off < 0 || n < 0 || off+n > int64(len(data)) {
+		return nil, fmt.Errorf("memBackend: no bytes [%d,+%d) in %q", off, n, name)
+	}
+	buf := core.BufferFor(dst, n)
+	copy(buf, data[off:off+n])
+	return buf, nil
+}
+
+// TestLoaderEpochAllocationsBounded: a steady-state epoch allocates per
+// epoch, not per record, batch, sample or byte — its reads splice into the
+// stream buffers the epoch before handed back, parse into the RecordMetas
+// and deliver into the samples slices earlier reads are done with, its runs,
+// slots and batch slice are reused, and its shuffle reseeds one source. So
+// an epoch over 512 bench-shaped images allocates no more than one over 128
+// but for the 12 more ints of its visit order. Each is the least of three
+// epochs, each on one P after two warm-up ones, by TotalAlloc, which counts
+// every allocation. The records are served from memory: a directory's
+// reads open the record's file each time, which the backend allocates, not
+// the Loader.
 func TestLoaderEpochAllocationsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool reallocates decoder scratch at random")
 	}
-	ds, err := pcr.Open(benchShaped(t, 128), pcr.WithPrefetchWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	l, err := pcr.NewLoader(ds, pcr.WithBatchSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	epoch := func() (delivered int) {
-		for b, err := range l.Epoch(context.Background(), 0) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range b.Samples {
-				delivered += len(s.JPEG)
-			}
+	steady := func(images int) (records, delivered int, least uint64) {
+		ds, err := pcr.OpenWrapped(benchShaped(t, images), inMemory(t), pcr.WithPrefetchWorkers(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return delivered
+		defer ds.Close()
+		l, err := pcr.NewLoader(ds, pcr.WithBatchSize(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch := func() (delivered int) {
+			for b, err := range l.Epoch(context.Background(), 0) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range b.Samples {
+					delivered += len(s.JPEG)
+				}
+			}
+			return delivered
+		}
+		epoch()
+		epoch()
+		least = math.MaxUint64
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			delivered = epoch()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return ds.NumRecords(), delivered, least
 	}
-	epoch()
-	least := uint64(math.MaxUint64)
-	var delivered int
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		delivered = epoch()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	t.Logf("a steady-state epoch delivers %d JPEG bytes and allocates %d", delivered, least)
-	if least >= uint64(delivered)/8 {
-		t.Fatalf("a steady-state epoch allocates %d bytes for %d JPEG bytes delivered, want under an eighth", least, delivered)
+	small, smallJPEG, smallAlloc := steady(128)
+	large, largeJPEG, largeAlloc := steady(512)
+	t.Logf("a steady-state epoch of %d records delivers %d JPEG bytes and allocates %d; of %d records, %d and %d",
+		small, smallJPEG, smallAlloc, large, largeJPEG, largeAlloc)
+	if order := uint64(8 * (large - small)); largeAlloc > smallAlloc+order {
+		t.Fatalf("an epoch of %d records allocates %d bytes, of %d records %d: %d more, want at most the %d bytes of its longer visit order",
+			large, largeAlloc, small, smallAlloc, largeAlloc-smallAlloc, order)
 	}
 }

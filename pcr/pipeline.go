@@ -41,10 +41,18 @@ import (
 // two stages (chunk). The consumer (Dataset.pipeline) receives completed
 // runs in order, is the one place a scan observes cancellation and Close,
 // and shuts all of it down when it returns.
+//
+// Every consumer copies a run's samples out before it asks for the next,
+// so what carries them is the pipeline's to reuse: a run, with its
+// completion signal, goes back to the pipeline's list once the consumer is
+// done with it, a read's slot once its read is handed on, and a record
+// read's samples slice to the reader's list (pcrReader.spent) once the
+// consumer is done with the record's last run. A steady-state pipeline
+// allocates them per pipeline, not per record or run.
 
 const (
 	// runLen is the decode stage's unit of work: long enough that a run's
-	// hand-over (one allocation, two channel operations) is noise beside
+	// hand-over (three channel operations) is noise beside
 	// its decodes, short enough that a 32-image record still spreads over
 	// several workers.
 	runLen = 8
@@ -60,13 +68,19 @@ const (
 // recordRead is what one fetch delivers: a record's samples, still encoded,
 // with the read's accounting.
 type recordRead struct {
-	samples []Sample
-	// lent is the stream buffers a lent read (readPlan.lend) spliced the
-	// samples into, in order.
-	lent    []lentBuffer
+	readSlices
 	bytes   int64 // record bytes the read covered
 	quality int   // resolved quality it was read at
 	err     error
+}
+
+// readSlices is what a record read delivers into: its samples, and the
+// stream buffers a lent read (readPlan.lend) spliced them into, in order.
+// A pipelined read's come from the reader's list and go back to it
+// (pcrReader.spent).
+type readSlices struct {
+	samples []Sample
+	lent    []lentBuffer
 }
 
 // lentBuffer is a buffer of spliced streams that Loader.Epoch lends out:
@@ -77,17 +91,6 @@ type recordRead struct {
 type lentBuffer struct {
 	buf  []byte
 	last int
-}
-
-// takeBuffer is where a lent read's splice gets each buffer: one from list
-// with room for n bytes, or a new one with an eighth to spare, so that a
-// slightly longer read can reuse it later. A buffer taken too small is
-// dropped.
-func takeBuffer(list cache.FreeList[[]byte], n int64) []byte {
-	if b := list.Take(); int64(cap(b)) >= n {
-		return b[:0]
-	}
-	return make([]byte, 0, n+n/8)
 }
 
 // recordPlan is the plan stage, and the only one: every record-granular
@@ -126,7 +129,7 @@ type recordPlan struct {
 	// lend, when set, lends the plan's reads: each splices its streams into
 	// buffers from this list (Loader.Epoch's), which its consumer hands
 	// back.
-	lend cache.FreeList[[]byte]
+	lend *cache.Buffers
 }
 
 // readPlan is one record read as recordPlan decided and priced it; the fetch
@@ -148,47 +151,47 @@ type readPlan struct {
 	delivers int
 	// lend is where the read takes its stream buffers from; nil makes the
 	// streams the caller's (recordPlan.lend).
-	lend cache.FreeList[[]byte]
+	lend *cache.Buffers
 }
 
-// next returns the next read to issue, or nil at the end of the plan. After
-// an error the plan is not walked further.
-func (p *recordPlan) next() (*readPlan, error) {
+// next returns the next read to issue; ok is false at the end of the plan.
+// After an error the plan is not walked further.
+func (p *recordPlan) next() (read readPlan, ok bool, err error) {
 	for len(p.order) > 0 && (p.need <= 0 || p.planned < p.need) {
 		rec := p.order[0]
 		p.order = p.order[1:]
-		if read, err := p.record(rec); read != nil || err != nil {
-			return read, err
+		if read, ok, err = p.record(rec); ok || err != nil {
+			return read, ok, err
 		}
 	}
-	return nil, nil
+	return readPlan{}, false, nil
 }
 
-// record is next's step for one record: its read, or nil when nothing of it
-// is to be delivered — the filter selects none of it, or all it would
+// record is next's step for one record: its read, or ok false when nothing
+// of it is to be delivered — the filter selects none of it, or all it would
 // deliver lies inside the resume prefix.
 //
 // The read is a whole prefix unless a filter selects a proper subset of the
 // record and no cache tier is mounted (the tiers are prefix-shaped: a sparse
 // read could neither fill nor be served from one); then it is sparse,
 // moving only the metadata section and the selected samples' slices.
-func (p *recordPlan) record(rec int) (*readPlan, error) {
+func (p *recordPlan) record(rec int) (read readPlan, ok bool, err error) {
 	r := p.d.pcr
 	re, err := r.record(rec)
 	if err != nil {
-		return nil, err
+		return read, false, err
 	}
 	n := re.Samples
 	if p.filter == nil && p.skip >= n {
 		p.skip -= n
-		return nil, nil
+		return read, false, nil
 	}
 	q, err := p.d.resolveQuality(p.policy.RecordQuality(p.epoch, rec))
 	if err != nil {
-		return nil, err
+		return read, false, err
 	}
 	g := re.ClampGroup(q)
-	read := &readPlan{rec: rec, quality: q, group: g, bytes: re.Prefixes[g], lend: p.lend}
+	read = readPlan{rec: rec, quality: q, group: g, bytes: re.Prefixes[g], lend: p.lend}
 	if p.filter != nil {
 		full := read.bytes
 		read.sel, n = matchSelection(p.filter, re.SampleIDs, re.SampleLabels)
@@ -200,7 +203,7 @@ func (p *recordPlan) record(rec int) (*readPlan, error) {
 		case !r.tiers.Cached():
 			read.sparse = true
 			if read.bytes, err = re.SampleBytes(g, read.sel); err != nil {
-				return nil, err
+				return read, false, err
 			}
 		}
 		// A record the filter empties is accounted whether or not a resume
@@ -217,14 +220,14 @@ func (p *recordPlan) record(rec int) (*readPlan, error) {
 		}
 		if p.skip >= n {
 			p.skip -= n
-			return nil, nil
+			return read, false, nil
 		}
 	}
 	read.from = p.skip
 	read.delivers = n - read.from
 	p.skip = 0
 	p.planned += read.delivers
-	return read, nil
+	return read, true, nil
 }
 
 // run is up to runLen consecutive samples of one record, decoded in place by
@@ -233,7 +236,10 @@ func (p *recordPlan) record(rec int) (*readPlan, error) {
 type run struct {
 	samples []Sample
 	err     error
-	done    chan struct{} // closed once samples are decoded; nil when there is nothing to wait for
+	// done is signalled once samples are decoded, by one send that the
+	// consumer receives, so the run can carry it again; nil when there is
+	// nothing to wait for.
+	done chan struct{}
 	// bytes and quality are the read's accounting, carried by the first run
 	// of each fetched record (quality > 0 marks it).
 	bytes   int64
@@ -243,6 +249,10 @@ type run struct {
 	last bool
 	// lent is the lent stream buffers whose last stream is in this run.
 	lent []lentBuffer
+	// spent, on the final run of a fetched record, is what its read
+	// delivered into, for the reader's list once the consumer is done with
+	// the run (pcrReader.spend).
+	spent readSlices
 }
 
 // pipeline is one running instance of the stages.
@@ -252,6 +262,10 @@ type pipeline struct {
 	work   chan *run                   // the same runs, for the decode workers; nil without a decode stage
 	tokens chan struct{}               // one per record planned and not yet consumed
 	frames cache.FreeList[image.Image] // where the decode workers take frames from; nil for none
+	// runs is the runs the consumer is done with, for emit to reuse: as
+	// many as can be out at once, those queued for the consumer, the one
+	// it holds and the one being queued.
+	runs cache.FreeList[*run]
 }
 
 // pipeline runs source on its own goroutine under a fresh pipeline and
@@ -261,7 +275,8 @@ type pipeline struct {
 // cancelled and with ErrClosed as soon as the dataset is closed — both win
 // over runs already decoded — and never waits for a read: whatever it
 // abandons (an early break included) winds down on its own, each fetch
-// worker exiting once its read returns.
+// worker exiting once its read returns. A run yielded is the pipeline's
+// again once yield returns: the consumer copies out what it keeps.
 func (d *Dataset) pipeline(ctx context.Context, decode bool, frames cache.FreeList[image.Image], source func(p *pipeline)) iter.Seq2[*run, error] {
 	return func(yield func(*run, error) bool) {
 		ictx, cancel := context.WithCancel(ctx)
@@ -285,6 +300,7 @@ func (d *Dataset) pipeline(ctx context.Context, decode bool, frames cache.FreeLi
 				go p.decode()
 			}
 		}
+		p.runs = make(cache.FreeList[*run], cap(p.out)+2)
 		go func() {
 			defer close(p.out)
 			if decode {
@@ -335,6 +351,11 @@ func (d *Dataset) pipeline(ctx context.Context, decode bool, frames cache.FreeLi
 			if !yield(r, nil) {
 				return
 			}
+			if r.spent.samples != nil {
+				d.pcr.spend(r.spent)
+			}
+			*r = run{done: r.done}
+			p.runs.Give(r)
 		}
 	}
 }
@@ -350,7 +371,7 @@ func (p *pipeline) decode() {
 				}
 			}
 		}
-		close(r.done)
+		r.done <- struct{}{}
 	}
 }
 
@@ -372,7 +393,8 @@ func (p *pipeline) send(r *run) bool {
 
 // emit cuts one delivery into runs and queues them, followed by the
 // delivery's error if it has one. token says the delivery holds a read-ahead
-// token for its last run to return.
+// token for its last run to return; such a delivery is a record read's,
+// whose slices go back to the reader once the consumer is done with them.
 func (p *pipeline) emit(rr recordRead, token bool) bool {
 	n := len(rr.samples)
 	if n == 0 && token {
@@ -385,16 +407,23 @@ func (p *pipeline) emit(rr recordRead, token bool) bool {
 	lent := rr.lent
 	for from := 0; from < n; from += step {
 		to := min(from+step, n)
-		r := &run{samples: rr.samples[from:to:to], last: token && to == n}
+		r := p.runs.Take()
+		if r == nil {
+			r = new(run)
+			if p.work != nil {
+				r.done = make(chan struct{}, 1)
+			}
+		}
+		r.samples, r.last = rr.samples[from:to:to], token && to == n
+		if r.last {
+			r.spent = rr.readSlices
+		}
 		// The buffers whose last stream is in the run go with it.
 		k := 0
 		for ; k < len(lent) && lent[k].last < to; k++ {
 			lent[k].last -= from
 		}
 		r.lent, lent = lent[:k:k], lent[k:]
-		if p.work != nil {
-			r.done = make(chan struct{})
-		}
 		if from == 0 {
 			r.bytes, r.quality = rr.bytes, rr.quality
 		}
@@ -418,23 +447,25 @@ func (p *pipeline) emit(rr recordRead, token bool) bool {
 // them, started as reads are queued and kept for the pipeline's life, so a
 // scan's reads run on a few goroutines whose stacks have grown to what a
 // read needs rather than a new one each. This one hands the results on in
-// plan order and stops after the first failed read. Backend reads cannot
-// be cancelled, so a read still in flight when the pipeline ends delivers
+// plan order, puts each slot back on the list the planner takes them from,
+// and stops after the first failed read. Backend reads cannot be
+// cancelled, so a read still in flight when the pipeline ends delivers
 // into its buffered slot, nothing waits for it, and its worker exits then;
 // a read still queued is not carried out.
 func (p *pipeline) fetch(plan *recordPlan) {
 	type fetchJob struct {
-		read *readPlan
+		read readPlan
 		slot chan recordRead
 	}
 	// One slot and one queued job per token, so the planner's sends never
-	// block.
+	// block; a slot whose read has been handed on is reused.
 	slots := make(chan chan recordRead, readAhead)
+	free := make(cache.FreeList[chan recordRead], readAhead)
 	jobs := make(chan fetchJob, readAhead)
 	worker := func() {
 		for job := range jobs {
 			if p.ctx.Err() == nil {
-				job.slot <- plan.d.pcr.readRecord(job.read)
+				job.slot <- plan.d.pcr.readRecord(&job.read, true)
 			}
 		}
 	}
@@ -447,11 +478,14 @@ func (p *pipeline) fetch(plan *recordPlan) {
 			case <-p.ctx.Done():
 				return
 			}
-			read, err := plan.next()
-			if read == nil && err == nil {
+			read, ok, err := plan.next()
+			if !ok && err == nil {
 				return
 			}
-			slot := make(chan recordRead, 1)
+			slot := free.Take()
+			if slot == nil {
+				slot = make(chan recordRead, 1)
+			}
 			slots <- slot
 			if err != nil {
 				// A plan-time error is delivered in its turn, after every
@@ -469,6 +503,7 @@ func (p *pipeline) fetch(plan *recordPlan) {
 	for slot := range slots {
 		select {
 		case rr := <-slot:
+			free.Give(slot)
 			if !p.emit(rr, true) {
 				return
 			}
@@ -485,18 +520,18 @@ func (p *pipeline) chunk(seq iter.Seq2[Sample, error], pred Predicate) {
 	buf := make([]Sample, 0, runLen)
 	for s, err := range seq {
 		if err != nil {
-			p.emit(recordRead{samples: buf, err: err}, false)
+			p.emit(recordRead{readSlices: readSlices{samples: buf}, err: err}, false)
 			return
 		}
 		if pred != nil && !pred.Matches(s.ID, s.Label) {
 			continue
 		}
 		if buf = append(buf, s); len(buf) == runLen {
-			if !p.emit(recordRead{samples: buf}, false) {
+			if !p.emit(recordRead{readSlices: readSlices{samples: buf}}, false) {
 				return
 			}
 			buf = make([]Sample, 0, runLen)
 		}
 	}
-	p.emit(recordRead{samples: buf}, false)
+	p.emit(recordRead{readSlices: readSlices{samples: buf}}, false)
 }

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -1039,9 +1040,11 @@ func TestPipelineEpochRecyclesFrames(t *testing.T) {
 // epoch entered mid-record, in batches that cut records apart, while later
 // reads splice into the buffers handed back — each record read's buffer goes
 // back once, a JPEG kept past the body reads as poison once its buffer is
-// back, and buffers are reused across epochs. Scan, ScanEncoded, ReadRecord,
-// ReadRecordEncoded and Probe.Batches hand nothing back, and their bytes
-// never change after delivery.
+// back, and buffers are reused across epochs. The batches of an epoch all
+// come in one Samples slice, and the last, kept past its body, reads as
+// cleared. Scan, ScanEncoded, ReadRecord, ReadRecordEncoded and
+// Probe.Batches hand nothing back, and what they deliver — the slices the
+// last three return included — never changes after delivery.
 func TestPipelineEpochLendsStreams(t *testing.T) {
 	// Twice as many records as are read ahead, so that reads splice into
 	// buffers an epoch has handed back while later batches are in flight.
@@ -1107,12 +1110,16 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 		})
 		for _, epoch = range tc.epochs {
 			handedBack = 0
-			var last [][]byte // the final batch's JPEGs
+			var last [][]byte          // the final batch's JPEGs
+			var lastBatch []pcr.Sample // and its Samples
+			arrays := make(map[*pcr.Sample]bool)
 			delivered := 0
 			for b, err := range tc.l.Epoch(ctx, epoch) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				lastBatch = b.Samples
+				arrays[unsafe.SliceData(b.Samples)] = true
 				last = last[:0]
 				for _, s := range b.Samples {
 					if sha256.Sum256(s.JPEG) != want[s.ID] {
@@ -1138,6 +1145,14 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 					t.Fatalf("%s epoch %d: JPEG %d of the last batch, kept past its loop body, is not poison", tc.name, epoch, i)
 				}
 			}
+			if len(arrays) != 1 {
+				t.Fatalf("%s epoch %d: batches came in %d Samples slices, want one", tc.name, epoch, len(arrays))
+			}
+			for i, s := range lastBatch {
+				if s.ID != 0 || s.Label != 0 || s.JPEG != nil || s.Image != nil {
+					t.Fatalf("%s epoch %d: sample %d of the last batch's Samples, kept past its loop body, is not cleared", tc.name, epoch, i)
+				}
+			}
 		}
 		if !reused {
 			t.Fatalf("%s: no stream buffer handed back in one epoch was handed back in a later one", tc.name)
@@ -1159,6 +1174,7 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 		sum  [32]byte
 	}
 	var others []kept
+	var held [][]pcr.Sample // the slices ReadRecord, ReadRecordEncoded and Probe.Batches returned
 	keep := func(samples ...pcr.Sample) {
 		for _, s := range samples {
 			others = append(others, kept{s.JPEG, want[s.ID]})
@@ -1181,16 +1197,19 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep(rec...)
+	held = append(held, rec)
 	if rec, err = ds.ReadRecordEncoded(1, q); err != nil {
 		t.Fatal(err)
 	}
 	keep(rec...)
+	held = append(held, rec)
 	batches, _, err := l.Probe().Batches(ctx, q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range batches {
 		keep(b.Samples...)
+		held = append(held, b.Samples)
 	}
 	if handedBack != 0 {
 		t.Fatalf("Scan, ScanEncoded, ReadRecord, ReadRecordEncoded and Probe.Batches handed back %d stream buffers", handedBack)
@@ -1207,5 +1226,81 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 		if sha256.Sum256(k.jpeg) != k.sum {
 			t.Fatalf("JPEG %d of Scan, ScanEncoded, ReadRecord, ReadRecordEncoded or Probe.Batches changed after its delivery", i)
 		}
+	}
+	for i, samples := range held {
+		for _, s := range samples {
+			if sha256.Sum256(s.JPEG) != want[s.ID] {
+				t.Fatalf("slice %d of ReadRecord, ReadRecordEncoded or Probe.Batches changed after its delivery", i)
+			}
+		}
+	}
+}
+
+// TestPipelineEpochKeepsStreamBuffers: the Loader's stream buffers are a
+// list that keeps what its reads need. Over records of mixed sizes, read
+// sparse by a filter, a read takes the smallest listed buffer that fits it
+// and leaves the others listed, so no buffer is dropped while the list has
+// room: once the epochs are over and every buffer is back, the list holds
+// every buffer made, up to its ReadAhead + batch, among them some too small
+// for the largest read. A list that dropped a buffer too small for the read
+// at hand holds fewer. How many buffers the epochs make depends on the
+// schedule (how many are out when a read takes one), so that is held only
+// to a bound, far under one per read.
+func TestPipelineEpochKeepsStreamBuffers(t *testing.T) {
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(2), pcr.WithScanGroups(4))
+	ds, err := pcr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	pred, err := pcr.ParseFilter("label IN (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make(map[int]bool)
+	for i := range ds.NumRecords() {
+		if ds.SelectedCount(i, pred) == 0 {
+			continue
+		}
+		samples, _, _, err := ds.ReadRecordFiltered(i, pcr.Full, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, s := range samples {
+			n += len(s.JPEG)
+		}
+		sizes[n] = true
+	}
+	if len(sizes) < 4 {
+		t.Fatalf("the filtered reads deliver %d sizes of streams; the test needs them mixed", len(sizes))
+	}
+	const batch = 4
+	l, err := pcr.NewLoader(ds, pcr.WithBatchSize(batch), pcr.WithLoaderFilter(pred))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	for epoch := range 11 {
+		for b, err := range l.Epoch(context.Background(), epoch) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered += len(b.Samples)
+		}
+	}
+	made, listed := l.StreamBuffersMade(), l.StreamBuffersListed()
+	if room := int64(pcr.ReadAhead + batch); int64(len(listed)) != min(made, room) {
+		t.Fatalf("%d stream buffers made and %d listed once every one is back, want %d listed: one was dropped while the list had room", made, len(listed), min(made, room))
+	}
+	if made > 2*(pcr.ReadAhead+batch) {
+		t.Fatalf("11 epochs made %d stream buffers for %d samples", made, delivered)
+	}
+	caps := make(map[int]bool)
+	for _, b := range listed {
+		caps[cap(b)] = true
+	}
+	if len(caps) < 2 {
+		t.Fatalf("the listed stream buffers have %d capacities; the test needs reads of mixed sizes", len(caps))
 	}
 }

@@ -6,20 +6,25 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/pcr"
 )
 
 // TestPipelineReadBuffersNeverAliased: a read beneath the memory tier
 // recycles its prefix buffer, and no sample it delivered shares it. Locally,
-// over the wire and through a disk tier, concurrent ReadRecordEncoded calls at every quality, a ScanEncoded and a
-// Loader.Epoch run at once over one dataset, followed by 2×ReadAhead more
-// reads; every sample delivered along the way, record 0's first among
-// them, is then still byte for byte what a reader that never recycles
-// (one behind a memory tier) delivers — the Loader's as they read inside
-// its loop body, since an epoch lends its streams.
+// over the wire and through a disk tier, concurrent ReadRecordEncoded calls
+// at every quality, a ScanEncoded and a Loader.Epoch run at once over one
+// dataset, followed by 2×ReadAhead more reads; every sample delivered along
+// the way, record 0's first among them, is then still byte for byte what a
+// reader that never recycles (one behind a memory tier) delivers — the
+// Loader's as they read inside its loop body, since an epoch lends its
+// batches whole. The dataset holds more records than are read ahead and
+// batched, so that the epoch assembles a batch in a Samples slice it has
+// taken back and a read splices into a stream buffer it has handed back,
+// which each must do at least once.
 func TestPipelineReadBuffersNeverAliased(t *testing.T) {
-	dir, _ := synthDir(t, pcr.WithImagesPerRecord(8), pcr.WithScanGroups(4))
+	dir, _ := synthDir(t, pcr.WithImagesPerRecord(2), pcr.WithScanGroups(4))
 	_, ts := startServer(t, dir, nil)
 	ctx := context.Background()
 
@@ -104,6 +109,7 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 					keepAll(qs, []pcr.Sample{s})
 				}
 			}()
+			var slicesReused, buffersReused int
 			go func() {
 				defer wg.Done()
 				l, err := pcr.NewLoader(ds, pcr.WithQuality(1), pcr.WithBatchSize(8))
@@ -111,12 +117,25 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 					errs <- err
 					return
 				}
+				back := make(map[*byte]bool) // the first byte of each stream buffer handed back
+				l.OnRecycleStreams(func(b []byte) { back[&b[0]] = true })
+				seen := make(map[*pcr.Sample]bool) // the Samples arrays batches came in
 				for b, err := range l.Epoch(ctx, 0) {
 					if err != nil {
 						errs <- err
 						return
 					}
-					// An epoch lends its streams: they are kept as they read
+					if p := unsafe.SliceData(b.Samples); seen[p] {
+						slicesReused++
+					} else {
+						seen[p] = true
+					}
+					for _, s := range b.Samples {
+						if back[unsafe.SliceData(s.JPEG)] {
+							buffersReused++
+						}
+					}
+					// An epoch lends its batches: they are kept as they read
 					// inside the loop body.
 					keepAll(1, cloneStreams(b.Samples))
 				}
@@ -136,6 +155,9 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 				if sha256.Sum256(k.jpeg) != want[[2]int64{int64(k.q), k.id}] {
 					t.Fatalf("sample %d at quality %d no longer reads as delivered", k.id, k.q)
 				}
+			}
+			if slicesReused == 0 || buffersReused == 0 {
+				t.Fatalf("the epoch assembled %d batches in a Samples slice it had taken back and spliced %d streams into a buffer it had handed back, want both", slicesReused, buffersReused)
 			}
 		})
 	}
