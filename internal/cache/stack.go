@@ -188,19 +188,14 @@ func (s *Stack) Close() error {
 
 // Buffers is a free list of byte buffers whose holders are done with them,
 // for the next read that fits one to reuse: a Stack's, for its reads and
-// fills, and the pcr Loader's, for its spliced streams. A take gets the
-// smallest buffer that fits, so a list of mixed sizes keeps the ones too
-// small for the read at hand for the reads they fit. It keeps the newest
-// and drops the oldest once full.
+// fills. A take gets the smallest buffer that fits, so a list of mixed
+// sizes keeps the ones too small for the read at hand for the reads they
+// fit. It keeps the newest and drops the oldest once full.
 type Buffers struct {
 	mu   sync.Mutex
 	bufs [][]byte // oldest first
 	max  int
-	made atomic.Int64
 }
-
-// NewBuffers returns an empty list that keeps up to max buffers.
-func NewBuffers(max int) *Buffers { return &Buffers{max: max} }
 
 // Take returns a buffer of length n: the smallest on the list whose
 // capacity is between n and most, else a new one with an eighth to spare,
@@ -216,7 +211,6 @@ func (f *Buffers) Take(n, most int64) []byte {
 	}
 	if best < 0 {
 		f.mu.Unlock()
-		f.made.Add(1)
 		return make([]byte, n, n+n/8)
 	}
 	b := f.bufs[best]
@@ -234,10 +228,6 @@ func (f *Buffers) Give(b []byte) {
 	}
 	f.bufs = append(f.bufs, b)
 }
-
-// Made counts the buffers Take has made rather than reused; tests use it
-// to see a list that keeps what its reads need.
-func (f *Buffers) Made() int64 { return f.made.Load() }
 
 // Free returns the buffers on the list, oldest first, leaving it as it
 // was; tests use it to see a buffer reused.

@@ -301,8 +301,7 @@ func (d *Dataset) ReadRecordEncoded(i, q int) ([]Sample, error) {
 	if !ok { // an error, or a record of no images
 		return nil, err
 	}
-	rr := d.pcr.readRecord(&read, false)
-	return rr.samples, rr.err
+	return d.pcr.readOwned(&read)
 }
 
 // ReadRecord materializes every image of record i at quality q — the random

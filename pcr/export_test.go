@@ -2,6 +2,7 @@ package pcr
 
 import (
 	"image"
+	"slices"
 	"unsafe"
 
 	"repro/internal/core"
@@ -59,8 +60,8 @@ func (d *Dataset) readFiltered(i, q int, pred Predicate, from int) (samples []Sa
 	if !ok {
 		return nil, price.Bytes, price.FullBytes - price.Bytes, err
 	}
-	rr := d.pcr.readRecord(&read, false)
-	return rr.samples, price.Bytes, price.FullBytes - price.Bytes, rr.err
+	samples, err = d.pcr.readOwned(&read)
+	return samples, price.Bytes, price.FullBytes - price.Bytes, err
 }
 
 // WrapBackend puts wrap(backend) under a PCR dataset's reads: above its
@@ -106,8 +107,7 @@ func (d *Dataset) ReadRecordFrom(i, q, from int) ([]Sample, error) {
 	if !ok {
 		return nil, err
 	}
-	rr := d.pcr.readRecord(&read, false)
-	return rr.samples, rr.err
+	return d.pcr.readOwned(&read)
 }
 
 // FreePrefixes is the backing arrays of the prefix buffers on the reader's
@@ -135,11 +135,6 @@ func (d *Dataset) HoldRecord(i int) (release func(), err error) {
 	return func() { d.pcr.tiers.Release(b) }, nil
 }
 
-// OnRecycleStreams has f see, and change if it likes, the whole of every
-// stream buffer l's epochs hand back to their record reads, before a read
-// can have it.
-func (l *Loader) OnRecycleStreams(f func([]byte)) { l.recycledStreams = f }
-
 // SparseSamples is the IDs of the samples of every record that a read
 // filtered by pred gathers sparsely, as its plan decides (recordPlan).
 func (d *Dataset) SparseSamples(pred Predicate) map[int64]bool {
@@ -163,9 +158,30 @@ func (d *Dataset) SparseSamples(pred Predicate) map[int64]bool {
 	return out
 }
 
-// StreamBuffersMade counts the stream buffers l's epochs have made rather
-// than taken from the buffers handed back.
-func (l *Loader) StreamBuffersMade() int64 { return l.streams.Made() }
+// LeaseEvent is one take or give of a record lease as OnLease sees it: the
+// lease (for its identity) and, on a give, the samples it holds and the
+// stream buffers it keeps that its read spliced into, whole.
+type LeaseEvent struct {
+	Lease   any
+	Give    bool
+	Samples []Sample
+	Streams [][]byte
+}
 
-// StreamBuffersListed is the stream buffers on l's list, oldest first.
-func (l *Loader) StreamBuffersListed() [][]byte { return l.streams.Free() }
+// OnLease has f see every take and give of d's record leases, and change
+// the stream buffers of a give if it likes, before a read can have them.
+// Set it before d is read; f may be called from several goroutines at once.
+func (d *Dataset) OnLease(f func(LeaseEvent)) {
+	d.pcr.leased = func(l *recordLease, give bool) {
+		ev := LeaseEvent{Lease: l, Give: give}
+		if give {
+			ev.Samples = slices.Clone(l.samples)
+			for _, b := range l.streams[:l.used] {
+				if b != nil {
+					ev.Streams = append(ev.Streams, b[:cap(b)])
+				}
+			}
+		}
+		f(ev)
+	}
+}

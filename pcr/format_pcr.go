@@ -1,9 +1,11 @@
 package pcr
 
 import (
+	"cmp"
 	"fmt"
 	"image"
-	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -60,11 +62,7 @@ func newPCRReader(ds *core.Dataset, cfg *config) (*pcrReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pcrReader{
-		ds: ds, records: ds.Index().Records, tiers: tiers,
-		metas: make(cache.FreeList[*core.RecordMeta], readAhead),
-		spent: make(cache.FreeList[readSlices], readAhead+1),
-	}, nil
+	return &pcrReader{ds: ds, records: ds.Index().Records, tiers: tiers}, nil
 }
 
 type pcrWriter struct{ w *core.DatasetWriter }
@@ -82,14 +80,112 @@ type pcrReader struct {
 	// (recordPlan).
 	records []core.RecordInfo
 	tiers   *cache.Stack
-	// metas is the parsed records that reads are done with, for the next
-	// read to parse into: as many as one pipeline reads at once.
-	metas cache.FreeList[*core.RecordMeta]
-	// spent is the slices of pipelined reads whose consumers are done with
-	// them, cleared, for the next pipelined read to deliver into: as many
-	// as one pipeline has out at once, the records read ahead and the one
-	// whose last run its consumer holds.
-	spent cache.FreeList[readSlices]
+	// leases is the record leases given back, for the next record read to
+	// take, in order of what they held. It keeps every one, so it holds no
+	// more than were ever out at once. mu guards it; leased, when set, sees
+	// each take and give (export_test.go).
+	mu     sync.Mutex
+	leases []*recordLease
+	leased func(l *recordLease, give bool)
+}
+
+// recordLease is what one record read passes through: the RecordMeta it
+// parses into, the samples slice it delivers into and the buffers it
+// splices the samples' streams into. A read takes one (take) and hands it
+// on with its samples; it comes back whole, once, when their holder is
+// done with them (give), and keeps its room for the next read.
+type recordLease struct {
+	meta    core.RecordMeta
+	samples []Sample
+	// streams is the stream buffers, in the order the splice asks for them,
+	// of which the read at hand has used the first used.
+	streams [][]byte
+	used    int
+	// held is the most bytes a read whose streams the buffers hold has
+	// moved: a read of no more likely fits them.
+	held int64
+}
+
+// stream is a read's core.StreamBuffers: the lease's next buffer if it has
+// room for n bytes, else a new one in its place — of exactly n where it had
+// none, so that a caller who keeps the streams (give, kept) keeps no spare
+// room, and of twice n where its buffer was too short, so that the buffers
+// of a lease given back whole settle rather than regrow read after read.
+func (l *recordLease) stream(n int64) []byte {
+	if l.used == len(l.streams) {
+		l.streams = append(l.streams, nil)
+	}
+	b := l.streams[l.used]
+	if int64(cap(b)) < n {
+		room := n
+		if b != nil {
+			room *= 2
+		}
+		b = make([]byte, 0, room)
+		l.streams[l.used] = b
+	}
+	l.used++
+	return b[:0]
+}
+
+// take hands a read of n bytes a lease: of those given back, the one whose
+// buffers held the smallest read no smaller, else the largest, so that over
+// reads of mixed sizes the buffers settle rather than regrow; else a new
+// one.
+func (r *pcrReader) take(n int64) *recordLease {
+	r.mu.Lock()
+	var l *recordLease
+	if k := len(r.leases); k == 0 {
+		l = new(recordLease)
+	} else {
+		i, _ := slices.BinarySearchFunc(r.leases, n, byHeld)
+		i = min(i, k-1)
+		l = r.leases[i]
+		r.leases = slices.Delete(r.leases, i, i+1)
+	}
+	r.mu.Unlock()
+	l.held = max(l.held, n)
+	if r.leased != nil {
+		r.leased(l, false)
+	}
+	return l
+}
+
+// byHeld orders leases by the bytes their buffers held.
+func byHeld(l *recordLease, n int64) int { return cmp.Compare(l.held, n) }
+
+// give takes a lease back, its samples cleared so that it holds on to no
+// frame or stream but its own buffers. With kept, the holder keeps the
+// streams its read delivered, so the lease lets go of their buffers first;
+// otherwise it comes back whole.
+func (r *pcrReader) give(l *recordLease, kept bool) {
+	if kept {
+		clear(l.streams[:l.used])
+		l.held = 0
+	}
+	if r.leased != nil {
+		r.leased(l, true)
+	}
+	clear(l.samples)
+	l.samples, l.used = l.samples[:0], 0
+	r.mu.Lock()
+	i, _ := slices.BinarySearchFunc(r.leases, l.held, byHeld)
+	r.leases = slices.Insert(r.leases, i, l)
+	r.mu.Unlock()
+}
+
+// readOwned is a record read whose caller keeps what it delivers: the
+// samples, copied into a slice of their own, and their streams. The lease
+// goes back at once.
+func (r *pcrReader) readOwned(pl *readPlan) ([]Sample, error) {
+	rr := r.readRecord(pl)
+	if rr.err != nil {
+		return nil, rr.err
+	}
+	samples := make([]Sample, len(rr.samples))
+	copy(samples, rr.samples)
+	r.give(rr.lease, true)
+	return samples, nil
 }
 
 func (r *pcrReader) numImages() int { return r.ds.NumImages() }
@@ -115,55 +211,35 @@ func (r *pcrReader) sizeAtQuality(q int) (int64, error) {
 }
 
 // readRecord is the fetch stage's one record read: it carries out the read
-// recordPlan decided and priced, and delivers the samples it selects, still
-// encoded, skipping those inside a resume prefix. A whole-prefix read
-// reassembles the delivered samples from the prefix (SampleJPEGs); a sparse
-// read fetches only the metadata section and the selected samples' slices
-// (Stack.Gather) and assembles them straight from those bytes
-// (AssembleSamples). Either way one parse call, which keeps every sample's
-// entry, goes into a RecordMeta an earlier read is done with, none inside
-// the resume prefix is spliced, and the delivered JPEGs share bounded
-// buffers of their own — exactly sized and the caller's, or, for a lent
-// read, taken from pl.lend and listed in rr.lent — so the prefix or the
-// gathered body goes back to the stack once the samples are spliced out.
-// A pipelined read (pipelined true) delivers into slices from r.spent,
-// which its consumer gives back (spend); any other read's samples slice is
-// the caller's, exactly as long as what it delivers. A read or parse that
-// panics on hostile record bytes fails this read, not the process, and its
-// buffer still goes back.
-func (r *pcrReader) readRecord(pl *readPlan, pipelined bool) (rr recordRead) {
+// recordPlan decided and priced, and delivers the samples it selects past
+// the resume prefix, still encoded, into a lease it takes. A whole-prefix
+// read reassembles them from the prefix (SampleJPEGs); a sparse read
+// fetches only the metadata section and the selected samples' slices
+// (Stack.Gather) and assembles them from those bytes (AssembleSamples).
+// Either way the record is parsed once, into the lease's RecordMeta, the
+// streams go into the lease's buffers, and the prefix or body goes back to
+// the stack once they are spliced. A read that fails, a panic on hostile
+// record bytes included, gives its lease back and delivers only the error.
+func (r *pcrReader) readRecord(pl *readPlan) (rr recordRead) {
+	l := r.take(pl.bytes)
 	defer func() {
+		l.meta.Reset()
 		if v := recover(); v != nil {
-			rr = recordRead{err: fmt.Errorf("pcr: record read panicked: %v", v)}
+			rr.err = fmt.Errorf("pcr: record read panicked: %v", v)
+		}
+		if rr.err != nil {
+			r.give(l, false)
+			rr = recordRead{err: rr.err}
 		}
 	}()
-	meta := r.metas.Take()
-	if meta == nil {
-		meta = new(core.RecordMeta)
-	}
-	rr = recordRead{quality: pl.quality, bytes: pl.bytes}
-	if !pipelined {
-		rr.samples = make([]Sample, 0, pl.delivers)
-	} else if rr.readSlices = r.spent.Take(); cap(rr.samples) < pl.delivers {
+	if cap(l.samples) < pl.delivers {
 		// Room for every sample of the record, so that the slice fits any
 		// later read of a record as large.
-		rr.samples = make([]Sample, 0, r.records[pl.rec].Samples)
+		l.samples = make([]Sample, 0, r.records[pl.rec].Samples)
 	}
 	deliver := func(i int, stream []byte) {
-		sm := &meta.Samples[i]
-		rr.samples = append(rr.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
-		if len(rr.lent) > 0 {
-			// The stream went into the buffer taken last.
-			rr.lent[len(rr.lent)-1].last = len(rr.samples) - 1
-		}
-	}
-	var bufs core.StreamBuffers
-	if lend := pl.lend; lend != nil {
-		bufs = func(n int64) []byte {
-			b := lend.Take(n, math.MaxInt64)[:0]
-			rr.lent = append(rr.lent, lentBuffer{buf: b})
-			return b
-		}
+		sm := &l.meta.Samples[i]
+		l.samples = append(l.samples, Sample{ID: sm.ID, Label: sm.Label, JPEG: stream})
 	}
 	var buf []byte
 	var err error
@@ -174,29 +250,15 @@ func (r *pcrReader) readRecord(pl *readPlan, pipelined bool) (rr recordRead) {
 	}
 	if err == nil {
 		defer r.tiers.Release(buf)
-		if err = r.ds.ParseRecordPrefix(meta, pl.rec, buf); err == nil {
+		if err = r.ds.ParseRecordPrefix(&l.meta, pl.rec, buf); err == nil {
 			if pl.sparse {
-				err = meta.AssembleSamples(buf, pl.group, pl.sel, pl.from, bufs, deliver)
+				err = l.meta.AssembleSamples(buf, pl.group, pl.sel, pl.from, l.stream, deliver)
 			} else {
-				err = meta.SampleJPEGs(buf, pl.group, pl.sel, pl.from, bufs, deliver)
+				err = l.meta.SampleJPEGs(buf, pl.group, pl.sel, pl.from, l.stream, deliver)
 			}
 		}
 	}
-	meta.Reset()
-	r.metas.Give(meta)
-	if err != nil {
-		return recordRead{err: err}
-	}
-	return rr
-}
-
-// spend takes back the slices a pipelined read delivered into once its
-// consumer is done with them, cleared, so that they hold on to no stream or
-// frame.
-func (r *pcrReader) spend(s readSlices) {
-	clear(s.samples)
-	clear(s.lent)
-	r.spent.Give(readSlices{samples: s.samples[:0], lent: s.lent[:0]})
+	return recordRead{samples: l.samples, lease: l, bytes: pl.bytes, quality: pl.quality, err: err}
 }
 
 // decodeJPEG decodes s.JPEG into s.Image, reusing reuse's planes when it is

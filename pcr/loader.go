@@ -110,14 +110,10 @@ type Loader struct {
 	loaderConfig
 
 	// frames are the decoded frames Epoch's consumers have handed back,
-	// for its decode workers to decode into, and streams the buffers of
-	// spliced JPEG streams, for its record reads to splice into; recycled
-	// and recycledStreams, when set, see each frame and each buffer handed
-	// back (export_test.go).
-	frames          cache.FreeList[image.Image]
-	streams         *cache.Buffers
-	recycled        func(image.Image)
-	recycledStreams func([]byte)
+	// for its decode workers to decode into; recycled, when set, sees each
+	// frame handed back (export_test.go).
+	frames   cache.FreeList[image.Image]
+	recycled func(image.Image)
 
 	mu sync.Mutex
 	// shuffle draws every epoch's order, reseeded per epoch (epochOrder);
@@ -271,10 +267,7 @@ func NewLoader(ds *Dataset, opts ...LoaderOption) (*Loader, error) {
 		loaderConfig: *cfg,
 		// As many frames as an epoch has decoded at once: the runs ahead of
 		// the consumer and the batch being assembled (see Epoch).
-		frames: make(cache.FreeList[image.Image], (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
-		// As many stream buffers as an epoch has out at once: those of the
-		// records read ahead and of the batch in the consumer's hands.
-		streams: cache.NewBuffers(readAhead + cfg.batch),
+		frames:  make(cache.FreeList[image.Image], (2*ds.cfg.prefetchWorkers()+1)*runLen+cfg.batch),
 		shuffle: rand.New(rand.NewSource(0)),
 	}
 	// Ground "Full" for the policy immediately: the dataset's top quality
@@ -350,22 +343,16 @@ func (l *Loader) epochOrder(epoch int) []int {
 // be cancelled: an abandoned one finishes on its own goroutine and is
 // dropped). After a complete epoch, LastEpochStats reports its counters.
 //
-// A batch is lent whole: its Samples slice, images and JPEG bytes are valid
-// until the loop body that received it returns (see Batch). The Epoch then
-// takes back the slice, clears it and assembles the next batch in it,
-// hands back the batch's frames, and each buffer of spliced streams whose
-// last stream is in the batch: a buffer's streams belong to consecutive
-// samples, so the body has returned for every one of them. Later samples,
-// of this epoch or a later one, are decoded into those frames and spliced
-// into those buffers, and each record read delivers into slices an earlier
-// one is done with, so that an epoch in its steady state allocates per
-// epoch — its order, its one batch slice, its pipeline — and not per
-// record, batch or byte. Keep a sample past the body by copying it out of
-// the slice, its image by cloning it, and its JPEG with bytes.Clone.
-// Between epochs the Loader holds on to no more than an epoch has out at
-// once: (2·workers + 1)·8 + the batch size frames, and 4 + the batch size
-// stream buffers — those of the records read ahead and of one batch — each
-// of at most 1 MiB and an eighth unless it held one longer stream.
+// A batch is lent whole (see Batch). Once its loop body returns, the Epoch
+// clears the Samples slice for the next batch, hands the frames back to the
+// decode workers, and gives back the lease of each record whose last sample
+// was in the batch — the samples slice and stream buffers its read
+// delivered into — for a later read, so that a steady-state epoch allocates
+// per epoch (its order, its one batch slice, its pipeline), not per record
+// or batch. Between epochs the Loader keeps (2·workers + 1)·8 + the batch
+// size frames, and the dataset a lease for each record an epoch had out at
+// once, with stream buffers of at most 2 MiB unless one held a longer
+// stream.
 func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 	return func(yield func(Batch, error) bool) {
 		start := time.Now()
@@ -377,12 +364,12 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 		}
 		plan := &recordPlan{
 			d: l.ds, order: l.epochOrder(epoch), policy: l.policy, epoch: epoch,
-			filter: l.filter, skip: base * l.batch, lend: l.streams,
+			filter: l.filter, skip: base * l.batch,
 		}
 
 		stats := EpochStats{Epoch: epoch}
 		cur := make([]Sample, 0, l.batch)
-		var back [][]byte // the stream buffers whose last stream is in cur
+		var back []*recordLease // the leases of the records whose last sample is in cur
 		flush := func() bool {
 			b := Batch{Epoch: epoch, Samples: cur}
 			stats.Batches++
@@ -404,11 +391,8 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 				}
 				l.frames.Give(s.Image)
 			}
-			for _, buf := range back {
-				if l.recycledStreams != nil {
-					l.recycledStreams(buf[:cap(buf)])
-				}
-				l.streams.Give(buf)
+			for _, lease := range back {
+				l.ds.pcr.give(lease, false)
 			}
 			clear(back)
 			back = back[:0]
@@ -433,11 +417,13 @@ func (l *Loader) Epoch(ctx context.Context, epoch int) iter.Seq2[Batch, error] {
 				stats.MaxQuality = max(stats.MaxQuality, r.quality)
 			}
 			stats.Images += len(r.samples)
-			lent := r.lent
 			for i, s := range r.samples {
 				cur = append(cur, s)
-				for ; len(lent) > 0 && lent[0].last == i; lent = lent[1:] {
-					back = append(back, lent[0].buf)
+				if i == len(r.samples)-1 && r.lease != nil {
+					// The record's last sample: its lease goes back once the
+					// body has returned for cur.
+					back = append(back, r.lease)
+					r.lease = nil
 				}
 				if len(cur) == l.batch && !flush() {
 					return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -37,7 +38,7 @@ func TestLoaderFilterDelivery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := watchReuse(l, ds.SparseSamples(pred))
+		w := watchReuse(ds, ds.SparseSamples(pred))
 		var out []pcr.Sample
 		for b, err := range l.Epoch(ctx, 0) {
 			if err != nil {
@@ -182,7 +183,7 @@ func TestLoaderFilterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1 := watchReuse(l1, ds1.SparseSamples(pred))
+	w1 := watchReuse(ds1, ds1.SparseSamples(pred))
 	var full [][]pcr.Sample
 	for b, err := range l1.Epoch(ctx, 1) {
 		if err != nil {
@@ -224,7 +225,7 @@ func TestLoaderFilterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w3 := watchReuse(l3, ds3.SparseSamples(pred))
+	w3 := watchReuse(ds3, ds3.SparseSamples(pred))
 	var tail [][]pcr.Sample
 	for b, err := range l3.Epoch(ctx, cp.Epoch) {
 		if err != nil {
@@ -256,17 +257,24 @@ func TestLoaderFilterResume(t *testing.T) {
 // splice into a stream buffer the epoch handed back before them.
 type reuseWatch struct {
 	sparse map[int64]bool // the samples sparse reads deliver (Dataset.SparseSamples)
-	// back is the first byte of each buffer the epoch has handed back;
-	// holding it keeps the buffer's address the buffer's.
+	mu     sync.Mutex
+	// back is the first byte of each stream buffer of each lease given
+	// back; holding it keeps the buffer's address the buffer's.
 	back   map[*byte]bool
 	reused int
 }
 
-// watchReuse watches l's stream buffers through OnRecycleStreams; l runs
-// one epoch.
-func watchReuse(l *pcr.Loader, sparse map[int64]bool) *reuseWatch {
+// watchReuse watches the stream buffers of ds's record leases through
+// OnLease; one Loader runs one epoch over ds.
+func watchReuse(ds *pcr.Dataset, sparse map[int64]bool) *reuseWatch {
 	w := &reuseWatch{sparse: sparse, back: make(map[*byte]bool)}
-	l.OnRecycleStreams(func(b []byte) { w.back[&b[0]] = true })
+	ds.OnLease(func(ev pcr.LeaseEvent) {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		for _, b := range ev.Streams {
+			w.back[&b[0]] = true
+		}
+	})
 	return w
 }
 
@@ -274,6 +282,8 @@ func watchReuse(l *pcr.Loader, sparse map[int64]bool) *reuseWatch {
 // at the start of the buffer it takes, so a sparse read's stream that
 // starts a buffer handed back already is a sparse read into that buffer.
 func (w *reuseWatch) saw(samples []pcr.Sample) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for _, s := range samples {
 		if w.sparse[s.ID] && w.back[unsafe.SliceData(s.JPEG)] {
 			w.reused++

@@ -64,20 +64,22 @@ func (p *Probe) Batches(ctx context.Context, q, n int) (batches []Batch, bytes i
 	// The plan is the draw cut off where n batches are covered, which the
 	// index says without a read: no record beyond that is fetched.
 	plan := &recordPlan{d: l.ds, order: order, policy: FixedQuality(q), need: n * l.batch}
+	// The plan runs out rather than being broken off, so every record read
+	// is handed over and its lease given back; what the last record holds
+	// past the n batches is dropped.
 	cur := make([]Sample, 0, l.batch)
-fill:
 	for r, err := range l.ds.pipeline(ctx, true, nil, func(p *pipeline) { p.fetch(plan) }) {
 		if err != nil {
 			return nil, bytes, err
 		}
 		bytes += r.bytes
 		for _, s := range r.samples {
+			if len(batches) == n {
+				break
+			}
 			if cur = append(cur, s); len(cur) == l.batch {
 				batches = append(batches, Batch{Epoch: -1, Samples: cur})
 				cur = make([]Sample, 0, l.batch)
-				if len(batches) == n {
-					break fill
-				}
 			}
 		}
 	}

@@ -23,11 +23,9 @@ import (
 //	         is the same planner walked without the stages behind it.
 //	fetch  — every planned read is carried out by the one record read,
 //	         pcrReader.readRecord (a prefix through the cache tiers, or a
-//	         filtered sparse gather), on one of up to readAhead fetch
-//	         workers that live as long as the pipeline, and is handed on in
-//	         plan order however the reads complete. A read Loader.Epoch
-//	         plans splices its streams into buffers its consumer has handed
-//	         back; every other read's streams are the caller's.
+//	         filtered sparse gather), into a record lease, on one of up to
+//	         readAhead fetch workers that live as long as the pipeline, and
+//	         is handed on in plan order however the reads complete.
 //	decode — WithPrefetchWorkers goroutines each take a run of up to runLen
 //	         samples of one record and decode it in place, one completion
 //	         signal per run: one worker decodes a run's samples back to back,
@@ -45,10 +43,12 @@ import (
 // Every consumer copies a run's samples out before it asks for the next,
 // so what carries them is the pipeline's to reuse: a run, with its
 // completion signal, goes back to the pipeline's list once the consumer is
-// done with it, a read's slot once its read is handed on, and a record
-// read's samples slice to the reader's list (pcrReader.spent) once the
-// consumer is done with the record's last run. A steady-state pipeline
-// allocates them per pipeline, not per record or run.
+// done with it, and a read's slot once its read is handed on. A record
+// read's lease travels with the record's last run and goes back once the
+// consumer is done with that run, its streams left to the consumer, unless
+// the consumer takes the lease off the run to give back later
+// (Loader.Epoch). A steady-state pipeline allocates none of these per
+// record or run.
 
 const (
 	// runLen is the decode stage's unit of work: long enough that a run's
@@ -66,31 +66,14 @@ const (
 )
 
 // recordRead is what one fetch delivers: a record's samples, still encoded,
-// with the read's accounting.
+// in the lease they were read into, with the read's accounting. A baseline
+// format's run of samples has no lease.
 type recordRead struct {
-	readSlices
+	samples []Sample
+	lease   *recordLease
 	bytes   int64 // record bytes the read covered
 	quality int   // resolved quality it was read at
 	err     error
-}
-
-// readSlices is what a record read delivers into: its samples, and the
-// stream buffers a lent read (readPlan.lend) spliced them into, in order.
-// A pipelined read's come from the reader's list and go back to it
-// (pcrReader.spent).
-type readSlices struct {
-	samples []Sample
-	lent    []lentBuffer
-}
-
-// lentBuffer is a buffer of spliced streams that Loader.Epoch lends out:
-// the samples holding its streams are consecutive, and last indexes the one
-// holding its last stream in the samples it travels with — a read's, then a
-// run's. Once the consumer is done with that sample, it is done with every
-// stream of the buffer.
-type lentBuffer struct {
-	buf  []byte
-	last int
 }
 
 // recordPlan is the plan stage, and the only one: every record-granular
@@ -126,10 +109,6 @@ type recordPlan struct {
 	// that many samples: no record beyond the cut-off is read.
 	need    int
 	planned int
-	// lend, when set, lends the plan's reads: each splices its streams into
-	// buffers from this list (Loader.Epoch's), which its consumer hands
-	// back.
-	lend *cache.Buffers
 }
 
 // readPlan is one record read as recordPlan decided and priced it; the fetch
@@ -147,11 +126,8 @@ type readPlan struct {
 	bytes  int64 // what the read moves
 	from   int   // selected samples that lie inside a resume prefix
 	// delivers is how many samples the read delivers: those selected past
-	// the resume prefix.
+	// the resume prefix, at least one.
 	delivers int
-	// lend is where the read takes its stream buffers from; nil makes the
-	// streams the caller's (recordPlan.lend).
-	lend *cache.Buffers
 }
 
 // next returns the next read to issue; ok is false at the end of the plan.
@@ -191,7 +167,7 @@ func (p *recordPlan) record(rec int) (read readPlan, ok bool, err error) {
 		return read, false, err
 	}
 	g := re.ClampGroup(q)
-	read = readPlan{rec: rec, quality: q, group: g, bytes: re.Prefixes[g], lend: p.lend}
+	read = readPlan{rec: rec, quality: q, group: g, bytes: re.Prefixes[g]}
 	if p.filter != nil {
 		full := read.bytes
 		read.sel, n = matchSelection(p.filter, re.SampleIDs, re.SampleLabels)
@@ -244,15 +220,9 @@ type run struct {
 	// of each fetched record (quality > 0 marks it).
 	bytes   int64
 	quality int
-	// last marks the final run of a fetched record: receiving it returns
-	// the record's read-ahead token.
-	last bool
-	// lent is the lent stream buffers whose last stream is in this run.
-	lent []lentBuffer
-	// spent, on the final run of a fetched record, is what its read
-	// delivered into, for the reader's list once the consumer is done with
-	// the run (pcrReader.spend).
-	spent readSlices
+	// lease, on the final run of a fetched record, is its read's: receiving
+	// the run returns the record's read-ahead token.
+	lease *recordLease
 }
 
 // pipeline is one running instance of the stages.
@@ -275,8 +245,10 @@ type pipeline struct {
 // cancelled and with ErrClosed as soon as the dataset is closed — both win
 // over runs already decoded — and never waits for a read: whatever it
 // abandons (an early break included) winds down on its own, each fetch
-// worker exiting once its read returns. A run yielded is the pipeline's
-// again once yield returns: the consumer copies out what it keeps.
+// worker exiting once its read returns, and the leases of its reads are
+// dropped. A run yielded is the pipeline's again once yield returns: the
+// consumer copies out what it keeps, and its lease, if the consumer left it
+// on the run, goes back with the streams left to the consumer.
 func (d *Dataset) pipeline(ctx context.Context, decode bool, frames cache.FreeList[image.Image], source func(p *pipeline)) iter.Seq2[*run, error] {
 	return func(yield func(*run, error) bool) {
 		ictx, cancel := context.WithCancel(ctx)
@@ -345,14 +317,15 @@ func (d *Dataset) pipeline(ctx context.Context, decode bool, frames cache.FreeLi
 				yield(nil, r.err)
 				return
 			}
-			if r.last {
+			if r.lease != nil {
 				<-p.tokens
 			}
-			if !yield(r, nil) {
-				return
+			more := yield(r, nil)
+			if r.lease != nil {
+				d.pcr.give(r.lease, true)
 			}
-			if r.spent.samples != nil {
-				d.pcr.spend(r.spent)
+			if !more {
+				return
 			}
 			*r = run{done: r.done}
 			p.runs.Give(r)
@@ -392,19 +365,15 @@ func (p *pipeline) send(r *run) bool {
 }
 
 // emit cuts one delivery into runs and queues them, followed by the
-// delivery's error if it has one. token says the delivery holds a read-ahead
-// token for its last run to return; such a delivery is a record read's,
-// whose slices go back to the reader once the consumer is done with them.
-func (p *pipeline) emit(rr recordRead, token bool) bool {
+// delivery's error if it has one. A record read's lease goes with its last
+// run; a read that succeeds delivers at least one sample, since its index
+// entry, which its parse agrees with, says so.
+func (p *pipeline) emit(rr recordRead) bool {
 	n := len(rr.samples)
-	if n == 0 && token {
-		<-p.tokens // nothing for the consumer to return it on
-	}
 	step := runLen
 	if p.work == nil {
 		step = max(n, 1)
 	}
-	lent := rr.lent
 	for from := 0; from < n; from += step {
 		to := min(from+step, n)
 		r := p.runs.Take()
@@ -414,16 +383,10 @@ func (p *pipeline) emit(rr recordRead, token bool) bool {
 				r.done = make(chan struct{}, 1)
 			}
 		}
-		r.samples, r.last = rr.samples[from:to:to], token && to == n
-		if r.last {
-			r.spent = rr.readSlices
+		r.samples = rr.samples[from:to:to]
+		if to == n {
+			r.lease = rr.lease
 		}
-		// The buffers whose last stream is in the run go with it.
-		k := 0
-		for ; k < len(lent) && lent[k].last < to; k++ {
-			lent[k].last -= from
-		}
-		r.lent, lent = lent[:k:k], lent[k:]
 		if from == 0 {
 			r.bytes, r.quality = rr.bytes, rr.quality
 		}
@@ -465,7 +428,7 @@ func (p *pipeline) fetch(plan *recordPlan) {
 	worker := func() {
 		for job := range jobs {
 			if p.ctx.Err() == nil {
-				job.slot <- plan.d.pcr.readRecord(&job.read, true)
+				job.slot <- plan.d.pcr.readRecord(&job.read)
 			}
 		}
 	}
@@ -504,7 +467,7 @@ func (p *pipeline) fetch(plan *recordPlan) {
 		select {
 		case rr := <-slot:
 			free.Give(slot)
-			if !p.emit(rr, true) {
+			if !p.emit(rr) {
 				return
 			}
 		case <-p.ctx.Done():
@@ -520,18 +483,18 @@ func (p *pipeline) chunk(seq iter.Seq2[Sample, error], pred Predicate) {
 	buf := make([]Sample, 0, runLen)
 	for s, err := range seq {
 		if err != nil {
-			p.emit(recordRead{readSlices: readSlices{samples: buf}, err: err}, false)
+			p.emit(recordRead{samples: buf, err: err})
 			return
 		}
 		if pred != nil && !pred.Matches(s.ID, s.Label) {
 			continue
 		}
 		if buf = append(buf, s); len(buf) == runLen {
-			if !p.emit(recordRead{readSlices: readSlices{samples: buf}}, false) {
+			if !p.emit(recordRead{samples: buf}) {
 				return
 			}
 			buf = make([]Sample, 0, runLen)
 		}
 	}
-	p.emit(recordRead{readSlices: readSlices{samples: buf}}, false)
+	p.emit(recordRead{samples: buf})
 }

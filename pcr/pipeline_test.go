@@ -1034,26 +1034,67 @@ func TestPipelineEpochRecyclesFrames(t *testing.T) {
 }
 
 // TestPipelineEpochLendsStreams holds Loader.Epoch to its stream contract,
-// with every stream buffer it hands back poisoned on the way: inside its
-// loop body each sample's JPEG is the one ScanEncoded delivers at the same
-// quality — over whole-prefix reads, sparse filtered reads and a resumed
-// epoch entered mid-record, in batches that cut records apart, while later
-// reads splice into the buffers handed back — each record read's buffer goes
-// back once, a JPEG kept past the body reads as poison once its buffer is
-// back, and buffers are reused across epochs. The batches of an epoch all
-// come in one Samples slice, and the last, kept past its body, reads as
-// cleared. Scan, ScanEncoded, ReadRecord, ReadRecordEncoded and
-// Probe.Batches hand nothing back, and what they deliver — the slices the
+// with the stream buffers of every record lease given back poisoned on the
+// way: inside its loop body each sample's JPEG is the one ScanEncoded
+// delivers at the same quality — over whole-prefix reads, sparse filtered
+// reads and a resumed epoch entered mid-record, in batches that cut records
+// apart, while later reads splice into the buffers of leases given back —
+// one lease goes back per record read, with its stream buffers, a JPEG kept
+// past the body reads as poison once its lease is back, and buffers are
+// reused across epochs. The batches of an epoch all come in one Samples
+// slice, and the last, kept past its body, reads as cleared. Scan,
+// ScanEncoded, ReadRecord, ReadRecordEncoded and Probe.Batches give no
+// stream buffer back with a lease, and what they deliver — the slices the
 // last three return included — never changes after delivery.
 func TestPipelineEpochLendsStreams(t *testing.T) {
 	// Twice as many records as are read ahead, so that reads splice into
-	// buffers an epoch has handed back while later batches are in flight.
+	// buffers an epoch has given back while later batches are in flight.
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(4), pcr.WithScanGroups(4))
 	ds, err := pcr.Open(dir, pcr.WithPrefetchWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
+	// gives counts the leases given back and streams their stream buffers;
+	// first is the epoch each buffer was first given back in, and reused
+	// whether one was given back again in a later epoch.
+	var (
+		mu             sync.Mutex
+		gives, streams int
+		epoch          int
+		first          map[*byte]int
+		reused         bool
+	)
+	ds.OnLease(func(ev pcr.LeaseEvent) {
+		if !ev.Give {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		gives++
+		for _, b := range ev.Streams {
+			if len(b) == 0 {
+				t.Errorf("a lease went back with an empty stream buffer")
+				continue
+			}
+			for i := range b {
+				b[i] = poison
+			}
+			streams++
+			if e, ok := first[&b[0]]; !ok {
+				first[&b[0]] = epoch
+			} else if e < epoch {
+				reused = true
+			}
+		}
+	})
+	counted := func() (int, int) {
+		mu.Lock()
+		defer mu.Unlock()
+		g, s := gives, streams
+		gives, streams = 0, 0
+		return g, s
+	}
 	const q, batch = 2, 5
 	ctx := context.Background()
 	want := make(map[int64][32]byte)
@@ -1071,7 +1112,6 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 		return len(b) > 0 && bytes.Count(b, []byte{poison}) == len(b)
 	}
 
-	handedBack := 0
 	lend := func(opts ...pcr.LoaderOption) *pcr.Loader {
 		t.Helper()
 		l, err := pcr.NewLoader(ds, append([]pcr.LoaderOption{pcr.WithQuality(q), pcr.WithBatchSize(batch)}, opts...)...)
@@ -1090,31 +1130,19 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 		// Resumed mid-record, at batch 3 of epoch 1, and then epoch 2 whole.
 		{"resumed", lend(pcr.WithResume(pcr.Checkpoint{Epoch: 1, Batch: 3, Seed: 1, BatchSize: batch, Window: 16})), []int{1, 2}},
 	} {
-		buffers := make(map[*byte]int) // the epoch each buffer was first handed back in
-		reused := false
-		epoch := 0
-		tc.l.OnRecycleStreams(func(b []byte) {
-			if cap(b) == 0 {
-				t.Fatalf("%s: an empty stream buffer handed back", tc.name)
-			}
-			for i := range b {
-				b[i] = poison
-			}
-			handedBack++
-			p := &b[0]
-			if first, ok := buffers[p]; !ok {
-				buffers[p] = epoch
-			} else if first < epoch {
-				reused = true
-			}
-		})
-		for _, epoch = range tc.epochs {
-			handedBack = 0
+		mu.Lock()
+		first, reused = make(map[*byte]int), false
+		mu.Unlock()
+		for _, e := range tc.epochs {
+			mu.Lock()
+			epoch = e
+			mu.Unlock()
+			counted()
 			var last [][]byte          // the final batch's JPEGs
 			var lastBatch []pcr.Sample // and its Samples
 			arrays := make(map[*pcr.Sample]bool)
 			delivered := 0
-			for b, err := range tc.l.Epoch(ctx, epoch) {
+			for b, err := range tc.l.Epoch(ctx, e) {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -1123,7 +1151,7 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 				last = last[:0]
 				for _, s := range b.Samples {
 					if sha256.Sum256(s.JPEG) != want[s.ID] {
-						t.Fatalf("%s epoch %d: sample %d's JPEG differs from ScanEncoded's inside its loop body", tc.name, epoch, s.ID)
+						t.Fatalf("%s epoch %d: sample %d's JPEG differs from ScanEncoded's inside its loop body", tc.name, e, s.ID)
 					}
 					if tc.name == "filtered" && !pred.Matches(s.ID, s.Label) {
 						t.Fatalf("%s: sample %d escaped the filter", tc.name, s.ID)
@@ -1134,41 +1162,38 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 			}
 			st, ok := tc.l.LastEpochStats()
 			if !ok || st.Images != delivered {
-				t.Fatalf("%s epoch %d: stats %+v for %d samples delivered", tc.name, epoch, st, delivered)
+				t.Fatalf("%s epoch %d: stats %+v for %d samples delivered", tc.name, e, st, delivered)
 			}
-			// Every read's streams fit one buffer, and each goes back once.
-			if handedBack != st.Records {
-				t.Fatalf("%s epoch %d: %d stream buffers handed back for %d record reads", tc.name, epoch, handedBack, st.Records)
+			// One lease per record read goes back, with its stream buffers.
+			if g, s := counted(); g != st.Records || s < g {
+				t.Fatalf("%s epoch %d: %d leases given back with %d stream buffers for %d record reads", tc.name, e, g, s, st.Records)
 			}
 			for i, jpeg := range last {
 				if !isPoison(jpeg) {
-					t.Fatalf("%s epoch %d: JPEG %d of the last batch, kept past its loop body, is not poison", tc.name, epoch, i)
+					t.Fatalf("%s epoch %d: JPEG %d of the last batch, kept past its loop body, is not poison", tc.name, e, i)
 				}
 			}
 			if len(arrays) != 1 {
-				t.Fatalf("%s epoch %d: batches came in %d Samples slices, want one", tc.name, epoch, len(arrays))
+				t.Fatalf("%s epoch %d: batches came in %d Samples slices, want one", tc.name, e, len(arrays))
 			}
 			for i, s := range lastBatch {
 				if s.ID != 0 || s.Label != 0 || s.JPEG != nil || s.Image != nil {
-					t.Fatalf("%s epoch %d: sample %d of the last batch's Samples, kept past its loop body, is not cleared", tc.name, epoch, i)
+					t.Fatalf("%s epoch %d: sample %d of the last batch's Samples, kept past its loop body, is not cleared", tc.name, e, i)
 				}
 			}
 		}
-		if !reused {
-			t.Fatalf("%s: no stream buffer handed back in one epoch was handed back in a later one", tc.name)
+		mu.Lock()
+		r := reused
+		mu.Unlock()
+		if !r {
+			t.Fatalf("%s: no stream buffer given back in one epoch was given back in a later one", tc.name)
 		}
 	}
 
-	// The other readers lend nothing: their streams stay as delivered, with
-	// a lending epoch run after them.
+	// The other readers lend nothing: their leases go back without their
+	// streams, which stay as delivered, with a lending epoch run after them.
 	l := lend()
-	l.OnRecycleStreams(func(b []byte) {
-		for i := range b {
-			b[i] = poison
-		}
-		handedBack++
-	})
-	handedBack = 0
+	counted()
 	type kept struct {
 		jpeg []byte
 		sum  [32]byte
@@ -1211,16 +1236,16 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 		keep(b.Samples...)
 		held = append(held, b.Samples)
 	}
-	if handedBack != 0 {
-		t.Fatalf("Scan, ScanEncoded, ReadRecord, ReadRecordEncoded and Probe.Batches handed back %d stream buffers", handedBack)
+	if g, s := counted(); g == 0 || s != 0 {
+		t.Fatalf("Scan, ScanEncoded, ReadRecord, ReadRecordEncoded and Probe.Batches gave back %d leases with %d stream buffers, want some with none", g, s)
 	}
 	for _, err := range l.Epoch(ctx, 0) {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if handedBack == 0 {
-		t.Fatal("the epoch after the other reads handed back no stream buffer")
+	if _, s := counted(); s == 0 {
+		t.Fatal("the epoch after the other reads gave back no stream buffer")
 	}
 	for i, k := range others {
 		if sha256.Sum256(k.jpeg) != k.sum {
@@ -1236,16 +1261,12 @@ func TestPipelineEpochLendsStreams(t *testing.T) {
 	}
 }
 
-// TestPipelineEpochKeepsStreamBuffers: the Loader's stream buffers are a
-// list that keeps what its reads need. Over records of mixed sizes, read
-// sparse by a filter, a read takes the smallest listed buffer that fits it
-// and leaves the others listed, so no buffer is dropped while the list has
-// room: once the epochs are over and every buffer is back, the list holds
-// every buffer made, up to its ReadAhead + batch, among them some too small
-// for the largest read. A list that dropped a buffer too small for the read
-// at hand holds fewer. How many buffers the epochs make depends on the
-// schedule (how many are out when a read takes one), so that is held only
-// to a bound, far under one per read.
+// TestPipelineEpochKeepsStreamBuffers: a record lease keeps its stream
+// buffers from read to read. Over records of mixed sizes, read sparse by a
+// filter, 11 epochs make few stream buffers, far under one per read: how
+// many leases an epoch has out at once depends on the schedule, so that is
+// held only to a bound. A lease that let go of its buffers, or a reader
+// that dropped leases, makes one per read.
 func TestPipelineEpochKeepsStreamBuffers(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(2), pcr.WithScanGroups(4))
 	ds, err := pcr.Open(dir)
@@ -1253,6 +1274,17 @@ func TestPipelineEpochKeepsStreamBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
+	// made is every stream buffer a lease has gone back with, by its first
+	// byte; holding it keeps the address the buffer's.
+	var mu sync.Mutex
+	made := make(map[*byte][]byte)
+	ds.OnLease(func(ev pcr.LeaseEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, b := range ev.Streams {
+			made[&b[0]] = b
+		}
+	})
 	pred, err := pcr.ParseFilter("label IN (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23)")
 	if err != nil {
 		t.Fatal(err)
@@ -1289,18 +1321,16 @@ func TestPipelineEpochKeepsStreamBuffers(t *testing.T) {
 			delivered += len(b.Samples)
 		}
 	}
-	made, listed := l.StreamBuffersMade(), l.StreamBuffersListed()
-	if room := int64(pcr.ReadAhead + batch); int64(len(listed)) != min(made, room) {
-		t.Fatalf("%d stream buffers made and %d listed once every one is back, want %d listed: one was dropped while the list had room", made, len(listed), min(made, room))
-	}
-	if made > 2*(pcr.ReadAhead+batch) {
-		t.Fatalf("11 epochs made %d stream buffers for %d samples", made, delivered)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(made) > 2*(pcr.ReadAhead+batch) {
+		t.Fatalf("11 epochs made %d stream buffers for %d samples", len(made), delivered)
 	}
 	caps := make(map[int]bool)
-	for _, b := range listed {
+	for _, b := range made {
 		caps[cap(b)] = true
 	}
 	if len(caps) < 2 {
-		t.Fatalf("the listed stream buffers have %d capacities; the test needs reads of mixed sizes", len(caps))
+		t.Fatalf("the stream buffers made have %d capacities; the test needs reads of mixed sizes", len(caps))
 	}
 }

@@ -21,7 +21,7 @@ import (
 // Loader's as they read inside its loop body, since an epoch lends its
 // batches whole. The dataset holds more records than are read ahead and
 // batched, so that the epoch assembles a batch in a Samples slice it has
-// taken back and a read splices into a stream buffer it has handed back,
+// taken back and a read splices into a stream buffer a lease went back with,
 // which each must do at least once.
 func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 	dir, _ := synthDir(t, pcr.WithImagesPerRecord(2), pcr.WithScanGroups(4))
@@ -59,6 +59,17 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ds.Close()
+			// back is the first byte of each stream buffer a record lease
+			// has gone back with: only the epoch's keep theirs.
+			var backMu sync.Mutex
+			back := make(map[*byte]bool)
+			ds.OnLease(func(ev pcr.LeaseEvent) {
+				backMu.Lock()
+				defer backMu.Unlock()
+				for _, b := range ev.Streams {
+					back[&b[0]] = true
+				}
+			})
 
 			type kept struct {
 				q    int
@@ -117,8 +128,6 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 					errs <- err
 					return
 				}
-				back := make(map[*byte]bool) // the first byte of each stream buffer handed back
-				l.OnRecycleStreams(func(b []byte) { back[&b[0]] = true })
 				seen := make(map[*pcr.Sample]bool) // the Samples arrays batches came in
 				for b, err := range l.Epoch(ctx, 0) {
 					if err != nil {
@@ -130,11 +139,13 @@ func TestPipelineReadBuffersNeverAliased(t *testing.T) {
 					} else {
 						seen[p] = true
 					}
+					backMu.Lock()
 					for _, s := range b.Samples {
 						if back[unsafe.SliceData(s.JPEG)] {
 							buffersReused++
 						}
 					}
+					backMu.Unlock()
 					// An epoch lends its batches: they are kept as they read
 					// inside the loop body.
 					keepAll(1, cloneStreams(b.Samples))
